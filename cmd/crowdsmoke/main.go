@@ -2,8 +2,9 @@
 // crowddbd: it exercises the whole v1 lifecycle through the public SDK
 // (pkg/client) — create a session, submit a crowd query, stream partial
 // rows, wait for completion, then submit a second job and cancel it
-// mid-crowd-wait, asserting the terminal states and that the budget
-// settled. Exit status 0 means the surface works end to end.
+// mid-crowd-wait, asserting the terminal states, that the budget
+// settled, and that the first job's Submit → Rows → Wait was a single
+// HTTP request. Exit status 0 means the surface works end to end.
 //
 // Usage:
 //
@@ -14,7 +15,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"crowddb/pkg/client"
@@ -25,6 +28,14 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// countingTransport counts the requests the SDK issues.
+type countingTransport struct{ n atomic.Int64 }
+
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	t.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 func main() {
 	url := flag.String("url", "http://127.0.0.1:8090", "crowddbd base URL")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
@@ -33,7 +44,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	c := client.New(*url)
+	requests := &countingTransport{}
+	c := client.New(*url, client.WithHTTPClient(&http.Client{Transport: requests}))
 	deadline := time.Now().Add(30 * time.Second)
 	for !c.Healthy(ctx) {
 		if time.Now().After(deadline) {
@@ -50,6 +62,7 @@ func main() {
 	// 1. Submit a crowd query and stream its rows (partial results flow
 	// while HIT groups round-trip; against -demo the abstracts are CNULL
 	// until the simulated crowd answers).
+	before := requests.n.Load()
 	job, err := c.Submit(ctx, "SELECT title, abstract FROM Talk LIMIT 3;")
 	if err != nil {
 		fail("submit: %v", err)
@@ -75,6 +88,11 @@ func main() {
 	}
 	if st.State != "done" || streamed == 0 || st.RowsEmitted != streamed {
 		fail("job 1: state=%s streamed=%d emitted=%d (err %v)", st.State, streamed, st.RowsEmitted, st.Error)
+	}
+	// One request per statement: the submit exchange carried the rows and
+	// the terminal resource.
+	if n := requests.n.Load() - before; n != 1 {
+		fail("job 1: Submit → Rows → Wait took %d HTTP requests, want 1", n)
 	}
 	fmt.Printf("crowdsmoke: job %s done, %d rows streamed, ¢%.1f spent\n", job.ID(), streamed, st.SpentCents)
 

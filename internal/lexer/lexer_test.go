@@ -193,3 +193,20 @@ func TestLexerWordSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestTokenizeAllocatesTokensOnce: the token slice is sized from the
+// source length, not grown from nil — one allocation for a 13-token
+// statement whose words need no case folding.
+func TestTokenizeAllocatesTokensOnce(t *testing.T) {
+	const src = "SELECT ID, TITLE FROM TALK WHERE ID = 4711 LIMIT 1;"
+	toks, err := Tokenize(src)
+	if err != nil || len(toks) != 13 {
+		t.Fatalf("tokens = %d, err = %v", len(toks), err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		Tokenize(src) //nolint:errcheck // checked above
+	})
+	if allocs != 1 {
+		t.Fatalf("Tokenize allocates %.0f times per call, want 1 (the token slice)", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBudgetAdmissionRejectsBeforePosting: with AdmissionHeadroom set, a
@@ -76,7 +77,14 @@ func TestBudgetAdmissionRejectsBeforePosting(t *testing.T) {
 	if state := waitDone(t, job); state != JobDone {
 		t.Fatalf("job state = %s (err %v), want done", state, job.Err())
 	}
-	adm = lax.Stats().CostModel.Admission
+	// The accuracy sample lands when the job retires, just after it
+	// turns terminal.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		adm = lax.Stats().CostModel.Admission
+		if adm.ForecastJobs > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if adm.ForecastJobs != 1 || adm.PredictedCents <= 0 {
 		t.Errorf("accuracy sample = %+v, want 1 forecast job with positive predicted cents", adm)
 	}

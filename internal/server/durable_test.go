@@ -251,6 +251,37 @@ func TestJournalRecoversFinishedJob(t *testing.T) {
 	waitDone(t, job3)
 }
 
+// crashMidQuery seeds a durable server over data and jpath, runs
+// durableQuery on a session with the given budget and crashes the
+// process in-memory at the third row: from that instant every
+// durability write is dropped. It returns the job's and session's ids
+// for the restarted server to look up.
+func crashMidQuery(t *testing.T, data, jpath string, seed int64, n, budget int) (jobID, sessID string) {
+	t.Helper()
+	eng := durableEngine(t, data, seed, n)
+	seedPairs(t, eng, seed, n)
+	srv := New(eng, Config{})
+	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	sess, serr := srv.CreateSession(budget)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	defer faultinject.Disarm()
+	faultinject.SetHandler(func(string) {}) // in-process crash: durability writes stop
+	if err := faultinject.Arm("server.job.row=3"); err != nil {
+		t.Fatal(err)
+	}
+	job, serr := srv.StartJob(sess.ID(), durableQuery)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	waitDone(t, job) // the dying process's in-memory terminal state is irrelevant
+	eng.Close()      // Killed() is still set: closing persists nothing further
+	return job.ID(), sess.ID()
+}
+
 // TestJournalResumesInterruptedJob: a crash mid-stream loses nothing a
 // client was acknowledged — the restarted server resumes the read-only
 // script, the full stream is byte-identical to an uninterrupted run, no
@@ -262,29 +293,7 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
-	eng1 := durableEngine(t, data, seed, n)
-	seedPairs(t, eng1, seed, n)
-	srv1 := New(eng1, Config{})
-	if err := srv1.EnableJournal(jpath, storage.SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	sess1, serr := srv1.CreateSession(budget)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-
-	defer faultinject.Disarm()
-	faultinject.SetHandler(func(string) {}) // in-process crash: durability writes stop
-	if err := faultinject.Arm("server.job.row=3"); err != nil {
-		t.Fatal(err)
-	}
-	job1, serr := srv1.StartJob(sess1.ID(), durableQuery)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	waitDone(t, job1) // the dying process's in-memory terminal state is irrelevant
-	eng1.Close()      // Killed() is still set: closing persists nothing further
-	faultinject.Disarm()
+	jobID, sessID := crashMidQuery(t, data, jpath, seed, n, budget)
 
 	// How many answers became durable (and were charged) before the crash?
 	persisted := 0
@@ -293,7 +302,7 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
-		if rec.T == recSpend && rec.Session == sess1.ID() {
+		if rec.T == recSpend && rec.Session == sessID {
 			persisted += rec.N
 		}
 		return nil
@@ -310,7 +319,7 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 	if err := srv2.EnableJournal(jpath, storage.SyncAlways); err != nil {
 		t.Fatal(err)
 	}
-	job2, serr := srv2.Job(job1.ID())
+	job2, serr := srv2.Job(jobID)
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -326,7 +335,7 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 		t.Errorf("resumed run posted %d HIT groups, want %d (%d answers were persisted pre-crash)",
 			st.GroupsPosted, n-persisted, persisted)
 	}
-	sess2, serr := srv2.Session(sess1.ID())
+	sess2, serr := srv2.Session(sessID)
 	if serr != nil {
 		t.Fatal(serr)
 	}

@@ -16,14 +16,16 @@ import (
 // from this contract):
 //
 //	POST   /v1/queries          {"sql": "...", "session": "s000001"?}
-//	                            -> 202 job resource (id, state, ...)
+//	                            -> 202 job resource (id, state, ...);
+//	                               with Accept: application/x-ndjson the
+//	                               resource is line 1 of the rows stream
 //	GET    /v1/queries          -> retained job resources, newest first
 //	GET    /v1/queries/{id}     -> job resource (poll)
 //	GET    /v1/queries/{id}/rows[?from=N]
 //	                            -> partial-result stream: NDJSON rows
-//	                               (one JSON array per line, then a
-//	                               {"state": ...} trailer), or SSE with
-//	                               Accept: text/event-stream
+//	                               (one JSON array per line, then the
+//	                               terminal job resource as trailer), or
+//	                               SSE with Accept: text/event-stream
 //	GET    /v1/queries/{id}/trace
 //	                            -> the job's span tree (trace JSON)
 //	DELETE /v1/queries/{id}     -> request cancellation (idempotent)
@@ -93,7 +95,11 @@ func (s *Server) HTTPHandler() http.Handler {
 	return mux
 }
 
-// handleJobSubmit creates a query job: POST /v1/queries.
+// handleJobSubmit creates a query job: POST /v1/queries. The answer is
+// the 202 job resource; a client that sends Accept: application/x-ndjson
+// gets submit-and-stream instead — the job resource as the first NDJSON
+// line, then exactly the stream GET /v1/queries/{id}/rows?from=0
+// produces, so the common statement is one HTTP exchange.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -109,7 +115,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.Info())
+	if !strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+		writeJSON(w, http.StatusAccepted, job.Info())
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(append(marshalLine(job.Info()), '\n')) //nolint:errcheck // client gone surfaces in the stream
+	streamJobRows(w, r, job, 0, false)
 }
 
 // handleJobList reports every retained job: GET /v1/queries.
@@ -142,8 +155,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // Rows stream as they are produced; the connection stays open until the
 // job reaches a terminal state (or the client goes away). With
 // Accept: text/event-stream the response is SSE ("row" events followed
-// by one "end" event); otherwise NDJSON — one JSON array per row, then a
-// {"state": ..., "error": ...} trailer object.
+// by one "end" event); otherwise NDJSON — one JSON array per row, then
+// the trailer: the terminal job resource, as one object.
 func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 	job, serr := s.Job(r.PathValue("id"))
 	if serr != nil {
@@ -159,7 +172,6 @@ func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	flusher, _ := w.(http.Flusher)
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -168,45 +180,49 @@ func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
+	streamJobRows(w, r, job, from, sse)
+}
 
-	enc := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return []byte("null")
-		}
-		return b
+// marshalLine renders one stream line ("null" when v cannot marshal).
+func marshalLine(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return []byte("null")
 	}
-	next := from
+	return b
+}
+
+// streamJobRows writes the job's rows from index next on, then the
+// trailer — the terminal job resource, whose state and error fields are
+// what pre-resource trailer readers look for — and returns; headers and
+// anything the caller wrote ahead of the rows are already on w. It
+// flushes only before it blocks, and only what is new, so the rows and
+// trailer of an already-finished job leave in one write (the final
+// flush is the server's, on return).
+func streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse bool) {
+	flusher, _ := w.(http.Flusher)
+	event := func(name string, v any) {
+		if sse {
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, marshalLine(v))
+		} else {
+			w.Write(append(marshalLine(v), '\n')) //nolint:errcheck // client gone surfaces on flush
+		}
+	}
+	pending := true // the response head, and the caller's first line if any
 	for {
 		batch, state, notify := job.rowsFrom(next)
 		for _, row := range batch {
-			if sse {
-				fmt.Fprintf(w, "event: row\ndata: %s\n\n", enc(row))
-			} else {
-				w.Write(enc(row))     //nolint:errcheck // client gone surfaces on flush
-				w.Write([]byte("\n")) //nolint:errcheck
-			}
-			next++
+			event("row", row)
 		}
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
-		}
+		next += len(batch)
 		if state.Terminal() {
-			trailer := map[string]any{"state": state}
-			if err := job.Err(); err != nil {
-				trailer["error"] = err
-			}
-			if sse {
-				fmt.Fprintf(w, "event: end\ndata: %s\n\n", enc(trailer))
-			} else {
-				w.Write(enc(trailer)) //nolint:errcheck
-				w.Write([]byte("\n")) //nolint:errcheck
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			event("end", job.Info())
 			return
 		}
+		if (pending || len(batch) > 0) && flusher != nil {
+			flusher.Flush()
+		}
+		pending = false
 		select {
 		case <-notify:
 		case <-r.Context().Done():

@@ -13,7 +13,7 @@ import "fmt"
 
 // openAPIVersion is the spec's document version; bump on breaking
 // contract changes.
-const openAPIVersion = "1.2.0"
+const openAPIVersion = "1.3.0"
 
 // httpRoutes lists every mux pattern HTTPHandler registers, in
 // documentation order. The OpenAPI coverage test walks it.
@@ -81,6 +81,13 @@ paths:
         crowd budget times the headroom factor is rejected synchronously
         with the coded budget_exhausted error — before a single HIT group
         is posted, having spent exactly zero cents.
+        Submit-and-stream: sent with "Accept: application/x-ndjson" the
+        202 response is itself the job's NDJSON stream — line 1 is the
+        job resource, flushed as soon as the job is accepted, followed
+        by exactly what GET /v1/queries/{id}/rows?from=0 streams (rows,
+        then the terminal job resource). A whole statement is then one
+        HTTP exchange. A rejected submit is a plain JSON error either
+        way; a stream that drops is resumed with GET .../rows?from=N.
       requestBody:
         required: true
         content:
@@ -89,11 +96,16 @@ paths:
               $ref: '#/components/schemas/QueryRequest'
       responses:
         '202':
-          description: Job accepted (state queued or running)
+          description: >-
+            Job accepted (state queued or running). application/x-ndjson
+            only when the request's Accept header asks for it.
           content:
             application/json:
               schema:
                 $ref: '#/components/schemas/Job'
+            application/x-ndjson:
+              schema:
+                $ref: '#/components/schemas/RowStreamLine'
         default:
           $ref: '#/components/responses/Error'
     get:
@@ -156,10 +168,12 @@ paths:
       description: >-
         Rows stream while the job runs; the response ends when the job
         reaches a terminal state. Default framing is NDJSON (one JSON
-        array of nullable strings per row, then one trailer object with
-        the terminal state and error); with "Accept: text/event-stream"
-        the same data arrives as SSE "row" events followed by one "end"
-        event. With durable jobs enabled (crowddbd -data), row offsets
+        array of nullable strings per row, then one trailer object: the
+        terminal job resource, whose state and error fields say how the
+        job ended and which saves the closing GET /v1/queries/{id});
+        with "Accept: text/event-stream" the same data arrives as SSE
+        "row" events followed by one "end" event carrying that resource.
+        With durable jobs enabled (crowddbd -data), row offsets
         are stable across server restarts: a row is journaled before it
         is observable, so a client that reconnects with ?from=N after a
         crash — even to a job that resumed execution on the restarted
@@ -170,7 +184,7 @@ paths:
           content:
             application/x-ndjson:
               schema:
-                type: string
+                $ref: '#/components/schemas/RowStreamLine'
             text/event-stream:
               schema:
                 type: string
@@ -363,6 +377,18 @@ components:
         session:
           type: string
           description: Registered session id; empty = anonymous one-shot
+    RowStreamLine:
+      description: >-
+        One line of an NDJSON row stream. Rows are arrays of nullable
+        strings (null = SQL NULL / CNULL); the last line — the trailer —
+        is the terminal job resource. A submit-and-stream response
+        additionally starts with the accepted job resource.
+      oneOf:
+        - type: array
+          items:
+            type: string
+            nullable: true
+        - $ref: '#/components/schemas/Job'
     Job:
       type: object
       required: [id, state]

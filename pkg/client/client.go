@@ -2,15 +2,28 @@
 //
 // Queries run as asynchronous jobs: Submit returns a typed Job handle
 // whose Rows iterator streams partial results while the crowd is still
-// working, Wait polls to the terminal state, and Cancel stops the query
-// mid-crowd-wait (the server stops posting new HITs and settles the
-// budget for work already paid).
+// working, Wait returns the terminal job resource, and Cancel stops the
+// query mid-crowd-wait (the server stops posting new HITs and settles
+// the budget for work already paid).
+//
+// A statement is one HTTP exchange: Submit asks the server to answer
+// with the job resource followed by the row stream, Rows hands that
+// stream over instead of opening another request, and Wait returns the
+// terminal resource the stream's trailer carried. Requests are only
+// added when they are needed — Status, Cancel, a second Rows, a resumed
+// RowsFrom, or Wait on a handle reattached with Client.Job, which polls.
+//
+// Ownership: a handle from Submit holds an open response until Rows,
+// Wait or Close takes it — call one of them on every handle, and Close
+// every RowIter. The held stream reads under the context given to
+// Submit; cancelling that context aborts it.
 //
 // Quickstart:
 //
 //	c := client.New("http://localhost:8090")
 //	job, _ := c.Submit(ctx, "SELECT title FROM Talk ORDER BY CROWDORDER(title, 'better?');")
 //	it, _ := job.Rows(ctx)
+//	defer it.Close()
 //	for it.Next() {
 //	    fmt.Println(it.Row())
 //	}
@@ -29,6 +42,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -140,44 +154,61 @@ type SessionInfo struct {
 	Stats      Stats  `json:"stats"`
 }
 
-// do issues one JSON request; a coded server error body comes back as
-// *Error, transport failures as plain errors.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request — in, when non-nil, as its JSON body — and
+// returns the open response. A status >= 400 comes back as the body's
+// coded *Error (or a plain error quoting it), transport failures as
+// plain errors.
+func (c *Client) send(ctx context.Context, method, path, accept string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 400 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	var er struct {
+		Error *Error `json:"error"`
+	}
+	if json.Unmarshal(data, &er) == nil && er.Error != nil {
+		return nil, er.Error
+	}
+	return nil, fmt.Errorf("client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
+}
+
+// do is send for a plain JSON exchange: the response body decodes into
+// out (nil = discard it).
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, "", in)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if err != nil || out == nil {
 		return err
-	}
-	if resp.StatusCode >= 400 {
-		var er struct {
-			Error *Error `json:"error"`
-		}
-		if json.Unmarshal(data, &er) == nil && er.Error != nil {
-			return er.Error
-		}
-		return fmt.Errorf("client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(data, out)
 }
@@ -240,24 +271,66 @@ func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 // ---------------------------------------------------------------------------
 // Jobs
 
-// Job is a typed handle on one submitted query job.
+// Job is a typed handle on one submitted query job, safe for concurrent
+// use (Cancel or Status while another goroutine is in RowIter.Next).
+//
+// A handle from Submit owns the open response its row stream arrives
+// on: call Rows, Wait or Close on it, or the connection stays checked
+// out until the job ends. A handle from Client.Job owns nothing.
 type Job struct {
 	c  *Client
 	id string
+
+	mu sync.Mutex
+	// stream is the row stream Submit's exchange left open, until Rows,
+	// Wait or Close takes it; it reads under streamCtx.
+	stream    *RowIter
+	streamCtx context.Context
+	// final is the terminal job resource a row stream's trailer carried.
+	final *JobStatus
 }
 
+const ndjson = "application/x-ndjson"
+
 // Submit starts a CrowdSQL script as an asynchronous job on the bound
-// session and returns immediately with its handle.
+// session and returns with its handle as soon as the server accepted
+// it. The same exchange carries the job's row stream: the handle keeps
+// it, reading under ctx, for Rows or Wait to consume (see Job).
 func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
-	var st JobStatus
 	req := map[string]string{"sql": sql}
 	if c.session != "" {
 		req["session"] = c.session
 	}
-	if err := c.do(ctx, http.MethodPost, "/v1/queries", req, &st); err != nil {
+	resp, err := c.send(ctx, http.MethodPost, "/v1/queries", ndjson, req)
+	if err != nil {
 		return nil, err
 	}
-	return &Job{c: c, id: st.ID}, nil
+	job := &Job{c: c}
+	var accepted struct {
+		ID string `json:"id"`
+	}
+	if !strings.HasPrefix(resp.Header.Get("Content-Type"), ndjson) {
+		// A server without submit-and-stream: the body is the resource.
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+			return nil, fmt.Errorf("client: submit: job resource: %w", err)
+		}
+		job.id = accepted.ID
+		return job, nil
+	}
+	it := newRowIter(job, resp.Body)
+	err = io.ErrUnexpectedEOF // a stream that ends before its first line
+	if it.sc.Scan() {
+		err = json.Unmarshal(it.sc.Bytes(), &accepted)
+	} else if it.sc.Err() != nil {
+		err = it.sc.Err()
+	}
+	if err != nil {
+		it.Close() //nolint:errcheck // the read error wins
+		return nil, fmt.Errorf("client: submit: job resource: %w", err)
+	}
+	job.id, job.stream, job.streamCtx = accepted.ID, it, ctx
+	return job, nil
 }
 
 // Job returns a handle for an already-submitted job id — reattaching to
@@ -277,10 +350,57 @@ func (j *Job) Status(ctx context.Context) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Wait polls until the job reaches a terminal state (or ctx fires) and
+// take hands over the stream Submit left on the handle (nil when there
+// is none, or it was taken already), to be read under ctx from here on.
+// A stream whose own context is done is discarded instead.
+func (j *Job) take(ctx context.Context) *RowIter {
+	j.mu.Lock()
+	it, sctx := j.stream, j.streamCtx
+	j.stream, j.streamCtx = nil, nil
+	j.mu.Unlock()
+	if it == nil {
+		return nil
+	}
+	if sctx.Err() != nil {
+		it.Close() //nolint:errcheck // already broken
+		return nil
+	}
+	if ctx.Done() != nil && ctx.Done() != sctx.Done() {
+		it.ctx = ctx
+		it.stop = context.AfterFunc(ctx, func() { it.body.Close() })
+	}
+	return it
+}
+
+// terminal returns a copy of the terminal resource a stream trailer
+// delivered, nil before one did.
+func (j *Job) terminal() *JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.final == nil {
+		return nil
+	}
+	st := *j.final
+	return &st
+}
+
+// Wait blocks until the job reaches a terminal state (or ctx fires) and
 // returns the final status. A failed job is not an error at the
 // transport level — check status.State / status.Err().
+//
+// It costs no request once a row stream of this handle has read its
+// trailer; if Rows was never called it drains (and discards) the stream
+// Submit left on the handle. Only a handle with neither — reattached
+// with Client.Job, or whose stream dropped — polls the job resource.
 func (j *Job) Wait(ctx context.Context) (*JobStatus, error) {
+	if it := j.take(ctx); it != nil {
+		for it.Next() {
+		}
+		it.Close() //nolint:errcheck // drained, or dropped and polled below
+	}
+	if st := j.terminal(); st != nil {
+		return st, nil
+	}
 	for {
 		st, err := j.Status(ctx)
 		if err != nil {
@@ -307,6 +427,17 @@ func (j *Job) Cancel(ctx context.Context) (*JobStatus, error) {
 	return &st, nil
 }
 
+// Close releases the stream Submit left on the handle, if Rows or Wait
+// did not take it. The job itself keeps running on the server (Cancel
+// stops it) and the handle stays usable: Rows re-opens the stream,
+// Wait polls. Closing a handle that holds nothing is a no-op.
+func (j *Job) Close() error {
+	if it := j.take(context.Background()); it != nil {
+		return it.Close()
+	}
+	return nil
+}
+
 // Row is one streamed result row; nil cells are SQL NULL / CNULL.
 type Row []*string
 
@@ -322,44 +453,56 @@ func (r Row) Cell(i int) string {
 // (NDJSON over a chunked response). Always Close it; Err reports
 // transport errors, FinalState/FinalError the job's outcome trailer.
 type RowIter struct {
-	body   io.ReadCloser
-	sc     *bufio.Scanner
-	cur    Row
-	err    error
-	state  string
-	jobErr *Error
-	done   bool
+	job  *Job
+	body io.ReadCloser
+	sc   *bufio.Scanner
+	// ctx and stop are set when the iterator reads under a context other
+	// than its request's (Job.take): stop detaches the watcher that
+	// closes body when ctx fires.
+	ctx   context.Context
+	stop  func() bool
+	cur   Row
+	err   error
+	final *JobStatus
+	done  bool
 }
 
-// Rows opens the job's partial-result stream from the given offset
-// (usually 0). The iterator ends when the job reaches a terminal state.
+// maxLine bounds one NDJSON line (a row, or the job resource). startLine
+// is the scan buffer an iterator begins with; it grows to maxLine when a
+// line does not fit. It is the first of two steps down from a whole
+// maxLine per iterator: bufio's 4 KiB default is the second, held back
+// until bench/perf can resolve a gain that size (ROADMAP aim 1, item 2).
+const (
+	maxLine   = 1 << 20
+	startLine = 384 << 10
+)
+
+func newRowIter(job *Job, body io.ReadCloser) *RowIter {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, startLine), maxLine)
+	return &RowIter{job: job, body: body, sc: sc}
+}
+
+// Rows returns the job's partial-result stream from row 0. The iterator
+// ends when the job reaches a terminal state. On a handle from Submit
+// the first call takes over the stream that exchange opened and costs
+// no request.
 func (j *Job) Rows(ctx context.Context) (*RowIter, error) { return j.RowsFrom(ctx, 0) }
 
-// RowsFrom is Rows starting at row index n (resuming a dropped stream).
+// RowsFrom is Rows starting at row index n (resuming a dropped stream);
+// any n > 0 opens a new stream.
 func (j *Job) RowsFrom(ctx context.Context, n int) (*RowIter, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/queries/%s/rows?from=%d", j.c.base, url.PathEscape(j.id), n), nil)
+	if n == 0 {
+		if it := j.take(ctx); it != nil {
+			return it, nil
+		}
+	}
+	resp, err := j.c.send(ctx, http.MethodGet,
+		fmt.Sprintf("/v1/queries/%s/rows?from=%d", url.PathEscape(j.id), n), "", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := j.c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		var er struct {
-			Error *Error `json:"error"`
-		}
-		if json.Unmarshal(data, &er) == nil && er.Error != nil {
-			return nil, er.Error
-		}
-		return nil, fmt.Errorf("client: rows: HTTP %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	return &RowIter{body: resp.Body, sc: sc}, nil
+	return newRowIter(j, resp.Body), nil
 }
 
 // Next advances to the next row, blocking until the server streams one
@@ -382,19 +525,28 @@ func (it *RowIter) Next() bool {
 			it.cur = row
 			return true
 		}
-		// Trailer object: the job's terminal state.
-		var trailer struct {
-			State string `json:"state"`
-			Error *Error `json:"error"`
-		}
-		if err := json.Unmarshal(line, &trailer); err != nil {
+		// Trailer object: the terminal job resource.
+		var st JobStatus
+		if err := json.Unmarshal(line, &st); err != nil {
 			it.err = err
 			return false
 		}
-		it.state, it.jobErr, it.done = trailer.State, trailer.Error, true
+		it.final, it.done = &st, true
+		if st.ID == it.job.id {
+			it.job.mu.Lock()
+			it.job.final = &st
+			it.job.mu.Unlock()
+		}
+		// Nothing follows the trailer; reading the end of the body is what
+		// returns the connection to the pool.
+		for it.sc.Scan() {
+		}
 		return false
 	}
 	it.err = it.sc.Err()
+	if it.ctx != nil && it.ctx.Err() != nil {
+		it.err = it.ctx.Err()
+	}
 	it.done = true
 	return false
 }
@@ -407,13 +559,28 @@ func (it *RowIter) Err() error { return it.err }
 
 // FinalState returns the job's terminal state from the stream trailer
 // ("" when the stream ended without one).
-func (it *RowIter) FinalState() string { return it.state }
+func (it *RowIter) FinalState() string {
+	if it.final == nil {
+		return ""
+	}
+	return it.final.State
+}
 
 // FinalError returns the job's coded error from the trailer, if any.
-func (it *RowIter) FinalError() *Error { return it.jobErr }
+func (it *RowIter) FinalError() *Error {
+	if it.final == nil {
+		return nil
+	}
+	return it.final.Error
+}
 
 // Close releases the stream.
-func (it *RowIter) Close() error { return it.body.Close() }
+func (it *RowIter) Close() error {
+	if it.stop != nil {
+		it.stop()
+	}
+	return it.body.Close()
+}
 
 // StreamRows streams the job's rows from offset n through onRow, in
 // order, transparently re-opening the stream with from=<next unseen
@@ -484,9 +651,10 @@ type Result struct {
 	Status   *JobStatus
 }
 
-// Query submits sql, streams every row, waits for the terminal state,
-// and returns the collected result. A failed (or session_closed) job
-// comes back as its coded *Error.
+// Query submits sql, collects every row off the submit exchange's
+// stream and returns them with the terminal resource its trailer
+// carried — one request. A failed (or session_closed) job comes back
+// as its coded *Error.
 func (c *Client) Query(ctx context.Context, sql string) (*Result, error) {
 	job, err := c.Submit(ctx, sql)
 	if err != nil {
