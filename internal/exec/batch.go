@@ -1,12 +1,10 @@
 package exec
 
 // Batch plumbing for the vectorized streaming executor: the Batch unit,
-// the configurable batch size, the legacy row-at-a-time adapter, and the
-// small helpers operators share to emit batches without re-allocating.
-// The Operator contract itself (ownership, reuse, EOF semantics) is
-// documented in the package comment in operators.go.
-
-import "crowddb/internal/plan"
+// the configurable batch size, and the small helpers operators share to
+// emit batches without re-allocating. The Operator contract itself
+// (ownership, reuse, EOF semantics) is documented in the package comment
+// in operators.go.
 
 // DefaultBatchSize is the number of rows an operator aims to hand over
 // per NextBatch call when Ctx.BatchSize is unset. Large enough to
@@ -53,59 +51,6 @@ type EarlyStopper interface {
 // stopEarly propagates an early-stop signal to op if it supports one.
 func stopEarly(op Operator) {
 	if s, ok := op.(EarlyStopper); ok {
-		s.StopEarly()
-	}
-}
-
-// RowOperator is the legacy row-at-a-time iterator contract the batch
-// redesign replaced. AdaptRowOperator bridges an unconverted
-// implementation into the batch pipeline during migrations; every
-// in-tree operator is batch-native.
-type RowOperator interface {
-	Schema() []plan.Col
-	Open(ctx *Ctx) error
-	Next(ctx *Ctx) (Row, error)
-	Close(ctx *Ctx) error
-}
-
-// AdaptRowOperator wraps a row-at-a-time operator into the batch
-// Operator contract: NextBatch accumulates up to one batch of rows from
-// successive Next calls. EOF ((nil, nil) from Next) maps to batch EOF.
-func AdaptRowOperator(op RowOperator) Operator { return &rowAdapter{op: op} }
-
-type rowAdapter struct {
-	op  RowOperator
-	buf Batch
-}
-
-func (a *rowAdapter) Schema() []plan.Col { return a.op.Schema() }
-
-func (a *rowAdapter) Open(ctx *Ctx) error { return a.op.Open(ctx) }
-
-func (a *rowAdapter) NextBatch(ctx *Ctx) (*Batch, error) {
-	a.buf.reset()
-	limit := ctx.batchSize()
-	for len(a.buf.Rows) < limit {
-		r, err := a.op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		a.buf.Rows = append(a.buf.Rows, r)
-	}
-	if len(a.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &a.buf, nil
-}
-
-func (a *rowAdapter) Close(ctx *Ctx) error { return a.op.Close(ctx) }
-
-// StopEarly forwards to the wrapped operator when it supports it.
-func (a *rowAdapter) StopEarly() {
-	if s, ok := a.op.(EarlyStopper); ok {
 		s.StopEarly()
 	}
 }

@@ -174,67 +174,6 @@ func TestLimitStopsParallelScanWorkers(t *testing.T) {
 	}
 }
 
-// TestAdaptRowOperator checks the migration shim: batches fill to the
-// context's size, the tail batch is short, EOF is (nil, nil), and
-// StopEarly forwards through the adapter.
-func TestAdaptRowOperator(t *testing.T) {
-	inner := &rowOpImpl{n: 10}
-	op := AdaptRowOperator(inner)
-	ctx := &Ctx{BatchSize: 4}
-	if err := op.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var sizes []int
-	var got []int64
-	for {
-		b, err := op.NextBatch(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Len() == 0 {
-			break
-		}
-		sizes = append(sizes, b.Len())
-		for _, r := range b.Rows {
-			got = append(got, r[0].Int())
-		}
-	}
-	if fmt.Sprint(sizes) != "[4 4 2]" {
-		t.Errorf("batch fill: %v", sizes)
-	}
-	for i, v := range got {
-		if v != int64(i+1) {
-			t.Fatalf("row %d: %d", i, v)
-		}
-	}
-	stopEarly(op)
-	if !inner.stopped {
-		t.Error("StopEarly did not forward through the adapter")
-	}
-	if err := op.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// rowOpImpl is the real legacy-shaped operator for the adapter test.
-type rowOpImpl struct {
-	n, pos  int
-	stopped bool
-}
-
-func (f *rowOpImpl) Schema() []plan.Col { return nil }
-
-func (f *rowOpImpl) Open(*Ctx) error { f.pos = 0; return nil }
-func (f *rowOpImpl) Next(*Ctx) (Row, error) {
-	if f.pos >= f.n || f.stopped {
-		return nil, nil
-	}
-	f.pos++
-	return Row{sqltypes.NewInt(int64(f.pos))}, nil
-}
-func (f *rowOpImpl) Close(*Ctx) error { return nil }
-func (f *rowOpImpl) StopEarly()       { f.stopped = true }
-
 // TestCrowdEqualConcurrentStreams stresses the quorum-streaming
 // CROWDEQUAL path under -race: several statements run the same crowd
 // filter concurrently over a shared task manager and comparison cache,

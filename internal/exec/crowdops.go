@@ -180,83 +180,57 @@ func (c *Ctx) budgetOK() bool {
 // ---------------------------------------------------------------------------
 // CrowdCompare: CROWDEQUAL resolution
 
-// cachedEqualResolver returns the evaluator hook for CROWDEQUAL: cache
-// first, then a single-pair crowd task (CrowdFilter prefetches batches, so
-// this path is the cold fallback, e.g. CROWDEQUAL in a SELECT list). The
-// cache claim collapses identical questions from concurrent sessions into
-// one crowd task.
+// cachedEqualResolver returns the evaluator hook for CROWDEQUAL. It is
+// built per row of every filter and projection, so it must stay free for
+// crowd-free expressions: a closure over ctx that never escapes.
 func cachedEqualResolver(ctx *Ctx) crowdEqualFn {
 	if ctx.Cache == nil {
 		return nil
 	}
 	return func(question, l, r string) (sqltypes.Value, error) {
-		// A follower whose leader abandons retries and, at the latest on
-		// the second pass, leads (or budget-denies) itself.
-		for attempt := 0; attempt < 3; attempt++ {
-			if err := ctx.Canceled(); err != nil {
-				return sqltypes.Value{}, err
-			}
-			claim := ctx.Cache.ClaimEqual(question, l, r)
-			if claim.Hit {
-				ctx.Stats.CacheHits++
-				return sqltypes.NewBool(claim.Value == "yes"), nil
-			}
-			if !claim.Leader {
-				fsp := ctx.startCrowdSpan("crowd:compare_equal")
-				fsp.SetAttr("role", "follower")
-				if v, ok := claim.WaitCtx(ctx.context()); ok {
-					ctx.Stats.SharedFlights++
-					fsp.SetAttr("adopted", "true")
-					fsp.End()
-					return sqltypes.NewBool(v == "yes"), nil
-				}
-				fsp.SetAttr("adopted", "false")
-				fsp.End()
-				continue
-			}
-			if ctx.Tasks == nil || !ctx.budgetOK() {
-				claim.Abandon()
-				if ctx.Tasks != nil {
-					ctx.Stats.BudgetDenied++
-				}
-				return sqltypes.Null(), nil
-			}
-			sp := ctx.startCrowdSpan("crowd:compare_equal")
-			sp.SetAttr("role", "leader")
-			sp.SetInt("pairs", 1)
-			call, err := ctx.Tasks.CompareEqualAsync(question, []taskmgr.ComparePair{{Left: l, Right: r}})
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				claim.Abandon()
-				return sqltypes.Value{}, err
-			}
-			ctx.Stats.Comparisons++
-			ctx.noteProgress()
-			ds, err := call.WaitCtx(ctx.context())
-			if err != nil {
-				if call.Abort() {
-					// Withdrawn before it reached the platform: nothing
-					// was committed, so nothing is charged.
-					ctx.Stats.Comparisons--
-				}
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				claim.Abandon()
-				return sqltypes.Value{}, err
-			}
-			d := ds[0]
-			finishGroupSpan(sp, call.Telemetry(), d.Total, quorumCount(ds))
-			if d.Total == 0 {
-				claim.Abandon()
-				return sqltypes.Null(), nil
-			}
-			same := quality.Normalize(d.Value) == "yes"
-			ctx.Cache.PutEqual(question, l, r, same) // resolves the claim
-			return sqltypes.NewBool(same), nil
-		}
-		return sqltypes.Null(), nil
+		return resolveEqual(ctx, question, l, r)
 	}
+}
+
+// resolveEqual answers one CROWDEQUAL pair: cache first, then a
+// single-pair crowd task (CrowdFilter prefetches batches, so this is the
+// cold fallback, e.g. CROWDEQUAL in a SELECT list, and the retry for pairs
+// a batch got no quorum on). A follower whose leader abandons retries and,
+// at the latest on the second pass, leads (or is denied) itself.
+func resolveEqual(ctx *Ctx, question, l, r string) (sqltypes.Value, error) {
+	for attempt := 0; attempt < 3; attempt++ {
+		if err := ctx.Canceled(); err != nil {
+			return sqltypes.Value{}, err
+		}
+		b := newCompareBroker(ctx, kindEqual)
+		switch verdict, outcome := b.claim(question, l, r); outcome {
+		case claimHit:
+			return sqltypes.NewBool(verdict == "yes"), nil
+		case claimDenied:
+			return sqltypes.Null(), nil
+		case claimFollower:
+			if err := b.adopt(); err != nil {
+				return sqltypes.Value{}, err
+			}
+			if same, ok := ctx.Cache.GetEqual(question, l, r); ok {
+				return sqltypes.NewBool(same), nil
+			}
+			continue
+		}
+		if err := b.post(question, []taskmgr.ComparePair{{Left: l, Right: r}}); err != nil {
+			return sqltypes.Value{}, err
+		}
+		ds, err := b.collect()
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		b.close() // no quorum leaves the claim unanswered: release it
+		if ds[0].Total == 0 {
+			return sqltypes.Null(), nil
+		}
+		return sqltypes.NewBool(quality.Normalize(ds[0].Value) == "yes"), nil
+	}
+	return sqltypes.Null(), nil
 }
 
 // crowdEqualCall is one CROWDEQUAL occurrence in an expression.
@@ -286,190 +260,134 @@ func collectCrowdEqualCalls(e parser.Expr) []crowdEqualCall {
 	return calls
 }
 
-// pendingPair is one deduplicated CROWDEQUAL comparison this query leads.
-type pendingPair struct {
-	question string
-	l, r     string
-	key      string
-}
-
-// eqDispatch is one posted CROWDEQUAL HIT group awaiting collection.
-type eqDispatch struct {
-	question string
-	batch    []pendingPair
-	call     *taskmgr.CompareCall
-	span     *obs.Span
-}
-
 // equalStream is the CrowdFilter's quorum-streaming state machine. It
 // batch-resolves every CROWDEQUAL pair the condition needs across the
 // buffered rows — the CrowdCompare batching the paper's operators do —
-// but instead of blocking until all groups settle, it tracks which pairs
-// each row depends on and emits the maximal ready prefix of rows after
-// each group's quorum lands. Pairs another session is already asking are
-// not re-posted: their flights are adopted after this query's own groups
-// resolve (singleflight), in a final phase before the stalled tail rows
-// evaluate.
-//
-// The crowd-facing call sequence (claims in row-major order, all groups
-// submitted before any is collected, collections in submission order,
-// leader claims abandoned before follower adoption) is EXACTLY the
-// blocking prefetch's — only row emission timing differs, which keeps
-// seeded replays bit-identical. Rows are evaluated strictly in input
-// order; evaluating a resolved row touches only the in-memory cache, so
-// interleaving evaluations between collections is scheduling-invisible.
+// through one comparison broker, but instead of blocking until all groups
+// settle it tracks which pairs each row depends on and emits the maximal
+// ready prefix of rows after each group's quorum lands. Rows are
+// evaluated strictly in input order; evaluating a ready row touches only
+// the in-memory cache.
 type equalStream struct {
 	cond   parser.Expr
 	schema []plan.Col
 	rows   []Row
-	// rowKeys[i] lists the pair keys row i needs that were unresolved at
-	// claim time; the row is ready once all are in resolved (or after
-	// finalization, when eval-time retries handle the leftovers).
-	rowKeys    [][]string
-	resolved   map[string]bool
-	dispatched []eqDispatch
-	collected  int
-	leaders    []Claim
-	followers  []Claim
-	released   bool
-	finalized  bool
-	nextRow    int
-	buf        Batch
+	broker compareBroker
+	// resolved holds every pair key claimed so far, true once it needs no
+	// more waiting (verdict memoized, or denied). rowKeys[i] lists the
+	// keys row i needs that were unresolved at claim time; the row is
+	// ready once all are (or after finalization, when eval-time retries
+	// handle the leftovers).
+	rowKeys  [][]string
+	resolved map[string]bool
+	// groupKeys are the pair keys of each posted group not yet collected,
+	// aligned with its decisions.
+	groupKeys [][]string
+	finalized bool
+	nextRow   int
+	buf       Batch
 }
 
-// newEqualStream claims and dispatches every needed comparison (the
-// submit-all-before-collect half of the CrowdCompare batching); quorum
-// collection happens lazily in nextBatch.
+// eqBatch is the deduplicated comparisons this query leads on one
+// question (a HIT group shares one question text), with their pair keys.
+type eqBatch struct {
+	pairs []taskmgr.ComparePair
+	keys  []string
+}
+
+// newEqualStream claims every needed comparison in row-major order and
+// posts the ones this query leads; quorum collection happens lazily in
+// nextBatch.
 func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[string]bool{}}
-	if ctx.Tasks == nil || ctx.Cache == nil {
-		es.finalized = true
-		return es, nil
+	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[string]bool{},
+		broker: newCompareBroker(ctx, kindEqual)}
+	var calls []crowdEqualCall
+	if ctx.Tasks != nil && ctx.Cache != nil {
+		calls = collectCrowdEqualCalls(cond)
 	}
-	calls := collectCrowdEqualCalls(cond)
 	if len(calls) == 0 {
 		es.finalized = true
 		return es, nil
 	}
 	es.rowKeys = make([][]string, len(rows))
-	seen := map[string]bool{}
-	var todo []pendingPair
+	byQ := map[string]*eqBatch{}
+	var qOrder []string // questions in first-use order
 	for i, row := range rows {
 		ectx := &evalCtx{schema: schema, row: row}
 		for _, call := range calls {
-			lv, err := eval(call.l, ectx)
+			question, l, r, skip, err := call.operands(ectx)
 			if err != nil {
-				es.abandonLeaders()
+				es.broker.close()
 				return nil, err
 			}
-			rv, err := eval(call.r, ectx)
-			if err != nil {
-				es.abandonLeaders()
-				return nil, err
-			}
-			if lv.IsUnknown() || rv.IsUnknown() || sqltypes.Equal(lv, rv) {
+			if skip {
 				continue
 			}
-			question := ""
-			if call.question != nil {
-				qv, err := eval(call.question, ectx)
-				if err != nil {
-					es.abandonLeaders()
-					return nil, err
-				}
-				question = qv.String()
-			}
-			l, r := lv.String(), rv.String()
 			k := pairKey(question, l, r)
-			if seen[k] {
-				if !es.resolved[k] {
-					es.rowKeys[i] = append(es.rowKeys[i], k)
-				}
-				continue
-			}
-			seen[k] = true
-			claim := ctx.Cache.ClaimEqual(question, l, r)
-			if claim.Hit {
-				ctx.Stats.CacheHits++
-				es.resolved[k] = true
-				continue
-			}
-			if !claim.Leader {
-				// Another session's flight: adopted in the final phase.
-				es.followers = append(es.followers, claim)
-				es.rowKeys[i] = append(es.rowKeys[i], k)
-				continue
-			}
-			if !ctx.budgetOK() {
-				claim.Abandon()
-				ctx.Stats.BudgetDenied++
+			done, claimed := es.resolved[k]
+			if !claimed {
+				_, outcome := es.broker.claim(question, l, r)
 				// Denied pairs evaluate deterministically (CNULL) with no
 				// crowd interaction: the row need not wait for them.
-				es.resolved[k] = true
-				continue
+				done = outcome == claimHit || outcome == claimDenied
+				es.resolved[k] = done
+				if outcome == claimLeader {
+					q := byQ[question]
+					if q == nil {
+						q = &eqBatch{}
+						byQ[question] = q
+						qOrder = append(qOrder, question)
+					}
+					q.pairs = append(q.pairs, taskmgr.ComparePair{Left: l, Right: r})
+					q.keys = append(q.keys, k)
+				}
 			}
-			es.leaders = append(es.leaders, claim)
-			todo = append(todo, pendingPair{question: question, l: l, r: r, key: k})
-			ctx.Stats.Comparisons++
-			es.rowKeys[i] = append(es.rowKeys[i], k)
+			if !done {
+				es.rowKeys[i] = append(es.rowKeys[i], k)
+			}
 		}
 	}
-	// Group by question (HIT groups share one question text), then submit
-	// every group before collecting any: big single-question batches are
-	// split so several groups overlap on the platform (async pipelining).
-	byQ := map[string][]pendingPair{}
-	var qOrder []string
-	for _, p := range todo {
-		if _, ok := byQ[p.question]; !ok {
-			qOrder = append(qOrder, p.question)
-		}
-		byQ[p.question] = append(byQ[p.question], p)
-	}
-	// Pairs charged at claim time but never submitted (cancellation or a
-	// dispatch error before their batch went out) are refunded on every
-	// early return: only work that reached the scheduler is committed.
-	undispatched := len(todo)
-	ctx.noteProgress()
 	for _, q := range qOrder {
-		// Each question's batch is split into up to one window of groups;
-		// the scheduler queues whatever exceeds the global in-flight cap.
-		for _, batch := range chunkSlice(byQ[q], asyncWindow(ctx)) {
-			if err := ctx.Canceled(); err != nil {
-				ctx.Stats.Comparisons -= undispatched
-				es.drainFrom(ctx, 0)
-				es.collected = len(es.dispatched)
-				es.abandonLeaders()
+		keys := byQ[q].keys
+		for _, pairs := range chunkSlice(byQ[q].pairs, ctx.Tasks.Config().MaxInFlight) {
+			if err := es.broker.post(q, pairs); err != nil {
 				return nil, err
 			}
-			pairs := make([]taskmgr.ComparePair, len(batch))
-			for i, p := range batch {
-				pairs[i] = taskmgr.ComparePair{Left: p.l, Right: p.r}
-			}
-			sp := ctx.startCrowdSpan("crowd:compare_equal")
-			sp.SetAttr("role", "leader")
-			sp.SetInt("pairs", int64(len(batch)))
-			call, err := ctx.Tasks.CompareEqualAsync(q, pairs)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				ctx.Stats.Comparisons -= undispatched
-				es.drainFrom(ctx, 0)
-				es.collected = len(es.dispatched)
-				es.abandonLeaders()
-				return nil, err
-			}
-			undispatched -= len(batch)
-			es.dispatched = append(es.dispatched, eqDispatch{question: q, batch: batch, call: call, span: sp})
+			es.groupKeys = append(es.groupKeys, keys[:len(pairs)])
+			keys = keys[len(pairs):]
 		}
 	}
 	return es, nil
 }
 
+// operands evaluates one CROWDEQUAL occurrence over a row. skip reports
+// a pair that needs no crowd: an unknown side or trivially equal values.
+func (c crowdEqualCall) operands(ectx *evalCtx) (question, l, r string, skip bool, err error) {
+	lv, err := eval(c.l, ectx)
+	if err != nil {
+		return "", "", "", false, err
+	}
+	rv, err := eval(c.r, ectx)
+	if err != nil {
+		return "", "", "", false, err
+	}
+	if lv.IsUnknown() || rv.IsUnknown() || sqltypes.Equal(lv, rv) {
+		return "", "", "", true, nil
+	}
+	if c.question != nil {
+		qv, err := eval(c.question, ectx)
+		if err != nil {
+			return "", "", "", false, err
+		}
+		question = qv.String()
+	}
+	return question, lv.String(), rv.String(), false, nil
+}
+
 // nextBatch emits the next batch of passing rows, settling just enough
 // crowd work to unblock the row at the front: rows whose pairs all have
 // verdicts evaluate and stream out while later groups are still open on
-// the platform. Evaluation is strictly in input order (the streamed
-// output is a prefix-stable reordering of nothing).
+// the platform.
 func (es *equalStream) nextBatch(ctx *Ctx) (*Batch, error) {
 	limit := ctx.batchSize()
 	for {
@@ -492,13 +410,8 @@ func (es *equalStream) nextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, nil
 		}
 		// The front row is stalled on an open pair: settle more crowd work.
-		if es.collected < len(es.dispatched) {
-			if err := es.collectNext(ctx); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := es.finish(ctx); err != nil {
+		if err := es.settleNext(); err != nil {
+			es.finalized = true
 			return nil, err
 		}
 	}
@@ -517,130 +430,37 @@ func (es *equalStream) rowReady(i int) bool {
 	return true
 }
 
-// collectNext waits out the oldest open HIT group and memoizes its
-// quorum verdicts (which resolves this session's claims for follower
-// sessions and marks the pairs' dependent rows ready).
-func (es *equalStream) collectNext(ctx *Ctx) error {
-	c := es.dispatched[es.collected]
-	ds, err := c.call.WaitCtx(ctx.context())
-	if err != nil {
-		c.span.SetAttr("error", err.Error())
-		es.drainFrom(ctx, es.collected)
-		es.collected = len(es.dispatched)
-		es.abandonLeaders()
+// settleNext collects the oldest open HIT group and marks the pairs that
+// got a verdict resolved. A pair without quorum stays open: its rows
+// stall to the final phase, where eval retries it with a fresh
+// single-pair group. Once every own group is in, the flights of other
+// sessions are adopted, after which every row is ready.
+func (es *equalStream) settleNext() error {
+	if !es.broker.win.open() {
 		es.finalized = true
+		return es.broker.adopt()
+	}
+	ds, err := es.broker.collect()
+	if err != nil {
 		return err
 	}
-	es.collected++
-	finishGroupSpan(c.span, c.call.Telemetry(), answersTotal(ds), quorumCount(ds))
+	keys := es.groupKeys[0]
+	es.groupKeys = es.groupKeys[1:]
 	for i, d := range ds {
-		if d.Total == 0 {
-			// No quorum: the pair stays open and its rows stall to the
-			// final phase, where eval retries it (a fresh single-pair
-			// group) exactly as the blocking executor did.
-			continue
+		if d.Total != 0 {
+			es.resolved[keys[i]] = true
 		}
-		ctx.Cache.PutEqual(c.question, c.batch[i].l, c.batch[i].r, quality.Normalize(d.Value) == "yes")
-		es.resolved[c.batch[i].key] = true
 	}
 	return nil
-}
-
-// finish releases unresolved leader claims and adopts follower flights,
-// after which every row is ready: the tail evaluates with eval-time
-// retries for pairs that never got a verdict.
-func (es *equalStream) finish(ctx *Ctx) error {
-	// Release leader claims whose groups yielded no quorum (their answers
-	// were never memoized) BEFORE waiting on foreign flights: a session
-	// symmetric to this one may be blocked on exactly those claims.
-	es.abandonLeaders()
-	// Adopt the answers other sessions are sourcing. This must come after
-	// every own claim resolved: two sessions following each other's pairs
-	// before fulfilling their own would deadlock.
-	adopted := 0
-	if len(es.followers) > 0 {
-		asp := ctx.startCrowdSpan("crowd:adopt_followers")
-		asp.SetInt("flights", int64(len(es.followers)))
-		defer func() {
-			asp.SetInt("adopted", int64(adopted))
-			asp.End()
-		}()
-	}
-	for _, cl := range es.followers {
-		if err := ctx.Canceled(); err != nil {
-			es.finalized = true
-			return err
-		}
-		if _, ok := cl.WaitCtx(ctx.context()); ok {
-			ctx.Stats.SharedFlights++
-			adopted++
-		}
-		// ok=false: the leader abandoned (error or no quorum) or this
-		// query was cancelled; the pair resolves — or stays unknown — at
-		// eval time.
-	}
-	es.followers = nil
-	es.finalized = true
-	return nil
-}
-
-// abandonLeaders releases every leader claim this stream still holds.
-// Memoizing an answer resolved a claim already; abandoning is a no-op
-// for those and unblocks follower sessions for the rest (errors, no
-// quorum). Idempotent.
-func (es *equalStream) abandonLeaders() {
-	if es.released {
-		return
-	}
-	es.released = true
-	for _, cl := range es.leaders {
-		cl.Abandon()
-	}
-}
-
-// drainFrom waits out the open groups from index k on. An error abandons
-// their results, but the groups are already live: wait them out so they
-// don't keep occupying the scheduler's window after this query unwinds.
-// A cancelled query must not block on crowd waits: queued submissions
-// are withdrawn (and their charge refunded — they never reached the
-// platform) and posted groups left for the next driver to settle.
-func (es *equalStream) drainFrom(ctx *Ctx, k int) {
-	for _, c := range es.dispatched[k:] {
-		c.span.SetAttr("drained", "true")
-		c.span.End()
-		if ctx.Canceled() != nil {
-			if c.call.Abort() {
-				ctx.Stats.Comparisons -= len(c.batch)
-			}
-			continue
-		}
-		c.call.Wait() //nolint:errcheck // draining after a prior error
-	}
 }
 
 // close settles the stream's outstanding crowd state when the query ends
 // before the stream drained (error, cancellation, early stop).
-func (es *equalStream) close(ctx *Ctx) {
-	if es.collected < len(es.dispatched) {
-		es.drainFrom(ctx, es.collected)
-		es.collected = len(es.dispatched)
-	}
-	es.abandonLeaders()
-}
-
-// asyncWindow is the Task Manager's in-flight window: how many HIT groups
-// the pipelined operators should aim to keep live at once.
-func asyncWindow(ctx *Ctx) int {
-	if ctx.Tasks == nil {
-		return 1
-	}
-	if w := ctx.Tasks.Config().MaxInFlight; w > 0 {
-		return w
-	}
-	return 1
-}
+func (es *equalStream) close() { es.broker.close() }
 
 // chunkSlice splits items into at most n contiguous, near-equal chunks.
+// The pipelined operators pass the Task Manager's in-flight window: that
+// many HIT groups overlap on the platform, the scheduler queues the rest.
 func chunkSlice[T any](items []T, n int) [][]T {
 	if len(items) == 0 {
 		return nil
@@ -747,190 +567,91 @@ func (s *crowdSorter) permuted() []Row {
 	return sorted
 }
 
-// step runs one breadth-first quicksort round: it batches one
-// pivot-comparison HIT group per open segment and submits them all
-// before collecting any, so sibling partitions' crowd waits overlap
-// (log n rounds, each a window of concurrent groups on the platform).
-// Pairs another session is already asking are adopted from its flight
-// instead of re-posted (singleflight); their verdicts are awaited after
-// this round's own groups resolve and before any segment partitions.
+// step runs one breadth-first quicksort round through one comparison
+// broker: it claims every open segment's pivot comparisons and posts one
+// HIT group per segment before collecting any, so sibling partitions'
+// crowd waits overlap (log n rounds, each a window of concurrent groups
+// on the platform); verdicts other sessions are sourcing are adopted
+// before any segment partitions.
 func (s *crowdSorter) step() error {
-	type segCall struct {
-		seg   segRange
-		pivot int
-		pairs []taskmgr.ComparePair
-		call  *taskmgr.CompareCall
-		span  *obs.Span
-	}
-	var round []segCall
-	var leaderClaims, followers []Claim
-	// Abandon any leader claim whose answer was not memoized (post
-	// error or no quorum) so follower sessions never hang; memoized
-	// pairs make this a no-op.
-	releaseRound := func() {
-		for _, cl := range leaderClaims {
-			cl.Abandon()
-		}
-	}
-	drainFrom := func(k int) {
-		for _, sc := range round[k:] {
-			if sc.call == nil {
-				continue
-			}
-			sc.span.SetAttr("drained", "true")
-			sc.span.End()
-			if s.ctx.Canceled() != nil {
-				if sc.call.Abort() {
-					// Withdrawn before reaching the platform: refund.
-					s.ctx.Stats.Comparisons -= len(sc.pairs)
-				}
-				continue
-			}
-			sc.call.Wait() //nolint:errcheck // draining after a prior error
-		}
-	}
-	// roundSeen dedups label pairs across sibling segments: with
-	// repeated labels two segments can need the same comparison in one
-	// round, and the cache is only written back at collection time.
+	b := newCompareBroker(s.ctx, kindOrder)
+	defer b.close()
+	// roundSeen dedups label pairs across sibling segments: with repeated
+	// labels two segments can need the same comparison in one round. The
+	// duplicate is dropped and resolved from the cache once the sibling's
+	// group is collected (collection always precedes the partition step).
 	roundSeen := map[string]bool{}
-	for _, sr := range s.frontier {
-		seg := s.idx[sr.lo:sr.hi]
-		// Cancellation stops the sort before another group is posted:
-		// claims this round already took are released so follower
-		// sessions never hang on a cancelled leader.
+	pivots := make([]int, len(s.frontier))
+	for k, sr := range s.frontier {
+		// Cancellation stops the sort before another segment is claimed.
 		if err := s.ctx.Canceled(); err != nil {
-			drainFrom(0)
-			releaseRound()
 			return err
 		}
+		seg := s.idx[sr.lo:sr.hi]
 		pivot := seg[len(seg)/2]
-		pairs, segLeaders, segFollowers := s.pivotPairs(seg, pivot, roundSeen)
-		leaderClaims = append(leaderClaims, segLeaders...)
-		followers = append(followers, segFollowers...)
-		sc := segCall{seg: sr, pivot: pivot, pairs: pairs}
-		if len(sc.pairs) > 0 {
-			s.ctx.noteProgress()
-			sp := s.ctx.startCrowdSpan("crowd:compare_order")
-			sp.SetAttr("role", "leader")
-			sp.SetInt("pairs", int64(len(sc.pairs)))
-			call, err := s.ctx.Tasks.CompareOrderAsync(s.question, sc.pairs)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				// This segment's pairs never went out: refund them.
-				s.ctx.Stats.Comparisons -= len(sc.pairs)
-				drainFrom(0)
-				releaseRound()
+		pivots[k] = pivot
+		var pairs []taskmgr.ComparePair // the comparisons this session leads
+		for _, i := range seg {
+			if i == pivot || s.labels[i] == s.labels[pivot] {
+				continue
+			}
+			key := pairKey(s.question, s.labels[i], s.labels[pivot])
+			if roundSeen[key] {
+				continue
+			}
+			switch _, outcome := b.claim(s.question, s.labels[i], s.labels[pivot]); outcome {
+			case claimFollower:
+				roundSeen[key] = true
+			case claimLeader:
+				roundSeen[key] = true
+				pairs = append(pairs, taskmgr.ComparePair{Left: s.labels[i], Right: s.labels[pivot]})
+			}
+		}
+		if len(pairs) > 0 {
+			if err := b.post(s.question, pairs); err != nil {
 				return err
 			}
-			sc.call = call
-			sc.span = sp
-		}
-		round = append(round, sc)
-	}
-	// Collect every own group, memoizing verdicts (which resolves this
-	// session's claims for follower sessions).
-	for k, sc := range round {
-		if sc.call == nil {
-			continue
-		}
-		ds, err := sc.call.WaitCtx(s.ctx.context())
-		if err != nil {
-			sc.span.SetAttr("error", err.Error())
-			drainFrom(k)
-			releaseRound()
-			return err
-		}
-		finishGroupSpan(sc.span, sc.call.Telemetry(), answersTotal(ds), quorumCount(ds))
-		for i, d := range ds {
-			if d.Total == 0 {
-				continue
-			}
-			s.ctx.Cache.PutOrder(s.question, sc.pairs[i].Left, sc.pairs[i].Right, d.Value)
 		}
 	}
-	releaseRound()
-	// Adopt verdicts other sessions are sourcing. Waiting only after
-	// all own groups are memoized avoids deadlocking with a session
-	// symmetric to this one.
-	for _, cl := range followers {
-		if err := s.ctx.Canceled(); err != nil {
+	for b.win.open() {
+		if _, err := b.collect(); err != nil {
 			return err
 		}
-		if _, ok := cl.WaitCtx(s.ctx.context()); ok {
-			s.ctx.Stats.SharedFlights++
-		}
-		// ok=false: the leader abandoned; prefers falls back to the
-		// deterministic label order for this pair.
+	}
+	// A flight whose leader abandoned it is not adopted; prefers then
+	// falls back to the deterministic label order for that pair.
+	if err := b.adopt(); err != nil {
+		return err
 	}
 	// Partition every segment in place around its pivot. Children are
 	// appended in position order, keeping the frontier sorted so
 	// settled() is exactly the finalized prefix.
 	var next []segRange
-	for _, sc := range round {
-		seg := s.idx[sc.seg.lo:sc.seg.hi]
+	for k, sr := range s.frontier {
+		seg, pivot := s.idx[sr.lo:sr.hi], pivots[k]
 		var before, after []int
 		for _, i := range seg {
-			if i == sc.pivot {
+			if i == pivot {
 				continue
 			}
-			if s.prefers(i, sc.pivot) {
+			if s.prefers(i, pivot) {
 				before = append(before, i)
 			} else {
 				after = append(after, i)
 			}
 		}
 		n := copy(seg, before)
-		seg[n] = sc.pivot
+		seg[n] = pivot
 		copy(seg[n+1:], after)
 		if n > 1 {
-			next = append(next, segRange{sc.seg.lo, sc.seg.lo + n})
+			next = append(next, segRange{sr.lo, sr.lo + n})
 		}
-		if sc.seg.lo+n+1 < sc.seg.hi-1 {
-			next = append(next, segRange{sc.seg.lo + n + 1, sc.seg.hi})
+		if sr.lo+n+1 < sr.hi-1 {
+			next = append(next, segRange{sr.lo + n + 1, sr.hi})
 		}
 	}
 	s.frontier = next
 	return nil
-}
-
-// pivotPairs gathers the comparisons a segment needs against its pivot:
-// uncached, in-budget pairs this session will post (with their leader
-// claims), plus follower claims on pairs other sessions have in flight.
-// roundSeen carries the pairs already claimed by sibling segments this
-// round — a duplicate is dropped here and resolved from the cache once
-// the sibling's group is collected (collection always precedes the
-// partition step).
-func (s *crowdSorter) pivotPairs(seg []int, pivot int, roundSeen map[string]bool) (pairs []taskmgr.ComparePair, leaders, followers []Claim) {
-	for _, i := range seg {
-		if i == pivot || s.labels[i] == s.labels[pivot] {
-			continue
-		}
-		key := pairKey(s.question, s.labels[i], s.labels[pivot])
-		if roundSeen[key] {
-			continue
-		}
-		claim := s.ctx.Cache.ClaimOrder(s.question, s.labels[i], s.labels[pivot])
-		if claim.Hit {
-			s.ctx.Stats.CacheHits++
-			continue
-		}
-		if !claim.Leader {
-			roundSeen[key] = true
-			followers = append(followers, claim)
-			continue
-		}
-		if s.ctx.Tasks == nil || !s.ctx.budgetOK() {
-			claim.Abandon()
-			s.ctx.Stats.BudgetDenied++
-			continue
-		}
-		roundSeen[key] = true
-		leaders = append(leaders, claim)
-		pairs = append(pairs, taskmgr.ComparePair{Left: s.labels[i], Right: s.labels[pivot]})
-		s.ctx.Stats.Comparisons++
-	}
-	return pairs, leaders, followers
 }
 
 // prefers reports whether item i ranks before item j: by crowd verdict when
@@ -1126,73 +847,28 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 	if len(reqs) == 0 {
 		return nil
 	}
-	ctx.Stats.ProbeRequests += len(reqs)
-	ctx.noteProgress()
-
 	// Pipelined dispatch: post every chunk, then collect in order.
-	type probeChunk struct {
-		lo   int // offset of the chunk's first request in reqs
-		n    int
-		call *taskmgr.ProbeCall
-		span *obs.Span
-	}
-	var chunks []probeChunk
-	drainFrom := func(k int) {
-		for _, c := range chunks[k:] {
-			c.span.SetAttr("drained", "true")
-			c.span.End()
-			if ctx.Canceled() != nil {
-				if c.call.Abort() {
-					// Withdrawn before reaching the platform: refund.
-					ctx.Stats.ProbeRequests -= c.n
-				}
-				continue
-			}
-			c.call.Wait() //nolint:errcheck // draining after a prior error
-		}
-	}
-	undispatched := len(reqs)
-	lo := 0
-	for _, chunk := range chunkSlice(reqs, asyncWindow(ctx)) {
-		if err := ctx.Canceled(); err != nil {
-			ctx.Stats.ProbeRequests -= undispatched
-			drainFrom(0)
-			return err
-		}
-		sp := ctx.startCrowdSpan("crowd:probe")
-		sp.SetAttr("table", t.Name)
-		sp.SetInt("requests", int64(len(chunk)))
-		call, err := ctx.Tasks.ProbeValuesAsync(t.Name, chunk)
+	w := window[[]taskmgr.ProbeResult]{ctx: ctx, span: "crowd:probe", counter: &ctx.Stats.ProbeRequests, tally: probeTally}
+	defer w.close()
+	w.charge(len(reqs))
+	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+		err := w.post(len(chunk), func(sp *obs.Span) (*taskmgr.Call[[]taskmgr.ProbeResult], error) {
+			sp.SetAttr("table", t.Name)
+			sp.SetInt("requests", int64(len(chunk)))
+			return ctx.Tasks.ProbeValuesAsync(t.Name, chunk)
+		})
 		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			ctx.Stats.ProbeRequests -= undispatched
-			drainFrom(0)
 			return err
 		}
-		undispatched -= len(chunk)
-		chunks = append(chunks, probeChunk{lo: lo, n: len(chunk), call: call, span: sp})
-		lo += len(chunk)
 	}
-	for k, c := range chunks {
-		results, err := c.call.WaitCtx(ctx.context())
+	for next := 0; w.open(); { // results arrive in request order: reqRow[next] is the next one's row
+		results, err := w.collect()
 		if err != nil {
-			c.span.SetAttr("error", err.Error())
-			drainFrom(k)
 			return err
 		}
-		answers, quorums := 0, 0
 		for _, res := range results {
-			for _, d := range res.Decisions {
-				answers += d.Total
-				if d.Quorum {
-					quorums++
-				}
-			}
-		}
-		finishGroupSpan(c.span, c.call.Telemetry(), answers, quorums)
-		for ri, res := range results {
-			i := reqRow[c.lo+ri]
+			i := reqRow[next]
+			next++
 			changed := false
 			for col, d := range res.Decisions {
 				if d.Total == 0 || !d.Quorum {
@@ -1210,13 +886,30 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 			if changed {
 				// Memorize: the crowd is never asked the same value twice.
 				if err := ctx.Store.Update(t.Name, rowIDs[i], rows[i]); err != nil {
-					drainFrom(k + 1)
 					return err
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// tupleWindow is the dispatch window of a tuple-soliciting operator.
+func tupleWindow(ctx *Ctx, span string) window[[][]map[string]string] {
+	return window[[][]map[string]string]{ctx: ctx, span: span, counter: &ctx.Stats.NewTupleRequests, tally: tupleTally}
+}
+
+// solicit posts one group soliciting reqs' candidate tuples for table.
+func solicit(w *window[[][]map[string]string], table string, reqs []taskmgr.TupleRequest) error {
+	want := 0
+	for _, r := range reqs {
+		want += r.Want
+	}
+	return w.post(want, func(sp *obs.Span) (*taskmgr.Call[[][]map[string]string], error) {
+		sp.SetAttr("table", table)
+		sp.SetInt("want", int64(want))
+		return w.ctx.Tasks.NewTuplesBatchAsync(table, reqs)
+	})
 }
 
 // solicitTuples asks the crowd for new tuples of a CROWD table, bounded by
@@ -1250,34 +943,17 @@ func solicitTuples(ctx *Ctx, node *plan.Scan, existing []Row) ([]Row, error) {
 	for col, v := range node.ProbeKeys {
 		prefill[col] = v
 	}
-	ctx.Stats.NewTupleRequests += want
-	ctx.noteProgress()
-	sp := ctx.startCrowdSpan("crowd:new_tuples")
-	sp.SetAttr("table", t.Name)
-	sp.SetInt("want", int64(want))
-	call, err := ctx.Tasks.NewTuplesBatchAsync(t.Name, []taskmgr.TupleRequest{{Prefill: prefill, Want: want}})
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		ctx.Stats.NewTupleRequests -= want
+	w := tupleWindow(ctx, "crowd:new_tuples")
+	defer w.close()
+	w.charge(want)
+	if err := solicit(&w, t.Name, []taskmgr.TupleRequest{{Prefill: prefill, Want: want}}); err != nil {
 		return nil, err
 	}
-	batches, err := call.WaitCtx(ctx.context())
+	batches, err := w.collect()
 	if err != nil {
-		if call.Abort() {
-			// Withdrawn before reaching the platform: refund.
-			ctx.Stats.NewTupleRequests -= want
-		}
-		sp.SetAttr("error", err.Error())
-		sp.End()
 		return nil, err
 	}
-	var candidates []map[string]string
-	if len(batches) > 0 {
-		candidates = batches[0]
-	}
-	finishGroupSpan(sp, call.Telemetry(), len(candidates), 0)
-	accepted, err := insertCandidates(ctx, t, candidates)
+	accepted, err := insertCandidates(ctx, t, batches[0])
 	if err == nil && len(node.ProbeKeys) > 0 {
 		// Cost-model feedback: accepted crowd tuples per solicited key.
 		// Only key-driven solicitations are representative — a stop-after
@@ -1420,120 +1096,9 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		matches[storage.IndexKey(row[rightColIdx])] = append(matches[storage.IndexKey(row[rightColIdx])], row)
 	}
 
-	// Solicit missing inner tuples: one TupleRequest per distinct outer
-	// key, all in one group.
 	if ctx.Tasks != nil {
-		var reqs []taskmgr.TupleRequest
-		seen := map[string]bool{}
-		for _, k := range keys {
-			if k.IsUnknown() {
-				continue
-			}
-			kk := storage.IndexKey(k)
-			if seen[kk] {
-				continue
-			}
-			seen[kk] = true
-			want := int(t.ExpectedCrowdCard()) - len(matches[kk])
-			if want <= 0 {
-				continue
-			}
-			prefill := map[string]sqltypes.Value{strings.ToLower(j.rightCol): k}
-			for col, v := range j.scan.ProbeKeys {
-				prefill[col] = v
-			}
-			reqs = append(reqs, taskmgr.TupleRequest{Prefill: prefill, Want: want})
-			ctx.Stats.NewTupleRequests += want
-		}
-		if len(reqs) > 0 {
-			// Pipelined solicitation: split the outer keys into up to
-			// MaxInFlight groups and post them all before collecting, so the
-			// next batch's HITs are already live while the previous batch's
-			// candidates are being inserted.
-			type tupleChunk struct {
-				want int // summed Want of the chunk's requests
-				call *taskmgr.TupleCall
-				span *obs.Span
-			}
-			wantOf := func(rs []taskmgr.TupleRequest) int {
-				n := 0
-				for _, r := range rs {
-					n += r.Want
-				}
-				return n
-			}
-			var calls []tupleChunk
-			drainFrom := func(k int) {
-				for _, c := range calls[k:] {
-					c.span.SetAttr("drained", "true")
-					c.span.End()
-					if ctx.Canceled() != nil {
-						if c.call.Abort() {
-							// Withdrawn before reaching the platform: refund.
-							ctx.Stats.NewTupleRequests -= c.want
-						}
-						continue
-					}
-					c.call.Wait() //nolint:errcheck // draining after a prior error
-				}
-			}
-			undispatched := wantOf(reqs)
-			ctx.noteProgress()
-			for _, chunk := range chunkSlice(reqs, asyncWindow(ctx)) {
-				if err := ctx.Canceled(); err != nil {
-					ctx.Stats.NewTupleRequests -= undispatched
-					drainFrom(0)
-					return err
-				}
-				sp := ctx.startCrowdSpan("crowd:join_tuples")
-				sp.SetAttr("table", t.Name)
-				sp.SetInt("want", int64(wantOf(chunk)))
-				call, err := ctx.Tasks.NewTuplesBatchAsync(t.Name, chunk)
-				if err != nil {
-					sp.SetAttr("error", err.Error())
-					sp.End()
-					ctx.Stats.NewTupleRequests -= undispatched
-					drainFrom(0)
-					return err
-				}
-				undispatched -= wantOf(chunk)
-				calls = append(calls, tupleChunk{want: wantOf(chunk), call: call, span: sp})
-			}
-			totalAccepted := int64(0)
-			for k, c := range calls {
-				batches, err := c.call.WaitCtx(ctx.context())
-				if err != nil {
-					c.span.SetAttr("error", err.Error())
-					drainFrom(k)
-					return err
-				}
-				got := 0
-				for _, cands := range batches {
-					got += len(cands)
-				}
-				finishGroupSpan(c.span, c.call.Telemetry(), got, 0)
-				for _, cands := range batches {
-					accepted, err := insertCandidates(ctx, t, cands)
-					if err != nil {
-						drainFrom(k + 1)
-						return err
-					}
-					totalAccepted += int64(len(accepted))
-					for _, row := range accepted {
-						ok, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
-						if err != nil {
-							drainFrom(k + 1)
-							return err
-						}
-						if ok {
-							kk := storage.IndexKey(row[rightColIdx])
-							matches[kk] = append(matches[kk], row)
-						}
-					}
-				}
-			}
-			// Cost-model feedback: accepted crowd tuples per solicited key.
-			t.ObserveCrowdFanout(int64(len(reqs)), totalAccepted)
+		if err := j.solicitMissing(ctx, keys, matches); err != nil {
+			return err
 		}
 	}
 
@@ -1553,6 +1118,76 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 			}
 		}
 	}
+	return nil
+}
+
+// solicitMissing asks the crowd for the inner tuples the stored data
+// lacks — one TupleRequest per distinct outer key, wanting the expected
+// fan-out minus the stored matches — and files the accepted ones under
+// matches. The keys are split into up to MaxInFlight groups that are all
+// posted before any is collected, so the next group's HITs are already
+// live while the previous group's candidates are being inserted.
+func (j *crowdJoin) solicitMissing(ctx *Ctx, keys []sqltypes.Value, matches map[string][]Row) error {
+	t := j.scan.Table
+	rightColIdx := t.ColumnIndex(j.rightCol)
+	w := tupleWindow(ctx, "crowd:join_tuples")
+	defer w.close()
+	var reqs []taskmgr.TupleRequest
+	seen := map[string]bool{}
+	for _, k := range keys {
+		if k.IsUnknown() {
+			continue
+		}
+		kk := storage.IndexKey(k)
+		if seen[kk] {
+			continue
+		}
+		seen[kk] = true
+		want := int(t.ExpectedCrowdCard()) - len(matches[kk])
+		if want <= 0 {
+			continue
+		}
+		prefill := map[string]sqltypes.Value{strings.ToLower(j.rightCol): k}
+		for col, v := range j.scan.ProbeKeys {
+			prefill[col] = v
+		}
+		reqs = append(reqs, taskmgr.TupleRequest{Prefill: prefill, Want: want})
+		w.charge(want)
+	}
+	if len(reqs) == 0 {
+		return nil
+	}
+	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+		if err := solicit(&w, t.Name, chunk); err != nil {
+			return err
+		}
+	}
+	totalAccepted := int64(0)
+	for w.open() {
+		batches, err := w.collect()
+		if err != nil {
+			return err
+		}
+		for _, cands := range batches {
+			accepted, err := insertCandidates(ctx, t, cands)
+			if err != nil {
+				return err
+			}
+			totalAccepted += int64(len(accepted))
+			for _, row := range accepted {
+				ok, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
+				if err != nil {
+					return err
+				}
+				if ok {
+					kk := storage.IndexKey(row[rightColIdx])
+					matches[kk] = append(matches[kk], row)
+				}
+			}
+		}
+	}
+	// Cost-model feedback: accepted crowd tuples per solicited key.
+	t.ObserveCrowdFanout(int64(len(reqs)), totalAccepted)
 	return nil
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"crowddb/internal/obs"
 	"crowddb/internal/plan"
-	"crowddb/internal/quality"
 	"crowddb/internal/taskmgr"
 )
 
@@ -188,26 +187,6 @@ func opName(n plan.Node) string {
 	}
 }
 
-// answersTotal sums the usable votes across a group's decisions.
-func answersTotal(ds []quality.Decision) int {
-	n := 0
-	for _, d := range ds {
-		n += d.Total
-	}
-	return n
-}
-
-// quorumCount counts how many of a group's decisions reached quorum.
-func quorumCount(ds []quality.Decision) int {
-	n := 0
-	for _, d := range ds {
-		if d.Quorum {
-			n++
-		}
-	}
-	return n
-}
-
 // startCrowdSpan opens a span for one crowd interaction under the
 // currently executing operator. Nil-safe when tracing is off.
 func (c *Ctx) startCrowdSpan(name string) *obs.Span {
@@ -221,9 +200,6 @@ func (c *Ctx) startCrowdSpan(name string) *obs.Span {
 // queued behind the in-flight window, virtual post/resolve instants, and
 // the quorum outcome — onto its span and ends it.
 func finishGroupSpan(sp *obs.Span, tel taskmgr.GroupTelemetry, answers, quorum int) {
-	if sp == nil {
-		return
-	}
 	sp.SetAttr("queued", fmt.Sprintf("%v", tel.Queued))
 	if tel.Posted {
 		sp.SetAttr("posted_at", tel.PostedAt.String())

@@ -41,9 +41,6 @@
 // the moment its Nth row is produced, which stops parallel scan workers
 // instead of letting them fan out full shard scans whose rows would be
 // discarded.
-//
-// Legacy row-at-a-time operators can ride in the pipeline through
-// AdaptRowOperator during migrations.
 package exec
 
 import (
@@ -509,7 +506,7 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 
 func (f *filterOp) Close(ctx *Ctx) error {
 	if f.stream != nil {
-		f.stream.close(ctx)
+		f.stream.close()
 	}
 	return f.input.Close(ctx)
 }

@@ -103,6 +103,53 @@ func TestCancelledSubqueryStillSettlesBudget(t *testing.T) {
 	}
 }
 
+// TestFailedPrefetchRefundsSessionBudget: a CROWDEQUAL operand that
+// fails to evaluate in a later row fails the statement after the earlier
+// rows' pairs were claimed and charged, but before any HIT group was
+// posted. None of that charge may reach the session settlement
+// (regression: the three eval error returns of the prefetch released the
+// claims but kept the charge, so the session lost budget for work that
+// never happened).
+func TestFailedPrefetchRefundsSessionBudget(t *testing.T) {
+	const budget = 10
+	eng := pairEngine(t, 92, 1)
+	for _, sql := range []string{
+		`CREATE TABLE Mixed (id INTEGER PRIMARY KEY, a STRING, b STRING)`,
+		`INSERT INTO Mixed VALUES (1, 'x', '1')`,
+		`INSERT INTO Mixed VALUES (2, 'y', '2')`,
+		`INSERT INTO Mixed VALUES (3, 'z', 'oops')`, // b * 2 fails here
+	} {
+		if _, err := eng.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(eng, Config{})
+	sess, serr := srv.CreateSession(budget)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	job, jerr := srv.StartJob(sess.ID(), "SELECT id FROM Mixed WHERE CROWDEQUAL(a, b * 2)")
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	if st := waitState(t, job); st != JobFailed {
+		t.Fatalf("state = %s, want failed (err %v)", st, job.Err())
+	}
+	info := sess.Info()
+	if info.Stats.Comparisons != 0 {
+		t.Errorf("session charged %d comparisons, none was posted", info.Stats.Comparisons)
+	}
+	if info.BudgetLeft != budget {
+		t.Errorf("budget_left = %d, want the full %d back", info.BudgetLeft, budget)
+	}
+	if posted := eng.Tasks().Stats().GroupsPosted; posted != 0 {
+		t.Errorf("%d HIT groups posted", posted)
+	}
+	if n := eng.Cache().InFlight(); n != 0 {
+		t.Errorf("%d claims left", n)
+	}
+}
+
 // TestCancelPropertyNoLeakNoDoubleSpendNoClaims runs the random-point
 // cancellation property over fresh engines: a CROWDORDER job (many
 // crowd rounds) is cancelled after a random delay that lands anywhere

@@ -25,7 +25,6 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/faultinject"
 	"crowddb/internal/quality"
-	"crowddb/internal/ui"
 )
 
 // ErrCancelled resolves a Pending whose submission was withdrawn before it
@@ -562,138 +561,61 @@ func (m *Manager) finish(p *Pending, byHIT map[string][]*crowd.Assignment, err e
 }
 
 // ---------------------------------------------------------------------------
-// Typed async calls: the futures the pipelined crowd operators consume.
+// Call: the one future every crowd operator consumes.
 
-// ProbeCall is an in-flight ProbeValues batch.
-type ProbeCall struct {
-	m       *Manager
-	reqs    []ProbeRequest
-	group   *crowd.HITGroup
+// Call is an in-flight crowd request: a submitted HIT group plus the
+// step that turns its assignments into the operator's result type
+// (ProbeValuesAsync, NewTuplesBatchAsync, CompareEqualAsync and
+// CompareOrderAsync each return an instantiation). A nil *Call is the
+// empty request: it resolves to the zero T at once.
+type Call[T any] struct {
 	pending *Pending
-
-	// decide() feeds the quality tracker and the decision counters, so the
-	// derivation must run exactly once however often Wait is called.
-	once sync.Once
-	res  []ProbeResult
-	err  error
+	// decode feeds the quality tracker and the decision counters, so it
+	// runs exactly once however often Wait is called.
+	decode func(byHIT map[string][]*crowd.Assignment) T
+	once   sync.Once
+	res    T
 }
 
-// Wait blocks for the probe answers; results align with the request slice.
-// Wait is idempotent: repeated calls return the same result.
-func (c *ProbeCall) Wait() ([]ProbeResult, error) {
+// newCall submits group and wraps its handle with the result decoder.
+func newCall[T any](m *Manager, group *crowd.HITGroup, decode func(map[string][]*crowd.Assignment) T) *Call[T] {
+	return &Call[T]{pending: m.Submit(group), decode: decode}
+}
+
+// Wait blocks for the group's answers; results align with the request
+// slice. Wait is idempotent: repeated calls return the same result.
+func (c *Call[T]) Wait() (T, error) {
 	return c.WaitCtx(context.Background())
 }
 
 // WaitCtx is Wait with cancellation. A cancelled WaitCtx returns ctx's
 // error without consuming the result — a later Wait still collects it.
-func (c *ProbeCall) WaitCtx(ctx context.Context) ([]ProbeResult, error) {
-	if c == nil || c.pending == nil {
-		return nil, nil
+func (c *Call[T]) WaitCtx(ctx context.Context) (T, error) {
+	var zero T
+	if c == nil {
+		return zero, nil
 	}
 	byHIT, err := c.pending.WaitCtx(ctx)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	c.once.Do(func() {
-		out := make([]ProbeResult, len(c.reqs))
-		for i, r := range c.reqs {
-			hitID := c.group.HITs[i].ID
-			res := ProbeResult{Decisions: make(map[string]quality.Decision, len(r.Ask))}
-			for _, col := range r.Ask {
-				res.Decisions[col] = c.m.decide(byHIT[hitID], col)
-			}
-			out[i] = res
-		}
-		c.res = out
-	})
-	return c.res, c.err
+	c.once.Do(func() { c.res = c.decode(byHIT) })
+	return c.res, nil
 }
 
-// Abort withdraws the batch if it is still queued behind the in-flight
+// Abort withdraws the request if it is still queued behind the in-flight
 // window (see Pending.Cancel) and reports whether it did; posted groups
 // are left to resolve. Callers refund work counted for a withdrawn
-// batch — it never reached the platform, so it was never committed.
-func (c *ProbeCall) Abort() bool {
-	return c != nil && c.pending != nil && c.pending.Cancel()
+// request — it never reached the platform, so it was never committed.
+func (c *Call[T]) Abort() bool {
+	return c != nil && c.pending.Cancel()
 }
 
-// TupleCall is an in-flight NewTuplesBatch solicitation.
-type TupleCall struct {
-	m       *Manager
-	reqs    []TupleRequest
-	group   *crowd.HITGroup
-	hitReq  map[string]int
-	pending *Pending
-
-	once sync.Once
-	res  [][]map[string]string
-	err  error
-}
-
-// Wait blocks for the candidate tuples; results align with the requests.
-// Wait is idempotent: repeated calls return the same result.
-func (c *TupleCall) Wait() ([][]map[string]string, error) {
-	return c.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait with cancellation; see ProbeCall.WaitCtx.
-func (c *TupleCall) WaitCtx(ctx context.Context) ([][]map[string]string, error) {
-	if c == nil || c.pending == nil {
-		return nil, nil
+// Telemetry reports the underlying group's scheduler lifecycle (zero for
+// the nil call).
+func (c *Call[T]) Telemetry() GroupTelemetry {
+	if c == nil {
+		return GroupTelemetry{}
 	}
-	byHIT, err := c.pending.WaitCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.once.Do(func() {
-		c.res = c.m.collectTuples(c.reqs, c.group, c.hitReq, byHIT)
-	})
-	return c.res, c.err
-}
-
-// Abort withdraws the batch if it is still queued; see ProbeCall.Abort.
-func (c *TupleCall) Abort() bool {
-	return c != nil && c.pending != nil && c.pending.Cancel()
-}
-
-// CompareCall is an in-flight comparison batch (CROWDEQUAL or CROWDORDER).
-type CompareCall struct {
-	m       *Manager
-	pairs   []ComparePair
-	group   *crowd.HITGroup
-	pending *Pending
-
-	once sync.Once
-	res  []quality.Decision
-	err  error
-}
-
-// Wait blocks for the majority-vote decisions; results align with pairs.
-// Wait is idempotent: repeated calls return the same result.
-func (c *CompareCall) Wait() ([]quality.Decision, error) {
-	return c.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait with cancellation; see ProbeCall.WaitCtx.
-func (c *CompareCall) WaitCtx(ctx context.Context) ([]quality.Decision, error) {
-	if c == nil || c.pending == nil {
-		return nil, nil
-	}
-	byHIT, err := c.pending.WaitCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.once.Do(func() {
-		out := make([]quality.Decision, len(c.pairs))
-		for i := range c.pairs {
-			out[i] = c.m.decide(byHIT[c.group.HITs[i].ID], ui.AnswerField)
-		}
-		c.res = out
-	})
-	return c.res, c.err
-}
-
-// Abort withdraws the batch if it is still queued; see ProbeCall.Abort.
-func (c *CompareCall) Abort() bool {
-	return c != nil && c.pending != nil && c.pending.Cancel()
+	return c.pending.Telemetry()
 }

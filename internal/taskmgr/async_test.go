@@ -5,6 +5,7 @@ package taskmgr
 // fixed-seed determinism contract.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/quality"
+	"crowddb/internal/sqltypes"
 	"crowddb/internal/wrm"
 )
 
@@ -153,32 +155,59 @@ func TestConcurrentWaiters(t *testing.T) {
 	}
 }
 
-// TestTypedWaitIdempotent pins the quality-control accounting: however
-// often a typed call's Wait runs, decisions are derived (and fed to the
-// tracker and Stats) exactly once.
+// TestTypedWaitIdempotent pins the quality-control accounting for all
+// three result types of Call[T]: however often Wait runs, the result is
+// decoded (and fed to the tracker and Stats) exactly once, and a nil call
+// resolves to the zero result.
 func TestTypedWaitIdempotent(t *testing.T) {
 	m, _ := newManager(t, 5)
-	call, err := m.CompareEqualAsync("Same company?", []ComparePair{
+	title := map[string]sqltypes.Value{"title": sqltypes.NewString("CrowdDB")}
+	probe, err := m.ProbeValuesAsync("Talk", []ProbeRequest{{Known: title, Ask: []string{"abstract"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := m.NewTuplesBatchAsync("NotableAttendee", []TupleRequest{{Prefill: title, Want: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare, err := m.CompareEqualAsync("Same company?", []ComparePair{
 		{Left: "UC Berkeley", Right: "Stanford"},
 		{Left: "MIT", Right: "mit"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := call.Wait()
+	checkWaitIdempotent(t, m, "probe", probe)
+	checkWaitIdempotent(t, m, "tuples", tuples)
+	checkWaitIdempotent(t, m, "compare", compare)
+	checkWaitIdempotent[[]quality.Decision](t, m, "nil", nil)
+}
+
+func checkWaitIdempotent[T any](t *testing.T, m *Manager, name string, call *Call[T]) {
+	t.Helper()
+	first, err := call.Wait()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
+	}
+	if call != nil && reflect.ValueOf(first).Len() == 0 {
+		t.Fatalf("%s: empty result", name)
 	}
 	before := m.Stats().Decisions
-	d2, err := call.Wait()
+	again, err := call.WaitCtx(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if after := m.Stats().Decisions; after != before {
-		t.Errorf("second Wait must not re-count decisions: %d -> %d", before, after)
+		t.Errorf("%s: second Wait must not re-count decisions: %d -> %d", name, before, after)
 	}
-	if !reflect.DeepEqual(d1, d2) {
-		t.Errorf("repeated Wait must return the identical decisions")
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("%s: repeated Wait must return the identical result", name)
+	}
+	if call.Abort() {
+		t.Errorf("%s: a resolved call cannot be withdrawn", name)
+	}
+	if tel := call.Telemetry(); tel.Posted != (call != nil) {
+		t.Errorf("%s: telemetry %+v", name, tel)
 	}
 }
 

@@ -42,31 +42,6 @@ func (p *Pending) Telemetry() GroupTelemetry {
 	return tel
 }
 
-// Telemetry reports the underlying group's lifecycle (zero when the call
-// never posted — nil-call or degraded paths).
-func (c *ProbeCall) Telemetry() GroupTelemetry {
-	if c == nil || c.pending == nil {
-		return GroupTelemetry{}
-	}
-	return c.pending.Telemetry()
-}
-
-// Telemetry reports the underlying group's lifecycle; see ProbeCall.
-func (c *TupleCall) Telemetry() GroupTelemetry {
-	if c == nil || c.pending == nil {
-		return GroupTelemetry{}
-	}
-	return c.pending.Telemetry()
-}
-
-// Telemetry reports the underlying group's lifecycle; see ProbeCall.
-func (c *CompareCall) Telemetry() GroupTelemetry {
-	if c == nil || c.pending == nil {
-		return GroupTelemetry{}
-	}
-	return c.pending.Telemetry()
-}
-
 // RegisterMetrics exports the Task Manager's counters into the registry:
 // scrape-time reads of the existing Stats plus a live round-trip
 // histogram fed by recordLatency. Virtual (simulated) crowd seconds, not

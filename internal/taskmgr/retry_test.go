@@ -29,7 +29,7 @@ func runTwoCompares(t *testing.T, m *Manager) []quality.Decision {
 		{Left: "BTalk", Right: "ATalk"},
 		{Left: "DTalk", Right: "CTalk"},
 	} {
-		ds, err := m.CompareOrder("Which talk did you like better", []ComparePair{pair})
+		ds, err := wait(m.CompareOrderAsync("Which talk did you like better", []ComparePair{pair}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,9 +81,9 @@ func TestPollRetriesAbsorbTransientOutages(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetryAttempts = 100 // plenty: the outage is periodic, not permanent
 	m, flaky := newFlakyManager(t, 11, 3, false, true, true, cfg)
-	ds, err := m.CompareOrder("Which talk did you like better", []ComparePair{
+	ds, err := wait(m.CompareOrderAsync("Which talk did you like better", []ComparePair{
 		{Left: "BTalk", Right: "ATalk"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPostRetryBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetryAttempts = 3
 	m, flaky := newFlakyManager(t, 11, 1, true, false, false, cfg)
-	_, err := m.CompareOrder("q", []ComparePair{{Left: "a", Right: "b"}})
+	_, err := wait(m.CompareOrderAsync("q", []ComparePair{{Left: "a", Right: "b"}}))
 	if err == nil || !strings.Contains(err.Error(), "post") {
 		t.Fatalf("exhausted retries must surface the post error, got %v", err)
 	}

@@ -64,10 +64,10 @@ func confidentModel() model.Profile {
 func TestHybridNoEscalation(t *testing.T) {
 	mp := model.New(model.Config{Seed: 5, Profile: confidentModel()})
 	m := newHybridManager(t, 5, mp, nil)
-	ds, err := m.CompareEqual("Same company?", []ComparePair{
+	ds, err := wait(m.CompareEqualAsync("Same company?", []ComparePair{
 		{Left: "UC Berkeley", Right: "uc berkeley"},
 		{Left: "UC Berkeley", Right: "Stanford"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestHybridEscalation(t *testing.T) {
 	prof.CorrectConfidence = 0.5 // below the 0.75 floor: everything contested
 	mp := model.New(model.Config{Seed: 5, Profile: prof})
 	m := newHybridManager(t, 5, mp, nil)
-	ds, err := m.CompareEqual("Same company?", []ComparePair{
+	ds, err := wait(m.CompareEqualAsync("Same company?", []ComparePair{
 		{Left: "UC Berkeley", Right: "uc berkeley"},
 		{Left: "UC Berkeley", Right: "Stanford"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestFlakyModelTier(t *testing.T) {
 	flaky := crowd.NewFlaky(model.New(model.Config{Seed: 9, Profile: confidentModel()}), 3)
 	m := newHybridManager(t, 9, flaky, nil)
 	for round := 0; round < 3; round++ {
-		ds, err := m.CompareEqual("Same company?", []ComparePair{
+		ds, err := wait(m.CompareEqualAsync("Same company?", []ComparePair{
 			{Left: "IBM", Right: "ibm"},
 			{Left: "IBM", Right: "Oracle"},
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

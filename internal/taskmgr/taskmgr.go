@@ -363,21 +363,12 @@ type ProbeResult struct {
 	Decisions map[string]quality.Decision
 }
 
-// ProbeValues crowdsources missing column values for a batch of tuples of
-// one table, as a single HIT group (CrowdProbe's data path; batching is
-// what makes CrowdJoin efficient, experiment E6). Results align with reqs.
-func (m *Manager) ProbeValues(table string, reqs []ProbeRequest) ([]ProbeResult, error) {
-	call, err := m.ProbeValuesAsync(table, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return call.Wait()
-}
-
-// ProbeValuesAsync submits a probe batch without waiting for its answers;
-// the returned call's Wait collects them. The pipelined crowd operators
-// use it to keep several probe groups in flight.
-func (m *Manager) ProbeValuesAsync(table string, reqs []ProbeRequest) (*ProbeCall, error) {
+// ProbeValuesAsync crowdsources missing column values for a batch of
+// tuples of one table, as a single HIT group (CrowdProbe's data path;
+// batching is what makes CrowdJoin efficient, experiment E6). It submits
+// the group without waiting: the returned call's Wait collects the
+// answers, aligned with reqs, so operators keep several groups in flight.
+func (m *Manager) ProbeValuesAsync(table string, reqs []ProbeRequest) (*Call[[]ProbeResult], error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -406,19 +397,17 @@ func (m *Manager) ProbeValuesAsync(table string, reqs []ProbeRequest) (*ProbeCal
 		}
 		group.HITs = append(group.HITs, hit)
 	}
-	return &ProbeCall{m: m, reqs: reqs, group: group, pending: m.Submit(group)}, nil
-}
-
-// NewTuples solicits candidate tuples for a CROWD table, pre-filling the
-// given column values (typically the probing query's join key, as in the
-// paper's NotableAttendee example). want is the number of candidate tuples
-// requested; each candidate is one worker's raw column->answer map.
-func (m *Manager) NewTuples(table string, prefill map[string]sqltypes.Value, want int) ([]map[string]string, error) {
-	res, err := m.NewTuplesBatch(table, []TupleRequest{{Prefill: prefill, Want: want}})
-	if err != nil || res == nil {
-		return nil, err
-	}
-	return res[0], nil
+	return newCall(m, group, func(byHIT map[string][]*crowd.Assignment) []ProbeResult {
+		out := make([]ProbeResult, len(reqs))
+		for i, r := range reqs {
+			res := ProbeResult{Decisions: make(map[string]quality.Decision, len(r.Ask))}
+			for _, col := range r.Ask {
+				res.Decisions[col] = m.decide(byHIT[group.HITs[i].ID], col)
+			}
+			out[i] = res
+		}
+		return out
+	}), nil
 }
 
 // TupleRequest asks for Want candidate tuples with the given prefill.
@@ -427,20 +416,14 @@ type TupleRequest struct {
 	Want    int
 }
 
-// NewTuplesBatch solicits candidate tuples for many prefill keys in ONE
-// HIT group. This is CrowdJoin's batching path (experiment E6): one group
-// per join instead of one group per outer tuple. Results align with reqs.
-func (m *Manager) NewTuplesBatch(table string, reqs []TupleRequest) ([][]map[string]string, error) {
-	call, err := m.NewTuplesBatchAsync(table, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return call.Wait()
-}
-
-// NewTuplesBatchAsync submits a tuple solicitation without waiting;
-// the returned call's Wait collects the candidates.
-func (m *Manager) NewTuplesBatchAsync(table string, reqs []TupleRequest) (*TupleCall, error) {
+// NewTuplesBatchAsync solicits candidate tuples for a CROWD table, for
+// many prefill keys (typically the probing query's join key, as in the
+// paper's NotableAttendee example) in ONE HIT group — CrowdJoin's batching
+// path (experiment E6): one group per join instead of one per outer
+// tuple. It submits without waiting; the returned call's Wait collects
+// the candidates, aligned with reqs, each one worker's raw column->answer
+// map.
+func (m *Manager) NewTuplesBatchAsync(table string, reqs []TupleRequest) (*Call[[][]map[string]string], error) {
 	total := 0
 	for _, r := range reqs {
 		total += r.Want
@@ -477,12 +460,14 @@ func (m *Manager) NewTuplesBatchAsync(table string, reqs []TupleRequest) (*Tuple
 			group.HITs = append(group.HITs, hit)
 		}
 	}
-	return &TupleCall{m: m, reqs: reqs, group: group, hitReq: hitReq, pending: m.Submit(group)}, nil
+	return newCall(m, group, func(byHIT map[string][]*crowd.Assignment) [][]map[string]string {
+		return collectTuples(reqs, group, hitReq, byHIT)
+	}), nil
 }
 
 // collectTuples turns a solicitation group's assignments into usable
 // candidate tuples aligned with the requests.
-func (m *Manager) collectTuples(reqs []TupleRequest, group *crowd.HITGroup, hitReq map[string]int, byHIT map[string][]*crowd.Assignment) [][]map[string]string {
+func collectTuples(reqs []TupleRequest, group *crowd.HITGroup, hitReq map[string]int, byHIT map[string][]*crowd.Assignment) [][]map[string]string {
 	out := make([][]map[string]string, len(reqs))
 	for _, hit := range group.HITs {
 		ri := hitReq[hit.ID]
@@ -516,37 +501,20 @@ type ComparePair struct {
 	Left, Right string
 }
 
-// CompareEqual asks the crowd whether pairs of values denote the same
-// entity (CROWDEQUAL). Decisions are "yes"/"no" majority votes per pair.
-func (m *Manager) CompareEqual(question string, pairs []ComparePair) ([]quality.Decision, error) {
-	call, err := m.CompareEqualAsync(question, pairs)
-	if err != nil {
-		return nil, err
-	}
-	return call.Wait()
-}
-
-// CompareOrder asks the crowd which of two items ranks higher
-// (CROWDORDER); each decision's Value is the winning item.
-func (m *Manager) CompareOrder(question string, pairs []ComparePair) ([]quality.Decision, error) {
-	call, err := m.CompareOrderAsync(question, pairs)
-	if err != nil {
-		return nil, err
-	}
-	return call.Wait()
-}
-
-// CompareEqualAsync submits a CROWDEQUAL batch without waiting.
-func (m *Manager) CompareEqualAsync(question string, pairs []ComparePair) (*CompareCall, error) {
+// CompareEqualAsync asks the crowd whether pairs of values denote the same
+// entity (CROWDEQUAL), without waiting: the returned call's Wait collects
+// one "yes"/"no" majority-vote decision per pair.
+func (m *Manager) CompareEqualAsync(question string, pairs []ComparePair) (*Call[[]quality.Decision], error) {
 	return m.compareAsync(crowd.TaskCompareEqual, question, pairs)
 }
 
-// CompareOrderAsync submits a CROWDORDER batch without waiting.
-func (m *Manager) CompareOrderAsync(question string, pairs []ComparePair) (*CompareCall, error) {
+// CompareOrderAsync asks the crowd which of two items ranks higher
+// (CROWDORDER), without waiting; each decision's Value is the winning item.
+func (m *Manager) CompareOrderAsync(question string, pairs []ComparePair) (*Call[[]quality.Decision], error) {
 	return m.compareAsync(crowd.TaskCompareOrder, question, pairs)
 }
 
-func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []ComparePair) (*CompareCall, error) {
+func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []ComparePair) (*Call[[]quality.Decision], error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
@@ -583,7 +551,13 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 		}
 		group.HITs = append(group.HITs, hit)
 	}
-	return &CompareCall{m: m, pairs: pairs, group: group, pending: m.Submit(group)}, nil
+	return newCall(m, group, func(byHIT map[string][]*crowd.Assignment) []quality.Decision {
+		out := make([]quality.Decision, len(pairs))
+		for i := range pairs {
+			out[i] = m.decide(byHIT[group.HITs[i].ID], ui.AnswerField)
+		}
+		return out
+	}), nil
 }
 
 // decide resolves one field over a HIT's assignments and feeds the

@@ -81,13 +81,23 @@ func newManager(t *testing.T, seed int64) (*Manager, *amt.Platform) {
 	return New(platform, uim, tracker, payer, testOracle{}, DefaultConfig()), platform
 }
 
+// wait collects an async call in one expression: the blocking form of
+// every taskmgr request.
+func wait[T any](c *Call[T], err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return c.Wait()
+}
+
 func TestProbeValues(t *testing.T) {
 	m, _ := newManager(t, 5)
 	reqs := []ProbeRequest{
 		{Known: map[string]sqltypes.Value{"title": sqltypes.NewString("CrowdDB")}, Ask: []string{"abstract"}},
 		{Known: map[string]sqltypes.Value{"title": sqltypes.NewString("Qurk")}, Ask: []string{"abstract", "nb_attendees"}},
 	}
-	res, err := m.ProbeValues("Talk", reqs)
+	res, err := wait(m.ProbeValuesAsync("Talk", reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +128,13 @@ func TestProbeValues(t *testing.T) {
 
 func TestNewTuples(t *testing.T) {
 	m, _ := newManager(t, 5)
-	tuples, err := m.NewTuples("NotableAttendee",
-		map[string]sqltypes.Value{"title": sqltypes.NewString("CrowdDB")}, 4)
+	batches, err := wait(m.NewTuplesBatchAsync("NotableAttendee", []TupleRequest{
+		{Prefill: map[string]sqltypes.Value{"title": sqltypes.NewString("CrowdDB")}, Want: 4},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuples := batches[0]
 	if len(tuples) < 3 {
 		t.Fatalf("want >= 3 usable candidates, got %d", len(tuples))
 	}
@@ -135,10 +147,10 @@ func TestNewTuples(t *testing.T) {
 
 func TestCompareEqual(t *testing.T) {
 	m, _ := newManager(t, 5)
-	ds, err := m.CompareEqual("Same company?", []ComparePair{
+	ds, err := wait(m.CompareEqualAsync("Same company?", []ComparePair{
 		{Left: "UC Berkeley", Right: "uc berkeley"},
 		{Left: "UC Berkeley", Right: "Stanford"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +164,9 @@ func TestCompareEqual(t *testing.T) {
 
 func TestCompareOrder(t *testing.T) {
 	m, _ := newManager(t, 5)
-	ds, err := m.CompareOrder("Which talk did you like better", []ComparePair{
+	ds, err := wait(m.CompareOrderAsync("Which talk did you like better", []ComparePair{
 		{Left: "BTalk", Right: "ATalk"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +181,9 @@ func TestDeadlineExpiresGroup(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxWait = 2 * time.Minute
 	m = New(p, m.ui, m.tracker, nil, testOracle{}, cfg)
-	res, err := m.ProbeValues("Talk", []ProbeRequest{
+	res, err := wait(m.ProbeValuesAsync("Talk", []ProbeRequest{
 		{Known: map[string]sqltypes.Value{"title": sqltypes.NewString("X")}, Ask: []string{"abstract"}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +198,13 @@ func TestDeadlineExpiresGroup(t *testing.T) {
 
 func TestEmptyBatches(t *testing.T) {
 	m, _ := newManager(t, 5)
-	if res, err := m.ProbeValues("Talk", nil); err != nil || res != nil {
+	if res, err := wait(m.ProbeValuesAsync("Talk", nil)); err != nil || res != nil {
 		t.Error("empty probe batch must be a no-op")
 	}
-	if res, err := m.NewTuples("NotableAttendee", nil, 0); err != nil || res != nil {
+	if res, err := wait(m.NewTuplesBatchAsync("NotableAttendee", []TupleRequest{{Want: 0}})); err != nil || res != nil {
 		t.Error("zero new tuples must be a no-op")
 	}
-	if res, err := m.CompareEqual("q", nil); err != nil || res != nil {
+	if res, err := wait(m.CompareEqualAsync("q", nil)); err != nil || res != nil {
 		t.Error("empty compare must be a no-op")
 	}
 }
@@ -216,9 +228,9 @@ func TestObservedGroupLatency(t *testing.T) {
 		t.Fatalf("no samples expected before any group resolves, got %d", n)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.CompareEqual("same company?", []ComparePair{
+		if _, err := wait(m.CompareEqualAsync("same company?", []ComparePair{
 			{Left: "IBM", Right: "International Business Machines"},
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
