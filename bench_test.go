@@ -7,6 +7,7 @@ package crowddb
 // results. A few engine micro-benchmarks follow.
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"crowddb/internal/bench"
@@ -116,6 +117,59 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		if _, err := db.Query("SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 50 ORDER BY nb_attendees DESC LIMIT 10"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkScanRead runs bench/perf's scan_read statement shapes over its
+// table: 20 000 Talk rows (2 500 rooms of 8, nb_attendees spread over
+// 0..999) on two shards, so the scan fans out across shards the way the
+// daemon's does. The filter keeps ~5 % of the table.
+func BenchmarkScanRead(b *testing.B) {
+	const rows, rooms = 20000, 2500
+	db, err := Open(Config{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	if _, err := db.Exec("CREATE TABLE Talk (title STRING PRIMARY KEY, room STRING, nb_attendees INTEGER)"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec("CREATE INDEX talk_room ON Talk (room)"); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < rows; lo += 500 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO Talk VALUES ")
+		for i := lo; i < lo+500; i++ {
+			if i > lo {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "('talk-%05d', 'room-%04d', %d)", i, i%rooms, (i*7919+13)%1000)
+		}
+		if _, err := db.Exec(sb.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name, sql string
+		want      int
+	}{
+		{"filter", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950", 980},
+		{"group", "SELECT room, COUNT(*), AVG(nb_attendees) FROM Talk WHERE nb_attendees < 950 GROUP BY room ORDER BY AVG(nb_attendees) DESC LIMIT 10", 10},
+		{"topk", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10", 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := db.Query(bc.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != bc.want {
+					b.Fatalf("%d rows, want %d", len(res.Rows), bc.want)
+				}
+			}
+		})
 	}
 }
 

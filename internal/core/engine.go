@@ -693,19 +693,30 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	return &Result{Affected: inserted}, nil
 }
 
+// dmlCandidates fetches the rows an UPDATE or DELETE has to check its
+// WHERE against, at the current watermark: through the primary key or an
+// index when the WHERE pins one to a literal (the access path a SELECT
+// would take), the whole table otherwise. The rows are the store's shared
+// images: clone before writing.
+func (e *Engine) dmlCandidates(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, []storage.Row, error) {
+	scan := plan.NewScan(t, "")
+	scan.Filter = where
+	optimizer.DeriveProbeKeys(scan)
+	ids, rows, err := exec.CandidateRows(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
+	return scan.Schema(), ids, rows, err
+}
+
 func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
 	}
-	scan := plan.NewScan(t, "")
-	schema := scan.Schema()
 	for _, a := range s.Set {
 		if t.ColumnIndex(a.Column) < 0 {
 			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
 		}
 	}
-	ids, rows, err := e.store.ScanRows(t.Name)
+	schema, ids, rows, err := e.dmlCandidates(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -754,9 +765,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
 	}
-	scan := plan.NewScan(t, "")
-	schema := scan.Schema()
-	ids, rows, err := e.store.ScanRows(t.Name)
+	schema, ids, rows, err := e.dmlCandidates(t, s.Where)
 	if err != nil {
 		return nil, err
 	}

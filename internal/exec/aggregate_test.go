@@ -1,0 +1,375 @@
+package exec
+
+// Tests for the accumulating GROUP BY: equivalence with the evaluator it
+// replaced (buffer every group's rows, then compute each aggregate over
+// the buffer), kept below as the reference, and the allocation pin — a
+// statement's allocations grow with its groups, not with its input rows.
+
+import (
+	"fmt"
+	"testing"
+
+	"crowddb/internal/catalog"
+	"crowddb/internal/optimizer"
+	"crowddb/internal/parser"
+	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
+)
+
+// --- the reference: the buffer-then-compute evaluator ---
+
+func refAggregate(node *plan.Aggregate, input []Row, schema []plan.Col) ([]Row, error) {
+	groups := make(map[string][]Row)
+	var order []string
+	for _, r := range input {
+		keyVals := make([]sqltypes.Value, len(node.GroupBy))
+		for i, g := range node.GroupBy {
+			v, err := eval(g, &evalCtx{schema: schema, row: r})
+			if err != nil {
+				return nil, err
+			}
+			keyVals[i] = v
+		}
+		k := storage.IndexKey(keyVals...)
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	if len(node.GroupBy) == 0 && len(order) == 0 {
+		order = append(order, "")
+		groups[""] = nil
+	}
+	var out []Row
+	for _, k := range order {
+		rows := groups[k]
+		if node.Having != nil {
+			hv, err := refEvalAggExpr(node.Having, rows, schema)
+			if err != nil {
+				return nil, err
+			}
+			if b, unknown := boolOf(hv); unknown || !b {
+				continue
+			}
+		}
+		row := make(Row, len(node.Items))
+		for i, it := range node.Items {
+			v, err := refEvalAggExpr(it.Expr, rows, schema)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
+	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
+		return refComputeAggregate(fc, rows, schema)
+	}
+	switch x := e.(type) {
+	case *parser.BinaryExpr:
+		if exprHasAggregate(e) {
+			l, err := refEvalAggExpr(x.L, rows, schema)
+			if err != nil {
+				return sqltypes.Value{}, err
+			}
+			r, err := refEvalAggExpr(x.R, rows, schema)
+			if err != nil {
+				return sqltypes.Value{}, err
+			}
+			switch x.Op {
+			case "AND", "OR":
+				return evalLogic(x.Op, l, r)
+			case "=", "<>", "<", "<=", ">", ">=":
+				return evalBinary(&parser.BinaryExpr{Op: x.Op,
+					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &evalCtx{})
+			default:
+				return evalArith(x.Op, l, r)
+			}
+		}
+	case *parser.UnaryExpr:
+		if exprHasAggregate(e) {
+			v, err := refEvalAggExpr(x.E, rows, schema)
+			if err != nil {
+				return sqltypes.Value{}, err
+			}
+			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
+		}
+	}
+	if len(rows) == 0 {
+		return sqltypes.Null(), nil
+	}
+	return eval(e, &evalCtx{schema: schema, row: rows[0]})
+}
+
+func refComputeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
+	if fc.Star { // COUNT(*)
+		return sqltypes.NewInt(int64(len(rows))), nil
+	}
+	var vals []sqltypes.Value
+	for _, r := range rows {
+		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		if !v.IsUnknown() {
+			vals = append(vals, v)
+		}
+	}
+	switch fc.Name {
+	case "COUNT":
+		return sqltypes.NewInt(int64(len(vals))), nil
+	case "SUM", "AVG":
+		if len(vals) == 0 {
+			return sqltypes.Null(), nil
+		}
+		sum := 0.0
+		allInt := true
+		for _, v := range vals {
+			f, err := v.Coerce(sqltypes.TypeFloat)
+			if err != nil {
+				return sqltypes.Value{}, fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
+			}
+			sum += f.Float()
+			if v.Kind() != sqltypes.KindInt {
+				allInt = false
+			}
+		}
+		if fc.Name == "AVG" {
+			return sqltypes.NewFloat(sum / float64(len(vals))), nil
+		}
+		if allInt {
+			return sqltypes.NewInt(int64(sum)), nil
+		}
+		return sqltypes.NewFloat(sum), nil
+	case "MIN", "MAX":
+		if len(vals) == 0 {
+			return sqltypes.Null(), nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c, ok := sqltypes.Compare(v, best)
+			if !ok {
+				return sqltypes.Value{}, fmt.Errorf("exec: %s over incomparable values", fc.Name)
+			}
+			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	}
+	return sqltypes.Value{}, fmt.Errorf("exec: unknown aggregate %s", fc.Name)
+}
+
+// --- the fixture ---
+
+// setupMeasures builds a table whose columns exercise every accumulator
+// branch: g/k group keys (k's encodings contain 0x00 and collide unless
+// parts are escaped), i all-int with NULL and CNULL, n ints and floats
+// mixed, f floats, s strings (numeric in group "num", not elsewhere), x
+// values no ordering compares, z all NULL.
+func setupMeasures(t *testing.T) *harness {
+	t.Helper()
+	h := newHarness(t)
+	h.createTable(t, &catalog.Table{
+		Name: "m",
+		Columns: []catalog.Column{
+			{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
+			{Name: "g", Type: sqltypes.TypeString},
+			{Name: "k", Type: sqltypes.TypeString},
+			{Name: "i", Type: sqltypes.TypeInt},
+			{Name: "n", Type: sqltypes.TypeFloat},
+			{Name: "f", Type: sqltypes.TypeFloat},
+			{Name: "s", Type: sqltypes.TypeString},
+			{Name: "x", Type: sqltypes.TypeString},
+			{Name: "z", Type: sqltypes.TypeInt},
+		},
+	})
+	flt := sqltypes.NewFloat
+	groups := []string{"a", "a\x00", "b", "num", "lonely"}
+	keys := []string{"", "\x00", "a\x00b", "a", "\x00b"}
+	for id := 0; id < 60; id++ {
+		g := groups[id%4]
+		if id == 59 {
+			g = "lonely" // a one-row group
+		}
+		row := Row{num(int64(id)), str(g), str(keys[(id/4)%len(keys)]),
+			num(int64(id%7 - 3)), num(int64(id)), flt(float64(id) * 0.1), str(fmt.Sprintf("w%02d", id%9)),
+			str("only strings"), sqltypes.Null()}
+		switch id % 5 {
+		case 1:
+			row[3] = sqltypes.Null()
+		case 2:
+			row[3] = sqltypes.CNull()
+			row[4] = flt(float64(id) + 0.5)
+		}
+		if g == "num" {
+			row[6] = str(fmt.Sprint(id))
+		}
+		if id%11 == 0 {
+			row[7] = num(int64(id)) // a number among strings: MIN/MAX cannot order them
+		}
+		h.insert(t, "m", row)
+	}
+	return h
+}
+
+// bothAggregates runs sql's Aggregate node through aggregateOp and through
+// the reference over the same input rows.
+func (h *harness) bothAggregates(t *testing.T, sql string) (got []Row, gotErr error, want []Row, wantErr error) {
+	t.Helper()
+	stmt, err := parser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	root, err := plan.Build(stmt.(*parser.Select), h.cat)
+	if err != nil {
+		t.Fatalf("plan %q: %v", sql, err)
+	}
+	opt, err := optimizer.Optimize(root, h.cat, optimizer.Options{})
+	if err != nil {
+		t.Fatalf("optimize %q: %v", sql, err)
+	}
+	var node *plan.Aggregate
+	var find func(n plan.Node)
+	find = func(n plan.Node) {
+		if a, ok := n.(*plan.Aggregate); ok {
+			node = a
+		}
+		for _, c := range n.Children() {
+			find(c)
+		}
+	}
+	find(opt.Root)
+	if node == nil {
+		t.Fatalf("%q plans no Aggregate", sql)
+	}
+	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache()}
+	in, err := Build(node.Input, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input, err := Run(in, ctx)
+	if err != nil {
+		t.Fatalf("input of %q: %v", sql, err)
+	}
+	want, wantErr = refAggregate(node, input, node.Input.Schema())
+	op, err := Build(node, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotErr = Run(op, ctx)
+	return got, gotErr, want, wantErr
+}
+
+// identicalRows compares kind for kind: SUM's int-or-float result matters.
+func identicalRows(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j].Kind() != b[i][j].Kind() || a[i][j].String() != b[i][j].String() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestAggregateMatchesBufferedReference(t *testing.T) {
+	h := setupMeasures(t)
+	for _, tc := range []struct {
+		name, sql string
+		rows      int    // expected result rows (-1: whatever the reference says)
+		err       string // expected error text ("" = none)
+	}{
+		{"count star and column over NULL and CNULL", "SELECT g, COUNT(*), COUNT(i), COUNT(z) FROM m GROUP BY g", 5, ""},
+		{"sum all-int", "SELECT g, SUM(i), SUM(id) FROM m GROUP BY g", 5, ""},
+		{"sum mixed int and float", "SELECT g, SUM(n) FROM m GROUP BY g", 5, ""},
+		{"sum and avg over all-NULL", "SELECT g, SUM(z), AVG(z), MIN(z), MAX(z) FROM m GROUP BY g", 5, ""},
+		{"avg", "SELECT g, AVG(i), AVG(f), AVG(n) FROM m GROUP BY g", 5, ""},
+		{"float sum in arrival order", "SELECT SUM(f), AVG(f) FROM m", 1, ""},
+		{"min max strings and numbers", "SELECT g, MIN(s), MAX(s), MIN(i), MAX(f) FROM m GROUP BY g", 5, ""},
+		{"aggregates in arithmetic", "SELECT g, SUM(i) * 2 + COUNT(*), -SUM(i), MAX(f) - MIN(f), SUM(id) / COUNT(*) FROM m GROUP BY g", 5, ""},
+		{"aggregates in comparisons", "SELECT g, SUM(i) > 0, COUNT(*) = 15 OR MAX(f) < 1 FROM m GROUP BY g", 5, ""},
+		{"having on an aggregate not selected", "SELECT g FROM m GROUP BY g HAVING MAX(f) > 5.75 AND COUNT(i) >= 9", -1, ""},
+		{"having mixes key and aggregate", "SELECT g, COUNT(*) FROM m GROUP BY g HAVING g <> 'b' AND COUNT(*) > 1", 3, ""},
+		{"same call twice", "SELECT g, SUM(i), SUM(i) + 1 FROM m GROUP BY g HAVING SUM(i) <> 99", 5, ""},
+		{"global aggregate over zero rows", "SELECT COUNT(*), COUNT(i), SUM(i), AVG(f), MIN(s), MAX(s) FROM m WHERE id > 9999", 1, ""},
+		{"group by over zero rows", "SELECT g, COUNT(*) FROM m WHERE id > 9999 GROUP BY g", 0, ""},
+		{"keys whose encodings contain 0x00", "SELECT g, k, COUNT(*), SUM(id) FROM m GROUP BY g, k", -1, ""},
+		{"group by an expression", "SELECT id % 3, COUNT(*), MAX(id) FROM m GROUP BY id % 3", 3, ""},
+		{"sum over a non-numeric value", "SELECT g, SUM(s) FROM m GROUP BY g", 0, "exec: SUM over non-numeric value w00"},
+		{"avg over a non-numeric value", "SELECT AVG(s) FROM m", 0, "exec: AVG over non-numeric value w00"},
+		{"min over incomparable values", "SELECT MIN(x) FROM m", 0, "exec: MIN over incomparable values"},
+		{"max over incomparable values", "SELECT g, MAX(x) FROM m GROUP BY g", 0, "exec: MAX over incomparable values"},
+		{"having drops the failing group", "SELECT g, SUM(s) FROM m GROUP BY g HAVING g = 'num'", 1, ""},
+		{"having drops every failing group", "SELECT g, COUNT(*), MIN(x) FROM m GROUP BY g HAVING COUNT(*) < 2", 1, ""},
+		{"unread failing aggregate behind a false having", "SELECT SUM(s) FROM m HAVING COUNT(*) < 0", 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotErr, want, wantErr := h.bothAggregates(t, tc.sql)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("error %v, the reference says %v", gotErr, wantErr)
+			}
+			if tc.err != fmt.Sprint(wantErr) && !(tc.err == "" && wantErr == nil) {
+				t.Fatalf("reference error %v, the case expects %q", wantErr, tc.err)
+			}
+			if !identicalRows(got, want) {
+				t.Fatalf("rows differ from the reference\ngot  %v\nwant %v", got, want)
+			}
+			if tc.rows >= 0 && len(got) != tc.rows {
+				t.Fatalf("%d rows, the case expects %d: %v", len(got), tc.rows, got)
+			}
+		})
+	}
+	// The 0x00 keys must not collide: 5 key values cycle under 4 groups.
+	got, _, _, _ := h.bothAggregates(t, "SELECT g, k, COUNT(*) FROM m GROUP BY g, k")
+	seen := map[string]bool{}
+	for _, r := range got {
+		seen[r[0].Str()+"|"+r[1].Str()] = true
+	}
+	if len(seen) != len(got) || len(got) < 20 {
+		t.Errorf("GROUP BY g, k: %d rows, %d distinct (g, k) pairs", len(got), len(seen))
+	}
+}
+
+// TestAggregateAllocsFollowGroupsNotRows: ten times the input rows over
+// the same groups costs (almost) no more allocations.
+func TestAggregateAllocsFollowGroupsNotRows(t *testing.T) {
+	allocs := func(rows, groups int) float64 {
+		h := newHarness(t)
+		h.createTable(t, &catalog.Table{
+			Name: "v",
+			Columns: []catalog.Column{
+				{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
+				{Name: "g", Type: sqltypes.TypeString},
+				{Name: "val", Type: sqltypes.TypeInt},
+			},
+		})
+		for i := 0; i < rows; i++ {
+			h.insert(t, "v", Row{num(int64(i)), str(fmt.Sprintf("group-%03d", i%groups)), num(int64(i % 97))})
+		}
+		const sql = "SELECT g, COUNT(*), SUM(val), AVG(val), MIN(val), MAX(val) FROM v WHERE val >= 0 GROUP BY g HAVING COUNT(*) > 0"
+		return testing.AllocsPerRun(5, func() {
+			if got := h.run(t, sql, optimizer.Options{}); len(got) != groups {
+				t.Fatalf("%d groups, want %d", len(got), groups)
+			}
+		})
+	}
+	few, many := allocs(1000, 20), allocs(10000, 20)
+	if many > few+200 {
+		t.Errorf("allocations follow the input: %.0f over 1 000 rows, %.0f over 10 000 (20 groups each)", few, many)
+	}
+	if wide := allocs(1000, 200); wide < few+180 {
+		t.Errorf("allocations do not follow the groups: %.0f for 20 groups, %.0f for 200", few, wide)
+	}
+}

@@ -59,7 +59,8 @@ func setupNums(t *testing.T) *harness {
 
 // randomQuery draws one SELECT from a grammar covering every converted
 // operator: scans, filters, projects, hash and nested-loop joins,
-// aggregates, distinct, sort, limit/offset.
+// aggregates (one call over three groups, and many calls over hundreds),
+// distinct, sort, limit/offset.
 func randomQuery(rng *rand.Rand) string {
 	where := ""
 	switch rng.Intn(4) {
@@ -84,7 +85,7 @@ func randomQuery(rng *rand.Rand) string {
 			}
 		}
 	}
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return "SELECT id, grp, val FROM nums" + where + tail
 	case 1:
@@ -94,6 +95,13 @@ func randomQuery(rng *rand.Rand) string {
 		return "SELECT grp, " + agg + " FROM nums" + where + " GROUP BY grp"
 	case 3:
 		return "SELECT nums.id, lk.label FROM nums JOIN lk ON lk.grp = nums.grp" + where + tail
+	case 4:
+		// The accumulator's whole surface: many groups (more than a
+		// batch), several calls per group, HAVING on a call the select
+		// list lacks, and a sort over an aggregate.
+		return fmt.Sprintf("SELECT val, grp, COUNT(*), SUM(nums.id), AVG(nums.id), MIN(nums.id) FROM nums%s"+
+			" GROUP BY val, grp HAVING MAX(nums.id) > %d ORDER BY AVG(nums.id) DESC, val, grp LIMIT %d",
+			where, rng.Intn(600), 1+rng.Intn(300))
 	default:
 		return "SELECT nums.id, lk.label FROM nums, lk" + where + tail
 	}

@@ -879,8 +879,13 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 				if err != nil {
 					continue // untypable answer: stays CNULL
 				}
+				if !changed {
+					// The scanned image is the store's, shared with every
+					// other reader: copy it before the first write.
+					rows[i] = rows[i].Clone()
+					changed = true
+				}
 				rows[i][ci] = v
-				changed = true
 				t.AdjustCNull(t.Columns[ci].Name, -1)
 			}
 			if changed {

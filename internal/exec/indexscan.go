@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"crowddb/internal/plan"
+	"crowddb/internal/storage"
 )
 
 // indexScan serves a scan whose pushed-down filter pins an indexed column
@@ -46,8 +47,10 @@ func accessPath(ctx *Ctx, node *plan.Scan) *indexScan {
 
 func (s *indexScan) Schema() []plan.Col { return s.node.Schema() }
 
-func (s *indexScan) Open(ctx *Ctx) error {
-	s.rows, s.out = nil, batchEmitter{}
+// candidates fetches the rows the pinned key selects, with their ids:
+// the row(s) come back with the index probe under one lock acquisition
+// per shard — no per-row Get round-trips.
+func (s *indexScan) candidates(ctx *Ctx) ([]storage.RowID, []Row, error) {
 	key := s.node.ProbeKeys[strings.ToLower(s.keyCol)]
 	// Coerce the literal to the column type so the encoded key matches
 	// stored values (e.g. WHERE id = 3 against an INTEGER column).
@@ -56,24 +59,34 @@ func (s *indexScan) Open(ctx *Ctx) error {
 			key = cv
 		}
 	}
-	// Bulk candidate fetch: the row(s) come back with the index probe
-	// under one lock acquisition per shard — no per-row Get round-trips.
-	var candidates []Row
-	if s.pk {
-		if _, row, ok := ctx.Store.LookupPKRowAt(s.node.Table.Name, ctx.snapTS(), key); ok {
-			candidates = []Row{row}
-		}
-	} else {
-		_, rows, err := ctx.Store.LookupIndexRowsAt(s.node.Table.Name, s.indexName, ctx.snapTS(), key)
-		if err != nil {
-			return err
-		}
-		candidates = rows
+	if !s.pk {
+		return ctx.Store.LookupIndexRowsAt(s.node.Table.Name, s.indexName, ctx.snapTS(), key)
+	}
+	if id, row, ok := ctx.Store.LookupPKRowAt(s.node.Table.Name, ctx.snapTS(), key); ok {
+		return []storage.RowID{id}, []Row{row}, nil
+	}
+	return nil, nil, nil
+}
+
+// CandidateRows returns the stored rows (with their ids, in insertion
+// order) that can satisfy node.Filter: the rows a pinned primary key or
+// index selects when the filter offers that access path — the test a
+// SELECT's scan applies — and every row otherwise. The caller still
+// verifies the full filter on each.
+func CandidateRows(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
+	if is := accessPath(ctx, node); is != nil {
+		return is.candidates(ctx)
+	}
+	return ctx.Store.ScanRowsAt(node.Table.Name, ctx.snapTS())
+}
+
+func (s *indexScan) Open(ctx *Ctx) error {
+	s.rows, s.out = nil, batchEmitter{}
+	_, candidates, err := s.candidates(ctx)
+	if err != nil {
+		return err
 	}
 	for _, row := range candidates {
-		if row == nil {
-			continue
-		}
 		ctx.Stats.RowsScanned++
 		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
 		if err != nil {

@@ -1,0 +1,278 @@
+package exec
+
+import (
+	"crowddb/internal/parser"
+	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
+)
+
+// ---------------------------------------------------------------------------
+// Joins
+
+// nlJoin is the general nested-loop join (inner, cross, left outer) with an
+// arbitrary ON condition; the right side is buffered, the left streams.
+type nlJoin struct {
+	node  *plan.Join
+	left  Operator
+	right Operator
+
+	rightRows []Row
+	leftBatch *Batch
+	lpos      int
+	cur       Row
+	rpos      int
+	matched   bool
+	buf       Batch
+}
+
+func (j *nlJoin) Schema() []plan.Col { return j.node.Schema() }
+
+func (j *nlJoin) Open(ctx *Ctx) error {
+	if err := j.left.Open(ctx); err != nil {
+		return err
+	}
+	if err := j.right.Open(ctx); err != nil {
+		return err
+	}
+	rows, err := drainInput(ctx, j.right, nil)
+	if err != nil {
+		return err
+	}
+	j.rightRows = rows
+	j.leftBatch, j.lpos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
+	return nil
+}
+
+func (j *nlJoin) StopEarly() { stopEarly(j.left) }
+
+// nextLeft pulls the next probe-side row through the batch pipeline.
+func (j *nlJoin) nextLeft(ctx *Ctx) (Row, error) {
+	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
+		b, err := j.left.NextBatch(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b.Len() == 0 {
+			return nil, nil
+		}
+		j.leftBatch, j.lpos = b, 0
+	}
+	r := j.leftBatch.Rows[j.lpos]
+	j.lpos++
+	return r, nil
+}
+
+func (j *nlJoin) next(ctx *Ctx) (Row, error) {
+	for {
+		if j.cur == nil {
+			l, err := j.nextLeft(ctx)
+			if err != nil || l == nil {
+				return nil, err
+			}
+			j.cur, j.rpos, j.matched = l, 0, false
+		}
+		for j.rpos < len(j.rightRows) {
+			r := j.rightRows[j.rpos]
+			j.rpos++
+			combined := append(append(Row{}, j.cur...), r...)
+			ok, err := rowMatches(j.node.On, combined, j.Schema())
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				j.matched = true
+				return combined, nil
+			}
+		}
+		// Right side exhausted for this left row.
+		if j.node.Type == parser.JoinLeft && !j.matched {
+			out := append(Row{}, j.cur...)
+			for range j.right.Schema() {
+				out = append(out, sqltypes.Null())
+			}
+			j.cur = nil
+			return out, nil
+		}
+		j.cur = nil
+	}
+}
+
+func (j *nlJoin) NextBatch(ctx *Ctx) (*Batch, error) {
+	j.buf.reset()
+	limit := ctx.batchSize()
+	for len(j.buf.Rows) < limit {
+		r, err := j.next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			break
+		}
+		j.buf.Rows = append(j.buf.Rows, r)
+	}
+	if len(j.buf.Rows) == 0 {
+		return nil, nil
+	}
+	return &j.buf, nil
+}
+
+func (j *nlJoin) Close(ctx *Ctx) error {
+	if err := j.left.Close(ctx); err != nil {
+		return err
+	}
+	return j.right.Close(ctx)
+}
+
+func (j *nlJoin) bufferedRows() int64 { return int64(len(j.rightRows)) }
+
+// hashJoin handles inner equi-joins: it hashes the right input on the join
+// key and streams the left. The build table is pre-sized from the
+// optimizer's cardinality estimate for the build side (plan.Join.BuildRows)
+// so bulk builds do not rehash their way up from an empty map.
+type hashJoin struct {
+	node     *plan.Join
+	left     Operator
+	right    Operator
+	leftKey  parser.Expr
+	rightKey parser.Expr
+	residual parser.Expr
+
+	table map[string][]Row
+	built int64
+	cur   Row
+	bkt   []Row
+	bpos  int
+
+	leftBatch *Batch
+	lpos      int
+	buf       Batch
+}
+
+func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
+
+// buildSizeHint converts the optimizer's build-side row estimate into a
+// map pre-size, clamped so a wild estimate cannot pre-allocate
+// unboundedly.
+func (j *hashJoin) buildSizeHint() int {
+	const maxHint = 1 << 20
+	est := int(j.node.BuildRows)
+	if est < 0 {
+		return 0
+	}
+	if est > maxHint {
+		return maxHint
+	}
+	return est
+}
+
+func (j *hashJoin) Open(ctx *Ctx) error {
+	if err := j.left.Open(ctx); err != nil {
+		return err
+	}
+	if err := j.right.Open(ctx); err != nil {
+		return err
+	}
+	j.table = make(map[string][]Row, j.buildSizeHint())
+	j.built = 0
+	for {
+		b, err := j.right.NextBatch(ctx)
+		if err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			break
+		}
+		for _, r := range b.Rows {
+			v, err := eval(j.rightKey, &evalCtx{schema: j.right.Schema(), row: r})
+			if err != nil {
+				return err
+			}
+			if v.IsUnknown() {
+				continue // unknown keys never join
+			}
+			k := storage.IndexKey(v)
+			j.table[k] = append(j.table[k], r)
+			j.built++
+		}
+	}
+	j.leftBatch, j.lpos, j.cur, j.bkt, j.bpos = nil, 0, nil, nil, 0
+	return nil
+}
+
+func (j *hashJoin) StopEarly() { stopEarly(j.left) }
+
+func (j *hashJoin) nextLeft(ctx *Ctx) (Row, error) {
+	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
+		b, err := j.left.NextBatch(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b.Len() == 0 {
+			return nil, nil
+		}
+		j.leftBatch, j.lpos = b, 0
+	}
+	r := j.leftBatch.Rows[j.lpos]
+	j.lpos++
+	return r, nil
+}
+
+func (j *hashJoin) next(ctx *Ctx) (Row, error) {
+	for {
+		for j.bpos < len(j.bkt) {
+			r := j.bkt[j.bpos]
+			j.bpos++
+			combined := append(append(Row{}, j.cur...), r...)
+			ok, err := rowMatches(j.residual, combined, j.Schema())
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				return combined, nil
+			}
+		}
+		l, err := j.nextLeft(ctx)
+		if err != nil || l == nil {
+			return nil, err
+		}
+		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: l})
+		if err != nil {
+			return nil, err
+		}
+		if v.IsUnknown() {
+			continue
+		}
+		j.cur = l
+		j.bkt = j.table[storage.IndexKey(v)]
+		j.bpos = 0
+	}
+}
+
+func (j *hashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
+	j.buf.reset()
+	limit := ctx.batchSize()
+	for len(j.buf.Rows) < limit {
+		r, err := j.next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			break
+		}
+		j.buf.Rows = append(j.buf.Rows, r)
+	}
+	if len(j.buf.Rows) == 0 {
+		return nil, nil
+	}
+	return &j.buf, nil
+}
+
+func (j *hashJoin) Close(ctx *Ctx) error {
+	if err := j.left.Close(ctx); err != nil {
+		return err
+	}
+	return j.right.Close(ctx)
+}
+
+func (j *hashJoin) bufferedRows() int64 { return j.built }

@@ -45,7 +45,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,69 +68,82 @@ type Operator interface {
 }
 
 // ---------------------------------------------------------------------------
-// SeqScan: stored-table scan with pushed filter and stop-after. Small
-// tables snapshot in bulk (one lock acquisition per shard, no per-row
-// store round-trips) and filter lazily per batch; large tables on a
-// sharded store fan out one streaming worker per shard and merge by
-// ascending row ID, which IS global insertion order (IDs are allocated
-// from one per-table counter), so the parallel scan emits byte-identical
-// output to the sequential one. Workers observe the early-stop signal:
-// a filled LIMIT quota stops them mid-shard.
+// SeqScan: stored-table scan with pushed filter and stop-after. Every scan
+// is one merge, by ascending row ID, over the table's shard streams — and
+// ascending ID IS global insertion order (IDs are allocated from one
+// per-table counter), so the output is the same however the streams are
+// fed. Small tables and stop-after scans pull each shard's cursor on the
+// query goroutine, a chunk at a time, and filter after the merge, so a
+// filled quota stops the scan having examined exactly the rows up to it.
+// Large tables on a sharded store fan out one worker per shard that walks
+// the cursor, filters, and streams what it kept to the merge. Workers
+// observe the early-stop signal: a filled LIMIT quota stops them
+// mid-shard.
 
 // DefaultParallelScanMinRows is the table size (catalog estimate) below
 // which a scan stays sequential: fan-out overhead beats the win on small
 // tables, and the paper's crowd workloads live well under it.
 const DefaultParallelScanMinRows = 2048
 
+// scanChunkRows is how many rows a shard cursor hands over per lock
+// acquisition, and the granularity at which parallel workers hand
+// filtered rows to the merge and check the stop signal.
+const scanChunkRows = 256
+
+// shardStream is the merge's view of one shard: the current chunk of
+// (id, row) pairs in ascending id, and the way to get the next one.
+type shardStream struct {
+	ids  []storage.RowID
+	rows []Row
+	pos  int
+	done bool
+	// fetch loads the next chunk into ids/rows; an empty one ends the
+	// stream.
+	fetch func(s *shardStream) error
+}
+
 type seqScan struct {
 	node    *plan.Scan
-	rows    []Row
-	ids     []storage.RowID // lazy (stop-after) path only
-	pos     int
+	streams []*shardStream
+	par     *parallelScanRun // non-nil when workers feed the streams
 	out     int64
 	scanned int64
 	stopped bool
+	eof     bool
 	buf     Batch
-	par     *parallelScanRun
+	held    int64 // rows sitting in the streams' chunks
 	peakBuf int64
 }
 
 func (s *seqScan) Schema() []plan.Col { return s.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
-	s.rows, s.ids, s.pos, s.out, s.scanned, s.stopped, s.par = nil, nil, 0, 0, 0, false, nil
+	s.streams, s.par, s.out, s.scanned, s.stopped, s.eof, s.held, s.peakBuf = nil, nil, 0, 0, false, false, 0, 0
+	scans, err := ctx.Store.ScanShardsAt(s.node.Table.Name, ctx.snapTS()) // one timestamp for every shard: a consistent cut
+	if err != nil {
+		return err
+	}
 	if parallelEligible(ctx, s.node) {
 		// Lazy fan-out: workers start at the first NextBatch, so an
 		// early stop that lands before any demand skips the scan work
 		// entirely.
-		s.par = newParallelScanRun(ctx, s.node)
+		s.par = &parallelScanRun{node: s.node, sch: s.node.Schema(), scans: scans, stopCh: make(chan struct{})}
 		return nil
 	}
-	if s.node.StopAfter >= 0 {
-		// The scan may stop far short of the table: fetch IDs only and
-		// materialize rows lazily so a filled quota costs O(quota), not
-		// O(table) clones.
-		ids, err := ctx.Store.ScanAt(s.node.Table.Name, ctx.snapTS())
-		if err != nil {
-			return err
-		}
-		s.ids = ids
-		s.peakBuf = int64(len(ids))
-		return nil
+	for i := range scans {
+		scan := &scans[i]
+		s.streams = append(s.streams, &shardStream{fetch: func(st *shardStream) error {
+			st.ids, st.rows = scan.Next(st.ids[:0], st.rows[:0], scanChunkRows)
+			return nil
+		}})
 	}
-	_, rows, err := ctx.Store.ScanRowsAt(s.node.Table.Name, ctx.snapTS())
-	if err != nil {
-		return err
-	}
-	s.rows = rows
-	s.peakBuf = int64(len(rows))
 	return nil
 }
 
 // parallelEligible gates the fan-out: never when a stop-after could end
-// the scan early (the sequential path stops scanning the moment the
-// quota fills, and the selectivity feedback must see the same counts),
-// and never below the size threshold.
+// the scan early (the merge stops pulling the moment the quota fills, and
+// the selectivity feedback must see the same counts), and never below the
+// size threshold.
 func parallelEligible(ctx *Ctx, node *plan.Scan) bool {
 	if node.StopAfter >= 0 || ctx.Store.NumShards() < 2 {
 		return false
@@ -142,9 +155,9 @@ func parallelEligible(ctx *Ctx, node *plan.Scan) bool {
 	return min > 0 && node.Table.RowCount() >= int64(min)
 }
 
-// StopEarly implements EarlyStopper: the sequential path simply stops
-// producing (it is already lazy per batch); the parallel path signals
-// the shard workers so in-flight filtering halts mid-shard.
+// StopEarly implements EarlyStopper: the scan stops producing, and the
+// shard workers, if any, are signalled so in-flight filtering halts
+// mid-shard.
 func (s *seqScan) StopEarly() {
 	s.stopped = true
 	if s.par != nil {
@@ -152,48 +165,67 @@ func (s *seqScan) StopEarly() {
 	}
 }
 
+// next returns the row with the smallest id across the shard streams.
+func (s *seqScan) next() (Row, bool, error) {
+	var best *shardStream
+	for _, st := range s.streams {
+		if !st.done && st.pos >= len(st.rows) {
+			s.held -= int64(len(st.rows))
+			st.pos = 0
+			if err := st.fetch(st); err != nil {
+				st.done = true
+				return nil, false, err
+			}
+			st.done = len(st.rows) == 0
+			if s.held += int64(len(st.rows)); s.held > s.peakBuf {
+				s.peakBuf = s.held
+			}
+		}
+		if !st.done && (best == nil || st.ids[st.pos] < best.ids[best.pos]) {
+			best = st
+		}
+	}
+	if best == nil {
+		return nil, false, nil
+	}
+	best.pos++
+	return best.rows[best.pos-1], true, nil
+}
+
 func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 	if s.stopped {
 		return nil, nil
 	}
-	if s.par != nil {
-		return s.par.nextBatch(ctx, &s.buf)
+	if s.par != nil && s.streams == nil {
+		s.streams = s.par.start()
 	}
-	lazy := s.ids != nil
 	s.buf.reset()
 	limit := ctx.batchSize()
 	for len(s.buf.Rows) < limit {
 		if s.node.StopAfter >= 0 && s.out >= s.node.StopAfter {
 			break
 		}
-		var row Row
-		if lazy {
-			if s.pos >= len(s.ids) {
-				break
-			}
-			got, ok := ctx.Store.GetAt(s.node.Table.Name, s.ids[s.pos], ctx.snapTS())
-			s.pos++
-			if !ok {
-				continue
-			}
-			row = got
-		} else {
-			if s.pos >= len(s.rows) {
-				break
-			}
-			row = s.rows[s.pos]
-			s.pos++
-		}
-		ctx.Stats.RowsScanned++
-		s.scanned++
-		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
+		row, ok, err := s.next()
 		if err != nil {
 			return nil, err
 		}
-		if keep {
-			s.out++
-			s.buf.Rows = append(s.buf.Rows, row)
+		if !ok {
+			s.eof = true
+			break
 		}
+		if s.par == nil { // the workers filter and count their own rows
+			ctx.Stats.RowsScanned++
+			s.scanned++
+			keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
+			if err != nil {
+				return nil, err
+			}
+			if !keep {
+				continue
+			}
+			s.out++
+		}
+		s.buf.Rows = append(s.buf.Rows, row)
 	}
 	if len(s.buf.Rows) == 0 {
 		return nil, nil
@@ -202,39 +234,26 @@ func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) {
 }
 
 func (s *seqScan) Close(ctx *Ctx) error {
+	feedback := true
 	if s.par != nil {
-		scanned, kept, complete := s.par.finish()
-		ctx.Stats.RowsScanned += int(scanned)
-		s.scanned, s.out = scanned, kept
+		s.scanned, s.out = s.par.finish()
+		ctx.Stats.RowsScanned += int(s.scanned)
 		// Feed the observed selectivity back only when every shard ran to
 		// completion: a partial (early-stopped) scan's counts depend on
 		// worker timing and would poison the EWMA nondeterministically.
-		if complete && s.node.Filter != nil && scanned > 0 {
-			s.node.Table.ObserveFilter(scanned, kept)
-		}
-		return nil
+		feedback = s.eof && !s.par.stopped.Load()
 	}
 	// Feed the observed predicate selectivity back to the cost model.
-	if s.node.Filter != nil && s.scanned > 0 {
+	if feedback && s.node.Filter != nil && s.scanned > 0 {
 		s.node.Table.ObserveFilter(s.scanned, s.out)
 	}
 	return nil
 }
 
-func (s *seqScan) bufferedRows() int64 {
-	if s.par != nil {
-		return s.par.buffered()
-	}
-	return s.peakBuf
-}
+func (s *seqScan) bufferedRows() int64 { return s.peakBuf }
 
 // ---------------------------------------------------------------------------
-// Parallel scan fan-out: one streaming worker per shard, k-way merged by
-// ascending row ID.
-
-// parallelChunkRows is the granularity at which shard workers hand
-// filtered rows to the merger and check the stop signal.
-const parallelChunkRows = 256
+// Parallel scan fan-out: one streaming worker per shard feeding the merge.
 
 type shardChunk struct {
 	ids     []storage.RowID
@@ -244,39 +263,16 @@ type shardChunk struct {
 	err     error
 }
 
-// shardCursor is the merger's view of one shard's stream.
-type shardCursor struct {
-	ch   chan shardChunk
-	cur  shardChunk
-	pos  int
-	done bool
-}
-
 type parallelScanRun struct {
 	node    *plan.Scan
-	sch     []plan.Col
-	at      int64
-	store   *storage.Store
-	started bool
+	sch     []plan.Col // resolved once; workers share it read-only
+	scans   []storage.ShardScan
 	stopped atomic.Bool
 	stopCh  chan struct{}
 	stopOne sync.Once
 	wg      sync.WaitGroup
-	curs    []*shardCursor
 	scanned atomic.Int64
 	kept    atomic.Int64
-	eofAll  bool
-	maxBuf  atomic.Int64
-}
-
-func newParallelScanRun(ctx *Ctx, node *plan.Scan) *parallelScanRun {
-	return &parallelScanRun{
-		node:   node,
-		sch:    node.Schema(), // resolved once; workers share it read-only
-		at:     ctx.snapTS(),  // one timestamp for every shard: a consistent cut
-		store:  ctx.Store,
-		stopCh: make(chan struct{}),
-	}
 }
 
 func (p *parallelScanRun) stop() {
@@ -284,23 +280,47 @@ func (p *parallelScanRun) stop() {
 	p.stopOne.Do(func() { close(p.stopCh) })
 }
 
-func (p *parallelScanRun) start() {
-	n := p.store.NumShards()
-	p.curs = make([]*shardCursor, n)
-	for i := 0; i < n; i++ {
-		p.curs[i] = &shardCursor{ch: make(chan shardChunk, 2)}
+// start launches the workers and returns the streams that receive from
+// them.
+func (p *parallelScanRun) start() []*shardStream {
+	streams := make([]*shardStream, len(p.scans))
+	for i := range p.scans {
+		ch := make(chan shardChunk, 2) // look-ahead: the worker filters its next chunks while the merge drains one
+		// The merge hands each drained chunk back (the rows it emitted are
+		// headers copied out of it), so a scan allocates the few chunks in
+		// flight once instead of one per scanChunkRows rows.
+		free := make(chan shardChunk, cap(ch)+1)
+		streams[i] = &shardStream{fetch: func(st *shardStream) error {
+			if cap(st.rows) > 0 {
+				select {
+				case free <- shardChunk{ids: st.ids[:0], rows: st.rows[:0]}:
+				default:
+				}
+			}
+			for chunk := range ch {
+				if chunk.err != nil {
+					return chunk.err
+				}
+				if len(chunk.rows) > 0 {
+					st.ids, st.rows = chunk.ids, chunk.rows
+					return nil
+				}
+			}
+			st.ids, st.rows = nil, nil
+			return nil
+		}}
 		p.wg.Add(1)
-		go p.worker(i, p.curs[i].ch)
+		go p.worker(&p.scans[i], ch, free)
 	}
-	p.started = true
+	return streams
 }
 
-// worker scans one shard, applies the pushed filter, and streams
-// filtered chunks to the merger in ascending row-ID order. It checks the
-// stop signal between chunks (and on every handoff), so a filled LIMIT
-// quota halts the remaining filter work instead of producing rows that
-// would be discarded.
-func (p *parallelScanRun) worker(shard int, ch chan shardChunk) {
+// worker walks one shard's cursor, applies the pushed filter, and streams
+// what it kept to the merge in ascending row-ID order. It checks the stop
+// signal between chunks (and on every handoff), so a filled LIMIT quota
+// halts the remaining filter work instead of producing rows that would be
+// discarded.
+func (p *parallelScanRun) worker(scan *storage.ShardScan, ch chan<- shardChunk, free <-chan shardChunk) {
 	defer p.wg.Done()
 	defer close(ch)
 	send := func(c shardChunk) bool {
@@ -313,106 +333,57 @@ func (p *parallelScanRun) worker(shard int, ch chan shardChunk) {
 			return false
 		}
 	}
-	ids, rows, err := p.store.ScanShardRowsAt(p.node.Table.Name, shard, p.at)
-	if err != nil {
-		send(shardChunk{err: err})
-		return
+	var ids []storage.RowID
+	var rows []Row
+	// A chunk leaves once it holds scanChunkRows rows, checked after each
+	// cursor chunk: it never outgrows twice that. One the merge has
+	// drained is reused before a new one is allocated.
+	newChunk := func() shardChunk {
+		select {
+		case c := <-free:
+			return c
+		default:
+			return shardChunk{ids: make([]storage.RowID, 0, 2*scanChunkRows), rows: make([]Row, 0, 2*scanChunkRows)}
+		}
 	}
-	p.maxBuf.Add(int64(len(rows)))
-	var c shardChunk
-	for j, row := range rows {
-		c.scanned++
-		keep, err := rowMatches(p.node.Filter, row, p.sch)
-		if err != nil {
-			c.err = err
-			send(c)
-			return
+	c := newChunk()
+	for !p.stopped.Load() {
+		if ids, rows = scan.Next(ids[:0], rows[:0], scanChunkRows); len(rows) == 0 {
+			break
 		}
-		if keep {
-			c.kept++
-			c.ids = append(c.ids, ids[j])
-			c.rows = append(c.rows, row)
+		for j, row := range rows {
+			c.scanned++
+			keep, err := rowMatches(p.node.Filter, row, p.sch)
+			if err != nil {
+				c.err = err
+				send(c)
+				return
+			}
+			if keep {
+				c.kept++
+				c.ids = append(c.ids, ids[j])
+				c.rows = append(c.rows, row)
+			}
 		}
-		if len(c.rows) >= parallelChunkRows {
+		if len(c.rows) >= scanChunkRows {
 			if !send(c) {
 				return
 			}
-			c = shardChunk{}
+			c = newChunk()
 		}
 	}
-	if c.scanned > 0 || len(c.rows) > 0 {
+	if c.scanned > 0 {
 		send(c)
 	}
 }
 
-// advance ensures the cursor holds a current row or is marked done.
-func (c *shardCursor) advance() error {
-	for !c.done && c.pos >= len(c.cur.rows) {
-		chunk, ok := <-c.ch
-		if !ok {
-			c.done = true
-			return nil
-		}
-		if chunk.err != nil {
-			c.done = true
-			return chunk.err
-		}
-		c.cur, c.pos = chunk, 0
-	}
-	return nil
-}
-
-// nextBatch merges the shard streams by ascending row ID into buf.
-// Ascending ID across shards reconstructs insertion order exactly, so
-// seeded replays stay bit-identical to the sequential scan.
-func (p *parallelScanRun) nextBatch(ctx *Ctx, buf *Batch) (*Batch, error) {
-	if !p.started {
-		p.start()
-	}
-	buf.reset()
-	limit := ctx.batchSize()
-	for len(buf.Rows) < limit {
-		best := -1
-		var bestID storage.RowID
-		for i, c := range p.curs {
-			if err := c.advance(); err != nil {
-				return nil, err
-			}
-			if c.done {
-				continue
-			}
-			if id := c.cur.ids[c.pos]; best < 0 || id < bestID {
-				best, bestID = i, id
-			}
-		}
-		if best < 0 {
-			p.eofAll = true
-			break
-		}
-		c := p.curs[best]
-		buf.Rows = append(buf.Rows, c.cur.rows[c.pos])
-		c.pos++
-	}
-	if len(buf.Rows) == 0 {
-		return nil, nil
-	}
-	return buf, nil
-}
-
 // finish stops the workers, waits them out (no goroutine leaks), and
-// reports (scanned, kept, complete): complete is true only when every
-// shard was filtered to the end and merged to EOF — the condition under
-// which the counts are deterministic.
-func (p *parallelScanRun) finish() (scanned, kept int64, complete bool) {
-	if !p.started {
-		return 0, 0, false
-	}
+// reports the rows they scanned and kept.
+func (p *parallelScanRun) finish() (scanned, kept int64) {
 	p.stopOne.Do(func() { close(p.stopCh) })
 	p.wg.Wait()
-	return p.scanned.Load(), p.kept.Load(), p.eofAll && !p.stopped.Load()
+	return p.scanned.Load(), p.kept.Load()
 }
-
-func (p *parallelScanRun) buffered() int64 { return p.maxBuf.Load() }
 
 // ---------------------------------------------------------------------------
 // Filter (with CrowdCompare support for crowd predicates)
@@ -573,276 +544,6 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 func (p *projectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
 
 // ---------------------------------------------------------------------------
-// Joins
-
-// nlJoin is the general nested-loop join (inner, cross, left outer) with an
-// arbitrary ON condition; the right side is buffered, the left streams.
-type nlJoin struct {
-	node  *plan.Join
-	left  Operator
-	right Operator
-
-	rightRows []Row
-	leftBatch *Batch
-	lpos      int
-	cur       Row
-	rpos      int
-	matched   bool
-	buf       Batch
-}
-
-func (j *nlJoin) Schema() []plan.Col { return j.node.Schema() }
-
-func (j *nlJoin) Open(ctx *Ctx) error {
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	rows, err := drainInput(ctx, j.right, nil)
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
-	j.leftBatch, j.lpos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
-	return nil
-}
-
-func (j *nlJoin) StopEarly() { stopEarly(j.left) }
-
-// nextLeft pulls the next probe-side row through the batch pipeline.
-func (j *nlJoin) nextLeft(ctx *Ctx) (Row, error) {
-	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
-		b, err := j.left.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return nil, nil
-		}
-		j.leftBatch, j.lpos = b, 0
-	}
-	r := j.leftBatch.Rows[j.lpos]
-	j.lpos++
-	return r, nil
-}
-
-func (j *nlJoin) next(ctx *Ctx) (Row, error) {
-	for {
-		if j.cur == nil {
-			l, err := j.nextLeft(ctx)
-			if err != nil || l == nil {
-				return nil, err
-			}
-			j.cur, j.rpos, j.matched = l, 0, false
-		}
-		for j.rpos < len(j.rightRows) {
-			r := j.rightRows[j.rpos]
-			j.rpos++
-			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.node.On, combined, j.Schema())
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				j.matched = true
-				return combined, nil
-			}
-		}
-		// Right side exhausted for this left row.
-		if j.node.Type == parser.JoinLeft && !j.matched {
-			out := append(Row{}, j.cur...)
-			for range j.right.Schema() {
-				out = append(out, sqltypes.Null())
-			}
-			j.cur = nil
-			return out, nil
-		}
-		j.cur = nil
-	}
-}
-
-func (j *nlJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	j.buf.reset()
-	limit := ctx.batchSize()
-	for len(j.buf.Rows) < limit {
-		r, err := j.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		j.buf.Rows = append(j.buf.Rows, r)
-	}
-	if len(j.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &j.buf, nil
-}
-
-func (j *nlJoin) Close(ctx *Ctx) error {
-	if err := j.left.Close(ctx); err != nil {
-		return err
-	}
-	return j.right.Close(ctx)
-}
-
-func (j *nlJoin) bufferedRows() int64 { return int64(len(j.rightRows)) }
-
-// hashJoin handles inner equi-joins: it hashes the right input on the join
-// key and streams the left. The build table is pre-sized from the
-// optimizer's cardinality estimate for the build side (plan.Join.BuildRows)
-// so bulk builds do not rehash their way up from an empty map.
-type hashJoin struct {
-	node     *plan.Join
-	left     Operator
-	right    Operator
-	leftKey  parser.Expr
-	rightKey parser.Expr
-	residual parser.Expr
-
-	table map[string][]Row
-	built int64
-	cur   Row
-	bkt   []Row
-	bpos  int
-
-	leftBatch *Batch
-	lpos      int
-	buf       Batch
-}
-
-func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
-
-// buildSizeHint converts the optimizer's build-side row estimate into a
-// map pre-size, clamped so a wild estimate cannot pre-allocate
-// unboundedly.
-func (j *hashJoin) buildSizeHint() int {
-	const maxHint = 1 << 20
-	est := int(j.node.BuildRows)
-	if est < 0 {
-		return 0
-	}
-	if est > maxHint {
-		return maxHint
-	}
-	return est
-}
-
-func (j *hashJoin) Open(ctx *Ctx) error {
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	j.table = make(map[string][]Row, j.buildSizeHint())
-	j.built = 0
-	for {
-		b, err := j.right.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		for _, r := range b.Rows {
-			v, err := eval(j.rightKey, &evalCtx{schema: j.right.Schema(), row: r})
-			if err != nil {
-				return err
-			}
-			if v.IsUnknown() {
-				continue // unknown keys never join
-			}
-			k := storage.IndexKey(v)
-			j.table[k] = append(j.table[k], r)
-			j.built++
-		}
-	}
-	j.leftBatch, j.lpos, j.cur, j.bkt, j.bpos = nil, 0, nil, nil, 0
-	return nil
-}
-
-func (j *hashJoin) StopEarly() { stopEarly(j.left) }
-
-func (j *hashJoin) nextLeft(ctx *Ctx) (Row, error) {
-	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
-		b, err := j.left.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return nil, nil
-		}
-		j.leftBatch, j.lpos = b, 0
-	}
-	r := j.leftBatch.Rows[j.lpos]
-	j.lpos++
-	return r, nil
-}
-
-func (j *hashJoin) next(ctx *Ctx) (Row, error) {
-	for {
-		for j.bpos < len(j.bkt) {
-			r := j.bkt[j.bpos]
-			j.bpos++
-			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.residual, combined, j.Schema())
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return combined, nil
-			}
-		}
-		l, err := j.nextLeft(ctx)
-		if err != nil || l == nil {
-			return nil, err
-		}
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: l})
-		if err != nil {
-			return nil, err
-		}
-		if v.IsUnknown() {
-			continue
-		}
-		j.cur = l
-		j.bkt = j.table[storage.IndexKey(v)]
-		j.bpos = 0
-	}
-}
-
-func (j *hashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	j.buf.reset()
-	limit := ctx.batchSize()
-	for len(j.buf.Rows) < limit {
-		r, err := j.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		j.buf.Rows = append(j.buf.Rows, r)
-	}
-	if len(j.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &j.buf, nil
-}
-
-func (j *hashJoin) Close(ctx *Ctx) error {
-	if err := j.left.Close(ctx); err != nil {
-		return err
-	}
-	return j.right.Close(ctx)
-}
-
-func (j *hashJoin) bufferedRows() int64 { return j.built }
-
-// ---------------------------------------------------------------------------
 // Sort (plain and crowd-backed)
 
 type sortOp struct {
@@ -906,36 +607,44 @@ func reverseRows(rows []Row) {
 }
 
 func (s *sortOp) plainSort(ctx *Ctx) error {
-	type keyed struct {
-		row  Row
-		keys []sqltypes.Value
-	}
-	ks := make([]keyed, len(s.rows))
+	// The keys are evaluated once into one flat array and the sort moves
+	// row numbers, not rows: swapping integers needs no write barrier, so
+	// what a sort costs does not depend on whether the collector happens
+	// to be marking while it runs.
+	nk := len(s.node.Keys)
+	keys := make([]sqltypes.Value, len(s.rows)*nk)
+	ectx := &evalCtx{schema: s.Schema()}
 	for i, r := range s.rows {
-		ks[i] = keyed{row: r, keys: make([]sqltypes.Value, len(s.node.Keys))}
+		ectx.row = r
 		for ki, k := range s.node.Keys {
-			v, err := eval(k.Expr, &evalCtx{schema: s.Schema(), row: r})
+			v, err := eval(k.Expr, ectx)
 			if err != nil {
 				return err
 			}
-			ks[i].keys[ki] = v
+			keys[i*nk+ki] = v
 		}
 	}
-	sort.SliceStable(ks, func(a, b int) bool {
+	order := make([]int32, len(s.rows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
 		for ki, k := range s.node.Keys {
-			c := sqltypes.SortCompare(ks[a].keys[ki], ks[b].keys[ki])
+			c := sqltypes.SortCompare(keys[int(a)*nk+ki], keys[int(b)*nk+ki])
 			if k.Desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	for i := range ks {
-		s.rows[i] = ks[i].row
+	sorted := make([]Row, len(s.rows))
+	for i, at := range order {
+		sorted[i] = s.rows[at]
 	}
+	s.rows = sorted
 	return nil
 }
 
@@ -1081,25 +790,81 @@ func (d *distinctOp) Close(ctx *Ctx) error { return d.input.Close(ctx) }
 func (d *distinctOp) bufferedRows() int64 { return int64(len(d.seen)) }
 
 // ---------------------------------------------------------------------------
-// Aggregate
+// Aggregate: one pass, one running state per (group, aggregate call). No
+// input row is kept beyond each group's first.
 
 type aggregateOp struct {
-	node    *plan.Aggregate
-	input   Operator
-	out     batchEmitter
-	grouped int64
+	node  *plan.Aggregate
+	input Operator
+	out   batchEmitter
+	// calls are the aggregate calls (COUNT(*) aside: the group counts its
+	// rows) the select list and HAVING read, in first-use order; callAt
+	// maps each back to its slot in a group.
+	calls  []*parser.FuncCall
+	callAt map[*parser.FuncCall]int
+	groups int64
+}
+
+// aggGroup is one group's accumulated state.
+type aggGroup struct {
+	first  Row   // the group's first row: what non-aggregate expressions read
+	rows   int64 // COUNT(*)
+	states []aggState
+}
+
+// aggState is the running state of one aggregate call over one group.
+// Errors are deferred: they surface only if the call's value is read.
+type aggState struct {
+	n       int64          // argument values that were not NULL/CNULL
+	sum     float64        // SUM/AVG: in arrival order
+	nonInt  bool           // SUM: some value was not an integer
+	best    sqltypes.Value // MIN/MAX
+	evalErr error          // first error evaluating the argument
+	err     error          // first error folding a value in
 }
 
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
+
+// collectCalls registers the aggregate calls evalAgg will reach in e (the
+// same descent: through operators, not into function arguments).
+func (a *aggregateOp) collectCalls(e parser.Expr) {
+	switch x := e.(type) {
+	case *parser.FuncCall:
+		if _, seen := a.callAt[x]; x.IsAggregate() && !x.Star && !seen {
+			a.callAt[x] = len(a.calls)
+			a.calls = append(a.calls, x)
+		}
+	case *parser.BinaryExpr:
+		if exprHasAggregate(e) {
+			a.collectCalls(x.L)
+			a.collectCalls(x.R)
+		}
+	case *parser.UnaryExpr:
+		if exprHasAggregate(e) {
+			a.collectCalls(x.E)
+		}
+	}
+}
 
 func (a *aggregateOp) Open(ctx *Ctx) error {
 	if err := a.input.Open(ctx); err != nil {
 		return err
 	}
 	a.out = batchEmitter{}
-	a.grouped = 0
-	groups := make(map[string][]Row)
-	var order []string
+	a.calls, a.callAt = nil, make(map[*parser.FuncCall]int)
+	for _, it := range a.node.Items {
+		a.collectCalls(it.Expr)
+	}
+	if a.node.Having != nil {
+		a.collectCalls(a.node.Having)
+	}
+	newGroup := func(first Row) *aggGroup {
+		return &aggGroup{first: first, states: make([]aggState, len(a.calls))}
+	}
+	groups := make(map[string]*aggGroup)
+	var order []*aggGroup
+	var keyBuf []byte
+	ectx := &evalCtx{schema: a.input.Schema()}
 	for {
 		b, err := a.input.NextBatch(ctx)
 		if err != nil {
@@ -1109,31 +874,35 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			keyVals := make([]sqltypes.Value, len(a.node.GroupBy))
-			for i, g := range a.node.GroupBy {
-				v, err := eval(g, &evalCtx{schema: a.input.Schema(), row: r})
+			ectx.row = r
+			keyBuf = keyBuf[:0]
+			for _, g := range a.node.GroupBy {
+				v, err := eval(g, ectx)
 				if err != nil {
 					return err
 				}
-				keyVals[i] = v
+				keyBuf = storage.AppendIndexKey(keyBuf, v)
 			}
-			k := storage.IndexKey(keyVals...)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
+			grp, ok := groups[string(keyBuf)]
+			if !ok {
+				grp = newGroup(r)
+				groups[string(keyBuf)] = grp
+				order = append(order, grp)
 			}
-			groups[k] = append(groups[k], r)
-			a.grouped++
+			grp.rows++
+			for i, fc := range a.calls {
+				grp.states[i].add(fc, ectx)
+			}
 		}
 	}
 	// A global aggregate over zero rows still produces one row.
 	if len(a.node.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-		groups[""] = nil
+		order = append(order, newGroup(nil))
 	}
-	for _, k := range order {
-		rows := groups[k]
+	a.groups = int64(len(order))
+	for _, grp := range order {
 		if a.node.Having != nil {
-			hv, err := evalAggExpr(a.node.Having, rows, a.input.Schema())
+			hv, err := a.evalAgg(a.node.Having, grp)
 			if err != nil {
 				return err
 			}
@@ -1143,7 +912,7 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		}
 		out := make(Row, len(a.node.Items))
 		for i, it := range a.node.Items {
-			v, err := evalAggExpr(it.Expr, rows, a.input.Schema())
+			v, err := a.evalAgg(it.Expr, grp)
 			if err != nil {
 				return err
 			}
@@ -1164,23 +933,99 @@ func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) {
 
 func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
 
-func (a *aggregateOp) bufferedRows() int64 { return a.grouped + int64(len(a.out.rows)) }
+func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.rows)) }
 
-// evalAggExpr evaluates an expression over a group: aggregates compute over
-// all rows, everything else over the group's first row (legal because the
-// planner enforced grouping).
-func evalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
+// add folds the current row's argument value into the state. SQL
+// aggregates skip NULLs (and CNULLs).
+func (s *aggState) add(fc *parser.FuncCall, ectx *evalCtx) {
+	v, err := eval(fc.Args[0], ectx)
+	if err != nil {
+		if s.evalErr == nil {
+			s.evalErr = err
+		}
+		return
+	}
+	if v.IsUnknown() {
+		return
+	}
+	s.n++
+	if s.err != nil {
+		return
+	}
+	switch fc.Name {
+	case "SUM", "AVG":
+		f, err := v.Coerce(sqltypes.TypeFloat)
+		if err != nil {
+			s.err = fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
+			return
+		}
+		s.sum += f.Float()
+		if v.Kind() != sqltypes.KindInt {
+			s.nonInt = true
+		}
+	case "MIN", "MAX":
+		if s.n == 1 {
+			s.best = v
+			return
+		}
+		c, ok := sqltypes.Compare(v, s.best)
+		if !ok {
+			s.err = fmt.Errorf("exec: %s over incomparable values", fc.Name)
+			return
+		}
+		if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
+			s.best = v
+		}
+	}
+}
+
+// value is the aggregate's result over the rows folded in so far.
+func (s *aggState) value(fc *parser.FuncCall) (sqltypes.Value, error) {
+	if s.evalErr != nil {
+		return sqltypes.Value{}, s.evalErr
+	}
+	switch fc.Name {
+	case "COUNT":
+		return sqltypes.NewInt(s.n), nil
+	case "SUM", "AVG", "MIN", "MAX":
+	default:
+		return sqltypes.Value{}, fmt.Errorf("exec: unknown aggregate %s", fc.Name)
+	}
+	if s.n == 0 {
+		return sqltypes.Null(), nil
+	}
+	if s.err != nil {
+		return sqltypes.Value{}, s.err
+	}
+	switch {
+	case fc.Name == "AVG":
+		return sqltypes.NewFloat(s.sum / float64(s.n)), nil
+	case fc.Name == "SUM" && s.nonInt:
+		return sqltypes.NewFloat(s.sum), nil
+	case fc.Name == "SUM":
+		return sqltypes.NewInt(int64(s.sum)), nil
+	}
+	return s.best, nil
+}
+
+// evalAgg evaluates an expression over a group: aggregates read their
+// accumulated state, everything else the group's first row (legal because
+// the planner enforced grouping).
+func (a *aggregateOp) evalAgg(e parser.Expr, g *aggGroup) (sqltypes.Value, error) {
 	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		return computeAggregate(fc, rows, schema)
+		if fc.Star { // COUNT(*)
+			return sqltypes.NewInt(g.rows), nil
+		}
+		return g.states[a.callAt[fc]].value(fc)
 	}
 	switch x := e.(type) {
 	case *parser.BinaryExpr:
 		if exprHasAggregate(e) {
-			l, err := evalAggExpr(x.L, rows, schema)
+			l, err := a.evalAgg(x.L, g)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			r, err := evalAggExpr(x.R, rows, schema)
+			r, err := a.evalAgg(x.R, g)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
@@ -1196,17 +1041,17 @@ func evalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Value, 
 		}
 	case *parser.UnaryExpr:
 		if exprHasAggregate(e) {
-			v, err := evalAggExpr(x.E, rows, schema)
+			v, err := a.evalAgg(x.E, g)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
 			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
 		}
 	}
-	if len(rows) == 0 {
+	if g.first == nil {
 		return sqltypes.Null(), nil
 	}
-	return eval(e, &evalCtx{schema: schema, row: rows[0]})
+	return eval(e, &evalCtx{schema: a.input.Schema(), row: g.first})
 }
 
 func exprHasAggregate(e parser.Expr) bool {
@@ -1217,63 +1062,4 @@ func exprHasAggregate(e parser.Expr) bool {
 		}
 	})
 	return found
-}
-
-func computeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
-	if fc.Star { // COUNT(*)
-		return sqltypes.NewInt(int64(len(rows))), nil
-	}
-	var vals []sqltypes.Value
-	for _, r := range rows {
-		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if !v.IsUnknown() { // SQL aggregates skip NULLs (and CNULLs)
-			vals = append(vals, v)
-		}
-	}
-	switch fc.Name {
-	case "COUNT":
-		return sqltypes.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, err := v.Coerce(sqltypes.TypeFloat)
-			if err != nil {
-				return sqltypes.Value{}, fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
-			}
-			sum += f.Float()
-			if v.Kind() != sqltypes.KindInt {
-				allInt = false
-			}
-		}
-		if fc.Name == "AVG" {
-			return sqltypes.NewFloat(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return sqltypes.NewInt(int64(sum)), nil
-		}
-		return sqltypes.NewFloat(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return sqltypes.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := sqltypes.Compare(v, best)
-			if !ok {
-				return sqltypes.Value{}, fmt.Errorf("exec: %s over incomparable values", fc.Name)
-			}
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown aggregate %s", fc.Name)
 }

@@ -63,7 +63,7 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 	if !opts.DisablePushdown {
 		root = o.pushPredicates(root)
 	}
-	o.deriveProbeKeys(root)
+	DeriveProbeKeys(root)
 	if !opts.DisableJoinReorder {
 		root = o.reorderJoins(root)
 	}
@@ -300,10 +300,11 @@ func coveredBy(e parser.Expr, schema []plan.Col) bool {
 // ---------------------------------------------------------------------------
 // Rule 2: probe-key derivation
 
-// deriveProbeKeys extracts `col = literal` bindings from scan filters: the
-// keys CrowdProbe pre-fills when soliciting new tuples (§3.1) and the
-// bindings the boundedness analysis accepts.
-func (o *optimizer) deriveProbeKeys(n plan.Node) {
+// DeriveProbeKeys extracts `col = literal` bindings from scan filters: the
+// keys CrowdProbe pre-fills when soliciting new tuples (§3.1), the
+// bindings the boundedness analysis accepts, and the keys an index access
+// path probes with.
+func DeriveProbeKeys(n plan.Node) {
 	if s, ok := n.(*plan.Scan); ok {
 		if s.Filter != nil {
 			for _, conj := range splitConjuncts(s.Filter) {
@@ -315,7 +316,7 @@ func (o *optimizer) deriveProbeKeys(n plan.Node) {
 		return
 	}
 	for _, c := range n.Children() {
-		o.deriveProbeKeys(c)
+		DeriveProbeKeys(c)
 	}
 }
 

@@ -9,6 +9,7 @@
 package sqltypes
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -329,38 +330,35 @@ func Identical(a, b Value) bool {
 	return ok && c == 0
 }
 
-// EncodeKey renders a value as an order-preserving string key for B-tree
-// indexes: SortCompare(a,b) agrees with strings.Compare(EncodeKey(a),
-// EncodeKey(b)) for values of the same column type.
-func EncodeKey(v Value) string {
+// AppendKey appends a value's order-preserving key encoding to dst (the
+// encoding B-tree indexes and hash keys are built from): SortCompare(a,b)
+// agrees with bytes.Compare of the two encodings for values of the same
+// column type. Callers that build many keys reuse dst's backing array.
+func AppendKey(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0x00)
 	case KindCNull:
-		return "\x01"
+		return append(dst, 0x01)
 	case KindBool:
 		if v.b {
-			return "\x02\x01"
+			return append(dst, 0x02, 0x01)
 		}
-		return "\x02\x00"
+		return append(dst, 0x02, 0x00)
 	case KindInt, KindFloat:
-		return "\x03" + encodeFloatKey(v.Float())
+		return binary.BigEndian.AppendUint64(append(dst, 0x03), floatBits(v.Float()))
 	default:
-		return "\x04" + v.s
+		return append(append(dst, 0x04), v.s...)
 	}
 }
 
-// encodeFloatKey produces an order-preserving byte string for a float64.
-func encodeFloatKey(f float64) string {
-	bits := floatBits(f)
-	var buf [8]byte
-	for i := 7; i >= 0; i-- {
-		buf[i] = byte(bits)
-		bits >>= 8
-	}
-	return string(buf[:])
+// EncodeKey is AppendKey as a string.
+func EncodeKey(v Value) string {
+	var buf [16]byte
+	return string(AppendKey(buf[:0], v))
 }
 
+// floatBits maps a float64 to bits whose unsigned order is the float order.
 func floatBits(f float64) uint64 {
 	bits := mathFloat64bits(f)
 	if bits&(1<<63) != 0 {

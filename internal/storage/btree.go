@@ -4,9 +4,15 @@
 // the role H2's storage layer plays in the paper's prototype (§3): crowd
 // answers are always memorized here so a query never re-asks the crowd for
 // data it already obtained.
+//
+// Each shard's heap keeps its version chains in ascending row-id order, so
+// a scan is one walk of a slice (ShardScan) and needs neither a sort nor a
+// second lookup. Row images are immutable once installed and are handed
+// out uncopied: rows returned by any read are read-only — see Row.
 package storage
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -117,18 +123,13 @@ func (t *BTree) splitChild(n *node, i int) {
 	n.children[i+1] = right
 }
 
-// Search returns the live row IDs stored under key.
-func (t *BTree) Search(key string) []RowID {
+// find returns key's entry (possibly a tombstone), or nil.
+func (t *BTree) find(key string) *entry {
 	n := t.root
 	for n != nil {
 		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
 		if i < len(n.entries) && n.entries[i].key == key {
-			if len(n.entries[i].rids) == 0 {
-				return nil
-			}
-			out := make([]RowID, len(n.entries[i].rids))
-			copy(out, n.entries[i].rids)
-			return out
+			return &n.entries[i]
 		}
 		if n.leaf() {
 			return nil
@@ -138,33 +139,38 @@ func (t *BTree) Search(key string) []RowID {
 	return nil
 }
 
+// Search returns a copy of the live row IDs stored under key.
+func (t *BTree) Search(key string) []RowID {
+	if e := t.find(key); e != nil && len(e.rids) > 0 {
+		return slices.Clone(e.rids)
+	}
+	return nil
+}
+
+// Has reports whether rid is stored under key.
+func (t *BTree) Has(key string, rid RowID) bool {
+	e := t.find(key)
+	return e != nil && slices.Contains(e.rids, rid)
+}
+
 // Delete removes rid from key's entry. It reports whether the pair existed.
 func (t *BTree) Delete(key string, rid RowID) bool {
-	n := t.root
-	for n != nil {
-		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
-		if i < len(n.entries) && n.entries[i].key == key {
-			e := &n.entries[i]
-			for j, r := range e.rids {
-				if r == rid {
-					e.rids = append(e.rids[:j], e.rids[j+1:]...)
-					t.size--
-					if len(e.rids) == 0 {
-						t.liveKeys--
-						t.tombstones++
-						t.maybeCompact()
-					}
-					return true
-				}
-			}
-			return false
-		}
-		if n.leaf() {
-			return false
-		}
-		n = n.children[i]
+	e := t.find(key)
+	if e == nil {
+		return false
 	}
-	return false
+	j := slices.Index(e.rids, rid)
+	if j < 0 {
+		return false
+	}
+	e.rids = slices.Delete(e.rids, j, j+1)
+	t.size--
+	if len(e.rids) == 0 {
+		t.liveKeys--
+		t.tombstones++
+		t.maybeCompact()
+	}
+	return true
 }
 
 // maybeCompact rebuilds the tree when tombstones dominate, bounding memory

@@ -8,6 +8,14 @@ import (
 )
 
 // Row is a tuple of values, positionally matching the table's columns.
+//
+// Rows returned by the store are read-only; clone before you write. A
+// committed version's image is installed once — the store clones what a
+// writer hands it — and is never written again, so every read path (scans,
+// point gets, primary-key and index probes) returns that one image,
+// shared with all concurrent readers and with the snapshots still pinned
+// on it, without copying. Writing through a returned row would change
+// what those readers and snapshots see.
 type Row []sqltypes.Value
 
 // Clone returns an independent copy of the row.

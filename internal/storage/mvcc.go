@@ -20,7 +20,10 @@ package storage
 // snapshot releases, when the retained backlog crosses a threshold at
 // commit, or explicitly via Store.GC.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // gcRetainedThreshold is the retained-version backlog at which a commit
 // triggers a sweep even though snapshots may still be live (the sweep
@@ -149,7 +152,8 @@ func (s *Store) GC() int {
 	horizon := s.gcHorizon()
 	reclaimed := 0
 	for _, ts := range s.tableMap() {
-		reclaimed += ts.gc(horizon)
+		n, _ := ts.gc(horizon)
+		reclaimed += n
 	}
 	if reclaimed > 0 {
 		s.retained.Add(int64(-reclaimed))
@@ -165,56 +169,35 @@ func (s *Store) GCStats() (runs, reclaimed int64) {
 	return s.gcRuns.Load(), s.gcReclaimed.Load()
 }
 
-func (ts *tableStore) gc(horizon int64) int {
-	total := 0
+// gc sweeps the table's shards, visiting only the chains that hold a
+// superseded or deleted version (heap.stale), and reports the versions
+// reclaimed and the chains visited.
+func (ts *tableStore) gc(horizon int64) (reclaimed, visited int) {
 	for _, sh := range ts.shards {
 		sh.mu.Lock()
-		for id, c := range sh.heap.rows {
-			if v := c.latest(); len(c.versions) == 1 && v.end == tsInfinity {
-				continue // the common case: a live row with no history
-			}
-			var drop, keep []rowVersion
-			for _, v := range c.versions {
-				if v.end <= horizon {
-					drop = append(drop, v)
-				} else {
-					keep = append(keep, v)
-				}
-			}
-			if len(drop) == 0 {
-				continue
-			}
+		r, v := sh.heap.gc(horizon, func(id RowID, drop, keep []rowVersion) {
 			if sh.primary != nil {
 				dropIndexKeys(sh.primary, ts.pkCols, drop, keep, id)
 			}
 			for _, idx := range sh.indexes {
 				dropIndexKeys(idx.tree, idx.cols, drop, keep, id)
 			}
-			c.versions = append(c.versions[:0:0], keep...)
-			total += len(drop)
-			if len(keep) == 0 {
-				delete(sh.heap.rows, id)
-				delete(sh.rowLSN, id)
-			}
-		}
+		})
 		sh.mu.Unlock()
+		reclaimed, visited = reclaimed+r, visited+v
 	}
-	return total
+	return reclaimed, visited
 }
 
 // dropIndexKeys removes the (key, id) entries that belonged only to
 // dropped versions: a key still referenced by a kept version stays.
 func dropIndexKeys(tree *BTree, cols []int, drop, keep []rowVersion, id RowID) {
-	kept := make(map[string]bool, len(keep))
-	for _, v := range keep {
-		kept[indexKeyFor(v.row, cols)] = true
+	carries := func(vs []rowVersion, key string) bool {
+		return slices.ContainsFunc(vs, func(v rowVersion) bool { return rowHasKey(v.row, cols, key) })
 	}
-	removed := make(map[string]bool, len(drop))
-	for _, v := range drop {
-		k := indexKeyFor(v.row, cols)
-		if !kept[k] && !removed[k] {
+	for i, v := range drop {
+		if k := indexKeyFor(v.row, cols); !carries(keep, k) && !carries(drop[:i], k) {
 			tree.Delete(k, id)
-			removed[k] = true
 		}
 	}
 }

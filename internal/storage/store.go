@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,26 +16,37 @@ import (
 	"crowddb/internal/sqltypes"
 )
 
-// IndexKey builds a composite, order-preserving key from column values.
-// Each part's encoding is escaped (0x00 -> 0x00 0xFF) and terminated with
-// 0x00 0x00 so that lexicographic comparison of composite keys matches
-// column-by-column comparison.
-func IndexKey(vals ...sqltypes.Value) string {
-	var sb strings.Builder
+// AppendIndexKey appends a composite, order-preserving key built from
+// column values to dst. Each part's encoding (sqltypes.AppendKey) is
+// escaped (0x00 -> 0x00 0xFF) and terminated with 0x00 0x00 so that
+// lexicographic comparison of composite keys matches column-by-column
+// comparison. Callers that build a key per row reuse dst's backing array.
+func AppendIndexKey(dst []byte, vals ...sqltypes.Value) []byte {
 	for _, v := range vals {
-		enc := sqltypes.EncodeKey(v)
-		for i := 0; i < len(enc); i++ {
-			if enc[i] == 0x00 {
-				sb.WriteByte(0x00)
-				sb.WriteByte(0xFF)
-			} else {
-				sb.WriteByte(enc[i])
+		start := len(dst)
+		dst = sqltypes.AppendKey(dst, v)
+		if zeros := bytes.Count(dst[start:], []byte{0x00}); zeros > 0 {
+			// Widen the part in place, back to front.
+			r := len(dst) - 1
+			dst = append(dst, make([]byte, zeros)...)
+			for w := len(dst) - 1; r >= start; r-- {
+				if dst[r] == 0x00 {
+					dst[w] = 0xFF
+					w--
+				}
+				dst[w] = dst[r]
+				w--
 			}
 		}
-		sb.WriteByte(0x00)
-		sb.WriteByte(0x00)
+		dst = append(dst, 0x00, 0x00)
 	}
-	return sb.String()
+	return dst
+}
+
+// IndexKey is AppendIndexKey as a string.
+func IndexKey(vals ...sqltypes.Value) string {
+	var buf [64]byte
+	return string(AppendIndexKey(buf[:0], vals...))
 }
 
 // Shard-count bounds: MaxShards caps explicit configuration, and
@@ -113,9 +126,6 @@ type tableShard struct {
 	heap    *heap
 	primary *BTree // nil when the table has no PK
 	indexes map[string]*indexStore
-	// rowLSN records each live row's last mutation LSN; recovery uses it
-	// to resolve the two-copies case a crashed cross-shard move leaves.
-	rowLSN map[RowID]int64
 }
 
 type tableStore struct {
@@ -137,7 +147,7 @@ type tableStore struct {
 func newTableStore(name string, pkCols []int, nshards int) *tableStore {
 	ts := &tableStore{name: name, pkCols: append([]int(nil), pkCols...)}
 	for i := 0; i < nshards; i++ {
-		sh := &tableShard{heap: newHeap(), indexes: make(map[string]*indexStore), rowLSN: make(map[RowID]int64)}
+		sh := &tableShard{heap: newHeap(), indexes: make(map[string]*indexStore)}
 		if len(pkCols) > 0 {
 			sh.primary = NewBTree()
 		}
@@ -150,9 +160,11 @@ func (ts *tableStore) shardOfKey(key string) int {
 	if len(ts.shards) == 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(ts.shards)))
+	h := uint32(2166136261) // FNV-1a, as hash/fnv computes it
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(len(ts.shards)))
 }
 
 // findShard locates the shard currently holding the LIVE version of id
@@ -403,14 +415,8 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	trees := make([]*BTree, len(ts.shards))
 	for i, sh := range ts.shards {
 		trees[i] = NewBTree()
-		ids := make([]RowID, 0, len(sh.heap.rows))
-		for id := range sh.heap.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			added := make(map[string]bool, 1)
-			for _, v := range sh.heap.rows[id].versions {
+		for _, c := range sh.heap.chains {
+			for vi, v := range c.versions {
 				k := indexKeyFor(v.row, def.cols)
 				if unique && v.end == tsInfinity {
 					if seen[k] {
@@ -418,9 +424,9 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 					}
 					seen[k] = true
 				}
-				if !added[k] {
-					trees[i].Insert(k, id)
-					added[k] = true
+				// One entry per distinct key of the chain.
+				if !slices.ContainsFunc(c.versions[:vi], func(p rowVersion) bool { return rowHasKey(p.row, def.cols, k) }) {
+					trees[i].Insert(k, c.id)
 				}
 			}
 		}
@@ -435,12 +441,24 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	return nil
 }
 
-func indexKeyFor(row Row, cols []int) string {
-	vals := make([]sqltypes.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = row[c]
+// appendRowKey appends the index key of row's cols to dst.
+func appendRowKey(dst []byte, row Row, cols []int) []byte {
+	for _, c := range cols {
+		dst = AppendIndexKey(dst, row[c])
 	}
-	return IndexKey(vals...)
+	return dst
+}
+
+func indexKeyFor(row Row, cols []int) string {
+	var buf [64]byte
+	return string(appendRowKey(buf[:0], row, cols))
+}
+
+// rowHasKey reports whether row's cols encode to key, without building
+// the key string.
+func rowHasKey(row Row, cols []int, key string) bool {
+	var buf [64]byte
+	return string(appendRowKey(buf[:0], row, cols)) == key
 }
 
 func (ts *tableStore) pkKey(row Row) string { return indexKeyFor(row, ts.pkCols) }
@@ -466,12 +484,9 @@ func pkString(row Row, cols []int) string {
 // treeInsertUnique inserts (key, id) unless the pair is already present —
 // version chains can revisit a key (A→B→A) whose entry was retained.
 func treeInsertUnique(tree *BTree, key string, id RowID) {
-	for _, rid := range tree.Search(key) {
-		if rid == id {
-			return
-		}
+	if !tree.Has(key, id) {
+		tree.Insert(key, id)
 	}
-	tree.Insert(key, id)
 }
 
 // liveKeyMatch reports whether id's LIVE version on this shard currently
@@ -480,7 +495,7 @@ func treeInsertUnique(tree *BTree, key string, id RowID) {
 // the shard lock.
 func (sh *tableShard) liveKeyMatch(id RowID, cols []int, key string) bool {
 	r, ok := sh.heap.get(id)
-	return ok && indexKeyFor(r, cols) == key
+	return ok && rowHasKey(r, cols, key)
 }
 
 // uniqueViolated reports whether a unique secondary index already holds
@@ -536,10 +551,14 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 	var unlock func()
 	var home int
 	var id RowID
+	var pk string
+	if pkRouted {
+		pk = ts.pkKey(row)
+	}
 	for {
 		lockAll := ts.hasUnique.Load()
 		if pkRouted {
-			home = ts.shardOfKey(ts.pkKey(row))
+			home = ts.shardOfKey(pk)
 		} else {
 			// ID-routed: the ID decides the shard, so allocate first.
 			id = RowID(ts.nextID.Add(1))
@@ -559,7 +578,7 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 		}
 		break
 	}
-	if pkRouted && ts.pkTaken(ts.shards[home], ts.pkKey(row), 0) {
+	if pkRouted && ts.pkTaken(ts.shards[home], pk, 0) {
 		unlock()
 		return 0, &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 	}
@@ -574,14 +593,15 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 		// IDs and single-threaded replays keep the unsharded sequence.
 		id = RowID(ts.nextID.Add(1))
 	}
-	return s.finishInsert(ts, home, id, row, t.ts, unlock)
+	return s.finishInsert(ts, home, id, row, pk, t.ts, unlock)
 }
 
 // finishInsert logs and applies an insert into shard `home` with the
-// caller holding (at least) that shard's lock; unlock releases it.
+// caller holding (at least) that shard's lock; unlock releases it. pk is
+// the row's primary key (unused on tables without one).
 // Group-commit acknowledgement happens after the locks are released so
 // concurrent writers on the shard coalesce into one fsync.
-func (s *Store) finishInsert(ts *tableStore, home int, id RowID, row Row, commitTS int64, unlock func()) (RowID, error) {
+func (s *Store) finishInsert(ts *tableStore, home int, id RowID, row Row, pk string, commitTS int64, unlock func()) (RowID, error) {
 	var seq int64
 	if s.logs != nil {
 		data, err := EncodeRow(row)
@@ -597,9 +617,8 @@ func (s *Store) finishInsert(ts *tableStore, home int, id RowID, row Row, commit
 	}
 	sh := ts.shards[home]
 	sh.heap.insertVersion(id, row.Clone(), commitTS)
-	sh.rowLSN[id] = commitTS
 	if sh.primary != nil {
-		treeInsertUnique(sh.primary, ts.pkKey(row), id)
+		treeInsertUnique(sh.primary, pk, id)
 	}
 	for _, idx := range sh.indexes {
 		treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
@@ -638,8 +657,10 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			return fmt.Errorf("storage: row %d not found in %s", id, table)
 		}
 		newShard := oldShard
+		var pk string
 		if len(ts.pkCols) > 0 {
-			newShard = ts.shardOfKey(ts.pkKey(row))
+			pk = ts.pkKey(row)
+			newShard = ts.shardOfKey(pk)
 		}
 		lockAll := ts.hasUnique.Load()
 		var unlock func()
@@ -661,8 +682,7 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			continue
 		}
 		if src.primary != nil {
-			newKey := ts.pkKey(row)
-			if newKey != ts.pkKey(old) && ts.pkTaken(ts.shards[newShard], newKey, id) {
+			if !rowHasKey(old, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
 				unlock()
 				return &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 			}
@@ -708,13 +728,9 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 		// its index entries stay until GC) and install the new one.
 		src.heap.supersede(id, t.ts)
 		s.retained.Add(1)
-		if newShard != oldShard {
-			delete(src.rowLSN, id)
-		}
 		dst.heap.insertVersion(id, row.Clone(), t.ts)
-		dst.rowLSN[id] = t.ts
 		if dst.primary != nil {
-			treeInsertUnique(dst.primary, ts.pkKey(row), id)
+			treeInsertUnique(dst.primary, pk, id)
 		}
 		for _, idx := range dst.indexes {
 			treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
@@ -766,7 +782,6 @@ func (t *Txn) Delete(table string, id RowID) error {
 		}
 		sh.heap.supersede(id, t.ts)
 		s.retained.Add(1)
-		delete(sh.rowLSN, id)
 		unlock()
 		if s.logs != nil {
 			return s.logs[shard].commit(seq)
@@ -775,139 +790,121 @@ func (t *Txn) Delete(table string, id RowID) error {
 	}
 }
 
-// Get returns a copy of the row at id as of the current watermark.
+// Get returns the row at id as of the current watermark.
 func (s *Store) Get(table string, id RowID) (Row, bool) {
 	return s.GetAt(table, id, s.visible.Load())
 }
 
-// GetAt returns a copy of the row version at id visible to a snapshot at
-// ts (probing shards for PK-routed tables — a moved row's versions live
-// on different shards, but at most one is visible at any timestamp).
+// GetAt returns the row version at id visible to a snapshot at ts
+// (probing shards for PK-routed tables — a moved row's versions live on
+// different shards, but at most one is visible at any timestamp).
 func (s *Store) GetAt(table string, id RowID, ts int64) (Row, bool) {
 	t, err := s.table(table)
 	if err != nil {
 		return nil, false
 	}
+	shards := t.shards
 	if len(t.pkCols) == 0 {
-		sh := t.shards[int(id)%len(t.shards)]
-		sh.mu.RLock()
-		r, ok := sh.heap.getAt(id, ts)
-		sh.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-		return r.Clone(), true
+		i := int(id) % len(shards)
+		shards = shards[i : i+1]
 	}
-	for _, sh := range t.shards {
+	for _, sh := range shards {
 		sh.mu.RLock()
 		r, ok := sh.heap.getAt(id, ts)
 		sh.mu.RUnlock()
 		if ok {
-			return r.Clone(), true
+			return r, true
 		}
 	}
 	return nil, false
 }
 
-// Scan returns all row IDs visible at the current watermark in insertion
-// order (ascending ID across shards).
-func (s *Store) Scan(table string) ([]RowID, error) {
-	return s.ScanAt(table, s.visible.Load())
+// ShardScan is a resumable walk over one shard of a table: the rows
+// visible at one timestamp, in ascending row id. Every read of a table's
+// rows in bulk goes through it. The shard's read lock is held only while
+// Next fills a chunk, so a slow consumer never holds a writer up; the walk
+// resumes by row id, which stays exact across the writes and GC sweeps in
+// between as long as the caller keeps the timestamp pinned (a Snapshot).
+// A ShardScan is single-goroutine; distinct ones run concurrently.
+type ShardScan struct {
+	sh   *tableShard
+	at   int64
+	from RowID
 }
 
-// ScanAt returns the row IDs visible to a snapshot at ts, ascending.
-func (s *Store) ScanAt(table string, at int64) ([]RowID, error) {
+// ScanShardsAt opens one cursor per shard of the table at ts. Merging the
+// cursors by ascending row id reproduces global insertion order.
+func (s *Store) ScanShardsAt(table string, at int64) ([]ShardScan, error) {
 	ts, err := s.table(table)
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([][]RowID, len(ts.shards))
-	total := 0
+	scans := make([]ShardScan, len(ts.shards))
 	for i, sh := range ts.shards {
-		sh.mu.RLock()
-		perShard[i] = sh.heap.scanIDsAt(at)
-		sh.mu.RUnlock()
-		total += len(perShard[i])
+		scans[i] = ShardScan{sh: sh, at: at}
 	}
-	return mergeIDs(perShard, total), nil
+	return scans, nil
 }
 
-// mergeIDs k-way merges ascending per-shard ID lists into one ascending
-// list (global insertion order).
-func mergeIDs(perShard [][]RowID, total int) []RowID {
-	out := make([]RowID, 0, total)
-	pos := make([]int, len(perShard))
-	for len(out) < total {
-		best, bestID := -1, RowID(0)
-		for i, ids := range perShard {
-			if pos[i] >= len(ids) {
-				continue
-			}
-			if best < 0 || ids[pos[i]] < bestID {
-				best, bestID = i, ids[pos[i]]
-			}
-		}
-		out = append(out, bestID)
-		pos[best]++
+// Next appends the next (at most max) visible rows and their ids to the
+// caller's slices and returns them; nothing appended means the shard is
+// exhausted. Slices without capacity are sized for the shard's row count.
+func (c *ShardScan) Next(ids []RowID, rows []Row, max int) ([]RowID, []Row) {
+	c.sh.mu.RLock()
+	defer c.sh.mu.RUnlock()
+	if n := min(max, c.sh.heap.count()); cap(ids) == 0 && n > 0 {
+		ids, rows = make([]RowID, 0, n), make([]Row, 0, n)
 	}
-	return out
+	ids, rows, c.from = c.sh.heap.scanAt(c.at, c.from, max, ids, rows)
+	return ids, rows
 }
 
-// ScanRows snapshots a table's rows at the current watermark in insertion
-// order with one lock acquisition per shard, returning parallel ID and
-// row slices. This is the bulk read path: no per-row lock churn.
+// Scan returns all row IDs visible at the current watermark in insertion
+// order (ascending ID across shards).
+func (s *Store) Scan(table string) ([]RowID, error) {
+	ids, _, err := s.ScanRows(table)
+	return ids, err
+}
+
+// ScanRows returns a table's rows at the current watermark in insertion
+// order, as parallel ID and row slices.
 func (s *Store) ScanRows(table string) ([]RowID, []Row, error) {
 	return s.ScanRowsAt(table, s.visible.Load())
 }
 
 // ScanRowsAt is ScanRows pinned to a snapshot timestamp: it returns
 // exactly the rows visible at ts, however long ago that watermark was
-// pinned and however many writes have committed since.
+// pinned and however many writes have committed since. Each shard is
+// walked under one lock acquisition, then the shards are merged by id.
 func (s *Store) ScanRowsAt(table string, at int64) ([]RowID, []Row, error) {
-	ts, err := s.table(table)
+	scans, err := s.ScanShardsAt(table, at)
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := make([][]RowID, len(ts.shards))
-	rows := make([][]Row, len(ts.shards))
+	ids := make([][]RowID, len(scans))
+	rows := make([][]Row, len(scans))
 	total := 0
-	for i := range ts.shards {
-		ids[i], rows[i] = ts.snapshotShard(i, at)
+	for i := range scans {
+		ids[i], rows[i] = scans[i].Next(nil, nil, math.MaxInt)
 		total += len(ids[i])
+	}
+	if len(scans) == 1 {
+		return ids[0], rows[0], nil
 	}
 	return mergeRows(ids, rows, total)
 }
 
-// ScanShardRows snapshots one shard's rows at the current watermark.
+// ScanShardRows returns one shard's rows at the current watermark.
 func (s *Store) ScanShardRows(table string, shard int) ([]RowID, []Row, error) {
-	return s.ScanShardRowsAt(table, shard, s.visible.Load())
-}
-
-// ScanShardRowsAt snapshots one shard's rows visible at ts (ascending ID)
-// under one lock acquisition — the unit of work of a parallel scan.
-func (s *Store) ScanShardRowsAt(table string, shard int, at int64) ([]RowID, []Row, error) {
-	ts, err := s.table(table)
+	scans, err := s.ScanShardsAt(table, s.visible.Load())
 	if err != nil {
 		return nil, nil, err
 	}
-	if shard < 0 || shard >= len(ts.shards) {
-		return nil, nil, fmt.Errorf("storage: shard %d out of range for %s (%d shards)", shard, table, len(ts.shards))
+	if shard < 0 || shard >= len(scans) {
+		return nil, nil, fmt.Errorf("storage: shard %d out of range for %s (%d shards)", shard, table, len(scans))
 	}
-	ids, rows := ts.snapshotShard(shard, at)
+	ids, rows := scans[shard].Next(nil, nil, math.MaxInt)
 	return ids, rows, nil
-}
-
-func (ts *tableStore) snapshotShard(i int, at int64) ([]RowID, []Row) {
-	sh := ts.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ids := sh.heap.scanIDsAt(at)
-	rows := make([]Row, len(ids))
-	for j, id := range ids {
-		r, _ := sh.heap.getAt(id, at)
-		rows[j] = r.Clone()
-	}
-	return ids, rows
 }
 
 func mergeRows(ids [][]RowID, rows [][]Row, total int) ([]RowID, []Row, error) {
@@ -949,24 +946,24 @@ func (s *Store) RowCount(table string) (int, error) {
 // LookupPK finds the row whose primary key equals the given values at the
 // current watermark (a single-shard probe: the key hashes to its home).
 func (s *Store) LookupPK(table string, pk ...sqltypes.Value) (RowID, bool) {
-	id, _, ok := s.lookupPK(table, false, pk, s.visible.Load())
+	id, _, ok := s.lookupPK(table, pk, s.visible.Load())
 	return id, ok
 }
 
-// LookupPKRow is LookupPK that also returns a copy of the row under the
-// same lock acquisition (no separate Get round-trip).
+// LookupPKRow is LookupPK that also returns the row under the same lock
+// acquisition (no separate Get round-trip).
 func (s *Store) LookupPKRow(table string, pk ...sqltypes.Value) (RowID, Row, bool) {
-	return s.lookupPK(table, true, pk, s.visible.Load())
+	return s.lookupPK(table, pk, s.visible.Load())
 }
 
 // LookupPKRowAt probes the primary key as a snapshot at ts sees it: the
 // version visible at ts whose key matches, even if the row has since been
 // updated, moved, or deleted.
 func (s *Store) LookupPKRowAt(table string, at int64, pk ...sqltypes.Value) (RowID, Row, bool) {
-	return s.lookupPK(table, true, pk, at)
+	return s.lookupPK(table, pk, at)
 }
 
-func (s *Store) lookupPK(table string, withRow bool, pk []sqltypes.Value, at int64) (RowID, Row, bool) {
+func (s *Store) lookupPK(table string, pk []sqltypes.Value, at int64) (RowID, Row, bool) {
 	ts, err := s.table(table)
 	if err != nil || len(ts.pkCols) == 0 {
 		return 0, nil, false
@@ -979,14 +976,9 @@ func (s *Store) lookupPK(table string, withRow bool, pk []sqltypes.Value, at int
 	// against the version visible at the read timestamp. Any version
 	// carrying this key was routed here, so one shard suffices.
 	for _, rid := range sh.primary.Search(key) {
-		r, ok := sh.heap.getAt(rid, at)
-		if !ok || ts.pkKey(r) != key {
-			continue
+		if r, ok := sh.heap.getAt(rid, at); ok && rowHasKey(r, ts.pkCols, key) {
+			return rid, r, true
 		}
-		if !withRow {
-			return rid, nil, true
-		}
-		return rid, r.Clone(), true
 	}
 	return 0, nil, false
 }
@@ -994,33 +986,31 @@ func (s *Store) lookupPK(table string, withRow bool, pk []sqltypes.Value, at int
 // LookupIndex returns the row IDs matching key values on a named index at
 // the current watermark, in insertion order (ascending ID across shards).
 func (s *Store) LookupIndex(table, index string, vals ...sqltypes.Value) ([]RowID, error) {
-	ids, _, err := s.lookupIndex(table, index, false, vals, s.visible.Load())
+	ids, _, err := s.lookupIndex(table, index, vals, s.visible.Load())
 	return ids, err
 }
 
 // LookupIndexRows returns matching rows (with their IDs) in insertion
-// order, cloned under one lock acquisition per shard.
+// order, under one lock acquisition per shard.
 func (s *Store) LookupIndexRows(table, index string, vals ...sqltypes.Value) ([]RowID, []Row, error) {
-	return s.lookupIndex(table, index, true, vals, s.visible.Load())
+	return s.lookupIndex(table, index, vals, s.visible.Load())
 }
 
 // LookupIndexRowsAt probes a secondary index as a snapshot at ts sees it.
 func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltypes.Value) ([]RowID, []Row, error) {
-	return s.lookupIndex(table, index, true, vals, at)
+	return s.lookupIndex(table, index, vals, at)
 }
 
-func (s *Store) lookupIndex(table, index string, withRows bool, vals []sqltypes.Value, at int64) ([]RowID, []Row, error) {
+func (s *Store) lookupIndex(table, index string, vals []sqltypes.Value, at int64) ([]RowID, []Row, error) {
 	ts, err := s.table(table)
 	if err != nil {
 		return nil, nil, err
 	}
 	key := IndexKey(vals...)
 	iname := strings.ToLower(index)
-	type hit struct {
-		id  RowID
-		row Row
-	}
-	var hits []hit
+	var ids []RowID
+	var rows []Row
+	sorted := true
 	for _, sh := range ts.shards {
 		sh.mu.RLock()
 		idx, ok := sh.indexes[iname]
@@ -1031,31 +1021,30 @@ func (s *Store) lookupIndex(table, index string, withRows bool, vals []sqltypes.
 		for _, rid := range idx.tree.Search(key) {
 			// Stale-entry filter: the version visible at the read
 			// timestamp must actually carry this key.
-			r, ok := sh.heap.getAt(rid, at)
-			if !ok || indexKeyFor(r, idx.cols) != key {
-				continue
+			if r, ok := sh.heap.getAt(rid, at); ok && rowHasKey(r, idx.cols, key) {
+				sorted = sorted && (len(ids) == 0 || ids[len(ids)-1] < rid)
+				ids, rows = append(ids, rid), append(rows, r)
 			}
-			h := hit{id: rid}
-			if withRows {
-				h.row = r.Clone()
-			}
-			hits = append(hits, h)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].id < hits[j].id })
-	ids := make([]RowID, len(hits))
-	var rows []Row
-	if withRows {
-		rows = make([]Row, len(hits))
-	}
-	for i, h := range hits {
-		ids[i] = h.id
-		if withRows {
-			rows[i] = h.row
-		}
+	if !sorted {
+		sort.Sort(&idRows{ids, rows})
 	}
 	return ids, rows, nil
+}
+
+// idRows sorts parallel id and row slices by ascending id.
+type idRows struct {
+	ids  []RowID
+	rows []Row
+}
+
+func (x *idRows) Len() int           { return len(x.ids) }
+func (x *idRows) Less(i, j int) bool { return x.ids[i] < x.ids[j] }
+func (x *idRows) Swap(i, j int) {
+	x.ids[i], x.ids[j] = x.ids[j], x.ids[i]
+	x.rows[i], x.rows[j] = x.rows[j], x.rows[i]
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,11 +1090,11 @@ func (s *Store) Recover() error {
 			if m := sh.heap.nextID - 1; m > max {
 				max = m
 			}
-			for _, l := range sh.rowLSN {
-				if l > maxTS {
-					maxTS = l
+			sh.heap.eachLive(func(_ RowID, v *rowVersion) {
+				if v.begin > maxTS {
+					maxTS = v.begin
 				}
-			}
+			})
 		}
 		if int64(max) > ts.nextID.Load() {
 			ts.nextID.Store(int64(max))
@@ -1135,20 +1124,21 @@ func (s *Store) reconcileMoves() {
 		}
 		seen := make(map[RowID]loc)
 		for i, sh := range ts.shards {
-			for _, id := range sh.heap.scanIDs() {
-				l := sh.rowLSN[id]
+			var victims []RowID // purged after the walk: purging reshapes the heap under it
+			sh.heap.eachLive(func(id RowID, v *rowVersion) {
 				prev, dup := seen[id]
-				if !dup {
-					seen[id] = loc{i, l}
-					continue
+				switch {
+				case !dup:
+					seen[id] = loc{i, v.begin}
+				case v.begin < prev.lsn:
+					victims = append(victims, id)
+				default:
+					seen[id] = loc{i, v.begin}
+					ts.purgeRow(prev.shard, id)
 				}
-				victim := prev.shard
-				if l < prev.lsn {
-					victim = i
-				} else {
-					seen[id] = loc{i, l}
-				}
-				ts.purgeRow(victim, id)
+			})
+			for _, id := range victims {
+				ts.purgeRow(i, id)
 			}
 		}
 	}
@@ -1170,7 +1160,6 @@ func (ts *tableStore) purgeRow(shard int, id RowID) {
 		idx.tree.Delete(indexKeyFor(row, idx.cols), id)
 	}
 	sh.heap.hardDelete(id)
-	delete(sh.rowLSN, id)
 }
 
 func fileExists(path string) bool {
@@ -1210,7 +1199,6 @@ func (s *Store) recoverShard(shard int) error {
 				}
 			}
 			sh.heap.replaceAt(rec.Row, row, rec.LSN)
-			sh.rowLSN[rec.Row] = rec.LSN
 			if sh.primary != nil {
 				sh.primary.Insert(ts.pkKey(row), rec.Row)
 			}
@@ -1226,7 +1214,6 @@ func (s *Store) recoverShard(shard int) error {
 					idx.tree.Delete(indexKeyFor(old, idx.cols), rec.Row)
 				}
 				sh.heap.hardDelete(rec.Row)
-				delete(sh.rowLSN, rec.Row)
 			}
 		default:
 			return fmt.Errorf("storage: unknown wal op %q", rec.Op)
@@ -1272,7 +1259,7 @@ func (s *Store) loadSnapshotShard(shard int) error {
 		for id := range rows {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids) // ascending ids append to the heap
 		for _, id := range ids {
 			row, err := DecodeRow(rows[id].Data)
 			if err != nil {
@@ -1280,7 +1267,6 @@ func (s *Store) loadSnapshotShard(shard int) error {
 				return err
 			}
 			sh.heap.replaceAt(id, row, rows[id].LSN)
-			sh.rowLSN[id] = rows[id].LSN
 			if sh.primary != nil {
 				sh.primary.Insert(ts.pkKey(row), id)
 			}
@@ -1345,13 +1331,16 @@ func (s *Store) checkpointShard(shard int, names []string, tables map[string]*ta
 		ts := tables[n]
 		sh := ts.shards[shard]
 		rows := make(map[RowID]snapRow, sh.heap.count())
-		for _, id := range sh.heap.scanIDs() {
-			r, _ := sh.heap.get(id)
-			data, err := EncodeRow(r)
-			if err != nil {
-				return err
+		var encErr error
+		sh.heap.eachLive(func(id RowID, v *rowVersion) {
+			data, err := EncodeRow(v.row)
+			if err != nil && encErr == nil {
+				encErr = err
 			}
-			rows[id] = snapRow{Data: data, LSN: sh.rowLSN[id]}
+			rows[id] = snapRow{Data: data, LSN: v.begin}
+		})
+		if encErr != nil {
+			return encErr
 		}
 		snap.Tables[ts.name] = rows
 	}
