@@ -27,6 +27,7 @@ package bench
 // Wall-clock recovery latency is informational (*_wall_us).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -284,7 +285,10 @@ func e23CrashRun(seed int64) (e23Recovery, error) {
 		eng1.Close()
 		return r, err
 	}
-	eng1.Close() // Killed() is still set: closing persists nothing further
+	// The drain returns once the job is retired, not merely terminal:
+	// disarming earlier would let the dying server journal its end record.
+	srv1.Shutdown(context.Background()) //nolint:errcheck // nothing left to drain
+	eng1.Close()                        // Killed() is still set: closing persists nothing further
 	faultinject.Disarm()
 
 	if r.ackRows, r.persisted, err = e23Journal(jpath, sess1.ID()); err != nil {

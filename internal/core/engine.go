@@ -316,8 +316,12 @@ func (e *Engine) appendSchema(ddl string) error {
 		return err
 	}
 	defer f.Close()
-	_, err = f.WriteString(ddl + ";\n")
-	return err
+	if _, err = f.WriteString(ddl + ";\n"); err != nil {
+		return err
+	}
+	// Durable before the DDL returns: rows of this table are fsynced to
+	// the WAL, and recovery fails on a record for a table the script lost.
+	return f.Sync()
 }
 
 // refreshStats recomputes per-table row counts and CNULL counts after

@@ -20,6 +20,7 @@ package faultinject
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
@@ -38,6 +39,7 @@ var (
 
 	mu      sync.Mutex
 	points  map[string]int // remaining hits before each point fires
+	counts  map[string]int // hits per point while recording (nil = off)
 	killed  bool
 	handler func(point string)
 )
@@ -76,6 +78,7 @@ func Arm(spec string) error {
 	mu.Lock()
 	defer mu.Unlock()
 	points = parsed
+	counts = nil
 	killed = false
 	if len(parsed) > 0 {
 		active.Store(1)
@@ -95,12 +98,33 @@ func ArmFromEnv() error {
 	return Arm(spec)
 }
 
-// Disarm clears every crashpoint, the killed state, and any installed
-// handler.
+// Record starts counting hits per point with nothing armed, replacing
+// any previous spec. A test runs its workload once uninterrupted, reads
+// Hits, and sweeps every point at every count — so a newly added Hit is
+// swept without anyone naming it.
+func Record() {
+	mu.Lock()
+	defer mu.Unlock()
+	points = nil
+	counts = make(map[string]int)
+	killed = false
+	active.Store(1)
+}
+
+// Hits returns how often each point was hit since Record.
+func Hits() map[string]int {
+	mu.Lock()
+	defer mu.Unlock()
+	return maps.Clone(counts)
+}
+
+// Disarm clears every crashpoint, the killed state, the hit counts, and
+// any installed handler.
 func Disarm() {
 	mu.Lock()
 	defer mu.Unlock()
 	points = nil
+	counts = nil
 	killed = false
 	handler = nil
 	active.Store(0)
@@ -137,14 +161,17 @@ func SetHandler(fn func(point string)) {
 }
 
 // Hit marks one pass through a named crashpoint. Disarmed, it is a
-// single atomic load. Armed, it decrements the point's countdown and —
-// on zero — marks the registry killed and invokes the handler (which
-// by default never returns).
+// single atomic load. Recording, it counts the pass. Armed, it decrements
+// the point's countdown and — on zero — marks the registry killed and
+// invokes the handler (which by default never returns).
 func Hit(point string) {
 	if active.Load() == 0 {
 		return
 	}
 	mu.Lock()
+	if counts != nil {
+		counts[point]++
+	}
 	if killed {
 		mu.Unlock()
 		return

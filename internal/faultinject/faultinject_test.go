@@ -96,3 +96,26 @@ func TestRearmClearsKilled(t *testing.T) {
 		t.Fatal("re-arm must clear the killed state")
 	}
 }
+
+func TestRecordCountsHits(t *testing.T) {
+	defer Disarm()
+	Record()
+	Hit("a")
+	Hit("b")
+	Hit("a")
+	if Armed() || Killed() {
+		t.Fatal("recording must arm and kill nothing")
+	}
+	got := Hits()
+	if len(got) != 2 || got["a"] != 2 || got["b"] != 1 {
+		t.Fatalf("Hits() = %v", got)
+	}
+	// Arming ends the recording; Disarm clears it.
+	if err := Arm("a=5"); err != nil {
+		t.Fatal(err)
+	}
+	Hit("a")
+	if len(Hits()) != 0 {
+		t.Fatalf("armed registry still counting: %v", Hits())
+	}
+}

@@ -30,7 +30,7 @@ var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // unitSuffixes are the accepted trailing units for gauges and histograms
 // (counters must end in _total instead, per Prometheus convention).
 var unitSuffixes = []string{
-	"_seconds", "_micros", "_bytes", "_cents", "_rows", "_entries",
+	"_seconds", "_micros", "_bytes", "_cents", "_rows", "_records", "_entries",
 	"_versions", "_groups", "_jobs", "_sessions", "_queries", "_shards",
 	"_ratio",
 }

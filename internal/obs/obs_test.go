@@ -156,6 +156,7 @@ func TestMetricNaming(t *testing.T) {
 		{"counter", "crowddb_crowd_spend_cents_total"},
 		{"gauge", "crowddb_mvcc_retained_versions"},
 		{"histogram", "crowddb_wal_fsync_seconds"},
+		{"histogram", "crowddb_journal_fsync_batch_records"},
 		{"gauge", "crowddb_overhead_ratio"},
 	}
 	for _, c := range ok {

@@ -82,7 +82,9 @@ func (s *Server) journalAppend(rec journalRec) {
 	if l == nil {
 		return
 	}
-	l.Append(rec) //nolint:errcheck // a poisoned journal must not fail queries
+	if err := l.Append(rec); err != nil {
+		s.mJournalErrs.Inc() // counted, not returned: a poisoned journal must not fail queries
+	}
 }
 
 func (s *Server) journalSession(sess *Session) {
@@ -401,6 +403,15 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 	if err != nil {
 		return fmt.Errorf("server: jobs journal compaction: %w", err)
 	}
+	if reg := s.eng.Metrics(); reg != nil {
+		log.SetMetrics(
+			reg.Histogram("crowddb_journal_fsync_seconds",
+				"jobs journal flush+fsync latency per group-commit batch, seconds", storage.FsyncBuckets),
+			reg.Histogram("crowddb_journal_fsync_batch_records",
+				"jobs journal records made durable per fsync (group-commit batch size)", storage.BatchBuckets))
+		s.mJournalErrs = reg.Counter("crowddb_journal_append_errors_total",
+			"jobs journal appends that failed (the journal is poisoned; queries keep running)")
+	}
 	s.jmu.Lock()
 	s.journal = log
 	s.jmu.Unlock()
@@ -447,6 +458,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 		r.job.trace = s.eng.Tracer().Start(r.job.id)
 		r.job.rowsMetric = s.mRowsStreamed
 		r.job.sess.addJob(r.job)
+		r.job.retired.Add(1)
 		go s.runJob(r.job, r.stmts)
 	}
 	return nil

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func waitDone(t *testing.T, j *Job) JobState {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	state, err := j.waitTerminal(ctx)
+	state, err := j.waitRetired(ctx)
 	if err != nil {
 		t.Fatalf("job %s did not reach a terminal state: %v", j.ID(), err)
 	}
@@ -132,8 +133,9 @@ func waitDone(t *testing.T, j *Job) JobState {
 
 // baselineRun executes the pair query uninterrupted in fresh dirs and
 // returns the rendered rows and the session's settled budget — the values
-// every crash/recovery arm must converge to.
-func baselineRun(t *testing.T, seed int64, n, budget int) ([]string, int) {
+// every crash/recovery arm must converge to — plus how often the job hit
+// each crashpoint between submit and retirement.
+func baselineRun(t *testing.T, seed int64, n, budget int) ([]string, int, map[string]int) {
 	t.Helper()
 	dir := t.TempDir()
 	eng := durableEngine(t, filepath.Join(dir, "data"), seed, n)
@@ -147,6 +149,8 @@ func baselineRun(t *testing.T, seed int64, n, budget int) ([]string, int) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
+	defer faultinject.Disarm()
+	faultinject.Record()
 	job, serr := srv.StartJob(sess.ID(), durableQuery)
 	if serr != nil {
 		t.Fatal(serr)
@@ -154,7 +158,7 @@ func baselineRun(t *testing.T, seed int64, n, budget int) ([]string, int) {
 	if state := waitDone(t, job); state != JobDone {
 		t.Fatalf("baseline job state = %s (err %v), want done", state, job.Err())
 	}
-	return renderedRows(job), sess.Info().BudgetLeft
+	return renderedRows(job), sess.Info().BudgetLeft, faultinject.Hits()
 }
 
 // TestJournalRecoversFinishedJob: a job that completed before the restart
@@ -289,7 +293,7 @@ func crashMidQuery(t *testing.T, data, jpath string, seed int64, n, budget int) 
 // exactly the uninterrupted value.
 func TestJournalResumesInterruptedJob(t *testing.T) {
 	const seed, n, budget = 47, 4, 20
-	wantRows, wantBudget := baselineRun(t, seed, n, budget)
+	wantRows, wantBudget, _ := baselineRun(t, seed, n, budget)
 
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
@@ -453,9 +457,11 @@ func TestDrainDeadlineFailsRunningJobs(t *testing.T) {
 	}
 }
 
-// TestCrashpointRecoveryProperty kills the durability layers at assorted
-// crashpoints mid-crowd-query and asserts the recovery invariants at
-// every one of them:
+// TestCrashpointRecoveryProperty kills the durability layers at every
+// crashpoint the crowd query passes, at every pass — the table is derived
+// from one uninterrupted run's hit counts, so a newly added
+// faultinject.Hit is swept without editing this test — and asserts the
+// recovery invariants at every one of them:
 //
 //   - the journal never invents rows: whatever it recovered is a prefix
 //     of the uninterrupted run's stream, in order (no acknowledged offset
@@ -469,17 +475,20 @@ func TestDrainDeadlineFailsRunningJobs(t *testing.T) {
 //     double-charge).
 func TestCrashpointRecoveryProperty(t *testing.T) {
 	const seed, n, budget = 29, 4, 20
-	wantRows, wantBudget := baselineRun(t, seed, n, budget)
+	wantRows, wantBudget, hits := baselineRun(t, seed, n, budget)
 
-	specs := []string{
-		"server.job.row=1",
-		"server.job.row=2",
-		"server.job.row=4",
-		"server.job.state=1",
-		"server.job.state=2",
-		"storage.recordlog.append=1",
-		"storage.recordlog.append=3",
-		"storage.wal.append=2",
+	var specs []string
+	for point, count := range hits {
+		for k := 1; k <= count; k++ {
+			specs = append(specs, fmt.Sprintf("%s=%d", point, k))
+		}
+	}
+	sort.Strings(specs)
+	t.Logf("sweeping %d crash instants over %v", len(specs), hits)
+	for _, point := range []string{"server.job.row", "server.job.state", "storage.recordlog.append", "storage.wal.append", "taskmgr.platform.post"} {
+		if hits[point] == 0 {
+			t.Errorf("the uninterrupted run never hit %s: the sweep lost a layer", point)
+		}
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {

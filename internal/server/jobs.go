@@ -68,8 +68,14 @@ type Job struct {
 
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every visible change
-	state  JobState
-	err    *Error
+	// retired is released at the end of retireJob — after finish has
+	// woken the waiters: counters bumped, end record journaled, retention
+	// cap enforced. Tests wait on it before asserting any of those. (A
+	// WaitGroup, not a channel: no allocation per job, and a job recovered
+	// already terminal, which this process never retires, never blocks.)
+	retired sync.WaitGroup
+	state   JobState
+	err     *Error
 	// cancelCode/cancelMsg record why cancellation was requested, so the
 	// runner can distinguish a client DELETE (-> cancelled) from a closed
 	// session (-> failed with session_closed).
@@ -433,6 +439,7 @@ func (s *Server) startJobForSession(sess *Session, sessionID, sql string) (*Job,
 		state:        JobQueued,
 		admPredicted: predicted,
 	}
+	job.retired.Add(1)
 	if s.jobs == nil {
 		s.jobs = make(map[string]*Job)
 	}
@@ -570,6 +577,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 // enforces the finished-job retention cap. The job's trace is sealed
 // here — dangling spans close, the slow-query log fires past threshold.
 func (s *Server) retireJob(job *Job) {
+	defer job.retired.Done()
 	s.eng.Tracer().Finish(job.trace)
 	s.mJobsByState[job.State()].Inc()
 	job.sess.removeJob(job.id)

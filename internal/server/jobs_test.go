@@ -9,19 +9,34 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 )
 
-// waitState polls a job to a terminal state with a test deadline.
+// waitRetired blocks until the job is terminal AND retired: finish wakes
+// waiters before retireJob bumps the counters, journals the end record
+// and enforces the retention cap, so a test that asserts any of those —
+// or disarms a crashpoint — must wait for the retirement barrier.
+func (j *Job) waitRetired(ctx context.Context) (JobState, error) {
+	state, err := j.waitTerminal(ctx)
+	if err == nil {
+		j.retired.Wait() // retirement follows the terminal state at once
+	}
+	return state, err
+}
+
+// waitState waits for a job to be terminal and retired, with a test
+// deadline.
 func waitState(t *testing.T, job *Job) JobState {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	state, err := job.waitTerminal(ctx)
+	state, err := job.waitRetired(ctx)
 	if err != nil {
 		t.Fatalf("job %s stuck in %s: %v", job.ID(), state, err)
 	}
@@ -391,5 +406,64 @@ func TestWireProtocolV2Jobs(t *testing.T) {
 	send("SELECT id FROM Pair;")
 	if block = readBlock(); block[0] != "OK 2" {
 		t.Fatalf("sync statement: %v", block)
+	}
+}
+
+// TestRetireBarrier: finish wakes a job's waiters before retireJob runs,
+// so "terminal" alone promises nothing retireJob does. Once the barrier
+// has closed, all of it is visible: the end record is in the journal, the
+// state counter moved, the session dropped the job, and it sits in the
+// retention FIFO.
+func TestRetireBarrier(t *testing.T) {
+	eng := pairEngine(t, 53, 2)
+	srv := New(eng, Config{})
+	jpath := filepath.Join(t.TempDir(), "jobs.log")
+	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	sess, serr := srv.CreateSession(-1)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	for i := 0; i < 20; i++ {
+		before := srv.mJobsByState[JobDone].Value()
+		job, serr := srv.StartJob(sess.ID(), "SELECT id FROM Pair")
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if st := waitState(t, job); st != JobDone {
+			t.Fatalf("state = %s, err = %v", st, job.Err())
+		}
+		if got := srv.mJobsByState[JobDone].Value(); got != before+1 {
+			t.Fatalf("job %d: done counter %v after retirement, want %v", i, got, before+1)
+		}
+		sess.mu.Lock()
+		active := len(sess.jobs)
+		sess.mu.Unlock()
+		if active != 0 {
+			t.Fatalf("job %d: session still lists %d active jobs", i, active)
+		}
+		srv.mu.Lock()
+		last := srv.finished[len(srv.finished)-1]
+		srv.mu.Unlock()
+		if last != job.ID() {
+			t.Fatalf("job %d: retention FIFO ends with %s", i, last)
+		}
+		ends := 0
+		if err := storage.ReplayRecordLog(jpath, func(line json.RawMessage) error {
+			var rec journalRec
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return err
+			}
+			if rec.T == recEnd && rec.Job == job.ID() {
+				ends++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ends != 1 {
+			t.Fatalf("job %d: %d end records journaled at retirement, want 1", i, ends)
+		}
 	}
 }

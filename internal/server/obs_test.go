@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"crowddb/internal/obs"
+	"crowddb/internal/storage"
 )
 
 // scrapeMetrics fetches /metrics and parses every sample line into a
@@ -64,7 +66,7 @@ func runJobWait(t *testing.T, srv *Server, sql string) *Job {
 	if serr != nil {
 		t.Fatalf("start job: %v", serr)
 	}
-	state, err := job.waitTerminal(context.Background())
+	state, err := job.waitRetired(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,4 +330,47 @@ func TestMetricsConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestJournalMetrics: the jobs journal's fsyncs and failed appends are
+// visible in /metrics once EnableJournal has run.
+func TestJournalMetrics(t *testing.T) {
+	eng := pairEngine(t, 61, 2)
+	srv := New(eng, Config{})
+	if err := srv.EnableJournal(filepath.Join(t.TempDir(), "jobs.log"), storage.SyncGroup); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+
+	runJobWait(t, srv, "SELECT id FROM Pair")
+	body, vals := scrapeMetrics(t, ts.URL)
+	for fam, typ := range map[string]string{
+		"crowddb_journal_fsync_seconds":       "histogram",
+		"crowddb_journal_fsync_batch_records": "histogram",
+		"crowddb_journal_append_errors_total": "counter",
+	} {
+		if !strings.Contains(body, "# TYPE "+fam+" "+typ) {
+			t.Errorf("family %s (%s) missing from /metrics", fam, typ)
+		}
+	}
+	// submit, run, schema, two rows, end: every append is its own fsync
+	// with one closed-loop client.
+	if n := vals["crowddb_journal_fsync_seconds_count"]; n < 4 {
+		t.Errorf("journal fsyncs observed: %v, want at least 4", n)
+	}
+	if vals["crowddb_journal_fsync_batch_records_sum"] < vals["crowddb_journal_fsync_batch_records_count"] {
+		t.Errorf("batch histogram: sum %v < count %v", vals["crowddb_journal_fsync_batch_records_sum"],
+			vals["crowddb_journal_fsync_batch_records_count"])
+	}
+	if n := vals["crowddb_journal_append_errors_total"]; n != 0 {
+		t.Errorf("append errors on a healthy journal: %v", n)
+	}
+
+	// A poisoned journal does not fail queries; it is counted.
+	srv.journal.Close()
+	runJobWait(t, srv, "SELECT id FROM Pair")
+	if _, vals = scrapeMetrics(t, ts.URL); vals["crowddb_journal_append_errors_total"] < 1 {
+		t.Errorf("append errors after the journal file was closed: %v", vals["crowddb_journal_append_errors_total"])
+	}
 }

@@ -106,6 +106,7 @@ type Server struct {
 	// Job-path instruments (shared engine registry; nil-safe unset).
 	mRowsStreamed *obs.Counter
 	mJobsByState  map[JobState]*obs.Counter
+	mJournalErrs  *obs.Counter // registered by EnableJournal
 
 	mu       sync.Mutex
 	sessions map[string]*Session

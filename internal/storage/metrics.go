@@ -11,22 +11,28 @@ const (
 	walBatchHelp = "WAL records made durable per fsync (group-commit batch size)"
 )
 
+// FsyncBuckets and BatchBuckets are the histogram bounds of every log's
+// fsync latency and group-commit batch size (the WALs' here, the jobs
+// journal's in the server).
+var (
+	FsyncBuckets = obs.ExpBuckets(1e-5, 4, 10) // 10µs .. ~2.6s
+	BatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+)
+
 // RegisterMetrics exports the store's durability and MVCC families into
 // the registry: per-shard WAL fsync latency and batch-size histograms,
 // retained-version and live-row gauges, and GC sweep counters. For a
 // memory-only store the WAL families are still registered (empty) so
 // scrapers always see a stable family set.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	fsyncBuckets := obs.ExpBuckets(1e-5, 4, 10) // 10µs .. ~2.6s
-	batchBuckets := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	if len(s.logs) == 0 {
-		reg.Histogram("crowddb_wal_fsync_seconds", walFsyncHelp, fsyncBuckets)
-		reg.Histogram("crowddb_wal_fsync_batch_rows", walBatchHelp, batchBuckets)
+		reg.Histogram("crowddb_wal_fsync_seconds", walFsyncHelp, FsyncBuckets)
+		reg.Histogram("crowddb_wal_fsync_batch_rows", walBatchHelp, BatchBuckets)
 	}
 	for i, l := range s.logs {
 		shard := strconv.Itoa(i)
-		fs := reg.Histogram("crowddb_wal_fsync_seconds", walFsyncHelp, fsyncBuckets, "shard", shard)
-		br := reg.Histogram("crowddb_wal_fsync_batch_rows", walBatchHelp, batchBuckets, "shard", shard)
+		fs := reg.Histogram("crowddb_wal_fsync_seconds", walFsyncHelp, FsyncBuckets, "shard", shard)
+		br := reg.Histogram("crowddb_wal_fsync_batch_rows", walBatchHelp, BatchBuckets, "shard", shard)
 		l.setMetrics(fs, br)
 	}
 	reg.GaugeFunc("crowddb_storage_shards",

@@ -1,180 +1,42 @@
 package storage
 
-// RecordLog is the jobs journal's append-only JSON-lines log. It shares
-// the per-shard WAL's durability contract — the same SyncMode policies,
-// leader-based group commit in SyncGroup mode, torn-tail-tolerant
-// replay — but carries caller-defined records (the server journals job
-// lifecycle, emitted rows, and budget movements through it) instead of
-// row mutations, and Append is the acknowledgement barrier: when it
-// returns under always/group modes, the record is fsynced.
-
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-	"time"
 
-	"crowddb/internal/faultinject"
 	"crowddb/internal/obs"
 )
 
-// RecordLog is an append-only, crash-safe JSON-lines log.
-type RecordLog struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File
-	w    *bufio.Writer
-	mode SyncMode
-
-	seq     int64 // records appended (buffered)
-	synced  int64 // records durably committed
-	syncing bool  // a leader is mid-flush
-	err     error // sticky I/O error
-
-	fsyncHist *obs.Histogram
-	batchHist *obs.Histogram
-}
+// RecordLog is the jobs journal's form of appendLog: the same file
+// format, sync modes and torn-tail rule as the per-shard WALs, carrying
+// caller-defined records (the server journals job lifecycle, emitted
+// rows, and budget movements through it) instead of row mutations.
+type RecordLog struct{ log *appendLog }
 
 // OpenRecordLog opens (creating if absent) the log at path for appends.
+// Replay an existing file first: replay is what cuts off a torn tail.
 func OpenRecordLog(path string, mode SyncMode) (*RecordLog, error) {
-	if err := mode.valid(); err != nil {
+	l, err := openAppendLog(path, mode, "storage.recordlog.append")
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open record log: %w", err)
-	}
-	l := &RecordLog{f: f, w: bufio.NewWriter(f), mode: mode}
-	l.cond = sync.NewCond(&l.mu)
-	return l, nil
+	return &RecordLog{l}, nil
 }
 
-// SetMetrics wires optional fsync latency / group batch histograms
-// (nil-safe, set before writes flow).
-func (l *RecordLog) SetMetrics(fsync, batch *obs.Histogram) {
-	l.mu.Lock()
-	l.fsyncHist = fsync
-	l.batchHist = batch
-	l.mu.Unlock()
-}
+// SetMetrics wires optional fsync latency / batch size histograms.
+func (l *RecordLog) SetMetrics(fsync, batch *obs.Histogram) { l.log.setMetrics(fsync, batch) }
 
-// Append marshals v as one JSON line and makes it durable per the sync
-// mode: always and group return only after the record is fsynced (group
+// Append marshals v as one JSON line and is the acknowledgement barrier:
+// always and group return only after the record is fsynced (group
 // coalesces concurrent appenders into one syscall pair), off returns
 // after the OS has the bytes. After a fault-injection kill the append is
 // silently dropped — the write a torn process would have lost.
 func (l *RecordLog) Append(v any) error {
-	faultinject.Hit("storage.recordlog.append")
-	if faultinject.Killed() {
-		return nil
-	}
-	data, err := json.Marshal(v)
+	seq, err := l.log.append(v)
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	if l.err != nil {
-		defer l.mu.Unlock()
-		return l.err
-	}
-	if _, err := l.w.Write(data); err != nil {
-		l.err = err
-		l.mu.Unlock()
-		return err
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		l.err = err
-		l.mu.Unlock()
-		return err
-	}
-	l.seq++
-	seq := l.seq
-	switch l.mode {
-	case SyncAlways:
-		start := time.Now()
-		err := l.w.Flush()
-		if err == nil {
-			err = l.f.Sync()
-		}
-		if err != nil {
-			l.err = err
-			l.mu.Unlock()
-			return err
-		}
-		l.fsyncHist.Observe(time.Since(start).Seconds())
-		l.batchHist.Observe(1)
-		l.synced = l.seq
-		l.mu.Unlock()
-		return nil
-	case SyncOff:
-		if err := l.w.Flush(); err != nil {
-			l.err = err
-			l.mu.Unlock()
-			return err
-		}
-		l.synced = l.seq
-		l.mu.Unlock()
-		return nil
-	}
-	l.mu.Unlock()
-	return l.commit(seq)
-}
-
-// commit is the group-mode acknowledgement barrier (leader-based, one
-// flush+fsync for the whole buffered batch).
-func (l *RecordLog) commit(seq int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.synced < seq && l.err == nil {
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		target := l.seq
-		batch := target - l.synced
-		start := time.Now()
-		err := l.w.Flush()
-		l.mu.Unlock()
-		if err == nil {
-			err = l.f.Sync()
-		}
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil {
-			l.err = err
-		} else if target > l.synced {
-			l.synced = target
-			l.fsyncHist.Observe(time.Since(start).Seconds())
-			l.batchHist.Observe(float64(batch))
-		}
-		l.cond.Broadcast()
-	}
-	return l.err
-}
-
-// Sync forces everything buffered to disk (a checkpoint barrier).
-func (l *RecordLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-		return err
-	}
-	if l.mode != SyncOff {
-		if err := l.f.Sync(); err != nil {
-			l.err = err
-			return err
-		}
-	}
-	l.synced = l.seq
-	return nil
+	return l.log.commit(seq)
 }
 
 // Close flushes, fsyncs (unless SyncOff), and closes the file.
@@ -182,97 +44,28 @@ func (l *RecordLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if l.mode != SyncOff {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	return l.f.Close()
+	return l.log.close()
 }
 
-// ReplayRecordLog streams each JSON line at path to apply. A truncated
-// final line (torn write) ends the replay cleanly; a missing file is an
-// empty log.
+// ReplayRecordLog streams each whole record at path to apply under
+// appendLog's torn-tail rule: a torn tail ends the replay cleanly and is
+// cut off, mid-file damage is an error; a missing file is an empty log.
 func ReplayRecordLog(path string, apply func(line json.RawMessage) error) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if !json.Valid(line) {
-			// Torn tail write: stop replay here.
-			return nil
-		}
-		if err := apply(json.RawMessage(line)); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return err
-	}
-	return nil
+	return replayLog(path, func(line []byte) error { return apply(line) })
 }
 
 // RewriteRecordLog atomically replaces the log at path with the records
-// emit writes (compaction after recovery): the new content lands in a
-// temp file, is fsynced, and renamed over the old log before reopening
-// for appends. On emit error the old log is left untouched.
+// emit adds (compaction after recovery) and reopens it for appends. On
+// error the old log is left untouched.
 func RewriteRecordLog(path string, mode SyncMode, emit func(add func(v any) error) error) (*RecordLog, error) {
 	if err := mode.valid(); err != nil {
 		return nil, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: rewrite record log: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	add := func(v any) error {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		return w.WriteByte('\n')
-	}
-	if err := emit(add); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	var buf bytes.Buffer
+	if err := emit(json.NewEncoder(&buf).Encode); err != nil { // Encode = Marshal + '\n'
 		return nil, err
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
 		return nil, err
 	}
 	return OpenRecordLog(path, mode)

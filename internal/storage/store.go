@@ -236,7 +236,7 @@ type Store struct {
 	dir     string
 	nshards int
 	mode    SyncMode
-	logs    []*wal // one per shard; nil when memory-only
+	logs    []*appendLog // one WAL per shard; nil when memory-only
 
 	// mu serializes DDL (table-map swaps) and checkpointing; row
 	// operations never take it — they load the copy-on-write table map
@@ -308,7 +308,7 @@ func NewStoreOptions(dir string, opts Options) (*Store, error) {
 		}
 	}
 	for i := 0; i < nshards; i++ {
-		l, err := openWAL(walShardPath(dir, i), mode)
+		l, err := openAppendLog(walShardPath(dir, i), mode, "storage.wal.append")
 		if err != nil {
 			for _, prev := range s.logs {
 				prev.close()
@@ -1348,15 +1348,10 @@ func (s *Store) checkpointShard(shard int, names []string, tables map[string]*ta
 	if err != nil {
 		return err
 	}
-	path := snapshotShardPath(s.dir, shard)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFileAtomic(snapshotShardPath(s.dir, shard), data); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	// Records up to here are captured by the snapshot: reset the WAL.
+	// Records up to here are durable in the snapshot: reset the WAL.
 	return s.logs[shard].reset()
 }
 

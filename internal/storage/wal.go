@@ -1,43 +1,11 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
-
-	"crowddb/internal/faultinject"
-	"crowddb/internal/obs"
 )
-
-// SyncMode is the WAL durability policy.
-type SyncMode string
-
-const (
-	// SyncAlways flushes and fsyncs every record before the mutation
-	// returns: maximum durability, one syscall pair per row.
-	SyncAlways SyncMode = "always"
-	// SyncGroup (the default) acknowledges a mutation only after its
-	// record is flushed and fsynced, but batches: concurrent writers on
-	// the same shard coalesce into one flush+fsync (leader-based group
-	// commit). No acknowledged write is ever lost.
-	SyncGroup SyncMode = "group"
-	// SyncOff flushes records to the OS per append but never fsyncs:
-	// process crashes lose nothing, machine crashes may lose the tail.
-	SyncOff SyncMode = "off"
-)
-
-func (m SyncMode) valid() error {
-	switch m {
-	case SyncAlways, SyncGroup, SyncOff:
-		return nil
-	}
-	return fmt.Errorf("storage: unknown WAL sync mode %q (want always, group, or off)", m)
-}
 
 // walRecord is one JSON line in the write-ahead log. Exactly one of the
 // payload field groups is meaningful per Op. LSN is a per-table
@@ -52,215 +20,16 @@ type walRecord struct {
 	Data  json.RawMessage `json:"data,omitempty"` // EncodeRow payload
 }
 
-// wal is an append-only JSON-lines log for one shard. Records are
-// buffered under mu (callers hold their shard lock, so per-row order in
-// the file matches apply order); durability is governed by the sync mode.
-// In group mode, commit() is the acknowledgement barrier: the first
-// waiter becomes the leader, flushes and fsyncs everything buffered so
-// far, and wakes the batch — one syscall pair for many rows.
-type wal struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File
-	w    *bufio.Writer
-	mode SyncMode
-
-	seq     int64 // records appended (buffered)
-	synced  int64 // records durably committed
-	syncing bool  // a leader is mid-flush
-	err     error // sticky I/O error: the log is poisoned once a write fails
-
-	// Optional observability (nil-safe): fsync latency and records per
-	// group-commit batch. Set once via setMetrics before writes flow.
-	fsyncHist *obs.Histogram
-	batchHist *obs.Histogram
-}
-
-// setMetrics wires the fsync latency / batch size histograms.
-func (l *wal) setMetrics(fsync, batch *obs.Histogram) {
-	l.mu.Lock()
-	l.fsyncHist = fsync
-	l.batchHist = batch
-	l.mu.Unlock()
-}
-
-func openWAL(path string, mode SyncMode) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open wal: %w", err)
-	}
-	l := &wal{f: f, w: bufio.NewWriter(f), mode: mode}
-	l.cond = sync.NewCond(&l.mu)
-	return l, nil
-}
-
-// append buffers one record and returns its sequence number. Callers in
-// group mode must call commit(seq) after releasing their shard lock; in
-// always/off modes the record is already flushed on return.
-func (l *wal) append(rec walRecord) (int64, error) {
-	faultinject.Hit("storage.wal.append")
-	if faultinject.Killed() {
-		// Simulated crash: the record is lost exactly as a torn process
-		// would have lost it; recovery replays only what reached disk.
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.seq, nil
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	if _, err := l.w.Write(data); err != nil {
-		l.err = err
-		return 0, err
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		l.err = err
-		return 0, err
-	}
-	l.seq++
-	switch l.mode {
-	case SyncAlways:
-		start := time.Now()
-		err := l.w.Flush()
-		if err == nil {
-			err = l.f.Sync()
-		}
-		if err != nil {
-			l.err = err
-			return 0, err
-		}
-		l.fsyncHist.Observe(time.Since(start).Seconds())
-		l.batchHist.Observe(1)
-		l.synced = l.seq
-	case SyncOff:
-		// Flush per record (crowd answers survive process crashes) but
-		// skip the fsync: machine crashes may lose the tail.
-		if err := l.w.Flush(); err != nil {
-			l.err = err
-			return 0, err
-		}
-		l.synced = l.seq
-	}
-	return l.seq, nil
-}
-
-// commit blocks until record seq is durable. In group mode the first
-// caller to arrive leads: it flushes and fsyncs the whole buffered batch
-// while later arrivals wait on the condition variable, then everyone
-// covered by the batch returns together.
-func (l *wal) commit(seq int64) error {
-	if l.mode != SyncGroup {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.synced < seq && l.err == nil {
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		target := l.seq
-		batch := target - l.synced
-		start := time.Now()
-		err := l.w.Flush()
-		l.mu.Unlock()
-		if err == nil {
-			err = l.f.Sync() // the batched syscall, outside the buffer lock
-		}
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil {
-			l.err = err
-		} else if target > l.synced {
-			l.synced = target
-			l.fsyncHist.Observe(time.Since(start).Seconds())
-			l.batchHist.Observe(float64(batch))
-		}
-		l.cond.Broadcast()
-	}
-	return l.err
-}
-
-// reset truncates the log after a checkpoint. Callers must guarantee no
-// concurrent appends (the checkpoint holds this shard of every table),
-// but writers may be parked in commit() for records the snapshot just
-// captured — seq/synced are therefore MONOTONIC, never rewound: every
-// record buffered so far is durable via the renamed snapshot, so synced
-// jumps to seq and the waiters are released.
-func (l *wal) reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	l.w.Reset(l.f)
-	l.synced, l.err = l.seq, nil
-	l.cond.Broadcast()
-	return nil
-}
-
-func (l *wal) close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if l.mode != SyncOff {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	return l.f.Close()
-}
-
-// replayWAL streams records from the log at path to apply. A truncated final
-// line (torn write) is tolerated and ends the replay, matching standard
-// redo-log semantics.
+// replayWAL streams the whole records of one shard's WAL to apply (the
+// torn-tail rule is appendLog's).
 func replayWAL(path string, apply func(walRecord) error) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	return replayLog(path, func(line []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail write: stop replay here.
-			return nil
+			return fmt.Errorf("storage: wal %s: %w", path, err)
 		}
-		if err := apply(rec); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return err
-	}
-	return nil
+		return apply(rec)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -312,9 +81,5 @@ func writeShardMeta(dir string, shards int) error {
 	if err != nil {
 		return err
 	}
-	tmp := shardMetaPath(dir) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, shardMetaPath(dir))
+	return writeFileAtomic(shardMetaPath(dir), append(data, '\n'))
 }
