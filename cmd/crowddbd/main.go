@@ -1,38 +1,40 @@
 // Command crowddbd is the CrowdDB query server: one shared engine over
-// the simulated crowd, served to many concurrent sessions over HTTP/JSON
-// and a line-oriented TCP wire protocol. Sessions share the store,
-// catalog, task manager, and comparison cache — identical in-flight crowd
-// questions from different sessions collapse into one HIT group.
+// the simulated crowd, served to many concurrent sessions over one
+// HTTP/JSON API in which every statement is a job. Sessions share the
+// store, catalog, task manager, and comparison cache — identical
+// in-flight crowd questions from different sessions collapse into one
+// HIT group.
 //
 // Usage:
 //
 //	crowddbd                          # HTTP on :8090, in-memory, simulated AMT
-//	crowddbd -http :8080 -tcp :4040   # also speak the TCP wire protocol
+//	crowddbd -http :8080              # another listen address
 //	crowddbd -data ./db -demo         # durable, pre-loaded conference schema
 //	crowddbd -budget 50               # default per-session comparison budget
 //	crowddbd -shards 8 -wal-sync group  # storage fan-out and WAL durability
 //
-// A quick session (the v1 Jobs API is the primary surface; POST /query
-// remains as a byte-compatible shim — see docs/openapi.yaml):
+// A quick session (docs/openapi.yaml is the contract; `crowddb -server
+// http://localhost:8090` is the interactive line client and
+// pkg/client.Query the synchronous form):
 //
 //	curl -s localhost:8090/v1/queries -d '{"sql":"SHOW TABLES;"}'
 //	curl -sN localhost:8090/v1/queries/j000001/rows     # stream partial rows
 //	curl -s -X DELETE localhost:8090/v1/queries/j000001 # cancel
-//	curl -s localhost:8090/query -d '{"sql":"SHOW TABLES;"}'
+//	curl -sN localhost:8090/v1/queries -H 'Accept: application/x-ndjson' \
+//	     -d '{"sql":"SHOW TABLES;"}'                    # submit and stream in one exchange
 //	curl -s localhost:8090/v1/queries/j000001/trace    # span tree
 //	curl -s localhost:8090/stats
 //	curl -s localhost:8090/metrics                     # Prometheus text
 //	curl -s localhost:8090/healthz
 //
 // SIGINT/SIGTERM drain gracefully: running queries finish, new ones are
-// refused, then the process exits.
+// refused, open row streams get their trailer, then the process exits.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints for the -pprof listener
 	"os"
@@ -54,8 +56,7 @@ import (
 )
 
 func main() {
-	httpAddr := flag.String("http", ":8090", "HTTP/JSON listen address (empty = disabled)")
-	tcpAddr := flag.String("tcp", "", "TCP wire-protocol listen address (empty = disabled)")
+	httpAddr := flag.String("http", ":8090", "HTTP/JSON listen address")
 	data := flag.String("data", "", "data directory (empty = in-memory)")
 	platform := flag.String("platform", "amt", "crowd platform: amt, mobile, model, or none")
 	seed := flag.Int64("seed", 1, "crowd simulation seed")
@@ -79,8 +80,8 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "pprof listen address, e.g. localhost:6060 (empty = disabled)")
 	flag.Parse()
 
-	if *httpAddr == "" && *tcpAddr == "" {
-		fmt.Fprintln(os.Stderr, "crowddbd: nothing to serve (both -http and -tcp empty)")
+	if *httpAddr == "" {
+		fmt.Fprintln(os.Stderr, "crowddbd: nothing to serve (-http is empty)")
 		os.Exit(1)
 	}
 	// Crash/fault-injection harness for the CI kill-and-restart smoke test:
@@ -166,7 +167,7 @@ func main() {
 		}
 	}
 
-	errc := make(chan error, 2)
+	errc := make(chan error, 1)
 	if *pprofAddr != "" {
 		// net/http/pprof registers on the DefaultServeMux; the API server
 		// below uses its own mux, so profiling stays on its own listener.
@@ -177,29 +178,13 @@ func main() {
 			}
 		}()
 	}
-	if *httpAddr != "" {
-		hs := &http.Server{Addr: *httpAddr, Handler: srv.HTTPHandler()}
-		go func() {
-			fmt.Printf("crowddbd: HTTP/JSON on %s (platform=%s data=%q)\n", *httpAddr, *platform, *data)
-			if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				errc <- err
-			}
-		}()
-		defer hs.Close() //nolint:errcheck // final teardown
-	}
-	if *tcpAddr != "" {
-		ln, err := net.Listen("tcp", *tcpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crowddbd:", err)
-			os.Exit(1)
+	hs := &http.Server{Addr: *httpAddr, Handler: srv.HTTPHandler()}
+	go func() {
+		fmt.Printf("crowddbd: HTTP/JSON on %s (platform=%s data=%q)\n", *httpAddr, *platform, *data)
+		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			errc <- err
 		}
-		go func() {
-			fmt.Printf("crowddbd: wire protocol on %s\n", *tcpAddr)
-			if err := srv.ServeWire(ln); err != nil {
-				errc <- err
-			}
-		}()
-	}
+	}()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
@@ -214,6 +199,12 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "crowddbd: drain:", err)
+	}
+	// Shutdown waited for the jobs, not for their HTTP handlers: drain those
+	// under the same deadline, so a stream whose job just finished still
+	// gets its trailer; only what outlives the deadline is cut.
+	if err := hs.Shutdown(ctx); err != nil {
+		hs.Close() //nolint:errcheck // final teardown
 	}
 	rep := srv.Stats()
 	fmt.Printf("crowddbd: served %d queries across %d sessions (%d rejected); cache %d entries, %d hits, %d shared flights\n",

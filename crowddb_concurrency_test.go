@@ -1,11 +1,10 @@
 package crowddb
 
 // Concurrency stress: one DB handle, many goroutines issuing crowd-backed
-// queries at once. The engine serializes statements internally (core's
-// Engine.ExecStmt holds the engine mutex for the whole statement), so
-// these tests pin down the public-API safety contract: no data race on
-// the handle, no deadlock between the engine mutex and the task
-// scheduler's clock-driver handoff, and correct results under contention.
+// queries at once. These tests pin down the public-API safety contract:
+// no data race on the handle, no deadlock between the engine's write
+// lock and the task scheduler's clock-driver handoff, and correct results
+// under contention.
 // Genuinely concurrent scheduler coverage lives in
 // internal/taskmgr/async_test.go (TestSubmitStorm).
 

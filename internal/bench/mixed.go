@@ -15,6 +15,7 @@ package bench
 // deliberately avoid the gate's directional classifiers).
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -156,7 +157,7 @@ func E20MixedReadWrite(seed int64) *Table {
 	}
 	selCh := make(chan selOut, 1)
 	go func() {
-		res, err := engB.ExecStmtOpts(stmts[0], opts)
+		res, err := engB.ExecStmtCtx(context.Background(), stmts[0], opts)
 		selCh <- selOut{res, err}
 	}()
 	<-snapCh // the reader has pinned its snapshot; writers now race it

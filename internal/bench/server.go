@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -91,6 +92,23 @@ func e16Engine(seed int64, sessions int) (*core.Engine, error) {
 	return eng, nil
 }
 
+// e16Exec runs one statement the way every client's does — as a job —
+// and waits for it to retire.
+func e16Exec(srv *server.Server, session, sql string) error {
+	job, serr := srv.StartJob(session, sql)
+	if serr != nil {
+		return serr
+	}
+	state, err := job.Wait(context.Background())
+	if err != nil {
+		return err
+	}
+	if state != server.JobDone {
+		return fmt.Errorf("job %s ended %s: %v", job.ID(), state, job.Err())
+	}
+	return nil
+}
+
 // e16Run drives K concurrent sessions through the query server over a
 // fresh engine and reports the global crowd cost.
 func e16Run(seed int64, sessions int) (e16Result, error) {
@@ -120,8 +138,7 @@ func e16Run(seed int64, sessions int) (e16Result, error) {
 			queries := append(append([]string(nil), shared...),
 				fmt.Sprintf("SELECT id FROM Priv WHERE a ~= b AND id = %d", k))
 			for _, q := range queries {
-				if _, qerr := srv.Query(sess.ID(), q); qerr != nil {
-					errs[k] = qerr
+				if errs[k] = e16Exec(srv, sess.ID(), q); errs[k] != nil {
 					return
 				}
 			}

@@ -351,19 +351,7 @@ func (e *Engine) refreshStats() {
 // Exec parses and runs a CrowdSQL script (one or more statements) and
 // returns the last statement's result.
 func (e *Engine) Exec(sql string) (*Result, error) {
-	stmts, err := parser.ParseAll(sql)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, s := range stmts {
-		r, err := e.ExecStmt(s)
-		if err != nil {
-			return nil, err
-		}
-		last = r
-	}
-	return last, nil
+	return e.Execute(context.Background(), sql, DefaultExecOpts())
 }
 
 // Query is Exec restricted to a single SELECT.
@@ -375,7 +363,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	if _, ok := stmt.(*parser.Select); !ok {
 		return nil, fmt.Errorf("core: Query requires a SELECT, got %T", stmt)
 	}
-	return e.ExecStmt(stmt)
+	return e.ExecStmtCtx(context.Background(), stmt, DefaultExecOpts())
 }
 
 // RowSink consumes a SELECT's result rows as the executor produces them
@@ -420,16 +408,6 @@ type ExecOpts struct {
 
 // DefaultExecOpts defers every knob to the engine configuration.
 func DefaultExecOpts() ExecOpts { return ExecOpts{CompareBudget: -1} }
-
-// ExecStmt runs one parsed statement with the engine defaults.
-func (e *Engine) ExecStmt(stmt parser.Statement) (*Result, error) {
-	return e.ExecStmtOpts(stmt, DefaultExecOpts())
-}
-
-// ExecStmtOpts runs one parsed statement with the background context.
-func (e *Engine) ExecStmtOpts(stmt parser.Statement, opts ExecOpts) (*Result, error) {
-	return e.ExecStmtCtx(context.Background(), stmt, opts)
-}
 
 // Execute parses and runs a CrowdSQL script under ctx, returning the last
 // statement's result. Cancelling ctx stops the running statement: crowd

@@ -188,8 +188,8 @@ type RowSink func(Row) error
 
 // RunSink executes an operator tree, handing each row to sink the moment
 // the root operator's batch carrying it lands — the streaming seam the
-// jobs API and the wire shims consume. With the vectorized crowd
-// operators, that is first-quorum time: a CROWDORDER's settled prefix
+// jobs API consumes. With the vectorized crowd operators, that is
+// first-quorum time: a CROWDORDER's settled prefix
 // and a CROWDEQUAL's ready rows reach the sink while later groups are
 // still open on the platform. Cancellation (Ctx.Context) is checked
 // between batches, so a cancelled statement stops without draining its

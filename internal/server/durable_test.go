@@ -102,6 +102,11 @@ func seedPairs(t *testing.T, eng *core.Engine, seed int64, n int) {
 // comparable strings.
 func renderedRows(j *Job) []string {
 	rows, _, _ := j.rowsFrom(0)
+	return flattenRows(rows)
+}
+
+// flattenRows joins each rendered row's cells with '|' (\N = null).
+func flattenRows(rows [][]*string) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		var sb strings.Builder
@@ -124,7 +129,7 @@ func waitDone(t *testing.T, j *Job) JobState {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	state, err := j.waitRetired(ctx)
+	state, err := j.Wait(ctx)
 	if err != nil {
 		t.Fatalf("job %s did not reach a terminal state: %v", j.ID(), err)
 	}
@@ -231,7 +236,7 @@ func TestJournalRecoversFinishedJob(t *testing.T) {
 	}
 	// Re-running the query on the recovered engine is free: every answer
 	// was persisted, so no HIT group is ever posted again.
-	if _, qerr := srv2.querySession(sess2, durableQuery); qerr != nil {
+	if _, qerr := runScript(srv2, sess2.ID(), durableQuery); qerr != nil {
 		t.Fatal(qerr)
 	}
 	if st := eng2.Tasks().Stats(); st.GroupsPosted != 0 {

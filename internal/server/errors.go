@@ -6,7 +6,7 @@ import (
 )
 
 // Code classifies a query-service error so clients can react without
-// parsing message text. Codes are stable wire contract; messages are not.
+// parsing message text. Codes are stable API contract; messages are not.
 type Code string
 
 const (
@@ -37,9 +37,6 @@ const (
 	// in flight; the job fails with this code (its crowd work already
 	// paid for settles, nothing new is posted).
 	CodeSessionClosed Code = "session_closed"
-	// CodeUnsupportedVersion: the wire client requested a protocol
-	// version this server does not speak.
-	CodeUnsupportedVersion Code = "unsupported_version"
 	// CodeInterrupted: a server restart cut the job short and its script
 	// could not be resumed (it contains writes, or its session did not
 	// survive the restart). Rows streamed before the restart are retained.

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	"crowddb/internal/exec"
 )
 
 // HTTP/JSON API.
@@ -31,40 +29,29 @@ import (
 //	DELETE /v1/queries/{id}     -> request cancellation (idempotent)
 //	GET    /metrics             -> Prometheus text exposition (0.0.4)
 //
-// Legacy — kept byte-compatible, now thin shims over jobs (see the
-// README deprecation policy):
+// Sessions, stats and health — the resources pkg/client uses beside
+// jobs:
 //
-//	POST /query            {"sql": "...", "session": "s000001"?}
-//	POST /session          {"budget": 25}?          -> session info
-//	GET/DELETE /session/{id}                        -> info / close
-//	GET  /stats                                     -> StatsReport
-//	GET  /healthz                                   -> liveness JSON (503 when draining)
+//	POST   /session             {"budget": 25}?     -> session info
+//	GET    /session/{id}                            -> session info
+//	DELETE /session/{id}                            -> close
+//	GET    /stats                                   -> StatsReport
+//	GET    /healthz                                 -> liveness JSON (503 when draining)
 //
-// Every error body is {"error": {"code": "...", "message": "..."}} with
-// the code drawn from the Code constants.
+// Every error body a handler writes is {"error": {"code": "...",
+// "message": "..."}} with the code drawn from the Code constants; a path
+// or method outside the table gets the mux's own 404 / 405.
 
-// queryRequest is the POST /query body.
+// maxBodyBytes bounds a request body: a client is untrusted, and a
+// CrowdSQL script or a session request has no business being larger.
+const maxBodyBytes = 1 << 20
+
+// queryRequest is the POST /v1/queries body.
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// Session names a registered session; empty runs an anonymous
 	// one-shot session with the default budget.
 	Session string `json:"session"`
-}
-
-// queryResponse is the POST /query result. Values are rendered as
-// strings; SQL NULL and CNULL become JSON null.
-type queryResponse struct {
-	Session  string      `json:"session,omitempty"`
-	Columns  []string    `json:"columns,omitempty"`
-	Rows     [][]*string `json:"rows,omitempty"`
-	Affected int         `json:"affected"`
-	Plan     string      `json:"plan,omitempty"`
-	Warnings []string    `json:"warnings,omitempty"`
-	Stats    exec.Stats  `json:"stats"`
-	// Cost-model forecast vs measured spend for the statement.
-	PredictedCents   float64 `json:"predicted_cents,omitempty"`
-	PredictedSeconds float64 `json:"predicted_seconds,omitempty"`
-	ActualCents      float64 `json:"actual_cents,omitempty"`
 }
 
 type sessionRequest struct {
@@ -77,22 +64,48 @@ type errorResponse struct {
 	Error *Error `json:"error"`
 }
 
+// route is one entry of the HTTP API: a method-qualified mux pattern and
+// its handler.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the one table of what the server listens on, in
+// documentation order: HTTPHandler registers it and the OpenAPI coverage
+// tests walk it.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /v1/queries", s.handleJobSubmit},
+		{"GET /v1/queries", s.handleJobList},
+		{"GET /v1/queries/{id}", s.handleJobGet},
+		{"GET /v1/queries/{id}/rows", s.handleJobRows},
+		{"GET /v1/queries/{id}/trace", s.handleJobTrace},
+		{"DELETE /v1/queries/{id}", s.handleJobCancel},
+		{"GET /metrics", s.handleMetrics},
+		{"POST /session", s.handleSessionCreate},
+		{"GET /session/{id}", s.handleSessionGet},
+		{"DELETE /session/{id}", s.handleSessionClose},
+		{"GET /stats", s.handleStats},
+		{"GET /healthz", s.handleHealthz},
+	}
+}
+
 // HTTPHandler returns the service's HTTP API.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/queries", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/queries", s.handleJobList)
-	mux.HandleFunc("GET /v1/queries/{id}", s.handleJobGet)
-	mux.HandleFunc("GET /v1/queries/{id}/rows", s.handleJobRows)
-	mux.HandleFunc("GET /v1/queries/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("DELETE /v1/queries/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/session", s.handleSession)
-	mux.HandleFunc("/session/", s.handleSessionID)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return mux
+}
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *Error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		return errf(CodeParse, "bad request body: %v", err)
+	}
+	return nil
 }
 
 // handleJobSubmit creates a query job: POST /v1/queries. The answer is
@@ -102,8 +115,8 @@ func (s *Server) HTTPHandler() http.Handler {
 // produces, so the common statement is one HTTP exchange.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, errf(CodeParse, "bad request body: %v", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if strings.TrimSpace(req.SQL) == "" {
@@ -243,73 +256,13 @@ func writeError(w http.ResponseWriter, err *Error) {
 	writeJSON(w, err.HTTPStatus(), errorResponse{Error: err})
 }
 
-// handleQuery is the legacy synchronous endpoint, kept byte-compatible
-// as a thin shim over jobs: it submits a job, waits for the terminal
-// state, and renders the final statement's result in the v0 shape.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, errf(CodeParse, "use POST /query"))
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, errf(CodeParse, "bad request body: %v", err))
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeError(w, errf(CodeParse, "empty sql"))
-		return
-	}
-	job, serr := s.StartJob(req.Session, req.SQL)
-	if serr != nil {
-		writeError(w, serr)
-		return
-	}
-	state, err := job.waitTerminal(r.Context())
-	if err != nil {
-		return // client gone; the job keeps running (v0 parity)
-	}
-	if state != JobDone {
-		writeError(w, job.terminalError())
-		return
-	}
-	writeJSON(w, http.StatusOK, legacyResponse(job, req.Session))
-}
-
-// legacyResponse renders a finished job's last statement in the v0
-// POST /query shape — byte-compatible with the pre-jobs server.
-func legacyResponse(job *Job, session string) queryResponse {
-	cols, rows, affected, planText, warnings, st, predicted, actual := job.lastResult()
-	out := queryResponse{
-		Session:  session,
-		Columns:  cols,
-		Affected: affected,
-		Plan:     planText,
-		Warnings: warnings,
-		Stats:    st,
-	}
-	if !predicted.IsUnbounded() {
-		out.PredictedCents = predicted.Cents
-		out.PredictedSeconds = predicted.Seconds
-	}
-	out.ActualCents = actual
-	if len(rows) > 0 {
-		out.Rows = rows
-	}
-	return out
-}
-
-func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, errf(CodeParse, "use POST /session"))
-		return
-	}
+// handleSessionCreate registers a session: POST /session. An empty body
+// asks for the server's default budget.
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, errf(CodeParse, "bad request body: %v", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
@@ -321,26 +274,25 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.Info())
 }
 
-func (s *Server) handleSessionID(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/session/")
-	switch r.Method {
-	case http.MethodDelete:
-		if err := s.CloseSession(id); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"closed": id})
-	case http.MethodGet:
-		sess, err := s.Session(id)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, sess.Info())
-	default:
-		w.Header().Set("Allow", "GET, DELETE")
-		writeError(w, errf(CodeParse, "use GET or DELETE /session/{id}"))
+// handleSessionGet reports one session: GET /session/{id}.
+func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+	sess, err := s.Session(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, sess.Info())
+}
+
+// handleSessionClose closes a session, cancelling its in-flight jobs:
+// DELETE /session/{id}.
+func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if err := s.CloseSession(id); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"closed": id})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

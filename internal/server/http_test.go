@@ -4,8 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"net"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +27,22 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
+// queryHTTP runs sql as one submit-and-stream exchange — what
+// pkg/client.Query sends — and returns the parsed stream.
+func queryHTTP(t *testing.T, url, session, sql string) ndjsonStream {
+	t.Helper()
+	resp := submitStream(t, url, session, sql)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/queries %q: %d", sql, resp.StatusCode)
+	}
+	st := readStream(t, bufio.NewScanner(resp.Body), true)
+	if st.trailer == nil {
+		t.Fatalf("POST /v1/queries %q: stream ended without a trailer", sql)
+	}
+	return st
+}
+
 func TestHTTPQuerySessionStatsHealthz(t *testing.T) {
 	eng := pairEngine(t, 23, 4)
 	srv := New(eng, Config{})
@@ -48,38 +63,21 @@ func TestHTTPQuerySessionStatsHealthz(t *testing.T) {
 	}
 
 	// A crowd query through the session.
-	resp, body = postJSON(t, ts.URL+"/query",
-		map[string]string{"sql": "SELECT id FROM Pair WHERE a ~= b", "session": info.ID})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
-	}
-	var qr struct {
-		Session string      `json:"session"`
-		Columns []string    `json:"columns"`
-		Rows    [][]*string `json:"rows"`
-		Stats   struct {
-			Comparisons int `json:"Comparisons"`
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Session != info.ID || len(qr.Columns) != 1 || qr.Stats.Comparisons != 4 {
-		t.Fatalf("query response: %s", body)
+	st := queryHTTP(t, ts.URL, info.ID, "SELECT id FROM Pair WHERE a ~= b")
+	if st.trailer.State != JobDone || st.trailer.Session != info.ID ||
+		len(st.trailer.Columns) != 1 || st.trailer.Stats.Comparisons != 4 || len(st.rows) != 4 {
+		t.Fatalf("query stream: %+v", st.trailer)
 	}
 
 	// Anonymous query (no session field), NULL rendering.
-	postJSON(t, ts.URL+"/query", map[string]string{"sql": "INSERT INTO Pair (id) VALUES (99)"})
-	resp, body = postJSON(t, ts.URL+"/query", map[string]string{"sql": "SELECT a, id FROM Pair WHERE id = 99"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("anonymous query: %d %s", resp.StatusCode, body)
-	}
-	if !bytes.Contains(body, []byte(`[null,"99"]`)) {
-		t.Errorf("NULL not rendered as JSON null: %s", body)
+	queryHTTP(t, ts.URL, "", "INSERT INTO Pair (id) VALUES (99)")
+	st = queryHTTP(t, ts.URL, "", "SELECT a, id FROM Pair WHERE id = 99")
+	if len(st.rows) != 1 || st.rows[0][0] != nil || st.rows[0][1] == nil || *st.rows[0][1] != "99" {
+		t.Errorf("NULL not rendered as JSON null: %v", st.rows)
 	}
 
 	// Parse errors are coded 400s.
-	resp, body = postJSON(t, ts.URL+"/query", map[string]string{"sql": "SELEC nope"})
+	resp, body = postJSON(t, ts.URL+"/v1/queries", map[string]string{"sql": "SELEC nope"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("parse error status: %d", resp.StatusCode)
 	}
@@ -88,19 +86,14 @@ func TestHTTPQuerySessionStatsHealthz(t *testing.T) {
 		t.Fatalf("parse error body: %s", body)
 	}
 
-	// Budget exhaustion is a coded 429.
+	// Budget exhaustion is a coded job failure.
 	_, tinyBody := postJSON(t, ts.URL+"/session", map[string]int{"budget": 1})
 	var tinyInfo SessionInfo
 	json.Unmarshal(tinyBody, &tinyInfo) //nolint:errcheck // checked below
-	postJSON(t, ts.URL+"/query", map[string]string{
-		"sql": "SELECT a FROM Pair ORDER BY CROWDORDER(a, 'nicer name?')", "session": tinyInfo.ID})
-	resp, body = postJSON(t, ts.URL+"/query", map[string]string{
-		"sql": "SELECT a FROM Pair ORDER BY CROWDORDER(a, 'nicer name, again?')", "session": tinyInfo.ID})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("budget exhaustion status: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &er); err != nil || er.Error == nil || er.Error.Code != CodeBudgetExhausted {
-		t.Fatalf("budget exhaustion body: %s", body)
+	queryHTTP(t, ts.URL, tinyInfo.ID, "SELECT a FROM Pair ORDER BY CROWDORDER(a, 'nicer name?')")
+	st = queryHTTP(t, ts.URL, tinyInfo.ID, "SELECT a FROM Pair ORDER BY CROWDORDER(a, 'nicer name, again?')")
+	if st.trailer.State != JobFailed || st.trailer.Error == nil || st.trailer.Error.Code != CodeBudgetExhausted {
+		t.Fatalf("budget exhaustion trailer: %+v", st.trailer)
 	}
 
 	// /stats reflects the shared cache and sessions.
@@ -141,96 +134,6 @@ func TestHTTPQuerySessionStatsHealthz(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestWireProtocol(t *testing.T) {
-	eng := pairEngine(t, 29, 3)
-	srv := New(eng, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.ServeWire(ln) }()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	greeting, err := r.ReadString('\n')
-	if err != nil || !strings.HasPrefix(greeting, "# crowddb wire/2 session=") {
-		t.Fatalf("greeting = %q, %v", greeting, err)
-	}
-
-	send := func(line string) {
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readBlock := func() []string {
-		var lines []string
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("read: %v (so far %v)", err, lines)
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "." {
-				return lines
-			}
-			lines = append(lines, line)
-			if strings.HasPrefix(line, "ERR ") {
-				return lines
-			}
-		}
-	}
-
-	// A crowd query: OK header, column line, 3 rows.
-	send("SELECT id FROM Pair WHERE a ~= b;")
-	block := readBlock()
-	if block[0] != "OK 3" || block[1] != "# id" || len(block) != 5 {
-		t.Fatalf("wire result: %v", block)
-	}
-
-	// Multi-line statements buffer until ';'.
-	send("SELECT id")
-	send("FROM Pair;")
-	if block = readBlock(); block[0] != "OK 3" {
-		t.Fatalf("multi-line result: %v", block)
-	}
-
-	// Coded errors come back as single ERR lines.
-	send("SELEC nope;")
-	if block = readBlock(); !strings.HasPrefix(block[0], "ERR parse_error ") {
-		t.Fatalf("wire error: %v", block)
-	}
-
-	// \stats reports the session and shared cache.
-	send("\\stats")
-	block = readBlock()
-	if block[0] != "OK 1" || !strings.Contains(block[1], "shared_flights") {
-		t.Fatalf("wire stats: %v", block)
-	}
-
-	// \quit closes cleanly and the session is released.
-	send("\\quit")
-	if block = readBlock(); block[0] != "OK 0" {
-		t.Fatalf("quit: %v", block)
-	}
-	if _, err := r.ReadString('\n'); err == nil {
-		t.Fatal("connection still open after \\quit")
-	}
-
-	ln.Close()
-	if err := <-serveDone; err == nil {
-		t.Log("serve loop ended")
-	}
-	if n := srv.Stats().Server.ActiveSessions; n != 0 {
-		t.Errorf("%d sessions still registered after disconnect", n)
-	}
-}
-
 // TestStatsIncludesCostModel: /stats surfaces the optimizer's aggregate
 // predicted-vs-actual error, and query responses carry the per-statement
 // forecast.
@@ -240,24 +143,19 @@ func TestStatsIncludesCostModel(t *testing.T) {
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/query", map[string]string{"sql": "SELECT id FROM Pair WHERE a ~= b"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
-	}
-	var qr struct {
-		PredictedCents float64 `json:"predicted_cents"`
-		ActualCents    float64 `json:"actual_cents"`
-	}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
+	qr := queryHTTP(t, ts.URL, "", "SELECT id FROM Pair WHERE a ~= b").trailer
 	if qr.PredictedCents <= 0 || qr.ActualCents <= 0 {
 		t.Errorf("crowd query must report forecast and spend: %+v", qr)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stats: %d", resp.StatusCode)
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /stats: %v %v", resp, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var rep StatsReport
 	if err := json.Unmarshal(body, &rep); err != nil {
@@ -268,5 +166,86 @@ func TestStatsIncludesCostModel(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"cost_model"`) {
 		t.Error("/stats must include the cost_model section")
+	}
+}
+
+// TestOneFrontDoor: the synchronous POST /query is gone — the mux's 404,
+// not a handler — and the path that replaced it settles precisely: a
+// statement that fails after paying the crowd gives back exactly the
+// part of its reservation it did not spend (the removed in-process
+// Server.Query forfeited the whole reservation).
+func TestOneFrontDoor(t *testing.T) {
+	const nPairs, budget = 5, 8
+	eng := pairEngine(t, 7, nPairs)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/query", map[string]string{"sql": "SELECT id FROM Pair"})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /query: %d %s, want 404", resp.StatusCode, body)
+	}
+	if n := srv.Stats().Server.RetainedJobs; n != 0 {
+		t.Fatalf("POST /query created %d jobs", n)
+	}
+
+	_, body = postJSON(t, ts.URL+"/session", map[string]int{"budget": budget})
+	var sess SessionInfo
+	if err := json.Unmarshal(body, &sess); err != nil || sess.BudgetLeft != budget {
+		t.Fatalf("session: %s (%v)", body, err)
+	}
+	// The crowd filter pays one comparison per pair, then SUM over the
+	// surviving strings fails the statement.
+	st := queryHTTP(t, ts.URL, sess.ID, "SELECT SUM(a) FROM Pair WHERE a ~= b")
+	if st.trailer.State != JobFailed || st.trailer.Error == nil || st.trailer.Error.Code != CodeInternal {
+		t.Fatalf("trailer = %+v, want failed/internal", st.trailer)
+	}
+	if paid := st.trailer.Stats.Comparisons; paid != nPairs {
+		t.Fatalf("failed statement paid %d comparisons, want %d", paid, nPairs)
+	}
+	resp, err := http.Get(ts.URL + "/session/" + sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&sess); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Stats.Comparisons != nPairs || sess.BudgetLeft != budget-nPairs {
+		t.Errorf("session after the failed statement: paid %d, budget left %d; want %d and %d",
+			sess.Stats.Comparisons, sess.BudgetLeft, nPairs, budget-nPairs)
+	}
+}
+
+// TestOversizeBodyRejected: request bodies are bounded, so an oversize
+// one is a coded 400 that creates neither a job nor a session.
+func TestOversizeBodyRejected(t *testing.T) {
+	eng := pairEngine(t, 9, 1)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for path, doc := range map[string]string{
+		"/v1/queries": `{"sql":"SELECT id FROM Pair;` + pad + `"}`,
+		"/session":    `{` + pad + `"budget":3}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var er errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || er.Error == nil || er.Error.Code != CodeParse {
+			t.Errorf("POST %s with %d bytes: %d %+v (%v), want a coded 400", path, len(doc), resp.StatusCode, er.Error, err)
+		}
+	}
+	if st := srv.Stats().Server; st.RetainedJobs != 0 || st.SessionsOpened != 0 {
+		t.Errorf("oversize bodies had side effects: %+v", st)
+	}
+	// The same documents under the bound are served.
+	if resp, body := postJSON(t, ts.URL+"/session", map[string]int{"budget": 3}); resp.StatusCode != http.StatusOK {
+		t.Errorf("in-bound POST /session: %d %s", resp.StatusCode, body)
 	}
 }

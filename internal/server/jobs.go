@@ -10,8 +10,9 @@ package server
 // the crowd is still working; cancellation propagates through the
 // statement context into the crowd operators (no new HIT groups are
 // posted, queued submissions are withdrawn, paid work settles against
-// the session budget). Both legacy surfaces — POST /query and the TCP
-// wire protocol — execute as thin shims over jobs.
+// the session budget). StartJob -> runJob is the only way a statement
+// enters the server; the synchronous convenience form lives in
+// pkg/client.Query.
 
 import (
 	"context"
@@ -69,10 +70,10 @@ type Job struct {
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every visible change
 	// retired is released at the end of retireJob — after finish has
-	// woken the waiters: counters bumped, end record journaled, retention
-	// cap enforced. Tests wait on it before asserting any of those. (A
-	// WaitGroup, not a channel: no allocation per job, and a job recovered
-	// already terminal, which this process never retires, never blocks.)
+	// woken the streamers: counters bumped, end record journaled, retention
+	// cap enforced. Wait returns only past it. (A WaitGroup, not a channel:
+	// no allocation per job, and a job recovered already terminal, which
+	// this process never retires, never blocks.)
 	retired sync.WaitGroup
 	state   JobState
 	err     *Error
@@ -82,15 +83,10 @@ type Job struct {
 	cancelCode Code
 	cancelMsg  string
 
-	// Result accumulation. rows holds every streamed row (rendered once,
-	// shared by the SSE/NDJSON streamers and the legacy shims);
-	// lastStmtStart marks where the most recent statement's result set
-	// begins (the legacy shims return only the last statement's rows).
+	// Result accumulation. rows holds every streamed row of the script,
+	// rendered once and shared by the SSE/NDJSON streamers.
 	columns       []string
 	rows          [][]*string
-	lastStmtStart int
-	lastColumns   []string
-	lastStats     exec.Stats
 	lastPredicted plan.Cost
 	lastActual    float64
 	affected      int
@@ -198,8 +194,8 @@ func (j *Job) Info() JobInfo {
 	return info
 }
 
-// renderRow renders one engine row into the wire cell form (nil =
-// JSON null / wire \N).
+// renderRow renders one engine row into the streamed cell form (nil =
+// JSON null: SQL NULL or CNULL).
 func renderRow(row exec.Row) []*string {
 	cells := make([]*string, len(row))
 	for i, v := range row {
@@ -231,7 +227,6 @@ func (j *Job) pushCells(cells []*string) error {
 func (j *Job) startResultSet(cols []string) {
 	j.mu.Lock()
 	j.columns = cols
-	j.lastStmtStart = len(j.rows)
 	j.broadcastLocked()
 	j.mu.Unlock()
 }
@@ -262,17 +257,11 @@ func (j *Job) completeStmt(res *core.Result, st exec.Stats) {
 	j.settledStats = j.settledStats.Add(st)
 	j.settledCents += res.ActualCents
 	j.progressStats = exec.Stats{}
-	j.lastStats = st
 	j.lastPredicted = res.Predicted
 	j.lastActual = res.ActualCents
 	j.affected = res.Affected
 	j.plan = res.Plan
 	j.warnings = res.Warnings
-	j.lastColumns = res.Columns
-	if res.Columns == nil {
-		// Non-SELECT: the "last result set" is empty from here.
-		j.lastStmtStart = len(j.rows)
-	}
 	j.broadcastLocked()
 }
 
@@ -328,14 +317,17 @@ func (j *Job) requestCancel(code Code, msg string) {
 	j.cancel()
 }
 
-// waitTerminal blocks until the job reaches a terminal state or ctx
-// fires, and returns the final state.
-func (j *Job) waitTerminal(ctx context.Context) (JobState, error) {
+// Wait blocks until the job is terminal and retired — state counters
+// bumped, end record journaled, retention cap enforced — or ctx fires,
+// and returns the last state it saw. It is the in-process form of
+// reading a row stream to its trailer.
+func (j *Job) Wait(ctx context.Context) (JobState, error) {
 	for {
 		j.mu.Lock()
 		state, notify := j.state, j.notify
 		j.mu.Unlock()
 		if state.Terminal() {
+			j.retired.Wait() // retirement follows the terminal state at once
 			return state, nil
 		}
 		select {
@@ -358,30 +350,11 @@ func (j *Job) rowsFrom(n int) (batch [][]*string, state JobState, notify <-chan 
 	return batch, j.state, j.notify
 }
 
-// lastResult snapshots the fields the legacy shims render: the final
-// statement's columns, rendered rows, and summary numbers.
-func (j *Job) lastResult() (cols []string, rows [][]*string, affected int, planText string,
-	warnings []string, st exec.Stats, predicted plan.Cost, actual float64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lastColumns, j.rows[j.lastStmtStart:len(j.rows):len(j.rows)], j.affected,
-		j.plan, j.warnings, j.lastStats, j.lastPredicted, j.lastActual
-}
-
 // Err returns the job's terminal error, if any.
 func (j *Job) Err() *Error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// terminalError maps a non-done terminal state to the coded error the
-// legacy synchronous shims (POST /query, wire statements) return.
-func (j *Job) terminalError() *Error {
-	if err := j.Err(); err != nil {
-		return err
-	}
-	return errf(CodeCancelled, "job %s was cancelled", j.ID())
 }
 
 // ---------------------------------------------------------------------------
@@ -397,12 +370,6 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		s.countRejected(serr)
 		return nil, serr
 	}
-	return s.startJobForSession(sess, sessionID, sql)
-}
-
-// startJobForSession is StartJob for an already-resolved session. The
-// wire shim calls it directly with its connection session.
-func (s *Server) startJobForSession(sess *Session, sessionID, sql string) (*Job, *Error) {
 	parseStart := time.Now()
 	stmts, err := parser.ParseAll(sql)
 	if err != nil {

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,25 +16,16 @@ import (
 	"crowddb/internal/workload"
 )
 
-// waitRetired blocks until the job is terminal AND retired: finish wakes
-// waiters before retireJob bumps the counters, journals the end record
-// and enforces the retention cap, so a test that asserts any of those —
-// or disarms a crashpoint — must wait for the retirement barrier.
-func (j *Job) waitRetired(ctx context.Context) (JobState, error) {
-	state, err := j.waitTerminal(ctx)
-	if err == nil {
-		j.retired.Wait() // retirement follows the terminal state at once
-	}
-	return state, err
-}
-
 // waitState waits for a job to be terminal and retired, with a test
-// deadline.
+// deadline. (finish wakes waiters before retireJob bumps the counters,
+// journals the end record and enforces the retention cap; Job.Wait
+// returns only past that barrier, so a test may assert any of those —
+// or disarm a crashpoint — after it.)
 func waitState(t *testing.T, job *Job) JobState {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	state, err := job.waitRetired(ctx)
+	state, err := job.Wait(ctx)
 	if err != nil {
 		t.Fatalf("job %s stuck in %s: %v", job.ID(), state, err)
 	}
@@ -262,150 +251,6 @@ func TestCloseSessionFailsJobsSessionClosed(t *testing.T) {
 	}
 	if err := job.Err(); err == nil || err.Code != CodeSessionClosed {
 		t.Fatalf("error = %v, want %s", err, CodeSessionClosed)
-	}
-}
-
-// TestLegacyQueryShimMatchesDirect: the POST /query shim must return the
-// same JSON a direct engine render would — same rows, nulls, stats.
-func TestLegacyQueryShimMatchesDirect(t *testing.T) {
-	eng := pairEngine(t, 71, 3)
-	srv := New(eng, Config{})
-	ts := httptest.NewServer(srv.HTTPHandler())
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.URL+"/query", map[string]string{"sql": "SELECT id, a FROM Pair WHERE a ~= b"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	// Row content is crowd-answered (seed-dependent); the shape and the
-	// paid-comparison accounting are the contract.
-	if len(qr.Rows) == 0 || len(qr.Columns) != 2 || qr.Stats.Comparisons != 3 {
-		t.Fatalf("shim response: %s", body)
-	}
-	// Multi-statement script: only the last statement's result renders.
-	resp, body = postJSON(t, ts.URL+"/query",
-		map[string]string{"sql": "SELECT id FROM Pair; SELECT a FROM Pair WHERE id = 0;"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("script: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Columns) != 1 || qr.Columns[0] != "a" || len(qr.Rows) != 1 {
-		t.Fatalf("script shim must render the last statement only: %s", body)
-	}
-}
-
-// TestWireProtocolV2Jobs covers the version handshake and the jobs shim
-// commands over TCP.
-func TestWireProtocolV2Jobs(t *testing.T) {
-	eng := pairEngine(t, 73, 2)
-	srv := New(eng, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeWire(ln) //nolint:errcheck // closed by test end
-	defer ln.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	greeting, err := r.ReadString('\n')
-	if err != nil || !strings.HasPrefix(greeting, "# crowddb wire/2 session=") {
-		t.Fatalf("greeting = %q, %v", greeting, err)
-	}
-	send := func(line string) {
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readBlock := func() []string {
-		var lines []string
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("read: %v (so far %v)", err, lines)
-			}
-			line = strings.TrimRight(line, "\n")
-			if line == "." {
-				return lines
-			}
-			lines = append(lines, line)
-			if strings.HasPrefix(line, "ERR ") {
-				return lines
-			}
-		}
-	}
-
-	// Unknown protocol version -> coded refusal.
-	send("\\proto 99")
-	if block := readBlock(); !strings.HasPrefix(block[0], "ERR unsupported_version ") {
-		t.Fatalf("proto 99: %v", block)
-	}
-	// Downgrade to wire/1: job commands are refused.
-	send("\\proto 1")
-	if block := readBlock(); block[0] != "OK 0" {
-		t.Fatalf("proto 1: %v", block)
-	}
-	send("\\job SELECT id FROM Pair;")
-	if block := readBlock(); !strings.HasPrefix(block[0], "ERR unsupported_version ") {
-		t.Fatalf("job on wire/1: %v", block)
-	}
-	// Back to wire/2: submit, poll to done, cancel is idempotent.
-	send("\\proto 2")
-	if block := readBlock(); block[0] != "OK 0" {
-		t.Fatalf("proto 2: %v", block)
-	}
-	send("\\job SELECT id FROM Pair WHERE a ~= b;")
-	block := readBlock()
-	if block[0] != "OK 1" || !strings.HasPrefix(block[1], "# job\t") {
-		t.Fatalf("\\job: %v", block)
-	}
-	jobID := strings.SplitN(block[2], "\t", 2)[0]
-	if !strings.HasPrefix(jobID, "j") {
-		t.Fatalf("job id %q", jobID)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		send("\\poll " + jobID)
-		block = readBlock()
-		if block[0] != "OK 1" {
-			t.Fatalf("\\poll: %v", block)
-		}
-		state := strings.SplitN(block[2], "\t", 3)[1]
-		if state == "done" {
-			break
-		}
-		if state == "failed" || state == "cancelled" {
-			t.Fatalf("job ended %s: %v", state, block)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %v", block)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	send("\\cancel " + jobID)
-	block = readBlock()
-	if block[0] != "OK 1" || !strings.Contains(block[2], "done") {
-		t.Fatalf("\\cancel after done must be a no-op: %v", block)
-	}
-	// Unknown job id -> coded error.
-	send("\\poll j999999")
-	if block = readBlock(); !strings.HasPrefix(block[0], "ERR unknown_job ") {
-		t.Fatalf("unknown job: %v", block)
-	}
-	// Synchronous statements still work on wire/2 (the jobs shim).
-	send("SELECT id FROM Pair;")
-	if block = readBlock(); block[0] != "OK 2" {
-		t.Fatalf("sync statement: %v", block)
 	}
 }
 

@@ -6,7 +6,6 @@ package server
 // -race).
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -62,16 +61,9 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64) {
 // runJobWait submits sql as a job and blocks until it finishes.
 func runJobWait(t *testing.T, srv *Server, sql string) *Job {
 	t.Helper()
-	job, serr := srv.StartJob("", sql)
+	job, serr := runScript(srv, "", sql)
 	if serr != nil {
-		t.Fatalf("start job: %v", serr)
-	}
-	state, err := job.waitRetired(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state != JobDone {
-		t.Fatalf("job state %s (err %v)", state, job.Err())
+		t.Fatalf("job %q: %v", sql, serr)
 	}
 	return job
 }
@@ -316,7 +308,7 @@ func TestMetricsConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if _, serr := srv.Query("", "SELECT id FROM Pair"); serr != nil {
+				if _, serr := runScript(srv, "", "SELECT id FROM Pair"); serr != nil {
 					t.Error(serr)
 					return
 				}

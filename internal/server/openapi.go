@@ -3,37 +3,17 @@ package server
 // The OpenAPI contract for the HTTP API. The YAML document is assembled
 // here — next to the handlers it describes — so the spec, the routes,
 // and the error codes cannot drift silently: openapi_test.go fails when
-// a mux route, job state, or error code is missing from the document,
-// and cmd/crowdopenapi -check fails CI when the committed
-// docs/openapi.yaml is stale. (The container has no third-party YAML
-// loader; the load check validates structure and coverage instead of a
-// full kin-openapi parse.)
+// a route of the table in http.go, a job state, or an error code is
+// missing from the document, and cmd/crowdopenapi -check fails CI when
+// the committed docs/openapi.yaml is stale. (The container has no
+// third-party YAML loader; the load check validates structure and
+// coverage instead of a full kin-openapi parse.)
 
 import "fmt"
 
 // openAPIVersion is the spec's document version; bump on breaking
 // contract changes.
-const openAPIVersion = "1.3.0"
-
-// httpRoutes lists every mux pattern HTTPHandler registers, in
-// documentation order. The OpenAPI coverage test walks it.
-func httpRoutes() []string {
-	return []string{
-		"POST /v1/queries",
-		"GET /v1/queries",
-		"GET /v1/queries/{id}",
-		"GET /v1/queries/{id}/rows",
-		"GET /v1/queries/{id}/trace",
-		"DELETE /v1/queries/{id}",
-		"GET /metrics",
-		"POST /query",
-		"POST /session",
-		"GET /session/{id}",
-		"DELETE /session/{id}",
-		"GET /stats",
-		"GET /healthz",
-	}
-}
+const openAPIVersion = "2.0.0"
 
 // errorCodes lists every stable coded error the API can return.
 func errorCodes() []Code {
@@ -41,7 +21,7 @@ func errorCodes() []Code {
 		CodeParse, CodeBudgetExhausted, CodeBusy, CodeShuttingDown,
 		CodeUnknownSession, CodeTooManySessions, CodeInternal,
 		CodeUnknownJob, CodeCancelled, CodeSessionClosed,
-		CodeInterrupted, CodeUnsupportedVersion,
+		CodeInterrupted,
 	}
 }
 
@@ -67,9 +47,10 @@ info:
     Asynchronous, streaming, cancellable query lifecycle for crowddbd.
     Queries run as jobs: submit, poll or stream partial rows while the
     crowd works, cancel, and settle the session budget for work already
-    paid. Legacy endpoints (POST /query, the session resource) are thin
-    shims over jobs and remain byte-compatible; see the README
-    deprecation policy.
+    paid. This is the server's only client-facing surface: every
+    statement is a job. The synchronous POST /query and the TCP wire
+    protocol of the 1.x documents are gone (2.0.0); pkg/client.Query is
+    the synchronous convenience form.
   version: %q
 paths:
   /v1/queries:
@@ -251,25 +232,6 @@ paths:
             text/plain:
               schema:
                 type: string
-  /query:
-    post:
-      summary: Legacy synchronous query (shim over jobs)
-      deprecated: true
-      requestBody:
-        required: true
-        content:
-          application/json:
-            schema:
-              $ref: '#/components/schemas/QueryRequest'
-      responses:
-        '200':
-          description: Final result of the script's last statement
-          content:
-            application/json:
-              schema:
-                $ref: '#/components/schemas/QueryResult'
-        default:
-          $ref: '#/components/responses/Error'
   /session:
     post:
       summary: Create a session with a crowd-comparison budget
@@ -445,38 +407,6 @@ components:
             (absent when the engine runs with tracing disabled)
         error:
           $ref: '#/components/schemas/Error'
-    QueryResult:
-      type: object
-      properties:
-        session:
-          type: string
-        columns:
-          type: array
-          items:
-            type: string
-        rows:
-          type: array
-          items:
-            type: array
-            items:
-              type: string
-              nullable: true
-        affected:
-          type: integer
-        plan:
-          type: string
-        warnings:
-          type: array
-          items:
-            type: string
-        stats:
-          type: object
-        predicted_cents:
-          type: number
-        predicted_seconds:
-          type: number
-        actual_cents:
-          type: number
     Session:
       type: object
       properties:

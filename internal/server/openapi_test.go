@@ -28,11 +28,24 @@ func TestOpenAPISpecCoversSurface(t *testing.T) {
 	if strings.Contains(spec, "\t") {
 		t.Error("spec contains tabs (invalid YAML indentation)")
 	}
-	for _, route := range httpRoutes() {
-		path := route[strings.Index(route, " ")+1:]
-		if !strings.Contains(spec, "\n  "+path+":") {
+	for _, rt := range (&Server{}).routes() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		at := strings.Index(spec, "\n  "+path+":\n")
+		if at < 0 {
 			t.Errorf("spec missing path %s", path)
+			continue
 		}
+		// The operation must sit inside the path's own block.
+		block := spec[at+1:]
+		if end := strings.Index(block, "\n  /"); end >= 0 {
+			block = block[:end]
+		}
+		if !strings.Contains(block, "\n    "+strings.ToLower(method)+":\n") {
+			t.Errorf("spec path %s missing operation %s", path, method)
+		}
+	}
+	if strings.Contains(spec, "\n  /query:") {
+		t.Error("spec still documents the removed POST /query")
 	}
 	for _, st := range jobStates() {
 		if !strings.Contains(spec, "- "+string(st)) {
@@ -46,8 +59,8 @@ func TestOpenAPISpecCoversSurface(t *testing.T) {
 	}
 }
 
-// TestOpenAPIRoutesServed verifies httpRoutes() names real mux routes:
-// every listed pattern must be handled by our handlers (which answer
+// TestOpenAPIRoutesServed verifies the route table is what the mux
+// serves: every pattern must be handled by our handlers (which answer
 // JSON, a stream, or the Prometheus text exposition), never by the mux's
 // plain-text 404.
 func TestOpenAPIRoutesServed(t *testing.T) {
@@ -56,9 +69,9 @@ func TestOpenAPIRoutesServed(t *testing.T) {
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
 
-	for _, route := range httpRoutes() {
-		parts := strings.SplitN(route, " ", 2)
-		method, path := parts[0], parts[1]
+	for _, rt := range srv.routes() {
+		route := rt.pattern
+		method, path, _ := strings.Cut(route, " ")
 		path = strings.ReplaceAll(path, "{id}", "zzz")
 		var body *bytes.Reader
 		if method == http.MethodPost {
@@ -84,13 +97,57 @@ func TestOpenAPIRoutesServed(t *testing.T) {
 	}
 }
 
+// TestWrongMethodIs405: every route is registered with its method, so a
+// method the table does not list for a path is the mux's 405 with an
+// Allow header — never a handler answering 200 or a coded 400 — and it
+// has no side effect.
+func TestWrongMethodIs405(t *testing.T) {
+	eng := pairEngine(t, 43, 1)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+
+	allowed := map[string]map[string]bool{}
+	for _, rt := range srv.routes() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		if allowed[path] == nil {
+			allowed[path] = map[string]bool{}
+		}
+		allowed[path][method] = true
+	}
+	for path, methods := range allowed {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete, http.MethodPut} {
+			if methods[method] {
+				continue
+			}
+			url := ts.URL + strings.ReplaceAll(path, "{id}", "zzz")
+			req, err := http.NewRequest(method, url, strings.NewReader(`{"sql":"SHOW TABLES;"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", method, path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
+				t.Errorf("%s %s: status %d Allow %q, want 405 with an Allow header",
+					method, path, resp.StatusCode, resp.Header.Get("Allow"))
+			}
+		}
+	}
+	if st := srv.Stats().Server; st.SessionsOpened != 0 || st.RetainedJobs != 0 {
+		t.Errorf("wrong-method requests had side effects: %+v", st)
+	}
+}
+
 // TestOpenAPIErrorCodesComplete pins errorCodes() against the Code
 // constants: adding a code without documenting it fails here.
 func TestOpenAPIErrorCodesComplete(t *testing.T) {
 	want := []Code{
 		CodeParse, CodeBudgetExhausted, CodeBusy, CodeShuttingDown,
 		CodeUnknownSession, CodeTooManySessions, CodeInternal,
-		CodeUnknownJob, CodeCancelled, CodeSessionClosed, CodeUnsupportedVersion,
+		CodeUnknownJob, CodeCancelled, CodeSessionClosed, CodeInterrupted,
 	}
 	have := map[Code]bool{}
 	for _, c := range errorCodes() {

@@ -6,14 +6,14 @@
 // into a single HIT group (the crowd is paid once, everyone reads the
 // answer).
 //
-// The service fronts the engine twice: an HTTP/JSON API (POST /query,
-// GET /stats, GET /healthz) and a line-oriented TCP wire protocol. Both
-// run through the same admission control: a bounded pool of concurrently
-// executing queries, plus backpressure keyed off the task manager's
-// submission queue — when crowd work is already piling up behind the
-// in-flight window, new queries are rejected with a retryable error
-// instead of deepening the backlog. Shutdown drains: running queries
-// finish, new ones are refused.
+// The service has one front door: every statement is a job (StartJob ->
+// runJob), and the HTTP/JSON API in http.go is the only thing it listens
+// on. Jobs run through one admission control: a bounded pool of
+// concurrently executing queries, plus backpressure keyed off the task
+// manager's submission queue — when crowd work is already piling up
+// behind the in-flight window, new queries are rejected with a retryable
+// error instead of deepening the backlog. Shutdown drains: running
+// queries finish, new ones are refused.
 package server
 
 import (
@@ -26,7 +26,6 @@ import (
 	"crowddb/internal/core"
 	"crowddb/internal/exec"
 	"crowddb/internal/obs"
-	"crowddb/internal/parser"
 	"crowddb/internal/storage"
 	"crowddb/internal/taskmgr"
 )
@@ -126,10 +125,6 @@ type Server struct {
 	journal *storage.RecordLog
 
 	active sync.WaitGroup
-
-	lnMu      sync.Mutex
-	listeners []interface{ Close() error } // closed when Shutdown begins
-	postDrain []interface{ Close() error } // closed after the drain completes
 }
 
 // New assembles a server over an engine.
@@ -234,19 +229,6 @@ func (s *Server) CloseSession(id string) *Error {
 	return nil
 }
 
-// Query runs a CrowdSQL script (one or more ;-separated statements) on
-// behalf of a session and returns the last statement's result. With
-// sessionID empty, an anonymous one-shot session (default budget, not
-// registered) is used; the returned id is then empty.
-func (s *Server) Query(sessionID, sql string) (*core.Result, *Error) {
-	sess, serr := s.resolveSession(sessionID)
-	if serr != nil {
-		s.countRejected(serr)
-		return nil, serr
-	}
-	return s.querySession(sess, sql)
-}
-
 // anonymousSessionID names the unregistered one-shot sessions backing
 // session-less queries; their budgets are not journaled.
 const anonymousSessionID = "(anonymous)"
@@ -257,48 +239,6 @@ func (s *Server) resolveSession(sessionID string) (*Session, *Error) {
 		return &Session{id: anonymousSessionID, budget: s.effectiveBudget(0)}, nil
 	}
 	return s.Session(sessionID)
-}
-
-// querySession is Query for an already-resolved session.
-func (s *Server) querySession(sess *Session, sql string) (*core.Result, *Error) {
-	if err := s.admit(context.Background()); err != nil {
-		s.countRejected(err)
-		return nil, err
-	}
-	defer s.release()
-
-	stmts, err := parser.ParseAll(sql)
-	if err != nil {
-		s.countError()
-		return nil, errf(CodeParse, "%v", err)
-	}
-	var last *core.Result
-	for _, stmt := range stmts {
-		reserved, berr := sess.reserveBudget()
-		if berr != nil {
-			s.countError()
-			return nil, berr
-		}
-		opts := core.DefaultExecOpts()
-		if reserved > 0 {
-			opts.CompareBudget = reserved
-		}
-		res, err := s.eng.ExecStmtOpts(stmt, opts)
-		if err != nil {
-			// The reservation is forfeited: a failed statement may have
-			// paid the crowd before erroring and the engine cannot report
-			// partial spend, so refunding would allow overspend. Erring
-			// on the side of the meter keeps budgets a hard cap.
-			s.countError()
-			return nil, errf(CodeInternal, "%v", err)
-		}
-		sess.settle(res.Stats, reserved)
-		last = res
-	}
-	s.mu.Lock()
-	s.stats.Queries++
-	s.mu.Unlock()
-	return last, nil
 }
 
 // admit runs admission control: refuse while draining, shed load while
@@ -412,26 +352,10 @@ func (s *Server) Healthy() bool {
 	return !s.draining
 }
 
-// trackListener registers a listener to be closed when Shutdown begins
-// (stops new connections).
-func (s *Server) trackListener(c interface{ Close() error }) {
-	s.lnMu.Lock()
-	s.listeners = append(s.listeners, c)
-	s.lnMu.Unlock()
-}
-
-// trackPostDrain registers a closer to run only after the drain, so
-// in-flight work still reaches its client (wire connections).
-func (s *Server) trackPostDrain(c interface{ Close() error }) {
-	s.lnMu.Lock()
-	s.postDrain = append(s.postDrain, c)
-	s.lnMu.Unlock()
-}
-
-// Shutdown drains the server: listeners close immediately (no new
-// connections), new queries are refused, running ones finish and deliver
-// their responses (or ctx expires), then remaining wire connections are
-// force-closed.
+// Shutdown drains the server: new queries are refused, running ones
+// finish (or ctx expires and they fail with shutting_down), then the
+// journal closes. It waits for jobs, not for HTTP handlers — the caller
+// drains its http.Server afterwards so open streams get their trailer.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -439,14 +363,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.drainCh)
 	}
 	s.mu.Unlock()
-
-	s.lnMu.Lock()
-	listeners := s.listeners
-	s.listeners = nil
-	s.lnMu.Unlock()
-	for _, l := range listeners {
-		l.Close() //nolint:errcheck // best-effort teardown
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -475,13 +391,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	s.lnMu.Lock()
-	post := s.postDrain
-	s.postDrain = nil
-	s.lnMu.Unlock()
-	for _, c := range post {
-		c.Close() //nolint:errcheck // best-effort teardown
-	}
 	s.jmu.Lock()
 	journal := s.journal
 	s.journal = nil

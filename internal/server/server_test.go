@@ -47,6 +47,26 @@ func pairEngine(t *testing.T, seed int64, n int) *core.Engine {
 	return eng
 }
 
+// runScript runs sql the way every client's statement runs — StartJob ->
+// runJob — waits for the job to retire, and returns it. A job that did
+// not end done yields its coded error (cancelled when it carries none),
+// which is what a synchronous caller of pkg/client.Query sees.
+func runScript(srv *Server, sessionID, sql string) (*Job, *Error) {
+	job, serr := srv.StartJob(sessionID, sql)
+	if serr != nil {
+		return nil, serr
+	}
+	state, _ := job.Wait(context.Background()) // errs only when its ctx fires
+	switch {
+	case state == JobDone:
+		return job, nil
+	case job.Err() != nil:
+		return job, job.Err()
+	default:
+		return job, errf(CodeCancelled, "job %s was cancelled", job.ID())
+	}
+}
+
 // TestConcurrentSessionsSharedCost: K sessions concurrently run the same
 // CROWDEQUAL query set. The shared cache plus singleflight must bound the
 // global paid comparisons at the number of unique pairs — each pair is
@@ -59,7 +79,7 @@ func TestConcurrentSessionsSharedCost(t *testing.T) {
 
 	query := "SELECT id FROM Pair WHERE a ~= b"
 	type out struct {
-		rows [][]string
+		rows []string
 		err  *Error
 	}
 	results := make([][]out, kSessions)
@@ -75,20 +95,12 @@ func TestConcurrentSessionsSharedCost(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for m := 0; m < mQueries; m++ {
-				res, qerr := srv.querySession(sess, query)
+				job, qerr := runScript(srv, sess.ID(), query)
 				if qerr != nil {
 					results[k][m] = out{err: qerr}
 					continue
 				}
-				var rows [][]string
-				for _, r := range res.Rows {
-					row := make([]string, len(r))
-					for i, v := range r {
-						row[i] = v.String()
-					}
-					rows = append(rows, row)
-				}
-				results[k][m] = out{rows: rows}
+				results[k][m] = out{rows: renderedRows(job)}
 			}
 		}()
 	}
@@ -144,9 +156,9 @@ func TestSingleflightBlocksDuplicate(t *testing.T) {
 
 	done := make(chan *Error, 1)
 	go func() {
-		res, qerr := srv.querySession(sess, "SELECT id FROM Pair WHERE a ~= b")
-		if qerr == nil && len(res.Rows) != 1 {
-			qerr = errf(CodeInternal, "got %d rows, want 1", len(res.Rows))
+		job, qerr := runScript(srv, sess.ID(), "SELECT id FROM Pair WHERE a ~= b")
+		if qerr == nil && len(renderedRows(job)) != 1 {
+			qerr = errf(CodeInternal, "got %d rows, want 1", len(renderedRows(job)))
 		}
 		done <- qerr
 	}()
@@ -192,7 +204,7 @@ func TestSessionBudgetIsolation(t *testing.T) {
 		t.Fatal(serr)
 	}
 
-	if _, qerr := srv.querySession(capped, "SELECT id FROM Pair WHERE a ~= b"); qerr != nil {
+	if _, qerr := runScript(srv, capped.ID(), "SELECT id FROM Pair WHERE a ~= b"); qerr != nil {
 		t.Fatal(qerr)
 	}
 	ci := capped.Info()
@@ -206,12 +218,12 @@ func TestSessionBudgetIsolation(t *testing.T) {
 		t.Errorf("budget left = %d, want 0", ci.BudgetLeft)
 	}
 	// Next crowd query on the capped session is refused outright.
-	if _, qerr := srv.querySession(capped, "SELECT id FROM Pair WHERE a ~= b"); qerr == nil || qerr.Code != CodeBudgetExhausted {
+	if _, qerr := runScript(srv, capped.ID(), "SELECT id FROM Pair WHERE a ~= b"); qerr == nil || qerr.Code != CodeBudgetExhausted {
 		t.Fatalf("exhausted session: got %v, want %s", qerr, CodeBudgetExhausted)
 	}
 
 	// The free session resolves everything (2 already cached).
-	if _, qerr := srv.querySession(free, "SELECT id FROM Pair WHERE a ~= b"); qerr != nil {
+	if _, qerr := runScript(srv, free.ID(), "SELECT id FROM Pair WHERE a ~= b"); qerr != nil {
 		t.Fatal(qerr)
 	}
 	fi := free.Info()
@@ -241,7 +253,7 @@ func TestConcurrentQueriesCannotOverspendBudget(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Budget-exhausted rejections are acceptable; overspending is not.
-			srv.querySession(sess, "SELECT id FROM Pair WHERE a ~= b") //nolint:errcheck
+			runScript(srv, sess.ID(), "SELECT id FROM Pair WHERE a ~= b") //nolint:errcheck
 		}()
 	}
 	wg.Wait()
@@ -328,7 +340,7 @@ func TestSubqueryCannotBypassBudget(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if _, qerr := srv.querySession(sess,
+	if _, qerr := runScript(srv, sess.ID(),
 		"SELECT id FROM Pair WHERE id IN (SELECT id FROM Pair2 WHERE a ~= b) AND a ~= b"); qerr != nil {
 		t.Fatal(qerr)
 	}
@@ -351,34 +363,32 @@ func TestServerDeterministicVsDirectEngine(t *testing.T) {
 		"SELECT a FROM Pair ORDER BY CROWDORDER(a, 'Which name looks more official?') LIMIT 5",
 		"SELECT id FROM Pair WHERE a ~= b", // warm-cache rerun
 	}
-	run := func(viaServer bool) [][][]sqltypes.Value {
+	run := func(viaServer bool) [][]string {
 		eng := pairEngine(t, 11, 6)
-		var all [][][]sqltypes.Value
+		var all [][]string
 		for _, q := range queries {
-			var res *core.Result
 			if viaServer {
 				srv := New(eng, Config{})
 				sess, serr := srv.CreateSession(-1)
 				if serr != nil {
 					t.Fatal(serr)
 				}
-				r, qerr := srv.querySession(sess, q)
+				job, qerr := runScript(srv, sess.ID(), q)
 				if qerr != nil {
 					t.Fatal(qerr)
 				}
-				res = r
-			} else {
-				r, err := eng.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res = r
+				all = append(all, renderedRows(job))
+				continue
 			}
-			rows := make([][]sqltypes.Value, len(res.Rows))
+			res, err := eng.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := make([][]*string, len(res.Rows))
 			for i, r := range res.Rows {
-				rows[i] = r
+				cells[i] = renderRow(r)
 			}
-			all = append(all, rows)
+			all = append(all, flattenRows(cells))
 		}
 		return all
 	}
@@ -419,7 +429,7 @@ func TestBackpressureBusy(t *testing.T) {
 		t.Fatalf("test setup: queue depth %d, want > 2", queued)
 	}
 
-	if _, qerr := srv.Query("", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeBusy {
+	if _, qerr := runScript(srv, "", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeBusy {
 		t.Fatalf("got %v, want %s", qerr, CodeBusy)
 	}
 
@@ -428,8 +438,8 @@ func TestBackpressureBusy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if res, qerr := srv.Query("", "SELECT id FROM Pair"); qerr != nil || len(res.Rows) != 2 {
-		t.Fatalf("after drain: res=%v err=%v", res, qerr)
+	if job, qerr := runScript(srv, "", "SELECT id FROM Pair"); qerr != nil || len(renderedRows(job)) != 2 {
+		t.Fatalf("after drain: rows=%v err=%v", renderedRows(job), qerr)
 	}
 
 	st := srv.Stats()
@@ -451,7 +461,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = srv.Query("", "SELECT id FROM Pair WHERE a ~= b")
+			_, errs[i] = runScript(srv, "", "SELECT id FROM Pair WHERE a ~= b")
 		}()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -465,7 +475,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Errorf("query %d: unexpected error %v", i, qerr)
 		}
 	}
-	if _, qerr := srv.Query("", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeShuttingDown {
+	if _, qerr := runScript(srv, "", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeShuttingDown {
 		t.Fatalf("post-shutdown query: got %v, want %s", qerr, CodeShuttingDown)
 	}
 	if _, serr := srv.CreateSession(0); serr == nil || serr.Code != CodeShuttingDown {
@@ -482,13 +492,13 @@ func TestSessionLimitAndErrors(t *testing.T) {
 	eng := pairEngine(t, 19, 1)
 	srv := New(eng, Config{MaxSessions: 2})
 
-	if _, qerr := srv.Query("", "SELEC nope"); qerr == nil || qerr.Code != CodeParse {
+	if _, qerr := runScript(srv, "", "SELEC nope"); qerr == nil || qerr.Code != CodeParse {
 		t.Fatalf("parse: got %v, want %s", qerr, CodeParse)
 	}
-	if _, qerr := srv.Query("s999999", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeUnknownSession {
+	if _, qerr := runScript(srv, "s999999", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeUnknownSession {
 		t.Fatalf("unknown session: got %v, want %s", qerr, CodeUnknownSession)
 	}
-	if _, qerr := srv.Query("", "SELECT id FROM NoSuchTable"); qerr == nil || qerr.Code != CodeInternal {
+	if _, qerr := runScript(srv, "", "SELECT id FROM NoSuchTable"); qerr == nil || qerr.Code != CodeInternal {
 		t.Fatalf("exec error: got %v, want %s", qerr, CodeInternal)
 	}
 
