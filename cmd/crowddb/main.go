@@ -197,8 +197,8 @@ Commands: \stats \workers \templates \quit`)
 			fmt.Println("no crowd platform attached")
 		}
 		c := db.Engine().CacheStats()
-		fmt.Printf("compare-cache: size=%d cap=%d hits=%d misses=%d shared-flights=%d evictions=%d\n",
-			c.Size, c.Cap, c.Hits, c.Misses, c.Shared, c.Evictions)
+		fmt.Printf("compare-cache: size=%d hits=%d misses=%d shared-flights=%d\n",
+			c.Size, c.Hits, c.Misses, c.Shared)
 		if cms := db.Engine().CostModel(); cms.Statements > 0 {
 			fmt.Printf("cost-model: %d statements, predicted=¢%.1f actual=¢%.1f mean-abs-err=%.0f%%\n",
 				cms.Statements, cms.PredictedCents, cms.ActualCents, cms.MeanAbsPctErr)

@@ -71,7 +71,6 @@ func main() {
 	budget := flag.Int("budget", 0, "default per-session crowd-comparison budget (0 = unlimited)")
 	maxSessions := flag.Int("max-sessions", 64, "maximum registered sessions")
 	maxConcurrent := flag.Int("max-concurrent", 32, "maximum concurrently executing queries")
-	cacheCap := flag.Int("cache-cap", 0, "comparison-cache residency cap (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline; queries still running at the deadline fail with shutting_down")
 	admissionHeadroom := flag.Float64("admission-headroom", 0, "reject queries whose forecast crowd cost exceeds budget_left×headroom before posting any HIT (0 = admit everything)")
 	shards := flag.Int("shards", 0, "storage shards per table (0 = one per CPU, capped; durable stores adopt their on-disk count)")
@@ -99,7 +98,6 @@ func main() {
 		WALSync:            storage.SyncMode(*walSync),
 		Oracle:             conf.Oracle(),
 		Payment:            wrm.DefaultPolicy(),
-		CompareCacheCap:    *cacheCap,
 		SlowQueryThreshold: time.Duration(*slowQueryMs) * time.Millisecond,
 	}
 	switch *platform {

@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -58,20 +59,19 @@ func e18ScanThroughput(shards int) (float64, error) {
 		}
 	}
 	scanOnce := func() (int, error) {
-		counts := make([]int, shards)
-		errs := make([]error, shards)
+		scans, err := s.ScanShardsAt("t", s.VisibleTS())
+		if err != nil {
+			return 0, err
+		}
+		counts := make([]int, len(scans))
 		var wg sync.WaitGroup
-		for sh := 0; sh < shards; sh++ {
+		for sh := range scans {
 			wg.Add(1)
 			go func(sh int) {
 				defer wg.Done()
-				_, rows, err := s.ScanShardRows("t", sh)
-				if err != nil {
-					errs[sh] = err
-					return
-				}
-				// Touch every row (clone + a field read) so the measured
-				// work matches what a filtering scan actually does.
+				_, rows := scans[sh].Next(nil, nil, math.MaxInt)
+				// Touch every row (a field read) so the measured work
+				// matches what a filtering scan actually does.
 				for _, r := range rows {
 					if r[2].Int() >= 0 {
 						counts[sh]++
@@ -81,11 +81,8 @@ func e18ScanThroughput(shards int) (float64, error) {
 		}
 		wg.Wait()
 		total := 0
-		for sh := 0; sh < shards; sh++ {
-			if errs[sh] != nil {
-				return 0, errs[sh]
-			}
-			total += counts[sh]
+		for _, n := range counts {
+			total += n
 		}
 		return total, nil
 	}

@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,11 +37,6 @@ import (
 
 // compareTable is the hidden system table memorizing CrowdCompare answers.
 const compareTable = "__crowd_compare"
-
-// compareKey identifies one comparison answer (the system table's PK).
-type compareKey struct {
-	kind, question, left, right string
-}
 
 // Config assembles an engine.
 type Config struct {
@@ -69,11 +63,6 @@ type Config struct {
 	AllowUnbounded bool
 	// CompareBudget caps crowd comparisons per query (0 = unlimited).
 	CompareBudget int
-	// CompareCacheCap bounds the resident comparison-cache entries
-	// (0 = unbounded). Answers are persisted to the system table when
-	// memoized, and a resident miss reads through to it, so a paid
-	// answer is never re-purchased — only re-read from storage.
-	CompareCacheCap int
 	// Optimizer exposes the rule switches (ablation benchmarks).
 	Optimizer optimizer.Options
 	// SlowQueryThreshold, when positive, dumps the full span tree of any
@@ -140,10 +129,10 @@ type Engine struct {
 	writeMu sync.Mutex
 
 	// persistMu serializes compare-cache persistence; pendingPersist
-	// holds entries whose system-table write failed, keyed for O(1)
-	// read-through, until a later pass retries them.
+	// holds entries whose system-table write failed until a later pass
+	// retries them (the memo keeps answering them meanwhile).
 	persistMu      sync.Mutex
-	pendingPersist map[compareKey]exec.Entry
+	pendingPersist []exec.Entry
 	// persistHook, when non-nil, is consulted before each system-table
 	// write (test seam: injecting per-entry persist failures).
 	persistHook func(exec.Entry) error
@@ -203,15 +192,11 @@ func (e *Engine) observeCostError(predicted, actual float64) {
 // Open builds an engine, replaying any persisted schema and data.
 func Open(cfg Config) (*Engine, error) {
 	e := &Engine{
-		cfg:            cfg,
-		cat:            catalog.New(),
-		tracker:        quality.NewTracker(),
-		cache:          exec.NewCompareCacheSize(cfg.CompareCacheCap),
-		pendingPersist: make(map[compareKey]exec.Entry),
+		cfg:     cfg,
+		cat:     catalog.New(),
+		tracker: quality.NewTracker(),
+		cache:   exec.NewCompareCache(),
 	}
-	// Evicted answers stay readable: a resident miss falls back to the
-	// system table before the crowd is paid again.
-	e.cache.ReadThrough = e.lookupPersistedCompare
 	store, err := storage.NewStoreOptions(cfg.DataDir, storage.Options{
 		Shards: cfg.Shards,
 		Sync:   cfg.WALSync,
@@ -307,21 +292,20 @@ func (e *Engine) replaySchema() error {
 	return nil
 }
 
+// appendSchema adds one statement to the replay script by replacing the
+// file whole: a crash leaves the old script or the new one, never a torn
+// statement that would fail every later Open. Durable before the DDL
+// returns: rows of this table are fsynced to the WAL, and recovery fails
+// on a record for a table the script lost.
 func (e *Engine) appendSchema(ddl string) error {
 	if e.cfg.DataDir == "" {
 		return nil
 	}
-	f, err := os.OpenFile(e.schemaPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	old, err := os.ReadFile(e.schemaPath())
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	defer f.Close()
-	if _, err = f.WriteString(ddl + ";\n"); err != nil {
-		return err
-	}
-	// Durable before the DDL returns: rows of this table are fsynced to
-	// the WAL, and recovery fails on a record for a table the script lost.
-	return f.Sync()
+	return storage.WriteFileAtomic(e.schemaPath(), append(old, ddl+";\n"...))
 }
 
 // refreshStats recomputes per-table row counts and CNULL counts after
@@ -334,7 +318,7 @@ func (e *Engine) refreshStats() {
 		}
 		t.SetRowCount(int64(n))
 		t.ResetCNullCounts()
-		_, rows, err := e.store.ScanRows(t.Name)
+		_, rows, err := e.store.ScanRowsAt(t.Name, e.store.VisibleTS())
 		if err != nil {
 			continue
 		}
@@ -1143,31 +1127,6 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	return res, nil
 }
 
-// lookupPersistedCompare reads one comparison answer from the system
-// table (the cache's ReadThrough: resident misses check durable storage
-// before paying the crowd again). left/right arrive normalized. Entries
-// drained from the cache but not yet written (persist in progress or
-// retrying after an error) are covered by the keyed pending map — an
-// O(1) probe, so a large retry backlog cannot serialize read-through.
-// The storage probe deliberately reads the LATEST committed state, not
-// any statement snapshot: answer reuse must see answers as soon as any
-// session persists them.
-func (e *Engine) lookupPersistedCompare(kind, question, left, right string) (string, bool) {
-	e.persistMu.Lock()
-	if en, ok := e.pendingPersist[compareKey{kind, question, left, right}]; ok {
-		e.persistMu.Unlock()
-		return en.Answer, true
-	}
-	e.persistMu.Unlock()
-	_, row, ok := e.store.LookupPKRow(compareTable,
-		sqltypes.NewString(kind), sqltypes.NewString(question),
-		sqltypes.NewString(left), sqltypes.NewString(right))
-	if !ok || len(row) != 5 {
-		return "", false
-	}
-	return row[4].Str(), true
-}
-
 // FlushCompareAnswers makes every comparison answer memoized since the
 // last flush durable and returns how many entries reached the system
 // table. The jobs journal charges budget spend by this count — answers
@@ -1192,39 +1151,18 @@ func (e *Engine) persistCompareCache() (int, error) {
 	}
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
-	for _, en := range e.cache.TakeDirty() {
-		e.pendingPersist[compareKey{en.Kind, en.Question, en.Left, en.Right}] = en
-	}
-	if len(e.pendingPersist) == 0 {
-		return 0, nil
-	}
-	keys := make([]compareKey, 0, len(e.pendingPersist))
-	for k := range e.pendingPersist {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.question != b.question {
-			return a.question < b.question
-		}
-		if a.left != b.left {
-			return a.left < b.left
-		}
-		return a.right < b.right
-	})
+	pending := append(e.pendingPersist, e.cache.TakeDirty()...)
+	e.pendingPersist = nil
 	var firstErr error
 	persisted := 0
-	for _, k := range keys {
-		if err := e.persistEntryLocked(e.pendingPersist[k]); err != nil {
+	for _, en := range pending {
+		if err := e.persistEntryLocked(en); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
+			e.pendingPersist = append(e.pendingPersist, en)
 			continue
 		}
-		delete(e.pendingPersist, k)
 		persisted++
 	}
 	return persisted, firstErr
@@ -1254,7 +1192,7 @@ func (e *Engine) persistEntryLocked(entry exec.Entry) error {
 }
 
 func (e *Engine) loadCompareCache() error {
-	_, rows, err := e.store.ScanRows(compareTable)
+	_, rows, err := e.store.ScanRowsAt(compareTable, e.store.VisibleTS())
 	if err != nil {
 		return err
 	}
@@ -1264,8 +1202,8 @@ func (e *Engine) loadCompareCache() error {
 			continue
 		}
 		entries = append(entries, exec.Entry{
-			Kind: row[0].Str(), Question: row[1].Str(),
-			Left: row[2].Str(), Right: row[3].Str(), Answer: row[4].Str(),
+			Key:    exec.Key{Kind: row[0].Str(), Question: row[1].Str(), Left: row[2].Str(), Right: row[3].Str()},
+			Answer: row[4].Str(),
 		})
 	}
 	e.cache.Load(entries)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"crowddb/internal/crowd/amt"
+	"crowddb/internal/parser"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/workload"
@@ -267,6 +270,66 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	r3 := mustExec(t, eng2, "SELECT title FROM Talk WHERE title ~= "+sqltypes.NewString(strings.ToUpper(title)).SQLLiteral())
 	if r3.Stats.Comparisons != 0 {
 		t.Errorf("comparison memo lost across restart: %+v", r3.Stats)
+	}
+}
+
+// TestSchemaScriptReplacedWhole: a DDL replaces schema.sql through a temp
+// file instead of appending in place — a crash mid-append left a partial
+// statement there and every later Open failed on it. So the script parses
+// whole after every DDL, and a temp file a crash left behind is ignored
+// by Open and overwritten by the next DDL.
+func TestSchemaScriptReplacedWhole(t *testing.T) {
+	dir := t.TempDir()
+	script, tmp := filepath.Join(dir, "schema.sql"), filepath.Join(dir, "schema.sql.tmp")
+	statements := func() int {
+		t.Helper()
+		data, err := os.ReadFile(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts, err := parser.ParseAll(string(data))
+		if err != nil {
+			t.Fatalf("schema.sql does not parse: %v\n%s", err, data)
+		}
+		return len(stmts)
+	}
+	eng, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ddl := range []string{
+		"CREATE TABLE a (id INTEGER PRIMARY KEY, v STRING)",
+		"CREATE INDEX a_v ON a (v)",
+		"CREATE TABLE b (id INTEGER PRIMARY KEY)",
+		"DROP TABLE b",
+	} {
+		mustExec(t, eng, ddl)
+		if n := statements(); n != i+1 {
+			t.Fatalf("after %q: %d statements in schema.sql, want %d", ddl, n, i+1)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A crash between writing the temp file and renaming it.
+	if err := os.WriteFile(tmp, []byte("CREATE INDEX a_v ON a ("), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng2, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("Open with a leftover temp file: %v", err)
+	}
+	defer eng2.Close()
+	if res := mustExec(t, eng2, "SHOW TABLES"); len(res.Rows) != 1 {
+		t.Fatalf("tables after reopen: %v", res.Rows)
+	}
+	mustExec(t, eng2, "CREATE TABLE c (id INTEGER PRIMARY KEY)")
+	if n := statements(); n != 5 {
+		t.Errorf("%d statements after reopen + DDL, want 5", n)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("the leftover temp file survived the next DDL: %v", err)
 	}
 }
 

@@ -204,23 +204,21 @@ func TestPersistCompareCacheSkipsPoisonedEntry(t *testing.T) {
 	}
 	// Healthy entries reached the system table despite the failure...
 	for _, left := range []string{"healthy-a", "healthy-z"} {
-		if _, _, ok := eng.store.LookupPKRow(compareTable,
-			sqltypes.NewString("equal"), sqltypes.NewString("q"),
-			sqltypes.NewString(left), sqltypes.NewString("x")); !ok {
+		if _, ok := storedCompareAnswer(eng, "equal", "q", left, "x"); !ok {
 			t.Errorf("healthy entry %q not persisted", left)
 		}
 	}
 	// ...and only the poisoned one is still pending.
 	eng.persistMu.Lock()
 	pending := len(eng.pendingPersist)
-	_, poisonPending := eng.pendingPersist[compareKey{"equal", "q", "poison", "x"}]
+	poisonPending := pending > 0 && eng.pendingPersist[0].Left == "poison"
 	eng.persistMu.Unlock()
 	if pending != 1 || !poisonPending {
 		t.Fatalf("pending = %d (poison retained: %v), want just the poisoned entry", pending, poisonPending)
 	}
-	// While pending, the answer still serves read-through.
-	if ans, ok := eng.lookupPersistedCompare("equal", "q", "poison", "x"); !ok || ans != "no" {
-		t.Errorf("pending entry not readable: %q %v", ans, ok)
+	// While pending, the memo still answers it.
+	if same, ok := eng.cache.GetEqual("q", "poison", "x"); !ok || same {
+		t.Errorf("pending entry not readable: %v %v", same, ok)
 	}
 
 	// The write path recovers: the retained entry persists next pass.
@@ -236,46 +234,19 @@ func TestPersistCompareCacheSkipsPoisonedEntry(t *testing.T) {
 	if pending != 0 {
 		t.Fatalf("pending after recovery = %d, want 0", pending)
 	}
-	if ans, ok := eng.lookupPersistedCompare("equal", "q", "poison", "x"); !ok || ans != "no" {
+	if ans, ok := storedCompareAnswer(eng, "equal", "q", "poison", "x"); !ok || ans != "no" {
 		t.Errorf("recovered entry unreadable: %q %v", ans, ok)
 	}
 }
 
-// TestPendingPersistKeyedLookup (regression): read-through consults the
-// pending-persist backlog by key — entries parked behind a failing
-// write stay resolvable, and misses stay misses, regardless of backlog
-// size.
-func TestPendingPersistKeyedLookup(t *testing.T) {
-	eng, _ := pairCoreEngine(t, 103, 1)
-	eng.persistMu.Lock()
-	eng.persistHook = func(exec.Entry) error { return fmt.Errorf("storage down") }
-	eng.persistMu.Unlock()
-
-	const backlog = 500
-	for i := 0; i < backlog; i++ {
-		eng.cache.PutEqual("q", fmt.Sprintf("left-%03d", i), "right", i%2 == 0)
+// storedCompareAnswer reads one comparison answer from the system table
+// at the latest committed state.
+func storedCompareAnswer(e *Engine, kind, question, left, right string) (string, bool) {
+	_, row, ok := e.store.LookupPKRowAt(compareTable, e.store.VisibleTS(),
+		sqltypes.NewString(kind), sqltypes.NewString(question),
+		sqltypes.NewString(left), sqltypes.NewString(right))
+	if !ok {
+		return "", false
 	}
-	if _, err := eng.persistCompareCache(); err == nil {
-		t.Fatal("want the injected failure reported")
-	}
-	eng.persistMu.Lock()
-	pending := len(eng.pendingPersist)
-	eng.persistMu.Unlock()
-	if pending != backlog {
-		t.Fatalf("pending = %d, want %d", pending, backlog)
-	}
-	// Every parked entry resolves to its own answer.
-	for _, i := range []int{0, 1, backlog / 2, backlog - 1} {
-		want := "no"
-		if i%2 == 0 {
-			want = "yes"
-		}
-		ans, ok := eng.lookupPersistedCompare("equal", "q", fmt.Sprintf("left-%03d", i), "right")
-		if !ok || ans != want {
-			t.Errorf("entry %d: got %q %v, want %q", i, ans, ok, want)
-		}
-	}
-	if _, ok := eng.lookupPersistedCompare("equal", "q", "left-none", "right"); ok {
-		t.Error("unknown key resolved from the pending backlog")
-	}
+	return row[4].Str(), true
 }

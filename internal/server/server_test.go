@@ -265,60 +265,6 @@ func TestConcurrentQueriesCannotOverspendBudget(t *testing.T) {
 	}
 }
 
-// TestEvictedAnswersReadThroughNotRepurchased: with a residency cap, an
-// answer evicted from the cache is re-read from the system table on the
-// next miss — the crowd is never paid twice for the same question.
-func TestEvictedAnswersReadThroughNotRepurchased(t *testing.T) {
-	const nPairs, cap = 6, 2
-	conf := workload.NewConference(4, 41)
-	eng, err := core.Open(core.Config{
-		Platform:        amt.NewDefault(41),
-		Oracle:          conf.Oracle(),
-		Payment:         wrm.DefaultPolicy(),
-		CompareCacheCap: cap,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	if _, err := eng.Exec(`CREATE TABLE Pair (id INTEGER PRIMARY KEY, a STRING, b STRING)`); err != nil {
-		t.Fatal(err)
-	}
-	cs := workload.NewCompanies(nPairs, 41)
-	for i, c := range cs.List {
-		variant := c.Variants[len(c.Variants)-1]
-		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Pair VALUES (%d, %s, %s)",
-			i, sqltypes.NewString(c.Canonical).SQLLiteral(), sqltypes.NewString(variant).SQLLiteral())); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	first, err := eng.Query("SELECT id FROM Pair WHERE a ~= b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.Comparisons != nPairs {
-		t.Fatalf("first pass paid %d, want %d", first.Stats.Comparisons, nPairs)
-	}
-	if cst := eng.CacheStats(); cst.Size != cap || cst.Evictions != nPairs-cap {
-		t.Fatalf("cache after first pass: %+v", cst)
-	}
-
-	second, err := eng.Query("SELECT id FROM Pair WHERE a ~= b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.Comparisons != 0 {
-		t.Errorf("second pass re-purchased %d evicted answers", second.Stats.Comparisons)
-	}
-	if st := eng.Tasks().Stats(); st.HITsPosted != nPairs {
-		t.Errorf("HITs posted = %d, want %d (no re-asks)", st.HITsPosted, nPairs)
-	}
-	if !reflect.DeepEqual(first.Rows, second.Rows) {
-		t.Errorf("restored answers changed the result:\n%v\nvs\n%v", first.Rows, second.Rows)
-	}
-}
-
 // TestSubqueryCannotBypassBudget: an IN-subquery spends from the
 // statement's remaining budget, not a fresh copy.
 func TestSubqueryCannotBypassBudget(t *testing.T) {

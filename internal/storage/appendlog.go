@@ -274,10 +274,10 @@ func replayLog(path string, apply func(line []byte) error) error {
 	return nil
 }
 
-// writeFileAtomic replaces the file at path with data so that a crash at
+// WriteFileAtomic replaces the file at path with data so that a crash at
 // any instant leaves either the old content or the new, never a mixture:
 // temp file → fsync → rename → fsync the directory.
-func writeFileAtomic(path string, data []byte) error {
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -92,7 +92,7 @@ func TestTornTailThenAppendThenRestart(t *testing.T) {
 	if n, _ := s.RowCount("Talk"); n != 6 {
 		t.Fatalf("recovered %d rows, want 6", n)
 	}
-	if _, ok := s.LookupPK("Talk", sqltypes.NewString("e")); !ok {
+	if _, ok := lookupPK(s, "Talk", sqltypes.NewString("e")); !ok {
 		t.Error("an acknowledged insert after the torn tail was lost")
 	}
 }
@@ -266,7 +266,7 @@ func TestAppendLogGoldenBytes(t *testing.T) {
 	if n, _ := s.RowCount("Talk"); n != 1 {
 		t.Errorf("recovered %d rows, want 1", n)
 	}
-	rid, ok := s.LookupPK("Talk", sqltypes.NewString("CrowdDB"))
+	rid, ok := lookupPK(s, "Talk", sqltypes.NewString("CrowdDB"))
 	if row, _ := s.Get("Talk", rid); !ok || row[2].Int() != 250 {
 		t.Errorf("recovered row = %v", row)
 	}
@@ -281,14 +281,14 @@ func TestAppendLogWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.json")
 	for _, content := range []string{"one\n", "two, longer\n", ""} {
-		if err := writeFileAtomic(path, []byte(content)); err != nil {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := os.ReadFile(path); string(got) != content {
 			t.Fatalf("content = %q, want %q", got, content)
 		}
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "missing", "f.json"), []byte("x")); err == nil {
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "f.json"), []byte("x")); err == nil {
 		t.Error("writing into a missing directory must fail")
 	}
 	entries, _ := os.ReadDir(dir)

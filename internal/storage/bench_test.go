@@ -37,7 +37,7 @@ func BenchmarkScan(b *testing.B) {
 		b.Run(fmt.Sprintf("bulk/shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, got, err := s.ScanRows("t")
+				_, got, err := scanRows(s, "t")
 				if err != nil || len(got) != rows {
 					b.Fatalf("scan: %d rows, %v", len(got), err)
 				}
@@ -52,7 +52,7 @@ func BenchmarkScan(b *testing.B) {
 					wg.Add(1)
 					go func(sh int) {
 						defer wg.Done()
-						_, got, err := s.ScanShardRows("t", sh)
+						_, got, err := scanShardRows(s, "t", sh)
 						if err != nil {
 							b.Error(err)
 						}
@@ -107,7 +107,7 @@ func BenchmarkLookupPK(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pk := sqltypes.NewString(fmt.Sprintf("k%07d", i%rows))
-				if _, _, ok := s.LookupPKRow("t", pk); !ok {
+				if _, _, ok := s.LookupPKRowAt("t", s.VisibleTS(), pk); !ok {
 					b.Fatal("lookup miss")
 				}
 			}

@@ -423,7 +423,7 @@ func TestHeapCompactsTombstones(t *testing.T) {
 	if err := checkHeapInvariants(s); err != nil {
 		t.Fatal(err)
 	}
-	ids, _, _ := s.ScanRows("t")
+	ids, _, _ := scanRows(s, "t")
 	if len(ids) != rows/10 || !slices.IsSorted(ids) {
 		t.Fatalf("scan after compaction: %d ids, sorted %v", len(ids), slices.IsSorted(ids))
 	}

@@ -144,7 +144,7 @@ func TestIndexVisibilityAcrossKeyChange(t *testing.T) {
 	if _, retained := s.VersionStats(); retained != 0 {
 		t.Fatalf("retained=%d after release", retained)
 	}
-	rids, err := s.LookupIndex("Talk", "idx_att", sqltypes.NewInt(100))
+	rids, err := lookupIndex(s, "Talk", "idx_att", sqltypes.NewInt(100))
 	if err != nil || len(rids) != 0 {
 		t.Errorf("old index key survived GC: %v %v", rids, err)
 	}
@@ -167,7 +167,7 @@ func TestPKChangeAcrossShardsUnderSnapshot(t *testing.T) {
 	}
 	snap := s.AcquireSnapshot()
 	// Rename every row: new PK = new hash home, so many rows change shard.
-	ids, _ := s.Scan("Talk")
+	ids, _, _ := scanRows(s, "Talk")
 	for _, id := range ids {
 		row, _ := s.Get("Talk", id)
 		if err := s.Update("Talk", id, talkRow("moved-"+row[0].Str(), row[2].Int())); err != nil {

@@ -65,7 +65,7 @@ func RewriteRecordLog(path string, mode SyncMode, emit func(add func(v any) erro
 	if err := emit(json.NewEncoder(&buf).Encode); err != nil { // Encode = Marshal + '\n'
 		return nil, err
 	}
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	if err := WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return nil, err
 	}
 	return OpenRecordLog(path, mode)

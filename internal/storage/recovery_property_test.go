@@ -121,7 +121,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 				t.Fatalf("recovered %d rows, model has %d", n, len(model))
 			}
 			for pk, v := range model {
-				id, ok := s2.LookupPK("t", sqltypes.NewString(pk))
+				id, ok := lookupPK(s2, "t", sqltypes.NewString(pk))
 				if !ok {
 					t.Fatalf("key %s lost in recovery", pk)
 				}
@@ -268,7 +268,7 @@ func TestRecoveryTornShardWALProperty(t *testing.T) {
 				}
 			}
 			got := map[string]int64{}
-			_, rows, err := s2.ScanRows("t")
+			_, rows, err := scanRows(s2, "t")
 			if err != nil {
 				t.Fatal(err)
 			}

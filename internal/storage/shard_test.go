@@ -44,7 +44,7 @@ func TestScanOrderAcrossShards(t *testing.T) {
 			}
 			want = append(want, pk)
 		}
-		ids, rows, err := s.ScanRows("t")
+		ids, rows, err := scanRows(s, "t")
 		if err != nil || len(rows) != 100 {
 			t.Fatalf("shards=%d: scan %d rows, err %v", shards, len(rows), err)
 		}
@@ -59,7 +59,7 @@ func TestScanOrderAcrossShards(t *testing.T) {
 		// Per-shard scans must cover the table exactly once.
 		seen := map[RowID]bool{}
 		for sh := 0; sh < s.NumShards(); sh++ {
-			sids, _, err := s.ScanShardRows("t", sh)
+			sids, _, err := scanShardRows(s, "t", sh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,11 +113,11 @@ func TestBlockedWriterDoesNotBlockOtherShards(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		if _, _, err := s.ScanShardRows("t", 1); err != nil {
+		if _, _, err := scanShardRows(s, "t", 1); err != nil {
 			done <- err
 			return
 		}
-		if _, ok := s.LookupPK("t", sqltypes.NewString(pkB)); !ok {
+		if _, ok := lookupPK(s, "t", sqltypes.NewString(pkB)); !ok {
 			done <- errors.New("lookup on unblocked shard failed")
 			return
 		}
@@ -201,13 +201,13 @@ func TestShardStressConcurrentOps(t *testing.T) {
 					deletes.Add(1)
 					mine = append(mine[:j], mine[j+1:]...)
 				case op < 9: // scan
-					if _, _, err := s.ScanRows("t"); err != nil {
+					if _, _, err := scanRows(s, "t"); err != nil {
 						t.Errorf("scan: %v", err)
 						return
 					}
 				default: // point lookups
 					pk := fmt.Sprintf("w%d-k%04d", rng.Intn(workers), rng.Intn(500))
-					s.LookupPK("t", sqltypes.NewString(pk))
+					lookupPK(s, "t", sqltypes.NewString(pk))
 					if len(mine) > 0 {
 						s.Get("t", mine[rng.Intn(len(mine))].id)
 					}
@@ -223,7 +223,7 @@ func TestShardStressConcurrentOps(t *testing.T) {
 	if want := int(inserts.Load() - deletes.Load()); n != want {
 		t.Fatalf("row count %d, want %d (inserts %d - deletes %d)", n, want, inserts.Load(), deletes.Load())
 	}
-	ids, rows, err := s.ScanRows("t")
+	ids, rows, err := scanRows(s, "t")
 	if err != nil || len(ids) != n {
 		t.Fatalf("scan after stress: %d ids, err %v", len(ids), err)
 	}
@@ -245,7 +245,7 @@ func TestShardStressConcurrentOps(t *testing.T) {
 	if err := s2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	ids2, rows2, err := s2.ScanRows("t")
+	ids2, rows2, err := scanRows(s2, "t")
 	if err != nil || len(ids2) != len(ids) {
 		t.Fatalf("recovered %d rows, want %d (err %v)", len(ids2), len(ids), err)
 	}
@@ -337,7 +337,7 @@ func TestShardCountContract(t *testing.T) {
 		if err := s2.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s2.LookupPK("t", sqltypes.NewString("a")); !ok {
+		if _, ok := lookupPK(s2, "t", sqltypes.NewString("a")); !ok {
 			t.Errorf("reopen shards=%d: row lost", shards)
 		}
 		s2.Close()
@@ -369,7 +369,7 @@ func TestCrossShardPKUpdate(t *testing.T) {
 	if err := s.Update("t", id, kvRow(pkB, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LookupPK("t", sqltypes.NewString(pkA)); ok {
+	if _, ok := lookupPK(s, "t", sqltypes.NewString(pkA)); ok {
 		t.Error("old PK still resolves after re-homing update")
 	}
 	row, ok := s.Get("t", id)
@@ -396,7 +396,7 @@ func TestCrossShardPKUpdate(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d rows after cross-shard moves, want 1", n)
 	}
-	rid, ok := s2.LookupPK("t", sqltypes.NewString(pkA))
+	rid, ok := lookupPK(s2, "t", sqltypes.NewString(pkA))
 	if !ok || rid != id {
 		t.Fatalf("recovered row id %v ok=%v, want %v", rid, ok, id)
 	}
@@ -425,12 +425,12 @@ func TestUniqueSecondaryIndexAcrossShards(t *testing.T) {
 		t.Fatal("unique secondary index must reject duplicates across shards")
 	}
 	// Update onto a taken value must also fail.
-	id, _ := s.LookupPK("t", sqltypes.NewString("k00"))
+	id, _ := lookupPK(s, "t", sqltypes.NewString("k00"))
 	if err := s.Update("t", id, kvRow("k00", 7)); err == nil {
 		t.Fatal("unique secondary index must reject duplicate on update")
 	}
 	// The same value is fine once the holder is gone.
-	holder, _ := s.LookupPK("t", sqltypes.NewString("k07"))
+	holder, _ := lookupPK(s, "t", sqltypes.NewString("k07"))
 	if err := s.Delete("t", holder); err != nil {
 		t.Fatal(err)
 	}
@@ -522,10 +522,10 @@ func TestCrossShardMoveCrashKeepsNewerCopy(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d copies of the moved row, want 1", n)
 	}
-	if _, ok := s2.LookupPK("t", sqltypes.NewString(pkOld)); ok {
+	if _, ok := lookupPK(s2, "t", sqltypes.NewString(pkOld)); ok {
 		t.Error("stale pre-move copy survived reconciliation")
 	}
-	rid, ok := s2.LookupPK("t", sqltypes.NewString(pkNew))
+	rid, ok := lookupPK(s2, "t", sqltypes.NewString(pkNew))
 	if !ok || rid != id {
 		t.Fatalf("moved copy lost: ok=%v id=%v want %v", ok, rid, id)
 	}

@@ -859,23 +859,12 @@ func (c *ShardScan) Next(ids []RowID, rows []Row, max int) ([]RowID, []Row) {
 	return ids, rows
 }
 
-// Scan returns all row IDs visible at the current watermark in insertion
-// order (ascending ID across shards).
-func (s *Store) Scan(table string) ([]RowID, error) {
-	ids, _, err := s.ScanRows(table)
-	return ids, err
-}
-
-// ScanRows returns a table's rows at the current watermark in insertion
-// order, as parallel ID and row slices.
-func (s *Store) ScanRows(table string) ([]RowID, []Row, error) {
-	return s.ScanRowsAt(table, s.visible.Load())
-}
-
-// ScanRowsAt is ScanRows pinned to a snapshot timestamp: it returns
-// exactly the rows visible at ts, however long ago that watermark was
-// pinned and however many writes have committed since. Each shard is
-// walked under one lock acquisition, then the shards are merged by id.
+// ScanRowsAt returns a table's rows in insertion order, as parallel ID
+// and row slices, pinned to a snapshot timestamp: exactly the rows
+// visible at ts, however long ago that watermark was pinned and however
+// many writes have committed since (VisibleTS() reads the latest state).
+// Each shard is walked under one lock acquisition, then the shards are
+// merged by id.
 func (s *Store) ScanRowsAt(table string, at int64) ([]RowID, []Row, error) {
 	scans, err := s.ScanShardsAt(table, at)
 	if err != nil {
@@ -892,19 +881,6 @@ func (s *Store) ScanRowsAt(table string, at int64) ([]RowID, []Row, error) {
 		return ids[0], rows[0], nil
 	}
 	return mergeRows(ids, rows, total)
-}
-
-// ScanShardRows returns one shard's rows at the current watermark.
-func (s *Store) ScanShardRows(table string, shard int) ([]RowID, []Row, error) {
-	scans, err := s.ScanShardsAt(table, s.visible.Load())
-	if err != nil {
-		return nil, nil, err
-	}
-	if shard < 0 || shard >= len(scans) {
-		return nil, nil, fmt.Errorf("storage: shard %d out of range for %s (%d shards)", shard, table, len(scans))
-	}
-	ids, rows := scans[shard].Next(nil, nil, math.MaxInt)
-	return ids, rows, nil
 }
 
 func mergeRows(ids [][]RowID, rows [][]Row, total int) ([]RowID, []Row, error) {
@@ -943,27 +919,11 @@ func (s *Store) RowCount(table string) (int, error) {
 	return n, nil
 }
 
-// LookupPK finds the row whose primary key equals the given values at the
-// current watermark (a single-shard probe: the key hashes to its home).
-func (s *Store) LookupPK(table string, pk ...sqltypes.Value) (RowID, bool) {
-	id, _, ok := s.lookupPK(table, pk, s.visible.Load())
-	return id, ok
-}
-
-// LookupPKRow is LookupPK that also returns the row under the same lock
-// acquisition (no separate Get round-trip).
-func (s *Store) LookupPKRow(table string, pk ...sqltypes.Value) (RowID, Row, bool) {
-	return s.lookupPK(table, pk, s.visible.Load())
-}
-
 // LookupPKRowAt probes the primary key as a snapshot at ts sees it: the
 // version visible at ts whose key matches, even if the row has since been
-// updated, moved, or deleted.
+// updated, moved, or deleted (a single-shard probe: the key hashes to its
+// home).
 func (s *Store) LookupPKRowAt(table string, at int64, pk ...sqltypes.Value) (RowID, Row, bool) {
-	return s.lookupPK(table, pk, at)
-}
-
-func (s *Store) lookupPK(table string, pk []sqltypes.Value, at int64) (RowID, Row, bool) {
 	ts, err := s.table(table)
 	if err != nil || len(ts.pkCols) == 0 {
 		return 0, nil, false
@@ -983,25 +943,10 @@ func (s *Store) lookupPK(table string, pk []sqltypes.Value, at int64) (RowID, Ro
 	return 0, nil, false
 }
 
-// LookupIndex returns the row IDs matching key values on a named index at
-// the current watermark, in insertion order (ascending ID across shards).
-func (s *Store) LookupIndex(table, index string, vals ...sqltypes.Value) ([]RowID, error) {
-	ids, _, err := s.lookupIndex(table, index, vals, s.visible.Load())
-	return ids, err
-}
-
-// LookupIndexRows returns matching rows (with their IDs) in insertion
-// order, under one lock acquisition per shard.
-func (s *Store) LookupIndexRows(table, index string, vals ...sqltypes.Value) ([]RowID, []Row, error) {
-	return s.lookupIndex(table, index, vals, s.visible.Load())
-}
-
-// LookupIndexRowsAt probes a secondary index as a snapshot at ts sees it.
+// LookupIndexRowsAt probes a secondary index as a snapshot at ts sees it:
+// the matching rows (with their IDs) in insertion order, under one lock
+// acquisition per shard.
 func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltypes.Value) ([]RowID, []Row, error) {
-	return s.lookupIndex(table, index, vals, at)
-}
-
-func (s *Store) lookupIndex(table, index string, vals []sqltypes.Value, at int64) ([]RowID, []Row, error) {
 	ts, err := s.table(table)
 	if err != nil {
 		return nil, nil, err
@@ -1348,7 +1293,7 @@ func (s *Store) checkpointShard(shard int, names []string, tables map[string]*ta
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(snapshotShardPath(s.dir, shard), data); err != nil {
+	if err := WriteFileAtomic(snapshotShardPath(s.dir, shard), data); err != nil {
 		return err
 	}
 	// Records up to here are durable in the snapshot: reset the WAL.

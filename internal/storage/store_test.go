@@ -46,7 +46,7 @@ func TestInsertGetScan(t *testing.T) {
 	if !row[1].IsCNull() {
 		t.Error("CNULL must round-trip through storage")
 	}
-	ids, err := s.Scan("Talk")
+	ids, _, err := scanRows(s, "Talk")
 	if err != nil || len(ids) != 2 || ids[0] != id1 || ids[1] != id2 {
 		t.Errorf("Scan: %v %v", ids, err)
 	}
@@ -76,11 +76,11 @@ func TestLookupPK(t *testing.T) {
 	s := memStore(t)
 	setupTalk(t, s)
 	id, _ := s.Insert("Talk", talkRow("CrowdDB", 1))
-	got, ok := s.LookupPK("Talk", sqltypes.NewString("CrowdDB"))
+	got, ok := lookupPK(s, "Talk", sqltypes.NewString("CrowdDB"))
 	if !ok || got != id {
 		t.Errorf("LookupPK: %v %v", got, ok)
 	}
-	if _, ok := s.LookupPK("Talk", sqltypes.NewString("Nope")); ok {
+	if _, ok := lookupPK(s, "Talk", sqltypes.NewString("Nope")); ok {
 		t.Error("missing key found")
 	}
 }
@@ -95,11 +95,11 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	if err := s.Update("Talk", id, talkRow("CrowdDB", 250)); err != nil {
 		t.Fatal(err)
 	}
-	rids, err := s.LookupIndex("Talk", "idx_att", sqltypes.NewInt(250))
+	rids, err := lookupIndex(s, "Talk", "idx_att", sqltypes.NewInt(250))
 	if err != nil || len(rids) != 1 || rids[0] != id {
 		t.Errorf("new key: %v %v", rids, err)
 	}
-	rids, _ = s.LookupIndex("Talk", "idx_att", sqltypes.NewInt(100))
+	rids, _ = lookupIndex(s, "Talk", "idx_att", sqltypes.NewInt(100))
 	if len(rids) != 0 {
 		t.Errorf("old key still indexed: %v", rids)
 	}
@@ -120,7 +120,7 @@ func TestDelete(t *testing.T) {
 	if _, ok := s.Get("Talk", id); ok {
 		t.Error("row still present after delete")
 	}
-	if _, ok := s.LookupPK("Talk", sqltypes.NewString("CrowdDB")); ok {
+	if _, ok := lookupPK(s, "Talk", sqltypes.NewString("CrowdDB")); ok {
 		t.Error("PK still indexed after delete")
 	}
 	if err := s.Delete("Talk", id); err == nil {
@@ -154,7 +154,7 @@ func TestCreateIndexOverExistingData(t *testing.T) {
 	if err := s.CreateIndex("Talk", "i", []int{2}, false); err != nil {
 		t.Fatal(err)
 	}
-	rids, _ := s.LookupIndex("Talk", "i", sqltypes.NewInt(1))
+	rids, _ := lookupIndex(s, "Talk", "i", sqltypes.NewInt(1))
 	if len(rids) != 2 {
 		t.Errorf("backfill: %v", rids)
 	}
@@ -168,7 +168,7 @@ func TestUnknownTableErrors(t *testing.T) {
 	if _, err := s.Insert("nope", Row{}); err == nil {
 		t.Error("insert")
 	}
-	if _, err := s.Scan("nope"); err == nil {
+	if _, _, err := scanRows(s, "nope"); err == nil {
 		t.Error("scan")
 	}
 	if err := s.DropTable("nope"); err == nil {

@@ -81,5 +81,5 @@ func writeShardMeta(dir string, shards int) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(shardMetaPath(dir), append(data, '\n'))
+	return WriteFileAtomic(shardMetaPath(dir), append(data, '\n'))
 }

@@ -47,7 +47,7 @@ func TestWALRecovery(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("recovered %d rows", n)
 	}
-	rid, ok := s2.LookupPK("Talk", sqltypes.NewString("CrowdDB"))
+	rid, ok := lookupPK(s2, "Talk", sqltypes.NewString("CrowdDB"))
 	if !ok {
 		t.Fatal("PK lost in recovery")
 	}
@@ -71,7 +71,7 @@ func TestWALRecoveryWithDeletes(t *testing.T) {
 	if n != 1 {
 		t.Errorf("recovered %d rows, want 1", n)
 	}
-	if _, ok := s2.LookupPK("Talk", sqltypes.NewString("A")); ok {
+	if _, ok := lookupPK(s2, "Talk", sqltypes.NewString("A")); ok {
 		t.Error("deleted row recovered")
 	}
 }
@@ -104,7 +104,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	if n != 51 {
 		t.Errorf("recovered %d rows, want 51", n)
 	}
-	if _, ok := s2.LookupPK("Talk", sqltypes.NewString("after")); !ok {
+	if _, ok := lookupPK(s2, "Talk", sqltypes.NewString("after")); !ok {
 		t.Error("post-checkpoint row lost")
 	}
 }
