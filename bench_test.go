@@ -122,8 +122,10 @@ func BenchmarkBatchPipeline(b *testing.B) {
 
 // BenchmarkScanRead runs bench/perf's scan_read statement shapes over its
 // table: 20 000 Talk rows (2 500 rooms of 8, nb_attendees spread over
-// 0..999) on two shards, so the scan fans out across shards the way the
-// daemon's does. The filter keeps ~5 % of the table.
+// 0..999) on two shards, so every scan is a merge of two shard cursors, as
+// the daemon's is. One client on an otherwise idle box: the one shape a
+// per-shard worker fan-out won (ROADMAP item 1(d)), and bench/perf has no
+// workload for it. The filter keeps ~5 % of the table.
 func BenchmarkScanRead(b *testing.B) {
 	const rows, rooms = 20000, 2500
 	db, err := Open(Config{Shards: 2})

@@ -1,11 +1,16 @@
 package bench
 
 // E18: storage-engine throughput. Unlike E1–E17 this experiment measures
-// the machine, not the crowd: rows/sec for (a) a parallel full-table
-// scan fanning one worker per shard and (b) concurrent inserts from 8
-// writers, at 1/2/4/8 shards. The 1-shard row IS the old single-mutex
-// engine (every operation behind one lock), so the ×1 columns read as
-// "sharding speedup over the pre-sharding storage layer".
+// the machine, not the crowd: rows/sec for (a) a full-table scan with one
+// goroutine per shard walking that shard's cursor and (b) concurrent
+// inserts from 8 writers, at 1/2/4/8 shards. The 1-shard row IS the old
+// single-mutex engine (every operation behind one lock), so the ×1 columns
+// read as "sharding speedup over the pre-sharding storage layer".
+//
+// The scan arm measures the storage cursors, not a statement: the executor
+// scans on the query goroutine alone, so no SELECT drives the cursors from
+// N goroutines the way (a) does. It bounds what concurrent statements on
+// different shards can get out of the store.
 //
 // Determinism note for the benchdiff gate: row/shape and the *_rows_out
 // metrics are deterministic and gated; the throughput and speedup
@@ -42,9 +47,9 @@ func e18Row(i int64) storage.Row {
 	}
 }
 
-// e18ScanThroughput loads an in-memory store and measures the per-shard
-// fan-out scan (the parallel seqScan's storage pattern), repeating until
-// enough wall-clock accumulates for a stable rate.
+// e18ScanThroughput loads an in-memory store and measures a scan with one
+// goroutine per shard cursor, repeating until enough wall-clock accumulates
+// for a stable rate.
 func e18ScanThroughput(shards int) (float64, error) {
 	s, err := storage.NewStoreOptions("", storage.Options{Shards: shards})
 	if err != nil {

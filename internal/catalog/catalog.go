@@ -52,10 +52,7 @@ type Statistics struct {
 	// CNULL — CrowdProbe uses it to estimate outstanding work.
 	CNullCount map[string]int64
 
-	// ShardCount is the storage engine's hash-partition fan-out for this
-	// table (set by the engine at create/open time). The cost model
-	// divides machine scan time by min(ShardCount, available cores);
-	// 0 means unknown and is treated as 1.
+	// ShardCount is written by SetShardCount and read by nothing.
 	ShardCount int64
 
 	// Runtime feedback: observations the executor reports back after each
@@ -117,15 +114,7 @@ func (t *Table) RowCount() int64 {
 	return t.stats.RowCount
 }
 
-// ShardCount returns the storage fan-out recorded for this table (0 =
-// unknown; callers treat it as 1).
-func (t *Table) ShardCount() int64 {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.stats.ShardCount
-}
-
-// SetShardCount records the storage engine's hash-partition fan-out.
+// SetShardCount is kept only because bench/perf/probes.go compiles against it.
 func (t *Table) SetShardCount(n int64) {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()

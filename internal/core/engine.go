@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -529,7 +528,6 @@ func (e *Engine) applyDDL(stmt parser.Statement, persist bool) error {
 			e.cat.DropTable(t.Name)
 			return err
 		}
-		t.SetShardCount(int64(e.store.NumShards()))
 		e.uim.GenerateAll()
 		if persist {
 			return e.appendSchema(s.String())
@@ -800,9 +798,6 @@ func (e *Engine) costInputs() optimizer.CostInputs {
 	if resolved := cs.Hits + cs.Misses + cs.Shared; resolved > 0 {
 		ci.CacheHitRate = float64(cs.Hits+cs.Shared) / float64(resolved)
 	}
-	// Machine side: parallel scans fan out across shards, bounded by the
-	// CPU workers actually available.
-	ci.MachineParallelism = float64(runtime.GOMAXPROCS(0))
 	return ci
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,6 +226,21 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := eng.Exec("EXPLAIN INSERT INTO Talk (title) VALUES ('x')"); err == nil {
 		t.Error("EXPLAIN DML must fail")
+	}
+}
+
+// TestExplainSameOnEveryHost: a plan's text — the cpu: forecast included —
+// does not depend on how many cores the host has.
+func TestExplainSameOnEveryHost(t *testing.T) {
+	eng := newKVEngine(t, 20000) // two shards
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var plans []string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		plans = append(plans, mustExec(t, eng, "EXPLAIN SELECT id FROM kv WHERE n > 100").Plan)
+	}
+	if plans[0] != plans[1] || !strings.Contains(plans[0], "cpu:") {
+		t.Errorf("EXPLAIN at GOMAXPROCS 1 and 4 must agree and carry cpu:\n%s\nvs\n%s", plans[0], plans[1])
 	}
 }
 

@@ -81,23 +81,21 @@ func TestAliasStatementsLeaveStoredImagesIntact(t *testing.T) {
 			}
 		}
 	}
-	for _, parallel := range []int{-1, 1} { // sequential merge, then the shard fan-out
-		for _, sql := range []string{
-			"SELECT * FROM t",
-			"SELECT * FROM t WHERE id = 7",
-			"SELECT * FROM t WHERE grp = 'g1'",
-			"SELECT id, val FROM t WHERE val > 5",
-			"SELECT id, val + 1, grp FROM t WHERE val > 5 ORDER BY val DESC, id LIMIT 9",
-			"SELECT * FROM t ORDER BY val, id",
-			"SELECT DISTINCT grp FROM t",
-			"SELECT grp, COUNT(*), SUM(val), MIN(note), MAX(id) FROM t GROUP BY grp HAVING COUNT(*) > 1",
-			"SELECT a.id, b.id, a.note FROM t a JOIN t b ON b.val = a.val WHERE a.id < 10",
-			"SELECT a.id, b.grp FROM t a, t b WHERE a.id < 3 AND b.id > a.id + 35",
-			"SELECT a.id, b.id FROM t a LEFT JOIN t b ON b.id = a.id + 39",
-		} {
-			ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), ParallelScanMinRows: parallel}
-			scribble(h.runCtxOpts(t, ctx, sql, optimizer.Options{}))
-		}
+	for _, sql := range []string{
+		"SELECT * FROM t",
+		"SELECT * FROM t WHERE id = 7",
+		"SELECT * FROM t WHERE grp = 'g1'",
+		"SELECT id, val FROM t WHERE val > 5",
+		"SELECT id, val + 1, grp FROM t WHERE val > 5 ORDER BY val DESC, id LIMIT 9",
+		"SELECT * FROM t ORDER BY val, id",
+		"SELECT DISTINCT grp FROM t",
+		"SELECT grp, COUNT(*), SUM(val), MIN(note), MAX(id) FROM t GROUP BY grp HAVING COUNT(*) > 1",
+		"SELECT a.id, b.id, a.note FROM t a JOIN t b ON b.val = a.val WHERE a.id < 10",
+		"SELECT a.id, b.grp FROM t a, t b WHERE a.id < 3 AND b.id > a.id + 35",
+		"SELECT a.id, b.id FROM t a LEFT JOIN t b ON b.id = a.id + 39",
+	} {
+		ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache()}
+		scribble(h.runCtxOpts(t, ctx, sql, optimizer.Options{}))
 	}
 
 	// Writers (what UPDATE and DELETE do underneath): new versions, never

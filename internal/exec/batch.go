@@ -39,20 +39,25 @@ func (c *Ctx) batchSize() int {
 	return DefaultBatchSize
 }
 
-// EarlyStopper is implemented by operators that can cut row production
-// short once a downstream consumer (e.g. LIMIT) has all the rows it
-// needs. StopEarly must be safe to call at any point between Open and
-// Close, from the query goroutine; after it, NextBatch may keep
-// returning already-produced rows but should stop doing new work.
-type EarlyStopper interface {
-	StopEarly()
-}
-
-// stopEarly propagates an early-stop signal to op if it supports one.
-func stopEarly(op Operator) {
-	if s, ok := op.(EarlyStopper); ok {
-		s.StopEarly()
+// fillBatch refills buf with up to one batch of rows pulled from next,
+// which ends its stream with a nil row. It returns buf, or the operator
+// contract's (nil, nil) when next had nothing left.
+func fillBatch(ctx *Ctx, buf *Batch, next func(*Ctx) (Row, error)) (*Batch, error) {
+	buf.reset()
+	for limit := ctx.batchSize(); len(buf.Rows) < limit; {
+		r, err := next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			break
+		}
+		buf.Rows = append(buf.Rows, r)
 	}
+	if len(buf.Rows) == 0 {
+		return nil, nil
+	}
+	return buf, nil
 }
 
 // batchEmitter serves batches out of a materialized row slice as

@@ -3,7 +3,7 @@ package exec
 // Tests for the vectorized batch pipeline: the batch-size invariance
 // property (BatchSize=1 IS the old row-at-a-time execution, so equality
 // across sizes proves the redesign changed the unit of flow, not the
-// results), early-stop propagation into parallel scan workers, the
+// results), a LIMIT stopping the scan below it, the
 // legacy-operator adapter, and a -race stress of the quorum-streaming
 // CROWDEQUAL path under concurrent statements.
 
@@ -145,11 +145,11 @@ func TestBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestLimitStopsParallelScanWorkers pins the early-stop satellite: a
-// filled LIMIT quota above a parallel scan must halt the shard workers
-// mid-shard instead of filtering the whole table. StopAfter push-down is
-// disabled so the bound reaches the scan only through StopEarly.
-func TestLimitStopsParallelScanWorkers(t *testing.T) {
+// TestLimitStopsScanAtWholeBatches: a LIMIT that no longer pulls is what
+// stops a scan. With the stop-after push-down disabled, LIMIT 5 over a
+// filter that keeps every row examines exactly the quota rounded up to
+// whole scan batches — not a row of the other 20 000 on any of the shards.
+func TestLimitStopsScanAtWholeBatches(t *testing.T) {
 	st, err := storage.NewStoreOptions("", storage.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -162,23 +162,19 @@ func TestLimitStopsParallelScanWorkers(t *testing.T) {
 			{Name: "val", Type: sqltypes.TypeInt},
 		},
 	})
-	const total = 20000
-	for i := 0; i < total; i++ {
+	for i := 0; i < 20000; i++ {
 		h.insert(t, "big", Row{num(int64(i)), num(int64(i % 7))})
 	}
-	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), ParallelScanMinRows: 1}
-	rows := h.runCtxOpts(t, ctx, "SELECT id FROM big WHERE val >= 0 LIMIT 5",
-		optimizer.Options{DisableStopAfter: true})
-	if len(rows) != 5 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	if ctx.Stats.RowsScanned == 0 {
-		t.Fatal("scan stats missing")
-	}
-	// Workers run at most a few chunks ahead of the merge (bounded
-	// channels), so a stopped scan must come in far below the table.
-	if ctx.Stats.RowsScanned >= total/2 {
-		t.Errorf("early stop ineffective: scanned %d of %d rows", ctx.Stats.RowsScanned, total)
+	for batch, examined := range map[int]int{1: 5, 7: 7, 256: 256} {
+		ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), BatchSize: batch}
+		rows := h.runCtxOpts(t, ctx, "SELECT id FROM big WHERE val >= 0 LIMIT 5",
+			optimizer.Options{DisableStopAfter: true})
+		if len(rows) != 5 {
+			t.Fatalf("batch size %d: %d rows", batch, len(rows))
+		}
+		if ctx.Stats.RowsScanned != examined {
+			t.Errorf("batch size %d: examined %d rows, want %d", batch, ctx.Stats.RowsScanned, examined)
+		}
 	}
 }
 

@@ -107,11 +107,11 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 
 	if j.Type == parser.JoinInner && j.On != nil {
 		if lk, rk, residual, ok := equiJoinKeys(j); ok {
-			return &hashJoin{node: j, left: left, right: right,
+			return &hashJoin{node: j, left: rowCursor{in: left}, right: right,
 				leftKey: lk, rightKey: rk, residual: residual}, nil
 		}
 	}
-	return &nlJoin{node: j, left: left, right: right}, nil
+	return &nlJoin{node: j, left: rowCursor{in: left}, right: right}, nil
 }
 
 // crowdJoinBinding finds a conjunct equating a column of the crowd scan

@@ -66,10 +66,6 @@ type Ctx struct {
 	// single column's values; the engine installs it (nil = subqueries
 	// unsupported in this context).
 	RunSubquery func(sel *parser.Select) ([]sqltypes.Value, error)
-	// ParallelScanMinRows overrides the table-size threshold for
-	// fanning a sequential scan out across shards (0 = the default,
-	// DefaultParallelScanMinRows; negative = never parallelize).
-	ParallelScanMinRows int
 	// SnapshotTS pins every stored-data read (scans, index probes, point
 	// gets) of this statement to one MVCC snapshot: the statement sees
 	// exactly the rows committed at that timestamp, however long it runs

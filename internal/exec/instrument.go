@@ -112,10 +112,6 @@ func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	return b, err
 }
 
-// StopEarly forwards the early-stop signal through the shell so a LIMIT
-// above an instrumented pipeline still stops scan workers.
-func (o *instrumentedOp) StopEarly() { stopEarly(o.op) }
-
 func (o *instrumentedOp) Close(ctx *Ctx) error {
 	parent := ctx.Span
 	ctx.Span = o.span

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
@@ -10,16 +12,38 @@ import (
 // ---------------------------------------------------------------------------
 // Joins
 
+// rowCursor reads an input operator's batches one row at a time: the probe
+// (left) side of both joins.
+type rowCursor struct {
+	in    Operator
+	batch *Batch
+	pos   int
+}
+
+// next returns the input's next row, nil at end of stream.
+func (c *rowCursor) next(ctx *Ctx) (Row, error) {
+	for c.pos >= c.batch.Len() {
+		b, err := c.in.NextBatch(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b.Len() == 0 {
+			return nil, nil
+		}
+		c.batch, c.pos = b, 0
+	}
+	c.pos++
+	return c.batch.Rows[c.pos-1], nil
+}
+
 // nlJoin is the general nested-loop join (inner, cross, left outer) with an
 // arbitrary ON condition; the right side is buffered, the left streams.
 type nlJoin struct {
 	node  *plan.Join
-	left  Operator
+	left  rowCursor
 	right Operator
 
 	rightRows []Row
-	leftBatch *Batch
-	lpos      int
 	cur       Row
 	rpos      int
 	matched   bool
@@ -29,7 +53,7 @@ type nlJoin struct {
 func (j *nlJoin) Schema() []plan.Col { return j.node.Schema() }
 
 func (j *nlJoin) Open(ctx *Ctx) error {
-	if err := j.left.Open(ctx); err != nil {
+	if err := j.left.in.Open(ctx); err != nil {
 		return err
 	}
 	if err := j.right.Open(ctx); err != nil {
@@ -40,33 +64,14 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	j.rightRows = rows
-	j.leftBatch, j.lpos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
+	j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
 	return nil
-}
-
-func (j *nlJoin) StopEarly() { stopEarly(j.left) }
-
-// nextLeft pulls the next probe-side row through the batch pipeline.
-func (j *nlJoin) nextLeft(ctx *Ctx) (Row, error) {
-	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
-		b, err := j.left.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return nil, nil
-		}
-		j.leftBatch, j.lpos = b, 0
-	}
-	r := j.leftBatch.Rows[j.lpos]
-	j.lpos++
-	return r, nil
 }
 
 func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 	for {
 		if j.cur == nil {
-			l, err := j.nextLeft(ctx)
+			l, err := j.left.next(ctx)
 			if err != nil || l == nil {
 				return nil, err
 			}
@@ -98,30 +103,11 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 	}
 }
 
-func (j *nlJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	j.buf.reset()
-	limit := ctx.batchSize()
-	for len(j.buf.Rows) < limit {
-		r, err := j.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		j.buf.Rows = append(j.buf.Rows, r)
-	}
-	if len(j.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &j.buf, nil
-}
+func (j *nlJoin) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &j.buf, j.next) }
 
+// Close closes both inputs, whatever the first returns.
 func (j *nlJoin) Close(ctx *Ctx) error {
-	if err := j.left.Close(ctx); err != nil {
-		return err
-	}
-	return j.right.Close(ctx)
+	return errors.Join(j.left.in.Close(ctx), j.right.Close(ctx))
 }
 
 func (j *nlJoin) bufferedRows() int64 { return int64(len(j.rightRows)) }
@@ -132,7 +118,7 @@ func (j *nlJoin) bufferedRows() int64 { return int64(len(j.rightRows)) }
 // so bulk builds do not rehash their way up from an empty map.
 type hashJoin struct {
 	node     *plan.Join
-	left     Operator
+	left     rowCursor
 	right    Operator
 	leftKey  parser.Expr
 	rightKey parser.Expr
@@ -143,10 +129,7 @@ type hashJoin struct {
 	cur   Row
 	bkt   []Row
 	bpos  int
-
-	leftBatch *Batch
-	lpos      int
-	buf       Batch
+	buf   Batch
 }
 
 func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
@@ -167,7 +150,7 @@ func (j *hashJoin) buildSizeHint() int {
 }
 
 func (j *hashJoin) Open(ctx *Ctx) error {
-	if err := j.left.Open(ctx); err != nil {
+	if err := j.left.in.Open(ctx); err != nil {
 		return err
 	}
 	if err := j.right.Open(ctx); err != nil {
@@ -196,26 +179,8 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			j.built++
 		}
 	}
-	j.leftBatch, j.lpos, j.cur, j.bkt, j.bpos = nil, 0, nil, nil, 0
+	j.left.batch, j.left.pos, j.cur, j.bkt, j.bpos = nil, 0, nil, nil, 0
 	return nil
-}
-
-func (j *hashJoin) StopEarly() { stopEarly(j.left) }
-
-func (j *hashJoin) nextLeft(ctx *Ctx) (Row, error) {
-	for j.leftBatch == nil || j.lpos >= len(j.leftBatch.Rows) {
-		b, err := j.left.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return nil, nil
-		}
-		j.leftBatch, j.lpos = b, 0
-	}
-	r := j.leftBatch.Rows[j.lpos]
-	j.lpos++
-	return r, nil
 }
 
 func (j *hashJoin) next(ctx *Ctx) (Row, error) {
@@ -232,11 +197,11 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 				return combined, nil
 			}
 		}
-		l, err := j.nextLeft(ctx)
+		l, err := j.left.next(ctx)
 		if err != nil || l == nil {
 			return nil, err
 		}
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: l})
+		v, err := eval(j.leftKey, &evalCtx{schema: j.left.in.Schema(), row: l})
 		if err != nil {
 			return nil, err
 		}
@@ -249,30 +214,11 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 	}
 }
 
-func (j *hashJoin) NextBatch(ctx *Ctx) (*Batch, error) {
-	j.buf.reset()
-	limit := ctx.batchSize()
-	for len(j.buf.Rows) < limit {
-		r, err := j.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		j.buf.Rows = append(j.buf.Rows, r)
-	}
-	if len(j.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &j.buf, nil
-}
+func (j *hashJoin) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &j.buf, j.next) }
 
+// Close closes both inputs, whatever the first returns.
 func (j *hashJoin) Close(ctx *Ctx) error {
-	if err := j.left.Close(ctx); err != nil {
-		return err
-	}
-	return j.right.Close(ctx)
+	return errors.Join(j.left.in.Close(ctx), j.right.Close(ctx))
 }
 
 func (j *hashJoin) bufferedRows() int64 { return j.built }

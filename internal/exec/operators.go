@@ -16,9 +16,13 @@
 //	               need the set of rows must copy the headers out (see
 //	               drainInput). The Row values inside are immutable once
 //	               handed over and MAY be retained by the consumer.
-//	Close(ctx)     releases resources, stops any background workers, and
-//	               reports feedback (observed selectivities) to the
-//	               catalog. Close must be called even after an error.
+//	Close(ctx)     releases resources and reports feedback (observed
+//	               selectivities) to the catalog. Close must be called
+//	               even after an error.
+//
+// A statement runs on the goroutine that called it: operators start none,
+// so Ctx.Stats, operator buffers and the store's shared row images are
+// touched by exactly one goroutine per statement.
 //
 // Batch sizing is per-statement (Ctx.BatchSize, DefaultBatchSize when
 // unset). Operators reuse one batch buffer across NextBatch calls, so a
@@ -35,19 +39,11 @@
 // rows' groups. The crowd *scheduling* order (claims, HIT-group posts,
 // collections) is independent of batch size and emission timing, which
 // keeps seeded replays bit-identical to the row-at-a-time executor.
-//
-// Early stop: operators that can cut upstream work short once a
-// downstream quota is filled implement EarlyStopper; limitOp signals it
-// the moment its Nth row is produced, which stops parallel scan workers
-// instead of letting them fan out full shard scans whose rows would be
-// discarded.
 package exec
 
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
@@ -59,7 +55,7 @@ import (
 type Row = storage.Row
 
 // Operator is a batch-at-a-time streaming iterator. See the package
-// comment for the full contract (ownership, reuse, EOF, early stop).
+// comment for the full contract (ownership, reuse, EOF).
 type Operator interface {
 	Schema() []plan.Col
 	Open(ctx *Ctx) error
@@ -69,47 +65,32 @@ type Operator interface {
 
 // ---------------------------------------------------------------------------
 // SeqScan: stored-table scan with pushed filter and stop-after. Every scan
-// is one merge, by ascending row ID, over the table's shard streams — and
+// is one merge, by ascending row ID, over the table's shard cursors — and
 // ascending ID IS global insertion order (IDs are allocated from one
-// per-table counter), so the output is the same however the streams are
-// fed. Small tables and stop-after scans pull each shard's cursor on the
-// query goroutine, a chunk at a time, and filter after the merge, so a
-// filled quota stops the scan having examined exactly the rows up to it.
-// Large tables on a sharded store fan out one worker per shard that walks
-// the cursor, filters, and streams what it kept to the merge. Workers
-// observe the early-stop signal: a filled LIMIT quota stops them
-// mid-shard.
-
-// DefaultParallelScanMinRows is the table size (catalog estimate) below
-// which a scan stays sequential: fan-out overhead beats the win on small
-// tables, and the paper's crowd workloads live well under it.
-const DefaultParallelScanMinRows = 2048
+// per-table counter). Each cursor is pulled a chunk at a time on the query
+// goroutine and the filter runs after the merge, so a scan that stops — a
+// filled stop-after quota, a LIMIT above that no longer pulls — has
+// examined exactly the rows up to the last one it handed over.
 
 // scanChunkRows is how many rows a shard cursor hands over per lock
-// acquisition, and the granularity at which parallel workers hand
-// filtered rows to the merge and check the stop signal.
+// acquisition.
 const scanChunkRows = 256
 
-// shardStream is the merge's view of one shard: the current chunk of
-// (id, row) pairs in ascending id, and the way to get the next one.
+// shardStream is the merge's view of one shard: its cursor and the
+// current chunk of (id, row) pairs in ascending id.
 type shardStream struct {
+	scan *storage.ShardScan
 	ids  []storage.RowID
 	rows []Row
 	pos  int
 	done bool
-	// fetch loads the next chunk into ids/rows; an empty one ends the
-	// stream.
-	fetch func(s *shardStream) error
 }
 
 type seqScan struct {
 	node    *plan.Scan
-	streams []*shardStream
-	par     *parallelScanRun // non-nil when workers feed the streams
+	streams []shardStream
 	out     int64
 	scanned int64
-	stopped bool
-	eof     bool
 	buf     Batch
 	held    int64 // rows sitting in the streams' chunks
 	peakBuf int64
@@ -118,64 +99,28 @@ type seqScan struct {
 func (s *seqScan) Schema() []plan.Col { return s.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
-	s.streams, s.par, s.out, s.scanned, s.stopped, s.eof, s.held, s.peakBuf = nil, nil, 0, 0, false, false, 0, 0
+	s.out, s.scanned, s.held, s.peakBuf = 0, 0, 0, 0
 	scans, err := ctx.Store.ScanShardsAt(s.node.Table.Name, ctx.snapTS()) // one timestamp for every shard: a consistent cut
 	if err != nil {
 		return err
 	}
-	if parallelEligible(ctx, s.node) {
-		// Lazy fan-out: workers start at the first NextBatch, so an
-		// early stop that lands before any demand skips the scan work
-		// entirely.
-		s.par = &parallelScanRun{node: s.node, sch: s.node.Schema(), scans: scans, stopCh: make(chan struct{})}
-		return nil
-	}
+	s.streams = make([]shardStream, len(scans))
 	for i := range scans {
-		scan := &scans[i]
-		s.streams = append(s.streams, &shardStream{fetch: func(st *shardStream) error {
-			st.ids, st.rows = scan.Next(st.ids[:0], st.rows[:0], scanChunkRows)
-			return nil
-		}})
+		s.streams[i].scan = &scans[i]
 	}
 	return nil
 }
 
-// parallelEligible gates the fan-out: never when a stop-after could end
-// the scan early (the merge stops pulling the moment the quota fills, and
-// the selectivity feedback must see the same counts), and never below the
-// size threshold.
-func parallelEligible(ctx *Ctx, node *plan.Scan) bool {
-	if node.StopAfter >= 0 || ctx.Store.NumShards() < 2 {
-		return false
-	}
-	min := ctx.ParallelScanMinRows
-	if min == 0 {
-		min = DefaultParallelScanMinRows
-	}
-	return min > 0 && node.Table.RowCount() >= int64(min)
-}
-
-// StopEarly implements EarlyStopper: the scan stops producing, and the
-// shard workers, if any, are signalled so in-flight filtering halts
-// mid-shard.
-func (s *seqScan) StopEarly() {
-	s.stopped = true
-	if s.par != nil {
-		s.par.stop()
-	}
-}
-
-// next returns the row with the smallest id across the shard streams.
-func (s *seqScan) next() (Row, bool, error) {
+// next returns the row with the smallest id across the shard streams, nil
+// once all are drained.
+func (s *seqScan) next() Row {
 	var best *shardStream
-	for _, st := range s.streams {
+	for i := range s.streams {
+		st := &s.streams[i]
 		if !st.done && st.pos >= len(st.rows) {
 			s.held -= int64(len(st.rows))
 			st.pos = 0
-			if err := st.fetch(st); err != nil {
-				st.done = true
-				return nil, false, err
-			}
+			st.ids, st.rows = st.scan.Next(st.ids[:0], st.rows[:0], scanChunkRows)
 			st.done = len(st.rows) == 0
 			if s.held += int64(len(st.rows)); s.held > s.peakBuf {
 				s.peakBuf = s.held
@@ -186,65 +131,39 @@ func (s *seqScan) next() (Row, bool, error) {
 		}
 	}
 	if best == nil {
-		return nil, false, nil
+		return nil
 	}
 	best.pos++
-	return best.rows[best.pos-1], true, nil
+	return best.rows[best.pos-1]
 }
 
-func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) {
-	if s.stopped {
-		return nil, nil
-	}
-	if s.par != nil && s.streams == nil {
-		s.streams = s.par.start()
-	}
-	s.buf.reset()
-	limit := ctx.batchSize()
-	for len(s.buf.Rows) < limit {
-		if s.node.StopAfter >= 0 && s.out >= s.node.StopAfter {
-			break
+// nextKept returns the next row the pushed filter keeps, nil once the
+// streams are drained or the stop-after quota is filled.
+func (s *seqScan) nextKept(ctx *Ctx) (Row, error) {
+	for s.node.StopAfter < 0 || s.out < s.node.StopAfter {
+		row := s.next()
+		if row == nil {
+			return nil, nil
 		}
-		row, ok, err := s.next()
+		ctx.Stats.RowsScanned++
+		s.scanned++
+		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			s.eof = true
-			break
-		}
-		if s.par == nil { // the workers filter and count their own rows
-			ctx.Stats.RowsScanned++
-			s.scanned++
-			keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
+		if keep {
 			s.out++
+			return row, nil
 		}
-		s.buf.Rows = append(s.buf.Rows, row)
 	}
-	if len(s.buf.Rows) == 0 {
-		return nil, nil
-	}
-	return &s.buf, nil
+	return nil, nil
 }
 
+func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &s.buf, s.nextKept) }
+
 func (s *seqScan) Close(ctx *Ctx) error {
-	feedback := true
-	if s.par != nil {
-		s.scanned, s.out = s.par.finish()
-		ctx.Stats.RowsScanned += int(s.scanned)
-		// Feed the observed selectivity back only when every shard ran to
-		// completion: a partial (early-stopped) scan's counts depend on
-		// worker timing and would poison the EWMA nondeterministically.
-		feedback = s.eof && !s.par.stopped.Load()
-	}
 	// Feed the observed predicate selectivity back to the cost model.
-	if feedback && s.node.Filter != nil && s.scanned > 0 {
+	if s.node.Filter != nil && s.scanned > 0 {
 		s.node.Table.ObserveFilter(s.scanned, s.out)
 	}
 	return nil
@@ -253,148 +172,14 @@ func (s *seqScan) Close(ctx *Ctx) error {
 func (s *seqScan) bufferedRows() int64 { return s.peakBuf }
 
 // ---------------------------------------------------------------------------
-// Parallel scan fan-out: one streaming worker per shard feeding the merge.
-
-type shardChunk struct {
-	ids     []storage.RowID
-	rows    []Row
-	scanned int64
-	kept    int64
-	err     error
-}
-
-type parallelScanRun struct {
-	node    *plan.Scan
-	sch     []plan.Col // resolved once; workers share it read-only
-	scans   []storage.ShardScan
-	stopped atomic.Bool
-	stopCh  chan struct{}
-	stopOne sync.Once
-	wg      sync.WaitGroup
-	scanned atomic.Int64
-	kept    atomic.Int64
-}
-
-func (p *parallelScanRun) stop() {
-	p.stopped.Store(true)
-	p.stopOne.Do(func() { close(p.stopCh) })
-}
-
-// start launches the workers and returns the streams that receive from
-// them.
-func (p *parallelScanRun) start() []*shardStream {
-	streams := make([]*shardStream, len(p.scans))
-	for i := range p.scans {
-		ch := make(chan shardChunk, 2) // look-ahead: the worker filters its next chunks while the merge drains one
-		// The merge hands each drained chunk back (the rows it emitted are
-		// headers copied out of it), so a scan allocates the few chunks in
-		// flight once instead of one per scanChunkRows rows.
-		free := make(chan shardChunk, cap(ch)+1)
-		streams[i] = &shardStream{fetch: func(st *shardStream) error {
-			if cap(st.rows) > 0 {
-				select {
-				case free <- shardChunk{ids: st.ids[:0], rows: st.rows[:0]}:
-				default:
-				}
-			}
-			for chunk := range ch {
-				if chunk.err != nil {
-					return chunk.err
-				}
-				if len(chunk.rows) > 0 {
-					st.ids, st.rows = chunk.ids, chunk.rows
-					return nil
-				}
-			}
-			st.ids, st.rows = nil, nil
-			return nil
-		}}
-		p.wg.Add(1)
-		go p.worker(&p.scans[i], ch, free)
-	}
-	return streams
-}
-
-// worker walks one shard's cursor, applies the pushed filter, and streams
-// what it kept to the merge in ascending row-ID order. It checks the stop
-// signal between chunks (and on every handoff), so a filled LIMIT quota
-// halts the remaining filter work instead of producing rows that would be
-// discarded.
-func (p *parallelScanRun) worker(scan *storage.ShardScan, ch chan<- shardChunk, free <-chan shardChunk) {
-	defer p.wg.Done()
-	defer close(ch)
-	send := func(c shardChunk) bool {
-		p.scanned.Add(c.scanned)
-		p.kept.Add(c.kept)
-		select {
-		case ch <- c:
-			return true
-		case <-p.stopCh:
-			return false
-		}
-	}
-	var ids []storage.RowID
-	var rows []Row
-	// A chunk leaves once it holds scanChunkRows rows, checked after each
-	// cursor chunk: it never outgrows twice that. One the merge has
-	// drained is reused before a new one is allocated.
-	newChunk := func() shardChunk {
-		select {
-		case c := <-free:
-			return c
-		default:
-			return shardChunk{ids: make([]storage.RowID, 0, 2*scanChunkRows), rows: make([]Row, 0, 2*scanChunkRows)}
-		}
-	}
-	c := newChunk()
-	for !p.stopped.Load() {
-		if ids, rows = scan.Next(ids[:0], rows[:0], scanChunkRows); len(rows) == 0 {
-			break
-		}
-		for j, row := range rows {
-			c.scanned++
-			keep, err := rowMatches(p.node.Filter, row, p.sch)
-			if err != nil {
-				c.err = err
-				send(c)
-				return
-			}
-			if keep {
-				c.kept++
-				c.ids = append(c.ids, ids[j])
-				c.rows = append(c.rows, row)
-			}
-		}
-		if len(c.rows) >= scanChunkRows {
-			if !send(c) {
-				return
-			}
-			c = newChunk()
-		}
-	}
-	if c.scanned > 0 {
-		send(c)
-	}
-}
-
-// finish stops the workers, waits them out (no goroutine leaks), and
-// reports the rows they scanned and kept.
-func (p *parallelScanRun) finish() (scanned, kept int64) {
-	p.stopOne.Do(func() { close(p.stopCh) })
-	p.wg.Wait()
-	return p.scanned.Load(), p.kept.Load()
-}
-
-// ---------------------------------------------------------------------------
 // Filter (with CrowdCompare support for crowd predicates)
 
 type filterOp struct {
-	node    *plan.Filter
-	input   Operator
-	crowd   bool
-	stream  *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
-	stopped bool
-	buf     Batch
+	node   *plan.Filter
+	input  Operator
+	crowd  bool
+	stream *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
+	buf    Batch
 }
 
 func (f *filterOp) Schema() []plan.Col { return f.input.Schema() }
@@ -403,7 +188,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	if err := f.input.Open(ctx); err != nil {
 		return err
 	}
-	f.stream, f.stopped = nil, false
+	f.stream = nil
 	if !f.crowd {
 		return nil
 	}
@@ -439,15 +224,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (f *filterOp) StopEarly() {
-	f.stopped = true
-	stopEarly(f.input)
-}
-
 func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if f.stopped {
-		return nil, nil
-	}
 	if f.crowd {
 		return f.stream.nextBatch(ctx)
 	}
@@ -514,8 +291,6 @@ type projectOp struct {
 func (p *projectOp) Schema() []plan.Col { return p.node.Schema() }
 
 func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
-
-func (p *projectOp) StopEarly() { stopEarly(p.input) }
 
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	b, err := p.input.NextBatch(ctx)
@@ -703,8 +478,6 @@ func (l *limitOp) Open(ctx *Ctx) error {
 	return l.input.Open(ctx)
 }
 
-func (l *limitOp) StopEarly() { stopEarly(l.input) }
-
 func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	for {
 		if l.node.N >= 0 && l.emitted >= l.node.N {
@@ -730,9 +503,6 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			if remaining := l.node.N - l.emitted; int64(len(rows)) >= remaining {
 				rows = rows[:remaining]
 				l.emitted = l.node.N
-				// Quota filled: stop upstream production (parallel scan
-				// workers, etc.) instead of discarding their rows.
-				stopEarly(l.input)
 			} else {
 				l.emitted += int64(len(rows))
 			}
@@ -759,8 +529,6 @@ func (d *distinctOp) Open(ctx *Ctx) error {
 	d.seen = make(map[string]bool)
 	return d.input.Open(ctx)
 }
-
-func (d *distinctOp) StopEarly() { stopEarly(d.input) }
 
 func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	for {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,13 +13,13 @@ import (
 	"crowddb/internal/storage"
 )
 
-// TestScanParallelAndSequentialAgreeUnderWrites drives random inserts,
-// updates, key-changing updates (shard moves), deletes and GC sweeps, and
-// checks at every pinned snapshot that the sequential merge, the parallel
-// fan-out and a stop-after scan emit the rows — in the order — that a
-// filter over the store's own ScanRowsAt gives, and that the stop-after
-// scan examined exactly the rows up to its quota.
-func TestScanParallelAndSequentialAgreeUnderWrites(t *testing.T) {
+// TestScanAgreesWithStoreUnderWrites drives random inserts, updates,
+// key-changing updates (shard moves), deletes and GC sweeps, and checks at
+// every pinned snapshot that the shard merge and a stop-after scan emit
+// the rows — in the order — that a filter over the store's own ScanRowsAt
+// gives, and that the stop-after scan examined exactly the rows up to its
+// quota.
+func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			st, err := storage.NewStoreOptions("", storage.Options{Shards: shards})
@@ -93,13 +94,11 @@ func TestScanParallelAndSequentialAgreeUnderWrites(t *testing.T) {
 						}
 					}
 					sql := fmt.Sprintf("SELECT id, val FROM t WHERE val > %d", bound)
-					for name, minRows := range map[string]int{"sequential": -1, "parallel": 1} {
-						ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at, ParallelScanMinRows: minRows, BatchSize: 16}
-						if got := h.runCtxOpts(t, ctx, sql, optimizer.Options{}); rowsKey(got) != rowsKey(want) {
-							t.Fatalf("step %d, %s scan at %d:\ngot  %swant %s", step, name, at, rowsKey(got), rowsKey(want))
-						}
+					ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at, BatchSize: 16}
+					if got := h.runCtxOpts(t, ctx, sql, optimizer.Options{}); rowsKey(got) != rowsKey(want) {
+						t.Fatalf("step %d, scan at %d:\ngot  %swant %s", step, at, rowsKey(got), rowsKey(want))
 					}
-					ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at}
+					ctx = &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at}
 					got := h.runCtxOpts(t, ctx, sql+" LIMIT 5", optimizer.Options{})
 					if rowsKey(got) != rowsKey(want[:min(5, len(want))]) {
 						t.Fatalf("step %d, stop-after scan at %d:\ngot  %swant %s", step, at, rowsKey(got), rowsKey(want))
@@ -125,38 +124,47 @@ func snapTimes(snaps []*storage.Snapshot) []int64 {
 	return out
 }
 
-// TestParallelScanReusesChunks: the fan-out allocates the few chunks in
-// flight, not one per scanChunkRows rows that pass the filter — four times
-// the rows through the workers costs (almost) no more allocations.
-func TestParallelScanReusesChunks(t *testing.T) {
-	allocs := func(rows int) float64 {
-		st, err := storage.NewStoreOptions("", storage.Options{Shards: 2})
+// TestScanStatementsOwnNoGoroutines: a statement runs on the goroutine that
+// called it and starts no other. The sink samples the goroutine count while
+// scan_read's three statements (bench/perf) stream over its table — 20 000
+// rows on two shards — and never sees more than were running before.
+func TestScanStatementsOwnNoGoroutines(t *testing.T) {
+	st, err := storage.NewStoreOptions("", storage.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{cat: catalog.New(), store: st}
+	h.createTable(t, &catalog.Table{
+		Name: "Talk",
+		Columns: []catalog.Column{
+			{Name: "title", Type: sqltypes.TypeString, PrimaryKey: true},
+			{Name: "room", Type: sqltypes.TypeString},
+			{Name: "nb_attendees", Type: sqltypes.TypeInt},
+		},
+	})
+	for i := 0; i < 20000; i++ {
+		h.insert(t, "Talk", Row{str(fmt.Sprintf("talk-%05d", i)), str(fmt.Sprintf("room-%04d", i%2500)), num(int64((i*7919 + 13) % 1000))})
+	}
+	for _, sql := range []string{
+		"SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950",
+		"SELECT room, COUNT(*), AVG(nb_attendees) FROM Talk WHERE nb_attendees < 950 GROUP BY room ORDER BY AVG(nb_attendees) DESC LIMIT 10",
+		"SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10",
+	} {
+		ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), BatchSize: 16}
+		op, err := h.compile(ctx, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &harness{cat: catalog.New(), store: st}
-		h.createTable(t, &catalog.Table{
-			Name: "t",
-			Columns: []catalog.Column{
-				{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
-				{Name: "val", Type: sqltypes.TypeInt},
-			},
-		})
-		tab, _ := h.cat.Table("t")
-		for i := 0; i < rows; i++ {
-			h.insert(t, "t", Row{num(int64(i)), num(int64(i % 10))})
-		}
-		tab.AddRowCount(int64(rows))
-		return testing.AllocsPerRun(5, func() {
-			ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), ParallelScanMinRows: 1}
-			got := h.runCtxOpts(t, ctx, "SELECT COUNT(*) FROM t WHERE val >= 0", optimizer.Options{})
-			if len(got) != 1 || got[0][0].Int() != int64(rows) {
-				t.Fatalf("COUNT(*) = %v, want %d", got, rows)
+		before, rows := runtime.NumGoroutine(), 0
+		err = RunSink(op, ctx, func(Row) error {
+			rows++
+			if now := runtime.NumGoroutine(); now > before {
+				return fmt.Errorf("%d goroutines at row %d, %d before the statement", now, rows, before)
 			}
+			return nil
 		})
-	}
-	small, large := allocs(8*scanChunkRows), allocs(32*scanChunkRows)
-	if large > small+16 {
-		t.Errorf("allocations follow the rows scanned: %.0f over %d rows, %.0f over %d", small, 8*scanChunkRows, large, 32*scanChunkRows)
+		if err != nil || rows == 0 {
+			t.Errorf("%s: %d rows, %v", sql, rows, err)
+		}
 	}
 }

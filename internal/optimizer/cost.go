@@ -54,12 +54,6 @@ type CostInputs struct {
 	// LatencyCentsPerHour folds crowd latency into money for plan
 	// ranking: one hour of waiting is "worth" this many cents.
 	LatencyCentsPerHour float64
-	// MachineParallelism is the number of CPU workers available to the
-	// storage engine (GOMAXPROCS). A scan's machine time divides by the
-	// effective parallelism min(table shards, MachineParallelism), so
-	// EXPLAIN and plan ranking reflect the sharded engine's real
-	// hardware. 0 normalizes to 1 (sequential).
-	MachineParallelism float64
 	// ModelRewardCents/ModelAssignments price the model tier when the
 	// escalation router is on: every crowd question then pays the model
 	// rate, and an EscalationRate fraction of them additionally pays the
@@ -97,14 +91,14 @@ func (ci CostInputs) tupleCents(n float64) float64 {
 	return n*ci.ModelRewardCents*ci.TupleAssignments + ci.EscalationRate*human
 }
 
-// scanRowsPerSecond is the assumed single-worker heap-scan throughput
-// (rows cloned + filtered per second) used to price machine scan time.
+// scanRowsPerSecond is the assumed heap-scan throughput (rows read +
+// filtered per second, on the statement's one goroutine) used to price
+// machine scan time.
 const scanRowsPerSecond = 2e6
 
 // DefaultCostInputs matches the paper's experimental defaults: 2¢ HITs,
 // 3-way replication, single-candidate solicitations, a 30-minute group
-// round-trip, window 8, a cold cache, and a sequential (1-worker)
-// machine.
+// round-trip, window 8, and a cold cache.
 func DefaultCostInputs() CostInputs {
 	return CostInputs{
 		RewardCents:         2,
@@ -114,7 +108,6 @@ func DefaultCostInputs() CostInputs {
 		Window:              8,
 		CacheHitRate:        0,
 		LatencyCentsPerHour: 6,
-		MachineParallelism:  1,
 	}
 }
 
@@ -145,9 +138,6 @@ func (ci CostInputs) normalized() CostInputs {
 	}
 	if ci.CacheHitRate > 0.95 {
 		ci.CacheHitRate = 0.95
-	}
-	if ci.MachineParallelism < 1 {
-		ci.MachineParallelism = 1
 	}
 	if ci.EscalationRate < 0 {
 		ci.EscalationRate = 0
@@ -327,27 +317,14 @@ func (cm *costModel) solicitCost(want float64) plan.Cost {
 }
 
 // machineScanSeconds prices the machine side of a sequential scan: every
-// stored row is read and filtered once, divided by the effective
-// parallelism of the sharded engine (min of the table's shard count and
-// the CPU workers available) — the parallel seqScan's actual fan-out.
-func (cm *costModel) machineScanSeconds(s *plan.Scan) float64 {
-	rows := float64(s.Table.RowCount())
-	if rows <= 0 {
-		return 0
-	}
-	par := float64(s.Table.ShardCount())
-	if par < 1 {
-		par = 1
-	}
-	if par > cm.in.MachineParallelism {
-		par = cm.in.MachineParallelism
-	}
-	return rows / scanRowsPerSecond / par
+// stored row is read and filtered once.
+func machineScanSeconds(s *plan.Scan) float64 {
+	return float64(max(s.Table.RowCount(), 0)) / scanRowsPerSecond
 }
 
 func (cm *costModel) scanCost(s *plan.Scan) plan.Cost {
 	storedOut := cm.storedScanRows(s)
-	machine := cm.machineScanSeconds(s)
+	machine := machineScanSeconds(s)
 	if !s.Table.Crowd {
 		// Stop-after truncates a closed-world scan before the crowd is
 		// asked whenever the whole pushed filter runs pre-probe (no crowd
@@ -488,7 +465,7 @@ func (cm *costModel) joinCost(j *plan.Join) plan.Cost {
 		if s, ok := j.Right.(*plan.Scan); ok && s.Table.Crowd && cm.o.joinBindsScan(j, s) {
 			storedInner := cm.storedScanRows(s)
 			c := plan.Cost{Cents: l.Cents, Seconds: l.Seconds,
-				MachineSeconds: l.MachineSeconds + cm.machineScanSeconds(s)}
+				MachineSeconds: l.MachineSeconds + machineScanSeconds(s)}
 			c = c.Plus(cm.probeCost(s, storedInner))
 			keys := l.Rows
 			execFan := float64(s.Table.ExpectedCrowdCard())
