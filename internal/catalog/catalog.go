@@ -150,6 +150,35 @@ func (t *Table) AdjustCNull(col string, delta int64) {
 	t.stats.CNullCount[col] = n
 }
 
+// RowWritten moves the row count and the per-column CNULL counters from a
+// stored row's image before a write to its image after: an insert has no
+// before image (nil), a delete no after image. Call it only once the store
+// has accepted the write, so that a rejected write leaves the statistics
+// describing what is stored.
+func (t *Table) RowWritten(before, after []sqltypes.Value) {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	switch {
+	case before == nil:
+		t.stats.RowCount++
+	case after == nil:
+		t.stats.RowCount--
+	}
+	if t.stats.CNullCount == nil {
+		t.stats.CNullCount = make(map[string]int64)
+	}
+	for ci, c := range t.Columns {
+		was, is := before != nil && before[ci].IsCNull(), after != nil && after[ci].IsCNull()
+		switch {
+		case is && !was:
+			t.stats.CNullCount[c.Name]++
+		case was && !is:
+			// Clamped at zero: answers can race recovery's recount.
+			t.stats.CNullCount[c.Name] = max(t.stats.CNullCount[c.Name]-1, 0)
+		}
+	}
+}
+
 // ResetCNullCounts clears all CNULL counters (before a recovery recount).
 func (t *Table) ResetCNullCounts() {
 	t.statsMu.Lock()

@@ -213,6 +213,36 @@ func TestDefaultStats(t *testing.T) {
 	}
 }
 
+// RowWritten moves the row count and the CNULL counters from the image a
+// write replaced to the one it stored.
+func TestRowWrittenFollowsImages(t *testing.T) {
+	tab := talkTable()
+	row := func(abstract, n sqltypes.Value) []sqltypes.Value {
+		return []sqltypes.Value{sqltypes.NewString("t"), abstract, n}
+	}
+	open, half := row(sqltypes.CNull(), sqltypes.CNull()), row(sqltypes.NewString("a"), sqltypes.CNull())
+	for _, step := range []struct {
+		before, after           []sqltypes.Value
+		rows, abstracts, counts int64
+	}{
+		{nil, open, 1, 1, 1},
+		{nil, half, 2, 1, 2},
+		{open, half, 2, 0, 2}, // an answer memorized
+		{half, half, 2, 0, 2}, // nothing a counter tracks changed
+		{half, open, 2, 1, 2}, // set back to CNULL
+		{half, nil, 1, 1, 1},  // deleted
+		{open, nil, 0, 0, 0},
+		{open, nil, -1, 0, 0}, // CNULL counters clamp at zero
+	} {
+		tab.RowWritten(step.before, step.after)
+		st := tab.Stats()
+		if st.RowCount != step.rows || st.CNullCount["abstract"] != step.abstracts || st.CNullCount["nb_attendees"] != step.counts {
+			t.Fatalf("after %v -> %v: %d rows, CNULLs %v; want %d rows, %d abstracts, %d counts",
+				step.before, step.after, st.RowCount, st.CNullCount, step.rows, step.abstracts, step.counts)
+		}
+	}
+}
+
 func TestObservedFilterSelectivityEWMA(t *testing.T) {
 	c := New()
 	if err := c.CreateTable(talkTable()); err != nil {

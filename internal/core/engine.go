@@ -311,22 +311,14 @@ func (e *Engine) appendSchema(ddl string) error {
 // recovery (one bulk snapshot per table, not a Get per row).
 func (e *Engine) refreshStats() {
 	for _, t := range e.cat.Tables() {
-		n, err := e.store.RowCount(t.Name)
-		if err != nil {
-			continue
-		}
-		t.SetRowCount(int64(n))
+		t.SetRowCount(0)
 		t.ResetCNullCounts()
 		_, rows, err := e.store.ScanRowsAt(t.Name, e.store.VisibleTS())
 		if err != nil {
 			continue
 		}
 		for _, row := range rows {
-			for ci, c := range t.Columns {
-				if row[ci].IsCNull() {
-					t.AdjustCNull(c.Name, 1)
-				}
-			}
+			t.RowWritten(nil, row)
 		}
 	}
 }
@@ -577,12 +569,6 @@ func (e *Engine) applyDDL(stmt parser.Statement, persist bool) error {
 	return fmt.Errorf("core: not a DDL statement: %T", stmt)
 }
 
-// constEval evaluates a row-independent expression (INSERT values, SET
-// right-hand sides without column references).
-func constEval(ex parser.Expr) (sqltypes.Value, error) {
-	return exec.EvalConst(ex)
-}
-
 // commitTraced commits a DML statement's transaction under a "commit"
 // span (the span covers watermark advancement; WAL fsync latency is
 // measured separately, per shard, by the storage histograms).
@@ -633,7 +619,7 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 			}
 		}
 		for i, ex := range exprRow {
-			v, err := constEval(ex)
+			v, err := exec.EvalConst(ex)
 			if err != nil {
 				return nil, err
 			}
@@ -646,27 +632,22 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 		if _, err := tx.Insert(t.Name, row); err != nil {
 			return nil, err
 		}
-		t.AddRowCount(1)
-		for ci, c := range t.Columns {
-			if row[ci].IsCNull() {
-				t.AdjustCNull(c.Name, 1)
-			}
-		}
+		t.RowWritten(nil, row)
 		inserted++
 	}
 	return &Result{Affected: inserted}, nil
 }
 
-// dmlCandidates fetches the rows an UPDATE or DELETE has to check its
-// WHERE against, at the current watermark: through the primary key or an
-// index when the WHERE pins one to a literal (the access path a SELECT
-// would take), the whole table otherwise. The rows are the store's shared
-// images: clone before writing.
-func (e *Engine) dmlCandidates(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, []storage.Row, error) {
+// matchingRows reads the rows an UPDATE or DELETE applies to, with their
+// ids, at the current watermark, through the executor's table reader: by
+// the primary key or an index when the WHERE pins one to a literal (the
+// access path a SELECT would take), over the whole table otherwise. The
+// rows are the store's shared images: clone before writing.
+func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, []storage.Row, error) {
 	scan := plan.NewScan(t, "")
 	scan.Filter = where
 	optimizer.DeriveProbeKeys(scan)
-	ids, rows, err := exec.CandidateRows(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
+	ids, rows, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan, where, -1)
 	return scan.Schema(), ids, rows, err
 }
 
@@ -680,7 +661,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
 		}
 	}
-	schema, ids, rows, err := e.dmlCandidates(t, s.Where)
+	schema, ids, rows, err := e.matchingRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -690,14 +671,6 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
 	for i, row := range rows {
-		id := ids[i]
-		match, err := exec.RowMatches(s.Where, row, schema)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			continue
-		}
 		updated := row.Clone()
 		for _, a := range s.Set {
 			ci := t.ColumnIndex(a.Column)
@@ -709,16 +682,12 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 			if err != nil {
 				return nil, fmt.Errorf("core: column %s: %w", a.Column, err)
 			}
-			if row[ci].IsCNull() && !cv.IsCNull() {
-				t.AdjustCNull(t.Columns[ci].Name, -1)
-			} else if !row[ci].IsCNull() && cv.IsCNull() {
-				t.AdjustCNull(t.Columns[ci].Name, 1)
-			}
 			updated[ci] = cv
 		}
-		if err := tx.Update(t.Name, id, updated); err != nil {
+		if err := tx.Update(t.Name, ids[i], updated); err != nil {
 			return nil, err
 		}
+		t.RowWritten(row, updated)
 		affected++
 	}
 	return &Result{Affected: affected}, nil
@@ -729,7 +698,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
 	}
-	schema, ids, rows, err := e.dmlCandidates(t, s.Where)
+	_, ids, rows, err := e.matchingRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -739,23 +708,10 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 	defer e.commitTraced(tx, tr, sp)
 	affected := 0
 	for i, row := range rows {
-		id := ids[i]
-		match, err := exec.RowMatches(s.Where, row, schema)
-		if err != nil {
+		if err := tx.Delete(t.Name, ids[i]); err != nil {
 			return nil, err
 		}
-		if !match {
-			continue
-		}
-		for ci, c := range t.Columns {
-			if row[ci].IsCNull() {
-				t.AdjustCNull(c.Name, -1)
-			}
-		}
-		if err := tx.Delete(t.Name, id); err != nil {
-			return nil, err
-		}
-		t.AddRowCount(-1)
+		t.RowWritten(row, nil)
 		affected++
 	}
 	return &Result{Affected: affected}, nil
@@ -1090,11 +1046,13 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	var sb strings.Builder
 	sb.WriteString(plan.ExplainTreeAnnotated(opt.Root, func(n plan.Node) string {
 		var parts []string
-		if card, ok := opt.Cards[n]; ok {
-			parts = append(parts, fmt.Sprintf("~%.0f rows", card))
-		}
 		if cost, ok := opt.Costs[n]; ok {
-			parts = append(parts, cost.String())
+			// The row estimate that priced the plan, next to its price.
+			rows := "~∞ rows"
+			if !math.IsInf(cost.Rows, 1) {
+				rows = fmt.Sprintf("~%.0f rows", cost.Rows)
+			}
+			parts = append(parts, rows, cost.String())
 		}
 		if st, ok := opStats[n]; ok {
 			actual := fmt.Sprintf("(actual: %d rows, %s, ¢%.1f",

@@ -72,7 +72,7 @@ func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Valu
 	}
 	switch x := e.(type) {
 	case *parser.BinaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			l, err := refEvalAggExpr(x.L, rows, schema)
 			if err != nil {
 				return sqltypes.Value{}, err
@@ -92,7 +92,7 @@ func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Valu
 			}
 		}
 	case *parser.UnaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			v, err := refEvalAggExpr(x.E, rows, schema)
 			if err != nil {
 				return sqltypes.Value{}, err

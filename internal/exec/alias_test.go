@@ -66,9 +66,9 @@ func TestAliasStatementsLeaveStoredImagesIntact(t *testing.T) {
 
 	snap := st.AcquireSnapshot()
 	defer snap.Release()
-	ids, images, err := st.ScanRowsAt("t", snap.TS())
-	if err != nil || len(images) != rows {
-		t.Fatalf("snapshot scan: %d rows, %v", len(images), err)
+	ids, images := storedAt(t, st, "t", snap.TS())
+	if len(images) != rows {
+		t.Fatalf("snapshot scan: %d rows", len(images))
 	}
 	want := deepCopyRows(images)
 
@@ -132,10 +132,7 @@ func TestAliasStatementsLeaveStoredImagesIntact(t *testing.T) {
 
 	// The pinned snapshot still reads what it read before — through a new
 	// scan and through the images it was handed at the start.
-	_, again, err := st.ScanRowsAt("t", snap.TS())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, again := storedAt(t, st, "t", snap.TS())
 	for name, got := range map[string][]Row{"rescan": again, "held images": images} {
 		if rowsKey(got) != rowsKey(want) {
 			t.Errorf("pinned snapshot changed (%s):\ngot  %swant %s", name, rowsKey(got), rowsKey(want))

@@ -28,9 +28,6 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 		if ctx.Tasks != nil && (x.Table.Crowd || len(x.AskColumns) > 0) {
 			return &crowdProbeScan{node: x}, nil
 		}
-		if is := accessPath(ctx, x); is != nil {
-			return is, nil
-		}
 		return &seqScan{node: x}, nil
 
 	case *plan.Filter:
@@ -122,10 +119,10 @@ func crowdJoinBinding(j *plan.Join, scan *plan.Scan) (leftKey parser.Expr, right
 	}
 	leftSchema := j.Left.Schema()
 	rightSchema := scan.Schema()
-	for _, conj := range splitConjuncts(j.On) {
+	for _, conj := range parser.SplitConjuncts(j.On) {
 		be, isBin := conj.(*parser.BinaryExpr)
 		if !isBin || be.Op != "=" || ok {
-			residual = andExpr(residual, conj)
+			residual = parser.And(residual, conj)
 			continue
 		}
 		var scanSide, otherSide parser.Expr
@@ -135,7 +132,7 @@ func crowdJoinBinding(j *plan.Join, scan *plan.Scan) (leftKey parser.Expr, right
 			scanSide, otherSide = be.R, be.L
 		}
 		if scanSide == nil {
-			residual = andExpr(residual, conj)
+			residual = parser.And(residual, conj)
 			continue
 		}
 		rightCol = scanSide.(*parser.ColumnRef).Name
@@ -149,10 +146,10 @@ func crowdJoinBinding(j *plan.Join, scan *plan.Scan) (leftKey parser.Expr, right
 func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bool) {
 	leftSchema := j.Left.Schema()
 	rightSchema := j.Right.Schema()
-	for _, conj := range splitConjuncts(j.On) {
+	for _, conj := range parser.SplitConjuncts(j.On) {
 		be, isBin := conj.(*parser.BinaryExpr)
 		if !isBin || be.Op != "=" || ok {
-			residual = andExpr(residual, conj)
+			residual = parser.And(residual, conj)
 			continue
 		}
 		switch {
@@ -161,7 +158,7 @@ func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bo
 		case coveredBySchema(be.R, leftSchema) && coveredBySchema(be.L, rightSchema):
 			lk, rk, ok = be.R, be.L, true
 		default:
-			residual = andExpr(residual, conj)
+			residual = parser.And(residual, conj)
 		}
 	}
 	return lk, rk, residual, ok

@@ -672,6 +672,12 @@ func (s *crowdSorter) prefers(i, j int) bool {
 // ---------------------------------------------------------------------------
 // CrowdProbe: scan with CNULL instantiation and tuple solicitation
 
+// crowdProbeScan is an ordinary access-path read with a crowd step bolted
+// on: the table reader (reader.go) hands over the stored rows that pass the
+// crowd-free part of the pushed filter — through the primary key or an
+// index when that part pins one — then CNULLs of the asked columns are
+// instantiated, new tuples solicited for a CROWD table, and the whole
+// filter has its last word.
 type crowdProbeScan struct {
 	node *plan.Scan
 	out  batchEmitter
@@ -681,40 +687,19 @@ func (s *crowdProbeScan) Schema() []plan.Col { return s.node.Schema() }
 
 func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	s.out = batchEmitter{}
-	name := s.node.Table.Name
-	ids, stored, err := ctx.Store.ScanRowsAt(name, ctx.snapTS())
-	if err != nil {
-		return err
-	}
-	var rows []Row
-	var rowIDs []storage.RowID
 	// Pre-filter on conjuncts that do not touch this table's crowd columns:
 	// predicate push-down shrinks the probe set (experiment E10's win).
-	preFilter, postNeeded := splitCrowdFilter(s.node)
-	scanned := int64(0)
-	for i, row := range stored {
-		ctx.Stats.RowsScanned++
-		scanned++
-		keep, err := rowMatches(preFilter, row, s.node.Schema())
-		if err != nil {
-			return err
-		}
-		if keep {
-			rows = append(rows, row)
-			rowIDs = append(rowIDs, ids[i])
-		}
-	}
-	if s.node.Filter != nil && scanned > 0 {
-		// Cost-model feedback: observed selectivity of the pushed predicate.
-		s.node.Table.ObserveFilter(scanned, int64(len(rows)))
-	}
-
+	preFilter, postNeeded := s.node.CrowdFreeFilter()
 	// Stop-after push-down (§3.2.2): when the whole filter ran pre-probe,
 	// the surviving rows are final, so the bound applies BEFORE the crowd
 	// is asked — this is exactly the rule's crowd-task saving.
-	if !postNeeded && !s.node.Table.Crowd && s.node.StopAfter >= 0 && int64(len(rows)) > s.node.StopAfter {
-		rows = rows[:s.node.StopAfter]
-		rowIDs = rowIDs[:s.node.StopAfter]
+	quota := int64(-1)
+	if !postNeeded && !s.node.Table.Crowd {
+		quota = s.node.StopAfter
+	}
+	rowIDs, rows, err := ReadTable(ctx, s.node, preFilter, quota)
+	if err != nil {
+		return err
 	}
 
 	// CrowdProbe phase 1: instantiate CNULLs of the asked crowd columns.
@@ -753,55 +738,6 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	}
 	s.out.rows = out
 	return nil
-}
-
-// splitCrowdFilter separates the scan filter into a pre-probe part (no
-// crowd columns referenced) and reports whether a post-probe pass is
-// needed.
-func splitCrowdFilter(node *plan.Scan) (parser.Expr, bool) {
-	if node.Filter == nil {
-		return nil, false
-	}
-	crowdCols := map[string]bool{}
-	for _, c := range node.Table.Columns {
-		if c.Crowd {
-			crowdCols[strings.ToLower(c.Name)] = true
-		}
-	}
-	var pre parser.Expr
-	post := false
-	for _, conj := range splitConjuncts(node.Filter) {
-		touches := false
-		parser.WalkExprs(conj, func(x parser.Expr) {
-			if cr, ok := x.(*parser.ColumnRef); ok && crowdCols[strings.ToLower(cr.Name)] {
-				touches = true
-			}
-		})
-		if touches {
-			post = true
-		} else {
-			pre = andExpr(pre, conj)
-		}
-	}
-	return pre, post
-}
-
-func splitConjuncts(e parser.Expr) []parser.Expr {
-	if be, ok := e.(*parser.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitConjuncts(be.L), splitConjuncts(be.R)...)
-	}
-	return []parser.Expr{e}
-}
-
-func andExpr(a, b parser.Expr) parser.Expr {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return &parser.BinaryExpr{Op: "AND", L: a, R: b}
-	}
 }
 
 // probeCNulls sends batched HIT groups for every buffered row whose asked
@@ -865,7 +801,7 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 		for _, res := range results {
 			i := reqRow[next]
 			next++
-			changed := false
+			stored, changed := rows[i], false
 			for col, d := range res.Decisions {
 				if d.Total == 0 || !d.Quorum {
 					continue // no usable answer: the value stays CNULL
@@ -882,13 +818,13 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 					changed = true
 				}
 				rows[i][ci] = v
-				t.AdjustCNull(t.Columns[ci].Name, -1)
 			}
 			if changed {
 				// Memorize: the crowd is never asked the same value twice.
 				if err := ctx.Store.Update(t.Name, rowIDs[i], rows[i]); err != nil {
 					return err
 				}
+				t.RowWritten(stored, rows[i])
 			}
 		}
 	}
@@ -1004,7 +940,7 @@ func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string
 			// requirement exists for.
 			continue
 		}
-		t.AddRowCount(1)
+		t.RowWritten(nil, row)
 		out = append(out, row)
 	}
 	return out, nil
@@ -1033,7 +969,9 @@ func (s *crowdProbeScan) bufferedRows() int64 { return int64(len(s.out.rows)) }
 // crowdJoin implements the paper's CrowdJoin: an index nested-loop join
 // whose inner is a CROWD table. For every distinct outer key it looks up
 // stored matches and solicits the expected number of missing tuples with
-// the join key pre-filled — all keys batched into ONE HIT group.
+// the join key pre-filled — all keys batched into ONE HIT group. The stored
+// inner rows come from the table reader (reader.go), so a literal the inner
+// scan's filter pins to its key or an index narrows what is read.
 type crowdJoin struct {
 	node     *plan.Join
 	left     Operator
@@ -1069,23 +1007,9 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	rightColIdx := t.ColumnIndex(j.rightCol)
 
 	// Index the stored inner rows by join key (and probe their CNULLs).
-	ids, stored, err := ctx.Store.ScanRowsAt(t.Name, ctx.snapTS())
+	innerIDs, innerRows, err := ReadTable(ctx, j.scan, j.scan.Filter, -1)
 	if err != nil {
 		return err
-	}
-	var innerRows []Row
-	var innerIDs []storage.RowID
-	for i, row := range stored {
-		id := ids[i]
-		ctx.Stats.RowsScanned++
-		keep, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
-		if err != nil {
-			return err
-		}
-		if keep {
-			innerRows = append(innerRows, row)
-			innerIDs = append(innerIDs, id)
-		}
 	}
 	if ctx.Tasks != nil && len(j.scan.AskColumns) > 0 {
 		if err := probeCNulls(ctx, j.scan, innerRows, innerIDs); err != nil {

@@ -17,9 +17,3 @@ func EvalConst(e parser.Expr) (sqltypes.Value, error) {
 func EvalRow(e parser.Expr, row Row, schema []plan.Col) (sqltypes.Value, error) {
 	return eval(e, &evalCtx{schema: schema, row: row})
 }
-
-// RowMatches evaluates an optional predicate to a keep/drop decision (SQL
-// semantics: unknown drops the row). A nil predicate keeps everything.
-func RowMatches(filter parser.Expr, row Row, schema []plan.Col) (bool, error) {
-	return rowMatches(filter, row, schema)
-}

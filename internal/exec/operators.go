@@ -64,112 +64,36 @@ type Operator interface {
 }
 
 // ---------------------------------------------------------------------------
-// SeqScan: stored-table scan with pushed filter and stop-after. Every scan
-// is one merge, by ascending row ID, over the table's shard cursors — and
-// ascending ID IS global insertion order (IDs are allocated from one
-// per-table counter). Each cursor is pulled a chunk at a time on the query
-// goroutine and the filter runs after the merge, so a scan that stops — a
-// filled stop-after quota, a LIMIT above that no longer pulls — has
-// examined exactly the rows up to the last one it handed over.
-
-// scanChunkRows is how many rows a shard cursor hands over per lock
-// acquisition.
-const scanChunkRows = 256
-
-// shardStream is the merge's view of one shard: its cursor and the
-// current chunk of (id, row) pairs in ascending id.
-type shardStream struct {
-	scan *storage.ShardScan
-	ids  []storage.RowID
-	rows []Row
-	pos  int
-	done bool
-}
+// SeqScan: the stored-table scan operator, the only one — the table reader
+// (reader.go) with the scan's pushed filter and stop-after, batched.
+// Whether the shard cursors or a pinned key feed the reader is the
+// reader's business; the operator is the same.
 
 type seqScan struct {
-	node    *plan.Scan
-	streams []shardStream
-	out     int64
-	scanned int64
-	buf     Batch
-	held    int64 // rows sitting in the streams' chunks
-	peakBuf int64
+	node *plan.Scan
+	rd   tableReader
+	buf  Batch
 }
 
 func (s *seqScan) Schema() []plan.Col { return s.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
-	s.out, s.scanned, s.held, s.peakBuf = 0, 0, 0, 0
-	scans, err := ctx.Store.ScanShardsAt(s.node.Table.Name, ctx.snapTS()) // one timestamp for every shard: a consistent cut
-	if err != nil {
-		return err
-	}
-	s.streams = make([]shardStream, len(scans))
-	for i := range scans {
-		s.streams[i].scan = &scans[i]
-	}
+	return s.rd.open(ctx, s.node, s.node.Filter, s.node.StopAfter)
+}
+
+func (s *seqScan) nextRow(ctx *Ctx) (Row, error) {
+	_, row, err := s.rd.next(ctx)
+	return row, err
+}
+
+func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &s.buf, s.nextRow) }
+
+func (s *seqScan) Close(*Ctx) error {
+	s.rd.close()
 	return nil
 }
 
-// next returns the row with the smallest id across the shard streams, nil
-// once all are drained.
-func (s *seqScan) next() Row {
-	var best *shardStream
-	for i := range s.streams {
-		st := &s.streams[i]
-		if !st.done && st.pos >= len(st.rows) {
-			s.held -= int64(len(st.rows))
-			st.pos = 0
-			st.ids, st.rows = st.scan.Next(st.ids[:0], st.rows[:0], scanChunkRows)
-			st.done = len(st.rows) == 0
-			if s.held += int64(len(st.rows)); s.held > s.peakBuf {
-				s.peakBuf = s.held
-			}
-		}
-		if !st.done && (best == nil || st.ids[st.pos] < best.ids[best.pos]) {
-			best = st
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	best.pos++
-	return best.rows[best.pos-1]
-}
-
-// nextKept returns the next row the pushed filter keeps, nil once the
-// streams are drained or the stop-after quota is filled.
-func (s *seqScan) nextKept(ctx *Ctx) (Row, error) {
-	for s.node.StopAfter < 0 || s.out < s.node.StopAfter {
-		row := s.next()
-		if row == nil {
-			return nil, nil
-		}
-		ctx.Stats.RowsScanned++
-		s.scanned++
-		keep, err := rowMatches(s.node.Filter, row, s.node.Schema())
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			s.out++
-			return row, nil
-		}
-	}
-	return nil, nil
-}
-
-func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &s.buf, s.nextKept) }
-
-func (s *seqScan) Close(ctx *Ctx) error {
-	// Feed the observed predicate selectivity back to the cost model.
-	if s.node.Filter != nil && s.scanned > 0 {
-		s.node.Table.ObserveFilter(s.scanned, s.out)
-	}
-	return nil
-}
-
-func (s *seqScan) bufferedRows() int64 { return s.peakBuf }
+func (s *seqScan) bufferedRows() int64 { return s.rd.peakBuf }
 
 // ---------------------------------------------------------------------------
 // Filter (with CrowdCompare support for crowd predicates)
@@ -603,12 +527,12 @@ func (a *aggregateOp) collectCalls(e parser.Expr) {
 			a.calls = append(a.calls, x)
 		}
 	case *parser.BinaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			a.collectCalls(x.L)
 			a.collectCalls(x.R)
 		}
 	case *parser.UnaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			a.collectCalls(x.E)
 		}
 	}
@@ -788,7 +712,7 @@ func (a *aggregateOp) evalAgg(e parser.Expr, g *aggGroup) (sqltypes.Value, error
 	}
 	switch x := e.(type) {
 	case *parser.BinaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			l, err := a.evalAgg(x.L, g)
 			if err != nil {
 				return sqltypes.Value{}, err
@@ -808,7 +732,7 @@ func (a *aggregateOp) evalAgg(e parser.Expr, g *aggGroup) (sqltypes.Value, error
 			}
 		}
 	case *parser.UnaryExpr:
-		if exprHasAggregate(e) {
+		if parser.HasAggregate(e) {
 			v, err := a.evalAgg(x.E, g)
 			if err != nil {
 				return sqltypes.Value{}, err
@@ -820,14 +744,4 @@ func (a *aggregateOp) evalAgg(e parser.Expr, g *aggGroup) (sqltypes.Value, error
 		return sqltypes.Null(), nil
 	}
 	return eval(e, &evalCtx{schema: a.input.Schema(), row: g.first})
-}
-
-func exprHasAggregate(e parser.Expr) bool {
-	found := false
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if fc, ok := x.(*parser.FuncCall); ok && fc.IsAggregate() {
-			found = true
-		}
-	})
-	return found
 }

@@ -1,0 +1,212 @@
+package exec
+
+import (
+	"strings"
+
+	"crowddb/internal/parser"
+	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
+)
+
+// The table reader is the one way this package reads stored rows: SeqScan,
+// CrowdProbe, CrowdJoin and (through ReadTable) the engine's UPDATE and
+// DELETE all pull from it. It is a merge, by ascending row ID, over
+// streams of (id, row) pairs — and ascending ID IS global insertion order
+// (IDs are allocated from one per-table counter). Two sources feed it:
+//
+//   - the table's shard cursors, each pulled a chunk at a time on the query
+//     goroutine, or
+//   - when the scan's probe keys pin the primary key or a single-column
+//     index to a literal, one chunk fetched up front through that key —
+//     which is all an index scan is.
+//
+// Either way the filter runs after the merge on every row handed over (an
+// index only narrows the candidates: its entries can be stale and the
+// residual conjuncts still apply), Stats.RowsScanned counts exactly the
+// rows examined, and a read that stops — a filled quota, a LIMIT above that
+// no longer pulls — has examined exactly the rows up to the last one it
+// returned.
+
+// scanChunkRows is how many rows a shard cursor hands over per lock
+// acquisition.
+const scanChunkRows = 256
+
+// shardStream is the merge's view of one source: the current chunk of
+// (id, row) pairs in ascending id and, when a shard cursor feeds it, the
+// cursor that refills it (nil: the chunk is all there is).
+type shardStream struct {
+	scan *storage.ShardScan
+	ids  []storage.RowID
+	rows []Row
+	pos  int
+	done bool
+}
+
+type tableReader struct {
+	node    *plan.Scan
+	filter  parser.Expr // keep/drop test, unknown drops; nil keeps every row
+	quota   int64       // rows to return before stopping, < 0 for all
+	streams []shardStream
+	keyed   [1]shardStream // backs streams when a key feeds the read
+	cursors bool           // fed by the shard cursors, not by a key
+	out     int64
+	scanned int64
+	held    int64 // rows sitting in the streams' chunks
+	peakBuf int64
+}
+
+// open positions the reader on node's table at the statement's snapshot.
+// filter is usually node.Filter; CrowdProbe passes the part of it that can
+// run before the crowd is asked.
+func (r *tableReader) open(ctx *Ctx, node *plan.Scan, filter parser.Expr, quota int64) error {
+	*r = tableReader{node: node, filter: filter, quota: quota}
+	ids, rows, keyed, err := fetchByKey(ctx, node)
+	if err != nil {
+		return err
+	}
+	if keyed {
+		r.keyed[0] = shardStream{ids: ids, rows: rows}
+		r.streams = r.keyed[:]
+		r.held = int64(len(rows))
+		r.peakBuf = r.held
+		return nil
+	}
+	scans, err := ctx.Store.ScanShardsAt(node.Table.Name, ctx.snapTS()) // one timestamp for every shard: a consistent cut
+	if err != nil {
+		return err
+	}
+	r.cursors = true
+	r.streams = make([]shardStream, len(scans))
+	for i := range scans {
+		r.streams[i].scan = &scans[i]
+	}
+	return nil
+}
+
+// merge returns the pair with the smallest id across the streams, a nil
+// row once all are drained.
+func (r *tableReader) merge() (storage.RowID, Row) {
+	var best *shardStream
+	for i := range r.streams {
+		st := &r.streams[i]
+		if !st.done && st.pos >= len(st.rows) {
+			r.held -= int64(len(st.rows))
+			st.pos, st.rows = 0, st.rows[:0]
+			if st.scan != nil {
+				st.ids, st.rows = st.scan.Next(st.ids[:0], st.rows, scanChunkRows)
+			}
+			st.done = len(st.rows) == 0
+			if r.held += int64(len(st.rows)); r.held > r.peakBuf {
+				r.peakBuf = r.held
+			}
+		}
+		if !st.done && (best == nil || st.ids[st.pos] < best.ids[best.pos]) {
+			best = st
+		}
+	}
+	if best == nil {
+		return 0, nil
+	}
+	best.pos++
+	return best.ids[best.pos-1], best.rows[best.pos-1]
+}
+
+// next returns the next row the filter keeps, a nil row once the streams
+// are drained or the quota is filled.
+func (r *tableReader) next(ctx *Ctx) (storage.RowID, Row, error) {
+	for r.quota < 0 || r.out < r.quota {
+		id, row := r.merge()
+		if row == nil {
+			break
+		}
+		ctx.Stats.RowsScanned++
+		r.scanned++
+		keep, err := rowMatches(r.filter, row, r.node.Schema())
+		if err != nil {
+			return 0, nil, err
+		}
+		if keep {
+			r.out++
+			return id, row, nil
+		}
+	}
+	return 0, nil, nil
+}
+
+// close feeds back to the cost model what the read kept of the rows it
+// examined, as the observed selectivity of the scan's pushed predicate
+// (CrowdProbe's observation is of the part it could run before the crowd
+// answered) — from the cursors only: a key-fed read keeps nearly every
+// candidate, which says nothing about the predicate over the table.
+func (r *tableReader) close() {
+	if r.cursors && r.node.Filter != nil {
+		r.node.Table.ObserveFilter(r.scanned, r.out)
+	}
+}
+
+// ReadTable returns, in insertion order and with their ids, the rows of
+// node's table that filter keeps — at most quota of them when quota >= 0 —
+// reading through the key node's probe keys pin when there is one. The rows
+// are the store's shared images: clone before writing.
+func ReadTable(ctx *Ctx, node *plan.Scan, filter parser.Expr, quota int64) ([]storage.RowID, []Row, error) {
+	var r tableReader
+	if err := r.open(ctx, node, filter, quota); err != nil {
+		return nil, nil, err
+	}
+	defer r.close()
+	var ids []storage.RowID
+	var rows []Row
+	if !r.cursors {
+		// The fetched chunk is nobody else's: keep what passes in place.
+		ids, rows = r.keyed[0].ids[:0], r.keyed[0].rows[:0]
+	}
+	for {
+		id, row, err := r.next(ctx)
+		if err != nil || row == nil {
+			return ids, rows, err
+		}
+		ids, rows = append(ids, id), append(rows, row)
+	}
+}
+
+// fetchByKey is the reader's second source. When the scan's probe keys pin
+// the single-column primary key or a single-column index to a literal it
+// returns the rows that key selects, with their ids in ascending order —
+// they come back with the index probe under one lock acquisition per
+// shard, no per-row Get round-trips; keyed is false when only the cursors
+// apply. With a crowd attached a CROWD column is never a key: a stored
+// CNULL can still become the literal.
+func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, keyed bool, err error) {
+	t := node.Table
+	key := func(name string) (sqltypes.Value, bool) {
+		v, pinned := node.ProbeKeys[strings.ToLower(name)]
+		col, ok := t.Column(name)
+		if !pinned || !ok || (col.Crowd && ctx.Tasks != nil) {
+			return v, false
+		}
+		// Coerce the literal to the column type so the encoded key matches
+		// stored values (e.g. WHERE id = 3 against an INTEGER column).
+		if cv, err := v.Coerce(col.Type); err == nil {
+			v = cv
+		}
+		return v, true
+	}
+	if len(t.PrimaryKey) == 1 {
+		if v, ok := key(t.PrimaryKey[0]); ok {
+			if id, row, found := ctx.Store.LookupPKRowAt(t.Name, ctx.snapTS(), v); found {
+				ids, rows = []storage.RowID{id}, []Row{row}
+			}
+			return ids, rows, true, nil
+		}
+	}
+	for col := range node.ProbeKeys {
+		if idx, ok := ctx.Cat.IndexOn(t.Name, col); ok && len(idx.Columns) == 1 {
+			if v, ok := key(col); ok {
+				ids, rows, err = ctx.Store.LookupIndexRowsAt(t.Name, idx.Name, ctx.snapTS(), v)
+				return ids, rows, true, err
+			}
+		}
+	}
+	return nil, nil, false, nil
+}

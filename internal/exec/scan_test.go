@@ -16,9 +16,8 @@ import (
 // TestScanAgreesWithStoreUnderWrites drives random inserts, updates,
 // key-changing updates (shard moves), deletes and GC sweeps, and checks at
 // every pinned snapshot that the shard merge and a stop-after scan emit
-// the rows — in the order — that a filter over the store's own ScanRowsAt
-// gives, and that the stop-after scan examined exactly the rows up to its
-// quota.
+// the rows — in the order — that a filter over the model (storedAt) gives,
+// and that the stop-after scan examined exactly the rows up to its quota.
 func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -83,10 +82,7 @@ func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 				}
 				for _, at := range append([]int64{st.VisibleTS()}, snapTimes(snaps)...) {
 					bound := rng.Int63n(100)
-					_, stored, err := st.ScanRowsAt("t", at)
-					if err != nil {
-						t.Fatal(err)
-					}
+					_, stored := storedAt(t, st, "t", at)
 					var want []Row
 					for _, r := range stored {
 						if r[1].Int() > bound {

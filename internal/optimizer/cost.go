@@ -328,9 +328,11 @@ func (cm *costModel) scanCost(s *plan.Scan) plan.Cost {
 	if !s.Table.Crowd {
 		// Stop-after truncates a closed-world scan before the crowd is
 		// asked whenever the whole pushed filter runs pre-probe (no crowd
-		// columns referenced) — mirror that in the probe forecast.
-		if s.StopAfter >= 0 && float64(s.StopAfter) < storedOut && !filterTouchesCrowdColumns(s) {
-			storedOut = float64(s.StopAfter)
+		// columns referenced): the probe forecast follows.
+		if s.StopAfter >= 0 && float64(s.StopAfter) < storedOut {
+			if _, probeFirst := s.CrowdFreeFilter(); !probeFirst {
+				storedOut = float64(s.StopAfter)
+			}
 		}
 		c := cm.probeCost(s, storedOut)
 		c.MachineSeconds += machine
@@ -363,26 +365,6 @@ func (cm *costModel) scanCost(s *plan.Scan) plan.Cost {
 		return plan.Cost{Cents: math.Inf(1), Seconds: math.Inf(1), Rows: math.Inf(1)}
 	}
 	return c
-}
-
-// filterTouchesCrowdColumns reports whether the scan's pushed predicate
-// references a CROWD column (the executor must then probe before it can
-// finish filtering, so stop-after cannot shrink the probe set).
-func filterTouchesCrowdColumns(s *plan.Scan) bool {
-	if s.Filter == nil {
-		return false
-	}
-	touches := false
-	parser.WalkExprs(s.Filter, func(x parser.Expr) {
-		cr, ok := x.(*parser.ColumnRef)
-		if !ok {
-			return
-		}
-		if col, found := s.Table.Column(cr.Name); found && col.Crowd {
-			touches = true
-		}
-	})
-	return touches
 }
 
 // countCrowdEqualCalls counts CROWDEQUAL / ~= occurrences in a predicate.
@@ -527,7 +509,7 @@ func (o *optimizer) buildDP(leaves []plan.Node, conjuncts []parser.Expr) (plan.N
 					continue
 				}
 				if coveredBy(conj, joint) {
-					on = andExpr(on, conj)
+					on = parser.And(on, conj)
 					used |= 1 << uint(ci)
 				}
 			}
@@ -566,7 +548,7 @@ func (o *optimizer) orderFilterPhases(n plan.Node) {
 	if f, ok := n.(*plan.Filter); ok && parser.HasCrowdFunc(f.Cond) {
 		var cheap []parser.Expr
 		crowd := false
-		for _, conj := range splitConjuncts(f.Cond) {
+		for _, conj := range parser.SplitConjuncts(f.Cond) {
 			if parser.HasCrowdFunc(conj) {
 				crowd = true
 			} else {

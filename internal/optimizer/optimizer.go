@@ -1,9 +1,10 @@
 // Package optimizer implements CrowdDB's rule-based query optimizer
 // (paper §3.2.2): predicate push-down, stop-after push-down, join
 // ordering, and the open-world boundedness analysis that "ensur[es] that
-// the amount of data requested from the crowd is bounded", annotating the
-// plan with cardinality predictions and warning at compile time when the
-// number of crowd requests cannot be bounded.
+// the amount of data requested from the crowd is bounded", warning at
+// compile time when the number of crowd requests cannot be bounded. The
+// cost model (cost.go) annotates the plan with the cardinality, cents and
+// latency predictions EXPLAIN prints.
 package optimizer
 
 import (
@@ -46,8 +47,6 @@ type Result struct {
 	Warnings []string
 	// Bounded reports whether every crowd access in the plan is bounded.
 	Bounded bool
-	// Cards are the optimizer's cardinality predictions per node.
-	Cards map[plan.Node]float64
 	// Costs are the cost model's per-node predictions (crowd cents,
 	// crowd-latency seconds, output rows); EXPLAIN prints them.
 	Costs map[plan.Node]plan.Cost
@@ -73,9 +72,8 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 	if !opts.DisableCostBased {
 		o.orderFilterPhases(root)
 	}
-	res := &Result{Root: root, Cards: map[plan.Node]float64{}}
-	bounded := o.annotate(root, res)
-	res.Bounded = bounded
+	bounded := o.annotate(root)
+	res := &Result{Root: root, Bounded: bounded}
 	// Final costing pass: a fresh model, because the tree was mutated
 	// (stop-after, filter phases) since any costs computed during the
 	// join-order search.
@@ -158,7 +156,7 @@ func (o *optimizer) pushPredicates(n plan.Node) plan.Node {
 	case *plan.Filter:
 		x.Input = o.pushPredicates(x.Input)
 		var rest []parser.Expr
-		for _, conj := range splitConjuncts(x.Cond) {
+		for _, conj := range parser.SplitConjuncts(x.Cond) {
 			if parser.HasCrowdFunc(conj) || hasSubquery(conj) || !o.push(x.Input, conj) {
 				rest = append(rest, conj)
 			}
@@ -173,7 +171,7 @@ func (o *optimizer) pushPredicates(n plan.Node) plan.Node {
 		x.Right = o.pushPredicates(x.Right)
 		if x.On != nil && x.Type != parser.JoinLeft {
 			var rest []parser.Expr
-			for _, conj := range splitConjuncts(x.On) {
+			for _, conj := range parser.SplitConjuncts(x.On) {
 				if parser.HasCrowdFunc(conj) || hasSubquery(conj) || !o.pushToSide(x, conj) {
 					rest = append(rest, conj)
 				}
@@ -206,7 +204,7 @@ func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
 		if coveredBy(conj, x.Schema()) {
-			x.Filter = andExpr(x.Filter, conj)
+			x.Filter = parser.And(x.Filter, conj)
 			return true
 		}
 	case *plan.Filter:
@@ -225,7 +223,7 @@ func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 		// Spans both sides: fold into the join condition (turns cross
 		// products into equi-joins the executor can run as CrowdJoin).
 		if coveredBy(conj, x.Schema()) {
-			x.On = andExpr(x.On, conj)
+			x.On = parser.And(x.On, conj)
 			if x.Type == parser.JoinCross {
 				x.Type = parser.JoinInner
 			}
@@ -246,30 +244,12 @@ func (o *optimizer) pushToSide(j *plan.Join, conj parser.Expr) bool {
 	return false
 }
 
-func splitConjuncts(e parser.Expr) []parser.Expr {
-	if be, ok := e.(*parser.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitConjuncts(be.L), splitConjuncts(be.R)...)
-	}
-	return []parser.Expr{e}
-}
-
 func joinConjuncts(es []parser.Expr) parser.Expr {
 	var out parser.Expr
 	for _, e := range es {
-		out = andExpr(out, e)
+		out = parser.And(out, e)
 	}
 	return out
-}
-
-func andExpr(a, b parser.Expr) parser.Expr {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return &parser.BinaryExpr{Op: "AND", L: a, R: b}
-	}
 }
 
 // hasSubquery reports whether e contains an IN-subquery; those stay in
@@ -307,7 +287,7 @@ func coveredBy(e parser.Expr, schema []plan.Col) bool {
 func DeriveProbeKeys(n plan.Node) {
 	if s, ok := n.(*plan.Scan); ok {
 		if s.Filter != nil {
-			for _, conj := range splitConjuncts(s.Filter) {
+			for _, conj := range parser.SplitConjuncts(s.Filter) {
 				if col, val, ok := equalityBinding(conj); ok {
 					s.ProbeKeys[strings.ToLower(col)] = val
 				}
@@ -397,7 +377,7 @@ func (o *optimizer) collectJoinTree(j *plan.Join) ([]plan.Node, []parser.Expr) {
 			walk(jn.Left)
 			walk(jn.Right)
 			if jn.On != nil {
-				conjs = append(conjs, splitConjuncts(jn.On)...)
+				conjs = append(conjs, parser.SplitConjuncts(jn.On)...)
 			}
 			return
 		}
@@ -497,7 +477,7 @@ func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (pl
 				continue
 			}
 			if coveredBy(conj, joint) {
-				on = andExpr(on, conj)
+				on = parser.And(on, conj)
 				usedConj[ci] = true
 			}
 		}
@@ -562,7 +542,7 @@ func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: boundedness analysis and cardinality annotation
+// Rule 5: boundedness analysis
 
 func (o *optimizer) scanCard(s *plan.Scan) float64 {
 	stored := float64(s.Table.RowCount())
@@ -597,65 +577,34 @@ func (o *optimizer) scanCard(s *plan.Scan) float64 {
 	return card
 }
 
-// annotate computes cardinalities bottom-up and records unbounded crowd
-// access warnings. Returns whether n is bounded.
-func (o *optimizer) annotate(n plan.Node, res *Result) bool {
-	bounded := true
-	var card float64
+// annotate records unbounded crowd access warnings. Returns whether n is
+// bounded.
+func (o *optimizer) annotate(n plan.Node) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
-		card = o.scanCard(x)
-		if math.IsInf(card, 1) {
-			bounded = false
+		if math.IsInf(o.scanCard(x), 1) {
 			o.warnScan(x, "scan of CROWD table %s is unbounded: add a key predicate or LIMIT", x.Alias)
-			card = float64(x.Table.RowCount()) + 1 // stored-only fallback card
+			return false
 		}
+		return true
 	case *plan.Join:
-		lb := o.annotate(x.Left, res)
-		rb := o.annotate(x.Right, res)
-		lc, rc := res.Cards[x.Left], res.Cards[x.Right]
-		bounded = lb && rb
+		lb := o.annotate(x.Left)
+		rb := o.annotate(x.Right)
 		// CrowdJoin rescue: an unbounded crowd inner whose key is bound by
 		// the join condition becomes bounded per outer tuple (§3.2.1).
 		if lb && !rb {
 			if s, ok := x.Right.(*plan.Scan); ok && s.Table.Crowd && o.joinBindsScan(x, s) {
-				bounded = true
-				rc = float64(s.Table.ExpectedCrowdCard())
 				// Retract the unbounded warning the inner scan just logged.
 				o.dropScanWarning(s)
+				return true
 			}
 		}
-		sel := 1.0
-		if x.On != nil {
-			sel = 0.1
-		}
-		card = lc * rc * sel
-	case *plan.Filter:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input] * 0.33
-	case *plan.Project:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input]
-	case *plan.Aggregate:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input] * 0.1
-	case *plan.Sort:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input]
-	case *plan.Distinct:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input] * 0.7
-	case *plan.Limit:
-		bounded = o.annotate(x.Input, res)
-		card = res.Cards[x.Input]
-		if x.N >= 0 && float64(x.N) < card {
-			card = float64(x.N)
-		}
+		return lb && rb
 	}
-	if card < 1 {
-		card = 1
+	bounded := true
+	for _, c := range n.Children() {
+		bounded = o.annotate(c) && bounded
 	}
-	res.Cards[n] = card
 	return bounded
 }
 
@@ -667,7 +616,7 @@ func (o *optimizer) joinBindsScan(j *plan.Join, s *plan.Scan) bool {
 		return false
 	}
 	other := j.Left.Schema()
-	for _, conj := range splitConjuncts(j.On) {
+	for _, conj := range parser.SplitConjuncts(j.On) {
 		be, ok := conj.(*parser.BinaryExpr)
 		if !ok || be.Op != "=" {
 			continue

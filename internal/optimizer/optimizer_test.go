@@ -294,11 +294,11 @@ func TestAblationOptions(t *testing.T) {
 func TestCardinalityAnnotations(t *testing.T) {
 	cat := testCatalog(t)
 	res := optimize(t, cat, `SELECT title FROM Talk WHERE title = 'X'`, Options{})
-	if len(res.Cards) == 0 {
+	if len(res.Costs) == 0 {
 		t.Fatal("no cardinality annotations")
 	}
 	scan := findScan(res.Root, "Talk")
-	if res.Cards[scan] > 2 {
-		t.Errorf("PK equality should predict ~1 row, got %f", res.Cards[scan])
+	if res.Costs[scan].Rows > 2 {
+		t.Errorf("PK equality should predict ~1 row, got %f", res.Costs[scan].Rows)
 	}
 }

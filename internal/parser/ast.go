@@ -568,3 +568,35 @@ func HasCrowdFunc(e Expr) bool {
 	})
 	return found
 }
+
+// HasAggregate reports whether the expression tree contains a SQL
+// aggregate call.
+func HasAggregate(e Expr) bool {
+	found := false
+	WalkExprs(e, func(x Expr) {
+		if fc, ok := x.(*FuncCall); ok && fc.IsAggregate() {
+			found = true
+		}
+	})
+	return found
+}
+
+// SplitConjuncts flattens a predicate's top-level ANDs into its conjuncts.
+func SplitConjuncts(e Expr) []Expr {
+	if be, ok := e.(*BinaryExpr); ok && be.Op == "AND" {
+		return append(SplitConjuncts(be.L), SplitConjuncts(be.R)...)
+	}
+	return []Expr{e}
+}
+
+// And conjoins two optional predicates (nil = absent).
+func And(a, b Expr) Expr {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	default:
+		return &BinaryExpr{Op: "AND", L: a, R: b}
+	}
+}

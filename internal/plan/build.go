@@ -79,7 +79,7 @@ func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 
 	hasAgg := len(sel.GroupBy) > 0
 	for _, it := range items {
-		if exprHasAggregate(it.Expr) {
+		if parser.HasAggregate(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -248,16 +248,6 @@ func bindSortKey(e parser.Expr, schema []Col) error {
 	return firstErr
 }
 
-func exprHasAggregate(e parser.Expr) bool {
-	found := false
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if fc, ok := x.(*parser.FuncCall); ok && fc.IsAggregate() {
-			found = true
-		}
-	})
-	return found
-}
-
 // checkGrouping enforces that non-aggregate select items appear in GROUP BY.
 func checkGrouping(items []parser.SelectItem, groupBy []parser.Expr) error {
 	keys := map[string]bool{}
@@ -265,7 +255,7 @@ func checkGrouping(items []parser.SelectItem, groupBy []parser.Expr) error {
 		keys[g.String()] = true
 	}
 	for _, it := range items {
-		if exprHasAggregate(it.Expr) {
+		if parser.HasAggregate(it.Expr) {
 			continue
 		}
 		if !keys[it.Expr.String()] {

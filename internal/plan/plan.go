@@ -106,6 +106,33 @@ func (s *Scan) Explain() string {
 	return sb.String()
 }
 
+// CrowdFreeFilter splits the pushed predicate at its top-level ANDs. pre
+// conjoins the conjuncts that reference no CROWD column of the table: the
+// part that can run before the crowd is asked. rest reports whether a
+// conjunct was left out — the scan must then instantiate CNULLs before the
+// filter has its last word, so stop-after cannot shrink the probe set.
+func (s *Scan) CrowdFreeFilter() (pre parser.Expr, rest bool) {
+	if s.Filter == nil {
+		return nil, false
+	}
+	for _, conj := range parser.SplitConjuncts(s.Filter) {
+		touches := false
+		parser.WalkExprs(conj, func(x parser.Expr) {
+			if cr, ok := x.(*parser.ColumnRef); ok {
+				if col, found := s.Table.Column(cr.Name); found && col.Crowd {
+					touches = true
+				}
+			}
+		})
+		if touches {
+			rest = true
+		} else {
+			pre = parser.And(pre, conj)
+		}
+	}
+	return pre, rest
+}
+
 // Filter drops rows not satisfying Cond. Crowd predicates (CROWDEQUAL, ~=)
 // stay in Filter nodes; the executor evaluates them with CrowdCompare.
 type Filter struct {
