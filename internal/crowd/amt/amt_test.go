@@ -142,3 +142,40 @@ func TestHTTPBinding(t *testing.T) {
 		t.Error("invalid group over HTTP must fail")
 	}
 }
+
+// BenchmarkMarketRoundTrip is one 8-HIT × 3-assignment group's whole life
+// on the platform, driven the way the Task Manager drives it: post, poll
+// and step a virtual minute at a time until done, fetch, approve every
+// answer. Run it with -benchtime 2000x: the groups of earlier iterations
+// stay on the market, and the cost of one more must not depend on them.
+func BenchmarkMarketRoundTrip(b *testing.B) {
+	p := NewDefault(1)
+	spec := probeGroup(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := p.Post(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			st, err := p.Status(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.Done() {
+				break
+			}
+			p.Step(time.Minute)
+		}
+		res, err := p.Results(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range res {
+			if err := p.Approve(a.ID, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

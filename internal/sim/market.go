@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,27 +76,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// hitState tracks one HIT's outstanding replication.
+// hitState tracks one HIT's outstanding replication and the answers it
+// has received.
 type hitState struct {
 	hit       *crowd.HIT
 	remaining int
-	doneBy    map[string]bool // workers may not repeat a HIT
+	// claimedBy holds the at most Assignments workers who took the HIT: a
+	// worker may not repeat one.
+	claimedBy []*Worker
+	answers   []*crowd.Assignment // in submission order
 	// early marks a HIT closed below full replication: its answers were
 	// unanimous above the quorum floor and the group opted into adaptive
 	// vote sizing, so no further assignments are solicited.
 	early bool
 }
 
+// satisfied reports whether the HIT needs no further answers: closed early
+// on unanimity, or fully claimed and fully replicated.
+func (hs *hitState) satisfied(assignments int) bool {
+	return hs.early || (hs.remaining <= 0 && len(hs.answers) >= assignments)
+}
+
 type group struct {
 	id          crowd.GroupID
 	spec        *crowd.HITGroup
-	hits        []*hitState
-	assignments []*crowd.Assignment
-	byAssignID  map[string]*crowd.Assignment
-	completed   int
+	hits        []hitState
+	assignments []*crowd.Assignment // in submission order, which is time order
+	completed   int                 // HITs that are satisfied
 	expired     bool
-	postedAt    time.Duration
-	arrivalsOn  bool
+}
+
+// submission is what the market knows about one submitted assignment: every
+// call that names an assignment finds its group and worker here, so its
+// cost does not grow with the number of groups ever posted.
+type submission struct {
+	a *crowd.Assignment
+	g *group
+	w *Worker
 }
 
 // Market is the simulated labor marketplace both platforms are built on.
@@ -110,6 +127,7 @@ type Market struct {
 	returned []*Worker // workers who have completed ≥1 assignment, with repeats (preferential attachment)
 	blocked  map[string]bool
 	groups   map[crowd.GroupID]*group
+	subs     map[string]submission // by assignment ID
 	nextGID  int
 	nextAID  int
 
@@ -127,6 +145,7 @@ func NewMarket(cfg Config) *Market {
 		workers: NewWorkerPool(cfg.Pool, rng),
 		blocked: make(map[string]bool),
 		groups:  make(map[crowd.GroupID]*group),
+		subs:    make(map[string]submission),
 	}
 }
 
@@ -168,19 +187,17 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 	defer m.mu.Unlock()
 	m.nextGID++
 	g := &group{
-		id:         crowd.GroupID(fmt.Sprintf("G%05d", m.nextGID)),
-		spec:       spec,
-		byAssignID: make(map[string]*crowd.Assignment),
-		postedAt:   m.clock.Now(),
+		id:   crowd.GroupID(fmt.Sprintf("G%05d", m.nextGID)),
+		spec: spec,
+		hits: make([]hitState, len(spec.HITs)),
 	}
-	for _, h := range spec.HITs {
-		g.hits = append(g.hits, &hitState{hit: h, remaining: spec.Assignments, doneBy: make(map[string]bool)})
+	for i, h := range spec.HITs {
+		g.hits[i] = hitState{hit: h, remaining: spec.Assignments}
 	}
 	m.groups[g.id] = g
 	if spec.Expiry > 0 {
 		m.clock.Schedule(spec.Expiry, func() { g.expired = true })
 	}
-	g.arrivalsOn = true
 	m.scheduleArrival(g)
 	return g.id, nil
 }
@@ -205,7 +222,6 @@ func (m *Market) arrivalRate(g *group) float64 {
 
 func (m *Market) scheduleArrival(g *group) {
 	if g.expired || g.completed == len(g.hits) {
-		g.arrivalsOn = false
 		return
 	}
 	rate := m.arrivalRate(g) // per hour
@@ -220,7 +236,6 @@ func (m *Market) scheduleArrival(g *group) {
 func (m *Market) arrive(g *group) {
 	defer m.scheduleArrival(g)
 	if g.expired || g.completed == len(g.hits) {
-		g.arrivalsOn = false
 		return
 	}
 	w := m.pickWorker(g.spec.Venue)
@@ -234,13 +249,14 @@ func (m *Market) arrive(g *group) {
 		want++
 	}
 	var claimed []*hitState
-	for _, hs := range g.hits {
+	for i := range g.hits {
 		if len(claimed) >= want {
 			break
 		}
-		if hs.remaining > 0 && !hs.doneBy[w.ID] {
+		hs := &g.hits[i]
+		if hs.remaining > 0 && !slices.Contains(hs.claimedBy, w) {
 			hs.remaining--
-			hs.doneBy[w.ID] = true
+			hs.claimedBy = append(hs.claimedBy, w)
 			claimed = append(claimed, hs)
 		}
 	}
@@ -293,48 +309,35 @@ func (m *Market) submit(g *group, hs *hitState, w *Worker) {
 		SubmittedAt: m.clock.Now(),
 		Answers:     m.answer(hs.hit, w),
 	}
+	wasSatisfied := hs.satisfied(g.spec.Assignments)
+	hs.answers = append(hs.answers, a)
 	g.assignments = append(g.assignments, a)
-	g.byAssignID[a.ID] = a
+	m.subs[a.ID] = submission{a: a, g: g, w: w}
 	w.Completed++
 	m.returned = append(m.returned, w) // one entry per completion = preferential attachment
 	m.totalSubmitted++
 
-	if g.spec.AdaptiveVotes && !hs.early && unanimousAboveQuorum(g, hs.hit) {
+	if g.spec.AdaptiveVotes && !hs.early && hs.unanimousAboveQuorum(g.spec.Assignments) {
 		// Early answers agree above the quorum floor: stop soliciting
 		// further assignments for this HIT (adaptive vote sizing).
 		hs.early = true
 		hs.remaining = 0
 	}
-
-	done := true
-	for _, other := range g.hits {
-		if !hitSatisfied(g, other) {
-			done = false
-			break
-		}
+	if !wasSatisfied && hs.satisfied(g.spec.Assignments) {
+		g.completed++
 	}
-	if done {
-		g.completed = len(g.hits)
-	}
-}
-
-// hitSatisfied reports whether a HIT needs no further answers: closed
-// early on unanimity, or fully claimed and fully replicated.
-func hitSatisfied(g *group, hs *hitState) bool {
-	return hs.early || (hs.remaining <= 0 && len(answersFor(g, hs.hit.ID)) >= g.spec.Assignments)
 }
 
 // unanimousAboveQuorum reports whether every submitted answer for the HIT
 // agrees on every input field after cleansing, with at least a majority
 // quorum's worth of answers in and none of them garbage.
-func unanimousAboveQuorum(g *group, hit *crowd.HIT) bool {
-	as := answersFor(g, hit.ID)
-	if len(as) < quality.MajorityFor(g.spec.Assignments) {
+func (hs *hitState) unanimousAboveQuorum(assignments int) bool {
+	if len(hs.answers) < quality.MajorityFor(assignments) {
 		return false
 	}
-	for _, field := range hit.InputFields() {
+	for _, field := range hs.hit.InputFields() {
 		var first string
-		for i, a := range as {
+		for i, a := range hs.answers {
 			ans, ok := a.Answers[field]
 			if !ok || quality.IsGarbage(ans) {
 				return false
@@ -348,16 +351,6 @@ func unanimousAboveQuorum(g *group, hit *crowd.HIT) bool {
 		}
 	}
 	return true
-}
-
-func answersFor(g *group, hitID string) []*crowd.Assignment {
-	var out []*crowd.Assignment
-	for _, a := range g.assignments {
-		if a.HITID == hitID {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // answer simulates a worker filling the HIT's form. CrowdDB never sees this
@@ -432,21 +425,11 @@ func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 	if !ok {
 		return crowd.GroupStatus{}, fmt.Errorf("sim: unknown group %s", id)
 	}
-	st := crowd.GroupStatus{Posted: len(g.hits), Expired: g.expired, Submitted: len(g.assignments)}
-	perHIT := make(map[string]int)
-	for _, a := range g.assignments {
-		perHIT[a.HITID]++
-	}
-	for _, hs := range g.hits {
-		if hs.early || perHIT[hs.hit.ID] >= g.spec.Assignments {
-			st.Completed++
-		}
-	}
-	return st, nil
+	return crowd.GroupStatus{Posted: len(g.hits), Completed: g.completed, Submitted: len(g.assignments), Expired: g.expired}, nil
 }
 
 // Results returns copies of the group's submitted assignments, ordered by
-// submission time.
+// submission time (callers stamp the copies, e.g. with their Source).
 func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -463,44 +446,49 @@ func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 		}
 		out[i] = &cp
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedAt < out[j].SubmittedAt })
 	return out, nil
+}
+
+// settle moves a submitted assignment to its final status. An assignment
+// is settled once: only AssignmentSubmitted can be approved or rejected, so
+// a rejected answer is never paid afterwards and a paid one never loses its
+// Approved status while the worker keeps the money.
+func (m *Market) settle(assignmentID string, to crowd.AssignmentStatus) (submission, error) {
+	sub, ok := m.subs[assignmentID]
+	if !ok {
+		return submission{}, fmt.Errorf("sim: unknown assignment %s", assignmentID)
+	}
+	if sub.a.Status != crowd.AssignmentSubmitted {
+		return submission{}, fmt.Errorf("sim: assignment %s already settled", assignmentID)
+	}
+	sub.a.Status = to
+	return sub, nil
 }
 
 // Approve pays the worker the group reward plus bonus and returns the
 // amount paid, so callers layering fees on top (the AMT commission) see
-// the exact payment without racing on aggregate counters.
+// the exact payment without racing on aggregate counters. It fails on an
+// assignment that was already approved or rejected (see settle).
 func (m *Market) Approve(assignmentID string, bonus crowd.Cents) (crowd.Cents, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range m.groups {
-		if a, ok := g.byAssignID[assignmentID]; ok {
-			if a.Status == crowd.AssignmentApproved {
-				return 0, fmt.Errorf("sim: assignment %s already approved", assignmentID)
-			}
-			a.Status = crowd.AssignmentApproved
-			pay := g.spec.Reward + bonus
-			m.totalSpent += pay
-			if w := m.workerByID(a.WorkerID); w != nil {
-				w.Earned += pay
-			}
-			return pay, nil
-		}
+	sub, err := m.settle(assignmentID, crowd.AssignmentApproved)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("sim: unknown assignment %s", assignmentID)
+	pay := sub.g.spec.Reward + bonus
+	m.totalSpent += pay
+	sub.w.Earned += pay
+	return pay, nil
 }
 
-// Reject refuses an assignment without pay.
+// Reject refuses an assignment without pay. It fails on an assignment that
+// was already approved or rejected (see settle).
 func (m *Market) Reject(assignmentID, _ string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range m.groups {
-		if a, ok := g.byAssignID[assignmentID]; ok {
-			a.Status = crowd.AssignmentRejected
-			return nil
-		}
-	}
-	return fmt.Errorf("sim: unknown assignment %s", assignmentID)
+	_, err := m.settle(assignmentID, crowd.AssignmentRejected)
+	return err
 }
 
 // Expire force-expires a group.
@@ -512,15 +500,6 @@ func (m *Market) Expire(id crowd.GroupID) error {
 		return fmt.Errorf("sim: unknown group %s", id)
 	}
 	g.expired = true
-	return nil
-}
-
-func (m *Market) workerByID(id string) *Worker {
-	for _, w := range m.workers {
-		if w.ID == id {
-			return w
-		}
-	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -255,7 +256,7 @@ func TestGeoFenceFiltersWorkers(t *testing.T) {
 		t.Fatal("fenced group got no answers")
 	}
 	for _, a := range res {
-		w := m.workerByID(a.WorkerID)
+		w := m.subs[a.ID].w
 		if !w.InFence(g.Venue) {
 			t.Fatalf("worker %s outside fence answered", w.ID)
 		}
@@ -371,5 +372,116 @@ func TestAdaptiveVotesFewerAssignments(t *testing.T) {
 	}
 	if fixedCorrect-adaptiveCorrect > 2 {
 		t.Errorf("adaptive correctness dropped too far: %d vs %d of 40", adaptiveCorrect, fixedCorrect)
+	}
+}
+
+// An assignment is settled once: Approve and Reject succeed only from
+// AssignmentSubmitted, so a second call of either kind changes neither
+// the money nor the status.
+func TestMarketSettlesOnce(t *testing.T) {
+	const reward, bonus = 3, 2
+	approve := func(m *Market, id string) error { _, err := m.Approve(id, bonus); return err }
+	reject := func(m *Market, id string) error { return m.Reject(id, "wrong") }
+	cases := []struct {
+		name          string
+		first, second func(*Market, string) error
+		spent         crowd.Cents
+		status        crowd.AssignmentStatus
+	}{
+		{"approve then approve", approve, approve, reward + bonus, crowd.AssignmentApproved},
+		{"approve then reject", approve, reject, reward + bonus, crowd.AssignmentApproved},
+		{"reject then approve", reject, approve, 0, crowd.AssignmentRejected},
+		{"reject then reject", reject, reject, 0, crowd.AssignmentRejected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMarket(DefaultConfig())
+			id, err := m.Post(testGroup(1, 1, reward))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Step(48 * time.Hour)
+			res, err := m.Results(id)
+			if err != nil || len(res) != 1 {
+				t.Fatalf("results: %v, %d assignments", err, len(res))
+			}
+			if err := tc.first(m, res[0].ID); err != nil {
+				t.Fatalf("first settlement: %v", err)
+			}
+			if err := tc.second(m, res[0].ID); err == nil {
+				t.Error("second settlement must fail")
+			}
+			if got := m.TotalSpent(); got != tc.spent {
+				t.Errorf("TotalSpent = %v, want %v", got, tc.spent)
+			}
+			stats := m.WorkerStats()
+			if len(stats) != 1 || stats[0].ID != res[0].WorkerID || stats[0].Earned != tc.spent {
+				t.Errorf("WorkerStats = %+v, want %s with Earned %v", stats, res[0].WorkerID, tc.spent)
+			}
+			after, _ := m.Results(id)
+			if after[0].Status != tc.status {
+				t.Errorf("status = %v, want %v", after[0].Status, tc.status)
+			}
+		})
+	}
+}
+
+// settleGroup runs one group through its whole life the way the Task
+// Manager does: post, step and poll until done, fetch, approve each.
+func settleGroup(tb testing.TB, m *Market, spec *crowd.HITGroup) {
+	id, err := m.Post(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		st, err := m.Status(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if st.Done() {
+			break
+		}
+		m.Step(time.Minute)
+	}
+	res, err := m.Results(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, a := range res {
+		if _, err := m.Approve(a.ID, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// What a group costs the market must not depend on how many groups were
+// settled before it. Gated as a ratio of medians within one run: wall
+// time on this box says nothing, the shape does.
+func TestMarketCostFlatInHistory(t *testing.T) {
+	const reps, history = 25, 2000
+	median := func(run func() time.Duration) time.Duration {
+		ds := make([]time.Duration, reps)
+		for i := range ds {
+			ds[i] = run()
+		}
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return ds[reps/2]
+	}
+	timed := func(m *Market) time.Duration {
+		spec := testGroup(8, 3, 2)
+		start := time.Now()
+		settleGroup(t, m, spec)
+		return time.Since(start)
+	}
+	fresh := median(func() time.Duration { return timed(NewMarket(DefaultConfig())) })
+	old := NewMarket(DefaultConfig())
+	for i := 0; i < history; i++ {
+		settleGroup(t, old, testGroup(8, 3, 2))
+	}
+	late := median(func() time.Duration { return timed(old) })
+	t.Logf("one 8x3 group: fresh market %v, after %d groups %v (%.1fx)", fresh, history, late, float64(late)/float64(fresh))
+	if late > 3*fresh {
+		t.Errorf("a group after %d settled groups costs %v, %.1fx a fresh market's %v (want <= 3x)",
+			history, late, float64(late)/float64(fresh), fresh)
 	}
 }

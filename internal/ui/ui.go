@@ -5,11 +5,20 @@
 // developers edit instructions (the Form Editor); at runtime the Task
 // Manager instantiates a template for a concrete tuple — known values are
 // copied into the form, CNULL fields asked by the query become inputs.
+//
+// Instantiation is copying, not interpretation: the skeleton every form
+// shares is fixed when this package is compiled, so renderForm writes its
+// literal pieces and the tuple's values straight into one buffer and no
+// template is parsed, walked or reflected over per HIT. The only thing a
+// template engine did for these forms beyond concatenation is contextual
+// escaping, and the skeleton puts values in three contexts only, which the
+// standard library's HTML templates escape identically — hence the escaper
+// is a seven-entry table (formEscaper). render_test.go keeps the template
+// the skeleton was taken from and checks the two byte for byte.
 package ui
 
 import (
 	"fmt"
-	"html/template"
 	"sort"
 	"strings"
 	"sync"
@@ -18,48 +27,6 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/sqltypes"
 )
-
-// formTemplate is the HTML skeleton every generated task form uses. It
-// mirrors the paper's Fig. 2: instructions at the top, known values shown
-// read-only, missing values as inputs, choices as radio buttons.
-var formTemplate = template.Must(template.New("form").Parse(`<!DOCTYPE html>
-<html>
-<head><title>{{.Title}}</title></head>
-<body>
-<form class="crowddb-task" data-kind="{{.Kind}}">
-<h2>{{.Title}}</h2>
-<p class="instructions">{{.Instructions}}</p>
-{{if .Annotation}}<p class="annotation">{{.Annotation}}</p>{{end}}
-<table>
-{{range .Fields}}<tr>
-  <td class="label">{{.Label}}</td>
-  <td>{{if eq .Control "display"}}<span class="known">{{.Value}}</span>{{end -}}
-      {{if eq .Control "input"}}<input type="text" name="{{.Name}}" value="">{{end -}}
-      {{if eq .Control "choice"}}{{$f := .}}{{range .Options}}<label><input type="radio" name="{{$f.Name}}" value="{{.}}">{{.}}</label> {{end}}{{end}}</td>
-</tr>
-{{end}}</table>
-<button type="submit">Submit</button>
-</form>
-</body>
-</html>
-`))
-
-// templateField is the render model for one form row.
-type templateField struct {
-	Name    string
-	Label   string
-	Control string // display | input | choice
-	Value   string
-	Options []string
-}
-
-type formData struct {
-	Title        string
-	Kind         string
-	Instructions string
-	Annotation   string
-	Fields       []templateField
-}
 
 // Template is one managed UI template. Instructions are the editable part
 // (Form Editor); the field layout is derived from the schema.
@@ -177,18 +144,19 @@ func (m *Manager) ProbeForm(table string, known map[string]sqltypes.Value, ask [
 	if !ok {
 		return nil, "", fmt.Errorf("ui: unknown table %s", table)
 	}
-	askSet := make(map[string]bool, len(ask))
+	asked := make([]bool, len(t.Columns))
 	for _, a := range ask {
-		if t.ColumnIndex(a) < 0 {
+		i := t.ColumnIndex(a)
+		if i < 0 {
 			return nil, "", fmt.Errorf("ui: unknown column %s.%s", table, a)
 		}
-		askSet[strings.ToLower(a)] = true
+		asked[i] = true
 	}
 	var fields []crowd.Field
 	for i := range t.Columns {
 		col := &t.Columns[i]
 		switch {
-		case askSet[strings.ToLower(col.Name)]:
+		case asked[i]:
 			fields = append(fields, crowd.Field{Name: col.Name, Label: fieldLabel(col), Kind: crowd.FieldInput})
 		default:
 			v, ok := known[strings.ToLower(col.Name)]
@@ -201,8 +169,7 @@ func (m *Manager) ProbeForm(table string, known map[string]sqltypes.Value, ask [
 	title := fmt.Sprintf("Fill in missing data: %s", t.Name)
 	instr := m.instructionsFor(t.Name, crowd.TaskProbeValues,
 		fmt.Sprintf("Please fill in the missing information for this row of the %s table.", t.Name))
-	html, err := renderForm(title, crowd.TaskProbeValues, instr, t.Annotation, fields)
-	return fields, html, err
+	return fields, renderForm(title, crowd.TaskProbeValues, instr, t.Annotation, fields), nil
 }
 
 // NewTupleForm instantiates the new-tuple template for a CROWD table:
@@ -228,8 +195,7 @@ func (m *Manager) NewTupleForm(table string, prefill map[string]sqltypes.Value) 
 	title := fmt.Sprintf("Contribute a new entry: %s", t.Name)
 	instr := m.instructionsFor(t.Name, crowd.TaskNewTuple,
 		fmt.Sprintf("Please contribute a new entry for the %s table.", t.Name))
-	html, err := renderForm(title, crowd.TaskNewTuple, instr, t.Annotation, fields)
-	return fields, html, err
+	return fields, renderForm(title, crowd.TaskNewTuple, instr, t.Annotation, fields), nil
 }
 
 // AnswerField is the canonical input-field name for comparison forms.
@@ -249,8 +215,7 @@ func (m *Manager) CompareEqualForm(question, left, right string) ([]crowd.Field,
 	}
 	instr := m.instructionsFor("", crowd.TaskCompareEqual,
 		"Do the two values below refer to the same real-world entity?")
-	html, err := renderForm("Compare two values", crowd.TaskCompareEqual, instr, "", fields)
-	return fields, html, err
+	return fields, renderForm("Compare two values", crowd.TaskCompareEqual, instr, "", fields), nil
 }
 
 // CompareOrderForm builds the CROWDORDER binary-comparison task: the
@@ -266,27 +231,74 @@ func (m *Manager) CompareOrderForm(question, left, right string) ([]crowd.Field,
 	}
 	instr := m.instructionsFor("", crowd.TaskCompareOrder,
 		"Please pick the item you consider higher-ranked for the question below.")
-	html, err := renderForm("Rank two items", crowd.TaskCompareOrder, instr, "", fields)
-	return fields, html, err
+	return fields, renderForm("Rank two items", crowd.TaskCompareOrder, instr, "", fields), nil
 }
 
-func renderForm(title string, kind crowd.TaskKind, instructions, annotation string, fields []crowd.Field) (string, error) {
-	data := formData{Title: title, Kind: kind.String(), Instructions: instructions, Annotation: annotation}
+// formEscaper is how the standard library's HTML templates escape a plain
+// string in the three contexts the skeleton has — element text, the RCDATA
+// <title>, a double-quoted attribute value. They use one seven-entry table
+// for all three and pass everything else through, invalid UTF-8 included;
+// every entry is a single ASCII byte, which no multi-byte sequence
+// contains, so a byte-wise replacer is that table.
+var formEscaper = strings.NewReplacer(
+	"\x00", "\uFFFD",
+	`"`, "&#34;",
+	"&", "&amp;",
+	"'", "&#39;",
+	"+", "&#43;",
+	"<", "&lt;",
+	">", "&gt;",
+)
+
+// renderForm instantiates the task-form skeleton (the paper's Fig. 2:
+// instructions at the top, known values shown read-only, missing values as
+// inputs, choices as radio buttons) for one HIT.
+func renderForm(title string, kind crowd.TaskKind, instructions, annotation string, fields []crowd.Field) string {
+	// Not pre-sized: a guess that overshoots rounds every stored form up
+	// a size class, and the market keeps each form for as long as it runs.
+	var sb strings.Builder
+	esc := func(s string) { sb.WriteString(formEscaper.Replace(s)) }
+	sb.WriteString("<!DOCTYPE html>\n<html>\n<head><title>")
+	esc(title)
+	sb.WriteString("</title></head>\n<body>\n<form class=\"crowddb-task\" data-kind=\"")
+	esc(kind.String())
+	sb.WriteString("\">\n<h2>")
+	esc(title)
+	sb.WriteString("</h2>\n<p class=\"instructions\">")
+	esc(instructions)
+	sb.WriteString("</p>\n")
+	if annotation != "" {
+		sb.WriteString(`<p class="annotation">`)
+		esc(annotation)
+		sb.WriteString("</p>")
+	}
+	sb.WriteString("\n<table>\n")
 	for _, f := range fields {
-		tf := templateField{Name: f.Name, Label: f.Label, Value: f.Value, Options: f.Options}
+		sb.WriteString("<tr>\n  <td class=\"label\">")
+		esc(f.Label)
+		sb.WriteString("</td>\n  <td>")
 		switch f.Kind {
 		case crowd.FieldDisplay:
-			tf.Control = "display"
+			sb.WriteString(`<span class="known">`)
+			esc(f.Value)
+			sb.WriteString("</span>")
 		case crowd.FieldInput:
-			tf.Control = "input"
+			sb.WriteString(`<input type="text" name="`)
+			esc(f.Name)
+			sb.WriteString(`" value="">`)
 		case crowd.FieldChoice:
-			tf.Control = "choice"
+			for _, opt := range f.Options {
+				sb.WriteString(`<label><input type="radio" name="`)
+				esc(f.Name)
+				sb.WriteString(`" value="`)
+				esc(opt)
+				sb.WriteString(`">`)
+				esc(opt)
+				sb.WriteString("</label> ")
+			}
 		}
-		data.Fields = append(data.Fields, tf)
+		sb.WriteString("</td>\n</tr>\n")
 	}
-	var sb strings.Builder
-	if err := formTemplate.Execute(&sb, data); err != nil {
-		return "", fmt.Errorf("ui: render: %w", err)
-	}
-	return sb.String(), nil
+	sb.WriteString("</table>\n<button type=\"submit\">Submit</button>\n</form>\n</body>\n</html>\n")
+	return sb.String()
 }
