@@ -128,7 +128,7 @@ func loadDemo(db *crowddb.DB, conf *workload.Conference) error {
 
 func repl(db *crowddb.DB) {
 	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var buf strings.Builder
 	prompt := "crowddb> "
 	for {

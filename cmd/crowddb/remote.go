@@ -143,7 +143,7 @@ finished:
 func remoteRepl(c *client.Client) {
 	ctx := context.Background()
 	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var buf strings.Builder
 	prompt := "crowddb> "
 	for {

@@ -86,6 +86,7 @@ func (e *Engine) initObservability() {
 		"running total of measured crowd cents on scored statements",
 		func() float64 { return e.CostModel().ActualCents })
 
+	obs.RegisterRuntime(e.reg)
 	e.store.RegisterMetrics(e.reg)
 	if e.tasks != nil {
 		e.tasks.RegisterMetrics(e.reg)

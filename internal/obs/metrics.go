@@ -32,7 +32,7 @@ var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 var unitSuffixes = []string{
 	"_seconds", "_micros", "_bytes", "_cents", "_rows", "_records", "_entries",
 	"_versions", "_groups", "_jobs", "_sessions", "_queries", "_shards",
-	"_ratio",
+	"_goroutines", "_ratio",
 }
 
 // CheckName validates an instrument name against the repo's conventions:

@@ -158,6 +158,7 @@ func TestMetricNaming(t *testing.T) {
 		{"histogram", "crowddb_wal_fsync_seconds"},
 		{"histogram", "crowddb_journal_fsync_batch_records"},
 		{"gauge", "crowddb_overhead_ratio"},
+		{"gauge", "crowddb_runtime_goroutines"},
 	}
 	for _, c := range ok {
 		if err := CheckName(c[0], c[1]); err != nil {

@@ -123,6 +123,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"crowddb_jobs_total",
 		"crowddb_jobs_streamed_rows_total",
 		"crowddb_server_uptime_seconds",
+		"crowddb_runtime_goroutines",
+		"crowddb_runtime_gc_cycles_total",
+		"crowddb_runtime_heap_alloc_bytes_total",
+		"crowddb_runtime_heap_alloc_objects_total",
+		"crowddb_runtime_heap_live_bytes",
+		"crowddb_runtime_gc_pause_seconds_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" ") {
 			t.Errorf("family %s missing from /metrics", fam)
@@ -179,6 +185,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	if vals2["crowddb_cache_hits_total"] <= vals["crowddb_cache_hits_total"] {
 		t.Errorf("repeat query should hit the comparison cache: %v -> %v",
 			vals["crowddb_cache_hits_total"], vals2["crowddb_cache_hits_total"])
+	}
+}
+
+// TestRuntimeMetricsShowAllocation: the daemon's own scrape says what
+// statements cost the Go runtime — 100 of them move the allocation
+// counters, and no runtime counter runs backwards.
+func TestRuntimeMetricsShowAllocation(t *testing.T) {
+	eng := pairEngine(t, 63, 4)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+
+	_, before := scrapeMetrics(t, ts.URL)
+	for i := 0; i < 100; i++ {
+		runJobWait(t, srv, "SELECT a FROM Pair WHERE id = 1")
+	}
+	_, after := scrapeMetrics(t, ts.URL)
+	for _, c := range []string{"crowddb_runtime_heap_alloc_bytes_total", "crowddb_runtime_heap_alloc_objects_total"} {
+		if after[c] <= before[c] {
+			t.Errorf("%s did not rise over 100 statements: %v -> %v", c, before[c], after[c])
+		}
+	}
+	for _, c := range []string{"crowddb_runtime_gc_cycles_total", "crowddb_runtime_gc_pause_seconds_total"} {
+		if after[c] < before[c] {
+			t.Errorf("%s ran backwards: %v -> %v", c, before[c], after[c])
+		}
+	}
+	if after["crowddb_runtime_goroutines"] < 1 {
+		t.Errorf("goroutines = %v", after["crowddb_runtime_goroutines"])
 	}
 }
 

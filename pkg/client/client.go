@@ -467,19 +467,17 @@ type RowIter struct {
 	done  bool
 }
 
-// maxLine bounds one NDJSON line (a row, or the job resource). startLine
-// is the scan buffer an iterator begins with; it grows to maxLine when a
-// line does not fit. It is the first of two steps down from a whole
-// maxLine per iterator: bufio's 4 KiB default is the second, held back
-// until bench/perf can resolve a gain that size (ROADMAP aim 1, item 2).
-const (
-	maxLine   = 1 << 20
-	startLine = 384 << 10
-)
+// maxLine bounds one NDJSON line (a row, or the job resource): the
+// server bounds a request body at 1 MiB, so a statement cannot carry a
+// larger literal in, and a row that comes back larger ends the stream
+// with bufio.ErrTooLong instead of growing without limit on a server's
+// say-so. It is a limit, not a size: the scan buffer starts at bufio's
+// own and doubles only when a line does not fit.
+const maxLine = 1 << 20
 
 func newRowIter(job *Job, body io.ReadCloser) *RowIter {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, startLine), maxLine)
+	sc.Buffer(nil, maxLine)
 	return &RowIter{job: job, body: body, sc: sc}
 }
 

@@ -25,7 +25,7 @@ import (
 	"crowddb/pkg/client"
 )
 
-func testServer(t *testing.T, seed int64, nPairs int) (*httptest.Server, *core.Engine) {
+func testServer(t testing.TB, seed int64, nPairs int) (*httptest.Server, *core.Engine) {
 	t.Helper()
 	conf := workload.NewConference(8, seed)
 	eng, err := core.Open(core.Config{
@@ -223,7 +223,16 @@ func TestClientCancelMidCrowdWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	// Parked means the job's claim joined the foreign flight.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.After(10 * time.Second); eng.CacheStats().Shared < 1; {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatal("the job never joined the foreign in-flight comparison")
+		}
+	}
 	if st, err := job.Status(ctx); err != nil || st.Terminal() {
 		t.Fatalf("job should be parked: %+v %v", st, err)
 	}

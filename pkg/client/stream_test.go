@@ -86,7 +86,7 @@ func countingClient(t *testing.T, url string, opts ...client.Option) (*client.Cl
 }
 
 // drain reads every row off it and closes it.
-func drain(t *testing.T, it *client.RowIter) []client.Row {
+func drain(t testing.TB, it *client.RowIter) []client.Row {
 	t.Helper()
 	defer it.Close()
 	var rows []client.Row
@@ -429,9 +429,10 @@ func TestReattachedHandlePolls(t *testing.T) {
 	}
 }
 
-// TestRowLineLimit: the scan buffer starts small and grows to the 1 MiB
-// line limit — a 900 KiB row parses, a longer-than-1-MiB one fails with
-// bufio.ErrTooLong as it always did.
+// TestRowLineLimit: the scan buffer starts at bufio's size and grows,
+// mid-stream, to the 1 MiB line limit — rows of 100 B to 900 KiB arrive
+// whole and in order, a longer-than-1-MiB one fails with bufio.ErrTooLong
+// as it always did.
 func TestRowLineLimit(t *testing.T) {
 	ts, eng := testServer(t, 81, 1)
 	ctx := testContext(t)
@@ -439,16 +440,23 @@ func TestRowLineLimit(t *testing.T) {
 	if _, err := eng.Exec(`CREATE TABLE Doc (id INTEGER PRIMARY KEY, body STRING)`); err != nil {
 		t.Fatal(err)
 	}
-	for id, size := range map[int]int{1: 900 << 10, 2: 1<<20 + 1} {
-		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Doc VALUES (%d, '%s')", id, strings.Repeat("x", size))); err != nil {
+	sizes := []int{100, 5 << 10, 70 << 10, 900 << 10, 100, 1<<20 + 1}
+	body := func(id int) string { return strings.Repeat(string(rune('a'+id)), sizes[id]) }
+	for id := range sizes {
+		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Doc VALUES (%d, '%s')", id, body(id))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Query(ctx, "SELECT body FROM Doc WHERE id = 1")
-	if err != nil || len(res.Rows) != 1 || len(res.Rows[0].Cell(0)) != 900<<10 {
-		t.Fatalf("900 KiB row: %v", err)
+	res, err := c.Query(ctx, "SELECT id, body FROM Doc WHERE id < 5 ORDER BY id")
+	if err != nil || len(res.Rows) != 5 {
+		t.Fatalf("rows of %v bytes: %d rows, %v", sizes[:5], len(res.Rows), err)
 	}
-	job, err := c.Submit(ctx, "SELECT body FROM Doc WHERE id = 2")
+	for id, row := range res.Rows {
+		if row.Cell(0) != fmt.Sprint(id) || row.Cell(1) != body(id) {
+			t.Fatalf("row %d: id %s with %d bytes, want %d", id, row.Cell(0), len(row.Cell(1)), sizes[id])
+		}
+	}
+	job, err := c.Submit(ctx, "SELECT body FROM Doc WHERE id = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,6 +467,60 @@ func TestRowLineLimit(t *testing.T) {
 	defer it.Close()
 	if it.Next() || !errors.Is(it.Err(), bufio.ErrTooLong) {
 		t.Fatalf("over-long row: err = %v, want %v", it.Err(), bufio.ErrTooLong)
+	}
+}
+
+// pointStatement is one primary-key SELECT the way bench/perf's clients
+// send it: Submit, every row, Wait.
+func pointStatement(ctx context.Context, tb testing.TB, c *client.Client) {
+	tb.Helper()
+	job, err := c.Submit(ctx, "SELECT a, b FROM Pair WHERE id = 1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	it, err := job.Rows(ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := drain(tb, it)
+	if st, err := job.Wait(ctx); err != nil || st.State != "done" || len(rows) != 1 {
+		tb.Fatalf("point statement: %d rows, %+v, %v", len(rows), st, err)
+	}
+}
+
+// TestStatementExchangeBytes: what a point statement allocates, client
+// and server together, is a few buffers of net/http's size — not a scan
+// buffer sized for the longest line the protocol allows.
+func TestStatementExchangeBytes(t *testing.T) {
+	ts, _ := testServer(t, 81, 3)
+	ctx := testContext(t)
+	c, _ := countingClient(t, ts.URL)
+	for i := 0; i < 50; i++ {
+		pointStatement(ctx, t, c)
+	}
+	const statements = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < statements; i++ {
+		pointStatement(ctx, t, c)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / statements; per > 64<<10 {
+		t.Fatalf("a point statement allocates %d KiB, want at most 64", per>>10)
+	}
+}
+
+// BenchmarkClientStatement is the layer bench for the client half of the
+// exchange: one point statement against an in-process server.
+func BenchmarkClientStatement(b *testing.B) {
+	ts, _ := testServer(b, 81, 3)
+	ctx := context.Background()
+	c := client.New(ts.URL)
+	pointStatement(ctx, b, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pointStatement(ctx, b, c)
 	}
 }
 
