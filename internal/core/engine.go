@@ -583,19 +583,19 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
 	}
-	cols := s.Columns
-	if len(cols) == 0 {
-		for _, c := range t.Columns {
-			cols = append(cols, c.Name)
-		}
-	}
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
+	// Without a column list the values fill the table's columns in order.
+	colIdx := make([]int, 0, len(t.Columns))
+	for _, c := range s.Columns {
 		ci := t.ColumnIndex(c)
 		if ci < 0 {
 			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, c)
 		}
-		colIdx[i] = ci
+		colIdx = append(colIdx, ci)
+	}
+	if len(s.Columns) == 0 {
+		for ci := range t.Columns {
+			colIdx = append(colIdx, ci)
+		}
 	}
 	// One transaction per statement: every row of a multi-row INSERT
 	// becomes visible to new snapshots together. Commit always runs —
@@ -605,8 +605,8 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	defer e.commitTraced(tx, tr, sp)
 	inserted := 0
 	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(cols) {
-			return nil, fmt.Errorf("core: INSERT value count %d does not match column count %d", len(exprRow), len(cols))
+		if len(exprRow) != len(colIdx) {
+			return nil, fmt.Errorf("core: INSERT value count %d does not match column count %d", len(exprRow), len(colIdx))
 		}
 		row := make(storage.Row, len(t.Columns))
 		// Unlisted crowd columns default to CNULL ("source on first use"),
@@ -625,7 +625,7 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 			}
 			cv, err := v.Coerce(t.Columns[colIdx[i]].Type)
 			if err != nil {
-				return nil, fmt.Errorf("core: column %s: %w", cols[i], err)
+				return nil, fmt.Errorf("core: column %s: %w", t.Columns[colIdx[i]].Name, err)
 			}
 			row[colIdx[i]] = cv
 		}
@@ -665,6 +665,11 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	if err != nil {
 		return nil, err
 	}
+	var few [4]exec.RowExpr // on the stack for the usual handful of assignments
+	values := few[:0]
+	for _, a := range s.Set {
+		values = append(values, exec.BindRow(a.Value, schema))
+	}
 	// One transaction per statement: all matched rows flip to the new
 	// version together from any new snapshot's point of view.
 	tx := e.store.Begin()
@@ -672,9 +677,9 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	affected := 0
 	for i, row := range rows {
 		updated := row.Clone()
-		for _, a := range s.Set {
+		for ai, a := range s.Set {
 			ci := t.ColumnIndex(a.Column)
-			v, err := exec.EvalRow(a.Value, updated, schema)
+			v, err := values[ai].Eval(updated)
 			if err != nil {
 				return nil, err
 			}

@@ -1,0 +1,297 @@
+package exec
+
+import (
+	"fmt"
+
+	"crowddb/internal/parser"
+	"crowddb/internal/plan"
+)
+
+// The binder turns a parsed expression into the form the evaluator
+// (eval.go) runs, once per operator per statement.
+//
+// Resolved here: every column reference to its ordinal in the operator's
+// input schema, every operator and function name to a small code, and
+// which nodes are predicates (answered as true/false/unknown without
+// building a BOOLEAN Value). Left to each row: reading the ordinal, the
+// comparison, the arithmetic.
+//
+// Binding never fails. What cannot be evaluated — a column the schema does
+// not have or has twice, an aggregate out of place — becomes a node that
+// returns its error when, and only if, a row reaches it: a statement over
+// no rows does not fail on a name it never looked at, and CROWDORDER's
+// label may be the paper's free variable `p`, which resolves nowhere and
+// falls back per row.
+//
+// Nodes are 48 bytes, hold no strings of their own (a literal node points
+// at the AST's literal) and come from one slab per operator, sized by
+// nodeCount before the first is taken; a bare literal handed to BindRow or
+// EvalConst is not bound at all.
+
+// boundKind says how a bound node evaluates.
+type boundKind uint8
+
+const (
+	bLit     boundKind = iota // src: the *parser.Literal
+	bCol                      // ord: the column's ordinal in the row
+	bFail                     // src: the error evaluating it returns
+	bAnd                      // kids: l, r
+	bOr                       // kids: l, r
+	bNot                      // kids: e
+	bNeg                      // kids: e
+	bCmp                      // op: cmpEq…; kids: l, r — or none: column ord against the literal src
+	bIsNull                   // op: 1 for IS CNULL; neg; kids: e
+	bIn                       // neg; kids: e, then the list; src: the *parser.InExpr of the subquery form
+	bBetween                  // neg; kids: e, lo, hi
+	bLike                     // kids: l, r
+	bConcat                   // kids: l, r
+	bArith                    // op: arithAdd… (0: not an arithmetic operator); kids: l, r; src: the *parser.BinaryExpr
+	bFunc                     // op: fnLower… (0: unknown); kids: the arguments; src: the *parser.FuncCall
+	bCrowdEq                  // kids: l, r and, for CROWDEQUAL's third argument, the question
+	bAgg                      // ord: the call's slot in its group's states, -1 for COUNT(*)
+	bFirst                    // kids: an aggregate-free expression, read off its group's first row
+)
+
+const (
+	cmpEq uint8 = iota + 1
+	cmpNe
+	cmpLt
+	cmpLe
+	cmpGt
+	cmpGe
+)
+
+const (
+	arithAdd uint8 = iota + 1
+	arithSub
+	arithMul
+	arithDiv
+	arithMod
+)
+
+const (
+	fnLower uint8 = iota + 1
+	fnUpper
+	fnTrim
+	fnLength
+	fnAbs
+	fnRound
+	fnCoalesce
+	fnSubstr
+)
+
+var (
+	cmpOps   = map[string]uint8{"=": cmpEq, "<>": cmpNe, "<": cmpLt, "<=": cmpLe, ">": cmpGt, ">=": cmpGe}
+	arithOps = map[string]uint8{"+": arithAdd, "-": arithSub, "*": arithMul, "/": arithDiv, "%": arithMod}
+	funcs    = map[string]uint8{"LOWER": fnLower, "UPPER": fnUpper, "TRIM": fnTrim, "LENGTH": fnLength,
+		"ABS": fnAbs, "ROUND": fnRound, "COALESCE": fnCoalesce, "SUBSTR": fnSubstr}
+)
+
+// bound is one node of a bound expression; its children are contiguous in
+// the slab it came from.
+type bound struct {
+	kind boundKind
+	op   uint8
+	neg  bool
+	ord  int32
+	kids []bound
+	src  any
+}
+
+// slab hands out runs of T. grow sizes it exactly; a take that finds it
+// short starts a new chunk, doubling up to slabMax runs. A chunk is never
+// moved, so what was handed out stays where it is.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+const slabMax = 256
+
+func (s *slab[T]) grow(n int) {
+	if len(s.free) < n {
+		s.free, s.size = make([]T, n), n
+	}
+}
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.grow(max(n, min(2*s.size, slabMax*n)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// binder hands out bound nodes from one slab per operator. bind grows it
+// by what its expression needs; an operator with several expressions grows
+// it first by their sum (bindAll does), for one allocation.
+type binder struct {
+	slab[bound]
+}
+
+// nodeCount is the number of nodes bind makes of e.
+func nodeCount(e parser.Expr) int {
+	n := 0
+	parser.WalkExprs(e, func(x parser.Expr) {
+		n++
+		if be, ok := x.(*parser.BinaryExpr); ok && columnVsLiteral(be) {
+			n -= 2 // its operands, which the walk is about to count
+		}
+	})
+	return n
+}
+
+// columnVsLiteral picks out `column <cmp> literal`, the shape of nearly
+// every pushed filter. It binds to one node: both operands sit in the
+// comparison.
+func columnVsLiteral(x *parser.BinaryExpr) bool {
+	_, isCol := x.L.(*parser.ColumnRef)
+	_, isLit := x.R.(*parser.Literal)
+	return isCol && isLit && cmpOps[x.Op] != 0
+}
+
+// bind resolves e against schema; a nil expression binds to nil.
+func (b *binder) bind(e parser.Expr, schema []plan.Col) *bound {
+	if e == nil {
+		return nil
+	}
+	b.grow(nodeCount(e))
+	dst := &b.take(1)[0]
+	b.bindInto(dst, e, schema)
+	return dst
+}
+
+// bindAll binds n expressions against one schema; out[i] is the root of
+// expr(i).
+func (b *binder) bindAll(n int, expr func(int) parser.Expr, schema []plan.Col) []bound {
+	nodes := 0
+	for i := 0; i < n; i++ {
+		nodes += nodeCount(expr(i))
+	}
+	b.grow(nodes)
+	out := b.take(n)
+	for i := range out {
+		b.bindInto(&out[i], expr(i), schema)
+	}
+	return out
+}
+
+// bindKids binds es as the contiguous children of dst.
+func (b *binder) bindKids(dst *bound, schema []plan.Col, es ...parser.Expr) {
+	dst.kids = b.take(len(es))
+	for i, e := range es {
+		b.bindInto(&dst.kids[i], e, schema)
+	}
+}
+
+func fail(dst *bound, err error) { dst.kind, dst.src = bFail, err }
+
+func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
+	switch x := e.(type) {
+	case *parser.Literal:
+		dst.kind, dst.src = bLit, x
+	case *parser.ColumnRef:
+		i, err := plan.FindCol(schema, x.Table, x.Name)
+		if err != nil {
+			fail(dst, err)
+			return
+		}
+		dst.kind, dst.ord = bCol, int32(i)
+	case *parser.BinaryExpr:
+		switch x.Op {
+		case "AND":
+			dst.kind = bAnd
+		case "OR":
+			dst.kind = bOr
+		case "~=":
+			dst.kind = bCrowdEq
+		case "LIKE":
+			dst.kind = bLike
+		case "||":
+			dst.kind = bConcat
+		default:
+			if op, ok := cmpOps[x.Op]; ok {
+				dst.kind, dst.op = bCmp, op
+				if columnVsLiteral(x) {
+					b.bindInto(dst, x.L, schema) // the ordinal, or the failure
+					if dst.kind == bCol {
+						dst.kind, dst.src = bCmp, x.R
+					}
+					return
+				}
+			} else if op, ok := arithOps[x.Op]; ok {
+				dst.kind, dst.op, dst.src = bArith, op, x
+			} else {
+				fail(dst, fmt.Errorf("exec: unknown operator %q", x.Op))
+				return
+			}
+		}
+		b.bindKids(dst, schema, x.L, x.R)
+	case *parser.UnaryExpr:
+		switch x.Op {
+		case "NOT":
+			dst.kind = bNot
+		case "-":
+			dst.kind = bNeg
+		default:
+			fail(dst, fmt.Errorf("exec: unknown unary op %q", x.Op))
+			return
+		}
+		b.bindKids(dst, schema, x.E)
+	case *parser.IsNullExpr:
+		dst.kind, dst.neg = bIsNull, x.Neg
+		if x.CNull {
+			dst.op = 1
+		}
+		b.bindKids(dst, schema, x.E)
+	case *parser.InExpr:
+		dst.kind, dst.neg = bIn, x.Neg
+		if x.Sub != nil {
+			dst.src = x
+		}
+		dst.kids = b.take(1 + len(x.List))
+		b.bindInto(&dst.kids[0], x.E, schema)
+		for i, item := range x.List {
+			b.bindInto(&dst.kids[1+i], item, schema)
+		}
+	case *parser.BetweenExpr:
+		dst.kind, dst.neg = bBetween, x.Neg
+		b.bindKids(dst, schema, x.E, x.Lo, x.Hi)
+	case *parser.FuncCall:
+		switch {
+		case x.IsAggregate():
+			fail(dst, fmt.Errorf("exec: aggregate %s outside aggregation context", x.Name))
+		case x.Name == "CROWDORDER":
+			fail(dst, fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY"))
+		case len(x.Args) == 0:
+			fail(dst, fmt.Errorf("exec: %s requires arguments", x.Name))
+		case x.Name == "CROWDEQUAL":
+			dst.kind = bCrowdEq
+			b.bindKids(dst, schema, x.Args...)
+		default:
+			dst.kind, dst.op, dst.src = bFunc, funcs[x.Name], x
+			b.bindKids(dst, schema, x.Args...)
+		}
+	default:
+		fail(dst, fmt.Errorf("exec: cannot evaluate %T", e))
+	}
+}
+
+// resolves reports whether cr names exactly one column of schema.
+func resolves(schema []plan.Col, cr *parser.ColumnRef) bool {
+	_, err := plan.FindCol(schema, cr.Table, cr.Name)
+	return err == nil
+}
+
+// coveredBySchema reports whether every column e references resolves in
+// schema.
+func coveredBySchema(e parser.Expr, schema []plan.Col) bool {
+	covered := true
+	parser.WalkExprs(e, func(x parser.Expr) {
+		if cr, ok := x.(*parser.ColumnRef); ok && !resolves(schema, cr) {
+			covered = false
+		}
+	})
+	return covered
+}

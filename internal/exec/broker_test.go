@@ -469,9 +469,9 @@ func TestEqualStreamRefundsOnEvalError(t *testing.T) {
 }
 
 // TestCrowdEqualHookIsFree pins the per-row cost of wiring the CROWDEQUAL
-// resolver into expression evaluation: filter and projection build it for
-// every row of every statement, so on a crowd-free predicate it must not
-// allocate.
+// resolver into expression evaluation: filter and projection hand every row
+// of every statement an environment that can reach the crowd, so on a
+// crowd-free predicate it must not allocate.
 func TestCrowdEqualHookIsFree(t *testing.T) {
 	ctx := &Ctx{Cache: NewCompareCache()}
 	schema := []plan.Col{{Name: "n"}}
@@ -480,11 +480,12 @@ func TestCrowdEqualHookIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond := stmt.(*parser.Select).Where
+	var b binder
+	cond, env := b.bind(stmt.(*parser.Select).Where, schema), evalEnv{ctx: ctx}
 	allocs := testing.AllocsPerRun(1000, func() {
-		v, err := eval(cond, &evalCtx{schema: schema, row: row, crowdEqual: cachedEqualResolver(ctx), exec: ctx})
-		if err != nil || !v.Bool() {
-			t.Fatalf("eval: %v %v", v, err)
+		keep, err := cond.keeps(row, &env)
+		if err != nil || !keep {
+			t.Fatalf("eval: %v %v", keep, err)
 		}
 	})
 	if allocs != 0 {

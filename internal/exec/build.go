@@ -28,7 +28,7 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 		if ctx.Tasks != nil && (x.Table.Crowd || len(x.AskColumns) > 0) {
 			return &crowdProbeScan{node: x}, nil
 		}
-		return &seqScan{node: x}, nil
+		return &seqScan{rd: tableReader{node: x}}, nil
 
 	case *plan.Filter:
 		in, err := Build(x.Input, ctx)
@@ -162,21 +162,6 @@ func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bo
 		}
 	}
 	return lk, rk, residual, ok
-}
-
-func resolves(schema []plan.Col, cr *parser.ColumnRef) bool {
-	_, err := plan.FindCol(schema, cr.Table, cr.Name)
-	return err == nil
-}
-
-func coveredBySchema(e parser.Expr, schema []plan.Col) bool {
-	covered := true
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if cr, ok := x.(*parser.ColumnRef); ok && !resolves(schema, cr) {
-			covered = false
-		}
-	})
-	return covered
 }
 
 // RowSink consumes streamed result rows; returning an error stops the

@@ -176,18 +176,6 @@ func (c *Ctx) budgetOK() bool {
 // ---------------------------------------------------------------------------
 // CrowdCompare: CROWDEQUAL resolution
 
-// cachedEqualResolver returns the evaluator hook for CROWDEQUAL. It is
-// built per row of every filter and projection, so it must stay free for
-// crowd-free expressions: a closure over ctx that never escapes.
-func cachedEqualResolver(ctx *Ctx) crowdEqualFn {
-	if ctx.Cache == nil {
-		return nil
-	}
-	return func(question, l, r string) (sqltypes.Value, error) {
-		return resolveEqual(ctx, question, l, r)
-	}
-}
-
 // resolveEqual answers one CROWDEQUAL pair: cache first, then a
 // single-pair crowd task (CrowdFilter prefetches batches, so this is the
 // cold fallback, e.g. CROWDEQUAL in a SELECT list, and the retry for pairs
@@ -229,25 +217,27 @@ func resolveEqual(ctx *Ctx, question, l, r string) (sqltypes.Value, error) {
 	return sqltypes.Null(), nil
 }
 
-// crowdEqualCall is one CROWDEQUAL occurrence in an expression.
+// crowdEqualCall is one CROWDEQUAL occurrence in an expression, its
+// operands bound to the rows' schema.
 type crowdEqualCall struct {
-	question parser.Expr // nil = default question
-	l, r     parser.Expr
+	question *bound // nil = default question
+	l, r     *bound
 }
 
-func collectCrowdEqualCalls(e parser.Expr) []crowdEqualCall {
+func collectCrowdEqualCalls(e parser.Expr, schema []plan.Col) []crowdEqualCall {
 	var calls []crowdEqualCall
+	var b binder
 	parser.WalkExprs(e, func(x parser.Expr) {
 		switch n := x.(type) {
 		case *parser.BinaryExpr:
 			if n.Op == "~=" {
-				calls = append(calls, crowdEqualCall{l: n.L, r: n.R})
+				calls = append(calls, crowdEqualCall{l: b.bind(n.L, schema), r: b.bind(n.R, schema)})
 			}
 		case *parser.FuncCall:
 			if n.Name == "CROWDEQUAL" {
-				c := crowdEqualCall{l: n.Args[0], r: n.Args[1]}
+				c := crowdEqualCall{l: b.bind(n.Args[0], schema), r: b.bind(n.Args[1], schema)}
 				if len(n.Args) == 3 {
-					c.question = n.Args[2]
+					c.question = b.bind(n.Args[2], schema)
 				}
 				calls = append(calls, c)
 			}
@@ -265,8 +255,8 @@ func collectCrowdEqualCalls(e parser.Expr) []crowdEqualCall {
 // evaluated strictly in input order; evaluating a ready row touches only
 // the in-memory cache.
 type equalStream struct {
-	cond   parser.Expr
-	schema []plan.Col
+	cond   *bound
+	env    evalEnv
 	rows   []Row
 	broker compareBroker
 	// resolved holds every pair key claimed so far, true once it needs no
@@ -295,11 +285,12 @@ type eqBatch struct {
 // posts the ones this query leads; quorum collection happens lazily in
 // nextBatch.
 func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	es := &equalStream{cond: cond, schema: schema, rows: rows, resolved: map[Key]bool{},
+	var b binder
+	es := &equalStream{cond: b.bind(cond, schema), env: evalEnv{ctx: ctx}, rows: rows, resolved: map[Key]bool{},
 		broker: newCompareBroker(ctx, kindEqual)}
 	var calls []crowdEqualCall
 	if ctx.Tasks != nil && ctx.Cache != nil {
-		calls = collectCrowdEqualCalls(cond)
+		calls = collectCrowdEqualCalls(cond, schema)
 	}
 	if len(calls) == 0 {
 		es.finalized = true
@@ -309,9 +300,8 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 	byQ := map[string]*eqBatch{}
 	var qOrder []string // questions in first-use order
 	for i, row := range rows {
-		ectx := &evalCtx{schema: schema, row: row}
 		for _, call := range calls {
-			question, l, r, skip, err := call.operands(ectx)
+			question, l, r, skip, err := call.operands(row)
 			if err != nil {
 				es.broker.close()
 				return nil, err
@@ -358,12 +348,12 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 
 // operands evaluates one CROWDEQUAL occurrence over a row. skip reports
 // a pair that needs no crowd: an unknown side or trivially equal values.
-func (c crowdEqualCall) operands(ectx *evalCtx) (question, l, r string, skip bool, err error) {
-	lv, err := eval(c.l, ectx)
+func (c crowdEqualCall) operands(row Row) (question, l, r string, skip bool, err error) {
+	lv, err := c.l.eval(row, nil)
 	if err != nil {
 		return "", "", "", false, err
 	}
-	rv, err := eval(c.r, ectx)
+	rv, err := c.r.eval(row, nil)
 	if err != nil {
 		return "", "", "", false, err
 	}
@@ -371,7 +361,7 @@ func (c crowdEqualCall) operands(ectx *evalCtx) (question, l, r string, skip boo
 		return "", "", "", true, nil
 	}
 	if c.question != nil {
-		qv, err := eval(c.question, ectx)
+		qv, err := c.question.eval(row, nil)
 		if err != nil {
 			return "", "", "", false, err
 		}
@@ -391,11 +381,11 @@ func (es *equalStream) nextBatch(ctx *Ctx) (*Batch, error) {
 		for es.nextRow < len(es.rows) && len(es.buf.Rows) < limit && es.rowReady(es.nextRow) {
 			row := es.rows[es.nextRow]
 			es.nextRow++
-			v, err := eval(es.cond, &evalCtx{schema: es.schema, row: row, crowdEqual: cachedEqualResolver(ctx), exec: ctx})
+			keep, err := es.cond.keeps(row, &es.env)
 			if err != nil {
 				return nil, err
 			}
-			if b, unknown := boolOf(v); !unknown && b {
+			if keep {
 				es.buf.Rows = append(es.buf.Rows, row)
 			}
 		}
@@ -496,9 +486,11 @@ func newCrowdSorter(ctx *Ctx, rows []Row, schema []plan.Col, key parser.OrderIte
 	// Render each row's label (the first CROWDORDER argument). Labels that
 	// fail to resolve (e.g. the paper's free variable `p`) fall back to the
 	// row's first column rendering.
+	var b binder
+	label := b.bind(fc.Args[0], schema)
 	labels := make([]string, len(rows))
 	for i, r := range rows {
-		v, err := eval(fc.Args[0], &evalCtx{schema: schema, row: r})
+		v, err := label.eval(r, nil)
 		if err != nil || v.IsUnknown() {
 			labels[i] = rows[i][0].String()
 		} else {
@@ -701,6 +693,8 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	var b binder
+	filter := b.bind(s.node.Filter, s.node.Schema())
 
 	// CrowdProbe phase 1: instantiate CNULLs of the asked crowd columns.
 	if ctx.Tasks != nil && len(s.node.AskColumns) > 0 {
@@ -711,7 +705,7 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 
 	// CrowdProbe phase 2: solicit new tuples for CROWD tables (open world).
 	if ctx.Tasks != nil && s.node.Table.Crowd {
-		acquired, err := solicitTuples(ctx, s.node, rows)
+		acquired, err := solicitTuples(ctx, s.node, filter, rows)
 		if err != nil {
 			return err
 		}
@@ -724,7 +718,7 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 	for _, row := range rows {
 		keep := true
 		if postNeeded {
-			keep, err = rowMatches(s.node.Filter, row, s.node.Schema())
+			keep, err = filter.keeps(row, nil)
 			if err != nil {
 				return err
 			}
@@ -851,13 +845,13 @@ func solicit(w *window[[][]map[string]string], table string, reqs []taskmgr.Tupl
 
 // solicitTuples asks the crowd for new tuples of a CROWD table, bounded by
 // probe keys (expected cardinality) and/or the pushed stop-after.
-func solicitTuples(ctx *Ctx, node *plan.Scan, existing []Row) ([]Row, error) {
+func solicitTuples(ctx *Ctx, node *plan.Scan, filter *bound, existing []Row) ([]Row, error) {
 	t := node.Table
 	want := -1
 	if len(node.ProbeKeys) > 0 {
 		matching := 0
 		for _, row := range existing {
-			ok, err := rowMatches(node.Filter, row, node.Schema())
+			ok, err := filter.keeps(row, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -994,9 +988,13 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	var b binder
+	b.grow(nodeCount(j.leftKey) + nodeCount(j.residual) + nodeCount(j.scan.Filter))
+	leftKey, residual := b.bind(j.leftKey, j.left.Schema()), b.bind(j.residual, j.Schema())
+	innerFilter := b.bind(j.scan.Filter, j.scan.Schema())
 	keys := make([]sqltypes.Value, len(leftRows))
 	for i, r := range leftRows {
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.Schema(), row: r})
+		v, err := leftKey.eval(r, nil)
 		if err != nil {
 			return err
 		}
@@ -1022,7 +1020,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	}
 
 	if ctx.Tasks != nil {
-		if err := j.solicitMissing(ctx, keys, matches); err != nil {
+		if err := j.solicitMissing(ctx, keys, matches, innerFilter); err != nil {
 			return err
 		}
 	}
@@ -1034,7 +1032,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		}
 		for _, r := range matches[storage.IndexKey(keys[i])] {
 			combined := append(append(Row{}, l...), r...)
-			ok, err := rowMatches(j.residual, combined, j.Schema())
+			ok, err := residual.keeps(combined, nil)
 			if err != nil {
 				return err
 			}
@@ -1049,10 +1047,11 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 // solicitMissing asks the crowd for the inner tuples the stored data
 // lacks — one TupleRequest per distinct outer key, wanting the expected
 // fan-out minus the stored matches — and files the accepted ones under
-// matches. The keys are split into up to MaxInFlight groups that are all
-// posted before any is collected, so the next group's HITs are already
-// live while the previous group's candidates are being inserted.
-func (j *crowdJoin) solicitMissing(ctx *Ctx, keys []sqltypes.Value, matches map[string][]Row) error {
+// matches when filter (the inner scan's pushed predicate) keeps them. The
+// keys are split into up to MaxInFlight groups that are all posted before
+// any is collected, so the next group's HITs are already live while the
+// previous group's candidates are being inserted.
+func (j *crowdJoin) solicitMissing(ctx *Ctx, keys []sqltypes.Value, matches map[string][]Row, filter *bound) error {
 	t := j.scan.Table
 	rightColIdx := t.ColumnIndex(j.rightCol)
 	w := tupleWindow(ctx, "crowd:join_tuples")
@@ -1100,7 +1099,7 @@ func (j *crowdJoin) solicitMissing(ctx *Ctx, keys []sqltypes.Value, matches map[
 			}
 			totalAccepted += int64(len(accepted))
 			for _, row := range accepted {
-				ok, err := rowMatches(j.scan.Filter, row, j.scan.Schema())
+				ok, err := filter.keeps(row, nil)
 				if err != nil {
 					return err
 				}

@@ -5,6 +5,12 @@
 // tuples), and CrowdCompare (crowd-answered CROWDEQUAL predicates and
 // CROWDORDER sorting). Crowd answers are always memorized in the store so
 // a repeated query never re-asks the crowd.
+//
+// Expressions are evaluated in two steps. Each operator binds the
+// expressions it owns against its input schema when it opens (bind.go);
+// per row, this file walks the bound nodes: no name is compared, no
+// operator string is switched on and a predicate's answer is one of three
+// small integers, not a Value built to be taken apart again.
 package exec
 
 import (
@@ -12,434 +18,471 @@ import (
 	"strings"
 
 	"crowddb/internal/parser"
-	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 )
 
-// crowdEqualFn resolves one CROWDEQUAL question; the executor wires it to
-// the CrowdCompare machinery (cache + Task Manager).
-type crowdEqualFn func(question, left, right string) (sqltypes.Value, error)
+// tri is a predicate's answer under SQL's three-valued logic. NULL and
+// CNULL both read as unknown; a CNULL that reaches the evaluator was
+// either not instantiable (no quorum) or not a crowd column.
+type tri int8
 
-// evalCtx carries what expression evaluation needs.
-type evalCtx struct {
-	schema []plan.Col
-	row    []sqltypes.Value
-	// crowdEqual is nil when no crowd is attached; CROWDEQUAL then
-	// evaluates to unknown (NULL).
-	crowdEqual crowdEqualFn
-	// exec gives access to subquery execution; nil in contexts where
-	// IN (SELECT ...) is not supported.
-	exec *Ctx
+const (
+	triFalse tri = iota
+	triTrue
+	triUnknown
+)
+
+func triOf(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
 }
 
-// eval computes an expression over one row with SQL three-valued logic.
-// NULL and CNULL both behave as "unknown"; a CNULL that reaches the
-// evaluator was either not instantiable (no quorum) or not a crowd column.
-func eval(e parser.Expr, ctx *evalCtx) (sqltypes.Value, error) {
-	switch x := e.(type) {
-	case *parser.Literal:
-		return x.Val, nil
-	case *parser.ColumnRef:
-		i, err := plan.FindCol(ctx.schema, x.Table, x.Name)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return ctx.row[i], nil
-	case *parser.BinaryExpr:
-		return evalBinary(x, ctx)
-	case *parser.UnaryExpr:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsUnknown() {
-				return sqltypes.Null(), nil
-			}
-			b, err := v.Coerce(sqltypes.TypeBool)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return sqltypes.NewBool(!b.Bool()), nil
-		case "-":
-			switch v.Kind() {
-			case sqltypes.KindInt:
-				return sqltypes.NewInt(-v.Int()), nil
-			case sqltypes.KindFloat:
-				return sqltypes.NewFloat(-v.Float()), nil
-			case sqltypes.KindNull, sqltypes.KindCNull:
-				return v, nil
-			}
-			return sqltypes.Value{}, fmt.Errorf("exec: cannot negate %v", v)
-		}
-		return sqltypes.Value{}, fmt.Errorf("exec: unknown unary op %q", x.Op)
-	case *parser.IsNullExpr:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		var match bool
-		if x.CNull {
-			match = v.IsCNull()
-		} else {
-			match = v.IsNull() || v.IsCNull() // CNULL is a NULL flavor for IS NULL
-		}
-		if x.Neg {
-			match = !match
-		}
-		return sqltypes.NewBool(match), nil
-	case *parser.InExpr:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if v.IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		var list []sqltypes.Value
-		if x.Sub != nil {
-			if ctx.exec == nil {
-				return sqltypes.Value{}, fmt.Errorf("exec: IN (SELECT ...) is not supported in this context")
-			}
-			list, err = ctx.exec.subqueryValues(x)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-		} else {
-			list = make([]sqltypes.Value, len(x.List))
-			for i, item := range x.List {
-				iv, err := eval(item, ctx)
-				if err != nil {
-					return sqltypes.Value{}, err
-				}
-				list[i] = iv
-			}
-		}
-		sawUnknown := false
-		for _, iv := range list {
-			if iv.IsUnknown() {
-				sawUnknown = true
-				continue
-			}
-			if sqltypes.Equal(v, iv) {
-				return sqltypes.NewBool(!x.Neg), nil
-			}
-		}
-		if sawUnknown {
-			return sqltypes.Null(), nil
-		}
-		return sqltypes.NewBool(x.Neg), nil
-	case *parser.BetweenExpr:
-		v, err := eval(x.E, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		lo, err := eval(x.Lo, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		hi, err := eval(x.Hi, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		c1, ok1 := sqltypes.Compare(v, lo)
-		c2, ok2 := sqltypes.Compare(v, hi)
-		if !ok1 || !ok2 {
-			return sqltypes.Null(), nil
-		}
-		in := c1 >= 0 && c2 <= 0
-		if x.Neg {
-			in = !in
-		}
-		return sqltypes.NewBool(in), nil
-	case *parser.FuncCall:
-		return evalFunc(x, ctx)
+func (t tri) not() tri {
+	switch t {
+	case triFalse:
+		return triTrue
+	case triTrue:
+		return triFalse
 	}
-	return sqltypes.Value{}, fmt.Errorf("exec: cannot evaluate %T", e)
+	return triUnknown
 }
 
-func evalBinary(x *parser.BinaryExpr, ctx *evalCtx) (sqltypes.Value, error) {
-	switch x.Op {
-	case "AND", "OR":
-		l, err := eval(x.L, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		r, err := eval(x.R, ctx)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		return evalLogic(x.Op, l, r)
-	case "~=":
-		return evalCrowdEqual(ctx, "", x.L, x.R)
+func (t tri) value() sqltypes.Value {
+	if t == triUnknown {
+		return sqltypes.Null()
 	}
-	l, err := eval(x.L, ctx)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	r, err := eval(x.R, ctx)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		c, ok := sqltypes.Compare(l, r)
-		if !ok && !l.IsUnknown() && !r.IsUnknown() {
-			// Implicit conversion for mixed string/number comparisons,
-			// matching H2's behaviour (e.g. `id = '42'` on an INTEGER).
-			if lc, err := l.Coerce(r.TypeOf()); err == nil {
-				c, ok = sqltypes.Compare(lc, r)
-			} else if rc, err := r.Coerce(l.TypeOf()); err == nil {
-				c, ok = sqltypes.Compare(l, rc)
-			}
-		}
-		if !ok {
-			return sqltypes.Null(), nil
-		}
-		var b bool
-		switch x.Op {
-		case "=":
-			b = c == 0
-		case "<>":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return sqltypes.NewBool(b), nil
-	case "LIKE":
-		if l.IsUnknown() || r.IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		return sqltypes.NewBool(likeMatch(l.String(), r.String())), nil
-	case "||":
-		if l.IsUnknown() || r.IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		return sqltypes.NewString(l.String() + r.String()), nil
-	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
-	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown operator %q", x.Op)
+	return sqltypes.NewBool(t == triTrue)
 }
 
-// evalLogic implements SQL three-valued AND/OR.
-func evalLogic(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
-	lb, lu := boolOf(l)
-	rb, ru := boolOf(r)
-	if op == "AND" {
-		switch {
-		case !lu && !lb, !ru && !rb:
-			return sqltypes.NewBool(false), nil
-		case lu || ru:
-			return sqltypes.Null(), nil
-		default:
-			return sqltypes.NewBool(true), nil
-		}
-	}
-	switch {
-	case !lu && lb, !ru && rb:
-		return sqltypes.NewBool(true), nil
-	case lu || ru:
-		return sqltypes.Null(), nil
-	default:
-		return sqltypes.NewBool(false), nil
-	}
-}
-
-// boolOf returns (value, unknown).
-func boolOf(v sqltypes.Value) (bool, bool) {
+// truth reads a value as a condition: unknown when it is NULL/CNULL or
+// has no BOOLEAN reading.
+func truth(v sqltypes.Value) tri {
 	if v.IsUnknown() {
-		return false, true
+		return triUnknown
 	}
 	b, err := v.Coerce(sqltypes.TypeBool)
 	if err != nil {
-		return false, true
+		return triUnknown
 	}
-	return b.Bool(), false
+	return triOf(b.Bool())
 }
 
-func evalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
-	if l.IsUnknown() || r.IsUnknown() {
-		return sqltypes.Null(), nil
+// evalEnv is what evaluation needs beyond the row. A nil *evalEnv is the
+// common case: no subqueries, no crowd, no group.
+type evalEnv struct {
+	// ctx runs IN (SELECT …) and, when it carries a compare cache, answers
+	// CROWDEQUAL from the memo and the crowd; without it the first is an
+	// error and the second unknown.
+	ctx *Ctx
+	// group is the group whose accumulated aggregates bAgg nodes read.
+	group *aggGroup
+}
+
+// compare orders two values for every comparison predicate (=, <, …, IN,
+// BETWEEN): by sqltypes.Compare; failing that, with one side converted to
+// the other's type — H2's implicit conversion, `id = '42'` on an INTEGER;
+// failing that, or with an unknown side, ok is false.
+func compare(l, r sqltypes.Value) (c int, ok bool) {
+	c, ok = sqltypes.Compare(l, r)
+	if ok || l.IsUnknown() || r.IsUnknown() {
+		return c, ok
 	}
-	lk, rk := l.Kind(), r.Kind()
-	if lk == sqltypes.KindInt && rk == sqltypes.KindInt && op != "/" {
+	if lc, err := l.Coerce(r.TypeOf()); err == nil {
+		return sqltypes.Compare(lc, r)
+	}
+	if rc, err := r.Coerce(l.TypeOf()); err == nil {
+		return sqltypes.Compare(l, rc)
+	}
+	return 0, false
+}
+
+// keeps is a filter's keep/drop decision: only true keeps, and no filter
+// (nil) keeps every row.
+func (n *bound) keeps(row Row, env *evalEnv) (bool, error) {
+	if n == nil {
+		return true, nil
+	}
+	t, err := n.test(row, env)
+	return t == triTrue, err
+}
+
+// test evaluates n as a condition. AND and OR evaluate both sides, always:
+// a side's error — and a CROWDEQUAL's crowd question — does not depend on
+// what the other side said.
+func (n *bound) test(row Row, env *evalEnv) (tri, error) {
+	switch n.kind {
+	case bAnd, bOr:
+		l, err := n.kids[0].test(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		r, err := n.kids[1].test(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		decided := triOf(n.kind == bOr) // the answer one side can force
+		switch {
+		case l == decided || r == decided:
+			return decided, nil
+		case l == triUnknown || r == triUnknown:
+			return triUnknown, nil
+		}
+		return decided.not(), nil
+	case bNot:
+		v, err := n.kids[0].eval(row, env)
+		if err != nil || v.IsUnknown() {
+			return triUnknown, err
+		}
+		b, err := v.Coerce(sqltypes.TypeBool)
+		if err != nil {
+			return triUnknown, err
+		}
+		return triOf(!b.Bool()), nil
+	case bCmp:
+		var l, r sqltypes.Value
+		if n.kids == nil {
+			l, r = row[n.ord], n.src.(*parser.Literal).Val
+		} else {
+			var err error
+			if l, err = n.kids[0].eval(row, env); err != nil {
+				return triUnknown, err
+			}
+			if r, err = n.kids[1].eval(row, env); err != nil {
+				return triUnknown, err
+			}
+		}
+		c, ok := compare(l, r)
+		if !ok {
+			return triUnknown, nil
+		}
+		switch n.op {
+		case cmpEq:
+			return triOf(c == 0), nil
+		case cmpNe:
+			return triOf(c != 0), nil
+		case cmpLt:
+			return triOf(c < 0), nil
+		case cmpLe:
+			return triOf(c <= 0), nil
+		case cmpGt:
+			return triOf(c > 0), nil
+		}
+		return triOf(c >= 0), nil
+	case bIsNull:
+		v, err := n.kids[0].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		match := v.IsCNull() || (n.op == 0 && v.IsNull()) // CNULL is a NULL flavor for IS NULL
+		return triOf(match != n.neg), nil
+	case bIn:
+		return n.testIn(row, env)
+	case bBetween:
+		v, err := n.kids[0].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		lo, err := n.kids[1].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		hi, err := n.kids[2].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		c1, ok1 := compare(v, lo)
+		c2, ok2 := compare(v, hi)
+		if !ok1 || !ok2 {
+			return triUnknown, nil
+		}
+		return triOf((c1 >= 0 && c2 <= 0) != n.neg), nil
+	case bLike:
+		l, err := n.kids[0].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		r, err := n.kids[1].eval(row, env)
+		if err != nil || l.IsUnknown() || r.IsUnknown() {
+			return triUnknown, err
+		}
+		return triOf(likeMatch(l.String(), r.String())), nil
+	}
+	v, err := n.eval(row, env)
+	if err != nil {
+		return triUnknown, err
+	}
+	return truth(v), nil
+}
+
+// testIn is x [NOT] IN (list | subquery): a match decides it, otherwise an
+// item it could not be compared with leaves it unknown.
+func (n *bound) testIn(row Row, env *evalEnv) (tri, error) {
+	v, err := n.kids[0].eval(row, env)
+	if err != nil || v.IsUnknown() {
+		return triUnknown, err
+	}
+	found, open := false, false
+	see := func(iv sqltypes.Value) {
+		if c, ok := compare(v, iv); !ok {
+			open = true
+		} else if c == 0 {
+			found = true
+		}
+	}
+	if n.src != nil {
+		if env == nil || env.ctx == nil {
+			return triUnknown, fmt.Errorf("exec: IN (SELECT ...) is not supported in this context")
+		}
+		list, err := env.ctx.subqueryValues(n.src.(*parser.InExpr))
+		if err != nil {
+			return triUnknown, err
+		}
+		for _, iv := range list {
+			see(iv)
+		}
+	}
+	// Every item is evaluated, match or not: a later item's error is the
+	// statement's.
+	for i := range n.kids[1:] {
+		iv, err := n.kids[1+i].eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		see(iv)
+	}
+	switch {
+	case found:
+		return triOf(!n.neg), nil
+	case open:
+		return triUnknown, nil
+	}
+	return triOf(n.neg), nil
+}
+
+// eval computes n over one row.
+func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
+	switch n.kind {
+	case bLit:
+		return n.src.(*parser.Literal).Val, nil
+	case bCol:
+		return row[n.ord], nil
+	case bFail:
+		return sqltypes.Value{}, n.src.(error)
+	case bNeg:
+		v, err := n.kids[0].eval(row, env)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		switch v.Kind() {
+		case sqltypes.KindInt:
+			return sqltypes.NewInt(-v.Int()), nil
+		case sqltypes.KindFloat:
+			return sqltypes.NewFloat(-v.Float()), nil
+		case sqltypes.KindNull, sqltypes.KindCNull:
+			return v, nil
+		}
+		return sqltypes.Value{}, fmt.Errorf("exec: cannot negate %v", v)
+	case bConcat, bArith:
+		l, err := n.kids[0].eval(row, env)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		r, err := n.kids[1].eval(row, env)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		if l.IsUnknown() || r.IsUnknown() {
+			return sqltypes.Null(), nil
+		}
+		if n.kind == bConcat {
+			return sqltypes.NewString(l.String() + r.String()), nil
+		}
+		return n.arith(l, r)
+	case bFunc:
+		return n.call(row, env)
+	case bCrowdEq:
+		return n.crowdEqual(row, env)
+	case bAgg:
+		if n.ord < 0 {
+			return sqltypes.NewInt(env.group.rows), nil
+		}
+		return env.group.states[n.ord].value(n.op)
+	case bFirst:
+		// Legal because the planner enforced grouping; a global aggregate
+		// over no rows has no first row.
+		if row == nil {
+			return sqltypes.Null(), nil
+		}
+		return n.kids[0].eval(row, nil)
+	}
+	t, err := n.test(row, env)
+	if err != nil {
+		return sqltypes.Value{}, err
+	}
+	return t.value(), nil
+}
+
+// arith is l <op> r over two known values: integers stay integers except
+// under /, everything else goes through FLOAT; division and modulo by zero
+// are NULL.
+func (n *bound) arith(l, r sqltypes.Value) (sqltypes.Value, error) {
+	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt {
 		a, b := l.Int(), r.Int()
-		switch op {
-		case "+":
+		switch n.op {
+		case arithAdd:
 			return sqltypes.NewInt(a + b), nil
-		case "-":
+		case arithSub:
 			return sqltypes.NewInt(a - b), nil
-		case "*":
+		case arithMul:
 			return sqltypes.NewInt(a * b), nil
-		case "%":
+		case arithMod:
 			if b == 0 {
 				return sqltypes.Null(), nil
 			}
 			return sqltypes.NewInt(a % b), nil
 		}
 	}
+	sym := n.src.(*parser.BinaryExpr).Op
 	lf, err := l.Coerce(sqltypes.TypeFloat)
 	if err != nil {
-		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, op, r, err)
+		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, sym, r, err)
 	}
 	rf, err := r.Coerce(sqltypes.TypeFloat)
 	if err != nil {
-		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, op, r, err)
+		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, sym, r, err)
 	}
 	a, b := lf.Float(), rf.Float()
-	switch op {
-	case "+":
+	switch n.op {
+	case arithAdd:
 		return sqltypes.NewFloat(a + b), nil
-	case "-":
+	case arithSub:
 		return sqltypes.NewFloat(a - b), nil
-	case "*":
+	case arithMul:
 		return sqltypes.NewFloat(a * b), nil
-	case "/":
+	case arithDiv:
 		if b == 0 {
 			return sqltypes.Null(), nil
 		}
 		return sqltypes.NewFloat(a / b), nil
-	case "%":
-		if b == 0 {
+	case arithMod:
+		if int64(b) == 0 { // the remainder is taken over the integer parts
 			return sqltypes.Null(), nil
 		}
 		return sqltypes.NewFloat(float64(int64(a) % int64(b))), nil
 	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", op)
+	return sqltypes.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", sym)
 }
 
-func evalFunc(x *parser.FuncCall, ctx *evalCtx) (sqltypes.Value, error) {
-	if x.IsAggregate() {
-		return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", x.Name)
+// call applies a scalar function. Every argument is evaluated first.
+func (n *bound) call(row Row, env *evalEnv) (sqltypes.Value, error) {
+	var few [3]sqltypes.Value
+	args := few[:0]
+	if len(n.kids) > len(few) {
+		args = make([]sqltypes.Value, 0, len(n.kids))
 	}
-	switch x.Name {
-	case "CROWDEQUAL":
-		question := ""
-		if len(x.Args) == 3 {
-			qv, err := eval(x.Args[2], ctx)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			question = qv.String()
-		}
-		return evalCrowdEqual(ctx, question, x.Args[0], x.Args[1])
-	case "CROWDORDER":
-		return sqltypes.Value{}, fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY")
-	}
-	args := make([]sqltypes.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := eval(a, ctx)
+	for i := range n.kids {
+		v, err := n.kids[i].eval(row, env)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
-	switch x.Name {
-	case "LOWER", "UPPER", "TRIM", "LENGTH":
-		if args[0].IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		s := args[0].String()
-		switch x.Name {
-		case "LOWER":
-			return sqltypes.NewString(strings.ToLower(s)), nil
-		case "UPPER":
-			return sqltypes.NewString(strings.ToUpper(s)), nil
-		case "TRIM":
-			return sqltypes.NewString(strings.TrimSpace(s)), nil
-		default:
-			return sqltypes.NewInt(int64(len(s))), nil
-		}
-	case "ABS":
-		if args[0].IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		switch args[0].Kind() {
-		case sqltypes.KindInt:
-			v := args[0].Int()
-			if v < 0 {
-				v = -v
-			}
-			return sqltypes.NewInt(v), nil
-		default:
-			f := args[0].Float()
-			if f < 0 {
-				f = -f
-			}
-			return sqltypes.NewFloat(f), nil
-		}
-	case "ROUND":
-		if args[0].IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		f := args[0].Float()
-		if f < 0 {
-			return sqltypes.NewInt(int64(f - 0.5)), nil
-		}
-		return sqltypes.NewInt(int64(f + 0.5)), nil
-	case "COALESCE":
+	if n.op == 0 {
+		return sqltypes.Value{}, fmt.Errorf("exec: unknown function %s", n.src.(*parser.FuncCall).Name)
+	}
+	if n.op == fnCoalesce {
 		for _, a := range args {
 			if !a.IsUnknown() {
 				return a, nil
 			}
 		}
 		return sqltypes.Null(), nil
-	case "SUBSTR":
-		if args[0].IsUnknown() {
-			return sqltypes.Null(), nil
-		}
-		s := args[0].String()
-		start := 1
-		if len(args) > 1 && !args[1].IsUnknown() {
-			start = int(args[1].Int())
-		}
-		if start < 1 {
-			start = 1
-		}
-		if start > len(s) {
-			return sqltypes.NewString(""), nil
-		}
-		out := s[start-1:]
-		if len(args) > 2 && !args[2].IsUnknown() {
-			n := int(args[2].Int())
-			if n < len(out) {
-				out = out[:n]
-			}
-		}
-		return sqltypes.NewString(out), nil
 	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown function %s", x.Name)
+	if args[0].IsUnknown() {
+		return sqltypes.Null(), nil
+	}
+	switch n.op {
+	case fnLower:
+		return sqltypes.NewString(strings.ToLower(args[0].String())), nil
+	case fnUpper:
+		return sqltypes.NewString(strings.ToUpper(args[0].String())), nil
+	case fnTrim:
+		return sqltypes.NewString(strings.TrimSpace(args[0].String())), nil
+	case fnLength:
+		return sqltypes.NewInt(int64(len(args[0].String()))), nil
+	case fnAbs:
+		if args[0].Kind() == sqltypes.KindInt {
+			v := args[0].Int()
+			if v < 0 {
+				v = -v
+			}
+			return sqltypes.NewInt(v), nil
+		}
+		f := args[0].Float()
+		if f < 0 {
+			f = -f
+		}
+		return sqltypes.NewFloat(f), nil
+	case fnRound:
+		f := args[0].Float()
+		if f < 0 {
+			return sqltypes.NewInt(int64(f - 0.5)), nil
+		}
+		return sqltypes.NewInt(int64(f + 0.5)), nil
+	}
+	// SUBSTR(s [, start [, length]]), 1-based.
+	s := args[0].String()
+	start := 1
+	if len(args) > 1 && !args[1].IsUnknown() {
+		start = int(args[1].Int())
+	}
+	if start < 1 {
+		start = 1
+	}
+	if start > len(s) {
+		return sqltypes.NewString(""), nil
+	}
+	out := s[start-1:]
+	if len(args) > 2 && !args[2].IsUnknown() {
+		if n := max(int(args[2].Int()), 0); n < len(out) {
+			out = out[:n]
+		}
+	}
+	return sqltypes.NewString(out), nil
 }
 
-// evalCrowdEqual renders both sides and delegates to the crowd resolver.
-func evalCrowdEqual(ctx *evalCtx, question string, le, re parser.Expr) (sqltypes.Value, error) {
-	l, err := eval(le, ctx)
+// crowdEqual renders both sides and asks the memo, then the crowd. The
+// question is evaluated first, trivially equal values need no crowd, and
+// with no crowd attached the answer is unknown.
+func (n *bound) crowdEqual(row Row, env *evalEnv) (sqltypes.Value, error) {
+	question := ""
+	if len(n.kids) == 3 {
+		qv, err := n.kids[2].eval(row, env)
+		if err != nil {
+			return sqltypes.Value{}, err
+		}
+		question = qv.String()
+	}
+	l, err := n.kids[0].eval(row, env)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
-	r, err := eval(re, ctx)
+	r, err := n.kids[1].eval(row, env)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
 	if l.IsUnknown() || r.IsUnknown() {
 		return sqltypes.Null(), nil
 	}
-	// Trivially equal values need no crowd.
 	if sqltypes.Equal(l, r) {
 		return sqltypes.NewBool(true), nil
 	}
-	if ctx.crowdEqual == nil {
+	if env == nil || env.ctx == nil || env.ctx.Cache == nil {
 		return sqltypes.Null(), nil
 	}
-	return ctx.crowdEqual(question, l.String(), r.String())
+	return resolveEqual(env.ctx, question, l.String(), r.String())
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single rune),

@@ -115,17 +115,17 @@ func TestEvalColumnRef(t *testing.T) {
 	schema := []plan.Col{{Table: "t", Name: "x", Type: sqltypes.TypeInt}}
 	row := Row{sqltypes.NewInt(41)}
 	e, _ := parser.ParseExpr("x + 1")
-	v, err := EvalRow(e, row, schema)
+	v, err := BindRow(e, schema).Eval(row)
 	if err != nil || v.Int() != 42 {
 		t.Errorf("column eval: %v %v", v, err)
 	}
 	e, _ = parser.ParseExpr("t.x")
-	v, err = EvalRow(e, row, schema)
+	v, err = BindRow(e, schema).Eval(row)
 	if err != nil || v.Int() != 41 {
 		t.Errorf("qualified eval: %v %v", v, err)
 	}
 	e, _ = parser.ParseExpr("zzz")
-	if _, err = EvalRow(e, row, schema); err == nil {
+	if _, err = BindRow(e, schema).Eval(row); err == nil {
 		t.Error("unknown column must fail")
 	}
 }

@@ -71,24 +71,27 @@ func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	if ctx.Trace == nil && ctx.OpStats == nil && ctx.OpMetrics == nil {
 		return op
 	}
-	return &instrumentedOp{op: op, node: n}
+	return &instrumentedOp{op: op, node: n, label: opLabel(n)}
 }
 
 type instrumentedOp struct {
-	op      Operator
-	node    plan.Node
-	span    *obs.Span
-	opening Stats // ctx.Stats snapshot at Open
-	st      OpStats
+	op   Operator
+	node plan.Node
+	span *obs.Span
+	// label is the span name, "op:" + the operator's name: built once, and
+	// only a scan's needs building.
+	label string
+	st    OpStats // the crowd counters hold ctx.Stats' at Open until Close
 }
 
 func (o *instrumentedOp) Schema() []plan.Col { return o.op.Schema() }
 
 func (o *instrumentedOp) Open(ctx *Ctx) error {
 	if ctx.Trace != nil {
-		o.span = ctx.Trace.Span(ctx.Span, "op:"+opName(o.node))
+		o.span = ctx.Trace.Span(ctx.Span, o.label)
 	}
-	o.opening = ctx.Stats
+	o.st.Comparisons, o.st.ProbeRequests = ctx.Stats.Comparisons, ctx.Stats.ProbeRequests
+	o.st.NewTupleRequests, o.st.CacheHits = ctx.Stats.NewTupleRequests, ctx.Stats.CacheHits
 	parent := ctx.Span
 	ctx.Span = o.span
 	t0 := time.Now()
@@ -119,10 +122,10 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 	err := o.op.Close(ctx)
 	o.st.WallNanos += time.Since(t0).Nanoseconds()
 	ctx.Span = parent
-	o.st.Comparisons = ctx.Stats.Comparisons - o.opening.Comparisons
-	o.st.ProbeRequests = ctx.Stats.ProbeRequests - o.opening.ProbeRequests
-	o.st.NewTupleRequests = ctx.Stats.NewTupleRequests - o.opening.NewTupleRequests
-	o.st.CacheHits = ctx.Stats.CacheHits - o.opening.CacheHits
+	o.st.Comparisons = ctx.Stats.Comparisons - o.st.Comparisons
+	o.st.ProbeRequests = ctx.Stats.ProbeRequests - o.st.ProbeRequests
+	o.st.NewTupleRequests = ctx.Stats.NewTupleRequests - o.st.NewTupleRequests
+	o.st.CacheHits = ctx.Stats.CacheHits - o.st.CacheHits
 	if br, ok := o.op.(bufferedReporter); ok {
 		o.st.PeakBufferedRows = br.bufferedRows()
 	}
@@ -131,7 +134,7 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 		ctx.OpStats[o.node] = &snap
 	}
 	if ctx.OpMetrics != nil {
-		ctx.OpMetrics.ObserveOp(opName(o.node), o.st)
+		ctx.OpMetrics.ObserveOp(o.label[len("op:"):], o.st)
 	}
 	if o.span != nil {
 		o.span.SetInt("rows_out", o.st.RowsOut)
@@ -159,27 +162,28 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 	return err
 }
 
-// opName labels a plan node for span names and ANALYZE output.
-func opName(n plan.Node) string {
+// opLabel names a plan node's operator span; without the "op:" it is the
+// operator's name in /metrics.
+func opLabel(n plan.Node) string {
 	switch x := n.(type) {
 	case *plan.Scan:
-		return "scan:" + x.Table.Name
+		return "op:scan:" + x.Table.Name
 	case *plan.Filter:
-		return "filter"
+		return "op:filter"
 	case *plan.Join:
-		return "join"
+		return "op:join"
 	case *plan.Project:
-		return "project"
+		return "op:project"
 	case *plan.Aggregate:
-		return "aggregate"
+		return "op:aggregate"
 	case *plan.Sort:
-		return "sort"
+		return "op:sort"
 	case *plan.Limit:
-		return "limit"
+		return "op:limit"
 	case *plan.Distinct:
-		return "distinct"
+		return "op:distinct"
 	default:
-		return fmt.Sprintf("%T", n)
+		return fmt.Sprintf("op:%T", n)
 	}
 }
 

@@ -43,6 +43,7 @@ type nlJoin struct {
 	left  rowCursor
 	right Operator
 
+	on        *bound
 	rightRows []Row
 	cur       Row
 	rpos      int
@@ -64,6 +65,8 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	j.rightRows = rows
+	var b binder
+	j.on = b.bind(j.node.On, j.Schema())
 	j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
 	return nil
 }
@@ -81,7 +84,7 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 			r := j.rightRows[j.rpos]
 			j.rpos++
 			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.node.On, combined, j.Schema())
+			ok, err := j.on.keeps(combined, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -124,12 +127,13 @@ type hashJoin struct {
 	rightKey parser.Expr
 	residual parser.Expr
 
-	table map[string][]Row
-	built int64
-	cur   Row
-	bkt   []Row
-	bpos  int
-	buf   Batch
+	lk, res *bound
+	table   map[string][]Row
+	built   int64
+	cur     Row
+	bkt     []Row
+	bpos    int
+	buf     Batch
 }
 
 func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
@@ -156,6 +160,10 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
+	var b binder
+	b.grow(nodeCount(j.leftKey) + nodeCount(j.rightKey) + nodeCount(j.residual))
+	rk := b.bind(j.rightKey, j.right.Schema())
+	j.lk, j.res = b.bind(j.leftKey, j.left.in.Schema()), b.bind(j.residual, j.Schema())
 	j.table = make(map[string][]Row, j.buildSizeHint())
 	j.built = 0
 	for {
@@ -167,7 +175,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			v, err := eval(j.rightKey, &evalCtx{schema: j.right.Schema(), row: r})
+			v, err := rk.eval(r, nil)
 			if err != nil {
 				return err
 			}
@@ -189,7 +197,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 			r := j.bkt[j.bpos]
 			j.bpos++
 			combined := append(append(Row{}, j.cur...), r...)
-			ok, err := rowMatches(j.residual, combined, j.Schema())
+			ok, err := j.res.keeps(combined, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +209,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		if err != nil || l == nil {
 			return nil, err
 		}
-		v, err := eval(j.leftKey, &evalCtx{schema: j.left.in.Schema(), row: l})
+		v, err := j.lk.eval(l, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -42,6 +42,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -70,15 +71,14 @@ type Operator interface {
 // reader's business; the operator is the same.
 
 type seqScan struct {
-	node *plan.Scan
-	rd   tableReader
-	buf  Batch
+	rd  tableReader // rd.node is the scan, from Build on
+	buf Batch
 }
 
-func (s *seqScan) Schema() []plan.Col { return s.node.Schema() }
+func (s *seqScan) Schema() []plan.Col { return s.rd.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
-	return s.rd.open(ctx, s.node, s.node.Filter, s.node.StopAfter)
+	return s.rd.open(ctx, s.rd.node, s.rd.node.Filter, s.rd.node.StopAfter)
 }
 
 func (s *seqScan) nextRow(ctx *Ctx) (Row, error) {
@@ -102,6 +102,7 @@ type filterOp struct {
 	node   *plan.Filter
 	input  Operator
 	crowd  bool
+	cond   *bound
 	stream *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
 	buf    Batch
 }
@@ -112,8 +113,10 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	if err := f.input.Open(ctx); err != nil {
 		return err
 	}
+	var b binder
 	f.stream = nil
 	if !f.crowd {
+		f.cond = b.bind(f.node.Cond, f.Schema())
 		return nil
 	}
 	// CrowdFilter: drain the input, batch-resolve every CROWDEQUAL pair
@@ -127,14 +130,15 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	// (crowd-free) phase, prune with it first — rows a machine predicate
 	// rejects must never cost a paid comparison. AND semantics make this
 	// exact: a row failing Pre fails Cond regardless of crowd verdicts.
-	if f.node.Pre != nil {
+	if pre := b.bind(f.node.Pre, f.Schema()); pre != nil {
+		env := evalEnv{ctx: ctx}
 		kept := buffered[:0]
 		for _, r := range buffered {
-			v, err := eval(f.node.Pre, &evalCtx{schema: f.Schema(), row: r, exec: ctx})
+			keep, err := pre.keeps(r, &env)
 			if err != nil {
 				return err
 			}
-			if b, unknown := boolOf(v); !unknown && b {
+			if keep {
 				kept = append(kept, r)
 			}
 		}
@@ -160,13 +164,14 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		if b.Len() == 0 {
 			return nil, nil
 		}
-		f.buf.reset()
+		f.buf.Rows = slices.Grow(f.buf.Rows[:0], len(b.Rows))
+		env := evalEnv{ctx: ctx}
 		for _, r := range b.Rows {
-			v, err := eval(f.node.Cond, &evalCtx{schema: f.Schema(), row: r, crowdEqual: cachedEqualResolver(ctx), exec: ctx})
+			keep, err := f.cond.keeps(r, &env)
 			if err != nil {
 				return nil, err
 			}
-			if keep, unknown := boolOf(v); !unknown && keep {
+			if keep {
 				f.buf.Rows = append(f.buf.Rows, r)
 			}
 		}
@@ -190,31 +195,27 @@ func (f *filterOp) bufferedRows() int64 {
 	return 0
 }
 
-// rowMatches evaluates a (crowd-free) predicate to a keep/drop decision.
-func rowMatches(filter parser.Expr, row Row, schema []plan.Col) (bool, error) {
-	if filter == nil {
-		return true, nil
-	}
-	v, err := eval(filter, &evalCtx{schema: schema, row: row})
-	if err != nil {
-		return false, err
-	}
-	b, unknown := boolOf(v)
-	return !unknown && b, nil
-}
-
 // ---------------------------------------------------------------------------
 // Project
 
 type projectOp struct {
 	node  *plan.Project
 	input Operator
+	items []bound // items[i] computes output column i
 	buf   Batch
 }
 
 func (p *projectOp) Schema() []plan.Col { return p.node.Schema() }
 
-func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
+func (p *projectOp) Open(ctx *Ctx) error {
+	if err := p.input.Open(ctx); err != nil {
+		return err
+	}
+	var b binder
+	items := p.node.Items
+	p.items = b.bindAll(len(items), func(i int) parser.Expr { return items[i].Expr }, p.input.Schema())
+	return nil
+}
 
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	b, err := p.input.NextBatch(ctx)
@@ -224,16 +225,19 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if b.Len() == 0 {
 		return nil, nil
 	}
-	p.buf.reset()
+	p.buf.Rows = slices.Grow(p.buf.Rows[:0], len(b.Rows))
+	// One allocation holds the batch's output rows. The consumer may keep
+	// them, so the next batch gets its own.
+	w := len(p.items)
+	vals := make([]sqltypes.Value, len(b.Rows)*w)
+	env := evalEnv{ctx: ctx}
 	for _, r := range b.Rows {
-		out := make(Row, len(p.node.Items))
-		ectx := &evalCtx{schema: p.input.Schema(), row: r, crowdEqual: cachedEqualResolver(ctx), exec: ctx}
-		for i, it := range p.node.Items {
-			v, err := eval(it.Expr, ectx)
-			if err != nil {
+		out := Row(vals[:w:w])
+		vals = vals[w:]
+		for i := range p.items {
+			if out[i], err = p.items[i].eval(r, &env); err != nil {
 				return nil, err
 			}
-			out[i] = v
 		}
 		p.buf.Rows = append(p.buf.Rows, out)
 	}
@@ -262,11 +266,6 @@ func (s *sortOp) Open(ctx *Ctx) error {
 		return err
 	}
 	s.rows, s.sorter, s.emitted = nil, nil, 0
-	rows, err := drainInput(ctx, s.input, nil)
-	if err != nil {
-		return err
-	}
-	s.rows = rows
 	// Split keys: a CROWDORDER key delegates to the crowd sort; other keys
 	// sort conventionally. A crowd key must be the only key.
 	for _, k := range s.node.Keys {
@@ -274,29 +273,37 @@ func (s *sortOp) Open(ctx *Ctx) error {
 			if len(s.node.Keys) != 1 {
 				return fmt.Errorf("exec: CROWDORDER cannot be combined with other sort keys")
 			}
-			sorter, err := newCrowdSorter(ctx, s.rows, s.Schema(), k)
-			if err != nil {
-				return err
-			}
-			if k.Desc {
-				// DESC reverses the final order, so the settled ASC
-				// prefix is the *suffix* of the output: stream nothing
-				// until the sort completes (matches the materializing
-				// executor exactly).
-				if err := sorter.run(); err != nil {
-					return err
-				}
-				s.rows = sorter.permuted()
-				reverseRows(s.rows)
-				return nil
-			}
-			// ASC streams: NextBatch drives comparison rounds and emits
-			// the settled prefix as it grows.
-			s.sorter = sorter
-			return nil
+			return s.crowdSort(ctx, k)
 		}
 	}
 	return s.plainSort(ctx)
+}
+
+func (s *sortOp) crowdSort(ctx *Ctx, k parser.OrderItem) error {
+	rows, err := drainInput(ctx, s.input, nil)
+	if err != nil {
+		return err
+	}
+	s.rows = rows
+	sorter, err := newCrowdSorter(ctx, s.rows, s.Schema(), k)
+	if err != nil {
+		return err
+	}
+	if k.Desc {
+		// DESC reverses the final order, so the settled ASC prefix is the
+		// *suffix* of the output: stream nothing until the sort completes
+		// (matches the materializing executor exactly).
+		if err := sorter.run(); err != nil {
+			return err
+		}
+		s.rows = sorter.permuted()
+		reverseRows(s.rows)
+		return nil
+	}
+	// ASC streams: NextBatch drives comparison rounds and emits the settled
+	// prefix as it grows.
+	s.sorter = sorter
+	return nil
 }
 
 func reverseRows(rows []Row) {
@@ -305,45 +312,114 @@ func reverseRows(rows []Row) {
 	}
 }
 
+// plainSort consumes the input and leaves in s.rows, in output order, the
+// first node.StopAfter rows of its stable sort — all of them when there is
+// no bound. A row's place is decided by its keys and then by when it
+// arrived, which makes the stable order a total one: no two rows tie, so
+// which rows are the first k does not depend on how they were found.
+//
+// The keys are evaluated once into one flat array and the sort moves slot
+// numbers, not rows: swapping integers needs no write barrier, so what a
+// sort costs does not depend on whether the collector happens to be
+// marking while it runs.
 func (s *sortOp) plainSort(ctx *Ctx) error {
-	// The keys are evaluated once into one flat array and the sort moves
-	// row numbers, not rows: swapping integers needs no write barrier, so
-	// what a sort costs does not depend on whether the collector happens
-	// to be marking while it runs.
-	nk := len(s.node.Keys)
-	keys := make([]sqltypes.Value, len(s.rows)*nk)
-	ectx := &evalCtx{schema: s.Schema()}
-	for i, r := range s.rows {
-		ectx.row = r
+	nk, keep := len(s.node.Keys), s.node.StopAfter
+	var b binder
+	keys := b.bindAll(nk, func(i int) parser.Expr { return s.node.Keys[i].Expr }, s.Schema())
+	var (
+		rows    []Row
+		vals    []sqltypes.Value // vals[i*nk:][:nk] are the keys of rows[i]
+		arrival []int64          // rows[i] was the arrival[i]-th input row
+		worst   []int32          // once keep rows are held: a heap of their slots, the last in output order on top
+		arrived int64
+	)
+	byKeys := func(a, b []sqltypes.Value) int {
 		for ki, k := range s.node.Keys {
-			v, err := eval(k.Expr, ectx)
-			if err != nil {
-				return err
-			}
-			keys[i*nk+ki] = v
-		}
-	}
-	order := make([]int32, len(s.rows))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		for ki, k := range s.node.Keys {
-			c := sqltypes.SortCompare(keys[int(a)*nk+ki], keys[int(b)*nk+ki])
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
+			if c := sqltypes.SortCompare(a[ki], b[ki]); c != 0 {
+				if k.Desc {
+					return -c
+				}
 				return c
 			}
 		}
 		return 0
-	})
-	sorted := make([]Row, len(s.rows))
-	for i, at := range order {
-		sorted[i] = s.rows[at]
 	}
-	s.rows = sorted
+	after := func(a, b int32) int {
+		if c := byKeys(vals[int(a)*nk:][:nk], vals[int(b)*nk:][:nk]); c != 0 {
+			return c
+		}
+		return cmp.Compare(arrival[a], arrival[b])
+	}
+	sift := func(i int) {
+		for {
+			top := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(worst); c++ {
+				if after(worst[c], worst[top]) > 0 {
+					top = c
+				}
+			}
+			if top == i {
+				return
+			}
+			worst[i], worst[top] = worst[top], worst[i]
+			i = top
+		}
+	}
+	slots := func() []int32 {
+		out := make([]int32, len(rows))
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	for {
+		in, err := s.input.NextBatch(ctx)
+		if err != nil {
+			return err
+		}
+		if in.Len() == 0 {
+			break
+		}
+		for _, r := range in.Rows {
+			at := len(vals)
+			for ki := range keys {
+				v, err := keys[ki].eval(r, nil)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, v)
+			}
+			arrived++
+			if keep < 0 || int64(len(rows)) < keep {
+				rows, arrival = append(rows, r), append(arrival, arrived)
+				if int64(len(rows)) == keep {
+					worst = slots()
+					for i := len(worst)/2 - 1; i >= 0; i-- {
+						sift(i)
+					}
+				}
+				continue
+			}
+			// Full: the row either displaces the kept row that sorts last
+			// or, arriving after it, loses the tie and is dropped.
+			if len(worst) > 0 && byKeys(vals[at:], vals[int(worst[0])*nk:][:nk]) < 0 {
+				w := worst[0]
+				copy(vals[int(w)*nk:], vals[at:])
+				rows[w], arrival[w] = r, arrived
+				sift(0)
+			}
+			vals = vals[:at]
+		}
+	}
+	order := worst
+	if order == nil {
+		order = slots()
+	}
+	slices.SortFunc(order, after)
+	s.rows = make([]Row, len(order))
+	for i, at := range order {
+		s.rows[i] = rows[at]
+	}
 	return nil
 }
 
@@ -490,12 +566,30 @@ type aggregateOp struct {
 	input Operator
 	out   batchEmitter
 	// calls are the aggregate calls (COUNT(*) aside: the group counts its
-	// rows) the select list and HAVING read, in first-use order; callAt
-	// maps each back to its slot in a group.
-	calls  []*parser.FuncCall
-	callAt map[*parser.FuncCall]int
+	// rows) the select list and HAVING read, in first-use order: a call's
+	// index is its slot in a group's states.
+	calls  []aggCall
 	groups int64
 }
+
+// aggCall is one aggregate call: which aggregate, over what.
+type aggCall struct {
+	fn  uint8 // aggCount…
+	arg *bound
+}
+
+const (
+	aggCount uint8 = iota + 1
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var (
+	aggFns   = map[string]uint8{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+	aggNames = [...]string{aggSum: "SUM", aggAvg: "AVG", aggMin: "MIN", aggMax: "MAX"}
+)
 
 // aggGroup is one group's accumulated state.
 type aggGroup struct {
@@ -517,59 +611,106 @@ type aggState struct {
 
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
 
-// collectCalls registers the aggregate calls evalAgg will reach in e (the
-// same descent: through operators, not into function arguments).
-func (a *aggregateOp) collectCalls(e parser.Expr) {
-	switch x := e.(type) {
-	case *parser.FuncCall:
-		if _, seen := a.callAt[x]; x.IsAggregate() && !x.Star && !seen {
-			a.callAt[x] = len(a.calls)
-			a.calls = append(a.calls, x)
+// bindOut binds an expression of the aggregate's output (a select item or
+// HAVING) into dst. Aggregate calls — reached through operators, not
+// through function arguments — read their group's accumulated state and
+// register themselves in a.calls; every aggregate-free operand reads the
+// group's first row.
+func (a *aggregateOp) bindOut(b *binder, dst *bound, e parser.Expr, in []plan.Col) {
+	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
+		dst.kind, dst.op, dst.ord = bAgg, aggFns[fc.Name], -1
+		if !fc.Star {
+			dst.ord = int32(len(a.calls))
+			a.calls = append(a.calls, aggCall{fn: dst.op, arg: b.bind(fc.Args[0], in)})
 		}
-	case *parser.BinaryExpr:
-		if parser.HasAggregate(e) {
-			a.collectCalls(x.L)
-			a.collectCalls(x.R)
-		}
-	case *parser.UnaryExpr:
-		if parser.HasAggregate(e) {
-			a.collectCalls(x.E)
+		return
+	}
+	if parser.HasAggregate(e) {
+		switch x := e.(type) {
+		case *parser.BinaryExpr:
+			// Over aggregates an operator is a connective, a comparison or,
+			// failing both, arithmetic.
+			switch op := cmpOps[x.Op]; {
+			case x.Op == "AND":
+				dst.kind = bAnd
+			case x.Op == "OR":
+				dst.kind = bOr
+			case op != 0:
+				dst.kind, dst.op = bCmp, op
+			default:
+				dst.kind, dst.op, dst.src = bArith, arithOps[x.Op], x
+			}
+			dst.kids = b.take(2)
+			a.bindOut(b, &dst.kids[0], x.L, in)
+			a.bindOut(b, &dst.kids[1], x.R, in)
+			return
+		case *parser.UnaryExpr:
+			if x.Op == "NOT" || x.Op == "-" {
+				dst.kind = bNot
+				if x.Op == "-" {
+					dst.kind = bNeg
+				}
+				dst.kids = b.take(1)
+				a.bindOut(b, &dst.kids[0], x.E, in)
+				return
+			}
 		}
 	}
+	dst.kind, dst.kids = bFirst, b.take(1)
+	b.bindInto(&dst.kids[0], e, in)
 }
 
 func (a *aggregateOp) Open(ctx *Ctx) error {
 	if err := a.input.Open(ctx); err != nil {
 		return err
 	}
-	a.out = batchEmitter{}
-	a.calls, a.callAt = nil, make(map[*parser.FuncCall]int)
+	a.out, a.calls = batchEmitter{}, nil
+	var b binder
+	in := a.input.Schema()
+	n := 2 * nodeCount(a.node.Having) // bindOut wraps an aggregate-free operand in one more node
 	for _, it := range a.node.Items {
-		a.collectCalls(it.Expr)
+		n += 2 * nodeCount(it.Expr)
 	}
+	for _, g := range a.node.GroupBy {
+		n += nodeCount(g)
+	}
+	b.grow(n)
+	items := b.take(len(a.node.Items))
+	for i, it := range a.node.Items {
+		a.bindOut(&b, &items[i], it.Expr, in)
+	}
+	var having *bound
 	if a.node.Having != nil {
-		a.collectCalls(a.node.Having)
+		having = &b.take(1)[0]
+		a.bindOut(&b, having, a.node.Having, in)
 	}
+	keys := b.bindAll(len(a.node.GroupBy), func(i int) parser.Expr { return a.node.GroupBy[i] }, in)
+
+	var (
+		groupSlab slab[aggGroup]
+		stateSlab slab[aggState]
+		order     []*aggGroup
+		keyBuf    []byte
+	)
 	newGroup := func(first Row) *aggGroup {
-		return &aggGroup{first: first, states: make([]aggState, len(a.calls))}
+		grp := &groupSlab.take(1)[0]
+		grp.first, grp.states = first, stateSlab.take(len(a.calls))
+		order = append(order, grp)
+		return grp
 	}
 	groups := make(map[string]*aggGroup)
-	var order []*aggGroup
-	var keyBuf []byte
-	ectx := &evalCtx{schema: a.input.Schema()}
 	for {
-		b, err := a.input.NextBatch(ctx)
+		in, err := a.input.NextBatch(ctx)
 		if err != nil {
 			return err
 		}
-		if b.Len() == 0 {
+		if in.Len() == 0 {
 			break
 		}
-		for _, r := range b.Rows {
-			ectx.row = r
+		for _, r := range in.Rows {
 			keyBuf = keyBuf[:0]
-			for _, g := range a.node.GroupBy {
-				v, err := eval(g, ectx)
+			for i := range keys {
+				v, err := keys[i].eval(r, nil)
 				if err != nil {
 					return err
 				}
@@ -579,32 +720,36 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			if !ok {
 				grp = newGroup(r)
 				groups[string(keyBuf)] = grp
-				order = append(order, grp)
 			}
 			grp.rows++
-			for i, fc := range a.calls {
-				grp.states[i].add(fc, ectx)
+			for i := range a.calls {
+				grp.states[i].add(&a.calls[i], r)
 			}
 		}
 	}
 	// A global aggregate over zero rows still produces one row.
 	if len(a.node.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, newGroup(nil))
+		newGroup(nil)
 	}
 	a.groups = int64(len(order))
+	w := len(items)
+	vals := make([]sqltypes.Value, len(order)*w)
+	var env evalEnv
 	for _, grp := range order {
-		if a.node.Having != nil {
-			hv, err := a.evalAgg(a.node.Having, grp)
+		env.group = grp
+		if having != nil {
+			keep, err := having.keeps(grp.first, &env)
 			if err != nil {
 				return err
 			}
-			if b, unknown := boolOf(hv); unknown || !b {
+			if !keep {
 				continue
 			}
 		}
-		out := make(Row, len(a.node.Items))
-		for i, it := range a.node.Items {
-			v, err := a.evalAgg(it.Expr, grp)
+		out := Row(vals[:w:w])
+		vals = vals[w:]
+		for i := range items {
+			v, err := items[i].eval(grp.first, &env)
 			if err != nil {
 				return err
 			}
@@ -627,10 +772,10 @@ func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
 
 func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.rows)) }
 
-// add folds the current row's argument value into the state. SQL
-// aggregates skip NULLs (and CNULLs).
-func (s *aggState) add(fc *parser.FuncCall, ectx *evalCtx) {
-	v, err := eval(fc.Args[0], ectx)
+// add folds the row's argument value into the state. SQL aggregates skip
+// NULLs (and CNULLs).
+func (s *aggState) add(c *aggCall, row Row) {
+	v, err := c.arg.eval(row, nil)
 	if err != nil {
 		if s.evalErr == nil {
 			s.evalErr = err
@@ -644,44 +789,40 @@ func (s *aggState) add(fc *parser.FuncCall, ectx *evalCtx) {
 	if s.err != nil {
 		return
 	}
-	switch fc.Name {
-	case "SUM", "AVG":
+	switch c.fn {
+	case aggSum, aggAvg:
 		f, err := v.Coerce(sqltypes.TypeFloat)
 		if err != nil {
-			s.err = fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
+			s.err = fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.fn], v)
 			return
 		}
 		s.sum += f.Float()
 		if v.Kind() != sqltypes.KindInt {
 			s.nonInt = true
 		}
-	case "MIN", "MAX":
+	case aggMin, aggMax:
 		if s.n == 1 {
 			s.best = v
 			return
 		}
-		c, ok := sqltypes.Compare(v, s.best)
+		c2, ok := sqltypes.Compare(v, s.best)
 		if !ok {
-			s.err = fmt.Errorf("exec: %s over incomparable values", fc.Name)
+			s.err = fmt.Errorf("exec: %s over incomparable values", aggNames[c.fn])
 			return
 		}
-		if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
+		if (c.fn == aggMin && c2 < 0) || (c.fn == aggMax && c2 > 0) {
 			s.best = v
 		}
 	}
 }
 
 // value is the aggregate's result over the rows folded in so far.
-func (s *aggState) value(fc *parser.FuncCall) (sqltypes.Value, error) {
+func (s *aggState) value(fn uint8) (sqltypes.Value, error) {
 	if s.evalErr != nil {
 		return sqltypes.Value{}, s.evalErr
 	}
-	switch fc.Name {
-	case "COUNT":
+	if fn == aggCount {
 		return sqltypes.NewInt(s.n), nil
-	case "SUM", "AVG", "MIN", "MAX":
-	default:
-		return sqltypes.Value{}, fmt.Errorf("exec: unknown aggregate %s", fc.Name)
 	}
 	if s.n == 0 {
 		return sqltypes.Null(), nil
@@ -690,58 +831,12 @@ func (s *aggState) value(fc *parser.FuncCall) (sqltypes.Value, error) {
 		return sqltypes.Value{}, s.err
 	}
 	switch {
-	case fc.Name == "AVG":
+	case fn == aggAvg:
 		return sqltypes.NewFloat(s.sum / float64(s.n)), nil
-	case fc.Name == "SUM" && s.nonInt:
+	case fn == aggSum && s.nonInt:
 		return sqltypes.NewFloat(s.sum), nil
-	case fc.Name == "SUM":
+	case fn == aggSum:
 		return sqltypes.NewInt(int64(s.sum)), nil
 	}
 	return s.best, nil
-}
-
-// evalAgg evaluates an expression over a group: aggregates read their
-// accumulated state, everything else the group's first row (legal because
-// the planner enforced grouping).
-func (a *aggregateOp) evalAgg(e parser.Expr, g *aggGroup) (sqltypes.Value, error) {
-	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		if fc.Star { // COUNT(*)
-			return sqltypes.NewInt(g.rows), nil
-		}
-		return g.states[a.callAt[fc]].value(fc)
-	}
-	switch x := e.(type) {
-	case *parser.BinaryExpr:
-		if parser.HasAggregate(e) {
-			l, err := a.evalAgg(x.L, g)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			r, err := a.evalAgg(x.R, g)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			switch x.Op {
-			case "AND", "OR":
-				return evalLogic(x.Op, l, r)
-			case "=", "<>", "<", "<=", ">", ">=":
-				return evalBinary(&parser.BinaryExpr{Op: x.Op,
-					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &evalCtx{})
-			default:
-				return evalArith(x.Op, l, r)
-			}
-		}
-	case *parser.UnaryExpr:
-		if parser.HasAggregate(e) {
-			v, err := a.evalAgg(x.E, g)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return eval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &evalCtx{})
-		}
-	}
-	if g.first == nil {
-		return sqltypes.Null(), nil
-	}
-	return eval(e, &evalCtx{schema: a.input.Schema(), row: g.first})
 }

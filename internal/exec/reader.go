@@ -45,8 +45,8 @@ type shardStream struct {
 
 type tableReader struct {
 	node    *plan.Scan
-	filter  parser.Expr // keep/drop test, unknown drops; nil keeps every row
-	quota   int64       // rows to return before stopping, < 0 for all
+	filter  *bound // keep/drop test, unknown drops; nil keeps every row
+	quota   int64  // rows to return before stopping, < 0 for all
 	streams []shardStream
 	keyed   [1]shardStream // backs streams when a key feeds the read
 	cursors bool           // fed by the shard cursors, not by a key
@@ -60,7 +60,8 @@ type tableReader struct {
 // filter is usually node.Filter; CrowdProbe passes the part of it that can
 // run before the crowd is asked.
 func (r *tableReader) open(ctx *Ctx, node *plan.Scan, filter parser.Expr, quota int64) error {
-	*r = tableReader{node: node, filter: filter, quota: quota}
+	var b binder
+	*r = tableReader{node: node, filter: b.bind(filter, node.Schema()), quota: quota}
 	ids, rows, keyed, err := fetchByKey(ctx, node)
 	if err != nil {
 		return err
@@ -122,7 +123,7 @@ func (r *tableReader) next(ctx *Ctx) (storage.RowID, Row, error) {
 		}
 		ctx.Stats.RowsScanned++
 		r.scanned++
-		keep, err := rowMatches(r.filter, row, r.node.Schema())
+		keep, err := r.filter.keeps(row, nil)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -296,7 +296,7 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 							node.StopAfter = quota
 							for _, size := range []int{1, 7, 256} {
 								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, BatchSize: size}
-								got, err := Run(&seqScan{node: node}, ctx)
+								got, err := Run(&seqScan{rd: tableReader{node: node}}, ctx)
 								if err != nil {
 									t.Fatal(err)
 								}

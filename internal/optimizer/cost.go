@@ -409,13 +409,13 @@ func (cm *costModel) filterCost(f *plan.Filter) plan.Cost {
 func (cm *costModel) sortCost(s *plan.Sort) plan.Cost {
 	in := cm.cost(s.Input)
 	c := plan.Cost{Cents: in.Cents, Seconds: in.Seconds, Rows: in.Rows, MachineSeconds: in.MachineSeconds}
-	crowd := false
-	for _, k := range s.Keys {
-		if parser.HasCrowdFunc(k.Expr) {
-			crowd = true
+	if !s.Crowd() {
+		if s.StopAfter >= 0 && float64(s.StopAfter) < c.Rows {
+			c.Rows = float64(s.StopAfter)
 		}
+		return c
 	}
-	if !crowd || math.IsInf(in.Rows, 1) || in.Rows < 2 {
+	if math.IsInf(in.Rows, 1) || in.Rows < 2 {
 		return c
 	}
 	// Batched quicksort: ~n comparisons per round, ceil(log2 n) rounds;

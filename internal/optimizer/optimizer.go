@@ -502,10 +502,12 @@ func describe(n plan.Node) string {
 // Rule 4: stop-after push-down
 
 // pushLimits walks down from Limit nodes, carrying the bound through
-// row-preserving Projects (exact) and through Sorts (as a crowd-acquisition
+// row-preserving Projects (exact) and through Sorts. A Sort whose keys the
+// machine compares keeps an exact bound for itself: only that many rows of
+// its output are ever read. Below a Sort the bound is a crowd-acquisition
 // bound only: stored rows still all participate in the sort, but the number
 // of *new* crowd tuples solicited is capped — the paper's stop-after rule
-// exists to bound crowd requests).
+// exists to bound crowd requests.
 func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) {
 	switch x := n.(type) {
 	case *plan.Limit:
@@ -517,6 +519,9 @@ func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) {
 	case *plan.Project:
 		o.pushLimits(x.Input, bound, exact)
 	case *plan.Sort:
+		if exact && bound >= 0 && !x.Crowd() {
+			x.StopAfter = bound
+		}
 		o.pushLimits(x.Input, bound, false)
 	case *plan.Scan:
 		if bound < 0 {

@@ -149,6 +149,54 @@ func TestStopAfterPushdown(t *testing.T) {
 	}
 }
 
+func findSort(n plan.Node) *plan.Sort {
+	if s, ok := n.(*plan.Sort); ok {
+		return s
+	}
+	for _, c := range n.Children() {
+		if s := findSort(c); s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// TestStopAfterOnSort: a machine-keyed Sort directly under a Limit (a
+// Project may sit between) is told how many rows of its output are read,
+// LIMIT + OFFSET. A CROWDORDER sort never is — it needs every row to pick
+// its pivots — nor a Sort under no LIMIT, nor any Sort with the rule
+// disabled.
+func TestStopAfterOnSort(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		sql  string
+		opts Options
+		want int64
+	}{
+		{`SELECT rtitle FROM Room ORDER BY capacity DESC LIMIT 3`, Options{}, 3},
+		{`SELECT rtitle, capacity FROM Room ORDER BY capacity, rtitle LIMIT 3 OFFSET 4`, Options{}, 7},
+		{`SELECT capacity, COUNT(*) FROM Room GROUP BY capacity ORDER BY COUNT(*) DESC LIMIT 2`, Options{}, 2},
+		{`SELECT rtitle FROM Room ORDER BY capacity LIMIT 0`, Options{}, 0},
+		{`SELECT rtitle FROM Room ORDER BY capacity`, Options{}, -1},
+		{`SELECT rtitle FROM Room ORDER BY capacity OFFSET 2`, Options{}, -1},
+		{`SELECT DISTINCT capacity FROM Room ORDER BY capacity LIMIT 3`, Options{}, 3}, // the Sort is above the Distinct
+		{`SELECT rtitle FROM Room ORDER BY capacity DESC LIMIT 3`, Options{DisableStopAfter: true}, -1},
+		{`SELECT name FROM NotableAttendee ORDER BY CROWDORDER(name, 'better?') LIMIT 10`, Options{}, -1},
+	} {
+		res := optimize(t, cat, tc.sql, tc.opts)
+		s := findSort(res.Root)
+		if s == nil {
+			t.Fatalf("%s: no Sort in\n%s", tc.sql, plan.ExplainTree(res.Root))
+		}
+		if s.StopAfter != tc.want {
+			t.Errorf("%s: Sort.StopAfter = %d, want %d\n%s", tc.sql, s.StopAfter, tc.want, plan.ExplainTree(res.Root))
+		}
+		if has := strings.Contains(s.Explain(), "stopafter="); has != (tc.want >= 0) {
+			t.Errorf("%s: Sort explains as %q", tc.sql, s.Explain())
+		}
+	}
+}
+
 func TestStopAfterNotPushedThroughFilterForStoredTables(t *testing.T) {
 	cat := testCatalog(t)
 	res := optimize(t, cat, `SELECT rtitle FROM Room WHERE capacity > 3 LIMIT 2`, Options{})

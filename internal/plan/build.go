@@ -205,7 +205,7 @@ func placeSort(root Node, sel *parser.Select) (Node, error) {
 		allOutput = false
 	}
 	if allOutput {
-		return &Sort{Input: root, Keys: keys}, nil
+		return NewSort(root, keys), nil
 	}
 	// Keys reference pre-projection columns: sort under the projection.
 	proj, ok := root.(*Project)
@@ -215,14 +215,14 @@ func placeSort(root Node, sel *parser.Select) (Node, error) {
 				return nil, err
 			}
 		}
-		return &Sort{Input: root, Keys: sel.OrderBy}, nil
+		return NewSort(root, sel.OrderBy), nil
 	}
 	for _, k := range sel.OrderBy {
 		if err := bindSortKey(k.Expr, proj.Input.Schema()); err != nil {
 			return nil, err
 		}
 	}
-	proj.Input = &Sort{Input: proj.Input, Keys: sel.OrderBy}
+	proj.Input = NewSort(proj.Input, sel.OrderBy)
 	return proj, nil
 }
 

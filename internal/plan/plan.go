@@ -254,6 +254,15 @@ func (a *Aggregate) Explain() string {
 type Sort struct {
 	Input Node
 	Keys  []parser.OrderItem
+	// StopAfter is how many rows of the sorted output anything above reads
+	// (-1 = all of it); the optimizer's stop-after rule sets it, for machine
+	// keys only, and the executor then keeps that many rows, not its input.
+	StopAfter int64
+}
+
+// NewSort builds an unbounded sort.
+func NewSort(input Node, keys []parser.OrderItem) *Sort {
+	return &Sort{Input: input, Keys: keys, StopAfter: -1}
 }
 
 // Schema implements Node.
@@ -262,25 +271,36 @@ func (s *Sort) Schema() []Col { return s.Input.Schema() }
 // Children implements Node.
 func (s *Sort) Children() []Node { return []Node{s.Input} }
 
+// Crowd reports whether a key is a CROWDORDER call: the crowd, not the
+// machine, then decides the order.
+func (s *Sort) Crowd() bool {
+	for _, k := range s.Keys {
+		if parser.HasCrowdFunc(k.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
 // Explain implements Node.
 func (s *Sort) Explain() string {
 	var ks []string
-	crowd := false
 	for _, k := range s.Keys {
 		item := k.Expr.String()
 		if k.Desc {
 			item += " DESC"
 		}
-		if parser.HasCrowdFunc(k.Expr) {
-			crowd = true
-		}
 		ks = append(ks, item)
 	}
 	kind := "Sort"
-	if crowd {
+	if s.Crowd() {
 		kind = "CrowdSort"
 	}
-	return kind + "(" + strings.Join(ks, ", ") + ")"
+	out := kind + "(" + strings.Join(ks, ", ") + ")"
+	if s.StopAfter >= 0 {
+		out += fmt.Sprintf(" stopafter=%d", s.StopAfter)
+	}
+	return out
 }
 
 // Limit truncates output.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"crowddb/internal/sqltypes"
 )
@@ -340,8 +341,23 @@ func (s *Store) tableMap() map[string]*tableStore {
 	return s.tables.Load().(map[string]*tableStore)
 }
 
+// table finds a table by name, case-insensitively. Every read and write
+// comes through here with the catalog's spelling of the name, so an ASCII
+// name is folded on the stack, not into a new string.
 func (s *Store) table(name string) (*tableStore, error) {
-	t, ok := s.tableMap()[strings.ToLower(name)]
+	var buf [64]byte
+	key := buf[:0]
+	for i := 0; i < len(name) && i < len(buf) && name[i] < utf8.RuneSelf; i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key = append(key, c)
+	}
+	t, ok := s.tableMap()[string(key)]
+	if len(key) < len(name) { // long, or not ASCII
+		t, ok = s.tableMap()[strings.ToLower(name)]
+	}
 	if !ok {
 		return nil, fmt.Errorf("storage: table %s not found", name)
 	}
