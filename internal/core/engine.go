@@ -129,9 +129,13 @@ type Engine struct {
 
 	// persistMu serializes compare-cache persistence; pendingPersist
 	// holds entries whose system-table write failed until a later pass
-	// retries them (the memo keeps answering them meanwhile).
+	// retries them (the memo keeps answering them meanwhile). persistErr
+	// is the first failed commit of a pass: its rows are applied in memory
+	// but not durable, so no later pass may count them — or anything else
+	// — as persisted.
 	persistMu      sync.Mutex
 	pendingPersist []exec.Entry
+	persistErr     error
 	// persistHook, when non-nil, is consulted before each system-table
 	// write (test seam: injecting per-entry persist failures).
 	persistHook func(exec.Entry) error
@@ -570,15 +574,21 @@ func (e *Engine) applyDDL(stmt parser.Statement, persist bool) error {
 }
 
 // commitTraced commits a DML statement's transaction under a "commit"
-// span (the span covers watermark advancement; WAL fsync latency is
-// measured separately, per shard, by the storage histograms).
-func (e *Engine) commitTraced(tx *storage.Txn, tr *obs.Trace, sp *obs.Span) {
+// span — the WAL sync of every shard the statement wrote, then watermark
+// advancement — and folds a failed sync into the statement's outcome: a
+// statement whose writes are not durable reports the I/O error, not its
+// affected count.
+func (e *Engine) commitTraced(tx *storage.Txn, tr *obs.Trace, sp *obs.Span, res *Result, err error) (*Result, error) {
 	csp := tr.Span(sp, "commit")
-	tx.Commit()
+	cerr := tx.Commit()
 	csp.End()
+	if err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return res, err
 }
 
-func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
@@ -602,7 +612,7 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (*Res
 	// rows applied before a mid-statement error stay applied (the
 	// engine's established partial-application semantics).
 	tx := e.store.Begin()
-	defer e.commitTraced(tx, tr, sp)
+	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
 	inserted := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(colIdx) {
@@ -651,7 +661,7 @@ func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, 
 	return scan.Schema(), ids, rows, err
 }
 
-func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
@@ -673,7 +683,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	// One transaction per statement: all matched rows flip to the new
 	// version together from any new snapshot's point of view.
 	tx := e.store.Begin()
-	defer e.commitTraced(tx, tr, sp)
+	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
 	affected := 0
 	for i, row := range rows {
 		updated := row.Clone()
@@ -698,7 +708,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (*Res
 	return &Result{Affected: affected}, nil
 }
 
-func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
@@ -710,7 +720,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (*Res
 	// One transaction per statement: all matched rows disappear together
 	// from any new snapshot's point of view.
 	tx := e.store.Begin()
-	defer e.commitTraced(tx, tr, sp)
+	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
 	affected := 0
 	for i, row := range rows {
 		if err := tx.Delete(t.Name, ids[i]); err != nil {
@@ -1095,12 +1105,16 @@ func (e *Engine) FlushCompareAnswers() (int, error) {
 }
 
 // persistCompareCache writes the comparison answers memoized since the
-// last pass to the system table and reports how many were written. Only
-// the deltas are walked — the resident cache is cross-session and can be
-// large. An entry whose write fails is skipped and retained for the next
-// pass; the rest of the batch still persists (no head-of-line blocking:
-// one poisoned entry must not keep every later healthy answer out of the
-// system table). The first error is reported after the full sweep.
+// last pass to the system table, in one transaction — one WAL sync per
+// shard per pass, not one per answer — and reports how many were written.
+// Only the deltas are walked — the resident cache is cross-session and
+// can be large. An entry whose write fails is skipped and retained for
+// the next pass; the rest of the batch still persists (no head-of-line
+// blocking: one poisoned entry must not keep every later healthy answer
+// out of the system table). The first error is reported after the full
+// sweep. If the commit itself fails, nothing of the pass is durable: the
+// whole batch is kept and the error reported, now and on every later
+// pass.
 func (e *Engine) persistCompareCache() (int, error) {
 	if faultinject.Killed() {
 		// Simulated crash: nothing more reaches disk; the entries stay
@@ -1110,11 +1124,16 @@ func (e *Engine) persistCompareCache() (int, error) {
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
 	pending := append(e.pendingPersist, e.cache.TakeDirty()...)
+	if len(pending) == 0 || e.persistErr != nil {
+		e.pendingPersist = pending
+		return 0, e.persistErr
+	}
 	e.pendingPersist = nil
+	tx := e.store.Begin()
 	var firstErr error
 	persisted := 0
 	for _, en := range pending {
-		if err := e.persistEntryLocked(en); err != nil {
+		if err := e.persistEntryLocked(tx, en); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -1123,12 +1142,16 @@ func (e *Engine) persistCompareCache() (int, error) {
 		}
 		persisted++
 	}
+	if err := tx.Commit(); err != nil {
+		e.pendingPersist, e.persistErr = pending, err
+		return 0, err
+	}
 	return persisted, firstErr
 }
 
-// persistEntryLocked writes one cache entry; an entry already in the
+// persistEntryLocked writes one cache entry in tx; an entry already in the
 // system table (duplicate key) is a no-op. Caller holds persistMu.
-func (e *Engine) persistEntryLocked(entry exec.Entry) error {
+func (e *Engine) persistEntryLocked(tx *storage.Txn, entry exec.Entry) error {
 	if e.persistHook != nil {
 		if err := e.persistHook(entry); err != nil {
 			return err
@@ -1141,7 +1164,7 @@ func (e *Engine) persistEntryLocked(entry exec.Entry) error {
 		sqltypes.NewString(entry.Right),
 		sqltypes.NewString(entry.Answer),
 	}
-	if _, err := e.store.Insert(compareTable, row); err != nil {
+	if _, err := tx.Insert(compareTable, row); err != nil {
 		if _, dup := err.(*storage.DuplicateKeyError); !dup {
 			return err
 		}

@@ -24,6 +24,24 @@ package server
 // durable since the last absolute record. Answers are persisted BEFORE
 // their spend is journaled, and spend before the row, so a crash can
 // only under-charge the session — never double-charge it.
+//
+// A record is made durable where something depends on it, not when it is
+// written. The submit, run, schema, spend and budget records are
+// buffered; the journal syncs at exactly three barriers:
+//
+//  1. before an HTTP response names a job the client did not name itself
+//     (the plain 202 body, the submit-and-stream head before its first
+//     flush, the job list), so a client holding a job id can always
+//     reattach to it after a restart;
+//  2. before a row is pushed to the job's buffer — the row's Append
+//     covers everything buffered before it, so "answers → spend → row"
+//     still holds;
+//  3. before a terminal state becomes visible: finish makes the end
+//     record durable first, so a job a client saw done (or failed, or
+//     cancelled) never comes back interrupted.
+//
+// What a crash can lose is a job no response named and no barrier
+// synced — the same thing a client that never got its 202 assumes.
 
 import (
 	"context"
@@ -67,23 +85,37 @@ type journalRec struct {
 	Stmts    int       `json:"stmts,omitempty"`
 }
 
-func (s *Server) journalEnabled() bool {
+func (s *Server) journalLog() *storage.RecordLog {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	return s.journal != nil
+	return s.journal
 }
 
-// journalAppend writes one record through the journal's sync mode.
+func (s *Server) journalEnabled() bool { return s.journalLog() != nil }
+
+// journalWrite adds one record to the journal; with wait it returns only
+// once the record — and everything buffered before it — is durable.
 // Nil-safe: a server without EnableJournal journals nothing.
-func (s *Server) journalAppend(rec journalRec) {
-	s.jmu.Lock()
-	l := s.journal
-	s.jmu.Unlock()
+func (s *Server) journalWrite(rec journalRec, wait bool) {
+	l := s.journalLog()
 	if l == nil {
 		return
 	}
-	if err := l.Append(rec); err != nil {
+	var err error
+	if wait {
+		err = l.Append(rec)
+	} else {
+		err = l.Buffer(rec)
+	}
+	if err != nil {
 		s.mJournalErrs.Inc() // counted, not returned: a poisoned journal must not fail queries
+	}
+}
+
+// journalSync is barrier 1: everything buffered so far becomes durable.
+func (s *Server) journalSync() {
+	if l := s.journalLog(); l != nil && l.Sync() != nil {
+		s.mJournalErrs.Inc()
 	}
 }
 
@@ -92,15 +124,15 @@ func (s *Server) journalSession(sess *Session) {
 		return
 	}
 	b := sess.budgetLeft()
-	s.journalAppend(journalRec{T: recSession, Session: sess.id, Budget: &b})
+	s.journalWrite(journalRec{T: recSession, Session: sess.id, Budget: &b}, true)
 }
 
 func (s *Server) journalSessionClose(id string) {
-	s.journalAppend(journalRec{T: recSessionClose, Session: id})
+	s.journalWrite(journalRec{T: recSessionClose, Session: id}, true)
 }
 
 func (s *Server) journalSubmit(j *Job) {
-	s.journalAppend(journalRec{T: recSubmit, Job: j.id, Session: j.sessionID, SQL: j.sql})
+	s.journalWrite(journalRec{T: recSubmit, Job: j.id, Session: j.sessionID, SQL: j.sql}, false)
 }
 
 // journalRun records the queued->running transition; a crashpoint sits
@@ -113,7 +145,7 @@ func (s *Server) journalRun(j *Job) {
 	if faultinject.Killed() {
 		return
 	}
-	s.journalAppend(journalRec{T: recRun, Job: j.id})
+	s.journalWrite(journalRec{T: recRun, Job: j.id}, false)
 }
 
 // journalBudget writes the session's absolute remaining budget after a
@@ -123,11 +155,12 @@ func (s *Server) journalBudget(sess *Session) {
 		return
 	}
 	b := sess.budgetLeft()
-	s.journalAppend(journalRec{T: recBudget, Session: sess.id, Budget: &b})
+	s.journalWrite(journalRec{T: recBudget, Session: sess.id, Budget: &b}, false)
 }
 
-// journalEnd records a job's terminal state.
-func (s *Server) journalEnd(j *Job) {
+// journalEnd makes the terminal state a job is about to enter durable
+// (barrier 3; finish publishes the state only after it returns).
+func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 	if !s.journalEnabled() {
 		return
 	}
@@ -136,20 +169,20 @@ func (s *Server) journalEnd(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	rec := journalRec{T: recEnd, Job: j.id, State: j.state, Affected: j.affected, Stmts: j.stmtsDone}
-	if j.err != nil {
-		rec.Code, rec.Msg = j.err.Code, j.err.Message
-	}
+	rec := journalRec{T: recEnd, Job: j.id, State: state, Affected: j.affected, Stmts: j.stmtsDone}
 	j.mu.Unlock()
-	s.journalAppend(rec)
+	if err != nil {
+		rec.Code, rec.Msg = err.Code, err.Message
+	}
+	s.journalWrite(rec, true)
 }
 
 // jobSink wraps a job's row sink with durability: before a row is
 // buffered (and therefore observable by a streaming client), the compare
 // answers that produced it are flushed to the persistent cache, their
 // count is journaled as a spend delta, and the row itself is journaled.
-// The append is the acknowledgement barrier, so an offset a client has
-// seen can never regress across a restart. During a resumed execution
+// The row's append is barrier 2, so an offset a client has seen can never
+// regress across a restart. During a resumed execution
 // the first j.recovered emissions — rows already journaled and buffered
 // before the crash — are suppressed entirely.
 func (s *Server) jobSink(j *Job) func(exec.Row) error {
@@ -175,10 +208,10 @@ func (s *Server) jobSink(j *Job) func(exec.Row) error {
 		if n, err := s.eng.FlushCompareAnswers(); err != nil {
 			return err
 		} else if n > 0 && j.sessionID != "" {
-			s.journalAppend(journalRec{T: recSpend, Session: j.sessionID, N: n})
+			s.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
 		}
 		cells := renderRow(row)
-		s.journalAppend(journalRec{T: recRow, Job: j.id, Row: cells})
+		s.journalWrite(journalRec{T: recRow, Job: j.id, Row: cells}, true)
 		return j.pushCells(cells)
 	}
 }
@@ -189,7 +222,7 @@ func (s *Server) jobSchema(j *Job) func([]string) {
 		return j.startResultSet
 	}
 	return func(cols []string) {
-		s.journalAppend(journalRec{T: recSchema, Job: j.id, Columns: cols})
+		s.journalWrite(journalRec{T: recSchema, Job: j.id, Columns: cols}, false)
 		j.startResultSet(cols)
 	}
 }

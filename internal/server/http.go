@@ -112,7 +112,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *Error {
 // the 202 job resource; a client that sends Accept: application/x-ndjson
 // gets submit-and-stream instead — the job resource as the first NDJSON
 // line, then exactly the stream GET /v1/queries/{id}/rows?from=0
-// produces, so the common statement is one HTTP exchange.
+// produces, so the common statement is one HTTP exchange. Either way the
+// job's id reaches the client only once its submit record is durable
+// (journal barrier 1).
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -129,18 +131,23 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+		s.journalSync()
 		writeJSON(w, http.StatusAccepted, job.Info())
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(append(marshalLine(job.Info()), '\n')) //nolint:errcheck // client gone surfaces in the stream
-	streamJobRows(w, r, job, 0, false)
+	s.streamJobRows(w, r, job, 0, false, true)
 }
 
-// handleJobList reports every retained job: GET /v1/queries.
+// handleJobList reports every retained job: GET /v1/queries. Every listed
+// job's submit record was buffered before the job was listed, so one sync
+// makes them all durable before their ids go out (journal barrier 1).
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+	jobs := s.Jobs()
+	s.journalSync()
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 // handleJobGet polls one job: GET /v1/queries/{id}.
@@ -193,7 +200,7 @@ func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
-	streamJobRows(w, r, job, from, sse)
+	s.streamJobRows(w, r, job, from, sse, false)
 }
 
 // marshalLine renders one stream line ("null" when v cannot marshal).
@@ -211,8 +218,11 @@ func marshalLine(v any) []byte {
 // anything the caller wrote ahead of the rows are already on w. It
 // flushes only before it blocks, and only what is new, so the rows and
 // trailer of an already-finished job leave in one write (the final
-// flush is the server's, on return).
-func streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse bool) {
+// flush is the server's, on return). named says the caller's line names
+// a job the client did not name: if neither a row nor the trailer — each
+// behind its own journal barrier — goes out with it, the journal syncs
+// before the first flush (barrier 1).
+func (s *Server) streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse, named bool) {
 	flusher, _ := w.(http.Flusher)
 	event := func(name string, v any) {
 		if sse {
@@ -231,6 +241,9 @@ func streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, s
 		if state.Terminal() {
 			event("end", job.Info())
 			return
+		}
+		if pending && named && len(batch) == 0 {
+			s.journalSync()
 		}
 		if (pending || len(batch) > 0) && flusher != nil {
 			flusher.Flush()

@@ -70,10 +70,10 @@ type Job struct {
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every visible change
 	// retired is released at the end of retireJob — after finish has
-	// woken the streamers: counters bumped, end record journaled, retention
-	// cap enforced. Wait returns only past it. (A WaitGroup, not a channel:
-	// no allocation per job, and a job recovered already terminal, which
-	// this process never retires, never blocks.)
+	// journaled the end record and woken the streamers: counters bumped,
+	// retention cap enforced. Wait returns only past it. (A WaitGroup, not
+	// a channel: no allocation per job, and a job recovered already
+	// terminal, which this process never retires, never blocks.)
 	retired sync.WaitGroup
 	state   JobState
 	err     *Error
@@ -265,14 +265,18 @@ func (j *Job) completeStmt(res *core.Result, st exec.Stats) {
 	j.broadcastLocked()
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state JobState, err *Error) {
+// finish moves the job to a terminal state exactly once, and only after
+// its end record is durable (barrier 3): whoever sees the terminal state —
+// a stream's trailer, a poll, Wait — finds it again after any restart.
+// The job's runner is the only caller.
+func (s *Server) finish(j *Job, state JobState, err *Error) {
 	j.cancel() // release the context regardless of how we got here
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.State().Terminal() {
 		return
 	}
+	s.journalEnd(j, state, err)
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = state
 	j.err = err
 	// The running statement's progress is settled (or lost) by now.
@@ -286,17 +290,17 @@ func (j *Job) finish(state JobState, err *Error) {
 // client cancellation yields the cancelled state, a closed session the
 // coded session_closed failure, and an expired drain deadline the coded
 // shutting_down failure.
-func (j *Job) finishInterrupted() {
+func (s *Server) finishInterrupted(j *Job) {
 	j.mu.Lock()
 	code, msg := j.cancelCode, j.cancelMsg
 	j.mu.Unlock()
 	switch code {
 	case CodeSessionClosed:
-		j.finish(JobFailed, errf(CodeSessionClosed, "%s", msg))
+		s.finish(j, JobFailed, errf(CodeSessionClosed, "%s", msg))
 	case CodeShuttingDown:
-		j.finish(JobFailed, errf(CodeShuttingDown, "%s", msg))
+		s.finish(j, JobFailed, errf(CodeShuttingDown, "%s", msg))
 	default:
-		j.finish(JobCancelled, nil)
+		s.finish(j, JobCancelled, nil)
 	}
 }
 
@@ -317,8 +321,8 @@ func (j *Job) requestCancel(code Code, msg string) {
 	j.cancel()
 }
 
-// Wait blocks until the job is terminal and retired — state counters
-// bumped, end record journaled, retention cap enforced — or ctx fires,
+// Wait blocks until the job is terminal and retired — end record
+// journaled, state counters bumped, retention cap enforced — or ctx fires,
 // and returns the last state it saw. It is the in-process form of
 // reading a row stream to its trailer.
 func (j *Job) Wait(ctx context.Context) (JobState, error) {
@@ -363,7 +367,10 @@ func (j *Job) Err() *Error {
 // StartJob submits a CrowdSQL script as an asynchronous job on behalf of
 // a session (sessionID empty = anonymous one-shot session). Parse errors
 // are rejected synchronously; everything later — admission, budget,
-// execution — is reported through the job resource.
+// execution — is reported through the job resource. It does not wait for
+// the journal: the submit record is buffered before the job is listed,
+// and becomes durable at the first barrier (a response naming the job, a
+// row, the end record).
 func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 	sess, serr := s.resolveSession(sessionID)
 	if serr != nil {
@@ -410,9 +417,9 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 	if s.jobs == nil {
 		s.jobs = make(map[string]*Job)
 	}
+	s.journalSubmit(job)
 	s.jobs[job.id] = job
 	s.mu.Unlock()
-	s.journalSubmit(job)
 	job.rowsMetric = s.mRowsStreamed
 	// One trace per job, named by the job id: parsing happened before the
 	// id was allocated, so it is stamped with explicit bounds.
@@ -472,9 +479,9 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 	if aerr := s.admit(job.ctx); aerr != nil {
 		s.countRejected(aerr)
 		if job.ctx.Err() != nil {
-			job.finishInterrupted()
+			s.finishInterrupted(job)
 		} else {
-			job.finish(JobFailed, aerr)
+			s.finish(job, JobFailed, aerr)
 		}
 		s.retireJob(job)
 		return
@@ -490,14 +497,14 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 
 	for _, stmt := range stmts {
 		if job.ctx.Err() != nil {
-			job.finishInterrupted()
+			s.finishInterrupted(job)
 			s.retireJob(job)
 			return
 		}
 		reserved, berr := job.sess.reserveBudget()
 		if berr != nil {
 			s.countError()
-			job.finish(JobFailed, berr)
+			s.finish(job, JobFailed, berr)
 			s.retireJob(job)
 			return
 		}
@@ -523,10 +530,10 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 			// mid-statement progress snapshot before the job settles.
 			job.noteProgress(stmtStats)
 			if job.ctx.Err() != nil {
-				job.finishInterrupted()
+				s.finishInterrupted(job)
 			} else {
 				s.countError()
-				job.finish(JobFailed, errf(CodeInternal, "%v", err))
+				s.finish(job, JobFailed, errf(CodeInternal, "%v", err))
 			}
 			s.retireJob(job)
 			return
@@ -536,19 +543,19 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 	s.mu.Lock()
 	s.stats.Queries++
 	s.mu.Unlock()
-	job.finish(JobDone, nil)
+	s.finish(job, JobDone, nil)
 	s.retireJob(job)
 }
 
 // retireJob moves a terminal job out of its session's active set and
 // enforces the finished-job retention cap. The job's trace is sealed
 // here — dangling spans close, the slow-query log fires past threshold.
+// The journal is not touched: finish made the end record durable.
 func (s *Server) retireJob(job *Job) {
 	defer job.retired.Done()
 	s.eng.Tracer().Finish(job.trace)
 	s.mJobsByState[job.State()].Inc()
 	job.sess.removeJob(job.id)
-	s.journalEnd(job)
 	s.noteAdmissionOutcome(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -17,10 +17,9 @@ import (
 )
 
 // waitState waits for a job to be terminal and retired, with a test
-// deadline. (finish wakes waiters before retireJob bumps the counters,
-// journals the end record and enforces the retention cap; Job.Wait
-// returns only past that barrier, so a test may assert any of those —
-// or disarm a crashpoint — after it.)
+// deadline. (finish wakes waiters before retireJob bumps the counters and
+// enforces the retention cap; Job.Wait returns only past that barrier, so
+// a test may assert any of those — or disarm a crashpoint — after it.)
 func waitState(t *testing.T, job *Job) JobState {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -381,10 +381,10 @@ func TestJournalMetrics(t *testing.T) {
 			t.Errorf("family %s (%s) missing from /metrics", fam, typ)
 		}
 	}
-	// submit, run, schema, two rows, end: every append is its own fsync
-	// with one closed-loop client.
-	if n := vals["crowddb_journal_fsync_seconds_count"]; n < 4 {
-		t.Errorf("journal fsyncs observed: %v, want at least 4", n)
+	// submit, run and schema are buffered; the two rows and the end record
+	// are barriers, each its own fsync with one closed-loop client.
+	if n := vals["crowddb_journal_fsync_seconds_count"]; n != 3 {
+		t.Errorf("journal fsyncs observed: %v, want 3 (two rows, the end record)", n)
 	}
 	if vals["crowddb_journal_fsync_batch_records_sum"] < vals["crowddb_journal_fsync_batch_records_count"] {
 		t.Errorf("batch histogram: sum %v < count %v", vals["crowddb_journal_fsync_batch_records_sum"],

@@ -253,7 +253,7 @@ func TestResumedJobStreamEndsInResource(t *testing.T) {
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
 	jobID, _ := crashMidQuery(t, data, jpath, seed, n, budget)
 
-	eng2 := durableEngine(t, data, seed, n)
+	eng2 := durableEngine(t, data, seed, n, storage.SyncAlways)
 	defer eng2.Close()
 	srv2 := New(eng2, Config{})
 	if err := srv2.EnableJournal(jpath, storage.SyncAlways); err != nil {

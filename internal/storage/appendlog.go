@@ -20,13 +20,14 @@ import (
 type SyncMode string
 
 const (
-	// SyncAlways flushes and fsyncs every record before the mutation
-	// returns: maximum durability, one syscall pair per row.
+	// SyncAlways flushes and fsyncs every record as it is appended:
+	// maximum durability, one syscall pair per record.
 	SyncAlways SyncMode = "always"
-	// SyncGroup (the default) acknowledges a mutation only after its
-	// record is flushed and fsynced, but batches: concurrent writers on
-	// the same log coalesce into one flush+fsync (leader-based group
-	// commit). No acknowledged write is ever lost.
+	// SyncGroup (the default) buffers records and makes them durable at
+	// the caller's barrier — a transaction's commit, a journal sync — with
+	// one flush+fsync that covers everything buffered so far; concurrent
+	// callers on the same log coalesce into one (leader-based group
+	// commit). Nothing acknowledged past a barrier is ever lost.
 	SyncGroup SyncMode = "group"
 	// SyncOff flushes records to the OS per append but never fsyncs:
 	// process crashes lose nothing, machine crashes may lose the tail.
@@ -45,7 +46,9 @@ func (m SyncMode) valid() error {
 // per-shard WALs and the jobs journal: JSON lines, one record per line.
 // Records are buffered under mu (WAL callers hold their shard lock, so
 // per-row order in the file matches apply order) and made durable per
-// the sync mode; commit is the acknowledgement barrier.
+// the sync mode. append never waits for a sync under SyncGroup; commit
+// and sync are the barriers a caller waits at before it acknowledges
+// anything that depends on the records.
 //
 // The torn-tail rule (enforced by replayLog): a record is whole when it
 // is valid JSON and newline-terminated. Anything after the last whole
@@ -64,6 +67,8 @@ type appendLog struct {
 
 	seq     int64 // records appended (buffered)
 	synced  int64 // records durably committed
+	size    int64 // bytes appended
+	durable int64 // bytes durably committed: what a crash leaves of the file
 	syncing bool  // a leader is mid-flush
 	err     error // sticky I/O error: the log is poisoned once a write fails
 
@@ -80,7 +85,12 @@ func openAppendLog(path string, mode SyncMode, crashpoint string) (*appendLog, e
 	if err != nil {
 		return nil, fmt.Errorf("storage: open log: %w", err)
 	}
-	l := &appendLog{f: f, w: bufio.NewWriter(f), mode: mode, point: crashpoint}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: open log: %w", err)
+	}
+	l := &appendLog{f: f, w: bufio.NewWriter(f), mode: mode, point: crashpoint, size: fi.Size(), durable: fi.Size()}
 	l.cond = sync.NewCond(&l.mu)
 	return l, nil
 }
@@ -95,9 +105,9 @@ func (l *appendLog) setMetrics(fsync, batch *obs.Histogram) {
 
 // append marshals v as one JSON line, buffers it and returns its
 // sequence number. On return an always-mode record is fsynced and an
-// off-mode record is with the OS; group-mode callers commit(seq) after
-// releasing their own locks. After a fault-injection kill the append is
-// silently dropped — the write a torn process would have lost.
+// off-mode record is with the OS; a group-mode record is durable once a
+// commit or sync covering it returns. After a fault-injection kill the
+// append is silently dropped — the write a torn process would have lost.
 func (l *appendLog) append(v any) (int64, error) {
 	faultinject.Hit(l.point)
 	if faultinject.Killed() {
@@ -120,6 +130,7 @@ func (l *appendLog) append(v any) (int64, error) {
 		return 0, err
 	}
 	l.seq++
+	l.size += int64(len(data)) + 1
 	if l.mode == SyncGroup {
 		return l.seq, nil
 	}
@@ -136,27 +147,47 @@ func (l *appendLog) append(v any) (int64, error) {
 		l.fsyncHist.Observe(time.Since(start).Seconds())
 		l.batchHist.Observe(1)
 	}
-	l.synced = l.seq
+	l.synced, l.durable = l.seq, l.size
 	return l.seq, nil
 }
 
 // commit blocks until record seq is durable. In group mode the first
 // caller to arrive leads: it flushes and fsyncs the whole buffered batch
 // while later arrivals wait on the condition variable, then everyone
-// covered by the batch returns together.
+// covered by the batch returns together. After a fault-injection kill
+// nothing more is made durable: the caller returns as if it had been, and
+// the killed log's close keeps only what was synced before.
 func (l *appendLog) commit(seq int64) error {
 	if l.mode != SyncGroup {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.commitLocked(seq)
+}
+
+// sync blocks until every record appended so far is durable (commit up to
+// the current tail).
+func (l *appendLog) sync() error {
+	if l.mode != SyncGroup {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commitLocked(l.seq)
+}
+
+func (l *appendLog) commitLocked(seq int64) error {
 	for l.synced < seq && l.err == nil {
 		if l.syncing {
 			l.cond.Wait()
 			continue
 		}
+		if faultinject.Killed() {
+			return nil
+		}
 		l.syncing = true
-		target := l.seq
+		target, size := l.seq, l.size
 		batch := target - l.synced
 		start := time.Now()
 		err := l.w.Flush()
@@ -169,7 +200,7 @@ func (l *appendLog) commit(seq int64) error {
 		if err != nil {
 			l.err = err
 		} else if target > l.synced {
-			l.synced = target
+			l.synced, l.durable = target, size
 			l.fsyncHist.Observe(time.Since(start).Seconds())
 			l.batchHist.Observe(float64(batch))
 		}
@@ -197,18 +228,28 @@ func (l *appendLog) reset() error {
 		return err
 	}
 	l.w.Reset(l.f)
-	l.synced, l.err = l.seq, nil
+	l.synced, l.size, l.durable, l.err = l.seq, 0, 0, nil
 	l.cond.Broadcast()
 	return nil
 }
 
-// close flushes, fsyncs (unless SyncOff), and closes the file.
+// close flushes, fsyncs (unless SyncOff), and closes the file. A log
+// closed after a fault-injection kill keeps only its durable prefix, as
+// after a machine crash: the buffered tail is dropped and whatever was
+// flushed past the last sync is cut off the file.
 func (l *appendLog) close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if faultinject.Killed() {
+		err := l.f.Truncate(l.durable)
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
 	err := l.w.Flush()
 	if err == nil && l.mode != SyncOff {
 		err = l.f.Sync()

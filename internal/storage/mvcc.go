@@ -21,6 +21,7 @@ package storage
 // commit, or explicitly via Store.GC.
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -33,15 +34,24 @@ const gcRetainedThreshold = 4096
 
 // Txn is a write transaction: the unit of atomicity for one statement.
 // All versions installed through it share one commit timestamp and become
-// visible to new snapshots together, at Commit. Transactions do not roll
-// back — the engine's statement semantics are "applied rows stay applied"
-// — so Commit must always be called, error or not; it is idempotent.
-// A Txn is single-goroutine; distinct Txns may run concurrently.
+// visible to new snapshots together, at Commit. Its WAL records are
+// appended as it writes, without waiting for a sync; Commit makes them
+// durable — one sync per shard the transaction touched — before it makes
+// them visible, so a visible write is a durable one. Transactions do not
+// roll back — the engine's statement semantics are "applied rows stay
+// applied" — so Commit must always be called, error or not; it is
+// idempotent. A Txn is single-goroutine; distinct Txns may run
+// concurrently.
 type Txn struct {
-	s    *Store
-	ts   int64
-	done bool
+	s  *Store
+	ts int64
+	// logged marks the shards whose WAL holds records of this transaction
+	// not yet synced by its Commit (bit i = shard i).
+	logged uint64
 }
+
+// Txn.logged has a bit per shard: this fails to compile if MaxShards > 64.
+const _ = uint64(1) << (MaxShards - 1)
 
 // Begin opens a write transaction at the next commit timestamp.
 func (s *Store) Begin() *Txn {
@@ -55,16 +65,26 @@ func (s *Store) Begin() *Txn {
 // TS is the transaction's commit timestamp.
 func (t *Txn) TS() int64 { return t.ts }
 
-// Commit publishes the transaction: the visibility watermark advances to
-// the highest timestamp below every still-active transaction, so readers
-// acquire snapshots that include this transaction's writes (once nothing
-// earlier remains in flight). Idempotent.
-func (t *Txn) Commit() {
-	if t.done {
-		return
-	}
-	t.done = true
+// Commit publishes the transaction. It first makes every touched shard's
+// WAL durable up to the transaction's last record (one group-commit sync
+// per shard: a 500-row INSERT over two shards waits for two fsyncs, not
+// 500), then advances the visibility watermark to the highest timestamp
+// below every still-active transaction, so readers acquire snapshots that
+// include this transaction's writes (once nothing earlier remains in
+// flight). A sync failure is returned — the statement must not report
+// success — but the writes, already applied in memory, are published all
+// the same: nothing rolls back, and the failed log is poisoned, so no
+// later write on it is acknowledged either. Idempotent: a second call
+// has nothing left to sync and finds the watermark already advanced.
+func (t *Txn) Commit() error {
 	s := t.s
+	var err error
+	for m := t.logged; m != 0; m &= m - 1 {
+		if serr := s.logs[bits.TrailingZeros64(m)].sync(); err == nil {
+			err = serr
+		}
+	}
+	t.logged = 0
 	s.commitMu.Lock()
 	delete(s.activeTxns, t.ts)
 	vis := s.clock.Load()
@@ -80,6 +100,7 @@ func (t *Txn) Commit() {
 	if s.retained.Load() >= gcRetainedThreshold {
 		s.GC()
 	}
+	return err
 }
 
 // Snapshot pins a read timestamp: every read through it sees exactly the
@@ -220,7 +241,7 @@ func (s *Store) VersionStats() (live, retained int) {
 type mvccState struct {
 	// commitMu guards the active-transaction registry and watermark
 	// advancement; held only for map ops at Begin/Commit, never during
-	// row writes or WAL I/O.
+	// row writes or WAL I/O (Commit syncs before it takes the lock).
 	commitMu   sync.Mutex
 	activeTxns map[int64]struct{}
 	// snapMu guards the snapshot refcounts; horizon computation and

@@ -10,7 +10,9 @@ import (
 // RecordLog is the jobs journal's form of appendLog: the same file
 // format, sync modes and torn-tail rule as the per-shard WALs, carrying
 // caller-defined records (the server journals job lifecycle, emitted
-// rows, and budget movements through it) instead of row mutations.
+// rows, and budget movements through it) instead of row mutations. A
+// record is either buffered (Buffer: durable at the next barrier) or
+// appended (Append: durable on return); Sync is the barrier alone.
 type RecordLog struct{ log *appendLog }
 
 // OpenRecordLog opens (creating if absent) the log at path for appends.
@@ -26,11 +28,22 @@ func OpenRecordLog(path string, mode SyncMode) (*RecordLog, error) {
 // SetMetrics wires optional fsync latency / batch size histograms.
 func (l *RecordLog) SetMetrics(fsync, batch *obs.Histogram) { l.log.setMetrics(fsync, batch) }
 
-// Append marshals v as one JSON line and is the acknowledgement barrier:
-// always and group return only after the record is fsynced (group
-// coalesces concurrent appenders into one syscall pair), off returns
-// after the OS has the bytes. After a fault-injection kill the append is
-// silently dropped — the write a torn process would have lost.
+// Buffer adds v as one JSON line without waiting for it to be durable:
+// under SyncGroup it is durable once a later Sync or Append returns,
+// under SyncAlways at once, under SyncOff never beyond the OS. After a
+// fault-injection kill the record is silently dropped — the write a torn
+// process would have lost.
+func (l *RecordLog) Buffer(v any) error {
+	_, err := l.log.append(v)
+	return err
+}
+
+// Sync blocks until every record buffered so far is durable.
+func (l *RecordLog) Sync() error { return l.log.sync() }
+
+// Append is Buffer, then the wait for v to be durable — which covers
+// every record buffered before it (group mode coalesces concurrent
+// appenders into one syscall pair).
 func (l *RecordLog) Append(v any) error {
 	seq, err := l.log.append(v)
 	if err != nil {

@@ -546,11 +546,15 @@ func (ts *tableStore) pkTaken(sh *tableShard, key string, self RowID) bool {
 	return false
 }
 
-// Insert adds a row in its own single-statement transaction.
+// Insert adds a row in its own single-statement transaction; a failed
+// commit (the WAL sync) is its error.
 func (s *Store) Insert(table string, row Row) (RowID, error) {
 	tx := s.Begin()
-	defer tx.Commit()
-	return tx.Insert(table, row)
+	id, err := tx.Insert(table, row)
+	if cerr := tx.Commit(); err == nil && cerr != nil {
+		return 0, cerr
+	}
+	return id, err
 }
 
 // Insert adds a row under the transaction's timestamp, enforcing
@@ -609,30 +613,29 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 		// IDs and single-threaded replays keep the unsharded sequence.
 		id = RowID(ts.nextID.Add(1))
 	}
-	return s.finishInsert(ts, home, id, row, pk, t.ts, unlock)
+	return t.finishInsert(ts, home, id, row, pk, unlock)
 }
 
 // finishInsert logs and applies an insert into shard `home` with the
 // caller holding (at least) that shard's lock; unlock releases it. pk is
-// the row's primary key (unused on tables without one).
-// Group-commit acknowledgement happens after the locks are released so
-// concurrent writers on the shard coalesce into one fsync.
-func (s *Store) finishInsert(ts *tableStore, home int, id RowID, row Row, pk string, commitTS int64, unlock func()) (RowID, error) {
-	var seq int64
+// the row's primary key (unused on tables without one). The record is
+// made durable at Commit, with every other record of the transaction.
+func (t *Txn) finishInsert(ts *tableStore, home int, id RowID, row Row, pk string, unlock func()) (RowID, error) {
+	s := t.s
 	if s.logs != nil {
 		data, err := EncodeRow(row)
 		if err != nil {
 			unlock()
 			return 0, err
 		}
-		seq, err = s.logs[home].append(walRecord{Op: "insert", Table: ts.name, Row: id, LSN: commitTS, Data: data})
-		if err != nil {
+		if _, err = s.logs[home].append(walRecord{Op: "insert", Table: ts.name, Row: id, LSN: t.ts, Data: data}); err != nil {
 			unlock()
 			return 0, err
 		}
+		t.logged |= 1 << home
 	}
 	sh := ts.shards[home]
-	sh.heap.insertVersion(id, row.Clone(), commitTS)
+	sh.heap.insertVersion(id, row.Clone(), t.ts)
 	if sh.primary != nil {
 		treeInsertUnique(sh.primary, pk, id)
 	}
@@ -640,19 +643,18 @@ func (s *Store) finishInsert(ts *tableStore, home int, id RowID, row Row, pk str
 		treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
 	}
 	unlock()
-	if s.logs != nil {
-		if err := s.logs[home].commit(seq); err != nil {
-			return 0, err
-		}
-	}
 	return id, nil
 }
 
-// Update replaces a row in its own single-statement transaction.
+// Update replaces a row in its own single-statement transaction; a failed
+// commit is its error.
 func (s *Store) Update(table string, id RowID, row Row) error {
 	tx := s.Begin()
-	defer tx.Commit()
-	return tx.Update(table, id, row)
+	err := tx.Update(table, id, row)
+	if cerr := tx.Commit(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Update installs a new version of the row at id under the transaction's
@@ -709,35 +711,31 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 				return &DuplicateKeyError{Table: table, Key: idx}
 			}
 		}
-		var seqs [2]int64
-		var logged [2]int
-		nlogged := 0
 		if s.logs != nil {
 			data, err := EncodeRow(row)
 			if err != nil {
 				unlock()
 				return err
 			}
-			// Cross-shard move: the new shard's upsert is logged (and
-			// below, fsynced) BEFORE the old shard's delete. A crash
-			// between the two can leave both copies live — never zero —
-			// and recovery keeps the higher-LSN copy (reconcileMoves).
+			// Cross-shard move: the new shard's upsert is durable BEFORE
+			// the old shard's delete is even appended — any writer's
+			// group commit on the old shard syncs everything buffered
+			// there, so a delete appended first could reach the disk
+			// alone. A crash between the two can then leave both copies
+			// live — never zero — and recovery keeps the higher-LSN copy
+			// (reconcileMoves). Moves are rare: both shards stay locked
+			// across this one sync.
 			seq, err := s.logs[newShard].append(walRecord{Op: "update", Table: ts.name, Row: id, LSN: t.ts, Data: data})
+			if err == nil && newShard != oldShard {
+				if err = s.logs[newShard].commit(seq); err == nil {
+					_, err = s.logs[oldShard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts})
+				}
+			}
 			if err != nil {
 				unlock()
 				return err
 			}
-			seqs[nlogged], logged[nlogged] = seq, newShard
-			nlogged++
-			if newShard != oldShard {
-				seq, err := s.logs[oldShard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts})
-				if err != nil {
-					unlock()
-					return err
-				}
-				seqs[nlogged], logged[nlogged] = seq, oldShard
-				nlogged++
-			}
+			t.logged |= 1<<newShard | 1<<oldShard
 		}
 		dst := ts.shards[newShard]
 		// Supersede the old version in place (snapshots keep reading it;
@@ -752,20 +750,19 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
 		}
 		unlock()
-		for i := 0; i < nlogged; i++ {
-			if err := s.logs[logged[i]].commit(seqs[i]); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 }
 
-// Delete removes a row in its own single-statement transaction.
+// Delete removes a row in its own single-statement transaction; a failed
+// commit is its error.
 func (s *Store) Delete(table string, id RowID) error {
 	tx := s.Begin()
-	defer tx.Commit()
-	return tx.Delete(table, id)
+	err := tx.Delete(table, id)
+	if cerr := tx.Commit(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Delete ends the row's live version at the transaction's timestamp. The
@@ -788,20 +785,16 @@ func (t *Txn) Delete(table string, id RowID) error {
 			unlock()
 			continue
 		}
-		var seq int64
 		if s.logs != nil {
-			seq, err = s.logs[shard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts})
-			if err != nil {
+			if _, err = s.logs[shard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts}); err != nil {
 				unlock()
 				return err
 			}
+			t.logged |= 1 << shard
 		}
 		sh.heap.supersede(id, t.ts)
 		s.retained.Add(1)
 		unlock()
-		if s.logs != nil {
-			return s.logs[shard].commit(seq)
-		}
 		return nil
 	}
 }
@@ -1072,8 +1065,10 @@ func (s *Store) Recover() error {
 // move can leave: the new shard's upsert was fsynced but the old shard's
 // delete was not, so the same RowID is live on two shards. The upsert is
 // always made durable first, so the higher-LSN copy is the newer one —
-// keep it, purge the stale copy. (Zero copies is impossible: the delete
-// is never durable before the upsert.)
+// keep it, purge the stale copy. (Zero copies is impossible: Txn.Update
+// syncs the upsert before it appends the delete, so no sync of the old
+// shard — the move's own commit or another writer's group commit — can
+// make the delete durable alone.)
 func (s *Store) reconcileMoves() {
 	for _, ts := range s.tableMap() {
 		if len(ts.pkCols) == 0 || len(ts.shards) == 1 {
