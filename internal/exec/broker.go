@@ -149,11 +149,13 @@ func (b *compareBroker) release() {
 // adopt waits for the flights this session follows, after releasing its
 // own unanswered claims. A flight whose leader abandoned it is not
 // adopted: the pair stays unknown and the caller falls back or retries.
+// Like window.post, it publishes progress before it waits on the crowd.
 func (b *compareBroker) adopt() error {
 	b.release()
 	if len(b.followers) == 0 {
 		return nil
 	}
+	b.ctx.noteProgress()
 	sp := b.ctx.startCrowdSpan("crowd:adopt_followers")
 	sp.SetAttr("role", "follower")
 	sp.SetInt("flights", int64(len(b.followers)))

@@ -280,6 +280,54 @@ func TestBrokerOutcomes(t *testing.T) {
 	}
 }
 
+// TestProgressBeforeCrowdWait: the broker publishes progress before it
+// blocks on the crowd — on the group it posted (window.collect) and on
+// another session's flight (adopt) — so whoever watches Progress learns
+// of the statement's first crowd wait while the statement is waiting.
+func TestProgressBeforeCrowdWait(t *testing.T) {
+	const q, l, r = "same?", "IBM", "I.B.M."
+	for _, path := range []string{"posted-group", "parked-claim"} {
+		t.Run(path, func(t *testing.T) {
+			p := &scriptCrowd{held: path == "posted-group"}
+			ctx := scriptedCtx(p, 8)
+			progressed := make(chan struct{})
+			var once sync.Once
+			ctx.Progress = func(Stats) { once.Do(func() { close(progressed) }) }
+			letGo := p.release
+			if path == "parked-claim" {
+				letGo = ctx.Cache.claim(kindEqual, q, l, r).Abandon // another session leads
+			}
+			done := make(chan error, 1)
+			go func() {
+				b := newCompareBroker(ctx, kindEqual)
+				defer b.close()
+				var err error
+				if _, outcome := b.claim(q, l, r); outcome == claimLeader {
+					if err = b.post(q, []taskmgr.ComparePair{{Left: l, Right: r}}); err == nil {
+						_, err = b.collect()
+					}
+				}
+				if err == nil {
+					err = b.adopt()
+				}
+				done <- err
+			}()
+			select {
+			case <-progressed:
+			case err := <-done:
+				t.Fatalf("the crowd wait ended (%v) before the test let it go", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("no progress was published while the statement waited on the crowd")
+			}
+			letGo()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			settle(t, ctx.Tasks)
+		})
+	}
+}
+
 // TestWindowRefundsQueuedOnCancel: with the scheduler's window full, a
 // cancelled operator withdraws its queued groups and refunds exactly
 // their share of the charge; the posted group stays charged.

@@ -30,9 +30,10 @@ package server
 // buffered; the journal syncs at exactly three barriers:
 //
 //  1. before an HTTP response names a job the client did not name itself
-//     (the plain 202 body, the submit-and-stream head before its first
-//     flush, the job list), so a client holding a job id can always
-//     reattach to it after a restart;
+//     (the plain 202 body, the job list, and a submit-and-stream head
+//     that is flushed with no row behind it — one that leaves with a row
+//     or the trailer is covered by barrier 2 or 3), so a client holding a
+//     job id can always reattach to it after a restart;
 //  2. before a row is pushed to the job's buffer — the row's Append
 //     covers everything buffered before it, so "answers → spend → row"
 //     still holds;
@@ -62,7 +63,7 @@ const (
 	recSubmit       = "submit"        // job submitted
 	recRun          = "run"           // job admitted and running
 	recSchema       = "schema"        // result-set columns known
-	recRow          = "row"           // one emitted (rendered) row
+	recRow          = "row"           // one emitted row (rowRec)
 	recSpend        = "spend"         // compare answers made durable since
 	recEnd          = "end"           // terminal state reached
 )
@@ -76,13 +77,22 @@ type journalRec struct {
 	SQL      string    `json:"sql,omitempty"`
 	Budget   *int      `json:"budget,omitempty"`
 	Columns  []string  `json:"columns,omitempty"`
-	Row      []*string `json:"row,omitempty"`
+	Row      []*string `json:"row,omitempty"` // the on-disk form; the server writes and reads rowRec
 	N        int       `json:"n,omitempty"`
 	State    JobState  `json:"state,omitempty"`
 	Code     Code      `json:"code,omitempty"`
 	Msg      string    `json:"msg,omitempty"`
 	Affected int       `json:"affected,omitempty"`
 	Stmts    int       `json:"stmts,omitempty"`
+}
+
+// rowRec is how a row record is written and read back: its Row is the
+// streamed NDJSON line itself — the bytes json.Marshal writes for
+// journalRec.Row's cells, which it shadows — so the journal holds what
+// the stream sends and recovery buffers it again as it is.
+type rowRec struct {
+	journalRec
+	Row json.RawMessage `json:"row,omitempty"`
 }
 
 func (s *Server) journalLog() *storage.RecordLog {
@@ -93,10 +103,11 @@ func (s *Server) journalLog() *storage.RecordLog {
 
 func (s *Server) journalEnabled() bool { return s.journalLog() != nil }
 
-// journalWrite adds one record to the journal; with wait it returns only
-// once the record — and everything buffered before it — is durable.
+// journalWrite adds one record — a journalRec, or a rowRec — to the
+// journal; with wait it returns only once the record, and everything
+// buffered before it, is durable.
 // Nil-safe: a server without EnableJournal journals nothing.
-func (s *Server) journalWrite(rec journalRec, wait bool) {
+func (s *Server) journalWrite(rec any, wait bool) {
 	l := s.journalLog()
 	if l == nil {
 		return
@@ -210,9 +221,10 @@ func (s *Server) jobSink(j *Job) func(exec.Row) error {
 		} else if n > 0 && j.sessionID != "" {
 			s.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
 		}
-		cells := renderRow(row)
-		s.journalWrite(journalRec{T: recRow, Job: j.id, Row: cells}, true)
-		return j.pushCells(cells)
+		line := j.encodeRow(row)
+		s.journalWrite(rowRec{journalRec{T: recRow, Job: j.id}, line}, true)
+		j.pushLine(line)
+		return nil
 	}
 }
 
@@ -241,7 +253,7 @@ type recoveredSession struct {
 type recoveredJob struct {
 	id, session, sql string
 	columns          []string
-	rows             [][]*string
+	rows             rowLines
 	state            JobState // "" = non-terminal at crash time
 	code             Code
 	msg              string
@@ -279,7 +291,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 	jobs := make(map[string]*recoveredJob)
 	var order []string
 	err := storage.ReplayRecordLog(path, func(line json.RawMessage) error {
-		var rec journalRec
+		var rec rowRec
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
@@ -314,7 +326,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			}
 		case recRow:
 			if rj, ok := jobs[rec.Job]; ok {
-				rj.rows = append(rj.rows, rec.Row)
+				rj.rows.add(rec.Row)
 			}
 		case recEnd:
 			if rj, ok := jobs[rec.Job]; ok {
@@ -364,11 +376,10 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			price:        s.eng.PriceStats,
 			ctx:          ctx,
 			cancel:       cancel,
-			notify:       make(chan struct{}),
 			state:        JobQueued,
 			columns:      rj.columns,
 			rows:         rj.rows,
-			recovered:    len(rj.rows),
+			recovered:    rj.rows.len(),
 			admPredicted: -1,
 		}
 		resume = append(resume, resumption{job: job, stmts: stmts})
@@ -418,8 +429,8 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 					return err
 				}
 			}
-			for _, row := range rj.rows {
-				if err := add(journalRec{T: recRow, Job: rj.id, Row: row}); err != nil {
+			for i := 0; i < rj.rows.len(); i++ {
+				if err := add(rowRec{journalRec{T: recRow, Job: rj.id}, rj.rows.line(i)}); err != nil {
 					return err
 				}
 			}
@@ -465,7 +476,6 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			price:        s.eng.PriceStats,
 			ctx:          ctx,
 			cancel:       cancel,
-			notify:       make(chan struct{}),
 			state:        rj.state,
 			columns:      rj.columns,
 			rows:         rj.rows,

@@ -21,6 +21,7 @@ package server
 //     regresses an acknowledged offset, and never over-charges a budget.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -101,7 +102,16 @@ func seedPairs(t *testing.T, eng *core.Engine, seed int64, n int) {
 // renderedRows flattens a job's full row buffer (the ?from=0 stream) into
 // comparable strings.
 func renderedRows(j *Job) []string {
-	rows, _, _ := j.rowsFrom(0)
+	lines, _, _, _, _ := j.rowsFrom(0)
+	var rows [][]*string
+	for len(lines) > 0 {
+		line, rest, _ := bytes.Cut(lines, []byte{'\n'})
+		var row []*string
+		if err := json.Unmarshal(line, &row); err != nil {
+			panic(fmt.Sprintf("buffered row %q: %v", line, err))
+		}
+		rows, lines = append(rows, row), rest
+	}
 	return flattenRows(rows)
 }
 
@@ -222,9 +232,8 @@ func TestJournalRecoversFinishedJob(t *testing.T) {
 		t.Errorf("recovered rows diverge:\n%v\nwant\n%v", got, wantRows)
 	}
 	// Reconnect mid-stream: from=2 serves exactly the tail.
-	tail, _, _ := job2.rowsFrom(2)
-	if len(tail) != len(wantRows)-2 {
-		t.Errorf("rowsFrom(2) served %d rows, want %d", len(tail), len(wantRows)-2)
+	if _, tail, _, _, _ := job2.rowsFrom(2); tail != len(wantRows)-2 {
+		t.Errorf("rowsFrom(2) served %d rows, want %d", tail, len(wantRows)-2)
 	}
 	// The session survived with its crash-exact settled budget.
 	sess2, serr := srv2.Session(sess1.ID())

@@ -57,45 +57,70 @@ func fsyncs(srv *Server) (wal, journal int64) {
 // TestStatementFsyncs pins what a statement waits for: its WAL records
 // are synced once per shard at commit, and the journal syncs only at its
 // barriers — a row, the end record, and an HTTP response naming a job
-// the client did not name.
+// the client did not name. Over submit-and-stream a job that finds a free
+// slot sends its head with its rows or trailer, so it waits for no more
+// than it does in-process.
 func TestStatementFsyncs(t *testing.T) {
 	srv := fsyncServer(t, Config{MaxConcurrent: 1})
 	sess, serr := srv.CreateSession(100)
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	var many []string
-	for id := 1000; id < 1500; id++ {
-		many = append(many, fmt.Sprintf("(%d, 'm')", id))
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	many := func(run int) string {
+		var rows []string
+		for id := 1000 + 500*run; id < 1500+500*run; id++ {
+			rows = append(rows, fmt.Sprintf("(%d, 'm')", id))
+		}
+		return "INSERT INTO kv VALUES " + strings.Join(rows, ", ")
 	}
 	for _, c := range []struct {
-		sql               string
+		sql               func(run int) string
 		wal, walMax, jrnl int64
 	}{
-		{"INSERT INTO kv VALUES (3, 'c')", 1, 1, 1},
-		{"UPDATE kv SET v = 'z' WHERE id = 1", 1, 1, 1},
-		{"DELETE FROM kv WHERE id = 2", 1, 1, 1},
-		{"SELECT v FROM kv WHERE id = 1", 0, 0, 2},                     // the row, the end record
-		{"INSERT INTO kv VALUES " + strings.Join(many, ", "), 2, 2, 1}, // one per shard, not 500
+		{func(run int) string { return fmt.Sprintf("INSERT INTO kv VALUES (%d, 'c')", 3+run) }, 1, 1, 1},
+		{func(int) string { return "UPDATE kv SET v = 'z' WHERE id = 1" }, 1, 1, 1},
+		{func(run int) string { return fmt.Sprintf("DELETE FROM kv WHERE id = %d", 3+run) }, 1, 1, 1},
+		{func(int) string { return "SELECT v FROM kv WHERE id = 1" }, 0, 0, 2}, // the row, the end record
+		{many, 2, 2, 1}, // one per shard, not 500
 	} {
-		wal0, jrnl0 := fsyncs(srv)
-		if _, serr := runScript(srv, sess.ID(), c.sql); serr != nil {
-			t.Fatalf("%.40s: %v", c.sql, serr)
-		}
-		wal1, jrnl1 := fsyncs(srv)
-		if d := wal1 - wal0; d < c.wal || d > c.walMax {
-			t.Errorf("%.40s: %d WAL fsyncs, want %d..%d", c.sql, d, c.wal, c.walMax)
-		}
-		if d := jrnl1 - jrnl0; d != c.jrnl {
-			t.Errorf("%.40s: %d journal fsyncs, want %d", c.sql, d, c.jrnl)
+		for run, via := range []string{"in-process", "submit-and-stream"} {
+			sql := c.sql(run)
+			// The last job's runner gives its slot back just after Wait
+			// returns; a job that found it still taken would wait for it.
+			for deadline := time.Now().Add(10 * time.Second); len(srv.slots) > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the execution slot was never released")
+				}
+			}
+			wal0, jrnl0 := fsyncs(srv)
+			if via == "in-process" {
+				if _, serr := runScript(srv, sess.ID(), sql); serr != nil {
+					t.Fatalf("%.40s: %v", sql, serr)
+				}
+			} else {
+				resp := submitStream(t, ts.URL, sess.ID(), sql)
+				st := readStream(t, bufio.NewScanner(resp.Body), true)
+				resp.Body.Close()
+				if st.trailer == nil || st.trailer.State != JobDone {
+					t.Fatalf("%.40s: trailer %+v", sql, st.trailer)
+				}
+			}
+			wal1, jrnl1 := fsyncs(srv)
+			if d := wal1 - wal0; d < c.wal || d > c.walMax {
+				t.Errorf("%s %.40s: %d WAL fsyncs, want %d..%d", via, sql, d, c.wal, c.walMax)
+			}
+			if d := jrnl1 - jrnl0; d != c.jrnl {
+				t.Errorf("%s %.40s: %d journal fsyncs, want %d", via, sql, d, c.jrnl)
+			}
 		}
 	}
 
-	// Over HTTP, a response naming the job adds one journal fsync. The
-	// one execution slot is held so the job cannot run (and sync its own
-	// records) before the response has gone out.
-	ts := httptest.NewServer(srv.HTTPHandler())
-	defer ts.Close()
+	// A job that waits for a slot has its id sent while it waits, which
+	// adds one journal fsync: the one execution slot is held so the job
+	// cannot run (and sync its own records) before the response has gone
+	// out — as a plain 202 and as a submit-and-stream head.
 	for i, ndjson := range []bool{false, true} {
 		srv.slots <- struct{}{}
 		wal0, jrnl0 := fsyncs(srv)

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -112,9 +112,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *Error {
 // the 202 job resource; a client that sends Accept: application/x-ndjson
 // gets submit-and-stream instead — the job resource as the first NDJSON
 // line, then exactly the stream GET /v1/queries/{id}/rows?from=0
-// produces, so the common statement is one HTTP exchange. Either way the
-// job's id reaches the client only once its submit record is durable
-// (journal barrier 1).
+// produces, so the common statement is one HTTP exchange, and one write
+// when the job never waits (see streamJobRows). Either way the job's id
+// reaches the client only once its submit record is durable.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -131,13 +131,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		s.journalSync()
-		writeJSON(w, http.StatusAccepted, job.Info())
+		s.journalSync() // barrier 1: the body names the job
+		writeInfo(w, http.StatusAccepted, job)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusAccepted)
-	w.Write(append(marshalLine(job.Info()), '\n')) //nolint:errcheck // client gone surfaces in the stream
 	s.streamJobRows(w, r, job, 0, false, true)
 }
 
@@ -157,7 +156,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Info())
+	writeInfo(w, http.StatusOK, job)
 }
 
 // handleJobCancel requests cancellation: DELETE /v1/queries/{id}. The
@@ -168,7 +167,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Info())
+	writeInfo(w, http.StatusOK, job)
 }
 
 // handleJobRows streams a job's result rows: GET /v1/queries/{id}/rows.
@@ -203,58 +202,74 @@ func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 	s.streamJobRows(w, r, job, from, sse, false)
 }
 
-// marshalLine renders one stream line ("null" when v cannot marshal).
-func marshalLine(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return []byte("null")
-	}
-	return b
-}
-
 // streamJobRows writes the job's rows from index next on, then the
 // trailer — the terminal job resource, whose state and error fields are
-// what pre-resource trailer readers look for — and returns; headers and
-// anything the caller wrote ahead of the rows are already on w. It
-// flushes only before it blocks, and only what is new, so the rows and
-// trailer of an already-finished job leave in one write (the final
-// flush is the server's, on return). named says the caller's line names
-// a job the client did not name: if neither a row nor the trailer — each
-// behind its own journal barrier — goes out with it, the journal syncs
-// before the first flush (barrier 1).
-func (s *Server) streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse, named bool) {
+// what pre-resource trailer readers look for — and returns; with head it
+// first writes the job resource as line 1 (submit-and-stream). The
+// response's status and headers are already set on w.
+//
+// It flushes only once the job has waited on something outside the
+// machine — an execution slot or the crowd — and from then on, before it
+// blocks, only what is new. Until then what it writes stays in net/http's
+// buffer, which goes out when it fills or when the handler returns: a job
+// that never waits leaves as head, rows and trailer in one write. Only a
+// flush that carries the head with no row behind it syncs the journal
+// first (barrier 1); a row (barrier 2) or the trailer (barrier 3) has
+// made the submit record durable already.
+func (s *Server) streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse, head bool) {
 	flusher, _ := w.(http.Flusher)
-	event := func(name string, v any) {
-		if sse {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, marshalLine(v))
-		} else {
-			w.Write(append(marshalLine(v), '\n')) //nolint:errcheck // client gone surfaces on flush
-		}
+	line := make([]byte, 0, 512) // the head, an SSE event, the trailer
+	if head {
+		info := job.Info()
+		line = append(appendInfo(line, &info), '\n')
+		w.Write(line) //nolint:errcheck // client gone surfaces on flush
 	}
-	pending := true // the response head, and the caller's first line if any
+	flushed := false
 	for {
-		batch, state, notify := job.rowsFrom(next)
-		for _, row := range batch {
-			event("row", row)
+		lines, rows, state, waited, notify := job.rowsFrom(next)
+		for sse && len(lines) > 0 {
+			row, rest, _ := bytes.Cut(lines, []byte{'\n'})
+			line = append(append(append(line[:0], "event: row\ndata: "...), row...), "\n\n"...)
+			w.Write(line) //nolint:errcheck // client gone surfaces on flush
+			lines = rest
 		}
-		next += len(batch)
+		if len(lines) > 0 {
+			w.Write(lines) //nolint:errcheck // client gone surfaces on flush
+		}
+		next += rows
 		if state.Terminal() {
-			event("end", job.Info())
+			info := job.Info()
+			if sse {
+				line = append(appendInfo(append(line[:0], "event: end\ndata: "...), &info), "\n\n"...)
+			} else {
+				line = append(appendInfo(line[:0], &info), '\n')
+			}
+			w.Write(line) //nolint:errcheck // client gone is not our error
 			return
 		}
-		if pending && named && len(batch) == 0 {
-			s.journalSync()
+		if waited && (!flushed || rows > 0) {
+			if !flushed && head && next == 0 {
+				s.journalSync()
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			flushed = true
 		}
-		if (pending || len(batch) > 0) && flusher != nil {
-			flusher.Flush()
-		}
-		pending = false
 		select {
 		case <-notify:
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// writeInfo answers with the job resource as the JSON body.
+func writeInfo(w http.ResponseWriter, status int, job *Job) {
+	info := job.Info()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(appendInfo(make([]byte, 0, 512), &info), '\n')) //nolint:errcheck // client gone is not our error
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -3,12 +3,17 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"crowddb/internal/core"
+	"crowddb/pkg/client"
 )
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -248,4 +253,101 @@ func TestOversizeBodyRejected(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/session", map[string]int{"budget": 3}); resp.StatusCode != http.StatusOK {
 		t.Errorf("in-bound POST /session: %d %s", resp.StatusCode, body)
 	}
+}
+
+// captureBody is a transport that keeps the request body and refuses the
+// request with a coded error.
+type captureBody struct{ sent *[]byte }
+
+func (c captureBody) RoundTrip(r *http.Request) (*http.Response, error) {
+	defer r.Body.Close()
+	var err error
+	if *c.sent, err = io.ReadAll(r.Body); err != nil {
+		return nil, err
+	}
+	return &http.Response{StatusCode: http.StatusBadRequest, Header: http.Header{"Content-Type": {"application/json"}},
+		Body: io.NopCloser(strings.NewReader(`{"error":{"code":"parse_error","message":"captured"}}`)), Request: r}, nil
+}
+
+// FuzzSubmitBody: whatever bytes are POSTed to /v1/queries, the answer
+// is a job or a coded 4xx — never a panic or a 500; and for any sql and
+// session, the body pkg/client's Submit writes decodes on the server to
+// what json.Marshal's body for the same pair decodes to.
+func FuzzSubmitBody(f *testing.F) {
+	// No crowd attached: whatever script a body smuggles in ends at
+	// engine speed.
+	eng, err := core.Open(core.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { eng.Close() })
+	for _, sql := range []string{
+		"CREATE TABLE Pair (id INTEGER PRIMARY KEY, a STRING, b STRING)",
+		"INSERT INTO Pair VALUES (0, 'IBM', 'ibm'), (1, 'AT&T', '<at&t>')",
+	} {
+		if _, err := eng.Exec(sql); err != nil {
+			f.Fatal(err)
+		}
+	}
+	srv := New(eng, Config{})
+	h := srv.HTTPHandler()
+	decode := func(t *testing.T, body []byte) queryRequest {
+		t.Helper()
+		var req queryRequest
+		if serr := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)), &req); serr != nil {
+			t.Fatalf("the server cannot decode %q: %v", body, serr)
+		}
+		return req
+	}
+	f.Add([]byte(`{"sql":"SELECT a, b FROM Pair WHERE id = 1"}`), "SELECT a FROM Pair WHERE id = 1", "")
+	f.Add([]byte(`{"sql":"SELECT id FROM Pair","session":"s000009"}`), "SELECT '\xff\xfe' <&>", "s000001")
+	f.Add([]byte(`{"sql":"SELECT id FROM Pair", "sql": "SHOW TABLES", "extra": [1, {"x": null}]}`), "", "\x00\"\\\t")
+	f.Add([]byte(`{"sql":`), "SELEC nope", "(anonymous)")
+	f.Add([]byte(`{"sql":"","session":1}`), "\xed\xa0\x80", "é")
+	f.Fuzz(func(t *testing.T, body []byte, sql, session string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)))
+		switch {
+		case rec.Code == http.StatusAccepted:
+			var info JobInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.ID == "" {
+				t.Fatalf("POST %q: 202 with %q (%v)", body, rec.Body, err)
+			}
+			job, serr := srv.Job(info.ID)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if _, err := job.Wait(ctx); err != nil {
+				t.Fatalf("POST %q: job %s never ended", body, info.ID)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.Code == "" {
+				t.Fatalf("POST %q: %d with %q, want a coded error (%v)", body, rec.Code, rec.Body, err)
+			}
+		default:
+			t.Fatalf("POST %q: %d %q, want a job or a coded 4xx", body, rec.Code, rec.Body)
+		}
+
+		var sent []byte
+		c := client.New("http://crowddbd.invalid", client.WithSession(session),
+			client.WithHTTPClient(&http.Client{Transport: captureBody{&sent}}))
+		if _, err := c.Submit(context.Background(), sql); err == nil {
+			t.Fatal("the refused submit succeeded")
+		}
+		fields := map[string]string{"sql": sql}
+		if session != "" {
+			fields["session"] = session
+		}
+		marshalled, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := decode(t, sent), decode(t, marshalled); got != want {
+			t.Fatalf("sql %q, session %q: the client's body %s decodes to %+v, json.Marshal's %s to %+v",
+				sql, session, sent, got, marshalled, want)
+		}
+	})
 }

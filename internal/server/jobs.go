@@ -67,8 +67,15 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	notify chan struct{} // closed and replaced on every visible change
+	mu sync.Mutex
+	// notify is closed and cleared on every visible change; it is made only
+	// when a waiter asks for it, so a change nobody waits for allocates
+	// nothing.
+	notify chan struct{}
+	// waited says the job has waited on something outside the machine — an
+	// execution slot, or the crowd. Until it has, its streams buffer what
+	// they write instead of flushing it (see streamJobRows).
+	waited bool
 	// retired is released at the end of retireJob — after finish has
 	// journaled the end record and woken the streamers: counters bumped,
 	// retention cap enforced. Wait returns only past it. (A WaitGroup, not
@@ -84,9 +91,11 @@ type Job struct {
 	cancelMsg  string
 
 	// Result accumulation. rows holds every streamed row of the script,
-	// rendered once and shared by the SSE/NDJSON streamers.
+	// encoded once as the line the NDJSON/SSE streamers and the journal
+	// write; enc is the runner's scratch for encoding the next one.
 	columns       []string
-	rows          [][]*string
+	rows          rowLines
+	enc           []byte
 	lastPredicted plan.Cost
 	lastActual    float64
 	affected      int
@@ -150,8 +159,19 @@ func newJobID(n int64) string { return fmt.Sprintf("j%06d", n) }
 
 // broadcastLocked wakes every waiter; callers hold j.mu.
 func (j *Job) broadcastLocked() {
-	close(j.notify)
-	j.notify = make(chan struct{})
+	if j.notify != nil {
+		close(j.notify)
+		j.notify = nil
+	}
+}
+
+// notifyLocked returns the channel the next change closes; callers hold
+// j.mu.
+func (j *Job) notifyLocked() <-chan struct{} {
+	if j.notify == nil {
+		j.notify = make(chan struct{})
+	}
+	return j.notify
 }
 
 // ID returns the job identifier.
@@ -173,7 +193,7 @@ func (j *Job) Info() JobInfo {
 		State:          j.state,
 		Session:        j.sessionID,
 		Columns:        j.columns,
-		RowsEmitted:    len(j.rows),
+		RowsEmitted:    j.rows.len(),
 		Affected:       j.affected,
 		Plan:           j.plan,
 		Warnings:       j.warnings,
@@ -194,33 +214,62 @@ func (j *Job) Info() JobInfo {
 	return info
 }
 
-// renderRow renders one engine row into the streamed cell form (nil =
-// JSON null: SQL NULL or CNULL).
-func renderRow(row exec.Row) []*string {
-	cells := make([]*string, len(row))
-	for i, v := range row {
-		if v.IsUnknown() {
-			continue
-		}
-		rendered := v.String()
-		cells[i] = &rendered
+// rowLines is a job's streamed rows, each encoded once as an NDJSON line.
+// Bytes once added are never written again, so a slice handed out under
+// the job's lock stays valid to read after it is released.
+type rowLines struct {
+	buf  []byte // every line, each ending in '\n'
+	ends []int  // ends[i] is the offset just past row i's '\n'
+}
+
+func (r *rowLines) add(line []byte) {
+	r.buf = append(append(r.buf, line...), '\n')
+	r.ends = append(r.ends, len(r.buf))
+}
+
+func (r *rowLines) len() int { return len(r.ends) }
+
+// from returns the lines of rows n on (nil when there are none).
+func (r *rowLines) from(n int) []byte {
+	if n >= len(r.ends) {
+		return nil
 	}
-	return cells
+	start := 0
+	if n > 0 {
+		start = r.ends[n-1]
+	}
+	return r.buf[start:]
 }
 
-// pushRow is the engine sink: it renders and buffers one streamed row.
+// line returns row i's line without its newline.
+func (r *rowLines) line(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1]
+	}
+	return r.buf[start : r.ends[i]-1]
+}
+
+// encodeRow encodes row into the job's scratch and returns the line; it
+// is valid until the next call. Only the job's runner calls it.
+func (j *Job) encodeRow(row exec.Row) []byte {
+	j.enc = appendRow(j.enc[:0], row)
+	return j.enc
+}
+
+// pushRow is the engine sink: it encodes and buffers one streamed row.
 func (j *Job) pushRow(row exec.Row) error {
-	return j.pushCells(renderRow(row))
+	j.pushLine(j.encodeRow(row))
+	return nil
 }
 
-// pushCells buffers one already-rendered row and wakes the streamers.
-func (j *Job) pushCells(cells []*string) error {
+// pushLine buffers one encoded row and wakes the streamers.
+func (j *Job) pushLine(line []byte) {
 	j.rowsMetric.Inc()
 	j.mu.Lock()
-	j.rows = append(j.rows, cells)
+	j.rows.add(line)
 	j.broadcastLocked()
 	j.mu.Unlock()
-	return nil
 }
 
 // startResultSet begins a SELECT's result set (engine OnSchema hook).
@@ -241,10 +290,23 @@ func (j *Job) noteSnapshot(ts int64) {
 }
 
 // noteProgress stores the running statement's latest stats snapshot
-// (engine Progress hook; runs on the executing goroutine).
+// (engine Progress hook; runs on the executing goroutine). The engine
+// publishes one before every crowd wait — before it posts a HIT group,
+// before it waits on another session's flight — so the first one is the
+// job's first wait on the crowd.
 func (j *Job) noteProgress(st exec.Stats) {
 	j.mu.Lock()
 	j.progressStats = st
+	j.waited = true
+	j.broadcastLocked()
+	j.mu.Unlock()
+}
+
+// noteSlotWait records that the job is about to wait for an execution
+// slot.
+func (j *Job) noteSlotWait() {
+	j.mu.Lock()
+	j.waited = true
 	j.broadcastLocked()
 	j.mu.Unlock()
 }
@@ -328,12 +390,14 @@ func (j *Job) requestCancel(code Code, msg string) {
 func (j *Job) Wait(ctx context.Context) (JobState, error) {
 	for {
 		j.mu.Lock()
-		state, notify := j.state, j.notify
-		j.mu.Unlock()
+		state := j.state
 		if state.Terminal() {
+			j.mu.Unlock()
 			j.retired.Wait() // retirement follows the terminal state at once
 			return state, nil
 		}
+		notify := j.notifyLocked()
+		j.mu.Unlock()
 		select {
 		case <-notify:
 		case <-ctx.Done():
@@ -342,16 +406,18 @@ func (j *Job) Wait(ctx context.Context) (JobState, error) {
 	}
 }
 
-// rowsFrom snapshots the rows buffered from index n on, plus the state
-// and a channel that signals the next change — the streaming endpoints'
-// poll step.
-func (j *Job) rowsFrom(n int) (batch [][]*string, state JobState, notify <-chan struct{}) {
+// rowsFrom snapshots the lines of the rows buffered from index n on and
+// how many rows they are, plus the state, whether the job has waited yet,
+// and — unless the job is terminal — a channel that signals the next
+// change: the streaming endpoints' poll step.
+func (j *Job) rowsFrom(n int) (lines []byte, rows int, state JobState, waited bool, notify <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if n < len(j.rows) {
-		batch = j.rows[n:len(j.rows):len(j.rows)]
+	lines, rows = j.rows.from(n), max(j.rows.len()-n, 0)
+	if !j.state.Terminal() {
+		notify = j.notifyLocked()
 	}
-	return batch, j.state, j.notify
+	return lines, rows, j.state, j.waited, notify
 }
 
 // Err returns the job's terminal error, if any.
@@ -409,7 +475,6 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		price:        s.eng.PriceStats,
 		ctx:          ctx,
 		cancel:       cancel,
-		notify:       make(chan struct{}),
 		state:        JobQueued,
 		admPredicted: predicted,
 	}
@@ -476,7 +541,7 @@ func (s *Server) CancelJob(id string) (*Job, *Error) {
 // control, settling the session budget per statement — including for
 // work a cancelled statement already paid for.
 func (s *Server) runJob(job *Job, stmts []parser.Statement) {
-	if aerr := s.admit(job.ctx); aerr != nil {
+	if aerr := s.admit(job.ctx, job.noteSlotWait); aerr != nil {
 		s.countRejected(aerr)
 		if job.ctx.Err() != nil {
 			s.finishInterrupted(job)
@@ -527,8 +592,11 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 		s.journalBudget(job.sess)
 		if err != nil {
 			// The stats observer's final numbers supersede the last
-			// mid-statement progress snapshot before the job settles.
-			job.noteProgress(stmtStats)
+			// mid-statement progress snapshot before the job settles (finish
+			// publishes them; this is no wait).
+			job.mu.Lock()
+			job.progressStats = stmtStats
+			job.mu.Unlock()
 			if job.ctx.Err() != nil {
 				s.finishInterrupted(job)
 			} else {

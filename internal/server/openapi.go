@@ -64,11 +64,14 @@ paths:
         is posted, having spent exactly zero cents.
         Submit-and-stream: sent with "Accept: application/x-ndjson" the
         202 response is itself the job's NDJSON stream — line 1 is the
-        job resource, flushed as soon as the job is accepted, followed
-        by exactly what GET /v1/queries/{id}/rows?from=0 streams (rows,
-        then the terminal job resource). A whole statement is then one
-        HTTP exchange. A rejected submit is a plain JSON error either
-        way; a stream that drops is resumed with GET .../rows?from=N.
+        job resource, followed by exactly what GET
+        /v1/queries/{id}/rows?from=0 streams (rows, then the terminal job
+        resource). A whole statement is then one HTTP exchange. Line 1
+        leaves with the job's first output, its first wait — for an
+        execution slot or the crowd — or its end, whichever comes first:
+        a statement that never waits is answered in one write. A rejected
+        submit is a plain JSON error either way; a stream that drops is
+        resumed with GET .../rows?from=N.
       requestBody:
         required: true
         content:
@@ -148,7 +151,11 @@ paths:
       summary: Stream the job's result rows as they are produced
       description: >-
         Rows stream while the job runs; the response ends when the job
-        reaches a terminal state. Default framing is NDJSON (one JSON
+        reaches a terminal state. Until the job first waits — for an
+        execution slot or the crowd — nothing is flushed: its rows leave
+        when the server's write buffer fills or the job ends, and a job
+        that never waits is answered in one write. Default framing is
+        NDJSON (one JSON
         array of nullable strings per row, then one trailer object: the
         terminal job resource, whose state and error fields say how the
         job ended and which saves the closing GET /v1/queries/{id});

@@ -244,9 +244,10 @@ func (s *Server) resolveSession(sessionID string) (*Session, *Error) {
 // admit runs admission control: refuse while draining, shed load while
 // the task manager's submission queue is deep, then take an execution
 // slot (blocking briefly is fine — slots turn over at engine speed). A
-// queued job whose context fires while parked behind full slots leaves
-// the line instead of starting dead.
-func (s *Server) admit(ctx context.Context) *Error {
+// job that finds no slot free calls waiting before it blocks; one whose
+// context fires while parked behind full slots leaves the line instead of
+// starting dead.
+func (s *Server) admit(ctx context.Context, waiting func()) *Error {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -264,6 +265,12 @@ func (s *Server) admit(ctx context.Context) *Error {
 				queued, s.cfg.MaxQueueDepth)
 		}
 	}
+	select {
+	case s.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	waiting()
 	// Queries parked behind full slots must not start once draining
 	// begins — re-check via the drain channel while blocked.
 	select {

@@ -9,9 +9,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -128,6 +131,47 @@ func TestSubmitWithoutAcceptIsPlainJSON(t *testing.T) {
 	}
 	if string(body) != golden {
 		t.Fatalf("submit body changed:\n got %s\nwant %s", body, golden)
+	}
+}
+
+var updateStreamGolden = flag.Bool("update-stream-golden", false,
+	"rewrite testdata/parent/point_stream.ndjson from this tree (only for an intended change of the wire format)")
+
+// TestSubmitStreamPointGolden pins a point answer's whole submit-and-stream
+// body byte for byte — head, row and trailer — against the body the
+// commit before the line appender wrote. The job is held behind a taken
+// slot until its head is out, so the head does not depend on scheduling.
+func TestSubmitStreamPointGolden(t *testing.T) {
+	eng := pairEngine(t, 81, 3)
+	srv := New(eng, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	srv.slots <- struct{}{}
+	resp := submitStream(t, ts.URL, "", "SELECT a, b FROM Pair WHERE id = 1")
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	head, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-srv.slots
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(head, rest...)
+	golden := filepath.Join("testdata", "parent", "point_stream.ndjson")
+	if *updateStreamGolden {
+		if err := os.WriteFile(golden, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("submit-and-stream body changed:\n got %s\nwant %s", body, want)
 	}
 }
 
@@ -336,14 +380,61 @@ func (f *flushLog) snapshot() (string, []int) {
 	return f.body.String(), append([]int(nil), f.flushes...)
 }
 
-// TestStreamFlushesOnlyNewBytesBeforeBlocking: the rows and trailer of
-// a finished job leave in one write (no explicit flush at all — the
-// server's own on return), and a live stream flushes what it has before
-// it blocks, never twice for the same bytes.
+// TestStreamFlushesOnlyNewBytesBeforeBlocking: a stream flushes only once
+// its job has waited on something outside the machine, and then only
+// what is new before it blocks, never twice for the same bytes. The rows
+// and trailer of a finished job, and the head, rows and trailer of a
+// machine statement, leave in one write (no explicit flush at all — the
+// server's own on return); a job queued behind a held slot, or parked on
+// the crowd, has its head flushed while it waits.
 func TestStreamFlushesOnlyNewBytesBeforeBlocking(t *testing.T) {
 	eng := pairEngine(t, 61, 1)
-	srv := New(eng, Config{})
+	srv := New(eng, Config{MaxConcurrent: 1})
 	h := srv.HTTPHandler()
+	submit := func(sql string) (w *flushLog, served chan struct{}) {
+		w, served = &flushLog{header: http.Header{}}, make(chan struct{})
+		req := httptest.NewRequest(http.MethodPost, "/v1/queries", strings.NewReader(`{"sql":"`+sql+`"}`))
+		req.Header.Set("Accept", "application/x-ndjson")
+		go func() {
+			defer close(served)
+			h.ServeHTTP(w, req)
+		}()
+		return w, served
+	}
+	// headFlushed waits for the stream's first flush, which must carry the
+	// head — a live job resource — and nothing else.
+	headFlushed := func(w *flushLog, what string) JobInfo {
+		t.Helper()
+		var head JobInfo
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			body, flushes := w.snapshot()
+			if len(flushes) > 0 {
+				if flushes[0] != len(body) || json.Unmarshal([]byte(body), &head) != nil || head.State.Terminal() {
+					t.Fatalf("%s: first flush at %d bytes of %q, want the whole resource line", what, flushes[0], body)
+				}
+				return head
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the resource line was never flushed", what)
+			}
+		}
+	}
+	// cancelAfterHead cancels the job whose head was flushed and checks the
+	// stream ends in the cancelled trailer with no second flush.
+	cancelAfterHead := func(w *flushLog, served chan struct{}, head JobInfo, what string) {
+		t.Helper()
+		if _, cerr := srv.CancelJob(head.ID); cerr != nil {
+			t.Fatal(cerr)
+		}
+		<-served
+		body, flushes := w.snapshot()
+		if len(flushes) != 1 {
+			t.Fatalf("%s: flushed at %v over %d bytes, want once (the resource line)", what, flushes, len(body))
+		}
+		if !strings.HasSuffix(strings.TrimSpace(body), `}`) || !strings.Contains(body[flushes[0]:], `"state":"cancelled"`) {
+			t.Fatalf("%s: stream after the flush = %q, want the cancelled trailer", what, body[flushes[0]:])
+		}
+	}
 
 	done, serr := srv.StartJob("", "SELECT id FROM Pair")
 	if serr != nil {
@@ -356,46 +447,34 @@ func TestStreamFlushesOnlyNewBytesBeforeBlocking(t *testing.T) {
 		t.Fatalf("finished job: %d flushes for %q, want none for row + trailer", len(flushes), body)
 	}
 
-	// A job parked on the crowd: the resource line is flushed at once.
+	// A machine statement never waits: head, row and trailer, no flush.
+	w, served := submit("SELECT id FROM Pair")
+	<-served
+	if body, flushes := w.snapshot(); len(flushes) != 0 || !strings.HasPrefix(body, `{"id":`) ||
+		strings.Count(body, "\n") != 3 || !strings.Contains(body, "\n[\"0\"]\n") || !strings.Contains(body, `"state":"done"`) {
+		t.Fatalf("machine statement: %d flushes for %q, want none for head + row + trailer", len(flushes), body)
+	}
+
+	// A job queued behind a held slot: its head goes out while it waits,
+	// so a client has the id to cancel it with.
+	srv.slots <- struct{}{}
+	w, served = submit("SELECT id FROM Pair")
+	head := headFlushed(w, "queued job")
+	if head.State != JobQueued {
+		t.Fatalf("queued job: head in state %s", head.State)
+	}
+	cancelAfterHead(w, served, head, "queued job")
+	<-srv.slots
+
+	// A job parked on the crowd: the head is flushed at its first wait.
 	l, r := pairStrings(t, 61, 1)
 	leader := eng.Cache().ClaimEqual("", l, r)
 	if !leader.Leader {
 		t.Fatal("test setup: expected to lead the claim")
 	}
 	defer leader.Abandon()
-	w = &flushLog{header: http.Header{}}
-	req := httptest.NewRequest(http.MethodPost, "/v1/queries", strings.NewReader(`{"sql":"SELECT id FROM Pair WHERE a ~= b"}`))
-	req.Header.Set("Accept", "application/x-ndjson")
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		h.ServeHTTP(w, req)
-	}()
-	var accepted JobInfo
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		body, flushes := w.snapshot()
-		if len(flushes) > 0 {
-			if flushes[0] != len(body) || json.Unmarshal([]byte(body), &accepted) != nil {
-				t.Fatalf("first flush at %d bytes of %q, want the whole resource line", flushes[0], body)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the resource line was never flushed while the job was parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	w, served = submit("SELECT id FROM Pair WHERE a ~= b")
+	head = headFlushed(w, "parked job")
 	time.Sleep(20 * time.Millisecond) // progress broadcasts wake the loop with nothing to send
-	if _, cerr := srv.CancelJob(accepted.ID); cerr != nil {
-		t.Fatal(cerr)
-	}
-	<-served
-	body, flushes := w.snapshot()
-	if len(flushes) != 1 {
-		t.Fatalf("flushed at %v over %d bytes, want once (the resource line)", flushes, len(body))
-	}
-	if !strings.HasSuffix(strings.TrimSpace(body), `}`) || !strings.Contains(body[flushes[0]:], `"state":"cancelled"`) {
-		t.Fatalf("stream after the flush = %q, want the cancelled trailer", body[flushes[0]:])
-	}
+	cancelAfterHead(w, served, head, "parked job")
 }

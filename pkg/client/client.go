@@ -9,9 +9,13 @@
 // A statement is one HTTP exchange: Submit asks the server to answer
 // with the job resource followed by the row stream, Rows hands that
 // stream over instead of opening another request, and Wait returns the
-// terminal resource the stream's trailer carried. Requests are only
-// added when they are needed — Status, Cancel, a second Rows, a resumed
-// RowsFrom, or Wait on a handle reattached with Client.Job, which polls.
+// terminal resource the stream's trailer carried. The server sends the
+// resource once the job first waits — for an execution slot or the
+// crowd — or once its answer ends or fills the server's write buffer, so
+// a machine statement's Submit returns with its whole answer buffered
+// (or the first few KiB of a long one). Requests are only added when
+// they are needed — Status, Cancel, a second Rows, a resumed RowsFrom,
+// or Wait on a handle reattached with Client.Job, which polls.
 //
 // Ownership: a handle from Submit holds an open response until Rows,
 // Wait or Close takes it — call one of them on every handle, and Close
@@ -44,6 +48,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"crowddb/internal/jsonline"
 )
 
 // Client talks to one crowddbd server. It is safe for concurrent use
@@ -154,24 +160,20 @@ type SessionInfo struct {
 	Stats      Stats  `json:"stats"`
 }
 
-// send issues one request — in, when non-nil, as its JSON body — and
+// send issues one request — body, when non-nil, as its JSON body — and
 // returns the open response. A status >= 400 comes back as the body's
 // coded *Error (or a plain error quoting it), transport failures as
 // plain errors.
-func (c *Client) send(ctx context.Context, method, path, accept string, in any) (*http.Response, error) {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return nil, err
-		}
-		body = bytes.NewReader(data)
+func (c *Client) send(ctx context.Context, method, path, accept string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if accept != "" {
@@ -198,15 +200,27 @@ func (c *Client) send(ctx context.Context, method, path, accept string, in any) 
 	return nil, fmt.Errorf("client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
 }
 
-// do is send for a plain JSON exchange: the response body decodes into
-// out (nil = discard it).
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	resp, err := c.send(ctx, method, path, "", in)
+// read is send returning the whole response body.
+func (c *Client) read(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	resp, err := c.send(ctx, method, path, "", body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	return io.ReadAll(resp.Body)
+}
+
+// do is a plain JSON exchange: in, when non-nil, is marshalled as the
+// body, and the response body decodes into out (nil = discard it).
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	data, err := c.read(ctx, method, path, body)
 	if err != nil || out == nil {
 		return err
 	}
@@ -293,26 +307,35 @@ type Job struct {
 const ndjson = "application/x-ndjson"
 
 // Submit starts a CrowdSQL script as an asynchronous job on the bound
-// session and returns with its handle as soon as the server accepted
-// it. The same exchange carries the job's row stream: the handle keeps
-// it, reading under ctx, for Rows or Wait to consume (see Job).
+// session and returns with its handle once the server has sent the job
+// resource: as soon as the job waits on the crowd or for an execution
+// slot, and for a machine statement, which never waits, with its whole
+// answer buffered — resource, rows and trailer arrive together (a long
+// answer's first few KiB do). The same exchange carries the job's row
+// stream: the handle keeps it, reading under ctx, for Rows or Wait to
+// consume (see Job).
 func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
-	req := map[string]string{"sql": sql}
+	// The body json.Marshal writes for {"session": …, "sql": …}: keys in
+	// order, no session key for the anonymous one.
+	body := append(make([]byte, 0, 32+len(c.session)+len(sql)), '{')
 	if c.session != "" {
-		req["session"] = c.session
+		body = append(jsonline.AppendString(append(body, `"session":`...), c.session), ',')
 	}
-	resp, err := c.send(ctx, http.MethodPost, "/v1/queries", ndjson, req)
+	body = append(jsonline.AppendString(append(body, `"sql":`...), sql), '}')
+	resp, err := c.send(ctx, http.MethodPost, "/v1/queries", ndjson, body)
 	if err != nil {
 		return nil, err
 	}
 	job := &Job{c: c}
-	var accepted struct {
-		ID string `json:"id"`
-	}
+	var accepted JobStatus
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), ndjson) {
 		// A server without submit-and-stream: the body is the resource.
 		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = decodeStatus(data, &accepted)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("client: submit: job resource: %w", err)
 		}
 		job.id = accepted.ID
@@ -321,7 +344,7 @@ func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
 	it := newRowIter(job, resp.Body)
 	err = io.ErrUnexpectedEOF // a stream that ends before its first line
 	if it.sc.Scan() {
-		err = json.Unmarshal(it.sc.Bytes(), &accepted)
+		err = decodeStatus(it.sc.Bytes(), &accepted)
 	} else if it.sc.Err() != nil {
 		err = it.sc.Err()
 	}
@@ -343,8 +366,18 @@ func (j *Job) ID() string { return j.id }
 
 // Status polls the job resource once.
 func (j *Job) Status(ctx context.Context) (*JobStatus, error) {
+	return j.resource(ctx, http.MethodGet)
+}
+
+// resource asks for the job resource with method: GET polls it, DELETE
+// cancels the job.
+func (j *Job) resource(ctx context.Context, method string) (*JobStatus, error) {
+	data, err := j.c.read(ctx, method, "/v1/queries/"+url.PathEscape(j.id), nil)
+	if err != nil {
+		return nil, err
+	}
 	var st JobStatus
-	if err := j.c.do(ctx, http.MethodGet, "/v1/queries/"+url.PathEscape(j.id), nil, &st); err != nil {
+	if err := decodeStatus(data, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -420,11 +453,7 @@ func (j *Job) Wait(ctx context.Context) (*JobStatus, error) {
 // Cancel requests cancellation and returns the job's current snapshot;
 // poll (or Wait) for the terminal state. Cancel is idempotent.
 func (j *Job) Cancel(ctx context.Context) (*JobStatus, error) {
-	var st JobStatus
-	if err := j.c.do(ctx, http.MethodDelete, "/v1/queries/"+url.PathEscape(j.id), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return j.resource(ctx, http.MethodDelete)
 }
 
 // Close releases the stream Submit left on the handle, if Rows or Wait
@@ -515,8 +544,8 @@ func (it *RowIter) Next() bool {
 			continue
 		}
 		if line[0] == '[' {
-			var row Row
-			if err := json.Unmarshal(line, &row); err != nil {
+			row, err := decodeRow(line)
+			if err != nil {
 				it.err = err
 				return false
 			}
@@ -525,7 +554,7 @@ func (it *RowIter) Next() bool {
 		}
 		// Trailer object: the terminal job resource.
 		var st JobStatus
-		if err := json.Unmarshal(line, &st); err != nil {
+		if err := decodeStatus(line, &st); err != nil {
 			it.err = err
 			return false
 		}

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -69,10 +70,90 @@ func readStream(t *testing.T, open func(*Job, io.ReadCloser) *RowIter, body io.R
 	return out
 }
 
+// statusKeys are the field names the scanner matches, as JobStatus and
+// the types inside it tag them.
+var statusKeys = func() []string {
+	var keys []string
+	for _, v := range []any{JobStatus{}, Stats{}, Error{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			keys = append(keys, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
+		}
+	}
+	return keys
+}()
+
+// foldedKey reports whether line has an object key that is one of
+// statusKeys case-folded but not as written: json.Unmarshal matches it,
+// the scanner on purpose does not.
+func foldedKey(line []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	var objects []bool // the open containers, true for an object
+	key := false       // the next string is a key
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch v := tok.(type) {
+		case json.Delim:
+			if v == '{' || v == '[' {
+				objects = append(objects, v == '{')
+				key = v == '{'
+				continue
+			}
+			objects = objects[:len(objects)-1]
+		case string:
+			if key {
+				for _, name := range statusKeys {
+					if v != name && strings.EqualFold(v, name) {
+						return true
+					}
+				}
+				key = false
+				continue
+			}
+		}
+		key = len(objects) > 0 && objects[len(objects)-1] // a value ended
+	}
+}
+
+// decodedBothWays holds the scanner to json.Unmarshal on every line of
+// body, as RowIter splits and trims it: the same value, or an error from
+// both.
+func decodedBothWays(t *testing.T, body []byte) {
+	t.Helper()
+	for _, line := range bytes.Split(body, []byte{'\n'}) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		var got, want any
+		var gotErr, wantErr error
+		if line[0] == '[' {
+			var row Row
+			row, gotErr = decodeRow(line)
+			var ref Row
+			wantErr = json.Unmarshal(line, &ref)
+			got, want = row, ref
+		} else {
+			if foldedKey(line) {
+				continue
+			}
+			var st, ref JobStatus
+			gotErr, wantErr = decodeStatus(line, &st), json.Unmarshal(line, &ref)
+			got, want = st, ref
+		}
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("line %q:\nscanner        %#v (%v)\njson.Unmarshal %#v (%v)", line, got, gotErr, want, wantErr)
+		}
+	}
+}
+
 // FuzzRowIter feeds arbitrary bytes as a response body to the stream
 // reader, a few bytes per read, and to the full-buffer reference in one
 // piece: rows, trailer, the resource left on the handle and the error
-// must be the same, nothing follows an error, and nothing panics.
+// must be the same, nothing follows an error, and nothing panics. Every
+// line must also decode as json.Unmarshal decodes it (decodedBothWays).
 func FuzzRowIter(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzRowIter) holds the small
 	// shapes; lines at the limit are generated.
@@ -89,6 +170,7 @@ func FuzzRowIter(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("reading %d bytes %d at a time:\n got %s\nwant %s", len(body), n, got, want)
 		}
+		decodedBothWays(t, body)
 	})
 }
 

@@ -337,12 +337,19 @@ type cuttingWriter struct {
 	left int // lines still to let through
 }
 
+// Write lets lines through until the last one it may, however many a
+// write carries, then breaks the stream.
 func (c *cuttingWriter) Write(p []byte) (int, error) {
-	if c.left == 0 {
-		c.ResponseWriter.(http.Flusher).Flush()
-		panic(http.ErrAbortHandler)
+	for i, b := range p {
+		if b != '\n' {
+			continue
+		}
+		if c.left--; c.left == 0 {
+			c.ResponseWriter.Write(p[:i+1]) //nolint:errcheck // aborted next
+			c.ResponseWriter.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}
 	}
-	c.left -= strings.Count(string(p), "\n")
 	return c.ResponseWriter.Write(p)
 }
 
