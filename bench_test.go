@@ -45,12 +45,6 @@ func BenchmarkE15AsyncScheduler(b *testing.B)    { benchExperiment(b, bench.E15A
 func BenchmarkE16ConcurrentSessions(b *testing.B) {
 	benchExperiment(b, bench.E16ConcurrentSessions)
 }
-func BenchmarkE18StorageThroughput(b *testing.B) {
-	benchExperiment(b, bench.E18StorageThroughput)
-}
-func BenchmarkE22QuorumStreaming(b *testing.B) {
-	benchExperiment(b, bench.E22QuorumStreaming)
-}
 
 // --- engine micro-benchmarks (no crowd: the relational substrate) ---
 

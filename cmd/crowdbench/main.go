@@ -22,25 +22,11 @@ import (
 	"crowddb/internal/bench"
 )
 
-// benchJSON is the machine-readable BENCH_<id>.json shape: the full
-// result table plus the experiment's headline metrics (ops/sec, crowd
-// cost, cache hit rate, ...).
-type benchJSON struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Exhibit string             `json:"exhibit"`
-	Seed    int64              `json:"seed"`
-	Headers []string           `json:"headers"`
-	Rows    [][]string         `json:"rows"`
-	Notes   []string           `json:"notes,omitempty"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
 func writeJSON(dir string, seed int64, t *bench.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(benchJSON{
+	data, err := json.MarshalIndent(bench.BenchFile{
 		ID: t.ID, Title: t.Title, Exhibit: t.Exhibit, Seed: seed,
 		Headers: t.Headers, Rows: t.Rows, Notes: t.Notes, Metrics: t.Metrics,
 	}, "", "  ")

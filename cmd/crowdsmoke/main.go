@@ -101,10 +101,11 @@ func main() {
 	// the protocol-level face of the settled-prefix executor. (The
 	// stronger deterministic property — the first row leaves the
 	// operator while later comparisons are still uncollected — is
-	// pinned in-process by E22 and the exec tests; against -demo the
-	// virtual-time crowd settles a whole sort faster than one HTTP
-	// round-trip, so a wall-clock status poll can't reliably observe
-	// it. When the poll does catch the window, report it.)
+	// pinned in-process by exec.TestCrowdOrderStreamsSettledPrefix;
+	// against -demo the virtual-time crowd settles a whole sort faster
+	// than one HTTP round-trip, so a wall-clock status poll can't
+	// reliably observe it. When the poll does catch the window, report
+	// it.)
 	jo, err := c.Submit(ctx, "SELECT title FROM Talk ORDER BY CROWDORDER(title, 'Which talk ranks higher?');")
 	if err != nil {
 		fail("submit crowdorder: %v", err)

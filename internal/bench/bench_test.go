@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,6 +253,29 @@ func TestE12Shape(t *testing.T) {
 	mobTime := cellDur(t, tab.Rows[1][3])
 	if mobTime >= amtTime {
 		t.Errorf("mobile must be faster: amt=%v mobile=%v", amtTime, mobTime)
+	}
+}
+
+// TestEveryExperimentHasABaseline: the registry and bench/baselines name
+// the same experiments, so a new experiment cannot ship without its
+// baseline and a deleted one cannot leave a stale file behind.
+func TestEveryExperimentHasABaseline(t *testing.T) {
+	paths, err := filepath.Glob("../../bench/baselines/BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines := map[string]bool{}
+	for _, p := range paths {
+		baselines[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")] = true
+	}
+	for _, e := range All() {
+		if !baselines[e.ID] {
+			t.Errorf("%s has no bench/baselines/BENCH_%s.json", e.ID, e.ID)
+		}
+		delete(baselines, e.ID)
+	}
+	for id := range baselines {
+		t.Errorf("bench/baselines/BENCH_%s.json names no registered experiment", id)
 	}
 }
 

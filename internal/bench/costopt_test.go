@@ -49,9 +49,10 @@ func TestE1E15GoldenSeed42(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	skip := map[string]bool{"E16": true, "E17": true, "E23": true, "E24": true}
 	var buf bytes.Buffer
 	for _, e := range All() {
-		if e.ID == "E16" || e.ID == "E17" || e.ID == "E18" || e.ID == "E19" || e.ID == "E20" || e.ID == "E21" || e.ID == "E22" || e.ID == "E23" || e.ID == "E24" {
+		if skip[e.ID] {
 			continue
 		}
 		e.Run(42).Fprint(&buf)

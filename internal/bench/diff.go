@@ -29,7 +29,8 @@ import (
 	"strings"
 )
 
-// BenchFile mirrors crowdbench's BENCH_<id>.json output shape.
+// BenchFile is the BENCH_<id>.json shape crowdbench -json writes: the
+// full result table plus the experiment's headline metrics.
 type BenchFile struct {
 	ID      string             `json:"id"`
 	Title   string             `json:"title"`

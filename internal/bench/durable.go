@@ -440,3 +440,17 @@ func E23CrashRecovery(seed int64) *Table {
 		"the admission arm rejects a forecast overrun with budget_exhausted before a single HIT group is posted")
 	return t
 }
+
+func fmtMicros(d time.Duration) string {
+	if d >= time.Millisecond {
+		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
+	}
+	return fmt.Sprintf("%dµs", d.Microseconds())
+}
+
+func abs(n int) int {
+	if n < 0 {
+		return -n
+	}
+	return n
+}

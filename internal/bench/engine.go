@@ -10,7 +10,6 @@ import (
 	"crowddb/internal/optimizer"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
-	"crowddb/internal/stats"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -182,7 +181,7 @@ func E7EntityResolution(seed int64) *Table {
 				predicted[v+"->"+row[0].Str()] = true
 			}
 		}
-		p, r, f1 := stats.PrecisionRecall(predicted, truth)
+		p, r, f1 := precisionRecall(predicted, truth)
 		t.AddRow(fmt.Sprintf("%d", votes), fmt.Sprintf("%.2f", p), fmt.Sprintf("%.2f", r),
 			fmt.Sprintf("%.2f", f1), fmt.Sprintf("%d", comparisons))
 		eng.Close()
@@ -220,7 +219,7 @@ func E8CrowdOrder(seed int64) *Table {
 		for _, row := range res.Rows {
 			got = append(got, row[0].Str())
 		}
-		tau, err := stats.KendallTau(got, conf.PreferenceRanking())
+		tau, err := kendallTau(got, conf.PreferenceRanking())
 		tauStr := "-"
 		if err == nil {
 			tauStr = fmt.Sprintf("%.2f", tau)

@@ -7,7 +7,6 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/quality"
 	"crowddb/internal/sim"
-	"crowddb/internal/stats"
 )
 
 // E1CompletionVsReward reproduces the AMT responsiveness micro-benchmark
@@ -110,10 +109,10 @@ func E3WorkerAffinity(seed int64) *Table {
 	t.AddRow(
 		fmt.Sprintf("%d", len(ws)),
 		fmt.Sprintf("%d", total),
-		fmtPct(stats.TopKShare(counts, 1)),
-		fmtPct(stats.TopKShare(counts, 5)),
-		fmtPct(stats.TopKShare(counts, 10)),
-		fmt.Sprintf("%.2f", stats.Gini(counts)),
+		fmtPct(topKShare(counts, 1)),
+		fmtPct(topKShare(counts, 5)),
+		fmtPct(topKShare(counts, 10)),
+		fmt.Sprintf("%.2f", gini(counts)),
 	)
 	t.Notes = append(t.Notes, "preferential attachment: returning workers dominate, as the paper observed on live AMT")
 	return t

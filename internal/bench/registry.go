@@ -29,11 +29,6 @@ func All() []Experiment {
 		{"E15", "async speedup vs in-flight window (extension)", E15AsyncScheduler},
 		{"E16", "concurrent sessions: shared-cache crowd cost (extension)", E16ConcurrentSessions},
 		{"E17", "cost-based optimizer vs flat heuristic (extension)", E17CostBasedOptimizer},
-		{"E18", "sharded storage throughput (extension)", E18StorageThroughput},
-		{"E19", "streaming vs materialized time-to-first-row (extension)", E19Streaming},
-		{"E20", "mixed read/write under MVCC snapshot isolation (extension)", E20MixedReadWrite},
-		{"E21", "observability overhead: traced vs untraced (extension)", E21ObservabilityOverhead},
-		{"E22", "quorum-streaming crowd operators (extension)", E22QuorumStreaming},
 		{"E23", "crash recovery: durable jobs + admission (extension)", E23CrashRecovery},
 		{"E24", "hybrid model/human answering (extension)", E24HybridAnswering},
 	}

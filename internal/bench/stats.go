@@ -1,18 +1,19 @@
-// Package stats provides the small statistical toolkit the experiment
-// harness uses: rank correlation (Kendall τ) for CROWDORDER quality,
-// percentiles for latency distributions, and share-of-work summaries for
-// the worker-affinity analysis.
-package stats
+package bench
+
+// The small statistical toolkit the experiments score with: rank
+// correlation (Kendall τ) for CROWDORDER quality, precision/recall for
+// CROWDEQUAL, and share-of-work summaries for the worker-affinity
+// analysis.
 
 import (
 	"fmt"
 	"sort"
 )
 
-// KendallTau computes the Kendall rank correlation τ between two rankings
+// kendallTau computes the Kendall rank correlation τ between two rankings
 // given as slices of the same items (by label). 1 = identical order,
 // -1 = reversed. Items missing from either ranking are ignored.
-func KendallTau(a, b []string) (float64, error) {
+func kendallTau(a, b []string) (float64, error) {
 	posB := make(map[string]int, len(b))
 	for i, s := range b {
 		posB[s] = i
@@ -41,44 +42,9 @@ func KendallTau(a, b []string) (float64, error) {
 	return float64(concordant-discordant) / float64(pairs), nil
 }
 
-// Percentile returns the p-th percentile (0..100) of xs by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted)) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// TopKShare returns the fraction of total work done by the k largest
+// topKShare returns the fraction of total work done by the k largest
 // contributors (counts need not be sorted).
-func TopKShare(counts []int, k int) float64 {
+func topKShare(counts []int, k int) float64 {
 	if len(counts) == 0 || k <= 0 {
 		return 0
 	}
@@ -97,9 +63,9 @@ func TopKShare(counts []int, k int) float64 {
 	return float64(top) / float64(total)
 }
 
-// Gini computes the Gini coefficient of the given non-negative counts
+// gini computes the Gini coefficient of the given non-negative counts
 // (0 = perfectly even, →1 = concentrated). Used for worker-affinity skew.
-func Gini(counts []int) float64 {
+func gini(counts []int) float64 {
 	n := len(counts)
 	if n == 0 {
 		return 0
@@ -117,8 +83,8 @@ func Gini(counts []int) float64 {
 	return cum / (float64(n) * total)
 }
 
-// PrecisionRecall scores a predicted set against a truth set.
-func PrecisionRecall(predicted, truth map[string]bool) (precision, recall, f1 float64) {
+// precisionRecall scores a predicted set against a truth set.
+func precisionRecall(predicted, truth map[string]bool) (precision, recall, f1 float64) {
 	tp := 0
 	for p := range predicted {
 		if truth[p] {

@@ -1,4 +1,4 @@
-package stats
+package bench
 
 import (
 	"math"
@@ -8,28 +8,28 @@ import (
 
 func TestKendallTau(t *testing.T) {
 	a := []string{"a", "b", "c", "d"}
-	tau, err := KendallTau(a, a)
+	tau, err := kendallTau(a, a)
 	if err != nil || tau != 1 {
 		t.Errorf("identical: %f %v", tau, err)
 	}
 	rev := []string{"d", "c", "b", "a"}
-	tau, _ = KendallTau(a, rev)
+	tau, _ = kendallTau(a, rev)
 	if tau != -1 {
 		t.Errorf("reversed: %f", tau)
 	}
 	swapped := []string{"b", "a", "c", "d"}
-	tau, _ = KendallTau(a, swapped)
+	tau, _ = kendallTau(a, swapped)
 	want := float64(5-1) / 6
 	if math.Abs(tau-want) > 1e-9 {
 		t.Errorf("one swap: %f want %f", tau, want)
 	}
-	if _, err := KendallTau([]string{"x"}, []string{"y"}); err == nil {
+	if _, err := kendallTau([]string{"x"}, []string{"y"}); err == nil {
 		t.Error("too few common items must fail")
 	}
 }
 
 func TestKendallTauIgnoresMissing(t *testing.T) {
-	tau, err := KendallTau([]string{"a", "zz", "b"}, []string{"a", "b", "qq"})
+	tau, err := kendallTau([]string{"a", "zz", "b"}, []string{"a", "b", "qq"})
 	if err != nil || tau != 1 {
 		t.Errorf("missing items: %f %v", tau, err)
 	}
@@ -57,8 +57,8 @@ func TestKendallTauBoundsProperty(t *testing.T) {
 		for i := range a {
 			b[len(a)-1-i] = a[i]
 		}
-		t1, err1 := KendallTau(a, a)
-		t2, err2 := KendallTau(a, b)
+		t1, err1 := kendallTau(a, a)
+		t2, err2 := kendallTau(a, b)
 		return err1 == nil && err2 == nil && t1 == 1 &&
 			math.Abs(t1+t2) < 1e-9 && t2 >= -1 && t2 <= 1
 	}
@@ -67,53 +67,28 @@ func TestKendallTauBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Errorf("p50: %f", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Errorf("p100: %f", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0: %f", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("empty: %f", p)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("mean: %f", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("empty mean: %f", m)
-	}
-}
-
 func TestTopKShare(t *testing.T) {
 	counts := []int{100, 50, 10, 10, 10, 10, 10}
-	if s := TopKShare(counts, 2); math.Abs(s-0.75) > 1e-9 {
+	if s := topKShare(counts, 2); math.Abs(s-0.75) > 1e-9 {
 		t.Errorf("top2: %f", s)
 	}
-	if s := TopKShare(counts, 100); s != 1 {
+	if s := topKShare(counts, 100); s != 1 {
 		t.Errorf("top-all: %f", s)
 	}
-	if s := TopKShare(nil, 3); s != 0 {
+	if s := topKShare(nil, 3); s != 0 {
 		t.Errorf("empty: %f", s)
 	}
 }
 
 func TestGini(t *testing.T) {
-	if g := Gini([]int{5, 5, 5, 5}); math.Abs(g) > 1e-9 {
+	if g := gini([]int{5, 5, 5, 5}); math.Abs(g) > 1e-9 {
 		t.Errorf("even: %f", g)
 	}
-	concentrated := Gini([]int{0, 0, 0, 100})
+	concentrated := gini([]int{0, 0, 0, 100})
 	if concentrated < 0.7 {
 		t.Errorf("concentrated: %f", concentrated)
 	}
-	if g := Gini(nil); g != 0 {
+	if g := gini(nil); g != 0 {
 		t.Errorf("empty: %f", g)
 	}
 }
@@ -121,7 +96,7 @@ func TestGini(t *testing.T) {
 func TestPrecisionRecall(t *testing.T) {
 	pred := map[string]bool{"a": true, "b": true, "c": true}
 	truth := map[string]bool{"a": true, "b": true, "d": true, "e": true}
-	p, r, f1 := PrecisionRecall(pred, truth)
+	p, r, f1 := precisionRecall(pred, truth)
 	if math.Abs(p-2.0/3) > 1e-9 || math.Abs(r-0.5) > 1e-9 {
 		t.Errorf("p=%f r=%f", p, r)
 	}
@@ -129,7 +104,7 @@ func TestPrecisionRecall(t *testing.T) {
 	if math.Abs(f1-wantF1) > 1e-9 {
 		t.Errorf("f1=%f", f1)
 	}
-	p, r, f1 = PrecisionRecall(nil, nil)
+	p, r, f1 = precisionRecall(nil, nil)
 	if p != 0 || r != 0 || f1 != 0 {
 		t.Error("empty sets")
 	}

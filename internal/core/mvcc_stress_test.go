@@ -22,15 +22,15 @@ import (
 
 // pairCoreEngine mirrors the server suite's pair fixture: n company
 // pairs whose variant is the lower-cased canonical, so every `a ~= b`
-// comparison is a true match under the conference oracle.
-func pairCoreEngine(t *testing.T, seed int64, n int) (*Engine, *workload.Companies) {
+// comparison is a true match under the conference oracle. cfg supplies
+// any further engine options; its crowd fields are overwritten.
+func pairCoreEngine(t *testing.T, seed int64, n int, cfg Config) (*Engine, *workload.Companies) {
 	t.Helper()
 	conf := workload.NewConference(8, seed)
-	eng, err := Open(Config{
-		Platform: amt.NewDefault(seed),
-		Oracle:   conf.Oracle(),
-		Payment:  wrm.DefaultPolicy(),
-	})
+	cfg.Platform = amt.NewDefault(seed)
+	cfg.Oracle = conf.Oracle()
+	cfg.Payment = wrm.DefaultPolicy()
+	eng, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func pairCoreEngine(t *testing.T, seed int64, n int) (*Engine, *workload.Compani
 // version GC reclaims everything the snapshot was holding.
 func TestSnapshotSELECTConcurrentWithWriters(t *testing.T) {
 	const n = 6
-	eng, cs := pairCoreEngine(t, 97, n)
+	eng, cs := pairCoreEngine(t, 97, n, Config{})
 
 	// Pose as a foreign session's in-flight leader for row 0's
 	// comparison: the SELECT will park on it until we abandon.
@@ -185,7 +185,7 @@ func TestSnapshotSELECTConcurrentWithWriters(t *testing.T) {
 // answers behind it — they persist, it is retained for the next pass,
 // and the first error is still reported.
 func TestPersistCompareCacheSkipsPoisonedEntry(t *testing.T) {
-	eng, _ := pairCoreEngine(t, 101, 1)
+	eng, _ := pairCoreEngine(t, 101, 1, Config{})
 	eng.cache.PutEqual("q", "healthy-a", "x", true)
 	eng.cache.PutEqual("q", "poison", "x", false)
 	eng.cache.PutEqual("q", "healthy-z", "x", true)

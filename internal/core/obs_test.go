@@ -6,6 +6,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -128,9 +129,10 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestDisableObservability is the benchmark control arm: no tracer, no
+// TestDisableObservability is the untraced control arm: no tracer, no
 // spans, yet queries — including EXPLAIN ANALYZE, whose actuals come
-// from the opStats map, not the tracer — behave identically.
+// from the opStats map, not the tracer — behave identically, and crowd
+// work matches the traced arm's.
 func TestDisableObservability(t *testing.T) {
 	conf := workload.NewConference(20, 35)
 	eng, err := Open(Config{
@@ -165,5 +167,38 @@ func TestDisableObservability(t *testing.T) {
 	var tr *obs.Trace
 	if _, err := eng.Execute(context.Background(), "SELECT title FROM Talk", ExecOpts{Trace: tr}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Tracing records what the engine does and never changes it: one paid
+	// `a ~= b` SELECT plus repeats served from the cache ask the crowd the
+	// same questions and return the same rows with observability on and off.
+	const pairs, repeats = 8, 6
+	type arm struct{ comparisons, groups, rows, spans int }
+	run := func(disable bool) arm {
+		eng, _ := pairCoreEngine(t, 35, pairs, Config{DisableObservability: disable})
+		var a arm
+		for i := 0; i <= repeats; i++ {
+			res := mustExec(t, eng, "SELECT id FROM Pair WHERE a ~= b")
+			a.comparisons += res.Stats.Comparisons
+			a.rows += len(res.Rows)
+		}
+		a.groups = eng.Tasks().Stats().GroupsPosted
+		if tracer := eng.Tracer(); tracer != nil {
+			// The paid SELECT follows the fixture's CREATE and INSERTs.
+			if tr := tracer.Lookup(fmt.Sprintf("q%06d", pairs+2)); tr != nil {
+				a.spans = tr.SpanCount()
+			}
+		}
+		return a
+	}
+	on, off := run(false), run(true)
+	if on.comparisons == 0 || on.groups == 0 {
+		t.Fatalf("the first SELECT must pay the crowd: %+v", on)
+	}
+	if on.comparisons != off.comparisons || on.groups != off.groups || on.rows != off.rows {
+		t.Errorf("observability changed the crowd work: on %+v, off %+v", on, off)
+	}
+	if on.spans == 0 {
+		t.Error("the traced arm retained no spans for the paid SELECT")
 	}
 }

@@ -5,8 +5,9 @@
 // every payment, and HIT-group lifecycle operations.
 //
 // The package also ships an HTTP binding (http.go) exposing the same
-// operations REST-style, so the Task Manager can talk to a separate amtsimd
-// process exactly as it would talk to the real AMT endpoint.
+// operations REST-style (NewServer, NewClient), so the Task Manager can
+// talk to a market behind an HTTP endpoint exactly as it would talk to the
+// real AMT one.
 package amt
 
 import (

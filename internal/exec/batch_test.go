@@ -226,37 +226,65 @@ func TestCrowdEqualConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestCrowdOrderStreamsSettledPrefix pins the headline streaming
-// behavior: an ascending CROWDORDER emits its settled prefix while later
-// segments are still being compared, so the comparison count observed at
-// the first sink row is strictly below the statement's final count.
+// TestCrowdOrderStreamsSettledPrefix pins the streaming behavior of both
+// crowd operators: an ascending CROWDORDER emits its settled prefix while
+// later segments are still being compared, and a CROWDEQUAL filter emits
+// each row once the quorum of its pair lands. Streaming changes when rows
+// leave, not what the crowd is asked: through RunSink and through Run, on
+// fresh harnesses at the same seed, a statement returns the same rows for
+// the same comparisons, and the sink's first row arrives while crowd
+// decisions are still uncollected. Decisions, not Stats.Comparisons, mark
+// the progress: a filter charges every pair when it claims it, before the
+// first group is collected. The harness oracle never answers "yes" to an
+// equality, so the filter keeps the pairs `NOT (a ~= b)`: all four rows.
 func TestCrowdOrderStreamsSettledPrefix(t *testing.T) {
-	h, ctx := crowdHarness(t, 7)
-	for i := 0; i < 16; i++ {
-		h.insert(t, "item", Row{str(fmt.Sprintf("i%02d", (i*7)%16))})
-	}
-	firstRowComparisons := -1
-	rows := 0
-	op, err := h.compile(ctx, `SELECT label FROM item ORDER BY CROWDORDER(label, 'rank')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = RunSink(op, ctx, func(Row) error {
-		if firstRowComparisons < 0 {
-			firstRowComparisons = ctx.Stats.Comparisons
-		}
-		rows++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 16 {
-		t.Fatalf("rows: %d", rows)
-	}
-	if firstRowComparisons < 0 || firstRowComparisons >= ctx.Stats.Comparisons {
-		t.Errorf("no streaming: %d comparisons at first row, %d total",
-			firstRowComparisons, ctx.Stats.Comparisons)
+	for _, tc := range []struct {
+		name, sql string
+		rows      int
+		fixture   func(t *testing.T) (*harness, *Ctx)
+	}{
+		{"crowdorder", `SELECT label FROM item ORDER BY CROWDORDER(label, 'rank')`, 16, func(t *testing.T) (*harness, *Ctx) {
+			h, ctx := crowdHarness(t, 7)
+			for i := 0; i < 16; i++ {
+				h.insert(t, "item", Row{str(fmt.Sprintf("i%02d", (i*7)%16))})
+			}
+			return h, ctx
+		}},
+		{"crowdequal", `SELECT id FROM v WHERE NOT (a ~= b)`, 4, func(t *testing.T) (*harness, *Ctx) {
+			return crowdFilterFixture(t, 7)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, ctx := tc.fixture(t)
+			want := h.runCtx(t, ctx, tc.sql)
+
+			h, ctx2 := tc.fixture(t)
+			op, err := h.compile(ctx2, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstRowDecisions := -1
+			var got []Row
+			err = RunSink(op, ctx2, func(r Row) error {
+				if firstRowDecisions < 0 {
+					firstRowDecisions = ctx2.Tasks.Stats().Decisions
+				}
+				got = append(got, r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != tc.rows || rowsKey(got) != rowsKey(want) {
+				t.Fatalf("streamed rows diverge from Run's:\n%v\nvs\n%v", got, want)
+			}
+			if ctx2.Stats.Comparisons != ctx.Stats.Comparisons {
+				t.Errorf("comparisons: %d streamed, %d through Run", ctx2.Stats.Comparisons, ctx.Stats.Comparisons)
+			}
+			if final := ctx2.Tasks.Stats().Decisions; firstRowDecisions >= final {
+				t.Errorf("no streaming: %d decisions at first row, %d total", firstRowDecisions, final)
+			}
+		})
 	}
 }
 
