@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,6 +99,45 @@ func TestOpenWithoutPlatform(t *testing.T) {
 	res, err := db.Query("SELECT COUNT(*) FROM t")
 	if err != nil || res.Rows[0][0].Int() != 2 {
 		t.Errorf("crowd-free engine: %v %v", res, err)
+	}
+}
+
+// TestAggregateUnderAnyExpression: an aggregate call is a leaf of the
+// ordinary expression, so every operator and scalar function may wrap one,
+// in the select list and in HAVING alike.
+func TestAggregateUnderAnyExpression(t *testing.T) {
+	db, err := Open(Config{AllowUnbounded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, sql := range []string{
+		"CREATE TABLE m (id INTEGER PRIMARY KEY, name STRING, x INTEGER)",
+		"INSERT INTO m VALUES (1, 'ann', 2), (2, 'bob', 5), (3, 'amy', 3), (4, 'al', 2), (5, 'cy', NULL)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sql, want := range map[string]string{
+		"SELECT COUNT(*) FROM m HAVING COUNT(*) BETWEEN 2 AND 5":                  "[[5]]",
+		"SELECT MAX(x) FROM m HAVING MAX(x) IN (2, 5)":                            "[[5]]",
+		"SELECT UPPER(MIN(name)) FROM m":                                          "[[AL]]",
+		"SELECT COALESCE(SUM(x), 0), COALESCE(SUM(x), 0) + 1 FROM m WHERE id > 3": "[[2 3]]",
+		"SELECT MIN(name) FROM m HAVING MIN(name) IS NOT NULL":                    "[[al]]",
+		"SELECT MIN(name) || '!' FROM m":                                          "[[al!]]",
+		"SELECT MIN(name) FROM m HAVING MIN(name) LIKE 'b%'":                      "[]",
+		"SELECT COUNT(*), COALESCE(SUM(x), 0) FROM m WHERE id > 9999":             "[[0 0]]",
+		"SELECT COUNT(*), 5 FROM m WHERE id > 9999":                               "[[0 5]]",
+	} {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Errorf("%s: %v", sql, err)
+			continue
+		}
+		if got := fmt.Sprint(res.Rows); got != want {
+			t.Errorf("%s = %s, want %s", sql, got, want)
+		}
 	}
 }
 

@@ -90,6 +90,18 @@ func TestStatementTrace(t *testing.T) {
 	if probe.Attrs["answers"] == "" || probe.Attrs["posted_at"] == "" {
 		t.Errorf("probe span lacks lifecycle attrs: %v", probe.Attrs)
 	}
+
+	// CrowdJoin's tuple solicitation keeps its own span name.
+	tr = eng.Tracer().Start("t-join")
+	q = "SELECT n.name FROM Talk t JOIN NotableAttendee n ON n.title = t.title WHERE t.title = " +
+		sqltypes.NewString(conf.Talks[1].Title).SQLLiteral()
+	if _, err := eng.Execute(context.Background(), q, ExecOpts{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Tracer().Finish(tr)
+	if spans := eng.Tracer().Lookup("t-join").JSON().FindSpans("crowd:join_tuples"); len(spans) == 0 || !strings.EqualFold(spans[0].Attrs["table"], "NotableAttendee") {
+		t.Errorf("CrowdJoin trace: want a crowd:join_tuples span on NotableAttendee, got %d such spans", len(spans))
+	}
 }
 
 // TestEngineOwnedTraces checks that statements run without a caller trace

@@ -66,44 +66,61 @@ func refAggregate(node *plan.Aggregate, input []Row, schema []plan.Col) ([]Row, 
 	return out, nil
 }
 
+// refEvalAggExpr evaluates an expression of the aggregate's output over
+// one group: every aggregate call becomes a literal of its value over the
+// group's rows, then the name-resolving evaluator runs over the group's
+// first row — an all-NULL row when the group is empty.
 func refEvalAggExpr(e parser.Expr, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
-	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		return refComputeAggregate(fc, rows, schema)
+	folded, err := refFoldAggregates(e, rows, schema)
+	if err != nil {
+		return sqltypes.Value{}, err
+	}
+	first := make(Row, len(schema))
+	if len(rows) > 0 {
+		first = rows[0]
+	}
+	return refEval(folded, &refCtx{schema: schema, row: first, coerce: true})
+}
+
+// refFoldAggregates copies e with each aggregate call replaced by a literal
+// of its value; an aggregate's own argument is left alone, so one nested in
+// it fails in refEval as it does per row.
+func refFoldAggregates(e parser.Expr, rows []Row, schema []plan.Col) (parser.Expr, error) {
+	var err error
+	fold := func(x parser.Expr) parser.Expr {
+		if err != nil || x == nil {
+			return x
+		}
+		var out parser.Expr
+		out, err = refFoldAggregates(x, rows, schema)
+		return out
+	}
+	folds := func(xs []parser.Expr) []parser.Expr {
+		out := make([]parser.Expr, len(xs))
+		for i, x := range xs {
+			out[i] = fold(x)
+		}
+		return out
 	}
 	switch x := e.(type) {
+	case *parser.FuncCall:
+		if x.IsAggregate() {
+			v, err := refComputeAggregate(x, rows, schema)
+			return &parser.Literal{Val: v}, err
+		}
+		e = &parser.FuncCall{Name: x.Name, Args: folds(x.Args), Star: x.Star}
 	case *parser.BinaryExpr:
-		if parser.HasAggregate(e) {
-			l, err := refEvalAggExpr(x.L, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			r, err := refEvalAggExpr(x.R, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			switch x.Op {
-			case "AND", "OR":
-				return refEvalLogic(x.Op, l, r)
-			case "=", "<>", "<", "<=", ">", ">=":
-				return refEvalBinary(&parser.BinaryExpr{Op: x.Op,
-					L: &parser.Literal{Val: l}, R: &parser.Literal{Val: r}}, &refCtx{})
-			default:
-				return refEvalArith(x.Op, l, r)
-			}
-		}
+		e = &parser.BinaryExpr{Op: x.Op, L: fold(x.L), R: fold(x.R)}
 	case *parser.UnaryExpr:
-		if parser.HasAggregate(e) {
-			v, err := refEvalAggExpr(x.E, rows, schema)
-			if err != nil {
-				return sqltypes.Value{}, err
-			}
-			return refEval(&parser.UnaryExpr{Op: x.Op, E: &parser.Literal{Val: v}}, &refCtx{})
-		}
+		e = &parser.UnaryExpr{Op: x.Op, E: fold(x.E)}
+	case *parser.IsNullExpr:
+		e = &parser.IsNullExpr{E: fold(x.E), CNull: x.CNull, Neg: x.Neg}
+	case *parser.InExpr:
+		e = &parser.InExpr{E: fold(x.E), List: folds(x.List), Sub: x.Sub, Neg: x.Neg}
+	case *parser.BetweenExpr:
+		e = &parser.BetweenExpr{E: fold(x.E), Lo: fold(x.Lo), Hi: fold(x.Hi), Neg: x.Neg}
 	}
-	if len(rows) == 0 {
-		return sqltypes.Null(), nil
-	}
-	return refEval(e, &refCtx{schema: schema, row: rows[0]})
+	return e, err
 }
 
 func refComputeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sqltypes.Value, error) {
@@ -314,6 +331,15 @@ func TestAggregateMatchesBufferedReference(t *testing.T) {
 		{"having drops the failing group", "SELECT g, SUM(s) FROM m GROUP BY g HAVING g = 'num'", 1, ""},
 		{"having drops every failing group", "SELECT g, COUNT(*), MIN(x) FROM m GROUP BY g HAVING COUNT(*) < 2", 1, ""},
 		{"unread failing aggregate behind a false having", "SELECT SUM(s) FROM m HAVING COUNT(*) < 0", 0, ""},
+		{"having between over an aggregate", "SELECT g, COUNT(*) FROM m GROUP BY g HAVING COUNT(*) BETWEEN 2 AND 15", 4, ""},
+		{"having in over an aggregate", "SELECT g, MAX(i) FROM m GROUP BY g HAVING MAX(i) IN (0, 5)", 1, ""},
+		{"scalar function of an aggregate", "SELECT g, UPPER(MIN(s)) FROM m GROUP BY g", 5, ""},
+		{"coalesce of an aggregate", "SELECT g, COALESCE(SUM(z), 0), COALESCE(SUM(i), 0) FROM m GROUP BY g", 5, ""},
+		{"having is not null over an aggregate", "SELECT g FROM m GROUP BY g HAVING MIN(s) IS NOT NULL", 5, ""},
+		{"concatenation of an aggregate", "SELECT g, MIN(s) || '!' FROM m GROUP BY g", 5, ""},
+		{"having like over an aggregate", "SELECT g FROM m GROUP BY g HAVING MIN(s) LIKE 'w0%'", 4, ""},
+		{"aggregate of an aggregate", "SELECT SUM(COUNT(i)) FROM m", 0, "exec: aggregate COUNT outside aggregation context"},
+		{"literal under a global aggregate over zero rows", "SELECT COUNT(*), 5 FROM m WHERE id > 9999", 1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, gotErr, want, wantErr := h.bothAggregates(t, tc.sql)
@@ -330,6 +356,11 @@ func TestAggregateMatchesBufferedReference(t *testing.T) {
 				t.Fatalf("%d rows, the case expects %d: %v", len(got), tc.rows, got)
 			}
 		})
+	}
+	// The zero-row global group has an all-NULL first row: a column reads
+	// NULL there, a literal reads as itself.
+	if got, _, _, _ := h.bothAggregates(t, "SELECT COUNT(*), 5 FROM m WHERE id > 9999"); fmt.Sprint(got) != "[[0 5]]" {
+		t.Errorf("COUNT(*), 5 over zero rows: %v, want [[0 5]]", got)
 	}
 	// The 0x00 keys must not collide: 5 key values cycle under 4 groups.
 	got, _, _, _ := h.bothAggregates(t, "SELECT g, k, COUNT(*) FROM m GROUP BY g, k")

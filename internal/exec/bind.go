@@ -23,6 +23,9 @@ import (
 // label may be the paper's free variable `p`, which resolves nowhere and
 // falls back per row.
 //
+// An aggregate call binds to a bAgg node anywhere; GROUP BY's output reads
+// it off its group, so any expression there may wrap one.
+//
 // Nodes are 48 bytes, hold no strings of their own (a literal node points
 // at the AST's literal) and come from one slab per operator, sized by
 // nodeCount before the first is taken; a bare literal handed to BindRow or
@@ -48,8 +51,7 @@ const (
 	bArith                    // op: arithAdd… (0: not an arithmetic operator); kids: l, r; src: the *parser.BinaryExpr
 	bFunc                     // op: fnLower… (0: unknown); kids: the arguments; src: the *parser.FuncCall
 	bCrowdEq                  // kids: l, r and, for CROWDEQUAL's third argument, the question
-	bAgg                      // ord: the call's slot in its group's states, -1 for COUNT(*)
-	bFirst                    // kids: an aggregate-free expression, read off its group's first row
+	bAgg                      // op: aggCount…; kids: the argument, none for COUNT(*); ord: the call's slot in its group's states (aggregateOp.Open numbers them), -1 for COUNT(*); src: the *parser.FuncCall
 )
 
 const (
@@ -261,7 +263,10 @@ func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
 	case *parser.FuncCall:
 		switch {
 		case x.IsAggregate():
-			fail(dst, fmt.Errorf("exec: aggregate %s outside aggregation context", x.Name))
+			dst.kind, dst.op, dst.ord, dst.src = bAgg, aggFns[x.Name], -1, x
+			if !x.Star {
+				b.bindKids(dst, schema, x.Args...)
+			}
 		case x.Name == "CROWDORDER":
 			fail(dst, fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY"))
 		case len(x.Args) == 0:

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 
 	"crowddb/internal/catalog"
@@ -705,11 +706,19 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 
 	// CrowdProbe phase 2: solicit new tuples for CROWD tables (open world).
 	if ctx.Tasks != nil && s.node.Table.Crowd {
-		acquired, err := solicitTuples(ctx, s.node, filter, rows)
+		want, err := s.wantedTuples(filter, rows)
 		if err != nil {
 			return err
 		}
-		rows = append(rows, acquired...)
+		if want > 0 {
+			// The task manager only reads a prefill: the plan's keys serve.
+			acquired, err := solicitTuples(ctx, s.node.Table, "crowd:new_tuples",
+				[]taskmgr.TupleRequest{{Prefill: s.node.ProbeKeys, Want: want}})
+			if err != nil {
+				return err
+			}
+			rows = append(rows, acquired...)
+		}
 	}
 
 	// Final filter (now that CNULLs are instantiated) and stop-after for
@@ -825,77 +834,84 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 	return nil
 }
 
-// tupleWindow is the dispatch window of a tuple-soliciting operator.
-func tupleWindow(ctx *Ctx, span string) window[[][]map[string]string] {
-	return window[[][]map[string]string]{ctx: ctx, span: span, counter: &ctx.Stats.NewTupleRequests, tally: tupleTally}
-}
-
-// solicit posts one group soliciting reqs' candidate tuples for table.
-func solicit(w *window[[][]map[string]string], table string, reqs []taskmgr.TupleRequest) error {
-	want := 0
-	for _, r := range reqs {
-		want += r.Want
-	}
-	return w.post(want, func(sp *obs.Span) (*taskmgr.Call[[][]map[string]string], error) {
-		sp.SetAttr("table", table)
-		sp.SetInt("want", int64(want))
-		return w.ctx.Tasks.NewTuplesBatchAsync(table, reqs)
-	})
-}
-
-// solicitTuples asks the crowd for new tuples of a CROWD table, bounded by
-// probe keys (expected cardinality) and/or the pushed stop-after.
-func solicitTuples(ctx *Ctx, node *plan.Scan, filter *bound, existing []Row) ([]Row, error) {
-	t := node.Table
+// wantedTuples is how many new tuples CrowdProbe solicits: the probe
+// keys' expected cardinality minus the stored tuples that match, and/or
+// what the pushed stop-after leaves room for.
+func (s *crowdProbeScan) wantedTuples(filter *bound, existing []Row) (int, error) {
 	want := -1
-	if len(node.ProbeKeys) > 0 {
+	if len(s.node.ProbeKeys) > 0 {
 		matching := 0
 		for _, row := range existing {
 			ok, err := filter.keeps(row, nil)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if ok {
 				matching++
 			}
 		}
-		want = int(t.ExpectedCrowdCard()) - matching
+		want = int(s.node.Table.ExpectedCrowdCard()) - matching
 	}
-	if node.StopAfter >= 0 {
-		byLimit := int(node.StopAfter) - len(existing)
-		if want < 0 || byLimit < want {
+	if s.node.StopAfter >= 0 {
+		if byLimit := int(s.node.StopAfter) - len(existing); want < 0 || byLimit < want {
 			want = byLimit
 		}
 	}
-	if want <= 0 {
-		return nil, nil
-	}
-	prefill := make(map[string]sqltypes.Value, len(node.ProbeKeys))
-	for col, v := range node.ProbeKeys {
-		prefill[col] = v
-	}
-	w := tupleWindow(ctx, "crowd:new_tuples")
+	return want, nil
+}
+
+// solicitTuples asks the crowd for reqs' new tuples of CROWD table t and
+// returns the ones it accepted. The requests are split into up to
+// MaxInFlight groups that are all posted before any is collected, so the
+// next group's HITs are already live while the previous group's
+// candidates are being inserted.
+func solicitTuples(ctx *Ctx, t *catalog.Table, span string, reqs []taskmgr.TupleRequest) ([]Row, error) {
+	w := window[[][]map[string]string]{ctx: ctx, span: span, counter: &ctx.Stats.NewTupleRequests, tally: tupleTally}
 	defer w.close()
-	w.charge(want)
-	if err := solicit(&w, t.Name, []taskmgr.TupleRequest{{Prefill: prefill, Want: want}}); err != nil {
-		return nil, err
+	want := func(reqs []taskmgr.TupleRequest) (n int) {
+		for _, r := range reqs {
+			n += r.Want
+		}
+		return n
 	}
-	batches, err := w.collect()
-	if err != nil {
-		return nil, err
+	w.charge(want(reqs))
+	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+		units := want(chunk)
+		err := w.post(units, func(sp *obs.Span) (*taskmgr.Call[[][]map[string]string], error) {
+			sp.SetAttr("table", t.Name)
+			sp.SetInt("want", int64(units))
+			return ctx.Tasks.NewTuplesBatchAsync(t.Name, chunk)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	accepted, err := insertCandidates(ctx, t, batches[0])
-	if err == nil && len(node.ProbeKeys) > 0 {
-		// Cost-model feedback: accepted crowd tuples per solicited key.
-		// Only key-driven solicitations are representative — a stop-after
-		// fill ("give me 30 rows") would poison the per-key fanout EWMA.
-		t.ObserveCrowdFanout(1, int64(len(accepted)))
+	var accepted []Row
+	for w.open() {
+		batches, err := w.collect()
+		if err != nil {
+			return nil, err
+		}
+		for _, cands := range batches {
+			rows, err := insertCandidates(ctx, t, cands)
+			if err != nil {
+				return nil, err
+			}
+			accepted = append(accepted, rows...)
+		}
 	}
-	return accepted, err
+	// Cost-model feedback: accepted crowd tuples per solicited key. Only
+	// key-driven requests are representative — a stop-after fill ("give me
+	// 30 rows") would poison the per-key fanout EWMA.
+	if len(reqs[0].Prefill) > 0 {
+		t.ObserveCrowdFanout(int64(len(reqs)), int64(len(accepted)))
+	}
+	return accepted, nil
 }
 
 // insertCandidates coerces raw candidate tuples, inserts them (primary key
-// deduplicates crowd contributions), and returns the accepted rows.
+// and unique indexes deduplicate crowd contributions), and returns the
+// accepted rows.
 func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string) ([]Row, error) {
 	var out []Row
 	for _, cand := range candidates {
@@ -906,22 +922,13 @@ func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string
 			if !has {
 				raw = cand[c.Name]
 			}
-			if raw == "" || quality.IsGarbage(raw) {
+			v, err := sqltypes.NewString(strings.TrimSpace(raw)).Coerce(c.Type)
+			if raw == "" || quality.IsGarbage(raw) || err != nil {
 				if isPKColumn(t, c.Name) {
 					ok = false // unusable key: drop candidate
 					break
 				}
-				row[ci] = sqltypes.Null()
-				continue
-			}
-			v, err := sqltypes.NewString(strings.TrimSpace(raw)).Coerce(c.Type)
-			if err != nil {
-				if isPKColumn(t, c.Name) {
-					ok = false
-					break
-				}
-				row[ci] = sqltypes.Null()
-				continue
+				v = sqltypes.Null()
 			}
 			row[ci] = v
 		}
@@ -931,8 +938,12 @@ func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string
 		if _, err := ctx.Store.Insert(t.Name, row); err != nil {
 			// Duplicate key: another worker (or an earlier query) already
 			// contributed this entity — exactly the dedup the paper's PK
-			// requirement exists for.
-			continue
+			// requirement exists for. Any other failure loses a paid
+			// tuple: it is the statement's error.
+			if _, dup := err.(*storage.DuplicateKeyError); dup {
+				continue
+			}
+			return nil, err
 		}
 		t.RowWritten(nil, row)
 		out = append(out, row)
@@ -1019,9 +1030,20 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		matches[storage.IndexKey(row[rightColIdx])] = append(matches[storage.IndexKey(row[rightColIdx])], row)
 	}
 
-	if ctx.Tasks != nil {
-		if err := j.solicitMissing(ctx, keys, matches, innerFilter); err != nil {
+	if reqs := j.missingRequests(keys, matches); ctx.Tasks != nil && len(reqs) > 0 {
+		accepted, err := solicitTuples(ctx, t, "crowd:join_tuples", reqs)
+		if err != nil {
 			return err
+		}
+		for _, row := range accepted {
+			ok, err := innerFilter.keeps(row, nil)
+			if err != nil {
+				return err
+			}
+			if ok {
+				kk := storage.IndexKey(row[rightColIdx])
+				matches[kk] = append(matches[kk], row)
+			}
 		}
 	}
 
@@ -1044,75 +1066,27 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	return nil
 }
 
-// solicitMissing asks the crowd for the inner tuples the stored data
-// lacks — one TupleRequest per distinct outer key, wanting the expected
-// fan-out minus the stored matches — and files the accepted ones under
-// matches when filter (the inner scan's pushed predicate) keeps them. The
-// keys are split into up to MaxInFlight groups that are all posted before
-// any is collected, so the next group's HITs are already live while the
-// previous group's candidates are being inserted.
-func (j *crowdJoin) solicitMissing(ctx *Ctx, keys []sqltypes.Value, matches map[string][]Row, filter *bound) error {
-	t := j.scan.Table
-	rightColIdx := t.ColumnIndex(j.rightCol)
-	w := tupleWindow(ctx, "crowd:join_tuples")
-	defer w.close()
+// missingRequests asks for the inner tuples the stored data lacks: one
+// request per distinct outer key, its join column prefilled, wanting the
+// expected fan-out minus the stored matches.
+func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches map[string][]Row) []taskmgr.TupleRequest {
 	var reqs []taskmgr.TupleRequest
 	seen := map[string]bool{}
 	for _, k := range keys {
-		if k.IsUnknown() {
-			continue
-		}
 		kk := storage.IndexKey(k)
-		if seen[kk] {
+		if k.IsUnknown() || seen[kk] {
 			continue
 		}
 		seen[kk] = true
-		want := int(t.ExpectedCrowdCard()) - len(matches[kk])
+		want := int(j.scan.Table.ExpectedCrowdCard()) - len(matches[kk])
 		if want <= 0 {
 			continue
 		}
 		prefill := map[string]sqltypes.Value{strings.ToLower(j.rightCol): k}
-		for col, v := range j.scan.ProbeKeys {
-			prefill[col] = v
-		}
+		maps.Copy(prefill, j.scan.ProbeKeys)
 		reqs = append(reqs, taskmgr.TupleRequest{Prefill: prefill, Want: want})
-		w.charge(want)
 	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
-		if err := solicit(&w, t.Name, chunk); err != nil {
-			return err
-		}
-	}
-	totalAccepted := int64(0)
-	for w.open() {
-		batches, err := w.collect()
-		if err != nil {
-			return err
-		}
-		for _, cands := range batches {
-			accepted, err := insertCandidates(ctx, t, cands)
-			if err != nil {
-				return err
-			}
-			totalAccepted += int64(len(accepted))
-			for _, row := range accepted {
-				ok, err := filter.keeps(row, nil)
-				if err != nil {
-					return err
-				}
-				if ok {
-					kk := storage.IndexKey(row[rightColIdx])
-					matches[kk] = append(matches[kk], row)
-				}
-			}
-		}
-	}
-	// Cost-model feedback: accepted crowd tuples per solicited key.
-	t.ObserveCrowdFanout(int64(len(reqs)), totalAccepted)
-	return nil
+	return reqs
 }
 
 func (j *crowdJoin) NextBatch(ctx *Ctx) (*Batch, error) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"crowddb/internal/plan"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/ui"
 )
@@ -194,5 +196,65 @@ func TestPrefetchSkipsTrivialAndUnknownPairs(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0][0].Int() != 1 {
 		t.Errorf("only the trivially-equal row qualifies: %v", rows)
+	}
+}
+
+// personOracle contributes the i-th person to every solicitation, with the
+// prefilled columns as shown.
+type personOracle struct{ orderOracle }
+
+func (personOracle) NewTupleTruth(_ string, prefill map[string]sqltypes.Value, i int) *crowd.SimTruth {
+	truth := map[string]string{"name": fmt.Sprintf("person-%d", i)}
+	for col, v := range prefill {
+		truth[col] = v.String()
+	}
+	return &crowd.SimTruth{Truth: truth}
+}
+
+// TestSolicitedTupleInsertErrorFailsStatement: a crowd tuple the store
+// cannot write — for any reason but a duplicate key — is the statement's
+// error, not a silently dropped answer the crowd was paid for. Both
+// tuple-soliciting operators go through the one insert.
+func TestSolicitedTupleInsertErrorFailsStatement(t *testing.T) {
+	for _, tc := range []struct{ name, sql string }{
+		{"CrowdProbe", "SELECT name FROM person LIMIT 2"},
+		{"CrowdJoin", "SELECT t.title, p.name FROM talk t JOIN person p ON p.title = t.title"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := storage.NewStoreOptions(t.TempDir(), storage.Options{Shards: 1, Sync: storage.SyncGroup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &harness{cat: catalog.New(), store: st}
+			h.createTable(t, &catalog.Table{
+				Name:    "talk",
+				Columns: []catalog.Column{{Name: "title", Type: sqltypes.TypeString, PrimaryKey: true}},
+			})
+			h.createTable(t, &catalog.Table{
+				Name:  "person",
+				Crowd: true,
+				Columns: []catalog.Column{
+					{Name: "name", Type: sqltypes.TypeString, PrimaryKey: true},
+					{Name: "title", Type: sqltypes.TypeString},
+				},
+			})
+			h.insert(t, "talk", Row{str("CrowdDB")})
+			uim := ui.NewManager(h.cat)
+			uim.GenerateAll()
+			tm := taskmgr.New(&scriptCrowd{}, uim, quality.NewTracker(), nil, personOracle{}, taskmgr.DefaultConfig())
+			ctx := &Ctx{Store: st, Cat: h.cat, Tasks: tm, Cache: NewCompareCache()}
+			op, err := h.compile(ctx, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close() // the next sync writes to a closed file
+			rows, err := Run(op, ctx)
+			if ctx.Stats.NewTupleRequests == 0 {
+				t.Fatalf("the statement solicited no tuples (rows %v, error %v)", rows, err)
+			}
+			if err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("rows %v, error %v: want the I/O error", rows, err)
+			}
+		})
 	}
 }

@@ -305,17 +305,13 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 	case bCrowdEq:
 		return n.crowdEqual(row, env)
 	case bAgg:
+		if env == nil || env.group == nil {
+			return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", n.src.(*parser.FuncCall).Name)
+		}
 		if n.ord < 0 {
 			return sqltypes.NewInt(env.group.rows), nil
 		}
 		return env.group.states[n.ord].value(n.op)
-	case bFirst:
-		// Legal because the planner enforced grouping; a global aggregate
-		// over no rows has no first row.
-		if row == nil {
-			return sqltypes.Null(), nil
-		}
-		return n.kids[0].eval(row, nil)
 	}
 	t, err := n.test(row, env)
 	if err != nil {

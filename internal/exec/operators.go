@@ -565,17 +565,11 @@ type aggregateOp struct {
 	node  *plan.Aggregate
 	input Operator
 	out   batchEmitter
-	// calls are the aggregate calls (COUNT(*) aside: the group counts its
-	// rows) the select list and HAVING read, in first-use order: a call's
-	// index is its slot in a group's states.
-	calls  []aggCall
+	// calls are the bAgg nodes (COUNT(*) aside: the group counts its rows)
+	// the select list and HAVING read, in first-use order: a call's index
+	// is its slot in a group's states.
+	calls  []*bound
 	groups int64
-}
-
-// aggCall is one aggregate call: which aggregate, over what.
-type aggCall struct {
-	fn  uint8 // aggCount…
-	arg *bound
 }
 
 const (
@@ -611,55 +605,6 @@ type aggState struct {
 
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
 
-// bindOut binds an expression of the aggregate's output (a select item or
-// HAVING) into dst. Aggregate calls — reached through operators, not
-// through function arguments — read their group's accumulated state and
-// register themselves in a.calls; every aggregate-free operand reads the
-// group's first row.
-func (a *aggregateOp) bindOut(b *binder, dst *bound, e parser.Expr, in []plan.Col) {
-	if fc, ok := e.(*parser.FuncCall); ok && fc.IsAggregate() {
-		dst.kind, dst.op, dst.ord = bAgg, aggFns[fc.Name], -1
-		if !fc.Star {
-			dst.ord = int32(len(a.calls))
-			a.calls = append(a.calls, aggCall{fn: dst.op, arg: b.bind(fc.Args[0], in)})
-		}
-		return
-	}
-	if parser.HasAggregate(e) {
-		switch x := e.(type) {
-		case *parser.BinaryExpr:
-			// Over aggregates an operator is a connective, a comparison or,
-			// failing both, arithmetic.
-			switch op := cmpOps[x.Op]; {
-			case x.Op == "AND":
-				dst.kind = bAnd
-			case x.Op == "OR":
-				dst.kind = bOr
-			case op != 0:
-				dst.kind, dst.op = bCmp, op
-			default:
-				dst.kind, dst.op, dst.src = bArith, arithOps[x.Op], x
-			}
-			dst.kids = b.take(2)
-			a.bindOut(b, &dst.kids[0], x.L, in)
-			a.bindOut(b, &dst.kids[1], x.R, in)
-			return
-		case *parser.UnaryExpr:
-			if x.Op == "NOT" || x.Op == "-" {
-				dst.kind = bNot
-				if x.Op == "-" {
-					dst.kind = bNeg
-				}
-				dst.kids = b.take(1)
-				a.bindOut(b, &dst.kids[0], x.E, in)
-				return
-			}
-		}
-	}
-	dst.kind, dst.kids = bFirst, b.take(1)
-	b.bindInto(&dst.kids[0], e, in)
-}
-
 func (a *aggregateOp) Open(ctx *Ctx) error {
 	if err := a.input.Open(ctx); err != nil {
 		return err
@@ -667,24 +612,13 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	a.out, a.calls = batchEmitter{}, nil
 	var b binder
 	in := a.input.Schema()
-	n := 2 * nodeCount(a.node.Having) // bindOut wraps an aggregate-free operand in one more node
-	for _, it := range a.node.Items {
-		n += 2 * nodeCount(it.Expr)
-	}
-	for _, g := range a.node.GroupBy {
-		n += nodeCount(g)
-	}
-	b.grow(n)
-	items := b.take(len(a.node.Items))
-	for i, it := range a.node.Items {
-		a.bindOut(&b, &items[i], it.Expr, in)
-	}
-	var having *bound
-	if a.node.Having != nil {
-		having = &b.take(1)[0]
-		a.bindOut(&b, having, a.node.Having, in)
-	}
 	keys := b.bindAll(len(a.node.GroupBy), func(i int) parser.Expr { return a.node.GroupBy[i] }, in)
+	items := b.bindAll(len(a.node.Items), func(i int) parser.Expr { return a.node.Items[i].Expr }, in)
+	having := b.bind(a.node.Having, in)
+	for i := range items {
+		a.number(&items[i])
+	}
+	a.number(having)
 
 	var (
 		groupSlab slab[aggGroup]
@@ -700,14 +634,14 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	}
 	groups := make(map[string]*aggGroup)
 	for {
-		in, err := a.input.NextBatch(ctx)
+		batch, err := a.input.NextBatch(ctx)
 		if err != nil {
 			return err
 		}
-		if in.Len() == 0 {
+		if batch.Len() == 0 {
 			break
 		}
-		for _, r := range in.Rows {
+		for _, r := range batch.Rows {
 			keyBuf = keyBuf[:0]
 			for i := range keys {
 				v, err := keys[i].eval(r, nil)
@@ -723,13 +657,14 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			}
 			grp.rows++
 			for i := range a.calls {
-				grp.states[i].add(&a.calls[i], r)
+				grp.states[i].add(a.calls[i], r)
 			}
 		}
 	}
-	// A global aggregate over zero rows still produces one row.
+	// A global aggregate over zero rows still produces one row; its
+	// columns read NULL.
 	if len(a.node.GroupBy) == 0 && len(order) == 0 {
-		newGroup(nil)
+		newGroup(make(Row, len(in)))
 	}
 	a.groups = int64(len(order))
 	w := len(items)
@@ -737,14 +672,12 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	var env evalEnv
 	for _, grp := range order {
 		env.group = grp
-		if having != nil {
-			keep, err := having.keeps(grp.first, &env)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
+		keep, err := having.keeps(grp.first, &env)
+		if err != nil {
+			return err
+		}
+		if !keep {
+			continue
 		}
 		out := Row(vals[:w:w])
 		vals = vals[w:]
@@ -760,13 +693,22 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	b := a.out.next(ctx)
-	if b == nil {
-		return nil, nil
+// number gives each aggregate call under n — not under another's
+// argument, where it stays out of place — its slot in a group's states.
+func (a *aggregateOp) number(n *bound) {
+	switch {
+	case n == nil:
+	case n.kind != bAgg:
+		for i := range n.kids {
+			a.number(&n.kids[i])
+		}
+	case len(n.kids) > 0:
+		n.ord = int32(len(a.calls))
+		a.calls = append(a.calls, n)
 	}
-	return b, nil
 }
+
+func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) { return a.out.next(ctx), nil }
 
 func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
 
@@ -774,8 +716,8 @@ func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.r
 
 // add folds the row's argument value into the state. SQL aggregates skip
 // NULLs (and CNULLs).
-func (s *aggState) add(c *aggCall, row Row) {
-	v, err := c.arg.eval(row, nil)
+func (s *aggState) add(c *bound, row Row) {
+	v, err := c.kids[0].eval(row, nil)
 	if err != nil {
 		if s.evalErr == nil {
 			s.evalErr = err
@@ -789,11 +731,11 @@ func (s *aggState) add(c *aggCall, row Row) {
 	if s.err != nil {
 		return
 	}
-	switch c.fn {
+	switch c.op {
 	case aggSum, aggAvg:
 		f, err := v.Coerce(sqltypes.TypeFloat)
 		if err != nil {
-			s.err = fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.fn], v)
+			s.err = fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.op], v)
 			return
 		}
 		s.sum += f.Float()
@@ -807,10 +749,10 @@ func (s *aggState) add(c *aggCall, row Row) {
 		}
 		c2, ok := sqltypes.Compare(v, s.best)
 		if !ok {
-			s.err = fmt.Errorf("exec: %s over incomparable values", aggNames[c.fn])
+			s.err = fmt.Errorf("exec: %s over incomparable values", aggNames[c.op])
 			return
 		}
-		if (c.fn == aggMin && c2 < 0) || (c.fn == aggMax && c2 > 0) {
+		if (c.op == aggMin && c2 < 0) || (c.op == aggMax && c2 > 0) {
 			s.best = v
 		}
 	}

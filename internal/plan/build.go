@@ -248,14 +248,15 @@ func bindSortKey(e parser.Expr, schema []Col) error {
 	return firstErr
 }
 
-// checkGrouping enforces that non-aggregate select items appear in GROUP BY.
+// checkGrouping enforces that non-aggregate select items appear in GROUP BY;
+// a literal is the same in every group.
 func checkGrouping(items []parser.SelectItem, groupBy []parser.Expr) error {
 	keys := map[string]bool{}
 	for _, g := range groupBy {
 		keys[g.String()] = true
 	}
 	for _, it := range items {
-		if parser.HasAggregate(it.Expr) {
+		if _, lit := it.Expr.(*parser.Literal); lit || parser.HasAggregate(it.Expr) {
 			continue
 		}
 		if !keys[it.Expr.String()] {

@@ -326,21 +326,12 @@ func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, ndjson) {
+		resp.Body.Close()
+		return nil, fmt.Errorf("client: submit: the server answered %q, want %s", ct, ndjson)
+	}
 	job := &Job{c: c}
 	var accepted JobStatus
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), ndjson) {
-		// A server without submit-and-stream: the body is the resource.
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err == nil {
-			err = decodeStatus(data, &accepted)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("client: submit: job resource: %w", err)
-		}
-		job.id = accepted.ID
-		return job, nil
-	}
 	it := newRowIter(job, resp.Body)
 	err = io.ErrUnexpectedEOF // a stream that ends before its first line
 	if it.sc.Scan() {

@@ -189,9 +189,16 @@ func TestClientStreamRowsReconnects(t *testing.T) {
 }
 
 // TestClientStreamRowsGivesUp: a stream that never produces a trailer
-// exhausts its reconnect budget and surfaces a transport error.
+// exhausts its reconnect budget and surfaces a transport error, and a
+// submit answered with a plain job resource instead of a stream is an
+// error naming what came back.
 func TestClientStreamRowsGivesUp(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintln(w, `{"id":"j1","state":"queued"}`)
+		}
 		// Always drop without a trailer.
 	}))
 	defer ts.Close()
@@ -199,6 +206,9 @@ func TestClientStreamRowsGivesUp(t *testing.T) {
 	_, _, err := c.Job("j1").StreamRows(context.Background(), 0, 2, func(client.Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "did not recover after 2 reconnects") {
 		t.Fatalf("err = %v, want reconnect exhaustion", err)
+	}
+	if job, err := c.Submit(context.Background(), "SELECT 1;"); err == nil || !strings.Contains(err.Error(), `answered "application/json"`) {
+		t.Fatalf("Submit = %v, %v; want an error naming the content type", job, err)
 	}
 }
 
