@@ -190,3 +190,59 @@ func TestPredictedVsActualFeedback(t *testing.T) {
 			res.Predicted.Cents, res2.Predicted.Cents)
 	}
 }
+
+// TestKeysAreExactWhereCompareIs: a primary key, GROUP BY, DISTINCT, an
+// equi-join and an index all tell values apart exactly where comparison
+// does — integers one apart past 2^53, which float64 cannot tell apart,
+// and the two zeros, which are equal.
+func TestKeysAreExactWhereCompareIs(t *testing.T) {
+	db, err := Open(Config{AllowUnbounded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, c := range []struct {
+		name  string
+		setup []string
+		query string
+		want  string
+	}{
+		{"primary key past 2^53", []string{
+			"CREATE TABLE b (k INTEGER PRIMARY KEY, s STRING)",
+			"INSERT INTO b VALUES (9007199254740992, 'a')",
+			"INSERT INTO b VALUES (9007199254740993, 'b')",
+		}, "SELECT k, s FROM b ORDER BY k", "[[9007199254740992 a] [9007199254740993 b]]"},
+		{"GROUP BY past 2^53", []string{
+			"CREATE TABLE g (id INTEGER PRIMARY KEY, k INTEGER)",
+			"INSERT INTO g VALUES (1, 9007199254740992), (2, 9007199254740993)",
+		}, "SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY k", "[[9007199254740992 1] [9007199254740993 1]]"},
+		{"DISTINCT past 2^53", nil,
+			"SELECT DISTINCT k FROM g ORDER BY k", "[[9007199254740992] [9007199254740993]]"},
+		{"equi-join past 2^53", []string{
+			"CREATE TABLE j (id INTEGER PRIMARY KEY, k INTEGER)",
+			"INSERT INTO j VALUES (1, 9007199254740993)",
+		}, "SELECT g.id, j.id FROM g JOIN j ON g.k = j.k", "[[2 1]]"},
+		// `x = 0` counts both zeros, with or without the fix.
+		{"GROUP BY over both zeros", []string{
+			"CREATE TABLE h (n INTEGER PRIMARY KEY, x FLOAT)",
+			"INSERT INTO h VALUES (1, -0.0), (2, 0.0)",
+		}, "SELECT COUNT(*) FROM h GROUP BY x", "[[2]]"},
+		{"DISTINCT over both zeros", nil, "SELECT DISTINCT x FROM h", "[[-0]]"},
+		{"an index finds both zeros", []string{"CREATE INDEX hx ON h (x)"},
+			"SELECT n FROM h WHERE x = 0 ORDER BY n", "[[1] [2]]"},
+	} {
+		for _, sql := range c.setup {
+			if _, err := db.Exec(sql); err != nil {
+				t.Errorf("%s: %s: %v", c.name, sql, err)
+			}
+		}
+		res, err := db.Query(c.query)
+		if err != nil {
+			t.Errorf("%s: %s: %v", c.name, c.query, err)
+			continue
+		}
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("%s: %s = %s, want %s", c.name, c.query, got, c.want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -76,12 +77,16 @@ const (
 )
 
 // Value is a runtime SQL value. The zero Value is NULL.
+//
+// It is four words: every row image, batch, sort key and aggregate state
+// is an array of Values. A STRING keeps its payload in s; INTEGER, FLOAT
+// and BOOLEAN share n (the int64's bits, math.Float64bits, or 0/1), so ==
+// on two Values compares float bits: −0.0 and 0.0 differ and a NaN equals
+// itself. Compare values with Compare, Equal or Identical.
 type Value struct {
-	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Constructors.
@@ -96,13 +101,18 @@ func CNull() Value { return Value{kind: KindCNull} }
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
 
 // NewInt returns an INTEGER value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind returns the runtime kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -120,18 +130,27 @@ func (v Value) IsUnknown() bool { return v.kind == KindNull || v.kind == KindCNu
 func (v Value) Str() string { return v.s }
 
 // Int returns the integer payload. It is only meaningful for KindInt.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // Float returns the float payload, coercing from int if needed.
 func (v Value) Float() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.n))
+	case KindFloat:
+		return math.Float64frombits(v.n)
+	default:
+		return 0
 	}
-	return v.f
 }
 
 // Bool returns the boolean payload. It is only meaningful for KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.kind == KindBool && v.n != 0 }
 
 // TypeOf returns the schema type a value naturally carries.
 func (v Value) TypeOf() Type {
@@ -159,11 +178,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -192,8 +211,8 @@ func (v Value) Coerce(t Type) (Value, error) {
 	case TypeInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f == float64(int64(v.f)) {
-				return NewInt(int64(v.f)), nil
+			if f := math.Float64frombits(v.n); f == float64(int64(f)) {
+				return NewInt(int64(f)), nil
 			}
 			return Value{}, fmt.Errorf("sqltypes: cannot coerce %v to INTEGER without loss", v)
 		case KindString:
@@ -203,15 +222,12 @@ func (v Value) Coerce(t Type) (Value, error) {
 			}
 			return NewInt(i), nil
 		case KindBool:
-			if v.b {
-				return NewInt(1), nil
-			}
-			return NewInt(0), nil
+			return NewInt(int64(v.n)), nil
 		}
 	case TypeFloat:
 		switch v.kind {
 		case KindInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(int64(v.n))), nil
 		case KindString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -222,7 +238,7 @@ func (v Value) Coerce(t Type) (Value, error) {
 	case TypeBool:
 		switch v.kind {
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.n != 0), nil
 		case KindString:
 			switch strings.ToUpper(strings.TrimSpace(v.s)) {
 			case "TRUE", "T", "YES", "1":
@@ -237,7 +253,8 @@ func (v Value) Coerce(t Type) (Value, error) {
 
 // Compare orders two values. It returns <0, 0, >0 like strings.Compare, and
 // ok=false when either side is unknown (NULL/CNULL) or the kinds are
-// incomparable. Numeric kinds compare cross-kind via float widening.
+// incomparable. Numeric kinds compare cross-kind by value: an INTEGER is
+// never rounded to a float64 first. A NaN compares equal to every number.
 func Compare(a, b Value) (cmp int, ok bool) {
 	if a.IsUnknown() || b.IsUnknown() {
 		return 0, false
@@ -246,40 +263,50 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	case a.kind == KindString && b.kind == KindString:
 		return strings.Compare(a.s, b.s), true
 	case a.kind == KindBool && b.kind == KindBool:
-		switch {
-		case a.b == b.b:
-			return 0, true
-		case b.b:
-			return -1, true
-		default:
-			return 1, true
-		}
-	case a.isNumeric() && b.isNumeric():
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1, true
-			case a.i > b.i:
-				return 1, true
-			default:
-				return 0, true
-			}
-		}
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return order(int64(a.n), int64(b.n)), true
+	case a.kind == KindInt && b.kind == KindInt:
+		return order(int64(a.n), int64(b.n)), true
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return order(math.Float64frombits(a.n), math.Float64frombits(b.n)), true
+	case a.kind == KindInt && b.kind == KindFloat:
+		return cmpIntFloat(int64(a.n), math.Float64frombits(b.n)), true
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -cmpIntFloat(int64(b.n), math.Float64frombits(a.n)), true
 	default:
 		return 0, false
 	}
 }
 
-func (v Value) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+// order is -1, 0 or 1 by < and >; a NaN is neither, so it orders as equal.
+func order[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// cmpIntFloat orders i against f exactly; float64(i) rounds once |i| > 2^53.
+// Inside int64's range int64(math.Trunc(f)) is exact, and f's fraction
+// breaks a tie.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := order(i, int64(t)); c != 0 {
+		return c
+	}
+	return order(t, f)
+}
 
 // SortCompare is a total order used by ORDER BY and B-tree keys: NULL sorts
 // first, then CNULL, then values by Compare; incomparable kinds order by
@@ -331,9 +358,16 @@ func Identical(a, b Value) bool {
 }
 
 // AppendKey appends a value's order-preserving key encoding to dst (the
-// encoding B-tree indexes and hash keys are built from): SortCompare(a,b)
-// agrees with bytes.Compare of the two encodings for values of the same
-// column type. Callers that build many keys reuse dst's backing array.
+// encoding B-tree indexes and hash keys are built from): for two numbers,
+// two strings or two booleans, bytes.Compare of the encodings agrees with
+// SortCompare, so two values get one key exactly when Compare calls them
+// equal. Callers that build many keys reuse dst's backing array.
+//
+// A number is 0x03 and its value as an order-preserving float64. An INTEGER
+// that float64 cannot hold is that float rounded toward −∞ followed by the
+// two-byte remainder (1–2047), so it sorts after the float and before the
+// next one; −0.0 encodes as +0.0. A NaN keeps its own bits and sorts after
+// +Inf, although Compare calls it equal to every number.
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
@@ -341,26 +375,30 @@ func AppendKey(dst []byte, v Value) []byte {
 	case KindCNull:
 		return append(dst, 0x01)
 	case KindBool:
-		if v.b {
-			return append(dst, 0x02, 0x01)
+		return append(dst, 0x02, byte(v.n))
+	case KindFloat:
+		return binary.BigEndian.AppendUint64(append(dst, 0x03), keyBits(v.n))
+	case KindInt:
+		i := int64(v.n)
+		f := float64(i)
+		if f >= 1<<63 || int64(f) > i {
+			f = math.Nextafter(f, math.Inf(-1))
 		}
-		return append(dst, 0x02, 0x00)
-	case KindInt, KindFloat:
-		return binary.BigEndian.AppendUint64(append(dst, 0x03), floatBits(v.Float()))
+		dst = binary.BigEndian.AppendUint64(append(dst, 0x03), keyBits(math.Float64bits(f)))
+		if r := i - int64(f); r != 0 {
+			dst = binary.BigEndian.AppendUint16(dst, uint16(r))
+		}
+		return dst
 	default:
 		return append(append(dst, 0x04), v.s...)
 	}
 }
 
-// EncodeKey is AppendKey as a string.
-func EncodeKey(v Value) string {
-	var buf [16]byte
-	return string(AppendKey(buf[:0], v))
-}
-
-// floatBits maps a float64 to bits whose unsigned order is the float order.
-func floatBits(f float64) uint64 {
-	bits := mathFloat64bits(f)
+// keyBits maps float64 bits to bits whose unsigned order is the float order.
+func keyBits(bits uint64) uint64 {
+	if bits == 1<<63 {
+		bits = 0 // −0.0 keys as +0.0
+	}
 	if bits&(1<<63) != 0 {
 		return ^bits // negative: flip all
 	}

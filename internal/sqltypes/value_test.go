@@ -1,11 +1,14 @@
 package sqltypes
 
 import (
+	"bytes"
+	"cmp"
 	"math"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseType(t *testing.T) {
@@ -113,9 +116,11 @@ func TestSortCompareTotalOrder(t *testing.T) {
 	}
 }
 
-func TestEncodeKeyOrderPreservingInts(t *testing.T) {
+// key is AppendKey on a fresh slice.
+func key(v Value) []byte { return AppendKey(nil, v) }
+
+func TestAppendKeyOrderPreservingInts(t *testing.T) {
 	check := func(a, b int64) bool {
-		ka, kb := EncodeKey(NewInt(a)), EncodeKey(NewInt(b))
 		want := 0
 		switch {
 		case a < b:
@@ -123,19 +128,18 @@ func TestEncodeKeyOrderPreservingInts(t *testing.T) {
 		case a > b:
 			want = 1
 		}
-		return strings.Compare(ka, kb) == want
+		return bytes.Compare(key(NewInt(a)), key(NewInt(b))) == want
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestEncodeKeyOrderPreservingFloats(t *testing.T) {
+func TestAppendKeyOrderPreservingFloats(t *testing.T) {
 	check := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		ka, kb := EncodeKey(NewFloat(a)), EncodeKey(NewFloat(b))
 		want := 0
 		switch {
 		case a < b:
@@ -143,33 +147,85 @@ func TestEncodeKeyOrderPreservingFloats(t *testing.T) {
 		case a > b:
 			want = 1
 		}
-		return strings.Compare(ka, kb) == want
+		return bytes.Compare(key(NewFloat(a)), key(NewFloat(b))) == want
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestEncodeKeyOrderPreservingStrings(t *testing.T) {
+func TestAppendKeyOrderPreservingStrings(t *testing.T) {
 	check := func(a, b string) bool {
-		return strings.Compare(EncodeKey(NewString(a)), EncodeKey(NewString(b))) ==
-			strings.Compare(a, b)
+		return bytes.Compare(key(NewString(a)), key(NewString(b))) == strings.Compare(a, b)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: SortCompare agrees with EncodeKey byte order for same-type values.
-func TestSortCompareAgreesWithEncodeKey(t *testing.T) {
+// Property: SortCompare agrees with AppendKey byte order for same-type values.
+func TestSortCompareAgreesWithAppendKey(t *testing.T) {
 	check := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)
-		sc := SortCompare(va, vb)
-		kc := strings.Compare(EncodeKey(va), EncodeKey(vb))
-		return (sc < 0) == (kc < 0) && (sc == 0) == (kc == 0)
+		return cmp.Compare(SortCompare(va, vb), 0) == bytes.Compare(key(va), key(vb))
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestValueIsFourWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// fuzzValue builds a value of one of the six kinds from fuzz inputs.
+func fuzzValue(kind uint8, i int64, f float64, s string) Value {
+	switch kind % 6 {
+	case 0:
+		return Null()
+	case 1:
+		return CNull()
+	case 2:
+		return NewString(s)
+	case 3:
+		return NewInt(i)
+	case 4:
+		return NewFloat(f)
+	default:
+		return NewBool(i&1 != 0)
+	}
+}
+
+// FuzzValueKey: the byte order of two keys is SortCompare's (checkKeyOrder).
+func FuzzValueKey(f *testing.F) {
+	const p53 = 1 << 53
+	f.Add(uint8(3), int64(p53), 0.0, "", uint8(3), int64(p53+1), 0.0, "")
+	f.Add(uint8(4), int64(0), math.Copysign(0, -1), "", uint8(4), int64(0), 0.0, "")
+	f.Add(uint8(3), int64(p53+1), 0.0, "", uint8(4), int64(0), float64(p53), "")
+	f.Add(uint8(3), int64(math.MaxInt64), 0.0, "", uint8(4), int64(0), float64(1<<63), "")
+	f.Add(uint8(3), int64(math.MinInt64), 0.0, "", uint8(4), int64(0), math.Inf(-1), "")
+	f.Add(uint8(2), int64(0), 0.0, "a\x00b", uint8(2), int64(0), 0.0, "a")
+	f.Add(uint8(5), int64(1), 0.0, "", uint8(5), int64(0), 0.0, "")
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string) {
+		checkKeyOrder(t, fuzzValue(ka, ia, fa, sa), fuzzValue(kb, ib, fb, sb))
+	})
+}
+
+// checkKeyOrder: for two non-NaN numbers of either kind, two strings or two
+// booleans, bytes.Compare of the keys is the sign of SortCompare.
+func checkKeyOrder(t *testing.T, a, b Value) {
+	t.Helper()
+	numeric := func(v Value) bool {
+		return v.Kind() == KindInt || v.Kind() == KindFloat && !math.IsNaN(v.Float())
+	}
+	if !(numeric(a) && numeric(b)) && (a.Kind() != b.Kind() || a.Kind() != KindString && a.Kind() != KindBool) {
+		return
+	}
+	if got, want := bytes.Compare(key(a), key(b)), cmp.Compare(SortCompare(a, b), 0); got != want {
+		t.Errorf("%v (%v) vs %v (%v): keys order %d, SortCompare %d\n% x\n% x",
+			a, a.Kind(), b, b.Kind(), got, want, key(a), key(b))
 	}
 }
 

@@ -38,7 +38,7 @@ type node struct {
 func (n *node) leaf() bool { return len(n.children) == 0 }
 
 // BTree is an in-memory B-tree keyed by order-preserving string encodings
-// (see sqltypes.EncodeKey). Deletion removes row IDs from entries and leaves
+// (see sqltypes.AppendKey). Deletion removes row IDs from entries and leaves
 // empty entries as tombstones; the tree compacts itself when tombstones
 // outnumber live keys.
 type BTree struct {
