@@ -141,6 +141,47 @@ func TestAggregateUnderAnyExpression(t *testing.T) {
 	}
 }
 
+// TestOrderByAggregateNotSelected: ORDER BY may name an aggregate the
+// select list lacks, bare or inside an expression, with or without LIMIT.
+// The Aggregate computes it as a hidden column the result does not show.
+func TestOrderByAggregateNotSelected(t *testing.T) {
+	db, err := Open(Config{AllowUnbounded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, sql := range []string{
+		"CREATE TABLE t (id INTEGER PRIMARY KEY, g STRING, v INTEGER)",
+		// a: 3 rows, SUM 6, spread 2; b: 1 row, SUM 10, spread 0; c: 2 rows, SUM 9, spread 1.
+		"INSERT INTO t VALUES (1, 'a', 1), (2, 'b', 10), (3, 'a', 2), (4, 'c', 4), (5, 'a', 3), (6, 'c', 5)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ sql, cols, want string }{
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*) DESC LIMIT 2", "[g]", "[[a] [c]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*) DESC", "[g]", "[[a] [c] [b]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*) * 2", "[g]", "[[b] [c] [a]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY COUNT(*) * 2 DESC LIMIT 1", "[g]", "[[a]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY SUM(v)", "[g]", "[[a] [c] [b]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY SUM(v) DESC LIMIT 1 OFFSET 1", "[g]", "[[c]]"},
+		{"SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY MAX(v) - MIN(v), g LIMIT 2", "[g COUNT(*)]", "[[b 1] [c 2]]"},
+		{"SELECT g AS grp FROM t GROUP BY g HAVING COUNT(*) > 1 ORDER BY SUM(v) DESC", "[grp]", "[[c] [a]]"},
+		{"SELECT COUNT(*) FROM t GROUP BY g ORDER BY SUM(v), COUNT(*)", "[COUNT(*)]", "[[3] [2] [1]]"},
+		{"SELECT g FROM t GROUP BY g ORDER BY SUM(v), SUM(v) DESC LIMIT 2", "[g]", "[[a] [c]]"},
+	} {
+		res, err := db.Query(c.sql)
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+			continue
+		}
+		if cols, got := fmt.Sprint(res.Columns), fmt.Sprint(res.Rows); cols != c.cols || got != c.want {
+			t.Errorf("%s = %s %s, want %s %s", c.sql, cols, got, c.cols, c.want)
+		}
+	}
+}
+
 // TestExplainReportsCosts: EXPLAIN annotates every operator with the cost
 // model's predicted cents and seconds, plus the statement total.
 func TestExplainReportsCosts(t *testing.T) {

@@ -1053,7 +1053,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 			continue
 		}
 		for _, r := range matches[storage.IndexKey(keys[i])] {
-			combined := append(append(Row{}, l...), r...)
+			combined := concatRows(l, r)
 			ok, err := residual.keeps(combined, nil)
 			if err != nil {
 				return err

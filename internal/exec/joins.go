@@ -36,6 +36,11 @@ func (c *rowCursor) next(ctx *Ctx) (Row, error) {
 	return c.batch.Rows[c.pos-1], nil
 }
 
+// concatRows is the joined row of l and r, in one allocation.
+func concatRows(l, r Row) Row {
+	return append(append(make(Row, 0, len(l)+len(r)), l...), r...)
+}
+
 // nlJoin is the general nested-loop join (inner, cross, left outer) with an
 // arbitrary ON condition; the right side is buffered, the left streams.
 type nlJoin struct {
@@ -83,7 +88,7 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		for j.rpos < len(j.rightRows) {
 			r := j.rightRows[j.rpos]
 			j.rpos++
-			combined := append(append(Row{}, j.cur...), r...)
+			combined := concatRows(j.cur, r)
 			ok, err := j.on.keeps(combined, nil)
 			if err != nil {
 				return nil, err
@@ -128,7 +133,9 @@ type hashJoin struct {
 	residual parser.Expr
 
 	lk, res *bound
-	table   map[string][]Row
+	table   keyTable[int32] // key → its bucket
+	buckets [][]Row         // the build rows of each key, in arrival order
+	keyBuf  []byte
 	built   int64
 	cur     Row
 	bkt     []Row
@@ -164,7 +171,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	b.grow(nodeCount(j.leftKey) + nodeCount(j.rightKey) + nodeCount(j.residual))
 	rk := b.bind(j.rightKey, j.right.Schema())
 	j.lk, j.res = b.bind(j.leftKey, j.left.in.Schema()), b.bind(j.residual, j.Schema())
-	j.table = make(map[string][]Row, j.buildSizeHint())
+	j.table, j.buckets = newKeyTable[int32](j.buildSizeHint()), nil
 	j.built = 0
 	for {
 		b, err := j.right.NextBatch(ctx)
@@ -182,8 +189,14 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			if v.IsUnknown() {
 				continue // unknown keys never join
 			}
-			k := storage.IndexKey(v)
-			j.table[k] = append(j.table[k], r)
+			j.keyBuf = storage.AppendIndexKey(j.keyBuf[:0], v)
+			at, ok := j.table.get(j.keyBuf)
+			if !ok {
+				at = int32(len(j.buckets))
+				j.buckets = append(j.buckets, nil)
+				j.table.put(j.keyBuf, at)
+			}
+			j.buckets[at] = append(j.buckets[at], r)
 			j.built++
 		}
 	}
@@ -196,7 +209,7 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		for j.bpos < len(j.bkt) {
 			r := j.bkt[j.bpos]
 			j.bpos++
-			combined := append(append(Row{}, j.cur...), r...)
+			combined := concatRows(j.cur, r)
 			ok, err := j.res.keeps(combined, nil)
 			if err != nil {
 				return nil, err
@@ -216,9 +229,12 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		if v.IsUnknown() {
 			continue
 		}
-		j.cur = l
-		j.bkt = j.table[storage.IndexKey(v)]
-		j.bpos = 0
+		j.keyBuf = storage.AppendIndexKey(j.keyBuf[:0], v)
+		at, ok := j.table.get(j.keyBuf)
+		if !ok {
+			continue
+		}
+		j.cur, j.bkt, j.bpos = l, j.buckets[at], 0
 	}
 }
 

@@ -42,7 +42,6 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -314,64 +313,10 @@ func reverseRows(rows []Row) {
 
 // plainSort consumes the input and leaves in s.rows, in output order, the
 // first node.StopAfter rows of its stable sort — all of them when there is
-// no bound. A row's place is decided by its keys and then by when it
-// arrived, which makes the stable order a total one: no two rows tie, so
-// which rows are the first k does not depend on how they were found.
-//
-// The keys are evaluated once into one flat array and the sort moves slot
-// numbers, not rows: swapping integers needs no write barrier, so what a
-// sort costs does not depend on whether the collector happens to be
-// marking while it runs.
+// no bound (see topK).
 func (s *sortOp) plainSort(ctx *Ctx) error {
-	nk, keep := len(s.node.Keys), s.node.StopAfter
-	var b binder
-	keys := b.bindAll(nk, func(i int) parser.Expr { return s.node.Keys[i].Expr }, s.Schema())
-	var (
-		rows    []Row
-		vals    []sqltypes.Value // vals[i*nk:][:nk] are the keys of rows[i]
-		arrival []int64          // rows[i] was the arrival[i]-th input row
-		worst   []int32          // once keep rows are held: a heap of their slots, the last in output order on top
-		arrived int64
-	)
-	byKeys := func(a, b []sqltypes.Value) int {
-		for ki, k := range s.node.Keys {
-			if c := sqltypes.SortCompare(a[ki], b[ki]); c != 0 {
-				if k.Desc {
-					return -c
-				}
-				return c
-			}
-		}
-		return 0
-	}
-	after := func(a, b int32) int {
-		if c := byKeys(vals[int(a)*nk:][:nk], vals[int(b)*nk:][:nk]); c != 0 {
-			return c
-		}
-		return cmp.Compare(arrival[a], arrival[b])
-	}
-	sift := func(i int) {
-		for {
-			top := i
-			for c := 2*i + 1; c <= 2*i+2 && c < len(worst); c++ {
-				if after(worst[c], worst[top]) > 0 {
-					top = c
-				}
-			}
-			if top == i {
-				return
-			}
-			worst[i], worst[top] = worst[top], worst[i]
-			i = top
-		}
-	}
-	slots := func() []int32 {
-		out := make([]int32, len(rows))
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
+	top := newTopK(s.node.Keys, s.node.StopAfter, s.Schema())
+	var rows []Row // rows[slot]
 	for {
 		in, err := s.input.NextBatch(ctx)
 		if err != nil {
@@ -381,41 +326,17 @@ func (s *sortOp) plainSort(ctx *Ctx) error {
 			break
 		}
 		for _, r := range in.Rows {
-			at := len(vals)
-			for ki := range keys {
-				v, err := keys[ki].eval(r, nil)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, v)
+			switch slot, err := top.offer(r); {
+			case err != nil:
+				return err
+			case slot == len(rows):
+				rows = append(rows, r)
+			case slot >= 0:
+				rows[slot] = r
 			}
-			arrived++
-			if keep < 0 || int64(len(rows)) < keep {
-				rows, arrival = append(rows, r), append(arrival, arrived)
-				if int64(len(rows)) == keep {
-					worst = slots()
-					for i := len(worst)/2 - 1; i >= 0; i-- {
-						sift(i)
-					}
-				}
-				continue
-			}
-			// Full: the row either displaces the kept row that sorts last
-			// or, arriving after it, loses the tie and is dropped.
-			if len(worst) > 0 && byKeys(vals[at:], vals[int(worst[0])*nk:][:nk]) < 0 {
-				w := worst[0]
-				copy(vals[int(w)*nk:], vals[at:])
-				rows[w], arrival[w] = r, arrived
-				sift(0)
-			}
-			vals = vals[:at]
 		}
 	}
-	order := worst
-	if order == nil {
-		order = slots()
-	}
-	slices.SortFunc(order, after)
+	order := top.sorted()
 	s.rows = make([]Row, len(order))
 	for i, at := range order {
 		s.rows[i] = rows[at]
@@ -518,15 +439,16 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 
 type distinctOp struct {
-	input Operator
-	seen  map[string]bool
-	buf   Batch
+	input  Operator
+	seen   keyTable[struct{}]
+	keyBuf []byte
+	buf    Batch
 }
 
 func (d *distinctOp) Schema() []plan.Col { return d.input.Schema() }
 
 func (d *distinctOp) Open(ctx *Ctx) error {
-	d.seen = make(map[string]bool)
+	d.seen = newKeyTable[struct{}](0)
 	return d.input.Open(ctx)
 }
 
@@ -541,9 +463,9 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		d.buf.reset()
 		for _, r := range b.Rows {
-			k := storage.IndexKey(r...)
-			if !d.seen[k] {
-				d.seen[k] = true
+			d.keyBuf = storage.AppendIndexKey(d.keyBuf[:0], r...)
+			if _, dup := d.seen.get(d.keyBuf); !dup {
+				d.seen.put(d.keyBuf, struct{}{})
 				d.buf.Rows = append(d.buf.Rows, r)
 			}
 		}
@@ -555,7 +477,7 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 
 func (d *distinctOp) Close(ctx *Ctx) error { return d.input.Close(ctx) }
 
-func (d *distinctOp) bufferedRows() int64 { return int64(len(d.seen)) }
+func (d *distinctOp) bufferedRows() int64 { return int64(d.seen.len()) }
 
 // ---------------------------------------------------------------------------
 // Aggregate: one pass, one running state per (group, aggregate call). No
@@ -597,10 +519,10 @@ type aggGroup struct {
 type aggState struct {
 	n       int64          // argument values that were not NULL/CNULL
 	sum     float64        // SUM/AVG: in arrival order
-	nonInt  bool           // SUM: some value was not an integer
 	best    sqltypes.Value // MIN/MAX
-	evalErr error          // first error evaluating the argument
-	err     error          // first error folding a value in
+	err     error          // the first error evaluating the argument, else the first folding a value in
+	evalErr bool           // err is an evaluation error
+	nonInt  bool           // SUM: some value was not an integer
 }
 
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
@@ -632,7 +554,7 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		order = append(order, grp)
 		return grp
 	}
-	groups := make(map[string]*aggGroup)
+	groups := newKeyTable[*aggGroup](0)
 	for {
 		batch, err := a.input.NextBatch(ctx)
 		if err != nil {
@@ -650,10 +572,10 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 				}
 				keyBuf = storage.AppendIndexKey(keyBuf, v)
 			}
-			grp, ok := groups[string(keyBuf)]
+			grp, ok := groups.get(keyBuf)
 			if !ok {
 				grp = newGroup(r)
-				groups[string(keyBuf)] = grp
+				groups.put(keyBuf, grp)
 			}
 			grp.rows++
 			for i := range a.calls {
@@ -667,10 +589,30 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		newGroup(make(Row, len(in)))
 	}
 	a.groups = int64(len(order))
-	w := len(items)
-	vals := make([]sqltypes.Value, len(order)*w)
-	var env evalEnv
-	for _, grp := range order {
+	return a.emit(order, items, having)
+}
+
+// emit evaluates HAVING and the output items over every group, in group
+// order, into one scratch row, and keeps the rows of the groups that pass:
+// all of them, or under TopKeys only the TopK the Sort above keeps — the
+// same ones, because ties in the keys go by group order as the Sort's go
+// by arrival. Only kept rows are materialised. A sort key's error surfaces
+// after the items' errors, where the Sort's own would.
+func (a *aggregateOp) emit(groups []*aggGroup, items []bound, having *bound) error {
+	w, n := len(items), len(groups)
+	var top *topK
+	if a.node.TopKeys != nil {
+		top = newTopK(a.node.TopKeys, a.node.TopK, a.Schema())
+		n = int(min(int64(n), a.node.TopK))
+	}
+	vals := make([]sqltypes.Value, (n+1)*w) // n rows, then the scratch row
+	scratch := Row(vals[n*w:])
+	rows := make([]Row, 0, n)
+	var (
+		env    evalEnv
+		keyErr error
+	)
+	for _, grp := range groups {
 		env.group = grp
 		keep, err := having.keeps(grp.first, &env)
 		if err != nil {
@@ -679,16 +621,34 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		if !keep {
 			continue
 		}
-		out := Row(vals[:w:w])
-		vals = vals[w:]
 		for i := range items {
-			v, err := items[i].eval(grp.first, &env)
-			if err != nil {
+			if scratch[i], err = items[i].eval(grp.first, &env); err != nil {
 				return err
 			}
-			out[i] = v
 		}
-		a.out.rows = append(a.out.rows, out)
+		slot := len(rows)
+		if top != nil {
+			if slot, err = top.offer(scratch); err != nil && keyErr == nil {
+				keyErr = err
+			}
+		}
+		if slot < 0 {
+			continue
+		}
+		if slot == len(rows) {
+			rows = append(rows, vals[slot*w:][:w:w])
+		}
+		copy(rows[slot], scratch)
+	}
+	if keyErr != nil {
+		return keyErr
+	}
+	a.out.rows = rows
+	if top != nil {
+		a.out.rows = make([]Row, len(rows))
+		for i, slot := range top.inArrival() {
+			a.out.rows[i] = rows[slot]
+		}
 	}
 	return nil
 }
@@ -719,8 +679,8 @@ func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.r
 func (s *aggState) add(c *bound, row Row) {
 	v, err := c.kids[0].eval(row, nil)
 	if err != nil {
-		if s.evalErr == nil {
-			s.evalErr = err
+		if !s.evalErr {
+			s.err, s.evalErr = err, true
 		}
 		return
 	}
@@ -760,8 +720,8 @@ func (s *aggState) add(c *bound, row Row) {
 
 // value is the aggregate's result over the rows folded in so far.
 func (s *aggState) value(fn uint8) (sqltypes.Value, error) {
-	if s.evalErr != nil {
-		return sqltypes.Value{}, s.evalErr
+	if s.evalErr {
+		return sqltypes.Value{}, s.err
 	}
 	if fn == aggCount {
 		return sqltypes.NewInt(s.n), nil

@@ -220,6 +220,9 @@ func (cm *costModel) compute(n plan.Node) plan.Cost {
 	case *plan.Aggregate:
 		c := cm.cost(x.Input)
 		c.Rows *= 0.1
+		if x.TopKeys != nil && float64(x.TopK) < c.Rows {
+			c.Rows = float64(x.TopK)
+		}
 		return c
 	case *plan.Sort:
 		return cm.sortCost(x)

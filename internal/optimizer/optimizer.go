@@ -67,7 +67,7 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 		root = o.reorderJoins(root)
 	}
 	if !opts.DisableStopAfter {
-		o.pushLimits(root, -1, true)
+		root = o.pushLimits(root, -1, true)
 	}
 	if !opts.DisableCostBased {
 		o.orderFilterPhases(root)
@@ -502,30 +502,45 @@ func describe(n plan.Node) string {
 // Rule 4: stop-after push-down
 
 // pushLimits walks down from Limit nodes, carrying the bound through
-// row-preserving Projects (exact) and through Sorts. A Sort whose keys the
-// machine compares keeps an exact bound for itself: only that many rows of
-// its output are ever read. Below a Sort the bound is a crowd-acquisition
-// bound only: stored rows still all participate in the sort, but the number
-// of *new* crowd tuples solicited is capped — the paper's stop-after rule
-// exists to bound crowd requests.
-func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) {
+// row-preserving Projects (exact) and through Sorts, and returns n or what
+// replaces it. A Sort whose keys the machine compares keeps an exact bound
+// for itself: only that many rows of its output are ever read. Such a Sort
+// moves below a Project that only copies its keys, so the projection runs
+// over the rows kept, and hands its keys and bound to an Aggregate under it,
+// which then builds only the groups kept. Below a Sort the bound is a
+// crowd-acquisition bound only: stored rows still all participate in the
+// sort, but the number of *new* crowd tuples solicited is capped — the
+// paper's stop-after rule exists to bound crowd requests.
+func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) plan.Node {
 	switch x := n.(type) {
 	case *plan.Limit:
 		b := x.N
 		if b >= 0 {
 			b += x.Offset
 		}
-		o.pushLimits(x.Input, b, true)
+		x.Input = o.pushLimits(x.Input, b, true)
 	case *plan.Project:
-		o.pushLimits(x.Input, bound, exact)
+		x.Input = o.pushLimits(x.Input, bound, exact)
 	case *plan.Sort:
-		if exact && bound >= 0 && !x.Crowd() {
-			x.StopAfter = bound
+		if !exact || bound < 0 || x.Crowd() {
+			x.Input = o.pushLimits(x.Input, bound, false)
+			return x
 		}
-		o.pushLimits(x.Input, bound, false)
+		x.StopAfter = bound
+		if p, ok := x.Input.(*plan.Project); ok {
+			if keys, ok := projectedKeys(x.Keys, p); ok {
+				x.Keys, x.Input, p.Input = keys, p.Input, x
+				p.Input = o.pushLimits(x, bound, true)
+				return p
+			}
+		}
+		if a, ok := x.Input.(*plan.Aggregate); ok {
+			a.TopKeys, a.TopK = x.Keys, bound
+		}
+		x.Input = o.pushLimits(x.Input, bound, false)
 	case *plan.Scan:
 		if bound < 0 {
-			return
+			return x
 		}
 		if x.Table.Crowd || x.Table.HasCrowdColumns() {
 			// Acquisition bound: cap crowd solicitation.
@@ -537,13 +552,48 @@ func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) {
 				x.StopAfter = bound
 			}
 		}
-	default:
-		// Filters, joins, aggregates, distinct: pushing a bound through
-		// would under-produce; recurse without a bound.
-		for _, c := range n.Children() {
-			o.pushLimits(c, -1, false)
+	case *plan.Filter:
+		x.Input = o.pushLimits(x.Input, -1, false)
+	case *plan.Aggregate:
+		x.Input = o.pushLimits(x.Input, -1, false)
+	case *plan.Distinct:
+		x.Input = o.pushLimits(x.Input, -1, false)
+	case *plan.Join:
+		// Pushing a bound through a filter, join, aggregate or distinct
+		// would under-produce; recurse without one.
+		x.Left = o.pushLimits(x.Left, -1, false)
+		x.Right = o.pushLimits(x.Right, -1, false)
+	}
+	return n
+}
+
+// projectedKeys rewrites sort keys over p's output to keys over p's input.
+// It succeeds when every key names an output column that p copies from an
+// input column and no item of p asks the crowd: moved below the sort, a
+// crowd item would be asked about fewer rows.
+func projectedKeys(keys []parser.OrderItem, p *plan.Project) ([]parser.OrderItem, bool) {
+	for _, it := range p.Items {
+		if parser.HasCrowdFunc(it.Expr) {
+			return nil, false
 		}
 	}
+	out := make([]parser.OrderItem, len(keys))
+	for i, k := range keys {
+		cr, ok := k.Expr.(*parser.ColumnRef)
+		if !ok {
+			return nil, false
+		}
+		at, err := plan.FindCol(p.Schema(), cr.Table, cr.Name)
+		if err != nil {
+			return nil, false
+		}
+		src, ok := p.Items[at].Expr.(*parser.ColumnRef)
+		if !ok {
+			return nil, false
+		}
+		out[i] = parser.OrderItem{Expr: src, Desc: k.Desc}
+	}
+	return out, true
 }
 
 // ---------------------------------------------------------------------------

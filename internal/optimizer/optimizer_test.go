@@ -197,6 +197,45 @@ func TestStopAfterOnSort(t *testing.T) {
 	}
 }
 
+// TestStopAfterMovesSortAndBoundsAggregate: a bounded machine-keyed Sort
+// moves below a Project that copies its keys (aliases rewritten to the
+// input column) and hands its keys and bound to an Aggregate under it. It
+// stays put over a Project that computes a key or asks the crowd, over
+// DISTINCT, without a bound, and with the rule off.
+func TestStopAfterMovesSortAndBoundsAggregate(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		sql  string
+		opts Options
+		want string
+	}{
+		{`SELECT rtitle, capacity AS c FROM Room ORDER BY c DESC LIMIT 3`, Options{},
+			"Limit(3)\n  Project(rtitle, capacity AS c)\n    Sort(capacity DESC) stopafter=3\n      Scan(Room)\n"},
+		{`SELECT rtitle, capacity * 2 AS c FROM Room ORDER BY rtitle LIMIT 3`, Options{},
+			"Limit(3)\n  Project(rtitle, (capacity * 2) AS c)\n    Sort(rtitle) stopafter=3\n      Scan(Room)\n"},
+		{`SELECT rtitle, capacity * 2 AS c FROM Room ORDER BY c LIMIT 3`, Options{},
+			"Limit(3)\n  Sort(c) stopafter=3\n    Project(rtitle, (capacity * 2) AS c)\n      Scan(Room)\n"},
+		{`SELECT rtitle, CROWDEQUAL(rtitle, 'x') FROM Room ORDER BY rtitle LIMIT 3`, Options{},
+			"Limit(3)\n  Sort(rtitle) stopafter=3\n    Project(rtitle, CROWDEQUAL(rtitle, 'x'))\n      Scan(Room)\n"},
+		{`SELECT DISTINCT rtitle FROM Room ORDER BY rtitle LIMIT 3`, Options{},
+			"Limit(3)\n  Sort(rtitle) stopafter=3\n    Distinct\n      Project(rtitle)\n        Scan(Room)\n"},
+		{`SELECT rtitle, capacity AS c FROM Room ORDER BY c DESC`, Options{},
+			"Sort(c DESC)\n  Project(rtitle, capacity AS c)\n    Scan(Room)\n"},
+		{`SELECT rtitle, capacity AS c FROM Room ORDER BY c DESC LIMIT 3`, Options{DisableStopAfter: true},
+			"Limit(3)\n  Sort(c DESC)\n    Project(rtitle, capacity AS c)\n      Scan(Room)\n"},
+		{`SELECT capacity, COUNT(*) FROM Room GROUP BY capacity ORDER BY COUNT(*) DESC LIMIT 2 OFFSET 1`, Options{},
+			"Limit(2 offset 1)\n  Sort(COUNT(*) DESC) stopafter=3\n    Aggregate(group=[capacity]) topk=3\n      Scan(Room)\n"},
+		{`SELECT capacity FROM Room GROUP BY capacity ORDER BY MAX(rtitle) LIMIT 0`, Options{},
+			"Limit(0)\n  Project(Room.capacity)\n    Sort(MAX(rtitle)) stopafter=0\n      Aggregate(group=[capacity]) topk=0\n        Scan(Room)\n"},
+		{`SELECT capacity, COUNT(*) FROM Room GROUP BY capacity ORDER BY COUNT(*) DESC LIMIT 2`, Options{DisableStopAfter: true},
+			"Limit(2)\n  Sort(COUNT(*) DESC)\n    Aggregate(group=[capacity])\n      Scan(Room)\n"},
+	} {
+		if got := plan.ExplainTree(optimize(t, cat, tc.sql, tc.opts).Root); got != tc.want {
+			t.Errorf("%s:\n%swant\n%s", tc.sql, got, tc.want)
+		}
+	}
+}
+
 func TestStopAfterNotPushedThroughFilterForStoredTables(t *testing.T) {
 	cat := testCatalog(t)
 	res := optimize(t, cat, `SELECT rtitle FROM Room WHERE capacity > 3 LIMIT 2`, Options{})

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"crowddb/internal/catalog"
@@ -182,12 +183,75 @@ func bindHaving(e parser.Expr, schema []Col) error { return bindExpr(e, schema) 
 // placeSort positions the Sort operator. SQL lets ORDER BY reference output
 // columns (aliases, select-list expressions) or, for plain projections,
 // input columns not in the select list — in the latter case the sort runs
-// below the projection.
+// below the projection. Over GROUP BY, a key holding an aggregate call the
+// select list lacks is computed by the Aggregate as a hidden column, which a
+// Project above the Sort drops again.
 func placeSort(root Node, sel *parser.Select) (Node, error) {
+	order := sel.OrderBy
+	var drop *Project
+	if agg, ok := root.(*Aggregate); ok && !sel.Distinct {
+		var err error
+		if order, drop, err = hideSortAggregates(agg, order); err != nil {
+			return nil, err
+		}
+	}
+	node, err := sortOn(root, order, sel.Distinct)
+	if err != nil || drop == nil {
+		return node, err
+	}
+	drop.Input = node
+	return drop, nil
+}
+
+// hideSortAggregates appends to agg, as hidden items, the ORDER BY keys that
+// hold an aggregate call and are not output columns, and returns the keys
+// with those rewritten to read the hidden columns, plus the Project (its
+// Input left to the caller) that keeps only the select list. It changes
+// nothing when no key needs a hidden column, or when a column would not
+// resolve by name afterwards.
+func hideSortAggregates(agg *Aggregate, order []parser.OrderItem) ([]parser.OrderItem, *Project, error) {
+	visible := len(agg.Items)
+	items := agg.Items[:visible:visible]
+	keys := append([]parser.OrderItem(nil), order...)
+	for i, k := range order {
+		if parser.HasCrowdFunc(k.Expr) || !parser.HasAggregate(k.Expr) {
+			continue
+		}
+		name := k.Expr.String()
+		if _, err := FindCol(agg.schema, "", name); err == nil {
+			continue // an output column: sortOn reads it as such
+		}
+		if err := bindExpr(k.Expr, agg.Input.Schema()); err != nil {
+			return nil, nil, err
+		}
+		if !slices.ContainsFunc(items[visible:], func(it parser.SelectItem) bool { return it.Expr.String() == name }) {
+			items = append(items, parser.SelectItem{Expr: k.Expr})
+		}
+		keys[i] = parser.OrderItem{Expr: &parser.ColumnRef{Name: name}, Desc: k.Desc}
+	}
+	if len(items) == visible {
+		return order, nil, nil
+	}
+	schema := outputSchema(items, agg.Input.Schema())
+	drop := &Project{schema: schema[:visible:visible]}
+	for i, c := range schema {
+		if at, err := FindCol(schema, c.Table, c.Name); err != nil || at != i {
+			return order, nil, nil
+		}
+	}
+	for _, c := range drop.schema {
+		drop.Items = append(drop.Items, parser.SelectItem{Expr: &parser.ColumnRef{Table: c.Table, Name: c.Name}})
+	}
+	agg.Items, agg.schema = items, schema
+	return keys, drop, nil
+}
+
+// sortOn places a Sort on keys over root (see placeSort).
+func sortOn(root Node, order []parser.OrderItem, distinct bool) (Node, error) {
 	outSchema := root.Schema()
-	keys := make([]parser.OrderItem, len(sel.OrderBy))
+	keys := make([]parser.OrderItem, len(order))
 	allOutput := true
-	for i, k := range sel.OrderBy {
+	for i, k := range order {
 		keys[i] = k
 		if parser.HasCrowdFunc(k.Expr) {
 			continue // crowd keys bind loosely at execution time
@@ -209,20 +273,20 @@ func placeSort(root Node, sel *parser.Select) (Node, error) {
 	}
 	// Keys reference pre-projection columns: sort under the projection.
 	proj, ok := root.(*Project)
-	if !ok || sel.Distinct {
-		for _, k := range sel.OrderBy {
+	if !ok || distinct {
+		for _, k := range order {
 			if err := bindSortKey(k.Expr, outSchema); err != nil {
 				return nil, err
 			}
 		}
-		return NewSort(root, sel.OrderBy), nil
+		return NewSort(root, order), nil
 	}
-	for _, k := range sel.OrderBy {
+	for _, k := range order {
 		if err := bindSortKey(k.Expr, proj.Input.Schema()); err != nil {
 			return nil, err
 		}
 	}
-	proj.Input = NewSort(proj.Input, sel.OrderBy)
+	proj.Input = NewSort(proj.Input, order)
 	return proj, nil
 }
 

@@ -226,6 +226,12 @@ type Aggregate struct {
 	// Items are the output select items (aggregates and group keys).
 	Items  []parser.SelectItem
 	Having parser.Expr
+	// TopKeys, when set, order the output as the bounded Sort above does,
+	// and only the TopK groups first in that order are output (in group
+	// order). The optimizer's stop-after rule hands them down from a Sort
+	// whose keys the machine compares.
+	TopKeys []parser.OrderItem
+	TopK    int64
 
 	schema []Col
 }
@@ -246,7 +252,11 @@ func (a *Aggregate) Explain() string {
 	if a.Having != nil {
 		s += " having=" + a.Having.String()
 	}
-	return s + ")"
+	s += ")"
+	if a.TopKeys != nil {
+		s += fmt.Sprintf(" topk=%d", a.TopK)
+	}
+	return s
 }
 
 // Sort orders rows. Keys containing CROWDORDER calls make the executor use

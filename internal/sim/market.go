@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -104,6 +105,21 @@ type group struct {
 	assignments []*crowd.Assignment // in submission order, which is time order
 	completed   int                 // HITs that are satisfied
 	expired     bool
+	pending     int // claimed assignments not yet submitted
+	unsettled   int // submitted assignments neither approved nor rejected
+}
+
+// IDs are sequential: an ID the market issued but no longer holds belongs
+// to a group it has forgotten (see forget), or to one of its assignments.
+const (
+	groupIDFormat      = "G%05d"
+	assignmentIDFormat = "A%07d"
+)
+
+// issued reports whether id is format's n-th ID for some n in 1..last.
+func issued(id, format string, last int) bool {
+	n, err := strconv.Atoi(id[min(1, len(id)):])
+	return err == nil && n >= 1 && n <= last && fmt.Sprintf(format, n) == id
 }
 
 // submission is what the market knows about one submitted assignment: every
@@ -117,7 +133,9 @@ type submission struct {
 
 // Market is the simulated labor marketplace both platforms are built on.
 // All methods are safe for concurrent use; the discrete-event clock runs
-// under the market mutex.
+// under the market mutex. It keeps a group only while it may still be
+// asked about it (see forget), so its memory follows the groups in flight,
+// not every group ever posted.
 type Market struct {
 	mu       sync.Mutex
 	cfg      Config
@@ -187,7 +205,7 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 	defer m.mu.Unlock()
 	m.nextGID++
 	g := &group{
-		id:   crowd.GroupID(fmt.Sprintf("G%05d", m.nextGID)),
+		id:   crowd.GroupID(fmt.Sprintf(groupIDFormat, m.nextGID)),
 		spec: spec,
 		hits: make([]hitState, len(spec.HITs)),
 	}
@@ -196,10 +214,49 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 	}
 	m.groups[g.id] = g
 	if spec.Expiry > 0 {
-		m.clock.Schedule(spec.Expiry, func() { g.expired = true })
+		// By ID: the event must not keep a forgotten group alive until it
+		// fires.
+		id := g.id
+		m.clock.Schedule(spec.Expiry, func() {
+			if g, ok := m.groups[id]; ok {
+				m.expire(g)
+			}
+		})
 	}
 	m.scheduleArrival(g)
 	return g.id, nil
+}
+
+// expire closes g to further answers.
+func (m *Market) expire(g *group) {
+	g.expired = true
+	m.forget(g)
+}
+
+// forget drops a group the market owes nothing more — done (complete or
+// expired), no claimed assignment still to come in, every submitted one
+// settled — with its assignments. A group nobody answered is kept: its
+// poster has yet to learn that from Status.
+func (m *Market) forget(g *group) {
+	done := g.expired || g.completed == len(g.hits)
+	if !done || g.pending > 0 || g.unsettled > 0 || len(g.assignments) == 0 {
+		return
+	}
+	for _, a := range g.assignments {
+		delete(m.subs, a.ID)
+	}
+	delete(m.groups, g.id)
+}
+
+// lookup finds a group the market holds.
+func (m *Market) lookup(id crowd.GroupID) (*group, error) {
+	if g, ok := m.groups[id]; ok {
+		return g, nil
+	}
+	if issued(string(id), groupIDFormat, m.nextGID) {
+		return nil, fmt.Errorf("sim: group %s is settled", id)
+	}
+	return nil, fmt.Errorf("sim: unknown group %s", id)
 }
 
 // arrivalRate computes the Poisson arrival rate (per hour) for a group:
@@ -227,7 +284,12 @@ func (m *Market) scheduleArrival(g *group) {
 	rate := m.arrivalRate(g) // per hour
 	// Exponential inter-arrival time.
 	gap := time.Duration(m.rng.ExpFloat64() / rate * float64(time.Hour))
-	m.clock.Schedule(gap, func() { m.arrive(g) })
+	id := g.id // by ID, as the expiry event
+	m.clock.Schedule(gap, func() {
+		if g, ok := m.groups[id]; ok {
+			m.arrive(g)
+		}
+	})
 }
 
 // arrive is one worker showing up for a group, claiming HITs, and
@@ -268,6 +330,7 @@ func (m *Market) arrive(g *group) {
 		elapsed += lat
 		hs := hs
 		at := elapsed
+		g.pending++
 		m.clock.Schedule(at, func() { m.submit(g, hs, w) })
 	}
 }
@@ -297,12 +360,14 @@ func (m *Market) pickWorker(fence *crowd.GeoFence) *Worker {
 
 // submit records one finished assignment with simulated answers.
 func (m *Market) submit(g *group, hs *hitState, w *Worker) {
+	g.pending--
 	if g.expired {
+		m.forget(g)
 		return
 	}
 	m.nextAID++
 	a := &crowd.Assignment{
-		ID:          fmt.Sprintf("A%07d", m.nextAID),
+		ID:          fmt.Sprintf(assignmentIDFormat, m.nextAID),
 		HITID:       hs.hit.ID,
 		WorkerID:    w.ID,
 		Status:      crowd.AssignmentSubmitted,
@@ -312,6 +377,7 @@ func (m *Market) submit(g *group, hs *hitState, w *Worker) {
 	wasSatisfied := hs.satisfied(g.spec.Assignments)
 	hs.answers = append(hs.answers, a)
 	g.assignments = append(g.assignments, a)
+	g.unsettled++
 	m.subs[a.ID] = submission{a: a, g: g, w: w}
 	w.Completed++
 	m.returned = append(m.returned, w) // one entry per completion = preferential attachment
@@ -421,9 +487,9 @@ func garbageAnswer(rng *rand.Rand) string {
 func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g, ok := m.groups[id]
-	if !ok {
-		return crowd.GroupStatus{}, fmt.Errorf("sim: unknown group %s", id)
+	g, err := m.lookup(id)
+	if err != nil {
+		return crowd.GroupStatus{}, err
 	}
 	return crowd.GroupStatus{Posted: len(g.hits), Completed: g.completed, Submitted: len(g.assignments), Expired: g.expired}, nil
 }
@@ -433,9 +499,9 @@ func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g, ok := m.groups[id]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown group %s", id)
+	g, err := m.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
@@ -452,9 +518,14 @@ func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 // settle moves a submitted assignment to its final status. An assignment
 // is settled once: only AssignmentSubmitted can be approved or rejected, so
 // a rejected answer is never paid afterwards and a paid one never loses its
-// Approved status while the worker keeps the money.
+// Approved status while the worker keeps the money. The last settlement of
+// a done group forgets it; an issued assignment the market no longer holds
+// was settled.
 func (m *Market) settle(assignmentID string, to crowd.AssignmentStatus) (submission, error) {
 	sub, ok := m.subs[assignmentID]
+	if !ok && issued(assignmentID, assignmentIDFormat, m.nextAID) {
+		return submission{}, fmt.Errorf("sim: assignment %s already settled", assignmentID)
+	}
 	if !ok {
 		return submission{}, fmt.Errorf("sim: unknown assignment %s", assignmentID)
 	}
@@ -462,6 +533,8 @@ func (m *Market) settle(assignmentID string, to crowd.AssignmentStatus) (submiss
 		return submission{}, fmt.Errorf("sim: assignment %s already settled", assignmentID)
 	}
 	sub.a.Status = to
+	sub.g.unsettled--
+	m.forget(sub.g)
 	return sub, nil
 }
 
@@ -495,11 +568,11 @@ func (m *Market) Reject(assignmentID, _ string) error {
 func (m *Market) Expire(id crowd.GroupID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g, ok := m.groups[id]
-	if !ok {
-		return fmt.Errorf("sim: unknown group %s", id)
+	g, err := m.lookup(id)
+	if err != nil {
+		return err
 	}
-	g.expired = true
+	m.expire(g)
 	return nil
 }
 

@@ -19,7 +19,8 @@ import (
 // HIT's workers in a map, Results sorted by time — and takes everything
 // random (arrivals, worker choice, answers, the clock, the worker pool,
 // the money counters) from an inner Market built from the same Config, so
-// equal seeds must give equal observations call for call.
+// equal seeds must give equal observations call for call. It never deletes
+// a group; a group the market must have forgotten is one settled says is.
 type naiveMarket struct {
 	inner  *Market
 	groups map[crowd.GroupID]*naiveGroup
@@ -38,6 +39,33 @@ type naiveGroup struct {
 	assignments []*crowd.Assignment
 	completed   int
 	expired     bool
+	pending     int // claims not yet submitted
+}
+
+// settled reports whether the market owes g nothing more: done, no claim
+// outstanding, at least one answer and every answer approved or rejected.
+func (g *naiveGroup) settled() bool {
+	if !(g.expired || g.completed == len(g.hits)) || g.pending > 0 || len(g.assignments) == 0 {
+		return false
+	}
+	for _, a := range g.assignments {
+		if a.Status == crowd.AssignmentSubmitted {
+			return false
+		}
+	}
+	return true
+}
+
+// group finds a group the market still holds.
+func (n *naiveMarket) group(id crowd.GroupID) (*naiveGroup, error) {
+	g, ok := n.groups[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("sim: unknown group %s", id)
+	case g.settled():
+		return nil, fmt.Errorf("sim: group %s is settled", id)
+	}
+	return g, nil
 }
 
 func newNaiveMarket(cfg Config) *naiveMarket {
@@ -103,12 +131,14 @@ func (n *naiveMarket) arrive(g *naiveGroup) {
 			math.Exp(m.rng.NormFloat64()*m.cfg.LatencySigma))
 		elapsed += lat
 		hs := hs
+		g.pending++
 		m.clock.Schedule(elapsed, func() { n.submit(g, hs, w) })
 	}
 }
 
 func (n *naiveMarket) submit(g *naiveGroup, hs *naiveHIT, w *Worker) {
 	m := n.inner
+	g.pending--
 	if g.expired {
 		return
 	}
@@ -163,9 +193,9 @@ func (n *naiveMarket) unanimousAboveQuorum(g *naiveGroup, hit *crowd.HIT) bool {
 }
 
 func (n *naiveMarket) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
-	g, ok := n.groups[id]
-	if !ok {
-		return crowd.GroupStatus{}, fmt.Errorf("sim: unknown group %s", id)
+	g, err := n.group(id)
+	if err != nil {
+		return crowd.GroupStatus{}, err
 	}
 	st := crowd.GroupStatus{Posted: len(g.hits), Expired: g.expired, Submitted: len(g.assignments)}
 	perHIT := make(map[string]int)
@@ -181,9 +211,9 @@ func (n *naiveMarket) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 }
 
 func (n *naiveMarket) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
-	g, ok := n.groups[id]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown group %s", id)
+	g, err := n.group(id)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
@@ -241,9 +271,9 @@ func (n *naiveMarket) Reject(assignmentID, _ string) error {
 }
 
 func (n *naiveMarket) Expire(id crowd.GroupID) error {
-	g, ok := n.groups[id]
-	if !ok {
-		return fmt.Errorf("sim: unknown group %s", id)
+	g, err := n.group(id)
+	if err != nil {
+		return err
 	}
 	g.expired = true
 	return nil
@@ -287,7 +317,8 @@ func modelGroup(rng *rand.Rand, serial int, adaptive bool) *crowd.HITGroup {
 // The indexed market and the naive reference, driven by the same random
 // Post/Step/Results/Approve/Reject/Expire sequence, agree on every answer
 // and on Status, Results (order included), TotalSpent and WorkerStats
-// after every call.
+// after every call, and the market holds exactly the groups the model says
+// are not yet settled.
 func TestMarketMatchesNaiveModel(t *testing.T) {
 	configs := map[string]func(*Config){
 		"default": func(*Config) {},
@@ -315,7 +346,7 @@ func runMarketModel(t *testing.T, cfg Config, adaptive bool, steps int) {
 	ops := rand.New(rand.NewSource(cfg.Seed + 1000))
 	var groups []crowd.GroupID
 	var seen []string // assignment IDs Results has returned, settled or not
-	ties := 0
+	ties, forgot := 0, 0
 
 	sameErr := func(op string, a, b error) {
 		t.Helper()
@@ -355,6 +386,23 @@ func runMarketModel(t *testing.T, cfg Config, adaptive bool, steps int) {
 			if pay != wpay {
 				t.Fatalf("step %d %s: paid %v, model %v", step, op, pay, wpay)
 			}
+		case k < 9:
+			// Settle a whole group, as the Task Manager collects one.
+			id := groups[ops.Intn(len(groups))]
+			op = fmt.Sprintf("SettleAll(%s)", id)
+			res, err := got.Results(id)
+			_, werr := want.Results(id)
+			sameErr(op, err, werr)
+			for _, a := range res {
+				if a.Status == crowd.AssignmentSubmitted {
+					pay, err := got.Approve(a.ID, 0)
+					wpay, werr := want.Approve(a.ID, 0)
+					sameErr(op, err, werr)
+					if pay != wpay {
+						t.Fatalf("step %d %s: paid %v, model %v", step, op, pay, wpay)
+					}
+				}
+			}
 		case len(seen) > 0:
 			aid := seen[ops.Intn(len(seen))]
 			if ops.Intn(10) == 0 {
@@ -385,6 +433,16 @@ func runMarketModel(t *testing.T, cfg Config, adaptive bool, steps int) {
 				}
 			}
 		}
+		held := 0
+		for _, g := range want.groups {
+			if !g.settled() {
+				held++
+			}
+		}
+		if len(got.groups) != held {
+			t.Fatalf("step %d after %s: the market holds %d groups, the model %d unsettled", step, op, len(got.groups), held)
+		}
+		forgot = max(forgot, len(want.groups)-held)
 		if a, b := got.TotalSpent(), want.inner.TotalSpent(); a != b {
 			t.Fatalf("step %d after %s: TotalSpent %v, model %v", step, op, a, b)
 		}
@@ -398,6 +456,9 @@ func runMarketModel(t *testing.T, cfg Config, adaptive bool, steps int) {
 	}
 	if got.TotalSubmitted() == 0 || got.TotalSpent() == 0 {
 		t.Fatalf("run exercised nothing: %d submitted, %v spent", got.TotalSubmitted(), got.TotalSpent())
+	}
+	if forgot == 0 {
+		t.Error("run forgot no group")
 	}
 	if cfg.LatencyMedian == 1 && ties == 0 {
 		t.Error("same-instant run produced no tied submissions")

@@ -377,7 +377,9 @@ func TestAdaptiveVotesFewerAssignments(t *testing.T) {
 
 // An assignment is settled once: Approve and Reject succeed only from
 // AssignmentSubmitted, so a second call of either kind changes neither
-// the money nor the status.
+// the money nor the status. Once the last assignment of a done group is
+// settled the market forgets the group: Status and Results say it is
+// settled, and settling any of its assignments again still fails.
 func TestMarketSettlesOnce(t *testing.T) {
 	const reward, bonus = 3, 2
 	approve := func(m *Market, id string) error { _, err := m.Approve(id, bonus); return err }
@@ -396,13 +398,13 @@ func TestMarketSettlesOnce(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMarket(DefaultConfig())
-			id, err := m.Post(testGroup(1, 1, reward))
+			id, err := m.Post(testGroup(1, 2, reward))
 			if err != nil {
 				t.Fatal(err)
 			}
 			m.Step(48 * time.Hour)
 			res, err := m.Results(id)
-			if err != nil || len(res) != 1 {
+			if err != nil || len(res) != 2 {
 				t.Fatalf("results: %v, %d assignments", err, len(res))
 			}
 			if err := tc.first(m, res[0].ID); err != nil {
@@ -414,13 +416,40 @@ func TestMarketSettlesOnce(t *testing.T) {
 			if got := m.TotalSpent(); got != tc.spent {
 				t.Errorf("TotalSpent = %v, want %v", got, tc.spent)
 			}
-			stats := m.WorkerStats()
-			if len(stats) != 1 || stats[0].ID != res[0].WorkerID || stats[0].Earned != tc.spent {
-				t.Errorf("WorkerStats = %+v, want %s with Earned %v", stats, res[0].WorkerID, tc.spent)
+			for _, w := range m.WorkerStats() {
+				if want := map[bool]crowd.Cents{true: tc.spent}[w.ID == res[0].WorkerID]; w.Earned != want {
+					t.Errorf("worker %s earned %v, want %v", w.ID, w.Earned, want)
+				}
 			}
 			after, _ := m.Results(id)
-			if after[0].Status != tc.status {
-				t.Errorf("status = %v, want %v", after[0].Status, tc.status)
+			if after[0].Status != tc.status || after[1].Status != crowd.AssignmentSubmitted {
+				t.Errorf("statuses = %v, %v, want %v, %v", after[0].Status, after[1].Status, tc.status, crowd.AssignmentSubmitted)
+			}
+
+			// The last settlement forgets the group.
+			if err := reject(m, res[1].ID); err != nil {
+				t.Fatalf("settling the other assignment: %v", err)
+			}
+			want := fmt.Sprintf("sim: group %s is settled", id)
+			if _, err := m.Status(id); fmt.Sprint(err) != want {
+				t.Errorf("Status of a settled group: %v, want %q", err, want)
+			}
+			if _, err := m.Results(id); fmt.Sprint(err) != want {
+				t.Errorf("Results of a settled group: %v, want %q", err, want)
+			}
+			for _, a := range res {
+				for name, settle := range map[string]func(*Market, string) error{"approve": approve, "reject": reject} {
+					want := fmt.Sprintf("sim: assignment %s already settled", a.ID)
+					if err := settle(m, a.ID); fmt.Sprint(err) != want {
+						t.Errorf("%s %s of a forgotten group: %v, want %q", name, a.ID, err, want)
+					}
+				}
+			}
+			if err := m.Reject("A9999999", "r"); fmt.Sprint(err) != "sim: unknown assignment A9999999" {
+				t.Errorf("an assignment never issued: %v", err)
+			}
+			if m.TotalSpent() != tc.spent || len(m.groups) != 0 || len(m.subs) != 0 {
+				t.Errorf("after forgetting: spent %v, %d groups, %d assignments held", m.TotalSpent(), len(m.groups), len(m.subs))
 			}
 		})
 	}
@@ -483,5 +512,83 @@ func TestMarketCostFlatInHistory(t *testing.T) {
 	if late > 3*fresh {
 		t.Errorf("a group after %d settled groups costs %v, %.1fx a fresh market's %v (want <= 3x)",
 			history, late, float64(late)/float64(fresh), fresh)
+	}
+}
+
+// TestMarketForgetsSettledGroups: a group the Task Manager has collected
+// and paid for leaves the market with its assignments, an expiry timer
+// still pending included; a group nobody answered stays for its poster to
+// read; a group closed early keeps its books until its last claimed
+// assignment is in and settled.
+func TestMarketForgetsSettledGroups(t *testing.T) {
+	m := NewMarket(DefaultConfig())
+	for i := 0; i < 50; i++ {
+		spec := testGroup(4, 3, 2)
+		spec.Expiry = 72 * time.Hour
+		settleGroup(t, m, spec)
+	}
+	if len(m.groups) != 0 || len(m.subs) != 0 {
+		t.Errorf("after settling 50 groups the market holds %d groups, %d assignments", len(m.groups), len(m.subs))
+	}
+
+	unanswered, err := m.Post(testGroup(2, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Expire(unanswered); err != nil {
+		t.Fatal(err)
+	}
+	m.Step(time.Hour)
+	if st, err := m.Status(unanswered); err != nil || !st.Done() || st.Submitted != 0 {
+		t.Errorf("a group nobody answered: %+v, %v", st, err)
+	}
+
+	// Adaptive votes close a HIT on unanimity while other claims on it are
+	// still out: the group is complete before its last answer arrives.
+	cfg := DefaultConfig()
+	cfg.Pool.SpammerFrac, cfg.Pool.GarbageRate, cfg.FormatNoiseRate = 0, 0, 0
+	cfg.Pool.AccuracyMean, cfg.Pool.AccuracySpread = 1, 0
+	cfg.LatencyMedian = 3 * time.Hour // claims stay out long after the first answers
+	m = NewMarket(cfg)
+	spec := testGroup(3, 5, 2)
+	spec.AdaptiveVotes = true
+	id, err := m.Post(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *group
+	for g = m.groups[id]; g.completed < len(g.hits); {
+		m.Step(time.Minute)
+	}
+	if g.pending == 0 {
+		t.Fatal("no claim was outstanding when the group completed")
+	}
+	for g.pending > 0 {
+		res, _ := m.Results(id)
+		for _, a := range res {
+			if a.Status == crowd.AssignmentSubmitted {
+				if _, err := m.Approve(a.ID, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, held := m.groups[id]; !held {
+			t.Fatalf("forgotten with %d claimed assignments still to come", g.pending)
+		}
+		m.Step(time.Minute)
+	}
+	res, err := m.Results(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res {
+		if a.Status == crowd.AssignmentSubmitted {
+			if _, err := m.Approve(a.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := m.Status(id); err == nil {
+		t.Error("the group is still held after its last assignment was settled")
 	}
 }
