@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -15,30 +14,6 @@ import (
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
-
-// The engine must work unchanged against the AMT HTTP binding — the same
-// networked lifecycle the paper's prototype had against the real AMT.
-func TestEngineOverHTTPPlatform(t *testing.T) {
-	conf := workload.NewConference(10, 31)
-	srv := httptest.NewServer(amt.NewServer(amt.NewDefault(31)))
-	defer srv.Close()
-
-	eng, err := Open(Config{
-		Platform: amt.NewClient(srv.URL),
-		Oracle:   conf.Oracle(),
-		Payment:  wrm.DefaultPolicy(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mustExec(t, eng, `CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING, nb_attendees CROWD INTEGER)`)
-	mustExec(t, eng, fmt.Sprintf("INSERT INTO Talk (title) VALUES ('%s')", conf.Talks[0].Title))
-	res := mustExec(t, eng, fmt.Sprintf("SELECT abstract FROM Talk WHERE title = '%s'", conf.Talks[0].Title))
-	if len(res.Rows) != 1 || res.Rows[0][0].IsUnknown() {
-		t.Fatalf("probe over HTTP failed: %v (stats %+v)", res.Rows, res.Stats)
-	}
-}
 
 // Platform outages must surface as statement errors without corrupting
 // the engine: stored data stays queryable and later crowd calls work.

@@ -4,10 +4,9 @@
 // prototype dealt with: a requester account with a platform commission on
 // every payment, and HIT-group lifecycle operations.
 //
-// The package also ships an HTTP binding (http.go) exposing the same
-// operations REST-style (NewServer, NewClient), so the Task Manager can
-// talk to a market behind an HTTP endpoint exactly as it would talk to the
-// real AMT one.
+// The Task Manager calls it in process, through crowd.Platform; there is
+// no network binding. A connector to the real AMT would be written
+// against AMT's own API.
 package amt
 
 import (

@@ -2,7 +2,6 @@ package amt
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -28,13 +27,23 @@ func probeGroup(n int) *crowd.HITGroup {
 	return g
 }
 
+// TestPlatformLifecycle drives one HIT group through every operation the
+// Task Manager uses: post, step the clock, poll, fetch the answers,
+// approve (once only), reject, expire — and the errors an unknown group
+// and an empty one get. Commission is TestCommission's.
 func TestPlatformLifecycle(t *testing.T) {
 	p := NewDefault(7)
+	if p.Name() != "amt" {
+		t.Errorf("name %q", p.Name())
+	}
 	id, err := p.Post(probeGroup(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Step(48 * time.Hour)
+	if p.Now() != 48*time.Hour {
+		t.Errorf("Now after a 48h step: %v", p.Now())
+	}
 	st, err := p.Status(id)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +54,34 @@ func TestPlatformLifecycle(t *testing.T) {
 	res, err := p.Results(id)
 	if err != nil || len(res) < 15 {
 		t.Fatalf("results: %d %v", len(res), err)
+	}
+	if res[0].Answers["abstract"] == "" {
+		t.Error("an assignment came back without its answer")
+	}
+	if err := p.Approve(res[0].ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	paid, fee := p.Spend()
+	if err := p.Approve(res[0].ID, 0); err == nil {
+		t.Error("a second Approve of one assignment must fail")
+	}
+	if p2, f2 := p.Spend(); p2 != paid || f2 != fee {
+		t.Errorf("a failed Approve moved the spend: %v+%v, was %v+%v", p2, f2, paid, fee)
+	}
+	if err := p.Reject(res[1].ID, "bad"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Expire(id); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = p.Status(id); err != nil || !st.Expired {
+		t.Errorf("status after Expire: %+v, %v", st, err)
+	}
+	if _, err := p.Status("G99999"); err == nil {
+		t.Error("Status of an unknown group must fail")
+	}
+	if _, err := p.Post(probeGroup(0)); err == nil {
+		t.Error("posting a group without HITs must fail")
 	}
 }
 
@@ -81,65 +118,6 @@ func TestAMTRejectsGeoFence(t *testing.T) {
 	g.Venue = &crowd.GeoFence{Lat: 47.6, Lon: -122.3, RadiusKM: 1}
 	if _, err := p.Post(g); err == nil {
 		t.Error("AMT must reject geo-fenced groups")
-	}
-}
-
-// The HTTP client/server pair must behave identically to the in-process
-// platform for the full lifecycle.
-func TestHTTPBinding(t *testing.T) {
-	p := NewDefault(7)
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	if c.Name() != "amt" {
-		t.Error("name")
-	}
-	id, err := c.Post(probeGroup(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Step(48 * time.Hour)
-	if c.Now() != 48*time.Hour {
-		t.Errorf("Now over HTTP: %v", c.Now())
-	}
-	st, err := c.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Done() {
-		t.Fatalf("not done: %+v", st)
-	}
-	res, err := c.Results(id)
-	if err != nil || len(res) < 9 {
-		t.Fatalf("results over HTTP: %d %v", len(res), err)
-	}
-	if res[0].Answers["abstract"] == "" {
-		t.Error("answers must survive the wire")
-	}
-	if err := c.Approve(res[0].ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Approve(res[0].ID, 0); err == nil {
-		t.Error("double approve must fail over HTTP")
-	}
-	if err := c.Reject(res[1].ID, "bad"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Expire(id); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = c.Status(id)
-	if !st.Expired {
-		t.Error("expire not applied")
-	}
-	// Errors surface with server-side messages.
-	if _, err := c.Status("G99999"); err == nil {
-		t.Error("unknown group over HTTP must fail")
-	}
-	bad := probeGroup(0)
-	if _, err := c.Post(bad); err == nil {
-		t.Error("invalid group over HTTP must fail")
 	}
 }
 

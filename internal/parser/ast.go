@@ -373,7 +373,16 @@ type Literal struct{ Val sqltypes.Value }
 
 func (*Literal) expr() {}
 
-func (e *Literal) String() string { return e.Val.SQLLiteral() }
+// String prints the literal as it parses back: a FLOAT with an integral
+// value keeps a fraction, or "1.0" would come back an INTEGER and "-0.0"
+// the INTEGER 0.
+func (e *Literal) String() string {
+	s := e.Val.SQLLiteral()
+	if e.Val.Kind() == sqltypes.KindFloat && !strings.ContainsAny(s, ".e") {
+		s += ".0"
+	}
+	return s
+}
 
 // ColumnRef is a possibly table-qualified column reference.
 type ColumnRef struct {

@@ -309,22 +309,7 @@ func TestParseAnnotation(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELECT",
-		"SELECT FROM t",
-		"CREATE TABLE",
-		"CREATE TABLE t (x BLOB)",
-		"INSERT INTO t VALUES",
-		"SELECT * FROM t WHERE",
-		"SELECT * FROM t LIMIT 'x'",
-		"CROWDEQUAL(a)",
-		"SELECT CROWDEQUAL(a) FROM t",
-		"SELECT UNKNOWNFUNC(a) FROM t",
-		"SELECT * FROM t WHERE x IS",
-		"SELECT * FROM t WHERE x = = 1",
-	}
-	for _, src := range bad {
+	for _, src := range parseErrorSources {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
@@ -344,24 +329,7 @@ func TestParseAll(t *testing.T) {
 // Print→reparse fixpoint: String() of a parsed statement must parse to the
 // same String(). This is the core structural property of the AST printers.
 func TestPrintReparseFixpoint(t *testing.T) {
-	sources := []string{
-		`CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING, nb_attendees CROWD INTEGER)`,
-		`CREATE CROWD TABLE NotableAttendee (name STRING PRIMARY KEY, title STRING, FOREIGN KEY (title) REF Talk(title))`,
-		`SELECT title FROM Talk ORDER BY CROWDORDER(p, 'Which talk did you like better') LIMIT 10`,
-		`SELECT abstract FROM paper WHERE title = 'CrowdDB'`,
-		`SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = t.title WHERE t.nb_attendees > 50`,
-		`SELECT title, COUNT(*) AS c FROM NotableAttendee GROUP BY title HAVING COUNT(*) > 2 ORDER BY c DESC LIMIT 5 OFFSET 2`,
-		`SELECT DISTINCT name FROM company WHERE name ~= 'UC Berkeley' OR name IN ('A', 'B')`,
-		`SELECT * FROM t WHERE x BETWEEN 1 AND 10 AND y IS NOT CNULL`,
-		`INSERT INTO t (a, b) VALUES (1, 'x'), (2, CNULL)`,
-		`UPDATE Talk SET nb_attendees = 100, abstract = CNULL WHERE title = 'CrowdDB'`,
-		`DELETE FROM Talk WHERE nb_attendees < 10`,
-		`SELECT * FROM a LEFT JOIN b ON a.x = b.x, c`,
-		`EXPLAIN SELECT * FROM Talk WHERE abstract IS CNULL`,
-		`SELECT who FROM vis WHERE tid IN (SELECT id FROM talk WHERE att > 80)`,
-		`SELECT who FROM vis WHERE tid NOT IN (SELECT tid FROM vis WHERE who = 'x')`,
-	}
-	for _, src := range sources {
+	for _, src := range fixpointSources {
 		s1 := mustParse(t, src)
 		printed := s1.String()
 		s2, err := Parse(printed)

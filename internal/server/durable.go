@@ -139,10 +139,18 @@ func (s *Server) journalSession(sess *Session) {
 }
 
 func (s *Server) journalSessionClose(id string) {
+	if !s.journalEnabled() {
+		return
+	}
 	s.journalWrite(journalRec{T: recSessionClose, Session: id}, true)
 }
 
+// journalSubmit records a submitted job; a server without a journal
+// builds no record (boxing one into journalWrite's any allocates).
 func (s *Server) journalSubmit(j *Job) {
+	if !s.journalEnabled() {
+		return
+	}
 	s.journalWrite(journalRec{T: recSubmit, Job: j.id, Session: j.sessionID, SQL: j.sql}, false)
 }
 

@@ -470,3 +470,16 @@ func TestDrainDeadlineFailsRunningJobs(t *testing.T) {
 		t.Fatalf("drained job error = %v, want code %s", jerr, CodeShuttingDown)
 	}
 }
+
+// TestJournalSubmitWithoutJournalAllocatesNothing: a server without a
+// journal builds no record for a submitted job or a closed session.
+func TestJournalSubmitWithoutJournalAllocatesNothing(t *testing.T) {
+	s := &Server{}
+	j := &Job{id: "q1", sessionID: "s1", sql: "SELECT id FROM Pair WHERE id = 1"}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.journalSubmit(j)
+		s.journalSessionClose(j.sessionID)
+	}); allocs != 0 {
+		t.Fatalf("journalSubmit on a journal-less server allocates %.2f times", allocs)
+	}
+}

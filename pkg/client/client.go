@@ -334,10 +334,10 @@ func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
 	var accepted JobStatus
 	it := newRowIter(job, resp.Body)
 	err = io.ErrUnexpectedEOF // a stream that ends before its first line
-	if it.sc.Scan() {
-		err = decodeStatus(it.sc.Bytes(), &accepted)
-	} else if it.sc.Err() != nil {
-		err = it.sc.Err()
+	if sc := &it.st.sc; sc.Scan() {
+		err = decodeStatus(sc.Bytes(), &accepted)
+	} else if sc.Err() != nil {
+		err = sc.Err()
 	}
 	if err != nil {
 		it.Close() //nolint:errcheck // the read error wins
@@ -459,6 +459,11 @@ func (j *Job) Close() error {
 }
 
 // Row is one streamed result row; nil cells are SQL NULL / CNULL.
+//
+// Rows of one stream may share backing storage: the rows a read found
+// buffered together are decoded into one allocation. A Row stays valid
+// after later Next calls and after Close, an append to it never writes
+// into another row, and neither does writing through one of its cells.
 type Row []*string
 
 // Cell renders the i-th cell ("NULL" for nil).
@@ -475,7 +480,6 @@ func (r Row) Cell(i int) string {
 type RowIter struct {
 	job  *Job
 	body io.ReadCloser
-	sc   *bufio.Scanner
 	// ctx and stop are set when the iterator reads under a context other
 	// than its request's (Job.take): stop detaches the watcher that
 	// closes body when ctx fires.
@@ -485,6 +489,14 @@ type RowIter struct {
 	err   error
 	final *JobStatus
 	done  bool
+
+	// mu hands st back to the pool exactly once: Next does when it has
+	// read the trailer or failed, Close does when no Next is running —
+	// otherwise the Next it interrupted does.
+	mu      sync.Mutex
+	st      *stream // nil once returned
+	reading bool    // a Next is running
+	closed  bool
 }
 
 // maxLine bounds one NDJSON line (a row, or the job resource): the
@@ -495,10 +507,69 @@ type RowIter struct {
 // own and doubles only when a line does not fit.
 const maxLine = 1 << 20
 
+// streamBuf is the pooled scan buffer's size, bufio's own start size.
+const streamBuf = 4096
+
+// A stream is what reading one response body takes: the line scanner,
+// its buffer and the batch decoder's scratch. It is pooled, so a stream
+// costs none of them once the pool is warm.
+type stream struct {
+	sc  bufio.Scanner
+	buf []byte // the scanner's buffer until a longer line grows its own
+	batch
+	long bool // a batch outgrew buf: its scratch is not kept
+}
+
+var streams = sync.Pool{New: func() any { return &stream{buf: make([]byte, streamBuf)} }}
+
 func newRowIter(job *Job, body io.ReadCloser) *RowIter {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(nil, maxLine)
-	return &RowIter{job: job, body: body, sc: sc}
+	st := streams.Get().(*stream)
+	st.sc = *bufio.NewScanner(body)
+	st.sc.Buffer(st.buf, maxLine)
+	st.sc.Split(splitRows)
+	return &RowIter{job: job, body: body, st: st}
+}
+
+// splitRows is bufio.ScanLines, except that a row line's token runs on
+// over every complete line buffered behind it, up to the first that is
+// neither a row nor blank, so Next decodes them as one batch. Like
+// ScanLines it asks for more data only when data holds no whole line:
+// a stream never waits for a row it would not have waited for one by one.
+func splitRows(data []byte, atEOF bool) (int, []byte, error) {
+	n, tok, err := bufio.ScanLines(data, atEOF)
+	if line := bytes.TrimSpace(tok); len(line) == 0 || line[0] != '[' {
+		return n, tok, err
+	}
+	end := n
+	for {
+		i := bytes.IndexByte(data[end:], '\n')
+		if i < 0 {
+			break
+		}
+		if line := bytes.TrimSpace(data[end : end+i]); len(line) > 0 && line[0] != '[' {
+			break
+		}
+		end += i + 1
+	}
+	if end == n {
+		return n, tok, err
+	}
+	return end, data[:end], nil
+}
+
+// release returns the iterator's stream to the pool; it.mu is held.
+func (it *RowIter) release() {
+	st := it.st
+	if st == nil {
+		return
+	}
+	it.st = nil
+	st.sc = bufio.Scanner{} // drops the body and any grown buffer
+	st.ptrs, st.ends, st.next, st.err = nil, st.ends[:0], 0, nil
+	if st.long {
+		st.batch, st.long = batch{}, false
+	}
+	streams.Put(st)
 }
 
 // Rows returns the job's partial-result stream from row 0. The iterator
@@ -526,42 +597,70 @@ func (j *Job) RowsFrom(ctx context.Context, n int) (*RowIter, error) {
 // Next advances to the next row, blocking until the server streams one
 // (or the job ends). It returns false at the end of the stream.
 func (it *RowIter) Next() bool {
-	if it.done || it.err != nil {
+	it.mu.Lock()
+	st := it.st
+	if st == nil {
+		if it.closed && !it.done && it.err == nil {
+			it.err = errClosed
+		}
+		it.mu.Unlock()
 		return false
 	}
-	for it.sc.Scan() {
-		line := bytes.TrimSpace(it.sc.Bytes())
+	it.reading = true
+	it.mu.Unlock()
+
+	ok := it.next(st)
+	it.mu.Lock()
+	if it.reading = false; !ok || it.closed {
+		it.release()
+	}
+	it.mu.Unlock()
+	return ok
+}
+
+var errClosed = errors.New("client: Next on a closed RowIter")
+
+// next is Next with the stream in hand: it hands out the rows of the
+// batch the last row line started before it reads on.
+func (it *RowIter) next(st *stream) bool {
+	if row, ok := st.pop(); ok {
+		it.cur = row
+		return true
+	}
+	if st.err != nil {
+		it.err = st.err
+		return false
+	}
+	for st.sc.Scan() {
+		tok := st.sc.Bytes()
+		line := bytes.TrimSpace(tok)
 		if len(line) == 0 {
 			continue
 		}
 		if line[0] == '[' {
-			row, err := decodeRow(line)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.cur = row
-			return true
+			st.long = st.long || len(tok) > streamBuf
+			st.decode(tok)
+			return it.next(st)
 		}
 		// Trailer object: the terminal job resource.
-		var st JobStatus
-		if err := decodeStatus(line, &st); err != nil {
+		var final JobStatus
+		if err := decodeStatus(line, &final); err != nil {
 			it.err = err
 			return false
 		}
-		it.final, it.done = &st, true
-		if st.ID == it.job.id {
+		it.final, it.done = &final, true
+		if final.ID == it.job.id {
 			it.job.mu.Lock()
-			it.job.final = &st
+			it.job.final = &final
 			it.job.mu.Unlock()
 		}
 		// Nothing follows the trailer; reading the end of the body is what
 		// returns the connection to the pool.
-		for it.sc.Scan() {
+		for st.sc.Scan() {
 		}
 		return false
 	}
-	it.err = it.sc.Err()
+	it.err = st.sc.Err()
 	if it.ctx != nil && it.ctx.Err() != nil {
 		it.err = it.ctx.Err()
 	}
@@ -592,8 +691,14 @@ func (it *RowIter) FinalError() *Error {
 	return it.final.Error
 }
 
-// Close releases the stream.
+// Close releases the stream. It may run while Next blocks on another
+// goroutine: closing the body ends that Next.
 func (it *RowIter) Close() error {
+	it.mu.Lock()
+	if it.closed = true; !it.reading {
+		it.release()
+	}
+	it.mu.Unlock()
 	if it.stop != nil {
 		it.stop()
 	}

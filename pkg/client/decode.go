@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -339,44 +340,94 @@ func (s *scanner) skip(depth int) error {
 	return s.fail("want a value")
 }
 
-// decodeRow decodes a row line: an array of strings and nulls.
-func decodeRow(line []byte) (Row, error) {
-	s := scanner{b: line}
+// batch decodes the row lines a stream found buffered together and hands
+// them out from three allocations of exact size, whatever their number
+// and width: one string holds every cell's bytes back to back, one
+// []string the cells, one []*string the rows. Its slices are scratch a
+// pooled stream keeps from batch to batch; the rows it hands out are not.
+type batch struct {
+	text  []byte    // every cell's unescaped bytes, back to back
+	cells []cell    // the batch's cells, row after row
+	ends  []int     // per row, the end of its cells in cells
+	unq   []byte    // the scanner's unescape buffer
+	ptrs  []*string // the decoded cells, handed out row by row
+	next  int       // the next row to hand out, an index into ends
+	err   error     // the malformed line that ended the batch, after its rows
+}
+
+type cell struct {
+	end  int32 // of the cell's bytes in text
+	null bool
+}
+
+// decode decodes tok — a row line and the lines splitRows found behind
+// it — up to the first malformed line, whose error comes after the rows
+// before it.
+func (b *batch) decode(tok []byte) {
+	b.text, b.cells, b.ends, b.err = b.text[:0], b.cells[:0], b.ends[:0], nil
+	for len(tok) > 0 {
+		line := tok
+		if i := bytes.IndexByte(tok, '\n'); i >= 0 {
+			line, tok = tok[:i], tok[i+1:]
+		} else {
+			tok = nil
+		}
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		if b.err = b.add(line); b.err != nil {
+			break
+		}
+	}
+	joined := string(b.text)
+	vals, ptrs := make([]string, len(b.cells)), make([]*string, len(b.cells))
+	start := int32(0)
+	for i, c := range b.cells {
+		if !c.null {
+			vals[i], ptrs[i] = joined[start:c.end], &vals[i]
+			start = c.end
+		}
+	}
+	b.ptrs, b.next = ptrs, 0
+}
+
+// add decodes one row line, an array of strings and nulls; a malformed
+// one leaves the batch as it was.
+func (b *batch) add(line []byte) error {
+	s := scanner{b: line, buf: b.unq}
+	text, cells := len(b.text), len(b.cells)
 	s.ws()
-	if null, err := s.null(); null || err != nil {
-		return nil, firstErr(err, s.end())
-	}
-	// The cells' bytes go back to back into one string, and every cell
-	// is a slice of it: three allocations a row, whatever its width.
-	type cell struct {
-		end  int
-		null bool
-	}
-	var text [256]byte
-	cells, all := make([]cell, 0, 16), text[:0]
 	err := s.array(1, func() error {
 		null, err := s.null()
 		if err == nil && !null {
 			var v []byte
 			v, err = s.str()
-			all = append(all, v...)
+			b.text = append(b.text, v...)
 		}
-		cells = append(cells, cell{len(all), null})
+		b.cells = append(b.cells, cell{int32(len(b.text)), null})
 		return err
 	})
+	b.unq = s.buf
 	if err = firstErr(err, s.end()); err != nil {
-		return nil, err
+		b.text, b.cells = b.text[:text], b.cells[:cells]
+		return err
 	}
-	joined := string(all)
-	vals, row := make([]string, len(cells)), make(Row, len(cells))
-	start := 0
-	for i, c := range cells {
-		if !c.null {
-			vals[i], row[i] = joined[start:c.end], &vals[i]
-			start = c.end
-		}
+	b.ends = append(b.ends, len(b.cells))
+	return nil
+}
+
+// pop hands out the next row of the batch, false once none is left. A
+// row is a 3-index slice, so an append to it never writes into the next.
+func (b *batch) pop() (Row, bool) {
+	if b.next == len(b.ends) {
+		return nil, false
 	}
-	return row, nil
+	lo, hi := 0, b.ends[b.next]
+	if b.next > 0 {
+		lo = b.ends[b.next-1]
+	}
+	b.next++
+	return Row(b.ptrs[lo:hi:hi]), true
 }
 
 // decodeStatus decodes a job-resource line into st.
