@@ -193,13 +193,6 @@ func (t *Table) ExpectedCrowdCard() int64 {
 	return t.stats.ExpectedCrowdCard
 }
 
-// SetExpectedCrowdCard overrides the predicted crowd cardinality.
-func (t *Table) SetExpectedCrowdCard(n int64) {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	t.stats.ExpectedCrowdCard = n
-}
-
 // ObserveFilter feeds back one filtered-scan execution: scanned input
 // rows vs rows the pushed predicate kept.
 func (t *Table) ObserveFilter(scanned, kept int64) {

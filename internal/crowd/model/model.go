@@ -132,7 +132,7 @@ func ParseSpec(spec string) (Profile, error) {
 			prof.Workers = n
 		case "accuracy", "confidence", "wrong-confidence", "noise", "jitter", "garbage":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 				return prof, fmt.Errorf("model: bad %s %q (want 0..1)", key, val)
 			}
 			switch key {
@@ -206,7 +206,7 @@ type Platform struct {
 	nextGrp  int
 	nextAsn  int
 	unsure   int
-	calls    int // assignments ever generated (worker rotation + stats)
+	calls    int // assignments ever generated (worker rotation)
 	paid     crowd.Cents
 }
 
@@ -561,11 +561,4 @@ func (p *Platform) Spend() crowd.Cents {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.paid
-}
-
-// Calls reports how many assignments the platform has generated.
-func (p *Platform) Calls() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls
 }

@@ -292,4 +292,37 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("accuracy=0.9,sharp"); err == nil {
 		t.Error("preset after overrides must fail")
 	}
+	for _, spec := range []string{"sharp,accuracy=NaN", "garbage=nan", "noise=NAN"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("%s: a NaN rate must fail", spec)
+		}
+	}
+}
+
+// FuzzModelSpec: for any text ParseSpec returns without panicking, and a
+// profile it accepts has workers, a positive latency and price, and every
+// rate in [0, 1].
+func FuzzModelSpec(f *testing.F) {
+	for _, spec := range []string{
+		"cheap,accuracy=0.5,latency=3s,workers=8,cost=2",
+		"fancy", "accuracy=2", "sharp,bogus=1", "accuracy=0.9,sharp",
+		"sharp,accuracy=NaN",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		prof, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if prof.Workers <= 0 || prof.Latency <= 0 || prof.CostPerCall <= 0 {
+			t.Fatalf("%q: accepted %+v", spec, prof)
+		}
+		for _, r := range []float64{prof.Accuracy, prof.CorrectConfidence, prof.WrongConfidence,
+			prof.ConfidenceNoise, prof.LatencyJitter, prof.GarbageRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("%q: accepted rate %v in %+v", spec, r, prof)
+			}
+		}
+	})
 }

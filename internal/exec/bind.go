@@ -288,15 +288,3 @@ func resolves(schema []plan.Col, cr *parser.ColumnRef) bool {
 	_, err := plan.FindCol(schema, cr.Table, cr.Name)
 	return err == nil
 }
-
-// coveredBySchema reports whether every column e references resolves in
-// schema.
-func coveredBySchema(e parser.Expr, schema []plan.Col) bool {
-	covered := true
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if cr, ok := x.(*parser.ColumnRef); ok && !resolves(schema, cr) {
-			covered = false
-		}
-	})
-	return covered
-}

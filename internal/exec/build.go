@@ -126,9 +126,9 @@ func crowdJoinBinding(j *plan.Join, scan *plan.Scan) (leftKey parser.Expr, right
 			continue
 		}
 		var scanSide, otherSide parser.Expr
-		if cr, isCol := be.L.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && coveredBySchema(be.R, leftSchema) {
+		if cr, isCol := be.L.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && plan.CoveredBy(be.R, leftSchema) {
 			scanSide, otherSide = be.L, be.R
-		} else if cr, isCol := be.R.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && coveredBySchema(be.L, leftSchema) {
+		} else if cr, isCol := be.R.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && plan.CoveredBy(be.L, leftSchema) {
 			scanSide, otherSide = be.R, be.L
 		}
 		if scanSide == nil {
@@ -153,9 +153,9 @@ func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bo
 			continue
 		}
 		switch {
-		case coveredBySchema(be.L, leftSchema) && coveredBySchema(be.R, rightSchema):
+		case plan.CoveredBy(be.L, leftSchema) && plan.CoveredBy(be.R, rightSchema):
 			lk, rk, ok = be.L, be.R, true
-		case coveredBySchema(be.R, leftSchema) && coveredBySchema(be.L, rightSchema):
+		case plan.CoveredBy(be.R, leftSchema) && plan.CoveredBy(be.L, rightSchema):
 			lk, rk, ok = be.R, be.L, true
 		default:
 			residual = parser.And(residual, conj)

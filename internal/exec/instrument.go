@@ -43,15 +43,6 @@ func (st *OpStats) Cents(cfg taskmgr.Config) float64 {
 		float64(st.NewTupleRequests)*float64(cfg.Reward)*float64(cfg.NewTupleAssignments)
 }
 
-// RowsPerSec is the operator's inclusive throughput (rows out over wall
-// time inside the operator and its children).
-func (st *OpStats) RowsPerSec() float64 {
-	if st.WallNanos <= 0 {
-		return 0
-	}
-	return float64(st.RowsOut) / (float64(st.WallNanos) / float64(time.Second))
-}
-
 // OpMetricsSink receives each instrumented operator's final accounting
 // at Close; the engine funnels it into the /metrics registry keyed by
 // operator name.

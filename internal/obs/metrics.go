@@ -321,14 +321,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string)
 	r.mu.Unlock()
 }
 
-// Families lists every registered metric family name, in registration
-// order.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // fmtFloat renders a sample value the way Prometheus expects.
 func fmtFloat(v float64) string {
 	if math.IsInf(v, 1) {

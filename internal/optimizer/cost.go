@@ -511,7 +511,7 @@ func (o *optimizer) buildDP(leaves []plan.Node, conjuncts []parser.Expr) (plan.N
 				if used&(1<<uint(ci)) != 0 {
 					continue
 				}
-				if coveredBy(conj, joint) {
+				if plan.CoveredBy(conj, joint) {
 					on = parser.And(on, conj)
 					used |= 1 << uint(ci)
 				}

@@ -203,7 +203,7 @@ func (o *optimizer) pushPredicates(n plan.Node) plan.Node {
 func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
-		if coveredBy(conj, x.Schema()) {
+		if plan.CoveredBy(conj, x.Schema()) {
 			x.Filter = parser.And(x.Filter, conj)
 			return true
 		}
@@ -212,17 +212,17 @@ func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 	case *plan.Join:
 		if x.Type == parser.JoinLeft {
 			// Only the preserved (left) side accepts pushes safely.
-			return coveredBy(conj, x.Left.Schema()) && o.push(x.Left, conj)
+			return plan.CoveredBy(conj, x.Left.Schema()) && o.push(x.Left, conj)
 		}
-		if coveredBy(conj, x.Left.Schema()) && o.push(x.Left, conj) {
+		if plan.CoveredBy(conj, x.Left.Schema()) && o.push(x.Left, conj) {
 			return true
 		}
-		if coveredBy(conj, x.Right.Schema()) && o.push(x.Right, conj) {
+		if plan.CoveredBy(conj, x.Right.Schema()) && o.push(x.Right, conj) {
 			return true
 		}
 		// Spans both sides: fold into the join condition (turns cross
 		// products into equi-joins the executor can run as CrowdJoin).
-		if coveredBy(conj, x.Schema()) {
+		if plan.CoveredBy(conj, x.Schema()) {
 			x.On = parser.And(x.On, conj)
 			if x.Type == parser.JoinCross {
 				x.Type = parser.JoinInner
@@ -235,10 +235,10 @@ func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 
 // pushToSide moves single-side ON conjuncts of inner joins down as filters.
 func (o *optimizer) pushToSide(j *plan.Join, conj parser.Expr) bool {
-	if coveredBy(conj, j.Left.Schema()) && o.push(j.Left, conj) {
+	if plan.CoveredBy(conj, j.Left.Schema()) && o.push(j.Left, conj) {
 		return true
 	}
-	if coveredBy(conj, j.Right.Schema()) && o.push(j.Right, conj) {
+	if plan.CoveredBy(conj, j.Right.Schema()) && o.push(j.Right, conj) {
 		return true
 	}
 	return false
@@ -262,19 +262,6 @@ func hasSubquery(e parser.Expr) bool {
 		}
 	})
 	return found
-}
-
-// coveredBy reports whether every column reference in e resolves in schema.
-func coveredBy(e parser.Expr, schema []plan.Col) bool {
-	ok := true
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if cr, isCol := x.(*parser.ColumnRef); isCol {
-			if _, err := plan.FindCol(schema, cr.Table, cr.Name); err != nil {
-				ok = false
-			}
-		}
-	})
-	return ok
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +443,7 @@ func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (pl
 				if usedConj[ci] {
 					continue
 				}
-				if coveredBy(conj, joint) && !coveredBy(conj, curSchema) && !coveredBy(conj, leaves[i].Schema()) {
+				if plan.CoveredBy(conj, joint) && !plan.CoveredBy(conj, curSchema) && !plan.CoveredBy(conj, leaves[i].Schema()) {
 					connected = true
 					break
 				}
@@ -476,7 +463,7 @@ func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (pl
 			if usedConj[ci] {
 				continue
 			}
-			if coveredBy(conj, joint) {
+			if plan.CoveredBy(conj, joint) {
 				on = parser.And(on, conj)
 				usedConj[ci] = true
 			}

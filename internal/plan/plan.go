@@ -397,3 +397,17 @@ func FindCol(schema []Col, table, name string) (int, error) {
 	}
 	return found, nil
 }
+
+// CoveredBy reports whether every column reference in e resolves in
+// schema.
+func CoveredBy(e parser.Expr, schema []Col) bool {
+	covered := true
+	parser.WalkExprs(e, func(x parser.Expr) {
+		if cr, ok := x.(*parser.ColumnRef); ok {
+			if _, err := FindCol(schema, cr.Table, cr.Name); err != nil {
+				covered = false
+			}
+		}
+	})
+	return covered
+}

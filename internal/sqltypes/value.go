@@ -308,9 +308,10 @@ func cmpIntFloat(i int64, f float64) int {
 	return order(t, f)
 }
 
-// SortCompare is a total order used by ORDER BY and B-tree keys: NULL sorts
-// first, then CNULL, then values by Compare; incomparable kinds order by
-// kind then by string rendering, so the order is deterministic.
+// SortCompare is a total order used by ORDER BY, and the order AppendKey's
+// bytes keep (FuzzValueKey): NULL sorts first, then CNULL, then values by
+// Compare; incomparable kinds order by kind then by string rendering, so
+// the order is deterministic.
 func SortCompare(a, b Value) int {
 	ra, rb := sortRank(a), sortRank(b)
 	if ra != rb {
@@ -358,10 +359,12 @@ func Identical(a, b Value) bool {
 }
 
 // AppendKey appends a value's order-preserving key encoding to dst (the
-// encoding B-tree indexes and hash keys are built from): for two numbers,
-// two strings or two booleans, bytes.Compare of the encodings agrees with
+// encoding index keys and hash keys are built from): for two numbers, two
+// strings or two booleans, bytes.Compare of the encodings agrees with
 // SortCompare, so two values get one key exactly when Compare calls them
-// equal. Callers that build many keys reuse dst's backing array.
+// equal. No index reads keys in order; the byte order is FuzzValueKey's
+// rule, and the bytes must not change because shard routing hashes them.
+// Callers that build many keys reuse dst's backing array.
 //
 // A number is 0x03 and its value as an order-preserving float64. An INTEGER
 // that float64 cannot hold is that float rounded toward −∞ followed by the

@@ -197,11 +197,8 @@ func (ts *tableStore) gc(horizon int64) (reclaimed, visited int) {
 	for _, sh := range ts.shards {
 		sh.mu.Lock()
 		r, v := sh.heap.gc(horizon, func(id RowID, drop, keep []rowVersion) {
-			if sh.primary != nil {
-				dropIndexKeys(sh.primary, ts.pkCols, drop, keep, id)
-			}
-			for _, idx := range sh.indexes {
-				dropIndexKeys(idx.tree, idx.cols, drop, keep, id)
+			for _, ix := range sh.indexes {
+				dropIndexKeys(ix, drop, keep, id)
 			}
 		})
 		sh.mu.Unlock()
@@ -212,13 +209,11 @@ func (ts *tableStore) gc(horizon int64) (reclaimed, visited int) {
 
 // dropIndexKeys removes the (key, id) entries that belonged only to
 // dropped versions: a key still referenced by a kept version stays.
-func dropIndexKeys(tree *BTree, cols []int, drop, keep []rowVersion, id RowID) {
-	carries := func(vs []rowVersion, key string) bool {
-		return slices.ContainsFunc(vs, func(v rowVersion) bool { return rowHasKey(v.row, cols, key) })
-	}
-	for i, v := range drop {
-		if k := indexKeyFor(v.row, cols); !carries(keep, k) && !carries(drop[:i], k) {
-			tree.Delete(k, id)
+func dropIndexKeys(ix *indexStore, drop, keep []rowVersion, id RowID) {
+	for _, v := range drop {
+		k := indexKeyFor(v.row, ix.cols)
+		if !slices.ContainsFunc(keep, func(kv rowVersion) bool { return rowHasKey(kv.row, ix.cols, k) }) {
+			ix.keys.remove(k, id)
 		}
 	}
 }

@@ -98,35 +98,23 @@ func (e *ErrShardMismatch) Error() string {
 		e.Dir, e.OnDisk, e.Requested)
 }
 
-type indexStore struct {
-	name   string
-	cols   []int
-	unique bool
-	tree   *BTree
-}
-
-// indexDef is the table-level definition an index is instantiated from
-// (one tree per shard).
-type indexDef struct {
-	name   string
-	cols   []int
-	unique bool
-}
-
-// tableShard is one hash partition of a table: its own heap, primary
-// B-tree, and secondary trees, all behind one lock. Writers on different
-// shards never contend.
+// tableShard is one hash partition of a table: its own heap and its own
+// map for each index, all behind one lock. Writers on different shards
+// never contend.
 //
-// Under MVCC the trees hold one entry per DISTINCT key any retained
-// version of a row carries: updates and deletes leave the old-key entries
-// in place (snapshot readers still probe them) and GC removes an entry
-// only once every version carrying its key is reclaimed. Probes therefore
-// re-verify each hit against the row version visible at their snapshot.
+// Under MVCC an index lists a row once under every DISTINCT key any
+// retained version of it carries: updates and deletes leave the old-key
+// entries in place (snapshot readers still probe them) and GC removes an
+// entry only once every version carrying its key is reclaimed. Probes
+// therefore re-verify each hit against the row version visible at their
+// snapshot.
 type tableShard struct {
-	mu      sync.RWMutex
-	heap    *heap
-	primary *BTree // nil when the table has no PK
-	indexes map[string]*indexStore
+	mu   sync.RWMutex
+	heap *heap
+	// indexes: entry 0 is the primary key when the table has one, then
+	// the secondary indexes in creation order — the same list, by
+	// position, on every shard of the table.
+	indexes []*indexStore
 }
 
 type tableStore struct {
@@ -135,26 +123,29 @@ type tableStore struct {
 	// nextID allocates globally unique, monotonically increasing row IDs
 	// across all shards, so ascending-ID merges reproduce insertion order
 	// exactly as the unsharded engine did.
-	nextID atomic.Int64
-	shards []*tableShard
-
-	// defMu guards the index-definition list; the per-shard trees
-	// themselves are guarded by their shard lock.
-	defMu     sync.RWMutex
-	idxDefs   []indexDef
+	nextID    atomic.Int64
+	shards    []*tableShard
 	hasUnique atomic.Bool // any unique secondary index (insert slow path)
 }
 
 func newTableStore(name string, pkCols []int, nshards int) *tableStore {
 	ts := &tableStore{name: name, pkCols: append([]int(nil), pkCols...)}
 	for i := 0; i < nshards; i++ {
-		sh := &tableShard{heap: newHeap(), indexes: make(map[string]*indexStore)}
+		sh := &tableShard{heap: newHeap()}
 		if len(pkCols) > 0 {
-			sh.primary = NewBTree()
+			sh.indexes = []*indexStore{{cols: ts.pkCols, keys: index{}}}
 		}
 		ts.shards = append(ts.shards, sh)
 	}
 	return ts
+}
+
+// secondary returns the position of the named secondary index in every
+// shard's list, or -1. Caller holds a lock on shard 0.
+func (ts *tableStore) secondary(name string) int {
+	return slices.IndexFunc(ts.shards[0].indexes, func(ix *indexStore) bool {
+		return ix.name != "" && strings.EqualFold(ix.name, name)
+	})
 }
 
 func (ts *tableStore) shardOfKey(key string) int {
@@ -227,7 +218,7 @@ func (ts *tableStore) allShardIdx() []int {
 }
 
 // Store is the storage engine: every table hash-partitioned across N
-// shards (per-shard heap + B-trees + WAL file, each behind its own lock),
+// shards (per-shard heap + index maps + WAL file, each behind its own lock),
 // with optional write-ahead logging for durability, and multi-version
 // rows so snapshot readers never block writers (see mvcc.go). Row IDs are
 // allocated from one per-table counter, so merging shards by ascending ID
@@ -403,7 +394,7 @@ func (s *Store) DropTable(name string) error {
 }
 
 // CreateIndex builds a secondary index over the given column ordinals
-// (one tree per shard), indexing existing rows immediately. Every
+// (one map per shard), indexing existing rows immediately. Every
 // retained version's key is indexed — not just the live one — so
 // snapshot readers that planned through the new index still see the rows
 // their snapshot pins; uniqueness is judged on live rows only.
@@ -414,43 +405,34 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	if err != nil {
 		return err
 	}
-	key := strings.ToLower(name)
-	ts.defMu.Lock()
-	defer ts.defMu.Unlock()
-	for _, d := range ts.idxDefs {
-		if strings.ToLower(d.name) == key {
-			return fmt.Errorf("storage: index %s already exists on %s", name, table)
-		}
-	}
 	unlock := ts.lockShards(ts.allShardIdx()...)
 	defer unlock()
+	if ts.secondary(name) >= 0 {
+		return fmt.Errorf("storage: index %s already exists on %s", name, table)
+	}
 	// Uniqueness is a cross-shard property for secondary keys: collect all
-	// live keys first, then commit the trees only if no duplicate exists.
-	def := indexDef{name: name, cols: append([]int(nil), cols...), unique: unique}
+	// live keys first, then install the maps only if no duplicate exists.
+	cols = slices.Clone(cols)
 	seen := make(map[string]bool)
-	trees := make([]*BTree, len(ts.shards))
+	built := make([]index, len(ts.shards))
 	for i, sh := range ts.shards {
-		trees[i] = NewBTree()
+		built[i] = index{}
 		for _, c := range sh.heap.chains {
-			for vi, v := range c.versions {
-				k := indexKeyFor(v.row, def.cols)
+			for _, v := range c.versions {
+				k := indexKeyFor(v.row, cols)
 				if unique && v.end == tsInfinity {
 					if seen[k] {
 						return fmt.Errorf("storage: unique index %s violated by existing data", name)
 					}
 					seen[k] = true
 				}
-				// One entry per distinct key of the chain.
-				if !slices.ContainsFunc(c.versions[:vi], func(p rowVersion) bool { return rowHasKey(p.row, def.cols, k) }) {
-					trees[i].Insert(k, c.id)
-				}
+				built[i].add(k, c.id)
 			}
 		}
 	}
 	for i, sh := range ts.shards {
-		sh.indexes[key] = &indexStore{name: name, cols: def.cols, unique: unique, tree: trees[i]}
+		sh.indexes = append(sh.indexes, &indexStore{name: name, cols: cols, unique: unique, keys: built[i]})
 	}
-	ts.idxDefs = append(ts.idxDefs, def)
 	if unique {
 		ts.hasUnique.Store(true)
 	}
@@ -497,14 +479,6 @@ func pkString(row Row, cols []int) string {
 	return strings.Join(parts, ",")
 }
 
-// treeInsertUnique inserts (key, id) unless the pair is already present —
-// version chains can revisit a key (A→B→A) whose entry was retained.
-func treeInsertUnique(tree *BTree, key string, id RowID) {
-	if !tree.Has(key, id) {
-		tree.Insert(key, id)
-	}
-}
-
 // liveKeyMatch reports whether id's LIVE version on this shard currently
 // carries the given key — index entries may be stale (retained for old
 // snapshots), so every write-path hit must be re-verified. Caller holds
@@ -518,15 +492,15 @@ func (sh *tableShard) liveKeyMatch(id RowID, cols []int, key string) bool {
 // the row's key LIVE on some shard (other than owner id, for updates).
 // Caller holds every shard lock.
 func (ts *tableStore) uniqueViolated(row Row, self RowID) (string, bool) {
-	for _, d := range ts.idxDefs {
-		if !d.unique {
+	for j, ix := range ts.shards[0].indexes {
+		if !ix.unique {
 			continue
 		}
-		k := indexKeyFor(row, d.cols)
+		k := indexKeyFor(row, ix.cols)
 		for _, sh := range ts.shards {
-			for _, rid := range sh.indexes[strings.ToLower(d.name)].tree.Search(k) {
-				if rid != self && sh.liveKeyMatch(rid, d.cols, k) {
-					return d.name, true
+			for _, rid := range sh.indexes[j].keys[k] {
+				if rid != self && sh.liveKeyMatch(rid, ix.cols, k) {
+					return ix.name, true
 				}
 			}
 		}
@@ -535,10 +509,10 @@ func (ts *tableStore) uniqueViolated(row Row, self RowID) (string, bool) {
 }
 
 // pkTaken reports whether any LIVE row on the shard holds the primary
-// key. Stale tree entries (rows that moved or changed key, retained for
+// key. Stale index entries (rows that moved or changed key, retained for
 // snapshots) do not count. Caller holds the shard lock.
 func (ts *tableStore) pkTaken(sh *tableShard, key string, self RowID) bool {
-	for _, rid := range sh.primary.Search(key) {
+	for _, rid := range sh.indexes[0].keys[key] {
 		if rid != self && sh.liveKeyMatch(rid, ts.pkCols, key) {
 			return true
 		}
@@ -636,12 +610,7 @@ func (t *Txn) finishInsert(ts *tableStore, home int, id RowID, row Row, pk strin
 	}
 	sh := ts.shards[home]
 	sh.heap.insertVersion(id, row.Clone(), t.ts)
-	if sh.primary != nil {
-		treeInsertUnique(sh.primary, pk, id)
-	}
-	for _, idx := range sh.indexes {
-		treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
-	}
+	sh.indexRow(row, id, pk)
 	unlock()
 	return id, nil
 }
@@ -699,11 +668,9 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			unlock() // the row moved or vanished between probe and lock
 			continue
 		}
-		if src.primary != nil {
-			if !rowHasKey(old, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
-				unlock()
-				return &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
-			}
+		if pk != "" && !rowHasKey(old, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
+			unlock()
+			return &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 		}
 		if ts.hasUnique.Load() {
 			if idx, bad := ts.uniqueViolated(row, id); bad {
@@ -743,12 +710,7 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 		src.heap.supersede(id, t.ts)
 		s.retained.Add(1)
 		dst.heap.insertVersion(id, row.Clone(), t.ts)
-		if dst.primary != nil {
-			treeInsertUnique(dst.primary, pk, id)
-		}
-		for _, idx := range dst.indexes {
-			treeInsertUnique(idx.tree, indexKeyFor(row, idx.cols), id)
-		}
+		dst.indexRow(row, id, pk)
 		unlock()
 		return nil
 	}
@@ -944,7 +906,7 @@ func (s *Store) LookupPKRowAt(table string, at int64, pk ...sqltypes.Value) (Row
 	// Entries may be stale (retained for old snapshots): verify each hit
 	// against the version visible at the read timestamp. Any version
 	// carrying this key was routed here, so one shard suffices.
-	for _, rid := range sh.primary.Search(key) {
+	for _, rid := range sh.indexes[0].keys[key] {
 		if r, ok := sh.heap.getAt(rid, at); ok && rowHasKey(r, ts.pkCols, key) {
 			return rid, r, true
 		}
@@ -961,21 +923,22 @@ func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltype
 		return nil, nil, err
 	}
 	key := IndexKey(vals...)
-	iname := strings.ToLower(index)
+	ts.shards[0].mu.RLock()
+	j := ts.secondary(index)
+	ts.shards[0].mu.RUnlock()
+	if j < 0 {
+		return nil, nil, fmt.Errorf("storage: index %s not found on %s", index, table)
+	}
 	var ids []RowID
 	var rows []Row
 	sorted := true
 	for _, sh := range ts.shards {
 		sh.mu.RLock()
-		idx, ok := sh.indexes[iname]
-		if !ok {
-			sh.mu.RUnlock()
-			return nil, nil, fmt.Errorf("storage: index %s not found on %s", index, table)
-		}
-		for _, rid := range idx.tree.Search(key) {
+		ix := sh.indexes[j]
+		for _, rid := range ix.keys[key] {
 			// Stale-entry filter: the version visible at the read
 			// timestamp must actually carry this key.
-			if r, ok := sh.heap.getAt(rid, at); ok && rowHasKey(r, idx.cols, key) {
+			if r, ok := sh.heap.getAt(rid, at); ok && rowHasKey(r, ix.cols, key) {
 				sorted = sorted && (len(ids) == 0 || ids[len(ids)-1] < rid)
 				ids, rows = append(ids, rid), append(rows, r)
 			}
@@ -1109,12 +1072,7 @@ func (ts *tableStore) purgeRow(shard int, id RowID) {
 	if !ok {
 		return
 	}
-	if sh.primary != nil {
-		sh.primary.Delete(ts.pkKey(row), id)
-	}
-	for _, idx := range sh.indexes {
-		idx.tree.Delete(indexKeyFor(row, idx.cols), id)
-	}
+	sh.unindexRow(row, id)
 	sh.heap.hardDelete(id)
 }
 
@@ -1147,28 +1105,13 @@ func (s *Store) recoverShard(shard int) error {
 				return err
 			}
 			if old, ok := sh.heap.get(rec.Row); ok {
-				if sh.primary != nil {
-					sh.primary.Delete(ts.pkKey(old), rec.Row)
-				}
-				for _, idx := range sh.indexes {
-					idx.tree.Delete(indexKeyFor(old, idx.cols), rec.Row)
-				}
+				sh.unindexRow(old, rec.Row)
 			}
 			sh.heap.replaceAt(rec.Row, row, rec.LSN)
-			if sh.primary != nil {
-				sh.primary.Insert(ts.pkKey(row), rec.Row)
-			}
-			for _, idx := range sh.indexes {
-				idx.tree.Insert(indexKeyFor(row, idx.cols), rec.Row)
-			}
+			sh.indexRow(row, rec.Row, "")
 		case "delete":
 			if old, ok := sh.heap.get(rec.Row); ok {
-				if sh.primary != nil {
-					sh.primary.Delete(ts.pkKey(old), rec.Row)
-				}
-				for _, idx := range sh.indexes {
-					idx.tree.Delete(indexKeyFor(old, idx.cols), rec.Row)
-				}
+				sh.unindexRow(old, rec.Row)
 				sh.heap.hardDelete(rec.Row)
 			}
 		default:
@@ -1223,12 +1166,7 @@ func (s *Store) loadSnapshotShard(shard int) error {
 				return err
 			}
 			sh.heap.replaceAt(id, row, rows[id].LSN)
-			if sh.primary != nil {
-				sh.primary.Insert(ts.pkKey(row), id)
-			}
-			for _, idx := range sh.indexes {
-				idx.tree.Insert(indexKeyFor(row, idx.cols), id)
-			}
+			sh.indexRow(row, id, "")
 		}
 		sh.mu.Unlock()
 	}
