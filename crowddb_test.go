@@ -287,3 +287,39 @@ func TestKeysAreExactWhereCompareIs(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedSortSeesEveryStoredRow: a LIMIT under an ORDER BY bounds the
+// sort, not the read beneath it, over a table with a crowd column as over
+// any other. Without a platform nothing is asked; only a LIMIT straight
+// over the read stops it early.
+func TestBoundedSortSeesEveryStoredRow(t *testing.T) {
+	db, err := Open(Config{AllowUnbounded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, sql := range []string{
+		"CREATE TABLE T (id INTEGER PRIMARY KEY, v INTEGER, note CROWD STRING)",
+		"INSERT INTO T (id, v, note) VALUES (0, 5, 'a'), (1, 9, 'b'), (2, 1, 'c')",
+		"INSERT INTO T (id, v) VALUES (3, 50), (4, 40), (5, 30), (6, 2), (7, 3), (8, 4), (9, 6)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, c := range []struct{ query, want string }{
+		{"SELECT id, v FROM T ORDER BY v DESC LIMIT 3", "[[3 50] [4 40] [5 30]]"},
+		{"SELECT id, note FROM T ORDER BY v DESC LIMIT 2", "[[3 CNULL] [4 CNULL]]"},
+		{"SELECT id FROM T WHERE note IS NOT CNULL ORDER BY v LIMIT 2", "[[2] [0]]"},
+		{"SELECT id FROM T LIMIT 3", "[[0] [1] [2]]"},
+	} {
+		res, err := db.Query(c.query)
+		if err != nil {
+			t.Errorf("%s: %v", c.query, err)
+			continue
+		}
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("%s = %s, want %s", c.query, got, c.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"crowddb/internal/crowd/amt"
@@ -116,7 +117,7 @@ func TestExplainShowsCrowdJoin(t *testing.T) {
 	res := mustExec(t, eng,
 		"EXPLAIN SELECT n.name FROM NotableAttendee n JOIN Talk t ON n.title = t.title")
 	plan := res.Plan
-	scanIdx := indexOf(plan, "CrowdScan(NotableAttendee")
+	scanIdx := indexOf(plan, "CrowdProbe(NotableAttendee")
 	talkIdx := indexOf(plan, "Scan(Talk")
 	if scanIdx < 0 || talkIdx < 0 {
 		t.Fatalf("plan:\n%s", plan)
@@ -161,4 +162,74 @@ func TestQualityTrackerConverges(t *testing.T) {
 		t.Error("scores must move off the prior")
 	}
 	_ = quality.Decision{}
+}
+
+// TestBoundednessFollowsThePrice: bounded means a finite predicted cost,
+// and the optimizer prices a CrowdJoin exactly where the executor runs one.
+// A LEFT JOIN is no CrowdJoin, so its crowd inner is unbounded: rejected,
+// and under AllowUnbounded read from stored rows only, with the warning. An
+// inner join that keys the crowd column on an expression over the outer
+// side is a CrowdJoin: bounded, priced per outer key, and run as one.
+func TestBoundednessFollowsThePrice(t *testing.T) {
+	eng, _ := newConferenceEngine(t, 46, "")
+	defer eng.Close()
+	left := "SELECT t.title, n.name FROM Talk t LEFT JOIN NotableAttendee n ON n.title = t.title"
+	for _, sql := range []string{"EXPLAIN " + left, left} {
+		if _, err := eng.Exec(sql); err == nil || !strings.Contains(err.Error(), "CROWD table n is unbounded") {
+			t.Errorf("%s: want the unbounded error, got %v", sql, err)
+		}
+	}
+	byExpr := "SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = LOWER(t.title)"
+	res := mustExec(t, eng, "EXPLAIN "+byExpr)
+	if !strings.Contains(res.Plan, "bounded: true\npredicted: ¢60.0") || len(res.Warnings) != 0 {
+		t.Errorf("the expression-keyed CrowdJoin is bounded and priced per outer key:\n%s%v", res.Plan, res.Warnings)
+	}
+	if res = mustExec(t, eng, byExpr); res.Stats.NewTupleRequests == 0 {
+		t.Errorf("the expression-keyed join must run as a CrowdJoin: %+v", res.Stats)
+	}
+
+	open, err := Open(Config{AllowUnbounded: true, Platform: newAMT(46)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Close()
+	for _, sql := range []string{
+		"CREATE TABLE Talk (title STRING PRIMARY KEY)",
+		"CREATE CROWD TABLE NotableAttendee (name STRING PRIMARY KEY, title STRING)",
+		"INSERT INTO Talk VALUES ('a'), ('b')",
+		"INSERT INTO NotableAttendee VALUES ('ann', 'a')",
+	} {
+		mustExec(t, open, sql)
+	}
+	res = mustExec(t, open, left+" ORDER BY t.title")
+	if got := fmt.Sprint(res.Rows); got != "[[a ann] [b NULL]]" || res.Stats.NewTupleRequests != 0 ||
+		len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "CROWD table n is unbounded") {
+		t.Errorf("%s under AllowUnbounded: rows %s, stats %+v, warnings %v", left, got, res.Stats, res.Warnings)
+	}
+}
+
+// TestCrowdProbeReadsWhatItsBoundAllows: a LIMIT straight over the probe of
+// a closed-world table stops the scan under it, so only the rows returned
+// are probed. A LIMIT over a sort bounds the sort: every stored row is read
+// and probed, and the answer is the sorted table's first rows. A crowd
+// conjunct is decided after the probe, so no bound stops the read under it.
+func TestCrowdProbeReadsWhatItsBoundAllows(t *testing.T) {
+	eng, _ := newConferenceEngine(t, 47, "")
+	defer eng.Close()
+	res := mustExec(t, eng, "SELECT title, abstract FROM Talk LIMIT 2")
+	if len(res.Rows) != 2 || res.Stats.RowsScanned != 2 || res.Stats.ProbeRequests < 2 {
+		t.Errorf("LIMIT over a probe: %d rows, %+v", len(res.Rows), res.Stats)
+	}
+	top := mustExec(t, eng, "SELECT title, nb_attendees FROM Talk ORDER BY title LIMIT 3")
+	if top.Stats.RowsScanned != 10 || top.Stats.ProbeRequests < 10 {
+		t.Errorf("LIMIT over a sort must read and probe all 10 talks: %+v", top.Stats)
+	}
+	all := mustExec(t, eng, "SELECT title, nb_attendees FROM Talk ORDER BY title")
+	if got, want := fmt.Sprint(top.Rows), fmt.Sprint(all.Rows[:3]); got != want {
+		t.Errorf("ORDER BY title LIMIT 3 = %s, want %s", got, want)
+	}
+	res = mustExec(t, eng, "SELECT title FROM Talk WHERE nb_attendees >= 0 LIMIT 1")
+	if len(res.Rows) != 1 || res.Stats.RowsScanned != 10 {
+		t.Errorf("a crowd conjunct under a LIMIT: %d rows, %+v", len(res.Rows), res.Stats)
+	}
 }

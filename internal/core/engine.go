@@ -657,7 +657,7 @@ func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, 
 	scan := plan.NewScan(t, "")
 	scan.Filter = where
 	optimizer.DeriveProbeKeys(scan)
-	ids, rows, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan, where, -1)
+	ids, rows, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
 	return scan.Schema(), ids, rows, err
 }
 

@@ -219,7 +219,7 @@ func TestExplain(t *testing.T) {
 	eng, _ := newConferenceEngine(t, 8, "")
 	defer eng.Close()
 	res := mustExec(t, eng, "EXPLAIN SELECT abstract FROM Talk WHERE title = 'X'")
-	for _, want := range []string{"ProbeScan(Talk)", "ask=[abstract]", "bounded: true"} {
+	for _, want := range []string{"CrowdProbe(Talk) ask=[abstract]", "Scan(Talk) filter=(title = 'X')", "bounded: true"} {
 		if !strings.Contains(res.Plan, want) {
 			t.Errorf("explain missing %q:\n%s", want, res.Plan)
 		}

@@ -36,7 +36,7 @@ func TestExplainAnalyze(t *testing.T) {
 	// EXPLAIN ANALYZE executes for real and annotates each operator with
 	// measured rows, wall time, and cents next to the predictions.
 	res = mustExec(t, eng, "EXPLAIN ANALYZE "+q)
-	for _, want := range []string{"ProbeScan(Talk)", "(actual:", "rows", "predicted:", "actual: ¢"} {
+	for _, want := range []string{"CrowdProbe(Talk)", "(actual:", "rows", "predicted:", "actual: ¢"} {
 		if !strings.Contains(res.Plan, want) {
 			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, res.Plan)
 		}
@@ -81,7 +81,7 @@ func TestStatementTrace(t *testing.T) {
 		t.Fatal("finished trace not retained")
 	}
 	tj := got.JSON()
-	for _, prefix := range []string{"parse", "statement", "optimize", "snapshot", "execute", "op:scan", "crowd:probe"} {
+	for _, prefix := range []string{"parse", "statement", "optimize", "snapshot", "execute", "op:probe", "crowd:probe"} {
 		if len(tj.FindSpans(prefix)) == 0 {
 			t.Errorf("no %q span in trace %s (%d spans)", prefix, tj.TraceID, tj.Spans)
 		}

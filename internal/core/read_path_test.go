@@ -226,20 +226,26 @@ func TestStatsFollowOnlyAcceptedWrites(t *testing.T) {
 }
 
 // TestExplainRowsArePricedRows: the row estimate EXPLAIN prints on a node
-// is the one the cost next to it was computed from — a stop-after scan is
-// priced for, and shows, its bound.
+// is the one the cost next to it was computed from — a stop-after scan
+// shows its bound, and the probe above it is priced for those rows.
 func TestExplainRowsArePricedRows(t *testing.T) {
 	eng, _ := newConferenceEngine(t, 3, "")
 	defer eng.Close()
 	res := mustExec(t, eng, "EXPLAIN SELECT title, nb_attendees FROM Talk LIMIT 2")
-	var scan string
+	var probe, scan string
 	for _, line := range strings.Split(res.Plan, "\n") {
-		if strings.Contains(line, "ProbeScan(Talk)") {
+		if strings.Contains(line, "CrowdProbe(Talk)") {
+			probe = line
+		}
+		if strings.Contains(line, " Scan(Talk)") {
 			scan = line
 		}
 	}
-	if !strings.Contains(scan, "stopafter=2") || !strings.Contains(scan, "~2 rows  ¢12.0") {
-		t.Errorf("the scan is priced for 2 probed rows and must say so:\n%s", res.Plan)
+	if !strings.Contains(scan, "stopafter=2") || !strings.Contains(scan, "~2 rows  ¢0") {
+		t.Errorf("the scan reads 2 rows and must say so:\n%s", res.Plan)
+	}
+	if !strings.Contains(probe, "~2 rows  ¢12.0") {
+		t.Errorf("the probe is priced for 2 probed rows and must say so:\n%s", res.Plan)
 	}
 	openWorld, err := Open(Config{AllowUnbounded: true, Platform: newAMT(3)})
 	if err != nil {

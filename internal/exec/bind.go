@@ -282,9 +282,3 @@ func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
 		fail(dst, fmt.Errorf("exec: cannot evaluate %T", e))
 	}
 }
-
-// resolves reports whether cr names exactly one column of schema.
-func resolves(schema []plan.Col, cr *parser.ColumnRef) bool {
-	_, err := plan.FindCol(schema, cr.Table, cr.Name)
-	return err == nil
-}

@@ -25,10 +25,15 @@ func Build(n plan.Node, ctx *Ctx) (Operator, error) {
 func build(n plan.Node, ctx *Ctx) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		if ctx.Tasks != nil && (x.Table.Crowd || len(x.AskColumns) > 0) {
-			return &crowdProbeScan{node: x}, nil
-		}
 		return &seqScan{rd: tableReader{node: x}}, nil
+
+	case *plan.CrowdProbe:
+		if ctx.Tasks == nil && x.Filter == nil {
+			// No crowd to ask and nothing left to decide: the stored rows
+			// are the answer, streamed.
+			return Build(x.Scan, ctx)
+		}
+		return &crowdProbe{node: x}, nil
 
 	case *plan.Filter:
 		in, err := Build(x.Input, ctx)
@@ -84,16 +89,12 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 		return nil, err
 	}
 
-	// CrowdJoin: inner join whose right input is a CROWD-table scan bound
-	// by an equality on the join condition.
-	if j.Type == parser.JoinInner && ctx.Tasks != nil {
-		if scan, ok := j.Right.(*plan.Scan); ok && scan.Table.Crowd {
-			if leftKey, rightCol, residual, ok := crowdJoinBinding(j, scan); ok {
-				return &crowdJoin{
-					node: j, left: left, scan: scan,
-					leftKey: leftKey, rightCol: rightCol, residual: residual,
-				}, nil
-			}
+	if ctx.Tasks != nil {
+		if probe, leftKey, rightCol, residual, ok := j.CrowdJoin(); ok {
+			return &crowdJoin{
+				node: j, left: left, probe: probe,
+				leftKey: leftKey, rightCol: rightCol, residual: residual,
+			}, nil
 		}
 	}
 
@@ -109,37 +110,6 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 		}
 	}
 	return &nlJoin{node: j, left: rowCursor{in: left}, right: right}, nil
-}
-
-// crowdJoinBinding finds a conjunct equating a column of the crowd scan
-// with an expression over the left side; the rest becomes residual.
-func crowdJoinBinding(j *plan.Join, scan *plan.Scan) (leftKey parser.Expr, rightCol string, residual parser.Expr, ok bool) {
-	if j.On == nil {
-		return nil, "", nil, false
-	}
-	leftSchema := j.Left.Schema()
-	rightSchema := scan.Schema()
-	for _, conj := range parser.SplitConjuncts(j.On) {
-		be, isBin := conj.(*parser.BinaryExpr)
-		if !isBin || be.Op != "=" || ok {
-			residual = parser.And(residual, conj)
-			continue
-		}
-		var scanSide, otherSide parser.Expr
-		if cr, isCol := be.L.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && plan.CoveredBy(be.R, leftSchema) {
-			scanSide, otherSide = be.L, be.R
-		} else if cr, isCol := be.R.(*parser.ColumnRef); isCol && resolves(rightSchema, cr) && plan.CoveredBy(be.L, leftSchema) {
-			scanSide, otherSide = be.R, be.L
-		}
-		if scanSide == nil {
-			residual = parser.And(residual, conj)
-			continue
-		}
-		rightCol = scanSide.(*parser.ColumnRef).Name
-		leftKey = otherSide
-		ok = true
-	}
-	return leftKey, rightCol, residual, ok
 }
 
 // equiJoinKeys extracts one equi-key pair usable for a hash join.

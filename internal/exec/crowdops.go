@@ -663,57 +663,51 @@ func (s *crowdSorter) prefers(i, j int) bool {
 }
 
 // ---------------------------------------------------------------------------
-// CrowdProbe: scan with CNULL instantiation and tuple solicitation
+// CrowdProbe: CNULL instantiation and tuple solicitation
 
-// crowdProbeScan is an ordinary access-path read with a crowd step bolted
-// on: the table reader (reader.go) hands over the stored rows that pass the
-// crowd-free part of the pushed filter — through the primary key or an
-// index when that part pins one — then CNULLs of the asked columns are
-// instantiated, new tuples solicited for a CROWD table, and the whole
-// filter has its last word.
-type crowdProbeScan struct {
-	node *plan.Scan
+// crowdProbe is the paper's CrowdProbe over the rows its scan reads through
+// the table reader (reader.go) — through the primary key or an index when
+// the scan's filter pins one: it instantiates the CNULLs of the asked
+// columns, solicits new tuples for a CROWD table, and then applies the
+// conjuncts that read a crowd column.
+type crowdProbe struct {
+	node *plan.CrowdProbe
 	out  batchEmitter
 }
 
-func (s *crowdProbeScan) Schema() []plan.Col { return s.node.Schema() }
+func (p *crowdProbe) Schema() []plan.Col { return p.node.Schema() }
 
-func (s *crowdProbeScan) Open(ctx *Ctx) error {
-	s.out = batchEmitter{}
-	// Pre-filter on conjuncts that do not touch this table's crowd columns:
-	// predicate push-down shrinks the probe set (experiment E10's win).
-	preFilter, postNeeded := s.node.CrowdFreeFilter()
-	// Stop-after push-down (§3.2.2): when the whole filter ran pre-probe,
-	// the surviving rows are final, so the bound applies BEFORE the crowd
-	// is asked — this is exactly the rule's crowd-task saving.
-	quota := int64(-1)
-	if !postNeeded && !s.node.Table.Crowd {
-		quota = s.node.StopAfter
-	}
-	rowIDs, rows, err := ReadTable(ctx, s.node, preFilter, quota)
+func (p *crowdProbe) Open(ctx *Ctx) error {
+	p.out = batchEmitter{}
+	node := p.node
+	rowIDs, rows, err := ReadTable(ctx, node.Scan)
 	if err != nil {
 		return err
 	}
 	var b binder
-	filter := b.bind(s.node.Filter, s.node.Schema())
+	filter := b.bind(node.Filter, node.Schema())
 
 	// CrowdProbe phase 1: instantiate CNULLs of the asked crowd columns.
-	if ctx.Tasks != nil && len(s.node.AskColumns) > 0 {
-		if err := probeCNulls(ctx, s.node, rows, rowIDs); err != nil {
+	if ctx.Tasks != nil && len(node.AskColumns) > 0 {
+		if err := probeCNulls(ctx, node, rows, rowIDs); err != nil {
 			return err
 		}
 	}
 
 	// CrowdProbe phase 2: solicit new tuples for CROWD tables (open world).
-	if ctx.Tasks != nil && s.node.Table.Crowd {
-		want, err := s.wantedTuples(filter, rows)
+	if ctx.Tasks != nil && node.Scan.Table.Crowd {
+		want, err := p.wantedTuples(filter, rows)
 		if err != nil {
 			return err
 		}
 		if want > 0 {
 			// The task manager only reads a prefill: the plan's keys serve.
-			acquired, err := solicitTuples(ctx, s.node.Table, "crowd:new_tuples",
-				[]taskmgr.TupleRequest{{Prefill: s.node.ProbeKeys, Want: want}})
+			acquired, err := solicitTuples(ctx, node.Scan.Table, "crowd:new_tuples",
+				[]taskmgr.TupleRequest{{Prefill: node.Scan.ProbeKeys, Want: want}})
+			// A solicited tuple never passed the scan: its filter applies here.
+			if err == nil {
+				acquired, err = keptRows(acquired, b.bind(node.Scan.Filter, node.Schema()))
+			}
 			if err != nil {
 				return err
 			}
@@ -721,26 +715,28 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 		}
 	}
 
-	// Final filter (now that CNULLs are instantiated) and stop-after for
-	// closed-world tables.
-	var out []Row
+	// The crowd conjuncts have their say now that the CNULLs are filled.
+	p.out.rows, err = keptRows(rows, filter)
+	return err
+}
+
+// keptRows filters rows in place, keeping each that every filter keeps.
+func keptRows(rows []Row, filters ...*bound) ([]Row, error) {
+	kept := rows[:0]
 	for _, row := range rows {
 		keep := true
-		if postNeeded {
-			keep, err = filter.keeps(row, nil)
+		for _, f := range filters {
+			ok, err := f.keeps(row, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
+			keep = keep && ok
 		}
 		if keep {
-			out = append(out, row)
-			if !s.node.Table.Crowd && s.node.StopAfter >= 0 && int64(len(out)) >= s.node.StopAfter {
-				break
-			}
+			kept = append(kept, row)
 		}
 	}
-	s.out.rows = out
-	return nil
+	return kept, nil
 }
 
 // probeCNulls sends batched HIT groups for every buffered row whose asked
@@ -750,7 +746,7 @@ func (s *crowdProbeScan) Open(ctx *Ctx) error {
 // submitted before any is collected, so their crowd waits overlap. Rows
 // whose answers miss quorum are re-posted once (the operators' built-in
 // quality control, §3.2.1).
-func probeCNulls(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.RowID) error {
+func probeCNulls(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []storage.RowID) error {
 	if err := probeCNullsOnce(ctx, node, rows, rowIDs); err != nil {
 		return err
 	}
@@ -758,8 +754,8 @@ func probeCNulls(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.RowID) 
 	return probeCNullsOnce(ctx, node, rows, rowIDs)
 }
 
-func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.RowID) error {
-	t := node.Table
+func probeCNullsOnce(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []storage.RowID) error {
+	t := node.Scan.Table
 	var reqs []taskmgr.ProbeRequest
 	var reqRow []int
 	for i, row := range rows {
@@ -836,10 +832,10 @@ func probeCNullsOnce(ctx *Ctx, node *plan.Scan, rows []Row, rowIDs []storage.Row
 
 // wantedTuples is how many new tuples CrowdProbe solicits: the probe
 // keys' expected cardinality minus the stored tuples that match, and/or
-// what the pushed stop-after leaves room for.
-func (s *crowdProbeScan) wantedTuples(filter *bound, existing []Row) (int, error) {
+// what the solicitation bound leaves room for.
+func (p *crowdProbe) wantedTuples(filter *bound, existing []Row) (int, error) {
 	want := -1
-	if len(s.node.ProbeKeys) > 0 {
+	if len(p.node.Scan.ProbeKeys) > 0 {
 		matching := 0
 		for _, row := range existing {
 			ok, err := filter.keeps(row, nil)
@@ -850,10 +846,10 @@ func (s *crowdProbeScan) wantedTuples(filter *bound, existing []Row) (int, error
 				matching++
 			}
 		}
-		want = int(s.node.Table.ExpectedCrowdCard()) - matching
+		want = int(p.node.Scan.Table.ExpectedCrowdCard()) - matching
 	}
-	if s.node.StopAfter >= 0 {
-		if byLimit := int(s.node.StopAfter) - len(existing); want < 0 || byLimit < want {
+	if p.node.Solicit >= 0 {
+		if byLimit := int(p.node.Solicit) - len(existing); want < 0 || byLimit < want {
 			want = byLimit
 		}
 	}
@@ -960,13 +956,13 @@ func isPKColumn(t *catalog.Table, col string) bool {
 	return false
 }
 
-func (s *crowdProbeScan) NextBatch(ctx *Ctx) (*Batch, error) {
-	return s.out.next(ctx), nil
+func (p *crowdProbe) NextBatch(ctx *Ctx) (*Batch, error) {
+	return p.out.next(ctx), nil
 }
 
-func (s *crowdProbeScan) Close(*Ctx) error { return nil }
+func (p *crowdProbe) Close(*Ctx) error { return nil }
 
-func (s *crowdProbeScan) bufferedRows() int64 { return int64(len(s.out.rows)) }
+func (p *crowdProbe) bufferedRows() int64 { return int64(len(p.out.rows)) }
 
 // ---------------------------------------------------------------------------
 // CrowdJoin: index nested-loop join soliciting matching inner tuples
@@ -980,7 +976,7 @@ func (s *crowdProbeScan) bufferedRows() int64 { return int64(len(s.out.rows)) }
 type crowdJoin struct {
 	node     *plan.Join
 	left     Operator
-	scan     *plan.Scan // crowd inner
+	probe    *plan.CrowdProbe // the crowd inner
 	leftKey  parser.Expr
 	rightCol string
 	residual parser.Expr
@@ -999,10 +995,11 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	inner := j.probe.Scan
 	var b binder
-	b.grow(nodeCount(j.leftKey) + nodeCount(j.residual) + nodeCount(j.scan.Filter))
+	b.grow(nodeCount(j.leftKey) + nodeCount(j.residual) + nodeCount(inner.Filter) + nodeCount(j.probe.Filter))
 	leftKey, residual := b.bind(j.leftKey, j.left.Schema()), b.bind(j.residual, j.Schema())
-	innerFilter := b.bind(j.scan.Filter, j.scan.Schema())
+	scanFilter, crowdFilter := b.bind(inner.Filter, inner.Schema()), b.bind(j.probe.Filter, inner.Schema())
 	keys := make([]sqltypes.Value, len(leftRows))
 	for i, r := range leftRows {
 		v, err := leftKey.eval(r, nil)
@@ -1012,38 +1009,40 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		keys[i] = v
 	}
 
-	t := j.scan.Table
+	t := inner.Table
 	rightColIdx := t.ColumnIndex(j.rightCol)
 
-	// Index the stored inner rows by join key (and probe their CNULLs).
-	innerIDs, innerRows, err := ReadTable(ctx, j.scan, j.scan.Filter, -1)
+	// Index the stored inner rows by join key once their CNULLs are probed
+	// and the crowd conjuncts have had their say.
+	innerIDs, innerRows, err := ReadTable(ctx, inner)
 	if err != nil {
 		return err
 	}
-	if ctx.Tasks != nil && len(j.scan.AskColumns) > 0 {
-		if err := probeCNulls(ctx, j.scan, innerRows, innerIDs); err != nil {
+	if ctx.Tasks != nil && len(j.probe.AskColumns) > 0 {
+		if err := probeCNulls(ctx, j.probe, innerRows, innerIDs); err != nil {
 			return err
 		}
 	}
+	if innerRows, err = keptRows(innerRows, crowdFilter); err != nil {
+		return err
+	}
 	matches := make(map[string][]Row)
 	for _, row := range innerRows {
-		matches[storage.IndexKey(row[rightColIdx])] = append(matches[storage.IndexKey(row[rightColIdx])], row)
+		kk := storage.IndexKey(row[rightColIdx])
+		matches[kk] = append(matches[kk], row)
 	}
 
 	if reqs := j.missingRequests(keys, matches); ctx.Tasks != nil && len(reqs) > 0 {
 		accepted, err := solicitTuples(ctx, t, "crowd:join_tuples", reqs)
+		if err == nil {
+			accepted, err = keptRows(accepted, scanFilter, crowdFilter)
+		}
 		if err != nil {
 			return err
 		}
 		for _, row := range accepted {
-			ok, err := innerFilter.keeps(row, nil)
-			if err != nil {
-				return err
-			}
-			if ok {
-				kk := storage.IndexKey(row[rightColIdx])
-				matches[kk] = append(matches[kk], row)
-			}
+			kk := storage.IndexKey(row[rightColIdx])
+			matches[kk] = append(matches[kk], row)
 		}
 	}
 
@@ -1078,12 +1077,12 @@ func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches map[string][]
 			continue
 		}
 		seen[kk] = true
-		want := int(j.scan.Table.ExpectedCrowdCard()) - len(matches[kk])
+		want := int(j.probe.Scan.Table.ExpectedCrowdCard()) - len(matches[kk])
 		if want <= 0 {
 			continue
 		}
 		prefill := map[string]sqltypes.Value{strings.ToLower(j.rightCol): k}
-		maps.Copy(prefill, j.scan.ProbeKeys)
+		maps.Copy(prefill, j.probe.Scan.ProbeKeys)
 		reqs = append(reqs, taskmgr.TupleRequest{Prefill: prefill, Want: want})
 	}
 	return reqs

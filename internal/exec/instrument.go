@@ -159,6 +159,8 @@ func opLabel(n plan.Node) string {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return "op:scan:" + x.Table.Name
+	case *plan.CrowdProbe:
+		return "op:probe:" + x.Scan.Table.Name
 	case *plan.Filter:
 		return "op:filter"
 	case *plan.Join:

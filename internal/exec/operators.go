@@ -77,7 +77,7 @@ type seqScan struct {
 func (s *seqScan) Schema() []plan.Col { return s.rd.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
-	return s.rd.open(ctx, s.rd.node, s.rd.node.Filter, s.rd.node.StopAfter)
+	return s.rd.open(ctx, s.rd.node)
 }
 
 func (s *seqScan) nextRow(ctx *Ctx) (Row, error) {

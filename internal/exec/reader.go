@@ -3,7 +3,6 @@ package exec
 import (
 	"strings"
 
-	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
@@ -45,8 +44,8 @@ type shardStream struct {
 
 type tableReader struct {
 	node    *plan.Scan
-	filter  *bound // keep/drop test, unknown drops; nil keeps every row
-	quota   int64  // rows to return before stopping, < 0 for all
+	filter  *bound // node.Filter: unknown drops; nil keeps every row
+	quota   int64  // node.StopAfter: rows to return before stopping, < 0 for all
 	streams []shardStream
 	keyed   [1]shardStream // backs streams when a key feeds the read
 	cursors bool           // fed by the shard cursors, not by a key
@@ -57,11 +56,9 @@ type tableReader struct {
 }
 
 // open positions the reader on node's table at the statement's snapshot.
-// filter is usually node.Filter; CrowdProbe passes the part of it that can
-// run before the crowd is asked.
-func (r *tableReader) open(ctx *Ctx, node *plan.Scan, filter parser.Expr, quota int64) error {
+func (r *tableReader) open(ctx *Ctx, node *plan.Scan) error {
 	var b binder
-	*r = tableReader{node: node, filter: b.bind(filter, node.Schema()), quota: quota}
+	*r = tableReader{node: node, filter: b.bind(node.Filter, node.Schema()), quota: node.StopAfter}
 	ids, rows, keyed, err := fetchByKey(ctx, node)
 	if err != nil {
 		return err
@@ -136,10 +133,9 @@ func (r *tableReader) next(ctx *Ctx) (storage.RowID, Row, error) {
 }
 
 // close feeds back to the cost model what the read kept of the rows it
-// examined, as the observed selectivity of the scan's pushed predicate
-// (CrowdProbe's observation is of the part it could run before the crowd
-// answered) — from the cursors only: a key-fed read keeps nearly every
-// candidate, which says nothing about the predicate over the table.
+// examined, as the observed selectivity of the scan's pushed predicate —
+// from the cursors only: a key-fed read keeps nearly every candidate,
+// which says nothing about the predicate over the table.
 func (r *tableReader) close() {
 	if r.cursors && r.node.Filter != nil {
 		r.node.Table.ObserveFilter(r.scanned, r.out)
@@ -147,12 +143,12 @@ func (r *tableReader) close() {
 }
 
 // ReadTable returns, in insertion order and with their ids, the rows of
-// node's table that filter keeps — at most quota of them when quota >= 0 —
-// reading through the key node's probe keys pin when there is one. The rows
-// are the store's shared images: clone before writing.
-func ReadTable(ctx *Ctx, node *plan.Scan, filter parser.Expr, quota int64) ([]storage.RowID, []Row, error) {
+// node's table that node.Filter keeps — at most node.StopAfter of them when
+// that is >= 0 — reading through the key node's probe keys pin when there
+// is one. The rows are the store's shared images: clone before writing.
+func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
 	var r tableReader
-	if err := r.open(ctx, node, filter, quota); err != nil {
+	if err := r.open(ctx, node); err != nil {
 		return nil, nil, err
 	}
 	defer r.close()

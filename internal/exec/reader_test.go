@@ -277,15 +277,16 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 						unkeyed := *keyed
 						unkeyed.ProbeKeys = nil // same filter, no access path: the cursors feed it
 						for _, node := range []*plan.Scan{keyed, &unkeyed} {
+							node.StopAfter = quota
 							ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at}
 							var rd tableReader
-							if err := rd.open(ctx, node, node.Filter, quota); err != nil {
+							if err := rd.open(ctx, node); err != nil {
 								t.Fatal(err)
 							}
 							if rd.cursors != (node == &unkeyed) {
 								t.Fatalf("%s: cursors feed the read: %v", where, rd.cursors)
 							}
-							ids, rows, err := ReadTable(ctx, node, node.Filter, quota)
+							ids, rows, err := ReadTable(ctx, node)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -293,7 +294,6 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 								t.Fatalf("step %d, %s at %d, quota %d, cursors=%v:\ngot  %v\n%swant %v\n%s",
 									step, where, at, quota, rd.cursors, ids, rowsKey(rows), wantIDs, rowsKey(want))
 							}
-							node.StopAfter = quota
 							for _, size := range []int{1, 7, 256} {
 								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, BatchSize: size}
 								got, err := Run(&seqScan{rd: tableReader{node: node}}, ctx)

@@ -23,7 +23,9 @@ import (
 )
 
 // setupStopAfter builds a table whose sort keys tie a lot and hold NULLs:
-// g has 8 values, k 5 and NULL, v 40, f 7.
+// g has 8 values, k 5 and NULL, v 40, f 7. c is a CROWD column holding 6
+// stored values and CNULL: with no platform attached, every plan reads the
+// table through a CrowdProbe that asks nothing.
 func setupStopAfter(t testing.TB) *harness {
 	st, err := storage.NewStore("")
 	if err != nil {
@@ -38,6 +40,7 @@ func setupStopAfter(t testing.TB) *harness {
 			{Name: "k", Type: sqltypes.TypeInt},
 			{Name: "v", Type: sqltypes.TypeInt},
 			{Name: "f", Type: sqltypes.TypeFloat},
+			{Name: "c", Type: sqltypes.TypeString, Crowd: true},
 		},
 	}
 	if err := h.cat.CreateTable(tab); err != nil {
@@ -53,7 +56,10 @@ func setupStopAfter(t testing.TB) *harness {
 			k = sqltypes.Null()
 		}
 		row := Row{num(int64(id)), str(fmt.Sprintf("g%d", rng.Intn(8))), k, num(int64(rng.Intn(40))),
-			sqltypes.NewFloat(float64(rng.Intn(7)) / 2)}
+			sqltypes.NewFloat(float64(rng.Intn(7)) / 2), str(fmt.Sprintf("c%d", rng.Intn(6)))}
+		if rng.Intn(4) == 0 {
+			row[5] = sqltypes.CNull()
+		}
 		if _, err := h.store.Insert("s", row); err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +85,12 @@ func stopAfterQuery(pick func(int) int) string {
 		}
 		return " ORDER BY " + strings.Join(ks, ", ")
 	}
-	where := one("", " WHERE v > 12", " WHERE k IS NOT NULL", " WHERE g <> 'g3'")
+	where := one("", " WHERE v > 12", " WHERE k IS NOT NULL", " WHERE g <> 'g3'",
+		" WHERE c > 'c2'", " WHERE c IS NOT CNULL", " WHERE v > 12 AND c <> 'c4'")
 	var sql string
 	switch pick(3) {
 	case 0: // a projection: keys among its outputs, aliases and columns it drops
-		items := some(4, "id", "g", "k", "v", "f", "k AS kk", "v AS vv", "g AS grp", "v * 2 AS dbl", "'x' AS lit")
+		items := some(4, "id", "g", "k", "v", "f", "c", "k AS kk", "v AS vv", "g AS grp", "v * 2 AS dbl", "'x' AS lit", "c AS cc")
 		var outs []string
 		for _, it := range items {
 			name, alias, ok := strings.Cut(it, " AS ")
@@ -93,13 +100,13 @@ func stopAfterQuery(pick func(int) int) string {
 			outs = append(outs, name)
 		}
 		sql = "SELECT " + strings.Join(items, ", ") + " FROM s" + where +
-			keys(append(outs, "k", "v", "f", "id", "g")...)
+			keys(append(outs, "k", "v", "f", "id", "g", "c")...)
 	case 1: // DISTINCT: keys among its outputs
-		items := some(3, "g", "k", "f")
+		items := some(3, "g", "k", "f", "c")
 		sql = "SELECT DISTINCT " + strings.Join(items, ", ") + " FROM s" + where + keys(items...)
 	default: // GROUP BY: keys among its outputs and aggregates it does not select
-		group := one("g", "k", "g, k")
-		items := append(strings.Split(group, ", "), some(3, "COUNT(*)", "SUM(v) AS total", "AVG(f)", "MIN(k)", "MAX(v) AS mx")...)
+		group := one("g", "k", "g, k", "c")
+		items := append(strings.Split(group, ", "), some(3, "COUNT(*)", "SUM(v) AS total", "AVG(f)", "MIN(k)", "MAX(v) AS mx", "MAX(c)")...)
 		var outs []string
 		for _, it := range items {
 			name, alias, ok := strings.Cut(it, " AS ")
@@ -110,7 +117,7 @@ func stopAfterQuery(pick func(int) int) string {
 		}
 		having := one("", "", " HAVING COUNT(*) > 4", " HAVING SUM(v) > 200")
 		sql = "SELECT " + strings.Join(items, ", ") + " FROM s" + where + " GROUP BY " + group + having +
-			keys(append(outs, "SUM(f)", "MAX(k)", "MIN(v) - MAX(v)", "COUNT(*) * 2")...)
+			keys(append(outs, "SUM(f)", "MAX(k)", "MIN(v) - MAX(v)", "COUNT(*) * 2", "MIN(c)")...)
 	}
 	if pick(5) > 0 {
 		sql += " LIMIT " + one("0", "1", "3", "10", "40", "1000")
@@ -157,8 +164,9 @@ func (h *harness) runOutcome(sql string, opts optimizer.Options, batch int) (out
 }
 
 // checkStopAfter runs sql with the push-downs and without, at batch size
-// batch, and reports how the pushed plan differs from the reference.
-func checkStopAfter(t *testing.T, h *harness, sql string, batch int) (topk, moved bool) {
+// batch, reports how the pushed plan differs from the reference, and
+// returns the pushed plan.
+func checkStopAfter(t *testing.T, h *harness, sql string, batch int) (topk, moved bool, pushed string) {
 	t.Helper()
 	want, ref := h.runOutcome(sql, optimizer.Options{DisableStopAfter: true}, batch)
 	got, pushed := h.runOutcome(sql, optimizer.Options{}, batch)
@@ -170,27 +178,38 @@ func checkStopAfter(t *testing.T, h *harness, sql string, batch int) (topk, move
 		p, s := strings.Index(tree, "Project("), strings.Index(tree, "Sort(")
 		return p >= 0 && s >= 0 && p < s
 	}
-	return strings.Contains(pushed, "topk="), projectAboveSort(pushed) && !projectAboveSort(ref)
+	return strings.Contains(pushed, "topk="), projectAboveSort(pushed) && !projectAboveSort(ref), pushed
 }
 
 func TestStopAfterPushdownMatchesReference(t *testing.T) {
 	h := setupStopAfter(t)
 	rng := rand.New(rand.NewSource(31))
-	topks, moves := 0, 0
+	topks, moves, probes, filtered := 0, 0, 0, 0
 	for i := 0; i < 500; i++ {
 		sql := stopAfterQuery(rng.Intn)
 		for _, batch := range []int{1, 7, 256} {
-			topk, moved := checkStopAfter(t, h, sql, batch)
-			if batch == 1 && topk {
+			topk, moved, pushed := checkStopAfter(t, h, sql, batch)
+			if batch != 1 {
+				continue
+			}
+			if topk {
 				topks++
 			}
-			if batch == 1 && moved {
+			if moved {
 				moves++
+			}
+			if strings.Contains(pushed, "CrowdProbe(s) filter=") {
+				filtered++
+			} else if strings.Contains(pushed, "CrowdProbe(s)") {
+				probes++
 			}
 		}
 	}
 	if topks < 20 || moves < 20 {
 		t.Errorf("the corpus pushed a bound into %d aggregates and moved %d sorts below a projection, want ≥ 20 each", topks, moves)
+	}
+	if probes < 20 || filtered < 20 {
+		t.Errorf("the corpus planned %d CrowdProbes without a filter and %d with one, want ≥ 20 each", probes, filtered)
 	}
 	// The shapes the push-downs must get right, whatever the draw.
 	for _, sql := range []string{
@@ -205,6 +224,10 @@ func TestStopAfterPushdownMatchesReference(t *testing.T) {
 		"SELECT g FROM s GROUP BY g ORDER BY MAX(k), AVG(f) DESC LIMIT 4",
 		"SELECT g, k, COUNT(*) FROM s GROUP BY g, k ORDER BY COUNT(*) DESC LIMIT 5",
 		"SELECT g, SUM(f) FROM s GROUP BY g ORDER BY -g LIMIT 3",
+		"SELECT id, v FROM s ORDER BY v DESC, id LIMIT 3",
+		"SELECT id, c FROM s ORDER BY c DESC, id LIMIT 5 OFFSET 2",
+		"SELECT id FROM s WHERE c > 'c2' ORDER BY v, id LIMIT 4",
+		"SELECT c, COUNT(*) FROM s GROUP BY c ORDER BY COUNT(*) DESC, c LIMIT 2",
 	} {
 		for _, batch := range []int{1, 7, 256} {
 			checkStopAfter(t, h, sql, batch)

@@ -7,8 +7,9 @@ package optimizer
 // what the executor actually pays:
 //
 //	CrowdProbe   cents = probeRows × reward × assignments
-//	             (probeRows = stored rows surviving the pushed filter
-//	             that still hold CNULL in an asked column)
+//	             (probeRows = stored rows surviving the pushed filters
+//	             that still hold CNULL in an asked column; a Scan itself
+//	             is machine work only)
 //	Solicitation cents = wantedTuples × reward × tupleAssignments
 //	CROWDEQUAL   cents = inputRows × calls × (1 − cacheHitRate)
 //	             × reward × assignments
@@ -210,6 +211,8 @@ func (cm *costModel) compute(n plan.Node) plan.Cost {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return cm.scanCost(x)
+	case *plan.CrowdProbe:
+		return cm.crowdProbeCost(x)
 	case *plan.Filter:
 		return cm.filterCost(x)
 	case *plan.Join:
@@ -240,11 +243,12 @@ func (cm *costModel) compute(n plan.Node) plan.Cost {
 	return plan.Cost{Rows: 1}
 }
 
-// storedScanRows estimates the stored rows a scan emits after its pushed
-// predicate, preferring the observed selectivity over the 1/3 guess.
-func (cm *costModel) storedScanRows(s *plan.Scan) float64 {
+// storedScanRows estimates the stored rows of s that pass the predicates
+// pushed into it and its CrowdProbe (filtered says there is one),
+// preferring the observed selectivity over the 1/3 guess.
+func (cm *costModel) storedScanRows(s *plan.Scan, filtered bool) float64 {
 	stored := float64(s.Table.RowCount())
-	if s.Filter == nil {
+	if !filtered {
 		return stored
 	}
 	sel := 1.0 / 3
@@ -262,6 +266,11 @@ func (cm *costModel) storedScanRows(s *plan.Scan) float64 {
 	return stored * sel
 }
 
+// probeStoredRows estimates the stored rows that reach p's crowd step.
+func (cm *costModel) probeStoredRows(p *plan.CrowdProbe) float64 {
+	return cm.storedScanRows(p.Scan, p.Scan.Filter != nil || p.Filter != nil)
+}
+
 // fanout is the predicted NEW crowd tuples accepted per solicited key
 // (stored matches excluded — both executor observations measure
 // incremental acceptance).
@@ -272,16 +281,16 @@ func (cm *costModel) fanout(s *plan.Scan) float64 {
 	return float64(s.Table.ExpectedCrowdCard())
 }
 
-// probeCost prices instantiating the asked CNULL columns of `rows` stored
+// probeCost prices instantiating p's asked CNULL columns of `rows` stored
 // rows: one probe HIT per row still holding a CNULL, capped by the
 // catalog's outstanding-CNULL counters.
-func (cm *costModel) probeCost(s *plan.Scan, rows float64) plan.Cost {
-	if len(s.AskColumns) == 0 || rows <= 0 {
+func (cm *costModel) probeCost(p *plan.CrowdProbe, rows float64) plan.Cost {
+	if len(p.AskColumns) == 0 || rows <= 0 {
 		return plan.Cost{}
 	}
-	stats := s.Table.Stats()
+	stats := p.Scan.Table.Stats()
 	var outstanding float64
-	for _, col := range s.AskColumns {
+	for _, col := range p.AskColumns {
 		if cn := float64(stats.CNullCount[col]); cn > outstanding {
 			outstanding = cn
 		}
@@ -325,44 +334,50 @@ func machineScanSeconds(s *plan.Scan) float64 {
 	return float64(max(s.Table.RowCount(), 0)) / scanRowsPerSecond
 }
 
+// scanCost prices the machine work of reading stored rows: no cents, and
+// the rows its filter and stop-after let through.
 func (cm *costModel) scanCost(s *plan.Scan) plan.Cost {
-	storedOut := cm.storedScanRows(s)
-	machine := machineScanSeconds(s)
+	c := plan.Cost{Rows: cm.storedScanRows(s, s.Filter != nil), MachineSeconds: machineScanSeconds(s)}
+	if s.StopAfter >= 0 && float64(s.StopAfter) < c.Rows {
+		c.Rows = float64(s.StopAfter)
+	}
+	return c
+}
+
+// crowdProbeCost prices the crowd work over the rows p's scan reads: the
+// probes of their CNULLs and, for a CROWD table, the solicitation of new
+// tuples — per probe key, or up to the stop-after bound; without either
+// the open world makes it unbounded.
+func (cm *costModel) crowdProbeCost(p *plan.CrowdProbe) plan.Cost {
+	s := p.Scan
+	machine := cm.cost(s).MachineSeconds
+	stored := cm.probeStoredRows(p)
+	// The scan's exact stop-after truncates the read before the crowd is
+	// asked: the probe forecast follows.
+	if s.StopAfter >= 0 && float64(s.StopAfter) < stored {
+		stored = float64(s.StopAfter)
+	}
+	c := cm.probeCost(p, stored)
+	c.MachineSeconds += machine
+	c.Rows = stored
 	if !s.Table.Crowd {
-		// Stop-after truncates a closed-world scan before the crowd is
-		// asked whenever the whole pushed filter runs pre-probe (no crowd
-		// columns referenced): the probe forecast follows.
-		if s.StopAfter >= 0 && float64(s.StopAfter) < storedOut {
-			if _, probeFirst := s.CrowdFreeFilter(); !probeFirst {
-				storedOut = float64(s.StopAfter)
-			}
-		}
-		c := cm.probeCost(s, storedOut)
-		c.MachineSeconds += machine
-		c.Rows = storedOut
-		if s.StopAfter >= 0 && float64(s.StopAfter) < c.Rows {
-			c.Rows = float64(s.StopAfter)
-		}
 		return c
 	}
-	c := cm.probeCost(s, storedOut)
-	c.MachineSeconds += machine
-	c.Rows = storedOut
 	// Open world: solicitation. Execution wants ExpectedCrowdCard matches
 	// per probe key (or fills up to the stop-after bound); the predicted
 	// yield uses the observed fanout when available.
 	execFan := float64(s.Table.ExpectedCrowdCard())
 	switch {
 	case len(s.ProbeKeys) > 0:
-		want := execFan - storedOut
+		want := execFan - stored
 		c = c.Plus(cm.solicitCost(want))
-		c.Rows = storedOut + cm.fanout(s)
-	case s.StopAfter >= 0:
-		want := float64(s.StopAfter) - storedOut
+		c.Rows = stored + cm.fanout(s)
+	case p.Solicit >= 0:
+		want := float64(p.Solicit) - stored
 		c = c.Plus(cm.solicitCost(want))
-		c.Rows = storedOut + math.Max(want, 0)
-		if float64(s.StopAfter) < c.Rows {
-			c.Rows = float64(s.StopAfter)
+		c.Rows = stored + math.Max(want, 0)
+		if float64(p.Solicit) < c.Rows {
+			c.Rows = float64(p.Solicit)
 		}
 	default:
 		return plan.Cost{Cents: math.Inf(1), Seconds: math.Inf(1), Rows: math.Inf(1)}
@@ -443,15 +458,16 @@ func (cm *costModel) joinCost(j *plan.Join) plan.Cost {
 		sel = 0.1
 	}
 
-	// CrowdJoin rescue (§3.2.1): an inner crowd scan bound by the join
+	// CrowdJoin (§3.2.1): an inner crowd probe bound by the join
 	// condition is solicited per distinct outer key rather than
 	// enumerated, so its standalone infinity does not apply.
-	if j.Type == parser.JoinInner && !l.IsUnbounded() {
-		if s, ok := j.Right.(*plan.Scan); ok && s.Table.Crowd && cm.o.joinBindsScan(j, s) {
-			storedInner := cm.storedScanRows(s)
+	if !l.IsUnbounded() {
+		if p, _, _, _, ok := j.CrowdJoin(); ok {
+			s := p.Scan
+			storedInner := cm.probeStoredRows(p)
 			c := plan.Cost{Cents: l.Cents, Seconds: l.Seconds,
 				MachineSeconds: l.MachineSeconds + machineScanSeconds(s)}
-			c = c.Plus(cm.probeCost(s, storedInner))
+			c = c.Plus(cm.probeCost(p, storedInner))
 			keys := l.Rows
 			execFan := float64(s.Table.ExpectedCrowdCard())
 			storedPerKey := 0.0
@@ -487,9 +503,8 @@ type dpState struct {
 // pricing each candidate with the cost model, and returns the cheapest
 // complete plan. It reports ok=false when every complete order is
 // unbounded (the caller then keeps greedy).
-func (o *optimizer) buildDP(leaves []plan.Node, conjuncts []parser.Expr) (plan.Node, []crossPair, bool) {
+func (o *optimizer) buildDP(cm *costModel, leaves []plan.Node, conjuncts []parser.Expr) (plan.Node, []crossPair, bool) {
 	n := len(leaves)
-	cm := newCostModel(o)
 	states := make([]*dpState, 1<<n)
 	for i := 0; i < n; i++ {
 		states[1<<i] = &dpState{node: leaves[i], score: cm.score(leaves[i])}

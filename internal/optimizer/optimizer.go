@@ -45,7 +45,8 @@ type Result struct {
 	// Warnings are human-readable compile-time diagnostics (unbounded
 	// crowd access, cross products, ...).
 	Warnings []string
-	// Bounded reports whether every crowd access in the plan is bounded.
+	// Bounded reports whether every crowd access in the plan is bounded:
+	// the predicted cost is finite.
 	Bounded bool
 	// Costs are the cost model's per-node predictions (crowd cents,
 	// crowd-latency seconds, output rows); EXPLAIN prints them.
@@ -72,21 +73,35 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 	if !opts.DisableCostBased {
 		o.orderFilterPhases(root)
 	}
-	bounded := o.annotate(root)
-	res := &Result{Root: root, Bounded: bounded}
 	// Final costing pass: a fresh model, because the tree was mutated
 	// (stop-after, filter phases) since any costs computed during the
 	// join-order search.
 	cm := newCostModel(o)
-	res.Predicted = cm.cost(root)
-	res.Costs = cm.memo
+	res := &Result{Root: root, Predicted: cm.cost(root), Costs: cm.memo}
+	res.Bounded = !res.Predicted.IsUnbounded()
 	stampBuildRows(root, res.Costs)
-	res.Warnings = append(res.Warnings, o.warningTexts()...)
-	if !bounded && !opts.AllowUnbounded {
+	o.warnUnbounded(root, res.Costs)
+	res.Warnings = o.warnings
+	if !res.Bounded && !opts.AllowUnbounded {
 		return nil, fmt.Errorf("optimizer: plan requests an unbounded amount of crowd data: %s",
 			strings.Join(res.Warnings, "; "))
 	}
 	return res, nil
+}
+
+// warnUnbounded names each CrowdProbe under n whose unbounded cost reaches
+// n: an unbounded input a CrowdJoin binds stops at the join's finite cost.
+func (o *optimizer) warnUnbounded(n plan.Node, costs map[plan.Node]plan.Cost) {
+	if !costs[n].IsUnbounded() {
+		return
+	}
+	if p, ok := n.(*plan.CrowdProbe); ok {
+		o.warnf("scan of CROWD table %s is unbounded: add a key predicate or LIMIT", p.Scan.Alias)
+		return
+	}
+	for _, c := range n.Children() {
+		o.warnUnbounded(c, costs)
+	}
 }
 
 // stampBuildRows writes each join's build-side row estimate onto the
@@ -101,49 +116,14 @@ func stampBuildRows(n plan.Node, costs map[plan.Node]plan.Cost) {
 	}
 }
 
-// warning is one structured compile-time diagnostic. Unbounded-scan
-// warnings carry the scan that logged them so the CrowdJoin rescue can
-// retract exactly that warning — not whichever string happens to match —
-// regardless of how join reordering interleaved other warnings.
-type warning struct {
-	text    string
-	scan    *plan.Scan
-	dropped bool
-}
-
 type optimizer struct {
 	cat      *catalog.Catalog
 	opts     Options
-	warnings []warning
+	warnings []string
 }
 
 func (o *optimizer) warnf(format string, args ...interface{}) {
-	o.warnings = append(o.warnings, warning{text: fmt.Sprintf(format, args...)})
-}
-
-func (o *optimizer) warnScan(s *plan.Scan, format string, args ...interface{}) {
-	o.warnings = append(o.warnings, warning{text: fmt.Sprintf(format, args...), scan: s})
-}
-
-// dropScanWarning retracts the (latest) unbounded warning logged for
-// exactly this scan node.
-func (o *optimizer) dropScanWarning(s *plan.Scan) {
-	for i := len(o.warnings) - 1; i >= 0; i-- {
-		if o.warnings[i].scan == s && !o.warnings[i].dropped {
-			o.warnings[i].dropped = true
-			return
-		}
-	}
-}
-
-func (o *optimizer) warningTexts() []string {
-	var out []string
-	for _, w := range o.warnings {
-		if !w.dropped {
-			out = append(out, w.text)
-		}
-	}
-	return out
+	o.warnings = append(o.warnings, fmt.Sprintf(format, args...))
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +131,8 @@ func (o *optimizer) warningTexts() []string {
 
 // pushPredicates moves non-crowd filter conjuncts as close to the scans as
 // possible; conjuncts spanning an inner/cross join migrate into its ON.
+// Under a CrowdProbe, a conjunct that reads a crowd column stays with the
+// probe and the others go down to its scan.
 func (o *optimizer) pushPredicates(n plan.Node) plan.Node {
 	switch x := n.(type) {
 	case *plan.Filter:
@@ -203,6 +185,14 @@ func (o *optimizer) pushPredicates(n plan.Node) plan.Node {
 func (o *optimizer) push(n plan.Node, conj parser.Expr) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
+		if plan.CoveredBy(conj, x.Schema()) {
+			x.Filter = parser.And(x.Filter, conj)
+			return true
+		}
+	case *plan.CrowdProbe:
+		if !x.Scan.ReadsCrowd(conj) {
+			return o.push(x.Scan, conj)
+		}
 		if plan.CoveredBy(conj, x.Schema()) {
 			x.Filter = parser.And(x.Filter, conj)
 			return true
@@ -267,23 +257,32 @@ func hasSubquery(e parser.Expr) bool {
 // ---------------------------------------------------------------------------
 // Rule 2: probe-key derivation
 
-// DeriveProbeKeys extracts `col = literal` bindings from scan filters: the
+// DeriveProbeKeys extracts `col = literal` bindings from the pushed
+// filters of each scan and its CrowdProbe into the scan's ProbeKeys: the
 // keys CrowdProbe pre-fills when soliciting new tuples (§3.1), the
-// bindings the boundedness analysis accepts, and the keys an index access
+// bindings that bound a CROWD table's probe, and the keys an index access
 // path probes with.
 func DeriveProbeKeys(n plan.Node) {
-	if s, ok := n.(*plan.Scan); ok {
-		if s.Filter != nil {
-			for _, conj := range parser.SplitConjuncts(s.Filter) {
-				if col, val, ok := equalityBinding(conj); ok {
-					s.ProbeKeys[strings.ToLower(col)] = val
-				}
-			}
-		}
+	switch x := n.(type) {
+	case *plan.Scan:
+		addProbeKeys(x, x.Filter)
 		return
+	case *plan.CrowdProbe:
+		addProbeKeys(x.Scan, x.Filter)
 	}
 	for _, c := range n.Children() {
 		DeriveProbeKeys(c)
+	}
+}
+
+func addProbeKeys(s *plan.Scan, filter parser.Expr) {
+	if filter == nil {
+		return
+	}
+	for _, conj := range parser.SplitConjuncts(filter) {
+		if col, val, ok := equalityBinding(conj); ok {
+			s.ProbeKeys[strings.ToLower(col)] = val
+		}
 	}
 }
 
@@ -374,20 +373,6 @@ func (o *optimizer) collectJoinTree(j *plan.Join) ([]plan.Node, []parser.Expr) {
 	return leaves, conjs
 }
 
-// leafCost ranks join inputs: bounded closed-world data is cheap, crowd
-// tables without probe keys are effectively infinite.
-func (o *optimizer) leafCost(n plan.Node) float64 {
-	if s, ok := n.(*plan.Scan); ok {
-		return o.scanCard(s)
-	}
-	// Non-scan leaf (e.g. a left join subtree): sum of its scans.
-	cost := 1.0
-	for _, c := range n.Children() {
-		cost += o.leafCost(c)
-	}
-	return cost
-}
-
 // orderJoinChain rebuilds one flattened inner/cross join chain. The flat
 // greedy heuristic is always computed (it is the deterministic baseline);
 // with the cost model enabled and the chain small enough, a bounded DP
@@ -395,11 +380,11 @@ func (o *optimizer) leafCost(n plan.Node) float64 {
 // predicted money×latency score is strictly better — ties keep the greedy
 // plan, so existing workloads replay identically.
 func (o *optimizer) orderJoinChain(leaves []plan.Node, conjuncts []parser.Expr) plan.Node {
-	greedy, greedyCrosses := o.buildGreedy(leaves, conjuncts)
+	cm := newCostModel(o)
+	greedy, greedyCrosses := o.buildGreedy(cm, leaves, conjuncts)
 	chosen, crosses := greedy, greedyCrosses
 	if !o.opts.DisableCostBased && len(leaves) <= dpMaxLeaves && len(conjuncts) <= dpMaxConjuncts {
-		if dp, dpCrosses, ok := o.buildDP(leaves, conjuncts); ok {
-			cm := newCostModel(o)
+		if dp, dpCrosses, ok := o.buildDP(cm, leaves, conjuncts); ok {
 			if cm.score(dp) < cm.score(greedy)-scoreEpsilon {
 				chosen, crosses = dp, dpCrosses
 			}
@@ -415,15 +400,19 @@ func (o *optimizer) orderJoinChain(leaves []plan.Node, conjuncts []parser.Expr) 
 // build order, so the chosen plan's warnings match the legacy ordering.
 type crossPair struct{ left, right plan.Node }
 
-func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (plan.Node, []crossPair) {
+// buildGreedy joins the leaves left-deep, ranking them by the rows cm
+// predicts: bounded closed-world data is cheap, an unbounded crowd input
+// infinite.
+func (o *optimizer) buildGreedy(cm *costModel, leaves []plan.Node, conjuncts []parser.Expr) (plan.Node, []crossPair) {
 	used := make([]bool, len(leaves))
 	usedConj := make([]bool, len(conjuncts))
 	var crosses []crossPair
+	leafCost := func(n plan.Node) float64 { return cm.cost(n).Rows }
 
 	// Seed: cheapest leaf.
 	best := 0
 	for i := range leaves {
-		if o.leafCost(leaves[i]) < o.leafCost(leaves[best]) {
+		if leafCost(leaves[i]) < leafCost(leaves[best]) {
 			best = i
 		}
 	}
@@ -448,7 +437,7 @@ func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (pl
 					break
 				}
 			}
-			cost := o.leafCost(leaves[i])
+			cost := leafCost(leaves[i])
 			// Prefer connected inputs; among equals, cheapest. Always take
 			// the first candidate (costs may be +Inf for unbounded scans).
 			if pick < 0 || (connected && !connectedPick) || (connected == connectedPick && cost < pickCost) {
@@ -479,8 +468,11 @@ func (o *optimizer) buildGreedy(leaves []plan.Node, conjuncts []parser.Expr) (pl
 }
 
 func describe(n plan.Node) string {
-	if s, ok := n.(*plan.Scan); ok {
-		return s.Alias
+	switch x := n.(type) {
+	case *plan.Scan:
+		return x.Alias
+	case *plan.CrowdProbe:
+		return x.Scan.Alias
 	}
 	return n.Explain()
 }
@@ -494,10 +486,12 @@ func describe(n plan.Node) string {
 // for itself: only that many rows of its output are ever read. Such a Sort
 // moves below a Project that only copies its keys, so the projection runs
 // over the rows kept, and hands its keys and bound to an Aggregate under it,
-// which then builds only the groups kept. Below a Sort the bound is a
-// crowd-acquisition bound only: stored rows still all participate in the
-// sort, but the number of *new* crowd tuples solicited is capped — the
-// paper's stop-after rule exists to bound crowd requests.
+// which then builds only the groups kept. A CROWD table's probe takes any
+// bound, exact or not, as the number of tuples to solicit — the paper's
+// stop-after rule exists to bound crowd requests; below a Sort that is the
+// bound's only use, since every stored row must reach the sort. A Scan
+// takes an exact bound only, and through a probe only when the probe has no
+// crowd conjunct left to apply.
 func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) plan.Node {
 	switch x := n.(type) {
 	case *plan.Limit:
@@ -525,19 +519,17 @@ func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) plan.Node {
 			a.TopKeys, a.TopK = x.Keys, bound
 		}
 		x.Input = o.pushLimits(x.Input, bound, false)
-	case *plan.Scan:
-		if bound < 0 {
-			return x
+	case *plan.CrowdProbe:
+		switch {
+		case bound < 0:
+		case x.Scan.Table.Crowd:
+			x.Solicit = minBound(x.Solicit, bound)
+		case x.Filter == nil:
+			o.pushLimits(x.Scan, bound, exact)
 		}
-		if x.Table.Crowd || x.Table.HasCrowdColumns() {
-			// Acquisition bound: cap crowd solicitation.
-			if x.StopAfter < 0 || bound < x.StopAfter {
-				x.StopAfter = bound
-			}
-		} else if exact {
-			if x.StopAfter < 0 || bound < x.StopAfter {
-				x.StopAfter = bound
-			}
+	case *plan.Scan:
+		if bound >= 0 && exact {
+			x.StopAfter = minBound(x.StopAfter, bound)
 		}
 	case *plan.Filter:
 		x.Input = o.pushLimits(x.Input, -1, false)
@@ -552,6 +544,14 @@ func (o *optimizer) pushLimits(n plan.Node, bound int64, exact bool) plan.Node {
 		x.Right = o.pushLimits(x.Right, -1, false)
 	}
 	return n
+}
+
+// minBound is the tighter of two bounds, -1 meaning none.
+func minBound(cur, bound int64) int64 {
+	if cur < 0 || bound < cur {
+		return bound
+	}
+	return cur
 }
 
 // projectedKeys rewrites sort keys over p's output to keys over p's input.
@@ -581,104 +581,4 @@ func projectedKeys(keys []parser.OrderItem, p *plan.Project) ([]parser.OrderItem
 		out[i] = parser.OrderItem{Expr: src, Desc: k.Desc}
 	}
 	return out, true
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: boundedness analysis
-
-func (o *optimizer) scanCard(s *plan.Scan) float64 {
-	stored := float64(s.Table.RowCount())
-	if stored < 1 {
-		stored = 1
-	}
-	sel := 1.0
-	if s.Filter != nil {
-		sel = 0.33
-		for col := range s.ProbeKeys {
-			for _, pk := range s.Table.PrimaryKey {
-				if strings.EqualFold(pk, col) && len(s.Table.PrimaryKey) == 1 {
-					sel = 1 / stored
-				}
-			}
-		}
-	}
-	card := stored * sel
-	if s.Table.Crowd {
-		switch {
-		case len(s.ProbeKeys) > 0:
-			card += float64(s.Table.ExpectedCrowdCard())
-		case s.StopAfter >= 0:
-			card += float64(s.StopAfter)
-		default:
-			return math.Inf(1)
-		}
-	}
-	if card < 1 {
-		card = 1
-	}
-	return card
-}
-
-// annotate records unbounded crowd access warnings. Returns whether n is
-// bounded.
-func (o *optimizer) annotate(n plan.Node) bool {
-	switch x := n.(type) {
-	case *plan.Scan:
-		if math.IsInf(o.scanCard(x), 1) {
-			o.warnScan(x, "scan of CROWD table %s is unbounded: add a key predicate or LIMIT", x.Alias)
-			return false
-		}
-		return true
-	case *plan.Join:
-		lb := o.annotate(x.Left)
-		rb := o.annotate(x.Right)
-		// CrowdJoin rescue: an unbounded crowd inner whose key is bound by
-		// the join condition becomes bounded per outer tuple (§3.2.1).
-		if lb && !rb {
-			if s, ok := x.Right.(*plan.Scan); ok && s.Table.Crowd && o.joinBindsScan(x, s) {
-				// Retract the unbounded warning the inner scan just logged.
-				o.dropScanWarning(s)
-				return true
-			}
-		}
-		return lb && rb
-	}
-	bounded := true
-	for _, c := range n.Children() {
-		bounded = o.annotate(c) && bounded
-	}
-	return bounded
-}
-
-// joinBindsScan reports whether the join condition equates some column of
-// the crowd scan with a column of the other side (an index-nested-loop /
-// CrowdJoin binding).
-func (o *optimizer) joinBindsScan(j *plan.Join, s *plan.Scan) bool {
-	if j.On == nil {
-		return false
-	}
-	other := j.Left.Schema()
-	for _, conj := range parser.SplitConjuncts(j.On) {
-		be, ok := conj.(*parser.BinaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		lc, lok := be.L.(*parser.ColumnRef)
-		rc, rok := be.R.(*parser.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		inScan := func(c *parser.ColumnRef) bool {
-			_, err := plan.FindCol(s.Schema(), c.Table, c.Name)
-			return err == nil
-		}
-		inOther := func(c *parser.ColumnRef) bool {
-			_, err := plan.FindCol(other, c.Table, c.Name)
-			return err == nil
-		}
-		if (inScan(lc) && inOther(rc)) || (inScan(rc) && inOther(lc)) {
-			return true
-		}
-	}
-	return false
 }

@@ -87,6 +87,18 @@ func findScan(n plan.Node, table string) *plan.Scan {
 	return nil
 }
 
+func findProbe(n plan.Node, table string) *plan.CrowdProbe {
+	if p, ok := n.(*plan.CrowdProbe); ok && strings.EqualFold(p.Scan.Table.Name, table) {
+		return p
+	}
+	for _, c := range n.Children() {
+		if p := findProbe(c, table); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
 func TestPredicatePushdown(t *testing.T) {
 	cat := testCatalog(t)
 	res := optimize(t, cat, `SELECT abstract FROM Talk WHERE title = 'CrowdDB'`, Options{})
@@ -111,9 +123,21 @@ func TestCrowdPredicateNotPushed(t *testing.T) {
 	if !strings.Contains(out, "CrowdFilter") {
 		t.Errorf("crowd predicate must stay in a CrowdFilter:\n%s", out)
 	}
-	scan := findScan(res.Root, "Talk")
-	if scan.Filter == nil || !strings.Contains(scan.Filter.String(), "nb_attendees") {
-		t.Errorf("plain predicate must still push: %v", scan.Filter)
+	// nb_attendees is a crowd column: its plain predicate pushes to the
+	// probe, which decides it once the CNULLs are filled.
+	probe := findProbe(res.Root, "Talk")
+	if probe == nil || probe.Filter == nil || !strings.Contains(probe.Filter.String(), "nb_attendees") {
+		t.Errorf("plain predicate must still push: %v", probe)
+	}
+	if scan := findScan(res.Root, "Talk"); scan.Filter != nil {
+		t.Errorf("a conjunct that reads a crowd column must not reach the scan: %v", scan.Filter)
+	}
+	// A conjunct over stored columns only goes on down to the scan.
+	res = optimize(t, cat, `SELECT abstract FROM Talk WHERE title > 'M' AND nb_attendees > 10`, Options{})
+	probe, scan := findProbe(res.Root, "Talk"), findScan(res.Root, "Talk")
+	if probe.Filter == nil || probe.Filter.String() != "(nb_attendees > 10)" ||
+		scan.Filter == nil || scan.Filter.String() != "(title > 'M')" {
+		t.Errorf("conjuncts split wrong:\n%s", plan.ExplainTree(res.Root))
 	}
 }
 
@@ -138,14 +162,42 @@ func TestStopAfterPushdown(t *testing.T) {
 	if scan.StopAfter != 7 {
 		t.Errorf("stopafter: %d", scan.StopAfter)
 	}
-	// Through a crowd sort the bound still caps crowd acquisition.
+	// Through a crowd sort the bound still caps crowd acquisition: the
+	// probe solicits at most that many tuples, and its scan reads them all.
 	res = optimize(t, cat, `SELECT name FROM NotableAttendee ORDER BY CROWDORDER(name, 'better?') LIMIT 10`, Options{})
-	scan = findScan(res.Root, "NotableAttendee")
-	if scan.StopAfter != 10 {
-		t.Errorf("acquisition bound through sort: %d", scan.StopAfter)
+	probe := findProbe(res.Root, "NotableAttendee")
+	if probe.Solicit != 10 {
+		t.Errorf("acquisition bound through sort: %d", probe.Solicit)
+	}
+	if probe.Scan.StopAfter != -1 {
+		t.Errorf("a CROWD table's scan reads every stored row: stopafter %d", probe.Scan.StopAfter)
 	}
 	if !res.Bounded {
 		t.Error("limit must bound the crowd table")
+	}
+}
+
+// TestStopAfterThroughProbe: a closed-world probe passes an exact bound to
+// its scan when it has no filter left to apply, and no other bound: below
+// a Sort every stored row must reach the sort, and a crowd conjunct may
+// reject rows the bound would have counted.
+func TestStopAfterThroughProbe(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		sql  string
+		want int64
+	}{
+		{`SELECT title, abstract FROM Talk LIMIT 3`, 3},
+		{`SELECT title, abstract FROM Talk WHERE title > 'M' LIMIT 3`, 3},
+		{`SELECT title, abstract FROM Talk ORDER BY title LIMIT 3`, -1},
+		{`SELECT title FROM Talk WHERE nb_attendees > 10 LIMIT 3`, -1},
+	} {
+		res := optimize(t, cat, tc.sql, Options{})
+		probe := findProbe(res.Root, "Talk")
+		if probe.Scan.StopAfter != tc.want || probe.Solicit != -1 {
+			t.Errorf("%s: scan stopafter %d, solicit %d, want %d and -1\n%s",
+				tc.sql, probe.Scan.StopAfter, probe.Solicit, tc.want, plan.ExplainTree(res.Root))
+		}
 	}
 }
 
@@ -288,6 +340,39 @@ func TestCrowdJoinBoundsInner(t *testing.T) {
 	}
 }
 
+// TestBoundedMeansFinitePredictedCost: bounded is the cost model's finite
+// price, and the CrowdJoin binding the price uses is the executor's. A LEFT
+// JOIN is no CrowdJoin, so its crowd inner is unbounded; an inner join that
+// equates the crowd column with an expression over the outer side is one.
+func TestBoundedMeansFinitePredictedCost(t *testing.T) {
+	cat := testCatalog(t)
+	left := `SELECT t.title, n.name FROM Talk t LEFT JOIN NotableAttendee n ON n.title = t.title`
+	stmt, _ := parser.Parse(left)
+	root, err := plan.Build(stmt.(*parser.Select), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Optimize(root, cat, Options{}); err == nil || !strings.Contains(err.Error(), "CROWD table n is unbounded") {
+		t.Errorf("%s: want the unbounded error, got %v", left, err)
+	}
+	res := optimize(t, cat, left, Options{AllowUnbounded: true})
+	if res.Bounded || !res.Predicted.IsUnbounded() || len(res.Warnings) != 1 {
+		t.Errorf("%s: bounded %v, predicted %v, warnings %v", left, res.Bounded, res.Predicted, res.Warnings)
+	}
+
+	byColumn := optimize(t, cat, `SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = t.title`, Options{})
+	byExpr := optimize(t, cat, `SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = LOWER(t.title)`, Options{})
+	if !byExpr.Bounded || len(byExpr.Warnings) != 0 || byExpr.Predicted.Cents != byColumn.Predicted.Cents {
+		t.Errorf("expression-keyed CrowdJoin: bounded %v, warnings %v, predicted %v (column-keyed %v)",
+			byExpr.Bounded, byExpr.Warnings, byExpr.Predicted, byColumn.Predicted)
+	}
+	j := topJoin(byExpr.Root)
+	probe, key, col, residual, ok := j.CrowdJoin()
+	if !ok || probe.Scan.Alias != "n" || key.String() != "LOWER(t.title)" || col != "title" || residual != nil {
+		t.Errorf("CrowdJoin binding: %v %v %q %v %v", probe, key, col, residual, ok)
+	}
+}
+
 func TestJoinReorderPutsCrowdTableInner(t *testing.T) {
 	cat := testCatalog(t)
 	// Written with the crowd table first; the optimizer must reorder so the
@@ -298,7 +383,7 @@ func TestJoinReorderPutsCrowdTableInner(t *testing.T) {
 	if j == nil {
 		t.Fatal("no join in plan")
 	}
-	if s, ok := j.Right.(*plan.Scan); !ok || !s.Table.Crowd {
+	if p, ok := j.Right.(*plan.CrowdProbe); !ok || !p.Scan.Table.Crowd {
 		t.Errorf("crowd table must be the join inner:\n%s", plan.ExplainTree(res.Root))
 	}
 	if !res.Bounded {
@@ -330,7 +415,7 @@ func TestJoinReorderThreeWay(t *testing.T) {
 			break
 		}
 		if jn, ok := j.(*plan.Join); ok {
-			if s, ok := jn.Right.(*plan.Scan); ok && s.Table.Crowd {
+			if p, ok := jn.Right.(*plan.CrowdProbe); ok && p.Scan.Table.Crowd {
 				if !res.Bounded {
 					t.Errorf("bounded expected: %v", res.Warnings)
 				}
@@ -373,7 +458,7 @@ func TestAblationOptions(t *testing.T) {
 		`SELECT t.title FROM NotableAttendee n JOIN Talk t ON n.title = t.title`,
 		Options{DisableJoinReorder: true, AllowUnbounded: true})
 	j := topJoin(res.Root)
-	if s, ok := j.Left.(*plan.Scan); !ok || !s.Table.Crowd {
+	if p, ok := j.Left.(*plan.CrowdProbe); !ok || !p.Scan.Table.Crowd {
 		t.Error("reorder disabled but crowd table moved")
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // Build lowers a parsed SELECT into a logical plan, binding every column
 // reference against the catalog. The produced tree is canonical and
-// unoptimized: Scan → Join* → Filter → Aggregate|Project → Distinct →
-// Sort → Limit; the optimizer rewrites it afterwards.
+// unoptimized: Scan|CrowdProbe(Scan) → Join* → Filter →
+// Aggregate|Project → Distinct → Sort → Limit; the optimizer rewrites it
+// afterwards.
 func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("plan: SELECT without FROM is not supported")
@@ -59,6 +60,10 @@ func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A leaf whose table is CROWD or whose crowd columns the query
+	// references reads through a CrowdProbe: CrowdDB must fill exactly the
+	// CNULLs the query asks for (§2.1 semantics).
+	root = withProbes(root, sel, items, scans)
 
 	// Bind remaining clauses against the join output schema.
 	if sel.Where != nil {
@@ -126,9 +131,6 @@ func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 		root = &Limit{Input: root, N: n, Offset: sel.Offset}
 	}
 
-	// Mark referenced crowd columns on each scan: the executor must
-	// instantiate their CNULLs (§2.1 semantics).
-	markAskColumns(sel, items, scans)
 	return root, nil
 }
 
@@ -404,53 +406,69 @@ func inferType(e parser.Expr, schema []Col) sqltypes.Type {
 	return sqltypes.TypeAny
 }
 
-// markAskColumns records, per scan, the crowd columns the query references
-// anywhere — exactly the CNULLs CrowdDB must instantiate.
-func markAskColumns(sel *parser.Select, items []parser.SelectItem, scans []*Scan) {
-	var exprs []parser.Expr
-	for _, it := range items {
-		exprs = append(exprs, it.Expr)
+// withProbes wraps each scan leaf of the join tree n whose table is CROWD
+// or has a crowd column the query asks for in a CrowdProbe, and returns n
+// or what replaces it.
+func withProbes(n Node, sel *parser.Select, items []parser.SelectItem, scans []*Scan) Node {
+	switch x := n.(type) {
+	case *Join:
+		x.Left = withProbes(x.Left, sel, items, scans)
+		x.Right = withProbes(x.Right, sel, items, scans)
+	case *Scan:
+		if ask := askColumns(sel, items, scans, x); x.Table.Crowd || len(ask) > 0 {
+			return &CrowdProbe{Scan: x, AskColumns: ask, Solicit: -1}
+		}
 	}
-	exprs = append(exprs, sel.Where, sel.Having)
-	exprs = append(exprs, sel.GroupBy...)
+	return n
+}
+
+// askColumns lists, in table order, the crowd columns of s the query
+// references anywhere — exactly the CNULLs CrowdDB must instantiate.
+func askColumns(sel *parser.Select, items []parser.SelectItem, scans []*Scan, s *Scan) []string {
+	if !s.Table.HasCrowdColumns() {
+		return nil
+	}
+	asked := map[string]bool{}
+	visit := func(x parser.Expr) {
+		cr, ok := x.(*parser.ColumnRef)
+		if !ok {
+			return
+		}
+		if cr.Table != "" && !strings.EqualFold(cr.Table, s.Alias) {
+			return
+		}
+		col, ok := s.Table.Column(cr.Name)
+		if !ok || !col.Crowd {
+			return
+		}
+		// Unqualified references could belong to another scan; only claim
+		// them when the name is unique to this scan among all.
+		if cr.Table == "" && !uniqueAmong(scans, s, cr.Name) {
+			return
+		}
+		asked[col.Name] = true
+	}
+	for _, it := range items {
+		walkSkippingNullTests(it.Expr, visit)
+	}
+	walkSkippingNullTests(sel.Where, visit)
+	walkSkippingNullTests(sel.Having, visit)
+	for _, g := range sel.GroupBy {
+		walkSkippingNullTests(g, visit)
+	}
 	for _, k := range sel.OrderBy {
-		exprs = append(exprs, k.Expr)
+		walkSkippingNullTests(k.Expr, visit)
 	}
 	for _, tr := range sel.From {
-		if tr.On != nil {
-			exprs = append(exprs, tr.On)
+		walkSkippingNullTests(tr.On, visit)
+	}
+	var ask []string
+	for _, c := range s.Table.Columns {
+		if asked[c.Name] {
+			ask = append(ask, c.Name)
 		}
 	}
-	for _, s := range scans {
-		asked := map[string]bool{}
-		for _, e := range exprs {
-			walkSkippingNullTests(e, func(x parser.Expr) {
-				cr, ok := x.(*parser.ColumnRef)
-				if !ok {
-					return
-				}
-				if cr.Table != "" && !strings.EqualFold(cr.Table, s.Alias) {
-					return
-				}
-				col, ok := s.Table.Column(cr.Name)
-				if !ok || !col.Crowd {
-					return
-				}
-				// Unqualified references could belong to another scan; only
-				// claim them when the name is unique to this scan among all.
-				if cr.Table == "" && !uniqueAmong(scans, s, cr.Name) {
-					return
-				}
-				asked[col.Name] = true
-			})
-		}
-		s.AskColumns = s.AskColumns[:0]
-		for _, c := range s.Table.Columns {
-			if asked[c.Name] {
-				s.AskColumns = append(s.AskColumns, c.Name)
-			}
-		}
-	}
+	return ask
 }
 
 // walkSkippingNullTests visits sub-expressions like parser.WalkExprs but

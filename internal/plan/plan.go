@@ -41,22 +41,22 @@ type Node interface {
 	Explain() string
 }
 
-// Scan reads one base table. Filter and StopAfter may be pushed into it by
-// the optimizer; crowd behaviour (probing CNULLs, soliciting tuples) is
-// decided by the executor from the table's catalog entry.
+// Scan reads the stored rows of one base table: no crowd work happens in
+// it. Filter and StopAfter may be pushed into it by the optimizer; a
+// CrowdProbe above it does what the crowd must.
 type Scan struct {
 	Table *catalog.Table
 	Alias string
-	// Filter is a pushed-down predicate over this table only (nil = none).
+	// Filter is a pushed-down predicate over this table's stored values
+	// (nil = none).
 	Filter parser.Expr
-	// StopAfter bounds the number of tuples the scan produces (-1 = no
-	// bound). For CROWD tables this bounds crowdsourcing (§3.2.2).
+	// StopAfter is how many rows passing Filter the scan returns before it
+	// stops (-1 = all). The optimizer sets it only where exactly that many
+	// rows are read.
 	StopAfter int64
-	// AskColumns are the crowd columns of this table the query references
-	// and which therefore must be instantiated when CNULL (§2.1).
-	AskColumns []string
-	// ProbeKeys are equality bindings (column = literal) usable to solicit
-	// new tuples with a pre-filled key; derived from pushed predicates.
+	// ProbeKeys are equality bindings (column = literal) derived from the
+	// pushed predicates, this scan's and its CrowdProbe's: an index access
+	// path probes with them, and a tuple solicitation pre-fills them.
 	ProbeKeys map[string]sqltypes.Value
 
 	schema []Col
@@ -82,55 +82,75 @@ func (s *Scan) Children() []Node { return nil }
 
 // Explain implements Node.
 func (s *Scan) Explain() string {
-	var sb strings.Builder
-	kind := "Scan"
-	if s.Table.Crowd {
-		kind = "CrowdScan"
-	} else if len(s.AskColumns) > 0 {
-		kind = "ProbeScan"
-	}
-	fmt.Fprintf(&sb, "%s(%s", kind, s.Table.Name)
-	if !strings.EqualFold(s.Alias, s.Table.Name) {
-		fmt.Fprintf(&sb, " AS %s", s.Alias)
-	}
-	sb.WriteString(")")
+	out := "Scan" + s.name()
 	if s.Filter != nil {
-		fmt.Fprintf(&sb, " filter=%s", s.Filter)
+		out += fmt.Sprintf(" filter=%s", s.Filter)
 	}
 	if s.StopAfter >= 0 {
-		fmt.Fprintf(&sb, " stopafter=%d", s.StopAfter)
+		out += fmt.Sprintf(" stopafter=%d", s.StopAfter)
 	}
-	if len(s.AskColumns) > 0 {
-		fmt.Fprintf(&sb, " ask=[%s]", strings.Join(s.AskColumns, ","))
-	}
-	return sb.String()
+	return out
 }
 
-// CrowdFreeFilter splits the pushed predicate at its top-level ANDs. pre
-// conjoins the conjuncts that reference no CROWD column of the table: the
-// part that can run before the crowd is asked. rest reports whether a
-// conjunct was left out — the scan must then instantiate CNULLs before the
-// filter has its last word, so stop-after cannot shrink the probe set.
-func (s *Scan) CrowdFreeFilter() (pre parser.Expr, rest bool) {
-	if s.Filter == nil {
-		return nil, false
+// name renders "(Table)" or "(Table AS alias)" for EXPLAIN.
+func (s *Scan) name() string {
+	if strings.EqualFold(s.Alias, s.Table.Name) {
+		return "(" + s.Table.Name + ")"
 	}
-	for _, conj := range parser.SplitConjuncts(s.Filter) {
-		touches := false
-		parser.WalkExprs(conj, func(x parser.Expr) {
-			if cr, ok := x.(*parser.ColumnRef); ok {
-				if col, found := s.Table.Column(cr.Name); found && col.Crowd {
-					touches = true
-				}
+	return "(" + s.Table.Name + " AS " + s.Alias + ")"
+}
+
+// ReadsCrowd reports whether e references a CROWD column of the table: a
+// conjunct that does is decided only once the crowd has filled the
+// column's CNULLs.
+func (s *Scan) ReadsCrowd(e parser.Expr) bool {
+	reads := false
+	parser.WalkExprs(e, func(x parser.Expr) {
+		if cr, ok := x.(*parser.ColumnRef); ok {
+			if col, found := s.Table.Column(cr.Name); found && col.Crowd {
+				reads = true
 			}
-		})
-		if touches {
-			rest = true
-		} else {
-			pre = parser.And(pre, conj)
 		}
+	})
+	return reads
+}
+
+// CrowdProbe is the paper's CrowdProbe operator (§3.2.1) over the stored
+// rows its Scan reads: it fills the CNULLs of AskColumns through the crowd,
+// solicits new tuples for a CROWD table, and then applies Filter.
+type CrowdProbe struct {
+	Scan *Scan
+	// AskColumns are the table's crowd columns the query references, whose
+	// CNULLs must therefore be filled (§2.1).
+	AskColumns []string
+	// Filter conjoins the pushed conjuncts that read a crowd column
+	// (nil = none); the ones that do not are in Scan.Filter.
+	Filter parser.Expr
+	// Solicit bounds the tuples a CROWD table's probe returns, stored and
+	// solicited together (-1 = no bound): the stop-after rule's bound on
+	// crowd requests (§3.2.2).
+	Solicit int64
+}
+
+// Schema implements Node.
+func (p *CrowdProbe) Schema() []Col { return p.Scan.Schema() }
+
+// Children implements Node.
+func (p *CrowdProbe) Children() []Node { return []Node{p.Scan} }
+
+// Explain implements Node.
+func (p *CrowdProbe) Explain() string {
+	out := "CrowdProbe" + p.Scan.name()
+	if p.Filter != nil {
+		out += fmt.Sprintf(" filter=%s", p.Filter)
 	}
-	return pre, rest
+	if p.Solicit >= 0 {
+		out += fmt.Sprintf(" solicit=%d", p.Solicit)
+	}
+	if len(p.AskColumns) > 0 {
+		out += " ask=[" + strings.Join(p.AskColumns, ",") + "]"
+	}
+	return out
 }
 
 // Filter drops rows not satisfying Cond. Crowd predicates (CROWDEQUAL, ~=)
@@ -194,6 +214,37 @@ func (j *Join) Explain() string {
 		return fmt.Sprintf("%s(%s)", t, j.On)
 	}
 	return t
+}
+
+// CrowdJoin returns the join's CrowdJoin binding (§3.2.1): the join is
+// inner, its inner input is a CrowdProbe of a CROWD table, and a conjunct
+// of ON equates a column of that input with an expression over the outer
+// one, outerKey. Every other conjunct is in residual. ok is false when the
+// join is no CrowdJoin.
+func (j *Join) CrowdJoin() (probe *CrowdProbe, outerKey parser.Expr, innerCol string, residual parser.Expr, ok bool) {
+	probe, isProbe := j.Right.(*CrowdProbe)
+	if j.Type != parser.JoinInner || j.On == nil || !isProbe || !probe.Scan.Table.Crowd {
+		return nil, nil, "", nil, false
+	}
+	outer := j.Left.Schema()
+	binds := func(col, key parser.Expr) bool {
+		cr, isCol := col.(*parser.ColumnRef)
+		if ok || !isCol || !CoveredBy(cr, probe.Schema()) || !CoveredBy(key, outer) {
+			return false
+		}
+		outerKey, innerCol, ok = key, cr.Name, true
+		return true
+	}
+	for _, conj := range parser.SplitConjuncts(j.On) {
+		be, isBin := conj.(*parser.BinaryExpr)
+		if !isBin || be.Op != "=" || !(binds(be.L, be.R) || binds(be.R, be.L)) {
+			residual = parser.And(residual, conj)
+		}
+	}
+	if !ok {
+		return nil, nil, "", nil, false
+	}
+	return probe, outerKey, innerCol, residual, true
 }
 
 // Project computes the SELECT list.

@@ -94,31 +94,48 @@ func TestBuildStarExpansion(t *testing.T) {
 func TestBuildAskColumnsMarking(t *testing.T) {
 	cat := testCatalog(t)
 	n := build(t, cat, "SELECT abstract FROM Talk WHERE title = 'CrowdDB'")
-	scan := findScan(n, "Talk")
-	if scan == nil {
-		t.Fatal("no Talk scan")
+	probe := findProbe(n, "Talk")
+	if probe == nil {
+		t.Fatal("no Talk probe")
 	}
-	if len(scan.AskColumns) != 1 || scan.AskColumns[0] != "abstract" {
-		t.Errorf("ask columns: %v (only referenced crowd columns)", scan.AskColumns)
+	if len(probe.AskColumns) != 1 || probe.AskColumns[0] != "abstract" {
+		t.Errorf("ask columns: %v (only referenced crowd columns)", probe.AskColumns)
 	}
 	// Star references everything.
 	n = build(t, cat, "SELECT * FROM Talk")
-	scan = findScan(n, "Talk")
-	if len(scan.AskColumns) != 2 {
-		t.Errorf("star must ask all crowd columns: %v", scan.AskColumns)
+	probe = findProbe(n, "Talk")
+	if probe == nil || len(probe.AskColumns) != 2 {
+		t.Errorf("star must ask all crowd columns: %v", probe)
 	}
 	// Predicate-only references count too.
 	n = build(t, cat, "SELECT title FROM Talk WHERE nb_attendees > 50")
-	scan = findScan(n, "Talk")
-	if len(scan.AskColumns) != 1 || scan.AskColumns[0] != "nb_attendees" {
-		t.Errorf("predicate crowd column must be asked: %v", scan.AskColumns)
+	probe = findProbe(n, "Talk")
+	if probe == nil || len(probe.AskColumns) != 1 || probe.AskColumns[0] != "nb_attendees" {
+		t.Errorf("predicate crowd column must be asked: %v", probe)
 	}
-	// IS CNULL asks about the crowdsourcing state; it must not probe.
+	// IS CNULL asks about the crowdsourcing state; it must not probe, so a
+	// closed-world table is read by a plain Scan.
 	n = build(t, cat, "SELECT title FROM Talk WHERE abstract IS CNULL")
-	scan = findScan(n, "Talk")
-	if len(scan.AskColumns) != 0 {
-		t.Errorf("IS CNULL must not trigger probing: %v", scan.AskColumns)
+	if probe := findProbe(n, "Talk"); probe != nil || findScan(n, "Talk") == nil {
+		t.Errorf("IS CNULL must not trigger probing: %v", probe)
 	}
+	// A CROWD table is always probed: its open world may hold more tuples.
+	n = build(t, cat, "SELECT name FROM NotableAttendee")
+	if probe := findProbe(n, "NotableAttendee"); probe == nil || len(probe.AskColumns) != 0 || probe.Solicit != -1 {
+		t.Errorf("a CROWD table reads through an unbounded probe with nothing to ask: %v", probe)
+	}
+}
+
+func findProbe(n Node, table string) *CrowdProbe {
+	if p, ok := n.(*CrowdProbe); ok && strings.EqualFold(p.Scan.Table.Name, table) {
+		return p
+	}
+	for _, c := range n.Children() {
+		if p := findProbe(c, table); p != nil {
+			return p
+		}
+	}
+	return nil
 }
 
 func findScan(n Node, table string) *Scan {
@@ -211,7 +228,8 @@ func TestExplainTree(t *testing.T) {
 	cat := testCatalog(t)
 	n := build(t, cat, `SELECT title FROM Talk WHERE nb_attendees > 10 ORDER BY CROWDORDER(title, 'better?') LIMIT 5`)
 	out := ExplainTree(n)
-	for _, want := range []string{"Limit(5)", "CrowdSort", "Project(title)", "Filter", "ProbeScan(Talk)"} {
+	for _, want := range []string{"Limit(5)", "CrowdSort", "Project(title)", "Filter",
+		"CrowdProbe(Talk) ask=[nb_attendees]\n", "      Scan(Talk)\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
