@@ -744,25 +744,15 @@ func (e *Engine) compile(s *parser.Select) (*optimizer.Result, error) {
 }
 
 // costInputs assembles the live numbers the cost model prices plans with:
-// the task manager's pricing and observed round-trip latency plus the
+// the task manager's price list and observed round-trip latency plus the
 // shared comparison cache's hit rate — the runtime feedback loop.
 func (e *Engine) costInputs() optimizer.CostInputs {
 	ci := optimizer.DefaultCostInputs()
 	if e.tasks != nil {
-		cfg := e.tasks.Config()
-		ci.RewardCents = float64(cfg.Reward)
-		ci.CompareAssignments = float64(cfg.Assignments)
-		ci.TupleAssignments = float64(cfg.NewTupleAssignments)
-		ci.Window = float64(cfg.MaxInFlight)
+		ci.Prices = e.tasks.Prices()
+		ci.Window = float64(e.tasks.Config().MaxInFlight)
 		if p50, _, n := e.tasks.LatencyStats(); n > 0 && p50 > 0 {
 			ci.RoundTripSeconds = p50.Seconds()
-		}
-		if cfg.ModelPlatform != nil {
-			// Escalation routing: plans price the blended model-first
-			// rate with the observed escalation rate fed back in.
-			ci.ModelRewardCents = float64(cfg.ModelReward)
-			ci.ModelAssignments = float64(cfg.ModelAssignments)
-			ci.EscalationRate = e.tasks.EscalationRate()
 		}
 	}
 	cs := e.cache.Stats()
@@ -772,43 +762,15 @@ func (e *Engine) costInputs() optimizer.CostInputs {
 	return ci
 }
 
-// PriceStats prices measured crowd activity in the cost model's units —
-// the jobs API reports a running "cents spent so far" from progress
-// snapshots with it.
-func (e *Engine) PriceStats(st exec.Stats) float64 { return e.actualCents(st) }
-
-// CostPerComparisonCents is the price of one paid crowd comparison under
-// the current task configuration (reward × replication, blended with the
-// model tier when escalation routing is on); 0 without a crowd platform.
-// Admission control converts cents forecasts into the session budget's
-// comparison units with it.
-func (e *Engine) CostPerComparisonCents() float64 {
+// Prices is the task manager's price list for a unit of crowd work, zero
+// without a crowd platform. Every actual — a statement's spend, a job's
+// running total, EXPLAIN ANALYZE's per-operator cents — is
+// exec.Stats.Cents at these prices.
+func (e *Engine) Prices() taskmgr.Prices {
 	if e.tasks == nil {
-		return 0
+		return taskmgr.Prices{}
 	}
-	return e.comparisonUnitCents()
-}
-
-// comparisonUnitCents / tupleUnitCents price one comparison (or probe)
-// and one solicited tuple: the pure human rate, or the blended
-// model-first rate — every question pays the model tier, the escalated
-// fraction additionally pays humans — when routing is enabled.
-func (e *Engine) comparisonUnitCents() float64 {
-	cfg := e.tasks.Config()
-	human := float64(cfg.Reward) * float64(cfg.Assignments)
-	if cfg.ModelPlatform == nil {
-		return human
-	}
-	return float64(cfg.ModelReward)*float64(cfg.ModelAssignments) + e.tasks.EscalationRate()*human
-}
-
-func (e *Engine) tupleUnitCents() float64 {
-	cfg := e.tasks.Config()
-	human := float64(cfg.Reward) * float64(cfg.NewTupleAssignments)
-	if cfg.ModelPlatform == nil {
-		return human
-	}
-	return float64(cfg.ModelReward)*float64(cfg.NewTupleAssignments) + e.tasks.EscalationRate()*human
+	return e.tasks.Prices()
 }
 
 // Forecast compiles a statement and returns the optimizer's cost
@@ -831,18 +793,6 @@ func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
 		}
 	}
 	return plan.Cost{}, false
-}
-
-// actualCents prices a statement's measured crowd activity in the cost
-// model's units: every probe and comparison pays reward × replication,
-// every solicited tuple reward × tuple replication — each blended with
-// the model tier's rate when escalation routing is on.
-func (e *Engine) actualCents(st exec.Stats) float64 {
-	if e.tasks == nil {
-		return 0
-	}
-	return float64(st.Comparisons+st.ProbeRequests)*e.comparisonUnitCents() +
-		float64(st.NewTupleRequests)*e.tupleUnitCents()
 }
 
 func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
@@ -948,7 +898,7 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts Exec
 	}
 	res := &Result{Rows: rows, Warnings: opt.Warnings, Stats: ectx.Stats, SnapshotTS: snap.TS()}
 	res.Predicted = opt.Predicted
-	res.ActualCents = e.actualCents(ectx.Stats)
+	res.ActualCents = ectx.Stats.Cents(e.Prices())
 	if e.tasks != nil && !opt.Predicted.IsUnbounded() &&
 		(opt.Predicted.Cents > 0 || res.ActualCents > 0) {
 		e.observeCostError(opt.Predicted.Cents, res.ActualCents)
@@ -1054,10 +1004,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 			return nil, err
 		}
 	}
-	var cfg taskmgr.Config
-	if e.tasks != nil {
-		cfg = e.tasks.Config()
-	}
+	prices := e.Prices()
 	var sb strings.Builder
 	sb.WriteString(plan.ExplainTreeAnnotated(opt.Root, func(n plan.Node) string {
 		var parts []string
@@ -1071,7 +1018,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 		}
 		if st, ok := opStats[n]; ok {
 			actual := fmt.Sprintf("(actual: %d rows, %s, ¢%.1f",
-				st.RowsOut, time.Duration(st.WallNanos).Round(time.Microsecond), st.Cents(cfg))
+				st.RowsOut, time.Duration(st.WallNanos).Round(time.Microsecond), st.Crowd.Cents(prices))
 			if st.PeakBufferedRows > 0 {
 				actual += fmt.Sprintf(", peak %d buffered", st.PeakBufferedRows)
 			}

@@ -170,7 +170,7 @@ func (e *Engine) noteCrowdStats(st exec.Stats) {
 	e.obsm.probeReqs.Add(float64(st.ProbeRequests))
 	e.obsm.tupleReqs.Add(float64(st.NewTupleRequests))
 	e.obsm.budgetDenied.Add(float64(st.BudgetDenied))
-	e.obsm.spendCents.Add(e.actualCents(st))
+	e.obsm.spendCents.Add(st.Cents(e.Prices()))
 }
 
 // stmtKind buckets a statement for the crowddb_statements_total label.

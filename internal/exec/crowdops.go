@@ -50,6 +50,26 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// Sub returns the field-wise difference s − o: the work done between two
+// snapshots of the same counters.
+func (s Stats) Sub(o Stats) Stats {
+	s.RowsScanned -= o.RowsScanned
+	s.ProbeRequests -= o.ProbeRequests
+	s.NewTupleRequests -= o.NewTupleRequests
+	s.Comparisons -= o.Comparisons
+	s.CacheHits -= o.CacheHits
+	s.SharedFlights -= o.SharedFlights
+	s.BudgetDenied -= o.BudgetDenied
+	return s
+}
+
+// Cents prices the crowd work the counters measured: every probe and
+// comparison at the compare price, every solicited tuple at the tuple
+// price. It is the only place measured work is turned into money.
+func (s Stats) Cents(p taskmgr.Prices) float64 {
+	return float64(s.Comparisons+s.ProbeRequests)*p.Compare + float64(s.NewTupleRequests)*p.Tuple
+}
+
 // Ctx is the per-query execution context.
 type Ctx struct {
 	Store *storage.Store

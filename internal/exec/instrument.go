@@ -4,9 +4,10 @@ package exec
 // EXPLAIN ANALYZE stats map, Build wraps every operator in an
 // instrumented shell that times open/next/close, counts rows out, and
 // attributes crowd work (comparisons, probes, solicited tuples) to the
-// operator that caused it by diffing the shared Stats before and after.
-// When neither is requested the raw operator is returned, so traced and
-// untraced executions follow byte-identical code on the row hot path.
+// operator that caused it by adding up the change in the shared Stats
+// across each of its own calls. When neither is requested the raw
+// operator is returned, so traced and untraced executions follow
+// byte-identical code on the row hot path.
 
 import (
 	"fmt"
@@ -18,15 +19,14 @@ import (
 )
 
 // OpStats is one operator's measured actuals, inclusive of its children
-// (a child's rows and crowd work happen inside the parent's NextBatch
-// calls).
+// (a child's rows and crowd work happen inside the parent's calls).
 type OpStats struct {
-	RowsOut          int64
-	WallNanos        int64
-	Comparisons      int
-	ProbeRequests    int
-	NewTupleRequests int
-	CacheHits        int
+	RowsOut   int64
+	WallNanos int64
+	// Crowd is the work done inside the operator's own Open, NextBatch
+	// and Close calls, children included: a Scan that a crowd operator
+	// drains asked the crowd nothing. Price it with Stats.Cents.
+	Crowd Stats
 	// PeakBufferedRows is the operator's own peak materialization (rows
 	// held at once: a sort's input, a hash join's build table, a scan's
 	// snapshot) — the vectorized pipeline's per-operator memory figure. 0
@@ -35,12 +35,6 @@ type OpStats struct {
 	// Batches counts NextBatch calls that returned rows; with RowsOut it
 	// gives the realized batch fill.
 	Batches int64
-}
-
-// Cents prices the operator's crowd work under a task configuration.
-func (st *OpStats) Cents(cfg taskmgr.Config) float64 {
-	return float64(st.Comparisons+st.ProbeRequests)*float64(cfg.Reward)*float64(cfg.Assignments) +
-		float64(st.NewTupleRequests)*float64(cfg.Reward)*float64(cfg.NewTupleAssignments)
 }
 
 // OpMetricsSink receives each instrumented operator's final accounting
@@ -72,7 +66,7 @@ type instrumentedOp struct {
 	// label is the span name, "op:" + the operator's name: built once, and
 	// only a scan's needs building.
 	label string
-	st    OpStats // the crowd counters hold ctx.Stats' at Open until Close
+	st    OpStats
 }
 
 func (o *instrumentedOp) Schema() []plan.Col { return o.op.Schema() }
@@ -81,23 +75,23 @@ func (o *instrumentedOp) Open(ctx *Ctx) error {
 	if ctx.Trace != nil {
 		o.span = ctx.Trace.Span(ctx.Span, o.label)
 	}
-	o.st.Comparisons, o.st.ProbeRequests = ctx.Stats.Comparisons, ctx.Stats.ProbeRequests
-	o.st.NewTupleRequests, o.st.CacheHits = ctx.Stats.NewTupleRequests, ctx.Stats.CacheHits
-	parent := ctx.Span
+	parent, before := ctx.Span, ctx.Stats
 	ctx.Span = o.span
 	t0 := time.Now()
 	err := o.op.Open(ctx)
 	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
 	ctx.Span = parent
 	return err
 }
 
 func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	parent := ctx.Span
+	parent, before := ctx.Span, ctx.Stats
 	ctx.Span = o.span
 	t0 := time.Now()
 	b, err := o.op.NextBatch(ctx)
 	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
 	ctx.Span = parent
 	if err == nil && b.Len() > 0 {
 		o.st.RowsOut += int64(b.Len())
@@ -107,16 +101,13 @@ func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
 }
 
 func (o *instrumentedOp) Close(ctx *Ctx) error {
-	parent := ctx.Span
+	parent, before := ctx.Span, ctx.Stats
 	ctx.Span = o.span
 	t0 := time.Now()
 	err := o.op.Close(ctx)
 	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
 	ctx.Span = parent
-	o.st.Comparisons = ctx.Stats.Comparisons - o.st.Comparisons
-	o.st.ProbeRequests = ctx.Stats.ProbeRequests - o.st.ProbeRequests
-	o.st.NewTupleRequests = ctx.Stats.NewTupleRequests - o.st.NewTupleRequests
-	o.st.CacheHits = ctx.Stats.CacheHits - o.st.CacheHits
 	if br, ok := o.op.(bufferedReporter); ok {
 		o.st.PeakBufferedRows = br.bufferedRows()
 	}
@@ -128,19 +119,20 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 		ctx.OpMetrics.ObserveOp(o.label[len("op:"):], o.st)
 	}
 	if o.span != nil {
+		c := o.st.Crowd
 		o.span.SetInt("rows_out", o.st.RowsOut)
 		o.span.SetAttr("wall", time.Duration(o.st.WallNanos).Round(time.Microsecond).String())
-		if o.st.Comparisons > 0 {
-			o.span.SetInt("comparisons", int64(o.st.Comparisons))
+		if c.Comparisons > 0 {
+			o.span.SetInt("comparisons", int64(c.Comparisons))
 		}
-		if o.st.ProbeRequests > 0 {
-			o.span.SetInt("probe_requests", int64(o.st.ProbeRequests))
+		if c.ProbeRequests > 0 {
+			o.span.SetInt("probe_requests", int64(c.ProbeRequests))
 		}
-		if o.st.NewTupleRequests > 0 {
-			o.span.SetInt("new_tuple_requests", int64(o.st.NewTupleRequests))
+		if c.NewTupleRequests > 0 {
+			o.span.SetInt("new_tuple_requests", int64(c.NewTupleRequests))
 		}
-		if o.st.CacheHits > 0 {
-			o.span.SetInt("cache_hits", int64(o.st.CacheHits))
+		if c.CacheHits > 0 {
+			o.span.SetInt("cache_hits", int64(c.CacheHits))
 		}
 		if o.st.PeakBufferedRows > 0 {
 			o.span.SetInt("peak_buffered_rows", o.st.PeakBufferedRows)

@@ -6,15 +6,15 @@ package optimizer
 // plus a predicted output cardinality. The per-operator formulas mirror
 // what the executor actually pays:
 //
-//	CrowdProbe   cents = probeRows × reward × assignments
+//	CrowdProbe   cents = probeRows × the compare price
 //	             (probeRows = stored rows surviving the pushed filters
 //	             that still hold CNULL in an asked column; a Scan itself
 //	             is machine work only)
-//	Solicitation cents = wantedTuples × reward × tupleAssignments
+//	Solicitation cents = wantedTuples × the tuple price
 //	CROWDEQUAL   cents = inputRows × calls × (1 − cacheHitRate)
-//	             × reward × assignments
+//	             × the compare price
 //	CROWDORDER   cents = n × ceil(log2 n) × (1 − cacheHitRate)
-//	             × reward × assignments (the batched quicksort)
+//	             × the compare price (the batched quicksort)
 //	latency      = crowd rounds × observed group round-trip, with each
 //	             phase's groups pipelined through the task manager's
 //	             in-flight window
@@ -31,19 +31,18 @@ import (
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
+	"crowddb/internal/taskmgr"
 )
 
 // CostInputs are the live runtime-feedback numbers the cost model prices
 // plans with. The engine assembles them per compilation from the task
-// manager's configuration and observed latency plus the comparison
-// cache's hit rate; the zero value normalizes to DefaultCostInputs.
+// manager's price list and observed latency plus the comparison cache's
+// hit rate; the zero value normalizes to DefaultCostInputs.
 type CostInputs struct {
-	// RewardCents is the payment per assignment.
-	RewardCents float64
-	// CompareAssignments is the replication per probe/comparison HIT.
-	CompareAssignments float64
-	// TupleAssignments is the replication per new-tuple solicitation.
-	TupleAssignments float64
+	// Prices is the task manager's price list for a unit of crowd work
+	// (taskmgr.Config.Prices): with a model tier it is the blended
+	// model-first rate at the observed escalation rate.
+	Prices taskmgr.Prices
 	// RoundTripSeconds is the observed (p50) HIT-group round-trip in
 	// virtual seconds — the latency of one crowd round.
 	RoundTripSeconds float64
@@ -52,63 +51,27 @@ type CostInputs struct {
 	// CacheHitRate is the live comparison-cache hit rate in [0,1): the
 	// fraction of CROWDEQUAL/CROWDORDER questions answered without pay.
 	CacheHitRate float64
-	// LatencyCentsPerHour folds crowd latency into money for plan
-	// ranking: one hour of waiting is "worth" this many cents.
-	LatencyCentsPerHour float64
-	// ModelRewardCents/ModelAssignments price the model tier when the
-	// escalation router is on: every crowd question then pays the model
-	// rate, and an EscalationRate fraction of them additionally pays the
-	// full human rate. All three stay zero when routing is off (they are
-	// deliberately not defaulted by normalized()), which prices the pure
-	// human rate as before.
-	ModelRewardCents float64
-	ModelAssignments float64
-	// EscalationRate is the observed (or prior) fraction of model-tier
-	// HITs that escalate to humans, in [0,1].
-	EscalationRate float64
 }
 
-// compareCents prices n paid comparison/probe HITs: the pure human rate,
-// or the blended model-first rate (every HIT pays the model tier, the
-// escalated fraction additionally pays humans) when the router is on.
-// The human branch keeps the historical multiplication order so plans
-// price bit-identically with routing off.
-func (ci CostInputs) compareCents(n float64) float64 {
-	human := n * ci.RewardCents * ci.CompareAssignments
-	if ci.ModelRewardCents <= 0 || ci.ModelAssignments <= 0 {
-		return human
-	}
-	return n*ci.ModelRewardCents*ci.ModelAssignments + ci.EscalationRate*human
-}
-
-// tupleCents prices n new-tuple solicitations; the model tier keeps the
-// tuple replication (each assignment is a distinct candidate), so only
-// the per-assignment reward is the model's.
-func (ci CostInputs) tupleCents(n float64) float64 {
-	human := n * ci.RewardCents * ci.TupleAssignments
-	if ci.ModelRewardCents <= 0 || ci.ModelAssignments <= 0 {
-		return human
-	}
-	return n*ci.ModelRewardCents*ci.TupleAssignments + ci.EscalationRate*human
-}
+// latencyCentsPerHour folds crowd latency into money for plan ranking:
+// one hour of waiting is "worth" this many cents.
+const latencyCentsPerHour = 6
 
 // scanRowsPerSecond is the assumed heap-scan throughput (rows read +
 // filtered per second, on the statement's one goroutine) used to price
 // machine scan time.
 const scanRowsPerSecond = 2e6
 
-// DefaultCostInputs matches the paper's experimental defaults: 2¢ HITs,
-// 3-way replication, single-candidate solicitations, a 30-minute group
-// round-trip, window 8, and a cold cache.
+// DefaultCostInputs matches the paper's experimental defaults: the
+// default task configuration's prices (2¢ HITs, 3-way replication,
+// single-candidate solicitations), a 30-minute group round-trip, window
+// 8, and a cold cache.
 func DefaultCostInputs() CostInputs {
 	return CostInputs{
-		RewardCents:         2,
-		CompareAssignments:  3,
-		TupleAssignments:    1,
-		RoundTripSeconds:    30 * 60,
-		Window:              8,
-		CacheHitRate:        0,
-		LatencyCentsPerHour: 6,
+		Prices:           taskmgr.DefaultConfig().Prices(0),
+		RoundTripSeconds: 30 * 60,
+		Window:           8,
+		CacheHitRate:     0,
 	}
 }
 
@@ -116,14 +79,11 @@ func DefaultCostInputs() CostInputs {
 // saturated cache never predicts free comparisons.
 func (ci CostInputs) normalized() CostInputs {
 	def := DefaultCostInputs()
-	if ci.RewardCents <= 0 {
-		ci.RewardCents = def.RewardCents
+	if ci.Prices.Compare <= 0 {
+		ci.Prices.Compare = def.Prices.Compare
 	}
-	if ci.CompareAssignments <= 0 {
-		ci.CompareAssignments = def.CompareAssignments
-	}
-	if ci.TupleAssignments <= 0 {
-		ci.TupleAssignments = def.TupleAssignments
+	if ci.Prices.Tuple <= 0 {
+		ci.Prices.Tuple = def.Prices.Tuple
 	}
 	if ci.RoundTripSeconds <= 0 {
 		ci.RoundTripSeconds = def.RoundTripSeconds
@@ -131,20 +91,11 @@ func (ci CostInputs) normalized() CostInputs {
 	if ci.Window <= 0 {
 		ci.Window = def.Window
 	}
-	if ci.LatencyCentsPerHour <= 0 {
-		ci.LatencyCentsPerHour = def.LatencyCentsPerHour
-	}
 	if ci.CacheHitRate < 0 {
 		ci.CacheHitRate = 0
 	}
 	if ci.CacheHitRate > 0.95 {
 		ci.CacheHitRate = 0.95
-	}
-	if ci.EscalationRate < 0 {
-		ci.EscalationRate = 0
-	}
-	if ci.EscalationRate > 1 {
-		ci.EscalationRate = 1
 	}
 	return ci
 }
@@ -186,7 +137,7 @@ func (cm *costModel) score(n plan.Node) float64 {
 	if c.IsUnbounded() {
 		return math.Inf(1)
 	}
-	return c.Cents + (c.Seconds+c.MachineSeconds)*cm.in.LatencyCentsPerHour/3600 + cm.work[n]*workWeight
+	return c.Cents + (c.Seconds+c.MachineSeconds)*latencyCentsPerHour/3600 + cm.work[n]*workWeight
 }
 
 // cost predicts one node's cumulative crowd cost (memoized).
@@ -312,7 +263,7 @@ func (cm *costModel) probeCost(p *plan.CrowdProbe, rows float64) plan.Cost {
 		return plan.Cost{}
 	}
 	return plan.Cost{
-		Cents:   cm.in.compareCents(probeRows),
+		Cents:   probeRows * cm.in.Prices.Compare,
 		Seconds: cm.in.RoundTripSeconds, // one pipelined probe round
 	}
 }
@@ -323,7 +274,7 @@ func (cm *costModel) solicitCost(want float64) plan.Cost {
 		return plan.Cost{}
 	}
 	return plan.Cost{
-		Cents:   cm.in.tupleCents(want),
+		Cents:   want * cm.in.Prices.Tuple,
 		Seconds: cm.in.RoundTripSeconds,
 	}
 }
@@ -416,7 +367,7 @@ func (cm *costModel) filterCost(f *plan.Filter) plan.Cost {
 		}
 		comparisons := pairRows * calls * (1 - cm.in.CacheHitRate)
 		if comparisons > 0 {
-			c.Cents += cm.in.compareCents(comparisons)
+			c.Cents += comparisons * cm.in.Prices.Compare
 			c.Seconds += cm.in.RoundTripSeconds
 		}
 	}
@@ -444,7 +395,7 @@ func (cm *costModel) sortCost(s *plan.Sort) plan.Cost {
 		rounds = 1
 	}
 	comparisons := n * rounds * (1 - cm.in.CacheHitRate)
-	c.Cents += cm.in.compareCents(comparisons)
+	c.Cents += comparisons * cm.in.Prices.Compare
 	groupsPerRound := math.Max(1, math.Ceil(n/math.Max(cm.in.Window, 1)/8))
 	c.Seconds += rounds * groupsPerRound * cm.in.RoundTripSeconds
 	return c

@@ -31,7 +31,7 @@ func TestCostInputsNormalized(t *testing.T) {
 }
 
 // TestProbeCostFormula pins CROWDPROBE pricing: cents = probe rows ×
-// reward × assignments, one crowd round of latency.
+// the compare price, one crowd round of latency.
 func TestProbeCostFormula(t *testing.T) {
 	cat := testCatalog(t)
 	talk, _ := cat.Table("Talk")
@@ -40,7 +40,7 @@ func TestProbeCostFormula(t *testing.T) {
 	in := DefaultCostInputs()
 	res := optimize(t, cat, `SELECT abstract FROM Talk`, Options{Cost: in})
 	// 100 stored rows, no filter: 100 probe HITs at 2¢ × 3 assignments.
-	want := 100 * in.RewardCents * in.CompareAssignments
+	want := 100 * in.Prices.Compare
 	if res.Predicted.Cents != want {
 		t.Errorf("probe cents: got %v want %v", res.Predicted.Cents, want)
 	}
@@ -58,14 +58,14 @@ func TestProbeCostCappedByOutstandingCNulls(t *testing.T) {
 	talk.AdjustCNull("abstract", 10) // 90 of 100 already memorized
 	in := DefaultCostInputs()
 	res := optimize(t, cat, `SELECT abstract FROM Talk`, Options{Cost: in})
-	want := 10 * in.RewardCents * in.CompareAssignments
+	want := 10 * in.Prices.Compare
 	if res.Predicted.Cents != want {
 		t.Errorf("probe cents: got %v want %v", res.Predicted.Cents, want)
 	}
 }
 
 // TestCrowdEqualCostDiscountedByHitRate pins the CROWDEQUAL formula:
-// comparisons × (1 − cache hit rate) × reward × assignments.
+// comparisons × (1 − cache hit rate) × the compare price.
 func TestCrowdEqualCostDiscountedByHitRate(t *testing.T) {
 	cat := testCatalog(t)
 	cold := DefaultCostInputs()
@@ -89,7 +89,7 @@ func TestCrowdOrderCostFormula(t *testing.T) {
 	in := DefaultCostInputs()
 	res := optimize(t, cat, `SELECT title FROM Talk ORDER BY CROWDORDER(title, 'better?')`, Options{Cost: in})
 	n, rounds := 100.0, math.Ceil(math.Log2(100))
-	want := n * rounds * in.RewardCents * in.CompareAssignments
+	want := n * rounds * in.Prices.Compare
 	if res.Predicted.Cents != want {
 		t.Errorf("order cents: got %v want %v", res.Predicted.Cents, want)
 	}
@@ -99,15 +99,15 @@ func TestCrowdOrderCostFormula(t *testing.T) {
 }
 
 // TestCrowdJoinSolicitationCost pins the CrowdJoin formula: outer keys ×
-// expected fan-out × reward × tuple replication.
+// expected fan-out × the tuple price.
 func TestCrowdJoinSolicitationCost(t *testing.T) {
 	cat := testCatalog(t)
 	in := DefaultCostInputs()
 	res := optimize(t, cat,
 		`SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = t.title`, Options{Cost: in})
 	// 100 outer keys, fan-out 3 minus 0.05 stored per key: 295 tuples at
-	// reward × tuple assignments.
-	want := 100 * (3 - 5.0/100) * in.RewardCents * in.TupleAssignments
+	// the tuple price.
+	want := 100 * (3 - 5.0/100) * in.Prices.Tuple
 	if math.Abs(res.Predicted.Cents-want) > 1e-9 {
 		t.Errorf("join solicit cents: got %v want %v", res.Predicted.Cents, want)
 	}

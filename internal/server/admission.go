@@ -43,7 +43,7 @@ func (s *Server) admitBudget(sess *Session, stmts []parser.Statement) (float64, 
 		s.countAdmission(true)
 		return -1, nil // unlimited budget: trivially admitted
 	}
-	per := s.eng.CostPerComparisonCents()
+	per := s.eng.Prices().Compare
 	if per <= 0 {
 		s.countAdmission(true)
 		return -1, nil // no crowd platform: nothing to meter

@@ -381,7 +381,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			sql:          rj.sql,
 			sess:         sess,
 			sessionID:    rj.session,
-			price:        s.eng.PriceStats,
+			price:        s.eng.Prices,
 			ctx:          ctx,
 			cancel:       cancel,
 			state:        JobQueued,
@@ -481,7 +481,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			id:           rj.id,
 			sql:          rj.sql,
 			sessionID:    rj.session,
-			price:        s.eng.PriceStats,
+			price:        s.eng.Prices,
 			ctx:          ctx,
 			cancel:       cancel,
 			state:        rj.state,

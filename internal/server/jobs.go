@@ -26,6 +26,7 @@ import (
 	"crowddb/internal/obs"
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
+	"crowddb/internal/taskmgr"
 )
 
 // JobState is a job's lifecycle position.
@@ -57,7 +58,7 @@ type Job struct {
 	sql       string
 	sess      *Session
 	sessionID string // "" = anonymous one-shot session
-	price     func(exec.Stats) float64
+	price     func() taskmgr.Prices
 	// trace is the job's span tree: one trace for the whole script,
 	// threaded through every statement, finished at retirement. Nil when
 	// the engine runs with observability disabled.
@@ -199,7 +200,7 @@ func (j *Job) Info() JobInfo {
 		Warnings:       j.warnings,
 		StatementsDone: j.stmtsDone,
 		Stats:          j.settledStats.Add(j.progressStats),
-		SpentCents:     j.settledCents + j.price(j.progressStats),
+		SpentCents:     j.settledCents + j.progressStats.Cents(j.price()),
 		SnapshotTS:     j.snapshotTS,
 		TraceID:        j.trace.ID(),
 		Error:          j.err,
@@ -343,7 +344,7 @@ func (s *Server) finish(j *Job, state JobState, err *Error) {
 	j.err = err
 	// The running statement's progress is settled (or lost) by now.
 	j.settledStats = j.settledStats.Add(j.progressStats)
-	j.settledCents += j.price(j.progressStats)
+	j.settledCents += j.progressStats.Cents(j.price())
 	j.progressStats = exec.Stats{}
 	j.broadcastLocked()
 }
@@ -472,7 +473,7 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		sql:          sql,
 		sess:         sess,
 		sessionID:    sessionID,
-		price:        s.eng.PriceStats,
+		price:        s.eng.Prices,
 		ctx:          ctx,
 		cancel:       cancel,
 		state:        JobQueued,

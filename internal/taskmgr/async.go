@@ -180,13 +180,12 @@ func (m *Manager) Submit(group *crowd.HITGroup) *Pending {
 
 // admitLocked posts p to its first tier — the model platform when
 // escalation routing is enabled, the human platform otherwise —
-// retrying transient post errors with seeded exponential backoff.
-// Called with sched.mu held (platforms must support concurrent Post
-// anyway; with the default RetryBase of 0 the retries do not sleep, so
-// the lock is not held across a wait). Only an exhausted retry budget
-// resolves p with an error — and because a failed Post never reached
-// the platform, a retried post is still posted exactly once and can
-// never double-pay.
+// retrying transient post errors at once. Called with sched.mu held
+// (platforms must support concurrent Post anyway; the retries do not
+// sleep, so the lock is not held across a wait). Only an exhausted
+// retry budget resolves p with an error — and because a failed Post
+// never reached the platform, a retried post is still posted exactly
+// once and can never double-pay.
 func (m *Manager) admitLocked(p *Pending) {
 	target, spec := m.platform, p.group
 	if m.cfg.ModelPlatform != nil {
@@ -241,7 +240,6 @@ func (m *Manager) postWithRetry(target crowd.Platform, group *crowd.HITGroup) (c
 			return id, err
 		}
 		m.noteRetry()
-		m.backoff(attempt)
 	}
 }
 
@@ -250,20 +248,6 @@ func (m *Manager) noteRetry() {
 	m.mu.Lock()
 	m.stats.Retries++
 	m.mu.Unlock()
-}
-
-// backoff sleeps RetryBase·2^(attempt-1), scaled by seeded jitter in
-// [0.5,1.5). A zero RetryBase returns immediately without consuming
-// jitter — simulated platforms retry on the next virtual poll tick.
-func (m *Manager) backoff(attempt int) {
-	if m.cfg.RetryBase <= 0 {
-		return
-	}
-	d := m.cfg.RetryBase << (attempt - 1)
-	m.mu.Lock()
-	scale := 0.5 + m.jitter.Float64()
-	m.mu.Unlock()
-	time.Sleep(time.Duration(float64(d) * scale))
 }
 
 // noteTransient records a transient poll-path failure for p and reports

@@ -9,7 +9,6 @@ package taskmgr
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -58,15 +57,9 @@ type Config struct {
 	// RetryAttempts bounds how many times a transient platform call
 	// (post, status, expire, results) is attempted before its error
 	// surfaces to the operator. <=0 defaults to 3; 1 disables retries.
+	// A failed post is retried at once; a failed poll-path call waits for
+	// the next virtual poll tick.
 	RetryAttempts int
-	// RetryBase is the first post-retry backoff delay; each further
-	// attempt doubles it, scaled by seeded jitter in [0.5,1.5). 0 (the
-	// default) retries without sleeping — right for simulated platforms,
-	// whose poll loop already spaces retries by virtual PollInterval.
-	RetryBase time.Duration
-	// RetrySeed seeds the jitter RNG so backoff schedules replay
-	// deterministically for a fixed seed.
-	RetrySeed int64
 
 	// ModelPlatform enables model-first escalation routing: every HIT
 	// group is posted to this (cheap model) tier first at ModelReward ×
@@ -114,6 +107,35 @@ func DefaultConfig() Config {
 		NewTupleAssignments: 1,
 		MaxInFlight:         8,
 		RetryAttempts:       3,
+	}
+}
+
+// Prices is the price list for a unit of crowd work, in cents: what the
+// crowd is paid for one probe or comparison HIT at its replication, and
+// for one solicited tuple. The optimizer forecasts with it, and measured
+// work (exec.Stats.Cents) is charged with it.
+type Prices struct {
+	Compare float64
+	Tuple   float64
+}
+
+// Prices computes the price list: reward × replication on the human
+// tier or, with a model tier, the blended model-first rate — every HIT
+// pays the model tier and the escalated fraction additionally pays the
+// human rate. A solicited tuple keeps the tuple replication on both
+// tiers (each assignment is a distinct candidate), so only its reward
+// differs.
+func (c Config) Prices(escalation float64) Prices {
+	human := Prices{
+		Compare: float64(c.Reward) * float64(c.Assignments),
+		Tuple:   float64(c.Reward) * float64(c.NewTupleAssignments),
+	}
+	if c.ModelPlatform == nil {
+		return human
+	}
+	return Prices{
+		Compare: float64(c.ModelReward)*float64(c.ModelAssignments) + escalation*human.Compare,
+		Tuple:   float64(c.ModelReward)*float64(c.NewTupleAssignments) + escalation*human.Tuple,
 	}
 }
 
@@ -184,8 +206,6 @@ type Manager struct {
 	mu    sync.Mutex
 	stats Stats
 	seq   int
-	// jitter scales retry backoff; seeded so schedules replay.
-	jitter *rand.Rand
 	// latSamples is a ring of recent group round-trip latencies; latPos
 	// counts total observations (ring writes wrap at latencyWindow).
 	latSamples []time.Duration
@@ -243,7 +263,6 @@ func New(platform crowd.Platform, uim *ui.Manager, tracker *quality.Tracker, pay
 	}
 	m := &Manager{platform: platform, ui: uim, tracker: tracker, payer: payer, oracle: oracle, cfg: cfg}
 	m.stats.ByPlatform = make(map[string]PlatformStats)
-	m.jitter = rand.New(rand.NewSource(cfg.RetrySeed))
 	m.sched.handoff = make(chan struct{})
 	return m
 }
@@ -271,11 +290,10 @@ func (m *Manager) platformStatsLocked(name string, f func(*PlatformStats)) {
 	m.stats.ByPlatform[name] = ps
 }
 
-// EscalationRate is the observed fraction of model-tier HITs that fell
+// escalationRate is the observed fraction of model-tier HITs that fell
 // below the routing floors and escalated to the human platform. Before
-// any model HIT has resolved it returns the planning prior (the cost
-// optimizer prices blended model-first rates with it).
-func (m *Manager) EscalationRate() float64 {
+// any model HIT has resolved it returns the planning prior.
+func (m *Manager) escalationRate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cfg.ModelPlatform == nil {
@@ -287,6 +305,9 @@ func (m *Manager) EscalationRate() float64 {
 	}
 	return float64(m.stats.EscalatedHITs) / float64(modelHITs)
 }
+
+// Prices is the price list at the observed escalation rate.
+func (m *Manager) Prices() Prices { return m.cfg.Prices(m.escalationRate()) }
 
 // defaultEscalationRate is the planning prior before feedback arrives: a
 // quarter of model answers contested, matching the Sharp preset on
