@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"crowddb/internal/catalog"
@@ -145,13 +144,12 @@ type Engine struct {
 	costModel CostModelStats
 
 	// Observability: the metrics registry every subsystem exports into,
-	// the trace recorder (nil when Config.DisableObservability), a
-	// sequence for engine-owned trace ids, and the hot-path counters.
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	traceSeq atomic.Int64
-	obsm     engineMetrics
-	opm      *opMetrics
+	// the trace recorder (nil when Config.DisableObservability), and the
+	// hot-path counters.
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	obsm   engineMetrics
+	opm    *opMetrics
 }
 
 // CostModelStats aggregates the cost model's predicted-vs-actual error
@@ -418,9 +416,6 @@ func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Resul
 	return last, nil
 }
 
-// stmtAttrMax bounds the statement text recorded on a span.
-const stmtAttrMax = 200
-
 // ExecStmtCtx runs one parsed statement under ctx. Read-only statements
 // (SELECT, EXPLAIN, SHOW) take no lock and run concurrently with
 // everything — each SELECT pins an MVCC snapshot instead; DDL and DML
@@ -436,16 +431,12 @@ func (e *Engine) ExecStmtCtx(ctx context.Context, stmt parser.Statement, opts Ex
 	tr := opts.Trace
 	owned := false
 	if tr == nil && e.tracer != nil {
-		tr = e.tracer.Start(fmt.Sprintf("q%06d", e.traceSeq.Add(1)))
+		tr = e.tracer.StartSized("", kind == "select" || kind == "explain")
 		owned = true
 	}
 	sp := tr.Span(nil, "statement")
 	sp.SetAttr("kind", kind)
-	if s := stmt.String(); len(s) <= stmtAttrMax {
-		sp.SetAttr("stmt", s)
-	} else {
-		sp.SetAttr("stmt", s[:stmtAttrMax]+"…")
-	}
+	sp.SetText("stmt", stmt)
 	res, err := e.execStmt(ctx, stmt, opts, tr, sp)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -813,8 +804,8 @@ func (e *Engine) compileTraced(s *parser.Select, tr *obs.Trace, sp *obs.Span) (*
 		osp.End()
 		return nil, err
 	}
-	osp.SetAttr("predicted", opt.Predicted.String())
-	osp.SetAttr("bounded", fmt.Sprintf("%v", opt.Bounded))
+	osp.SetText("predicted", &opt.Predicted) // rendered now: the trace keeps no reference into opt
+	osp.SetBool("bounded", opt.Bounded)
 	osp.End()
 	return opt, nil
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowddb/internal/exec"
@@ -99,13 +100,14 @@ func (e *Engine) initObservability() {
 // opMetrics funnels each instrumented operator's final accounting into
 // the registry, keyed by operator name — the engine's exec.OpMetricsSink.
 // Series are created lazily the first time an operator label is seen, so
-// /metrics only carries families for operators that actually ran. Nil
-// when observability is disabled: the executor then skips the
-// instrumented shells entirely and the row hot path stays unwrapped.
+// /metrics only carries families for operators that actually ran. The
+// series map is copied on write and read without a lock. Nil when
+// observability is disabled: the executor then skips the instrumented
+// shells entirely and the row hot path stays unwrapped.
 type opMetrics struct {
 	reg    *obs.Registry
-	mu     sync.Mutex
-	series map[string]*opSeries
+	mu     sync.Mutex // serializes adding a series
+	series atomic.Pointer[map[string]*opSeries]
 }
 
 type opSeries struct {
@@ -116,7 +118,9 @@ type opSeries struct {
 }
 
 func newOpMetrics(reg *obs.Registry) *opMetrics {
-	return &opMetrics{reg: reg, series: make(map[string]*opSeries)}
+	m := &opMetrics{reg: reg}
+	m.series.Store(&map[string]*opSeries{})
+	return m
 }
 
 // ObserveOp implements exec.OpMetricsSink; the instrumented shell calls
@@ -125,28 +129,40 @@ func newOpMetrics(reg *obs.Registry) *opMetrics {
 // operator's materialization get", the vectorized pipeline's
 // per-operator memory figure.
 func (m *opMetrics) ObserveOp(op string, st exec.OpStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.series[op]
+	s := (*m.series.Load())[op]
 	if s == nil {
-		s = &opSeries{
-			rows: m.reg.Counter("crowddb_exec_op_rows_total",
-				"rows produced by each physical operator", "op", op),
-			batches: m.reg.Counter("crowddb_exec_op_batches_total",
-				"non-empty batches produced by each physical operator", "op", op),
-			wall: m.reg.Counter("crowddb_exec_op_wall_seconds_total",
-				"inclusive wall time inside each physical operator and its children", "op", op),
-			peak: m.reg.Gauge("crowddb_exec_op_peak_buffered_rows",
-				"high watermark of rows an operator materialized at once", "op", op),
-		}
-		m.series[op] = s
+		s = m.addSeries(op)
 	}
 	s.rows.Add(float64(st.RowsOut))
 	s.batches.Add(float64(st.Batches))
 	s.wall.Add(float64(st.WallNanos) / float64(time.Second))
-	if p := float64(st.PeakBufferedRows); p > s.peak.Value() {
-		s.peak.Set(p)
+	s.peak.SetMax(float64(st.PeakBufferedRows))
+}
+
+func (m *opMetrics) addSeries(op string) *opSeries {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := *m.series.Load()
+	if s := old[op]; s != nil {
+		return s
 	}
+	s := &opSeries{
+		rows: m.reg.Counter("crowddb_exec_op_rows_total",
+			"rows produced by each physical operator", "op", op),
+		batches: m.reg.Counter("crowddb_exec_op_batches_total",
+			"non-empty batches produced by each physical operator", "op", op),
+		wall: m.reg.Counter("crowddb_exec_op_wall_seconds_total",
+			"inclusive wall time inside each physical operator and its children", "op", op),
+		peak: m.reg.Gauge("crowddb_exec_op_peak_buffered_rows",
+			"high watermark of rows an operator materialized at once", "op", op),
+	}
+	next := make(map[string]*opSeries, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[op] = s
+	m.series.Store(&next)
+	return s
 }
 
 // Metrics exposes the engine's registry (the server mounts it at

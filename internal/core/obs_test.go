@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/obs"
@@ -212,5 +213,62 @@ func TestDisableObservability(t *testing.T) {
 	}
 	if on.spans == 0 {
 		t.Error("the traced arm retained no spans for the paid SELECT")
+	}
+}
+
+// TestStmtAttrCutsAtRuneBoundary records a statement whose 200th byte of
+// text falls inside "é": the span keeps the text up to the last whole
+// rune and marks the cut, and never splits the rune.
+func TestStmtAttrCutsAtRuneBoundary(t *testing.T) {
+	eng, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	mustExec(t, eng, "CREATE TABLE Talk (title STRING PRIMARY KEY, room STRING)")
+	const prefix = "SELECT room FROM Talk WHERE (title = '"
+	title := strings.Repeat("a", 199-len(prefix)) + "é" + strings.Repeat("b", 20)
+	sql := prefix + title + "')"
+	tr := eng.Tracer().Start("utf8")
+	if _, err := eng.Execute(context.Background(), sql, ExecOpts{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Tracer().Finish(tr)
+	got := tr.JSON().FindSpans("statement")[0].Attrs["stmt"]
+	if want := sql[:199] + "…"; got != want {
+		t.Errorf("stmt attr = %q, want %q", got, want)
+	}
+	if !utf8.ValidString(got) {
+		t.Errorf("stmt attr is not valid UTF-8: %q", got)
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestTracedPointSelectAllocs is the gate on what recording a trace costs
+// a point SELECT: at most 4 allocations more than the same statement on
+// an engine without observability.
+func TestTracedPointSelectAllocs(t *testing.T) {
+	allocs := func(disable bool) float64 {
+		eng, err := Open(Config{DisableObservability: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		mustExec(t, eng, "CREATE TABLE Talk (title STRING PRIMARY KEY, room STRING, nb_attendees INTEGER)")
+		for i := 0; i < 20; i++ {
+			mustExec(t, eng, fmt.Sprintf("INSERT INTO Talk VALUES ('talk-%04d', 'Room %d', %d)", i, i%10, i))
+		}
+		return testing.AllocsPerRun(200, func() {
+			mustExec(t, eng, "SELECT nb_attendees FROM Talk WHERE title = 'talk-0007'")
+		})
+	}
+	traced, untraced := allocs(false), allocs(true)
+	t.Logf("point SELECT: %v allocations traced, %v untraced", traced, untraced)
+	if raceEnabled {
+		t.Skip("the count is not exact under -race (race_test.go)")
+	}
+	if traced > untraced+4 {
+		t.Errorf("a traced point SELECT allocates %v times, %v more than untraced (at most 4)", traced, traced-untraced)
 	}
 }

@@ -131,6 +131,8 @@ type Ctx struct {
 	// final accounting at Close (rows/sec, peak buffered rows) — the
 	// engine aggregates it into /metrics per operator type.
 	OpMetrics OpMetricsSink
+	// shells is the slab instrumented operator shells are taken from.
+	shells []instrumentedOp
 
 	subqMemo map[*parser.InExpr][]sqltypes.Value
 }

@@ -11,6 +11,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"crowddb/internal/obs"
@@ -51,20 +52,27 @@ type bufferedReporter interface {
 }
 
 // instrument wraps op when the context asks for tracing, per-operator
-// stats, or operator metrics; otherwise it returns op untouched.
+// stats, or operator metrics; otherwise it returns op untouched. The
+// shells of one context come from a slab that starts at two (a point
+// SELECT's Project over Scan) and doubles.
 func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	if ctx.Trace == nil && ctx.OpStats == nil && ctx.OpMetrics == nil {
 		return op
 	}
-	return &instrumentedOp{op: op, node: n, label: opLabel(n)}
+	if len(ctx.shells) == cap(ctx.shells) {
+		ctx.shells = make([]instrumentedOp, 0, max(2, 2*cap(ctx.shells)))
+	}
+	ctx.shells = ctx.shells[:len(ctx.shells)+1]
+	o := &ctx.shells[len(ctx.shells)-1]
+	*o = instrumentedOp{op: op, node: n, label: opLabel(n)}
+	return o
 }
 
 type instrumentedOp struct {
 	op   Operator
 	node plan.Node
 	span *obs.Span
-	// label is the span name, "op:" + the operator's name: built once, and
-	// only a scan's needs building.
+	// label is the span name, "op:" + the operator's name.
 	label string
 	st    OpStats
 }
@@ -121,7 +129,7 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 	if o.span != nil {
 		c := o.st.Crowd
 		o.span.SetInt("rows_out", o.st.RowsOut)
-		o.span.SetAttr("wall", time.Duration(o.st.WallNanos).Round(time.Microsecond).String())
+		o.span.SetDuration("wall", time.Duration(o.st.WallNanos).Round(time.Microsecond))
 		if c.Comparisons > 0 {
 			o.span.SetInt("comparisons", int64(c.Comparisons))
 		}
@@ -150,9 +158,9 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 func opLabel(n plan.Node) string {
 	switch x := n.(type) {
 	case *plan.Scan:
-		return "op:scan:" + x.Table.Name
+		return tableLabel("op:scan:", x.Table.Name)
 	case *plan.CrowdProbe:
-		return "op:probe:" + x.Scan.Table.Name
+		return tableLabel("op:probe:", x.Scan.Table.Name)
 	case *plan.Filter:
 		return "op:filter"
 	case *plan.Join:
@@ -172,6 +180,37 @@ func opLabel(n plan.Node) string {
 	}
 }
 
+// maxTableLabels bounds the interned per-table labels; past it, a label
+// is built per statement.
+const maxTableLabels = 1024
+
+type labelKey struct{ prefix, table string }
+
+// tableLabels interns per-table operator labels ("op:scan:Talk") so that
+// building a plan concatenates none. A label is a function of its key
+// alone, so engines sharing the table cannot disagree.
+var tableLabels struct {
+	sync.Mutex
+	m map[labelKey]string
+}
+
+func tableLabel(prefix, table string) string {
+	k := labelKey{prefix, table}
+	tableLabels.Lock()
+	defer tableLabels.Unlock()
+	if l, ok := tableLabels.m[k]; ok {
+		return l
+	}
+	l := prefix + table
+	if tableLabels.m == nil {
+		tableLabels.m = make(map[labelKey]string)
+	}
+	if len(tableLabels.m) < maxTableLabels {
+		tableLabels.m[k] = l
+	}
+	return l
+}
+
 // startCrowdSpan opens a span for one crowd interaction under the
 // currently executing operator. Nil-safe when tracing is off.
 func (c *Ctx) startCrowdSpan(name string) *obs.Span {
@@ -185,15 +224,15 @@ func (c *Ctx) startCrowdSpan(name string) *obs.Span {
 // queued behind the in-flight window, virtual post/resolve instants, and
 // the quorum outcome — onto its span and ends it.
 func finishGroupSpan(sp *obs.Span, tel taskmgr.GroupTelemetry, answers, quorum int) {
-	sp.SetAttr("queued", fmt.Sprintf("%v", tel.Queued))
+	sp.SetBool("queued", tel.Queued)
 	if tel.Posted {
-		sp.SetAttr("posted_at", tel.PostedAt.String())
-		sp.SetAttr("resolved_at", tel.ResolvedAt.String())
-		sp.SetAttr("roundtrip", (tel.ResolvedAt - tel.PostedAt).String())
+		sp.SetDuration("posted_at", tel.PostedAt)
+		sp.SetDuration("resolved_at", tel.ResolvedAt)
+		sp.SetDuration("roundtrip", tel.ResolvedAt-tel.PostedAt)
 	}
 	if tel.Tier != "" {
 		sp.SetAttr("tier", tel.Tier)
-		sp.SetAttr("escalated", fmt.Sprintf("%v", tel.Escalated))
+		sp.SetBool("escalated", tel.Escalated)
 	}
 	sp.SetInt("answers", int64(answers))
 	sp.SetInt("quorum", int64(quorum))

@@ -116,6 +116,20 @@ func (g *Gauge) Set(x float64) {
 	g.v.set(x)
 }
 
+// SetMax raises the gauge to x if x is higher: a high watermark that
+// concurrent writers keep without a lock.
+func (g *Gauge) SetMax(x float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.v.bits.Load()
+		if x <= math.Float64frombits(old) || g.v.bits.CompareAndSwap(old, math.Float64bits(x)) {
+			return
+		}
+	}
+}
+
 // Add adjusts the gauge by d (either sign).
 func (g *Gauge) Add(d float64) {
 	if g == nil {

@@ -314,3 +314,73 @@ func TestSpanCap(t *testing.T) {
 	sp.SetAttr("a", "b")
 	sp.End()
 }
+
+// text is a value that renders itself.
+type text string
+
+func (s text) AppendText(b []byte) ([]byte, error) { return append(b, s...), nil }
+
+// TestTraceRenderWhileRecording reads a trace — JSON and the slow-query
+// text — while another goroutine adds spans, attributes and events to it,
+// past its first chunks; then checks that what was recorded reads back.
+func TestTraceRenderWhileRecording(t *testing.T) {
+	tracer := NewTracer(1)
+	var slow strings.Builder
+	tracer.SetSlowQueryLog(time.Nanosecond, &slow)
+	tr := tracer.StartSized("live", false)
+	const n = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		parent := tr.Span(nil, "statement")
+		for i := 0; i < n; i++ {
+			sp := tr.Span(parent, fmt.Sprintf("op%d", i))
+			sp.SetAttr("s", strings.Repeat("x", i%7))
+			sp.SetInt("n", int64(i))
+			sp.SetBool("b", i%2 == 0)
+			sp.SetDuration("d", time.Duration(i)*time.Millisecond)
+			sp.SetText("t", text("é"))
+			sp.Event("tick")
+			sp.End()
+			if i%50 == 0 {
+				parent = sp
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		tr.JSON()
+		var b strings.Builder
+		tr.renderText(&b)
+	}
+	tracer.Finish(tr)
+
+	tj := tr.JSON()
+	if tj.Spans != n+2 {
+		t.Fatalf("spans = %d, want %d", tj.Spans, n+2)
+	}
+	sp := tj.FindSpans("op51")
+	if len(sp) != 1 {
+		t.Fatalf("op51: %d spans", len(sp))
+	}
+	want := map[string]string{"s": "xx", "n": "51", "b": "false", "d": "51ms", "t": "é"}
+	for k, v := range want {
+		if sp[0].Attrs[k] != v {
+			t.Errorf("op51 attr %s = %q, want %q (%v)", k, sp[0].Attrs[k], v, sp[0].Attrs)
+		}
+	}
+	if len(sp[0].Events) != 1 || !strings.HasSuffix(sp[0].Events[0], " tick") {
+		t.Errorf("op51 events = %q", sp[0].Events)
+	}
+	// op51 nests under op50, which took over as the parent.
+	if kids := tj.FindSpans("op50")[0].Children; len(kids) != 50 || kids[0].Name != "op51" {
+		t.Errorf("op50 has %d children", len(kids))
+	}
+	if !strings.Contains(slow.String(), `op299 `) || !strings.Contains(slow.String(), `n="299", b="false", d="299ms", t="é"}`) {
+		t.Errorf("slow-query text lacks the last span:\n%s", slow.String())
+	}
+}

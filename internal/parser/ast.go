@@ -9,16 +9,17 @@
 package parser
 
 import (
+	"encoding"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"crowddb/internal/sqltypes"
 )
 
-// Statement is any parsed CrowdSQL statement.
+// Statement is any parsed CrowdSQL statement. AppendText appends the
+// text String returns.
 type Statement interface {
 	fmt.Stringer
+	encoding.TextAppender
 	stmt()
 }
 
@@ -32,20 +33,9 @@ type ColumnDef struct {
 }
 
 func (c ColumnDef) String() string {
-	var sb strings.Builder
-	sb.WriteString(c.Name)
-	sb.WriteByte(' ')
-	if c.Crowd {
-		sb.WriteString("CROWD ")
-	}
-	sb.WriteString(c.Type.String())
-	if c.PrimaryKey {
-		sb.WriteString(" PRIMARY KEY")
-	}
-	if c.Annotation != "" {
-		sb.WriteString(" ANNOTATION " + quote(c.Annotation))
-	}
-	return sb.String()
+	var p printer
+	p.columnDef(c)
+	return string(p.b)
 }
 
 // ForeignKey is a FOREIGN KEY (cols) REF table(cols) table constraint. The
@@ -57,8 +47,9 @@ type ForeignKey struct {
 }
 
 func (f ForeignKey) String() string {
-	return fmt.Sprintf("FOREIGN KEY (%s) REF %s(%s)",
-		strings.Join(f.Columns, ", "), f.RefTable, strings.Join(f.RefColumns, ", "))
+	var p printer
+	p.foreignKey(f)
+	return string(p.b)
 }
 
 // CreateTable is CREATE [CROWD] TABLE.
@@ -73,30 +64,8 @@ type CreateTable struct {
 
 func (*CreateTable) stmt() {}
 
-func (s *CreateTable) String() string {
-	var sb strings.Builder
-	sb.WriteString("CREATE ")
-	if s.Crowd {
-		sb.WriteString("CROWD ")
-	}
-	sb.WriteString("TABLE " + s.Name + " (")
-	var parts []string
-	for _, c := range s.Columns {
-		parts = append(parts, c.String())
-	}
-	if len(s.PrimaryKey) > 0 {
-		parts = append(parts, "PRIMARY KEY ("+strings.Join(s.PrimaryKey, ", ")+")")
-	}
-	for _, fk := range s.ForeignKeys {
-		parts = append(parts, fk.String())
-	}
-	sb.WriteString(strings.Join(parts, ", "))
-	sb.WriteString(")")
-	if s.Annotation != "" {
-		sb.WriteString(" ANNOTATION " + quote(s.Annotation))
-	}
-	return sb.String()
-}
+func (s *CreateTable) String() string                      { return stmtString(s) }
+func (s *CreateTable) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // DropTable is DROP TABLE [IF EXISTS] name.
 type DropTable struct {
@@ -106,12 +75,8 @@ type DropTable struct {
 
 func (*DropTable) stmt() {}
 
-func (s *DropTable) String() string {
-	if s.IfExists {
-		return "DROP TABLE IF EXISTS " + s.Name
-	}
-	return "DROP TABLE " + s.Name
-}
+func (s *DropTable) String() string                      { return stmtString(s) }
+func (s *DropTable) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // CreateIndex is CREATE [UNIQUE] INDEX name ON table (cols).
 type CreateIndex struct {
@@ -123,14 +88,8 @@ type CreateIndex struct {
 
 func (*CreateIndex) stmt() {}
 
-func (s *CreateIndex) String() string {
-	u := ""
-	if s.Unique {
-		u = "UNIQUE "
-	}
-	return fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", u, s.Name, s.Table,
-		strings.Join(s.Columns, ", "))
-}
+func (s *CreateIndex) String() string                      { return stmtString(s) }
+func (s *CreateIndex) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // Insert is INSERT INTO table [(cols)] VALUES (...), (...).
 type Insert struct {
@@ -141,24 +100,8 @@ type Insert struct {
 
 func (*Insert) stmt() {}
 
-func (s *Insert) String() string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + s.Table)
-	if len(s.Columns) > 0 {
-		sb.WriteString(" (" + strings.Join(s.Columns, ", ") + ")")
-	}
-	sb.WriteString(" VALUES ")
-	var rows []string
-	for _, r := range s.Rows {
-		var vals []string
-		for _, e := range r {
-			vals = append(vals, e.String())
-		}
-		rows = append(rows, "("+strings.Join(vals, ", ")+")")
-	}
-	sb.WriteString(strings.Join(rows, ", "))
-	return sb.String()
-}
+func (s *Insert) String() string                      { return stmtString(s) }
+func (s *Insert) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // Assignment is one `col = expr` in UPDATE SET.
 type Assignment struct {
@@ -175,17 +118,8 @@ type Update struct {
 
 func (*Update) stmt() {}
 
-func (s *Update) String() string {
-	var sets []string
-	for _, a := range s.Set {
-		sets = append(sets, a.Column+" = "+a.Value.String())
-	}
-	out := "UPDATE " + s.Table + " SET " + strings.Join(sets, ", ")
-	if s.Where != nil {
-		out += " WHERE " + s.Where.String()
-	}
-	return out
-}
+func (s *Update) String() string                      { return stmtString(s) }
+func (s *Update) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // Delete is DELETE FROM table [WHERE ...].
 type Delete struct {
@@ -195,13 +129,8 @@ type Delete struct {
 
 func (*Delete) stmt() {}
 
-func (s *Delete) String() string {
-	out := "DELETE FROM " + s.Table
-	if s.Where != nil {
-		out += " WHERE " + s.Where.String()
-	}
-	return out
-}
+func (s *Delete) String() string                      { return stmtString(s) }
+func (s *Delete) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // JoinType distinguishes the join flavors the executor supports.
 type JoinType int
@@ -223,14 +152,6 @@ type TableRef struct {
 	On    Expr
 }
 
-func (t TableRef) refString() string {
-	s := t.Table
-	if t.Alias != "" {
-		s += " " + t.Alias
-	}
-	return s
-}
-
 // SelectItem is one projection item: `*`, `t.*`, or expr [AS alias].
 type SelectItem struct {
 	Star      bool
@@ -240,17 +161,9 @@ type SelectItem struct {
 }
 
 func (it SelectItem) String() string {
-	if it.Star {
-		if it.StarTable != "" {
-			return it.StarTable + ".*"
-		}
-		return "*"
-	}
-	s := it.Expr.String()
-	if it.Alias != "" {
-		s += " AS " + it.Alias
-	}
-	return s
+	var p printer
+	p.selectItem(it)
+	return string(p.b)
 }
 
 // OrderItem is one ORDER BY key. CROWDORDER appears here as a FuncCall
@@ -275,65 +188,8 @@ type Select struct {
 
 func (*Select) stmt() {}
 
-func (s *Select) String() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	if s.Distinct {
-		sb.WriteString("DISTINCT ")
-	}
-	var items []string
-	for _, it := range s.Items {
-		items = append(items, it.String())
-	}
-	sb.WriteString(strings.Join(items, ", "))
-	if len(s.From) > 0 {
-		sb.WriteString(" FROM " + s.From[0].refString())
-		for _, tr := range s.From[1:] {
-			switch tr.Join {
-			case JoinCross:
-				sb.WriteString(", " + tr.refString())
-			case JoinLeft:
-				sb.WriteString(" LEFT JOIN " + tr.refString())
-			default:
-				sb.WriteString(" JOIN " + tr.refString())
-			}
-			if tr.On != nil {
-				sb.WriteString(" ON " + tr.On.String())
-			}
-		}
-	}
-	if s.Where != nil {
-		sb.WriteString(" WHERE " + s.Where.String())
-	}
-	if len(s.GroupBy) > 0 {
-		var gs []string
-		for _, g := range s.GroupBy {
-			gs = append(gs, g.String())
-		}
-		sb.WriteString(" GROUP BY " + strings.Join(gs, ", "))
-	}
-	if s.Having != nil {
-		sb.WriteString(" HAVING " + s.Having.String())
-	}
-	if len(s.OrderBy) > 0 {
-		var os []string
-		for _, o := range s.OrderBy {
-			item := o.Expr.String()
-			if o.Desc {
-				item += " DESC"
-			}
-			os = append(os, item)
-		}
-		sb.WriteString(" ORDER BY " + strings.Join(os, ", "))
-	}
-	if s.Limit >= 0 {
-		sb.WriteString(" LIMIT " + strconv.FormatInt(s.Limit, 10))
-	}
-	if s.Offset > 0 {
-		sb.WriteString(" OFFSET " + strconv.FormatInt(s.Offset, 10))
-	}
-	return sb.String()
-}
+func (s *Select) String() string                      { return stmtString(s) }
+func (s *Select) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // Explain wraps another statement for EXPLAIN output. Analyze requests
 // EXPLAIN ANALYZE: execute the statement and annotate the plan with
@@ -345,19 +201,16 @@ type Explain struct {
 
 func (*Explain) stmt() {}
 
-func (s *Explain) String() string {
-	if s.Analyze {
-		return "EXPLAIN ANALYZE " + s.Stmt.String()
-	}
-	return "EXPLAIN " + s.Stmt.String()
-}
+func (s *Explain) String() string                      { return stmtString(s) }
+func (s *Explain) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // ShowTables is the REPL convenience statement SHOW TABLES.
 type ShowTables struct{}
 
 func (*ShowTables) stmt() {}
 
-func (*ShowTables) String() string { return "SHOW TABLES" }
+func (*ShowTables) String() string                        { return "SHOW TABLES" }
+func (s *ShowTables) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -376,13 +229,7 @@ func (*Literal) expr() {}
 // String prints the literal as it parses back: a FLOAT with an integral
 // value keeps a fraction, or "1.0" would come back an INTEGER and "-0.0"
 // the INTEGER 0.
-func (e *Literal) String() string {
-	s := e.Val.SQLLiteral()
-	if e.Val.Kind() == sqltypes.KindFloat && !strings.ContainsAny(s, ".e") {
-		s += ".0"
-	}
-	return s
-}
+func (e *Literal) String() string { return exprString(e) }
 
 // ColumnRef is a possibly table-qualified column reference.
 type ColumnRef struct {
@@ -392,12 +239,7 @@ type ColumnRef struct {
 
 func (*ColumnRef) expr() {}
 
-func (e *ColumnRef) String() string {
-	if e.Table != "" {
-		return e.Table + "." + e.Name
-	}
-	return e.Name
-}
+func (e *ColumnRef) String() string { return exprString(e) }
 
 // BinaryExpr covers comparisons, boolean connectives, arithmetic, LIKE, and
 // the crowd-equality shorthand `~=` (sugar for CROWDEQUAL).
@@ -408,9 +250,7 @@ type BinaryExpr struct {
 
 func (*BinaryExpr) expr() {}
 
-func (e *BinaryExpr) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
-}
+func (e *BinaryExpr) String() string { return exprString(e) }
 
 // UnaryExpr is NOT or numeric negation.
 type UnaryExpr struct {
@@ -420,12 +260,7 @@ type UnaryExpr struct {
 
 func (*UnaryExpr) expr() {}
 
-func (e *UnaryExpr) String() string {
-	if e.Op == "NOT" {
-		return "(NOT " + e.E.String() + ")"
-	}
-	return "(" + e.Op + e.E.String() + ")"
-}
+func (e *UnaryExpr) String() string { return exprString(e) }
 
 // IsNullExpr is `x IS [NOT] NULL` and the CrowdSQL `x IS [NOT] CNULL`.
 type IsNullExpr struct {
@@ -436,16 +271,7 @@ type IsNullExpr struct {
 
 func (*IsNullExpr) expr() {}
 
-func (e *IsNullExpr) String() string {
-	s := e.E.String() + " IS "
-	if e.Neg {
-		s += "NOT "
-	}
-	if e.CNull {
-		return "(" + s + "CNULL)"
-	}
-	return "(" + s + "NULL)"
-}
+func (e *IsNullExpr) String() string { return exprString(e) }
 
 // InExpr is `x [NOT] IN (v1, v2, ...)` or `x [NOT] IN (SELECT ...)` with
 // an uncorrelated subquery.
@@ -458,20 +284,7 @@ type InExpr struct {
 
 func (*InExpr) expr() {}
 
-func (e *InExpr) String() string {
-	op := " IN ("
-	if e.Neg {
-		op = " NOT IN ("
-	}
-	if e.Sub != nil {
-		return "(" + e.E.String() + op + e.Sub.String() + "))"
-	}
-	var vals []string
-	for _, v := range e.List {
-		vals = append(vals, v.String())
-	}
-	return "(" + e.E.String() + op + strings.Join(vals, ", ") + "))"
-}
+func (e *InExpr) String() string { return exprString(e) }
 
 // BetweenExpr is `x [NOT] BETWEEN lo AND hi`.
 type BetweenExpr struct {
@@ -481,13 +294,7 @@ type BetweenExpr struct {
 
 func (*BetweenExpr) expr() {}
 
-func (e *BetweenExpr) String() string {
-	op := " BETWEEN "
-	if e.Neg {
-		op = " NOT BETWEEN "
-	}
-	return "(" + e.E.String() + op + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
+func (e *BetweenExpr) String() string { return exprString(e) }
 
 // FuncCall is a function application. The crowd built-ins CROWDEQUAL and
 // CROWDORDER (paper §2.2), the aggregates, and scalar helpers all land here;
@@ -500,16 +307,7 @@ type FuncCall struct {
 
 func (*FuncCall) expr() {}
 
-func (e *FuncCall) String() string {
-	if e.Star {
-		return e.Name + "(*)"
-	}
-	var args []string
-	for _, a := range e.Args {
-		args = append(args, a.String())
-	}
-	return e.Name + "(" + strings.Join(args, ", ") + ")"
-}
+func (e *FuncCall) String() string { return exprString(e) }
 
 // IsAggregate reports whether the call is one of the SQL aggregates.
 func (e *FuncCall) IsAggregate() bool {
@@ -524,8 +322,6 @@ func (e *FuncCall) IsAggregate() bool {
 func (e *FuncCall) IsCrowdFunc() bool {
 	return e.Name == "CROWDEQUAL" || e.Name == "CROWDORDER"
 }
-
-func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // WalkExprs visits e and every sub-expression, depth-first. A nil expression
 // is ignored so callers can pass optional clauses directly.

@@ -1,8 +1,8 @@
 package plan
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Cost is the optimizer's crowd cost prediction for a (sub)plan (paper
@@ -42,36 +42,50 @@ func (c Cost) IsUnbounded() bool {
 // only once it is human-noticeable (≥ 1ms) — crowd dimensions dominate
 // every real plan, and sub-millisecond noise would only clutter EXPLAIN.
 func (c Cost) String() string {
+	var buf [64]byte
+	b, _ := c.AppendText(buf[:0])
+	return string(b)
+}
+
+// AppendText appends the text String returns to b.
+func (c Cost) AppendText(b []byte) ([]byte, error) {
 	if c.IsUnbounded() {
-		return "¢∞"
+		return append(b, "¢∞"...), nil
 	}
-	machine := ""
-	if c.MachineSeconds >= 0.001 {
-		machine = " cpu:" + fmtMachineSeconds(c.MachineSeconds)
-	}
+	b = append(b, "¢"...)
 	if c.Cents == 0 && c.Seconds == 0 {
-		return "¢0" + machine
+		b = append(b, '0')
+	} else {
+		b = strconv.AppendFloat(b, c.Cents, 'f', 1, 64)
+		b = append(b, " ~"...)
+		b = appendSeconds(b, c.Seconds)
 	}
-	return fmt.Sprintf("¢%.1f ~%s%s", c.Cents, fmtSeconds(c.Seconds), machine)
+	if c.MachineSeconds >= 0.001 {
+		b = append(b, " cpu:"...)
+		b = appendMachineSeconds(b, c.MachineSeconds)
+	}
+	return b, nil
 }
 
-// fmtMachineSeconds renders machine scan time (milliseconds to seconds).
-func fmtMachineSeconds(s float64) string {
-	if s < 1 {
-		return fmt.Sprintf("%.0fms", s*1000)
+// appendMachineSeconds renders machine scan time in milliseconds, or in
+// seconds once it rounds to 1000ms or more.
+func appendMachineSeconds(b []byte, s float64) []byte {
+	if ms := s * 1000; math.RoundToEven(ms) < 1000 {
+		return append(strconv.AppendFloat(b, ms, 'f', 0, 64), "ms"...)
 	}
-	return fmt.Sprintf("%.1fs", s)
+	return append(strconv.AppendFloat(b, s, 'f', 1, 64), 's')
 }
 
-// fmtSeconds renders a duration prediction in seconds as minutes or hours
-// (crowd latencies are human-scale).
-func fmtSeconds(s float64) string {
+// appendSeconds renders a duration prediction in seconds as seconds,
+// minutes or hours (crowd latencies are human-scale). The unit is the one
+// the rounded value falls in: 7170s is "2.0h", not "120m".
+func appendSeconds(b []byte, s float64) []byte {
 	switch {
-	case s < 90:
-		return fmt.Sprintf("%.0fs", s)
-	case s < 2*3600:
-		return fmt.Sprintf("%.0fm", s/60)
+	case math.RoundToEven(s) < 90:
+		return append(strconv.AppendFloat(b, s, 'f', 0, 64), 's')
+	case math.RoundToEven(s/60) < 120:
+		return append(strconv.AppendFloat(b, s/60, 'f', 0, 64), 'm')
 	default:
-		return fmt.Sprintf("%.1fh", s/3600)
+		return append(strconv.AppendFloat(b, s/3600, 'f', 1, 64), 'h')
 	}
 }

@@ -506,7 +506,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 		s.mu.Lock()
 		s.jobs[r.job.id] = r.job
 		s.mu.Unlock()
-		r.job.trace = s.eng.Tracer().Start(r.job.id)
+		r.job.trace = s.eng.Tracer().StartSized(r.job.id, hasQuery(r.stmts))
 		r.job.rowsMetric = s.mRowsStreamed
 		r.job.sess.addJob(r.job)
 		r.job.retired.Add(1)

@@ -489,12 +489,24 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 	job.rowsMetric = s.mRowsStreamed
 	// One trace per job, named by the job id: parsing happened before the
 	// id was allocated, so it is stamped with explicit bounds.
-	job.trace = s.eng.Tracer().Start(job.id)
+	job.trace = s.eng.Tracer().StartSized(job.id, hasQuery(stmts))
 	psp := job.trace.SpanAt(nil, "parse", parseStart, parseEnd)
 	psp.SetInt("statements", int64(len(stmts)))
 	sess.addJob(job)
 	go s.runJob(job, stmts)
 	return job, nil
+}
+
+// hasQuery reports whether a script runs a SELECT or EXPLAIN: its trace
+// is sized for a query's operator spans.
+func hasQuery(stmts []parser.Statement) bool {
+	for _, st := range stmts {
+		switch st.(type) {
+		case *parser.Select, *parser.Explain:
+			return true
+		}
+	}
+	return false
 }
 
 // Job looks up a job by id.
