@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -421,5 +422,33 @@ func TestWRMPaysDuringQueries(t *testing.T) {
 	}
 	if len(eng.Tracker().Workers()) == 0 {
 		t.Error("worker quality must be tracked")
+	}
+}
+
+// TestMixedKeyJoinMatchesNestedLoop: an equi-join whose sides are of two
+// key families (INTEGER against STRING) keeps the rows its predicate
+// keeps — compare converts one side, as the nested loop and IN do — and
+// one within a family (INTEGER against FLOAT) still joins its equal
+// numbers.
+func TestMixedKeyJoinMatchesNestedLoop(t *testing.T) {
+	eng, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	mustExec(t, eng, "CREATE TABLE a (id INTEGER PRIMARY KEY, i INTEGER)")
+	mustExec(t, eng, "CREATE TABLE b (id INTEGER PRIMARY KEY, s STRING, f FLOAT)")
+	mustExec(t, eng, "INSERT INTO a VALUES (1, 42), (2, 7)")
+	mustExec(t, eng, "INSERT INTO b VALUES (10, '42', 42.0), (11, 'x', 8.5)")
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT a.id, b.id FROM a JOIN b ON a.i = b.s", "[[1 10]]"},
+		{"SELECT a.id, b.id FROM a JOIN b ON a.i = b.s OR 1 = 0", "[[1 10]]"},
+		{"SELECT a.id, b.id FROM a JOIN b ON b.s = a.i AND a.id > 0", "[[1 10]]"},
+		{"SELECT a.id FROM a WHERE a.i IN (SELECT s FROM b)", "[[1]]"},
+		{"SELECT a.id, b.id FROM a JOIN b ON a.i = b.f", "[[1 10]]"},
+	} {
+		if got := fmt.Sprint(mustExec(t, eng, tc.sql).Rows); got != tc.want {
+			t.Errorf("%s: %s, want %s", tc.sql, got, tc.want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"crowddb/internal/catalog"
@@ -144,23 +145,36 @@ func refComputeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sq
 		if len(vals) == 0 {
 			return sqltypes.Null(), nil
 		}
-		sum := 0.0
-		allInt := true
+		// SUM is an exact int64 while every value is an INTEGER, and goes
+		// on in float64 from that prefix at the first that is not; AVG
+		// sums in float64 throughout.
+		var (
+			isum  int64
+			sum   float64
+			float = fc.Name == "AVG"
+		)
 		for _, v := range vals {
+			if !float && v.Kind() == sqltypes.KindInt {
+				if i := v.Int(); i > 0 && isum > math.MaxInt64-i || i < 0 && isum < math.MinInt64-i {
+					return sqltypes.Value{}, fmt.Errorf("exec: SUM overflows INTEGER")
+				}
+				isum += v.Int()
+				continue
+			}
 			f, err := v.Coerce(sqltypes.TypeFloat)
 			if err != nil {
 				return sqltypes.Value{}, fmt.Errorf("exec: %s over non-numeric value %v", fc.Name, v)
 			}
-			sum += f.Float()
-			if v.Kind() != sqltypes.KindInt {
-				allInt = false
+			if !float {
+				sum, float = float64(isum), true
 			}
+			sum += f.Float()
 		}
 		if fc.Name == "AVG" {
 			return sqltypes.NewFloat(sum / float64(len(vals))), nil
 		}
-		if allInt {
-			return sqltypes.NewInt(int64(sum)), nil
+		if !float {
+			return sqltypes.NewInt(isum), nil
 		}
 		return sqltypes.NewFloat(sum), nil
 	case "MIN", "MAX":
@@ -186,9 +200,11 @@ func refComputeAggregate(fc *parser.FuncCall, rows []Row, schema []plan.Col) (sq
 
 // setupMeasures builds a table whose columns exercise every accumulator
 // branch: g/k group keys (k's encodings contain 0x00 and collide unless
-// parts are escaped), i all-int with NULL and CNULL, n ints and floats
+// parts are delimited), i all-int with NULL and CNULL, n ints and floats
 // mixed, f floats, s strings (numeric in group "num", not elsewhere), x
-// values no ordering compares, z all NULL.
+// values no ordering compares, z all NULL. Table w holds sums a float64
+// cannot: 2^53 + 1 in group "exact", MaxInt64 + 1 in "wrap", and in
+// "prefix" 2^53 + 1 + 1 followed by a FLOAT.
 func setupMeasures(t *testing.T) *harness {
 	t.Helper()
 	h := newHarness(t)
@@ -231,6 +247,24 @@ func setupMeasures(t *testing.T) *harness {
 			row[7] = num(int64(id)) // a number among strings: MIN/MAX cannot order them
 		}
 		h.insert(t, "m", row)
+	}
+	h.createTable(t, &catalog.Table{
+		Name: "w",
+		Columns: []catalog.Column{
+			{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
+			{Name: "g", Type: sqltypes.TypeString},
+			{Name: "v", Type: sqltypes.TypeFloat},
+		},
+	})
+	for id, r := range []struct {
+		g string
+		v sqltypes.Value
+	}{
+		{"exact", num(1 << 53)}, {"exact", num(1)},
+		{"wrap", num(math.MaxInt64)}, {"wrap", num(1)},
+		{"prefix", num(1 << 53)}, {"prefix", num(1)}, {"prefix", num(1)}, {"prefix", flt(0.5)},
+	} {
+		h.insert(t, "w", Row{num(int64(id)), str(r.g), r.v})
 	}
 	return h
 }
@@ -340,6 +374,9 @@ func TestAggregateMatchesBufferedReference(t *testing.T) {
 		{"having like over an aggregate", "SELECT g FROM m GROUP BY g HAVING MIN(s) LIKE 'w0%'", 4, ""},
 		{"aggregate of an aggregate", "SELECT SUM(COUNT(i)) FROM m", 0, "exec: aggregate COUNT outside aggregation context"},
 		{"literal under a global aggregate over zero rows", "SELECT COUNT(*), 5 FROM m WHERE id > 9999", 1, ""},
+		{"integer sum past 2^53 is exact", "SELECT g, SUM(v), AVG(v) FROM w WHERE g <> 'wrap' GROUP BY g", 2, ""},
+		{"integer sum past MaxInt64", "SELECT SUM(v) FROM w WHERE g = 'wrap'", 0, "exec: SUM overflows INTEGER"},
+		{"overflow is deferred like any aggregate error", "SELECT COUNT(v) FROM w WHERE g = 'wrap'", 1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, gotErr, want, wantErr := h.bothAggregates(t, tc.sql)
@@ -370,6 +407,24 @@ func TestAggregateMatchesBufferedReference(t *testing.T) {
 	}
 	if len(seen) != len(got) || len(got) < 20 {
 		t.Errorf("GROUP BY g, k: %d rows, %d distinct (g, k) pairs", len(got), len(seen))
+	}
+}
+
+// TestSumOfIntegersIsExact: SUM stays an INTEGER past 2^53, a FLOAT
+// continues from the exact integer prefix — 2^53 + 1 + 1 + 0.5 is
+// 2^53 + 2 in float64, where a float sum from the first value loses both
+// 1s — and leaving int64's range is an error, deferred until the value is
+// read.
+func TestSumOfIntegersIsExact(t *testing.T) {
+	h := setupMeasures(t)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT g, SUM(v) FROM w WHERE g <> 'wrap' GROUP BY g", "[[exact 9007199254740993] [prefix 9.007199254740994e+15]] <nil>"},
+		{"SELECT SUM(v) FROM w WHERE g = 'wrap'", "[] exec: SUM overflows INTEGER"},
+		{"SELECT g, COUNT(v) FROM w GROUP BY g HAVING g = 'wrap'", "[[wrap 2]] <nil>"},
+	} {
+		if got, err, _, _ := h.bothAggregates(t, tc.sql); fmt.Sprint(got, " ", err) != tc.want {
+			t.Errorf("%s: %v %v, want %s", tc.sql, got, err, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
 )
 
 // Build instantiates the physical operator tree for a logical plan
@@ -112,7 +113,11 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 	return &nlJoin{node: j, left: rowCursor{in: left}, right: right}, nil
 }
 
-// equiJoinKeys extracts one equi-key pair usable for a hash join.
+// equiJoinKeys extracts one equi-key pair usable for a hash join: an `=`
+// whose sides' static types are in one key family. Equal keys are what
+// compare calls equal only within a family; across families compare
+// converts one side (an INTEGER 42 equals the STRING '42'), so such a pair
+// stays in the residual, where it is evaluated as written.
 func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bool) {
 	leftSchema := j.Left.Schema()
 	rightSchema := j.Right.Schema()
@@ -123,15 +128,29 @@ func equiJoinKeys(j *plan.Join) (lk, rk parser.Expr, residual parser.Expr, ok bo
 			continue
 		}
 		switch {
-		case plan.CoveredBy(be.L, leftSchema) && plan.CoveredBy(be.R, rightSchema):
+		case plan.CoveredBy(be.L, leftSchema) && plan.CoveredBy(be.R, rightSchema) &&
+			oneKeyFamily(plan.InferType(be.L, leftSchema), plan.InferType(be.R, rightSchema)):
 			lk, rk, ok = be.L, be.R, true
-		case plan.CoveredBy(be.R, leftSchema) && plan.CoveredBy(be.L, rightSchema):
+		case plan.CoveredBy(be.R, leftSchema) && plan.CoveredBy(be.L, rightSchema) &&
+			oneKeyFamily(plan.InferType(be.R, leftSchema), plan.InferType(be.L, rightSchema)):
 			lk, rk, ok = be.R, be.L, true
 		default:
 			residual = parser.And(residual, conj)
 		}
 	}
 	return lk, rk, residual, ok
+}
+
+// oneKeyFamily reports whether two static types are both numbers, both
+// strings or both booleans.
+func oneKeyFamily(l, r sqltypes.Type) bool {
+	family := func(t sqltypes.Type) sqltypes.Type {
+		if t == sqltypes.TypeFloat {
+			return sqltypes.TypeInt
+		}
+		return t
+	}
+	return l != sqltypes.TypeAny && family(l) == family(r)
 }
 
 // RowSink consumes streamed result rows; returning an error stops the

@@ -1048,13 +1048,12 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	if innerRows, err = keptRows(innerRows, crowdFilter); err != nil {
 		return err
 	}
-	matches := make(map[string][]Row)
+	matches := newRowBuckets(0)
 	for _, row := range innerRows {
-		kk := storage.IndexKey(row[rightColIdx])
-		matches[kk] = append(matches[kk], row)
+		matches.add(row[rightColIdx], row)
 	}
 
-	if reqs := j.missingRequests(keys, matches); ctx.Tasks != nil && len(reqs) > 0 {
+	if reqs := j.missingRequests(keys, &matches); ctx.Tasks != nil && len(reqs) > 0 {
 		accepted, err := solicitTuples(ctx, t, "crowd:join_tuples", reqs)
 		if err == nil {
 			accepted, err = keptRows(accepted, scanFilter, crowdFilter)
@@ -1063,17 +1062,13 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 			return err
 		}
 		for _, row := range accepted {
-			kk := storage.IndexKey(row[rightColIdx])
-			matches[kk] = append(matches[kk], row)
+			matches.add(row[rightColIdx], row)
 		}
 	}
 
 	// Emit joined rows.
 	for i, l := range leftRows {
-		if keys[i].IsUnknown() {
-			continue
-		}
-		for _, r := range matches[storage.IndexKey(keys[i])] {
+		for _, r := range matches.get(keys[i]) {
 			combined := concatRows(l, r)
 			ok, err := residual.keeps(combined, nil)
 			if err != nil {
@@ -1090,16 +1085,21 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 // missingRequests asks for the inner tuples the stored data lacks: one
 // request per distinct outer key, its join column prefilled, wanting the
 // expected fan-out minus the stored matches.
-func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches map[string][]Row) []taskmgr.TupleRequest {
-	var reqs []taskmgr.TupleRequest
-	seen := map[string]bool{}
+func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches *rowBuckets) []taskmgr.TupleRequest {
+	var (
+		reqs []taskmgr.TupleRequest
+		seen = newKeyTable(0)
+		key  []byte
+	)
 	for _, k := range keys {
-		kk := storage.IndexKey(k)
-		if k.IsUnknown() || seen[kk] {
+		if k.IsUnknown() {
 			continue
 		}
-		seen[kk] = true
-		want := int(j.probe.Scan.Table.ExpectedCrowdCard()) - len(matches[kk])
+		key = appendKeyPart(key[:0], k, 1)
+		if _, isNew := seen.add(key); !isNew {
+			continue
+		}
+		want := int(j.probe.Scan.Table.ExpectedCrowdCard()) - len(matches.get(k))
 		if want <= 0 {
 			continue
 		}

@@ -76,8 +76,10 @@ type evalEnv struct {
 	// CROWDEQUAL from the memo and the crowd; without it the first is an
 	// error and the second unknown.
 	ctx *Ctx
-	// group is the group whose accumulated aggregates bAgg nodes read.
-	group *aggGroup
+	// agg and group are the aggregation and the group in it whose
+	// accumulated aggregates bAgg nodes read.
+	agg   *aggTable
+	group int32
 }
 
 // compare orders two values for every comparison predicate (=, <, …, IN,
@@ -305,13 +307,10 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 	case bCrowdEq:
 		return n.crowdEqual(row, env)
 	case bAgg:
-		if env == nil || env.group == nil {
+		if env == nil || env.agg == nil {
 			return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", n.src.(*parser.FuncCall).Name)
 		}
-		if n.ord < 0 {
-			return sqltypes.NewInt(env.group.rows), nil
-		}
-		return env.group.states[n.ord].value(n.op)
+		return env.agg.value(env.group, n.ord, n.op)
 	}
 	t, err := n.test(row, env)
 	if err != nil {

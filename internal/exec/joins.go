@@ -6,7 +6,6 @@ import (
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
-	"crowddb/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
@@ -120,10 +119,46 @@ func (j *nlJoin) Close(ctx *Ctx) error {
 
 func (j *nlJoin) bufferedRows() int64 { return int64(len(j.rightRows)) }
 
+// rowBuckets groups rows by a key value, in arrival order: the build side
+// of a hash join, CrowdJoin's inner rows. Unknown keys never join, so
+// their rows are not kept.
+type rowBuckets struct {
+	keys   keyTable
+	rows   chunks[[]Row] // each key's rows, by the key's id
+	keyBuf []byte
+}
+
+func newRowBuckets(hint int) rowBuckets { return rowBuckets{keys: newKeyTable(hint)} }
+
+func (b *rowBuckets) add(v sqltypes.Value, r Row) {
+	if v.IsUnknown() {
+		return
+	}
+	b.keyBuf = appendKeyPart(b.keyBuf[:0], v, 1)
+	id, isNew := b.keys.add(b.keyBuf)
+	if isNew {
+		b.rows.push()
+	}
+	rows := b.rows.at(int(id))
+	*rows = append(*rows, r)
+}
+
+// get returns the rows whose key equals v.
+func (b *rowBuckets) get(v sqltypes.Value) []Row {
+	if v.IsUnknown() {
+		return nil
+	}
+	b.keyBuf = appendKeyPart(b.keyBuf[:0], v, 1)
+	if id, ok := b.keys.get(b.keyBuf); ok {
+		return *b.rows.at(int(id))
+	}
+	return nil
+}
+
 // hashJoin handles inner equi-joins: it hashes the right input on the join
-// key and streams the left. The build table is pre-sized from the
+// key and streams the left. The build table's slots are pre-sized from the
 // optimizer's cardinality estimate for the build side (plan.Join.BuildRows)
-// so bulk builds do not rehash their way up from an empty map.
+// so bulk builds do not double their way up from an empty table.
 type hashJoin struct {
 	node     *plan.Join
 	left     rowCursor
@@ -133,9 +168,7 @@ type hashJoin struct {
 	residual parser.Expr
 
 	lk, res *bound
-	table   keyTable[int32] // key → its bucket
-	buckets [][]Row         // the build rows of each key, in arrival order
-	keyBuf  []byte
+	build   rowBuckets
 	built   int64
 	cur     Row
 	bkt     []Row
@@ -146,7 +179,7 @@ type hashJoin struct {
 func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
 
 // buildSizeHint converts the optimizer's build-side row estimate into a
-// map pre-size, clamped so a wild estimate cannot pre-allocate
+// slot-array pre-size, clamped so a wild estimate cannot pre-allocate
 // unboundedly.
 func (j *hashJoin) buildSizeHint() int {
 	const maxHint = 1 << 20
@@ -171,7 +204,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	b.grow(nodeCount(j.leftKey) + nodeCount(j.rightKey) + nodeCount(j.residual))
 	rk := b.bind(j.rightKey, j.right.Schema())
 	j.lk, j.res = b.bind(j.leftKey, j.left.in.Schema()), b.bind(j.residual, j.Schema())
-	j.table, j.buckets = newKeyTable[int32](j.buildSizeHint()), nil
+	j.build = newRowBuckets(j.buildSizeHint())
 	j.built = 0
 	for {
 		b, err := j.right.NextBatch(ctx)
@@ -186,18 +219,10 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			if err != nil {
 				return err
 			}
-			if v.IsUnknown() {
-				continue // unknown keys never join
+			if !v.IsUnknown() {
+				j.build.add(v, r)
+				j.built++
 			}
-			j.keyBuf = storage.AppendIndexKey(j.keyBuf[:0], v)
-			at, ok := j.table.get(j.keyBuf)
-			if !ok {
-				at = int32(len(j.buckets))
-				j.buckets = append(j.buckets, nil)
-				j.table.put(j.keyBuf, at)
-			}
-			j.buckets[at] = append(j.buckets[at], r)
-			j.built++
 		}
 	}
 	j.left.batch, j.left.pos, j.cur, j.bkt, j.bpos = nil, 0, nil, nil, 0
@@ -226,15 +251,9 @@ func (j *hashJoin) next(ctx *Ctx) (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.IsUnknown() {
-			continue
+		if bkt := j.build.get(v); len(bkt) > 0 {
+			j.cur, j.bkt, j.bpos = l, bkt, 0
 		}
-		j.keyBuf = storage.AppendIndexKey(j.keyBuf[:0], v)
-		at, ok := j.table.get(j.keyBuf)
-		if !ok {
-			continue
-		}
-		j.cur, j.bkt, j.bpos = l, j.buckets[at], 0
 	}
 }
 

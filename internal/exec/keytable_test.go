@@ -1,17 +1,243 @@
 package exec
 
-// Allocation pins for the operators that key rows by value: a key is built
-// in a reused buffer and looked up without a copy, and only a new key is
-// copied — into an arena chunk, not a string of its own.
+// The key table and the key encoding, and allocation pins for the
+// operators that key rows by value: a key is built in a reused buffer and
+// looked up without a copy, and only a new key is copied — into an arena
+// chunk, not a string of its own.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"crowddb/internal/catalog"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 )
+
+// TestKeyTableDenseIDs: ids are 0, 1, 2, … in first-seen order, a key seen
+// again gets its id back, and get finds every key after every doubling —
+// over keys that differ only in their last byte, keys behind a long common
+// prefix and keys laden with 0x00.
+func TestKeyTableDenseIDs(t *testing.T) {
+	var keys [][]byte
+	prefix := strings.Repeat("p", 300)
+	for i := range 4000 {
+		keys = append(keys,
+			[]byte(fmt.Sprintf("k-%03d-%c", i/256, byte(i))),
+			[]byte(fmt.Sprintf("%s%d", prefix, i)),
+			append(bytes.Repeat([]byte{0}, i%7), byte(i), byte(i>>8), 0, 0))
+	}
+	keys = append(keys, []byte{}, []byte{0})
+	tab := newKeyTable(0)
+	slots := len(tab.slots)
+	for i, k := range keys {
+		if id, isNew := tab.add(k); id != int32(i) || !isNew {
+			t.Fatalf("key %d (%q): id %d new %v, want %d new", i, k, id, isNew, i)
+		}
+		if j := i / 2; i%3 == 0 {
+			if id, isNew := tab.add(keys[j]); id != int32(j) || isNew {
+				t.Fatalf("key %d again: id %d new %v, want %d not new", j, id, isNew, j)
+			}
+		}
+		if len(tab.slots) == slots {
+			continue
+		}
+		slots = len(tab.slots)
+		for j, k := range keys[:i+1] {
+			if id, ok := tab.get(k); id != int32(j) || !ok {
+				t.Fatalf("after doubling to %d slots, key %d: %d %v", slots, j, id, ok)
+			}
+		}
+	}
+	if tab.len() != len(keys) || slots < len(keys)*4/3 {
+		t.Fatalf("%d keys in %d slots, want %d keys at most 3/4 full", tab.len(), slots, len(keys))
+	}
+	for _, k := range [][]byte{[]byte("k-000-"), []byte(prefix), {0, 0, 0}, []byte("absent")} {
+		if id, ok := tab.get(k); ok {
+			t.Errorf("get(%q) found id %d", k, id)
+		}
+	}
+	for i, k := range keys {
+		if got := tab.key(int32(i)); !bytes.Equal(got, k) {
+			t.Fatalf("key(%d) = %q, want %q", i, got, k)
+		}
+	}
+}
+
+// TestKeyTableChunksNeverMove: runs are numbered densely through chunks of
+// 8, 16, … 256 runs, and what a run's pointer points at stays put as the
+// vector grows.
+func TestKeyTableChunksNeverMove(t *testing.T) {
+	c := chunks[int]{w: 3}
+	first := c.at(c.push())
+	*first = 7
+	for i := 1; i < 5000; i++ {
+		if got := c.push(); got != i {
+			t.Fatalf("push %d returned %d", i, got)
+		}
+		c.run(i)[2] = i
+	}
+	if *first != 7 || c.at(0) != first {
+		t.Fatalf("run 0 moved or changed: %d", *first)
+	}
+	for i := 1; i < 5000; i++ {
+		if r := c.run(i); len(r) != 3 || r[2] != i {
+			t.Fatalf("run %d = %v", i, r)
+		}
+	}
+	want := []int{8, 16, 32, 64, 128, 256, 256}
+	for k, n := range want {
+		if got := len(c.dir[k]) / 3; got != n {
+			t.Errorf("chunk %d holds %d runs, want %d", k, got, n)
+		}
+	}
+}
+
+// fuzzValue builds a value as sqltypes' FuzzValueKey does.
+func fuzzValue(kind uint8, i int64, f float64, s string) sqltypes.Value {
+	switch kind % 6 {
+	case 0:
+		return sqltypes.Null()
+	case 1:
+		return sqltypes.CNull()
+	case 2:
+		return sqltypes.NewString(s)
+	case 3:
+		return sqltypes.NewInt(i)
+	case 4:
+		return sqltypes.NewFloat(f)
+	default:
+		return sqltypes.NewBool(i&1 != 0)
+	}
+}
+
+// fuzzSpec is fuzzValue's arguments, and fuzzTuple's encoding of a value.
+type fuzzSpec struct {
+	kind uint8
+	i    int64
+	f    float64
+	s    string
+}
+
+// fuzzBytes encodes specs for fuzzTuple: per value its kind, i and f's
+// bits big-endian, the length of s in one byte, then s.
+func fuzzBytes(specs ...fuzzSpec) []byte {
+	var b []byte
+	for _, v := range specs {
+		b = append(b, v.kind)
+		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.f))
+		b = append(append(b, byte(len(v.s))), v.s...)
+	}
+	return b
+}
+
+// fuzzTuple decodes n values from b as fuzzBytes encodes them, reading
+// zeros past its end.
+func fuzzTuple(n int, b []byte) Row {
+	take := func(k int) []byte {
+		out := make([]byte, k)
+		b = b[copy(out, b):]
+		return out
+	}
+	row := make(Row, n)
+	for j := range row {
+		kind := take(1)[0]
+		i := int64(binary.BigEndian.Uint64(take(8)))
+		f := math.Float64frombits(binary.BigEndian.Uint64(take(8)))
+		row[j] = fuzzValue(kind, i, f, string(take(int(take(1)[0]))))
+	}
+	return row
+}
+
+// FuzzRowKey: two tuples of 1–3 values get one executor key exactly when
+// they get one storage.AppendIndexKey key, a one-part key is
+// sqltypes.AppendKey's bytes, and a key table gives the second tuple the
+// first one's id exactly then.
+func FuzzRowKey(f *testing.F) {
+	const p53 = 1 << 53
+	neg0 := math.Copysign(0, -1)
+	for _, pair := range [][2]fuzzSpec{ // FuzzValueKey's seeds
+		{{3, p53, 0, ""}, {3, p53 + 1, 0, ""}},
+		{{4, 0, neg0, ""}, {4, 0, 0, ""}},
+		{{3, p53 + 1, 0, ""}, {4, 0, float64(p53), ""}},
+		{{3, math.MaxInt64, 0, ""}, {4, 0, float64(1 << 63), ""}},
+		{{3, math.MinInt64, 0, ""}, {4, 0, math.Inf(-1), ""}},
+		{{2, 0, 0, "a\x00b"}, {2, 0, 0, "a"}},
+		{{5, 1, 0, ""}, {5, 0, 0, ""}},
+	} {
+		f.Add(uint8(0), fuzzBytes(pair[0]), fuzzBytes(pair[1]))
+		f.Add(uint8(1), fuzzBytes(pair[0], pair[1]), fuzzBytes(pair[1], pair[0]))
+	}
+	f.Add(uint8(1), fuzzBytes(fuzzSpec{2, 0, 0, "a\x00"}, fuzzSpec{2, 0, 0, "b"}), fuzzBytes(fuzzSpec{2, 0, 0, "a"}, fuzzSpec{2, 0, 0, "\x00b"}))
+	f.Add(uint8(2), fuzzBytes(fuzzSpec{4, 0, math.NaN(), ""}, fuzzSpec{0, 0, 0, ""}, fuzzSpec{1, 0, 0, ""}), fuzzBytes(fuzzSpec{4, 0, math.NaN(), ""}, fuzzSpec{1, 0, 0, ""}, fuzzSpec{0, 0, 0, ""}))
+	f.Add(uint8(1), fuzzBytes(fuzzSpec{3, p53 - 1, 0, ""}, fuzzSpec{2, 0, 0, strings.Repeat("\x00", 200)}), fuzzBytes(fuzzSpec{4, 0, p53 - 1, ""}, fuzzSpec{2, 0, 0, strings.Repeat("\x00", 200)}))
+	f.Fuzz(func(t *testing.T, n uint8, a, b []byte) {
+		parts := 1 + int(n%3)
+		ta, tb := fuzzTuple(parts, a), fuzzTuple(parts, b)
+		ka, kb := appendRowKey(nil, ta), appendRowKey(nil, tb)
+		ia, ib := storage.AppendIndexKey(nil, ta...), storage.AppendIndexKey(nil, tb...)
+		same := bytes.Equal(ia, ib)
+		if bytes.Equal(ka, kb) != same {
+			t.Fatalf("%v vs %v: executor keys equal %v, index keys equal %v\n% x\n% x", ta, tb, !same, same, ka, kb)
+		}
+		if parts == 1 && !bytes.Equal(ka, sqltypes.AppendKey(nil, ta[0])) {
+			t.Fatalf("one-part key of %v is % x, not AppendKey's", ta, ka)
+		}
+		tab := newKeyTable(0)
+		tab.add(ka)
+		if id, isNew := tab.add(kb); isNew == same || !isNew && id != 0 {
+			t.Fatalf("%v then %v: id %d new %v, index keys equal %v", ta, tb, id, isNew, same)
+		}
+	})
+}
+
+// groupByBytes is the bytes one run of sql allocates over rows rows of
+// v(id, g, val), g cycling through groups values.
+func groupByBytes(t *testing.T, rows, groups int, sql string) int64 {
+	h := newHarness(t)
+	h.createTable(t, &catalog.Table{
+		Name: "v",
+		Columns: []catalog.Column{
+			{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
+			{Name: "g", Type: sqltypes.TypeString},
+			{Name: "val", Type: sqltypes.TypeInt},
+		},
+	})
+	for i := 0; i < rows; i++ {
+		h.insert(t, "v", Row{num(int64(i)), str(fmt.Sprintf("group-%04d", i%groups)), num(int64(i*7919+13) % 1000)})
+	}
+	return testing.Benchmark(func(b *testing.B) {
+		for range b.N {
+			h.run(t, sql, optimizer.Options{})
+		}
+	}).AllocedBytesPerOp()
+}
+
+// TestGroupByBytesFollowGroups pins what a group costs in bytes: its key
+// in the arena, its share of the slot array, its state and its calls'
+// states, and not a map entry, a pointer to it or an order slice.
+func TestGroupByBytesFollowGroups(t *testing.T) {
+	for _, tc := range []struct {
+		sql    string
+		budget int64 // bytes per extra group
+	}{
+		{"SELECT g, COUNT(*), AVG(val) FROM v GROUP BY g ORDER BY AVG(val) DESC LIMIT 10", 170},
+		{"SELECT g, MIN(val), MAX(val) FROM v GROUP BY g ORDER BY MAX(val) DESC LIMIT 10", 377},
+	} {
+		few, wide := groupByBytes(t, 4000, 20, tc.sql), groupByBytes(t, 4000, 2000, tc.sql)
+		perGroup := (wide - few) / 1980
+		t.Logf("%s: %d B over 20 groups, %d B over 2 000: %d B per extra group", tc.sql, few, wide, perGroup)
+		if perGroup > tc.budget {
+			t.Errorf("%s: %d B per extra group, want ≤ %d", tc.sql, perGroup, tc.budget)
+		}
+	}
+}
 
 // keyedAllocs loads rows rows of (id, k) into table t, with k cycling
 // through keys values, plus a 20-row table b keyed 0..19, and measures

@@ -42,7 +42,9 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"crowddb/internal/parser"
@@ -440,7 +442,7 @@ func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
 
 type distinctOp struct {
 	input  Operator
-	seen   keyTable[struct{}]
+	seen   keyTable
 	keyBuf []byte
 	buf    Batch
 }
@@ -448,7 +450,7 @@ type distinctOp struct {
 func (d *distinctOp) Schema() []plan.Col { return d.input.Schema() }
 
 func (d *distinctOp) Open(ctx *Ctx) error {
-	d.seen = newKeyTable[struct{}](0)
+	d.seen = newKeyTable(0)
 	return d.input.Open(ctx)
 }
 
@@ -463,9 +465,8 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		d.buf.reset()
 		for _, r := range b.Rows {
-			d.keyBuf = storage.AppendIndexKey(d.keyBuf[:0], r...)
-			if _, dup := d.seen.get(d.keyBuf); !dup {
-				d.seen.put(d.keyBuf, struct{}{})
+			d.keyBuf = appendRowKey(d.keyBuf[:0], r)
+			if _, isNew := d.seen.add(d.keyBuf); isNew {
 				d.buf.Rows = append(d.buf.Rows, r)
 			}
 		}
@@ -507,23 +508,40 @@ var (
 	aggNames = [...]string{aggSum: "SUM", aggAvg: "AVG", aggMin: "MIN", aggMax: "MAX"}
 )
 
-// aggGroup is one group's accumulated state.
+// aggTable is one aggregation's groups, numbered by their keys in
+// arrival order, and everything they accumulate, indexed by group id.
+type aggTable struct {
+	keys   keyTable
+	groups chunks[aggGroup]
+	states chunks[aggState]       // a run of one per call for each group
+	best   chunks[sqltypes.Value] // MIN/MAX: each state's best value so far
+	errs   chunks[error]          // the states' deferred errors
+}
+
+// aggGroup is one group's accumulated state beyond its calls'.
 type aggGroup struct {
-	first  Row   // the group's first row: what non-aggregate expressions read
-	rows   int64 // COUNT(*)
-	states []aggState
+	first Row   // the group's first row: what non-aggregate expressions read
+	rows  int64 // COUNT(*)
 }
 
 // aggState is the running state of one aggregate call over one group.
 // Errors are deferred: they surface only if the call's value is read.
 type aggState struct {
-	n       int64          // argument values that were not NULL/CNULL
-	sum     float64        // SUM/AVG: in arrival order
-	best    sqltypes.Value // MIN/MAX
-	err     error          // the first error evaluating the argument, else the first folding a value in
-	evalErr bool           // err is an evaluation error
-	nonInt  bool           // SUM: some value was not an integer
+	n int64 // argument values that were not NULL/CNULL
+	// acc is SUM's exact int64, or its float64 bits once sumFloat is set;
+	// AVG's float64 bits; MIN/MAX's index in best. Once hasErr is set it
+	// is the error's index in errs.
+	acc   uint64
+	flags uint8
 }
+
+const (
+	sumFloat uint8 = 1 << iota // SUM: some value was not an integer, and acc is a float64
+	hasErr                     // acc indexes errs: the first error evaluating the argument, else the first folding a value in
+	evalErr                    // the error is an evaluation error
+)
+
+var errSumOverflow = errors.New("exec: SUM overflows INTEGER")
 
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
 
@@ -542,19 +560,14 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	}
 	a.number(having)
 
-	var (
-		groupSlab slab[aggGroup]
-		stateSlab slab[aggState]
-		order     []*aggGroup
-		keyBuf    []byte
-	)
-	newGroup := func(first Row) *aggGroup {
-		grp := &groupSlab.take(1)[0]
-		grp.first, grp.states = first, stateSlab.take(len(a.calls))
-		order = append(order, grp)
-		return grp
+	g := &aggTable{keys: newKeyTable(0), states: chunks[aggState]{w: len(a.calls)}}
+	newGroup := func(first Row) {
+		g.groups.at(g.groups.push()).first = first
+		if len(a.calls) > 0 {
+			g.states.push()
+		}
 	}
-	groups := newKeyTable[*aggGroup](0)
+	var keyBuf []byte
 	for {
 		batch, err := a.input.NextBatch(ctx)
 		if err != nil {
@@ -570,26 +583,28 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 				if err != nil {
 					return err
 				}
-				keyBuf = storage.AppendIndexKey(keyBuf, v)
+				keyBuf = appendKeyPart(keyBuf, v, len(keys))
 			}
-			grp, ok := groups.get(keyBuf)
-			if !ok {
-				grp = newGroup(r)
-				groups.put(keyBuf, grp)
+			id, isNew := g.keys.add(keyBuf)
+			if isNew {
+				newGroup(r)
 			}
-			grp.rows++
-			for i := range a.calls {
-				grp.states[i].add(a.calls[i], r)
+			g.groups.at(int(id)).rows++
+			if len(a.calls) > 0 {
+				states := g.states.run(int(id))
+				for i, c := range a.calls {
+					g.fold(&states[i], c, r)
+				}
 			}
 		}
 	}
 	// A global aggregate over zero rows still produces one row; its
 	// columns read NULL.
-	if len(a.node.GroupBy) == 0 && len(order) == 0 {
+	if len(a.node.GroupBy) == 0 && g.groups.len() == 0 {
 		newGroup(make(Row, len(in)))
 	}
-	a.groups = int64(len(order))
-	return a.emit(order, items, having)
+	a.groups = int64(g.groups.len())
+	return a.emit(g, items, having)
 }
 
 // emit evaluates HAVING and the output items over every group, in group
@@ -598,8 +613,8 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 // same ones, because ties in the keys go by group order as the Sort's go
 // by arrival. Only kept rows are materialised. A sort key's error surfaces
 // after the items' errors, where the Sort's own would.
-func (a *aggregateOp) emit(groups []*aggGroup, items []bound, having *bound) error {
-	w, n := len(items), len(groups)
+func (a *aggregateOp) emit(g *aggTable, items []bound, having *bound) error {
+	w, n := len(items), g.groups.len()
 	var top *topK
 	if a.node.TopKeys != nil {
 		top = newTopK(a.node.TopKeys, a.node.TopK, a.Schema())
@@ -609,12 +624,13 @@ func (a *aggregateOp) emit(groups []*aggGroup, items []bound, having *bound) err
 	scratch := Row(vals[n*w:])
 	rows := make([]Row, 0, n)
 	var (
-		env    evalEnv
+		env    = evalEnv{agg: g}
 		keyErr error
 	)
-	for _, grp := range groups {
-		env.group = grp
-		keep, err := having.keeps(grp.first, &env)
+	for id := range g.groups.len() {
+		env.group = int32(id)
+		first := g.groups.at(id).first
+		keep, err := having.keeps(first, &env)
 		if err != nil {
 			return err
 		}
@@ -622,7 +638,7 @@ func (a *aggregateOp) emit(groups []*aggGroup, items []bound, having *bound) err
 			continue
 		}
 		for i := range items {
-			if scratch[i], err = items[i].eval(grp.first, &env); err != nil {
+			if scratch[i], err = items[i].eval(first, &env); err != nil {
 				return err
 			}
 		}
@@ -674,13 +690,14 @@ func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
 
 func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.rows)) }
 
-// add folds the row's argument value into the state. SQL aggregates skip
-// NULLs (and CNULLs).
-func (s *aggState) add(c *bound, row Row) {
+// fold folds the row's argument value into a state of c. SQL aggregates
+// skip NULLs (and CNULLs).
+func (g *aggTable) fold(s *aggState, c *bound, row Row) {
 	v, err := c.kids[0].eval(row, nil)
 	if err != nil {
-		if !s.evalErr {
-			s.err, s.evalErr = err, true
+		if s.flags&evalErr == 0 {
+			g.fail(s, err)
+			s.flags |= evalErr
 		}
 		return
 	}
@@ -688,40 +705,65 @@ func (s *aggState) add(c *bound, row Row) {
 		return
 	}
 	s.n++
-	if s.err != nil {
+	if s.flags&hasErr != 0 {
 		return
 	}
 	switch c.op {
 	case aggSum, aggAvg:
+		if c.op == aggSum && s.flags&sumFloat == 0 && v.Kind() == sqltypes.KindInt {
+			sum, i := int64(s.acc), v.Int()
+			if i > 0 && sum > math.MaxInt64-i || i < 0 && sum < math.MinInt64-i {
+				g.fail(s, errSumOverflow)
+				return
+			}
+			s.acc = uint64(sum + i)
+			return
+		}
 		f, err := v.Coerce(sqltypes.TypeFloat)
 		if err != nil {
-			s.err = fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.op], v)
+			g.fail(s, fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.op], v))
 			return
 		}
-		s.sum += f.Float()
-		if v.Kind() != sqltypes.KindInt {
-			s.nonInt = true
+		sum := math.Float64frombits(s.acc)
+		if c.op == aggSum && s.flags&sumFloat == 0 {
+			sum = float64(int64(s.acc)) // the exact integer prefix
+			s.flags |= sumFloat
 		}
+		s.acc = math.Float64bits(sum + f.Float())
 	case aggMin, aggMax:
 		if s.n == 1 {
-			s.best = v
+			s.acc = uint64(g.best.push())
+			*g.best.at(int(s.acc)) = v
 			return
 		}
-		c2, ok := sqltypes.Compare(v, s.best)
+		best := g.best.at(int(s.acc))
+		c2, ok := sqltypes.Compare(v, *best)
 		if !ok {
-			s.err = fmt.Errorf("exec: %s over incomparable values", aggNames[c.op])
+			g.fail(s, fmt.Errorf("exec: %s over incomparable values", aggNames[c.op]))
 			return
 		}
 		if (c.op == aggMin && c2 < 0) || (c.op == aggMax && c2 > 0) {
-			s.best = v
+			*best = v
 		}
 	}
 }
 
-// value is the aggregate's result over the rows folded in so far.
-func (s *aggState) value(fn uint8) (sqltypes.Value, error) {
-	if s.evalErr {
-		return sqltypes.Value{}, s.err
+// fail records err as the state's error.
+func (g *aggTable) fail(s *aggState, err error) {
+	s.acc = uint64(g.errs.push())
+	*g.errs.at(int(s.acc)) = err
+	s.flags |= hasErr
+}
+
+// value is the result of call ord over group id's rows folded in so far:
+// COUNT(*) when ord is negative.
+func (g *aggTable) value(id, ord int32, fn uint8) (sqltypes.Value, error) {
+	if ord < 0 {
+		return sqltypes.NewInt(g.groups.at(int(id)).rows), nil
+	}
+	s := &g.states.run(int(id))[ord]
+	if s.flags&evalErr != 0 {
+		return sqltypes.Value{}, *g.errs.at(int(s.acc))
 	}
 	if fn == aggCount {
 		return sqltypes.NewInt(s.n), nil
@@ -729,16 +771,16 @@ func (s *aggState) value(fn uint8) (sqltypes.Value, error) {
 	if s.n == 0 {
 		return sqltypes.Null(), nil
 	}
-	if s.err != nil {
-		return sqltypes.Value{}, s.err
+	if s.flags&hasErr != 0 {
+		return sqltypes.Value{}, *g.errs.at(int(s.acc))
 	}
 	switch {
 	case fn == aggAvg:
-		return sqltypes.NewFloat(s.sum / float64(s.n)), nil
-	case fn == aggSum && s.nonInt:
-		return sqltypes.NewFloat(s.sum), nil
+		return sqltypes.NewFloat(math.Float64frombits(s.acc) / float64(s.n)), nil
+	case fn == aggSum && s.flags&sumFloat != 0:
+		return sqltypes.NewFloat(math.Float64frombits(s.acc)), nil
 	case fn == aggSum:
-		return sqltypes.NewInt(int64(s.sum)), nil
+		return sqltypes.NewInt(int64(s.acc)), nil
 	}
-	return s.best, nil
+	return *g.best.at(int(s.acc)), nil
 }

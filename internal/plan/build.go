@@ -337,7 +337,7 @@ func checkGrouping(items []parser.SelectItem, groupBy []parser.Expr) error {
 func outputSchema(items []parser.SelectItem, in []Col) []Col {
 	out := make([]Col, 0, len(items))
 	for _, it := range items {
-		col := Col{Type: inferType(it.Expr, in)}
+		col := Col{Type: InferType(it.Expr, in)}
 		switch e := it.Expr.(type) {
 		case *parser.ColumnRef:
 			col.Table = e.Table
@@ -358,8 +358,9 @@ func outputSchema(items []parser.SelectItem, in []Col) []Col {
 	return out
 }
 
-// inferType derives an output type for an expression.
-func inferType(e parser.Expr, schema []Col) sqltypes.Type {
+// InferType derives an expression's static type over schema: TypeAny when
+// it cannot tell.
+func InferType(e parser.Expr, schema []Col) sqltypes.Type {
 	switch x := e.(type) {
 	case *parser.Literal:
 		return x.Val.TypeOf()
@@ -375,7 +376,7 @@ func inferType(e parser.Expr, schema []Col) sqltypes.Type {
 			return sqltypes.TypeFloat
 		case "SUM", "MIN", "MAX", "ROUND", "ABS", "COALESCE":
 			if len(x.Args) > 0 {
-				return inferType(x.Args[0], schema)
+				return InferType(x.Args[0], schema)
 			}
 		case "LOWER", "UPPER", "TRIM", "SUBSTR":
 			return sqltypes.TypeString
@@ -389,7 +390,7 @@ func inferType(e parser.Expr, schema []Col) sqltypes.Type {
 		case "||":
 			return sqltypes.TypeString
 		default:
-			lt, rt := inferType(x.L, schema), inferType(x.R, schema)
+			lt, rt := InferType(x.L, schema), InferType(x.R, schema)
 			if lt == sqltypes.TypeFloat || rt == sqltypes.TypeFloat || x.Op == "/" {
 				return sqltypes.TypeFloat
 			}
@@ -399,7 +400,7 @@ func inferType(e parser.Expr, schema []Col) sqltypes.Type {
 		if x.Op == "NOT" {
 			return sqltypes.TypeBool
 		}
-		return inferType(x.E, schema)
+		return InferType(x.E, schema)
 	case *parser.IsNullExpr, *parser.InExpr, *parser.BetweenExpr:
 		return sqltypes.TypeBool
 	}
