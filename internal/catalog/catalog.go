@@ -475,23 +475,6 @@ func (c *Catalog) Indexes(table string) []*Index {
 	return out
 }
 
-// IndexOn returns an index whose leading column is col, preferring unique
-// indexes; the executor uses it to choose index-nested-loop joins.
-func (c *Catalog) IndexOn(table, col string) (*Index, bool) {
-	var best *Index
-	for _, idx := range c.Indexes(table) {
-		if len(idx.Columns) > 0 && strings.EqualFold(idx.Columns[0], col) {
-			if idx.Unique {
-				return idx, true
-			}
-			if best == nil {
-				best = idx
-			}
-		}
-	}
-	return best, best != nil
-}
-
 // ReferencingKeys returns, for a given table, the FKs of *other* tables that
 // point at it. UI generation uses this to offer "add a new referencing
 // tuple" forms (e.g. new NotableAttendee rows for a Talk).

@@ -131,12 +131,8 @@ func TestIndexes(t *testing.T) {
 	if err := c.CreateIndex(&Index{Name: "idx_bad2", Table: "Talk", Columns: []string{"zzz"}}); err == nil {
 		t.Error("index on unknown column must fail")
 	}
-	idx, ok := c.IndexOn("Talk", "title")
-	if !ok || !idx.Unique {
-		t.Error("IndexOn should find the unique index")
-	}
-	if _, ok := c.IndexOn("Talk", "abstract"); ok {
-		t.Error("no index on abstract")
+	if ix := c.Indexes("talk"); len(ix) != 1 || ix[0].Name != "idx_t" || !ix[0].Unique {
+		t.Errorf("Indexes should list the one unique index, got %v", ix)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
-	"crowddb/internal/storage"
 )
 
 // --- the reference: the buffer-then-compute evaluator ---
@@ -32,7 +31,7 @@ func refAggregate(node *plan.Aggregate, input []Row, schema []plan.Col) ([]Row, 
 			}
 			keyVals[i] = v
 		}
-		k := storage.IndexKey(keyVals...)
+		k := string(sqltypes.AppendRowKey(nil, keyVals))
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}

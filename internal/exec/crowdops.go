@@ -1095,7 +1095,7 @@ func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches *rowBuckets) 
 		if k.IsUnknown() {
 			continue
 		}
-		key = appendKeyPart(key[:0], k, 1)
+		key = sqltypes.AppendKeyPart(key[:0], k, 1)
 		if _, isNew := seen.add(key); !isNew {
 			continue
 		}

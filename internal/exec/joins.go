@@ -134,7 +134,7 @@ func (b *rowBuckets) add(v sqltypes.Value, r Row) {
 	if v.IsUnknown() {
 		return
 	}
-	b.keyBuf = appendKeyPart(b.keyBuf[:0], v, 1)
+	b.keyBuf = sqltypes.AppendKeyPart(b.keyBuf[:0], v, 1)
 	id, isNew := b.keys.add(b.keyBuf)
 	if isNew {
 		b.rows.push()
@@ -148,7 +148,7 @@ func (b *rowBuckets) get(v sqltypes.Value) []Row {
 	if v.IsUnknown() {
 		return nil
 	}
-	b.keyBuf = appendKeyPart(b.keyBuf[:0], v, 1)
+	b.keyBuf = sqltypes.AppendKeyPart(b.keyBuf[:0], v, 1)
 	if id, ok := b.keys.get(b.keyBuf); ok {
 		return *b.rows.at(int(id))
 	}

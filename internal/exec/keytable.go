@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
-
-	"crowddb/internal/sqltypes"
 )
 
 // keyTable numbers the distinct keys it is given densely, in the order it
@@ -17,9 +15,10 @@ import (
 // The table is open addressing over a power-of-two slot array, at most 3/4
 // full, probed linearly. A slot is one word, hash<<32 | id+1 (0 is empty),
 // so the array holds no pointers and doubles without rehashing a key. A
-// key is built in a buffer the caller reuses and a lookup allocates
-// nothing; a new key is copied into an arena chunk, after its length, and
-// found again by id.
+// key is sqltypes.AppendKeyPart's bytes, the one key encoding, which the
+// storage indexes key by too. It is built in a buffer the caller reuses
+// and a lookup allocates nothing; a new key is copied into an arena chunk,
+// after its length, and found again by id.
 type keyTable struct {
 	seed  maphash.Seed
 	slots []uint64
@@ -131,41 +130,6 @@ func (t *keyTable) key(id int32) []byte {
 	chunk := t.arena[ref>>32][uint32(ref):]
 	n, w := binary.Uvarint(chunk)
 	return chunk[w : w+int(n)]
-}
-
-// appendKeyPart appends one of a key's parts values to dst: the executor's
-// one in-memory key encoding. A one-part key is sqltypes.AppendKey's bytes.
-// In a longer key each part is followed by its length, written so that it
-// reads back from its end, so a key splits into its parts one way only and
-// two keys are equal exactly when their parts' encodings are — when
-// storage.AppendIndexKey's are (FuzzRowKey), with no escape pass. The
-// length's 7-bit digits come most significant first, and every digit but
-// the first has its high bit set.
-func appendKeyPart(dst []byte, v sqltypes.Value, parts int) []byte {
-	start := len(dst)
-	dst = sqltypes.AppendKey(dst, v)
-	if parts == 1 {
-		return dst
-	}
-	n := len(dst) - start
-	shift := 0
-	for n>>shift >= 0x80 {
-		shift += 7
-	}
-	dst = append(dst, byte(n>>shift))
-	for shift > 0 {
-		shift -= 7
-		dst = append(dst, byte(n>>shift)|0x80)
-	}
-	return dst
-}
-
-// appendRowKey appends the key of a whole row to dst.
-func appendRowKey(dst []byte, row Row) []byte {
-	for _, v := range row {
-		dst = appendKeyPart(dst, v, len(row))
-	}
-	return dst
 }
 
 // chunks is a vector of runs of w Ts (w 0 is 1), indexed densely from 0.

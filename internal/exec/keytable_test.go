@@ -1,22 +1,19 @@
 package exec
 
-// The key table and the key encoding, and allocation pins for the
+// The key table, and allocation pins for the
 // operators that key rows by value: a key is built in a reused buffer and
 // looked up without a copy, and only a new key is copied — into an arena
 // chunk, not a string of its own.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"crowddb/internal/catalog"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/sqltypes"
-	"crowddb/internal/storage"
 )
 
 // TestKeyTableDenseIDs: ids are 0, 1, 2, … in first-seen order, a key seen
@@ -96,105 +93,6 @@ func TestKeyTableChunksNeverMove(t *testing.T) {
 			t.Errorf("chunk %d holds %d runs, want %d", k, got, n)
 		}
 	}
-}
-
-// fuzzValue builds a value as sqltypes' FuzzValueKey does.
-func fuzzValue(kind uint8, i int64, f float64, s string) sqltypes.Value {
-	switch kind % 6 {
-	case 0:
-		return sqltypes.Null()
-	case 1:
-		return sqltypes.CNull()
-	case 2:
-		return sqltypes.NewString(s)
-	case 3:
-		return sqltypes.NewInt(i)
-	case 4:
-		return sqltypes.NewFloat(f)
-	default:
-		return sqltypes.NewBool(i&1 != 0)
-	}
-}
-
-// fuzzSpec is fuzzValue's arguments, and fuzzTuple's encoding of a value.
-type fuzzSpec struct {
-	kind uint8
-	i    int64
-	f    float64
-	s    string
-}
-
-// fuzzBytes encodes specs for fuzzTuple: per value its kind, i and f's
-// bits big-endian, the length of s in one byte, then s.
-func fuzzBytes(specs ...fuzzSpec) []byte {
-	var b []byte
-	for _, v := range specs {
-		b = append(b, v.kind)
-		b = binary.BigEndian.AppendUint64(b, uint64(v.i))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.f))
-		b = append(append(b, byte(len(v.s))), v.s...)
-	}
-	return b
-}
-
-// fuzzTuple decodes n values from b as fuzzBytes encodes them, reading
-// zeros past its end.
-func fuzzTuple(n int, b []byte) Row {
-	take := func(k int) []byte {
-		out := make([]byte, k)
-		b = b[copy(out, b):]
-		return out
-	}
-	row := make(Row, n)
-	for j := range row {
-		kind := take(1)[0]
-		i := int64(binary.BigEndian.Uint64(take(8)))
-		f := math.Float64frombits(binary.BigEndian.Uint64(take(8)))
-		row[j] = fuzzValue(kind, i, f, string(take(int(take(1)[0]))))
-	}
-	return row
-}
-
-// FuzzRowKey: two tuples of 1–3 values get one executor key exactly when
-// they get one storage.AppendIndexKey key, a one-part key is
-// sqltypes.AppendKey's bytes, and a key table gives the second tuple the
-// first one's id exactly then.
-func FuzzRowKey(f *testing.F) {
-	const p53 = 1 << 53
-	neg0 := math.Copysign(0, -1)
-	for _, pair := range [][2]fuzzSpec{ // FuzzValueKey's seeds
-		{{3, p53, 0, ""}, {3, p53 + 1, 0, ""}},
-		{{4, 0, neg0, ""}, {4, 0, 0, ""}},
-		{{3, p53 + 1, 0, ""}, {4, 0, float64(p53), ""}},
-		{{3, math.MaxInt64, 0, ""}, {4, 0, float64(1 << 63), ""}},
-		{{3, math.MinInt64, 0, ""}, {4, 0, math.Inf(-1), ""}},
-		{{2, 0, 0, "a\x00b"}, {2, 0, 0, "a"}},
-		{{5, 1, 0, ""}, {5, 0, 0, ""}},
-	} {
-		f.Add(uint8(0), fuzzBytes(pair[0]), fuzzBytes(pair[1]))
-		f.Add(uint8(1), fuzzBytes(pair[0], pair[1]), fuzzBytes(pair[1], pair[0]))
-	}
-	f.Add(uint8(1), fuzzBytes(fuzzSpec{2, 0, 0, "a\x00"}, fuzzSpec{2, 0, 0, "b"}), fuzzBytes(fuzzSpec{2, 0, 0, "a"}, fuzzSpec{2, 0, 0, "\x00b"}))
-	f.Add(uint8(2), fuzzBytes(fuzzSpec{4, 0, math.NaN(), ""}, fuzzSpec{0, 0, 0, ""}, fuzzSpec{1, 0, 0, ""}), fuzzBytes(fuzzSpec{4, 0, math.NaN(), ""}, fuzzSpec{1, 0, 0, ""}, fuzzSpec{0, 0, 0, ""}))
-	f.Add(uint8(1), fuzzBytes(fuzzSpec{3, p53 - 1, 0, ""}, fuzzSpec{2, 0, 0, strings.Repeat("\x00", 200)}), fuzzBytes(fuzzSpec{4, 0, p53 - 1, ""}, fuzzSpec{2, 0, 0, strings.Repeat("\x00", 200)}))
-	f.Fuzz(func(t *testing.T, n uint8, a, b []byte) {
-		parts := 1 + int(n%3)
-		ta, tb := fuzzTuple(parts, a), fuzzTuple(parts, b)
-		ka, kb := appendRowKey(nil, ta), appendRowKey(nil, tb)
-		ia, ib := storage.AppendIndexKey(nil, ta...), storage.AppendIndexKey(nil, tb...)
-		same := bytes.Equal(ia, ib)
-		if bytes.Equal(ka, kb) != same {
-			t.Fatalf("%v vs %v: executor keys equal %v, index keys equal %v\n% x\n% x", ta, tb, !same, same, ka, kb)
-		}
-		if parts == 1 && !bytes.Equal(ka, sqltypes.AppendKey(nil, ta[0])) {
-			t.Fatalf("one-part key of %v is % x, not AppendKey's", ta, ka)
-		}
-		tab := newKeyTable(0)
-		tab.add(ka)
-		if id, isNew := tab.add(kb); isNew == same || !isNew && id != 0 {
-			t.Fatalf("%v then %v: id %d new %v, index keys equal %v", ta, tb, id, isNew, same)
-		}
-	})
 }
 
 // groupByBytes is the bytes one run of sql allocates over rows rows of

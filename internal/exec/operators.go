@@ -465,7 +465,7 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		d.buf.reset()
 		for _, r := range b.Rows {
-			d.keyBuf = appendRowKey(d.keyBuf[:0], r)
+			d.keyBuf = sqltypes.AppendRowKey(d.keyBuf[:0], r)
 			if _, isNew := d.seen.add(d.keyBuf); isNew {
 				d.buf.Rows = append(d.buf.Rows, r)
 			}
@@ -583,7 +583,7 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 				if err != nil {
 					return err
 				}
-				keyBuf = appendKeyPart(keyBuf, v, len(keys))
+				keyBuf = sqltypes.AppendKeyPart(keyBuf, v, len(keys))
 			}
 			id, isNew := g.keys.add(keyBuf)
 			if isNew {

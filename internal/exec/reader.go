@@ -3,6 +3,7 @@ package exec
 import (
 	"strings"
 
+	"crowddb/internal/catalog"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
@@ -197,13 +198,21 @@ func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, key
 			return ids, rows, true, nil
 		}
 	}
-	for col := range node.ProbeKeys {
-		if idx, ok := ctx.Cat.IndexOn(t.Name, col); ok && len(idx.Columns) == 1 {
-			if v, ok := key(col); ok {
-				ids, rows, err = ctx.Store.LookupIndexRowsAt(t.Name, idx.Name, ctx.snapTS(), v)
-				return ids, rows, true, err
-			}
+	// Of the single-column indexes on a pinned column, probe a unique one
+	// first, then the catalog's first: the same index every run.
+	var pick *catalog.Index
+	var pv sqltypes.Value
+	for _, idx := range ctx.Cat.Indexes(t.Name) {
+		if len(idx.Columns) != 1 || pick != nil && (pick.Unique || !idx.Unique) {
+			continue
+		}
+		if v, ok := key(idx.Columns[0]); ok {
+			pick, pv = idx, v
 		}
 	}
-	return nil, nil, false, nil
+	if pick == nil {
+		return nil, nil, false, nil
+	}
+	ids, rows, err = ctx.Store.LookupIndexRowsAt(t.Name, pick.Name, ctx.snapTS(), pv)
+	return ids, rows, true, err
 }

@@ -148,6 +148,43 @@ func TestSecondaryIndexLookup(t *testing.T) {
 	}
 }
 
+// TestReaderIndexChoiceIsDeterministic: when a WHERE pins two columns that
+// each have a single-column index, the reader probes the same index every
+// run — a unique one first, then the catalog's first — so RowsScanned does
+// not change from run to run.
+func TestReaderIndexChoiceIsDeterministic(t *testing.T) {
+	h := bigTable(t)
+	tab, _ := h.cat.Table("item")
+	index := func(name, col string, unique bool) {
+		t.Helper()
+		if err := h.cat.CreateIndex(&catalog.Index{Name: name, Table: "item", Columns: []string{col}, Unique: unique}); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.store.CreateIndex("item", name, []int{tab.ColumnIndex(col)}, unique); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scanned := func(want int) {
+		t.Helper()
+		seen := map[int]int{}
+		for range 40 {
+			rows, st := h.runWithStats(t, "SELECT id FROM item WHERE grp = 'g7' AND v = 21")
+			if len(rows) != 1 || rows[0][0].Int() != 7 {
+				t.Fatalf("rows: %v", rows)
+			}
+			seen[st.RowsScanned]++
+		}
+		if len(seen) != 1 || seen[want] != 40 {
+			t.Errorf("RowsScanned over 40 runs: %v, want %d every run", seen, want)
+		}
+	}
+	index("idx_grp", "grp", false)
+	index("idx_v", "v", false)
+	scanned(25)
+	index("z_v", "v", true)
+	scanned(1)
+}
+
 func TestIndexScanAppliesResidualFilter(t *testing.T) {
 	h := bigTable(t)
 	rows, st := h.runWithStats(t, "SELECT v FROM item WHERE id = 123 AND v > 1000")

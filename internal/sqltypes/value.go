@@ -358,13 +358,13 @@ func Identical(a, b Value) bool {
 	return ok && c == 0
 }
 
-// AppendKey appends a value's order-preserving key encoding to dst (the
-// encoding index keys and hash keys are built from): for two numbers, two
-// strings or two booleans, bytes.Compare of the encodings agrees with
-// SortCompare, so two values get one key exactly when Compare calls them
-// equal. No index reads keys in order; the byte order is FuzzValueKey's
-// rule, and the bytes must not change because shard routing hashes them.
-// Callers that build many keys reuse dst's backing array.
+// AppendKey appends a value's key encoding to dst, the bytes of one part
+// of a key (AppendKeyPart): two values get one key exactly when Compare
+// calls them equal. For two numbers, two strings or two booleans,
+// bytes.Compare of the encodings also agrees with SortCompare; nothing
+// reads keys in order, but that order is FuzzValueKey's rule, and the
+// bytes must not change because shard routing hashes them. Callers that
+// build many keys reuse dst's backing array.
 //
 // A number is 0x03 and its value as an order-preserving float64. An INTEGER
 // that float64 cannot hold is that float rounded toward −∞ followed by the
@@ -395,6 +395,55 @@ func AppendKey(dst []byte, v Value) []byte {
 	default:
 		return append(append(dst, 0x04), v.s...)
 	}
+}
+
+// AppendKeyPart appends one of a key's parts values to dst: the one key
+// encoding, which the executor's hash operators and every storage index
+// key by. A one-part key is AppendKey's bytes. In a longer key each part
+// is followed by its length, written so that it reads back from its end
+// (CutLastKeyPart), so a key splits into its parts one way only and two
+// keys are equal exactly when their parts' encodings are. The length's
+// 7-bit digits come most significant first, and every digit but the first
+// has its high bit set.
+func AppendKeyPart(dst []byte, v Value, parts int) []byte {
+	start := len(dst)
+	dst = AppendKey(dst, v)
+	if parts == 1 {
+		return dst
+	}
+	n := len(dst) - start
+	shift := 0
+	for n>>shift >= 0x80 {
+		shift += 7
+	}
+	dst = append(dst, byte(n>>shift))
+	for shift > 0 {
+		shift -= 7
+		dst = append(dst, byte(n>>shift)|0x80)
+	}
+	return dst
+}
+
+// AppendRowKey appends the key of a whole row of values to dst.
+func AppendRowKey(dst []byte, row []Value) []byte {
+	for _, v := range row {
+		dst = AppendKeyPart(dst, v, len(row))
+	}
+	return dst
+}
+
+// CutLastKeyPart splits a key of two or more parts into the parts before
+// its last one, still each followed by its length, and the last part's
+// AppendKey bytes.
+func CutLastKeyPart(key string) (head, last string) {
+	end := len(key) - 1
+	n, shift := 0, 0
+	for ; key[end] >= 0x80; end-- {
+		n |= int(key[end]&0x7F) << shift
+		shift += 7
+	}
+	n |= int(key[end]) << shift
+	return key[:end-n], key[end-n : end]
 }
 
 // keyBits maps float64 bits to bits whose unsigned order is the float order.

@@ -247,3 +247,28 @@ func TestValueStringRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestCutLastKeyPart: a key of two or more parts cuts back into each
+// part's AppendKey bytes, last part first, whatever the parts' lengths —
+// one- and two-digit length suffixes and parts laden with 0x00 and 0xFF.
+func TestCutLastKeyPart(t *testing.T) {
+	long := strings.Repeat("\x00\xff", 150)
+	for _, row := range [][]Value{
+		{NewString("a"), NewString("b")},
+		{NewString(long), NewInt(1<<53 + 1), Null()},
+		{NewFloat(math.Copysign(0, -1)), NewString(long[:127]), NewString(long[:128])},
+		{CNull(), NewBool(true), NewString("")},
+	} {
+		key := string(AppendRowKey(nil, row))
+		for i := len(row) - 1; i >= 0; i-- {
+			head, last := CutLastKeyPart(key)
+			if want := string(AppendKey(nil, row[i])); last != want {
+				t.Fatalf("%v part %d: cut % x, want % x", row, i, last, want)
+			}
+			key = head
+		}
+		if key != "" {
+			t.Errorf("%v: % x left after cutting every part", row, key)
+		}
+	}
+}

@@ -8,7 +8,12 @@
 // Every index access is an equality probe on one key — CrowdJoin's index
 // nested-loop join, CrowdProbe's and DML's key pinned to a literal, the
 // duplicate-key checks — so an index is a map from the key to the rows
-// that carry it, and the primary key is one more index.
+// that carry it, and the primary key is one more index. A key is
+// sqltypes.AppendKeyPart's bytes, the one key encoding the executor uses
+// too, and nothing reads keys in order. Index keys never reach disk:
+// recovery rebuilds every index. Only shard routing reads the form keys had
+// in data directory version 1, and hashV1Part is the one place that knows
+// it.
 //
 // Each shard's heap keeps its version chains in ascending row-id order, so
 // a scan is one walk of a slice (ShardScan) and needs neither a sort nor a
@@ -21,9 +26,9 @@ import "slices"
 // RowID identifies a row in a heap table; IDs are never reused.
 type RowID int64
 
-// index maps an encoded key (AppendIndexKey) to the ids of the rows whose
-// indexed columns encode to it. A lookup returns the map's own slice: read
-// it under the shard lock and never keep it.
+// index maps a key (sqltypes.AppendKeyPart's bytes) to the ids of the rows
+// whose indexed columns encode to it. A lookup returns the map's own slice:
+// read it under the shard lock and never keep it.
 type index map[string][]RowID
 
 // add lists id under key, at most once: a version chain can revisit a key

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,39 +15,6 @@ import (
 
 	"crowddb/internal/sqltypes"
 )
-
-// AppendIndexKey appends a composite, order-preserving key built from
-// column values to dst. Each part's encoding (sqltypes.AppendKey) is
-// escaped (0x00 -> 0x00 0xFF) and terminated with 0x00 0x00 so that
-// lexicographic comparison of composite keys matches column-by-column
-// comparison. Callers that build a key per row reuse dst's backing array.
-func AppendIndexKey(dst []byte, vals ...sqltypes.Value) []byte {
-	for _, v := range vals {
-		start := len(dst)
-		dst = sqltypes.AppendKey(dst, v)
-		if zeros := bytes.Count(dst[start:], []byte{0x00}); zeros > 0 {
-			// Widen the part in place, back to front.
-			r := len(dst) - 1
-			dst = append(dst, make([]byte, zeros)...)
-			for w := len(dst) - 1; r >= start; r-- {
-				if dst[r] == 0x00 {
-					dst[w] = 0xFF
-					w--
-				}
-				dst[w] = dst[r]
-				w--
-			}
-		}
-		dst = append(dst, 0x00, 0x00)
-	}
-	return dst
-}
-
-// IndexKey is AppendIndexKey as a string.
-func IndexKey(vals ...sqltypes.Value) string {
-	var buf [64]byte
-	return string(AppendIndexKey(buf[:0], vals...))
-}
 
 // Shard-count bounds: MaxShards caps explicit configuration, and
 // defaultShardCap caps the automatic runtime.NumCPU() default so small
@@ -96,6 +62,21 @@ type ErrShardMismatch struct {
 func (e *ErrShardMismatch) Error() string {
 	return fmt.Sprintf("storage: %s was created with %d shards, reopen requested %d (pass 0 to adopt the on-disk count)",
 		e.Dir, e.OnDisk, e.Requested)
+}
+
+// ErrDataVersion is returned when a data directory's shards.json names a
+// version other than the one this tree writes, or none. A row's home shard
+// is a hash of its key's bytes in the directory's version, so opening a
+// directory of another version would route its keys wrong.
+type ErrDataVersion struct {
+	Dir    string
+	OnDisk int // 0: shards.json has no version
+	Writes int
+}
+
+func (e *ErrDataVersion) Error() string {
+	return fmt.Sprintf("storage: %s is data directory version %d (0: none recorded); this build reads and writes only version %d",
+		e.Dir, e.OnDisk, e.Writes)
 }
 
 // tableShard is one hash partition of a table: its own heap and its own
@@ -148,15 +129,45 @@ func (ts *tableStore) secondary(name string) int {
 	})
 }
 
+// shardOfKey routes a primary key, sqltypes.AppendRowKey's bytes over the
+// table's key columns, to its home shard: FNV-1a, as hash/fnv computes it,
+// over the key's bytes in the form shards.json version 1 routes by.
 func (ts *tableStore) shardOfKey(key string) int {
 	if len(ts.shards) == 1 {
 		return 0
 	}
-	h := uint32(2166136261) // FNV-1a, as hash/fnv computes it
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+	h := uint32(2166136261)
+	if len(ts.pkCols) == 1 {
+		h = hashV1Part(h, key)
+	} else {
+		h = hashV1Parts(h, key, len(ts.pkCols))
 	}
 	return int(h % uint32(len(ts.shards)))
+}
+
+// hashV1Parts feeds FNV-1a state h the version-1 bytes of a key of n > 1
+// parts, first part first.
+func hashV1Parts(h uint32, key string, n int) uint32 {
+	if n == 0 {
+		return h
+	}
+	head, last := sqltypes.CutLastKeyPart(key)
+	return hashV1Part(hashV1Parts(h, head, n-1), last)
+}
+
+// hashV1Part feeds FNV-1a state h the version-1 bytes of one key part, as
+// it walks the part's AppendKey bytes: each 0x00 is followed by 0xFF, and
+// the part ends with 0x00 0x00. It is the one place that knows that form;
+// nothing builds it.
+func hashV1Part(h uint32, part string) uint32 {
+	const prime = 16777619
+	for i := 0; i < len(part); i++ {
+		h = (h ^ uint32(part[i])) * prime
+		if part[i] == 0x00 {
+			h = (h ^ 0xFF) * prime
+		}
+	}
+	return h * prime * prime
 }
 
 // findShard locates the shard currently holding the LIVE version of id
@@ -281,11 +292,13 @@ func NewStoreOptions(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	onDisk, err := readShardMeta(dir)
+	onDisk, version, err := readShardMeta(dir)
 	if err != nil {
 		return nil, err
 	}
 	switch {
+	case onDisk > 0 && version != dataVersion:
+		return nil, &ErrDataVersion{Dir: dir, OnDisk: version, Writes: dataVersion}
 	case onDisk > 0 && nshards > 0 && onDisk != nshards:
 		return nil, &ErrShardMismatch{Dir: dir, OnDisk: onDisk, Requested: nshards}
 	case onDisk > 0:
@@ -442,7 +455,7 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 // appendRowKey appends the index key of row's cols to dst.
 func appendRowKey(dst []byte, row Row, cols []int) []byte {
 	for _, c := range cols {
-		dst = AppendIndexKey(dst, row[c])
+		dst = sqltypes.AppendKeyPart(dst, row[c], len(cols))
 	}
 	return dst
 }
@@ -896,10 +909,11 @@ func (s *Store) RowCount(table string) (int, error) {
 // home).
 func (s *Store) LookupPKRowAt(table string, at int64, pk ...sqltypes.Value) (RowID, Row, bool) {
 	ts, err := s.table(table)
-	if err != nil || len(ts.pkCols) == 0 {
+	if err != nil || len(ts.pkCols) != len(pk) {
 		return 0, nil, false
 	}
-	key := IndexKey(pk...)
+	var buf [64]byte
+	key := string(sqltypes.AppendRowKey(buf[:0], pk))
 	sh := ts.shards[ts.shardOfKey(key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -922,13 +936,15 @@ func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltype
 	if err != nil {
 		return nil, nil, err
 	}
-	key := IndexKey(vals...)
 	ts.shards[0].mu.RLock()
 	j := ts.secondary(index)
+	found := j >= 0 && len(ts.shards[0].indexes[j].cols) == len(vals)
 	ts.shards[0].mu.RUnlock()
-	if j < 0 {
-		return nil, nil, fmt.Errorf("storage: index %s not found on %s", index, table)
+	if !found {
+		return nil, nil, fmt.Errorf("storage: no index %s over %d columns on %s", index, len(vals), table)
 	}
+	var buf [64]byte
+	key := string(sqltypes.AppendRowKey(buf[:0], vals))
 	var ids []RowID
 	var rows []Row
 	sorted := true

@@ -52,32 +52,39 @@ func walLegacyPath(dir string) string { return filepath.Join(dir, "wal.log") }
 func shardMetaPath(dir string) string { return filepath.Join(dir, "shards.json") }
 
 // shardMeta pins a data directory's partitioning. Rows are placed by
-// hash(PK) % shards, so the count must never change silently.
+// hash(PK) % shards, so the count must never change silently, and the hash
+// reads the key bytes of the directory's version.
 type shardMeta struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
 }
 
-func readShardMeta(dir string) (int, error) {
+// dataVersion is the version of the data directories this tree reads and
+// writes: a row's shard is FNV-1a of its key's version-1 bytes (hashV1Part).
+const dataVersion = 1
+
+// readShardMeta returns the directory's shard count and version, or a zero
+// count when the directory has no shards.json yet.
+func readShardMeta(dir string) (shards, version int, err error) {
 	data, err := os.ReadFile(shardMetaPath(dir))
 	if os.IsNotExist(err) {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var m shardMeta
 	if err := json.Unmarshal(data, &m); err != nil {
-		return 0, fmt.Errorf("storage: corrupt shard meta: %w", err)
+		return 0, 0, fmt.Errorf("storage: corrupt shard meta: %w", err)
 	}
 	if m.Shards < 1 || m.Shards > MaxShards {
-		return 0, fmt.Errorf("storage: shard meta claims %d shards (want 1..%d)", m.Shards, MaxShards)
+		return 0, 0, fmt.Errorf("storage: shard meta claims %d shards (want 1..%d)", m.Shards, MaxShards)
 	}
-	return m.Shards, nil
+	return m.Shards, m.Version, nil
 }
 
 func writeShardMeta(dir string, shards int) error {
-	data, err := json.Marshal(shardMeta{Version: 1, Shards: shards})
+	data, err := json.Marshal(shardMeta{Version: dataVersion, Shards: shards})
 	if err != nil {
 		return err
 	}
