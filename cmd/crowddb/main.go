@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"crowddb"
-	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -80,7 +79,7 @@ func main() {
 	defer db.Close()
 
 	if *demo {
-		if err := loadDemo(db, conf); err != nil {
+		if _, err := db.Exec(conf.DemoScript()); err != nil {
 			fmt.Fprintln(os.Stderr, "crowddb: demo load:", err)
 			os.Exit(1)
 		}
@@ -102,28 +101,6 @@ func main() {
 
 	fmt.Printf("CrowdDB shell — platform=%s data=%q (\\help for help)\n", *platform, *data)
 	repl(db)
-}
-
-func loadDemo(db *crowddb.DB, conf *workload.Conference) error {
-	if _, err := db.Exec(`CREATE TABLE Talk (
-		title STRING PRIMARY KEY,
-		abstract CROWD STRING,
-		nb_attendees CROWD INTEGER )`); err != nil {
-		return err
-	}
-	if _, err := db.Exec(`CREATE CROWD TABLE NotableAttendee (
-		name STRING PRIMARY KEY,
-		title STRING,
-		FOREIGN KEY (title) REF Talk(title) )`); err != nil {
-		return err
-	}
-	for _, talk := range conf.Talks[:10] {
-		if _, err := db.Exec("INSERT INTO Talk (title) VALUES (" +
-			sqltypes.NewString(talk.Title).SQLLiteral() + ")"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func repl(db *crowddb.DB) {

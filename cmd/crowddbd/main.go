@@ -44,12 +44,10 @@ import (
 	"time"
 
 	"crowddb"
-	"crowddb/internal/core"
 	"crowddb/internal/crowd"
 	"crowddb/internal/crowd/model"
 	"crowddb/internal/faultinject"
 	"crowddb/internal/server"
-	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -142,7 +140,7 @@ func main() {
 	defer db.Close()
 
 	if *demo {
-		if err := loadDemo(db.Engine(), conf); err != nil {
+		if _, err := db.Exec(conf.DemoScript()); err != nil {
 			fmt.Fprintln(os.Stderr, "crowddbd: demo load:", err)
 			os.Exit(1)
 		}
@@ -208,28 +206,4 @@ func main() {
 	fmt.Printf("crowddbd: served %d queries across %d sessions (%d rejected); cache %d entries, %d hits, %d shared flights\n",
 		rep.Server.Queries, rep.Server.SessionsOpened, rep.Server.Rejected,
 		rep.Cache.Size, rep.Cache.Hits, rep.Cache.Shared)
-}
-
-// loadDemo installs the paper's conference schema with the first ten
-// talks (same shape as the REPL's -demo).
-func loadDemo(eng *core.Engine, conf *workload.Conference) error {
-	if _, err := eng.Exec(`CREATE TABLE Talk (
-		title STRING PRIMARY KEY,
-		abstract CROWD STRING,
-		nb_attendees CROWD INTEGER )`); err != nil {
-		return err
-	}
-	if _, err := eng.Exec(`CREATE CROWD TABLE NotableAttendee (
-		name STRING PRIMARY KEY,
-		title STRING,
-		FOREIGN KEY (title) REF Talk(title) )`); err != nil {
-		return err
-	}
-	for _, talk := range conf.Talks[:10] {
-		if _, err := eng.Exec("INSERT INTO Talk (title) VALUES (" +
-			sqltypes.NewString(talk.Title).SQLLiteral() + ")"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

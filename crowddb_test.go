@@ -85,7 +85,7 @@ func TestMobilePlatformConstructor(t *testing.T) {
 }
 
 func TestOpenWithoutPlatform(t *testing.T) {
-	db, err := Open(Config{AllowUnbounded: true})
+	db, err := Open(Config{Optimizer: OptimizerOptions{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOpenWithoutPlatform(t *testing.T) {
 // ordinary expression, so every operator and scalar function may wrap one,
 // in the select list and in HAVING alike.
 func TestAggregateUnderAnyExpression(t *testing.T) {
-	db, err := Open(Config{AllowUnbounded: true})
+	db, err := Open(Config{Optimizer: OptimizerOptions{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAggregateUnderAnyExpression(t *testing.T) {
 // select list lacks, bare or inside an expression, with or without LIMIT.
 // The Aggregate computes it as a hidden column the result does not show.
 func TestOrderByAggregateNotSelected(t *testing.T) {
-	db, err := Open(Config{AllowUnbounded: true})
+	db, err := Open(Config{Optimizer: OptimizerOptions{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPredictedVsActualFeedback(t *testing.T) {
 // does — integers one apart past 2^53, which float64 cannot tell apart,
 // and the two zeros, which are equal.
 func TestKeysAreExactWhereCompareIs(t *testing.T) {
-	db, err := Open(Config{AllowUnbounded: true})
+	db, err := Open(Config{Optimizer: OptimizerOptions{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestKeysAreExactWhereCompareIs(t *testing.T) {
 // any other. Without a platform nothing is asked; only a LIMIT straight
 // over the read stops it early.
 func TestBoundedSortSeesEveryStoredRow(t *testing.T) {
-	db, err := Open(Config{AllowUnbounded: true})
+	db, err := Open(Config{Optimizer: OptimizerOptions{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 func asyncWorkload(seed int64, window, groups, hitsPerGroup int) (time.Duration, taskmgr.Stats, error) {
 	platform := amt.NewDefault(seed)
 	cfg := taskmgr.DefaultConfig()
-	cfg.PollInterval = time.Minute
 	cfg.MaxInFlight = window
 	m := taskmgr.New(platform, nil, quality.NewTracker(), wrm.New(wrm.DefaultPolicy(), quality.NewTracker()), nil, cfg)
 

@@ -23,7 +23,6 @@ import (
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/sim"
 	"crowddb/internal/sqltypes"
-	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -178,12 +177,4 @@ func conferenceEngine(seed int64, nTalks int, opts core.Config) (*core.Engine, *
 		}
 	}
 	return eng, conf, nil
-}
-
-// fastTasks is the task config the engine experiments use: modest rewards,
-// 3-way replication, tight polling so virtual time resolution is fine.
-func fastTasks() taskmgr.Config {
-	cfg := taskmgr.DefaultConfig()
-	cfg.PollInterval = time.Minute
-	return cfg
 }

@@ -12,6 +12,7 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -71,7 +72,7 @@ func TestCrowdCallSequenceSeed42(t *testing.T) {
 	{
 		p := rec()
 		uni := workload.NewUniversity(10, seed)
-		eng, err := core.Open(core.Config{Platform: p, Oracle: uni.Oracle(), Payment: wrm.DefaultPolicy(), Tasks: fastTasks()})
+		eng, err := core.Open(core.Config{Platform: p, Oracle: uni.Oracle(), Payment: wrm.DefaultPolicy(), Tasks: taskmgr.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestCrowdCallSequenceSeed42(t *testing.T) {
 	// E6: CrowdJoin.
 	{
 		p := rec()
-		eng, _, err := conferenceEngine(seed, 15, core.Config{Platform: p, Tasks: fastTasks()})
+		eng, _, err := conferenceEngine(seed, 15, core.Config{Platform: p, Tasks: taskmgr.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestCrowdCallSequenceSeed42(t *testing.T) {
 	{
 		p := rec()
 		comp := workload.NewCompanies(10, seed)
-		eng, err := core.Open(core.Config{Platform: p, Oracle: comp.Oracle(), Payment: wrm.DefaultPolicy(), Tasks: fastTasks()})
+		eng, err := core.Open(core.Config{Platform: p, Oracle: comp.Oracle(), Payment: wrm.DefaultPolicy(), Tasks: taskmgr.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestCrowdCallSequenceSeed42(t *testing.T) {
 	// E8: CROWDORDER.
 	{
 		p := rec()
-		eng, _, err := conferenceEngine(seed, 12, core.Config{Platform: p, Tasks: fastTasks()})
+		eng, _, err := conferenceEngine(seed, 12, core.Config{Platform: p, Tasks: taskmgr.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -39,7 +40,7 @@ func e17Engine(seed int64, opts optimizer.Options) (*core.Engine, error) {
 		Platform:  amt.NewDefault(seed),
 		Oracle:    cs.Oracle(),
 		Payment:   wrm.DefaultPolicy(),
-		Tasks:     fastTasks(),
+		Tasks:     taskmgr.DefaultConfig(),
 		Optimizer: opts,
 	})
 	if err != nil {

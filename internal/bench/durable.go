@@ -44,6 +44,7 @@ import (
 	"crowddb/internal/sim"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
+	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -84,7 +85,7 @@ func e23Engine(dataDir string, seed int64) (*core.Engine, error) {
 		Platform: amt.New(sim.NewMarket(mcfg)),
 		Oracle:   oracle,
 		Payment:  wrm.DefaultPolicy(),
-		Tasks:    fastTasks(),
+		Tasks:    taskmgr.DefaultConfig(),
 	})
 }
 

@@ -32,7 +32,7 @@ func E5CrowdProbe(seed int64) *Table {
 			Platform: amt.NewDefault(seed),
 			Oracle:   uni.Oracle(),
 			Payment:  wrm.DefaultPolicy(),
-			Tasks:    fastTasks(),
+			Tasks:    taskmgr.DefaultConfig(),
 		})
 		if err != nil {
 			t.Notes = append(t.Notes, err.Error())
@@ -93,7 +93,7 @@ func E6CrowdJoin(seed int64) *Table {
 	const nTalks = 15
 
 	// Strategy A: one join query; CrowdJoin batches all keys in one group.
-	engA, _, err := conferenceEngine(seed, nTalks, core.Config{Tasks: fastTasks()})
+	engA, _, err := conferenceEngine(seed, nTalks, core.Config{Tasks: taskmgr.DefaultConfig()})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
@@ -113,7 +113,7 @@ func E6CrowdJoin(seed int64) *Table {
 	engA.Close()
 
 	// Strategy B: one bounded query per talk — a group per outer tuple.
-	engB, confB, err := conferenceEngine(seed, nTalks, core.Config{Tasks: fastTasks()})
+	engB, confB, err := conferenceEngine(seed, nTalks, core.Config{Tasks: taskmgr.DefaultConfig()})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
@@ -149,7 +149,7 @@ func E7EntityResolution(seed int64) *Table {
 	const nCompanies = 10
 	for _, votes := range []int{1, 3, 5} {
 		comp := workload.NewCompanies(nCompanies, seed)
-		tcfg := fastTasks()
+		tcfg := taskmgr.DefaultConfig()
 		tcfg.Assignments = votes
 		eng, err := core.Open(core.Config{
 			Platform: amt.NewDefault(seed),
@@ -202,7 +202,7 @@ func E8CrowdOrder(seed int64) *Table {
 	}
 	const nTalks = 12
 	for _, votes := range []int{1, 3, 5} {
-		tcfg := fastTasks()
+		tcfg := taskmgr.DefaultConfig()
 		tcfg.Assignments = votes
 		eng, conf, err := conferenceEngine(seed, nTalks, core.Config{Tasks: tcfg})
 		if err != nil {
@@ -261,7 +261,7 @@ func E10OptimizerRules(seed int64) *Table {
 		{"join: no join re-ordering", optimizer.Options{DisableJoinReorder: true, AllowUnbounded: true}, joinQ},
 	}
 	for _, c := range configs {
-		eng, _, err := conferenceEngine(seed, nTalks, core.Config{Tasks: fastTasks(), Optimizer: c.opts})
+		eng, _, err := conferenceEngine(seed, nTalks, core.Config{Tasks: taskmgr.DefaultConfig(), Optimizer: c.opts})
 		if err != nil {
 			t.Notes = append(t.Notes, err.Error())
 			continue
@@ -299,7 +299,7 @@ func E11Boundedness(seed int64) *Table {
 		Exhibit: "demo §3.2.2 (bounded plans, compile-time warning)",
 		Headers: []string{"query", "verdict"},
 	}
-	eng, _, err := conferenceEngine(seed, 5, core.Config{Tasks: fastTasks()})
+	eng, _, err := conferenceEngine(seed, 5, core.Config{Tasks: taskmgr.DefaultConfig()})
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
@@ -337,7 +337,7 @@ func E12MobileVsAMT(seed int64) *Table {
 	}
 	const nTalks = 12
 	for _, platform := range []string{"amt", "mobile"} {
-		cfg := core.Config{Tasks: fastTasks()}
+		cfg := core.Config{Tasks: taskmgr.DefaultConfig()}
 		if platform == "mobile" {
 			cfg.Platform = mobile.New(mobile.DefaultConfig(seed))
 		} else {

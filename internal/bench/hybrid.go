@@ -10,6 +10,7 @@ import (
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/crowd/model"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -38,7 +39,7 @@ const e24Pairs = 24
 // or "hybrid" (AMT with a model tier routed first).
 func e24Engine(seed int64, tier string) (*core.Engine, error) {
 	cs := workload.NewCompanies(e24Pairs, seed)
-	tasks := fastTasks()
+	tasks := taskmgr.DefaultConfig()
 	var platform crowd.Platform
 	switch tier {
 	case "human":

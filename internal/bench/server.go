@@ -11,6 +11,7 @@ import (
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/server"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -56,7 +57,7 @@ func e16Engine(seed int64, sessions int) (*core.Engine, error) {
 		Platform: amt.NewDefault(seed),
 		Oracle:   o,
 		Payment:  wrm.DefaultPolicy(),
-		Tasks:    fastTasks(),
+		Tasks:    taskmgr.DefaultConfig(),
 	})
 	if err != nil {
 		return nil, err

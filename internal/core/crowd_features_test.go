@@ -7,6 +7,7 @@ import (
 
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/crowd/mobile"
+	"crowddb/internal/optimizer"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/workload"
@@ -145,7 +146,7 @@ func TestQualityTrackerConverges(t *testing.T) {
 		mustExec(t, eng, "SELECT abstract FROM Talk WHERE title = "+
 			sqltypes.NewString(talk.Title).SQLLiteral())
 	}
-	ws := eng.Tracker().Workers()
+	ws := eng.tracker.Workers()
 	if len(ws) < 3 {
 		t.Fatalf("too few tracked workers: %d", len(ws))
 	}
@@ -158,7 +159,7 @@ func TestQualityTrackerConverges(t *testing.T) {
 		t.Errorf("majority agreement should dominate: %d vs %d", agreed, disagreed)
 	}
 	// The decisions must be recorded as quality.Decision votes.
-	if eng.Tracker().Score(ws[0].WorkerID) == 0.5 && ws[0].Agreed+ws[0].Disagreed > 0 {
+	if eng.tracker.Score(ws[0].WorkerID) == 0.5 && ws[0].Agreed+ws[0].Disagreed > 0 {
 		t.Error("scores must move off the prior")
 	}
 	_ = quality.Decision{}
@@ -188,7 +189,7 @@ func TestBoundednessFollowsThePrice(t *testing.T) {
 		t.Errorf("the expression-keyed join must run as a CrowdJoin: %+v", res.Stats)
 	}
 
-	open, err := Open(Config{AllowUnbounded: true, Platform: newAMT(46)})
+	open, err := Open(Config{Optimizer: optimizer.Options{AllowUnbounded: true}, Platform: newAMT(46)})
 	if err != nil {
 		t.Fatal(err)
 	}

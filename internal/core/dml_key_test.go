@@ -104,7 +104,7 @@ func TestUpdateDeleteByKey(t *testing.T) {
 			}
 			// A keyed statement examined its key's rows, not the table: only
 			// a read the cursors fed reports its filter's selectivity.
-			tab, _ := eng.Catalog().Table("kv")
+			tab, _ := eng.cat.Table("kv")
 			if got := tab.Stats().FilterObservations > 0; got != tc.scans {
 				t.Errorf("the statement scanned the table: %v, want %v", got, tc.scans)
 			}
@@ -181,7 +181,7 @@ func TestAliasDMLAndResultsLeaveSnapshotIntact(t *testing.T) {
 	}
 	// And the hand-maintained statistics followed every statement.
 	res := mustExec(t, eng, "SELECT COUNT(*), COUNT(note) FROM kv")
-	tab, _ := eng.Catalog().Table("kv")
+	tab, _ := eng.cat.Table("kv")
 	if got := res.Rows[0][0].Int(); got != tab.RowCount() {
 		t.Errorf("COUNT(*) %d, catalog RowCount %d", got, tab.RowCount())
 	}

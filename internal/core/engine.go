@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -56,25 +55,17 @@ type Config struct {
 	Tasks taskmgr.Config
 	// Payment is the WRM policy.
 	Payment wrm.PaymentPolicy
-	// AllowUnbounded turns the unbounded-crowd-request compile error into
-	// a warning.
-	AllowUnbounded bool
-	// CompareBudget caps crowd comparisons per query (0 = unlimited).
-	CompareBudget int
-	// Optimizer exposes the rule switches (ablation benchmarks).
+	// Optimizer exposes the rule switches (ablation benchmarks) and
+	// AllowUnbounded, which turns the unbounded-crowd-request compile
+	// error into a warning.
 	Optimizer optimizer.Options
 	// SlowQueryThreshold, when positive, dumps the full span tree of any
-	// statement or job whose wall time reaches it to SlowQueryLog.
+	// statement or job whose wall time reaches it to stderr.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query span dumps (nil = os.Stderr).
-	SlowQueryLog io.Writer
 	// DisableObservability turns per-statement tracing off (the metrics
 	// registry stays registered but statements record no spans). The
 	// overhead benchmark's control arm.
 	DisableObservability bool
-	// BatchSize overrides the executor's rows-per-batch
-	// (0 = exec.DefaultBatchSize; 1 degenerates to row-at-a-time).
-	BatchSize int
 }
 
 // Result is the outcome of one statement.
@@ -249,9 +240,6 @@ func (e *Engine) Checkpoint() error {
 	return e.store.Checkpoint()
 }
 
-// Catalog exposes schema metadata (REPL, UI tooling).
-func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
-
 // UI exposes the template manager (Form Editor access).
 func (e *Engine) UI() *ui.Manager { return e.uim }
 
@@ -260,9 +248,6 @@ func (e *Engine) WRM() *wrm.Manager { return e.payer }
 
 // Tasks exposes the task manager (nil without a platform).
 func (e *Engine) Tasks() *taskmgr.Manager { return e.tasks }
-
-// Tracker exposes worker quality scores.
-func (e *Engine) Tracker() *quality.Tracker { return e.tracker }
 
 // Cache exposes the shared comparison cache (server stats, experiments).
 func (e *Engine) Cache() *exec.CompareCache { return e.cache }
@@ -352,8 +337,8 @@ type RowSink = exec.RowSink
 // it to apply per-session crowd budgets on a shared engine and to stream
 // job results.
 type ExecOpts struct {
-	// CompareBudget caps crowd comparisons for this statement. Negative
-	// uses the engine default (Config.CompareBudget); 0 is unlimited.
+	// CompareBudget caps crowd comparisons for this statement when
+	// positive; zero or negative is unlimited.
 	CompareBudget int
 	// Sink, when set, streams a SELECT's rows out as operators produce
 	// them; the returned Result's Rows then stay nil. Non-SELECT
@@ -383,7 +368,7 @@ type ExecOpts struct {
 	Trace *obs.Trace
 }
 
-// DefaultExecOpts defers every knob to the engine configuration.
+// DefaultExecOpts runs a statement with no per-statement limits.
 func DefaultExecOpts() ExecOpts { return ExecOpts{CompareBudget: -1} }
 
 // Execute parses and runs a CrowdSQL script under ctx, returning the last
@@ -729,7 +714,6 @@ func (e *Engine) compile(s *parser.Select) (*optimizer.Result, error) {
 		return nil, err
 	}
 	opts := e.cfg.Optimizer
-	opts.AllowUnbounded = opts.AllowUnbounded || e.cfg.AllowUnbounded
 	opts.Cost = e.costInputs()
 	return optimizer.Optimize(root, e.cat, opts)
 }
@@ -814,10 +798,6 @@ func (e *Engine) compileTraced(s *parser.Select, tr *obs.Trace, sp *obs.Span) (*
 // per-plan-node actuals (EXPLAIN ANALYZE); passing it also forces the
 // instrumented operator shells on even when tracing is off.
 func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
-	budget := e.cfg.CompareBudget
-	if opts.CompareBudget >= 0 {
-		budget = opts.CompareBudget
-	}
 	// Pin the statement's snapshot: every stored-data read — across
 	// crowd waits that may last minutes — sees exactly the rows
 	// committed at this timestamp. Released when the statement finishes
@@ -837,8 +817,7 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts Exec
 		Cat:           e.cat,
 		Tasks:         e.tasks,
 		Cache:         e.cache,
-		CompareBudget: budget,
-		BatchSize:     e.cfg.BatchSize,
+		CompareBudget: max(opts.CompareBudget, 0), // the executor reads a negative budget as exhausted
 		SnapshotTS:    snap.TS(),
 		Context:       ctx,
 		Progress:      opts.Progress,
@@ -934,7 +913,6 @@ func (e *Engine) installSubqueryRunner(ctx *exec.Ctx, depth int) {
 			Tasks:         ctx.Tasks,
 			Cache:         ctx.Cache,
 			CompareBudget: budget,
-			BatchSize:     ctx.BatchSize,
 			SnapshotTS:    ctx.SnapshotTS, // one snapshot for the whole statement
 			Context:       ctx.Context,
 			// The subquery's spans nest under the operator evaluating the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crowddb/internal/crowd/amt"
+	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
@@ -376,7 +377,7 @@ func newConferenceEngineWithDir(t *testing.T, seed int64, dir string, conf *work
 }
 
 func TestNoCrowdEngineDegrades(t *testing.T) {
-	eng, err := Open(Config{AllowUnbounded: true})
+	eng, err := Open(Config{Optimizer: optimizer.Options{AllowUnbounded: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestInsertDefaultsCrowdColumnsToCNull(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Errorf("all inserted talks have CNULL abstracts: %d", len(res.Rows))
 	}
-	tab, _ := eng.Catalog().Table("Talk")
+	tab, _ := eng.cat.Table("Talk")
 	if tab.Stats().CNullCount["abstract"] != 10 {
 		t.Errorf("CNULL stats: %+v", tab.Stats().CNullCount)
 	}
@@ -420,7 +421,7 @@ func TestWRMPaysDuringQueries(t *testing.T) {
 	if len(eng.WRM().Ledger()) == 0 {
 		t.Error("the WRM must settle payments for collected assignments")
 	}
-	if len(eng.Tracker().Workers()) == 0 {
+	if len(eng.tracker.Workers()) == 0 {
 		t.Error("worker quality must be tracked")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -82,33 +83,43 @@ func TestWorkerNoShowDeadline(t *testing.T) {
 	}
 }
 
-// The comparison budget caps crowd comparisons per query; CROWDORDER then
-// degrades deterministically instead of overspending.
+// A positive ExecOpts.CompareBudget caps a statement's crowd comparisons;
+// CROWDORDER then degrades deterministically instead of overspending.
+// Zero and DefaultExecOpts' −1 are unlimited.
 func TestCompareBudget(t *testing.T) {
-	conf := workload.NewConference(10, 34)
-	eng, err := Open(Config{
-		Platform:      amt.NewDefault(34),
-		Oracle:        conf.Oracle(),
-		Payment:       wrm.DefaultPolicy(),
-		CompareBudget: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mustExec(t, eng, `CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING, nb_attendees CROWD INTEGER)`)
-	for _, talk := range conf.Talks {
-		mustExec(t, eng, fmt.Sprintf("INSERT INTO Talk (title) VALUES ('%s')", talk.Title))
-	}
-	res := mustExec(t, eng, `SELECT title FROM Talk ORDER BY CROWDORDER(title, "better?")`)
-	if res.Stats.Comparisons > 5 {
-		t.Errorf("budget exceeded: %+v", res.Stats)
-	}
-	if res.Stats.BudgetDenied == 0 {
-		t.Errorf("denials expected for a 10-row sort with budget 5: %+v", res.Stats)
-	}
-	if len(res.Rows) != 10 {
-		t.Errorf("sort must still return all rows: %d", len(res.Rows))
+	for _, budget := range []int{5, 0, DefaultExecOpts().CompareBudget} {
+		conf := workload.NewConference(10, 34)
+		eng, err := Open(Config{
+			Platform: amt.NewDefault(34),
+			Oracle:   conf.Oracle(),
+			Payment:  wrm.DefaultPolicy(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, eng, `CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING, nb_attendees CROWD INTEGER)`)
+		for _, talk := range conf.Talks {
+			mustExec(t, eng, fmt.Sprintf("INSERT INTO Talk (title) VALUES ('%s')", talk.Title))
+		}
+		res, err := eng.Execute(context.Background(), `SELECT title FROM Talk ORDER BY CROWDORDER(title, "better?")`,
+			ExecOpts{CompareBudget: budget})
+		eng.Close()
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if len(res.Rows) != 10 {
+			t.Errorf("budget %d: sort must still return all rows: %d", budget, len(res.Rows))
+		}
+		if budget > 0 {
+			if res.Stats.Comparisons > budget {
+				t.Errorf("budget %d exceeded: %+v", budget, res.Stats)
+			}
+			if res.Stats.BudgetDenied == 0 {
+				t.Errorf("denials expected for a 10-row sort with budget %d: %+v", budget, res.Stats)
+			}
+		} else if res.Stats.BudgetDenied != 0 || res.Stats.Comparisons <= 5 {
+			t.Errorf("budget %d must be unlimited: %+v", budget, res.Stats)
+		}
 	}
 }
 

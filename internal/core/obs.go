@@ -40,11 +40,7 @@ func (e *Engine) initObservability() {
 	if !e.cfg.DisableObservability {
 		e.tracer = obs.NewTracer(0)
 		if e.cfg.SlowQueryThreshold > 0 {
-			w := e.cfg.SlowQueryLog
-			if w == nil {
-				w = os.Stderr
-			}
-			e.tracer.SetSlowQueryLog(e.cfg.SlowQueryThreshold, w)
+			e.tracer.SetSlowQueryLog(e.cfg.SlowQueryThreshold, os.Stderr)
 		}
 	}
 

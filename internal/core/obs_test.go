@@ -124,16 +124,15 @@ func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	conf := workload.NewConference(20, 34)
 	eng, err := Open(Config{
-		Platform:           amt.NewDefault(34),
-		Oracle:             conf.Oracle(),
-		Payment:            wrm.DefaultPolicy(),
-		SlowQueryThreshold: time.Nanosecond, // everything is slow
-		SlowQueryLog:       &buf,
+		Platform: amt.NewDefault(34),
+		Oracle:   conf.Oracle(),
+		Payment:  wrm.DefaultPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	eng.Tracer().SetSlowQueryLog(time.Nanosecond, &buf) // everything is slow
 	mustExec(t, eng, "CREATE TABLE t (id INTEGER PRIMARY KEY)")
 	mustExec(t, eng, "SELECT id FROM t")
 	out := buf.String()

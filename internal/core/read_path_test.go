@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"crowddb/internal/crowd"
+	"crowddb/internal/optimizer"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -199,7 +200,7 @@ func TestStatsFollowOnlyAcceptedWrites(t *testing.T) {
 	mustExec(t, eng, "INSERT INTO t (id) VALUES (1), (2)")
 	check := func(after string, rows, cnulls int64) {
 		t.Helper()
-		tab, _ := eng.Catalog().Table("t")
+		tab, _ := eng.cat.Table("t")
 		res := mustExec(t, eng, "SELECT COUNT(*), COUNT(note) FROM t")
 		if got := res.Rows[0][0].Int(); got != rows || tab.RowCount() != rows {
 			t.Errorf("after %s: %d rows stored, catalog counts %d, want %d", after, got, tab.RowCount(), rows)
@@ -247,7 +248,7 @@ func TestExplainRowsArePricedRows(t *testing.T) {
 	if !strings.Contains(probe, "~2 rows  ¢12.0") {
 		t.Errorf("the probe is priced for 2 probed rows and must say so:\n%s", res.Plan)
 	}
-	openWorld, err := Open(Config{AllowUnbounded: true, Platform: newAMT(3)})
+	openWorld, err := Open(Config{Optimizer: optimizer.Options{AllowUnbounded: true}, Platform: newAMT(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,14 +124,19 @@ func lastTraceID(slow string) string {
 func TestTraceGolden(t *testing.T) {
 	var out strings.Builder
 	slow := &syncBuffer{}
-	everySlow := core.Config{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: slow}
-
-	// A point SELECT on an engine-owned trace.
-	{
-		eng, err := core.Open(everySlow)
+	// openSlow opens an engine whose every statement is slow-query logged.
+	openSlow := func(cfg core.Config) *core.Engine {
+		eng, err := core.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.Tracer().SetSlowQueryLog(time.Nanosecond, slow)
+		return eng
+	}
+
+	// A point SELECT on an engine-owned trace.
+	{
+		eng := openSlow(core.Config{})
 		defer eng.Close()
 		goldenExec(t, eng, "CREATE TABLE Talk (title STRING PRIMARY KEY, room STRING, nb_attendees INTEGER)")
 		for i := 0; i < 20; i++ {
@@ -145,12 +150,7 @@ func TestTraceGolden(t *testing.T) {
 
 	// scan_read's grouped top-k over two shards.
 	{
-		cfg := everySlow
-		cfg.Shards = 2
-		eng, err := core.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := openSlow(core.Config{Shards: 2})
 		defer eng.Close()
 		goldenExec(t, eng, "CREATE TABLE Talk (title STRING PRIMARY KEY, room STRING, nb_attendees INTEGER)")
 		goldenExec(t, eng, "CREATE INDEX talk_room ON Talk (room)")
@@ -191,14 +191,7 @@ func TestTraceGolden(t *testing.T) {
 		mcfg.Pool.AccuracySpread = 0
 		mcfg.Pool.GarbageRate = 0
 		mcfg.FormatNoiseRate = 0
-		cfg := everySlow
-		cfg.Platform = amt.New(sim.NewMarket(mcfg))
-		cfg.Oracle = oracle
-		cfg.Payment = wrm.DefaultPolicy()
-		eng, err := core.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := openSlow(core.Config{Platform: amt.New(sim.NewMarket(mcfg)), Oracle: oracle, Payment: wrm.DefaultPolicy()})
 		defer eng.Close()
 		goldenExec(t, eng, "CREATE TABLE Pair (id INTEGER PRIMARY KEY, a STRING, b STRING)")
 		for i, c := range workload.NewCompanies(pairs, seed).List {

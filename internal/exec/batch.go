@@ -1,13 +1,13 @@
 package exec
 
 // Batch plumbing for the vectorized streaming executor: the Batch unit,
-// the configurable batch size, and the small helpers operators share to
+// the batch size, and the small helpers operators share to
 // emit batches without re-allocating. The Operator contract itself
 // (ownership, reuse, EOF semantics) is documented in the package comment
 // in operators.go.
 
 // DefaultBatchSize is the number of rows an operator aims to hand over
-// per NextBatch call when Ctx.BatchSize is unset. Large enough to
+// per NextBatch call; tests vary it through Ctx.batchSize. Large enough to
 // amortize per-call overhead across the pipeline, small enough that a
 // first batch never resembles materialization.
 const DefaultBatchSize = 256
@@ -31,10 +31,10 @@ func (b *Batch) Len() int {
 // reset empties the batch for refilling, keeping the backing capacity.
 func (b *Batch) reset() { b.Rows = b.Rows[:0] }
 
-// batchSize resolves the effective rows-per-batch for this statement.
-func (c *Ctx) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
+// rowsPerBatch resolves the effective rows-per-batch for this statement.
+func (c *Ctx) rowsPerBatch() int {
+	if c.batchSize > 0 {
+		return c.batchSize
 	}
 	return DefaultBatchSize
 }
@@ -44,7 +44,7 @@ func (c *Ctx) batchSize() int {
 // contract's (nil, nil) when next had nothing left.
 func fillBatch(ctx *Ctx, buf *Batch, next func(*Ctx) (Row, error)) (*Batch, error) {
 	buf.reset()
-	for limit := ctx.batchSize(); len(buf.Rows) < limit; {
+	for limit := ctx.rowsPerBatch(); len(buf.Rows) < limit; {
 		r, err := next(ctx)
 		if err != nil {
 			return nil, err
@@ -73,7 +73,7 @@ func (e *batchEmitter) next(ctx *Ctx) *Batch {
 	if e.pos >= len(e.rows) {
 		return nil
 	}
-	n := min(ctx.batchSize(), len(e.rows)-e.pos)
+	n := min(ctx.rowsPerBatch(), len(e.rows)-e.pos)
 	e.buf.Rows = e.rows[e.pos : e.pos+n]
 	e.pos += n
 	return &e.buf

@@ -1,7 +1,7 @@
 package exec
 
 // Tests for the vectorized batch pipeline: the batch-size invariance
-// property (BatchSize=1 IS the old row-at-a-time execution, so equality
+// property (batchSize=1 IS the old row-at-a-time execution, so equality
 // across sizes proves the redesign changed the unit of flow, not the
 // results), a LIMIT stopping the scan below it, the
 // legacy-operator adapter, and a -race stress of the quorum-streaming
@@ -122,12 +122,12 @@ func rowsKey(rows []Row) string {
 // runSized executes sql with an explicit batch size.
 func (h *harness) runSized(t *testing.T, sql string, size int) []Row {
 	t.Helper()
-	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), BatchSize: size}
+	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), batchSize: size}
 	return h.runCtxOpts(t, ctx, sql, optimizer.Options{})
 }
 
 // TestBatchSizeInvariance is the redesign's core property: 100 random
-// plans produce row-for-row identical output at BatchSize 1 (degenerate
+// plans produce row-for-row identical output at batchSize 1 (degenerate
 // row-at-a-time), 7 (never divides anything evenly), and the default.
 func TestBatchSizeInvariance(t *testing.T) {
 	h := setupNums(t)
@@ -166,7 +166,7 @@ func TestLimitStopsScanAtWholeBatches(t *testing.T) {
 		h.insert(t, "big", Row{num(int64(i)), num(int64(i % 7))})
 	}
 	for batch, examined := range map[int]int{1: 5, 7: 7, 256: 256} {
-		ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), BatchSize: batch}
+		ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), batchSize: batch}
 		rows := h.runCtxOpts(t, ctx, "SELECT id FROM big WHERE val >= 0 LIMIT 5",
 			optimizer.Options{DisableStopAfter: true})
 		if len(rows) != 5 {
@@ -199,7 +199,7 @@ func TestCrowdEqualConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctx := &Ctx{Store: h.store, Cat: h.cat, Tasks: base.Tasks, Cache: base.Cache, BatchSize: 3}
+			ctx := &Ctx{Store: h.store, Cat: h.cat, Tasks: base.Tasks, Cache: base.Cache, batchSize: 3}
 			rows, err := h.collectStreamed(ctx, `SELECT id FROM v WHERE a ~= b`)
 			if err != nil {
 				errs[w] = err

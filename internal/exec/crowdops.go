@@ -123,10 +123,10 @@ type Ctx struct {
 	// of child operators.
 	OpStats map[plan.Node]*OpStats
 
-	// BatchSize is the rows-per-batch target of the vectorized pipeline
-	// (0 = DefaultBatchSize). Batch size changes emission granularity
-	// only, never results or crowd scheduling.
-	BatchSize int
+	// batchSize is the rows-per-batch target of the vectorized pipeline
+	// (0 = DefaultBatchSize; only tests vary it). Batch size changes
+	// emission granularity only, never results or crowd scheduling.
+	batchSize int
 	// OpMetrics, when non-nil, receives each instrumented operator's
 	// final accounting at Close (rows/sec, peak buffered rows) — the
 	// engine aggregates it into /metrics per operator type.
@@ -398,7 +398,7 @@ func (c crowdEqualCall) operands(row Row) (question, l, r string, skip bool, err
 // verdicts evaluate and stream out while later groups are still open on
 // the platform.
 func (es *equalStream) nextBatch(ctx *Ctx) (*Batch, error) {
-	limit := ctx.batchSize()
+	limit := ctx.rowsPerBatch()
 	for {
 		es.buf.reset()
 		for es.nextRow < len(es.rows) && len(es.buf.Rows) < limit && es.rowReady(es.nextRow) {

@@ -487,21 +487,29 @@ func likeMatch(s, pattern string) bool {
 	return likeRunes([]rune(strings.ToLower(s)), []rune(strings.ToLower(pattern)))
 }
 
+// likeRunes is the iterative wildcard match, O(len(s)·len(p)): on a
+// mismatch it retries the last % one rune further into s, never an
+// earlier one.
 func likeRunes(s, p []rune) bool {
-	if len(p) == 0 {
-		return len(s) == 0
-	}
-	switch p[0] {
-	case '%':
-		for i := 0; i <= len(s); i++ {
-			if likeRunes(s[i:], p[1:]) {
-				return true
-			}
+	si, pi := 0, 0
+	star, mark := -1, 0 // the last % seen in p, and the s position it was tried at
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
+		default:
+			return false
 		}
-		return false
-	case '_':
-		return len(s) > 0 && likeRunes(s[1:], p[1:])
-	default:
-		return len(s) > 0 && s[0] == p[0] && likeRunes(s[1:], p[1:])
 	}
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"crowddb/internal/parser"
@@ -175,5 +176,67 @@ func TestLikeEdgeCases(t *testing.T) {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.s, c.p, got)
 		}
+	}
+}
+
+// TestLikeMatchesReference compares the matcher with the recursive
+// reference on every value and pattern of up to four runes over a, b,
+// % and _ (so a value may hold a literal % or _).
+func TestLikeMatchesReference(t *testing.T) {
+	words := []string{""}
+	for i := 0; i < len(words); i++ {
+		if len(words[i]) < 4 {
+			for _, r := range "ab%_" {
+				words = append(words, words[i]+string(r))
+			}
+		}
+	}
+	for _, s := range words {
+		for _, p := range words {
+			if got, want := likeMatch(s, p), likeMatchRef(s, p); got != want {
+				t.Fatalf("likeMatch(%q, %q) = %v, reference %v", s, p, got, want)
+			}
+		}
+	}
+}
+
+// TestLikeManyWildcardsIsPolynomial: a pattern with many % against a long
+// value that almost matches takes time exponential in the % count under
+// the recursive reference; the production matcher is O(len(s)·len(p)).
+func TestLikeManyWildcardsIsPolynomial(t *testing.T) {
+	s := strings.Repeat("a", 10000)
+	p := strings.Repeat("%a", 8) + "%b"
+	if likeMatch(s, p) {
+		t.Errorf("%q must not match %d a's", p, len(s))
+	}
+	if !likeMatch(s+"b", p) {
+		t.Errorf("%q must match %d a's and a b", p, len(s))
+	}
+}
+
+// likeMatchRef is the direct recursive reading of LIKE: at every % it
+// tries every suffix, which costs time exponential in the % count. The
+// reference evaluator uses it, so the bound evaluator's fuzz target
+// compares the two matchers.
+func likeMatchRef(s, pattern string) bool {
+	return likeRunesRef([]rune(strings.ToLower(s)), []rune(strings.ToLower(pattern)))
+}
+
+func likeRunesRef(s, p []rune) bool {
+	if len(p) == 0 {
+		return len(s) == 0
+	}
+	switch p[0] {
+	case '%':
+		for i := 0; i <= len(s); i++ {
+			if likeRunesRef(s[i:], p[1:]) {
+				return true
+			}
+		}
+		return false
+	case '_':
+		return len(s) > 0 && likeRunesRef(s[1:], p[1:])
+	default:
+		return len(s) > 0 && s[0] == p[0] && likeRunesRef(s[1:], p[1:])
 	}
 }

@@ -24,8 +24,8 @@
 // so Ctx.Stats, operator buffers and the store's shared row images are
 // touched by exactly one goroutine per statement.
 //
-// Batch sizing is per-statement (Ctx.BatchSize, DefaultBatchSize when
-// unset). Operators reuse one batch buffer across NextBatch calls, so a
+// Every statement runs at DefaultBatchSize rows per batch (tests vary
+// it). Operators reuse one batch buffer across NextBatch calls, so a
 // steady-state pipeline allocates no per-batch memory.
 //
 // Streaming semantics: scans, filters, projections, joins (probe side),
@@ -362,7 +362,7 @@ func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		if s.emitted >= end {
 			return nil, nil // fully emitted (done, nothing left)
 		}
-		n := min(ctx.batchSize(), end-s.emitted)
+		n := min(ctx.rowsPerBatch(), end-s.emitted)
 		s.buf.reset()
 		for i := s.emitted; i < s.emitted+n; i++ {
 			s.buf.Rows = append(s.buf.Rows, s.rows[s.sorter.idx[i]])
@@ -373,7 +373,7 @@ func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if s.emitted >= len(s.rows) {
 		return nil, nil
 	}
-	n := min(ctx.batchSize(), len(s.rows)-s.emitted)
+	n := min(ctx.rowsPerBatch(), len(s.rows)-s.emitted)
 	s.buf.Rows = s.rows[s.emitted : s.emitted+n]
 	s.emitted += n
 	return &s.buf, nil

@@ -332,7 +332,7 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 									step, where, at, quota, rd.cursors, ids, rowsKey(rows), wantIDs, rowsKey(want))
 							}
 							for _, size := range []int{1, 7, 256} {
-								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, BatchSize: size}
+								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, batchSize: size}
 								got, err := Run(&seqScan{rd: tableReader{node: node}}, ctx)
 								if err != nil {
 									t.Fatal(err)

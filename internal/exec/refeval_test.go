@@ -240,7 +240,7 @@ func refEvalBinary(x *parser.BinaryExpr, ctx *refCtx) (sqltypes.Value, error) {
 		if l.IsUnknown() || r.IsUnknown() {
 			return sqltypes.Null(), nil
 		}
-		return sqltypes.NewBool(likeMatch(l.String(), r.String())), nil
+		return sqltypes.NewBool(likeMatchRef(l.String(), r.String())), nil
 	case "||":
 		if l.IsUnknown() || r.IsUnknown() {
 			return sqltypes.Null(), nil

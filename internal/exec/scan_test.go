@@ -90,7 +90,7 @@ func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 						}
 					}
 					sql := fmt.Sprintf("SELECT id, val FROM t WHERE val > %d", bound)
-					ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at, BatchSize: 16}
+					ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), SnapshotTS: at, batchSize: 16}
 					if got := h.runCtxOpts(t, ctx, sql, optimizer.Options{}); rowsKey(got) != rowsKey(want) {
 						t.Fatalf("step %d, scan at %d:\ngot  %swant %s", step, at, rowsKey(got), rowsKey(want))
 					}
@@ -146,7 +146,7 @@ func TestScanStatementsOwnNoGoroutines(t *testing.T) {
 		"SELECT room, COUNT(*), AVG(nb_attendees) FROM Talk WHERE nb_attendees < 950 GROUP BY room ORDER BY AVG(nb_attendees) DESC LIMIT 10",
 		"SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10",
 	} {
-		ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), BatchSize: 16}
+		ctx := &Ctx{Store: st, Cat: h.cat, Cache: NewCompareCache(), batchSize: 16}
 		op, err := h.compile(ctx, sql)
 		if err != nil {
 			t.Fatal(err)

@@ -144,7 +144,7 @@ func (h *harness) runOutcome(sql string, opts optimizer.Options, batch int) (out
 		return "optimize: " + err.Error(), ""
 	}
 	tree = plan.ExplainTree(opt.Root)
-	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), BatchSize: batch}
+	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache(), batchSize: batch}
 	op, err := Build(opt.Root, ctx)
 	if err != nil {
 		return "build: " + err.Error(), tree

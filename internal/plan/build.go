@@ -78,7 +78,7 @@ func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 		}
 	}
 	for _, it := range items {
-		if err := bindSelectExpr(it.Expr, root.Schema()); err != nil {
+		if err := bindExpr(it.Expr, root.Schema()); err != nil {
 			return nil, err
 		}
 	}
@@ -97,7 +97,7 @@ func Build(sel *parser.Select, cat *catalog.Catalog) (Node, error) {
 		agg := &Aggregate{Input: root, GroupBy: sel.GroupBy, Items: items, Having: sel.Having}
 		agg.schema = outputSchema(items, root.Schema())
 		if sel.Having != nil {
-			if err := bindHaving(sel.Having, root.Schema()); err != nil {
+			if err := bindExpr(sel.Having, root.Schema()); err != nil {
 				return nil, err
 			}
 		}
@@ -175,12 +175,6 @@ func bindExpr(e parser.Expr, schema []Col) error {
 	})
 	return firstErr
 }
-
-// bindSelectExpr is bindExpr but permits aggregate calls.
-func bindSelectExpr(e parser.Expr, schema []Col) error { return bindExpr(e, schema) }
-
-// bindHaving permits aggregates over the input schema.
-func bindHaving(e parser.Expr, schema []Col) error { return bindExpr(e, schema) }
 
 // placeSort positions the Sort operator. SQL lets ORDER BY reference output
 // columns (aliases, select-list expressions) or, for plain projections,
@@ -300,18 +294,7 @@ func bindSortKey(e parser.Expr, schema []Col) error {
 	if parser.HasCrowdFunc(e) {
 		return nil
 	}
-	var firstErr error
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if firstErr != nil {
-			return
-		}
-		if cr, ok := x.(*parser.ColumnRef); ok {
-			if _, err := FindCol(schema, cr.Table, cr.Name); err != nil {
-				firstErr = err
-			}
-		}
-	})
-	return firstErr
+	return bindExpr(e, schema)
 }
 
 // checkGrouping enforces that non-aggregate select items appear in GROUP BY;

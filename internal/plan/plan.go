@@ -451,14 +451,4 @@ func FindCol(schema []Col, table, name string) (int, error) {
 
 // CoveredBy reports whether every column reference in e resolves in
 // schema.
-func CoveredBy(e parser.Expr, schema []Col) bool {
-	covered := true
-	parser.WalkExprs(e, func(x parser.Expr) {
-		if cr, ok := x.(*parser.ColumnRef); ok {
-			if _, err := FindCol(schema, cr.Table, cr.Name); err != nil {
-				covered = false
-			}
-		}
-	})
-	return covered
-}
+func CoveredBy(e parser.Expr, schema []Col) bool { return bindExpr(e, schema) == nil }

@@ -10,8 +10,8 @@ import (
 
 // HTTP/JSON API.
 //
-// v1 — the asynchronous jobs surface (docs/openapi.yaml is generated
-// from this contract):
+// v1 — the asynchronous jobs surface (docs/openapi.yaml describes it by
+// hand, and the OpenAPI tests hold the two to each other):
 //
 //	POST   /v1/queries          {"sql": "...", "session": "s000001"?}
 //	                            -> 202 job resource (id, state, ...);

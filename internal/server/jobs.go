@@ -45,6 +45,11 @@ const (
 	JobInterrupted JobState = "interrupted"
 )
 
+// maxRetainedJobs caps retained finished jobs: terminal job resources
+// stay pollable until the cap evicts the oldest. Active jobs are never
+// evicted.
+const maxRetainedJobs = 256
+
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled || s == JobInterrupted
@@ -587,10 +592,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 			return
 		}
 		var stmtStats exec.Stats
-		opts := core.DefaultExecOpts()
-		if reserved > 0 {
-			opts.CompareBudget = reserved
-		}
+		opts := core.ExecOpts{CompareBudget: reserved} // 0 = unlimited
 		opts.Sink = s.jobSink(job)
 		opts.OnSchema = s.jobSchema(job)
 		opts.OnStats = func(st exec.Stats) { stmtStats = st }
@@ -641,11 +643,7 @@ func (s *Server) retireJob(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, job.id)
-	maxJobs := s.cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 256
-	}
-	for len(s.finished) > maxJobs {
+	for len(s.finished) > maxRetainedJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

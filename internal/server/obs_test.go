@@ -278,12 +278,14 @@ func TestJobTraceEndpoint(t *testing.T) {
 
 func TestTraceUnknownAndEvictedJobs(t *testing.T) {
 	eng := pairEngine(t, 63, 1)
-	srv := New(eng, Config{MaxJobs: 1})
+	srv := New(eng, Config{})
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
 
 	first := runJobWait(t, srv, "SHOW TABLES")
-	runJobWait(t, srv, "SHOW TABLES") // retention cap 1 evicts the first
+	for i := 0; i < maxRetainedJobs; i++ { // the retention cap evicts the first
+		runJobWait(t, srv, "SHOW TABLES")
+	}
 
 	for _, id := range []string{"zzz", first.ID()} {
 		resp, err := http.Get(ts.URL + "/v1/queries/" + id + "/trace")

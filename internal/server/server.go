@@ -36,16 +36,9 @@ type Config struct {
 	MaxSessions int
 	// MaxConcurrent bounds concurrently executing queries (0 = 32).
 	MaxConcurrent int
-	// MaxQueueDepth is the task-manager submission-queue depth beyond
-	// which new queries are rejected as busy (0 = 4x the async window).
-	MaxQueueDepth int
 	// SessionBudget is the default per-session crowd-comparison budget
 	// (0 = unlimited). Sessions may be created with an explicit budget.
 	SessionBudget int
-	// MaxJobs caps retained finished jobs (0 = 256): terminal job
-	// resources stay pollable until the cap evicts the oldest. Active
-	// jobs are never evicted.
-	MaxJobs int
 	// AdmissionHeadroom enables budget-aware admission: a script whose
 	// forecast crowd spend exceeds remaining_budget × headroom is
 	// rejected with budget_exhausted BEFORE any HIT is posted. 1.0
@@ -134,13 +127,6 @@ func New(eng *core.Engine, cfg Config) *Server {
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 32
-	}
-	if cfg.MaxQueueDepth <= 0 {
-		window := 8
-		if t := eng.Tasks(); t != nil && t.Config().MaxInFlight > 0 {
-			window = t.Config().MaxInFlight
-		}
-		cfg.MaxQueueDepth = 4 * window
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -258,11 +244,12 @@ func (s *Server) admit(ctx context.Context, waiting func()) *Error {
 	s.mu.Unlock()
 
 	if t := s.eng.Tasks(); t != nil {
-		if _, queued := t.Load(); queued > s.cfg.MaxQueueDepth {
+		limit := 4 * t.Config().MaxInFlight // four in-flight windows of backlog
+		if _, queued := t.Load(); queued > limit {
 			s.exitActive()
 			return errf(CodeBusy,
 				"task manager backlog: %d HIT groups queued (limit %d); retry later",
-				queued, s.cfg.MaxQueueDepth)
+				queued, limit)
 		}
 	}
 	select {

@@ -349,7 +349,9 @@ func TestServerDeterministicVsDirectEngine(t *testing.T) {
 // new queries with server_busy instead of deepening the backlog.
 func TestBackpressureBusy(t *testing.T) {
 	eng := pairEngine(t, 13, 2)
-	srv := New(eng, Config{MaxQueueDepth: 2})
+	srv := New(eng, Config{})
+	window := eng.Tasks().Config().MaxInFlight
+	limit := 4 * window // the backlog the server derives from the window
 
 	// Flood the scheduler: the async window (8) fills, the rest queue.
 	group := func(i int) *crowd.HITGroup {
@@ -368,11 +370,11 @@ func TestBackpressureBusy(t *testing.T) {
 		return g
 	}
 	var pendings []*taskmgr.Pending
-	for i := 0; i < 14; i++ { // 8 in flight + 6 queued > MaxQueueDepth
+	for i := 0; i < window+limit+1; i++ { // 8 in flight + 33 queued > 32
 		pendings = append(pendings, eng.Tasks().Submit(group(i)))
 	}
-	if _, queued := eng.Tasks().Load(); queued <= 2 {
-		t.Fatalf("test setup: queue depth %d, want > 2", queued)
+	if _, queued := eng.Tasks().Load(); queued <= limit {
+		t.Fatalf("test setup: queue depth %d, want > %d", queued, limit)
 	}
 
 	if _, qerr := runScript(srv, "", "SELECT id FROM Pair"); qerr == nil || qerr.Code != CodeBusy {

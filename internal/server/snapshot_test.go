@@ -54,12 +54,12 @@ func TestJobReportsSnapshotTS(t *testing.T) {
 }
 
 // TestEvictedJobRowsUnknownJob: GET /v1/queries/{id}/rows?from=N for a
-// job evicted by the MaxJobs retention cap must fail with the coded
+// job evicted by the retention cap must fail with the coded
 // unknown_job 404, not an empty or hanging stream (satellite: clients
 // resuming a stream must learn the job is gone and re-submit).
 func TestEvictedJobRowsUnknownJob(t *testing.T) {
 	eng := pairEngine(t, 89, 2)
-	srv := New(eng, Config{MaxJobs: 1})
+	srv := New(eng, Config{})
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
 
@@ -81,13 +81,15 @@ func TestEvictedJobRowsUnknownJob(t *testing.T) {
 		t.Fatalf("retained job rows: status %d, want 200", resp.StatusCode)
 	}
 
-	// A second finished job pushes the first past the MaxJobs=1 cap.
-	second, serr := srv.StartJob("", "SELECT id FROM Pair")
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if st := waitState(t, second); st != JobDone {
-		t.Fatalf("second job: state = %s, err = %v", st, second.Err())
+	// As many finished jobs again as the cap retains push the first out.
+	for i := 0; i < maxRetainedJobs; i++ {
+		next, serr := srv.StartJob("", "SELECT id FROM Pair")
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if st := waitState(t, next); st != JobDone {
+			t.Fatalf("job %d: state = %s, err = %v", i, st, next.Err())
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/queries/" + first.ID() + "/rows?from=2")

@@ -9,7 +9,7 @@ package taskmgr
 //
 // Virtual time advances only inside Wait: the first goroutine that blocks
 // on an unresolved group takes the driver role, repeatedly polling every
-// in-flight group and stepping the platform clock by PollInterval until
+// in-flight group and stepping the platform clock by pollInterval until
 // its own group resolves, then hands the role to the next waiter. Exactly
 // one goroutine ever steps the clock, so for a fixed seed and a fixed
 // Submit order the simulation replays identically regardless of how many
@@ -26,6 +26,10 @@ import (
 	"crowddb/internal/faultinject"
 	"crowddb/internal/quality"
 )
+
+// pollInterval is the virtual-clock step: how often the Task Manager
+// polls the platform, and how far each poll advances the simulated crowd.
+const pollInterval = time.Minute
 
 // ErrCancelled resolves a Pending whose submission was withdrawn before it
 // was posted to the platform (see Pending.Cancel).
@@ -297,7 +301,7 @@ func (m *Manager) resolveLocked(p *Pending, byHIT map[string][]*crowd.Assignment
 }
 
 // drive owns the platform clock: it polls every in-flight group, resolves
-// the finished ones, and steps virtual time by PollInterval until target
+// the finished ones, and steps virtual time by pollInterval until target
 // resolves. Exactly one goroutine runs drive at a time.
 //
 // CrowdTime accounting lives here: virtual time only ever advances in the
@@ -321,15 +325,15 @@ func (m *Manager) drive(target *Pending, ctx context.Context) {
 		m.sched.mu.Lock()
 		busy := len(m.sched.inflight) > 0
 		m.sched.mu.Unlock()
-		m.platform.Step(m.cfg.PollInterval)
+		m.platform.Step(pollInterval)
 		if m.cfg.ModelPlatform != nil {
 			// Both tiers share the poll cadence so their virtual
 			// clocks stay in step across escalations.
-			m.cfg.ModelPlatform.Step(m.cfg.PollInterval)
+			m.cfg.ModelPlatform.Step(pollInterval)
 		}
 		if busy {
 			m.mu.Lock()
-			m.stats.CrowdTime += m.cfg.PollInterval
+			m.stats.CrowdTime += pollInterval
 			m.mu.Unlock()
 		}
 	}

@@ -40,16 +40,9 @@ type Config struct {
 	Reward crowd.Cents
 	// Assignments is the replication factor per HIT (majority-vote width).
 	Assignments int
-	// PollInterval is how often the Task Manager polls the platform; each
-	// poll advances the simulated crowd by the same amount.
-	PollInterval time.Duration
 	// MaxWait bounds how long to wait for a group before expiring it and
 	// working with partial answers.
 	MaxWait time.Duration
-	// NewTupleAssignments is the replication for new-tuple solicitations
-	// (each assignment is a distinct candidate tuple, so this is the
-	// number of candidates requested per open slot).
-	NewTupleAssignments int
 	// MaxInFlight bounds how many HIT groups may be live on the platform
 	// at once (the async scheduler's window). Submissions beyond it queue
 	// until a slot frees. 1 serializes groups (the original behavior).
@@ -75,8 +68,8 @@ type Config struct {
 	ModelReward crowd.Cents
 	// ModelAssignments is the replication on the model tier (<=0 defaults
 	// to 1 — model replicas are correlated, replication buys less than
-	// it does with humans). New-tuple solicitations keep their own
-	// replication: there each assignment is a distinct candidate.
+	// it does with humans). A new-tuple solicitation asks one candidate
+	// per slot on either tier.
 	ModelAssignments int
 	// ConfidenceFloor escalates a HIT whose mean model confidence is
 	// below it (<=0 defaults to 0.75).
@@ -100,13 +93,11 @@ type Config struct {
 // 3-way replication, generous deadline.
 func DefaultConfig() Config {
 	return Config{
-		Reward:              2,
-		Assignments:         3,
-		PollInterval:        time.Minute,
-		MaxWait:             72 * time.Hour,
-		NewTupleAssignments: 1,
-		MaxInFlight:         8,
-		RetryAttempts:       3,
+		Reward:        2,
+		Assignments:   3,
+		MaxWait:       72 * time.Hour,
+		MaxInFlight:   8,
+		RetryAttempts: 3,
 	}
 }
 
@@ -122,20 +113,19 @@ type Prices struct {
 // Prices computes the price list: reward × replication on the human
 // tier or, with a model tier, the blended model-first rate — every HIT
 // pays the model tier and the escalated fraction additionally pays the
-// human rate. A solicited tuple keeps the tuple replication on both
-// tiers (each assignment is a distinct candidate), so only its reward
-// differs.
+// human rate. A solicited slot asks for one candidate, so on either
+// tier a tuple's price is that tier's reward.
 func (c Config) Prices(escalation float64) Prices {
 	human := Prices{
 		Compare: float64(c.Reward) * float64(c.Assignments),
-		Tuple:   float64(c.Reward) * float64(c.NewTupleAssignments),
+		Tuple:   float64(c.Reward),
 	}
 	if c.ModelPlatform == nil {
 		return human
 	}
 	return Prices{
 		Compare: float64(c.ModelReward)*float64(c.ModelAssignments) + escalation*human.Compare,
-		Tuple:   float64(c.ModelReward)*float64(c.NewTupleAssignments) + escalation*human.Tuple,
+		Tuple:   float64(c.ModelReward) + escalation*human.Tuple,
 	}
 }
 
@@ -226,14 +216,8 @@ func New(platform crowd.Platform, uim *ui.Manager, tracker *quality.Tracker, pay
 	if cfg.Assignments <= 0 {
 		cfg.Assignments = 3
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = time.Minute
-	}
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 72 * time.Hour
-	}
-	if cfg.NewTupleAssignments <= 0 {
-		cfg.NewTupleAssignments = 1
 	}
 	if cfg.Reward <= 0 {
 		cfg.Reward = 2
@@ -457,7 +441,7 @@ func (m *Manager) NewTuplesBatchAsync(table string, reqs []TupleRequest) (*Call[
 		Description: fmt.Sprintf("Add new rows to the %s table.", table),
 		Kind:        crowd.TaskNewTuple,
 		Reward:      m.cfg.Reward,
-		Assignments: m.cfg.NewTupleAssignments,
+		Assignments: 1, // one candidate per solicited slot
 		Expiry:      m.cfg.MaxWait,
 	}
 	hitReq := make(map[string]int) // HIT ID -> request index

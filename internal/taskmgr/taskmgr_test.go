@@ -212,7 +212,7 @@ func TestEmptyBatches(t *testing.T) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	m := New(amt.NewDefault(1), nil, quality.NewTracker(), nil, nil, Config{})
 	cfg := m.Config()
-	if cfg.Assignments != 3 || cfg.Reward != 2 || cfg.PollInterval <= 0 || cfg.MaxWait <= 0 {
+	if cfg.Assignments != 3 || cfg.Reward != 2 || cfg.MaxWait <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if m.Platform().Name() != "amt" {

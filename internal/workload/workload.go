@@ -141,6 +141,26 @@ func NewConference(n int, seed int64) *Conference {
 	return c
 }
 
+// DemoScript is the script the shell and the daemon run under -demo: the
+// paper's conference schema (Talk with its crowd columns, the
+// NotableAttendee CROWD table) and the titles of the first ten talks.
+func (c *Conference) DemoScript() string {
+	var b strings.Builder
+	b.WriteString(`CREATE TABLE Talk (
+	title STRING PRIMARY KEY,
+	abstract CROWD STRING,
+	nb_attendees CROWD INTEGER );
+CREATE CROWD TABLE NotableAttendee (
+	name STRING PRIMARY KEY,
+	title STRING,
+	FOREIGN KEY (title) REF Talk(title) );
+`)
+	for _, talk := range c.Talks[:10] {
+		fmt.Fprintf(&b, "INSERT INTO Talk (title) VALUES (%s);\n", sqltypes.NewString(talk.Title).SQLLiteral())
+	}
+	return b.String()
+}
+
 // Talk returns the ground truth for a title.
 func (c *Conference) Talk(title string) (TalkInfo, bool) {
 	for _, t := range c.Talks {
