@@ -1,7 +1,9 @@
 package crowddb
 
-// One testing.B benchmark per reproduced paper exhibit (DESIGN.md §4,
-// EXPERIMENTS.md). Each iteration runs the full experiment in virtual
+// One testing.B benchmark per reproduced paper exhibit (the experiment
+// index is internal/bench/registry.go, printed by crowdbench -list; the
+// README's benchmark-regression section covers the seed-42 baselines in
+// bench/baselines). Each iteration runs the full experiment in virtual
 // time, so wall-clock numbers measure the simulation+engine cost while
 // the printed tables (go run ./cmd/crowdbench) carry the paper-shaped
 // results. A few engine micro-benchmarks follow.

@@ -1,6 +1,8 @@
-// Command crowdbench regenerates the paper's evaluation exhibits (see
-// DESIGN.md §4 and EXPERIMENTS.md). Each experiment prints the series the
-// corresponding figure or table reports.
+// Command crowdbench regenerates the paper's evaluation exhibits (the
+// index is internal/bench/registry.go, printed by -list; the README's
+// benchmark-regression section covers the seed-42 baselines in
+// bench/baselines). Each experiment prints the series the corresponding
+// figure or table reports.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 // Package bench is the experiment harness that regenerates the paper's
-// evaluation exhibits (see DESIGN.md §4 for the experiment index E1–E12
-// and EXPERIMENTS.md for recorded paper-vs-measured results). Each
+// evaluation exhibits (registry.go is the experiment index, printed by
+// crowdbench -list; the README's benchmark-regression section covers the
+// seed-42 baselines in bench/baselines). Each
 // experiment returns a Table whose rows are the series the corresponding
 // figure plots; cmd/crowdbench prints them and the root bench_test.go
 // wraps them as testing.B benchmarks.

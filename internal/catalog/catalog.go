@@ -273,22 +273,6 @@ func (t *Table) HasCrowdColumns() bool {
 	return false
 }
 
-// CrowdColumns returns the names of all CROWD columns.
-func (t *Table) CrowdColumns() []string {
-	var cols []string
-	for _, c := range t.Columns {
-		if c.Crowd {
-			cols = append(cols, c.Name)
-		}
-	}
-	return cols
-}
-
-// IsCrowdSourced reports whether the table participates in crowdsourcing at
-// all (CROWD table or has CROWD columns) — exactly the tables for which the
-// UI Creation component generates templates at compile time (§3.1).
-func (t *Table) IsCrowdSourced() bool { return t.Crowd || t.HasCrowdColumns() }
-
 // PrimaryKeyIndexes returns the ordinals of the primary-key columns.
 func (t *Table) PrimaryKeyIndexes() []int {
 	idx := make([]int, 0, len(t.PrimaryKey))
@@ -472,22 +456,5 @@ func (c *Catalog) Indexes(table string) []*Index {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ReferencingKeys returns, for a given table, the FKs of *other* tables that
-// point at it. UI generation uses this to offer "add a new referencing
-// tuple" forms (e.g. new NotableAttendee rows for a Talk).
-func (c *Catalog) ReferencingKeys(table string) map[string][]ForeignKey {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string][]ForeignKey)
-	for _, t := range c.tables {
-		for _, fk := range t.ForeignKeys {
-			if strings.EqualFold(fk.RefTable, table) {
-				out[t.Name] = append(out[t.Name], fk)
-			}
-		}
-	}
 	return out
 }

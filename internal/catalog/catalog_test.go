@@ -45,12 +45,6 @@ func TestCreateAndLookup(t *testing.T) {
 	if !tab.HasCrowdColumns() || tab.Crowd {
 		t.Error("Talk: crowd columns but not crowd table")
 	}
-	if got := tab.CrowdColumns(); len(got) != 2 {
-		t.Errorf("crowd columns: %v", got)
-	}
-	if !tab.IsCrowdSourced() {
-		t.Error("IsCrowdSourced")
-	}
 }
 
 func TestDuplicateTable(t *testing.T) {
@@ -149,20 +143,6 @@ func TestIndexDroppedWithTable(t *testing.T) {
 	}
 	if got := c.Indexes("Talk"); len(got) != 0 {
 		t.Errorf("indexes must drop with table: %v", got)
-	}
-}
-
-func TestReferencingKeys(t *testing.T) {
-	c := New()
-	if err := c.CreateTable(talkTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateTable(notableTable()); err != nil {
-		t.Fatal(err)
-	}
-	refs := c.ReferencingKeys("Talk")
-	if len(refs["NotableAttendee"]) != 1 {
-		t.Errorf("referencing keys: %v", refs)
 	}
 }
 

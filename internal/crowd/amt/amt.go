@@ -1,8 +1,8 @@
 // Package amt simulates the Amazon Mechanical Turk platform CrowdDB posts
 // to (paper §3, [1]). It adapts the worker-market simulator to the
 // crowd.Platform interface and adds the AMT-specific mechanics CrowdDB's
-// prototype dealt with: a requester account with a platform commission on
-// every payment, and HIT-group lifecycle operations.
+// prototype dealt with: HIT-group lifecycle operations, worker blocks, and
+// no geo-fenced groups (those go to the mobile platform).
 //
 // The Task Manager calls it in process, through crowd.Platform; there is
 // no network binding. A connector to the real AMT would be written
@@ -11,24 +11,15 @@ package amt
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/sim"
 )
 
-// CommissionPct is the platform's cut on every payment (AMT charged 10% in
-// the paper's era).
-const CommissionPct = 10
-
 // Platform is the in-process simulated AMT.
 type Platform struct {
 	market *sim.Market
-
-	mu         sync.Mutex
-	commission crowd.Cents // accumulated platform fees
-	paid       crowd.Cents // total worker payments (rewards + bonuses)
 }
 
 // New builds an AMT simulation over an existing market.
@@ -63,17 +54,10 @@ func (p *Platform) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	return p.market.Results(id)
 }
 
-// Approve implements crowd.Platform, collecting the platform commission.
+// Approve implements crowd.Platform.
 func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
-	pay, err := p.market.Approve(assignmentID, bonus)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.paid += pay
-	p.commission += pay * CommissionPct / 100
-	p.mu.Unlock()
-	return nil
+	_, err := p.market.Approve(assignmentID, bonus)
+	return err
 }
 
 // Reject implements crowd.Platform.
@@ -89,13 +73,6 @@ func (p *Platform) Step(d time.Duration) { p.market.Step(d) }
 
 // Now implements crowd.Platform.
 func (p *Platform) Now() time.Duration { return p.market.Now() }
-
-// Spend reports total requester spend: worker payments plus commission.
-func (p *Platform) Spend() (paid, commission crowd.Cents) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.paid, p.commission
-}
 
 // Block bars a worker from future assignments (AMT's worker-block
 // operation; the WRM escalates to it for persistently bad workers).

@@ -30,7 +30,7 @@ func probeGroup(n int) *crowd.HITGroup {
 // TestPlatformLifecycle drives one HIT group through every operation the
 // Task Manager uses: post, step the clock, poll, fetch the answers,
 // approve (once only), reject, expire — and the errors an unknown group
-// and an empty one get. Commission is TestCommission's.
+// and an empty one get.
 func TestPlatformLifecycle(t *testing.T) {
 	p := NewDefault(7)
 	if p.Name() != "amt" {
@@ -61,12 +61,15 @@ func TestPlatformLifecycle(t *testing.T) {
 	if err := p.Approve(res[0].ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	paid, fee := p.Spend()
+	paid := p.Market().TotalSpent()
+	if paid != 3 {
+		t.Errorf("paid %v for a 2¢ answer with a 1¢ bonus", paid)
+	}
 	if err := p.Approve(res[0].ID, 0); err == nil {
 		t.Error("a second Approve of one assignment must fail")
 	}
-	if p2, f2 := p.Spend(); p2 != paid || f2 != fee {
-		t.Errorf("a failed Approve moved the spend: %v+%v, was %v+%v", p2, f2, paid, fee)
+	if p2 := p.Market().TotalSpent(); p2 != paid {
+		t.Errorf("a failed Approve moved the spend: %v, was %v", p2, paid)
 	}
 	if err := p.Reject(res[1].ID, "bad"); err != nil {
 		t.Fatal(err)
@@ -82,33 +85,6 @@ func TestPlatformLifecycle(t *testing.T) {
 	}
 	if _, err := p.Post(probeGroup(0)); err == nil {
 		t.Error("posting a group without HITs must fail")
-	}
-}
-
-func TestCommission(t *testing.T) {
-	p := NewDefault(7)
-	id, _ := p.Post(probeGroup(2))
-	p.Step(48 * time.Hour)
-	res, _ := p.Results(id)
-	if len(res) == 0 {
-		t.Fatal("no assignments")
-	}
-	if err := p.Approve(res[0].ID, 0); err != nil {
-		t.Fatal(err)
-	}
-	paid, fee := p.Spend()
-	if paid != 2 {
-		t.Errorf("paid: %v", paid)
-	}
-	if fee != 0 { // 10% of 2¢ rounds down to 0
-		t.Errorf("fee: %v", fee)
-	}
-	if err := p.Approve(res[1].ID, 20); err != nil {
-		t.Fatal(err)
-	}
-	paid, fee = p.Spend()
-	if paid != 24 || fee != 2 {
-		t.Errorf("paid=%v fee=%v", paid, fee)
 	}
 }
 

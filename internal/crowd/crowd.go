@@ -8,7 +8,7 @@
 // Time is virtual: platforms are driven by Step, which advances the
 // simulated crowd by a duration. This preserves the latency *shapes* the
 // paper measures on live crowds while letting experiments run in
-// milliseconds (see DESIGN.md, substitution rule).
+// milliseconds (see the README's opening on the simulated crowd).
 package crowd
 
 import (

@@ -3,13 +3,10 @@
 // geographic area — at VLDB, the conference attendees. Compared to AMT the
 // pool is small but co-located and domain-expert (attendees answering
 // questions about talks they just saw), so latency is low and answer
-// quality for conference topics is high. Workers join without registration,
-// modeled as session IDs handed out on first contact.
+// quality for conference topics is high.
 package mobile
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"crowddb/internal/crowd"
@@ -46,10 +43,6 @@ func DefaultConfig(seed int64) Config {
 type Platform struct {
 	venue  Venue
 	market *sim.Market
-
-	mu       sync.Mutex
-	sessions map[string]string // device ID -> session token (registration-free join)
-	nextSess int
 }
 
 // New builds the mobile platform with its local crowd.
@@ -73,36 +66,11 @@ func New(cfg Config) *Platform {
 	mcfg.LatencyMedian = 20 * time.Second
 	mcfg.LatencySigma = 0.6
 	mcfg.AffinityProb = 0.5
-	return &Platform{
-		venue:    cfg.Venue,
-		market:   sim.NewMarket(mcfg),
-		sessions: make(map[string]string),
-	}
+	return &Platform{venue: cfg.Venue, market: sim.NewMarket(mcfg)}
 }
 
 // Name implements crowd.Platform.
 func (p *Platform) Name() string { return "mobile" }
-
-// Join hands out a session token for a device — the paper's
-// "without registration" mobile onboarding. Idempotent per device.
-func (p *Platform) Join(deviceID string) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if tok, ok := p.sessions[deviceID]; ok {
-		return tok
-	}
-	p.nextSess++
-	tok := fmt.Sprintf("sess-%04d", p.nextSess)
-	p.sessions[deviceID] = tok
-	return tok
-}
-
-// Sessions reports how many devices have joined.
-func (p *Platform) Sessions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.sessions)
-}
 
 // Post implements crowd.Platform. Groups without an explicit venue fence
 // are fenced to the platform's venue — every mobile task is local.
@@ -125,8 +93,7 @@ func (p *Platform) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	return p.market.Results(id)
 }
 
-// Approve implements crowd.Platform. The mobile platform takes no
-// commission — it is the researchers' own service.
+// Approve implements crowd.Platform.
 func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
 	_, err := p.market.Approve(assignmentID, bonus)
 	return err
@@ -151,6 +118,3 @@ func (p *Platform) Block(workerID string) { p.market.Block(workerID) }
 
 // Market exposes the underlying simulator for benchmarks.
 func (p *Platform) Market() *sim.Market { return p.market }
-
-// VenueInfo returns the platform's venue.
-func (p *Platform) VenueInfo() Venue { return p.venue }

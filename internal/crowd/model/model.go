@@ -180,20 +180,24 @@ type Config struct {
 // assignRec is one generated assignment plus its group bookkeeping.
 type assignRec struct {
 	a       *crowd.Assignment
-	reward  crowd.Cents
+	gr      *group
 	readyAt time.Duration
 }
 
 type group struct {
+	id        crowd.GroupID
 	spec      *crowd.HITGroup
 	assigns   []*assignRec
+	settled   int // assignments approved or rejected
 	expired   bool
 	expiredAt time.Duration
 }
 
 // Platform is the simulated model-answerer service. It implements
 // crowd.Platform; all methods serialize on one mutex, satisfying the
-// interface's concurrency contract.
+// interface's concurrency contract. It keeps a group only while it may
+// still be asked about it (see forgetLocked), so its memory follows the
+// groups in flight, not every group ever posted.
 type Platform struct {
 	name string
 	prof Profile
@@ -207,7 +211,6 @@ type Platform struct {
 	nextAsn  int
 	unsure   int
 	calls    int // assignments ever generated (worker rotation)
-	paid     crowd.Cents
 }
 
 // New builds a model platform. Zero-value profile fields fall back to
@@ -263,7 +266,7 @@ func (p *Platform) Post(g *crowd.HITGroup) (crowd.GroupID, error) {
 	defer p.mu.Unlock()
 	p.nextGrp++
 	id := crowd.GroupID(fmt.Sprintf("%s-g-%04d", p.name, p.nextGrp))
-	gr := &group{spec: g}
+	gr := &group{id: id, spec: g}
 	for _, hit := range g.HITs {
 		for r := 0; r < g.Assignments; r++ {
 			worker := fmt.Sprintf("%s-w%02d", p.name, p.calls%p.prof.Workers)
@@ -282,7 +285,7 @@ func (p *Platform) Post(g *crowd.HITGroup) (crowd.GroupID, error) {
 					Confidence:  p.confidenceLocked(correct),
 					Source:      p.name,
 				},
-				reward:  g.Reward,
+				gr:      gr,
 				readyAt: p.now + lat,
 			}
 			gr.assigns = append(gr.assigns, rec)
@@ -492,8 +495,8 @@ func (p *Platform) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	return out, nil
 }
 
-// Approve implements crowd.Platform: pays the assignment's reward plus
-// bonus exactly once.
+// Approve implements crowd.Platform: an assignment is approved at most
+// once, and never after a rejection.
 func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -507,8 +510,7 @@ func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
 	if rec.a.Status == crowd.AssignmentRejected {
 		return fmt.Errorf("model: assignment %q already rejected", assignmentID)
 	}
-	rec.a.Status = crowd.AssignmentApproved
-	p.paid += rec.reward + bonus
+	p.settleLocked(rec, crowd.AssignmentApproved)
 	return nil
 }
 
@@ -523,8 +525,45 @@ func (p *Platform) Reject(assignmentID, reason string) error {
 	if rec.a.Status == crowd.AssignmentApproved {
 		return fmt.Errorf("model: assignment %q already approved", assignmentID)
 	}
-	rec.a.Status = crowd.AssignmentRejected
+	if rec.a.Status == crowd.AssignmentSubmitted {
+		p.settleLocked(rec, crowd.AssignmentRejected)
+	}
 	return nil
+}
+
+// settleLocked moves a submitted assignment to its final status.
+func (p *Platform) settleLocked(rec *assignRec, to crowd.AssignmentStatus) {
+	rec.a.Status = to
+	rec.gr.settled++
+	p.forgetLocked(rec.gr)
+}
+
+// forgetLocked drops a group the platform owes nothing more, with its
+// assignments, under sim.Market's rule: done (complete or expired),
+// nothing still to arrive, every landed answer settled. A group nobody
+// answered is kept: its poster has yet to learn that from Status.
+//
+// An answer lands only once Results can have returned it, so a settled one
+// has landed. Unexpired, every answer is still to arrive until it lands;
+// expired, one that had not landed never will.
+func (p *Platform) forgetLocked(gr *group) {
+	if gr.settled == 0 {
+		return
+	}
+	if gr.settled < len(gr.assigns) {
+		if !gr.expired {
+			return
+		}
+		for _, rec := range gr.assigns {
+			if rec.a.Status == crowd.AssignmentSubmitted && gr.readyLocked(rec, p.now) {
+				return
+			}
+		}
+	}
+	for _, rec := range gr.assigns {
+		delete(p.byAssign, rec.a.ID)
+	}
+	delete(p.groups, gr.id)
 }
 
 // Expire implements crowd.Platform: answers not yet landed never will.
@@ -538,6 +577,7 @@ func (p *Platform) Expire(id crowd.GroupID) error {
 	if !gr.expired {
 		gr.expired = true
 		gr.expiredAt = p.now
+		p.forgetLocked(gr)
 	}
 	return nil
 }
@@ -554,11 +594,4 @@ func (p *Platform) Now() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.now
-}
-
-// Spend reports total payments made to model workers (rewards + bonuses).
-func (p *Platform) Spend() crowd.Cents {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.paid
 }

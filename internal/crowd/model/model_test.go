@@ -187,8 +187,8 @@ func TestAbstainsWithoutTruth(t *testing.T) {
 	}
 }
 
-// Approve pays exactly once; double approval and approve-after-reject
-// are errors, and Spend tracks reward plus bonus.
+// Approve succeeds once; double approval and approve-after-reject are
+// errors.
 func TestApproveOnce(t *testing.T) {
 	p := New(Config{Seed: 1, Profile: Sharp()})
 	g := groupFor(crowd.TaskProbeValues, 2)
@@ -210,9 +210,79 @@ func TestApproveOnce(t *testing.T) {
 	if err := p.Approve(res[1].ID, 0); err == nil {
 		t.Error("approve after reject must fail")
 	}
-	if got := p.Spend(); got != 4 {
-		t.Errorf("spend = %v, want 4 (reward 3 + bonus 1)", got)
+}
+
+// TestModelForgetsSettledGroup: the platform drops a group, with its
+// assignments, once it is done, nothing is still to arrive and every
+// landed answer is settled — and not a call earlier. (A group nobody
+// answered stays: TestExpire reads its Status.)
+func TestModelForgetsSettledGroup(t *testing.T) {
+	held := func(p *Platform, id crowd.GroupID) bool {
+		_, ok := p.groups[id]
+		return ok
 	}
+	settle := func(t *testing.T, p *Platform, res []*crowd.Assignment) {
+		t.Helper()
+		for i, a := range res {
+			var err error
+			if i%2 == 0 {
+				err = p.Approve(a.ID, 0)
+			} else {
+				err = p.Reject(a.ID, "test")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("complete", func(t *testing.T) {
+		p := New(Config{Seed: 1, Profile: Sharp()})
+		id, err := p.Post(groupFor(crowd.TaskProbeValues, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := drain(t, p, id)
+		settle(t, p, res[:2])
+		if !held(p, id) {
+			t.Fatal("a group with an unsettled answer was forgotten")
+		}
+		settle(t, p, res[2:])
+		if len(p.groups) != 0 || len(p.byAssign) != 0 {
+			t.Errorf("settled group kept: %d groups, %d assignments", len(p.groups), len(p.byAssign))
+		}
+		if _, err := p.Status(id); err == nil {
+			t.Error("Status of a forgotten group must fail")
+		}
+	})
+
+	t.Run("expired", func(t *testing.T) {
+		prof := Sharp()
+		prof.Latency, prof.LatencyJitter = 10*time.Second, 0.5
+		p := New(Config{Seed: 1, Profile: prof})
+		id, err := p.Post(groupFor(crowd.TaskProbeValues, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Step(10 * time.Second)
+		res, err := p.Results(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == 0 || len(res) == 9 {
+			t.Fatalf("want some of 9 answers landed at the mean latency, got %d", len(res))
+		}
+		settle(t, p, res)
+		if !held(p, id) {
+			t.Fatal("a group with answers still to arrive was forgotten")
+		}
+		if err := p.Expire(id); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.groups) != 0 || len(p.byAssign) != 0 {
+			t.Errorf("settled expired group kept: %d groups, %d assignments", len(p.groups), len(p.byAssign))
+		}
+	})
 }
 
 // Expire freezes the group: answers whose latency had not elapsed at

@@ -539,9 +539,8 @@ func (m *Market) settle(assignmentID string, to crowd.AssignmentStatus) (submiss
 }
 
 // Approve pays the worker the group reward plus bonus and returns the
-// amount paid, so callers layering fees on top (the AMT commission) see
-// the exact payment without racing on aggregate counters. It fails on an
-// assignment that was already approved or rejected (see settle).
+// amount paid. It fails on an assignment that was already approved or
+// rejected (see settle).
 func (m *Market) Approve(assignmentID string, bonus crowd.Cents) (crowd.Cents, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -153,7 +153,7 @@ type Stats struct {
 	// CrowdTime is the virtual time spent waiting on the crowd: the union
 	// of all in-flight group intervals, so overlapping groups count once.
 	CrowdTime      time.Duration
-	ApprovedSpend  crowd.Cents // rewards paid (excl. platform commission)
+	ApprovedSpend  crowd.Cents // rewards paid, bonuses excluded
 	ExpiredGroups  int
 	PartialResults int // HITs resolved from fewer than Assignments answers
 	// MaxInFlight echoes the configured async window.

@@ -1,15 +1,14 @@
 // Package wrm implements CrowdDB's Worker Relationship Manager (paper §3):
 // "crowd workers are not fungible resources and the worker/requester
 // relationship evolves over time". The WRM pays workers promptly, grants
-// bonuses to consistently good workers, and files and answers worker
-// complaints — building the requester's community.
+// bonuses to consistently good workers and blocks persistent spammers —
+// building the requester's community. Each decision is a platform call;
+// the WRM remembers only who has had their bonus and who is blocked.
 package wrm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/quality"
@@ -45,57 +44,20 @@ func DefaultPolicy() PaymentPolicy {
 	return PaymentPolicy{AutoApprove: true, RejectBelow: 0.2, BonusAbove: 0.9, BonusAmount: 1}
 }
 
-// Complaint is one worker grievance and its resolution state.
-type Complaint struct {
-	ID       int
-	WorkerID string
-	Text     string
-	FiledAt  time.Duration
-	Answer   string
-	Resolved bool
-}
-
-// LedgerEntry records one payment decision.
-type LedgerEntry struct {
-	AssignmentID string
-	WorkerID     string
-	Amount       crowd.Cents // 0 for rejections
-	Bonus        crowd.Cents
-	Rejected     bool
-	At           time.Duration
-}
-
-// Manager is the WRM. It wraps a platform's payment operations with policy
-// and bookkeeping, and owns the complaint queue.
+// Manager is the WRM. It wraps a platform's payment operations with policy.
 type Manager struct {
 	policy  PaymentPolicy
 	tracker *quality.Tracker
 
-	mu         sync.Mutex
-	ledger     []LedgerEntry
-	bonused    map[string]bool // workers already bonused (one per relationship)
-	blocked    map[string]bool
-	complaints []*Complaint
-	nextID     int
+	mu      sync.Mutex
+	bonused map[string]bool // workers already bonused (one per relationship)
+	blocked map[string]bool
 }
 
 // New creates a WRM with the given policy and quality tracker.
 func New(policy PaymentPolicy, tracker *quality.Tracker) *Manager {
 	return &Manager{policy: policy, tracker: tracker,
 		bonused: make(map[string]bool), blocked: make(map[string]bool)}
-}
-
-// BlockedWorkers lists workers this manager has blocked, in no particular
-// order.
-func (m *Manager) BlockedWorkers() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.blocked))
-	for id := range m.blocked {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Settle applies the payment policy to a batch of submitted assignments on
@@ -108,110 +70,40 @@ func (m *Manager) Settle(p crowd.Platform, assignments []*crowd.Assignment) (app
 		}
 		score := m.tracker.Score(a.WorkerID)
 		if m.policy.BlockBelow > 0 && score < m.policy.BlockBelow {
-			if blocker, ok := p.(Blocker); ok && !m.isBlocked(a.WorkerID) {
+			if blocker, ok := p.(Blocker); ok && m.firstTime(m.blocked, a.WorkerID) {
 				blocker.Block(a.WorkerID)
-				m.markBlocked(a.WorkerID)
 			}
 		}
 		if m.policy.RejectBelow > 0 && score < m.policy.RejectBelow {
 			if err := p.Reject(a.ID, "answers consistently disagree with the majority"); err != nil {
 				return approved, fmt.Errorf("wrm: reject %s: %w", a.ID, err)
 			}
-			m.record(LedgerEntry{AssignmentID: a.ID, WorkerID: a.WorkerID, Rejected: true, At: p.Now()})
 			continue
 		}
 		if !m.policy.AutoApprove {
 			continue
 		}
 		var bonus crowd.Cents
-		if m.policy.BonusAbove > 0 && score > m.policy.BonusAbove && !m.wasBonused(a.WorkerID) {
+		if m.policy.BonusAbove > 0 && score > m.policy.BonusAbove && m.firstTime(m.bonused, a.WorkerID) {
 			bonus = m.policy.BonusAmount
-			m.markBonused(a.WorkerID)
 		}
 		if err := p.Approve(a.ID, bonus); err != nil {
 			return approved, fmt.Errorf("wrm: approve %s: %w", a.ID, err)
 		}
-		m.record(LedgerEntry{AssignmentID: a.ID, WorkerID: a.WorkerID, Amount: 1, Bonus: bonus, At: p.Now()})
 		approved++
 	}
 	return approved, nil
 }
 
-func (m *Manager) record(e LedgerEntry) {
+// firstTime marks workerID in set, reporting whether it was not there yet.
+func (m *Manager) firstTime(set map[string]bool, workerID string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ledger = append(m.ledger, e)
-}
-
-func (m *Manager) wasBonused(workerID string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bonused[workerID]
-}
-
-func (m *Manager) markBonused(workerID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bonused[workerID] = true
-}
-
-func (m *Manager) isBlocked(workerID string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.blocked[workerID]
-}
-
-func (m *Manager) markBlocked(workerID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blocked[workerID] = true
-}
-
-// Ledger returns a copy of all payment decisions.
-func (m *Manager) Ledger() []LedgerEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]LedgerEntry(nil), m.ledger...)
-}
-
-// FileComplaint records a worker grievance and returns its ID.
-func (m *Manager) FileComplaint(workerID, text string, at time.Duration) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextID++
-	m.complaints = append(m.complaints, &Complaint{ID: m.nextID, WorkerID: workerID, Text: text, FiledAt: at})
-	return m.nextID
-}
-
-// AnswerComplaint resolves a complaint with a response.
-func (m *Manager) AnswerComplaint(id int, answer string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.complaints {
-		if c.ID == id {
-			if c.Resolved {
-				return fmt.Errorf("wrm: complaint %d already resolved", id)
-			}
-			c.Answer = answer
-			c.Resolved = true
-			return nil
-		}
+	if set[workerID] {
+		return false
 	}
-	return fmt.Errorf("wrm: complaint %d not found", id)
-}
-
-// OpenComplaints returns unresolved complaints, oldest first.
-func (m *Manager) OpenComplaints() []Complaint {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Complaint
-	for _, c := range m.complaints {
-		if !c.Resolved {
-			out = append(out, *c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FiledAt < out[j].FiledAt })
-	return out
+	set[workerID] = true
+	return true
 }
 
 // Community summarizes the requester's worker community: everyone the

@@ -2,6 +2,8 @@ package wrm
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,8 +12,31 @@ import (
 	"crowddb/internal/quality"
 )
 
-// settleGroup posts a small group, waits for completion, and settles it.
-func settleGroup(t *testing.T, m *Manager, p *amt.Platform) []*crowd.Assignment {
+// recorder is an AMT platform that logs each decision the WRM makes on it
+// before passing it on.
+type recorder struct {
+	*amt.Platform
+	log []string
+}
+
+func (r *recorder) Approve(assignmentID string, bonus crowd.Cents) error {
+	r.log = append(r.log, fmt.Sprintf("approve %s +%d", assignmentID, bonus))
+	return r.Platform.Approve(assignmentID, bonus)
+}
+
+func (r *recorder) Reject(assignmentID, reason string) error {
+	r.log = append(r.log, "reject "+assignmentID)
+	return r.Platform.Reject(assignmentID, reason)
+}
+
+func (r *recorder) Block(workerID string) {
+	r.log = append(r.log, "block "+workerID)
+	r.Platform.Block(workerID)
+}
+
+// settleGroup posts a small group, waits for completion, and settles it,
+// returning the assignments and the number Settle approved.
+func settleGroup(t *testing.T, m *Manager, p *amt.Platform) ([]*crowd.Assignment, int) {
 	t.Helper()
 	g := &crowd.HITGroup{Title: "t", Reward: 2, Assignments: 3}
 	for i := 0; i < 4; i++ {
@@ -30,24 +55,62 @@ func settleGroup(t *testing.T, m *Manager, p *amt.Platform) []*crowd.Assignment 
 	if err != nil || len(res) == 0 {
 		t.Fatalf("results: %v %v", len(res), err)
 	}
-	if _, err := m.Settle(p, res); err != nil {
+	approved, err := m.Settle(p, res)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, approved
 }
 
 func TestSettleApprovesAndPays(t *testing.T) {
 	tr := quality.NewTracker()
 	m := New(DefaultPolicy(), tr)
 	p := amt.NewDefault(11)
-	res := settleGroup(t, m, p)
-	paid, _ := p.Spend()
-	if paid < crowd.Cents(len(res))*2 {
+	res, approved := settleGroup(t, m, p)
+	if approved != len(res) {
+		t.Errorf("approved %d of %d assignments from unscored workers", approved, len(res))
+	}
+	if paid := p.Market().TotalSpent(); paid < crowd.Cents(len(res))*2 {
 		t.Errorf("paid %v for %d assignments", paid, len(res))
 	}
-	if got := len(m.Ledger()); got != len(res) {
-		t.Errorf("ledger entries: %d vs %d", got, len(res))
+}
+
+// noopPlatform accepts every decision and keeps nothing of it.
+type noopPlatform struct{ crowd.Platform }
+
+func (noopPlatform) Approve(string, crowd.Cents) error { return nil }
+func (noopPlatform) Reject(string, string) error       { return nil }
+func (noopPlatform) Now() time.Duration                { return 0 }
+
+// TestSettleRetainsNoPerAnswerState: what the WRM keeps grows with its
+// workers, not with the answers it has settled — 100 000 of them from
+// three workers leave the heap where it was.
+func TestSettleRetainsNoPerAnswerState(t *testing.T) {
+	m := New(DefaultPolicy(), quality.NewTracker())
+	var p noopPlatform
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const batches, perBatch = 1000, 100
+	for b := 0; b < batches; b++ {
+		batch := make([]*crowd.Assignment, perBatch)
+		for i := range batch {
+			batch[i] = &crowd.Assignment{
+				ID:       fmt.Sprintf("A%07d", b*perBatch+i),
+				WorkerID: fmt.Sprintf("W%d", i%3),
+				Status:   crowd.AssignmentSubmitted,
+			}
+		}
+		if _, err := m.Settle(p, batch); err != nil {
+			t.Fatal(err)
+		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("settling %d answers grew the heap by %d KiB", batches*perBatch, grew>>10)
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestRejectBadWorkers(t *testing.T) {
@@ -61,7 +124,7 @@ func TestRejectBadWorkers(t *testing.T) {
 		}, 2))
 	}
 	m := New(PaymentPolicy{AutoApprove: true, RejectBelow: 0.2}, tr)
-	p := amt.NewDefault(11)
+	p := &recorder{Platform: amt.NewDefault(11)}
 	g := &crowd.HITGroup{Title: "t", Reward: 1, Assignments: 1, HITs: []*crowd.HIT{{
 		ID: "H0", Fields: []crowd.Field{{Name: "x", Kind: crowd.FieldInput}},
 	}}}
@@ -76,9 +139,8 @@ func TestRejectBadWorkers(t *testing.T) {
 	if _, err := m.Settle(p, res); err != nil {
 		t.Fatal(err)
 	}
-	led := m.Ledger()
-	if len(led) != 1 || !led[0].Rejected {
-		t.Errorf("spammer must be rejected: %+v", led)
+	if want := []string{"reject " + res[0].ID}; !slices.Equal(p.log, want) {
+		t.Errorf("spammer must be rejected: %q", p.log)
 	}
 }
 
@@ -91,7 +153,7 @@ func TestBonusOncePerWorker(t *testing.T) {
 		}, 1))
 	}
 	m := New(PaymentPolicy{AutoApprove: true, BonusAbove: 0.9, BonusAmount: 5}, tr)
-	p := amt.NewDefault(11)
+	p := &recorder{Platform: amt.NewDefault(11)}
 	g := &crowd.HITGroup{Title: "t", Reward: 1, Assignments: 2, HITs: []*crowd.HIT{{
 		ID: "H0", Fields: []crowd.Field{{Name: "x", Kind: crowd.FieldInput}},
 	}}}
@@ -106,14 +168,9 @@ func TestBonusOncePerWorker(t *testing.T) {
 	if _, err := m.Settle(p, res); err != nil {
 		t.Fatal(err)
 	}
-	var bonuses int
-	for _, e := range m.Ledger() {
-		if e.Bonus > 0 {
-			bonuses++
-		}
-	}
-	if bonuses != 1 {
-		t.Errorf("star worker must be bonused exactly once, got %d", bonuses)
+	want := []string{"approve " + res[0].ID + " +5", "approve " + res[1].ID + " +0"}
+	if !slices.Equal(p.log, want) {
+		t.Errorf("star worker must be bonused exactly once: %q", p.log)
 	}
 }
 
@@ -127,7 +184,7 @@ func TestBlockBelowEscalates(t *testing.T) {
 		}, 2))
 	}
 	m := New(PaymentPolicy{AutoApprove: true, BlockBelow: 0.2}, tr)
-	p := amt.NewDefault(17)
+	p := &recorder{Platform: amt.NewDefault(17)}
 	g := &crowd.HITGroup{Title: "t", Reward: 1, Assignments: 1, HITs: []*crowd.HIT{{
 		ID: "H0", Fields: []crowd.Field{{Name: "x", Kind: crowd.FieldInput}},
 	}}}
@@ -141,41 +198,20 @@ func TestBlockBelowEscalates(t *testing.T) {
 	if _, err := m.Settle(p, res); err != nil {
 		t.Fatal(err)
 	}
-	blocked := m.BlockedWorkers()
-	if len(blocked) != 1 || blocked[0] != "spammer" {
-		t.Errorf("blocked: %v", blocked)
+	// BlockBelow alone blocks but still pays: the answer was submitted.
+	want := []string{"block spammer", "approve " + res[0].ID + " +0"}
+	if !slices.Equal(p.log, want) {
+		t.Errorf("decisions: %q, want %q", p.log, want)
 	}
 	if p.Market().Blocked() != 1 {
 		t.Error("block must reach the platform")
 	}
 	// Second settle of the same worker must not double-block.
+	p.log = nil
 	res[0].Status = crowd.AssignmentSubmitted
 	m.Settle(p, res)
-	if len(m.BlockedWorkers()) != 1 {
-		t.Error("double block")
-	}
-}
-
-func TestComplaints(t *testing.T) {
-	m := New(DefaultPolicy(), quality.NewTracker())
-	id1 := m.FileComplaint("W1", "payment late", time.Hour)
-	id2 := m.FileComplaint("W2", "task unclear", 2*time.Hour)
-	open := m.OpenComplaints()
-	if len(open) != 2 || open[0].ID != id1 {
-		t.Errorf("open queue: %+v", open)
-	}
-	if err := m.AnswerComplaint(id1, "paid now, sorry"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AnswerComplaint(id1, "again"); err == nil {
-		t.Error("double-resolve must fail")
-	}
-	if err := m.AnswerComplaint(999, "x"); err == nil {
-		t.Error("unknown complaint must fail")
-	}
-	open = m.OpenComplaints()
-	if len(open) != 1 || open[0].ID != id2 {
-		t.Errorf("after resolve: %+v", open)
+	if slices.Contains(p.log, "block spammer") {
+		t.Errorf("double block: %q", p.log)
 	}
 }
 
