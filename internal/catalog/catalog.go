@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"crowddb/internal/sqltypes"
 )
@@ -93,6 +94,17 @@ type Table struct {
 
 	statsMu sync.Mutex
 	stats   Statistics
+	// cat is the catalog the table is registered in (nil before): a
+	// statistic that changes moves its Version.
+	cat *Catalog
+}
+
+// changed notes, under statsMu, that a statistic the optimizer reads
+// took a new value.
+func (t *Table) changed() {
+	if t.cat != nil {
+		t.cat.version.Add(1)
+	}
 }
 
 // Stats returns a consistent copy of the table's statistics.
@@ -125,14 +137,20 @@ func (t *Table) SetShardCount(n int64) {
 func (t *Table) AddRowCount(delta int64) {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	t.stats.RowCount += delta
+	if delta != 0 {
+		t.stats.RowCount += delta
+		t.changed()
+	}
 }
 
 // SetRowCount overwrites the stored-row count (recovery).
 func (t *Table) SetRowCount(n int64) {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	t.stats.RowCount = n
+	if n != t.stats.RowCount {
+		t.stats.RowCount = n
+		t.changed()
+	}
 }
 
 // AdjustCNull adjusts a column's outstanding-CNULL count by delta,
@@ -143,11 +161,12 @@ func (t *Table) AdjustCNull(col string, delta int64) {
 	if t.stats.CNullCount == nil {
 		t.stats.CNullCount = make(map[string]int64)
 	}
-	n := t.stats.CNullCount[col] + delta
-	if n < 0 {
-		n = 0
-	}
+	was := t.stats.CNullCount[col]
+	n := max(was+delta, 0)
 	t.stats.CNullCount[col] = n
+	if n != was {
+		t.changed()
+	}
 }
 
 // RowWritten moves the row count and the per-column CNULL counters from a
@@ -158,24 +177,31 @@ func (t *Table) AdjustCNull(col string, delta int64) {
 func (t *Table) RowWritten(before, after []sqltypes.Value) {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
+	changed := true
 	switch {
 	case before == nil:
 		t.stats.RowCount++
 	case after == nil:
 		t.stats.RowCount--
+	default:
+		changed = false
 	}
 	if t.stats.CNullCount == nil {
 		t.stats.CNullCount = make(map[string]int64)
 	}
 	for ci, c := range t.Columns {
 		was, is := before != nil && before[ci].IsCNull(), after != nil && after[ci].IsCNull()
-		switch {
+		switch n := t.stats.CNullCount[c.Name]; {
 		case is && !was:
-			t.stats.CNullCount[c.Name]++
-		case was && !is:
-			// Clamped at zero: answers can race recovery's recount.
-			t.stats.CNullCount[c.Name] = max(t.stats.CNullCount[c.Name]-1, 0)
+			t.stats.CNullCount[c.Name] = n + 1
+			changed = true
+		case was && !is && n > 0: // clamped at zero: answers can race recovery's recount
+			t.stats.CNullCount[c.Name] = n - 1
+			changed = true
 		}
+	}
+	if changed {
+		t.changed()
 	}
 }
 
@@ -183,7 +209,10 @@ func (t *Table) RowWritten(before, after []sqltypes.Value) {
 func (t *Table) ResetCNullCounts() {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	t.stats.CNullCount = make(map[string]int64)
+	if len(t.stats.CNullCount) > 0 {
+		t.stats.CNullCount = make(map[string]int64)
+		t.changed()
+	}
 }
 
 // ExpectedCrowdCard returns the predicted crowd tuples per probe key.
@@ -202,10 +231,14 @@ func (t *Table) ObserveFilter(scanned, kept int64) {
 	sel := float64(kept) / float64(scanned)
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
+	was := t.stats.ObservedFilterSel
 	if t.stats.FilterObservations == 0 {
 		t.stats.ObservedFilterSel = sel
 	} else {
 		t.stats.ObservedFilterSel += feedbackAlpha * (sel - t.stats.ObservedFilterSel)
+	}
+	if t.stats.FilterObservations == 0 || t.stats.ObservedFilterSel != was {
+		t.changed()
 	}
 	t.stats.FilterObservations++
 }
@@ -227,10 +260,14 @@ func (t *Table) ObserveCrowdFanout(keys, accepted int64) {
 	fan := float64(accepted) / float64(keys)
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
+	was := t.stats.ObservedCrowdFanout
 	if t.stats.FanoutObservations == 0 {
 		t.stats.ObservedCrowdFanout = fan
 	} else {
 		t.stats.ObservedCrowdFanout += feedbackAlpha * (fan - t.stats.ObservedCrowdFanout)
+	}
+	if t.stats.FanoutObservations == 0 || t.stats.ObservedCrowdFanout != was {
+		t.changed()
 	}
 	t.stats.FanoutObservations++
 }
@@ -323,7 +360,13 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table // lower-cased name -> def
 	indexes map[string]*Index // lower-cased index name -> def
+	version atomic.Uint64
 }
+
+// Version counts the changes a compiled plan can depend on: every DDL,
+// and every statistic of a registered table that takes a new value. A
+// plan compiled after reading version v is current while Version is v.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -373,7 +416,11 @@ func (c *Catalog) CreateTable(t *Table) error {
 			}
 		}
 	}
+	t.statsMu.Lock()
+	t.cat = c
+	t.statsMu.Unlock()
 	c.tables[key] = t
+	c.version.Add(1)
 	return nil
 }
 
@@ -396,6 +443,7 @@ func (c *Catalog) DropTable(name string) error {
 		}
 	}
 	delete(c.tables, key)
+	c.version.Add(1)
 	for iname, idx := range c.indexes {
 		if strings.EqualFold(idx.Table, name) {
 			delete(c.indexes, iname)
@@ -442,6 +490,7 @@ func (c *Catalog) CreateIndex(idx *Index) error {
 		}
 	}
 	c.indexes[key] = idx
+	c.version.Add(1)
 	return nil
 }
 

@@ -263,3 +263,37 @@ func TestObservedCrowdFanoutEWMA(t *testing.T) {
 		t.Errorf("EWMA must land between old and new: %v", fan)
 	}
 }
+
+// TestVersionMovesWithWhatPlansRead: every DDL moves the version, and a
+// statistic moves it only when it takes a new value.
+func TestVersionMovesWithWhatPlansRead(t *testing.T) {
+	c := New()
+	t1 := talkTable()
+	moves := func(what string, change func(), want bool) {
+		t.Helper()
+		v := c.Version()
+		change()
+		if moved := c.Version() != v; moved != want {
+			t.Errorf("%s: version moved = %v, want %v", what, moved, want)
+		}
+	}
+	moves("CreateTable", func() { c.CreateTable(t1) }, true)
+	moves("CreateIndex", func() { c.CreateIndex(&Index{Name: "i", Table: "Talk", Columns: []string{"title"}}) }, true)
+	row := []sqltypes.Value{sqltypes.NewString("a"), sqltypes.CNull(), sqltypes.NewInt(1)}
+	moves("an insert", func() { t1.RowWritten(nil, row) }, true)
+	moves("an update that keeps count and CNULLs", func() { t1.RowWritten(row, row) }, false)
+	filled := []sqltypes.Value{sqltypes.NewString("a"), sqltypes.NewString("x"), sqltypes.NewInt(1)}
+	moves("an update that fills a CNULL", func() { t1.RowWritten(row, filled) }, true)
+	moves("SetRowCount to the same count", func() { t1.SetRowCount(1) }, false)
+	moves("SetRowCount", func() { t1.SetRowCount(2) }, true)
+	moves("AddRowCount(0)", func() { t1.AddRowCount(0) }, false)
+	moves("AdjustCNull below zero", func() { t1.AdjustCNull("abstract", -1) }, false)
+	moves("AdjustCNull", func() { t1.AdjustCNull("abstract", 1) }, true)
+	moves("the first filter observation", func() { t1.ObserveFilter(10, 5) }, true)
+	moves("the same selectivity again", func() { t1.ObserveFilter(4, 2) }, false)
+	moves("another selectivity", func() { t1.ObserveFilter(4, 1) }, true)
+	moves("the first fanout observation", func() { t1.ObserveCrowdFanout(2, 4) }, true)
+	moves("the same fanout again", func() { t1.ObserveCrowdFanout(1, 2) }, false)
+	moves("SetShardCount", func() { t1.SetShardCount(8) }, false)
+	moves("DropTable", func() { c.DropTable("Talk") }, true)
+}

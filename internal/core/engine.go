@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -111,6 +112,7 @@ type Engine struct {
 	payer   *wrm.Manager
 	tasks   *taskmgr.Manager
 	cache   *exec.CompareCache
+	plans   planCache
 
 	// writeMu serializes DDL and DML statements (plus Close/Checkpoint)
 	// against each other. Queries never touch it: snapshot isolation —
@@ -708,14 +710,12 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res 
 	return &Result{Affected: affected}, nil
 }
 
-func (e *Engine) compile(s *parser.Select) (*optimizer.Result, error) {
-	root, err := plan.Build(s, e.cat)
-	if err != nil {
-		return nil, err
-	}
+// optimizerOptions are the engine's optimizer options with the live cost
+// inputs.
+func (e *Engine) optimizerOptions() optimizer.Options {
 	opts := e.cfg.Optimizer
 	opts.Cost = e.costInputs()
-	return optimizer.Optimize(root, e.cat, opts)
+	return opts
 }
 
 // costInputs assembles the live numbers the cost model prices plans with:
@@ -771,18 +771,22 @@ func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
 }
 
 func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	opt, err := e.compileTraced(s, tr, sp)
+	opt, err := e.compileTraced(s, true, tr, sp)
 	if err != nil {
 		return nil, err
 	}
-	return e.runSelect(ctx, opt, opts, tr, sp, nil)
+	return e.runSelect(ctx, opt, s, opts, tr, sp, nil)
 }
 
 // compileTraced compiles a SELECT under an "optimize" span carrying the
-// chosen plan's cost snapshot.
-func (e *Engine) compileTraced(s *parser.Select, tr *obs.Trace, sp *obs.Span) (*optimizer.Result, error) {
+// chosen plan's cost snapshot: through the plan cache when cached is set.
+func (e *Engine) compileTraced(s *parser.Select, cached bool, tr *obs.Trace, sp *obs.Span) (opt *optimizer.Result, err error) {
 	osp := tr.Span(sp, "optimize")
-	opt, err := e.compile(s)
+	if cached {
+		opt, err = e.compile(s)
+	} else {
+		opt, err = e.compileFresh(s, e.optimizerOptions())
+	}
 	if err != nil {
 		osp.SetAttr("error", err.Error())
 		osp.End()
@@ -794,10 +798,11 @@ func (e *Engine) compileTraced(s *parser.Select, tr *obs.Trace, sp *obs.Span) (*
 	return opt, nil
 }
 
-// runSelect executes a compiled SELECT. opStats, when non-nil, collects
-// per-plan-node actuals (EXPLAIN ANALYZE); passing it also forces the
-// instrumented operator shells on even when tracing is off.
-func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
+// runSelect executes s's compiled plan, binding s's slot literals.
+// opStats, when non-nil, collects per-plan-node actuals (EXPLAIN
+// ANALYZE); passing it also forces the instrumented operator shells on
+// even when tracing is off.
+func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
 	// Pin the statement's snapshot: every stored-data read — across
 	// crowd waits that may last minutes — sees exactly the rows
 	// committed at this timestamp. Released when the statement finishes
@@ -827,6 +832,7 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts Exec
 	if e.opm != nil {
 		ectx.OpMetrics = e.opm
 	}
+	ectx.UseSlots(s.Where)
 	// Crowd counters fold in even when the statement errors or is
 	// cancelled midway — like the stats observer below, they account for
 	// work already paid.
@@ -866,7 +872,7 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, opts Exec
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: rows, Warnings: opt.Warnings, Stats: ectx.Stats, SnapshotTS: snap.TS()}
+	res := &Result{Rows: rows, Warnings: slices.Clip(opt.Warnings), Stats: ectx.Stats, SnapshotTS: snap.TS()}
 	res.Predicted = opt.Predicted
 	res.ActualCents = ectx.Stats.Cents(e.Prices())
 	if e.tasks != nil && !opt.Predicted.IsUnbounded() &&
@@ -889,7 +895,7 @@ func (e *Engine) installSubqueryRunner(ctx *exec.Ctx, depth int) {
 		if depth+1 >= maxSubqueryDepth {
 			return nil, fmt.Errorf("core: subqueries nested deeper than %d", maxSubqueryDepth)
 		}
-		opt, err := e.compile(sel)
+		opt, err := e.compileFresh(sel, e.optimizerOptions())
 		if err != nil {
 			return nil, fmt.Errorf("core: subquery: %w", err)
 		}
@@ -954,7 +960,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	if !ok {
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT only")
 	}
-	opt, err := e.compileTraced(sel, tr, sp)
+	opt, err := e.compileTraced(sel, false, tr, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -968,7 +974,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 		run.Sink = nil
 		run.OnSchema = nil
 		opStats = make(map[plan.Node]*exec.OpStats)
-		analyzed, err = e.runSelect(ctx, opt, run, tr, sp, opStats)
+		analyzed, err = e.runSelect(ctx, opt, sel, run, tr, sp, opStats)
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,8 @@ type engineMetrics struct {
 	tupleReqs    *obs.Counter
 	budgetDenied *obs.Counter
 	spendCents   *obs.Counter
+	planHits     *obs.Counter
+	planMisses   *obs.Counter
 }
 
 // initObservability builds the registry and tracer at Open. The registry
@@ -59,6 +61,10 @@ func (e *Engine) initObservability() {
 		"comparisons skipped because the per-statement budget ran out")
 	e.obsm.spendCents = e.reg.Counter("crowddb_crowd_spend_cents_total",
 		"crowd spend in cost-model cents (reward x replication per paid request)")
+	e.obsm.planHits = e.reg.Counter("crowddb_plan_cache_hits_total",
+		"SELECT compiles served by a current plan-cache entry for the statement's shape")
+	e.obsm.planMisses = e.reg.Counter("crowddb_plan_cache_misses_total",
+		"SELECT compiles that found no current plan-cache entry (a stale entry counts) and compiled afresh")
 
 	e.reg.CounterFunc("crowddb_cache_hits_total",
 		"comparison claims answered from a resident cache entry",

@@ -5,6 +5,7 @@ import (
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
 )
 
 // The binder turns a parsed expression into the form the evaluator
@@ -127,9 +128,42 @@ func (s *slab[T]) take(n int) []T {
 
 // binder hands out bound nodes from one slab per operator. bind grows it
 // by what its expression needs; an operator with several expressions grows
-// it first by their sum (bindAll does), for one allocation.
+// it first by their sum (bindAll does), for one allocation. A literal in a
+// slot binds to the statement's own (Ctx.slots).
 type binder struct {
 	slab[bound]
+	slots slots
+}
+
+// binder starts an operator's binder over the statement's slots.
+func (c *Ctx) binder() binder { return binder{slots: c.slots} }
+
+// slots are the executing statement's slot literals in slot order, as
+// parser.AppendSlots lists them.
+type slots []*parser.Literal
+
+// of is the literal l binds to: the statement's own in l's slot, l itself
+// when it holds none.
+func (s slots) of(l *parser.Literal) *parser.Literal {
+	if l.Slot > 0 && l.Slot <= len(s) {
+		return s[l.Slot-1]
+	}
+	return l
+}
+
+// UseSlots binds the slot literals of where, the executing statement's
+// WHERE: a plan compiled for any statement of the same shape then reads
+// this one's values.
+func (c *Ctx) UseSlots(where parser.Expr) { c.slots = parser.AppendSlots(c.slotBuf[:0], where) }
+
+// probeKeys adds the scan's probe keys, at the statement's values, to
+// prefill — over any key already there — and returns it: what a tuple
+// solicitation pre-fills.
+func (c *Ctx) probeKeys(s *plan.Scan, prefill map[string]sqltypes.Value) map[string]sqltypes.Value {
+	for col, lit := range s.ProbeKeys {
+		prefill[col] = c.slots.of(lit).Val
+	}
+	return prefill
 }
 
 // nodeCount is the number of nodes bind makes of e.
@@ -192,7 +226,7 @@ func fail(dst *bound, err error) { dst.kind, dst.src = bFail, err }
 func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
 	switch x := e.(type) {
 	case *parser.Literal:
-		dst.kind, dst.src = bLit, x
+		dst.kind, dst.src = bLit, b.slots.of(x)
 	case *parser.ColumnRef:
 		i, err := plan.FindCol(schema, x.Table, x.Name)
 		if err != nil {
@@ -218,7 +252,7 @@ func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
 				if columnVsLiteral(x) {
 					b.bindInto(dst, x.L, schema) // the ordinal, or the failure
 					if dst.kind == bCol {
-						dst.kind, dst.src = bCmp, x.R
+						dst.kind, dst.src = bCmp, b.slots.of(x.R.(*parser.Literal))
 					}
 					return
 				}

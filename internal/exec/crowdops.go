@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"maps"
 	"strings"
 
 	"crowddb/internal/catalog"
@@ -122,6 +121,14 @@ type Ctx struct {
 	// wall time, crowd work) for EXPLAIN ANALYZE. Counts are inclusive
 	// of child operators.
 	OpStats map[plan.Node]*OpStats
+
+	// slots are the executing statement's slot literals in slot order
+	// (UseSlots), in slotBuf when they fit. A literal of the plan that
+	// holds slot n binds to slots[n-1]: a plan compiled for another
+	// statement of the same shape reads this statement's values. Nil binds
+	// the plan's own literals.
+	slots   slots
+	slotBuf [4]*parser.Literal
 
 	// batchSize is the rows-per-batch target of the vectorized pipeline
 	// (0 = DefaultBatchSize; only tests vary it). Batch size changes
@@ -247,9 +254,9 @@ type crowdEqualCall struct {
 	l, r     *bound
 }
 
-func collectCrowdEqualCalls(e parser.Expr, schema []plan.Col) []crowdEqualCall {
+func collectCrowdEqualCalls(ctx *Ctx, e parser.Expr, schema []plan.Col) []crowdEqualCall {
 	var calls []crowdEqualCall
-	var b binder
+	b := ctx.binder()
 	parser.WalkExprs(e, func(x parser.Expr) {
 		switch n := x.(type) {
 		case *parser.BinaryExpr:
@@ -308,12 +315,12 @@ type eqBatch struct {
 // posts the ones this query leads; quorum collection happens lazily in
 // nextBatch.
 func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	var b binder
+	b := ctx.binder()
 	es := &equalStream{cond: b.bind(cond, schema), env: evalEnv{ctx: ctx}, rows: rows, resolved: map[Key]bool{},
 		broker: newCompareBroker(ctx, kindEqual)}
 	var calls []crowdEqualCall
 	if ctx.Tasks != nil && ctx.Cache != nil {
-		calls = collectCrowdEqualCalls(cond, schema)
+		calls = collectCrowdEqualCalls(ctx, cond, schema)
 	}
 	if len(calls) == 0 {
 		es.finalized = true
@@ -509,7 +516,7 @@ func newCrowdSorter(ctx *Ctx, rows []Row, schema []plan.Col, key parser.OrderIte
 	// Render each row's label (the first CROWDORDER argument). Labels that
 	// fail to resolve (e.g. the paper's free variable `p`) fall back to the
 	// row's first column rendering.
-	var b binder
+	b := ctx.binder()
 	label := b.bind(fc.Args[0], schema)
 	labels := make([]string, len(rows))
 	for i, r := range rows {
@@ -706,7 +713,7 @@ func (p *crowdProbe) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	var b binder
+	b := ctx.binder()
 	filter := b.bind(node.Filter, node.Schema())
 
 	// CrowdProbe phase 1: instantiate CNULLs of the asked crowd columns.
@@ -723,9 +730,9 @@ func (p *crowdProbe) Open(ctx *Ctx) error {
 			return err
 		}
 		if want > 0 {
-			// The task manager only reads a prefill: the plan's keys serve.
+			// The probe keys pre-fill the form, at this statement's values.
 			acquired, err := solicitTuples(ctx, node.Scan.Table, "crowd:new_tuples",
-				[]taskmgr.TupleRequest{{Prefill: node.Scan.ProbeKeys, Want: want}})
+				[]taskmgr.TupleRequest{{Prefill: ctx.probeKeys(node.Scan, map[string]sqltypes.Value{}), Want: want}})
 			// A solicited tuple never passed the scan: its filter applies here.
 			if err == nil {
 				acquired, err = keptRows(acquired, b.bind(node.Scan.Filter, node.Schema()))
@@ -1018,7 +1025,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	inner := j.probe.Scan
-	var b binder
+	b := ctx.binder()
 	b.grow(nodeCount(j.leftKey) + nodeCount(j.residual) + nodeCount(inner.Filter) + nodeCount(j.probe.Filter))
 	leftKey, residual := b.bind(j.leftKey, j.left.Schema()), b.bind(j.residual, j.Schema())
 	scanFilter, crowdFilter := b.bind(inner.Filter, inner.Schema()), b.bind(j.probe.Filter, inner.Schema())
@@ -1053,7 +1060,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 		matches.add(row[rightColIdx], row)
 	}
 
-	if reqs := j.missingRequests(keys, &matches); ctx.Tasks != nil && len(reqs) > 0 {
+	if reqs := j.missingRequests(ctx, keys, &matches); ctx.Tasks != nil && len(reqs) > 0 {
 		accepted, err := solicitTuples(ctx, t, "crowd:join_tuples", reqs)
 		if err == nil {
 			accepted, err = keptRows(accepted, scanFilter, crowdFilter)
@@ -1085,7 +1092,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 // missingRequests asks for the inner tuples the stored data lacks: one
 // request per distinct outer key, its join column prefilled, wanting the
 // expected fan-out minus the stored matches.
-func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches *rowBuckets) []taskmgr.TupleRequest {
+func (j *crowdJoin) missingRequests(ctx *Ctx, keys []sqltypes.Value, matches *rowBuckets) []taskmgr.TupleRequest {
 	var (
 		reqs []taskmgr.TupleRequest
 		seen = newKeyTable(0)
@@ -1103,8 +1110,7 @@ func (j *crowdJoin) missingRequests(keys []sqltypes.Value, matches *rowBuckets) 
 		if want <= 0 {
 			continue
 		}
-		prefill := map[string]sqltypes.Value{strings.ToLower(j.rightCol): k}
-		maps.Copy(prefill, j.probe.Scan.ProbeKeys)
+		prefill := ctx.probeKeys(j.probe.Scan, map[string]sqltypes.Value{strings.ToLower(j.rightCol): k})
 		reqs = append(reqs, taskmgr.TupleRequest{Prefill: prefill, Want: want})
 	}
 	return reqs

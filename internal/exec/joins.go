@@ -69,7 +69,7 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	j.rightRows = rows
-	var b binder
+	b := ctx.binder()
 	j.on = b.bind(j.node.On, j.Schema())
 	j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
 	return nil
@@ -200,7 +200,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	var b binder
+	b := ctx.binder()
 	b.grow(nodeCount(j.leftKey) + nodeCount(j.rightKey) + nodeCount(j.residual))
 	rk := b.bind(j.rightKey, j.right.Schema())
 	j.lk, j.res = b.bind(j.leftKey, j.left.in.Schema()), b.bind(j.residual, j.Schema())

@@ -114,7 +114,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	if err := f.input.Open(ctx); err != nil {
 		return err
 	}
-	var b binder
+	b := ctx.binder()
 	f.stream = nil
 	if !f.crowd {
 		f.cond = b.bind(f.node.Cond, f.Schema())
@@ -212,7 +212,7 @@ func (p *projectOp) Open(ctx *Ctx) error {
 	if err := p.input.Open(ctx); err != nil {
 		return err
 	}
-	var b binder
+	b := ctx.binder()
 	items := p.node.Items
 	p.items = b.bindAll(len(items), func(i int) parser.Expr { return items[i].Expr }, p.input.Schema())
 	return nil
@@ -550,7 +550,7 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		return err
 	}
 	a.out, a.calls = batchEmitter{}, nil
-	var b binder
+	b := ctx.binder()
 	in := a.input.Schema()
 	keys := b.bindAll(len(a.node.GroupBy), func(i int) parser.Expr { return a.node.GroupBy[i] }, in)
 	items := b.bindAll(len(a.node.Items), func(i int) parser.Expr { return a.node.Items[i].Expr }, in)

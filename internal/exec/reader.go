@@ -58,7 +58,7 @@ type tableReader struct {
 
 // open positions the reader on node's table at the statement's snapshot.
 func (r *tableReader) open(ctx *Ctx, node *plan.Scan) error {
-	var b binder
+	b := ctx.binder()
 	*r = tableReader{node: node, filter: b.bind(node.Filter, node.Schema()), quota: node.StopAfter}
 	ids, rows, keyed, err := fetchByKey(ctx, node)
 	if err != nil {
@@ -178,11 +178,12 @@ func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
 func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, keyed bool, err error) {
 	t := node.Table
 	key := func(name string) (sqltypes.Value, bool) {
-		v, pinned := node.ProbeKeys[strings.ToLower(name)]
+		lit, pinned := node.ProbeKeys[strings.ToLower(name)]
 		col, ok := t.Column(name)
 		if !pinned || !ok || (col.Crowd && ctx.Tasks != nil) {
-			return v, false
+			return sqltypes.Value{}, false
 		}
+		v := ctx.slots.of(lit).Val
 		// Coerce the literal to the column type so the encoded key matches
 		// stored values (e.g. WHERE id = 3 against an INTEGER column).
 		if cv, err := v.Coerce(col.Type); err == nil {

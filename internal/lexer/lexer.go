@@ -53,28 +53,51 @@ type Token struct {
 	Pos   int
 }
 
-// keywords is the CrowdSQL reserved-word set. CROWD, CNULL, CROWDEQUAL and
-// CROWDORDER are the paper's additions (§2).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "IS": true, "IN": true, "LIKE": true, "BETWEEN": true,
-	"NULL": true, "CNULL": true, "TRUE": true, "FALSE": true,
-	"CREATE": true, "TABLE": true, "CROWD": true, "DROP": true,
-	"PRIMARY": true, "KEY": true, "FOREIGN": true, "REF": true,
-	"REFERENCES": true, "INDEX": true, "ON": true, "UNIQUE": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"OUTER": true, "CROSS": true, "DISTINCT": true, "ALL": true,
-	"ANNOTATION": true, "EXPLAIN": true, "ANALYZE": true,
-	"SHOW": true, "TABLES": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"CROWDEQUAL": true, "CROWDORDER": true,
-}
+// keywords is the CrowdSQL reserved-word set, each word mapped to itself:
+// a keyword token's value is the map's string, never a new one. CROWD,
+// CNULL, CROWDEQUAL and CROWDORDER are the paper's additions (§2).
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "OFFSET",
+		"ASC", "DESC", "AS", "AND", "OR", "NOT", "IS", "IN", "LIKE", "BETWEEN",
+		"NULL", "CNULL", "TRUE", "FALSE", "CREATE", "TABLE", "CROWD", "DROP",
+		"PRIMARY", "KEY", "FOREIGN", "REF", "REFERENCES", "INDEX", "ON", "UNIQUE",
+		"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "JOIN", "INNER", "LEFT",
+		"OUTER", "CROSS", "DISTINCT", "ALL", "ANNOTATION", "EXPLAIN", "ANALYZE",
+		"SHOW", "TABLES", "COUNT", "SUM", "AVG", "MIN", "MAX", "CROWDEQUAL", "CROWDORDER",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
 
-// IsKeyword reports whether the upper-cased word is reserved.
-func IsKeyword(word string) bool { return keywords[strings.ToUpper(word)] }
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = len("REFERENCES")
+
+// keyword returns word upper-cased and true when it is reserved. The word
+// is folded on the stack, so an identifier costs no allocation to miss
+// the map. A word with a byte past ASCII is never a keyword: the only
+// letters whose upper case is ASCII, ſ and ı, end in a byte lexWord does
+// not take into a word.
+func keyword(word string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 0x80 {
+			return "", false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
+}
 
 // Lexer scans an input string into tokens.
 type Lexer struct {
@@ -147,24 +170,36 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
+// lexString scans a quoted literal; a doubled quote is an escaped quote.
+// The value is one allocation of its own, never a substring of the
+// source: a stored value must not pin the whole statement text (a
+// 500-row INSERT script, say).
 func (l *Lexer) lexString(quote byte) (Token, error) {
 	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == quote {
-			// doubled quote is an escaped quote
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
-				sb.WriteByte(quote)
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: String, Value: sb.String(), Pos: start}, nil
+	escaped := 0
+	for i := start + 1; i < len(l.src); i++ {
+		if l.src[i] != quote {
+			continue
 		}
-		sb.WriteByte(c)
-		l.pos++
+		if i+1 < len(l.src) && l.src[i+1] == quote {
+			escaped++
+			i++
+			continue
+		}
+		raw := l.src[start+1 : i]
+		l.pos = i + 1
+		if escaped == 0 {
+			return Token{Kind: String, Value: strings.Clone(raw), Pos: start}, nil
+		}
+		var sb strings.Builder
+		sb.Grow(len(raw) - escaped)
+		for j := 0; j < len(raw); j++ {
+			sb.WriteByte(raw[j])
+			if raw[j] == quote {
+				j++ // its double
+			}
+		}
+		return Token{Kind: String, Value: sb.String(), Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("lexer: unterminated string literal at offset %d", start)
 }
@@ -199,8 +234,8 @@ func (l *Lexer) lexWord() (Token, error) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	if IsKeyword(word) {
-		return Token{Kind: Keyword, Value: strings.ToUpper(word), Pos: start}, nil
+	if kw, ok := keyword(word); ok {
+		return Token{Kind: Keyword, Value: kw, Pos: start}, nil
 	}
 	return Token{Kind: Ident, Value: word, Pos: start}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func kinds(toks []Token) []Kind {
@@ -208,5 +209,41 @@ func TestTokenizeAllocatesTokensOnce(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("Tokenize allocates %.0f times per call, want 1 (the token slice)", allocs)
+	}
+}
+
+// TestTokenizePointReadAllocs: point_read's statement, identifiers in
+// mixed case, allocates the token slice and its one string literal —
+// measured 2. Folding a word's case to look it up allocates nothing.
+func TestTokenizePointReadAllocs(t *testing.T) {
+	const src = "SELECT nb_attendees FROM Talk WHERE title = 'talk-00042'"
+	toks, err := Tokenize(src)
+	if err != nil || len(toks) != 8 || toks[2].Value != "FROM" || toks[7].Value != "talk-00042" {
+		t.Fatalf("tokens = %+v, err = %v", toks, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		Tokenize(src) //nolint:errcheck // checked above
+	})
+	if allocs != 2 {
+		t.Fatalf("Tokenize allocates %.0f times per call, want 2 (the token slice and the literal)", allocs)
+	}
+}
+
+// TestStringLiteralOwnsItsBytes: a literal's value is a copy, not a
+// substring pinning the statement text, escapes resolved or not.
+func TestStringLiteralOwnsItsBytes(t *testing.T) {
+	src := "'plain' 'it''s' 'ſelect'"
+	toks, err := Tokenize(src)
+	if err != nil || len(toks) != 3 {
+		t.Fatalf("tokens = %+v, err = %v", toks, err)
+	}
+	for i, want := range []string{"plain", "it's", "ſelect"} {
+		if toks[i].Value != want {
+			t.Errorf("literal %d = %q, want %q", i, toks[i].Value, want)
+		}
+		if p := unsafe.StringData(toks[i].Value); uintptr(unsafe.Pointer(p)) >= uintptr(unsafe.Pointer(unsafe.StringData(src))) &&
+			uintptr(unsafe.Pointer(p)) < uintptr(unsafe.Pointer(unsafe.StringData(src)))+uintptr(len(src)) {
+			t.Errorf("literal %q points into the source text", toks[i].Value)
+		}
 	}
 }

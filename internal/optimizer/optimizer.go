@@ -15,7 +15,6 @@ import (
 	"crowddb/internal/catalog"
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
-	"crowddb/internal/sqltypes"
 )
 
 // Options control optimization.
@@ -280,29 +279,29 @@ func addProbeKeys(s *plan.Scan, filter parser.Expr) {
 		return
 	}
 	for _, conj := range parser.SplitConjuncts(filter) {
-		if col, val, ok := equalityBinding(conj); ok {
-			s.ProbeKeys[strings.ToLower(col)] = val
+		if col, lit, ok := equalityBinding(conj); ok {
+			s.ProbeKeys[strings.ToLower(col)] = lit
 		}
 	}
 }
 
 // equalityBinding matches `col = literal` (either order).
-func equalityBinding(e parser.Expr) (string, sqltypes.Value, bool) {
+func equalityBinding(e parser.Expr) (string, *parser.Literal, bool) {
 	be, ok := e.(*parser.BinaryExpr)
 	if !ok || be.Op != "=" {
-		return "", sqltypes.Value{}, false
+		return "", nil, false
 	}
 	if cr, ok := be.L.(*parser.ColumnRef); ok {
 		if lit, ok := be.R.(*parser.Literal); ok {
-			return cr.Name, lit.Val, true
+			return cr.Name, lit, true
 		}
 	}
 	if cr, ok := be.R.(*parser.ColumnRef); ok {
 		if lit, ok := be.L.(*parser.Literal); ok {
-			return cr.Name, lit.Val, true
+			return cr.Name, lit, true
 		}
 	}
-	return "", sqltypes.Value{}, false
+	return "", nil, false
 }
 
 // ---------------------------------------------------------------------------

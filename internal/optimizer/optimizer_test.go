@@ -111,7 +111,7 @@ func TestPredicatePushdown(t *testing.T) {
 		t.Errorf("residual filter:\n%s", plan.ExplainTree(res.Root))
 	}
 	// Probe key derived from the equality.
-	if v, ok := scan.ProbeKeys["title"]; !ok || v.Str() != "CrowdDB" {
+	if v, ok := scan.ProbeKeys["title"]; !ok || v.Val.Str() != "CrowdDB" {
 		t.Errorf("probe keys: %v", scan.ProbeKeys)
 	}
 }

@@ -222,7 +222,15 @@ type Expr interface {
 }
 
 // Literal is a constant, including NULL and CNULL.
-type Literal struct{ Val sqltypes.Value }
+type Literal struct {
+	Val sqltypes.Value
+	// Slot numbers the literals of the outermost SELECT's WHERE clause,
+	// subqueries excluded, from 1 in text order; 0 is no slot. A plan
+	// cached for the statement's shape (AppendShape) reads a slot's value
+	// from the statement it executes, never from the one it was compiled
+	// for.
+	Slot int
+}
 
 func (*Literal) expr() {}
 

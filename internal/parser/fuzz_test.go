@@ -1,10 +1,15 @@
 package parser
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse feeds arbitrary text to ParseAll: it must return, never
 // panic, and every statement it parses must print as text that parses to
-// one statement printing the same text again.
+// one deep-equal statement — slot numbers included — with the same shape.
+// The plan cache keys on the shape, so two trees that print alike must be
+// one tree. A SELECT's shape lists its slots in slot order.
 func FuzzParse(f *testing.F) {
 	for _, src := range fuzzParseSeeds {
 		f.Add(src)
@@ -20,8 +25,21 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q parses, but its statement prints as %q, which does not: %v", src, printed, err)
 			}
-			if twice := again.String(); twice != printed {
-				t.Fatalf("%q: printing is not idempotent:\n once: %s\ntwice: %s", src, printed, twice)
+			if !reflect.DeepEqual(again, s) {
+				t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
+			}
+			sel, ok := s.(*Select)
+			if !ok {
+				continue
+			}
+			shape, slots := AppendShape(nil, sel), AppendSlots(nil, sel.Where)
+			for i, l := range slots {
+				if l.Slot != i+1 {
+					t.Fatalf("%q: shape %s lists slot %d at %d", src, shape, l.Slot, i+1)
+				}
+			}
+			if shape2 := AppendShape(nil, again.(*Select)); string(shape2) != string(shape) {
+				t.Fatalf("%q: shapes differ after printing:\n once: %s\ntwice: %s", src, shape, shape2)
 			}
 		}
 	})
@@ -56,6 +74,17 @@ var fuzzParseSeeds = append(append([]string{
 	`UPDATE kv SET v = 'v7', n = 7 WHERE id = 7`,
 	`SELECT id FROM Pair WHERE grp = 3 AND a ~= b`,
 	`SELECT name FROM Item WHERE grp = 3 ORDER BY CROWDORDER(name, 'Which is bigger?')`,
+	// The same shapes with a slot literal of every kind: −0.0, ±(2^53+1)
+	// as INTEGER and FLOAT, a doubled quote, NULL, CNULL and the booleans.
+	`SELECT nb_attendees FROM Talk WHERE title = 'O''Brien''s talk'`,
+	`SELECT nb_attendees FROM Talk WHERE title = NULL OR title = CNULL`,
+	`SELECT room, COUNT(*) FROM Talk WHERE nb_attendees < -0.0 GROUP BY room ORDER BY COUNT(*) DESC LIMIT 10`,
+	`SELECT room FROM Talk WHERE nb_attendees BETWEEN -9007199254740993 AND 9007199254740993`,
+	`SELECT room FROM Talk WHERE nb_attendees IN (9007199254740993.0, -9007199254740993.0, 1e300, -0.0)`,
+	`UPDATE kv SET v = 'it''s', n = -9007199254740993 WHERE id = -0.0`,
+	`SELECT id FROM Pair WHERE grp = -3 AND a ~= 'x''y' AND TRUE = FALSE`,
+	`SELECT name FROM Item WHERE grp IN (SELECT g FROM G WHERE w > 2.5) AND name LIKE 'a%' ORDER BY CROWDORDER(name, 'Which?') LIMIT 1`,
+	`EXPLAIN SELECT 1, 'x' FROM t WHERE x = 1 AND y = 'x' GROUP BY x HAVING COUNT(*) > 1`,
 }, fixpointSources...), parseErrorSources...)
 
 // fixpointSources are TestPrintReparseFixpoint's statements.

@@ -72,6 +72,20 @@ func ParseExpr(src string) (Expr, error) {
 type parser struct {
 	toks []lexer.Token
 	pos  int
+	// slotting is set while the outermost SELECT's WHERE is parsed: each
+	// literal made then takes the next slot number, slots the last one.
+	slotting bool
+	slots    int
+}
+
+// literal makes a literal, numbered as the next slot while slotting.
+func (p *parser) literal(v sqltypes.Value) *Literal {
+	l := &Literal{Val: v}
+	if p.slotting {
+		p.slots++
+		l.Slot = p.slots
+	}
+	return l
 }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
@@ -162,6 +176,7 @@ func (p *parser) identList() ([]string, error) {
 }
 
 func (p *parser) statement() (Statement, error) {
+	p.slots = 0
 	t := p.peek()
 	if t.Kind != lexer.Keyword {
 		return nil, p.errorf("expected statement keyword, got %s", p.peekDesc())
@@ -174,7 +189,7 @@ func (p *parser) statement() (Statement, error) {
 	case "INSERT":
 		return p.insertStmt()
 	case "SELECT":
-		return p.selectStmt()
+		return p.selectStmt(true)
 	case "UPDATE":
 		return p.updateStmt()
 	case "DELETE":
@@ -508,7 +523,9 @@ func (p *parser) deleteStmt() (Statement, error) {
 	return del, nil
 }
 
-func (p *parser) selectStmt() (Statement, error) {
+// selectStmt parses a SELECT; outer is false for a subquery, whose WHERE
+// literals are no slots.
+func (p *parser) selectStmt(outer bool) (Statement, error) {
 	p.pos++ // SELECT
 	sel := &Select{Limit: -1}
 	if p.acceptKeyword("DISTINCT") {
@@ -579,7 +596,9 @@ func (p *parser) selectStmt() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("WHERE") {
+		p.slotting = outer
 		w, err := p.expr()
+		p.slotting = false
 		if err != nil {
 			return nil, err
 		}
@@ -792,7 +811,10 @@ func (p *parser) comparison() (Expr, error) {
 		}
 		// Subquery form: IN (SELECT ...).
 		if tok := p.peek(); tok.Kind == lexer.Keyword && tok.Value == "SELECT" {
-			sub, err := p.selectStmt()
+			slotting := p.slotting
+			p.slotting = false
+			sub, err := p.selectStmt(false)
+			p.slotting = slotting
 			if err != nil {
 				return nil, err
 			}
@@ -912,11 +934,15 @@ func (p *parser) unary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Literal); ok {
+			// The literal is the one primary just made: negate it in place,
+			// keeping its slot.
 			switch lit.Val.Kind() {
 			case sqltypes.KindInt:
-				return &Literal{Val: sqltypes.NewInt(-lit.Val.Int())}, nil
+				lit.Val = sqltypes.NewInt(-lit.Val.Int())
+				return lit, nil
 			case sqltypes.KindFloat:
-				return &Literal{Val: sqltypes.NewFloat(-lit.Val.Float())}, nil
+				lit.Val = sqltypes.NewFloat(-lit.Val.Float())
+				return lit, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
@@ -941,30 +967,30 @@ func (p *parser) primary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.Value)
 			}
-			return &Literal{Val: sqltypes.NewFloat(f)}, nil
+			return p.literal(sqltypes.NewFloat(f)), nil
 		}
 		n, err := strconv.ParseInt(t.Value, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad integer %q", t.Value)
 		}
-		return &Literal{Val: sqltypes.NewInt(n)}, nil
+		return p.literal(sqltypes.NewInt(n)), nil
 	case lexer.String:
 		p.pos++
-		return &Literal{Val: sqltypes.NewString(t.Value)}, nil
+		return p.literal(sqltypes.NewString(t.Value)), nil
 	case lexer.Keyword:
 		switch t.Value {
 		case "NULL":
 			p.pos++
-			return &Literal{Val: sqltypes.Null()}, nil
+			return p.literal(sqltypes.Null()), nil
 		case "CNULL":
 			p.pos++
-			return &Literal{Val: sqltypes.CNull()}, nil
+			return p.literal(sqltypes.CNull()), nil
 		case "TRUE":
 			p.pos++
-			return &Literal{Val: sqltypes.NewBool(true)}, nil
+			return p.literal(sqltypes.NewBool(true)), nil
 		case "FALSE":
 			p.pos++
-			return &Literal{Val: sqltypes.NewBool(false)}, nil
+			return p.literal(sqltypes.NewBool(false)), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX", "CROWDEQUAL", "CROWDORDER":
 			p.pos++
 			return p.funcCall(t.Value)

@@ -388,3 +388,37 @@ func TestKeywordLowerCaseQuery(t *testing.T) {
 		t.Errorf("lower-case SQL must parse: %v", err)
 	}
 }
+
+// TestShape pins what a shape keeps verbatim: only the outermost WHERE's
+// literals outside subqueries are slots.
+func TestShape(t *testing.T) {
+	for _, tc := range []struct{ src, shape string }{
+		{`SELECT nb_attendees FROM Talk WHERE title = 'talk-00042'`,
+			`SELECT nb_attendees FROM Talk WHERE (title = ?STRING)`},
+		{`SELECT 'x', n + 1 FROM a JOIN b ON a.k = b.k + 1 WHERE n IN (1, -2.5, NULL) AND m ~= 'y' AND c IS NOT CNULL GROUP BY n HAVING COUNT(*) > 3 ORDER BY n DESC LIMIT 5 OFFSET 2`,
+			`SELECT 'x', (n + 1) FROM a JOIN b ON (a.k = (b.k + 1)) WHERE (((n IN (?INTEGER, ?FLOAT, ?NULL)) AND (m ~= ?STRING)) AND (c IS NOT CNULL)) GROUP BY n HAVING (COUNT(*) > 3) ORDER BY n DESC LIMIT 5 OFFSET 2`},
+		{`SELECT who FROM vis WHERE tid IN (SELECT id FROM talk WHERE att > 80) AND who <> 'x'`,
+			`SELECT who FROM vis WHERE ((tid IN (SELECT id FROM talk WHERE (att > 80))) AND (who <> ?STRING))`},
+		{`SELECT * FROM t WHERE CROWDEQUAL(name, 'UC Berkeley', 'Same school?') OR TRUE`,
+			`SELECT * FROM t WHERE (CROWDEQUAL(name, ?STRING, ?STRING) OR ?BOOLEAN)`},
+	} {
+		sel := mustParse(t, tc.src).(*Select)
+		shape, slots := AppendShape(nil, sel), AppendSlots(nil, sel.Where)
+		if string(shape) != tc.shape {
+			t.Errorf("%s\n shape %s\n want  %s", tc.src, shape, tc.shape)
+		}
+		for i, l := range slots {
+			if l.Slot != i+1 {
+				t.Errorf("%s: slot %d listed at %d", tc.src, l.Slot, i+1)
+			}
+		}
+		if got := sel.String(); strings.Contains(got, "?STRING") || strings.Contains(got, "?INTEGER") {
+			t.Errorf("String prints a shape: %s", got)
+		}
+	}
+	// A DML statement's WHERE has no slots.
+	del := mustParse(t, `DELETE FROM t WHERE x = 1`).(*Delete)
+	if lit := del.Where.(*BinaryExpr).R.(*Literal); lit.Slot != 0 {
+		t.Errorf("DELETE literal has slot %d", lit.Slot)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // appendSQL appends the statement's CrowdSQL text to b: every
 // statement's String and AppendText.
 func appendSQL(b []byte, s Statement) []byte {
-	p := printer{b}
+	p := printer{b: b}
 	p.stmt(s)
 	return p.b
 }
@@ -30,9 +30,36 @@ func exprString(e Expr) string {
 // stmtString is every statement's String.
 func stmtString(s Statement) string { return string(appendSQL(nil, s)) }
 
+// AppendShape appends s's shape to b: s's text with each slot literal
+// (Literal.Slot) printed as "?" and its kind only. Two SELECTs have one
+// shape exactly when they differ in nothing but their slot literals'
+// values, so a plan compiled for one serves the other once it reads the
+// slots from the statement it executes (AppendSlots): the shape is the
+// plan cache's key.
+func AppendShape(b []byte, s *Select) []byte {
+	p := printer{b: b, shape: true}
+	p.selectStmt(s)
+	return p.b
+}
+
+// AppendSlots appends the slot literals of where, a SELECT's WHERE, to
+// dst in slot order (WalkExprs visits them in text order, as the parser
+// numbered them).
+func AppendSlots(dst []*Literal, where Expr) []*Literal {
+	WalkExprs(where, func(e Expr) {
+		if l, ok := e.(*Literal); ok && l.Slot > 0 {
+			dst = append(dst, l)
+		}
+	})
+	return dst
+}
+
 // printer appends CrowdSQL text to b as its methods recurse through the
-// tree.
-type printer struct{ b []byte }
+// tree. With shape set it prints a slot literal as its kind.
+type printer struct {
+	b     []byte
+	shape bool
+}
 
 func (p *printer) write(ss ...string) {
 	for _, s := range ss {
@@ -266,6 +293,10 @@ func (p *printer) clause(kw string, e Expr) {
 func (p *printer) expr(e Expr) {
 	switch e := e.(type) {
 	case *Literal:
+		if p.shape && e.Slot > 0 {
+			p.write("?", kindNames[e.Val.Kind()])
+			return
+		}
 		p.literal(e.Val)
 	case *ColumnRef:
 		if e.Table != "" {
@@ -336,6 +367,12 @@ func (p *printer) expr(e Expr) {
 	default:
 		panic(fmt.Sprintf("parser: no printer for %T", e))
 	}
+}
+
+// kindNames name a slot literal's kind in a shape.
+var kindNames = [...]string{
+	sqltypes.KindNull: "NULL", sqltypes.KindCNull: "CNULL", sqltypes.KindString: "STRING",
+	sqltypes.KindInt: "INTEGER", sqltypes.KindFloat: "FLOAT", sqltypes.KindBool: "BOOLEAN",
 }
 
 // literal appends the literal as it parses back: a FLOAT with an integral

@@ -56,8 +56,9 @@ type Scan struct {
 	StopAfter int64
 	// ProbeKeys are equality bindings (column = literal) derived from the
 	// pushed predicates, this scan's and its CrowdProbe's: an index access
-	// path probes with them, and a tuple solicitation pre-fills them.
-	ProbeKeys map[string]sqltypes.Value
+	// path probes with them, and a tuple solicitation pre-fills them. A
+	// slot literal's value is the executing statement's (exec.Ctx).
+	ProbeKeys map[string]*parser.Literal
 
 	schema []Col
 }
@@ -67,7 +68,7 @@ func NewScan(t *catalog.Table, alias string) *Scan {
 	if alias == "" {
 		alias = t.Name
 	}
-	s := &Scan{Table: t, Alias: alias, StopAfter: -1, ProbeKeys: map[string]sqltypes.Value{}}
+	s := &Scan{Table: t, Alias: alias, StopAfter: -1, ProbeKeys: map[string]*parser.Literal{}}
 	for _, c := range t.Columns {
 		s.schema = append(s.schema, Col{Table: alias, Name: c.Name, Type: c.Type, Crowd: c.Crowd})
 	}

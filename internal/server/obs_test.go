@@ -7,6 +7,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -66,6 +67,33 @@ func runJobWait(t *testing.T, srv *Server, sql string) *Job {
 		t.Fatalf("job %q: %v", sql, serr)
 	}
 	return job
+}
+
+// TestPlanCacheOverHTTP: a point SELECT repeated over HTTP with new keys
+// is served from the plan cache — the hit counter moves, the miss counter
+// does not.
+func TestPlanCacheOverHTTP(t *testing.T) {
+	eng := pairEngine(t, 62, 6)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	for id := 0; id < 2; id++ { // warm-up: the first run may move a statistic
+		queryHTTP(t, ts.URL, "", fmt.Sprintf("SELECT a, b FROM Pair WHERE id = %d", id))
+	}
+	_, before := scrapeMetrics(t, ts.URL)
+	for id := 0; id < 6; id++ {
+		if st := queryHTTP(t, ts.URL, "", fmt.Sprintf("SELECT a, b FROM Pair WHERE id = %d", id)); len(st.rows) != 1 {
+			t.Fatalf("id %d: %d rows", id, len(st.rows))
+		}
+	}
+	_, after := scrapeMetrics(t, ts.URL)
+	const hits, misses = "crowddb_plan_cache_hits_total", "crowddb_plan_cache_misses_total"
+	if d := after[hits] - before[hits]; d != 6 {
+		t.Errorf("%s moved by %v over 6 point SELECTs, want 6", hits, d)
+	}
+	if d := after[misses] - before[misses]; d != 0 {
+		t.Errorf("%s moved by %v over 6 point SELECTs, want 0", misses, d)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -9,7 +9,7 @@ package taskmgr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -324,8 +324,10 @@ func (m *Manager) latencyPercentilesLocked() (p50, p90 time.Duration) {
 	if len(m.latSamples) == 0 {
 		return 0, 0
 	}
-	sorted := append([]time.Duration(nil), m.latSamples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// Sorted on the stack: the engine reads these on every compile.
+	var buf [latencyWindow]time.Duration
+	sorted := buf[:copy(buf[:], m.latSamples)]
+	slices.Sort(sorted)
 	idx := func(q float64) time.Duration {
 		i := int(q * float64(len(sorted)-1))
 		return sorted[i]

@@ -1,6 +1,8 @@
 package taskmgr
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +219,28 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	}
 	if m.Platform().Name() != "amt" {
 		t.Error("platform accessor")
+	}
+}
+
+// TestLatencyStatsAllocsNothing: the engine reads the percentiles on
+// every compile. With a full ring they cost no allocation, and they equal
+// the heap copy and sort.Slice they replaced, over a seeded ring that has
+// wrapped.
+func TestLatencyStatsAllocsNothing(t *testing.T) {
+	m := New(amt.NewDefault(1), nil, quality.NewTracker(), nil, nil, Config{})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3*latencyWindow+5; i++ {
+		m.recordLatency(time.Duration(rng.Int63n(int64(time.Hour))))
+	}
+	old := append([]time.Duration(nil), m.latSamples...)
+	sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
+	oldAt := func(q float64) time.Duration { return old[int(q*float64(len(old)-1))] }
+	p50, p90, n := m.LatencyStats()
+	if p50 != oldAt(0.5) || p90 != oldAt(0.9) || n != 3*latencyWindow+5 {
+		t.Errorf("p50=%v p90=%v n=%d, want %v %v %d", p50, p90, n, oldAt(0.5), oldAt(0.9), 3*latencyWindow+5)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.LatencyStats() }); allocs != 0 {
+		t.Errorf("LatencyStats allocates %.0f times, want 0", allocs)
 	}
 }
 
