@@ -140,6 +140,19 @@ func stepUntilDone(m *sim.Market, id crowd.GroupID, sample, maxT time.Duration) 
 	return maxT, series
 }
 
+// insertPairs stores one row per company in table (id, a, b): id i holds
+// companies[i]'s canonical name and its last variant, one INSERT each.
+func insertPairs(eng *core.Engine, table string, companies []workload.Company) error {
+	for i, c := range companies {
+		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s, %s)", table, i,
+			sqltypes.NewString(c.Canonical).SQLLiteral(),
+			sqltypes.NewString(c.Variants[len(c.Variants)-1]).SQLLiteral())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // conferenceEngine builds an engine over simulated AMT with the demo
 // schema, n talks stored (abstracts and attendance CNULL), and the
 // conference oracle.

@@ -6,7 +6,6 @@ import (
 	"crowddb/internal/core"
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/optimizer"
-	"crowddb/internal/sqltypes"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -51,14 +50,8 @@ func e17Engine(seed int64, opts optimizer.Options) (*core.Engine, error) {
 	if _, err := eng.Exec(ddl); err != nil {
 		return nil, err
 	}
-	for i := 0; i < e17Pairs; i++ {
-		c := cs.List[i]
-		variant := c.Variants[len(c.Variants)-1]
-		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Pair VALUES (%d, %s, %s)", i,
-			sqltypes.NewString(c.Canonical).SQLLiteral(),
-			sqltypes.NewString(variant).SQLLiteral())); err != nil {
-			return nil, err
-		}
+	if err := insertPairs(eng, "Pair", cs.List); err != nil {
+		return nil, err
 	}
 	for i := 0; i < e17Keep; i++ {
 		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Keep VALUES (%d)", i*2)); err != nil {

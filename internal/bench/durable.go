@@ -42,7 +42,6 @@ import (
 	"crowddb/internal/faultinject"
 	"crowddb/internal/server"
 	"crowddb/internal/sim"
-	"crowddb/internal/sqltypes"
 	"crowddb/internal/storage"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
@@ -94,15 +93,7 @@ func e23Seed(eng *core.Engine, seed int64) error {
 	if _, err := eng.Exec(`CREATE TABLE Pair (id INTEGER PRIMARY KEY, a STRING, b STRING)`); err != nil {
 		return err
 	}
-	cs := workload.NewCompanies(e23Pairs, seed)
-	for i, c := range cs.List {
-		variant := c.Variants[len(c.Variants)-1]
-		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Pair VALUES (%d, %s, %s)",
-			i, sqltypes.NewString(c.Canonical).SQLLiteral(), sqltypes.NewString(variant).SQLLiteral())); err != nil {
-			return err
-		}
-	}
-	return nil
+	return insertPairs(eng, "Pair", workload.NewCompanies(e23Pairs, seed).List)
 }
 
 // e23Wait polls a job to a terminal state.

@@ -9,7 +9,6 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/crowd/amt"
 	"crowddb/internal/crowd/model"
-	"crowddb/internal/sqltypes"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -68,14 +67,8 @@ func e24Engine(seed int64, tier string) (*core.Engine, error) {
 	if _, err := eng.Exec(`CREATE TABLE Pair (id INTEGER PRIMARY KEY, a STRING, b STRING)`); err != nil {
 		return nil, err
 	}
-	for i := 0; i < e24Pairs; i++ {
-		c := cs.List[i]
-		variant := c.Variants[len(c.Variants)-1]
-		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO Pair VALUES (%d, %s, %s)", i,
-			sqltypes.NewString(c.Canonical).SQLLiteral(),
-			sqltypes.NewString(variant).SQLLiteral())); err != nil {
-			return nil, err
-		}
+	if err := insertPairs(eng, "Pair", cs.List); err != nil {
+		return nil, err
 	}
 	return eng, nil
 }

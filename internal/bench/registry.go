@@ -1,7 +1,5 @@
 package bench
 
-import "io"
-
 // Experiment is one registered experiment runner.
 type Experiment struct {
 	ID   string
@@ -31,12 +29,5 @@ func All() []Experiment {
 		{"E17", "cost-based optimizer vs flat heuristic (extension)", E17CostBasedOptimizer},
 		{"E23", "crash recovery: durable jobs + admission (extension)", E23CrashRecovery},
 		{"E24", "hybrid model/human answering (extension)", E24HybridAnswering},
-	}
-}
-
-// RunAll executes every experiment and prints its table.
-func RunAll(w io.Writer, seed int64) {
-	for _, e := range All() {
-		e.Run(seed).Fprint(w)
 	}
 }

@@ -68,21 +68,11 @@ func e16Engine(seed int64, sessions int) (*core.Engine, error) {
 	if _, err := eng.Exec(ddl); err != nil {
 		return nil, err
 	}
-	insertPair := func(table string, id int, c workload.Company) error {
-		variant := c.Variants[len(c.Variants)-1]
-		_, err := eng.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s, %s)", table, id,
-			sqltypes.NewString(c.Canonical).SQLLiteral(), sqltypes.NewString(variant).SQLLiteral()))
-		return err
+	if err := insertPairs(eng, "Pair", cs.List[:e16SharedPairs]); err != nil {
+		return nil, err
 	}
-	for i := 0; i < e16SharedPairs; i++ {
-		if err := insertPair("Pair", i, cs.List[i]); err != nil {
-			return nil, err
-		}
-	}
-	for k := 0; k < sessions; k++ {
-		if err := insertPair("Priv", k, cs.List[e16SharedPairs+k]); err != nil {
-			return nil, err
-		}
+	if err := insertPairs(eng, "Priv", cs.List[e16SharedPairs:]); err != nil {
+		return nil, err
 	}
 	for _, talk := range conf.Talks {
 		if _, err := eng.Exec("INSERT INTO Talk VALUES (" +

@@ -626,17 +626,17 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (res 
 	return &Result{Affected: inserted}, nil
 }
 
-// matchingRows reads the rows an UPDATE or DELETE applies to, with their
-// ids, at the current watermark, through the executor's table reader: by
-// the primary key or an index when the WHERE pins one to a literal (the
-// access path a SELECT would take), over the whole table otherwise. The
-// rows are the store's shared images: clone before writing.
-func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, []storage.Row, error) {
+// matchingRows finds the ids of the rows an UPDATE or DELETE applies to,
+// at the current watermark, through the executor's table reader: by the
+// primary key or an index when the WHERE pins one to a literal (the access
+// path a SELECT would take), over the whole table otherwise. The write
+// itself applies to each row's live version.
+func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, error) {
 	scan := plan.NewScan(t, "")
 	scan.Filter = where
 	optimizer.DeriveProbeKeys(scan)
-	ids, rows, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
-	return scan.Schema(), ids, rows, err
+	ids, _, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
+	return scan.Schema(), ids, err
 }
 
 func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
@@ -649,7 +649,7 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res 
 			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
 		}
 	}
-	schema, ids, rows, err := e.matchingRows(t, s.Where)
+	schema, ids, err := e.matchingRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -658,13 +658,10 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res 
 	for _, a := range s.Set {
 		values = append(values, exec.BindRow(a.Value, schema))
 	}
-	// One transaction per statement: all matched rows flip to the new
-	// version together from any new snapshot's point of view.
-	tx := e.store.Begin()
-	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
-	affected := 0
-	for i, row := range rows {
-		updated := row.Clone()
+	// The SET list applied to a row's live version: each assignment reads
+	// the row as the earlier ones left it.
+	set := func(live storage.Row) (storage.Row, error) {
+		updated := live.Clone()
 		for ai, a := range s.Set {
 			ci := t.ColumnIndex(a.Column)
 			v, err := values[ai].Eval(updated)
@@ -677,13 +674,20 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res 
 			}
 			updated[ci] = cv
 		}
-		if err := tx.Update(t.Name, ids[i], updated); err != nil {
+		return updated, nil
+	}
+	// One transaction per statement: all matched rows flip to the new
+	// version together from any new snapshot's point of view.
+	tx := e.store.Begin()
+	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
+	for _, id := range ids {
+		live, updated, err := tx.Update(t.Name, id, set)
+		if err != nil {
 			return nil, err
 		}
-		t.RowWritten(row, updated)
-		affected++
+		t.RowWritten(live, updated)
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: len(ids)}, nil
 }
 
 func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
@@ -691,7 +695,7 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res 
 	if !ok {
 		return nil, fmt.Errorf("core: table %s not found", s.Table)
 	}
-	_, ids, rows, err := e.matchingRows(t, s.Where)
+	_, ids, err := e.matchingRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -699,15 +703,14 @@ func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res 
 	// from any new snapshot's point of view.
 	tx := e.store.Begin()
 	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
-	affected := 0
-	for i, row := range rows {
-		if err := tx.Delete(t.Name, ids[i]); err != nil {
+	for _, id := range ids {
+		live, err := tx.Delete(t.Name, id)
+		if err != nil {
 			return nil, err
 		}
-		t.RowWritten(row, nil)
-		affected++
+		t.RowWritten(live, nil)
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: len(ids)}, nil
 }
 
 // optimizerOptions are the engine's optimizer options with the live cost

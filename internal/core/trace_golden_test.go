@@ -60,11 +60,6 @@ func maskSpan(sp *obs.SpanJSON) {
 			sp.Attrs[k] = "D"
 		}
 	}
-	for i, e := range sp.Events {
-		if j := strings.IndexByte(e, ' '); j > 0 {
-			sp.Events[i] = "+D" + e[j:]
-		}
-	}
 	for _, c := range sp.Children {
 		maskSpan(c)
 	}

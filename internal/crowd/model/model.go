@@ -252,9 +252,6 @@ func New(cfg Config) *Platform {
 // Name implements crowd.Platform.
 func (p *Platform) Name() string { return p.name }
 
-// Profile returns the platform's effective profile.
-func (p *Platform) Profile() Profile { return p.prof }
-
 // Post implements crowd.Platform. Every assignment is generated here,
 // atomically: worker, answers, confidence, and completion time. The
 // group is fully registered or not at all.

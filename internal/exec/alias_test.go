@@ -103,12 +103,12 @@ func TestAliasStatementsLeaveStoredImagesIntact(t *testing.T) {
 	for i := 0; i < rows; i += 5 {
 		updated := images[i].Clone()
 		updated[2] = num(-1)
-		if err := st.Update("t", ids[i], updated); err != nil {
+		if err := storeUpdate(st, "t", ids[i], updated); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 3; i < rows; i += 10 {
-		if err := st.Delete("t", ids[i]); err != nil {
+		if err := storeDelete(st, "t", ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

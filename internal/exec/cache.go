@@ -177,7 +177,7 @@ func (f *flight) resolve(val string, ok bool) {
 //     answer (PutEqual/PutOrder) or call Abandon — otherwise followers
 //     block forever.
 //   - follower (neither flag): another session is already asking the
-//     crowd; Wait blocks for its answer.
+//     crowd; WaitCtx blocks for its answer.
 type Claim struct {
 	Hit    bool
 	Leader bool
@@ -187,16 +187,11 @@ type Claim struct {
 	f      *flight
 }
 
-// Wait blocks until the claimed question resolves and returns the answer.
-// ok is false when the leader abandoned the flight (error, no quorum, or
-// budget denial); the caller should re-claim or fall back.
-func (cl Claim) Wait() (string, bool) {
-	return cl.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait with cancellation: it returns ("", false) as soon as the
-// context is done, leaving the flight (and its eventual answer) untouched
-// for other followers.
+// WaitCtx blocks until the claimed question resolves and returns the
+// answer. ok is false when the leader abandoned the flight (error, no
+// quorum, or budget denial), and the caller should re-claim or fall back,
+// or when the context is done first, which leaves the flight (and its
+// eventual answer) untouched for other followers.
 func (cl Claim) WaitCtx(ctx context.Context) (string, bool) {
 	if cl.Hit {
 		return cl.Value, true
@@ -230,11 +225,6 @@ func (cl Claim) Abandon() {
 // ClaimEqual claims a CROWDEQUAL question (see Claim).
 func (c *CompareCache) ClaimEqual(question, l, r string) Claim {
 	return c.claim(kindEqual, question, l, r)
-}
-
-// ClaimOrder claims a CROWDORDER question (see Claim).
-func (c *CompareCache) ClaimOrder(question, l, r string) Claim {
-	return c.claim(kindOrder, question, l, r)
 }
 
 func (c *CompareCache) claim(kind, question, l, r string) Claim {

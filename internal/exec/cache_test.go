@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -105,7 +106,7 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 			if k.Kind == kindEqual {
 				cl = c.ClaimEqual(k.Question, l, r)
 			} else {
-				cl = c.ClaimOrder(k.Question, l, r)
+				cl = c.claim(kindOrder, k.Question, l, r)
 			}
 			claims++
 			val, memoized := resident[k]
@@ -122,7 +123,7 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 				ch := make(chan answer, 1)
 				followers[k] = append(followers[k], ch)
 				go func() {
-					v, ok := cl.Wait()
+					v, ok := cl.WaitCtx(context.Background())
 					ch <- answer{v, ok}
 				}()
 			default:
@@ -219,7 +220,7 @@ func TestCompareCacheClaimStates(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		v, ok := follower.Wait()
+		v, ok := follower.WaitCtx(context.Background())
 		done <- ok && v == "yes"
 	}()
 	c.PutEqual("q", "x", "y", true)
@@ -238,12 +239,12 @@ func TestCompareCacheClaimStates(t *testing.T) {
 
 func TestCompareCacheAbandonWakesFollowers(t *testing.T) {
 	c := NewCompareCache()
-	leader := c.ClaimOrder("q", "l", "r")
-	follower := c.ClaimOrder("q", "l", "r")
+	leader := c.claim(kindOrder, "q", "l", "r")
+	follower := c.claim(kindOrder, "q", "l", "r")
 
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := follower.Wait()
+		_, ok := follower.WaitCtx(context.Background())
 		done <- ok
 	}()
 	leader.Abandon()
@@ -252,7 +253,7 @@ func TestCompareCacheAbandonWakesFollowers(t *testing.T) {
 	}
 	// The question is claimable again, and a later Put is a no-op on the
 	// dead flight.
-	again := c.ClaimOrder("q", "l", "r")
+	again := c.claim(kindOrder, "q", "l", "r")
 	if !again.Leader {
 		t.Fatalf("re-claim after abandon must lead: %+v", again)
 	}
@@ -282,7 +283,7 @@ func TestCompareCacheConcurrentClaims(t *testing.T) {
 					*(n.(*int))++ // counts leaders; must end at 1 per pair
 					c.PutEqual("q", l, r, true)
 				default:
-					if _, ok := claim.Wait(); !ok {
+					if _, ok := claim.WaitCtx(context.Background()); !ok {
 						t.Errorf("pair %d: follower woke without answer", p)
 					}
 				}

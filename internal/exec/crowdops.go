@@ -770,11 +770,12 @@ func keptRows(rows []Row, filters ...*bound) ([]Row, error) {
 
 // probeCNulls sends batched HIT groups for every buffered row whose asked
 // crowd columns hold CNULL, coerces the majority answers, writes them back
-// to the row AND the store (memorization), and updates statistics. The
-// request batch is split into up to MaxInFlight probe groups that are all
-// submitted before any is collected, so their crowd waits overlap. Rows
-// whose answers miss quorum are re-posted once (the operators' built-in
-// quality control, §3.2.1).
+// to the row AND the store (memorization: one transaction per collected
+// group, filling only what is still CNULL in the live row), and updates
+// statistics. The request batch is split into up to MaxInFlight probe
+// groups that are all submitted before any is collected, so their crowd
+// waits overlap. Rows whose answers miss quorum are re-posted once (the
+// operators' built-in quality control, §3.2.1).
 func probeCNulls(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []storage.RowID) error {
 	if err := probeCNullsOnce(ctx, node, rows, rowIDs); err != nil {
 		return err
@@ -826,37 +827,79 @@ func probeCNullsOnce(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []stora
 		if err != nil {
 			return err
 		}
-		for _, res := range results {
-			i := reqRow[next]
-			next++
-			stored, changed := rows[i], false
-			for col, d := range res.Decisions {
-				if d.Total == 0 || !d.Quorum {
-					continue // no usable answer: the value stays CNULL
+		err = commitGroup(ctx, func(tx *storage.Txn) error {
+			for _, res := range results {
+				i := reqRow[next]
+				next++
+				seen, changed := rows[i], false
+				for col, d := range res.Decisions {
+					if d.Total == 0 || !d.Quorum {
+						continue // no usable answer: the value stays CNULL
+					}
+					ci := t.ColumnIndex(col)
+					v, err := sqltypes.NewString(strings.TrimSpace(d.Value)).Coerce(t.Columns[ci].Type)
+					if err != nil {
+						continue // untypable answer: stays CNULL
+					}
+					if !changed {
+						// The scanned image is the store's, shared with every
+						// other reader: copy it before the first write.
+						rows[i] = seen.Clone()
+						changed = true
+					}
+					rows[i][ci] = v
 				}
-				ci := t.ColumnIndex(col)
-				v, err := sqltypes.NewString(strings.TrimSpace(d.Value)).Coerce(t.Columns[ci].Type)
-				if err != nil {
-					continue // untypable answer: stays CNULL
+				if changed {
+					// Memorize: the crowd is never asked the same value twice.
+					if err := writeBack(tx, t, rowIDs[i], seen, rows[i]); err != nil {
+						return err
+					}
 				}
-				if !changed {
-					// The scanned image is the store's, shared with every
-					// other reader: copy it before the first write.
-					rows[i] = rows[i].Clone()
-					changed = true
-				}
-				rows[i][ci] = v
 			}
-			if changed {
-				// Memorize: the crowd is never asked the same value twice.
-				if err := ctx.Store.Update(t.Name, rowIDs[i], rows[i]); err != nil {
-					return err
-				}
-				t.RowWritten(stored, rows[i])
-			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// commitGroup runs one collected HIT group's writes in one transaction and
+// commits it, error or not: the group's answers become visible (and, on a
+// durable store, synced) together, and the transaction, which holds back
+// the visibility watermark while open, never spans a crowd wait.
+func commitGroup(ctx *Ctx, write func(tx *storage.Txn) error) error {
+	tx := ctx.Store.Begin()
+	err := write(tx)
+	if cerr := tx.Commit(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeBack stores the crowd's answers for the row at id: each column that
+// was CNULL in the image the statement read (seen) and is answered now is
+// filled in the row's live version, where it is still CNULL. A value
+// committed meanwhile, by an UPDATE or by another statement's paid
+// answer, is kept; nothing is written when no answered column is left.
+func writeBack(tx *storage.Txn, t *catalog.Table, id storage.RowID, seen, answered Row) error {
+	live, filled, err := tx.Update(t.Name, id, func(live Row) (Row, error) {
+		var out Row
+		for ci, v := range answered {
+			if seen[ci].IsCNull() && !v.IsCNull() && live[ci].IsCNull() {
+				if out == nil {
+					out = live.Clone()
+				}
+				out[ci] = v
+			}
+		}
+		return out, nil
+	})
+	if filled != nil {
+		t.RowWritten(live, filled)
+	}
+	return err
 }
 
 // wantedTuples is how many new tuples CrowdProbe solicits: the probe
@@ -917,12 +960,16 @@ func solicitTuples(ctx *Ctx, t *catalog.Table, span string, reqs []taskmgr.Tuple
 		if err != nil {
 			return nil, err
 		}
-		for _, cands := range batches {
-			rows, err := insertCandidates(ctx, t, cands)
-			if err != nil {
-				return nil, err
+		err = commitGroup(ctx, func(tx *storage.Txn) error {
+			for _, cands := range batches {
+				if accepted, err = insertCandidates(tx, t, cands, accepted); err != nil {
+					return err
+				}
 			}
-			accepted = append(accepted, rows...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	// Cost-model feedback: accepted crowd tuples per solicited key. Only
@@ -934,11 +981,10 @@ func solicitTuples(ctx *Ctx, t *catalog.Table, span string, reqs []taskmgr.Tuple
 	return accepted, nil
 }
 
-// insertCandidates coerces raw candidate tuples, inserts them (primary key
-// and unique indexes deduplicate crowd contributions), and returns the
-// accepted rows.
-func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string) ([]Row, error) {
-	var out []Row
+// insertCandidates coerces raw candidate tuples, inserts them in tx
+// (primary key and unique indexes deduplicate crowd contributions), and
+// appends the accepted rows to out.
+func insertCandidates(tx *storage.Txn, t *catalog.Table, candidates []map[string]string, out []Row) ([]Row, error) {
 	for _, cand := range candidates {
 		row := make(Row, len(t.Columns))
 		ok := true
@@ -960,7 +1006,7 @@ func insertCandidates(ctx *Ctx, t *catalog.Table, candidates []map[string]string
 		if !ok {
 			continue
 		}
-		if _, err := ctx.Store.Insert(t.Name, row); err != nil {
+		if _, err := tx.Insert(t.Name, row); err != nil {
 			// Duplicate key: another worker (or an earlier query) already
 			// contributed this entity — exactly the dedup the paper's PK
 			// requirement exists for. Any other failure loses a paid

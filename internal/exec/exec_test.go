@@ -21,7 +21,7 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	st, err := storage.NewStore("")
+	st, err := storage.NewStoreOptions("", storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,33 @@ func (h *harness) insert(t *testing.T, table string, rows ...Row) {
 	t.Helper()
 	tab, _ := h.cat.Table(table)
 	for _, r := range rows {
-		if _, err := h.store.Insert(table, r); err != nil {
+		if _, err := storeInsert(h.store, table, r); err != nil {
 			t.Fatal(err)
 		}
 		tab.AddRowCount(1)
 	}
+}
+
+// storeInsert, storeUpdate and storeDelete commit one row change in a
+// transaction of their own.
+func storeInsert(st *storage.Store, table string, row Row) (storage.RowID, error) {
+	tx := st.Begin()
+	defer tx.Commit()
+	return tx.Insert(table, row)
+}
+
+func storeUpdate(st *storage.Store, table string, id storage.RowID, row Row) error {
+	tx := st.Begin()
+	defer tx.Commit()
+	_, _, err := tx.Update(table, id, func(Row) (Row, error) { return row.Clone(), nil })
+	return err
+}
+
+func storeDelete(st *storage.Store, table string, id storage.RowID) error {
+	tx := st.Begin()
+	defer tx.Commit()
+	_, err := tx.Delete(table, id)
+	return err
 }
 
 // run compiles and executes a SELECT without a crowd.

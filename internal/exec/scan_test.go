@@ -48,7 +48,7 @@ func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 5 || len(live) == 0:
 					nextKey++
-					id, err := st.Insert("t", Row{num(nextKey), num(rng.Int63n(100))})
+					id, err := storeInsert(st, "t", Row{num(nextKey), num(rng.Int63n(100))})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -60,12 +60,12 @@ func TestScanAgreesWithStoreUnderWrites(t *testing.T) {
 						nextKey++
 						keys[id] = nextKey
 					}
-					if err := st.Update("t", id, Row{num(keys[id]), num(rng.Int63n(100))}); err != nil {
+					if err := storeUpdate(st, "t", id, Row{num(keys[id]), num(rng.Int63n(100))}); err != nil {
 						t.Fatal(err)
 					}
 				case op == 8:
 					i := rng.Intn(len(live))
-					if err := st.Delete("t", live[i]); err != nil {
+					if err := storeDelete(st, "t", live[i]); err != nil {
 						t.Fatal(err)
 					}
 					live = slices.Delete(live, i, i+1)

@@ -27,7 +27,7 @@ import (
 // stored values and CNULL: with no platform attached, every plan reads the
 // table through a CrowdProbe that asks nothing.
 func setupStopAfter(t testing.TB) *harness {
-	st, err := storage.NewStore("")
+	st, err := storage.NewStoreOptions("", storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func setupStopAfter(t testing.TB) *harness {
 		if rng.Intn(4) == 0 {
 			row[5] = sqltypes.CNull()
 		}
-		if _, err := h.store.Insert("s", row); err != nil {
+		if _, err := storeInsert(h.store, "s", row); err != nil {
 			t.Fatal(err)
 		}
 		tab.AddRowCount(1)

@@ -187,7 +187,7 @@ type Trace struct {
 	start time.Time
 	end   int64        // offset from start; openEnd until Finish
 	spans chunks[Span] // the root is the first
-	attrs chunks[attr] // every span's attributes and events, in order
+	attrs chunks[attr] // every span's attributes, in order
 	text  []byte       // the text of string attributes
 }
 
@@ -210,19 +210,6 @@ func (tr *Trace) SpanCount() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.spans.len()
-}
-
-// Duration is the trace's wall time (up to now while unfinished).
-func (tr *Trace) Duration() time.Duration {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.end == openEnd {
-		return time.Since(tr.start)
-	}
-	return time.Duration(tr.end)
 }
 
 // Span opens a child span under parent (nil parent = under the root),
@@ -295,10 +282,9 @@ const (
 	kindInt
 	kindBool
 	kindDuration
-	kindEvent // key is the message, num the offset from the trace's start
 )
 
-// attr is one attribute or event of one span, in the trace's list.
+// attr is one attribute of one span, in the trace's list.
 type attr struct {
 	key  string
 	num  int64
@@ -384,16 +370,7 @@ func (sp *Span) SetBool(k string, v bool) {
 // time.Duration.String renders it.
 func (sp *Span) SetDuration(k string, v time.Duration) { sp.add(k, kindDuration, int64(v)) }
 
-// Event appends a point-in-time annotation, stamped relative to the
-// span's start.
-func (sp *Span) Event(msg string) {
-	if sp == nil {
-		return
-	}
-	sp.add(msg, kindEvent, int64(time.Since(sp.tr.start)))
-}
-
-// value renders a non-event attribute; the caller holds tr.mu.
+// value renders an attribute; the caller holds tr.mu.
 func (tr *Trace) value(a *attr) string {
 	switch a.kind {
 	case kindInt:
@@ -454,7 +431,6 @@ type SpanJSON struct {
 	StartMicros    int64             `json:"start_micros"`
 	DurationMicros int64             `json:"duration_micros"`
 	Attrs          map[string]string `json:"attrs,omitempty"`
-	Events         []string          `json:"events,omitempty"`
 	Children       []*SpanJSON       `json:"children,omitempty"`
 }
 
@@ -500,17 +476,6 @@ func (t *tree) bounds(sp *Span) (start, dur time.Duration) {
 	return time.Duration(sp.start), time.Duration(end - sp.start)
 }
 
-// events renders a span's events: "+<offset from the span's start> msg".
-func (t *tree) events(sp *Span) []string {
-	var out []string
-	for _, a := range t.attrs[sp.idx] {
-		if a.kind == kindEvent {
-			out = append(out, fmt.Sprintf("+%s %s", time.Duration(a.num-sp.start).Round(time.Microsecond), a.key))
-		}
-	}
-	return out
-}
-
 // JSON snapshots the trace for the HTTP trace endpoint. Safe to call on
 // a live (unfinished) trace.
 func (tr *Trace) JSON() TraceJSON {
@@ -534,12 +499,8 @@ func (t *tree) spanJSON(sp *Span) *SpanJSON {
 		Name:           sp.name,
 		StartMicros:    start.Microseconds(),
 		DurationMicros: dur.Microseconds(),
-		Events:         t.events(sp),
 	}
 	for _, a := range t.attrs[sp.idx] {
-		if a.kind == kindEvent {
-			continue
-		}
 		if out.Attrs == nil {
 			out.Attrs = make(map[string]string)
 		}
@@ -564,18 +525,13 @@ func (t *tree) renderSpanText(w io.Writer, sp *Span, depth int) {
 	attrs := ""
 	var parts []string
 	for _, a := range t.attrs[sp.idx] {
-		if a.kind != kindEvent {
-			parts = append(parts, a.key+"="+strconv.Quote(t.tr.value(a)))
-		}
+		parts = append(parts, a.key+"="+strconv.Quote(t.tr.value(a)))
 	}
 	if len(parts) > 0 {
 		attrs = " {" + strings.Join(parts, ", ") + "}"
 	}
 	_, dur := t.bounds(sp)
 	fmt.Fprintf(w, "%s%s %s%s\n", strings.Repeat("  ", depth), sp.name, dur.Round(time.Microsecond), attrs)
-	for _, e := range t.events(sp) {
-		fmt.Fprintf(w, "%s! %s\n", strings.Repeat("  ", depth+1), e)
-	}
 	for _, c := range t.children[sp.idx] {
 		t.renderSpanText(w, t.spans[c], depth+1)
 	}

@@ -141,9 +141,6 @@ func New(eng *core.Engine, cfg Config) *Server {
 	return s
 }
 
-// Engine exposes the shared engine (experiments, tests).
-func (s *Server) Engine() *core.Engine { return s.eng }
-
 // CreateSession registers a session. budget caps the session's paid crowd
 // comparisons (0 = the configured default, negative = unlimited).
 func (s *Server) CreateSession(budget int) (*Session, *Error) {
@@ -337,13 +334,6 @@ func (s *Server) Stats() StatsReport {
 		report.SchedulerInFlight, report.SchedulerQueued = t.Load()
 	}
 	return report
-}
-
-// Healthy reports whether the server accepts queries.
-func (s *Server) Healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.draining
 }
 
 // Shutdown drains the server: new queries are refused, running ones

@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -429,8 +432,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, serr := srv.CreateSession(0); serr == nil || serr.Code != CodeShuttingDown {
 		t.Fatalf("post-shutdown session: got %v, want %s", serr, CodeShuttingDown)
 	}
-	if srv.Healthy() {
-		t.Error("draining server reports healthy")
+	rec := httptest.NewRecorder()
+	srv.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"draining"`) {
+		t.Errorf("/healthz of a draining server: %d %s", rec.Code, rec.Body)
 	}
 }
 

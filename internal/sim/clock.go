@@ -75,6 +75,3 @@ func (c *Clock) RunFor(d time.Duration) {
 	}
 	c.now = deadline
 }
-
-// Pending reports how many events are queued (used by tests).
-func (c *Clock) Pending() int { return len(c.pq) }

@@ -69,7 +69,7 @@ func openTalk(t *testing.T, dir string) *Store {
 func TestTornTailThenAppendThenRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := openTalk(t, dir)
-	if _, err := s.Insert("Talk", talkRow("first", 1)); err != nil {
+	if _, err := insert(s, "Talk", talkRow("first", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -79,7 +79,7 @@ func TestTornTailThenAppendThenRestart(t *testing.T) {
 
 	s = openTalk(t, dir)
 	for _, title := range []string{"a", "b", "c", "d", "e"} {
-		if _, err := s.Insert("Talk", talkRow(title, 2)); err != nil {
+		if _, err := insert(s, "Talk", talkRow(title, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,8 +180,8 @@ func TestTornMidFileDamageIsCorruption(t *testing.T) {
 	// The same through the store: Recover reports it.
 	dir := t.TempDir()
 	s := openTalk(t, dir)
-	s.Insert("Talk", talkRow("first", 1))
-	s.Insert("Talk", talkRow("second", 2))
+	insert(s, "Talk", talkRow("first", 1))
+	insert(s, "Talk", talkRow("second", 2))
 	s.Close()
 	wal := walShardPath(dir, 0)
 	data, err := os.ReadFile(wal)
@@ -223,12 +223,12 @@ func TestAppendLogGoldenBytes(t *testing.T) {
 	}
 	dir := t.TempDir()
 	s := openTalk(t, dir)
-	id1, _ := s.Insert("Talk", talkRow("CrowdDB", 100))
-	id2, _ := s.Insert("Talk", talkRow(`Qurk <&> "quoted"`, 80))
-	if err := s.Update("Talk", id1, talkRow("CrowdDB", 250)); err != nil {
+	id1, _ := insert(s, "Talk", talkRow("CrowdDB", 100))
+	id2, _ := insert(s, "Talk", talkRow(`Qurk <&> "quoted"`, 80))
+	if err := update(s, "Talk", id1, talkRow("CrowdDB", 250)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("Talk", id2); err != nil {
+	if err := del(s, "Talk", id2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -267,7 +267,7 @@ func TestAppendLogGoldenBytes(t *testing.T) {
 		t.Errorf("recovered %d rows, want 1", n)
 	}
 	rid, ok := lookupPK(s, "Talk", sqltypes.NewString("CrowdDB"))
-	if row, _ := s.Get("Talk", rid); !ok || row[2].Int() != 250 {
+	if row, _ := get(s, "Talk", rid); !ok || row[2].Int() != 250 {
 		t.Errorf("recovered row = %v", row)
 	}
 	if fileSize(t, walShardPath(old, 0)) != int64(len(want)) {

@@ -20,7 +20,7 @@ func benchStore(b *testing.B, shards, rows int) *Store {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		if _, err := s.Insert("t", kvRow(fmt.Sprintf("k%07d", i), int64(i))); err != nil {
+		if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%07d", i), int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkInsertParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := seq.Add(1)
-					if _, err := s.Insert("t", kvRow(fmt.Sprintf("k%09d", i), i)); err != nil {
+					if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%09d", i), i)); err != nil {
 						b.Error(err)
 						return
 					}

@@ -55,16 +55,16 @@ func TestCrossShardMoveNeverLosesRow(t *testing.T) {
 	oldShard := ts.shardOfKey(ts.pkKey(kvRow(pkOld, 0)))
 	pkNew := keyOnShard(ts, "moved", func(sh int) bool { return sh != oldShard })
 	pkOther := keyOnShard(ts, "other", func(sh int) bool { return sh == oldShard })
-	id, err := s.Insert("t", kvRow(pkOld, 1))
+	id, err := insert(s, "t", kvRow(pkOld, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	move := s.Begin()
-	if err := move.Update("t", id, kvRow(pkNew, 2)); err != nil {
+	if _, _, err := move.Update("t", id, setRow(kvRow(pkNew, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("t", kvRow(pkOther, 3)); err != nil { // commits the old shard
+	if _, err := insert(s, "t", kvRow(pkOther, 3)); err != nil { // commits the old shard
 		t.Fatal(err)
 	}
 	crashNow(t) // before the move commits
@@ -150,7 +150,7 @@ func TestStoreWritesReturnCommitError(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.CreateTable("t", []int{0})
-			id, err := s.Insert("t", kvRow("a", 1))
+			id, err := insert(s, "t", kvRow("a", 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,14 +158,14 @@ func TestStoreWritesReturnCommitError(t *testing.T) {
 			switch op {
 			case "insert":
 				var got RowID
-				got, err = s.Insert("t", kvRow("b", 2))
+				got, err = insert(s, "t", kvRow("b", 2))
 				if got != 0 {
 					t.Errorf("failed insert returned id %d", got)
 				}
 			case "update":
-				err = s.Update("t", id, kvRow("a", 2))
+				err = update(s, "t", id, kvRow("a", 2))
 			case "delete":
-				err = s.Delete("t", id)
+				err = del(s, "t", id)
 			}
 			if err == nil || !strings.Contains(err.Error(), "closed") {
 				t.Fatalf("%s over a closed WAL returned %v, want the I/O error", op, err)

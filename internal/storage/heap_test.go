@@ -203,7 +203,7 @@ func TestHeapScanMatchesNaiveReference(t *testing.T) {
 						row[0] = freshRow()[0]
 					}
 					tx := s.Begin()
-					err := tx.Update("t", id, row)
+					_, _, err := tx.Update("t", id, setRow(row))
 					tx.Commit()
 					if err != nil {
 						t.Fatalf("step %d: update %d: %v", step, id, err)
@@ -216,7 +216,7 @@ func TestHeapScanMatchesNaiveReference(t *testing.T) {
 						continue
 					}
 					tx := s.Begin()
-					err := tx.Delete("t", id)
+					_, err := tx.Delete("t", id)
 					tx.Commit()
 					if err != nil {
 						t.Fatalf("step %d: delete %d: %v", step, id, err)
@@ -302,7 +302,7 @@ func TestHeapCursorResumesAcrossWrites(t *testing.T) {
 	const rows = 200
 	var all, want []RowID
 	for i := 0; i < rows; i++ {
-		id, err := s.Insert("t", kvRow(fmt.Sprintf("k%04d", i), int64(i)))
+		id, err := insert(s, "t", kvRow(fmt.Sprintf("k%04d", i), int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestHeapCursorResumesAcrossWrites(t *testing.T) {
 	old := s.AcquireSnapshot()
 	for i, id := range all {
 		if i%2 == 1 {
-			if err := s.Delete("t", id); err != nil {
+			if err := del(s, "t", id); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -339,13 +339,13 @@ func TestHeapCursorResumesAcrossWrites(t *testing.T) {
 			}
 		}
 		// Ahead of the cursor: delete one row, update another; and append one.
-		if err := s.Delete("t", all[rows-2-2*round]); err != nil {
+		if err := del(s, "t", all[rows-2-2*round]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Update("t", all[rows/2+2*round], kvRow(fmt.Sprintf("k%04d", rows/2+2*round), -1)); err != nil {
+		if err := update(s, "t", all[rows/2+2*round], kvRow(fmt.Sprintf("k%04d", rows/2+2*round), -1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("t", kvRow(fmt.Sprintf("new%04d", round), 0)); err != nil {
+		if _, err := insert(s, "t", kvRow(fmt.Sprintf("new%04d", round), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestHeapGCVisitsOnlyStaleChains(t *testing.T) {
 	const rows = 10000
 	var ids []RowID
 	for i := 0; i < rows; i++ {
-		id, err := s.Insert("t", kvRow(fmt.Sprintf("k%05d", i), int64(i)))
+		id, err := insert(s, "t", kvRow(fmt.Sprintf("k%05d", i), int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestHeapGCVisitsOnlyStaleChains(t *testing.T) {
 		t.Fatalf("sweep of a table without history: reclaimed %d, visited %d chains", reclaimed, visited)
 	}
 	snap := s.AcquireSnapshot() // holds the superseded version past the update's own sweep
-	if err := s.Update("t", ids[rows/2], kvRow(fmt.Sprintf("k%05d", rows/2), -1)); err != nil {
+	if err := update(s, "t", ids[rows/2], kvRow(fmt.Sprintf("k%05d", rows/2), -1)); err != nil {
 		t.Fatal(err)
 	}
 	if reclaimed, visited := ts.gc(s.gcHorizon()); reclaimed != 0 || visited != 1 {
@@ -405,12 +405,12 @@ func TestHeapCompactsTombstones(t *testing.T) {
 	}
 	const rows = 1000
 	for i := 0; i < rows; i++ {
-		id, err := s.Insert("t", kvRow(fmt.Sprintf("k%04d", i), int64(i)))
+		id, err := insert(s, "t", kvRow(fmt.Sprintf("k%04d", i), int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i%10 != 0 {
-			if err := s.Delete("t", id); err != nil {
+			if err := del(s, "t", id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -442,7 +442,7 @@ func TestScanAllocatesNoRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < rows; i++ {
-			if _, err := s.Insert("t", kvRow(fmt.Sprintf("k%05d", i), int64(i))); err != nil {
+			if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%05d", i), int64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -470,7 +470,7 @@ func TestScanAllocatesNoRows(t *testing.T) {
 		wide[i] = sqltypes.NewInt(int64(i))
 	}
 	wide[0] = sqltypes.NewString("the-key")
-	if _, err := s.Insert("wide", wide); err != nil {
+	if _, err := insert(s, "wide", wide); err != nil {
 		t.Fatal(err)
 	}
 	at, key := s.VisibleTS(), sqltypes.NewString("the-key")

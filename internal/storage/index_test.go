@@ -131,7 +131,7 @@ func TestLookupPKRowAtAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := s.Insert("t", kvRow(fmt.Sprintf("k%03d", i), int64(i))); err != nil {
+		if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%03d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,19 +31,19 @@ func scanTitles(t *testing.T, s *Store, at int64) []string {
 func TestSnapshotScanStableUnderWrites(t *testing.T) {
 	s := memStore(t)
 	setupTalk(t, s)
-	id1, _ := s.Insert("Talk", talkRow("CrowdDB", 100))
-	id2, _ := s.Insert("Talk", talkRow("Qurk", 80))
+	id1, _ := insert(s, "Talk", talkRow("CrowdDB", 100))
+	id2, _ := insert(s, "Talk", talkRow("Qurk", 80))
 
 	snap := s.AcquireSnapshot()
 	defer snap.Release()
 
-	if _, err := s.Insert("Talk", talkRow("Deco", 60)); err != nil {
+	if _, err := insert(s, "Talk", talkRow("Deco", 60)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("Talk", id1, talkRow("CrowdDB", 999)); err != nil {
+	if err := update(s, "Talk", id1, talkRow("CrowdDB", 999)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("Talk", id2); err != nil {
+	if err := del(s, "Talk", id2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,10 +63,10 @@ func TestSnapshotScanStableUnderWrites(t *testing.T) {
 	if len(latest) != 2 || latest[0] != "CrowdDB" || latest[1] != "Deco" {
 		t.Errorf("latest scan = %v, want [CrowdDB Deco]", latest)
 	}
-	if row, ok := s.Get("Talk", id1); !ok || row[2].Int() != 999 {
+	if row, ok := get(s, "Talk", id1); !ok || row[2].Int() != 999 {
 		t.Errorf("latest Get = %v %v, want attendees 999", row, ok)
 	}
-	if _, ok := s.Get("Talk", id2); ok {
+	if _, ok := get(s, "Talk", id2); ok {
 		t.Error("latest view must not see the deleted row")
 	}
 }
@@ -76,11 +76,11 @@ func TestSnapshotScanStableUnderWrites(t *testing.T) {
 func TestSnapshotReleaseTriggersGC(t *testing.T) {
 	s := memStore(t)
 	setupTalk(t, s)
-	id, _ := s.Insert("Talk", talkRow("CrowdDB", 1))
+	id, _ := insert(s, "Talk", talkRow("CrowdDB", 1))
 
 	snap := s.AcquireSnapshot()
 	for i := 2; i <= 5; i++ {
-		if err := s.Update("Talk", id, talkRow("CrowdDB", int64(i))); err != nil {
+		if err := update(s, "Talk", id, talkRow("CrowdDB", int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestSnapshotReleaseTriggersGC(t *testing.T) {
 	if live, retained := s.VersionStats(); live != 1 || retained != 0 {
 		t.Fatalf("after release: live=%d retained=%d, want 1/0", live, retained)
 	}
-	if row, ok := s.Get("Talk", id); !ok || row[2].Int() != 5 {
+	if row, ok := get(s, "Talk", id); !ok || row[2].Int() != 5 {
 		t.Fatalf("live row after GC = %v %v", row, ok)
 	}
 }
@@ -113,9 +113,9 @@ func TestIndexVisibilityAcrossKeyChange(t *testing.T) {
 	if err := s.CreateIndex("Talk", "idx_att", []int{2}, false); err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Insert("Talk", talkRow("CrowdDB", 100))
+	id, _ := insert(s, "Talk", talkRow("CrowdDB", 100))
 	snap := s.AcquireSnapshot()
-	if err := s.Update("Talk", id, talkRow("CrowdDB", 250)); err != nil {
+	if err := update(s, "Talk", id, talkRow("CrowdDB", 250)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +161,7 @@ func TestPKChangeAcrossShardsUnderSnapshot(t *testing.T) {
 	setupTalk(t, s)
 	const n = 16
 	for i := 0; i < n; i++ {
-		if _, err := s.Insert("Talk", talkRow(fmt.Sprintf("t%02d", i), int64(i))); err != nil {
+		if _, err := insert(s, "Talk", talkRow(fmt.Sprintf("t%02d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,8 +169,8 @@ func TestPKChangeAcrossShardsUnderSnapshot(t *testing.T) {
 	// Rename every row: new PK = new hash home, so many rows change shard.
 	ids, _, _ := scanRows(s, "Talk")
 	for _, id := range ids {
-		row, _ := s.Get("Talk", id)
-		if err := s.Update("Talk", id, talkRow("moved-"+row[0].Str(), row[2].Int())); err != nil {
+		row, _ := get(s, "Talk", id)
+		if err := update(s, "Talk", id, talkRow("moved-"+row[0].Str(), row[2].Int())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,13 +264,13 @@ func TestVisibleWatermarkWaitsForOldestTxn(t *testing.T) {
 // only), and new snapshots read the recovered image.
 func TestRecoveryRestoresClock(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setupTalk(t, s)
-	id, _ := s.Insert("Talk", talkRow("CrowdDB", 1))
-	if err := s.Update("Talk", id, talkRow("CrowdDB", 2)); err != nil {
+	id, _ := insert(s, "Talk", talkRow("CrowdDB", 1))
+	if err := update(s, "Talk", id, talkRow("CrowdDB", 2)); err != nil {
 		t.Fatal(err)
 	}
 	wantVis := s.VisibleTS()
@@ -278,7 +278,7 @@ func TestRecoveryRestoresClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := NewStore(dir)
+	s2, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +301,14 @@ func TestRecoveryRestoresClock(t *testing.T) {
 		t.Fatalf("recovered snapshot read = %v %v", row, ok)
 	}
 	// The clock keeps strictly increasing across the restart.
-	id2, err := s2.Insert("Talk", talkRow("Qurk", 3))
+	id2, err := insert(s2, "Talk", talkRow("Qurk", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.GetAt("Talk", id2, snap.TS()); ok {
 		t.Error("post-restart insert visible at pre-insert snapshot")
 	}
-	if row, ok := s2.Get("Talk", id2); !ok || row[0].Str() != "Qurk" {
+	if row, ok := get(s2, "Talk", id2); !ok || row[0].Str() != "Qurk" {
 		t.Fatalf("post-restart insert lost: %v %v", row, ok)
 	}
 }

@@ -51,7 +51,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 				case op < 5: // insert
 					pk := fmt.Sprintf("k%03d", rng.Intn(120))
 					v := rng.Int63n(1000)
-					id, err := s.Insert("t", row(pk, v))
+					id, err := insert(s, "t", row(pk, v))
 					if _, exists := model[pk]; exists {
 						if err == nil {
 							t.Fatalf("op %d: duplicate insert of %s succeeded", i, pk)
@@ -70,7 +70,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 					}
 					pk := ks[rng.Intn(len(ks))]
 					v := rng.Int63n(1000)
-					if err := s.Update("t", ids[pk], row(pk, v)); err != nil {
+					if err := update(s, "t", ids[pk], row(pk, v)); err != nil {
 						t.Fatalf("op %d: update %s: %v", i, pk, err)
 					}
 					model[pk] = v
@@ -80,7 +80,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 						continue
 					}
 					pk := ks[rng.Intn(len(ks))]
-					if err := s.Delete("t", ids[pk]); err != nil {
+					if err := del(s, "t", ids[pk]); err != nil {
 						t.Fatalf("op %d: delete %s: %v", i, pk, err)
 					}
 					delete(model, pk)
@@ -102,7 +102,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 			}
 
 			// Reopen (adopting the on-disk count) and compare to the model.
-			s2, err := NewStore(dir)
+			s2, err := NewStoreOptions(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestRecoveryMatchesModelUnderRandomWorkload(t *testing.T) {
 				if !ok {
 					t.Fatalf("key %s lost in recovery", pk)
 				}
-				got, _ := s2.Get("t", id)
+				got, _ := get(s2, "t", id)
 				if got[1].Int() != v {
 					t.Fatalf("key %s: recovered %d, model %d", pk, got[1].Int(), v)
 				}
@@ -193,7 +193,7 @@ func TestRecoveryTornShardWALProperty(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 6 && !live[pk]:
 					v := rng.Int63n(1000)
-					id, err := s.Insert("t", Row{sqltypes.NewString(pk), sqltypes.NewInt(v)})
+					id, err := insert(s, "t", Row{sqltypes.NewString(pk), sqltypes.NewInt(v)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -201,12 +201,12 @@ func TestRecoveryTornShardWALProperty(t *testing.T) {
 					record(modelOp{"insert", pk, v})
 				case op < 8 && live[pk]:
 					v := rng.Int63n(1000)
-					if err := s.Update("t", ids[pk], Row{sqltypes.NewString(pk), sqltypes.NewInt(v)}); err != nil {
+					if err := update(s, "t", ids[pk], Row{sqltypes.NewString(pk), sqltypes.NewInt(v)}); err != nil {
 						t.Fatal(err)
 					}
 					record(modelOp{"update", pk, v})
 				case live[pk]:
-					if err := s.Delete("t", ids[pk]); err != nil {
+					if err := del(s, "t", ids[pk]); err != nil {
 						t.Fatal(err)
 					}
 					live[pk] = false
@@ -239,7 +239,7 @@ func TestRecoveryTornShardWALProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := NewStore(dir)
+			s2, err := NewStoreOptions(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func TestScanOrderAcrossShards(t *testing.T) {
 		var want []string
 		for i := 0; i < 100; i++ {
 			pk := fmt.Sprintf("k%03d", i)
-			if _, err := s.Insert("t", kvRow(pk, int64(i))); err != nil {
+			if _, err := insert(s, "t", kvRow(pk, int64(i))); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, pk)
@@ -99,7 +99,7 @@ func TestBlockedWriterDoesNotBlockOtherShards(t *testing.T) {
 		}
 	}
 	pkA, pkB := keyOn(0), keyOn(1)
-	if _, err := s.Insert("t", kvRow(pkB, 1)); err != nil {
+	if _, err := insert(s, "t", kvRow(pkB, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +107,7 @@ func TestBlockedWriterDoesNotBlockOtherShards(t *testing.T) {
 	ts.shards[0].mu.Lock()
 	blocked := make(chan struct{})
 	go func() {
-		s.Insert("t", kvRow(pkA, 1)) // must block on shard 0
+		insert(s, "t", kvRow(pkA, 1)) // must block on shard 0
 		close(blocked)
 	}()
 
@@ -121,7 +121,7 @@ func TestBlockedWriterDoesNotBlockOtherShards(t *testing.T) {
 			done <- errors.New("lookup on unblocked shard failed")
 			return
 		}
-		_, err := s.Insert("t", kvRow(keyOn(2), 2))
+		_, err := insert(s, "t", kvRow(keyOn(2), 2))
 		done <- err
 	}()
 	select {
@@ -175,7 +175,7 @@ func TestShardStressConcurrentOps(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 5: // insert (worker-disjoint key space)
 					pk := fmt.Sprintf("w%d-k%04d", w, rng.Intn(500))
-					id, err := s.Insert("t", kvRow(pk, rng.Int63n(1000)))
+					id, err := insert(s, "t", kvRow(pk, rng.Int63n(1000)))
 					if err == nil {
 						inserts.Add(1)
 						mine = append(mine, struct {
@@ -188,13 +188,13 @@ func TestShardStressConcurrentOps(t *testing.T) {
 					}
 				case op < 7 && len(mine) > 0: // update own row
 					m := mine[rng.Intn(len(mine))]
-					if err := s.Update("t", m.id, kvRow(m.pk, rng.Int63n(1000))); err != nil {
+					if err := update(s, "t", m.id, kvRow(m.pk, rng.Int63n(1000))); err != nil {
 						t.Errorf("update: %v", err)
 						return
 					}
 				case op < 8 && len(mine) > 0: // delete own row
 					j := rng.Intn(len(mine))
-					if err := s.Delete("t", mine[j].id); err != nil {
+					if err := del(s, "t", mine[j].id); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}
@@ -209,7 +209,7 @@ func TestShardStressConcurrentOps(t *testing.T) {
 					pk := fmt.Sprintf("w%d-k%04d", rng.Intn(workers), rng.Intn(500))
 					lookupPK(s, "t", sqltypes.NewString(pk))
 					if len(mine) > 0 {
-						s.Get("t", mine[rng.Intn(len(mine))].id)
+						get(s, "t", mine[rng.Intn(len(mine))].id)
 					}
 				}
 			}
@@ -276,7 +276,7 @@ func TestGroupCommitSurvivesCrash(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < n/4; i++ {
-				if _, err := s.Insert("t", kvRow(fmt.Sprintf("w%d-%03d", w, i), int64(i))); err != nil {
+				if _, err := insert(s, "t", kvRow(fmt.Sprintf("w%d-%03d", w, i), int64(i))); err != nil {
 					t.Errorf("insert: %v", err)
 				}
 			}
@@ -310,7 +310,7 @@ func TestShardCountContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CreateTable("t", []int{0})
-	s.Insert("t", kvRow("a", 1))
+	insert(s, "t", kvRow("a", 1))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,22 +362,22 @@ func TestCrossShardPKUpdate(t *testing.T) {
 	for i := 0; ts.shardOfKey(ts.pkKey(kvRow(pkB, 0))) == ts.shardOfKey(ts.pkKey(kvRow(pkA, 0))); i++ {
 		pkB = fmt.Sprintf("beta-%d", i)
 	}
-	id, err := s.Insert("t", kvRow(pkA, 1))
+	id, err := insert(s, "t", kvRow(pkA, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("t", id, kvRow(pkB, 2)); err != nil {
+	if err := update(s, "t", id, kvRow(pkB, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := lookupPK(s, "t", sqltypes.NewString(pkA)); ok {
 		t.Error("old PK still resolves after re-homing update")
 	}
-	row, ok := s.Get("t", id)
+	row, ok := get(s, "t", id)
 	if !ok || row[0].Str() != pkB || row[1].Int() != 2 {
 		t.Fatalf("row after move: %v %v", row, ok)
 	}
 	// And back again, then recover.
-	if err := s.Update("t", id, kvRow(pkA, 3)); err != nil {
+	if err := update(s, "t", id, kvRow(pkA, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -400,7 +400,7 @@ func TestCrossShardPKUpdate(t *testing.T) {
 	if !ok || rid != id {
 		t.Fatalf("recovered row id %v ok=%v, want %v", rid, ok, id)
 	}
-	if row, _ := s2.Get("t", rid); row[1].Int() != 3 {
+	if row, _ := get(s2, "t", rid); row[1].Int() != 3 {
 		t.Errorf("recovered value %v, want 3", row[1])
 	}
 }
@@ -417,24 +417,24 @@ func TestUniqueSecondaryIndexAcrossShards(t *testing.T) {
 	// Insert rows with distinct PKs (spread across shards) and distinct
 	// values, then try a duplicate value from a different shard.
 	for i := 0; i < 16; i++ {
-		if _, err := s.Insert("t", kvRow(fmt.Sprintf("k%02d", i), int64(i))); err != nil {
+		if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%02d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Insert("t", kvRow("other-shard-key", 7)); err == nil {
+	if _, err := insert(s, "t", kvRow("other-shard-key", 7)); err == nil {
 		t.Fatal("unique secondary index must reject duplicates across shards")
 	}
 	// Update onto a taken value must also fail.
 	id, _ := lookupPK(s, "t", sqltypes.NewString("k00"))
-	if err := s.Update("t", id, kvRow("k00", 7)); err == nil {
+	if err := update(s, "t", id, kvRow("k00", 7)); err == nil {
 		t.Fatal("unique secondary index must reject duplicate on update")
 	}
 	// The same value is fine once the holder is gone.
 	holder, _ := lookupPK(s, "t", sqltypes.NewString("k07"))
-	if err := s.Delete("t", holder); err != nil {
+	if err := del(s, "t", holder); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("t", kvRow("reuse", 7)); err != nil {
+	if _, err := insert(s, "t", kvRow("reuse", 7)); err != nil {
 		t.Fatalf("value freed by delete must be insertable: %v", err)
 	}
 }
@@ -486,11 +486,11 @@ func TestCrossShardMoveCrashKeepsNewerCopy(t *testing.T) {
 	for i := 0; ts.shardOfKey(ts.pkKey(kvRow(pkNew, 0))) == oldShard; i++ {
 		pkNew = fmt.Sprintf("moved-%d", i)
 	}
-	id, err := s.Insert("t", kvRow(pkOld, 1))
+	id, err := insert(s, "t", kvRow(pkOld, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("t", id, kvRow(pkNew, 2)); err != nil {
+	if err := update(s, "t", id, kvRow(pkNew, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -529,7 +529,7 @@ func TestCrossShardMoveCrashKeepsNewerCopy(t *testing.T) {
 	if !ok || rid != id {
 		t.Fatalf("moved copy lost: ok=%v id=%v want %v", ok, rid, id)
 	}
-	if row, _ := s2.Get("t", rid); row[1].Int() != 2 {
+	if row, _ := get(s2, "t", rid); row[1].Int() != 2 {
 		t.Errorf("recovered value %v, want 2", row[1])
 	}
 }

@@ -259,15 +259,11 @@ type Store struct {
 	mvccState
 }
 
-// NewStore creates a store with default options (automatic shard count,
-// group-commit WAL). With dir == "" the store is memory-only; with a
-// directory, mutations are logged to per-shard WALs inside it. Call
-// Recover after re-creating the schema to replay the logs.
-func NewStore(dir string) (*Store, error) {
-	return NewStoreOptions(dir, Options{})
-}
-
-// NewStoreOptions creates a store with explicit sharding and WAL options.
+// NewStoreOptions creates a store. With dir == "" the store is
+// memory-only; with a directory, every transaction's writes are logged to
+// per-shard WALs inside it. Call Recover after re-creating the schema to
+// replay the logs. The zero Options pick the automatic shard count and the
+// group-commit WAL.
 func NewStoreOptions(dir string, opts Options) (*Store, error) {
 	mode := opts.Sync
 	if mode == "" {
@@ -533,17 +529,6 @@ func (ts *tableStore) pkTaken(sh *tableShard, key string, self RowID) bool {
 	return false
 }
 
-// Insert adds a row in its own single-statement transaction; a failed
-// commit (the WAL sync) is its error.
-func (s *Store) Insert(table string, row Row) (RowID, error) {
-	tx := s.Begin()
-	id, err := tx.Insert(table, row)
-	if cerr := tx.Commit(); err == nil && cerr != nil {
-		return 0, cerr
-	}
-	return id, err
-}
-
 // Insert adds a row under the transaction's timestamp, enforcing
 // primary-key uniqueness, and returns its ID. The fast path locks only
 // the row's home shard; tables with unique secondary indexes lock every
@@ -628,46 +613,43 @@ func (t *Txn) finishInsert(ts *tableStore, home int, id RowID, row Row, pk strin
 	return id, nil
 }
 
-// Update replaces a row in its own single-statement transaction; a failed
-// commit is its error.
-func (s *Store) Update(table string, id RowID, row Row) error {
-	tx := s.Begin()
-	err := tx.Update(table, id, row)
-	if cerr := tx.Commit(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Update installs a new version of the row at id under the transaction's
-// timestamp, maintaining all indexes. The superseded version is retained
-// for live snapshots: old index entries stay in place until GC. A
-// primary-key change can re-home the row onto a different shard; both
-// shards are locked in ascending order and the move is logged as a delete
-// on the old shard's WAL plus an upsert on the new one's.
-func (t *Txn) Update(table string, id RowID, row Row) error {
+// timestamp, maintaining all indexes. The new version is change applied to
+// the row's live version, so a write committed between the caller's
+// snapshot read and this update is built on, never undone. change runs
+// under the shard lock, so it must not call into the store; it may run
+// more than once (a row moving shards is re-read under the wider lock), so
+// it must have no side effects; and it must not modify live. The row it
+// returns becomes the store's, and a nil row writes nothing. Update
+// returns the live version it read and the version it installed (nil when
+// it wrote nothing).
+//
+// The superseded version is retained for live snapshots: old index
+// entries stay in place until GC. A primary-key change can re-home the row
+// onto a different shard; both shards are locked in ascending order and
+// the move is logged as a delete on the old shard's WAL plus an upsert on
+// the new one's.
+func (t *Txn) Update(table string, id RowID, change func(live Row) (Row, error)) (live, row Row, err error) {
 	s := t.s
 	ts, err := s.table(table)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	target := -1 // a shard the row moves to, locked from the next pass on
 	for {
 		oldShard, _, ok := ts.findShard(id)
 		if !ok {
-			return fmt.Errorf("storage: row %d not found in %s", id, table)
-		}
-		newShard := oldShard
-		var pk string
-		if len(ts.pkCols) > 0 {
-			pk = ts.pkKey(row)
-			newShard = ts.shardOfKey(pk)
+			return nil, nil, fmt.Errorf("storage: row %d not found in %s", id, table)
 		}
 		lockAll := ts.hasUnique.Load()
 		var unlock func()
-		if lockAll {
+		switch {
+		case lockAll:
 			unlock = ts.lockShards(ts.allShardIdx()...)
-		} else {
-			unlock = ts.lockShards(oldShard, newShard)
+		case target >= 0:
+			unlock = ts.lockShards(oldShard, target)
+		default:
+			unlock = ts.lockShards(oldShard)
 		}
 		// Re-check after locking: a concurrent CREATE UNIQUE INDEX may
 		// have landed between the flag read and our lock acquisition.
@@ -676,26 +658,40 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			continue
 		}
 		src := ts.shards[oldShard]
-		old, ok := src.heap.get(id)
-		if !ok {
+		if live, ok = src.heap.get(id); !ok {
 			unlock() // the row moved or vanished between probe and lock
 			continue
 		}
-		if pk != "" && !rowHasKey(old, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
+		if row, err = change(live); err != nil || row == nil {
 			unlock()
-			return &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
+			return live, nil, err
+		}
+		newShard := oldShard
+		var pk string
+		if len(ts.pkCols) > 0 {
+			pk = ts.pkKey(row)
+			newShard = ts.shardOfKey(pk)
+		}
+		if !lockAll && newShard != oldShard && newShard != target {
+			unlock() // a move: start over holding both shards' locks
+			target = newShard
+			continue
+		}
+		if pk != "" && !rowHasKey(live, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
+			unlock()
+			return nil, nil, &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 		}
 		if ts.hasUnique.Load() {
 			if idx, bad := ts.uniqueViolated(row, id); bad {
 				unlock()
-				return &DuplicateKeyError{Table: table, Key: idx}
+				return nil, nil, &DuplicateKeyError{Table: table, Key: idx}
 			}
 		}
 		if s.logs != nil {
 			data, err := EncodeRow(row)
 			if err != nil {
 				unlock()
-				return err
+				return nil, nil, err
 			}
 			// Cross-shard move: the new shard's upsert is durable BEFORE
 			// the old shard's delete is even appended — any writer's
@@ -713,7 +709,7 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 			}
 			if err != nil {
 				unlock()
-				return err
+				return nil, nil, err
 			}
 			t.logged |= 1<<newShard | 1<<oldShard
 		}
@@ -722,61 +718,46 @@ func (t *Txn) Update(table string, id RowID, row Row) error {
 		// its index entries stay until GC) and install the new one.
 		src.heap.supersede(id, t.ts)
 		s.retained.Add(1)
-		dst.heap.insertVersion(id, row.Clone(), t.ts)
+		dst.heap.insertVersion(id, row, t.ts)
 		dst.indexRow(row, id, pk)
 		unlock()
-		return nil
+		return live, row, nil
 	}
 }
 
-// Delete removes a row in its own single-statement transaction; a failed
-// commit is its error.
-func (s *Store) Delete(table string, id RowID) error {
-	tx := s.Begin()
-	err := tx.Delete(table, id)
-	if cerr := tx.Commit(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Delete ends the row's live version at the transaction's timestamp. The
-// final version (and its index entries) is retained for live snapshots
-// until GC reclaims it.
-func (t *Txn) Delete(table string, id RowID) error {
+// Delete ends the row's live version at the transaction's timestamp and
+// returns that version. The final version (and its index entries) is
+// retained for live snapshots until GC reclaims it.
+func (t *Txn) Delete(table string, id RowID) (Row, error) {
 	s := t.s
 	ts, err := s.table(table)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for {
 		shard, _, ok := ts.findShard(id)
 		if !ok {
-			return fmt.Errorf("storage: row %d not found in %s", id, table)
+			return nil, fmt.Errorf("storage: row %d not found in %s", id, table)
 		}
 		unlock := ts.lockShards(shard)
 		sh := ts.shards[shard]
-		if _, ok := sh.heap.get(id); !ok {
+		live, ok := sh.heap.get(id)
+		if !ok {
 			unlock()
 			continue
 		}
 		if s.logs != nil {
 			if _, err = s.logs[shard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts}); err != nil {
 				unlock()
-				return err
+				return nil, err
 			}
 			t.logged |= 1 << shard
 		}
 		sh.heap.supersede(id, t.ts)
 		s.retained.Add(1)
 		unlock()
-		return nil
+		return live, nil
 	}
-}
-
-// Get returns the row at id as of the current watermark.
-func (s *Store) Get(table string, id RowID) (Row, bool) {
-	return s.GetAt(table, id, s.visible.Load())
 }
 
 // GetAt returns the row version at id visible to a snapshot at ts
@@ -1263,15 +1244,4 @@ func (s *Store) checkpointShard(shard int, names []string, tables map[string]*ta
 	}
 	// Records up to here are durable in the snapshot: reset the WAL.
 	return s.logs[shard].reset()
-}
-
-// Tables lists the table names the store currently holds (sorted).
-func (s *Store) Tables() []string {
-	m := s.tableMap()
-	names := make([]string, 0, len(m))
-	for _, ts := range m {
-		names = append(names, ts.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -138,7 +138,7 @@ func TestV1DataDirOpens(t *testing.T) {
 			}
 			ts, _ := s.table(tb.name)
 			homes[ts.shardOfKey(ts.pkKey(want))] = true
-			if _, err := s.Insert(tb.name, want); !errors.As(err, new(*DuplicateKeyError)) {
+			if _, err := insert(s, tb.name, want); !errors.As(err, new(*DuplicateKeyError)) {
 				t.Errorf("%s: second insert of %v: %v, want a duplicate key", tb.name, pk, err)
 			}
 		}

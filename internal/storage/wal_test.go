@@ -15,7 +15,7 @@ func reopen(t *testing.T, s *Store, dir string) *Store {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewStore(dir)
+	s2, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +30,16 @@ func reopen(t *testing.T, s *Store, dir string) *Store {
 
 func TestWALRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CreateTable("Talk", []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	id1, _ := s.Insert("Talk", talkRow("CrowdDB", 100))
-	s.Insert("Talk", talkRow("Qurk", 80))
-	s.Update("Talk", id1, talkRow("CrowdDB", 250))
+	id1, _ := insert(s, "Talk", talkRow("CrowdDB", 100))
+	insert(s, "Talk", talkRow("Qurk", 80))
+	update(s, "Talk", id1, talkRow("CrowdDB", 250))
 
 	s2 := reopen(t, s, dir)
 	defer s2.Close()
@@ -51,7 +51,7 @@ func TestWALRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("PK lost in recovery")
 	}
-	row, _ := s2.Get("Talk", rid)
+	row, _ := get(s2, "Talk", rid)
 	if row[2].Int() != 250 {
 		t.Errorf("update lost: %v", row)
 	}
@@ -59,11 +59,11 @@ func TestWALRecovery(t *testing.T) {
 
 func TestWALRecoveryWithDeletes(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := NewStore(dir)
+	s, _ := NewStoreOptions(dir, Options{})
 	s.CreateTable("Talk", []int{0})
-	id, _ := s.Insert("Talk", talkRow("A", 1))
-	s.Insert("Talk", talkRow("B", 2))
-	s.Delete("Talk", id)
+	id, _ := insert(s, "Talk", talkRow("A", 1))
+	insert(s, "Talk", talkRow("B", 2))
+	del(s, "Talk", id)
 
 	s2 := reopen(t, s, dir)
 	defer s2.Close()
@@ -84,7 +84,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	}
 	s.CreateTable("Talk", []int{0})
 	for i := 0; i < 50; i++ {
-		s.Insert("Talk", talkRow(string(rune('A'+i)), int64(i)))
+		insert(s, "Talk", talkRow(string(rune('A'+i)), int64(i)))
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		}
 	}
 	// Post-checkpoint writes land in the fresh WAL.
-	s.Insert("Talk", talkRow("after", 999))
+	insert(s, "Talk", talkRow("after", 999))
 
 	s2 := reopen(t, s, dir)
 	defer s2.Close()
@@ -111,9 +111,9 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 
 func TestTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := NewStore(dir)
+	s, _ := NewStoreOptions(dir, Options{})
 	s.CreateTable("Talk", []int{0})
-	s.Insert("Talk", talkRow("ok", 1))
+	insert(s, "Talk", talkRow("ok", 1))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTornWALTail(t *testing.T) {
 	f.WriteString(`{"op":"insert","table":"Talk","row":99,"data":[{"k":`)
 	f.Close()
 
-	s2, err := NewStore(dir)
+	s2, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTornWALTail(t *testing.T) {
 
 func TestRecoverNoFiles(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fresh")
-	s, err := NewStore(dir)
+	s, err := NewStoreOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRecoverNoFiles(t *testing.T) {
 func TestMemoryStoreNoFiles(t *testing.T) {
 	s := memStore(t)
 	setupTalk(t, s)
-	s.Insert("Talk", talkRow("X", 1))
+	insert(s, "Talk", talkRow("X", 1))
 	if err := s.Checkpoint(); err != nil {
 		t.Errorf("memory checkpoint must be a no-op: %v", err)
 	}
