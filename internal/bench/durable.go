@@ -4,8 +4,8 @@ package bench
 // by closing the engine + server over a data dir and jobs journal, then
 // assembling fresh ones over the same paths; the crash itself uses the
 // faultinject registry's soft handler — from the armed crashpoint on,
-// every durability write (shard WAL, jobs journal, compare-answer
-// persistence) is silently dropped, exactly the writes a torn process
+// every durability write (shard WAL, compare answers included, and
+// jobs journal) is silently dropped, exactly the writes a torn process
 // would have lost. Three arms:
 //
 //   - baseline: the pair query runs uninterrupted on a durable engine

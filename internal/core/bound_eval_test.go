@@ -129,3 +129,56 @@ func TestExplainScanReadStatements(t *testing.T) {
 		t.Errorf("an unbounded Sort buffers its input (980 rows): %q", line)
 	}
 }
+
+// TestIntegerOverflowIsAnError: INTEGER +, -, * and unary - whose result
+// leaves int64 fail the statement with "exec: INTEGER overflow" — in a
+// SELECT list, a WHERE and an UPDATE's SET — instead of wrapping around
+// (v + 1 with v = MaxInt64 used to return MinInt64, and an UPDATE stored
+// it). A result at the edge still fits.
+func TestIntegerOverflowIsAnError(t *testing.T) {
+	eng, err := Open(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	mustExec(t, eng, "CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, eng, "INSERT INTO k VALUES (1, 9223372036854775806), (2, 9223372036854775807), (3, -9223372036854775807 - 1)")
+	const overflow = "exec: INTEGER overflow"
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT v + 1 FROM k WHERE id = 1", "9223372036854775807"},
+		{"SELECT -v FROM k WHERE id = 2", "-9223372036854775807"},
+		{"SELECT v + 1 FROM k WHERE id = 2", overflow},
+		{"SELECT v * 2 FROM k WHERE id = 2", overflow},
+		{"SELECT 1 - v FROM k WHERE id = 2", "-9223372036854775806"},
+		{"SELECT v - 1 FROM k WHERE id = 3", overflow},
+		{"SELECT -v FROM k WHERE id = 3", overflow},
+		{"SELECT v * -1 FROM k WHERE id = 3", overflow},
+		{"SELECT v % -1 FROM k WHERE id = 3", "0"},
+		{"SELECT id FROM k WHERE v + 1 > 0", overflow},
+		{"SELECT id FROM k WHERE v + 1 > 0 AND id = 1", "1"},
+	} {
+		res, err := eng.Exec(tc.sql)
+		got := ""
+		switch {
+		case err != nil:
+			got = err.Error()
+		case len(res.Rows) > 0:
+			got = res.Rows[0][0].String()
+		}
+		if got != tc.want && !(tc.want == overflow && strings.Contains(got, overflow)) {
+			t.Errorf("%s: got %q, want %q", tc.sql, got, tc.want)
+		}
+	}
+	// The UPDATE fails at id 2. Until statements are atomic, the row it
+	// changed before (id 1) keeps its new value; nothing wrapped is stored.
+	if _, err := eng.Exec("UPDATE k SET v = v + 1"); err == nil || !strings.Contains(err.Error(), overflow) {
+		t.Fatalf("UPDATE over MaxInt64: %v, want %q", err, overflow)
+	}
+	var got []string
+	for _, r := range mustExec(t, eng, "SELECT v FROM k ORDER BY id").Rows {
+		got = append(got, r[0].String())
+	}
+	if want := "9223372036854775807,9223372036854775807,-9223372036854775808"; strings.Join(got, ",") != want {
+		t.Errorf("after the failed UPDATE: %v, want %s", got, want)
+	}
+}

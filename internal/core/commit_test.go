@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -49,60 +48,5 @@ func TestDMLReportsWALSyncFailure(t *testing.T) {
 				t.Errorf("a statement whose commit failed reported %d affected", res.Affected)
 			}
 		})
-	}
-}
-
-// TestPersistCompareCacheOneCommitPerFlush: one flush writes its answers
-// in one transaction — one WAL fsync per shard it touches, not one per
-// answer — and every answer reaches the system table.
-func TestPersistCompareCacheOneCommitPerFlush(t *testing.T) {
-	eng := durableKV(t)
-	fsync := eng.Metrics().Histogram("crowddb_wal_fsync_seconds", "", nil, "shard", "0")
-	before := fsync.Count()
-	for i := 0; i < 20; i++ {
-		eng.cache.PutEqual("q", fmt.Sprintf("left-%d", i), "x", i%2 == 0)
-	}
-	n, err := eng.persistCompareCache()
-	if err != nil || n != 20 {
-		t.Fatalf("persisted %d answers (err %v), want 20", n, err)
-	}
-	if got := fsync.Count() - before; got != 1 {
-		t.Errorf("a flush of 20 answers cost %d WAL fsyncs, want 1", got)
-	}
-	for i := 0; i < 20; i++ {
-		if _, ok := storedCompareAnswer(eng, "equal", "q", fmt.Sprintf("left-%d", i), "x"); !ok {
-			t.Errorf("answer %d not in the system table", i)
-		}
-	}
-}
-
-// TestPersistCompareCacheKeepsBatchWhenCommitFails: if a flush's commit
-// fails, none of its answers is durable, so none is reported persisted
-// (and charged): the whole batch stays pending — and so does everything
-// later passes see, since the rows the failed pass applied in memory
-// would otherwise look persisted to them.
-func TestPersistCompareCacheKeepsBatchWhenCommitFails(t *testing.T) {
-	eng := durableKV(t)
-	for _, l := range []string{"a", "b", "c"} {
-		eng.cache.PutEqual("q", l, "x", true)
-	}
-	eng.store.Close() // the flush's commit syncs to a closed file
-	n, err := eng.persistCompareCache()
-	if err == nil || n != 0 {
-		t.Fatalf("flush over a closed WAL: persisted %d, err %v; want 0 and the I/O error", n, err)
-	}
-	eng.cache.PutEqual("q", "d", "x", false)
-	n, err = eng.persistCompareCache()
-	if err == nil || n != 0 {
-		t.Fatalf("the pass after a failed commit: persisted %d, err %v; want 0 and the error", n, err)
-	}
-	eng.persistMu.Lock()
-	pending := len(eng.pendingPersist)
-	eng.persistMu.Unlock()
-	if pending != 4 {
-		t.Errorf("pending after two failed passes = %d, want all 4 answers", pending)
-	}
-	if same, ok := eng.cache.GetEqual("q", "d", "x"); !ok || same {
-		t.Errorf("a pending answer must still be served by the memo: %v %v", same, ok)
 	}
 }

@@ -1,9 +1,9 @@
 // Package core is the CrowdDB engine: it wires the paper's architecture
 // (Fig. 1) together — parser, rule-based optimizer and executor on the
 // left; UI generation, Task Manager and Worker Relationship Manager on the
-// right — and owns durability: DDL is persisted to a schema script, data
-// to the WAL, and crowd comparison answers to a system table, so every
-// crowd answer is paid for exactly once.
+// right — and owns durability: DDL is persisted to a schema script and
+// data to the WAL, crowd comparison answers included (the executor stores
+// them in a system table), so every crowd answer is paid for exactly once.
 package core
 
 import (
@@ -20,7 +20,6 @@ import (
 	"crowddb/internal/catalog"
 	"crowddb/internal/crowd"
 	"crowddb/internal/exec"
-	"crowddb/internal/faultinject"
 	"crowddb/internal/obs"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
@@ -32,9 +31,6 @@ import (
 	"crowddb/internal/ui"
 	"crowddb/internal/wrm"
 )
-
-// compareTable is the hidden system table memorizing CrowdCompare answers.
-const compareTable = "__crowd_compare"
 
 // Config assembles an engine.
 type Config struct {
@@ -119,19 +115,6 @@ type Engine struct {
 	// not a statement lock — is what keeps their reads consistent.
 	writeMu sync.Mutex
 
-	// persistMu serializes compare-cache persistence; pendingPersist
-	// holds entries whose system-table write failed until a later pass
-	// retries them (the memo keeps answering them meanwhile). persistErr
-	// is the first failed commit of a pass: its rows are applied in memory
-	// but not durable, so no later pass may count them — or anything else
-	// — as persisted.
-	persistMu      sync.Mutex
-	pendingPersist []exec.Entry
-	persistErr     error
-	// persistHook, when non-nil, is consulted before each system-table
-	// write (test seam: injecting per-entry persist failures).
-	persistHook func(exec.Entry) error
-
 	// costMu guards the predicted-vs-actual cost-model accounting.
 	costMu    sync.Mutex
 	costModel CostModelStats
@@ -204,8 +187,7 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Platform != nil {
 		e.tasks = taskmgr.New(cfg.Platform, e.uim, e.tracker, e.payer, cfg.Oracle, cfg.Tasks)
 	}
-	// The comparison memo is storage-only (not in the user catalog).
-	if err := e.store.CreateTable(compareTable, []int{0, 1, 2, 3}); err != nil {
+	if err := exec.CreateMemoTable(e.store); err != nil {
 		return nil, err
 	}
 	if cfg.DataDir != "" {
@@ -215,7 +197,7 @@ func Open(cfg Config) (*Engine, error) {
 		if err := e.store.Recover(); err != nil {
 			return nil, err
 		}
-		if err := e.loadCompareCache(); err != nil {
+		if err := e.cache.Load(e.store); err != nil {
 			return nil, err
 		}
 		e.refreshStats()
@@ -867,11 +849,6 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 	} else {
 		rows, err = exec.Run(op, ectx)
 	}
-	// Answers paid for before a failure or cancellation are still
-	// memoized: persist them so they are never re-purchased.
-	if _, perr := e.persistCompareCache(); err == nil {
-		err = perr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -1018,100 +995,4 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 		res.SnapshotTS = analyzed.SnapshotTS
 	}
 	return res, nil
-}
-
-// FlushCompareAnswers makes every comparison answer memoized since the
-// last flush durable and returns how many entries reached the system
-// table. The jobs journal charges budget spend by this count — answers
-// are charged when (and only when) they become durable, so a crash can
-// never double-charge a session for an answer recovery cannot reuse.
-func (e *Engine) FlushCompareAnswers() (int, error) {
-	return e.persistCompareCache()
-}
-
-// persistCompareCache writes the comparison answers memoized since the
-// last pass to the system table, in one transaction — one WAL sync per
-// shard per pass, not one per answer — and reports how many were written.
-// Only the deltas are walked — the resident cache is cross-session and
-// can be large. An entry whose write fails is skipped and retained for
-// the next pass; the rest of the batch still persists (no head-of-line
-// blocking: one poisoned entry must not keep every later healthy answer
-// out of the system table). The first error is reported after the full
-// sweep. If the commit itself fails, nothing of the pass is durable: the
-// whole batch is kept and the error reported, now and on every later
-// pass.
-func (e *Engine) persistCompareCache() (int, error) {
-	if faultinject.Killed() {
-		// Simulated crash: nothing more reaches disk; the entries stay
-		// dirty in memory, exactly like a torn process's lost writes.
-		return 0, nil
-	}
-	e.persistMu.Lock()
-	defer e.persistMu.Unlock()
-	pending := append(e.pendingPersist, e.cache.TakeDirty()...)
-	if len(pending) == 0 || e.persistErr != nil {
-		e.pendingPersist = pending
-		return 0, e.persistErr
-	}
-	e.pendingPersist = nil
-	tx := e.store.Begin()
-	var firstErr error
-	persisted := 0
-	for _, en := range pending {
-		if err := e.persistEntryLocked(tx, en); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.pendingPersist = append(e.pendingPersist, en)
-			continue
-		}
-		persisted++
-	}
-	if err := tx.Commit(); err != nil {
-		e.pendingPersist, e.persistErr = pending, err
-		return 0, err
-	}
-	return persisted, firstErr
-}
-
-// persistEntryLocked writes one cache entry in tx; an entry already in the
-// system table (duplicate key) is a no-op. Caller holds persistMu.
-func (e *Engine) persistEntryLocked(tx *storage.Txn, entry exec.Entry) error {
-	if e.persistHook != nil {
-		if err := e.persistHook(entry); err != nil {
-			return err
-		}
-	}
-	row := storage.Row{
-		sqltypes.NewString(entry.Kind),
-		sqltypes.NewString(entry.Question),
-		sqltypes.NewString(entry.Left),
-		sqltypes.NewString(entry.Right),
-		sqltypes.NewString(entry.Answer),
-	}
-	if _, err := tx.Insert(compareTable, row); err != nil {
-		if _, dup := err.(*storage.DuplicateKeyError); !dup {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Engine) loadCompareCache() error {
-	_, rows, err := e.store.ScanRowsAt(compareTable, e.store.VisibleTS())
-	if err != nil {
-		return err
-	}
-	var entries []exec.Entry
-	for _, row := range rows {
-		if len(row) != 5 {
-			continue
-		}
-		entries = append(entries, exec.Entry{
-			Key:    exec.Key{Kind: row[0].Str(), Question: row[1].Str(), Left: row[2].Str(), Right: row[3].Str()},
-			Answer: row[4].Str(),
-		})
-	}
-	e.cache.Load(entries)
-	return nil
 }

@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -28,6 +29,7 @@ var diffSchema = []plan.Col{
 var diffValues = []sqltypes.Value{
 	sqltypes.Null(), sqltypes.CNull(),
 	sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewInt(-3), sqltypes.NewInt(42),
+	sqltypes.NewInt(math.MaxInt64), sqltypes.NewInt(-math.MaxInt64), sqltypes.NewInt(math.MinInt64),
 	sqltypes.NewFloat(0), sqltypes.NewFloat(1.5), sqltypes.NewFloat(42), sqltypes.NewFloat(-0.5),
 	sqltypes.NewString(""), sqltypes.NewString("abc"), sqltypes.NewString("42"), sqltypes.NewString(" 7 "),
 	sqltypes.NewString("1.5"), sqltypes.NewString("true"), sqltypes.NewString("a%b_c"), sqltypes.NewString("ABC"),
@@ -202,6 +204,11 @@ func fuzzRow(data []byte) Row {
 // reference's answer.
 func FuzzBoundEval(f *testing.F) {
 	f.Add("b < c AND c <= 42 OR NOT s = 'abc'", []byte{3, 5, 2, 8, 11})
+	// INTEGER operands at the edges of int64: a = MaxInt64, b = -MaxInt64,
+	// c = MinInt64 (diffValues' indexes 6, 7 and 8).
+	for _, e := range []string{"t.a + 1", "b - 2", "t.a * 2", "c * -1", "-c", "-(c + 1)", "t.a + b", "c % -1", "t.a * 1 + c"} {
+		f.Add(e, []byte{6, 7, 8, 8, 0})
+	}
 	f.Fuzz(func(t *testing.T, text string, rowBytes []byte) {
 		e, err := parser.ParseExpr(text)
 		if err != nil {

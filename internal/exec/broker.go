@@ -3,6 +3,7 @@ package exec
 import (
 	"crowddb/internal/obs"
 	"crowddb/internal/quality"
+	"crowddb/internal/storage"
 	"crowddb/internal/taskmgr"
 )
 
@@ -114,26 +115,58 @@ func (b *compareBroker) post(question string, pairs []taskmgr.ComparePair) error
 
 // collect waits for the oldest open group and memoizes its verdicts. The
 // decisions align with the pairs that group was posted with; one without
-// answers (Total == 0) reached no quorum and its pair stays unknown.
+// answers (Total == 0) reached no quorum and its pair stays unknown. The
+// Value of every other decision is rewritten to the answer memoized for
+// it: "yes" or "no" for CROWDEQUAL, the winner for CROWDORDER.
 func (b *compareBroker) collect() ([]quality.Decision, error) {
 	g := b.posted[b.win.next]
 	ds, err := b.win.collect()
+	if err == nil {
+		err = b.memoize(g, ds)
+	}
 	if err != nil {
 		b.release()
 		return nil, err
 	}
-	for i, d := range ds {
-		if d.Total == 0 {
-			continue
+	return ds, nil
+}
+
+// memoize stores a collected group's answers in the memo table in one
+// transaction, then makes them resident, which resolves the flights other
+// sessions follow: an answer is durable before anyone can read it. The
+// stored answers are counted in Stats.Memoized and published as progress,
+// where the jobs journal charges them to the session. If the commit
+// fails, nothing is memoized and the caller's release abandons the
+// claims.
+func (b *compareBroker) memoize(g brokerGroup, ds []quality.Decision) error {
+	n := 0
+	err := commitGroup(b.ctx, func(tx *storage.Txn) error {
+		for i := range ds {
+			if ds[i].Total == 0 {
+				continue
+			}
+			if b.kind == kindEqual {
+				ds[i].Value = yesNo(quality.Normalize(ds[i].Value) == "yes")
+			}
+			p := g.pairs[i]
+			if err := storeAnswer(tx, newKey(b.kind, g.question, p.Left, p.Right), ds[i].Value); err != nil {
+				return err
+			}
+			n++
 		}
-		p := g.pairs[i]
-		if b.kind == kindOrder {
-			b.ctx.Cache.PutOrder(g.question, p.Left, p.Right, d.Value)
-		} else {
-			b.ctx.Cache.PutEqual(g.question, p.Left, p.Right, quality.Normalize(d.Value) == "yes")
+		return nil
+	})
+	if err != nil || n == 0 {
+		return err
+	}
+	for i, d := range ds {
+		if d.Total != 0 {
+			b.ctx.Cache.put(b.kind, g.question, g.pairs[i].Left, g.pairs[i].Right, d.Value)
 		}
 	}
-	return ds, nil
+	b.ctx.Stats.Memoized += n
+	b.ctx.noteProgress()
+	return nil
 }
 
 // release abandons every leader claim that got no verdict (post error, no

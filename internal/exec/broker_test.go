@@ -14,6 +14,7 @@ import (
 	"crowddb/internal/plan"
 	"crowddb/internal/quality"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 	"crowddb/internal/taskmgr"
 	"crowddb/internal/ui"
 )
@@ -118,15 +119,15 @@ func (yesOracle) CompareTruth(kind crowd.TaskKind, q, l, r string) *crowd.SimTru
 }
 
 // scriptedCtx is an execution context over the scripted crowd with the
-// given scheduler window.
-func scriptedCtx(p *scriptCrowd, maxInFlight int) *Ctx {
+// given scheduler window and an in-memory store for its answers.
+func scriptedCtx(t testing.TB, p *scriptCrowd, maxInFlight int) *Ctx {
 	cat := catalog.New()
 	uim := ui.NewManager(cat)
 	uim.GenerateAll()
 	cfg := taskmgr.DefaultConfig()
 	cfg.MaxInFlight = maxInFlight
 	tm := taskmgr.New(p, uim, quality.NewTracker(), nil, yesOracle{}, cfg)
-	return &Ctx{Cat: cat, Tasks: tm, Cache: NewCompareCache()}
+	return &Ctx{Store: memoStore(t, 1), Cat: cat, Tasks: tm, Cache: NewCompareCache()}
 }
 
 // settle drives the scheduler until nothing this test left behind is in
@@ -168,7 +169,7 @@ func TestBrokerOutcomes(t *testing.T) {
 	errAny := errors.New("any")
 	put := func(c *CompareCache, kind string) {
 		if kind == kindOrder {
-			c.PutOrder(q, l, r, l)
+			c.put(kindOrder, q, l, r, l)
 		} else {
 			c.PutEqual(q, l, r, true)
 		}
@@ -179,7 +180,34 @@ func TestBrokerOutcomes(t *testing.T) {
 				put(ctx.Cache, kind)
 				return nil
 			}},
-		{name: "leader-with-quorum", outcome: claimLeader, want: Stats{Comparisons: 1}, groups: 1, memoized: true},
+		{name: "leader-with-quorum", outcome: claimLeader, want: Stats{Comparisons: 1, Memoized: 1}, groups: 1, memoized: true},
+		{name: "leader-already-stored", outcome: claimLeader, want: Stats{Comparisons: 1, Memoized: 1}, groups: 1, memoized: true,
+			setup: func(_ *scriptCrowd, ctx *Ctx, kind string, _ context.CancelFunc) func() {
+				// Stored, not resident: a key already in the memo table is
+				// not an error.
+				tx := ctx.Store.Begin()
+				if err := storeAnswer(tx, newKey(kind, q, l, r), "stored"); err != nil {
+					t.Error(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+				}
+				return nil
+			}},
+		{name: "leader-commit-fails", outcome: claimLeader, wantErr: errAny, want: Stats{Comparisons: 1}, groups: 1,
+			setup: func(_ *scriptCrowd, ctx *Ctx, _ string, _ context.CancelFunc) func() {
+				st, err := storage.NewStoreOptions(t.TempDir(), storage.Options{Shards: 1, Sync: storage.SyncGroup})
+				if err == nil {
+					err = CreateMemoTable(st)
+				}
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				st.Close() // the group's commit syncs to a closed file
+				ctx.Store = st
+				return nil
+			}},
 		{name: "leader-no-quorum", outcome: claimLeader, want: Stats{Comparisons: 1}, groups: 1,
 			setup: func(p *scriptCrowd, _ *Ctx, _ string, _ context.CancelFunc) func() {
 				p.silent = true
@@ -220,7 +248,7 @@ func TestBrokerOutcomes(t *testing.T) {
 		for _, sc := range scenarios {
 			t.Run(kind+"/"+sc.name, func(t *testing.T) {
 				p := &scriptCrowd{}
-				ctx := scriptedCtx(p, 8)
+				ctx := scriptedCtx(t, p, 8)
 				cctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				ctx.Context = cctx
@@ -289,7 +317,7 @@ func TestProgressBeforeCrowdWait(t *testing.T) {
 	for _, path := range []string{"posted-group", "parked-claim"} {
 		t.Run(path, func(t *testing.T) {
 			p := &scriptCrowd{held: path == "posted-group"}
-			ctx := scriptedCtx(p, 8)
+			ctx := scriptedCtx(t, p, 8)
 			progressed := make(chan struct{})
 			var once sync.Once
 			ctx.Progress = func(Stats) { once.Do(func() { close(progressed) }) }
@@ -333,7 +361,7 @@ func TestProgressBeforeCrowdWait(t *testing.T) {
 // their share of the charge; the posted group stays charged.
 func TestWindowRefundsQueuedOnCancel(t *testing.T) {
 	p := &scriptCrowd{held: true}
-	ctx := scriptedCtx(p, 1)
+	ctx := scriptedCtx(t, p, 1)
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx.Context = cctx
 
@@ -388,7 +416,7 @@ func TestWindowRefundsQueuedOnCancel(t *testing.T) {
 func TestBrokerMutualFollowersNoDeadlock(t *testing.T) {
 	for _, silent := range []bool{false, true} {
 		p := &scriptCrowd{silent: silent}
-		shared := scriptedCtx(p, 8)
+		shared := scriptedCtx(t, p, 8)
 		pairs := [2][2]string{{"IBM", "I.B.M."}, {"HP", "Hewlett-Packard"}}
 		var led, followed, done sync.WaitGroup
 		led.Add(2)
@@ -398,7 +426,7 @@ func TestBrokerMutualFollowersNoDeadlock(t *testing.T) {
 			done.Add(1)
 			go func(s int) {
 				defer done.Done()
-				ctx := &Ctx{Cat: shared.Cat, Tasks: shared.Tasks, Cache: shared.Cache}
+				ctx := &Ctx{Store: shared.Store, Cat: shared.Cat, Tasks: shared.Tasks, Cache: shared.Cache}
 				b := newCompareBroker(ctx, kindEqual)
 				defer b.close()
 				own, other := pairs[s], pairs[1-s]

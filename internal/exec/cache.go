@@ -3,12 +3,18 @@ package exec
 import (
 	"context"
 	"sync"
+
+	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 )
 
-// CompareCache is the cross-session memo for CrowdCompare answers. The
-// engine persists it in a system table so comparisons, like all crowd
-// answers, are paid for only once (paper §3: "Results obtained from the
-// crowd are always stored in the database for future use").
+// CompareCache is the cross-session memo for CrowdCompare answers. Every
+// answer is stored in a system table, the memo table, so comparisons,
+// like all crowd answers, are paid for only once (paper §3: "Results
+// obtained from the crowd are always stored in the database for future
+// use"). The compare broker commits a HIT group's answers to the table
+// before it makes them resident here, so an answer any session can read
+// is already durable.
 //
 // Residency rule: every answer memoized or loaded stays in the map for the
 // life of the process, so the map is the one place a read looks. There is
@@ -20,14 +26,13 @@ import (
 // Singleflight: Claim marks a question as in flight, so identical
 // concurrent questions from other sessions wait for the first asker's HIT
 // group instead of paying the crowd twice. Claims resolve when the leader
-// memoizes the answer (PutEqual/PutOrder) or abandons it.
+// memoizes the answer (put) or abandons it.
 //
 // All methods are safe for concurrent use.
 type CompareCache struct {
 	mu      sync.Mutex
 	entries map[Key]string // answer: "yes"/"no" for equal, the winning label for order
 	flights map[Key]*flight
-	dirty   []Entry // memoized since the last TakeDirty, in memoization order
 	stats   CacheStats
 }
 
@@ -103,7 +108,6 @@ func (c *CompareCache) put(kind, question, l, r, val string) {
 	key := newKey(kind, question, l, r)
 	c.mu.Lock()
 	c.entries[key] = val
-	c.dirty = append(c.dirty, Entry{key, val})
 	f := c.flights[key]
 	delete(c.flights, key)
 	c.mu.Unlock()
@@ -112,41 +116,30 @@ func (c *CompareCache) put(kind, question, l, r, val string) {
 	}
 }
 
-// TakeDirty drains the entries memoized since the last call, in
-// memoization order. The engine persists exactly these after each query
-// instead of re-scanning the whole (cross-session, potentially large)
-// cache.
-func (c *CompareCache) TakeDirty() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.dirty
-	c.dirty = nil
-	return d
-}
-
 // GetEqual looks up a cached CROWDEQUAL verdict.
 func (c *CompareCache) GetEqual(question, l, r string) (bool, bool) {
 	v, ok := c.get(kindEqual, question, l, r)
 	return v == "yes", ok
 }
 
-// PutEqual memoizes a CROWDEQUAL verdict and resolves any in-flight claim.
+// PutEqual makes a CROWDEQUAL verdict resident and resolves any in-flight
+// claim. It does not store the verdict: only the compare broker writes the
+// memo table.
 func (c *CompareCache) PutEqual(question, l, r string, same bool) {
-	v := "no"
+	c.put(kindEqual, question, l, r, yesNo(same))
+}
+
+// yesNo is how a CROWDEQUAL verdict is memoized.
+func yesNo(same bool) string {
 	if same {
-		v = "yes"
+		return "yes"
 	}
-	c.put(kindEqual, question, l, r, v)
+	return "no"
 }
 
 // GetOrder looks up a cached CROWDORDER winner.
 func (c *CompareCache) GetOrder(question, l, r string) (string, bool) {
 	return c.get(kindOrder, question, l, r)
-}
-
-// PutOrder memoizes a CROWDORDER winner and resolves any in-flight claim.
-func (c *CompareCache) PutOrder(question, l, r, winner string) {
-	c.put(kindOrder, question, l, r, winner)
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ func (f *flight) resolve(val string, ok bool) {
 //
 //   - Hit: the answer is resident; Value carries it.
 //   - Leader: the caller owns the question. It must either memoize an
-//     answer (PutEqual/PutOrder) or call Abandon — otherwise followers
+//     answer (put) or call Abandon — otherwise followers
 //     block forever.
 //   - follower (neither flag): another session is already asking the
 //     crowd; WaitCtx blocks for its answer.
@@ -246,20 +239,50 @@ func (c *CompareCache) claim(kind, question, l, r string) Claim {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence
+// The memo table
 
-// Entry is one persisted cache row (kind, question, left, right, answer).
-type Entry struct {
-	Key
-	Answer string // "yes"/"no" or the winning label
+// memoTable is the hidden system table holding every comparison answer:
+// kind, question, left, right (the primary key) and the answer. It lives
+// in storage only, never in the user catalog.
+const memoTable = "__crowd_compare"
+
+// CreateMemoTable creates the memo table in st. The engine creates it
+// before WAL recovery, which replays its rows, and loads it after.
+func CreateMemoTable(st *storage.Store) error {
+	return st.CreateTable(memoTable, []int{0, 1, 2, 3})
 }
 
-// Load restores persisted entries. They are already durable, so they are
-// not marked dirty, and Load does not touch the stats counters.
-func (c *CompareCache) Load(entries []Entry) {
+// storeAnswer inserts one answer in tx. A key already stored is not an
+// error: the stored answer stands.
+func storeAnswer(tx *storage.Txn, k Key, answer string) error {
+	row := storage.Row{
+		sqltypes.NewString(k.Kind),
+		sqltypes.NewString(k.Question),
+		sqltypes.NewString(k.Left),
+		sqltypes.NewString(k.Right),
+		sqltypes.NewString(answer),
+	}
+	if _, err := tx.Insert(memoTable, row); err != nil {
+		if _, dup := err.(*storage.DuplicateKeyError); !dup {
+			return err
+		}
+	}
+	return nil
+}
+
+// Load makes every answer in st's memo table resident. The answers are
+// already stored, and Load does not touch the stats counters.
+func (c *CompareCache) Load(st *storage.Store) error {
+	_, rows, err := st.ScanRowsAt(memoTable, st.VisibleTS())
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range entries {
-		c.entries[newKey(e.Kind, e.Question, e.Left, e.Right)] = e.Answer
+	for _, row := range rows {
+		if len(row) == 5 {
+			c.entries[newKey(row[0].Str(), row[1].Str(), row[2].Str(), row[3].Str())] = row[4].Str()
+		}
 	}
+	return nil
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // TestMemoModel checks the memo against a plain-map model under seeded
-// random interleavings of claim / put / abandon / TakeDirty / Load:
-// every answer put or loaded is resident from then on, every put is
-// drained exactly once and in order, a question has at most one leader,
+// random interleavings of claim / put / abandon / Load: every answer put
+// or loaded is resident from then on, a question has at most one leader,
 // followers see what their leader did, and the counters add up.
 func TestMemoModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -33,7 +32,6 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 	}
 	var (
 		resident  = map[Key]string{}
-		dirty     []Entry
 		leaders   []lead // open leader claims, oldest first
 		stale     []Claim
 		followers = map[Key][]chan answer{}
@@ -80,25 +78,18 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 		if k.Kind == kindEqual {
 			c.PutEqual(k.Question, l, r, val == "yes")
 		} else {
-			c.PutOrder(k.Question, l, r, val)
+			c.put(kindOrder, k.Question, l, r, val)
 		}
 		resident[k] = val
-		dirty = append(dirty, Entry{k, val})
 		settle(k, answer{val, true})
 	}
 	abandon := func(ld lead) {
 		ld.cl.Abandon()
 		settle(ld.key, answer{})
 	}
-	drain := func() {
-		if got := c.TakeDirty(); !slices.Equal(got, dirty) {
-			t.Fatalf("seed %d: TakeDirty = %v, want %v", seed, got, dirty)
-		}
-		dirty = nil
-	}
 
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(19); {
 		case op < 10: // claim
 			k := randKey()
 			l, r := operands(k)
@@ -146,14 +137,22 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 			if len(stale) > 0 {
 				stale[rng.Intn(len(stale))].Abandon()
 			}
-		case op < 19:
-			drain()
-		default: // Load: resident, not dirty, not counted
+		default: // Load an answer stored by another process: resident, not counted
 			before := c.Stats()
 			k := randKey()
 			l, r := operands(k)
 			val := randAnswer(k)
-			c.Load([]Entry{{Key{k.Kind, k.Question, l, r}, val}})
+			st := memoStore(t, 1)
+			tx := st.Begin()
+			if err := storeAnswer(tx, newKey(k.Kind, k.Question, l, r), val); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Load(st); err != nil {
+				t.Fatal(err)
+			}
 			resident[k] = val
 			after := c.Stats()
 			before.Size = after.Size // the one field Load may move
@@ -169,7 +168,6 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 			abandon(leaders[0])
 		}
 	}
-	drain()
 	if n := c.InFlight(); n != 0 {
 		t.Errorf("seed %d: %d flights left at quiesce", seed, n)
 	}
@@ -187,9 +185,10 @@ func runMemoModel(t *testing.T, seed int64, steps int) {
 	}
 }
 
-// TestMemoKeyKeepsFieldsApart: the key is a struct, so a NUL inside a
-// question or label cannot make two different comparisons collide (the
-// joined-string key served this put to the get below and persisted it
+// TestMemoKeyKeepsFieldsApart: the key is a struct, and the memo table
+// stores its fields in columns of their own, so a NUL inside a question
+// or label cannot make two different comparisons collide (the
+// joined-string key served this put to the get below and stored it
 // under question "a").
 func TestMemoKeyKeepsFieldsApart(t *testing.T) {
 	c := NewCompareCache()
@@ -200,9 +199,12 @@ func TestMemoKeyKeepsFieldsApart(t *testing.T) {
 	if same, ok := c.GetEqual("a\x00b", "d", "c"); !ok || !same {
 		t.Errorf("own verdict lost: %v, %v", same, ok)
 	}
-	d := c.TakeDirty()
-	if len(d) != 1 || d[0].Question != "a\x00b" || d[0].Left != "c" || d[0].Right != "d" || d[0].Answer != "yes" {
-		t.Errorf("persisted form: %+v", d)
+	c2 := storedAndLoaded(t, memoRow{newKey(kindEqual, "a\x00b", "c", "d"), "yes"})
+	if _, ok := c2.GetEqual("a", "b", "c\x00d"); ok {
+		t.Error("the stored form answered a different question")
+	}
+	if same, ok := c2.GetEqual("a\x00b", "c", "d"); !ok || !same {
+		t.Errorf("stored form lost the verdict: %v, %v", same, ok)
 	}
 }
 
@@ -257,7 +259,7 @@ func TestCompareCacheAbandonWakesFollowers(t *testing.T) {
 	if !again.Leader {
 		t.Fatalf("re-claim after abandon must lead: %+v", again)
 	}
-	c.PutOrder("q", "l", "r", "l")
+	c.put(kindOrder, "q", "l", "r", "l")
 	leader.Abandon() // idempotent no-op after the answer is memoized
 	if v, ok := c.GetOrder("q", "l", "r"); !ok || v != "l" {
 		t.Fatalf("answer lost: %q, %v", v, ok)
@@ -302,23 +304,49 @@ func TestCompareCacheConcurrentClaims(t *testing.T) {
 	}
 }
 
-func TestCompareCacheSnapshotLoadRoundTrip(t *testing.T) {
-	c := NewCompareCache()
-	c.PutEqual("same entity?", "IBM", "International Business Machines", true)
-	c.PutOrder("better talk?", "A", "B", "B")
-	snap := c.TakeDirty()
-	if len(snap) != 2 {
-		t.Fatalf("dirty size %d", len(snap))
+// storedAndLoaded stores answers in a fresh memo table, one transaction,
+// and returns a fresh cache loaded from it.
+func storedAndLoaded(t *testing.T, answers ...memoRow) *CompareCache {
+	t.Helper()
+	st := memoStore(t, 2)
+	tx := st.Begin()
+	for _, a := range answers {
+		if err := storeAnswer(tx, a.Key, a.Answer); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c2 := NewCompareCache()
-	c2.Load(snap)
-	if same, ok := c2.GetEqual("same entity?", "International Business Machines", "IBM"); !ok || !same {
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCompareCache()
+	if err := c.Load(st); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// memoRow is one answer as the tests store it.
+type memoRow struct {
+	Key
+	Answer string
+}
+
+// TestCompareCacheSnapshotLoadRoundTrip: answers stored in the memo table
+// come back resident, either way round, and a key stored twice keeps its
+// first answer without an error.
+func TestCompareCacheSnapshotLoadRoundTrip(t *testing.T) {
+	c := storedAndLoaded(t,
+		memoRow{newKey(kindEqual, "same entity?", "IBM", "International Business Machines"), "yes"},
+		memoRow{newKey(kindOrder, "better talk?", "A", "B"), "B"},
+		memoRow{newKey(kindOrder, "better talk?", "B", "A"), "A"},
+	)
+	if same, ok := c.GetEqual("same entity?", "International Business Machines", "IBM"); !ok || !same {
 		t.Error("equal entry lost in round trip")
 	}
-	if w, ok := c2.GetOrder("better talk?", "B", "A"); !ok || w != "B" {
-		t.Error("order entry lost in round trip")
+	if w, ok := c.GetOrder("better talk?", "B", "A"); !ok || w != "B" {
+		t.Errorf("order entry: %q, %v; want the first stored answer", w, ok)
 	}
-	if st := c2.Stats(); st.Hits != 0 || st.Misses != 0 {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Size != 2 {
 		t.Errorf("Load must not count stats: %+v", st)
 	}
 }

@@ -33,6 +33,10 @@ type Stats struct {
 	SharedFlights int
 	// BudgetDenied counts comparisons skipped because the budget ran out.
 	BudgetDenied int
+	// Memoized counts the comparison answers this query stored in the
+	// memo table: what the jobs journal charges a session. It is not part
+	// of any resource on the wire.
+	Memoized int `json:"-"`
 }
 
 // Add returns the field-wise sum of two stats snapshots. Every
@@ -46,6 +50,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.CacheHits += o.CacheHits
 	s.SharedFlights += o.SharedFlights
 	s.BudgetDenied += o.BudgetDenied
+	s.Memoized += o.Memoized
 	return s
 }
 
@@ -59,6 +64,7 @@ func (s Stats) Sub(o Stats) Stats {
 	s.CacheHits -= o.CacheHits
 	s.SharedFlights -= o.SharedFlights
 	s.BudgetDenied -= o.BudgetDenied
+	s.Memoized -= o.Memoized
 	return s
 }
 
@@ -242,7 +248,7 @@ func resolveEqual(ctx *Ctx, question, l, r string) (sqltypes.Value, error) {
 		if ds[0].Total == 0 {
 			return sqltypes.Null(), nil
 		}
-		return sqltypes.NewBool(quality.Normalize(ds[0].Value) == "yes"), nil
+		return sqltypes.NewBool(ds[0].Value == "yes"), nil
 	}
 	return sqltypes.Null(), nil
 }

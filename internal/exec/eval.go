@@ -14,7 +14,9 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"crowddb/internal/parser"
@@ -279,6 +281,9 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 		}
 		switch v.Kind() {
 		case sqltypes.KindInt:
+			if v.Int() == math.MinInt64 {
+				return sqltypes.Value{}, errIntOverflow
+			}
 			return sqltypes.NewInt(-v.Int()), nil
 		case sqltypes.KindFloat:
 			return sqltypes.NewFloat(-v.Float()), nil
@@ -319,25 +324,39 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 	return t.value(), nil
 }
 
+// errIntOverflow is the error of an INTEGER result outside int64, as
+// PostgreSQL's "bigint out of range": the result does not switch to FLOAT,
+// since a column's type must not depend on the row.
+var errIntOverflow = errors.New("exec: INTEGER overflow")
+
 // arith is l <op> r over two known values: integers stay integers except
-// under /, everything else goes through FLOAT; division and modulo by zero
-// are NULL.
+// under /, and overflow is an error; everything else goes through FLOAT;
+// division and modulo by zero are NULL.
 func (n *bound) arith(l, r sqltypes.Value) (sqltypes.Value, error) {
-	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt {
+	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt && n.op != arithDiv {
 		a, b := l.Int(), r.Int()
+		var c int64
+		ok := true
 		switch n.op {
 		case arithAdd:
-			return sqltypes.NewInt(a + b), nil
+			c = a + b
+			ok = (c > a) == (b > 0)
 		case arithSub:
-			return sqltypes.NewInt(a - b), nil
+			c = a - b
+			ok = (c < a) == (b > 0)
 		case arithMul:
-			return sqltypes.NewInt(a * b), nil
+			c = a * b
+			ok = a == 0 || (c/a == b && !(a == -1 && b == math.MinInt64))
 		case arithMod:
 			if b == 0 {
 				return sqltypes.Null(), nil
 			}
-			return sqltypes.NewInt(a % b), nil
+			c = a % b
 		}
+		if !ok {
+			return sqltypes.Value{}, errIntOverflow
+		}
+		return sqltypes.NewInt(c), nil
 	}
 	sym := n.src.(*parser.BinaryExpr).Op
 	lf, err := l.Coerce(sqltypes.TypeFloat)

@@ -13,7 +13,8 @@ import (
 	"crowddb/internal/storage"
 )
 
-// harness builds a crowd-free engine substrate: catalog + store + data.
+// harness builds a crowd-free engine substrate: catalog + store (with
+// the memo table, which crowd comparisons write) + data.
 type harness struct {
 	cat   *catalog.Catalog
 	store *storage.Store
@@ -21,11 +22,20 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	st, err := storage.NewStoreOptions("", storage.Options{})
+	return &harness{cat: catalog.New(), store: memoStore(t, 1)}
+}
+
+// memoStore opens an in-memory store over shards holding the memo table.
+func memoStore(t testing.TB, shards int) *storage.Store {
+	t.Helper()
+	st, err := storage.NewStoreOptions("", storage.Options{Shards: shards})
+	if err == nil {
+		err = CreateMemoTable(st)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{cat: catalog.New(), store: st}
+	return st
 }
 
 func (h *harness) createTable(t *testing.T, tab *catalog.Table) {
@@ -284,7 +294,7 @@ func TestStopAfterLimitsScan(t *testing.T) {
 func TestCompareCacheRoundTrip(t *testing.T) {
 	c := NewCompareCache()
 	c.PutEqual("q", "a", "b", true)
-	c.PutOrder("q2", "x", "y", "y")
+	c.put(kindOrder, "q2", "x", "y", "y")
 	// Symmetric lookup.
 	if v, ok := c.GetEqual("q", "b", "a"); !ok || !v {
 		t.Error("equal lookup must be symmetric")
@@ -292,16 +302,14 @@ func TestCompareCacheRoundTrip(t *testing.T) {
 	if w, ok := c.GetOrder("q2", "y", "x"); !ok || w != "y" {
 		t.Error("order lookup must be symmetric")
 	}
-	snap := c.TakeDirty()
-	if len(snap) != 2 {
-		t.Fatalf("dirty entries: %v", snap)
-	}
+	// Resident is not stored: only the compare broker writes the memo
+	// table.
+	st := memoStore(t, 1)
 	c2 := NewCompareCache()
-	c2.Load(snap)
-	if v, ok := c2.GetEqual("q", "a", "b"); !ok || !v {
-		t.Error("load lost equal entry")
+	if err := c2.Load(st); err != nil {
+		t.Fatal(err)
 	}
-	if w, ok := c2.GetOrder("q2", "x", "y"); !ok || w != "y" {
-		t.Error("load lost order entry")
+	if _, ok := c2.GetEqual("q", "a", "b"); ok {
+		t.Error("a put reached the memo table")
 	}
 }

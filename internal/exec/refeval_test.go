@@ -9,10 +9,15 @@ package exec
 // evaluator fixed — and for two guards where the old code panicked, which
 // leaves nothing to compare: a float modulus whose integer part is 0
 // (`5 % 0.5`) is NULL like any other division by zero, and a negative
-// SUBSTR length is an empty string.
+// SUBSTR length is an empty string. INTEGER +, -, * and unary - follow
+// SQL's rule rather than the old code, which wrapped around: the exact
+// result (math/big) is the answer if it fits in 64 bits and an error if
+// it does not.
 
 import (
+	"errors"
 	"fmt"
+	"math/big"
 	"strings"
 
 	"crowddb/internal/parser"
@@ -85,7 +90,7 @@ func refEval(e parser.Expr, ctx *refCtx) (sqltypes.Value, error) {
 		case "-":
 			switch v.Kind() {
 			case sqltypes.KindInt:
-				return sqltypes.NewInt(-v.Int()), nil
+				return refInt(new(big.Int).Neg(big.NewInt(v.Int())))
 			case sqltypes.KindFloat:
 				return sqltypes.NewFloat(-v.Float()), nil
 			case sqltypes.KindNull, sqltypes.KindCNull:
@@ -295,13 +300,14 @@ func refEvalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	lk, rk := l.Kind(), r.Kind()
 	if lk == sqltypes.KindInt && rk == sqltypes.KindInt && op != "/" {
 		a, b := l.Int(), r.Int()
+		x, y := big.NewInt(a), big.NewInt(b)
 		switch op {
 		case "+":
-			return sqltypes.NewInt(a + b), nil
+			return refInt(x.Add(x, y))
 		case "-":
-			return sqltypes.NewInt(a - b), nil
+			return refInt(x.Sub(x, y))
 		case "*":
-			return sqltypes.NewInt(a * b), nil
+			return refInt(x.Mul(x, y))
 		case "%":
 			if b == 0 {
 				return sqltypes.Null(), nil
@@ -337,6 +343,15 @@ func refEvalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 		return sqltypes.NewFloat(float64(int64(a) % int64(b))), nil
 	}
 	return sqltypes.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", op)
+}
+
+// refInt is an exact INTEGER result: the value if it fits in int64, the
+// overflow error if it does not.
+func refInt(z *big.Int) (sqltypes.Value, error) {
+	if !z.IsInt64() {
+		return sqltypes.Value{}, errors.New("exec: INTEGER overflow")
+	}
+	return sqltypes.NewInt(z.Int64()), nil
 }
 
 func refEvalFunc(x *parser.FuncCall, ctx *refCtx) (sqltypes.Value, error) {

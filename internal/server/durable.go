@@ -20,10 +20,16 @@ package server
 //
 // Budget recovery is crash-exact in the conservative direction: a
 // session's journal carries absolute budget records (written at every
-// settle) plus per-row spend deltas counting the compare answers made
-// durable since the last absolute record. Answers are persisted BEFORE
-// their spend is journaled, and spend before the row, so a crash can
-// only under-charge the session — never double-charge it.
+// settle) plus spend deltas counting the compare answers the session's
+// own statements stored since the last absolute record. A HIT group's
+// answers commit to the memo table with the group, and their spend is
+// appended right after them, buffered; the next row's append syncs both.
+// Answers are durable BEFORE their spend, and spend before the row, so a
+// crash can only under-charge the session — never double-charge it.
+// Under group sync, a crash between a group's commit and the next journal
+// sync loses that group's spend: an under-charge the contract allows.
+// (When answers were flushed at the next row instead, the same crash lost
+// the answers themselves.)
 //
 // A record is made durable where something depends on it, not when it is
 // written. The submit, run, schema, spend and budget records are
@@ -64,7 +70,7 @@ const (
 	recRun          = "run"           // job admitted and running
 	recSchema       = "schema"        // result-set columns known
 	recRow          = "row"           // one emitted row (rowRec)
-	recSpend        = "spend"         // compare answers made durable since
+	recSpend        = "spend"         // compare answers stored since the last budget record
 	recEnd          = "end"           // terminal state reached
 )
 
@@ -197,11 +203,9 @@ func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 }
 
 // jobSink wraps a job's row sink with durability: before a row is
-// buffered (and therefore observable by a streaming client), the compare
-// answers that produced it are flushed to the persistent cache, their
-// count is journaled as a spend delta, and the row itself is journaled.
-// The row's append is barrier 2, so an offset a client has seen can never
-// regress across a restart. During a resumed execution
+// buffered (and therefore observable by a streaming client), it is
+// journaled. The row's append is barrier 2, so an offset a client has
+// seen can never regress across a restart. During a resumed execution
 // the first j.recovered emissions — rows already journaled and buffered
 // before the crash — are suppressed entirely.
 func (s *Server) jobSink(j *Job) func(exec.Row) error {
@@ -222,17 +226,29 @@ func (s *Server) jobSink(j *Job) func(exec.Row) error {
 		if skip {
 			return nil
 		}
-		// Persist-before-journal: answers first, their spend second, the
-		// row last. A crash between any two steps under-charges only.
-		if n, err := s.eng.FlushCompareAnswers(); err != nil {
-			return err
-		} else if n > 0 && j.sessionID != "" {
-			s.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
-		}
 		line := j.encodeRow(row)
 		s.journalWrite(rowRec{journalRec{T: recRow, Job: j.id}, line}, true)
 		j.pushLine(line)
 		return nil
+	}
+}
+
+// jobProgress wraps the Progress hook with the spend journal: the engine
+// publishes progress right after it stores a HIT group's comparison
+// answers, and the answers stored since the last call are journaled as
+// the session's spend, buffered, so the next row's append syncs them
+// with it.
+func (s *Server) jobProgress(j *Job) func(exec.Stats) {
+	if !s.journalEnabled() || j.sessionID == "" {
+		return j.noteProgress
+	}
+	journaled := 0
+	return func(st exec.Stats) {
+		if n := st.Memoized - journaled; n > 0 {
+			journaled = st.Memoized
+			s.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
+		}
+		j.noteProgress(st)
 	}
 }
 

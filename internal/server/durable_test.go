@@ -4,8 +4,8 @@ package server
 // closing the engine + server over a data dir and jobs journal, then
 // assembling fresh ones over the same paths. Crashes are simulated with
 // the faultinject registry's soft handler: from the armed instant on,
-// every durability write (shard WAL, jobs journal, compare-answer
-// persistence) is silently dropped and nothing more is synced, and a log
+// every durability write (shard WAL, compare answers included, and
+// jobs journal) is silently dropped and nothing more is synced, and a log
 // closed afterwards keeps only its synced prefix — what a machine crash
 // leaves — while the dying process's in-memory state plays out.
 //
@@ -269,15 +269,19 @@ func TestJournalRecoversFinishedJob(t *testing.T) {
 	waitDone(t, job3)
 }
 
-// crashMidQuery seeds a durable server over data and jpath, runs
-// durableQuery on a session with the given budget and crashes the
-// process in-memory at the third row: from that instant every
-// durability write is dropped. It returns the job's and session's ids
-// for the restarted server to look up.
-func crashMidQuery(t *testing.T, data, jpath string, seed int64, n, budget int) (jobID, sessID string) {
+// crashMidQuery seeds a durable server over data and jpath, runs prepare
+// (when not nil) on the engine, runs durableQuery on a session with the
+// given budget and crashes the process in-memory at the third row: from
+// that instant every durability write is dropped. It returns the job's
+// and session's ids for the restarted server to look up, and how many
+// comparisons the job led before it died.
+func crashMidQuery(t *testing.T, data, jpath string, seed int64, n, budget int, prepare func(*core.Engine)) (jobID, sessID string, led int) {
 	t.Helper()
 	eng := durableEngine(t, data, seed, n, storage.SyncAlways)
 	seedPairs(t, eng, seed, n)
+	if prepare != nil {
+		prepare(eng)
+	}
 	srv := New(eng, Config{})
 	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
 		t.Fatal(err)
@@ -297,7 +301,60 @@ func crashMidQuery(t *testing.T, data, jpath string, seed int64, n, budget int) 
 	}
 	waitDone(t, job) // the dying process's in-memory terminal state is irrelevant
 	eng.Close()      // Killed() is still set: closing persists nothing further
-	return job.ID(), sess.ID()
+	return job.ID(), sess.ID(), job.Info().Stats.Comparisons
+}
+
+// journaledSpend sums the spend records the journal at jpath holds for
+// session sessID: the comparisons it was charged for since its last
+// absolute budget record.
+func journaledSpend(t *testing.T, jpath, sessID string) int {
+	t.Helper()
+	spend := 0
+	if err := storage.ReplayRecordLog(jpath, func(line json.RawMessage) error {
+		var rec journalRec
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if rec.T == recSpend && rec.Session == sessID {
+			spend += rec.N
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return spend
+}
+
+// resumeAfterCrash restarts a server over the dirs crashMidQuery left,
+// waits for the resumed job and checks that its stream is the
+// uninterrupted one and its session's budget settles at wantBudget. It
+// returns the restarted engine.
+func resumeAfterCrash(t *testing.T, data, jpath, jobID, sessID string, seed int64, n int, wantRows []string, wantBudget int) *core.Engine {
+	t.Helper()
+	eng := durableEngine(t, data, seed, n, storage.SyncAlways)
+	t.Cleanup(func() { eng.Close() })
+	srv := New(eng, Config{})
+	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	job, serr := srv.Job(jobID)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if state := waitDone(t, job); state != JobDone {
+		t.Fatalf("resumed job state = %s (err %v), want done", state, job.Err())
+	}
+	if got := renderedRows(job); !reflect.DeepEqual(got, wantRows) {
+		t.Errorf("resumed stream diverges from the uninterrupted run:\n%v\nwant\n%v", got, wantRows)
+	}
+	sess, serr := srv.Session(sessID)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if got := sess.Info().BudgetLeft; got != wantBudget {
+		t.Errorf("budget settles at %d after crash+resume, want %d (the uninterrupted value)", got, wantBudget)
+	}
+	return eng
 }
 
 // TestJournalResumesInterruptedJob: a crash mid-stream loses nothing a
@@ -311,55 +368,43 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
-	jobID, sessID := crashMidQuery(t, data, jpath, seed, n, budget)
+	jobID, sessID, _ := crashMidQuery(t, data, jpath, seed, n, budget, nil)
 
 	// How many answers became durable (and were charged) before the crash?
-	persisted := 0
-	if err := storage.ReplayRecordLog(jpath, func(line json.RawMessage) error {
-		var rec journalRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		if rec.T == recSpend && rec.Session == sessID {
-			persisted += rec.N
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	persisted := journaledSpend(t, jpath, sessID)
 	if persisted == 0 {
 		t.Fatal("test setup: the crash was meant to land after at least one persisted answer")
 	}
 
-	eng2 := durableEngine(t, data, seed, n, storage.SyncAlways)
-	defer eng2.Close()
-	srv2 := New(eng2, Config{})
-	if err := srv2.EnableJournal(jpath, storage.SyncAlways); err != nil {
-		t.Fatal(err)
-	}
-	job2, serr := srv2.Job(jobID)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if state := waitDone(t, job2); state != JobDone {
-		t.Fatalf("resumed job state = %s (err %v), want done", state, job2.Err())
-	}
-	if got := renderedRows(job2); !reflect.DeepEqual(got, wantRows) {
-		t.Errorf("resumed stream diverges from the uninterrupted run:\n%v\nwant\n%v", got, wantRows)
-	}
+	eng2 := resumeAfterCrash(t, data, jpath, jobID, sessID, seed, n, wantRows, wantBudget)
 	// Zero re-paid comparisons: the resumed run buys exactly the answers
 	// the crash lost — never one the persistent cache already holds.
 	if st := eng2.Tasks().Stats(); st.GroupsPosted != n-persisted {
 		t.Errorf("resumed run posted %d HIT groups, want %d (%d answers were persisted pre-crash)",
 			st.GroupsPosted, n-persisted, persisted)
 	}
-	sess2, serr := srv2.Session(sessID)
-	if serr != nil {
-		t.Fatal(serr)
+}
+
+// TestJournalChargesOnlySessionsOwnAnswers: the journal charges a session
+// only for the answers its own statement stored. Five answers another
+// session's leader memoized before the job started are not this session's
+// spend (the journal used to charge them to whichever job emitted the
+// next row, and the resumed budget settled at 11 instead of 16).
+func TestJournalChargesOnlySessionsOwnAnswers(t *testing.T) {
+	const seed, n, budget = 47, 4, 20
+	wantRows, wantBudget, _ := baselineRun(t, seed, n, budget, storage.SyncAlways)
+
+	dir := t.TempDir()
+	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
+	jobID, sessID, led := crashMidQuery(t, data, jpath, seed, n, budget, func(eng *core.Engine) {
+		for i := 0; i < 5; i++ {
+			eng.Cache().PutEqual("another session's question", fmt.Sprintf("left %d", i), "right", i%2 == 0)
+		}
+	})
+	if spend := journaledSpend(t, jpath, sessID); spend > led {
+		t.Errorf("the journal charged the session %d comparisons, its statement led %d", spend, led)
 	}
-	if got := sess2.Info().BudgetLeft; got != wantBudget {
-		t.Errorf("budget settles at %d after crash+resume, want %d (the uninterrupted value)", got, wantBudget)
-	}
+	resumeAfterCrash(t, data, jpath, jobID, sessID, seed, n, wantRows, wantBudget)
 }
 
 // TestJournalInterruptsUnresumableJobs: non-terminal journal entries whose

@@ -299,12 +299,16 @@ func (j *Job) noteSnapshot(ts int64) {
 // (engine Progress hook; runs on the executing goroutine). The engine
 // publishes one before every crowd wait — before it posts a HIT group,
 // before it waits on another session's flight — so the first one is the
-// job's first wait on the crowd.
+// job's first wait on the crowd. Only that one wakes the job's waiters:
+// streams read rows, the state and whether the job has waited, never the
+// stats.
 func (j *Job) noteProgress(st exec.Stats) {
 	j.mu.Lock()
 	j.progressStats = st
-	j.waited = true
-	j.broadcastLocked()
+	if !j.waited {
+		j.waited = true
+		j.broadcastLocked()
+	}
 	j.mu.Unlock()
 }
 
@@ -596,7 +600,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 		opts.Sink = s.jobSink(job)
 		opts.OnSchema = s.jobSchema(job)
 		opts.OnStats = func(st exec.Stats) { stmtStats = st }
-		opts.Progress = job.noteProgress
+		opts.Progress = s.jobProgress(job)
 		opts.OnSnapshot = job.noteSnapshot
 		opts.Trace = job.trace
 		res, err := s.eng.ExecStmtCtx(job.ctx, stmt, opts)

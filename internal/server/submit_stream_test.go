@@ -295,7 +295,7 @@ func TestResumedJobStreamEndsInResource(t *testing.T) {
 	const seed, n, budget, from = 47, 4, 20, 2
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
-	jobID, _ := crashMidQuery(t, data, jpath, seed, n, budget)
+	jobID, _, _ := crashMidQuery(t, data, jpath, seed, n, budget, nil)
 
 	eng2 := durableEngine(t, data, seed, n, storage.SyncAlways)
 	defer eng2.Close()
