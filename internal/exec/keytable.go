@@ -40,6 +40,27 @@ func newKeyTable(hint int) keyTable {
 
 func (t *keyTable) len() int { return t.refs.len() }
 
+// reset empties the table under a new seed for its next user. It keeps the
+// slot array, the largest arena chunk no bigger than keyChunk and refs'
+// chunks; a key's bytes hold no pointer, so only the slots and the refs
+// handed out are zeroed.
+func (t *keyTable) reset() {
+	t.seed = maphash.MakeSeed()
+	clear(t.slots)
+	t.refs.reset(0)
+	var keep []byte
+	for _, c := range t.arena {
+		if cap(c) <= keyChunk && cap(c) > cap(keep) {
+			keep = c[:0]
+		}
+	}
+	clear(t.arena)
+	t.arena = t.arena[:0]
+	if keep != nil {
+		t.arena = append(t.arena, keep)
+	}
+}
+
 // get returns the id of key, if the table has it.
 func (t *keyTable) get(key []byte) (int32, bool) {
 	if t.slots == nil {
@@ -175,6 +196,26 @@ func (c *chunks[T]) push() int {
 	}
 	c.n++
 	return c.n - 1
+}
+
+// reset empties c for runs of w Ts, zeroing the runs it handed out so it
+// holds nothing it was given. It keeps its chunks while the run width
+// stays the same.
+func (c *chunks[T]) reset(w int) {
+	n := c.n * max(c.w, 1)
+	for _, d := range c.dir {
+		if n == 0 {
+			break
+		}
+		k := min(n, len(d))
+		clear(d[:k])
+		n -= k
+	}
+	if max(w, 1) != max(c.w, 1) {
+		clear(c.dir)
+		c.dir = c.dir[:0]
+	}
+	c.w, c.n = w, 0
 }
 
 // run returns run i.

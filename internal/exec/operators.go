@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
@@ -74,11 +75,20 @@ type Operator interface {
 type seqScan struct {
 	rd  tableReader // rd.node is the scan, from Build on
 	buf Batch
+	hdr *[]Row // the pooled backing of buf.Rows, from Open to Close
 }
+
+// batchHeaders recycles seqScan's batch headers across statements. A
+// header is cleared as it goes back, so the pool holds no row.
+var batchHeaders = sync.Pool{New: func() any { return new([]Row) }}
 
 func (s *seqScan) Schema() []plan.Col { return s.rd.node.Schema() }
 
 func (s *seqScan) Open(ctx *Ctx) error {
+	if s.hdr == nil {
+		s.hdr = batchHeaders.Get().(*[]Row)
+		s.buf.Rows = (*s.hdr)[:0]
+	}
 	return s.rd.open(ctx, s.rd.node)
 }
 
@@ -89,8 +99,18 @@ func (s *seqScan) nextRow(ctx *Ctx) (Row, error) {
 
 func (s *seqScan) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &s.buf, s.nextRow) }
 
+// Close returns the scan's scratch once; closing again returns nothing.
 func (s *seqScan) Close(*Ctx) error {
 	s.rd.close()
+	if s.hdr != nil {
+		rows := s.buf.Rows[:cap(s.buf.Rows)]
+		clear(rows)
+		if cap(rows) <= 2*DefaultBatchSize { // append rounds a full batch up past DefaultBatchSize
+			*s.hdr = rows[:0]
+			batchHeaders.Put(s.hdr)
+		}
+		s.hdr, s.buf.Rows = nil, nil
+	}
 	return nil
 }
 
@@ -516,6 +536,46 @@ type aggTable struct {
 	states chunks[aggState]       // a run of one per call for each group
 	best   chunks[sqltypes.Value] // MIN/MAX: each state's best value so far
 	errs   chunks[error]          // the states' deferred errors
+	key    []byte                 // the row being folded's group key
+}
+
+// aggTables recycles GROUP BY's tables across statements. A table is
+// cleared as it goes back, so the pool holds no row, value or error.
+var aggTables = sync.Pool{New: func() any { return &aggTable{keys: newKeyTable(0)} }}
+
+// aggTableCap is the most groups a table may have had to go back to the
+// pool: a larger one is left to the collector.
+const aggTableCap = 1 << 14
+
+// newAggTable returns an empty table for calls aggregate calls.
+func newAggTable(calls int) *aggTable {
+	g := aggTables.Get().(*aggTable)
+	g.states.reset(calls)
+	return g
+}
+
+// release returns g to the pool unless it is too large to keep.
+func (g *aggTable) release() {
+	if g.clear() {
+		aggTables.Put(g)
+	}
+}
+
+// clear empties g for its next statement, keeping its storage, and
+// reports whether g is small enough to keep.
+func (g *aggTable) clear() bool {
+	if g.keys.len() > aggTableCap {
+		return false
+	}
+	g.keys.reset()
+	g.groups.reset(0)
+	g.states.reset(g.states.w)
+	g.best.reset(0)
+	g.errs.reset(0)
+	if g.key = g.key[:0]; cap(g.key) > keyChunk {
+		g.key = nil
+	}
+	return true
 }
 
 // aggGroup is one group's accumulated state beyond its calls'.
@@ -560,14 +620,15 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	}
 	a.number(having)
 
-	g := &aggTable{keys: newKeyTable(0), states: chunks[aggState]{w: len(a.calls)}}
+	// The output rows are copied out of g before it goes back.
+	g := newAggTable(len(a.calls))
+	defer g.release()
 	newGroup := func(first Row) {
 		g.groups.at(g.groups.push()).first = first
 		if len(a.calls) > 0 {
 			g.states.push()
 		}
 	}
-	var keyBuf []byte
 	for {
 		batch, err := a.input.NextBatch(ctx)
 		if err != nil {
@@ -577,15 +638,15 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range batch.Rows {
-			keyBuf = keyBuf[:0]
+			g.key = g.key[:0]
 			for i := range keys {
 				v, err := keys[i].eval(r, nil)
 				if err != nil {
 					return err
 				}
-				keyBuf = sqltypes.AppendKeyPart(keyBuf, v, len(keys))
+				g.key = sqltypes.AppendKeyPart(g.key, v, len(keys))
 			}
-			id, isNew := g.keys.add(keyBuf)
+			id, isNew := g.keys.add(g.key)
 			if isNew {
 				newGroup(r)
 			}

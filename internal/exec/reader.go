@@ -2,6 +2,7 @@ package exec
 
 import (
 	"strings"
+	"sync"
 
 	"crowddb/internal/catalog"
 	"crowddb/internal/plan"
@@ -43,12 +44,18 @@ type shardStream struct {
 	done bool
 }
 
+// streamSets recycles the cursor streams, and the chunks they read into,
+// across statements. A set is cleared as it goes back, so the pool holds
+// no row.
+var streamSets = sync.Pool{New: func() any { return new([]shardStream) }}
+
 type tableReader struct {
 	node    *plan.Scan
 	filter  *bound // node.Filter: unknown drops; nil keeps every row
 	quota   int64  // node.StopAfter: rows to return before stopping, < 0 for all
 	streams []shardStream
 	keyed   [1]shardStream // backs streams when a key feeds the read
+	set     *[]shardStream // the pooled backing of streams when the cursors feed the read
 	cursors bool           // fed by the shard cursors, not by a key
 	out     int64
 	scanned int64
@@ -76,7 +83,12 @@ func (r *tableReader) open(ctx *Ctx, node *plan.Scan) error {
 		return err
 	}
 	r.cursors = true
-	r.streams = make([]shardStream, len(scans))
+	r.set = streamSets.Get().(*[]shardStream)
+	streams := *r.set
+	if n := len(scans); cap(streams) < n {
+		streams = append(streams[:cap(streams)], make([]shardStream, n-cap(streams))...)
+	}
+	r.streams = streams[:len(scans)]
 	for i := range scans {
 		r.streams[i].scan = &scans[i]
 	}
@@ -136,11 +148,24 @@ func (r *tableReader) next(ctx *Ctx) (storage.RowID, Row, error) {
 // close feeds back to the cost model what the read kept of the rows it
 // examined, as the observed selectivity of the scan's pushed predicate —
 // from the cursors only: a key-fed read keeps nearly every candidate,
-// which says nothing about the predicate over the table.
+// which says nothing about the predicate over the table. Then the
+// cursor streams and their chunks go back to the pool, emptied; a
+// second close returns nothing.
 func (r *tableReader) close() {
 	if r.cursors && r.node.Filter != nil {
 		r.node.Table.ObserveFilter(r.scanned, r.out)
 	}
+	if r.set == nil {
+		return
+	}
+	for i := range r.streams {
+		st := &r.streams[i]
+		clear(st.rows[:cap(st.rows)])
+		*st = shardStream{ids: st.ids[:0], rows: st.rows[:0]}
+	}
+	*r.set = r.streams
+	streamSets.Put(r.set)
+	r.set, r.streams = nil, nil
 }
 
 // ReadTable returns, in insertion order and with their ids, the rows of

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -77,22 +79,43 @@ type appendLog struct {
 }
 
 // openAppendLog opens (creating if absent) the log at path for appends.
-func openAppendLog(path string, mode SyncMode, crashpoint string) (*appendLog, error) {
+// created reports that it made the file: its directory entry survives a
+// crash only once the caller has synced the directory (syncDir), which
+// it does once for all the logs it creates there.
+func openAppendLog(path string, mode SyncMode, crashpoint string) (l *appendLog, created bool, err error) {
 	if err := mode.valid(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+		created = err == nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: open log: %w", err)
+		return nil, false, fmt.Errorf("storage: open log: %w", err)
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("storage: open log: %w", err)
+		return nil, false, fmt.Errorf("storage: open log: %w", err)
 	}
-	l := &appendLog{f: f, w: bufio.NewWriter(f), mode: mode, point: crashpoint, size: fi.Size(), durable: fi.Size()}
+	l = &appendLog{f: f, w: bufio.NewWriter(f), mode: mode, point: crashpoint, size: fi.Size(), durable: fi.Size()}
 	l.cond = sync.NewCond(&l.mu)
-	return l, nil
+	return l, created, nil
+}
+
+// syncDir fsyncs the directory dir, making the entries of the files
+// created or renamed in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // setMetrics wires the fsync latency / batch size histograms; call it
@@ -337,10 +360,5 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err == nil {
-		err = dir.Sync()
-		dir.Close()
-	}
-	return err
+	return syncDir(filepath.Dir(path))
 }

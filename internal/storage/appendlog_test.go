@@ -324,7 +324,7 @@ func FuzzReplayLog(f *testing.F) {
 			}
 			return
 		}
-		l, err := openAppendLog(path, SyncOff, "fuzz")
+		l, _, err := openAppendLog(path, SyncOff, "fuzz")
 		if err != nil {
 			t.Fatal(err)
 		}

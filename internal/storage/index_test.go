@@ -9,13 +9,9 @@ import (
 	"crowddb/internal/sqltypes"
 )
 
-// The index tests keep the names of the ordered index the hash index
-// replaced: what they check — ids under a key, remove and re-add — is
-// the same.
-
 // Two ids under one key are both listed, a duplicate add lists an id
 // once, and a key never added misses.
-func TestBTreeBasic(t *testing.T) {
+func TestHashIndexBasic(t *testing.T) {
 	ix := index{}
 	ix.add("b", 2)
 	ix.add("a", 1)
@@ -35,7 +31,7 @@ func TestBTreeBasic(t *testing.T) {
 
 // Remove takes one id off its key, the remove of an absent pair changes
 // nothing, and a key emptied by remove is gone.
-func TestBTreeDelete(t *testing.T) {
+func TestHashIndexDelete(t *testing.T) {
 	ix := index{}
 	ix.add("a", 1)
 	ix.add("a", 2)
@@ -56,7 +52,7 @@ func TestBTreeDelete(t *testing.T) {
 
 // A removed pair can be added again, and a key emptied by remove takes
 // new ids.
-func TestBTreeReinsertAfterDelete(t *testing.T) {
+func TestHashIndexReinsertAfterDelete(t *testing.T) {
 	ix := index{}
 	ix.add("k", 1)
 	ix.remove("k", 1)
@@ -73,7 +69,7 @@ func TestBTreeReinsertAfterDelete(t *testing.T) {
 // Property: an index agrees with a map of sets under random adds and
 // removes — each id listed once under its key, and a key emptied by
 // remove gone.
-func TestBTreeMatchesReferenceModel(t *testing.T) {
+func TestHashIndexMatchesReferenceModel(t *testing.T) {
 	type op struct {
 		Key    uint8
 		Rid    uint8

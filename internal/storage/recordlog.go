@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 
 	"crowddb/internal/obs"
 )
@@ -18,7 +19,12 @@ type RecordLog struct{ log *appendLog }
 // OpenRecordLog opens (creating if absent) the log at path for appends.
 // Replay an existing file first: replay is what cuts off a torn tail.
 func OpenRecordLog(path string, mode SyncMode) (*RecordLog, error) {
-	l, err := openAppendLog(path, mode, "storage.recordlog.append")
+	l, created, err := openAppendLog(path, mode, "storage.recordlog.append")
+	if err == nil && created {
+		if err = syncDir(filepath.Dir(path)); err != nil {
+			l.close()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -444,7 +444,7 @@ func TestUniqueSecondaryIndexAcrossShards(t *testing.T) {
 // released (its record is durable via the snapshot), not spin forever.
 func TestCommitReturnsAfterCheckpointReset(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openAppendLog(walShardPath(dir, 0), SyncGroup, "storage.wal.append")
+	l, _, err := openAppendLog(walShardPath(dir, 0), SyncGroup, "storage.wal.append")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,15 +308,20 @@ func NewStoreOptions(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
+	created := false
 	for i := 0; i < nshards; i++ {
-		l, err := openAppendLog(walShardPath(dir, i), mode, "storage.wal.append")
+		l, made, err := openAppendLog(walShardPath(dir, i), mode, "storage.wal.append")
 		if err != nil {
-			for _, prev := range s.logs {
-				prev.close()
-			}
+			s.Close()
 			return nil, err
 		}
-		s.logs = append(s.logs, l)
+		s.logs, created = append(s.logs, l), created || made
+	}
+	if created { // one directory fsync for every WAL file made above
+		if err := syncDir(dir); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -813,11 +818,11 @@ func (s *Store) ScanShardsAt(table string, at int64) ([]ShardScan, error) {
 
 // Next appends the next (at most max) visible rows and their ids to the
 // caller's slices and returns them; nothing appended means the shard is
-// exhausted. Slices without capacity are sized for the shard's row count.
+// exhausted. Empty slices too small for the chunk are sized for it.
 func (c *ShardScan) Next(ids []RowID, rows []Row, max int) ([]RowID, []Row) {
 	c.sh.mu.RLock()
 	defer c.sh.mu.RUnlock()
-	if n := min(max, c.sh.heap.count()); cap(ids) == 0 && n > 0 {
+	if n := min(max, c.sh.heap.count()); len(ids) == 0 && (cap(ids) < n || cap(rows) < n) {
 		ids, rows = make([]RowID, 0, n), make([]Row, 0, n)
 	}
 	ids, rows, c.from = c.sh.heap.scanAt(c.at, c.from, max, ids, rows)
