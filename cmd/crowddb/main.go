@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -104,7 +105,15 @@ func main() {
 }
 
 func repl(db *crowddb.DB) {
-	sc := bufio.NewScanner(os.Stdin)
+	readLoop(os.Stdin, func(sql string) { runLocal(db, sql) }, func(cmd string) bool { return command(db, cmd) })
+}
+
+// readLoop is the shell's read loop over in: a line starting with '\'
+// outside a statement goes to command, which reports whether the shell
+// should exit; other lines accumulate until one ends with ';', and the
+// statement goes to run. It returns at \quit or the end of in.
+func readLoop(in io.Reader, run func(sql string), command func(cmd string) bool) {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(nil, 1<<20)
 	var buf strings.Builder
 	prompt := "crowddb> "
@@ -117,7 +126,7 @@ func repl(db *crowddb.DB) {
 		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if command(db, trimmed) {
+			if command(trimmed) {
 				return
 			}
 			continue
@@ -131,23 +140,28 @@ func repl(db *crowddb.DB) {
 		prompt = "crowddb> "
 		sql := buf.String()
 		buf.Reset()
-		res, err := db.Exec(sql)
-		if err != nil {
-			fmt.Println("error:", err)
-			continue
-		}
-		fmt.Print(crowddb.FormatTable(res))
-		for _, w := range res.Warnings {
-			fmt.Println("warning:", w)
-		}
-		if res.Stats.ProbeRequests+res.Stats.NewTupleRequests+res.Stats.Comparisons > 0 {
-			fmt.Printf("crowd: %d probes, %d tuple solicitations, %d comparisons (%d cached)\n",
-				res.Stats.ProbeRequests, res.Stats.NewTupleRequests,
-				res.Stats.Comparisons, res.Stats.CacheHits)
-		}
-		if res.Predicted.Cents > 0 || res.ActualCents > 0 {
-			fmt.Printf("cost: predicted %s, actual ¢%.1f\n", res.Predicted, res.ActualCents)
-		}
+		run(sql)
+	}
+}
+
+// runLocal runs one statement on the embedded engine and prints its result.
+func runLocal(db *crowddb.DB, sql string) {
+	res, err := db.Exec(sql)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Print(crowddb.FormatTable(res))
+	for _, w := range res.Warnings {
+		fmt.Println("warning:", w)
+	}
+	if res.Stats.ProbeRequests+res.Stats.NewTupleRequests+res.Stats.Comparisons > 0 {
+		fmt.Printf("crowd: %d probes, %d tuple solicitations, %d comparisons (%d cached)\n",
+			res.Stats.ProbeRequests, res.Stats.NewTupleRequests,
+			res.Stats.Comparisons, res.Stats.CacheHits)
+	}
+	if res.Predicted.Cents > 0 || res.ActualCents > 0 {
+		fmt.Printf("cost: predicted %s, actual ¢%.1f\n", res.Predicted, res.ActualCents)
 	}
 }
 

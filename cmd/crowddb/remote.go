@@ -8,7 +8,6 @@ package main
 // instead of killing the shell.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -43,7 +42,7 @@ func serverMain(url, command string, budget int) {
 	}
 
 	fmt.Printf("CrowdDB shell — server=%s session=%s (\\help for help)\n", url, c.Session())
-	remoteRepl(c)
+	readLoop(os.Stdin, func(sql string) { runRemote(ctx, c, sql) }, func(cmd string) bool { return remoteCommand(ctx, c, cmd) })
 }
 
 // runRemote executes one script as a job, streaming rows as they arrive;
@@ -137,39 +136,6 @@ finished:
 			fmt.Println("error: job ended", st.State)
 		}
 		return false
-	}
-}
-
-func remoteRepl(c *client.Client) {
-	ctx := context.Background()
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(nil, 1<<20)
-	var buf strings.Builder
-	prompt := "crowddb> "
-	for {
-		fmt.Print(prompt)
-		if !sc.Scan() {
-			fmt.Println()
-			return
-		}
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if remoteCommand(ctx, c, trimmed) {
-				return
-			}
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if !strings.HasSuffix(trimmed, ";") {
-			prompt = "      -> "
-			continue
-		}
-		prompt = "crowddb> "
-		sql := buf.String()
-		buf.Reset()
-		runRemote(ctx, c, sql)
 	}
 }
 

@@ -66,11 +66,12 @@ type (
 	Value = sqltypes.Value
 	// ExecStats counts a statement's crowd activity.
 	ExecStats = exec.Stats
-	// ExecOpts tunes one Execute call (budget, streaming sink, stats
-	// observers); see core.ExecOpts.
+	// ExecOpts tunes one Execute call (budget, observer, trace); see
+	// core.ExecOpts.
 	ExecOpts = core.ExecOpts
-	// RowSink consumes streamed result rows (ExecOpts.Sink).
-	RowSink = core.RowSink
+	// Observer follows a running SELECT — its snapshot, schema, rows,
+	// live spend and final crowd stats (ExecOpts.Observer).
+	Observer = core.Observer
 )
 
 // DB is a CrowdDB database handle. It is safe for concurrent use; crowd-
@@ -112,8 +113,8 @@ func (db *DB) Execute(ctx context.Context, sql string) (*Result, error) {
 	return db.eng.Execute(ctx, sql, core.DefaultExecOpts())
 }
 
-// ExecuteOpts is Execute with per-call options (budget, streaming sink,
-// stats observers).
+// ExecuteOpts is Execute with per-call options (budget, an Observer that
+// streams each SELECT's rows and reports its spend, trace).
 func (db *DB) ExecuteOpts(ctx context.Context, sql string, opts ExecOpts) (*Result, error) {
 	return db.eng.Execute(ctx, sql, opts)
 }

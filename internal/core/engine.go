@@ -312,10 +312,23 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	return e.ExecStmtCtx(context.Background(), stmt, DefaultExecOpts())
 }
 
-// RowSink consumes a SELECT's result rows as the executor produces them
-// (the jobs API's streaming seam). Returning an error stops the
-// statement.
-type RowSink = exec.RowSink
+// Observer follows one SELECT as it runs — the jobs API's streaming seam.
+// The engine calls it on the statement's goroutine: Snapshot with the
+// MVCC snapshot timestamp the statement pinned, before its first read;
+// Schema with the result column names, before the first row; Row with
+// each result row as operators produce it (an error stops the statement);
+// Progress with a stats snapshot whenever a crowd operator commits to
+// paid work; and Final with the statement's crowd stats, last — also when
+// it fails or is cancelled midway and the Result carries none, because
+// budget settlement for work already paid depends on it. EXPLAIN ANALYZE
+// reports its snapshot, progress and final stats, but no schema or row.
+type Observer interface {
+	Snapshot(ts int64)
+	Schema(cols []string)
+	exec.RowSink
+	exec.ProgressSink
+	Final(exec.Stats)
+}
 
 // ExecOpts tunes one statement execution. The multi-session server uses
 // it to apply per-session crowd budgets on a shared engine and to stream
@@ -324,27 +337,10 @@ type ExecOpts struct {
 	// CompareBudget caps crowd comparisons for this statement when
 	// positive; zero or negative is unlimited.
 	CompareBudget int
-	// Sink, when set, streams a SELECT's rows out as operators produce
-	// them; the returned Result's Rows then stay nil. Non-SELECT
-	// statements ignore it.
-	Sink RowSink
-	// OnSchema, when set, is called with the result column names after a
-	// SELECT compiles and before its first row is produced (streaming
-	// clients need the header ahead of the rows).
-	OnSchema func(cols []string)
-	// OnStats, when set, always receives the statement's final crowd
-	// stats — including when execution fails or is cancelled midway, when
-	// the Result carries no stats. Budget settlement for work already
-	// paid depends on it.
-	OnStats func(exec.Stats)
-	// Progress, when set, receives stats snapshots whenever a crowd
-	// operator commits to paid work mid-statement (live spend reporting).
-	Progress func(exec.Stats)
-	// OnSnapshot, when set, receives a SELECT's pinned MVCC snapshot
-	// timestamp after the statement compiles and before its first read —
-	// the jobs API surfaces it so clients know which database state a
-	// long-running query reflects.
-	OnSnapshot func(ts int64)
+	// Observer, when set, follows each SELECT as it runs; its rows stream
+	// to the observer and the returned Result's Rows stay nil. Other
+	// statements do not call it.
+	Observer Observer
 	// Trace, when set, records the statement's span tree into the given
 	// trace instead of an engine-owned one (the jobs API threads one
 	// trace through every statement of a job). Nil with tracing enabled
@@ -359,7 +355,7 @@ func DefaultExecOpts() ExecOpts { return ExecOpts{CompareBudget: -1} }
 // statement's result. Cancelling ctx stops the running statement: crowd
 // operators stop posting new HIT groups within one scheduler tick,
 // queued submissions are withdrawn, singleflight claims are released, and
-// opts.OnStats still reports the work already paid for. This is the
+// the observer's Final still reports the work already paid for. This is the
 // context-aware entry point the jobs API and the client SDK build on.
 func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Result, error) {
 	parseStart := time.Now()
@@ -799,8 +795,9 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 		snap.Release()
 		snapSpan.End()
 	}()
-	if opts.OnSnapshot != nil {
-		opts.OnSnapshot(snap.TS())
+	observer := opts.Observer
+	if observer != nil {
+		observer.Snapshot(snap.TS())
 	}
 	ectx := &exec.Ctx{
 		Store:         e.store,
@@ -808,9 +805,10 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 		Tasks:         e.tasks,
 		Cache:         e.cache,
 		CompareBudget: max(opts.CompareBudget, 0), // the executor reads a negative budget as exhausted
+		Subqueries:    (*subqueryRunner)(e),
 		SnapshotTS:    snap.TS(),
 		Context:       ctx,
-		Progress:      opts.Progress,
+		Progress:      observer,
 		Trace:         tr,
 		OpStats:       opStats,
 	}
@@ -819,33 +817,35 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 	}
 	ectx.UseSlots(s.Where)
 	// Crowd counters fold in even when the statement errors or is
-	// cancelled midway — like the stats observer below, they account for
-	// work already paid.
+	// cancelled midway — like the observer's Final below, they account
+	// for work already paid.
 	defer func() { e.noteCrowdStats(ectx.Stats) }()
-	// The stats observer fires even when the statement errors or is
-	// cancelled midway: the crowd work already committed must reach the
-	// caller's budget settlement, and the Result cannot carry it then.
-	if opts.OnStats != nil {
-		defer func() { opts.OnStats(ectx.Stats) }()
+	// Final fires even when the statement errors or is cancelled midway:
+	// the crowd work already committed must reach the caller's budget
+	// settlement, and the Result cannot carry it then.
+	if observer != nil {
+		defer func() { observer.Final(ectx.Stats) }()
 	}
 	var cols []string
 	for _, c := range opt.Root.Schema() {
 		cols = append(cols, c.Name)
 	}
-	if opts.OnSchema != nil {
-		opts.OnSchema(cols)
+	// EXPLAIN ANALYZE (opStats set) counts its rows instead of streaming
+	// them or their schema.
+	stream := observer != nil && opStats == nil
+	if stream {
+		observer.Schema(cols)
 	}
 	execSpan := tr.Span(sp, "execute")
 	ectx.Span = execSpan
 	defer execSpan.End()
-	e.installSubqueryRunner(ectx, 0)
 	op, err := exec.Build(opt.Root, ectx)
 	if err != nil {
 		return nil, err
 	}
 	var rows []storage.Row
-	if opts.Sink != nil {
-		err = exec.RunSink(op, ectx, opts.Sink)
+	if stream {
+		err = exec.RunSink(op, ectx, observer)
 	} else {
 		rows, err = exec.Run(op, ectx)
 	}
@@ -863,76 +863,34 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 	return res, nil
 }
 
-// maxSubqueryDepth bounds IN-subquery nesting.
-const maxSubqueryDepth = 8
+// subqueryRunner runs a statement's uncorrelated IN-subqueries: each
+// compiles and runs like a top-level SELECT (sharing store, crowd, and
+// cache) under the context the executor prepared for it; its single
+// output column becomes the IN list.
+type subqueryRunner Engine
 
-// installSubqueryRunner wires uncorrelated IN-subquery execution into an
-// execution context. Each subquery compiles and runs like a top-level
-// SELECT (sharing store, crowd, and cache); its single output column
-// becomes the IN list.
-func (e *Engine) installSubqueryRunner(ctx *exec.Ctx, depth int) {
-	ctx.RunSubquery = func(sel *parser.Select) ([]sqltypes.Value, error) {
-		if depth+1 >= maxSubqueryDepth {
-			return nil, fmt.Errorf("core: subqueries nested deeper than %d", maxSubqueryDepth)
-		}
-		opt, err := e.compileFresh(sel, e.optimizerOptions())
-		if err != nil {
-			return nil, fmt.Errorf("core: subquery: %w", err)
-		}
-		if len(opt.Root.Schema()) != 1 {
-			return nil, fmt.Errorf("core: IN subquery must return exactly one column, got %d", len(opt.Root.Schema()))
-		}
-		// The subquery spends from the statement's remaining budget, not
-		// a fresh copy — its Comparisons merge into ctx.Stats below, so
-		// the outer query's later checks see the combined spend too.
-		budget := ctx.CompareBudget
-		if budget > 0 {
-			if remaining := budget - ctx.Stats.Comparisons; remaining > 0 {
-				budget = remaining
-			} else {
-				budget = -1 // exhausted: deny, do not grant unlimited
-			}
-		}
-		sub := &exec.Ctx{
-			Store:         ctx.Store,
-			Cat:           ctx.Cat,
-			Tasks:         ctx.Tasks,
-			Cache:         ctx.Cache,
-			CompareBudget: budget,
-			SnapshotTS:    ctx.SnapshotTS, // one snapshot for the whole statement
-			Context:       ctx.Context,
-			// The subquery's spans nest under the operator evaluating the
-			// IN predicate at call time.
-			Trace: ctx.Trace,
-			Span:  ctx.Span,
-		}
-		// Live-progress observers see the outer statement's totals plus
-		// the subquery's running snapshot — never the subquery's counts
-		// alone, which would make reported spend regress mid-statement.
-		// The subquery runs on the calling goroutine, so reading
-		// ctx.Stats here is race-free.
-		if ctx.Progress != nil {
-			sub.Progress = func(st exec.Stats) { ctx.Progress(ctx.Stats.Add(st)) }
-		}
-		e.installSubqueryRunner(sub, depth+1)
-		op, err := exec.Build(opt.Root, sub)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := exec.Run(op, sub)
-		// Crowd work the subquery already paid for must reach the outer
-		// statement's stats even when it fails or is cancelled mid-flight:
-		// budget settlement reads the outer ctx.Stats (via OnStats).
-		ctx.Stats = ctx.Stats.Add(sub.Stats)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]sqltypes.Value, len(rows))
-		for i, r := range rows {
-			vals[i] = r[0]
-		}
-		return vals, nil
+func (r *subqueryRunner) RunSubquery(sub *exec.Ctx, sel *parser.Select) ([]sqltypes.Value, error) {
+	e := (*Engine)(r)
+	opt, err := e.compileFresh(sel, e.optimizerOptions())
+	if err != nil {
+		return nil, fmt.Errorf("core: subquery: %w", err)
 	}
+	if len(opt.Root.Schema()) != 1 {
+		return nil, fmt.Errorf("core: IN subquery must return exactly one column, got %d", len(opt.Root.Schema()))
+	}
+	op, err := exec.Build(opt.Root, sub)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.Run(op, sub)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]sqltypes.Value, len(rows))
+	for i, r := range rows {
+		vals[i] = r[0]
+	}
+	return vals, nil
 }
 
 func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
@@ -950,11 +908,8 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	var opStats map[plan.Node]*exec.OpStats
 	var analyzed *Result
 	if s.Analyze {
-		run := opts
-		run.Sink = nil
-		run.OnSchema = nil
 		opStats = make(map[plan.Node]*exec.OpStats)
-		analyzed, err = e.runSelect(ctx, opt, sel, run, tr, sp, opStats)
+		analyzed, err = e.runSelect(ctx, opt, sel, opts, tr, sp, opStats)
 		if err != nil {
 			return nil, err
 		}

@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"crowddb/internal/crowd/amt"
+	"crowddb/internal/exec"
 	"crowddb/internal/parser"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -68,8 +70,12 @@ func TestSnapshotSELECTConcurrentWithWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapCh := make(chan int64, 1)
+	var rows []storage.Row
 	opts := DefaultExecOpts()
-	opts.OnSnapshot = func(ts int64) { snapCh <- ts }
+	opts.Observer = &recorder{
+		onSnapshot: func(ts int64) { snapCh <- ts },
+		onRow:      func(r exec.Row) error { rows = append(rows, r); return nil },
+	}
 	done := make(chan struct{})
 	var res *Result
 	var selErr error
@@ -155,10 +161,10 @@ func TestSnapshotSELECTConcurrentWithWriters(t *testing.T) {
 	}
 	// The result is the snapshot: exactly the n original rows (all true
 	// matches), untouched by the concurrent inserts, rewrites, deletes.
-	if len(res.Rows) != n {
-		t.Fatalf("SELECT returned %d rows, want the %d snapshot rows: %v", len(res.Rows), n, res.Rows)
+	if len(rows) != n {
+		t.Fatalf("SELECT returned %d rows, want the %d snapshot rows: %v", len(rows), n, rows)
 	}
-	for i, row := range res.Rows {
+	for i, row := range rows {
 		if row[0].Int() != int64(i) {
 			t.Errorf("row %d = %v, want id %d", i, row, i)
 		}

@@ -1,7 +1,7 @@
 package core
 
-// Tests for the streaming/cancellation seam: Execute(ctx), RowSink, and
-// the OnSchema/OnStats observers.
+// Tests for the streaming/cancellation seam: Execute(ctx) and the
+// statement's Observer.
 
 import (
 	"context"
@@ -38,7 +38,47 @@ func intInsert(i int) string {
 
 func itoa(i int) string { return string(rune('0'+i/10)) + string(rune('0'+i%10)) }
 
-// TestExecuteStreamsIdenticalRows: the sink receives exactly the rows
+// recorder is a test Observer: each callback, when set, sees its call.
+type recorder struct {
+	onSnapshot func(int64)
+	onSchema   func([]string)
+	onRow      func(exec.Row) error
+	onProgress func(exec.Stats)
+	onFinal    func(exec.Stats)
+}
+
+func (r *recorder) Snapshot(ts int64) {
+	if r.onSnapshot != nil {
+		r.onSnapshot(ts)
+	}
+}
+
+func (r *recorder) Schema(cols []string) {
+	if r.onSchema != nil {
+		r.onSchema(cols)
+	}
+}
+
+func (r *recorder) Row(row exec.Row) error {
+	if r.onRow != nil {
+		return r.onRow(row)
+	}
+	return nil
+}
+
+func (r *recorder) Progress(st exec.Stats) {
+	if r.onProgress != nil {
+		r.onProgress(st)
+	}
+}
+
+func (r *recorder) Final(st exec.Stats) {
+	if r.onFinal != nil {
+		r.onFinal(st)
+	}
+}
+
+// TestExecuteStreamsIdenticalRows: the observer receives exactly the rows
 // the materializing path returns, in order, with the schema announced
 // before the first row.
 func TestExecuteStreamsIdenticalRows(t *testing.T) {
@@ -54,20 +94,22 @@ func TestExecuteStreamsIdenticalRows(t *testing.T) {
 	var cols []string
 	sawSchemaFirst := true
 	opts := DefaultExecOpts()
-	opts.OnSchema = func(c []string) { cols = c }
-	opts.Sink = func(r exec.Row) error {
-		if cols == nil {
-			sawSchemaFirst = false
-		}
-		streamed = append(streamed, r)
-		return nil
+	opts.Observer = &recorder{
+		onSchema: func(c []string) { cols = c },
+		onRow: func(r exec.Row) error {
+			if cols == nil {
+				sawSchemaFirst = false
+			}
+			streamed = append(streamed, r)
+			return nil
+		},
 	}
 	res, err := eng.Execute(context.Background(), query, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sawSchemaFirst {
-		t.Error("OnSchema must fire before the first row")
+		t.Error("Schema must be called before the first row")
 	}
 	if res.Rows != nil {
 		t.Errorf("streamed Result must not materialize rows, got %d", len(res.Rows))
@@ -80,19 +122,20 @@ func TestExecuteStreamsIdenticalRows(t *testing.T) {
 	}
 }
 
-// TestExecuteSinkErrorStops: a sink error aborts the statement.
+// TestExecuteSinkErrorStops: an error from the observer's Row aborts the
+// statement.
 func TestExecuteSinkErrorStops(t *testing.T) {
 	eng := itemEngine(t, 12)
 	boom := errors.New("sink full")
 	n := 0
 	opts := DefaultExecOpts()
-	opts.Sink = func(exec.Row) error {
+	opts.Observer = &recorder{onRow: func(exec.Row) error {
 		n++
 		if n == 2 {
 			return boom
 		}
 		return nil
-	}
+	}}
 	_, err := eng.Execute(context.Background(), "SELECT id FROM Item", opts)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
@@ -103,14 +146,14 @@ func TestExecuteSinkErrorStops(t *testing.T) {
 }
 
 // TestExecuteCancelledContext: a pre-cancelled context stops execution
-// and still fires OnStats (budget settlement path).
+// and still reports Final (budget settlement path).
 func TestExecuteCancelledContext(t *testing.T) {
 	eng := itemEngine(t, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	statsFired := false
 	opts := DefaultExecOpts()
-	opts.OnStats = func(exec.Stats) { statsFired = true }
+	opts.Observer = &recorder{onFinal: func(exec.Stats) { statsFired = true }}
 	_, err := eng.Execute(ctx, "SELECT id FROM Item", opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -118,7 +161,7 @@ func TestExecuteCancelledContext(t *testing.T) {
 	// A script-level cancellation may stop before the statement compiles;
 	// run the statement-level path too.
 	stmtErrFired := false
-	opts.OnStats = func(exec.Stats) { stmtErrFired = true }
+	opts.Observer = &recorder{onFinal: func(exec.Stats) { stmtErrFired = true }}
 	stmt, perr := parser.Parse("SELECT id FROM Item")
 	if perr != nil {
 		t.Fatal(perr)
@@ -127,7 +170,7 @@ func TestExecuteCancelledContext(t *testing.T) {
 		t.Fatalf("stmt err = %v", err)
 	}
 	if !stmtErrFired {
-		t.Error("OnStats must fire even when the statement is cancelled")
+		t.Error("Final must be called even when the statement is cancelled")
 	}
 	_ = statsFired
 }

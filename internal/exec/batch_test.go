@@ -265,13 +265,13 @@ func TestCrowdOrderStreamsSettledPrefix(t *testing.T) {
 			}
 			firstRowDecisions := -1
 			var got []Row
-			err = RunSink(op, ctx2, func(r Row) error {
+			err = RunSink(op, ctx2, sinkFunc(func(r Row) error {
 				if firstRowDecisions < 0 {
 					firstRowDecisions = ctx2.Tasks.Stats().Decisions
 				}
 				got = append(got, r)
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,6 +288,11 @@ func TestCrowdOrderStreamsSettledPrefix(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a function to RowSink.
+type sinkFunc func(Row) error
+
+func (f sinkFunc) Row(r Row) error { return f(r) }
+
 // collectStreamed runs sql through RunSink (the streaming seam) rather
 // than Run, so the test exercises the per-batch emission path.
 func (h *harness) collectStreamed(ctx *Ctx, sql string) ([]Row, error) {
@@ -296,10 +301,10 @@ func (h *harness) collectStreamed(ctx *Ctx, sql string) ([]Row, error) {
 		return nil, err
 	}
 	var rows []Row
-	err = RunSink(op, ctx, func(r Row) error {
+	err = RunSink(op, ctx, sinkFunc(func(r Row) error {
 		rows = append(rows, r)
 		return nil
-	})
+	}))
 	return rows, err
 }
 

@@ -308,6 +308,11 @@ func TestBrokerOutcomes(t *testing.T) {
 	}
 }
 
+// progressFunc adapts a function to ProgressSink.
+type progressFunc func(Stats)
+
+func (f progressFunc) Progress(st Stats) { f(st) }
+
 // TestProgressBeforeCrowdWait: the broker publishes progress before it
 // blocks on the crowd — on the group it posted (window.collect) and on
 // another session's flight (adopt) — so whoever watches Progress learns
@@ -320,7 +325,7 @@ func TestProgressBeforeCrowdWait(t *testing.T) {
 			ctx := scriptedCtx(t, p, 8)
 			progressed := make(chan struct{})
 			var once sync.Once
-			ctx.Progress = func(Stats) { once.Do(func() { close(progressed) }) }
+			ctx.Progress = progressFunc(func(Stats) { once.Do(func() { close(progressed) }) })
 			letGo := p.release
 			if path == "parked-claim" {
 				letGo = ctx.Cache.claim(kindEqual, q, l, r).Abandon // another session leads

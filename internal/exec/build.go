@@ -155,7 +155,9 @@ func oneKeyFamily(l, r sqltypes.Type) bool {
 
 // RowSink consumes streamed result rows; returning an error stops the
 // statement (the row that errored is not retried).
-type RowSink func(Row) error
+type RowSink interface {
+	Row(Row) error
+}
 
 // RunSink executes an operator tree, handing each row to sink the moment
 // the root operator's batch carrying it lands — the streaming seam the
@@ -166,30 +168,8 @@ type RowSink func(Row) error
 // between batches, so a cancelled statement stops without draining its
 // input.
 func RunSink(op Operator, ctx *Ctx, sink RowSink) error {
-	if err := op.Open(ctx); err != nil {
-		return err
-	}
-	for {
-		if err := ctx.Canceled(); err != nil {
-			op.Close(ctx)
-			return err
-		}
-		b, err := op.NextBatch(ctx)
-		if err != nil {
-			op.Close(ctx)
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		for _, r := range b.Rows {
-			if err := sink(r); err != nil {
-				op.Close(ctx)
-				return err
-			}
-		}
-	}
-	return op.Close(ctx)
+	_, err := run(op, ctx, sink)
+	return err
 }
 
 // Run executes an operator tree to completion and returns all rows
@@ -197,11 +177,43 @@ func RunSink(op Operator, ctx *Ctx, sink RowSink) error {
 // producer-owned but the Row values are consumer-owned (see the package
 // contract), so accumulating them outlives the pipeline.
 func Run(op Operator, ctx *Ctx) ([]Row, error) {
+	return run(op, ctx, nil)
+}
+
+// run drives op to its end, handing each row to sink or, with a nil
+// sink, collecting the rows. The tree is closed on every way out, a
+// failed Open included.
+func run(op Operator, ctx *Ctx, sink RowSink) ([]Row, error) {
 	var rows []Row
-	if err := RunSink(op, ctx, func(r Row) error {
-		rows = append(rows, r)
-		return nil
-	}); err != nil {
+	if err := op.Open(ctx); err != nil {
+		op.Close(ctx)
+		return nil, err
+	}
+	for {
+		if err := ctx.Canceled(); err != nil {
+			op.Close(ctx)
+			return nil, err
+		}
+		b, err := op.NextBatch(ctx)
+		if err != nil {
+			op.Close(ctx)
+			return nil, err
+		}
+		if b.Len() == 0 {
+			break
+		}
+		if sink == nil {
+			rows = append(rows, b.Rows...)
+			continue
+		}
+		for _, r := range b.Rows {
+			if err := sink.Row(r); err != nil {
+				op.Close(ctx)
+				return nil, err
+			}
+		}
+	}
+	if err := op.Close(ctx); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -88,10 +88,9 @@ type Ctx struct {
 	// negative = already exhausted by an enclosing query); beyond it,
 	// CROWDORDER falls back to a deterministic label order.
 	CompareBudget int
-	// RunSubquery executes an uncorrelated IN-subquery and returns its
-	// single column's values; the engine installs it (nil = subqueries
-	// unsupported in this context).
-	RunSubquery func(sel *parser.Select) ([]sqltypes.Value, error)
+	// Subqueries runs the statement's uncorrelated IN-subqueries; the
+	// engine installs it (nil = subqueries unsupported in this context).
+	Subqueries SubqueryRunner
 	// SnapshotTS pins every stored-data read (scans, index probes, point
 	// gets) of this statement to one MVCC snapshot: the statement sees
 	// exactly the rows committed at that timestamp, however long it runs
@@ -110,7 +109,7 @@ type Ctx struct {
 	// goroutine each time a crowd operator commits to paid work (probe,
 	// solicitation, or comparison batches) — the jobs API reports "cents
 	// spent so far" from it without racing on Stats.
-	Progress func(Stats)
+	Progress ProgressSink
 	Stats    Stats
 
 	// Trace, when set, records this statement's execution as a span
@@ -148,7 +147,26 @@ type Ctx struct {
 	shells []instrumentedOp
 
 	subqMemo map[*parser.InExpr][]sqltypes.Value
+	// outer is the statement context an IN-subquery's context runs under
+	// (nil at top level); depth counts the contexts above this one.
+	outer *Ctx
+	depth int
 }
+
+// ProgressSink receives a running statement's stats snapshots.
+type ProgressSink interface {
+	Progress(Stats)
+}
+
+// SubqueryRunner compiles and runs an uncorrelated IN-subquery under sub,
+// the context subqueryValues prepared for it, and returns its single
+// column's values.
+type SubqueryRunner interface {
+	RunSubquery(sub *Ctx, sel *parser.Select) ([]sqltypes.Value, error)
+}
+
+// maxSubqueryDepth bounds IN-subquery nesting.
+const maxSubqueryDepth = 8
 
 // snapTS is the MVCC read timestamp for stored-data access: the pinned
 // snapshot when set, the store's current watermark otherwise.
@@ -175,23 +193,32 @@ func (c *Ctx) Canceled() error {
 	return c.Context.Err()
 }
 
-// noteProgress publishes a stats snapshot to the Progress observer.
+// noteProgress publishes a stats snapshot to the Progress observer. A
+// subquery's counts are reported on top of every enclosing statement's —
+// never alone, which would make reported spend regress mid-statement.
+// The subquery runs on the calling goroutine, so reading the enclosing
+// Stats is race-free.
 func (c *Ctx) noteProgress() {
+	st := c.Stats
+	for c.outer != nil {
+		c = c.outer
+		st = c.Stats.Add(st)
+	}
 	if c.Progress != nil {
-		c.Progress(c.Stats)
+		c.Progress.Progress(st)
 	}
 }
 
 // subqueryValues resolves an IN-subquery once per query (uncorrelated
 // subqueries are loop-invariant) and memoizes the value list.
 func (c *Ctx) subqueryValues(e *parser.InExpr) ([]sqltypes.Value, error) {
-	if c.RunSubquery == nil {
+	if c.Subqueries == nil {
 		return nil, fmt.Errorf("exec: IN (SELECT ...) is not supported in this context")
 	}
 	if vals, ok := c.subqMemo[e]; ok {
 		return vals, nil
 	}
-	vals, err := c.RunSubquery(e.Sub)
+	vals, err := c.runSubquery(e.Sub)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +227,46 @@ func (c *Ctx) subqueryValues(e *parser.InExpr) ([]sqltypes.Value, error) {
 	}
 	c.subqMemo[e] = vals
 	return vals, nil
+}
+
+// runSubquery runs sel as part of c's statement: on c's snapshot, charged
+// to what is left of c's budget, its spans under the operator evaluating
+// the IN predicate.
+func (c *Ctx) runSubquery(sel *parser.Select) ([]sqltypes.Value, error) {
+	if c.depth+1 >= maxSubqueryDepth {
+		return nil, fmt.Errorf("exec: subqueries nested deeper than %d", maxSubqueryDepth)
+	}
+	// The subquery spends from the statement's remaining budget, not a
+	// fresh copy — its Comparisons merge into c.Stats below, so the outer
+	// query's later checks see the combined spend too.
+	budget := c.CompareBudget
+	if budget > 0 {
+		if remaining := budget - c.Stats.Comparisons; remaining > 0 {
+			budget = remaining
+		} else {
+			budget = -1 // exhausted: deny, do not grant unlimited
+		}
+	}
+	sub := &Ctx{
+		Store:         c.Store,
+		Cat:           c.Cat,
+		Tasks:         c.Tasks,
+		Cache:         c.Cache,
+		CompareBudget: budget,
+		Subqueries:    c.Subqueries,
+		SnapshotTS:    c.SnapshotTS, // one snapshot for the whole statement
+		Context:       c.Context,
+		Trace:         c.Trace,
+		Span:          c.Span,
+		outer:         c,
+		depth:         c.depth + 1,
+	}
+	vals, err := c.Subqueries.RunSubquery(sub, sel)
+	// Crowd work the subquery already paid for reaches the outer
+	// statement's stats even when it fails or is cancelled mid-flight:
+	// budget settlement reads the outer Stats.
+	c.Stats = c.Stats.Add(sub.Stats)
+	return vals, err
 }
 
 func (c *Ctx) budgetOK() bool {

@@ -152,13 +152,13 @@ func TestScanStatementsOwnNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, rows := runtime.NumGoroutine(), 0
-		err = RunSink(op, ctx, func(Row) error {
+		err = RunSink(op, ctx, sinkFunc(func(Row) error {
 			rows++
 			if now := runtime.NumGoroutine(); now > before {
 				return fmt.Errorf("%d goroutines at row %d, %d before the statement", now, rows, before)
 			}
 			return nil
-		})
+		}))
 		if err != nil || rows == 0 {
 			t.Errorf("%s: %d rows, %v", sql, rows, err)
 		}

@@ -359,3 +359,82 @@ func TestAggregateTableReuseAllocs(t *testing.T) {
 		t.Errorf("2 500 groups allocate %d B a statement, want ≤ 32 KiB", manyBytes)
 	}
 }
+
+// scanUnder returns the scan feeding op through single-input operators.
+func scanUnder(op Operator) *seqScan {
+	for {
+		switch o := op.(type) {
+		case *seqScan:
+			return o
+		case *aggregateOp:
+			op = o.input
+		case *sortOp:
+			op = o.input
+		case *projectOp:
+			op = o.input
+		case *filterOp:
+			op = o.input
+		case *limitOp:
+			op = o.input
+		default:
+			return nil
+		}
+	}
+}
+
+// TestRunSinkClosesAfterFailedOpen: a statement whose Open fails — the
+// GROUP BY key or the sort key overflows while the operator drains its
+// scan — still closes its tree, through RunSink and through Run: the scan
+// reports its filter's selectivity, as a clean statement's does, and its
+// pooled scratch goes back.
+func TestRunSinkClosesAfterFailedOpen(t *testing.T) {
+	h := newHarness(t)
+	h.createTable(t, &catalog.Table{
+		Name: "s",
+		Columns: []catalog.Column{
+			{Name: "id", Type: sqltypes.TypeInt, PrimaryKey: true},
+			{Name: "v", Type: sqltypes.TypeInt},
+		},
+	})
+	for id := range 100 {
+		v := int64(id % 13)
+		if id == 7 {
+			v = math.MaxInt64 // v * 2 fails at row 7
+		}
+		h.insert(t, "s", Row{num(int64(id)), num(v)})
+	}
+	tab, _ := h.cat.Table("s")
+	observed := tab.Stats().FilterObservations
+	for _, sql := range []string{
+		"SELECT v * 2, COUNT(*) FROM s WHERE id >= 0 GROUP BY v * 2",
+		"SELECT id FROM s WHERE id >= 0 ORDER BY v * 2",
+	} {
+		for _, sink := range []bool{true, false} {
+			ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache()}
+			op, err := h.compile(ctx, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := scanUnder(op)
+			if scan == nil {
+				t.Fatalf("%s: no scan under %T", sql, op)
+			}
+			if sink {
+				err = RunSink(op, ctx, sinkFunc(func(Row) error { return nil }))
+			} else {
+				_, err = Run(op, ctx)
+			}
+			if err == nil || err.Error() != "exec: INTEGER overflow" {
+				t.Fatalf("%s: error %v, want exec: INTEGER overflow", sql, err)
+			}
+			observed++
+			if got := tab.Stats().FilterObservations; got != observed {
+				t.Errorf("%s (sink %v): %d selectivity observations, want %d", sql, sink, got, observed)
+				observed = got
+			}
+			if scan.hdr != nil || scan.rd.set != nil {
+				t.Errorf("%s (sink %v): the failed statement's scan still holds its scratch", sql, sink)
+			}
+		}
+	}
+}

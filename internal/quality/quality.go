@@ -75,73 +75,8 @@ type Decision struct {
 // operators use replication/2+1); a minAgree of 0 means "plurality of
 // usable votes wins".
 func MajorityVote(votes []Vote, minAgree int) Decision {
-	type bucket struct {
-		count int
-		raw   map[string]int // raw spelling -> occurrences
-		who   []string
-	}
-	buckets := make(map[string]*bucket)
-	var usable int
-	var d Decision
-	for _, v := range votes {
-		if IsGarbage(v.Answer) {
-			d.Disagreed = append(d.Disagreed, v.WorkerID)
-			continue
-		}
-		usable++
-		n := Normalize(v.Answer)
-		b := buckets[n]
-		if b == nil {
-			b = &bucket{raw: make(map[string]int)}
-			buckets[n] = b
-		}
-		b.count++
-		b.raw[strings.TrimSpace(v.Answer)]++
-		b.who = append(b.who, v.WorkerID)
-	}
-	d.Total = usable
-	if usable == 0 {
-		return d
-	}
-	// Deterministic winner: highest count, ties broken by normalized form.
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		bi, bj := buckets[keys[i]], buckets[keys[j]]
-		if bi.count != bj.count {
-			return bi.count > bj.count
-		}
-		return keys[i] < keys[j]
-	})
-	win := buckets[keys[0]]
-	d.Votes = win.count
-	d.Confidence = float64(win.count) / float64(usable)
-	d.Agreed = win.who
-	// Most common raw spelling of the winner.
-	var bestRaw string
-	bestN := -1
-	raws := make([]string, 0, len(win.raw))
-	for r := range win.raw {
-		raws = append(raws, r)
-	}
-	sort.Strings(raws)
-	for _, r := range raws {
-		if win.raw[r] > bestN {
-			bestN = win.raw[r]
-			bestRaw = r
-		}
-	}
-	d.Value = bestRaw
-	for _, k := range keys[1:] {
-		d.Disagreed = append(d.Disagreed, buckets[k].who...)
-	}
-	if minAgree <= 0 {
-		d.Quorum = true
-	} else {
-		d.Quorum = win.count >= minAgree
-	}
+	d := tally(votes, nil)
+	d.Quorum = d.Total > 0 && (minAgree <= 0 || d.Votes >= minAgree)
 	return d
 }
 
@@ -155,10 +90,22 @@ func MajorityFor(replication int) int { return replication/2 + 1 }
 // worker's weight; the Tracker's Score is the natural choice. Quorum is
 // met when the winner's weight share reaches minShare (e.g. 0.5).
 func WeightedVote(votes []Vote, weight func(workerID string) float64, minShare float64) Decision {
+	d := tally(votes, weight)
+	d.Quorum = d.Total > 0 && d.Confidence >= minShare
+	return d
+}
+
+// tally buckets a field's usable votes by normalized answer and decides
+// everything but the quorum: the winner is the bucket of most weight, ties
+// broken by normalized form, shown in its most common raw spelling, and
+// Confidence is its share of the usable weight. A nil weight counts every
+// vote as 1, so Confidence is the winner's share of the votes; a weight
+// below or at 0 counts as 0.01.
+func tally(votes []Vote, weight func(workerID string) float64) Decision {
 	type bucket struct {
 		weight float64
 		count  int
-		raw    map[string]int
+		raw    map[string]int // raw spelling -> occurrences
 		who    []string
 	}
 	buckets := make(map[string]*bucket)
@@ -170,9 +117,11 @@ func WeightedVote(votes []Vote, weight func(workerID string) float64, minShare f
 			continue
 		}
 		d.Total++
-		w := weight(v.WorkerID)
-		if w <= 0 {
-			w = 0.01
+		w := 1.0
+		if weight != nil {
+			if w = weight(v.WorkerID); w <= 0 {
+				w = 0.01
+			}
 		}
 		totalWeight += w
 		n := Normalize(v.Answer)
@@ -204,6 +153,7 @@ func WeightedVote(votes []Vote, weight func(workerID string) float64, minShare f
 	d.Votes = win.count
 	d.Confidence = win.weight / totalWeight
 	d.Agreed = win.who
+	// Most common raw spelling of the winner.
 	var bestRaw string
 	bestN := -1
 	raws := make([]string, 0, len(win.raw))
@@ -221,7 +171,6 @@ func WeightedVote(votes []Vote, weight func(workerID string) float64, minShare f
 	for _, k := range keys[1:] {
 		d.Disagreed = append(d.Disagreed, buckets[k].who...)
 	}
-	d.Quorum = d.Confidence >= minShare
 	return d
 }
 

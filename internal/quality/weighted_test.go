@@ -3,6 +3,7 @@ package quality
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -38,6 +39,20 @@ func TestWeightedVoteFallsBackToMajorityWithEqualWeights(t *testing.T) {
 	md := MajorityVote(votes, 2)
 	if wd.Value != md.Value {
 		t.Errorf("uniform weights must agree with majority: %q vs %q", wd.Value, md.Value)
+	}
+	// Unit weights decide exactly as majority does, Confidence to the bit,
+	// on random votes with ties, raw spellings and garbage.
+	unit := func(string) float64 { return 1 }
+	answers := []string{"x", "X ", "y", " y", "z", "asdf", "unsure-3"}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		votes := make([]Vote, rng.Intn(8))
+		for k := range votes {
+			votes[k] = Vote{WorkerID: fmt.Sprintf("w%d", k), Answer: answers[rng.Intn(len(answers))]}
+		}
+		if wd, md := WeightedVote(votes, unit, 0), MajorityVote(votes, 0); !reflect.DeepEqual(wd, md) {
+			t.Fatalf("votes %v: unit weights decide %+v, majority %+v", votes, wd, md)
+		}
 	}
 }
 

@@ -101,11 +101,7 @@ type rowRec struct {
 	Row json.RawMessage `json:"row,omitempty"`
 }
 
-func (s *Server) journalLog() *storage.RecordLog {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	return s.journal
-}
+func (s *Server) journalLog() *storage.RecordLog { return s.journal.Load() }
 
 func (s *Server) journalEnabled() bool { return s.journalLog() != nil }
 
@@ -202,66 +198,88 @@ func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 	s.journalWrite(rec, true)
 }
 
-// jobSink wraps a job's row sink with durability: before a row is
-// buffered (and therefore observable by a streaming client), it is
-// journaled. The row's append is barrier 2, so an offset a client has
-// seen can never regress across a restart. During a resumed execution
-// the first j.recovered emissions — rows already journaled and buffered
-// before the crash — are suppressed entirely.
-func (s *Server) jobSink(j *Job) func(exec.Row) error {
-	if !s.journalEnabled() {
-		return j.pushRow
+// The job is the core.Observer of each statement it runs: the methods
+// below run on the job's runner goroutine. With a journal, each writes
+// what it reports before a client can see it, in the order the crowd
+// produces it — a HIT group's comparison answers are stored with the
+// group, Progress journals them as the session's spend, and the next
+// row's synced append (barrier 2) makes both durable with it.
+
+// Snapshot records the MVCC snapshot timestamp the running SELECT pinned.
+func (j *Job) Snapshot(ts int64) {
+	j.mu.Lock()
+	j.snapshotTS = ts
+	j.broadcastLocked()
+	j.mu.Unlock()
+}
+
+// Schema begins a SELECT's result set.
+func (j *Job) Schema(cols []string) {
+	if j.srv.journalEnabled() {
+		j.srv.journalWrite(journalRec{T: recSchema, Job: j.id, Columns: cols}, false)
 	}
-	return func(row exec.Row) error {
-		faultinject.Hit("server.job.row")
-		if faultinject.Killed() {
-			return fmt.Errorf("server: process killed (fault injection)")
-		}
-		j.mu.Lock()
-		skip := j.recovered > 0
-		if skip {
-			j.recovered--
-		}
-		j.mu.Unlock()
-		if skip {
-			return nil
-		}
-		line := j.encodeRow(row)
-		s.journalWrite(rowRec{journalRec{T: recRow, Job: j.id}, line}, true)
-		j.pushLine(line)
+	j.mu.Lock()
+	j.columns = cols
+	j.broadcastLocked()
+	j.mu.Unlock()
+}
+
+// Row encodes and buffers one streamed row. With a journal the row is
+// journaled before it is buffered (and therefore observable by a
+// streaming client); its append is barrier 2, so an offset a client has
+// seen can never regress across a restart. During a resumed execution the
+// first j.recovered rows — journaled and buffered before the crash — are
+// suppressed entirely.
+func (j *Job) Row(row exec.Row) error {
+	if !j.srv.journalEnabled() {
+		j.pushLine(j.encodeRow(row))
 		return nil
 	}
+	faultinject.Hit("server.job.row")
+	if faultinject.Killed() {
+		return fmt.Errorf("server: process killed (fault injection)")
+	}
+	j.mu.Lock()
+	skip := j.recovered > 0
+	if skip {
+		j.recovered--
+	}
+	j.mu.Unlock()
+	if skip {
+		return nil
+	}
+	line := j.encodeRow(row)
+	j.srv.journalWrite(rowRec{journalRec{T: recRow, Job: j.id}, line}, true)
+	j.pushLine(line)
+	return nil
 }
 
-// jobProgress wraps the Progress hook with the spend journal: the engine
-// publishes progress right after it stores a HIT group's comparison
-// answers, and the answers stored since the last call are journaled as
-// the session's spend, buffered, so the next row's append syncs them
-// with it.
-func (s *Server) jobProgress(j *Job) func(exec.Stats) {
-	if !s.journalEnabled() || j.sessionID == "" {
-		return j.noteProgress
+// Progress stores the running statement's latest stats snapshot. The
+// engine publishes one before every crowd wait — before it posts a HIT
+// group, before it waits on another session's flight — so the first one
+// is the job's first wait on the crowd. Only that one wakes the job's
+// waiters: streams read rows, the state and whether the job has waited,
+// never the stats. The engine also publishes one right after it stores a
+// HIT group's comparison answers; with a journal, the answers a named
+// session's statement stored since the last call are journaled as its
+// spend, buffered, so the next row's append syncs them.
+func (j *Job) Progress(st exec.Stats) {
+	if n := st.Memoized - j.spendJournaled; n > 0 && j.sessionID != "" && j.srv.journalEnabled() {
+		j.spendJournaled = st.Memoized
+		j.srv.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
 	}
-	journaled := 0
-	return func(st exec.Stats) {
-		if n := st.Memoized - journaled; n > 0 {
-			journaled = st.Memoized
-			s.journalWrite(journalRec{T: recSpend, Session: j.sessionID, N: n}, false)
-		}
-		j.noteProgress(st)
+	j.mu.Lock()
+	j.progressStats = st
+	if !j.waited {
+		j.waited = true
+		j.broadcastLocked()
 	}
+	j.mu.Unlock()
 }
 
-// jobSchema wraps the OnSchema hook with journaling.
-func (s *Server) jobSchema(j *Job) func([]string) {
-	if !s.journalEnabled() {
-		return j.startResultSet
-	}
-	return func(cols []string) {
-		s.journalWrite(journalRec{T: recSchema, Job: j.id, Columns: cols}, false)
-		j.startResultSet(cols)
-	}
-}
+// Final records the running statement's final crowd stats — reported
+// even when it fails or is cancelled — for runJob to settle.
+func (j *Job) Final(st exec.Stats) { j.stmtStats = st }
 
 // ---------------------------------------------------------------------------
 // Recovery
@@ -397,7 +415,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			sql:          rj.sql,
 			sess:         sess,
 			sessionID:    rj.session,
-			price:        s.eng.Prices,
+			srv:          s,
 			ctx:          ctx,
 			cancel:       cancel,
 			state:        JobQueued,
@@ -480,9 +498,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 		s.mJournalErrs = reg.Counter("crowddb_journal_append_errors_total",
 			"jobs journal appends that failed (the journal is poisoned; queries keep running)")
 	}
-	s.jmu.Lock()
-	s.journal = log
-	s.jmu.Unlock()
+	s.journal.Store(log)
 
 	// Re-register terminal jobs (including the freshly interrupted ones)
 	// and launch the resumptions.
@@ -497,7 +513,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			id:           rj.id,
 			sql:          rj.sql,
 			sessionID:    rj.session,
-			price:        s.eng.Prices,
+			srv:          s,
 			ctx:          ctx,
 			cancel:       cancel,
 			state:        rj.state,

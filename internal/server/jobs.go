@@ -5,14 +5,14 @@ package server
 //
 //	queued -> running -> done | failed | cancelled
 //
-// Rows stream out of the engine's RowSink seam into the job's buffer as
-// operators produce them, so clients can consume partial results while
-// the crowd is still working; cancellation propagates through the
-// statement context into the crowd operators (no new HIT groups are
-// posted, queued submissions are withdrawn, paid work settles against
-// the session budget). StartJob -> runJob is the only way a statement
-// enters the server; the synchronous convenience form lives in
-// pkg/client.Query.
+// Rows stream out of the engine into the job, each statement's observer,
+// and its buffer as operators produce them, so clients can consume
+// partial results while the crowd is still working; cancellation
+// propagates through the statement context into the crowd operators (no
+// new HIT groups are posted, queued submissions are withdrawn, paid work
+// settles against the session budget). StartJob -> runJob is the only
+// way a statement enters the server; the synchronous convenience form
+// lives in pkg/client.Query.
 
 import (
 	"context"
@@ -26,7 +26,6 @@ import (
 	"crowddb/internal/obs"
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
-	"crowddb/internal/taskmgr"
 )
 
 // JobState is a job's lifecycle position.
@@ -63,7 +62,7 @@ type Job struct {
 	sql       string
 	sess      *Session
 	sessionID string // "" = anonymous one-shot session
-	price     func() taskmgr.Prices
+	srv       *Server
 	// trace is the job's span tree: one trace for the whole script,
 	// threaded through every statement, finished at retirement. Nil when
 	// the engine runs with observability disabled.
@@ -112,6 +111,12 @@ type Job struct {
 	settledStats  exec.Stats
 	settledCents  float64
 	progressStats exec.Stats // live snapshot of the running statement
+	// stmtStats and spendJournaled belong to the running statement and
+	// its goroutine alone (runJob zeroes them before each statement): the
+	// final crowd stats Final reported, and the stored comparison answers
+	// Progress has journaled as the session's spend.
+	stmtStats      exec.Stats
+	spendJournaled int
 	// recovered counts journal-recovered rows already in the buffer when a
 	// restart resumes this job: the re-executed script's first `recovered`
 	// sink emissions are suppressed instead of buffered (and journaled)
@@ -205,7 +210,7 @@ func (j *Job) Info() JobInfo {
 		Warnings:       j.warnings,
 		StatementsDone: j.stmtsDone,
 		Stats:          j.settledStats.Add(j.progressStats),
-		SpentCents:     j.settledCents + j.progressStats.Cents(j.price()),
+		SpentCents:     j.settledCents + j.progressStats.Cents(j.srv.eng.Prices()),
 		SnapshotTS:     j.snapshotTS,
 		TraceID:        j.trace.ID(),
 		Error:          j.err,
@@ -263,52 +268,12 @@ func (j *Job) encodeRow(row exec.Row) []byte {
 	return j.enc
 }
 
-// pushRow is the engine sink: it encodes and buffers one streamed row.
-func (j *Job) pushRow(row exec.Row) error {
-	j.pushLine(j.encodeRow(row))
-	return nil
-}
-
 // pushLine buffers one encoded row and wakes the streamers.
 func (j *Job) pushLine(line []byte) {
 	j.rowsMetric.Inc()
 	j.mu.Lock()
 	j.rows.add(line)
 	j.broadcastLocked()
-	j.mu.Unlock()
-}
-
-// startResultSet begins a SELECT's result set (engine OnSchema hook).
-func (j *Job) startResultSet(cols []string) {
-	j.mu.Lock()
-	j.columns = cols
-	j.broadcastLocked()
-	j.mu.Unlock()
-}
-
-// noteSnapshot records the MVCC snapshot timestamp the running SELECT
-// pinned (engine OnSnapshot hook; runs on the executing goroutine).
-func (j *Job) noteSnapshot(ts int64) {
-	j.mu.Lock()
-	j.snapshotTS = ts
-	j.broadcastLocked()
-	j.mu.Unlock()
-}
-
-// noteProgress stores the running statement's latest stats snapshot
-// (engine Progress hook; runs on the executing goroutine). The engine
-// publishes one before every crowd wait — before it posts a HIT group,
-// before it waits on another session's flight — so the first one is the
-// job's first wait on the crowd. Only that one wakes the job's waiters:
-// streams read rows, the state and whether the job has waited, never the
-// stats.
-func (j *Job) noteProgress(st exec.Stats) {
-	j.mu.Lock()
-	j.progressStats = st
-	if !j.waited {
-		j.waited = true
-		j.broadcastLocked()
-	}
 	j.mu.Unlock()
 }
 
@@ -353,7 +318,7 @@ func (s *Server) finish(j *Job, state JobState, err *Error) {
 	j.err = err
 	// The running statement's progress is settled (or lost) by now.
 	j.settledStats = j.settledStats.Add(j.progressStats)
-	j.settledCents += j.progressStats.Cents(j.price())
+	j.settledCents += j.progressStats.Cents(j.srv.eng.Prices())
 	j.progressStats = exec.Stats{}
 	j.broadcastLocked()
 }
@@ -482,7 +447,7 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		sql:          sql,
 		sess:         sess,
 		sessionID:    sessionID,
-		price:        s.eng.Prices,
+		srv:          s,
 		ctx:          ctx,
 		cancel:       cancel,
 		state:        JobQueued,
@@ -595,26 +560,20 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 			s.retireJob(job)
 			return
 		}
-		var stmtStats exec.Stats
-		opts := core.ExecOpts{CompareBudget: reserved} // 0 = unlimited
-		opts.Sink = s.jobSink(job)
-		opts.OnSchema = s.jobSchema(job)
-		opts.OnStats = func(st exec.Stats) { stmtStats = st }
-		opts.Progress = s.jobProgress(job)
-		opts.OnSnapshot = job.noteSnapshot
-		opts.Trace = job.trace
+		job.stmtStats, job.spendJournaled = exec.Stats{}, 0
+		opts := core.ExecOpts{CompareBudget: reserved, Observer: job, Trace: job.trace} // budget 0 = unlimited
 		res, err := s.eng.ExecStmtCtx(job.ctx, stmt, opts)
-		// Settle precisely: the stats observer reports crowd work already
-		// paid even when the statement failed or was cancelled, so the
-		// session budget refunds exactly the unused reservation.
-		job.sess.settle(stmtStats, reserved)
+		// Settle precisely: Final reports crowd work already paid even
+		// when the statement failed or was cancelled, so the session budget
+		// refunds exactly the unused reservation.
+		job.sess.settle(job.stmtStats, reserved)
 		s.journalBudget(job.sess)
 		if err != nil {
-			// The stats observer's final numbers supersede the last
-			// mid-statement progress snapshot before the job settles (finish
-			// publishes them; this is no wait).
+			// Final's numbers supersede the last mid-statement progress
+			// snapshot before the job settles (finish publishes them; this
+			// is no wait).
 			job.mu.Lock()
-			job.progressStats = stmtStats
+			job.progressStats = job.stmtStats
 			job.mu.Unlock()
 			if job.ctx.Err() != nil {
 				s.finishInterrupted(job)
@@ -625,7 +584,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 			s.retireJob(job)
 			return
 		}
-		job.completeStmt(res, stmtStats)
+		job.completeStmt(res, job.stmtStats)
 	}
 	s.mu.Lock()
 	s.stats.Queries++

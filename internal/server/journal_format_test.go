@@ -101,7 +101,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 
 	// ...and compacts to the parent's bytes.
-	srv.journal.Close()
+	srv.journal.Load().Close()
 	wantCompacted, err := os.ReadFile(filepath.Join("testdata", "parent", "jobs.compacted.log"))
 	if err != nil {
 		t.Fatal(err)

@@ -170,15 +170,15 @@ func FuzzLineCodec(f *testing.F) {
 // that no streamer or waiter is watching allocate nothing per push — no
 // channel, no cell strings — once the row buffer has grown.
 func TestPushWithoutStreamerMakesNoChannel(t *testing.T) {
-	j := &Job{}
+	j := &Job{srv: &Server{}}
 	row := exec.Row{sqltypes.NewInt(1234567), sqltypes.NewString("a <b>"), sqltypes.Null(), sqltypes.NewFloat(2.5)}
 	for i := 0; i < 100; i++ {
-		j.pushRow(row)
+		j.Row(row)
 	}
 	if allocs := testing.AllocsPerRun(10000, func() {
-		j.pushRow(row)
-		j.noteProgress(exec.Stats{RowsScanned: 1})
-		j.noteSnapshot(7)
+		j.Row(row)
+		j.Progress(exec.Stats{RowsScanned: 1})
+		j.Snapshot(7)
 	}); allocs != 0 {
 		t.Fatalf("a push nobody waits for allocates %.2f times", allocs)
 	}
@@ -187,7 +187,7 @@ func TestPushWithoutStreamerMakesNoChannel(t *testing.T) {
 	}
 	// A waiter gets a channel, and the next push closes it.
 	_, _, _, _, notify := j.rowsFrom(0)
-	j.pushRow(row)
+	j.Row(row)
 	select {
 	case <-notify:
 	default:

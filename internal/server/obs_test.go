@@ -425,7 +425,7 @@ func TestJournalMetrics(t *testing.T) {
 	}
 
 	// A poisoned journal does not fail queries; it is counted.
-	srv.journal.Close()
+	srv.journal.Load().Close()
 	runJobWait(t, srv, "SELECT id FROM Pair")
 	if _, vals = scrapeMetrics(t, ts.URL); vals["crowddb_journal_append_errors_total"] < 1 {
 		t.Errorf("append errors after the journal file was closed: %v", vals["crowddb_journal_append_errors_total"])

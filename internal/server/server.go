@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowddb/internal/core"
@@ -113,9 +114,9 @@ type Server struct {
 
 	// journal is the durable jobs log (nil until EnableJournal): job
 	// lifecycle, emitted rows, and budget movements survive restarts.
-	// Guarded by jmu, not mu — appends happen while mu is held.
-	jmu     sync.Mutex
-	journal *storage.RecordLog
+	// Atomic, not guarded by mu — appends happen while mu is held, and a
+	// job reads it once per streamed row.
+	journal atomic.Pointer[storage.RecordLog]
 
 	active sync.WaitGroup
 }
@@ -375,11 +376,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	s.jmu.Lock()
-	journal := s.journal
-	s.journal = nil
-	s.jmu.Unlock()
-	if journal != nil {
+	if journal := s.journal.Swap(nil); journal != nil {
 		journal.Close() //nolint:errcheck // best-effort teardown
 	}
 	return err
