@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"crowddb/internal/catalog"
 	"crowddb/internal/crowd"
 	"crowddb/internal/exec"
+	"crowddb/internal/lexer"
 	"crowddb/internal/obs"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
@@ -302,14 +304,19 @@ func (e *Engine) Exec(sql string) (*Result, error) {
 
 // Query is Exec restricted to a single SELECT.
 func (e *Engine) Query(sql string) (*Result, error) {
-	stmt, err := parser.Parse(sql)
+	sc, err := e.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := stmt.(*parser.Select); !ok {
-		return nil, fmt.Errorf("core: Query requires a SELECT, got %T", stmt)
+	if sc.cached == nil {
+		if len(sc.stmts) != 1 {
+			return nil, fmt.Errorf("parser: expected one statement, got %d", len(sc.stmts))
+		}
+		if _, ok := sc.stmts[0].(*parser.Select); !ok {
+			return nil, fmt.Errorf("core: Query requires a SELECT, got %T", sc.stmts[0])
+		}
 	}
-	return e.ExecStmtCtx(context.Background(), stmt, DefaultExecOpts())
+	return e.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
 }
 
 // Observer follows one SELECT as it runs — the jobs API's streaming seam.
@@ -351,34 +358,141 @@ type ExecOpts struct {
 // DefaultExecOpts runs a statement with no per-statement limits.
 func DefaultExecOpts() ExecOpts { return ExecOpts{CompareBudget: -1} }
 
-// Execute parses and runs a CrowdSQL script under ctx, returning the last
-// statement's result. Cancelling ctx stops the running statement: crowd
-// operators stop posting new HIT groups within one scheduler tick,
+// Execute takes in and runs a CrowdSQL script under ctx, returning the
+// last statement's result. Cancelling ctx stops the running statement:
+// crowd operators stop posting new HIT groups within one scheduler tick,
 // queued submissions are withdrawn, singleflight claims are released, and
-// the observer's Final still reports the work already paid for. This is the
-// context-aware entry point the jobs API and the client SDK build on.
+// the observer's Final still reports the work already paid for. This is
+// the context-aware entry point the jobs API and the client SDK build on.
 func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Result, error) {
-	parseStart := time.Now()
-	stmts, err := parser.ParseAll(sql)
+	sc, err := e.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		psp := opts.Trace.SpanAt(nil, "parse", parseStart, time.Now())
-		psp.SetInt("statements", int64(len(stmts)))
-	}
+	sc.TraceParse(opts.Trace)
 	var last *Result
-	for _, s := range stmts {
+	for i := range sc.Len() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := e.ExecStmtCtx(ctx, s, opts)
+		r, err := e.ExecAt(ctx, &sc, i, opts)
 		if err != nil {
 			return nil, err
 		}
 		last = r
 	}
 	return last, nil
+}
+
+// A Script is a CrowdSQL script the engine has taken in (Prepare): lexed
+// and parsed — or, when it is one SELECT whose key the plan cache holds,
+// lexed only, and served by the cached entry with the statement's own
+// slot values.
+type Script struct {
+	stmts  []parser.Statement // the parsed statements; nil when cached is set
+	cached *cachedSelect
+	// start and end bound the intake.
+	start, end time.Time
+}
+
+// Prepare is the engine's intake: it lexes sql, looks a single SELECT up
+// in the plan cache by its tokens, and parses only when that finds
+// nothing. An error is the lexer's or the parser's.
+func (e *Engine) Prepare(sql string) (Script, error) {
+	sc := Script{start: time.Now()}
+	kb := keyBufs.Get().(*keyBuf)
+	toks := kb.toks[:0]
+	if n := len(sql)/4 + 1; cap(toks) < n {
+		toks = make([]lexer.Token, 0, n) // the lexer's own estimate
+	}
+	toks, err := lexer.AppendTokens(toks, sql)
+	if err != nil {
+		keyBufs.Put(kb)
+		return Script{}, err
+	}
+	if sel := oneSelect(toks); sel != nil {
+		if en, ok := e.lookup(kb, sel); ok {
+			cs := &cachedSelect{en: en, sql: sql}
+			cs.slots = append(cs.inline[:0], kb.slots...)
+			sc.cached = cs
+			clear(toks)
+			if cap(toks) <= maxPooledTokens {
+				kb.toks = toks
+			}
+			keyBufs.Put(kb)
+			sc.end = time.Now()
+			return sc, nil
+		}
+	}
+	kb.toks = nil // the parsed statements keep the tokens
+	keyBufs.Put(kb)
+	if sc.stmts, err = parseTokens(toks); err != nil {
+		return Script{}, err
+	}
+	sc.end = time.Now()
+	return sc, nil
+}
+
+// parseTokens is the intake's parser (the package's tests count its
+// calls).
+var parseTokens = parser.ParseTokens
+
+// Len is the number of statements in the script.
+func (sc *Script) Len() int {
+	if sc.cached != nil {
+		return 1
+	}
+	return len(sc.stmts)
+}
+
+// Statements are the script's parsed statements: nil for a SELECT the
+// plan cache serves unparsed.
+func (sc *Script) Statements() []parser.Statement { return sc.stmts }
+
+// HasQuery reports whether the script runs a SELECT or EXPLAIN: a trace
+// of it is sized for a query's operator spans.
+func (sc *Script) HasQuery() bool {
+	if sc.cached != nil {
+		return true
+	}
+	for _, st := range sc.stmts {
+		switch st.(type) {
+		case *parser.Select, *parser.Explain:
+			return true
+		}
+	}
+	return false
+}
+
+// TraceParse records the intake into tr as its "parse" span, with its
+// statement count; a nil tr records nothing.
+func (sc *Script) TraceParse(tr *obs.Trace) {
+	if tr == nil {
+		return
+	}
+	psp := tr.SpanAt(nil, "parse", sc.start, sc.end)
+	psp.SetInt("statements", int64(sc.Len()))
+}
+
+// ExecAt runs statement i of sc under ctx, as ExecStmtCtx runs a parsed
+// one.
+func (e *Engine) ExecAt(ctx context.Context, sc *Script, i int, opts ExecOpts) (*Result, error) {
+	if sc.cached != nil {
+		return e.exec(ctx, nil, sc.cached, opts)
+	}
+	return e.exec(ctx, sc.stmts[i], nil, opts)
+}
+
+// ForecastAt is Forecast of statement i of sc.
+func (e *Engine) ForecastAt(sc *Script, i int) (plan.Cost, bool) {
+	if sc.cached == nil {
+		return e.Forecast(sc.stmts[i])
+	}
+	en, err := e.serve(sc.cached.en, sc.cached.sql, sc.cached.slots)
+	if err != nil {
+		return plan.Cost{}, false
+	}
+	return en.opt.Predicted, true
 }
 
 // ExecStmtCtx runs one parsed statement under ctx. Read-only statements
@@ -391,7 +505,16 @@ func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Resul
 // is finished — and slow-query-logged past the threshold — when the
 // statement returns.
 func (e *Engine) ExecStmtCtx(ctx context.Context, stmt parser.Statement, opts ExecOpts) (*Result, error) {
-	kind := stmtKind(stmt)
+	return e.exec(ctx, stmt, nil, opts)
+}
+
+// exec runs stmt, or — stmt nil — cs, a SELECT the plan cache serves.
+func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedSelect, opts ExecOpts) (*Result, error) {
+	kind := "select"
+	var text encoding.TextAppender = cs
+	if stmt != nil {
+		kind, text = stmtKind(stmt), stmt
+	}
 	e.obsm.statements[kind].Inc()
 	tr := opts.Trace
 	owned := false
@@ -401,8 +524,14 @@ func (e *Engine) ExecStmtCtx(ctx context.Context, stmt parser.Statement, opts Ex
 	}
 	sp := tr.Span(nil, "statement")
 	sp.SetAttr("kind", kind)
-	sp.SetText("stmt", stmt)
-	res, err := e.execStmt(ctx, stmt, opts, tr, sp)
+	sp.SetText("stmt", text)
+	var res *Result
+	var err error
+	if stmt != nil {
+		res, err = e.execStmt(ctx, stmt, opts, tr, sp)
+	} else {
+		res, err = e.execCached(ctx, cs, opts, tr, sp)
+	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
@@ -737,11 +866,11 @@ func (e *Engine) Prices() taskmgr.Prices {
 func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
 	switch s := stmt.(type) {
 	case *parser.Select:
-		opt, err := e.compile(s)
+		en, _, err := e.compile(s, nil)
 		if err != nil {
 			return plan.Cost{}, false
 		}
-		return opt.Predicted, true
+		return en.opt.Predicted, true
 	case *parser.Explain:
 		if s.Analyze {
 			// EXPLAIN ANALYZE executes for real: forecast the inner query.
@@ -752,38 +881,48 @@ func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
 }
 
 func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	opt, err := e.compileTraced(s, true, tr, sp)
+	osp := tr.Span(sp, "optimize")
+	var buf [4]sqltypes.Value
+	en, slots, err := e.compile(s, buf[:0])
 	if err != nil {
-		return nil, err
+		return nil, optimized(osp, nil, err)
 	}
-	return e.runSelect(ctx, opt, s, opts, tr, sp, nil)
+	optimized(osp, en.opt, nil)
+	return e.runSelect(ctx, en.opt, en.cols, slots, opts, tr, sp, nil)
 }
 
-// compileTraced compiles a SELECT under an "optimize" span carrying the
-// chosen plan's cost snapshot: through the plan cache when cached is set.
-func (e *Engine) compileTraced(s *parser.Select, cached bool, tr *obs.Trace, sp *obs.Span) (opt *optimizer.Result, err error) {
+// execCached runs cs on its entry's plan, compiled afresh if the entry is
+// stale.
+func (e *Engine) execCached(ctx context.Context, cs *cachedSelect, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
 	osp := tr.Span(sp, "optimize")
-	if cached {
-		opt, err = e.compile(s)
-	} else {
-		opt, err = e.compileFresh(s, e.optimizerOptions())
+	en, err := e.serve(cs.en, cs.sql, cs.slots)
+	if err != nil {
+		return nil, optimized(osp, nil, err)
 	}
+	optimized(osp, en.opt, nil)
+	return e.runSelect(ctx, en.opt, en.cols, cs.slots, opts, tr, sp, nil)
+}
+
+// optimized ends osp, a SELECT's "optimize" span, with the chosen plan's
+// cost snapshot or the compile's error, and returns the error.
+func optimized(osp *obs.Span, opt *optimizer.Result, err error) error {
 	if err != nil {
 		osp.SetAttr("error", err.Error())
 		osp.End()
-		return nil, err
+		return err
 	}
 	osp.SetText("predicted", &opt.Predicted) // rendered now: the trace keeps no reference into opt
 	osp.SetBool("bounded", opt.Bounded)
 	osp.End()
-	return opt, nil
+	return nil
 }
 
-// runSelect executes s's compiled plan, binding s's slot literals.
-// opStats, when non-nil, collects per-plan-node actuals (EXPLAIN
-// ANALYZE); passing it also forces the instrumented operator shells on
-// even when tracing is off.
-func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
+// runSelect executes a compiled plan with cols its result's column names,
+// binding slots, the executing statement's slot values. opStats, when
+// non-nil, collects per-plan-node actuals (EXPLAIN ANALYZE); passing it
+// also forces the instrumented operator shells on even when tracing is
+// off.
+func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []string, slots []sqltypes.Value, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
 	// Pin the statement's snapshot: every stored-data read — across
 	// crowd waits that may last minutes — sees exactly the rows
 	// committed at this timestamp. Released when the statement finishes
@@ -815,7 +954,7 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 	if e.opm != nil {
 		ectx.OpMetrics = e.opm
 	}
-	ectx.UseSlots(s.Where)
+	ectx.UseSlots(slots)
 	// Crowd counters fold in even when the statement errors or is
 	// cancelled midway — like the observer's Final below, they account
 	// for work already paid.
@@ -825,10 +964,6 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, s *parser
 	// settlement, and the Result cannot carry it then.
 	if observer != nil {
 		defer func() { observer.Final(ectx.Stats) }()
-	}
-	var cols []string
-	for _, c := range opt.Root.Schema() {
-		cols = append(cols, c.Name)
 	}
 	// EXPLAIN ANALYZE (opStats set) counts its rows instead of streaming
 	// them or their schema.
@@ -898,8 +1033,9 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	if !ok {
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT only")
 	}
-	opt, err := e.compileTraced(sel, false, tr, sp)
-	if err != nil {
+	osp := tr.Span(sp, "optimize")
+	opt, err := e.compileFresh(sel, e.optimizerOptions())
+	if err = optimized(osp, opt, err); err != nil {
 		return nil, err
 	}
 	// EXPLAIN ANALYZE runs the statement for real — crowd work, spend,
@@ -909,7 +1045,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	var analyzed *Result
 	if s.Analyze {
 		opStats = make(map[plan.Node]*exec.OpStats)
-		analyzed, err = e.runSelect(ctx, opt, sel, opts, tr, sp, opStats)
+		analyzed, err = e.runSelect(ctx, opt, colNames(opt), nil, opts, tr, sp, opStats)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func newConferenceEngine(t *testing.T, seed int64, dir string) (*Engine, *worklo
 	return eng, conf
 }
 
-func mustExec(t *testing.T, e *Engine, sql string) *Result {
+func mustExec(t testing.TB, e *Engine, sql string) *Result {
 	t.Helper()
 	r, err := e.Exec(sql)
 	if err != nil {

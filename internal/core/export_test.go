@@ -5,34 +5,70 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
+	"crowddb/internal/lexer"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
+	"crowddb/internal/sqltypes"
 )
 
 // The plan cache's equivalence net is on for every test of this package:
-// each hit is compiled afresh as well, and its statement fails unless the
-// two plans agree on the EXPLAIN text with slot literals masked (costs and
+// each hit's statement is parsed and compiled afresh as well, and it fails
+// unless the fresh parse is one SELECT holding the slot values the hit
+// binds, whose text is the entry's tree printed with them, and the two
+// plans agree on the EXPLAIN text with slot literals masked (costs and
 // probe keys included), the forecast, boundedness and warnings.
 func init() { checkPlanHit = recompileHit }
 
-func recompileHit(e *Engine, s *parser.Select, hit planEntry) error {
-	fresh, err := e.compileFresh(s, hit.opts)
+// parses counts the engine's parses: ParseCount reads it, for the tests
+// outside the package that a cached SELECT is never parsed.
+var parses atomic.Int64
+
+func init() {
+	parse := parseTokens
+	parseTokens = func(toks []lexer.Token) ([]parser.Statement, error) {
+		parses.Add(1)
+		return parse(toks)
+	}
+}
+
+// ParseCount is the number of scripts the engine has parsed.
+func ParseCount() int64 { return parses.Load() }
+
+func recompileHit(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry) error {
+	s, err := parser.Parse(sql)
+	if err != nil {
+		return fmt.Errorf("plan cache: hit for %q, which does not parse: %w", sql, err)
+	}
+	sel, ok := s.(*parser.Select)
+	if !ok {
+		return fmt.Errorf("plan cache: hit for %q, a %T", sql, s)
+	}
+	if want := parser.AppendSlotValues(nil, sel.Where); !slices.Equal(slots, want) {
+		return fmt.Errorf("plan cache: hit for %s binds slots %v, its own are %v", sel, slots, want)
+	}
+	if text := string(parser.AppendWithSlots(nil, hit.sel, slots, -1)); text != sel.String() {
+		return fmt.Errorf("plan cache: hit for %s serves another statement: %s", sel, text)
+	}
+	fresh, err := e.compileFresh(sel, hit.opts)
 	switch {
 	case e.cat.Version() != hit.version:
 		return nil // the catalog moved since the lookup: the plans may rightly differ
 	case err != nil:
-		return fmt.Errorf("plan cache: stale hit for %s: a fresh compile fails: %w", s, err)
+		return fmt.Errorf("plan cache: stale hit for %s: a fresh compile fails: %w", sel, err)
 	}
 	switch hitText, freshText := maskedExplain(hit.opt), maskedExplain(fresh); {
 	case hitText != freshText:
-		return fmt.Errorf("plan cache: stale hit for %s:\ncached:\n%sfresh:\n%s", s, hitText, freshText)
+		return fmt.Errorf("plan cache: stale hit for %s:\ncached:\n%sfresh:\n%s", sel, hitText, freshText)
 	case hit.opt.Predicted != fresh.Predicted:
-		return fmt.Errorf("plan cache: stale hit for %s: predicted %+v, fresh %+v", s, hit.opt.Predicted, fresh.Predicted)
+		return fmt.Errorf("plan cache: stale hit for %s: predicted %+v, fresh %+v", sel, hit.opt.Predicted, fresh.Predicted)
 	case hit.opt.Bounded != fresh.Bounded || !slices.Equal(hit.opt.Warnings, fresh.Warnings):
 		return fmt.Errorf("plan cache: stale hit for %s: bounded %v %q, fresh %v %q",
-			s, hit.opt.Bounded, hit.opt.Warnings, fresh.Bounded, fresh.Warnings)
+			sel, hit.opt.Bounded, hit.opt.Warnings, fresh.Bounded, fresh.Warnings)
+	case !slices.Equal(hit.cols, colNames(fresh)):
+		return fmt.Errorf("plan cache: stale hit for %s: columns %q, fresh %q", sel, hit.cols, colNames(fresh))
 	}
 	return nil
 }
@@ -76,8 +112,24 @@ func maskedExplain(opt *optimizer.Result) string {
 	return sb.String()
 }
 
-// maskedExpr prints e with each slot literal as its kind.
+// maskedExpr prints e with each slot literal as a stand-in of its kind.
 func maskedExpr(e parser.Expr) string {
-	shape := parser.AppendShape(nil, &parser.Select{Items: []parser.SelectItem{{Expr: e}}, Limit: -1})
-	return strings.TrimPrefix(string(shape), "SELECT ")
+	var masks []sqltypes.Value
+	parser.WalkExprs(e, func(x parser.Expr) {
+		if l, ok := x.(*parser.Literal); ok && l.Slot > 0 {
+			for len(masks) < l.Slot {
+				masks = append(masks, sqltypes.Value{})
+			}
+			masks[l.Slot-1] = kindMasks[l.Val.Kind()]
+		}
+	})
+	text := parser.AppendWithSlots(nil, &parser.Select{Items: []parser.SelectItem{{Expr: e}}, Limit: -1}, masks, -1)
+	return strings.TrimPrefix(string(text), "SELECT ")
+}
+
+// kindMasks stand in for a slot value of each kind.
+var kindMasks = [...]sqltypes.Value{
+	sqltypes.KindNull: sqltypes.Null(), sqltypes.KindCNull: sqltypes.CNull(),
+	sqltypes.KindString: sqltypes.NewString("?STRING"), sqltypes.KindInt: sqltypes.NewString("?INTEGER"),
+	sqltypes.KindFloat: sqltypes.NewString("?FLOAT"), sqltypes.KindBool: sqltypes.NewString("?BOOLEAN"),
 }

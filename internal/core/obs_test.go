@@ -250,7 +250,7 @@ var raceEnabled bool // set by race_test.go
 // an engine without observability. The plan cache's equivalence net is
 // off: it would count a second compile per statement.
 func TestTracedPointSelectAllocs(t *testing.T) {
-	defer func(net func(*Engine, *parser.Select, planEntry) error) { checkPlanHit = net }(checkPlanHit)
+	defer func(net func(*Engine, string, []sqltypes.Value, *planEntry) error) { checkPlanHit = net }(checkPlanHit)
 	checkPlanHit = nil
 	allocs := func(disable bool) float64 {
 		eng, err := Open(Config{DisableObservability: disable})
@@ -273,5 +273,48 @@ func TestTracedPointSelectAllocs(t *testing.T) {
 	}
 	if traced > untraced+4 {
 		t.Errorf("a traced point SELECT allocates %v times, %v more than untraced (at most 4)", traced, traced-untraced)
+	}
+}
+
+// TestStatementSpanTextOfLongInsert: the statement span of a 500-row
+// INSERT keeps the text it always kept — the printed statement cut at 200
+// bytes on a rune boundary and marked "…" — and recording it prints little
+// more than that: it allocates at most a small constant, where printing
+// the whole ≈ 20 KB statement took a buffer too big to pool on every call.
+func TestStatementSpanTextOfLongInsert(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO Talk VALUES ")
+	for i := 0; i < 500; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "('talk-%05d é', 'Room %d', %d)", i, i%7, i)
+	}
+	stmt, err := parser.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := stmt.String()
+	cut := 200
+	for !utf8.RuneStart(full[cut]) {
+		cut--
+	}
+	want := full[:cut] + "…"
+
+	tracer := obs.NewTracer(1)
+	tr := tracer.Start("q")
+	sp := tr.Span(nil, "statement")
+	sp.SetText("stmt", stmt)
+	sp.End()
+	if got := tr.JSON().FindSpans("statement")[0].Attrs["stmt"]; got != want {
+		t.Errorf("span text:\n got %q\nwant %q", got, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() { sp.SetText("stmt", stmt) })
+	t.Logf("recording a 500-row INSERT's text: %v allocations", allocs)
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race (race_test.go)")
+	}
+	if allocs > 1 {
+		t.Errorf("recording a 500-row INSERT's text allocates %v times, want at most 1", allocs)
 	}
 }

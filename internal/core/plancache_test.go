@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"crowddb/internal/parser"
 	"crowddb/internal/sqltypes"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
@@ -147,7 +147,7 @@ func TestPlanCacheCrowdEqualReadsItsLiteral(t *testing.T) {
 // equivalence net, which would see the moved costs, is off: the plan's
 // shape does not depend on them, and where the pre-fill comes from does.
 func TestPlanCacheCrowdProbePrefill(t *testing.T) {
-	defer func(net func(*Engine, *parser.Select, planEntry) error) { checkPlanHit = net }(checkPlanHit)
+	defer func(net func(*Engine, string, []sqltypes.Value, *planEntry) error) { checkPlanHit = net }(checkPlanHit)
 	checkPlanHit = nil
 	eng, conf := newConferenceEngine(t, 9, "")
 	defer eng.Close()
@@ -261,11 +261,37 @@ func TestPlanCacheBounded(t *testing.T) {
 		}
 	}
 	// A miss on a cached shape overwrites its stale entry in place.
-	shape := []byte("SELECT n FROM Talk WHERE (title = ?STRING)")
-	eng.plans.put(shape, planEntry{version: 1})
-	stale := func() { eng.plans.put(shape, planEntry{version: 2}) }
+	key := keyOf(t, "SELECT n FROM Talk WHERE title = 'talk-01'")
+	eng.plans.put(planEntry{key: key, version: 1})
+	stale := func() { eng.plans.put(planEntry{key: key, version: 2}) }
 	if n := testing.AllocsPerRun(100, stale); n != 0 && !raceEnabled {
 		t.Errorf("overwriting a stale entry allocates %v times", n)
+	}
+}
+
+// TestPlanCacheServesTheRefreshedEntry: a statement whose intake found a
+// stale entry runs on the entry that replaced it since — another
+// statement of its shape compiled in between — without compiling again.
+func TestPlanCacheServesTheRefreshedEntry(t *testing.T) {
+	eng := talkEngine(t, 10)
+	point := func(i int) string { return fmt.Sprintf("SELECT n FROM Talk WHERE title = 'talk-%02d'", i) }
+	mustExec(t, eng, point(1))
+	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-10', 'Room 0', 10)") // a new row count: the entry is stale
+	sc, err := eng.Prepare(point(2))
+	if err != nil || sc.cached == nil {
+		t.Fatalf("the stale entry does not serve the intake: %v", err)
+	}
+	mustExec(t, eng, point(3)) // compiles afresh, replacing the entry
+	_, misses0 := planCounts(eng)
+	res, err := eng.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := planCounts(eng); misses != misses0 {
+		t.Errorf("the statement compiled again instead of running on the refreshed entry")
+	}
+	if rowsText(res) != "2|" {
+		t.Errorf("rows %q, want 2", rowsText(res))
 	}
 }
 
@@ -324,11 +350,11 @@ func TestPlanCacheConcurrentShape(t *testing.T) {
 
 // TestPointSelectCompilesOnce: after warm-up a point SELECT with a new
 // literal on every run moves the hit counter once per run and allocates
-// at most what it was measured at (29 per statement through Query, parse
-// included, without the equivalence net).
+// at most what it was measured at (14 per statement through Query, the
+// intake included, without the equivalence net; 29 when a hit parsed).
 func TestPointSelectCompilesOnce(t *testing.T) {
-	const maxAllocs = 29
-	defer func(net func(*Engine, *parser.Select, planEntry) error) { checkPlanHit = net }(checkPlanHit)
+	const maxAllocs = 14
+	defer func(net func(*Engine, string, []sqltypes.Value, *planEntry) error) { checkPlanHit = net }(checkPlanHit)
 	checkPlanHit = nil
 	eng := talkEngine(t, 40)
 	stmts := make([]string, 40)

@@ -36,14 +36,14 @@ import (
 type boundKind uint8
 
 const (
-	bLit     boundKind = iota // src: the *parser.Literal
+	bLit     boundKind = iota // src: the *sqltypes.Value, the literal's or its slot's
 	bCol                      // ord: the column's ordinal in the row
 	bFail                     // src: the error evaluating it returns
 	bAnd                      // kids: l, r
 	bOr                       // kids: l, r
 	bNot                      // kids: e
 	bNeg                      // kids: e
-	bCmp                      // op: cmpEq…; kids: l, r — or none: column ord against the literal src
+	bCmp                      // op: cmpEq…; kids: l, r — or none: column ord against the *sqltypes.Value src
 	bIsNull                   // op: 1 for IS CNULL; neg; kids: e
 	bIn                       // neg; kids: e, then the list; src: the *parser.InExpr of the subquery form
 	bBetween                  // neg; kids: e, lo, hi
@@ -138,30 +138,29 @@ type binder struct {
 // binder starts an operator's binder over the statement's slots.
 func (c *Ctx) binder() binder { return binder{slots: c.slots} }
 
-// slots are the executing statement's slot literals in slot order, as
-// parser.AppendSlots lists them.
-type slots []*parser.Literal
+// slots are the executing statement's slot values in slot order.
+type slots []sqltypes.Value
 
-// of is the literal l binds to: the statement's own in l's slot, l itself
+// of is the value l binds to: the statement's own in l's slot, l's own
 // when it holds none.
-func (s slots) of(l *parser.Literal) *parser.Literal {
+func (s slots) of(l *parser.Literal) *sqltypes.Value {
 	if l.Slot > 0 && l.Slot <= len(s) {
-		return s[l.Slot-1]
+		return &s[l.Slot-1]
 	}
-	return l
+	return &l.Val
 }
 
-// UseSlots binds the slot literals of where, the executing statement's
-// WHERE: a plan compiled for any statement of the same shape then reads
+// UseSlots binds vals, the executing statement's slot values in slot
+// order: a plan compiled for any statement of the same shape then reads
 // this one's values.
-func (c *Ctx) UseSlots(where parser.Expr) { c.slots = parser.AppendSlots(c.slotBuf[:0], where) }
+func (c *Ctx) UseSlots(vals []sqltypes.Value) { c.slots = append(c.slotBuf[:0], vals...) }
 
 // probeKeys adds the scan's probe keys, at the statement's values, to
 // prefill — over any key already there — and returns it: what a tuple
 // solicitation pre-fills.
 func (c *Ctx) probeKeys(s *plan.Scan, prefill map[string]sqltypes.Value) map[string]sqltypes.Value {
 	for col, lit := range s.ProbeKeys {
-		prefill[col] = c.slots.of(lit).Val
+		prefill[col] = *c.slots.of(lit)
 	}
 	return prefill
 }

@@ -127,13 +127,13 @@ type Ctx struct {
 	// of child operators.
 	OpStats map[plan.Node]*OpStats
 
-	// slots are the executing statement's slot literals in slot order
+	// slots are the executing statement's slot values in slot order
 	// (UseSlots), in slotBuf when they fit. A literal of the plan that
 	// holds slot n binds to slots[n-1]: a plan compiled for another
 	// statement of the same shape reads this statement's values. Nil binds
 	// the plan's own literals.
 	slots   slots
-	slotBuf [4]*parser.Literal
+	slotBuf [4]sqltypes.Value
 
 	// batchSize is the rows-per-batch target of the vectorized pipeline
 	// (0 = DefaultBatchSize; only tests vary it). Batch size changes

@@ -147,7 +147,7 @@ func (n *bound) test(row Row, env *evalEnv) (tri, error) {
 	case bCmp:
 		var l, r sqltypes.Value
 		if n.kids == nil {
-			l, r = row[n.ord], n.src.(*parser.Literal).Val
+			l, r = row[n.ord], *n.src.(*sqltypes.Value)
 		} else {
 			var err error
 			if l, err = n.kids[0].eval(row, env); err != nil {
@@ -269,7 +269,7 @@ func (n *bound) testIn(row Row, env *evalEnv) (tri, error) {
 func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 	switch n.kind {
 	case bLit:
-		return n.src.(*parser.Literal).Val, nil
+		return *n.src.(*sqltypes.Value), nil
 	case bCol:
 		return row[n.ord], nil
 	case bFail:

@@ -55,6 +55,8 @@ type tableReader struct {
 	quota   int64  // node.StopAfter: rows to return before stopping, < 0 for all
 	streams []shardStream
 	keyed   [1]shardStream // backs streams when a key feeds the read
+	pkID    [1]storage.RowID
+	pkRow   [1]Row         // with pkID, backs the keyed chunk of a primary-key probe
 	set     *[]shardStream // the pooled backing of streams when the cursors feed the read
 	cursors bool           // fed by the shard cursors, not by a key
 	out     int64
@@ -67,7 +69,7 @@ type tableReader struct {
 func (r *tableReader) open(ctx *Ctx, node *plan.Scan) error {
 	b := ctx.binder()
 	*r = tableReader{node: node, filter: b.bind(node.Filter, node.Schema()), quota: node.StopAfter}
-	ids, rows, keyed, err := fetchByKey(ctx, node)
+	ids, rows, keyed, err := fetchByKey(ctx, node, r.pkID[:0], r.pkRow[:0])
 	if err != nil {
 		return err
 	}
@@ -172,6 +174,8 @@ func (r *tableReader) close() {
 // node's table that node.Filter keeps — at most node.StopAfter of them when
 // that is >= 0 — reading through the key node's probe keys pin when there
 // is one. The rows are the store's shared images: clone before writing.
+// The slices are the caller's to keep: a primary-key read's are backed by
+// this call's own reader.
 func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
 	var r tableReader
 	if err := r.open(ctx, node); err != nil {
@@ -198,9 +202,11 @@ func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
 // returns the rows that key selects, with their ids in ascending order —
 // they come back with the index probe under one lock acquisition per
 // shard, no per-row Get round-trips; keyed is false when only the cursors
-// apply. With a crowd attached a CROWD column is never a key: a stored
-// CNULL can still become the literal.
-func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, keyed bool, err error) {
+// apply. A primary key's row is appended to pkIDs and pkRows, so a reader
+// that owns their storage reads it without an allocation. With a crowd
+// attached a CROWD column is never a key: a stored CNULL can still become
+// the literal.
+func fetchByKey(ctx *Ctx, node *plan.Scan, pkIDs []storage.RowID, pkRows []Row) (ids []storage.RowID, rows []Row, keyed bool, err error) {
 	t := node.Table
 	key := func(name string) (sqltypes.Value, bool) {
 		lit, pinned := node.ProbeKeys[strings.ToLower(name)]
@@ -208,7 +214,7 @@ func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, key
 		if !pinned || !ok || (col.Crowd && ctx.Tasks != nil) {
 			return sqltypes.Value{}, false
 		}
-		v := ctx.slots.of(lit).Val
+		v := *ctx.slots.of(lit)
 		// Coerce the literal to the column type so the encoded key matches
 		// stored values (e.g. WHERE id = 3 against an INTEGER column).
 		if cv, err := v.Coerce(col.Type); err == nil {
@@ -219,7 +225,7 @@ func fetchByKey(ctx *Ctx, node *plan.Scan) (ids []storage.RowID, rows []Row, key
 	if len(t.PrimaryKey) == 1 {
 		if v, ok := key(t.PrimaryKey[0]); ok {
 			if id, row, found := ctx.Store.LookupPKRowAt(t.Name, ctx.snapTS(), v); found {
-				ids, rows = []storage.RowID{id}, []Row{row}
+				ids, rows = append(pkIDs, id), append(pkRows, row)
 			}
 			return ids, rows, true, nil
 		}

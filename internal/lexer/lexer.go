@@ -111,19 +111,24 @@ func New(src string) *Lexer { return &Lexer{src: src} }
 // Tokenize scans the whole input, returning all tokens up to and excluding
 // EOF. It is the convenience entry point used by the parser and tests.
 func Tokenize(src string) ([]Token, error) {
-	l := New(src)
 	// SQL runs at four-plus source bytes per token, spaces included, so
 	// this sizes the slice once for ordinary statements.
-	toks := make([]Token, 0, len(src)/4+1)
+	return AppendTokens(make([]Token, 0, len(src)/4+1), src)
+}
+
+// AppendTokens appends the tokens of src up to and excluding EOF to dst:
+// Tokenize into a caller's buffer.
+func AppendTokens(dst []Token, src string) ([]Token, error) {
+	l := Lexer{src: src}
 	for {
 		t, err := l.Next()
 		if err != nil {
 			return nil, err
 		}
 		if t.Kind == EOF {
-			return toks, nil
+			return dst, nil
 		}
-		toks = append(toks, t)
+		dst = append(dst, t)
 	}
 }
 

@@ -328,15 +328,29 @@ const maxText = 200
 // trace's lock.
 var textBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// A TextPrefixAppender can append only the start of its text:
+// AppendTextUpTo appends what AppendText would, or any prefix of it more
+// than n bytes long.
+type TextPrefixAppender interface {
+	AppendTextUpTo(b []byte, n int) []byte
+}
+
 // SetText annotates the span with a value that renders itself: v appends
 // its text now, and the trace keeps the text but no reference to v. Text
-// past maxText bytes is cut at a rune boundary and marked "…".
+// past maxText bytes is cut at a rune boundary and marked "…"; a v that
+// is a TextPrefixAppender renders little more than that.
 func (sp *Span) SetText(k string, v encoding.TextAppender) {
 	if sp == nil {
 		return
 	}
 	bp := textBufs.Get().(*[]byte)
-	text, err := v.AppendText((*bp)[:0])
+	var text []byte
+	var err error
+	if pv, ok := v.(TextPrefixAppender); ok {
+		text = pv.AppendTextUpTo((*bp)[:0], maxText)
+	} else {
+		text, err = v.AppendText((*bp)[:0])
+	}
 	if err != nil {
 		text = append(text[:0], err.Error()...)
 	}

@@ -12,14 +12,17 @@ import (
 	"encoding"
 	"fmt"
 
+	"crowddb/internal/lexer"
 	"crowddb/internal/sqltypes"
 )
 
 // Statement is any parsed CrowdSQL statement. AppendText appends the
-// text String returns.
+// text String returns; AppendTextUpTo appends no more of it than a
+// caller keeps (obs.Span.SetText).
 type Statement interface {
 	fmt.Stringer
 	encoding.TextAppender
+	AppendTextUpTo(b []byte, n int) []byte
 	stmt()
 }
 
@@ -64,8 +67,9 @@ type CreateTable struct {
 
 func (*CreateTable) stmt() {}
 
-func (s *CreateTable) String() string                      { return stmtString(s) }
-func (s *CreateTable) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *CreateTable) String() string                        { return stmtString(s) }
+func (s *CreateTable) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *CreateTable) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // DropTable is DROP TABLE [IF EXISTS] name.
 type DropTable struct {
@@ -75,8 +79,9 @@ type DropTable struct {
 
 func (*DropTable) stmt() {}
 
-func (s *DropTable) String() string                      { return stmtString(s) }
-func (s *DropTable) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *DropTable) String() string                        { return stmtString(s) }
+func (s *DropTable) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *DropTable) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // CreateIndex is CREATE [UNIQUE] INDEX name ON table (cols).
 type CreateIndex struct {
@@ -88,8 +93,9 @@ type CreateIndex struct {
 
 func (*CreateIndex) stmt() {}
 
-func (s *CreateIndex) String() string                      { return stmtString(s) }
-func (s *CreateIndex) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *CreateIndex) String() string                        { return stmtString(s) }
+func (s *CreateIndex) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *CreateIndex) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // Insert is INSERT INTO table [(cols)] VALUES (...), (...).
 type Insert struct {
@@ -100,8 +106,9 @@ type Insert struct {
 
 func (*Insert) stmt() {}
 
-func (s *Insert) String() string                      { return stmtString(s) }
-func (s *Insert) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *Insert) String() string                        { return stmtString(s) }
+func (s *Insert) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *Insert) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // Assignment is one `col = expr` in UPDATE SET.
 type Assignment struct {
@@ -118,8 +125,9 @@ type Update struct {
 
 func (*Update) stmt() {}
 
-func (s *Update) String() string                      { return stmtString(s) }
-func (s *Update) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *Update) String() string                        { return stmtString(s) }
+func (s *Update) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *Update) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // Delete is DELETE FROM table [WHERE ...].
 type Delete struct {
@@ -129,8 +137,9 @@ type Delete struct {
 
 func (*Delete) stmt() {}
 
-func (s *Delete) String() string                      { return stmtString(s) }
-func (s *Delete) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *Delete) String() string                        { return stmtString(s) }
+func (s *Delete) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *Delete) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // JoinType distinguishes the join flavors the executor supports.
 type JoinType int
@@ -184,12 +193,48 @@ type Select struct {
 	OrderBy  []OrderItem
 	Limit    int64 // -1 when absent
 	Offset   int64 // 0 when absent
+
+	// toks are the tokens the statement was parsed from, when it is a
+	// statement of its script (ParseTokens): what the engine's plan cache
+	// keys it on.
+	toks []lexer.Token
+}
+
+// Tokens returns the tokens s was parsed from, nil unless s is a
+// statement of a parsed script.
+func (s *Select) Tokens() []lexer.Token { return s.toks }
+
+// A SlotRef locates a slot literal of a SELECT in the tokens the SELECT
+// was parsed from (Select.Tokens).
+type SlotRef struct {
+	Tok int  // the index of the literal's token
+	Neg bool // the value is the token's negated: a minus folded into it
+}
+
+// AppendSlotRefs appends the SlotRef of each of s's slot literals to dst,
+// in slot order. They locate tokens only when s has Tokens.
+func (s *Select) AppendSlotRefs(dst []SlotRef) []SlotRef {
+	WalkExprs(s.Where, func(e Expr) {
+		if l, ok := e.(*Literal); ok && l.Slot > 0 {
+			dst = append(dst, SlotRef{Tok: int(l.tok), Neg: l.neg})
+		}
+	})
+	return dst
+}
+
+// WithoutTokens returns a copy of s that keeps no tokens: s's tree, for a
+// holder that outlives the script s was parsed from.
+func (s *Select) WithoutTokens() *Select {
+	c := *s
+	c.toks = nil
+	return &c
 }
 
 func (*Select) stmt() {}
 
-func (s *Select) String() string                      { return stmtString(s) }
-func (s *Select) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *Select) String() string                        { return stmtString(s) }
+func (s *Select) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *Select) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // Explain wraps another statement for EXPLAIN output. Analyze requests
 // EXPLAIN ANALYZE: execute the statement and annotate the plan with
@@ -201,16 +246,18 @@ type Explain struct {
 
 func (*Explain) stmt() {}
 
-func (s *Explain) String() string                      { return stmtString(s) }
-func (s *Explain) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (s *Explain) String() string                        { return stmtString(s) }
+func (s *Explain) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *Explain) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // ShowTables is the REPL convenience statement SHOW TABLES.
 type ShowTables struct{}
 
 func (*ShowTables) stmt() {}
 
-func (*ShowTables) String() string                        { return "SHOW TABLES" }
-func (s *ShowTables) AppendText(b []byte) ([]byte, error) { return appendSQL(b, s), nil }
+func (*ShowTables) String() string                          { return "SHOW TABLES" }
+func (s *ShowTables) AppendText(b []byte) ([]byte, error)   { return appendSQL(b, s), nil }
+func (s *ShowTables) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b, s, n) }
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -226,10 +273,17 @@ type Literal struct {
 	Val sqltypes.Value
 	// Slot numbers the literals of the outermost SELECT's WHERE clause,
 	// subqueries excluded, from 1 in text order; 0 is no slot. A plan
-	// cached for the statement's shape (AppendShape) reads a slot's value
-	// from the statement it executes, never from the one it was compiled
-	// for.
+	// the engine caches for statements that differ only in these values
+	// reads a slot's value from the statement it executes, never from the
+	// one it was compiled for.
 	Slot int
+
+	// A slot literal knows the token it was made of (Select.AppendSlotRefs):
+	// tok is its index in the statement's tokens, and neg is set when an
+	// odd number of unary minus signs were folded into its value (an
+	// int32 keeps the node in its allocation size class).
+	tok int32
+	neg bool
 }
 
 func (*Literal) expr() {}

@@ -2,14 +2,24 @@ package parser
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"crowddb/internal/sqltypes"
 )
 
 // FuzzParse feeds arbitrary text to ParseAll: it must return, never
 // panic, and every statement it parses must print as text that parses to
 // one deep-equal statement — slot numbers included — with the same shape.
-// The plan cache keys on the shape, so two trees that print alike must be
-// one tree. A SELECT's shape lists its slots in slot order.
+// The engine's plan cache serves statements of one key with one tree,
+// printing it with each statement's own slot values, so two trees that
+// print alike must be one tree, and a SELECT printed with its own slot
+// values must print as itself. A SELECT's slots number 1, 2, … in the
+// order AppendSlotValues lists them. A SELECT of a script keeps the
+// tokens it was parsed from, which parse to it again, and its slot
+// literals know their tokens: ScanSlots finds the same ones without
+// parsing — the plan cache keys an unparsed statement with it — and each
+// slot value is its token's, negated where the SlotRef says so.
 func FuzzParse(f *testing.F) {
 	for _, src := range fuzzParseSeeds {
 		f.Add(src)
@@ -25,24 +35,91 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q parses, but its statement prints as %q, which does not: %v", src, printed, err)
 			}
-			if !reflect.DeepEqual(again, s) {
-				t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
-			}
 			sel, ok := s.(*Select)
 			if !ok {
+				if !reflect.DeepEqual(withoutTokens(again), withoutTokens(s)) {
+					t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
+				}
 				continue
 			}
-			shape, slots := AppendShape(nil, sel), AppendSlots(nil, sel.Where)
-			for i, l := range slots {
-				if l.Slot != i+1 {
-					t.Fatalf("%q: shape %s lists slot %d at %d", src, shape, l.Slot, i+1)
-				}
+			checkSlotTokens(t, src, sel)
+			own, err := ParseTokens(sel.Tokens())
+			if err != nil || len(own) != 1 {
+				t.Fatalf("%q: the tokens a SELECT keeps do not parse to it: %v", src, err)
 			}
-			if shape2 := AppendShape(nil, again.(*Select)); string(shape2) != string(shape) {
+			checkSlotOrder(t, src, sel)
+			slots := AppendSlotValues(nil, sel.Where)
+			if own := string(AppendWithSlots(nil, again.(*Select), slots, -1)); own != printed {
+				t.Fatalf("%q: printed with its own slot values, %s is %s", src, printed, own)
+			}
+			if shape, shape2 := shapeOf(sel), shapeOf(again.(*Select)); shape2 != shape {
 				t.Fatalf("%q: shapes differ after printing:\n once: %s\ntwice: %s", src, shape, shape2)
+			}
+			if !reflect.DeepEqual(withoutTokens(own[0]), withoutTokens(s)) {
+				t.Fatalf("%q: the tokens a SELECT keeps do not parse to it", src)
+			}
+			if !reflect.DeepEqual(withoutTokens(again), withoutTokens(s)) {
+				t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
 			}
 		}
 	})
+}
+
+// checkSlotTokens fails unless the slot literals of s, a SELECT of a
+// script, locate the tokens ScanSlots finds in s's tokens, and each
+// literal's value is its token's, negated where its SlotRef says so.
+func checkSlotTokens(t *testing.T, src string, s *Select) {
+	t.Helper()
+	toks, refs := s.Tokens(), s.AppendSlotRefs(nil)
+	scanned := ScanSlots(nil, toks)
+	at := make([]int, len(refs))
+	for i, r := range refs {
+		at[i] = r.Tok
+	}
+	if !slices.Equal(scanned, at) {
+		t.Fatalf("%q: ScanSlots finds slot tokens %v, the parser made slots of %v", src, scanned, at)
+	}
+	for i, v := range AppendSlotValues(nil, s.Where) {
+		tv, err := LiteralValue(toks[refs[i].Tok])
+		if err != nil {
+			t.Fatalf("%q: slot %d's token %q: %v", src, i+1, toks[refs[i].Tok].Value, err)
+		}
+		if refs[i].Neg {
+			switch tv.Kind() {
+			case sqltypes.KindInt:
+				tv = sqltypes.NewInt(-tv.Int())
+			case sqltypes.KindFloat:
+				tv = sqltypes.NewFloat(-tv.Float())
+			default:
+				t.Fatalf("%q: slot %d, a %v, is negated", src, i+1, tv)
+			}
+		}
+		if tv != v {
+			t.Fatalf("%q: slot %d is %v, its token %q with negation %v", src, i+1, v, toks[refs[i].Tok].Value, refs[i].Neg)
+		}
+	}
+}
+
+// withoutTokens is s without what a SELECT — or the SELECT an EXPLAIN
+// wraps — knows of the tokens it was parsed from: the tokens, and where
+// each slot literal's token is, which differ between a statement and its
+// printed text. It clears the slot literals' token facts in place.
+func withoutTokens(s Statement) Statement {
+	if ex, ok := s.(*Explain); ok {
+		c := *ex
+		c.Stmt = withoutTokens(ex.Stmt)
+		return &c
+	}
+	sel, ok := s.(*Select)
+	if !ok {
+		return s
+	}
+	WalkExprs(sel.Where, func(e Expr) {
+		if l, ok := e.(*Literal); ok {
+			l.tok, l.neg = 0, false
+		}
+	})
+	return sel.WithoutTokens()
 }
 
 // fuzzParseSeeds are the statements this package's tests parse, those
@@ -85,6 +162,7 @@ var fuzzParseSeeds = append(append([]string{
 	`SELECT id FROM Pair WHERE grp = -3 AND a ~= 'x''y' AND TRUE = FALSE`,
 	`SELECT name FROM Item WHERE grp IN (SELECT g FROM G WHERE w > 2.5) AND name LIKE 'a%' ORDER BY CROWDORDER(name, 'Which?') LIMIT 1`,
 	`EXPLAIN SELECT 1, 'x' FROM t WHERE x = 1 AND y = 'x' GROUP BY x HAVING COUNT(*) > 1`,
+	`SELECT -0, - -1.5 FROM t WHERE x = -0 OR x = - -0 OR x = -(2) OR x = -'a'`,
 }, fixpointSources...), parseErrorSources...)
 
 // fixpointSources are TestPrintReparseFixpoint's statements.

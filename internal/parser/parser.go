@@ -28,6 +28,13 @@ func ParseAll(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(toks)
+}
+
+// ParseTokens parses a script the lexer has tokenized. Each SELECT
+// statement keeps its own run of toks (Select.Tokens), so toks must not
+// change while the statements live.
+func ParseTokens(toks []lexer.Token) ([]Statement, error) {
 	p := &parser{toks: toks}
 	var stmts []Statement
 	for {
@@ -36,9 +43,13 @@ func ParseAll(src string) ([]Statement, error) {
 		if p.atEOF() {
 			break
 		}
+		p.start = p.pos
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
+		}
+		if sel, ok := s.(*Select); ok {
+			sel.toks = toks[p.start:p.pos:p.pos]
 		}
 		stmts = append(stmts, s)
 		if !p.acceptSymbol(";") && !p.atEOF() {
@@ -50,6 +61,62 @@ func ParseAll(src string) ([]Statement, error) {
 	}
 	return stmts, nil
 }
+
+// ScanSlots appends to dst the indexes of the slot tokens of toks, one
+// SELECT's tokens, without parsing them: the literal tokens of the
+// outermost WHERE, outside its IN-subqueries, but for the NULL or CNULL of
+// IS [NOT] NULL. They are the tokens of the slot literals the parser makes
+// of toks (Select.AppendSlotRefs), in slot order.
+func ScanSlots(dst []int, toks []lexer.Token) []int {
+	depth, sub := 0, 0 // parentheses open; the depth inside an IN-subquery, 0 outside one
+	where := false     // inside the outermost WHERE
+	for i, t := range toks {
+		switch t.Kind {
+		case lexer.Symbol:
+			switch t.Value {
+			case "(":
+				depth++
+				if where && sub == 0 && i+1 < len(toks) && isKeyword(toks[i+1], "SELECT") {
+					sub = depth
+				}
+			case ")":
+				if depth == sub {
+					sub = 0
+				}
+				depth--
+			}
+			continue
+		case lexer.Keyword:
+			if depth == 0 {
+				switch t.Value {
+				case "WHERE":
+					where = true
+				case "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET":
+					where = false
+				}
+			}
+			switch t.Value {
+			case "NULL", "CNULL":
+				if i > 0 && isKeyword(toks[i-1], "IS") ||
+					i > 1 && isKeyword(toks[i-1], "NOT") && isKeyword(toks[i-2], "IS") {
+					continue
+				}
+			case "TRUE", "FALSE":
+			default:
+				continue
+			}
+		case lexer.Number, lexer.String:
+		default:
+			continue
+		}
+		if where && sub == 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+func isKeyword(t lexer.Token, kw string) bool { return t.Kind == lexer.Keyword && t.Value == kw }
 
 // ParseExpr parses a standalone scalar expression (used by tests and the
 // form editor's condition fields).
@@ -76,14 +143,18 @@ type parser struct {
 	// literal made then takes the next slot number, slots the last one.
 	slotting bool
 	slots    int
+	// start is the index of the first token of the statement parsed.
+	start int
 }
 
-// literal makes a literal, numbered as the next slot while slotting.
+// literal makes a literal of the token just read, numbered as the next
+// slot while slotting.
 func (p *parser) literal(v sqltypes.Value) *Literal {
 	l := &Literal{Val: v}
 	if p.slotting {
 		p.slots++
 		l.Slot = p.slots
+		l.tok = int32(p.pos - 1 - p.start)
 	}
 	return l
 }
@@ -935,13 +1006,13 @@ func (p *parser) unary() (Expr, error) {
 		}
 		if lit, ok := e.(*Literal); ok {
 			// The literal is the one primary just made: negate it in place,
-			// keeping its slot.
+			// keeping its slot, which notes it.
 			switch lit.Val.Kind() {
 			case sqltypes.KindInt:
-				lit.Val = sqltypes.NewInt(-lit.Val.Int())
+				lit.Val, lit.neg = sqltypes.NewInt(-lit.Val.Int()), lit.Slot > 0 && !lit.neg
 				return lit, nil
 			case sqltypes.KindFloat:
-				lit.Val = sqltypes.NewFloat(-lit.Val.Float())
+				lit.Val, lit.neg = sqltypes.NewFloat(-lit.Val.Float()), lit.Slot > 0 && !lit.neg
 				return lit, nil
 			}
 		}
@@ -957,40 +1028,58 @@ var scalarFuncs = map[string]bool{
 	"ABS": true, "ROUND": true, "COALESCE": true, "SUBSTR": true,
 }
 
-func (p *parser) primary() (Expr, error) {
-	t := p.peek()
+// LiteralValue is the value of a literal token: a number, a quoted
+// string, or one of the keywords NULL, CNULL, TRUE and FALSE. A number
+// with a fraction or an exponent is a FLOAT, any other an INTEGER; one
+// out of range is an error, as is any other token.
+func LiteralValue(t lexer.Token) (sqltypes.Value, error) {
 	switch t.Kind {
 	case lexer.Number:
-		p.pos++
 		if strings.ContainsAny(t.Value, ".eE") {
 			f, err := strconv.ParseFloat(t.Value, 64)
 			if err != nil {
-				return nil, p.errorf("bad number %q", t.Value)
+				return sqltypes.Value{}, fmt.Errorf("bad number %q", t.Value)
 			}
-			return p.literal(sqltypes.NewFloat(f)), nil
+			return sqltypes.NewFloat(f), nil
 		}
 		n, err := strconv.ParseInt(t.Value, 10, 64)
 		if err != nil {
-			return nil, p.errorf("bad integer %q", t.Value)
+			return sqltypes.Value{}, fmt.Errorf("bad integer %q", t.Value)
 		}
-		return p.literal(sqltypes.NewInt(n)), nil
+		return sqltypes.NewInt(n), nil
 	case lexer.String:
-		p.pos++
-		return p.literal(sqltypes.NewString(t.Value)), nil
+		return sqltypes.NewString(t.Value), nil
 	case lexer.Keyword:
 		switch t.Value {
 		case "NULL":
-			p.pos++
-			return p.literal(sqltypes.Null()), nil
+			return sqltypes.Null(), nil
 		case "CNULL":
-			p.pos++
-			return p.literal(sqltypes.CNull()), nil
+			return sqltypes.CNull(), nil
 		case "TRUE":
-			p.pos++
-			return p.literal(sqltypes.NewBool(true)), nil
+			return sqltypes.NewBool(true), nil
 		case "FALSE":
+			return sqltypes.NewBool(false), nil
+		}
+	}
+	return sqltypes.Value{}, fmt.Errorf("%q is no literal", t.Value)
+}
+
+func (p *parser) primary() (Expr, error) {
+	t := p.peek()
+	switch t.Kind {
+	case lexer.Number, lexer.String:
+		p.pos++
+		v, err := LiteralValue(t)
+		if err != nil {
+			return nil, p.errorf("%v", err)
+		}
+		return p.literal(v), nil
+	case lexer.Keyword:
+		switch t.Value {
+		case "NULL", "CNULL", "TRUE", "FALSE":
 			p.pos++
-			return p.literal(sqltypes.NewBool(false)), nil
+			v, _ := LiteralValue(t)
+			return p.literal(v), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX", "CROWDEQUAL", "CROWDORDER":
 			p.pos++
 			return p.funcCall(t.Value)

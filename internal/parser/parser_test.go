@@ -389,31 +389,27 @@ func TestKeywordLowerCaseQuery(t *testing.T) {
 	}
 }
 
-// TestShape pins what a shape keeps verbatim: only the outermost WHERE's
+// TestShape pins what a shape keeps verbatim — the statement printed with
+// each slot literal as a stand-in of its kind: only the outermost WHERE's
 // literals outside subqueries are slots.
 func TestShape(t *testing.T) {
 	for _, tc := range []struct{ src, shape string }{
 		{`SELECT nb_attendees FROM Talk WHERE title = 'talk-00042'`,
-			`SELECT nb_attendees FROM Talk WHERE (title = ?STRING)`},
+			`SELECT nb_attendees FROM Talk WHERE (title = '?STRING')`},
 		{`SELECT 'x', n + 1 FROM a JOIN b ON a.k = b.k + 1 WHERE n IN (1, -2.5, NULL) AND m ~= 'y' AND c IS NOT CNULL GROUP BY n HAVING COUNT(*) > 3 ORDER BY n DESC LIMIT 5 OFFSET 2`,
-			`SELECT 'x', (n + 1) FROM a JOIN b ON (a.k = (b.k + 1)) WHERE (((n IN (?INTEGER, ?FLOAT, ?NULL)) AND (m ~= ?STRING)) AND (c IS NOT CNULL)) GROUP BY n HAVING (COUNT(*) > 3) ORDER BY n DESC LIMIT 5 OFFSET 2`},
+			`SELECT 'x', (n + 1) FROM a JOIN b ON (a.k = (b.k + 1)) WHERE (((n IN ('?INTEGER', '?FLOAT', '?NULL')) AND (m ~= '?STRING')) AND (c IS NOT CNULL)) GROUP BY n HAVING (COUNT(*) > 3) ORDER BY n DESC LIMIT 5 OFFSET 2`},
 		{`SELECT who FROM vis WHERE tid IN (SELECT id FROM talk WHERE att > 80) AND who <> 'x'`,
-			`SELECT who FROM vis WHERE ((tid IN (SELECT id FROM talk WHERE (att > 80))) AND (who <> ?STRING))`},
+			`SELECT who FROM vis WHERE ((tid IN (SELECT id FROM talk WHERE (att > 80))) AND (who <> '?STRING'))`},
 		{`SELECT * FROM t WHERE CROWDEQUAL(name, 'UC Berkeley', 'Same school?') OR TRUE`,
-			`SELECT * FROM t WHERE (CROWDEQUAL(name, ?STRING, ?STRING) OR ?BOOLEAN)`},
+			`SELECT * FROM t WHERE (CROWDEQUAL(name, '?STRING', '?STRING') OR '?BOOLEAN')`},
 	} {
 		sel := mustParse(t, tc.src).(*Select)
-		shape, slots := AppendShape(nil, sel), AppendSlots(nil, sel.Where)
-		if string(shape) != tc.shape {
+		if shape := shapeOf(sel); shape != tc.shape {
 			t.Errorf("%s\n shape %s\n want  %s", tc.src, shape, tc.shape)
 		}
-		for i, l := range slots {
-			if l.Slot != i+1 {
-				t.Errorf("%s: slot %d listed at %d", tc.src, l.Slot, i+1)
-			}
-		}
-		if got := sel.String(); strings.Contains(got, "?STRING") || strings.Contains(got, "?INTEGER") {
-			t.Errorf("String prints a shape: %s", got)
+		checkSlotOrder(t, tc.src, sel)
+		if got := string(AppendWithSlots(nil, sel, AppendSlotValues(nil, sel.Where), -1)); got != sel.String() {
+			t.Errorf("printed with its own slot values, %s is %s", sel, got)
 		}
 	}
 	// A DML statement's WHERE has no slots.
@@ -421,4 +417,34 @@ func TestShape(t *testing.T) {
 	if lit := del.Where.(*BinaryExpr).R.(*Literal); lit.Slot != 0 {
 		t.Errorf("DELETE literal has slot %d", lit.Slot)
 	}
+}
+
+// shapeOf prints s with each slot literal as a stand-in of its kind.
+func shapeOf(s *Select) string {
+	var masks []sqltypes.Value
+	for _, v := range AppendSlotValues(nil, s.Where) {
+		masks = append(masks, sqltypes.NewString("?"+kindName(v.Kind())))
+	}
+	return string(AppendWithSlots(nil, s, masks, -1))
+}
+
+func kindName(k sqltypes.Kind) string {
+	return [...]string{
+		sqltypes.KindNull: "NULL", sqltypes.KindCNull: "CNULL", sqltypes.KindString: "STRING",
+		sqltypes.KindInt: "INTEGER", sqltypes.KindFloat: "FLOAT", sqltypes.KindBool: "BOOLEAN",
+	}[k]
+}
+
+// checkSlotOrder fails unless the slot literals of s's WHERE number 1, 2,
+// … in the order AppendSlotValues lists them.
+func checkSlotOrder(t *testing.T, src string, s *Select) {
+	t.Helper()
+	n := 0
+	WalkExprs(s.Where, func(e Expr) {
+		if l, ok := e.(*Literal); ok && l.Slot > 0 {
+			if n++; l.Slot != n {
+				t.Errorf("%q: slot %d listed at %d", src, l.Slot, n)
+			}
+		}
+	})
 }

@@ -20,6 +20,16 @@ func appendSQL(b []byte, s Statement) []byte {
 	return p.b
 }
 
+// appendSQLUpTo is every statement's AppendTextUpTo: the text appendSQL
+// appends, stopped at the first list item or INSERT row that begins past
+// n bytes of it. The first n+1 bytes are appendSQL's whenever it would
+// append that many.
+func appendSQLUpTo(b []byte, s Statement, n int) []byte {
+	p := printer{b: b, limit: len(b) + n}
+	p.stmt(s)
+	return p.b
+}
+
 // exprString is every expression's String.
 func exprString(e Expr) string {
 	var p printer
@@ -30,36 +40,43 @@ func exprString(e Expr) string {
 // stmtString is every statement's String.
 func stmtString(s Statement) string { return string(appendSQL(nil, s)) }
 
-// AppendShape appends s's shape to b: s's text with each slot literal
-// (Literal.Slot) printed as "?" and its kind only. Two SELECTs have one
-// shape exactly when they differ in nothing but their slot literals'
-// values, so a plan compiled for one serves the other once it reads the
-// slots from the statement it executes (AppendSlots): the shape is the
-// plan cache's key.
-func AppendShape(b []byte, s *Select) []byte {
-	p := printer{b: b, shape: true}
+// AppendWithSlots appends the text of s with each slot literal
+// (Literal.Slot) printed as slots[Slot-1]: the text of the statement
+// whose slot values they are, when it differs from s in nothing else.
+// Past n bytes it stops as AppendTextUpTo does; n < 0 appends it all.
+func AppendWithSlots(b []byte, s *Select, slots []sqltypes.Value, n int) []byte {
+	p := printer{b: b, slots: slots}
+	if n >= 0 {
+		p.limit = len(b) + n
+	}
 	p.selectStmt(s)
 	return p.b
 }
 
-// AppendSlots appends the slot literals of where, a SELECT's WHERE, to
-// dst in slot order (WalkExprs visits them in text order, as the parser
-// numbered them).
-func AppendSlots(dst []*Literal, where Expr) []*Literal {
+// AppendSlotValues appends the values of the slot literals of where, a
+// SELECT's WHERE, to dst in slot order (WalkExprs visits them in text
+// order, as the parser numbered them).
+func AppendSlotValues(dst []sqltypes.Value, where Expr) []sqltypes.Value {
 	WalkExprs(where, func(e Expr) {
 		if l, ok := e.(*Literal); ok && l.Slot > 0 {
-			dst = append(dst, l)
+			dst = append(dst, l.Val)
 		}
 	})
 	return dst
 }
 
 // printer appends CrowdSQL text to b as its methods recurse through the
-// tree. With shape set it prints a slot literal as its kind.
+// tree. It prints a slot literal as its value in slots when that holds
+// one, and with limit set it stops starting list items and INSERT rows
+// once b is longer than limit.
 type printer struct {
 	b     []byte
-	shape bool
+	slots []sqltypes.Value
+	limit int
 }
+
+// full reports whether the printer has appended all it was asked for.
+func (p *printer) full() bool { return p.limit > 0 && len(p.b) > p.limit }
 
 func (p *printer) write(ss ...string) {
 	for _, s := range ss {
@@ -80,6 +97,9 @@ func (p *printer) stmt(s Statement) {
 		}
 		p.write(" VALUES ")
 		for i, r := range s.Rows {
+			if p.full() {
+				return
+			}
 			p.sep(i)
 			p.write("(")
 			p.exprs(r)
@@ -276,6 +296,9 @@ func (p *printer) names(names []string) {
 
 func (p *printer) exprs(es []Expr) {
 	for i, e := range es {
+		if p.full() {
+			return
+		}
 		p.sep(i)
 		p.expr(e)
 	}
@@ -293,8 +316,8 @@ func (p *printer) clause(kw string, e Expr) {
 func (p *printer) expr(e Expr) {
 	switch e := e.(type) {
 	case *Literal:
-		if p.shape && e.Slot > 0 {
-			p.write("?", kindNames[e.Val.Kind()])
+		if e.Slot > 0 && e.Slot <= len(p.slots) {
+			p.literal(p.slots[e.Slot-1])
 			return
 		}
 		p.literal(e.Val)
@@ -367,12 +390,6 @@ func (p *printer) expr(e Expr) {
 	default:
 		panic(fmt.Sprintf("parser: no printer for %T", e))
 	}
-}
-
-// kindNames name a slot literal's kind in a shape.
-var kindNames = [...]string{
-	sqltypes.KindNull: "NULL", sqltypes.KindCNull: "CNULL", sqltypes.KindString: "STRING",
-	sqltypes.KindInt: "INTEGER", sqltypes.KindFloat: "FLOAT", sqltypes.KindBool: "BOOLEAN",
 }
 
 // literal appends the literal as it parses back: a FLOAT with an integral

@@ -13,7 +13,7 @@ package server
 import (
 	"math"
 
-	"crowddb/internal/parser"
+	"crowddb/internal/core"
 )
 
 // AdmissionStats reports the budget-aware admission controller's
@@ -34,7 +34,7 @@ type AdmissionStats struct {
 // admitBudget runs the admission forecast for a script. It returns the
 // predicted spend in cents (-1 = no finite forecast was available, or
 // the check is disabled) and the coded rejection, if any.
-func (s *Server) admitBudget(sess *Session, stmts []parser.Statement) (float64, *Error) {
+func (s *Server) admitBudget(sess *Session, script *core.Script) (float64, *Error) {
 	if s.cfg.AdmissionHeadroom <= 0 {
 		return -1, nil
 	}
@@ -50,8 +50,8 @@ func (s *Server) admitBudget(sess *Session, stmts []parser.Statement) (float64, 
 	}
 	var cents float64
 	finite := false
-	for _, stmt := range stmts {
-		c, ok := s.eng.Forecast(stmt)
+	for i := range script.Len() {
+		c, ok := s.eng.ForecastAt(script, i)
 		if !ok || c.IsUnbounded() {
 			continue // unknown or diverging forecast: never reject on a guess
 		}

@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"crowddb/internal/core"
 	"crowddb/internal/exec"
 	"crowddb/internal/faultinject"
 	"crowddb/internal/parser"
@@ -302,10 +303,11 @@ type recoveredJob struct {
 	affected, stmts  int
 }
 
-// resumable reports whether a script may safely re-execute after a
-// restart: every statement must be read-only (SELECT / EXPLAIN / SHOW),
-// so re-running it mutates nothing and the persistent comparison cache
-// replays the crowd's answers for free.
+// resumable reports whether a script's statements may safely re-execute
+// after a restart: every statement must be read-only (SELECT / EXPLAIN /
+// SHOW), so re-running it mutates nothing and the persistent comparison
+// cache replays the crowd's answers for free. A SELECT the plan cache
+// served unparsed has no statements here, and is resumable.
 func resumable(stmts []parser.Statement) bool {
 	for _, stmt := range stmts {
 		switch t := stmt.(type) {
@@ -385,8 +387,8 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 	// Decide every non-terminal job's disposition before compaction so the
 	// rewritten journal already carries the interrupted end records.
 	type resumption struct {
-		job   *Job
-		stmts []parser.Statement
+		job    *Job
+		script core.Script
 	}
 	var resume []resumption
 	for _, id := range order {
@@ -394,10 +396,10 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 		if rj.state != "" {
 			continue // terminal: re-registered as-is below
 		}
-		stmts, perr := parser.ParseAll(rj.sql)
+		script, perr := s.eng.Prepare(rj.sql)
 		rs := sessions[rj.session]
 		sessionLive := rj.session == "" || (rs != nil && !rs.closed)
-		if perr != nil || !sessionLive || !resumable(stmts) {
+		if perr != nil || !sessionLive || !resumable(script.Statements()) {
 			rj.state = JobInterrupted
 			rj.code = CodeInterrupted
 			switch {
@@ -424,7 +426,7 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			recovered:    rj.rows.len(),
 			admPredicted: -1,
 		}
-		resume = append(resume, resumption{job: job, stmts: stmts})
+		resume = append(resume, resumption{job: job, script: script})
 	}
 
 	// Rebuild live sessions with their recovered budgets, continue the id
@@ -538,11 +540,11 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 		s.mu.Lock()
 		s.jobs[r.job.id] = r.job
 		s.mu.Unlock()
-		r.job.trace = s.eng.Tracer().StartSized(r.job.id, hasQuery(r.stmts))
+		r.job.trace = s.eng.Tracer().StartSized(r.job.id, r.script.HasQuery())
 		r.job.rowsMetric = s.mRowsStreamed
 		r.job.sess.addJob(r.job)
 		r.job.retired.Add(1)
-		go s.runJob(r.job, r.stmts)
+		go s.runJob(r.job, r.script)
 	}
 	return nil
 }

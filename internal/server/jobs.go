@@ -19,12 +19,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"crowddb/internal/core"
 	"crowddb/internal/exec"
 	"crowddb/internal/obs"
-	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 )
 
@@ -418,17 +416,15 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		s.countRejected(serr)
 		return nil, serr
 	}
-	parseStart := time.Now()
-	stmts, err := parser.ParseAll(sql)
+	script, err := s.eng.Prepare(sql)
 	if err != nil {
 		s.countError()
 		return nil, errf(CodeParse, "%v", err)
 	}
-	parseEnd := time.Now()
 	// Budget-aware admission: reject before any HIT could be posted when
 	// the optimizer's forecast says the script cannot fit the session's
 	// remaining budget. Zero cents have been spent at this point.
-	predicted, aerr := s.admitBudget(sess, stmts)
+	predicted, aerr := s.admitBudget(sess, &script)
 	if aerr != nil {
 		s.countRejected(aerr)
 		return nil, aerr
@@ -461,26 +457,13 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 	s.jobs[job.id] = job
 	s.mu.Unlock()
 	job.rowsMetric = s.mRowsStreamed
-	// One trace per job, named by the job id: parsing happened before the
-	// id was allocated, so it is stamped with explicit bounds.
-	job.trace = s.eng.Tracer().StartSized(job.id, hasQuery(stmts))
-	psp := job.trace.SpanAt(nil, "parse", parseStart, parseEnd)
-	psp.SetInt("statements", int64(len(stmts)))
+	// One trace per job, named by the job id: the intake happened before
+	// the id was allocated, so its span carries the intake's own bounds.
+	job.trace = s.eng.Tracer().StartSized(job.id, script.HasQuery())
+	script.TraceParse(job.trace)
 	sess.addJob(job)
-	go s.runJob(job, stmts)
+	go s.runJob(job, script)
 	return job, nil
-}
-
-// hasQuery reports whether a script runs a SELECT or EXPLAIN: its trace
-// is sized for a query's operator spans.
-func hasQuery(stmts []parser.Statement) bool {
-	for _, st := range stmts {
-		switch st.(type) {
-		case *parser.Select, *parser.Explain:
-			return true
-		}
-	}
-	return false
 }
 
 // Job looks up a job by id.
@@ -527,7 +510,7 @@ func (s *Server) CancelJob(id string) (*Job, *Error) {
 // runJob executes a job's statements under the server's admission
 // control, settling the session budget per statement — including for
 // work a cancelled statement already paid for.
-func (s *Server) runJob(job *Job, stmts []parser.Statement) {
+func (s *Server) runJob(job *Job, script core.Script) {
 	if aerr := s.admit(job.ctx, job.noteSlotWait); aerr != nil {
 		s.countRejected(aerr)
 		if job.ctx.Err() != nil {
@@ -547,7 +530,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 	job.mu.Unlock()
 	s.journalRun(job)
 
-	for _, stmt := range stmts {
+	for i := range script.Len() {
 		if job.ctx.Err() != nil {
 			s.finishInterrupted(job)
 			s.retireJob(job)
@@ -562,7 +545,7 @@ func (s *Server) runJob(job *Job, stmts []parser.Statement) {
 		}
 		job.stmtStats, job.spendJournaled = exec.Stats{}, 0
 		opts := core.ExecOpts{CompareBudget: reserved, Observer: job, Trace: job.trace} // budget 0 = unlimited
-		res, err := s.eng.ExecStmtCtx(job.ctx, stmt, opts)
+		res, err := s.eng.ExecAt(job.ctx, &script, i, opts)
 		// Settle precisely: Final reports crowd work already paid even
 		// when the statement failed or was cancelled, so the session budget
 		// refunds exactly the unused reservation.
