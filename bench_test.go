@@ -148,25 +148,41 @@ func BenchmarkScanRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	type stmt struct {
+		sql  string
+		want int
+	}
+	filter := stmt{"SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950", 980}
+	group := stmt{"SELECT room, COUNT(*), AVG(nb_attendees) FROM Talk WHERE nb_attendees < 950 GROUP BY room ORDER BY AVG(nb_attendees) DESC LIMIT 10", 10}
+	topk := stmt{"SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10", 10}
+	misses := db.Engine().Metrics().Counter("crowddb_plan_cache_misses_total", "")
 	for _, bc := range []struct {
-		name, sql string
-		want      int
+		name  string
+		stmts []stmt
 	}{
-		{"filter", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950", 980},
-		{"group", "SELECT room, COUNT(*), AVG(nb_attendees) FROM Talk WHERE nb_attendees < 950 GROUP BY room ORDER BY AVG(nb_attendees) DESC LIMIT 10", 10},
-		{"topk", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10", 10},
+		{"filter", []stmt{filter}},
+		{"group", []stmt{group}},
+		{"topk", []stmt{topk}},
+		// alternate runs filter and group in turn, as bench/perf's
+		// scan_read does: what each recompile costs shows in misses/op
+		// (ROADMAP item 3(a)).
+		{"alternate", []stmt{filter, group}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			misses0 := misses.Value()
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(bc.sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != bc.want {
-					b.Fatalf("%d rows, want %d", len(res.Rows), bc.want)
+				for _, st := range bc.stmts {
+					res, err := db.Query(st.sql)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Rows) != st.want {
+						b.Fatalf("%d rows, want %d", len(res.Rows), st.want)
+					}
 				}
 			}
+			b.ReportMetric((misses.Value()-misses0)/float64(b.N), "misses/op")
 		})
 	}
 }

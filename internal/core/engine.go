@@ -888,7 +888,7 @@ func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts
 		return nil, optimized(osp, nil, err)
 	}
 	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, slots, opts, tr, sp, nil)
+	return e.runSelect(ctx, en.opt, en.cols, slots, en.execs, opts, tr, sp, nil)
 }
 
 // execCached runs cs on its entry's plan, compiled afresh if the entry is
@@ -900,7 +900,7 @@ func (e *Engine) execCached(ctx context.Context, cs *cachedSelect, opts ExecOpts
 		return nil, optimized(osp, nil, err)
 	}
 	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, cs.slots, opts, tr, sp, nil)
+	return e.runSelect(ctx, en.opt, en.cols, cs.slots, en.execs, opts, tr, sp, nil)
 }
 
 // optimized ends osp, a SELECT's "optimize" span, with the chosen plan's
@@ -918,11 +918,12 @@ func optimized(osp *obs.Span, opt *optimizer.Result, err error) error {
 }
 
 // runSelect executes a compiled plan with cols its result's column names,
-// binding slots, the executing statement's slot values. opStats, when
-// non-nil, collects per-plan-node actuals (EXPLAIN ANALYZE); passing it
-// also forces the instrumented operator shells on even when tracing is
-// off.
-func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []string, slots []sqltypes.Value, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
+// binding slots, the executing statement's slot values, on an executor
+// kept for the plan's key or, when kept holds none, a fresh one, which
+// kept then keeps (a nil kept keeps nothing). opStats, when non-nil,
+// collects per-plan-node actuals (EXPLAIN ANALYZE); passing it also forces
+// the instrumented operator shells on even when tracing is off.
+func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []string, slots []sqltypes.Value, kept *executors, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
 	// Pin the statement's snapshot: every stored-data read — across
 	// crowd waits that may last minutes — sees exactly the rows
 	// committed at this timestamp. Released when the statement finishes
@@ -938,32 +939,16 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []st
 	if observer != nil {
 		observer.Snapshot(snap.TS())
 	}
-	ectx := &exec.Ctx{
-		Store:         e.store,
-		Cat:           e.cat,
-		Tasks:         e.tasks,
-		Cache:         e.cache,
-		CompareBudget: max(opts.CompareBudget, 0), // the executor reads a negative budget as exhausted
-		Subqueries:    (*subqueryRunner)(e),
-		SnapshotTS:    snap.TS(),
-		Context:       ctx,
-		Progress:      observer,
-		Trace:         tr,
-		OpStats:       opStats,
-	}
-	if e.opm != nil {
-		ectx.OpMetrics = e.opm
-	}
-	ectx.UseSlots(slots)
 	// Crowd counters fold in even when the statement errors or is
 	// cancelled midway — like the observer's Final below, they account
 	// for work already paid.
-	defer func() { e.noteCrowdStats(ectx.Stats) }()
+	var st exec.Stats
+	defer func() { e.noteCrowdStats(st) }()
 	// Final fires even when the statement errors or is cancelled midway:
 	// the crowd work already committed must reach the caller's budget
 	// settlement, and the Result cannot carry it then.
 	if observer != nil {
-		defer func() { observer.Final(ectx.Stats) }()
+		defer func() { observer.Final(st) }()
 	}
 	// EXPLAIN ANALYZE (opStats set) counts its rows instead of streaming
 	// them or their schema.
@@ -972,30 +957,65 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []st
 		observer.Schema(cols)
 	}
 	execSpan := tr.Span(sp, "execute")
-	ectx.Span = execSpan
 	defer execSpan.End()
-	op, err := exec.Build(opt.Root, ectx)
+	x, err := e.executor(kept, opt, slots, tr, opStats)
 	if err != nil {
 		return nil, err
+	}
+	ectx := &x.ctx
+	ectx.CompareBudget = max(opts.CompareBudget, 0) // the executor reads a negative budget as exhausted
+	ectx.SnapshotTS, ectx.Context, ectx.Trace, ectx.Span, ectx.Stats = snap.TS(), ctx, tr, execSpan, exec.Stats{}
+	if observer != nil {
+		ectx.Progress = observer
 	}
 	var rows []storage.Row
 	if stream {
-		err = exec.RunSink(op, ectx, observer)
+		err = exec.RunSink(x.root, ectx, observer)
 	} else {
-		rows, err = exec.Run(op, ectx)
+		rows, err = exec.Run(x.root, ectx)
 	}
+	st = ectx.Stats
+	// The tree is closed: the executor keeps nothing of the statement.
+	ectx.Context, ectx.Progress, ectx.Trace, ectx.Span = nil, nil, nil, nil
+	kept.put(x)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: rows, Warnings: slices.Clip(opt.Warnings), Stats: ectx.Stats, SnapshotTS: snap.TS()}
+	res := &Result{Rows: rows, Warnings: slices.Clip(opt.Warnings), Stats: st, SnapshotTS: snap.TS()}
 	res.Predicted = opt.Predicted
-	res.ActualCents = ectx.Stats.Cents(e.Prices())
+	res.ActualCents = st.Cents(e.Prices())
 	if e.tasks != nil && !opt.Predicted.IsUnbounded() &&
 		(opt.Predicted.Cents > 0 || res.ActualCents > 0) {
 		e.observeCostError(opt.Predicted.Cents, res.ActualCents)
 	}
 	res.Columns = cols
 	return res, nil
+}
+
+// executor returns an executor of opt with slots in its slot storage: one
+// kept takes, else one built afresh.
+func (e *Engine) executor(kept *executors, opt *optimizer.Result, slots []sqltypes.Value, tr *obs.Trace, opStats map[plan.Node]*exec.OpStats) (*executor, error) {
+	shelled := tr != nil || opStats != nil || e.opm != nil // as exec.Build decides
+	if x := kept.take(opt, shelled); x != nil {
+		x.ctx.UseSlots(slots)
+		return x, nil
+	}
+	x := &executor{opt: opt, shelled: shelled, ctx: exec.Ctx{
+		Store:      e.store,
+		Cat:        e.cat,
+		Tasks:      e.tasks,
+		Cache:      e.cache,
+		Subqueries: (*subqueryRunner)(e),
+		Trace:      tr,
+		OpStats:    opStats,
+	}}
+	if e.opm != nil {
+		x.ctx.OpMetrics = e.opm
+	}
+	x.ctx.UseSlots(slots)
+	var err error
+	x.root, err = exec.Build(opt.Root, &x.ctx)
+	return x, err
 }
 
 // subqueryRunner runs a statement's uncorrelated IN-subqueries: each
@@ -1045,7 +1065,7 @@ func (e *Engine) execExplain(ctx context.Context, s *parser.Explain, opts ExecOp
 	var analyzed *Result
 	if s.Analyze {
 		opStats = make(map[plan.Node]*exec.OpStats)
-		analyzed, err = e.runSelect(ctx, opt, colNames(opt), nil, opts, tr, sp, opStats)
+		analyzed, err = e.runSelect(ctx, opt, colNames(opt), nil, nil, opts, tr, sp, opStats)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"crowddb/internal/exec"
 	"crowddb/internal/lexer"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
@@ -44,6 +45,17 @@ import (
 // what an entry was made of — its tree, plan and columns — is never
 // modified (goroutines share it). EXPLAIN, DML and IN subqueries compile
 // without the cache: they print or rebuild literals.
+//
+// A hit does not build its operator tree either. Each key keeps a few
+// executors (maxKeptExecutors): its entry's plan built into an operator
+// tree and bound once (exec.Build) in the executor's own context, whose
+// slot storage the tree's slot literals point into. A statement takes an
+// executor, copies its slot values into that storage (exec.Ctx.UseSlots),
+// runs the tree and puts it back; an executor built for a plan the entry
+// no longer holds is dropped. The list is made with the key's first entry
+// and kept when a stale entry is overwritten, so every copy of the entry
+// reaches it. A miss's tree goes to the list too; EXPLAIN ANALYZE's and
+// an uncached statement's are dropped after they close.
 
 // planCacheCap bounds the cached shapes; a new shape past it empties the
 // cache.
@@ -64,6 +76,9 @@ type planEntry struct {
 	cols    []string // the result's column names
 	version uint64
 	opts    optimizer.Options
+	// execs are the executors kept for key: every copy of the entry, and
+	// every entry written over it, reaches the one list.
+	execs *executors
 }
 
 // current reports whether en's plan is the one a compile against version
@@ -74,33 +89,101 @@ func (en *planEntry) current(version uint64, opts optimizer.Options) bool {
 
 type planCache struct {
 	mu      sync.Mutex
-	entries map[string]*planEntry
+	entries map[string]*cachedPlan
+}
+
+// cachedPlan is one key's entry and the executors kept for it, made
+// together.
+type cachedPlan struct {
+	planEntry
+	kept executors
 }
 
 // get returns a copy of the entry cached under key, current or not.
 func (c *planCache) get(key []byte) (planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if en := c.entries[string(key)]; en != nil {
-		return *en, true
+	if cp := c.entries[string(key)]; cp != nil {
+		return cp.planEntry, true
 	}
 	return planEntry{}, false
 }
 
-// put caches en under its key: over a stale entry in place, else as a new
-// key.
-func (c *planCache) put(en planEntry) {
+// put caches en under its key — over a stale entry in place, keeping its
+// executors, else as a new key with none yet — and returns the key's
+// executors.
+func (c *planCache) put(en planEntry) *executors {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old := c.entries[en.key]; old != nil {
-		*old = en
-		return
+		en.execs = old.execs
+		old.planEntry = en
+		return en.execs
 	}
 	if c.entries == nil || len(c.entries) >= planCacheCap {
-		c.entries = make(map[string]*planEntry)
+		c.entries = make(map[string]*cachedPlan)
 	}
-	fresh := en // on the heap only for a new key
-	c.entries[en.key] = &fresh
+	fresh := &cachedPlan{planEntry: en} // on the heap only for a new key
+	fresh.execs = &fresh.kept
+	c.entries[en.key] = fresh
+	return fresh.execs
+}
+
+// maxKeptExecutors bounds the executors kept for one key: as many as
+// statements of the key ran at once, up to it.
+const maxKeptExecutors = 4
+
+// An executor is a plan's operator tree, built and bound once
+// (exec.Build) in the executor's own context, whose slot storage the
+// tree's slot literals point into. A statement of the plan's shape copies
+// its slot values there, runs the tree — Open, NextBatch, Close — and puts
+// the executor back for the next one.
+type executor struct {
+	opt     *optimizer.Result // the plan the tree was built from
+	shelled bool              // the tree's operators are in instrumented shells
+	ctx     exec.Ctx
+	root    exec.Operator
+}
+
+// executors are the executors kept for one plan-cache key, none of them
+// running.
+type executors struct {
+	mu   sync.Mutex
+	n    int
+	kept [maxKeptExecutors]*executor
+}
+
+// take returns a kept executor built from opt, shelled as asked, or nil;
+// it drops the ones it passes over, built for another plan — the entry
+// has recompiled since — or with other shells. A nil l keeps none.
+func (l *executors) take(opt *optimizer.Result, shelled bool) *executor {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.n > 0 {
+		l.n--
+		x := l.kept[l.n]
+		l.kept[l.n] = nil
+		if x.opt == opt && x.shelled == shelled {
+			return x
+		}
+	}
+	return nil
+}
+
+// put keeps x, whose tree is closed, unless l is full or nil.
+func (l *executors) put(x *executor) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n < len(l.kept) {
+		l.kept[l.n] = x
+		l.n++
+	}
 }
 
 // checkPlanHit, when set, vets every plan-cache hit before it runs: sql is
@@ -233,7 +316,7 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 	if !en.current(version, opts) {
 		e.plans.mu.Lock()
 		if cur := e.plans.entries[en.key]; cur != nil {
-			en = *cur
+			en = cur.planEntry
 		}
 		e.plans.mu.Unlock()
 	}
@@ -253,7 +336,7 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 		return planEntry{}, err
 	}
 	en.opt, en.cols, en.version, en.opts = opt, colNames(opt), version, opts
-	e.plans.put(en)
+	en.execs = e.plans.put(en)
 	return en, nil
 }
 
@@ -301,7 +384,7 @@ func (e *Engine) compile(s *parser.Select, slots []sqltypes.Value) (planEntry, [
 			en.neg = append(en.neg, i)
 		}
 	}
-	e.plans.put(en)
+	en.execs = e.plans.put(en)
 	return en, slots, nil
 }
 

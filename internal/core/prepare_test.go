@@ -269,7 +269,7 @@ func freshRun(t testing.TB, eng *Engine, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eng.runSelect(context.Background(), opt, colNames(opt), nil, DefaultExecOpts(), nil, nil, nil)
+	return eng.runSelect(context.Background(), opt, colNames(opt), nil, nil, DefaultExecOpts(), nil, nil, nil)
 }
 
 // TestPlanCacheKeyCorpus: every SELECT of keyCorpus, run once, serves

@@ -31,6 +31,13 @@ func (b *Batch) Len() int {
 // reset empties the batch for refilling, keeping the backing capacity.
 func (b *Batch) reset() { b.Rows = b.Rows[:0] }
 
+// release empties the batch as its operator closes: the backing is kept
+// for the next run, holding no row.
+func (b *Batch) release() {
+	clear(b.Rows[:cap(b.Rows)])
+	b.reset()
+}
+
 // rowsPerBatch resolves the effective rows-per-batch for this statement.
 func (c *Ctx) rowsPerBatch() int {
 	if c.batchSize > 0 {

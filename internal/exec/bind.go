@@ -9,7 +9,7 @@ import (
 )
 
 // The binder turns a parsed expression into the form the evaluator
-// (eval.go) runs, once per operator per statement.
+// (eval.go) runs, once per operator, when Build makes the tree.
 //
 // Resolved here: every column reference to its ordinal in the operator's
 // input schema, every operator and function name to a small code, and
@@ -52,7 +52,7 @@ const (
 	bArith                    // op: arithAdd… (0: not an arithmetic operator); kids: l, r; src: the *parser.BinaryExpr
 	bFunc                     // op: fnLower… (0: unknown); kids: the arguments; src: the *parser.FuncCall
 	bCrowdEq                  // kids: l, r and, for CROWDEQUAL's third argument, the question
-	bAgg                      // op: aggCount…; kids: the argument, none for COUNT(*); ord: the call's slot in its group's states (aggregateOp.Open numbers them), -1 for COUNT(*); src: the *parser.FuncCall
+	bAgg                      // op: aggCount…; kids: the argument, none for COUNT(*); ord: the call's slot in its group's states (newAggregate numbers them), -1 for COUNT(*); src: the *parser.FuncCall
 )
 
 const (
@@ -129,7 +129,7 @@ func (s *slab[T]) take(n int) []T {
 // binder hands out bound nodes from one slab per operator. bind grows it
 // by what its expression needs; an operator with several expressions grows
 // it first by their sum (bindAll does), for one allocation. A literal in a
-// slot binds to the statement's own (Ctx.slots).
+// slot binds to its place in the context's slot storage (Ctx.UseSlots).
 type binder struct {
 	slab[bound]
 	slots slots
@@ -150,10 +150,15 @@ func (s slots) of(l *parser.Literal) *sqltypes.Value {
 	return &l.Val
 }
 
-// UseSlots binds vals, the executing statement's slot values in slot
-// order: a plan compiled for any statement of the same shape then reads
-// this one's values.
-func (c *Ctx) UseSlots(vals []sqltypes.Value) { c.slots = append(c.slotBuf[:0], vals...) }
+// UseSlots copies vals, the executing statement's slot values in slot
+// order, into c's slot storage, which the first call makes and which never
+// moves: a tree bound in c (Build) reads each later call's values.
+func (c *Ctx) UseSlots(vals []sqltypes.Value) {
+	if len(c.slots) != len(vals) {
+		c.slots = append(c.slotBuf[:0], vals...)
+	}
+	copy(c.slots, vals)
+}
 
 // probeKeys adds the scan's probe keys, at the statement's values, to
 // prefill — over any key already there — and returns it: what a tuple

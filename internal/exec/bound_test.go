@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,25 +317,59 @@ func BenchmarkBoundEval(b *testing.B) {
 }
 
 // TestBoundEvalAllocatesPerBindNotPerRow is BenchmarkBoundEval's gate: one
-// slab per bind, nothing per row.
+// slab per bind, nothing per row — and nothing per statement once bound:
+// run again with other slot values, as a kept tree is, the bound
+// expression allocates nothing and answers as one bound afresh to them.
 func TestBoundEvalAllocatesPerBindNotPerRow(t *testing.T) {
 	schema, rows := boundEvalRows()
+	kept := func(cond *bound) (n int) {
+		for _, r := range rows {
+			keep, err := cond.keeps(r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keep {
+				n++
+			}
+		}
+		return n
+	}
 	for _, bc := range boundEvalCases {
-		e, err := parser.ParseExpr(bc.expr)
+		s, err := parser.Parse("SELECT n FROM t WHERE " + bc.expr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		where := s.(*parser.Select).Where
+		vals := parser.AppendSlotValues(nil, where)
+		ctx := &Ctx{}
+		ctx.UseSlots(vals)
+		var cond *bound
 		allocs := testing.AllocsPerRun(20, func() {
-			var bd binder
-			cond := bd.bind(e, schema)
-			for _, r := range rows {
-				if _, err := cond.keeps(r, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
+			bd := ctx.binder()
+			cond = bd.bind(where, schema)
+			kept(cond)
 		})
 		if allocs > 1 {
 			t.Errorf("%s: %.0f allocations to bind and evaluate over %d rows, want 1 (the slab)", bc.name, allocs, len(rows))
+		}
+		other := slices.Clone(vals)
+		for i, v := range other {
+			if v.Kind() == sqltypes.KindInt {
+				other[i] = sqltypes.NewInt(v.Int() + 101)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			ctx.UseSlots(other)
+			kept(cond)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations to evaluate again with other slot values, want 0", bc.name, allocs)
+		}
+		fresh := &Ctx{}
+		fresh.UseSlots(other)
+		bd := fresh.binder()
+		if got, want := kept(cond), kept(bd.bind(where, schema)); got != want {
+			t.Errorf("%s with slots %v: %d rows kept, %d when bound to them afresh", bc.name, other, got, want)
 		}
 	}
 }

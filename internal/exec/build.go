@@ -11,10 +11,10 @@ import (
 // Build instantiates the physical operator tree for a logical plan
 // (paper §3.2.2 step 3: "the logical plan is translated into a physical
 // plan... Crowd operators and traditional operators of the relational
-// algebra are instantiated"). When the context carries a trace or an
-// EXPLAIN ANALYZE stats map, every operator (recursively, since child
-// construction also goes through Build) is wrapped in an instrumented
-// shell.
+// algebra are instantiated"), its expressions bound to ctx's slot storage
+// (UseSlots): it runs again for each statement of its plan's shape. With a
+// trace, EXPLAIN ANALYZE stats or a metrics sink in the context, every
+// operator (Build recurses) is wrapped in an instrumented shell.
 func Build(n plan.Node, ctx *Ctx) (Operator, error) {
 	op, err := build(n, ctx)
 	if err != nil {
@@ -24,9 +24,10 @@ func Build(n plan.Node, ctx *Ctx) (Operator, error) {
 }
 
 func build(n plan.Node, ctx *Ctx) (Operator, error) {
+	b := ctx.binder()
 	switch x := n.(type) {
 	case *plan.Scan:
-		return &seqScan{rd: tableReader{node: x}}, nil
+		return &seqScan{rd: newReader(ctx, x)}, nil
 
 	case *plan.CrowdProbe:
 		if ctx.Tasks == nil && x.Filter == nil {
@@ -34,54 +35,42 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 			// are the answer, streamed.
 			return Build(x.Scan, ctx)
 		}
-		return &crowdProbe{node: x}, nil
-
-	case *plan.Filter:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &filterOp{node: x, input: in, crowd: parser.HasCrowdFunc(x.Cond)}, nil
+		return &crowdProbe{node: x, rd: newReader(ctx, x.Scan), filter: b.bind(x.Filter, x.Schema())}, nil
 
 	case *plan.Join:
 		return buildJoin(x, ctx)
-
+	case *plan.Filter:
+		return unary(ctx, x.Input, func(in Operator) Operator { return newFilter(ctx, x, in, &b) })
 	case *plan.Project:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &projectOp{node: x, input: in}, nil
-
+		return unary(ctx, x.Input, func(in Operator) Operator {
+			return &projectOp{node: x, input: in, items: b.bindAll(len(x.Items), func(i int) parser.Expr { return x.Items[i].Expr }, in.Schema())}
+		})
 	case *plan.Aggregate:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &aggregateOp{node: x, input: in}, nil
-
+		return unary(ctx, x.Input, func(in Operator) Operator { return newAggregate(x, in, &b) })
 	case *plan.Sort:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &sortOp{node: x, input: in}, nil
-
+		return unary(ctx, x.Input, func(in Operator) Operator { return newSort(x, in, &b) })
 	case *plan.Limit:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOp{node: x, input: in}, nil
-
+		return unary(ctx, x.Input, func(in Operator) Operator { return &limitOp{node: x, input: in} })
 	case *plan.Distinct:
-		in, err := Build(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{input: in}, nil
+		return unary(ctx, x.Input, func(in Operator) Operator { return &distinctOp{input: in} })
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
+}
+
+// unary builds input, then the operator op makes over it.
+func unary(ctx *Ctx, input plan.Node, op func(in Operator) Operator) (Operator, error) {
+	in, err := Build(input, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return op(in), nil
+}
+
+// newReader is a table reader of node's rows with node's filter bound: it
+// is opened, read and closed for each statement, and holds no row closed.
+func newReader(ctx *Ctx, node *plan.Scan) tableReader {
+	b := ctx.binder()
+	return tableReader{node: node, filter: b.bind(node.Filter, node.Schema()), quota: node.StopAfter}
 }
 
 func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
@@ -89,12 +78,16 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
+	b := ctx.binder()
 
 	if ctx.Tasks != nil {
 		if probe, leftKey, rightCol, residual, ok := j.CrowdJoin(); ok {
+			inner := probe.Scan
+			b.grow(nodeCount(leftKey) + nodeCount(residual) + nodeCount(probe.Filter))
 			return &crowdJoin{
-				node: j, left: left, probe: probe,
-				leftKey: leftKey, rightCol: rightCol, residual: residual,
+				node: j, left: left, probe: probe, rd: newReader(ctx, inner), rightCol: rightCol,
+				leftKey: b.bind(leftKey, left.Schema()), residual: b.bind(residual, j.Schema()),
+				crowdFilter: b.bind(probe.Filter, inner.Schema()),
 			}, nil
 		}
 	}
@@ -106,11 +99,12 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 
 	if j.Type == parser.JoinInner && j.On != nil {
 		if lk, rk, residual, ok := equiJoinKeys(j); ok {
+			b.grow(nodeCount(lk) + nodeCount(rk) + nodeCount(residual))
 			return &hashJoin{node: j, left: rowCursor{in: left}, right: right,
-				leftKey: lk, rightKey: rk, residual: residual}, nil
+				lk: b.bind(lk, left.Schema()), rk: b.bind(rk, right.Schema()), res: b.bind(residual, j.Schema())}, nil
 		}
 	}
-	return &nlJoin{node: j, left: rowCursor{in: left}, right: right}, nil
+	return &nlJoin{node: j, left: rowCursor{in: left}, right: right, on: b.bind(j.On, j.Schema())}, nil
 }
 
 // equiJoinKeys extracts one equi-key pair usable for a hash join: an `=`
@@ -182,24 +176,16 @@ func Run(op Operator, ctx *Ctx) ([]Row, error) {
 
 // run drives op to its end, handing each row to sink or, with a nil
 // sink, collecting the rows. The tree is closed on every way out, a
-// failed Open included.
-func run(op Operator, ctx *Ctx, sink RowSink) ([]Row, error) {
-	var rows []Row
-	if err := op.Open(ctx); err != nil {
-		op.Close(ctx)
-		return nil, err
-	}
-	for {
-		if err := ctx.Canceled(); err != nil {
-			op.Close(ctx)
-			return nil, err
+// failed Open included, and may then be run again.
+func run(op Operator, ctx *Ctx, sink RowSink) (rows []Row, err error) {
+	clear(ctx.subqMemo)
+	err = op.Open(ctx)
+	for err == nil {
+		if err = ctx.Canceled(); err != nil {
+			break
 		}
-		b, err := op.NextBatch(ctx)
-		if err != nil {
-			op.Close(ctx)
-			return nil, err
-		}
-		if b.Len() == 0 {
+		var b *Batch
+		if b, err = op.NextBatch(ctx); err != nil || b.Len() == 0 {
 			break
 		}
 		if sink == nil {
@@ -207,13 +193,15 @@ func run(op Operator, ctx *Ctx, sink RowSink) ([]Row, error) {
 			continue
 		}
 		for _, r := range b.Rows {
-			if err := sink.Row(r); err != nil {
-				op.Close(ctx)
-				return nil, err
+			if err = sink.Row(r); err != nil {
+				break
 			}
 		}
 	}
-	if err := op.Close(ctx); err != nil {
+	if cerr := op.Close(ctx); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 
 	"crowddb/internal/catalog"
@@ -75,7 +77,7 @@ func (s Stats) Cents(p taskmgr.Prices) float64 {
 	return float64(s.Comparisons+s.ProbeRequests)*p.Compare + float64(s.NewTupleRequests)*p.Tuple
 }
 
-// Ctx is the per-query execution context.
+// Ctx is a tree's execution context, set again for each statement run on it.
 type Ctx struct {
 	Store *storage.Store
 	Cat   *catalog.Catalog
@@ -327,9 +329,8 @@ type crowdEqualCall struct {
 	l, r     *bound
 }
 
-func collectCrowdEqualCalls(ctx *Ctx, e parser.Expr, schema []plan.Col) []crowdEqualCall {
+func collectCrowdEqualCalls(b *binder, e parser.Expr, schema []plan.Col) []crowdEqualCall {
 	var calls []crowdEqualCall
-	b := ctx.binder()
 	parser.WalkExprs(e, func(x parser.Expr) {
 		switch n := x.(type) {
 		case *parser.BinaryExpr:
@@ -384,17 +385,12 @@ type eqBatch struct {
 	keys  []Key
 }
 
-// newEqualStream claims every needed comparison in row-major order and
-// posts the ones this query leads; quorum collection happens lazily in
-// nextBatch.
-func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (*equalStream, error) {
-	b := ctx.binder()
-	es := &equalStream{cond: b.bind(cond, schema), env: evalEnv{ctx: ctx}, rows: rows, resolved: map[Key]bool{},
+// newEqualStream claims every comparison calls, the CROWDEQUAL calls in
+// cond, need over rows in row-major order and posts the ones this query
+// leads; quorum collection happens lazily in nextBatch.
+func newEqualStream(ctx *Ctx, cond *bound, calls []crowdEqualCall, rows []Row) (*equalStream, error) {
+	es := &equalStream{cond: cond, env: evalEnv{ctx: ctx}, rows: rows, resolved: map[Key]bool{},
 		broker: newCompareBroker(ctx, kindEqual)}
-	var calls []crowdEqualCall
-	if ctx.Tasks != nil && ctx.Cache != nil {
-		calls = collectCrowdEqualCalls(ctx, cond, schema)
-	}
 	if len(calls) == 0 {
 		es.finalized = true
 		return es, nil
@@ -438,7 +434,7 @@ func newEqualStream(ctx *Ctx, cond parser.Expr, rows []Row, schema []plan.Col) (
 	}
 	for _, q := range qOrder {
 		keys := byQ[q].keys
-		for _, pairs := range chunkSlice(byQ[q].pairs, ctx.Tasks.Config().MaxInFlight) {
+		for pairs := range chunkSlice(byQ[q].pairs, ctx.Tasks.Config().MaxInFlight) {
 			if err := es.broker.post(q, pairs); err != nil {
 				return nil, err
 			}
@@ -550,47 +546,23 @@ func (es *equalStream) close() { es.broker.close() }
 // chunkSlice splits items into at most n contiguous, near-equal chunks.
 // The pipelined operators pass the Task Manager's in-flight window: that
 // many HIT groups overlap on the platform, the scheduler queues the rest.
-func chunkSlice[T any](items []T, n int) [][]T {
-	if len(items) == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	size := (len(items) + n - 1) / n
-	var out [][]T
-	for lo := 0; lo < len(items); lo += size {
-		out = append(out, items[lo:min(lo+size, len(items))])
-	}
-	return out
+func chunkSlice[T any](items []T, n int) iter.Seq[[]T] {
+	n = max(n, 1)
+	return slices.Chunk(items, max((len(items)+n-1)/n, 1))
 }
 
 // ---------------------------------------------------------------------------
 // CrowdCompare: CROWDORDER sorting
 
-// newCrowdSorter builds the incremental CROWDORDER quicksort over rows:
+// newCrowdSorter builds the incremental CROWDORDER quicksort over rows,
+// each shown to the crowd as label's value and compared under question:
 // most-preferred first, one pivot-comparison HIT group per open segment
 // per round, results memoized in the compare cache. The caller drives it
 // with step() (one breadth-first round) and reads the settled prefix
 // between rounds, or run()s it to completion.
-func newCrowdSorter(ctx *Ctx, rows []Row, schema []plan.Col, key parser.OrderItem) (*crowdSorter, error) {
-	fc, ok := key.Expr.(*parser.FuncCall)
-	if !ok || fc.Name != "CROWDORDER" {
-		return nil, fmt.Errorf("exec: unsupported crowd sort key %s", key.Expr)
-	}
-	question := "Which of the two items ranks higher?"
-	if len(fc.Args) == 2 {
-		q, ok := fc.Args[1].(*parser.Literal)
-		if !ok {
-			return nil, fmt.Errorf("exec: CROWDORDER question must be a string literal")
-		}
-		question = q.Val.Str()
-	}
-	// Render each row's label (the first CROWDORDER argument). Labels that
-	// fail to resolve (e.g. the paper's free variable `p`) fall back to the
-	// row's first column rendering.
-	b := ctx.binder()
-	label := b.bind(fc.Args[0], schema)
+func newCrowdSorter(ctx *Ctx, rows []Row, label *bound, question string) *crowdSorter {
+	// Labels that fail to resolve (e.g. the paper's free variable `p`) fall
+	// back to the row's first column rendering.
 	labels := make([]string, len(rows))
 	for i, r := range rows {
 		v, err := label.eval(r, nil)
@@ -608,7 +580,7 @@ func newCrowdSorter(ctx *Ctx, rows []Row, schema []plan.Col, key parser.OrderIte
 	if len(idx) > 1 {
 		s.frontier = []segRange{{0, len(idx)}}
 	}
-	return s, nil
+	return s
 }
 
 // segRange is one open quicksort segment: idx[lo:hi] still needs
@@ -773,21 +745,21 @@ func (s *crowdSorter) prefers(i, j int) bool {
 // columns, solicits new tuples for a CROWD table, and then applies the
 // conjuncts that read a crowd column.
 type crowdProbe struct {
-	node *plan.CrowdProbe
-	out  batchEmitter
+	node   *plan.CrowdProbe
+	rd     tableReader // the scan's
+	filter *bound      // node.Filter
+	out    batchEmitter
 }
 
 func (p *crowdProbe) Schema() []plan.Col { return p.node.Schema() }
 
 func (p *crowdProbe) Open(ctx *Ctx) error {
 	p.out = batchEmitter{}
-	node := p.node
-	rowIDs, rows, err := ReadTable(ctx, node.Scan)
+	node, filter := p.node, p.filter
+	rowIDs, rows, err := p.rd.readAll(ctx)
 	if err != nil {
 		return err
 	}
-	b := ctx.binder()
-	filter := b.bind(node.Filter, node.Schema())
 
 	// CrowdProbe phase 1: instantiate CNULLs of the asked crowd columns.
 	if ctx.Tasks != nil && len(node.AskColumns) > 0 {
@@ -808,7 +780,7 @@ func (p *crowdProbe) Open(ctx *Ctx) error {
 				[]taskmgr.TupleRequest{{Prefill: ctx.probeKeys(node.Scan, map[string]sqltypes.Value{}), Want: want}})
 			// A solicited tuple never passed the scan: its filter applies here.
 			if err == nil {
-				acquired, err = keptRows(acquired, b.bind(node.Scan.Filter, node.Schema()))
+				acquired, err = keptRows(acquired, p.rd.filter)
 			}
 			if err != nil {
 				return err
@@ -885,7 +857,7 @@ func probeCNullsOnce(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []stora
 	w := window[[]taskmgr.ProbeResult]{ctx: ctx, span: "crowd:probe", counter: &ctx.Stats.ProbeRequests, tally: probeTally}
 	defer w.close()
 	w.charge(len(reqs))
-	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+	for chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
 		err := w.post(len(chunk), func(sp *obs.Span) (*taskmgr.Call[[]taskmgr.ProbeResult], error) {
 			sp.SetAttr("table", t.Name)
 			sp.SetInt("requests", int64(len(chunk)))
@@ -1016,7 +988,7 @@ func solicitTuples(ctx *Ctx, t *catalog.Table, span string, reqs []taskmgr.Tuple
 		return n
 	}
 	w.charge(want(reqs))
-	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+	for chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
 		units := want(chunk)
 		err := w.post(units, func(sp *obs.Span) (*taskmgr.Call[[][]map[string]string], error) {
 			sp.SetAttr("table", t.Name)
@@ -1108,7 +1080,11 @@ func (p *crowdProbe) NextBatch(ctx *Ctx) (*Batch, error) {
 	return p.out.next(ctx), nil
 }
 
-func (p *crowdProbe) Close(*Ctx) error { return nil }
+func (p *crowdProbe) Close(*Ctx) error {
+	p.out = batchEmitter{}
+	p.rd.close()
+	return nil
+}
 
 func (p *crowdProbe) bufferedRows() int64 { return int64(len(p.out.rows)) }
 
@@ -1122,12 +1098,12 @@ func (p *crowdProbe) bufferedRows() int64 { return int64(len(p.out.rows)) }
 // inner rows come from the table reader (reader.go), so a literal the inner
 // scan's filter pins to its key or an index narrows what is read.
 type crowdJoin struct {
-	node     *plan.Join
-	left     Operator
-	probe    *plan.CrowdProbe // the crowd inner
-	leftKey  parser.Expr
-	rightCol string
-	residual parser.Expr
+	node                           *plan.Join
+	left                           Operator
+	probe                          *plan.CrowdProbe // the crowd inner
+	rd                             tableReader      // the inner scan's
+	rightCol                       string
+	leftKey, residual, crowdFilter *bound // over the outer, the joined and the inner rows
 
 	out batchEmitter
 }
@@ -1143,26 +1119,21 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	inner := j.probe.Scan
-	b := ctx.binder()
-	b.grow(nodeCount(j.leftKey) + nodeCount(j.residual) + nodeCount(inner.Filter) + nodeCount(j.probe.Filter))
-	leftKey, residual := b.bind(j.leftKey, j.left.Schema()), b.bind(j.residual, j.Schema())
-	scanFilter, crowdFilter := b.bind(inner.Filter, inner.Schema()), b.bind(j.probe.Filter, inner.Schema())
 	keys := make([]sqltypes.Value, len(leftRows))
 	for i, r := range leftRows {
-		v, err := leftKey.eval(r, nil)
+		v, err := j.leftKey.eval(r, nil)
 		if err != nil {
 			return err
 		}
 		keys[i] = v
 	}
 
-	t := inner.Table
+	t := j.probe.Scan.Table
 	rightColIdx := t.ColumnIndex(j.rightCol)
 
 	// Index the stored inner rows by join key once their CNULLs are probed
 	// and the crowd conjuncts have had their say.
-	innerIDs, innerRows, err := ReadTable(ctx, inner)
+	innerIDs, innerRows, err := j.rd.readAll(ctx)
 	if err != nil {
 		return err
 	}
@@ -1171,7 +1142,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 			return err
 		}
 	}
-	if innerRows, err = keptRows(innerRows, crowdFilter); err != nil {
+	if innerRows, err = keptRows(innerRows, j.crowdFilter); err != nil {
 		return err
 	}
 	matches := newRowBuckets(0)
@@ -1182,7 +1153,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	if reqs := j.missingRequests(ctx, keys, &matches); ctx.Tasks != nil && len(reqs) > 0 {
 		accepted, err := solicitTuples(ctx, t, "crowd:join_tuples", reqs)
 		if err == nil {
-			accepted, err = keptRows(accepted, scanFilter, crowdFilter)
+			accepted, err = keptRows(accepted, j.rd.filter, j.crowdFilter)
 		}
 		if err != nil {
 			return err
@@ -1196,7 +1167,7 @@ func (j *crowdJoin) Open(ctx *Ctx) error {
 	for i, l := range leftRows {
 		for _, r := range matches.get(keys[i]) {
 			combined := concatRows(l, r)
-			ok, err := residual.keeps(combined, nil)
+			ok, err := j.residual.keeps(combined, nil)
 			if err != nil {
 				return err
 			}
@@ -1239,6 +1210,10 @@ func (j *crowdJoin) NextBatch(ctx *Ctx) (*Batch, error) {
 	return j.out.next(ctx), nil
 }
 
-func (j *crowdJoin) Close(ctx *Ctx) error { return j.left.Close(ctx) }
+func (j *crowdJoin) Close(ctx *Ctx) error {
+	j.out = batchEmitter{}
+	j.rd.close()
+	return j.left.Close(ctx)
+}
 
 func (j *crowdJoin) bufferedRows() int64 { return int64(len(j.out.rows)) }

@@ -7,7 +7,7 @@
 // a repeated query never re-asks the crowd.
 //
 // Expressions are evaluated in two steps. Each operator binds the
-// expressions it owns against its input schema when it opens (bind.go);
+// expressions it owns against its input schema when it is built (bind.go);
 // per row, this file walks the bound nodes: no name is compared, no
 // operator string is switched on and a predicate's answer is one of three
 // small integers, not a Value built to be taken apart again.

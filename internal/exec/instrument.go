@@ -80,27 +80,18 @@ type instrumentedOp struct {
 func (o *instrumentedOp) Schema() []plan.Col { return o.op.Schema() }
 
 func (o *instrumentedOp) Open(ctx *Ctx) error {
+	o.st, o.span = OpStats{}, nil
 	if ctx.Trace != nil {
 		o.span = ctx.Trace.Span(ctx.Span, o.label)
 	}
-	parent, before := ctx.Span, ctx.Stats
-	ctx.Span = o.span
-	t0 := time.Now()
-	err := o.op.Open(ctx)
-	o.st.WallNanos += time.Since(t0).Nanoseconds()
-	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
-	ctx.Span = parent
-	return err
+	return o.call(ctx, func() error { return o.op.Open(ctx) })
 }
 
-func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	parent, before := ctx.Span, ctx.Stats
-	ctx.Span = o.span
-	t0 := time.Now()
-	b, err := o.op.NextBatch(ctx)
-	o.st.WallNanos += time.Since(t0).Nanoseconds()
-	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
-	ctx.Span = parent
+func (o *instrumentedOp) NextBatch(ctx *Ctx) (b *Batch, err error) {
+	err = o.call(ctx, func() error {
+		b, err = o.op.NextBatch(ctx)
+		return err
+	})
 	if err == nil && b.Len() > 0 {
 		o.st.RowsOut += int64(b.Len())
 		o.st.Batches++
@@ -108,17 +99,24 @@ func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	return b, err
 }
 
-func (o *instrumentedOp) Close(ctx *Ctx) error {
+// call runs f, one of the operator's own calls, under the operator's span,
+// adding its time and the crowd work done in it to the operator's stats.
+func (o *instrumentedOp) call(ctx *Ctx, f func() error) error {
 	parent, before := ctx.Span, ctx.Stats
 	ctx.Span = o.span
 	t0 := time.Now()
-	err := o.op.Close(ctx)
+	err := f()
 	o.st.WallNanos += time.Since(t0).Nanoseconds()
 	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
 	ctx.Span = parent
+	return err
+}
+
+func (o *instrumentedOp) Close(ctx *Ctx) error {
 	if br, ok := o.op.(bufferedReporter); ok {
-		o.st.PeakBufferedRows = br.bufferedRows()
+		o.st.PeakBufferedRows = br.bufferedRows() // before Close lets go of the rows
 	}
+	err := o.call(ctx, func() error { return o.op.Close(ctx) })
 	if ctx.OpStats != nil {
 		snap := o.st
 		ctx.OpStats[o.node] = &snap
@@ -149,6 +147,7 @@ func (o *instrumentedOp) Close(ctx *Ctx) error {
 			o.span.SetInt("batches", o.st.Batches)
 		}
 		o.span.End()
+		o.span = nil
 	}
 	return err
 }

@@ -65,14 +65,8 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	rows, err := drainInput(ctx, j.right, nil)
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
-	b := ctx.binder()
-	j.on = b.bind(j.node.On, j.Schema())
-	j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
-	return nil
+	j.rightRows, j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = rows, nil, 0, nil, 0, false
+	return err
 }
 
 func (j *nlJoin) next(ctx *Ctx) (Row, error) {
@@ -99,10 +93,8 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		}
 		// Right side exhausted for this left row.
 		if j.node.Type == parser.JoinLeft && !j.matched {
-			out := append(Row{}, j.cur...)
-			for range j.right.Schema() {
-				out = append(out, sqltypes.Null())
-			}
+			out := append(make(Row, 0, len(j.cur)+len(j.right.Schema())), j.cur...)
+			out = out[:cap(out)] // the right side's columns: a zero Value is NULL
 			j.cur = nil
 			return out, nil
 		}
@@ -114,6 +106,8 @@ func (j *nlJoin) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &j.
 
 // Close closes both inputs, whatever the first returns.
 func (j *nlJoin) Close(ctx *Ctx) error {
+	j.rightRows, j.left.batch, j.cur = nil, nil, nil
+	j.buf.release()
 	return errors.Join(j.left.in.Close(ctx), j.right.Close(ctx))
 }
 
@@ -160,52 +154,29 @@ func (b *rowBuckets) get(v sqltypes.Value) []Row {
 // optimizer's cardinality estimate for the build side (plan.Join.BuildRows)
 // so bulk builds do not double their way up from an empty table.
 type hashJoin struct {
-	node     *plan.Join
-	left     rowCursor
-	right    Operator
-	leftKey  parser.Expr
-	rightKey parser.Expr
-	residual parser.Expr
+	node        *plan.Join
+	left        rowCursor
+	right       Operator
+	lk, rk, res *bound // the keys over the left and right rows; the rest of ON over the joined ones
 
-	lk, res *bound
-	build   rowBuckets
-	built   int64
-	cur     Row
-	bkt     []Row
-	bpos    int
-	buf     Batch
+	build rowBuckets
+	built int64
+	cur   Row
+	bkt   []Row
+	bpos  int
+	buf   Batch
 }
 
 func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
-
-// buildSizeHint converts the optimizer's build-side row estimate into a
-// slot-array pre-size, clamped so a wild estimate cannot pre-allocate
-// unboundedly.
-func (j *hashJoin) buildSizeHint() int {
-	const maxHint = 1 << 20
-	est := int(j.node.BuildRows)
-	if est < 0 {
-		return 0
-	}
-	if est > maxHint {
-		return maxHint
-	}
-	return est
-}
 
 func (j *hashJoin) Open(ctx *Ctx) error {
 	if err := j.left.in.Open(ctx); err != nil {
 		return err
 	}
+	j.build, j.built = newRowBuckets(min(max(int(j.node.BuildRows), 0), 1<<20)), 0 // clamped: a wild estimate must not pre-allocate unboundedly
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	b := ctx.binder()
-	b.grow(nodeCount(j.leftKey) + nodeCount(j.rightKey) + nodeCount(j.residual))
-	rk := b.bind(j.rightKey, j.right.Schema())
-	j.lk, j.res = b.bind(j.leftKey, j.left.in.Schema()), b.bind(j.residual, j.Schema())
-	j.build = newRowBuckets(j.buildSizeHint())
-	j.built = 0
 	for {
 		b, err := j.right.NextBatch(ctx)
 		if err != nil {
@@ -215,7 +186,7 @@ func (j *hashJoin) Open(ctx *Ctx) error {
 			break
 		}
 		for _, r := range b.Rows {
-			v, err := rk.eval(r, nil)
+			v, err := j.rk.eval(r, nil)
 			if err != nil {
 				return err
 			}
@@ -261,6 +232,8 @@ func (j *hashJoin) NextBatch(ctx *Ctx) (*Batch, error) { return fillBatch(ctx, &
 
 // Close closes both inputs, whatever the first returns.
 func (j *hashJoin) Close(ctx *Ctx) error {
+	j.build, j.left.batch, j.cur, j.bkt = rowBuckets{}, nil, nil, nil
+	j.buf.release()
 	return errors.Join(j.left.in.Close(ctx), j.right.Close(ctx))
 }
 

@@ -20,6 +20,13 @@
 //	               selectivities) to the catalog. Close must be called
 //	               even after an error.
 //
+// A tree is built and bound once (Build) and may be opened again once it
+// is closed, any number of times: the plan cache keeps trees and re-runs
+// them. So Open starts every piece of run state afresh, and Close lets go
+// of every row, span, crowd claim and snapshot the run held; only what the
+// tree was built with — its bound expressions, its batch buffers emptied —
+// is kept.
+//
 // A statement runs on the goroutine that called it: operators start none,
 // so Ctx.Stats, operator buffers and the store's shared row images are
 // touched by exactly one goroutine per statement.
@@ -89,7 +96,7 @@ func (s *seqScan) Open(ctx *Ctx) error {
 		s.hdr = batchHeaders.Get().(*[]Row)
 		s.buf.Rows = (*s.hdr)[:0]
 	}
-	return s.rd.open(ctx, s.rd.node)
+	return s.rd.open(ctx)
 }
 
 func (s *seqScan) nextRow(ctx *Ctx) (Row, error) {
@@ -124,21 +131,32 @@ type filterOp struct {
 	input  Operator
 	crowd  bool
 	cond   *bound
-	stream *equalStream // crowd mode: quorum-streaming CROWDEQUAL state
+	pre    *bound           // crowd mode: node.Pre, the crowd-free phase
+	calls  []crowdEqualCall // crowd mode with a crowd attached: the CROWDEQUAL calls in cond
+	stream *equalStream     // crowd mode: quorum-streaming CROWDEQUAL state
 	buf    Batch
+}
+
+// newFilter binds x's condition over in's rows — and for a crowd filter
+// its crowd-free phase and, when ctx has a crowd to ask, the operands of
+// its CROWDEQUAL calls.
+func newFilter(ctx *Ctx, x *plan.Filter, in Operator, b *binder) *filterOp {
+	schema := in.Schema()
+	f := &filterOp{node: x, input: in, crowd: parser.HasCrowdFunc(x.Cond), cond: b.bind(x.Cond, schema)}
+	if f.crowd {
+		f.pre = b.bind(x.Pre, schema)
+		if ctx.Tasks != nil && ctx.Cache != nil {
+			f.calls = collectCrowdEqualCalls(b, x.Cond, schema)
+		}
+	}
+	return f
 }
 
 func (f *filterOp) Schema() []plan.Col { return f.input.Schema() }
 
 func (f *filterOp) Open(ctx *Ctx) error {
-	if err := f.input.Open(ctx); err != nil {
+	if err := f.input.Open(ctx); err != nil || !f.crowd {
 		return err
-	}
-	b := ctx.binder()
-	f.stream = nil
-	if !f.crowd {
-		f.cond = b.bind(f.node.Cond, f.Schema())
-		return nil
 	}
 	// CrowdFilter: drain the input, batch-resolve every CROWDEQUAL pair
 	// in pipelined HIT groups (CrowdCompare). Collection is deferred to
@@ -151,11 +169,11 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	// (crowd-free) phase, prune with it first — rows a machine predicate
 	// rejects must never cost a paid comparison. AND semantics make this
 	// exact: a row failing Pre fails Cond regardless of crowd verdicts.
-	if pre := b.bind(f.node.Pre, f.Schema()); pre != nil {
+	if f.pre != nil {
 		env := evalEnv{ctx: ctx}
 		kept := buffered[:0]
 		for _, r := range buffered {
-			keep, err := pre.keeps(r, &env)
+			keep, err := f.pre.keeps(r, &env)
 			if err != nil {
 				return err
 			}
@@ -165,7 +183,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 		}
 		buffered = kept
 	}
-	stream, err := newEqualStream(ctx, f.node.Cond, buffered, f.Schema())
+	stream, err := newEqualStream(ctx, f.cond, f.calls, buffered)
 	if err != nil {
 		return err
 	}
@@ -205,7 +223,9 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 func (f *filterOp) Close(ctx *Ctx) error {
 	if f.stream != nil {
 		f.stream.close()
+		f.stream = nil
 	}
+	f.buf.release()
 	return f.input.Close(ctx)
 }
 
@@ -228,15 +248,7 @@ type projectOp struct {
 
 func (p *projectOp) Schema() []plan.Col { return p.node.Schema() }
 
-func (p *projectOp) Open(ctx *Ctx) error {
-	if err := p.input.Open(ctx); err != nil {
-		return err
-	}
-	b := ctx.binder()
-	items := p.node.Items
-	p.items = b.bindAll(len(items), func(i int) parser.Expr { return items[i].Expr }, p.input.Schema())
-	return nil
-}
+func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
 
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	b, err := p.input.NextBatch(ctx)
@@ -265,7 +277,10 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	return &p.buf, nil
 }
 
-func (p *projectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
+func (p *projectOp) Close(ctx *Ctx) error {
+	p.buf.release()
+	return p.input.Close(ctx)
+}
 
 // ---------------------------------------------------------------------------
 // Sort (plain and crowd-backed)
@@ -273,6 +288,12 @@ func (p *projectOp) Close(ctx *Ctx) error { return p.input.Close(ctx) }
 type sortOp struct {
 	node  *plan.Sort
 	input Operator
+	keys  []bound // a plain sort's keys
+	// A CROWDORDER sort shows each row to the crowd as label's value and
+	// asks question; err is Open's for a crowd key it cannot sort by.
+	label    *bound
+	question string
+	err      error
 
 	rows    []Row
 	sorter  *crowdSorter // non-nil while a CROWDORDER sort is streaming
@@ -280,37 +301,62 @@ type sortOp struct {
 	buf     Batch
 }
 
+// newSort binds x's keys over in's rows. A CROWDORDER key delegates to the
+// crowd sort and must be the only key; other keys sort conventionally. As
+// binding an expression does, it defers what makes a key unsortable to
+// Open.
+func newSort(x *plan.Sort, in Operator, b *binder) *sortOp {
+	s := &sortOp{node: x, input: in, question: "Which of the two items ranks higher?"}
+	i := slices.IndexFunc(x.Keys, func(k parser.OrderItem) bool { return parser.HasCrowdFunc(k.Expr) })
+	if i < 0 {
+		s.keys = b.bindAll(len(x.Keys), func(i int) parser.Expr { return x.Keys[i].Expr }, in.Schema())
+		return s
+	}
+	fc, ok := x.Keys[i].Expr.(*parser.FuncCall)
+	var q *parser.Literal
+	if ok && len(fc.Args) == 2 {
+		q, _ = fc.Args[1].(*parser.Literal)
+	}
+	switch {
+	case len(x.Keys) != 1:
+		s.err = fmt.Errorf("exec: CROWDORDER cannot be combined with other sort keys")
+	case !ok || fc.Name != "CROWDORDER":
+		s.err = fmt.Errorf("exec: unsupported crowd sort key %s", x.Keys[i].Expr)
+	case len(fc.Args) == 2 && q == nil:
+		s.err = fmt.Errorf("exec: CROWDORDER question must be a string literal")
+	default:
+		if q != nil {
+			s.question = q.Val.Str()
+		}
+		s.label = b.bind(fc.Args[0], in.Schema())
+	}
+	return s
+}
+
 func (s *sortOp) Schema() []plan.Col { return s.input.Schema() }
 
 func (s *sortOp) Open(ctx *Ctx) error {
+	s.rows, s.sorter, s.emitted = nil, nil, 0
 	if err := s.input.Open(ctx); err != nil {
 		return err
 	}
-	s.rows, s.sorter, s.emitted = nil, nil, 0
-	// Split keys: a CROWDORDER key delegates to the crowd sort; other keys
-	// sort conventionally. A crowd key must be the only key.
-	for _, k := range s.node.Keys {
-		if parser.HasCrowdFunc(k.Expr) {
-			if len(s.node.Keys) != 1 {
-				return fmt.Errorf("exec: CROWDORDER cannot be combined with other sort keys")
-			}
-			return s.crowdSort(ctx, k)
-		}
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.label != nil:
+		return s.crowdSort(ctx)
 	}
 	return s.plainSort(ctx)
 }
 
-func (s *sortOp) crowdSort(ctx *Ctx, k parser.OrderItem) error {
+func (s *sortOp) crowdSort(ctx *Ctx) error {
 	rows, err := drainInput(ctx, s.input, nil)
 	if err != nil {
 		return err
 	}
 	s.rows = rows
-	sorter, err := newCrowdSorter(ctx, s.rows, s.Schema(), k)
-	if err != nil {
-		return err
-	}
-	if k.Desc {
+	sorter := newCrowdSorter(ctx, s.rows, s.label, s.question)
+	if s.node.Keys[0].Desc {
 		// DESC reverses the final order, so the settled ASC prefix is the
 		// *suffix* of the output: stream nothing until the sort completes
 		// (matches the materializing executor exactly).
@@ -318,7 +364,7 @@ func (s *sortOp) crowdSort(ctx *Ctx, k parser.OrderItem) error {
 			return err
 		}
 		s.rows = sorter.permuted()
-		reverseRows(s.rows)
+		slices.Reverse(s.rows)
 		return nil
 	}
 	// ASC streams: NextBatch drives comparison rounds and emits the settled
@@ -327,17 +373,11 @@ func (s *sortOp) crowdSort(ctx *Ctx, k parser.OrderItem) error {
 	return nil
 }
 
-func reverseRows(rows []Row) {
-	for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
-		rows[i], rows[j] = rows[j], rows[i]
-	}
-}
-
 // plainSort consumes the input and leaves in s.rows, in output order, the
 // first node.StopAfter rows of its stable sort — all of them when there is
 // no bound (see topK).
 func (s *sortOp) plainSort(ctx *Ctx) error {
-	top := newTopK(s.node.Keys, s.node.StopAfter, s.Schema())
+	top := &topK{order: s.node.Keys, keys: s.keys, keep: s.node.StopAfter}
 	var rows []Row // rows[slot]
 	for {
 		in, err := s.input.NextBatch(ctx)
@@ -399,7 +439,10 @@ func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	return &s.buf, nil
 }
 
-func (s *sortOp) Close(ctx *Ctx) error { return s.input.Close(ctx) }
+func (s *sortOp) Close(ctx *Ctx) error {
+	s.rows, s.sorter, s.buf.Rows = nil, nil, nil
+	return s.input.Close(ctx)
+}
 
 func (s *sortOp) bufferedRows() int64 { return int64(len(s.rows)) }
 
@@ -434,21 +477,12 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, nil
 		}
 		rows := b.Rows
-		if l.skipped < l.node.Offset {
-			skip := l.node.Offset - l.skipped
-			if skip > int64(len(rows)) {
-				skip = int64(len(rows))
-			}
-			l.skipped += skip
-			rows = rows[skip:]
-		}
+		skip := min(max(l.node.Offset-l.skipped, 0), int64(len(rows)))
+		l.skipped += skip
+		rows = rows[skip:]
 		if l.node.N >= 0 {
-			if remaining := l.node.N - l.emitted; int64(len(rows)) >= remaining {
-				rows = rows[:remaining]
-				l.emitted = l.node.N
-			} else {
-				l.emitted += int64(len(rows))
-			}
+			rows = rows[:min(int64(len(rows)), l.node.N-l.emitted)]
+			l.emitted += int64(len(rows))
 		}
 		if len(rows) == 0 {
 			continue
@@ -458,7 +492,10 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	}
 }
 
-func (l *limitOp) Close(ctx *Ctx) error { return l.input.Close(ctx) }
+func (l *limitOp) Close(ctx *Ctx) error {
+	l.buf.Rows = nil // a view into the input's batch
+	return l.input.Close(ctx)
+}
 
 type distinctOp struct {
 	input  Operator
@@ -496,7 +533,11 @@ func (d *distinctOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	}
 }
 
-func (d *distinctOp) Close(ctx *Ctx) error { return d.input.Close(ctx) }
+func (d *distinctOp) Close(ctx *Ctx) error {
+	d.seen = keyTable{}
+	d.buf.release()
+	return d.input.Close(ctx)
+}
 
 func (d *distinctOp) bufferedRows() int64 { return int64(d.seen.len()) }
 
@@ -505,14 +546,34 @@ func (d *distinctOp) bufferedRows() int64 { return int64(d.seen.len()) }
 // input row is kept beyond each group's first.
 
 type aggregateOp struct {
-	node  *plan.Aggregate
-	input Operator
-	out   batchEmitter
+	node        *plan.Aggregate
+	input       Operator
+	keys, items []bound // GROUP BY and the select list
+	having      *bound
+	topKeys     []bound // node.TopKeys, over the output rows
 	// calls are the bAgg nodes (COUNT(*) aside: the group counts its rows)
 	// the select list and HAVING read, in first-use order: a call's index
 	// is its slot in a group's states.
 	calls  []*bound
+	out    batchEmitter
 	groups int64
+}
+
+// newAggregate binds x's GROUP BY, select list and HAVING over in's rows,
+// numbers the aggregate calls they read, and binds the sort keys pushed
+// into it over its output rows.
+func newAggregate(x *plan.Aggregate, in Operator, b *binder) *aggregateOp {
+	a := &aggregateOp{node: x, input: in}
+	schema := in.Schema()
+	a.keys = b.bindAll(len(x.GroupBy), func(i int) parser.Expr { return x.GroupBy[i] }, schema)
+	a.items = b.bindAll(len(x.Items), func(i int) parser.Expr { return x.Items[i].Expr }, schema)
+	a.having = b.bind(x.Having, schema)
+	for i := range a.items {
+		a.number(&a.items[i])
+	}
+	a.number(a.having)
+	a.topKeys = b.bindAll(len(x.TopKeys), func(i int) parser.Expr { return x.TopKeys[i].Expr }, a.Schema())
+	return a
 }
 
 const (
@@ -606,19 +667,10 @@ var errSumOverflow = errors.New("exec: SUM overflows INTEGER")
 func (a *aggregateOp) Schema() []plan.Col { return a.node.Schema() }
 
 func (a *aggregateOp) Open(ctx *Ctx) error {
+	a.out, a.groups = batchEmitter{}, 0
 	if err := a.input.Open(ctx); err != nil {
 		return err
 	}
-	a.out, a.calls = batchEmitter{}, nil
-	b := ctx.binder()
-	in := a.input.Schema()
-	keys := b.bindAll(len(a.node.GroupBy), func(i int) parser.Expr { return a.node.GroupBy[i] }, in)
-	items := b.bindAll(len(a.node.Items), func(i int) parser.Expr { return a.node.Items[i].Expr }, in)
-	having := b.bind(a.node.Having, in)
-	for i := range items {
-		a.number(&items[i])
-	}
-	a.number(having)
 
 	// The output rows are copied out of g before it goes back.
 	g := newAggTable(len(a.calls))
@@ -639,12 +691,12 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 		}
 		for _, r := range batch.Rows {
 			g.key = g.key[:0]
-			for i := range keys {
-				v, err := keys[i].eval(r, nil)
+			for i := range a.keys {
+				v, err := a.keys[i].eval(r, nil)
 				if err != nil {
 					return err
 				}
-				g.key = sqltypes.AppendKeyPart(g.key, v, len(keys))
+				g.key = sqltypes.AppendKeyPart(g.key, v, len(a.keys))
 			}
 			id, isNew := g.keys.add(g.key)
 			if isNew {
@@ -662,10 +714,10 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 	// A global aggregate over zero rows still produces one row; its
 	// columns read NULL.
 	if len(a.node.GroupBy) == 0 && g.groups.len() == 0 {
-		newGroup(make(Row, len(in)))
+		newGroup(make(Row, len(a.input.Schema())))
 	}
 	a.groups = int64(g.groups.len())
-	return a.emit(g, items, having)
+	return a.emit(g)
 }
 
 // emit evaluates HAVING and the output items over every group, in group
@@ -674,11 +726,11 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 // same ones, because ties in the keys go by group order as the Sort's go
 // by arrival. Only kept rows are materialised. A sort key's error surfaces
 // after the items' errors, where the Sort's own would.
-func (a *aggregateOp) emit(g *aggTable, items []bound, having *bound) error {
-	w, n := len(items), g.groups.len()
+func (a *aggregateOp) emit(g *aggTable) error {
+	w, n := len(a.items), g.groups.len()
 	var top *topK
 	if a.node.TopKeys != nil {
-		top = newTopK(a.node.TopKeys, a.node.TopK, a.Schema())
+		top = &topK{order: a.node.TopKeys, keys: a.topKeys, keep: a.node.TopK}
 		n = int(min(int64(n), a.node.TopK))
 	}
 	vals := make([]sqltypes.Value, (n+1)*w) // n rows, then the scratch row
@@ -691,15 +743,15 @@ func (a *aggregateOp) emit(g *aggTable, items []bound, having *bound) error {
 	for id := range g.groups.len() {
 		env.group = int32(id)
 		first := g.groups.at(id).first
-		keep, err := having.keeps(first, &env)
+		keep, err := a.having.keeps(first, &env)
 		if err != nil {
 			return err
 		}
 		if !keep {
 			continue
 		}
-		for i := range items {
-			if scratch[i], err = items[i].eval(first, &env); err != nil {
+		for i := range a.items {
+			if scratch[i], err = a.items[i].eval(first, &env); err != nil {
 				return err
 			}
 		}
@@ -747,7 +799,10 @@ func (a *aggregateOp) number(n *bound) {
 
 func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) { return a.out.next(ctx), nil }
 
-func (a *aggregateOp) Close(ctx *Ctx) error { return a.input.Close(ctx) }
+func (a *aggregateOp) Close(ctx *Ctx) error {
+	a.out = batchEmitter{}
+	return a.input.Close(ctx)
+}
 
 func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.rows)) }
 

@@ -65,10 +65,10 @@ type tableReader struct {
 	peakBuf int64
 }
 
-// open positions the reader on node's table at the statement's snapshot.
-func (r *tableReader) open(ctx *Ctx, node *plan.Scan) error {
-	b := ctx.binder()
-	*r = tableReader{node: node, filter: b.bind(node.Filter, node.Schema()), quota: node.StopAfter}
+// open positions the reader on its table at the statement's snapshot.
+func (r *tableReader) open(ctx *Ctx) error {
+	node := r.node
+	*r = tableReader{node: node, filter: r.filter, quota: r.quota}
 	ids, rows, keyed, err := fetchByKey(ctx, node, r.pkID[:0], r.pkRow[:0])
 	if err != nil {
 		return err
@@ -151,23 +151,23 @@ func (r *tableReader) next(ctx *Ctx) (storage.RowID, Row, error) {
 // examined, as the observed selectivity of the scan's pushed predicate —
 // from the cursors only: a key-fed read keeps nearly every candidate,
 // which says nothing about the predicate over the table. Then the
-// cursor streams and their chunks go back to the pool, emptied; a
-// second close returns nothing.
+// cursor streams and their chunks go back to the pool, emptied, and the
+// fetched chunk is forgotten; a second close does nothing.
 func (r *tableReader) close() {
 	if r.cursors && r.node.Filter != nil {
 		r.node.Table.ObserveFilter(r.scanned, r.out)
 	}
-	if r.set == nil {
-		return
+	if r.set != nil {
+		for i := range r.streams {
+			st := &r.streams[i]
+			clear(st.rows[:cap(st.rows)])
+			*st = shardStream{ids: st.ids[:0], rows: st.rows[:0]}
+		}
+		*r.set = r.streams
+		streamSets.Put(r.set)
 	}
-	for i := range r.streams {
-		st := &r.streams[i]
-		clear(st.rows[:cap(st.rows)])
-		*st = shardStream{ids: st.ids[:0], rows: st.rows[:0]}
-	}
-	*r.set = r.streams
-	streamSets.Put(r.set)
-	r.set, r.streams = nil, nil
+	r.keyed[0], r.pkRow[0] = shardStream{}, nil
+	r.cursors, r.set, r.streams = false, nil, nil
 }
 
 // ReadTable returns, in insertion order and with their ids, the rows of
@@ -177,15 +177,20 @@ func (r *tableReader) close() {
 // The slices are the caller's to keep: a primary-key read's are backed by
 // this call's own reader.
 func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
-	var r tableReader
-	if err := r.open(ctx, node); err != nil {
+	r := newReader(ctx, node)
+	return r.readAll(ctx)
+}
+
+// readAll opens r and returns what ReadTable does. A read the cursors fed
+// is closed; a key-fed read keeps what passes in place in its fetched
+// chunk, which is nobody else's and stays the caller's until r closes.
+func (r *tableReader) readAll(ctx *Ctx) (ids []storage.RowID, rows []Row, err error) {
+	if err := r.open(ctx); err != nil {
 		return nil, nil, err
 	}
-	defer r.close()
-	var ids []storage.RowID
-	var rows []Row
-	if !r.cursors {
-		// The fetched chunk is nobody else's: keep what passes in place.
+	if r.cursors {
+		defer r.close()
+	} else {
 		ids, rows = r.keyed[0].ids[:0], r.keyed[0].rows[:0]
 	}
 	for {

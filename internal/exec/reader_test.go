@@ -316,8 +316,8 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 						for _, node := range []*plan.Scan{keyed, &unkeyed} {
 							node.StopAfter = quota
 							ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at}
-							var rd tableReader
-							if err := rd.open(ctx, node); err != nil {
+							rd := newReader(ctx, node)
+							if err := rd.open(ctx); err != nil {
 								t.Fatal(err)
 							}
 							if rd.cursors != (node == &unkeyed) {
@@ -333,7 +333,7 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 							}
 							for _, size := range []int{1, 7, 256} {
 								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, batchSize: size}
-								got, err := Run(&seqScan{rd: tableReader{node: node}}, ctx)
+								got, err := Run(&seqScan{rd: newReader(ctx, node)}, ctx)
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -223,7 +223,7 @@ func TestReaderScratchReturnedOnce(t *testing.T) {
 	node := h.scanNode(t, "SELECT title FROM Talk WHERE nb_attendees < 900")
 	ctx := &Ctx{Store: h.store, Cat: h.cat, Cache: NewCompareCache()}
 	open := func() *seqScan {
-		s := &seqScan{rd: tableReader{node: node}}
+		s := &seqScan{rd: newReader(ctx, node)}
 		if err := s.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -261,17 +261,17 @@ func TestReaderScratchReturnedOnce(t *testing.T) {
 	a.Close(ctx)
 	b.Close(ctx)
 
-	var r tableReader
-	if err := r.open(ctx, node); err != nil {
+	r := newReader(ctx, node)
+	if err := r.open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	r.close()
 	r.close()
-	var r1, r2 tableReader
-	if err := r1.open(ctx, node); err != nil {
+	r1, r2 := newReader(ctx, node), newReader(ctx, node)
+	if err := r1.open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.open(ctx, node); err != nil {
+	if err := r2.open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if r1.set == r2.set || &r1.streams[0] == &r2.streams[0] {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"crowddb/internal/parser"
-	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 )
 
@@ -22,19 +21,12 @@ import (
 // marking while it runs.
 type topK struct {
 	order   []parser.OrderItem // the sort keys, for their directions
-	keys    []bound
+	keys    []bound            // order's keys, bound over the offered rows
 	keep    int64
 	vals    []sqltypes.Value // vals[s*nk:][:nk] are the keys of slot s's row
 	arrival []int64          // slot s's row was the arrival[s]-th offered
 	worst   []int32          // once keep rows are held: a heap of their slots, the last in output order on top
 	arrived int64
-}
-
-// newTopK binds order's keys against the schema of the rows to be offered.
-func newTopK(order []parser.OrderItem, keep int64, schema []plan.Col) *topK {
-	var b binder
-	keys := b.bindAll(len(order), func(i int) parser.Expr { return order[i].Expr }, schema)
-	return &topK{order: order, keys: keys, keep: keep}
 }
 
 // offer evaluates r's keys and returns the slot r now holds: the next free

@@ -36,7 +36,8 @@ func TestTopKMatchesStableSort(t *testing.T) {
 			return sqltypes.SortCompare(x[1], y[1])
 		})
 		for _, keep := range []int64{-1, 0, 1, 3, int64(len(rows)), int64(len(rows)) + 2} {
-			top := newTopK(order, keep, schema)
+			var b binder
+			top := &topK{order: order, keys: b.bindAll(len(order), func(i int) parser.Expr { return order[i].Expr }, schema), keep: keep}
 			var held []Row
 			for _, r := range rows {
 				slot, err := top.offer(r)

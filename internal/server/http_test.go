@@ -351,3 +351,72 @@ func FuzzSubmitBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSessionBody: whatever bytes are POSTed to /session, the answer is a
+// session or a coded 4xx — never a panic or a 500; and for any budget,
+// the body json.Marshal writes for it decodes to that budget, and the
+// session it opens starts with the budget that resolves to.
+func FuzzSessionBody(f *testing.F) {
+	eng, err := core.Open(core.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { eng.Close() })
+	srv := New(eng, Config{SessionBudget: 7})
+	h := srv.HTTPHandler()
+	post := func(t *testing.T, body []byte) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/session", bytes.NewReader(body)))
+		return rec
+	}
+	// closeSession closes what a 200 opened, so the session cap is never
+	// what refuses the next body.
+	closeSession := func(t *testing.T, rec *httptest.ResponseRecorder) SessionInfo {
+		t.Helper()
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.ID == "" {
+			t.Fatalf("200 with %q (%v)", rec.Body, err)
+		}
+		if serr := srv.CloseSession(info.ID); serr != nil {
+			t.Fatal(serr)
+		}
+		return info
+	}
+	f.Add([]byte(`{"budget":25}`), 25)
+	f.Add([]byte(``), 0)
+	f.Add([]byte(`{"budget":-1,"budget":3,"extra":[{"x":null}]}`), -1)
+	f.Add([]byte(`{"budget":1e3}`), 1<<40)
+	f.Add([]byte(`{"budget":"9"}`), -1<<62)
+	f.Add([]byte(`{"budget":`), 7)
+	f.Add([]byte("\xff\xfe{}"), 1)
+	f.Fuzz(func(t *testing.T, body []byte, budget int) {
+		switch rec := post(t, body); {
+		case rec.Code == http.StatusOK:
+			closeSession(t, rec)
+		case rec.Code >= 400 && rec.Code < 500:
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.Code == "" {
+				t.Fatalf("POST %q: %d with %q, want a coded error (%v)", body, rec.Code, rec.Body, err)
+			}
+		default:
+			t.Fatalf("POST %q: %d %q, want a session or a coded 4xx", body, rec.Code, rec.Body)
+		}
+
+		marshalled, err := json.Marshal(sessionRequest{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req sessionRequest
+		if serr := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/session", bytes.NewReader(marshalled)), &req); serr != nil || req.Budget != budget {
+			t.Fatalf("budget %d: json.Marshal's %s decodes to %d (%v)", budget, marshalled, req.Budget, serr)
+		}
+		rec := post(t, marshalled)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("budget %d: %d %q", budget, rec.Code, rec.Body)
+		}
+		if info := closeSession(t, rec); info.BudgetLeft != srv.effectiveBudget(budget) {
+			t.Fatalf("budget %d: the session starts with %d, want %d", budget, info.BudgetLeft, srv.effectiveBudget(budget))
+		}
+	})
+}

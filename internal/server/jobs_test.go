@@ -253,6 +253,57 @@ func TestCloseSessionFailsJobsSessionClosed(t *testing.T) {
 	}
 }
 
+// TestAnonymousSessionKeepsNoJobs: an anonymous job's one-shot session
+// keeps no job map — nothing can close it — while a registered session
+// running a job beside it still lists the job, and closing the session
+// still cancels it with the coded session_closed failure.
+func TestAnonymousSessionKeepsNoJobs(t *testing.T) {
+	eng := pairEngine(t, 68, 1)
+	srv := New(eng, Config{})
+	sess, serr := srv.CreateSession(-1)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	l, r := pairStrings(t, 68, 1)
+	leader := eng.Cache().ClaimEqual("", l, r)
+	if !leader.Leader {
+		t.Fatal("test setup: expected to lead the claim")
+	}
+	anon, jerr := srv.StartJob("", "SELECT id FROM Pair WHERE a ~= b")
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	job, jerr := srv.StartJob(sess.ID(), "SELECT id FROM Pair WHERE a ~= b")
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	anon.sess.mu.Lock()
+	anonJobs := anon.sess.jobs
+	anon.sess.mu.Unlock()
+	if anonJobs != nil {
+		t.Errorf("the anonymous session keeps a job map: %v", anonJobs)
+	}
+	sess.mu.Lock()
+	_, listed := sess.jobs[job.ID()]
+	sess.mu.Unlock()
+	if !listed {
+		t.Error("the registered session does not list its running job")
+	}
+	if cerr := srv.CloseSession(sess.ID()); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if st := waitState(t, job); st != JobFailed {
+		t.Fatalf("state = %s", st)
+	}
+	if err := job.Err(); err == nil || err.Code != CodeSessionClosed {
+		t.Fatalf("error = %v, want %s", err, CodeSessionClosed)
+	}
+	leader.Abandon()
+	if st := waitState(t, anon); st != JobDone {
+		t.Fatalf("anonymous job: state = %s, err = %v", st, anon.Err())
+	}
+}
+
 // TestRetireBarrier: finish wakes a job's waiters before retireJob runs,
 // so "terminal" alone promises nothing retireJob does. Once the barrier
 // has closed, all of it is visible: the end record is in the journal, the

@@ -27,8 +27,12 @@ type Session struct {
 	jobs map[string]*Job
 }
 
-// addJob registers an active job with its session.
+// addJob registers an active job with its session. An anonymous one-shot
+// session keeps no job map: it is never registered, so nothing closes it.
 func (s *Session) addJob(j *Job) {
+	if s.id == anonymousSessionID {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.jobs == nil {
@@ -39,6 +43,9 @@ func (s *Session) addJob(j *Job) {
 
 // removeJob drops a terminal job from the active set.
 func (s *Session) removeJob(id string) {
+	if s.id == anonymousSessionID {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
