@@ -888,7 +888,7 @@ func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts
 		return nil, optimized(osp, nil, err)
 	}
 	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, slots, en.execs, opts, tr, sp, nil)
+	return e.runSelect(ctx, en.opt, en.cols, slots, en.kept, opts, tr, sp, nil)
 }
 
 // execCached runs cs on its entry's plan, compiled afresh if the entry is
@@ -900,7 +900,7 @@ func (e *Engine) execCached(ctx context.Context, cs *cachedSelect, opts ExecOpts
 		return nil, optimized(osp, nil, err)
 	}
 	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, cs.slots, en.execs, opts, tr, sp, nil)
+	return e.runSelect(ctx, en.opt, en.cols, cs.slots, en.kept, opts, tr, sp, nil)
 }
 
 // optimized ends osp, a SELECT's "optimize" span, with the chosen plan's
@@ -923,7 +923,7 @@ func optimized(osp *obs.Span, opt *optimizer.Result, err error) error {
 // kept then keeps (a nil kept keeps nothing). opStats, when non-nil,
 // collects per-plan-node actuals (EXPLAIN ANALYZE); passing it also forces
 // the instrumented operator shells on even when tracing is off.
-func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []string, slots []sqltypes.Value, kept *executors, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
+func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []string, slots []sqltypes.Value, kept *keptExecutor, opts ExecOpts, tr *obs.Trace, sp *obs.Span, opStats map[plan.Node]*exec.OpStats) (*Result, error) {
 	// Pin the statement's snapshot: every stored-data read — across
 	// crowd waits that may last minutes — sees exactly the rows
 	// committed at this timestamp. Released when the statement finishes
@@ -992,15 +992,19 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []st
 	return res, nil
 }
 
-// executor returns an executor of opt with slots in its slot storage: one
-// kept takes, else one built afresh.
-func (e *Engine) executor(kept *executors, opt *optimizer.Result, slots []sqltypes.Value, tr *obs.Trace, opStats map[plan.Node]*exec.OpStats) (*executor, error) {
-	shelled := tr != nil || opStats != nil || e.opm != nil // as exec.Build decides
-	if x := kept.take(opt, shelled); x != nil {
-		x.ctx.UseSlots(slots)
-		return x, nil
+// executor returns an executor of opt with slots in its slot storage: the
+// one kept takes, else one built afresh. A kept executor built from
+// another plan, or with other shells than tr and opStats ask for, is
+// dropped.
+func (e *Engine) executor(kept *keptExecutor, opt *optimizer.Result, slots []sqltypes.Value, tr *obs.Trace, opStats map[plan.Node]*exec.OpStats) (*executor, error) {
+	if x := kept.take(); x != nil && x.opt == opt {
+		x.ctx.Trace, x.ctx.OpStats = tr, opStats
+		if x.ctx.Instrumented() == x.shelled {
+			x.ctx.UseSlots(slots)
+			return x, nil
+		}
 	}
-	x := &executor{opt: opt, shelled: shelled, ctx: exec.Ctx{
+	x := &executor{opt: opt, ctx: exec.Ctx{
 		Store:      e.store,
 		Cat:        e.cat,
 		Tasks:      e.tasks,
@@ -1012,6 +1016,7 @@ func (e *Engine) executor(kept *executors, opt *optimizer.Result, slots []sqltyp
 	if e.opm != nil {
 		x.ctx.OpMetrics = e.opm
 	}
+	x.shelled = x.ctx.Instrumented()
 	x.ctx.UseSlots(slots)
 	var err error
 	x.root, err = exec.Build(opt.Root, &x.ctx)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -98,12 +99,12 @@ func keptTop(eng *Engine, key string) *executor {
 	if cp == nil {
 		return nil
 	}
-	cp.kept.mu.Lock()
-	defer cp.kept.mu.Unlock()
-	if cp.kept.n == 0 {
-		return nil
-	}
-	return cp.kept.kept[cp.kept.n-1]
+	return cp.kept.idle.Load()
+}
+
+// memoized is how many IN-subquery results x's context holds.
+func memoized(x *executor) int {
+	return reflect.ValueOf(&x.ctx).Elem().FieldByName("subqMemo").Len()
 }
 
 // keptRun runs sql, a statement whose shape is cached, as a hit on the
@@ -125,6 +126,9 @@ func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *ca
 	res, err := eng.ExecAt(context.Background(), &sc, 0, opts)
 	if hits, _ := planCounts(eng); hits != hits0+1 || keptTop(eng, cs.en.key) != x {
 		t.Fatalf("%s: did not run as a hit on the kept executor", sql)
+	}
+	if n := memoized(x); n != 0 {
+		t.Errorf("%s: the kept executor holds %d IN-subquery results after its statement", sql, n)
 	}
 	return res, cs, err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"crowddb/internal/exec"
 	"crowddb/internal/lexer"
@@ -46,16 +47,17 @@ import (
 // modified (goroutines share it). EXPLAIN, DML and IN subqueries compile
 // without the cache: they print or rebuild literals.
 //
-// A hit does not build its operator tree either. Each key keeps a few
-// executors (maxKeptExecutors): its entry's plan built into an operator
-// tree and bound once (exec.Build) in the executor's own context, whose
-// slot storage the tree's slot literals point into. A statement takes an
-// executor, copies its slot values into that storage (exec.Ctx.UseSlots),
-// runs the tree and puts it back; an executor built for a plan the entry
-// no longer holds is dropped. The list is made with the key's first entry
-// and kept when a stale entry is overwritten, so every copy of the entry
-// reaches it. A miss's tree goes to the list too; EXPLAIN ANALYZE's and
-// an uncached statement's are dropped after they close.
+// A hit does not build its operator tree either. Each key keeps one
+// executor: its entry's plan built into an operator tree and bound once
+// (exec.Build) in the executor's own context, whose slot storage the
+// tree's slot literals point into. A statement takes the executor, copies
+// its slot values into that storage (exec.Ctx.UseSlots), runs the tree and
+// puts it back; a statement that finds none kept — another statement of
+// the key is running on it — builds its own, and an executor built for a
+// plan the entry no longer holds is dropped. The slot is made with the
+// key's first entry and kept when a stale entry is overwritten, so every
+// copy of the entry reaches it. A miss's tree is kept too; EXPLAIN
+// ANALYZE's and an uncached statement's are dropped after they close.
 
 // planCacheCap bounds the cached shapes; a new shape past it empties the
 // cache.
@@ -76,9 +78,9 @@ type planEntry struct {
 	cols    []string // the result's column names
 	version uint64
 	opts    optimizer.Options
-	// execs are the executors kept for key: every copy of the entry, and
-	// every entry written over it, reaches the one list.
-	execs *executors
+	// kept is the executor kept for key: every copy of the entry, and
+	// every entry written over it, reaches the one slot.
+	kept *keptExecutor
 }
 
 // current reports whether en's plan is the one a compile against version
@@ -92,11 +94,11 @@ type planCache struct {
 	entries map[string]*cachedPlan
 }
 
-// cachedPlan is one key's entry and the executors kept for it, made
+// cachedPlan is one key's entry and the executor kept for it, made
 // together.
 type cachedPlan struct {
 	planEntry
-	kept executors
+	slot keptExecutor
 }
 
 // get returns a copy of the entry cached under key, current or not.
@@ -110,28 +112,24 @@ func (c *planCache) get(key []byte) (planEntry, bool) {
 }
 
 // put caches en under its key — over a stale entry in place, keeping its
-// executors, else as a new key with none yet — and returns the key's
-// executors.
-func (c *planCache) put(en planEntry) *executors {
+// executor slot, else as a new key with an empty one — and returns the
+// key's slot.
+func (c *planCache) put(en planEntry) *keptExecutor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old := c.entries[en.key]; old != nil {
-		en.execs = old.execs
+		en.kept = old.kept
 		old.planEntry = en
-		return en.execs
+		return en.kept
 	}
 	if c.entries == nil || len(c.entries) >= planCacheCap {
 		c.entries = make(map[string]*cachedPlan)
 	}
 	fresh := &cachedPlan{planEntry: en} // on the heap only for a new key
-	fresh.execs = &fresh.kept
+	fresh.kept = &fresh.slot
 	c.entries[en.key] = fresh
-	return fresh.execs
+	return fresh.kept
 }
-
-// maxKeptExecutors bounds the executors kept for one key: as many as
-// statements of the key ran at once, up to it.
-const maxKeptExecutors = 4
 
 // An executor is a plan's operator tree, built and bound once
 // (exec.Build) in the executor's own context, whose slot storage the
@@ -140,49 +138,33 @@ const maxKeptExecutors = 4
 // the executor back for the next one.
 type executor struct {
 	opt     *optimizer.Result // the plan the tree was built from
-	shelled bool              // the tree's operators are in instrumented shells
+	shelled bool              // ctx.Instrumented() when the tree was built
 	ctx     exec.Ctx
 	root    exec.Operator
 }
 
-// executors are the executors kept for one plan-cache key, none of them
-// running.
-type executors struct {
-	mu   sync.Mutex
-	n    int
-	kept [maxKeptExecutors]*executor
-}
+// keptExecutor holds the executor kept for one plan-cache key while no
+// statement runs on it. One is enough: in bench/perf's workloads (two
+// clients), a statement found another of its key running in 4–14 % of
+// point_read's statements and at most 23 % of any workload's, never two
+// others; each time, one extra tree is built, 0.3 allocations a
+// point_read statement.
+type keptExecutor struct{ idle atomic.Pointer[executor] }
 
-// take returns a kept executor built from opt, shelled as asked, or nil;
-// it drops the ones it passes over, built for another plan — the entry
-// has recompiled since — or with other shells. A nil l keeps none.
-func (l *executors) take(opt *optimizer.Result, shelled bool) *executor {
-	if l == nil {
+// take returns the kept executor, for the caller alone, or nil. A nil k
+// keeps none.
+func (k *keptExecutor) take() *executor {
+	if k == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.n > 0 {
-		l.n--
-		x := l.kept[l.n]
-		l.kept[l.n] = nil
-		if x.opt == opt && x.shelled == shelled {
-			return x
-		}
-	}
-	return nil
+	return k.idle.Swap(nil)
 }
 
-// put keeps x, whose tree is closed, unless l is full or nil.
-func (l *executors) put(x *executor) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < len(l.kept) {
-		l.kept[l.n] = x
-		l.n++
+// put keeps x, whose tree is closed, over any executor put since x was
+// taken. A nil k keeps none.
+func (k *keptExecutor) put(x *executor) {
+	if k != nil {
+		k.idle.Store(x)
 	}
 }
 
@@ -336,7 +318,7 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 		return planEntry{}, err
 	}
 	en.opt, en.cols, en.version, en.opts = opt, colNames(opt), version, opts
-	en.execs = e.plans.put(en)
+	en.kept = e.plans.put(en)
 	return en, nil
 }
 
@@ -384,7 +366,7 @@ func (e *Engine) compile(s *parser.Select, slots []sqltypes.Value) (planEntry, [
 			en.neg = append(en.neg, i)
 		}
 	}
-	en.execs = e.plans.put(en)
+	en.kept = e.plans.put(en)
 	return en, slots, nil
 }
 

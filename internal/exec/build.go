@@ -37,33 +37,53 @@ func build(n plan.Node, ctx *Ctx) (Operator, error) {
 		}
 		return &crowdProbe{node: x, rd: newReader(ctx, x.Scan), filter: b.bind(x.Filter, x.Schema())}, nil
 
+	case *plan.Filter:
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return newFilter(ctx, x, in, &b), nil
+
 	case *plan.Join:
 		return buildJoin(x, ctx)
-	case *plan.Filter:
-		return unary(ctx, x.Input, func(in Operator) Operator { return newFilter(ctx, x, in, &b) })
+
 	case *plan.Project:
-		return unary(ctx, x.Input, func(in Operator) Operator {
-			return &projectOp{node: x, input: in, items: b.bindAll(len(x.Items), func(i int) parser.Expr { return x.Items[i].Expr }, in.Schema())}
-		})
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		items := b.bindAll(len(x.Items), func(i int) parser.Expr { return x.Items[i].Expr }, in.Schema())
+		return &projectOp{node: x, input: in, items: items}, nil
+
 	case *plan.Aggregate:
-		return unary(ctx, x.Input, func(in Operator) Operator { return newAggregate(x, in, &b) })
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return newAggregate(x, in, &b), nil
+
 	case *plan.Sort:
-		return unary(ctx, x.Input, func(in Operator) Operator { return newSort(x, in, &b) })
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return newSort(x, in, &b), nil
+
 	case *plan.Limit:
-		return unary(ctx, x.Input, func(in Operator) Operator { return &limitOp{node: x, input: in} })
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &limitOp{node: x, input: in}, nil
+
 	case *plan.Distinct:
-		return unary(ctx, x.Input, func(in Operator) Operator { return &distinctOp{input: in} })
+		in, err := Build(x.Input, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &distinctOp{input: in}, nil
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
-}
-
-// unary builds input, then the operator op makes over it.
-func unary(ctx *Ctx, input plan.Node, op func(in Operator) Operator) (Operator, error) {
-	in, err := Build(input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return op(in), nil
 }
 
 // newReader is a table reader of node's rows with node's filter bound: it
@@ -176,16 +196,26 @@ func Run(op Operator, ctx *Ctx) ([]Row, error) {
 
 // run drives op to its end, handing each row to sink or, with a nil
 // sink, collecting the rows. The tree is closed on every way out, a
-// failed Open included, and may then be run again.
-func run(op Operator, ctx *Ctx, sink RowSink) (rows []Row, err error) {
-	clear(ctx.subqMemo)
-	err = op.Open(ctx)
-	for err == nil {
-		if err = ctx.Canceled(); err != nil {
-			break
+// failed Open included, and may then be run again: the IN-subquery
+// results the run memoized are let go as it ends.
+func run(op Operator, ctx *Ctx, sink RowSink) ([]Row, error) {
+	defer func() { clear(ctx.subqMemo) }()
+	var rows []Row
+	if err := op.Open(ctx); err != nil {
+		op.Close(ctx)
+		return nil, err
+	}
+	for {
+		if err := ctx.Canceled(); err != nil {
+			op.Close(ctx)
+			return nil, err
 		}
-		var b *Batch
-		if b, err = op.NextBatch(ctx); err != nil || b.Len() == 0 {
+		b, err := op.NextBatch(ctx)
+		if err != nil {
+			op.Close(ctx)
+			return nil, err
+		}
+		if b.Len() == 0 {
 			break
 		}
 		if sink == nil {
@@ -193,15 +223,13 @@ func run(op Operator, ctx *Ctx, sink RowSink) (rows []Row, err error) {
 			continue
 		}
 		for _, r := range b.Rows {
-			if err = sink.Row(r); err != nil {
-				break
+			if err := sink.Row(r); err != nil {
+				op.Close(ctx)
+				return nil, err
 			}
 		}
 	}
-	if cerr := op.Close(ctx); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := op.Close(ctx); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -3,8 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"iter"
-	"slices"
 	"strings"
 
 	"crowddb/internal/catalog"
@@ -148,6 +146,8 @@ type Ctx struct {
 	// shells is the slab instrumented operator shells are taken from.
 	shells []instrumentedOp
 
+	// subqMemo holds the running statement's IN-subquery results; run
+	// empties it as the statement ends.
 	subqMemo map[*parser.InExpr][]sqltypes.Value
 	// outer is the statement context an IN-subquery's context runs under
 	// (nil at top level); depth counts the contexts above this one.
@@ -434,7 +434,7 @@ func newEqualStream(ctx *Ctx, cond *bound, calls []crowdEqualCall, rows []Row) (
 	}
 	for _, q := range qOrder {
 		keys := byQ[q].keys
-		for pairs := range chunkSlice(byQ[q].pairs, ctx.Tasks.Config().MaxInFlight) {
+		for _, pairs := range chunkSlice(byQ[q].pairs, ctx.Tasks.Config().MaxInFlight) {
 			if err := es.broker.post(q, pairs); err != nil {
 				return nil, err
 			}
@@ -546,9 +546,19 @@ func (es *equalStream) close() { es.broker.close() }
 // chunkSlice splits items into at most n contiguous, near-equal chunks.
 // The pipelined operators pass the Task Manager's in-flight window: that
 // many HIT groups overlap on the platform, the scheduler queues the rest.
-func chunkSlice[T any](items []T, n int) iter.Seq[[]T] {
-	n = max(n, 1)
-	return slices.Chunk(items, max((len(items)+n-1)/n, 1))
+func chunkSlice[T any](items []T, n int) [][]T {
+	if len(items) == 0 {
+		return nil
+	}
+	if n < 1 {
+		n = 1
+	}
+	size := (len(items) + n - 1) / n
+	var out [][]T
+	for lo := 0; lo < len(items); lo += size {
+		out = append(out, items[lo:min(lo+size, len(items))])
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -857,7 +867,7 @@ func probeCNullsOnce(ctx *Ctx, node *plan.CrowdProbe, rows []Row, rowIDs []stora
 	w := window[[]taskmgr.ProbeResult]{ctx: ctx, span: "crowd:probe", counter: &ctx.Stats.ProbeRequests, tally: probeTally}
 	defer w.close()
 	w.charge(len(reqs))
-	for chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
 		err := w.post(len(chunk), func(sp *obs.Span) (*taskmgr.Call[[]taskmgr.ProbeResult], error) {
 			sp.SetAttr("table", t.Name)
 			sp.SetInt("requests", int64(len(chunk)))
@@ -988,7 +998,7 @@ func solicitTuples(ctx *Ctx, t *catalog.Table, span string, reqs []taskmgr.Tuple
 		return n
 	}
 	w.charge(want(reqs))
-	for chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
+	for _, chunk := range chunkSlice(reqs, ctx.Tasks.Config().MaxInFlight) {
 		units := want(chunk)
 		err := w.post(units, func(sp *obs.Span) (*taskmgr.Call[[][]map[string]string], error) {
 			sp.SetAttr("table", t.Name)

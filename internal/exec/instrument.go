@@ -56,7 +56,7 @@ type bufferedReporter interface {
 // shells of one context come from a slab that starts at two (a point
 // SELECT's Project over Scan) and doubles.
 func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
-	if ctx.Trace == nil && ctx.OpStats == nil && ctx.OpMetrics == nil {
+	if !ctx.Instrumented() {
 		return op
 	}
 	if len(ctx.shells) == cap(ctx.shells) {
@@ -66,6 +66,13 @@ func instrument(op Operator, n plan.Node, ctx *Ctx) Operator {
 	o := &ctx.shells[len(ctx.shells)-1]
 	*o = instrumentedOp{op: op, node: n, label: opLabel(n)}
 	return o
+}
+
+// Instrumented reports whether Build wraps the operators it makes in c in
+// instrumented shells: when c asks for tracing, per-operator stats or
+// operator metrics.
+func (c *Ctx) Instrumented() bool {
+	return c.Trace != nil || c.OpStats != nil || c.OpMetrics != nil
 }
 
 type instrumentedOp struct {
@@ -84,14 +91,24 @@ func (o *instrumentedOp) Open(ctx *Ctx) error {
 	if ctx.Trace != nil {
 		o.span = ctx.Trace.Span(ctx.Span, o.label)
 	}
-	return o.call(ctx, func() error { return o.op.Open(ctx) })
+	parent, before := ctx.Span, ctx.Stats
+	ctx.Span = o.span
+	t0 := time.Now()
+	err := o.op.Open(ctx)
+	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
+	ctx.Span = parent
+	return err
 }
 
-func (o *instrumentedOp) NextBatch(ctx *Ctx) (b *Batch, err error) {
-	err = o.call(ctx, func() error {
-		b, err = o.op.NextBatch(ctx)
-		return err
-	})
+func (o *instrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
+	parent, before := ctx.Span, ctx.Stats
+	ctx.Span = o.span
+	t0 := time.Now()
+	b, err := o.op.NextBatch(ctx)
+	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
+	ctx.Span = parent
 	if err == nil && b.Len() > 0 {
 		o.st.RowsOut += int64(b.Len())
 		o.st.Batches++
@@ -99,24 +116,17 @@ func (o *instrumentedOp) NextBatch(ctx *Ctx) (b *Batch, err error) {
 	return b, err
 }
 
-// call runs f, one of the operator's own calls, under the operator's span,
-// adding its time and the crowd work done in it to the operator's stats.
-func (o *instrumentedOp) call(ctx *Ctx, f func() error) error {
-	parent, before := ctx.Span, ctx.Stats
-	ctx.Span = o.span
-	t0 := time.Now()
-	err := f()
-	o.st.WallNanos += time.Since(t0).Nanoseconds()
-	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
-	ctx.Span = parent
-	return err
-}
-
 func (o *instrumentedOp) Close(ctx *Ctx) error {
 	if br, ok := o.op.(bufferedReporter); ok {
 		o.st.PeakBufferedRows = br.bufferedRows() // before Close lets go of the rows
 	}
-	err := o.call(ctx, func() error { return o.op.Close(ctx) })
+	parent, before := ctx.Span, ctx.Stats
+	ctx.Span = o.span
+	t0 := time.Now()
+	err := o.op.Close(ctx)
+	o.st.WallNanos += time.Since(t0).Nanoseconds()
+	o.st.Crowd = o.st.Crowd.Add(ctx.Stats.Sub(before))
+	ctx.Span = parent
 	if ctx.OpStats != nil {
 		snap := o.st
 		ctx.OpStats[o.node] = &snap

@@ -65,8 +65,12 @@ func (j *nlJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	rows, err := drainInput(ctx, j.right, nil)
-	j.rightRows, j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = rows, nil, 0, nil, 0, false
-	return err
+	if err != nil {
+		return err
+	}
+	j.rightRows = rows
+	j.left.batch, j.left.pos, j.cur, j.rpos, j.matched = nil, 0, nil, 0, false
+	return nil
 }
 
 func (j *nlJoin) next(ctx *Ctx) (Row, error) {
@@ -93,8 +97,10 @@ func (j *nlJoin) next(ctx *Ctx) (Row, error) {
 		}
 		// Right side exhausted for this left row.
 		if j.node.Type == parser.JoinLeft && !j.matched {
-			out := append(make(Row, 0, len(j.cur)+len(j.right.Schema())), j.cur...)
-			out = out[:cap(out)] // the right side's columns: a zero Value is NULL
+			out := append(Row{}, j.cur...)
+			for range j.right.Schema() {
+				out = append(out, sqltypes.Null())
+			}
 			j.cur = nil
 			return out, nil
 		}
@@ -154,29 +160,45 @@ func (b *rowBuckets) get(v sqltypes.Value) []Row {
 // optimizer's cardinality estimate for the build side (plan.Join.BuildRows)
 // so bulk builds do not double their way up from an empty table.
 type hashJoin struct {
-	node        *plan.Join
-	left        rowCursor
-	right       Operator
-	lk, rk, res *bound // the keys over the left and right rows; the rest of ON over the joined ones
+	node  *plan.Join
+	left  rowCursor
+	right Operator
 
-	build rowBuckets
-	built int64
-	cur   Row
-	bkt   []Row
-	bpos  int
-	buf   Batch
+	lk, rk, res *bound // the keys over the left and right rows; the rest of ON over the joined ones
+	build       rowBuckets
+	built       int64
+	cur         Row
+	bkt         []Row
+	bpos        int
+	buf         Batch
 }
 
 func (j *hashJoin) Schema() []plan.Col { return j.node.Schema() }
+
+// buildSizeHint converts the optimizer's build-side row estimate into a
+// slot-array pre-size, clamped so a wild estimate cannot pre-allocate
+// unboundedly.
+func (j *hashJoin) buildSizeHint() int {
+	const maxHint = 1 << 20
+	est := int(j.node.BuildRows)
+	if est < 0 {
+		return 0
+	}
+	if est > maxHint {
+		return maxHint
+	}
+	return est
+}
 
 func (j *hashJoin) Open(ctx *Ctx) error {
 	if err := j.left.in.Open(ctx); err != nil {
 		return err
 	}
-	j.build, j.built = newRowBuckets(min(max(int(j.node.BuildRows), 0), 1<<20)), 0 // clamped: a wild estimate must not pre-allocate unboundedly
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
+	j.build = newRowBuckets(j.buildSizeHint())
+	j.built = 0
 	for {
 		b, err := j.right.NextBatch(ctx)
 		if err != nil {

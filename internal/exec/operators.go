@@ -364,13 +364,19 @@ func (s *sortOp) crowdSort(ctx *Ctx) error {
 			return err
 		}
 		s.rows = sorter.permuted()
-		slices.Reverse(s.rows)
+		reverseRows(s.rows)
 		return nil
 	}
 	// ASC streams: NextBatch drives comparison rounds and emits the settled
 	// prefix as it grows.
 	s.sorter = sorter
 	return nil
+}
+
+func reverseRows(rows []Row) {
+	for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
+		rows[i], rows[j] = rows[j], rows[i]
+	}
 }
 
 // plainSort consumes the input and leaves in s.rows, in output order, the
@@ -477,12 +483,21 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, nil
 		}
 		rows := b.Rows
-		skip := min(max(l.node.Offset-l.skipped, 0), int64(len(rows)))
-		l.skipped += skip
-		rows = rows[skip:]
+		if l.skipped < l.node.Offset {
+			skip := l.node.Offset - l.skipped
+			if skip > int64(len(rows)) {
+				skip = int64(len(rows))
+			}
+			l.skipped += skip
+			rows = rows[skip:]
+		}
 		if l.node.N >= 0 {
-			rows = rows[:min(int64(len(rows)), l.node.N-l.emitted)]
-			l.emitted += int64(len(rows))
+			if remaining := l.node.N - l.emitted; int64(len(rows)) >= remaining {
+				rows = rows[:remaining]
+				l.emitted = l.node.N
+			} else {
+				l.emitted += int64(len(rows))
+			}
 		}
 		if len(rows) == 0 {
 			continue
