@@ -9,34 +9,49 @@
 //	crowddb -demo                   # pre-load the paper's conference schema
 //	crowddb -shards 8               # hash-partition tables across 8 shards
 //	crowddb -wal-sync always        # fsync every WAL record (default: group)
-//	crowddb -server http://host:8090  # no local engine: drive a crowddbd
-//	                                  # through the v1 Jobs API (pkg/client);
-//	                                  # rows stream live, Ctrl-C cancels
+//	crowddb -budget 25              # cap the session at 25 paid comparisons
+//	crowddb -server http://host:8090  # no local engine: drive that crowddbd
+//
+// Every statement goes through the v1 Jobs API (pkg/client). Without
+// -server the shell opens the engine the flags describe and serves it
+// in process on a loopback listener, as crowddbd would; with -server the
+// engine flags are ignored. Either way statements run as jobs of one
+// session (-budget caps its paid comparisons), rows print the moment the
+// server streams them, and Ctrl-C cancels the running job instead of
+// ending the shell.
 //
 // Inside the shell, CrowdSQL statements end with ';'. Extra commands:
 //
 //	\help             show help
-//	\stats            crowd activity counters for the session
-//	\workers          the worker community (quality scores)
-//	\templates        generated UI templates
+//	\stats            server, cache, crowd and cost-model counters
+//	\session          the session's queries, budget and crowd work
 //	\quit             exit
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"crowddb"
+	"crowddb/internal/server"
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the shell; it returns the exit status once every deferred
+// teardown (session, in-process server, engine) has run.
+func run() int {
 	data := flag.String("data", "", "data directory (empty = in-memory)")
 	platform := flag.String("platform", "amt", "crowd platform: amt, mobile, or none")
 	seed := flag.Int64("seed", 1, "crowd simulation seed")
@@ -44,13 +59,12 @@ func main() {
 	command := flag.String("c", "", "execute this CrowdSQL script and exit (non-interactive)")
 	shards := flag.Int("shards", 0, "storage shards per table (0 = one per CPU, capped; durable stores adopt their on-disk count)")
 	walSync := flag.String("wal-sync", "group", "WAL durability: always, group, or off")
-	server := flag.String("server", "", "crowddbd base URL; when set the shell runs remotely over the v1 Jobs API (pkg/client) instead of embedding an engine")
-	budget := flag.Int("budget", 0, "remote-session crowd-comparison budget (-server mode; 0 = server default)")
+	url := flag.String("server", "", "crowddbd base URL to drive instead of serving an in-process engine opened from the flags above")
+	budget := flag.Int("budget", 0, "session crowd-comparison budget (0 = the server's default; unlimited in process)")
 	flag.Parse()
 
-	if *server != "" {
-		serverMain(*server, *command, *budget)
-		return
+	if *url != "" {
+		return serverMain(*url, "server="+*url, *command, *budget)
 	}
 
 	conf := workload.NewConference(20, *seed)
@@ -69,50 +83,61 @@ func main() {
 	case "none":
 	default:
 		fmt.Fprintf(os.Stderr, "crowddb: unknown platform %q\n", *platform)
-		os.Exit(1)
+		return 1
 	}
 
 	db, err := crowddb.Open(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crowddb:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer db.Close()
 
 	if *demo {
 		if _, err := db.Exec(conf.DemoScript()); err != nil {
 			fmt.Fprintln(os.Stderr, "crowddb: demo load:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("demo schema loaded: Talk (10 talks, crowd columns), NotableAttendee (crowd table)")
 	}
 
-	if *command != "" {
-		res, err := db.Exec(*command)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Print(crowddb.FormatTable(res))
-		if res.Predicted.Cents > 0 || res.ActualCents > 0 {
-			fmt.Printf("cost: predicted %s, actual ¢%.1f\n", res.Predicted, res.ActualCents)
-		}
-		return
+	_, local, shutdown, err := serveLocal(db)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crowddb:", err)
+		return 1
 	}
-
-	fmt.Printf("CrowdDB shell — platform=%s data=%q (\\help for help)\n", *platform, *data)
-	repl(db)
+	defer shutdown()
+	return serverMain(local, fmt.Sprintf("platform=%s data=%q", *platform, *data), *command, *budget)
 }
 
-func repl(db *crowddb.DB) {
-	readLoop(os.Stdin, func(sql string) { runLocal(db, sql) }, func(cmd string) bool { return command(db, cmd) })
+// serveLocal serves db's engine the way crowddbd does, on a loopback
+// listener, and returns the server, its base URL and a shutdown that
+// drains the jobs and then the HTTP handlers.
+func serveLocal(db *crowddb.DB) (*server.Server, string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, "", nil, err
+	}
+	srv := server.New(db.Engine(), server.Config{})
+	hs := &http.Server{Handler: srv.HTTPHandler()}
+	go hs.Serve(ln) //nolint:errcheck // ErrServerClosed once shutdown runs
+	shutdown := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck // a job past the deadline fails with shutting_down
+		if hs.Shutdown(ctx) != nil {
+			hs.Close() //nolint:errcheck // final teardown
+		}
+	}
+	return srv, "http://" + ln.Addr().String(), shutdown, nil
 }
 
 // readLoop is the shell's read loop over in: a line starting with '\'
 // outside a statement goes to command, which reports whether the shell
 // should exit; other lines accumulate until one ends with ';', and the
-// statement goes to run. It returns at \quit or the end of in.
-func readLoop(in io.Reader, run func(sql string), command func(cmd string) bool) {
+// statement goes to run. It returns at \quit or the end of in, with the
+// error that stopped reading in, if any (a line over 1 MiB).
+func readLoop(in io.Reader, run func(sql string), command func(cmd string) bool) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(nil, 1<<20)
 	var buf strings.Builder
@@ -121,13 +146,13 @@ func readLoop(in io.Reader, run func(sql string), command func(cmd string) bool)
 		fmt.Print(prompt)
 		if !sc.Scan() {
 			fmt.Println()
-			return
+			return sc.Err()
 		}
 		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
 			if command(trimmed) {
-				return
+				return nil
 			}
 			continue
 		}
@@ -142,80 +167,4 @@ func readLoop(in io.Reader, run func(sql string), command func(cmd string) bool)
 		buf.Reset()
 		run(sql)
 	}
-}
-
-// runLocal runs one statement on the embedded engine and prints its result.
-func runLocal(db *crowddb.DB, sql string) {
-	res, err := db.Exec(sql)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Print(crowddb.FormatTable(res))
-	for _, w := range res.Warnings {
-		fmt.Println("warning:", w)
-	}
-	if res.Stats.ProbeRequests+res.Stats.NewTupleRequests+res.Stats.Comparisons > 0 {
-		fmt.Printf("crowd: %d probes, %d tuple solicitations, %d comparisons (%d cached)\n",
-			res.Stats.ProbeRequests, res.Stats.NewTupleRequests,
-			res.Stats.Comparisons, res.Stats.CacheHits)
-	}
-	if res.Predicted.Cents > 0 || res.ActualCents > 0 {
-		fmt.Printf("cost: predicted %s, actual ¢%.1f\n", res.Predicted, res.ActualCents)
-	}
-}
-
-// command handles \-commands; it reports whether the shell should exit.
-func command(db *crowddb.DB, cmd string) bool {
-	switch strings.Fields(cmd)[0] {
-	case "\\quit", "\\q":
-		return true
-	case "\\help":
-		fmt.Println(`CrowdSQL statements end with ';'. Examples:
-  CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING);
-  SELECT abstract FROM Talk WHERE title = 'CrowdDB';
-  SELECT title FROM Talk ORDER BY CROWDORDER(title, "Which talk did you like better") LIMIT 10;
-Commands: \stats \workers \templates \quit`)
-	case "\\stats":
-		if t := db.Engine().Tasks(); t != nil {
-			s := t.Stats()
-			fmt.Printf("groups=%d hits=%d assignments=%d decisions=%d crowd-time=%s spend=%s\n",
-				s.GroupsPosted, s.HITsPosted, s.AssignmentsIn, s.Decisions, s.CrowdTime, s.ApprovedSpend)
-			fmt.Printf("async: window=%d peak-in-flight=%d peak-queue=%d expired=%d rtt-p50=%s rtt-p90=%s\n",
-				s.MaxInFlight, s.PeakInFlight, s.PeakQueueDepth, s.ExpiredGroups,
-				s.GroupLatencyP50, s.GroupLatencyP90)
-		} else {
-			fmt.Println("no crowd platform attached")
-		}
-		c := db.Engine().CacheStats()
-		fmt.Printf("compare-cache: size=%d hits=%d misses=%d shared-flights=%d\n",
-			c.Size, c.Hits, c.Misses, c.Shared)
-		if cms := db.Engine().CostModel(); cms.Statements > 0 {
-			fmt.Printf("cost-model: %d statements, predicted=¢%.1f actual=¢%.1f mean-abs-err=%.0f%%\n",
-				cms.Statements, cms.PredictedCents, cms.ActualCents, cms.MeanAbsPctErr)
-		}
-	case "\\workers":
-		ws := db.Engine().WRM().Community()
-		if len(ws) == 0 {
-			fmt.Println("no workers yet")
-		}
-		for i, w := range ws {
-			if i >= 15 {
-				fmt.Printf("... and %d more\n", len(ws)-15)
-				break
-			}
-			fmt.Printf("%-8s score=%.2f agreed=%d disagreed=%d\n", w.WorkerID, w.Score(), w.Agreed, w.Disagreed)
-		}
-	case "\\templates":
-		for _, t := range db.Engine().UI().Templates() {
-			table := t.Table
-			if table == "" {
-				table = "(generic)"
-			}
-			fmt.Printf("%-20s %-12s %s\n", table, t.Kind, t.Instructions)
-		}
-	default:
-		fmt.Println("unknown command; \\help for help")
-	}
-	return false
 }

@@ -1,11 +1,11 @@
 package main
 
-// Server mode: with -server the shell keeps no local engine at all — it
-// drives a crowddbd over the v1 Jobs API through the public SDK
-// (pkg/client). Statements submit as jobs, rows print the moment the
-// server streams them (crowd queries show partial results while HIT
-// groups are still in flight), and Ctrl-C cancels the running job
-// instead of killing the shell.
+// The shell's one statement path: it drives a crowddbd — the one named by
+// -server, or the one main serves in process — over the v1 Jobs API
+// through the public SDK (pkg/client). Statements submit as jobs, rows
+// print the moment the server streams them (crowd queries show partial
+// results while HIT groups are still in flight), and Ctrl-C cancels the
+// running job instead of killing the shell.
 
 import (
 	"context"
@@ -19,34 +19,40 @@ import (
 	"crowddb/pkg/client"
 )
 
-// serverMain is the shell entry point in -server mode. command, when
-// non-empty, runs one script and exits.
-func serverMain(url, command string, budget int) {
+// serverMain runs the shell against the crowddbd at url, announced as
+// where, on a session with budget; command, when non-empty, runs one
+// script and exits. It returns the exit status after closing the session.
+func serverMain(url, where, command string, budget int) int {
 	ctx := context.Background()
 	c := client.New(url)
 	if !c.Healthy(ctx) {
 		fmt.Fprintf(os.Stderr, "crowddb: server %s is not healthy\n", url)
-		os.Exit(1)
+		return 1
 	}
 	if _, err := c.CreateSession(ctx, budget); err != nil {
 		fmt.Fprintln(os.Stderr, "crowddb: create session:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer c.CloseSession(context.Background()) //nolint:errcheck // best-effort teardown
 
 	if command != "" {
 		if !runRemote(ctx, c, command) {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("CrowdDB shell — server=%s session=%s (\\help for help)\n", url, c.Session())
-	readLoop(os.Stdin, func(sql string) { runRemote(ctx, c, sql) }, func(cmd string) bool { return remoteCommand(ctx, c, cmd) })
+	fmt.Printf("CrowdDB shell — %s session=%s (\\help for help)\n", where, c.Session())
+	if err := readLoop(os.Stdin, func(sql string) { runRemote(ctx, c, sql) }, func(cmd string) bool { return remoteCommand(ctx, c, cmd) }); err != nil {
+		fmt.Fprintln(os.Stderr, "crowddb:", err)
+		return 1
+	}
+	return 0
 }
 
 // runRemote executes one script as a job, streaming rows as they arrive;
-// it reports success. Ctrl-C cancels the job and lets the budget settle.
+// it reports success. Ctrl-C cancels the job: the stream then ends with
+// the cancelled job's trailer, and the budget settles.
 func runRemote(parent context.Context, c *client.Client, sql string) bool {
 	ctx, stop := signal.NotifyContext(parent, syscall.SIGINT)
 	defer stop()
@@ -61,25 +67,20 @@ func runRemote(parent context.Context, c *client.Client, sql string) bool {
 		return false
 	}
 	defer it.Close()
+	cancelled := make(chan struct{})
+	unwatch := context.AfterFunc(ctx, func() {
+		defer close(cancelled)
+		fmt.Println("\ncancelling...")
+		if _, err := job.Cancel(parent); err != nil {
+			fmt.Println("error:", err)
+		}
+	})
 	header := false
 	n := 0
-	for {
-		// Streamed printing: each row appears as the server produces it.
-		done := make(chan bool, 1)
-		go func() { done <- it.Next() }()
-		select {
-		case ok := <-done:
-			if !ok {
-				goto finished
-			}
-		case <-ctx.Done():
-			fmt.Println("\ncancelling...")
-			if _, err := job.Cancel(parent); err != nil {
-				fmt.Println("error:", err)
-			}
-			<-done // drain the in-flight Next
-			goto finished
-		}
+	// Streamed printing: each row appears as the server produces it. Ctrl-C
+	// stops the printing too: a job that finished before its cancel would
+	// stream every row.
+	for ctx.Err() == nil && it.Next() {
 		row := it.Row()
 		if !header {
 			// Columns are known by the time the first row streams.
@@ -96,7 +97,9 @@ func runRemote(parent context.Context, c *client.Client, sql string) bool {
 		fmt.Println(strings.Join(cells, " | "))
 		n++
 	}
-finished:
+	if !unwatch() {
+		<-cancelled
+	}
 	if err := it.Err(); err != nil {
 		fmt.Println("error:", err)
 		return false

@@ -226,12 +226,6 @@ func (e *Engine) Checkpoint() error {
 	return e.store.Checkpoint()
 }
 
-// UI exposes the template manager (Form Editor access).
-func (e *Engine) UI() *ui.Manager { return e.uim }
-
-// WRM exposes the worker relationship manager.
-func (e *Engine) WRM() *wrm.Manager { return e.payer }
-
 // Tasks exposes the task manager (nil without a platform).
 func (e *Engine) Tasks() *taskmgr.Manager { return e.tasks }
 

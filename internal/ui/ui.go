@@ -19,7 +19,6 @@ package ui
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -90,23 +89,6 @@ func (m *Manager) Template(table string, kind crowd.TaskKind) (*Template, bool) 
 	defer m.mu.RUnlock()
 	t, ok := m.templates[key(table, kind)]
 	return t, ok
-}
-
-// Templates lists all managed templates, sorted by table and kind.
-func (m *Manager) Templates() []*Template {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*Template, 0, len(m.templates))
-	for _, t := range m.templates {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
 }
 
 // EditInstructions is the Form Editor hook: developers replace the default

@@ -53,7 +53,7 @@ func TestGenerateAll(t *testing.T) {
 	if _, ok := m.Template("", crowd.TaskCompareEqual); !ok {
 		t.Error("compare-equal template")
 	}
-	if got := len(m.Templates()); got != 4 {
+	if got := len(m.templates); got != 4 {
 		t.Errorf("template count: %d", got)
 	}
 }

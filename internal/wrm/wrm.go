@@ -105,15 +105,3 @@ func (m *Manager) firstTime(set map[string]bool, workerID string) bool {
 	set[workerID] = true
 	return true
 }
-
-// Community summarizes the requester's worker community: everyone the
-// quality tracker has seen, best first — the relationship the WRM tends.
-func (m *Manager) Community() []quality.WorkerQuality {
-	ws := m.tracker.Workers()
-	// Workers() sorts worst-first for the review queue; the community view
-	// is best-first.
-	for i, j := 0, len(ws)-1; i < j; i, j = i+1, j-1 {
-		ws[i], ws[j] = ws[j], ws[i]
-	}
-	return ws
-}

@@ -214,17 +214,3 @@ func TestBlockBelowEscalates(t *testing.T) {
 		t.Errorf("double block: %q", p.log)
 	}
 }
-
-func TestCommunityOrder(t *testing.T) {
-	tr := quality.NewTracker()
-	tr.Record(quality.MajorityVote([]quality.Vote{
-		{WorkerID: "good", Answer: "x"},
-		{WorkerID: "good2", Answer: "x"},
-		{WorkerID: "bad", Answer: "y"},
-	}, 2))
-	m := New(DefaultPolicy(), tr)
-	com := m.Community()
-	if len(com) != 3 || com[len(com)-1].WorkerID != "bad" {
-		t.Errorf("community must be best-first: %+v", com)
-	}
-}
