@@ -12,6 +12,7 @@ import (
 
 	"crowddb"
 	"crowddb/internal/server"
+	"crowddb/internal/workload"
 	"crowddb/pkg/client"
 )
 
@@ -143,4 +144,40 @@ func TestFailingScriptClosesSession(t *testing.T) {
 		t.Errorf("exit status %d, output %q; want 1 and an error", code, out)
 	}
 	noneLeft(t, srv)
+}
+
+// TestExplainPrintsNoCostLine: EXPLAIN and EXPLAIN ANALYZE print their
+// cents in the plan text, and the shell adds no cost line after it; a
+// statement without a plan still gets one.
+func TestExplainPrintsNoCostLine(t *testing.T) {
+	_, url, _ := serveTest(t)
+	ctx := context.Background()
+	c := client.New(url)
+	if _, err := c.CreateSession(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseSession(ctx) //nolint:errcheck // the server shuts down at cleanup
+	var loaded bool
+	captureStdout(t, func() { loaded = runRemote(ctx, c, workload.NewConference(20, 1).DemoScript()) })
+	if !loaded {
+		t.Fatal("demo load failed")
+	}
+	const probe = "SELECT title, nb_attendees FROM Talk LIMIT 2;"
+	for _, tc := range []struct {
+		sql, plan string
+		costLine  bool
+	}{
+		{"EXPLAIN " + probe, "predicted: ¢", false},
+		{"EXPLAIN ANALYZE SELECT title FROM Talk LIMIT 2;", "actual: ¢", false},
+		{probe, "", true},
+	} {
+		out := captureStdout(t, func() {
+			if !runRemote(ctx, c, tc.sql) {
+				t.Errorf("%s failed", tc.sql)
+			}
+		})
+		if !strings.Contains(out, tc.plan) || strings.Contains(out, "cost:") != tc.costLine {
+			t.Errorf("%s printed:\n%s\nwant a plan with %q and a cost line: %v", tc.sql, out, tc.plan, tc.costLine)
+		}
+	}
 }

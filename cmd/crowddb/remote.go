@@ -125,7 +125,9 @@ func runRemote(parent context.Context, c *client.Client, sql string) bool {
 			fmt.Printf("crowd: %d probes, %d tuple solicitations, %d comparisons (%d cached)\n",
 				s.ProbeRequests, s.NewTupleRequests, s.Comparisons, s.CacheHits)
 		}
-		if st.PredictedCents > 0 || st.SpentCents > 0 {
+		// A plan's text carries its own predicted (and, under ANALYZE,
+		// actual) cents.
+		if st.Plan == "" && (st.PredictedCents > 0 || st.SpentCents > 0) {
 			fmt.Printf("cost: predicted ¢%.1f, spent ¢%.1f\n", st.PredictedCents, st.SpentCents)
 		}
 		return true

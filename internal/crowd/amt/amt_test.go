@@ -61,14 +61,14 @@ func TestPlatformLifecycle(t *testing.T) {
 	if err := p.Approve(res[0].ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	paid := p.Market().TotalSpent()
+	paid := p.Market.TotalSpent()
 	if paid != 3 {
 		t.Errorf("paid %v for a 2¢ answer with a 1¢ bonus", paid)
 	}
 	if err := p.Approve(res[0].ID, 0); err == nil {
 		t.Error("a second Approve of one assignment must fail")
 	}
-	if p2 := p.Market().TotalSpent(); p2 != paid {
+	if p2 := p.Market.TotalSpent(); p2 != paid {
 		t.Errorf("a failed Approve moved the spend: %v, was %v", p2, paid)
 	}
 	if err := p.Reject(res[1].ID, "bad"); err != nil {

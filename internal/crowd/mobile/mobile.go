@@ -39,10 +39,13 @@ func DefaultConfig(seed int64) Config {
 	return Config{Seed: seed, Venue: VLDB2011, Attendees: 400, ExpertAccuracy: 0.93}
 }
 
-// Platform is the simulated mobile crowdsourcing service.
+// Platform is the simulated mobile crowdsourcing service. The market
+// serves crowd.Platform's group lifecycle (Status, Results, Reject,
+// Expire, Step, Now) and blocks a device's worker; benchmarks read worker
+// stats off it.
 type Platform struct {
-	venue  Venue
-	market *sim.Market
+	*sim.Market
+	venue Venue
 }
 
 // New builds the mobile platform with its local crowd.
@@ -66,7 +69,7 @@ func New(cfg Config) *Platform {
 	mcfg.LatencyMedian = 20 * time.Second
 	mcfg.LatencySigma = 0.6
 	mcfg.AffinityProb = 0.5
-	return &Platform{venue: cfg.Venue, market: sim.NewMarket(mcfg)}
+	return &Platform{Market: sim.NewMarket(mcfg), venue: cfg.Venue}
 }
 
 // Name implements crowd.Platform.
@@ -80,41 +83,11 @@ func (p *Platform) Post(g *crowd.HITGroup) (crowd.GroupID, error) {
 		fenced.Venue = &crowd.GeoFence{Lat: p.venue.Lat, Lon: p.venue.Lon, RadiusKM: p.venue.RadiusKM}
 		g = &fenced
 	}
-	return p.market.Post(g)
-}
-
-// Status implements crowd.Platform.
-func (p *Platform) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
-	return p.market.Status(id)
-}
-
-// Results implements crowd.Platform.
-func (p *Platform) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
-	return p.market.Results(id)
+	return p.Market.Post(g)
 }
 
 // Approve implements crowd.Platform.
 func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
-	_, err := p.market.Approve(assignmentID, bonus)
+	_, err := p.Market.Approve(assignmentID, bonus)
 	return err
 }
-
-// Reject implements crowd.Platform.
-func (p *Platform) Reject(assignmentID, reason string) error {
-	return p.market.Reject(assignmentID, reason)
-}
-
-// Expire implements crowd.Platform.
-func (p *Platform) Expire(id crowd.GroupID) error { return p.market.Expire(id) }
-
-// Step implements crowd.Platform.
-func (p *Platform) Step(d time.Duration) { p.market.Step(d) }
-
-// Now implements crowd.Platform.
-func (p *Platform) Now() time.Duration { return p.market.Now() }
-
-// Block bars a device's worker from future assignments.
-func (p *Platform) Block(workerID string) { p.market.Block(workerID) }
-
-// Market exposes the underlying simulator for benchmarks.
-func (p *Platform) Market() *sim.Market { return p.market }

@@ -45,7 +45,7 @@ func TestMobileAutoFence(t *testing.T) {
 	// Every answering worker must be inside the venue fence.
 	res, _ := p.Results(id)
 	fence := &crowd.GeoFence{Lat: p.venue.Lat, Lon: p.venue.Lon, RadiusKM: p.venue.RadiusKM}
-	stats := p.Market().WorkerStats()
+	stats := p.Market.WorkerStats()
 	byID := map[string]bool{}
 	for _, w := range stats {
 		w := w

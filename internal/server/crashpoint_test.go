@@ -23,19 +23,21 @@ import (
 // prefix, as after a machine crash. Two workloads, the WAL and the jobs
 // journal both in SyncAlways and in SyncGroup (the daemon default):
 //
-//   - the streaming crowd query (SyncAlways at the top level, SyncGroup
-//     under group/): the journal never invents rows — what it recovered
-//     is a prefix of the uninterrupted stream, so no acknowledged offset
-//     regresses; the recovered job is coherent (done after a resume, or
-//     interrupted); a completed resume is byte-identical to the
-//     uninterrupted stream;
+//   - the streaming crowd query, then the session's close (SyncAlways at
+//     the top level, SyncGroup under group/): the journal never invents
+//     rows — what it recovered is a prefix of the uninterrupted stream,
+//     so no acknowledged offset regresses; the recovered job is coherent
+//     (done after a resume, or interrupted); a completed resume is
+//     byte-identical to the uninterrupted stream; a kill as the close
+//     is journaled keeps the finished job and the session's budget;
 //   - a write script, one job per statement (writes/<mode>/): a
 //     multi-row INSERT over both shards, a keyed UPDATE, a primary-key
-//     change that moves a row across shards, a DELETE. The table
-//     recovers as the statements seen done left it, plus at most part of
-//     the next one; no row the script did not write appears, and the
-//     moved row never has two copies, nor zero once its INSERT was seen
-//     done.
+//     change that moves a row across shards, a DELETE, an INSERT that
+//     re-inserts the deleted key, the move back, an unkeyed UPDATE and a
+//     multi-row DELETE over both shards. The table recovers as the
+//     statements seen done left it, plus at most part of the next one;
+//     no row the script did not write appears, and the moved row never
+//     has two copies, nor zero once its INSERT was seen done.
 //
 // And for both: a job whose terminal state was observed before the kill
 // recovers with that state and affected count; a job with any synced
@@ -220,6 +222,9 @@ func sweepCrowdQuery(t *testing.T, mode storage.SyncMode) {
 			}
 			obs.add(job1)
 			waitDone(t, job1)
+			if serr := srv1.CloseSession(sess1.ID()); serr != nil {
+				t.Fatal(serr)
+			}
 			obs.crash(t, srv1, eng1)
 
 			journaled := replayJournal(t, jpath)
@@ -275,6 +280,10 @@ var (
 		"UPDATE Acct SET v = 'b2' WHERE id = 2",                          // keyed
 		"UPDATE Acct SET id = 31 WHERE id = 3",                           // moves the row across shards
 		"DELETE FROM Acct WHERE id = 1",
+		"INSERT INTO Acct VALUES (1, 'a2'), (5, 'e')", // re-inserts a deleted key
+		"UPDATE Acct SET id = 3 WHERE id = 31",        // moves the row back
+		"UPDATE Acct SET v = 'z'",                     // unkeyed, both shards
+		"DELETE FROM Acct WHERE id <> 3",              // several rows, both shards
 	}
 	writeStates = []map[int64]string{
 		{},
@@ -282,7 +291,13 @@ var (
 		{1: "a", 2: "b2", 3: "c", 4: "d"},
 		{1: "a", 2: "b2", 31: "c", 4: "d"},
 		{2: "b2", 31: "c", 4: "d"},
+		{1: "a2", 2: "b2", 31: "c", 4: "d", 5: "e"},
+		{1: "a2", 2: "b2", 3: "c", 4: "d", 5: "e"},
+		{1: "z", 2: "z", 3: "z", 4: "z", 5: "z"},
+		{3: "z"},
 	}
+	// writesBothShards lists the statements that write both shards' WALs.
+	writesBothShards = map[int]bool{0: true, 2: true, 4: true, 5: true, 6: true, 7: true}
 )
 
 const movedFrom, movedTo = 3, 31
@@ -325,8 +340,9 @@ func runWriteScript(t *testing.T, srv *Server, sessID string, obs *killObserver,
 // sweepWriteScript sweeps the write script under one sync mode.
 func sweepWriteScript(t *testing.T, mode storage.SyncMode) {
 	const budget = 20
-	// Baseline: record the hits, and check the INSERT and the move each
-	// write both shards' WALs — the script covers what it claims to.
+	// Baseline: record the hits, and check the statements writesBothShards
+	// lists each write both shards' WALs — the script covers what it
+	// claims to.
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
 	eng, srv := writeServer(t, data, filepath.Join(dir, "jobs.log"), mode, true)
@@ -348,7 +364,7 @@ func sweepWriteScript(t *testing.T, mode storage.SyncMode) {
 	prev := walSizes()
 	runWriteScript(t, srv, sess.ID(), &killObserver{}, func(i int) {
 		cur := walSizes()
-		if (i == 0 || i == 2) && (cur[0] == prev[0] || cur[1] == prev[1]) {
+		if writesBothShards[i] && (cur[0] == prev[0] || cur[1] == prev[1]) {
 			t.Fatalf("%q wrote WAL bytes %v -> %v: not both shards", writeScript[i], prev, cur)
 		}
 		prev = cur

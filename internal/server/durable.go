@@ -1,10 +1,13 @@
 package server
 
-// Durable jobs: every job lifecycle event — submission, state
-// transitions, emitted rows, and the session budget movements that fund
-// them — is journaled through a storage.RecordLog with the same fsync
-// contract as the per-shard WALs. A crowddbd restart replays the journal
-// and recovers every job coherently:
+// Durable jobs: what recovery reads of a job's lifecycle — its
+// submission, result-set schema, emitted rows and terminal state, and the
+// session budget movements that fund them — is journaled through a
+// storage.RecordLog with the same fsync contract as the per-shard WALs.
+// The end record is the one state transition journaled (a job found
+// queued recovers as one found running), and the server.job.state
+// crashpoint sits on it. A crowddbd restart replays the journal and
+// recovers every job coherently:
 //
 //   - finished jobs come back terminal with their results metadata and
 //     full row buffers, so NDJSON/SSE clients reconnect with ?from=N
@@ -32,8 +35,8 @@ package server
 // the answers themselves.)
 //
 // A record is made durable where something depends on it, not when it is
-// written. The submit, run, schema, spend and budget records are
-// buffered; the journal syncs at exactly three barriers:
+// written. The submit, schema, spend and budget records are buffered; the
+// journal syncs at exactly three barriers:
 //
 //  1. before an HTTP response names a job the client did not name itself
 //     (the plain 202 body, the job list, and a submit-and-stream head
@@ -51,7 +54,6 @@ package server
 // synced — the same thing a client that never got its 202 assumes.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -68,7 +70,6 @@ const (
 	recSessionClose = "session_close" // session closed
 	recBudget       = "budget"        // absolute budget after a settle
 	recSubmit       = "submit"        // job submitted
-	recRun          = "run"           // job admitted and running
 	recSchema       = "schema"        // result-set columns known
 	recRow          = "row"           // one emitted row (rowRec)
 	recSpend        = "spend"         // compare answers stored since the last budget record
@@ -133,12 +134,43 @@ func (s *Server) journalSync() {
 	}
 }
 
+// The records below are built by one function each, which the live path
+// and recovery's compaction share.
+
+// sessionRecord carries a session's absolute remaining budget: t is
+// recSession when the session is created, recBudget after a settle.
+func sessionRecord(t string, sess *Session) journalRec {
+	b := sess.budgetLeft()
+	return journalRec{T: t, Session: sess.id, Budget: &b}
+}
+
+func submitRecord(j *Job) journalRec {
+	return journalRec{T: recSubmit, Job: j.id, Session: j.sessionID, SQL: j.sql}
+}
+
+func schemaRecord(job string, cols []string) journalRec {
+	return journalRec{T: recSchema, Job: job, Columns: cols}
+}
+
+func rowRecord(job string, line []byte) rowRec {
+	return rowRec{journalRec{T: recRow, Job: job}, line}
+}
+
+// endRecord is j's end record for the terminal state it enters; the
+// caller holds j.mu or is its only reader.
+func endRecord(j *Job, state JobState, err *Error) journalRec {
+	rec := journalRec{T: recEnd, Job: j.id, State: state, Affected: j.affected, Stmts: j.stmtsDone}
+	if err != nil {
+		rec.Code, rec.Msg = err.Code, err.Message
+	}
+	return rec
+}
+
 func (s *Server) journalSession(sess *Session) {
 	if !s.journalEnabled() {
 		return
 	}
-	b := sess.budgetLeft()
-	s.journalWrite(journalRec{T: recSession, Session: sess.id, Budget: &b}, true)
+	s.journalWrite(sessionRecord(recSession, sess), true)
 }
 
 func (s *Server) journalSessionClose(id string) {
@@ -154,20 +186,7 @@ func (s *Server) journalSubmit(j *Job) {
 	if !s.journalEnabled() {
 		return
 	}
-	s.journalWrite(journalRec{T: recSubmit, Job: j.id, Session: j.sessionID, SQL: j.sql}, false)
-}
-
-// journalRun records the queued->running transition; a crashpoint sits
-// on every journaled state transition.
-func (s *Server) journalRun(j *Job) {
-	if !s.journalEnabled() {
-		return
-	}
-	faultinject.Hit("server.job.state")
-	if faultinject.Killed() {
-		return
-	}
-	s.journalWrite(journalRec{T: recRun, Job: j.id}, false)
+	s.journalWrite(submitRecord(j), false)
 }
 
 // journalBudget writes the session's absolute remaining budget after a
@@ -176,12 +195,12 @@ func (s *Server) journalBudget(sess *Session) {
 	if !s.journalEnabled() || sess.id == anonymousSessionID {
 		return
 	}
-	b := sess.budgetLeft()
-	s.journalWrite(journalRec{T: recBudget, Session: sess.id, Budget: &b}, false)
+	s.journalWrite(sessionRecord(recBudget, sess), false)
 }
 
 // journalEnd makes the terminal state a job is about to enter durable
-// (barrier 3; finish publishes the state only after it returns).
+// (barrier 3; finish publishes the state only after it returns). It is
+// the journal's one state transition, and a crashpoint sits on it.
 func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 	if !s.journalEnabled() {
 		return
@@ -191,11 +210,8 @@ func (s *Server) journalEnd(j *Job, state JobState, err *Error) {
 		return
 	}
 	j.mu.Lock()
-	rec := journalRec{T: recEnd, Job: j.id, State: state, Affected: j.affected, Stmts: j.stmtsDone}
+	rec := endRecord(j, state, err)
 	j.mu.Unlock()
-	if err != nil {
-		rec.Code, rec.Msg = err.Code, err.Message
-	}
 	s.journalWrite(rec, true)
 }
 
@@ -217,7 +233,7 @@ func (j *Job) Snapshot(ts int64) {
 // Schema begins a SELECT's result set.
 func (j *Job) Schema(cols []string) {
 	if j.srv.journalEnabled() {
-		j.srv.journalWrite(journalRec{T: recSchema, Job: j.id, Columns: cols}, false)
+		j.srv.journalWrite(schemaRecord(j.id, cols), false)
 	}
 	j.mu.Lock()
 	j.columns = cols
@@ -250,7 +266,7 @@ func (j *Job) Row(row exec.Row) error {
 		return nil
 	}
 	line := j.encodeRow(row)
-	j.srv.journalWrite(rowRec{journalRec{T: recRow, Job: j.id}, line}, true)
+	j.srv.journalWrite(rowRecord(j.id, line), true)
 	j.pushLine(line)
 	return nil
 }
@@ -292,15 +308,23 @@ type recoveredSession struct {
 	closed     bool
 }
 
-// recoveredJob is one job's replayed state.
-type recoveredJob struct {
+// jobRecord is what the journal holds of one job: its submit record, its
+// result set so far, and — once it ended — its end record (state "" =
+// not terminal). newJob builds a *Job from one.
+type jobRecord struct {
 	id, session, sql string
 	columns          []string
 	rows             rowLines
-	state            JobState // "" = non-terminal at crash time
-	code             Code
-	msg              string
+	state            JobState
+	err              *Error
 	affected, stmts  int
+}
+
+// recovery is one job rebuilt from the journal, with the script it
+// resumes (unset for a terminal job).
+type recovery struct {
+	job    *Job
+	script core.Script
 }
 
 // resumable reports whether a script's statements may safely re-execute
@@ -325,168 +349,20 @@ func resumable(stmts []parser.Statement) bool {
 
 // EnableJournal turns on the durable jobs journal at path, recovering
 // whatever a previous process journaled there. Call it once, after New
-// and before serving traffic. Recovery rebuilds live sessions with their
-// crash-exact remaining budgets, re-registers finished jobs with their
-// results intact, resumes interrupted read-only scripts, fails
-// unresumable ones with the coded interrupted state, and compacts the
-// journal before new appends flow.
+// and before serving traffic. Recovery replays the journal, decides every
+// job's fate (rebuilding live sessions with their crash-exact remaining
+// budgets), compacts the journal before new appends flow, and starts:
+// finished jobs come back with their results intact, interrupted
+// read-only scripts resume, and unresumable ones fail with the coded
+// interrupted state.
 func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
-	sessions := make(map[string]*recoveredSession)
-	jobs := make(map[string]*recoveredJob)
-	var order []string
-	err := storage.ReplayRecordLog(path, func(line json.RawMessage) error {
-		var rec rowRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		switch rec.T {
-		case recSession:
-			rs := &recoveredSession{budget: -1}
-			if rec.Budget != nil {
-				rs.budget = *rec.Budget
-			}
-			sessions[rec.Session] = rs
-		case recSessionClose:
-			if rs, ok := sessions[rec.Session]; ok {
-				rs.closed = true
-			}
-		case recBudget:
-			if rs, ok := sessions[rec.Session]; ok && rec.Budget != nil {
-				rs.budget, rs.spendSince = *rec.Budget, 0
-			}
-		case recSpend:
-			if rs, ok := sessions[rec.Session]; ok {
-				rs.spendSince += rec.N
-			}
-		case recSubmit:
-			jobs[rec.Job] = &recoveredJob{id: rec.Job, session: rec.Session, sql: rec.SQL}
-			order = append(order, rec.Job)
-		case recRun:
-			// Lifecycle breadcrumb only: a non-terminal job is handled the
-			// same whether it was queued or already running.
-		case recSchema:
-			if rj, ok := jobs[rec.Job]; ok {
-				rj.columns = rec.Columns
-			}
-		case recRow:
-			if rj, ok := jobs[rec.Job]; ok {
-				rj.rows.add(rec.Row)
-			}
-		case recEnd:
-			if rj, ok := jobs[rec.Job]; ok {
-				rj.state, rj.code, rj.msg = rec.State, rec.Code, rec.Msg
-				rj.affected, rj.stmts = rec.Affected, rec.Stmts
-			}
-		}
-		return nil
-	})
+	sessions, records, err := replayJobsJournal(path)
 	if err != nil {
 		return fmt.Errorf("server: jobs journal replay: %w", err)
 	}
-
-	// Decide every non-terminal job's disposition before compaction so the
-	// rewritten journal already carries the interrupted end records.
-	type resumption struct {
-		job    *Job
-		script core.Script
-	}
-	var resume []resumption
-	for _, id := range order {
-		rj := jobs[id]
-		if rj.state != "" {
-			continue // terminal: re-registered as-is below
-		}
-		script, perr := s.eng.Prepare(rj.sql)
-		rs := sessions[rj.session]
-		sessionLive := rj.session == "" || (rs != nil && !rs.closed)
-		if perr != nil || !sessionLive || !resumable(script.Statements()) {
-			rj.state = JobInterrupted
-			rj.code = CodeInterrupted
-			switch {
-			case !sessionLive:
-				rj.msg = "restart interrupted the job and its session did not survive"
-			default:
-				rj.msg = "restart interrupted the job and its script is not resumable (contains writes)"
-			}
-			continue
-		}
-		sess := s.recoverSession(rj.session, rs)
-		ctx, cancel := context.WithCancel(context.Background())
-		job := &Job{
-			id:           rj.id,
-			sql:          rj.sql,
-			sess:         sess,
-			sessionID:    rj.session,
-			srv:          s,
-			ctx:          ctx,
-			cancel:       cancel,
-			state:        JobQueued,
-			columns:      rj.columns,
-			rows:         rj.rows,
-			recovered:    rj.rows.len(),
-			admPredicted: -1,
-		}
-		resume = append(resume, resumption{job: job, script: script})
-	}
-
-	// Rebuild live sessions with their recovered budgets, continue the id
-	// sequences past everything replayed.
-	s.mu.Lock()
-	for id, rs := range sessions {
-		if rs.closed {
-			continue
-		}
-		s.sessions[id] = s.recoverSessionLocked(id, rs)
-		var n int64
-		if _, err := fmt.Sscanf(id, "s%d", &n); err == nil && n > s.seq {
-			s.seq = n
-		}
-	}
-	for _, id := range order {
-		var n int64
-		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > s.jobSeq {
-			s.jobSeq = n
-		}
-	}
-	s.mu.Unlock()
-
-	// Compact: the rewritten journal carries live sessions (recovered
-	// absolute budgets), then each retained job's submit/schema/rows and,
-	// for terminal jobs, its end record. Spend deltas are folded away.
+	live, recs := s.recoverJobs(sessions, records)
 	log, err := storage.RewriteRecordLog(path, mode, func(add func(v any) error) error {
-		for id, rs := range sessions {
-			if rs.closed {
-				continue
-			}
-			b := recoveredBudget(rs)
-			if err := add(journalRec{T: recSession, Session: id, Budget: &b}); err != nil {
-				return err
-			}
-		}
-		for _, id := range order {
-			rj := jobs[id]
-			if err := add(journalRec{T: recSubmit, Job: rj.id, Session: rj.session, SQL: rj.sql}); err != nil {
-				return err
-			}
-			if rj.columns != nil {
-				if err := add(journalRec{T: recSchema, Job: rj.id, Columns: rj.columns}); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < rj.rows.len(); i++ {
-				if err := add(rowRec{journalRec{T: recRow, Job: rj.id}, rj.rows.line(i)}); err != nil {
-					return err
-				}
-			}
-			if rj.state != "" {
-				rec := journalRec{T: recEnd, Job: rj.id, State: rj.state,
-					Code: rj.code, Msg: rj.msg, Affected: rj.affected, Stmts: rj.stmts}
-				if err := add(rec); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return compactJournal(add, live, recs)
 	})
 	if err != nil {
 		return fmt.Errorf("server: jobs journal compaction: %w", err)
@@ -501,52 +377,163 @@ func (s *Server) EnableJournal(path string, mode storage.SyncMode) error {
 			"jobs journal appends that failed (the journal is poisoned; queries keep running)")
 	}
 	s.journal.Store(log)
+	s.startRecovered(recs)
+	return nil
+}
 
-	// Re-register terminal jobs (including the freshly interrupted ones)
-	// and launch the resumptions.
-	for _, id := range order {
-		rj := jobs[id]
-		if rj.state == "" {
+// replayJobsJournal reads the journal at path into each session's and
+// each job's last state, jobs in submission order. A "run" line, which
+// journals written before the record was dropped carry, is skipped like
+// any unknown record type.
+func replayJobsJournal(path string) (map[string]*recoveredSession, []*jobRecord, error) {
+	sessions := make(map[string]*recoveredSession)
+	jobs := make(map[string]*jobRecord)
+	var order []*jobRecord
+	err := storage.ReplayRecordLog(path, func(line json.RawMessage) error {
+		var rec rowRec
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		rs, rj := sessions[rec.Session], jobs[rec.Job]
+		switch {
+		case rec.T == recSession:
+			rs = &recoveredSession{budget: -1}
+			if rec.Budget != nil {
+				rs.budget = *rec.Budget
+			}
+			sessions[rec.Session] = rs
+		case rec.T == recSubmit:
+			rj = &jobRecord{id: rec.Job, session: rec.Session, sql: rec.SQL}
+			jobs[rec.Job] = rj
+			order = append(order, rj)
+		case rs != nil && rec.T == recSessionClose:
+			rs.closed = true
+		case rs != nil && rec.T == recBudget && rec.Budget != nil:
+			rs.budget, rs.spendSince = *rec.Budget, 0
+		case rs != nil && rec.T == recSpend:
+			rs.spendSince += rec.N
+		case rj != nil && rec.T == recSchema:
+			rj.columns = rec.Columns
+		case rj != nil && rec.T == recRow:
+			rj.rows.add(rec.Row)
+		case rj != nil && rec.T == recEnd:
+			rj.state, rj.affected, rj.stmts = rec.State, rec.Affected, rec.Stmts
+			if rec.Code != "" {
+				rj.err = &Error{Code: rec.Code, Message: rec.Msg}
+			}
+		}
+		return nil
+	})
+	return sessions, order, err
+}
+
+// recoverJobs is recovery's decision: it rebuilds the live sessions with
+// their crash-exact budgets, continues the id sequences past everything
+// replayed, and builds every replayed job — terminal as journaled,
+// resumed when its script is read-only and its session survived, and
+// interrupted otherwise.
+func (s *Server) recoverJobs(sessions map[string]*recoveredSession, records []*jobRecord) (live []*Session, recs []recovery) {
+	s.mu.Lock()
+	for id, rs := range sessions {
+		if rs.closed {
 			continue
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		job := &Job{
-			id:           rj.id,
-			sql:          rj.sql,
-			sessionID:    rj.session,
-			srv:          s,
-			ctx:          ctx,
-			cancel:       cancel,
-			state:        rj.state,
-			columns:      rj.columns,
-			rows:         rj.rows,
-			affected:     rj.affected,
-			stmtsDone:    rj.stmts,
-			admPredicted: -1,
+		sess := newSession(id, recoveredBudget(rs))
+		s.sessions[id] = sess
+		live = append(live, sess)
+		s.seq = max(s.seq, idSeq(id, "s%d"))
+	}
+	for _, r := range records {
+		s.jobSeq = max(s.jobSeq, idSeq(r.id, "j%d"))
+	}
+	s.mu.Unlock()
+	for _, r := range records {
+		var script core.Script
+		var sess *Session
+		if r.state == "" {
+			script, sess = s.resume(r)
 		}
-		if rj.code != "" {
-			job.err = &Error{Code: rj.code, Message: rj.msg}
-		}
-		s.mu.Lock()
-		s.jobs[job.id] = job
-		s.finished = append(s.finished, job.id)
-		s.mu.Unlock()
-		if rj.state == JobInterrupted {
-			s.mJobsByState[JobInterrupted].Inc()
+		recs = append(recs, recovery{s.newJob(*r, sess, -1), script})
+	}
+	return live, recs
+}
+
+// resume returns the script and session a job found mid-flight re-runs
+// on, or marks the job interrupted when its session did not survive or
+// its script is not resumable.
+func (s *Server) resume(r *jobRecord) (core.Script, *Session) {
+	script, perr := s.eng.Prepare(r.sql)
+	sess, serr := s.resolveSession(r.session)
+	switch {
+	case serr != nil:
+		r.err = errf(CodeInterrupted, "restart interrupted the job and its session did not survive")
+	case perr != nil || !resumable(script.Statements()):
+		r.err = errf(CodeInterrupted, "restart interrupted the job and its script is not resumable (contains writes)")
+	default:
+		return script, sess
+	}
+	r.state = JobInterrupted
+	return core.Script{}, nil
+}
+
+// idSeq reads the sequence number of a journaled id (0 when it has none).
+func idSeq(id, format string) int64 {
+	var n int64
+	if _, err := fmt.Sscanf(id, format, &n); err != nil {
+		return 0
+	}
+	return n
+}
+
+// compactJournal writes the compacted journal: the live sessions with
+// their recovered absolute budgets, then each retained job's submit,
+// schema and rows and, for a terminal job, its end record. Spend deltas
+// are folded into the budgets.
+func compactJournal(add func(v any) error, live []*Session, recs []recovery) error {
+	var err error
+	put := func(rec any) {
+		if err == nil {
+			err = add(rec)
 		}
 	}
-	for _, r := range resume {
-		s.mu.Lock()
-		s.jobs[r.job.id] = r.job
-		s.mu.Unlock()
-		r.job.trace = s.eng.Tracer().StartSized(r.job.id, r.script.HasQuery())
-		r.job.rowsMetric = s.mRowsStreamed
-		r.job.sess.addJob(r.job)
-		r.job.retired.Add(1)
-		go s.runJob(r.job, r.script)
+	for _, sess := range live {
+		put(sessionRecord(recSession, sess))
 	}
-	return nil
+	for _, r := range recs {
+		j := r.job
+		put(submitRecord(j))
+		if j.columns != nil {
+			put(schemaRecord(j.id, j.columns))
+		}
+		for i := range j.rows.len() {
+			put(rowRecord(j.id, j.rows.line(i)))
+		}
+		if j.state.Terminal() {
+			put(endRecord(j, j.state, j.err))
+		}
+	}
+	return err
+}
+
+// startRecovered lists the recovered terminal jobs as finished, in
+// journal order, then launches the resumed ones.
+func (s *Server) startRecovered(recs []recovery) {
+	s.mu.Lock()
+	for _, r := range recs {
+		if st := r.job.state; st.Terminal() {
+			s.jobs[r.job.id] = r.job
+			s.finished = append(s.finished, r.job.id)
+			if st == JobInterrupted {
+				s.mJobsByState[JobInterrupted].Inc()
+			}
+		}
+	}
+	s.mu.Unlock()
+	for _, r := range recs {
+		if !r.job.state.Terminal() {
+			s.launch(r.job, r.script)
+		}
+	}
 }
 
 // recoveredBudget resolves a replayed session's remaining budget: the
@@ -560,25 +547,4 @@ func recoveredBudget(rs *recoveredSession) int {
 		return b
 	}
 	return 0
-}
-
-// recoverSession returns the live *Session for a replayed session id,
-// creating (or fetching) it under s.mu; empty ids get a fresh anonymous
-// session with the default budget (anonymous budgets are not journaled).
-func (s *Server) recoverSession(id string, rs *recoveredSession) *Session {
-	if id == "" {
-		return &Session{id: anonymousSessionID, budget: s.effectiveBudget(0)}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recoverSessionLocked(id, rs)
-}
-
-func (s *Server) recoverSessionLocked(id string, rs *recoveredSession) *Session {
-	if sess, ok := s.sessions[id]; ok {
-		return sess
-	}
-	sess := &Session{id: id, budget: recoveredBudget(rs)}
-	s.sessions[id] = sess
-	return sess
 }

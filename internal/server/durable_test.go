@@ -173,7 +173,13 @@ func baselineRun(t *testing.T, seed int64, n, budget int, mode storage.SyncMode)
 	if state := waitDone(t, job); state != JobDone {
 		t.Fatalf("baseline job state = %s (err %v), want done", state, job.Err())
 	}
-	return renderedRows(job), sess.Info().BudgetLeft, faultinject.Hits()
+	rows, left := renderedRows(job), sess.Info().BudgetLeft
+	// The workload ends by closing the session, so its synced close
+	// record is among the hits a crash sweep kills at.
+	if serr := srv.CloseSession(sess.ID()); serr != nil {
+		t.Fatal(serr)
+	}
+	return rows, left, faultinject.Hits()
 }
 
 // TestJournalRecoversFinishedJob: a job that completed before the restart
@@ -385,6 +391,39 @@ func TestJournalResumesInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestJournalResumedJobTracesParse: a job resumed after a restart opens
+// its trace with the intake's "parse" span, as a job submitted to the
+// restarted server does.
+func TestJournalResumedJobTracesParse(t *testing.T) {
+	const seed, n, budget = 47, 4, 20
+	dir := t.TempDir()
+	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
+	jobID, _, _ := crashMidQuery(t, data, jpath, seed, n, budget, nil)
+
+	eng := durableEngine(t, data, seed, n, storage.SyncAlways)
+	defer eng.Close()
+	srv := New(eng, Config{})
+	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	resumed, serr := srv.Job(jobID)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	submitted, serr := srv.StartJob("", durableQuery)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	for name, job := range map[string]*Job{"resumed": resumed, "submitted": submitted} {
+		if st := waitDone(t, job); st != JobDone {
+			t.Fatalf("%s job ended %s (%v)", name, st, job.Err())
+		}
+		if spans := len(job.trace.JSON().FindSpans("parse")); spans != 1 {
+			t.Errorf("%s job's trace has %d parse spans, want 1", name, spans)
+		}
+	}
+}
+
 // TestJournalChargesOnlySessionsOwnAnswers: the journal charges a session
 // only for the answers its own statement stored. Five answers another
 // session's leader memoized before the job started are not this session's
@@ -421,7 +460,7 @@ func TestJournalInterruptsUnresumableJobs(t *testing.T) {
 	for _, rec := range []journalRec{
 		{T: recSession, Session: "s000001", Budget: &b},
 		{T: recSubmit, Job: "j000001", Session: "s000001", SQL: "INSERT INTO Pair VALUES (99, 'x', 'y')"},
-		{T: recRun, Job: "j000001"},
+		{T: "run", Job: "j000001"}, // a record older journals carry; replay skips it
 		{T: recSession, Session: "s000002", Budget: &b},
 		{T: recSubmit, Job: "j000002", Session: "s000002", SQL: "SELECT id FROM Pair"},
 		{T: recSessionClose, Session: "s000002"},

@@ -191,7 +191,7 @@ func TestTerminalStateFollowsEndRecord(t *testing.T) {
 			held, release := make(chan struct{}), make(chan struct{})
 			defer faultinject.Disarm()
 			faultinject.SetHandler(func(string) { close(held); <-release })
-			if err := faultinject.Arm("server.job.state=2"); err != nil { // run, then end
+			if err := faultinject.Arm("server.job.state=1"); err != nil { // the end record
 				t.Fatal(err)
 			}
 			job, serr := srv.StartJob("", c.sql)

@@ -15,6 +15,7 @@ package server
 // lives in pkg/client.Query.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -53,7 +54,7 @@ func (s JobState) Terminal() bool {
 }
 
 // Job is one asynchronous query execution. All exported access goes
-// through methods; the zero value is not usable (Server.StartJob builds
+// through methods; the zero value is not usable (Server.newJob builds
 // them).
 type Job struct {
 	id        string
@@ -321,22 +322,18 @@ func (s *Server) finish(j *Job, state JobState, err *Error) {
 	j.broadcastLocked()
 }
 
-// finishInterrupted resolves a job whose statement context fired: a
+// interruption is the end of a job whose statement context fired: a
 // client cancellation yields the cancelled state, a closed session the
 // coded session_closed failure, and an expired drain deadline the coded
 // shutting_down failure.
-func (s *Server) finishInterrupted(j *Job) {
+func (j *Job) interruption() (JobState, *Error) {
 	j.mu.Lock()
 	code, msg := j.cancelCode, j.cancelMsg
 	j.mu.Unlock()
-	switch code {
-	case CodeSessionClosed:
-		s.finish(j, JobFailed, errf(CodeSessionClosed, "%s", msg))
-	case CodeShuttingDown:
-		s.finish(j, JobFailed, errf(CodeShuttingDown, "%s", msg))
-	default:
-		s.finish(j, JobCancelled, nil)
+	if code == CodeSessionClosed || code == CodeShuttingDown {
+		return JobFailed, errf(code, "%s", msg)
 	}
+	return JobCancelled, nil
 }
 
 // requestCancel asks a non-terminal job to stop. The statement context
@@ -437,33 +434,57 @@ func (s *Server) StartJob(sessionID, sql string) (*Job, *Error) {
 		return nil, serr
 	}
 	s.jobSeq++
+	job := s.newJob(jobRecord{id: newJobID(s.jobSeq), session: sessionID, sql: sql}, sess, predicted)
+	s.journalSubmit(job)
+	s.mu.Unlock()
+	s.launch(job, script)
+	return job, nil
+}
+
+// newJob builds every *Job from what its journal records say of it: a
+// submission (its submit record alone), a job resumed after a restart
+// (its rows so far, which the re-run suppresses), or a terminal job
+// re-registered from the journal. sess is nil for a terminal job;
+// admPredicted is the admission forecast (<0 = none).
+func (s *Server) newJob(r jobRecord, sess *Session, admPredicted float64) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	job := &Job{
-		id:           newJobID(s.jobSeq),
-		sql:          sql,
+	if r.state != "" {
+		cancel() // a terminal job runs nothing more
+	}
+	return &Job{
+		id:           r.id,
+		sql:          r.sql,
 		sess:         sess,
-		sessionID:    sessionID,
+		sessionID:    r.session,
 		srv:          s,
+		rowsMetric:   s.mRowsStreamed,
 		ctx:          ctx,
 		cancel:       cancel,
-		state:        JobQueued,
-		admPredicted: predicted,
+		state:        cmp.Or(r.state, JobQueued),
+		err:          r.err,
+		columns:      r.columns,
+		rows:         r.rows,
+		recovered:    r.rows.len(),
+		affected:     r.affected,
+		stmtsDone:    r.stmts,
+		admPredicted: admPredicted,
 	}
+}
+
+// launch registers a runnable job — submitted, or resumed after a
+// restart — and starts it: one trace per job, named by the job id and
+// opened with the intake's "parse" span (the intake happened before the
+// id was allocated, so the span carries the intake's own bounds); then
+// the job is listed, joins its session's active set, and runs.
+func (s *Server) launch(job *Job, script core.Script) {
 	job.retired.Add(1)
-	if s.jobs == nil {
-		s.jobs = make(map[string]*Job)
-	}
-	s.journalSubmit(job)
-	s.jobs[job.id] = job
-	s.mu.Unlock()
-	job.rowsMetric = s.mRowsStreamed
-	// One trace per job, named by the job id: the intake happened before
-	// the id was allocated, so its span carries the intake's own bounds.
 	job.trace = s.eng.Tracer().StartSized(job.id, script.HasQuery())
 	script.TraceParse(job.trace)
-	sess.addJob(job)
+	s.mu.Lock()
+	s.jobs[job.id] = job
+	s.mu.Unlock()
+	job.sess.addJob(job)
 	go s.runJob(job, script)
-	return job, nil
 }
 
 // Job looks up a job by id.
@@ -507,41 +528,44 @@ func (s *Server) CancelJob(id string) (*Job, *Error) {
 	return job, nil
 }
 
-// runJob executes a job's statements under the server's admission
-// control, settling the session budget per statement — including for
-// work a cancelled statement already paid for.
+// runJob runs a job under the server's admission control, then
+// finishes and retires it — the one place a job ends, whichever way.
+// The execution slot is released last: Shutdown closes the journal once
+// every admitted job has released its slot, and the end record must be
+// in it by then.
 func (s *Server) runJob(job *Job, script core.Script) {
-	if aerr := s.admit(job.ctx, job.noteSlotWait); aerr != nil {
-		s.countRejected(aerr)
+	state, err := JobFailed, s.admit(job.ctx, job.noteSlotWait)
+	if err == nil {
+		defer s.release()
+		state, err = s.runStatements(job, script)
+	} else {
+		s.countRejected(err)
 		if job.ctx.Err() != nil {
-			s.finishInterrupted(job)
-		} else {
-			s.finish(job, JobFailed, aerr)
+			state, err = job.interruption()
 		}
-		s.retireJob(job)
-		return
 	}
-	defer s.release()
+	s.finish(job, state, err)
+	s.retireJob(job)
+}
+
+// runStatements executes an admitted job's statements, settling the
+// session budget per statement — including for work a cancelled
+// statement already paid for — and returns the state the job ends in.
+func (s *Server) runStatements(job *Job, script core.Script) (JobState, *Error) {
 	job.mu.Lock()
 	if !job.state.Terminal() {
 		job.state = JobRunning
 		job.broadcastLocked()
 	}
 	job.mu.Unlock()
-	s.journalRun(job)
-
 	for i := range script.Len() {
 		if job.ctx.Err() != nil {
-			s.finishInterrupted(job)
-			s.retireJob(job)
-			return
+			return job.interruption()
 		}
 		reserved, berr := job.sess.reserveBudget()
 		if berr != nil {
 			s.countError()
-			s.finish(job, JobFailed, berr)
-			s.retireJob(job)
-			return
+			return JobFailed, berr
 		}
 		job.stmtStats, job.spendJournaled = exec.Stats{}, 0
 		opts := core.ExecOpts{CompareBudget: reserved, Observer: job, Trace: job.trace} // budget 0 = unlimited
@@ -559,21 +583,17 @@ func (s *Server) runJob(job *Job, script core.Script) {
 			job.progressStats = job.stmtStats
 			job.mu.Unlock()
 			if job.ctx.Err() != nil {
-				s.finishInterrupted(job)
-			} else {
-				s.countError()
-				s.finish(job, JobFailed, errf(CodeInternal, "%v", err))
+				return job.interruption()
 			}
-			s.retireJob(job)
-			return
+			s.countError()
+			return JobFailed, errf(CodeInternal, "%v", err)
 		}
 		job.completeStmt(res, job.stmtStats)
 	}
 	s.mu.Lock()
 	s.stats.Queries++
 	s.mu.Unlock()
-	s.finish(job, JobDone, nil)
-	s.retireJob(job)
+	return JobDone, nil
 }
 
 // retireJob moves a terminal job out of its session's active set and

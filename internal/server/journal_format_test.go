@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"crowddb/internal/storage"
@@ -22,7 +24,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	recs := []journalRec{
 		{T: recSession, Session: "s000001", Budget: intp(20)},
 		{T: recSubmit, Job: "j000001", Session: "s000001", SQL: "SELECT id FROM Pair WHERE a ~= b"},
-		{T: recRun, Job: "j000001"},
+		{T: "run", Job: "j000001"}, // a record older journals carry; replay skips it
 		{T: recSchema, Job: "j000001", Columns: []string{"id", "note"}},
 		{T: recSpend, Session: "s000001", N: 2},
 		{T: recRow, Job: "j000001", Row: []*string{strp("1"), nil}},
@@ -108,5 +110,51 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(old); !bytes.Equal(got, wantCompacted) {
 		t.Errorf("compacted journal bytes changed:\n got %s\nwant %s", got, wantCompacted)
+	}
+}
+
+// TestJournalWritesOnlyWhatRecoveryReads: a SELECT job on a named session
+// journals exactly its submit record, its schema, one row record per row,
+// the session's budget once the statement settles, and its end record —
+// in that order, and nothing replay would skip.
+func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
+	const rows = 3
+	srv := New(pairEngine(t, 1, rows), Config{})
+	path := filepath.Join(t.TempDir(), "jobs.log")
+	if err := srv.EnableJournal(path, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	sess, serr := srv.CreateSession(10)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	job, serr := srv.StartJob(sess.ID(), "SELECT id FROM Pair")
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if st := waitDone(t, job); st != JobDone {
+		t.Fatalf("job ended %s (%v)", st, job.Err())
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := storage.ReplayRecordLog(path, func(line json.RawMessage) error {
+		var rec journalRec
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		got = append(got, rec.T)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{recSession, recSubmit, recSchema}
+	for range rows {
+		want = append(want, recRow)
+	}
+	want = append(want, recBudget, recEnd)
+	if !slices.Equal(got, want) {
+		t.Errorf("journal records %q, want %q", got, want)
 	}
 }

@@ -154,7 +154,7 @@ func (s *Server) CreateSession(budget int) (*Session, *Error) {
 		return nil, errf(CodeTooManySessions, "session limit %d reached", s.cfg.MaxSessions)
 	}
 	s.seq++
-	sess := &Session{id: newSessionID(s.seq), budget: s.effectiveBudget(budget)}
+	sess := newSession(newSessionID(s.seq), s.effectiveBudget(budget))
 	s.sessions[sess.id] = sess
 	s.stats.SessionsOpened++
 	s.journalSession(sess)
@@ -220,7 +220,7 @@ const anonymousSessionID = "(anonymous)"
 func (s *Server) resolveSession(sessionID string) (*Session, *Error) {
 	if sessionID == "" {
 		// Anonymous one-shot: default budget, not registered, no cap.
-		return &Session{id: anonymousSessionID, budget: s.effectiveBudget(0)}, nil
+		return newSession(anonymousSessionID, s.effectiveBudget(0)), nil
 	}
 	return s.Session(sessionID)
 }

@@ -27,6 +27,11 @@ type Session struct {
 	jobs map[string]*Job
 }
 
+// newSession makes every *Session: a created one, the anonymous one-shot
+// behind a session-less job, and one recovered from the jobs journal.
+// budget is the stored form (-1 = unlimited).
+func newSession(id string, budget int) *Session { return &Session{id: id, budget: budget} }
+
 // addJob registers an active job with its session. An anonymous one-shot
 // session keeps no job map: it is never registered, so nothing closes it.
 func (s *Session) addJob(j *Job) {

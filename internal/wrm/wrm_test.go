@@ -70,7 +70,7 @@ func TestSettleApprovesAndPays(t *testing.T) {
 	if approved != len(res) {
 		t.Errorf("approved %d of %d assignments from unscored workers", approved, len(res))
 	}
-	if paid := p.Market().TotalSpent(); paid < crowd.Cents(len(res))*2 {
+	if paid := p.Market.TotalSpent(); paid < crowd.Cents(len(res))*2 {
 		t.Errorf("paid %v for %d assignments", paid, len(res))
 	}
 }
@@ -203,7 +203,7 @@ func TestBlockBelowEscalates(t *testing.T) {
 	if !slices.Equal(p.log, want) {
 		t.Errorf("decisions: %q, want %q", p.log, want)
 	}
-	if p.Market().Blocked() != 1 {
+	if p.Market.Blocked() != 1 {
 		t.Error("block must reach the platform")
 	}
 	// Second settle of the same worker must not double-block.
