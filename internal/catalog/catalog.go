@@ -119,6 +119,18 @@ func (t *Table) Stats() Statistics {
 	return cp
 }
 
+// OutstandingCNulls returns the most stored values still CNULL in any of
+// cols and the stored-row count, read together without copying the
+// counters.
+func (t *Table) OutstandingCNulls(cols []string) (cnulls, rows int64) {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	for _, col := range cols {
+		cnulls = max(cnulls, t.stats.CNullCount[col])
+	}
+	return cnulls, t.stats.RowCount
+}
+
 // RowCount returns the current stored-row count.
 func (t *Table) RowCount() int64 {
 	t.statsMu.Lock()
@@ -361,12 +373,28 @@ type Catalog struct {
 	tables  map[string]*Table // lower-cased name -> def
 	indexes map[string]*Index // lower-cased index name -> def
 	version atomic.Uint64
+	schema  atomic.Uint64
 }
 
 // Version counts the changes a compiled plan can depend on: every DDL,
 // and every statistic of a registered table that takes a new value. A
 // plan compiled after reading version v is current while Version is v.
+// When only statistics moved — SchemaVersion did not — a plan whose shape
+// reads none of them is still the one a compile would make; only its
+// costs are not.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
+
+// SchemaVersion counts the DDL alone: tables created and dropped, indexes
+// created. Read it after Version: a DDL moves it first.
+func (c *Catalog) SchemaVersion() uint64 { return c.schema.Load() }
+
+// ddl notes, under mu, a change to the schema: SchemaVersion moves before
+// Version, so a reader that sees the new Version sees the new schema
+// version too.
+func (c *Catalog) ddl() {
+	c.schema.Add(1)
+	c.version.Add(1)
+}
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -420,7 +448,7 @@ func (c *Catalog) CreateTable(t *Table) error {
 	t.cat = c
 	t.statsMu.Unlock()
 	c.tables[key] = t
-	c.version.Add(1)
+	c.ddl()
 	return nil
 }
 
@@ -443,7 +471,7 @@ func (c *Catalog) DropTable(name string) error {
 		}
 	}
 	delete(c.tables, key)
-	c.version.Add(1)
+	c.ddl()
 	for iname, idx := range c.indexes {
 		if strings.EqualFold(idx.Table, name) {
 			delete(c.indexes, iname)
@@ -490,7 +518,7 @@ func (c *Catalog) CreateIndex(idx *Index) error {
 		}
 	}
 	c.indexes[key] = idx
-	c.version.Add(1)
+	c.ddl()
 	return nil
 }
 

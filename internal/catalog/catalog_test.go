@@ -264,21 +264,33 @@ func TestObservedCrowdFanoutEWMA(t *testing.T) {
 	}
 }
 
-// TestVersionMovesWithWhatPlansRead: every DDL moves the version, and a
-// statistic moves it only when it takes a new value.
+// TestVersionMovesWithWhatPlansRead: every DDL moves the version and the
+// schema version; a statistic moves the version only, and only when it
+// takes a new value.
 func TestVersionMovesWithWhatPlansRead(t *testing.T) {
 	c := New()
 	t1 := talkTable()
+	ddl := func(what string, change func()) {
+		t.Helper()
+		v, s := c.Version(), c.SchemaVersion()
+		change()
+		if c.Version() == v || c.SchemaVersion() == s {
+			t.Errorf("%s: version %d -> %d, schema version %d -> %d; want both moved", what, v, c.Version(), s, c.SchemaVersion())
+		}
+	}
 	moves := func(what string, change func(), want bool) {
 		t.Helper()
-		v := c.Version()
+		v, s := c.Version(), c.SchemaVersion()
 		change()
 		if moved := c.Version() != v; moved != want {
 			t.Errorf("%s: version moved = %v, want %v", what, moved, want)
 		}
+		if c.SchemaVersion() != s {
+			t.Errorf("%s: the schema version moved", what)
+		}
 	}
-	moves("CreateTable", func() { c.CreateTable(t1) }, true)
-	moves("CreateIndex", func() { c.CreateIndex(&Index{Name: "i", Table: "Talk", Columns: []string{"title"}}) }, true)
+	ddl("CreateTable", func() { c.CreateTable(t1) })
+	ddl("CreateIndex", func() { c.CreateIndex(&Index{Name: "i", Table: "Talk", Columns: []string{"title"}}) })
 	row := []sqltypes.Value{sqltypes.NewString("a"), sqltypes.CNull(), sqltypes.NewInt(1)}
 	moves("an insert", func() { t1.RowWritten(nil, row) }, true)
 	moves("an update that keeps count and CNULLs", func() { t1.RowWritten(row, row) }, false)
@@ -295,5 +307,5 @@ func TestVersionMovesWithWhatPlansRead(t *testing.T) {
 	moves("the first fanout observation", func() { t1.ObserveCrowdFanout(2, 4) }, true)
 	moves("the same fanout again", func() { t1.ObserveCrowdFanout(1, 2) }, false)
 	moves("SetShardCount", func() { t1.SetShardCount(8) }, false)
-	moves("DropTable", func() { c.DropTable("Talk") }, true)
+	ddl("DropTable", func() { c.DropTable("Talk") })
 }

@@ -991,14 +991,14 @@ func (e *Engine) runSelect(ctx context.Context, opt *optimizer.Result, cols []st
 // another plan, or with other shells than tr and opStats ask for, is
 // dropped.
 func (e *Engine) executor(kept *keptExecutor, opt *optimizer.Result, slots []sqltypes.Value, tr *obs.Trace, opStats map[plan.Node]*exec.OpStats) (*executor, error) {
-	if x := kept.take(); x != nil && x.opt == opt {
+	if x := kept.take(); x != nil && x.plan == opt.Root {
 		x.ctx.Trace, x.ctx.OpStats = tr, opStats
 		if x.ctx.Instrumented() == x.shelled {
 			x.ctx.UseSlots(slots)
 			return x, nil
 		}
 	}
-	x := &executor{opt: opt, ctx: exec.Ctx{
+	x := &executor{plan: opt.Root, ctx: exec.Ctx{
 		Store:      e.store,
 		Cat:        e.cat,
 		Tasks:      e.tasks,

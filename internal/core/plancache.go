@@ -37,15 +37,22 @@ import (
 // (parser.Select.AppendSlotRefs), so it finds its entry, or makes it, when
 // it compiles. FuzzParse holds the scan to the parser's slots.
 //
-// An entry serves while nothing the optimizer reads has changed: the
-// catalog version read before it compiled (every DDL and every statistic
-// that takes a new value moves it) and the optimizer options with their
-// cost inputs, compared by value. A stale entry counts as a miss: the
-// entry's statement compiles afresh and is written over it in place.
-// Errors are never cached; the cache hands out copies of its entries, and
-// what an entry was made of — its tree, plan and columns — is never
-// modified (goroutines share it). EXPLAIN, DML and IN subqueries compile
-// without the cache: they print or rebuild literals.
+// An entry serves as it is, a hit, while nothing the optimizer reads has
+// changed: the catalog version read before it compiled (every DDL and
+// every statistic that takes a new value moves it) and the optimizer
+// options with their cost inputs, compared by value. An entry that only
+// statistics or cost inputs went stale for — the catalog's schema version
+// and every other option as it compiled with — is re-priced when its plan
+// joins nothing: join order and a join's build-side estimate are the only
+// rewrites that read the cost model, so its tree is the one a compile
+// would build now, and only the costs, forecast and warnings are priced
+// again (optimizer.Reprice). Any other stale entry counts as a miss: the
+// entry's statement compiles afresh. A re-priced or recompiled entry is
+// written over the old one in place. Errors are never cached; the cache
+// hands out copies of its entries, and what an entry was made of — its
+// tree, plan and columns — is never modified (goroutines share it).
+// EXPLAIN, DML and IN subqueries compile without the cache: they print or
+// rebuild literals.
 //
 // A hit does not build its operator tree either. Each key keeps one
 // executor: its entry's plan built into an operator tree and bound once
@@ -53,10 +60,11 @@ import (
 // tree's slot literals point into. A statement takes the executor, copies
 // its slot values into that storage (exec.Ctx.UseSlots), runs the tree and
 // puts it back; a statement that finds none kept — another statement of
-// the key is running on it — builds its own, and an executor built for a
-// plan the entry no longer holds is dropped. The slot is made with the
-// key's first entry and kept when a stale entry is overwritten, so every
-// copy of the entry reaches it. A miss's tree is kept too; EXPLAIN
+// the key is running on it — builds its own, and an executor built from a
+// tree the entry no longer holds is dropped: a re-priced entry holds the
+// same tree, and its executor serves on. The slot is made with the key's
+// first entry and kept when a stale entry is overwritten, so every copy
+// of the entry reaches it. A miss's tree is kept too; EXPLAIN
 // ANALYZE's and an uncached statement's are dropped after they close.
 
 // planCacheCap bounds the cached shapes; a new shape past it empties the
@@ -73,11 +81,13 @@ type planEntry struct {
 	sel *parser.Select
 	// neg lists the slots (from 0) whose value is their literal token's
 	// negated: a unary minus folded into the literal.
-	neg     []int
-	opt     *optimizer.Result
-	cols    []string // the result's column names
-	version uint64
-	opts    optimizer.Options
+	neg  []int
+	opt  *optimizer.Result
+	cols []string // the result's column names
+	// version and schema are the catalog's Version and SchemaVersion read
+	// before opt was compiled or last priced.
+	version, schema uint64
+	opts            optimizer.Options
 	// kept is the executor kept for key: every copy of the entry, and
 	// every entry written over it, reaches the one slot.
 	kept *keptExecutor
@@ -87,6 +97,16 @@ type planEntry struct {
 // and opts would make.
 func (en *planEntry) current(version uint64, opts optimizer.Options) bool {
 	return en.version == version && en.opts == opts
+}
+
+// sameTree reports whether a compile against schema and opts would make
+// en's plan tree, were the tree's shape to read no statistic or cost
+// input: no DDL since en compiled, and no option but the cost inputs
+// moved. Whether the shape reads them is optimizer.Reprice's to say.
+func (en *planEntry) sameTree(schema uint64, opts optimizer.Options) bool {
+	was := en.opts
+	was.Cost = opts.Cost
+	return en.schema == schema && was == opts
 }
 
 type planCache struct {
@@ -137,8 +157,8 @@ func (c *planCache) put(en planEntry) *keptExecutor {
 // its slot values there, runs the tree — Open, NextBatch, Close — and puts
 // the executor back for the next one.
 type executor struct {
-	opt     *optimizer.Result // the plan the tree was built from
-	shelled bool              // ctx.Instrumented() when the tree was built
+	plan    plan.Node // the plan tree the operator tree was built from
+	shelled bool      // ctx.Instrumented() when the tree was built
 	ctx     exec.Ctx
 	root    exec.Operator
 }
@@ -168,9 +188,10 @@ func (k *keptExecutor) put(x *executor) {
 	}
 }
 
-// checkPlanHit, when set, vets every plan-cache hit before it runs: sql is
-// the statement's text and slots the values the hit binds (the package's
-// tests parse and compile sql afresh and compare).
+// checkPlanHit, when set, vets every plan-cache hit and every re-priced
+// entry before it runs: sql is the statement's text and slots the values
+// the entry binds (the package's tests parse and compile sql afresh and
+// compare).
 var checkPlanHit func(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry) error
 
 // keyBuf is the scratch a statement is keyed in: its tokens, the indexes
@@ -289,10 +310,13 @@ func (e *Engine) lookup(kb *keyBuf, toks []lexer.Token) (en planEntry, found boo
 }
 
 // serve returns the entry cached under en's key while its plan is
-// current — en, or one that replaced it since en was looked up — else
-// en's statement compiled afresh and cached over it. A current entry is a
-// hit, vetted by checkPlanHit against sql, the statement's text, and
-// slots, its slot values.
+// current — en, or one that replaced it since en was looked up — a hit.
+// Otherwise, when only statistics or cost inputs moved and the plan's
+// tree reads none of them (optimizer.Reprice), the entry re-priced: its
+// tree, and so its kept executor, stay. Otherwise en's statement compiled
+// afresh, a miss. A re-priced or recompiled entry is cached over the old
+// one in place. A hit and a re-price are vetted by checkPlanHit against
+// sql, the statement's text, and slots, its slot values.
 func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
 	version, opts := e.cat.Version(), e.optimizerOptions()
 	if !en.current(version, opts) {
@@ -304,21 +328,39 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 	}
 	if en.current(version, opts) {
 		e.obsm.planHits.Inc()
-		if checkPlanHit != nil {
-			hit := en // on the heap only when vetted
-			if err := checkPlanHit(e, sql, slots, &hit); err != nil {
+		return e.vetted(en, sql, slots)
+	}
+	schema := e.cat.SchemaVersion() // after version: a DDL moves schema first
+	if en.sameTree(schema, opts) {
+		if opt, ok, err := optimizer.Reprice(en.opt, opts); ok {
+			e.obsm.planReprices.Inc()
+			if err != nil {
 				return planEntry{}, err
 			}
+			en.opt, en.version, en.opts = opt, version, opts
+			en.kept = e.plans.put(en)
+			return e.vetted(en, sql, slots)
 		}
-		return en, nil
 	}
 	e.obsm.planMisses.Inc()
 	opt, err := e.compileFresh(en.sel, opts)
 	if err != nil {
 		return planEntry{}, err
 	}
-	en.opt, en.cols, en.version, en.opts = opt, colNames(opt), version, opts
+	en.opt, en.cols, en.version, en.schema, en.opts = opt, colNames(opt), version, schema, opts
 	en.kept = e.plans.put(en)
+	return en, nil
+}
+
+// vetted returns en, a hit or a re-priced entry, once checkPlanHit passes
+// it.
+func (e *Engine) vetted(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
+	if checkPlanHit != nil {
+		hit := en // on the heap only when vetted
+		if err := checkPlanHit(e, sql, slots, &hit); err != nil {
+			return planEntry{}, err
+		}
+	}
 	return en, nil
 }
 
@@ -373,11 +415,12 @@ func (e *Engine) compile(s *parser.Select, slots []sqltypes.Value) (planEntry, [
 // compileEntry compiles s afresh into an entry that is not cached.
 func (e *Engine) compileEntry(s *parser.Select) (planEntry, error) {
 	version, opts := e.cat.Version(), e.optimizerOptions()
+	schema := e.cat.SchemaVersion()
 	opt, err := e.compileFresh(s, opts)
 	if err != nil {
 		return planEntry{}, err
 	}
-	return planEntry{sel: s, opt: opt, cols: colNames(opt), version: version, opts: opts}, nil
+	return planEntry{sel: s, opt: opt, cols: colNames(opt), version: version, schema: schema, opts: opts}, nil
 }
 
 // compileFresh builds and optimizes s's plan, bypassing the cache.

@@ -18,6 +18,9 @@ func planCounts(e *Engine) (hits, misses float64) {
 	return e.obsm.planHits.Value(), e.obsm.planMisses.Value()
 }
 
+// repriceCount reads the plan cache's re-price counter.
+func repriceCount(e *Engine) float64 { return e.obsm.planReprices.Value() }
+
 // talkEngine holds n talks: title 'talk-NN' (the key), room 'Room N%5'
 // (indexed) and n = NN; and Fav, the multiples of 3 below n.
 func talkEngine(t *testing.T, n int) *Engine {
@@ -142,20 +145,15 @@ func TestPlanCacheCrowdEqualReadsItsLiteral(t *testing.T) {
 
 // TestPlanCacheCrowdProbePrefill: a CrowdProbe over a CROWD table
 // pre-fills the solicitation from each statement's own WHERE key. The
-// tuples a statement solicits move the table's statistics, so before each
-// statement the cached entries are made current again, and the
-// equivalence net, which would see the moved costs, is off: the plan's
-// shape does not depend on them, and where the pre-fill comes from does.
+// tuples a statement solicits move the table's statistics, so each later
+// statement re-prices the cached plan, which joins nothing, on its kept
+// tree.
 func TestPlanCacheCrowdProbePrefill(t *testing.T) {
-	defer func(net func(*Engine, string, []sqltypes.Value, *planEntry) error) { checkPlanHit = net }(checkPlanHit)
-	checkPlanHit = nil
 	eng, conf := newConferenceEngine(t, 9, "")
 	defer eng.Close()
-	hits0, _ := planCounts(eng)
+	hits0, misses0 := planCounts(eng)
+	reprices0 := repriceCount(eng)
 	for _, talk := range conf.Talks[:6] {
-		for _, en := range eng.plans.entries {
-			en.version, en.opts = eng.cat.Version(), eng.optimizerOptions()
-		}
 		res := mustExec(t, eng, "SELECT name, title FROM NotableAttendee WHERE title = "+sqltypes.NewString(talk.Title).SQLLiteral())
 		if len(res.Rows) == 0 {
 			t.Errorf("%q: no attendee solicited (%+v)", talk.Title, res.Stats)
@@ -166,32 +164,44 @@ func TestPlanCacheCrowdProbePrefill(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := planCounts(eng); hits-hits0 != 5 {
-		t.Errorf("%v of 6 statements were served from the plan cache, want 5", hits-hits0)
+	hits, misses := planCounts(eng)
+	if served := hits - hits0 + repriceCount(eng) - reprices0; served != 5 || misses-misses0 != 1 {
+		t.Errorf("%v of 6 statements were served from the plan cache and %v compiled, want 5 and 1", served, misses-misses0)
 	}
 }
 
-// TestPlanCacheInvalidation: what the optimizer reads changing forces a
-// recompile — an index, a table dropped and created again with other
-// columns, an insert, and a crowd answer that moves the comparison cache's
-// hit rate.
+// TestPlanCacheInvalidation: a DDL forces a recompile — an index, a table
+// dropped and created again with other columns — while a statistic or a
+// cost input that moves re-prices a plan that joins nothing: an insert,
+// and a crowd answer that moves the comparison cache's hit rate, change
+// its forecast without a compile.
 func TestPlanCacheInvalidation(t *testing.T) {
 	eng := talkEngine(t, 10)
-	// recompiles reports whether running sql compiled afresh.
+	// serve runs sql on e and reports whether its plan compiled afresh and
+	// whether it was re-priced.
+	serve := func(e *Engine, sql string) (res *Result, compiled, repriced bool) {
+		t.Helper()
+		_, misses0 := planCounts(e)
+		reprices0 := repriceCount(e)
+		res = mustExec(t, e, sql)
+		_, misses := planCounts(e)
+		return res, misses > misses0, repriceCount(e) > reprices0
+	}
 	recompiles := func(sql string) bool {
 		t.Helper()
-		_, misses0 := planCounts(eng)
-		mustExec(t, eng, sql)
-		_, misses := planCounts(eng)
-		return misses > misses0
+		_, compiled, _ := serve(eng, sql)
+		return compiled
 	}
 	// settled runs sql until its plan is cached and current: a run can
 	// itself move a statistic (the first observed filter selectivity).
-	settled := func(sql string) {
+	settled := func(sql string) *Result {
 		t.Helper()
-		for i := 0; recompiles(sql); i++ {
+		for i := 0; ; i++ {
+			if res, compiled, repriced := serve(eng, sql); !compiled && !repriced {
+				return res
+			}
 			if i == 3 {
-				t.Fatalf("%s recompiles on every run", sql)
+				t.Fatalf("%s is compiled or priced again on every run", sql)
 			}
 		}
 	}
@@ -201,16 +211,17 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if !recompiles(byN) {
 		t.Error("CREATE INDEX does not recompile")
 	}
-	settled(byN)
+	before := settled(byN)
 	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-10', 'Room 0', 10)")
-	if !recompiles(byN) {
-		t.Error("an INSERT does not recompile")
+	if res, compiled, repriced := serve(eng, byN); compiled || !repriced || res.Predicted == before.Predicted {
+		t.Errorf("after an INSERT: compiled %v, re-priced %v, forecast %+v, was %+v; want re-priced: forecast moved, no compile",
+			compiled, repriced, res.Predicted, before.Predicted)
 	}
 	settled(byN)
 	// An UPDATE that changes no statistic keeps the plan.
 	mustExec(t, eng, "UPDATE Talk SET room = 'Room 9' WHERE n = 3")
-	if recompiles(byN) {
-		t.Error("an UPDATE that moves no statistic recompiles")
+	if _, compiled, repriced := serve(eng, byN); compiled || repriced {
+		t.Errorf("an UPDATE that moves no statistic: compiled %v, re-priced %v", compiled, repriced)
 	}
 
 	const all = "SELECT * FROM Talk WHERE title = 'talk-03'"
@@ -218,7 +229,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	mustExec(t, eng, "DROP TABLE Talk")
 	mustExec(t, eng, "CREATE TABLE Talk (title STRING PRIMARY KEY, speaker STRING)")
 	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-03', 'ada')")
-	res := mustExec(t, eng, all)
+	res, compiled, _ := serve(eng, all)
+	if !compiled {
+		t.Error("DROP TABLE and CREATE TABLE do not recompile")
+	}
 	if strings.Join(res.Columns, ",") != "title,speaker" || rowsText(res) != "talk-03|ada|" {
 		t.Errorf("after DROP and CREATE: columns %v, rows %q", res.Columns, rowsText(res))
 	}
@@ -236,12 +250,14 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 	const eq = "SELECT name FROM company WHERE name ~= 'ibm'"
 	mustExec(t, crowd, eq)
-	_, misses0 := planCounts(crowd)
-	if res := mustExec(t, crowd, eq); res.Stats.CacheHits == 0 {
+	if res, _, _ := serve(crowd, eq); res.Stats.CacheHits == 0 {
 		t.Fatalf("the repeat was not answered from the comparison cache: %+v", res.Stats)
+	} else {
+		before = res
 	}
-	if _, misses := planCounts(crowd); misses == misses0 {
-		t.Error("a moved comparison-cache hit rate does not recompile")
+	if res, compiled, repriced := serve(crowd, eq); compiled || !repriced || res.Predicted.Cents >= before.Predicted.Cents {
+		t.Errorf("after a comparison-cache hit: compiled %v, re-priced %v, forecast %v¢, was %v¢; want re-priced: forecast moved down, no compile",
+			compiled, repriced, res.Predicted.Cents, before.Predicted.Cents)
 	}
 }
 
@@ -271,7 +287,8 @@ func TestPlanCacheBounded(t *testing.T) {
 
 // TestPlanCacheServesTheRefreshedEntry: a statement whose intake found a
 // stale entry runs on the entry that replaced it since — another
-// statement of its shape compiled in between — without compiling again.
+// statement of its shape re-priced it in between — without pricing or
+// compiling again.
 func TestPlanCacheServesTheRefreshedEntry(t *testing.T) {
 	eng := talkEngine(t, 10)
 	point := func(i int) string { return fmt.Sprintf("SELECT n FROM Talk WHERE title = 'talk-%02d'", i) }
@@ -281,14 +298,15 @@ func TestPlanCacheServesTheRefreshedEntry(t *testing.T) {
 	if err != nil || sc.cached == nil {
 		t.Fatalf("the stale entry does not serve the intake: %v", err)
 	}
-	mustExec(t, eng, point(3)) // compiles afresh, replacing the entry
+	mustExec(t, eng, point(3)) // re-prices, replacing the entry
 	_, misses0 := planCounts(eng)
+	reprices0 := repriceCount(eng)
 	res, err := eng.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := planCounts(eng); misses != misses0 {
-		t.Errorf("the statement compiled again instead of running on the refreshed entry")
+	if _, misses := planCounts(eng); misses != misses0 || repriceCount(eng) != reprices0 {
+		t.Errorf("the statement was priced or compiled again instead of running on the refreshed entry")
 	}
 	if rowsText(res) != "2|" {
 		t.Errorf("rows %q, want 2", rowsText(res))

@@ -116,10 +116,11 @@ func TestPlanCacheEntryKeepsNoTokens(t *testing.T) {
 	}
 }
 
-// corpusEngine holds the tables the SELECTs of keyCorpus read.
-func corpusEngine(t testing.TB) *Engine {
+// corpusEngine holds the tables the SELECTs of keyCorpus read, opened
+// with cfg.
+func corpusEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
-	eng, err := Open(Config{})
+	eng, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func freshRun(t testing.TB, eng *Engine, sql string) (*Result, error) {
 // slot values, the text and the plan — and answers what the same text
 // parsed and compiled afresh answers.
 func TestPlanCacheKeyCorpus(t *testing.T) {
-	eng := corpusEngine(t)
+	eng := corpusEngine(t, Config{})
 	for _, sql := range keyCorpus {
 		if _, err := eng.Exec(sql); err != nil {
 			t.Errorf("%s: %v", sql, err)
@@ -318,7 +319,7 @@ func FuzzPrepare(f *testing.F) {
 	for _, sql := range keyCorpus {
 		f.Add(sql)
 	}
-	eng := corpusEngine(f)
+	eng := corpusEngine(f, Config{})
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := parser.ParseAll(src)
 		if err != nil || len(stmts) != 1 {

@@ -114,16 +114,17 @@ const (
 
 // costModel computes Cost predictions bottom-up, memoized per node.
 type costModel struct {
-	o    *optimizer
 	in   CostInputs
 	memo map[plan.Node]plan.Cost
-	work map[plan.Node]float64 // cumulative intermediate rows of the subtree
+	// work is each subtree's cumulative intermediate rows, kept only when
+	// not nil: the join-order search ranks by it, the final pass does not.
+	work map[plan.Node]float64
 }
 
-func newCostModel(o *optimizer) *costModel {
+// newCostModel returns the join-order search's model, pricing at in.
+func newCostModel(in CostInputs) *costModel {
 	return &costModel{
-		o:    o,
-		in:   o.opts.Cost,
+		in:   in,
 		memo: make(map[plan.Node]plan.Cost),
 		work: make(map[plan.Node]float64),
 	}
@@ -150,11 +151,13 @@ func (cm *costModel) cost(n plan.Node) plan.Cost {
 		c.Rows = 1
 	}
 	cm.memo[n] = c
-	w := c.Rows
-	for _, ch := range n.Children() {
-		w += cm.work[ch]
+	if cm.work != nil {
+		w := c.Rows
+		for _, ch := range n.Children() {
+			w += cm.work[ch]
+		}
+		cm.work[n] = w
 	}
-	cm.work[n] = w
 	return c
 }
 
@@ -239,15 +242,10 @@ func (cm *costModel) probeCost(p *plan.CrowdProbe, rows float64) plan.Cost {
 	if len(p.AskColumns) == 0 || rows <= 0 {
 		return plan.Cost{}
 	}
-	stats := p.Scan.Table.Stats()
-	var outstanding float64
-	for _, col := range p.AskColumns {
-		if cn := float64(stats.CNullCount[col]); cn > outstanding {
-			outstanding = cn
-		}
-	}
+	cnulls, stored := p.Scan.Table.OutstandingCNulls(p.AskColumns)
+	outstanding := float64(cnulls)
 	probeRows := rows
-	if total := float64(stats.RowCount); total > 0 {
+	if total := float64(stored); total > 0 {
 		// Scale outstanding CNULLs by the scanned fraction.
 		frac := rows / total
 		if frac > 1 {

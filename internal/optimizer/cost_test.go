@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +16,7 @@ import (
 // scoreOf prices an optimized plan with a fresh cost model at the given
 // inputs (white-box: the DP's ranking function).
 func scoreOf(cat *catalog.Catalog, root plan.Node, in CostInputs) float64 {
-	o := &optimizer{cat: cat, opts: Options{Cost: in.normalized()}}
-	return newCostModel(o).score(root)
+	return newCostModel(in.normalized()).score(root)
 }
 
 func TestCostInputsNormalized(t *testing.T) {
@@ -286,5 +286,96 @@ func TestRescueDropsOnlyOwnWarning(t *testing.T) {
 	}
 	if !sawN2 || sawN {
 		t.Errorf("only n2's warning must survive: %v", res.Warnings)
+	}
+}
+
+// costsInOrder lists res's per-node costs in a walk of its tree.
+func costsInOrder(res *Result) []plan.Cost {
+	var out []plan.Cost
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		out = append(out, res.Costs[n])
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(res.Root)
+	return out
+}
+
+// TestRepriceMatchesOptimize: after the statistics and the cost inputs
+// move, re-pricing a join-free plan gives what optimizing its statement
+// afresh gives — per-node costs, forecast, boundedness and warnings — on
+// the same tree, leaves the old Result as it was, and allocates only the
+// new Result and its cost map. A plan that joins is not re-priced.
+func TestRepriceMatchesOptimize(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		opts Options
+	}{
+		{`SELECT title FROM Talk WHERE title = 'x'`, Options{}},
+		{`SELECT abstract FROM Talk WHERE nb_attendees > 10 ORDER BY title LIMIT 5`, Options{}},
+		{`SELECT title, COUNT(*) FROM Talk WHERE title <> 'y' GROUP BY title`, Options{}},
+		{`SELECT title FROM Talk WHERE title ~= 'crowd db' AND nb_attendees > 3`, Options{}},
+		{`SELECT title FROM Talk ORDER BY CROWDORDER(title, 'Which is better?')`, Options{}},
+		{`SELECT name FROM NotableAttendee WHERE title = 'CrowdDB'`, Options{}},
+		{`SELECT name FROM NotableAttendee LIMIT 4`, Options{}},
+		{`SELECT name FROM NotableAttendee`, Options{AllowUnbounded: true}},
+	} {
+		cat := testCatalog(t)
+		talk, _ := cat.Table("Talk")
+		talk.AdjustCNull("abstract", 40)
+		old := optimize(t, cat, tc.sql, tc.opts)
+		oldCosts, oldPredicted := costsInOrder(old), old.Predicted
+
+		talk.SetRowCount(250)
+		talk.ObserveFilter(100, 7)
+		talk.AdjustCNull("abstract", -15)
+		na, _ := cat.Table("NotableAttendee")
+		na.SetRowCount(2)
+		na.ObserveCrowdFanout(4, 9)
+		opts := tc.opts
+		opts.Cost = CostInputs{RoundTripSeconds: 600, CacheHitRate: 0.4, Window: 3}
+		re, ok, err := Reprice(old, opts)
+		if !ok || err != nil {
+			t.Fatalf("%s: not re-priced (ok %v, %v)", tc.sql, ok, err)
+		}
+		fresh := optimize(t, cat, tc.sql, opts)
+		if re.Root != old.Root {
+			t.Errorf("%s: the re-priced Result has another tree", tc.sql)
+		}
+		if got, want := costsInOrder(re), costsInOrder(fresh); !slices.Equal(got, want) {
+			t.Errorf("%s: re-priced costs %#v, fresh %#v", tc.sql, got, want)
+		}
+		if slices.Equal(costsInOrder(re), oldCosts) {
+			t.Errorf("%s: the moved statistics and cost inputs moved no cost", tc.sql)
+		}
+		if re.Predicted != fresh.Predicted || re.Bounded != fresh.Bounded || !slices.Equal(re.Warnings, fresh.Warnings) {
+			t.Errorf("%s: re-priced %+v %v %q, fresh %+v %v %q", tc.sql,
+				re.Predicted, re.Bounded, re.Warnings, fresh.Predicted, fresh.Bounded, fresh.Warnings)
+		}
+		if !slices.Equal(costsInOrder(old), oldCosts) || old.Predicted != oldPredicted {
+			t.Errorf("%s: re-pricing modified the old Result", tc.sql)
+		}
+		again, ok, _ := Reprice(re, opts)
+		if !ok || again.Predicted != re.Predicted {
+			t.Errorf("%s: a re-priced Result does not re-price alike", tc.sql)
+		}
+		// An unbounded plan's warnings are formatted anew as well.
+		if allocs := testing.AllocsPerRun(20, func() { Reprice(old, opts) }); allocs > 3 && re.Bounded {
+			t.Errorf("%s: a re-price allocates %v times, want at most 3 (the Result and its cost map)", tc.sql, allocs)
+		}
+	}
+
+	cat := testCatalog(t)
+	for _, sql := range []string{
+		`SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON n.title = t.title`,
+		`SELECT t.title, r.capacity FROM Talk t, Room r WHERE r.rtitle = t.title`,
+		`SELECT t.title, n.name FROM Talk t LEFT JOIN NotableAttendee n ON n.title = t.title`,
+	} {
+		res := optimize(t, cat, sql, Options{AllowUnbounded: true})
+		if re, ok, err := Reprice(res, Options{AllowUnbounded: true}); ok || re != nil || err != nil {
+			t.Errorf("%s: a plan that joins was re-priced (%v, %v)", sql, ok, err)
+		}
 	}
 }

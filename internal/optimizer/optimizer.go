@@ -52,13 +52,17 @@ type Result struct {
 	Costs map[plan.Node]plan.Cost
 	// Predicted is the root's total predicted cost for the statement.
 	Predicted plan.Cost
+	// shapeFixed says no rewrite read the cost model: the tree is a
+	// function of the statement, the schema and the options but Cost, and
+	// Reprice may price it again.
+	shapeFixed bool
 }
 
 // Optimize rewrites the logical plan. It returns an error for unbounded
 // crowd access unless opts.AllowUnbounded is set.
 func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, error) {
 	opts.Cost = opts.Cost.normalized()
-	o := &optimizer{cat: cat, opts: opts}
+	o := &optimizer{opts: opts}
 	if !opts.DisablePushdown {
 		root = o.pushPredicates(root)
 	}
@@ -75,13 +79,48 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 	// Final costing pass: a fresh model, because the tree was mutated
 	// (stop-after, filter phases) since any costs computed during the
 	// join-order search.
-	cm := newCostModel(o)
+	res, err := o.price(root, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Join order (orderJoinChain) and a join's BuildRows are the only
+	// rewrites that read the cost model, and so statistics.
+	res.shapeFixed = !stampBuildRows(root, res.Costs)
+	return res, nil
+}
+
+// Reprice returns what Optimize would return now for the plan res was
+// optimized into, when since then only table statistics and opts.Cost
+// moved: the schema and every other option are as res was made with. A
+// join-free plan's tree reads no statistic, so Reprice runs only
+// Optimize's final costing pass over it and returns a new Result that
+// shares res.Root; it modifies nothing res holds. ok is false, and
+// nothing is priced, when res's plan joins: it must be optimized again.
+func Reprice(res *Result, opts Options) (_ *Result, ok bool, _ error) {
+	if !res.shapeFixed {
+		return nil, false, nil
+	}
+	opts.Cost = opts.Cost.normalized()
+	o := optimizer{opts: opts}
+	repriced, err := o.price(res.Root, len(res.Costs))
+	if err != nil {
+		return nil, true, err
+	}
+	repriced.shapeFixed = true
+	return repriced, true, nil
+}
+
+// price is the final costing pass over root, an optimized tree it does
+// not modify: every node's prediction, a warning for each unbounded crowd
+// access, and the refusal of an unbounded plan unless the options allow
+// one. size hints at the tree's node count.
+func (o *optimizer) price(root plan.Node, size int) (*Result, error) {
+	cm := costModel{in: o.opts.Cost, memo: make(map[plan.Node]plan.Cost, size)}
 	res := &Result{Root: root, Predicted: cm.cost(root), Costs: cm.memo}
 	res.Bounded = !res.Predicted.IsUnbounded()
-	stampBuildRows(root, res.Costs)
 	o.warnUnbounded(root, res.Costs)
 	res.Warnings = o.warnings
-	if !res.Bounded && !opts.AllowUnbounded {
+	if !res.Bounded && !o.opts.AllowUnbounded {
 		return nil, fmt.Errorf("optimizer: plan requests an unbounded amount of crowd data: %s",
 			strings.Join(res.Warnings, "; "))
 	}
@@ -105,18 +144,20 @@ func (o *optimizer) warnUnbounded(n plan.Node, costs map[plan.Node]plan.Cost) {
 
 // stampBuildRows writes each join's build-side row estimate onto the
 // plan node so the executor's hash join can pre-size its build table
-// instead of rehashing its way up from an empty map.
-func stampBuildRows(n plan.Node, costs map[plan.Node]plan.Cost) {
+// instead of rehashing its way up from an empty map. It reports whether
+// n's tree has a join.
+func stampBuildRows(n plan.Node, costs map[plan.Node]plan.Cost) (joins bool) {
 	if j, ok := n.(*plan.Join); ok {
 		j.BuildRows = costs[j.Right].Rows
+		joins = true
 	}
 	for _, c := range n.Children() {
-		stampBuildRows(c, costs)
+		joins = stampBuildRows(c, costs) || joins
 	}
+	return joins
 }
 
 type optimizer struct {
-	cat      *catalog.Catalog
 	opts     Options
 	warnings []string
 }
@@ -379,7 +420,7 @@ func (o *optimizer) collectJoinTree(j *plan.Join) ([]plan.Node, []parser.Expr) {
 // predicted money×latency score is strictly better — ties keep the greedy
 // plan, so existing workloads replay identically.
 func (o *optimizer) orderJoinChain(leaves []plan.Node, conjuncts []parser.Expr) plan.Node {
-	cm := newCostModel(o)
+	cm := newCostModel(o.opts.Cost)
 	greedy, greedyCrosses := o.buildGreedy(cm, leaves, conjuncts)
 	chosen, crosses := greedy, greedyCrosses
 	if !o.opts.DisableCostBased && len(leaves) <= dpMaxLeaves && len(conjuncts) <= dpMaxConjuncts {

@@ -429,21 +429,24 @@ func replayJobsJournal(path string) (map[string]*recoveredSession, []*jobRecord,
 
 // recoverJobs is recovery's decision: it rebuilds the live sessions with
 // their crash-exact budgets, continues the id sequences past everything
-// replayed, and builds every replayed job — terminal as journaled,
-// resumed when its script is read-only and its session survived, and
-// interrupted otherwise.
+// replayed — closed sessions and the sessions retained jobs name
+// included, so no new session takes the id of one whose jobs are kept —
+// and builds every replayed job — terminal as journaled, resumed when its
+// script is read-only and its session survived, and interrupted
+// otherwise.
 func (s *Server) recoverJobs(sessions map[string]*recoveredSession, records []*jobRecord) (live []*Session, recs []recovery) {
 	s.mu.Lock()
 	for id, rs := range sessions {
+		s.seq = max(s.seq, idSeq(id, "s%d"))
 		if rs.closed {
 			continue
 		}
 		sess := newSession(id, recoveredBudget(rs))
 		s.sessions[id] = sess
 		live = append(live, sess)
-		s.seq = max(s.seq, idSeq(id, "s%d"))
 	}
 	for _, r := range records {
+		s.seq = max(s.seq, idSeq(r.session, "s%d"))
 		s.jobSeq = max(s.jobSeq, idSeq(r.id, "j%d"))
 	}
 	s.mu.Unlock()

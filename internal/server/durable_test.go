@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -565,5 +566,67 @@ func TestJournalSubmitWithoutJournalAllocatesNothing(t *testing.T) {
 		s.journalSessionClose(j.sessionID)
 	}); allocs != 0 {
 		t.Fatalf("journalSubmit on a journal-less server allocates %.2f times", allocs)
+	}
+}
+
+// TestRestartSkipsClosedSessionIDs: a closed session whose job the journal
+// retains keeps its id across restarts — the first restart replays its
+// close, a second finds it only in the retained job — so the next session
+// created is not given it.
+func TestRestartSkipsClosedSessionIDs(t *testing.T) {
+	const seed, n = 67, 2
+	for restarts := 1; restarts <= 2; restarts++ {
+		dir := t.TempDir()
+		data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
+		eng := durableEngine(t, data, seed, n, storage.SyncAlways)
+		seedPairs(t, eng, seed, n)
+		srv := New(eng, Config{})
+		if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for range 2 {
+			sess, serr := srv.CreateSession(-1)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			ids = append(ids, sess.ID())
+		}
+		job, serr := runScript(srv, ids[1], "SELECT id FROM Pair")
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if serr := srv.CloseSession(ids[1]); serr != nil {
+			t.Fatal(serr)
+		}
+		for range restarts {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			eng = durableEngine(t, data, seed, n, storage.SyncAlways)
+			srv = New(eng, Config{})
+			if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+				t.Fatal(err)
+			}
+			if _, serr := srv.Job(job.ID()); serr != nil {
+				t.Fatalf("%d restarts: the closed session's job is not retained: %v", restarts, serr)
+			}
+		}
+		sess, serr := srv.CreateSession(-1)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if slices.Contains(ids, sess.ID()) {
+			t.Errorf("%d restarts: a new session was given the id %s of %v", restarts, sess.ID(), ids)
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
