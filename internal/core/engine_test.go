@@ -421,7 +421,11 @@ func TestWRMPaysDuringQueries(t *testing.T) {
 	if eng.Tasks().Stats().ApprovedSpend <= 0 {
 		t.Error("the WRM must settle payments for collected assignments")
 	}
-	if len(eng.tracker.Workers()) == 0 {
+	tracked := false
+	for _, w := range eng.cfg.Platform.(*amt.Platform).WorkerStats() {
+		tracked = tracked || eng.tracker.Score(w.ID) != 0.5
+	}
+	if !tracked {
 		t.Error("worker quality must be tracked")
 	}
 }

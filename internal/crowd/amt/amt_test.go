@@ -88,6 +88,30 @@ func TestPlatformLifecycle(t *testing.T) {
 	}
 }
 
+// A group that expires before anyone answers is done with nothing in; the
+// Task Manager reads its Status, then its Results, its last read, and the
+// market forgets it then.
+func TestUnansweredGroupExpires(t *testing.T) {
+	p := NewDefault(7)
+	g := probeGroup(3)
+	g.Expiry = time.Second
+	id, err := p.Post(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Step(time.Hour)
+	if st, err := p.Status(id); err != nil || !st.Done() || !st.Expired || st.Submitted != 0 {
+		t.Fatalf("a group past its expiry: %+v, %v", st, err)
+	}
+	if res, err := p.Results(id); err != nil || len(res) != 0 {
+		t.Fatalf("results of a group nobody answered: %d, %v", len(res), err)
+	}
+	want := fmt.Sprintf("sim: group %s is settled", id)
+	if _, err := p.Status(id); fmt.Sprint(err) != want {
+		t.Errorf("Status after Results: %v, want %q", err, want)
+	}
+}
+
 func TestAMTRejectsGeoFence(t *testing.T) {
 	p := NewDefault(7)
 	g := probeGroup(1)

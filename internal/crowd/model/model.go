@@ -6,19 +6,21 @@
 // so this platform is the cheap tier the Task Manager's escalation
 // router posts to first (see taskmgr: ModelPlatform).
 //
-// Unlike the human simulators (amt, mobile), answers are pre-generated
-// at Post time: every assignment's worker, answer, confidence, and
-// virtual completion time are drawn from the seeded RNG the moment the
-// group is posted. Replay is therefore deterministic for a fixed seed
-// and Post order regardless of how often the scheduler polls — the same
+// Unlike the human simulators (amt, mobile), no worker arrives: every
+// assignment's worker, answer, confidence and latency are drawn from the
+// seeded RNG the moment the group is posted, and the group goes into a
+// sim.Market already answered (PostAnswered). The market lands each answer
+// at its latency and keeps the group's books exactly as it does for the
+// human platforms. Replay is therefore deterministic for a fixed seed and
+// Post order regardless of how often the scheduler polls — the same
 // property the determinism tests pin for the human platforms, with a
 // stronger guarantee (poll cadence cannot perturb the RNG stream).
 package model
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +28,7 @@ import (
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/quality"
+	"crowddb/internal/sim"
 )
 
 // Profile describes one model tier's behavior. The two presets bracket
@@ -177,40 +180,21 @@ type Config struct {
 	Name string
 }
 
-// assignRec is one generated assignment plus its group bookkeeping.
-type assignRec struct {
-	a       *crowd.Assignment
-	gr      *group
-	readyAt time.Duration
-}
-
-type group struct {
-	id        crowd.GroupID
-	spec      *crowd.HITGroup
-	assigns   []*assignRec
-	settled   int // assignments approved or rejected
-	expired   bool
-	expiredAt time.Duration
-}
-
 // Platform is the simulated model-answerer service. It implements
-// crowd.Platform; all methods serialize on one mutex, satisfying the
-// interface's concurrency contract. It keeps a group only while it may
-// still be asked about it (see forgetLocked), so its memory follows the
-// groups in flight, not every group ever posted.
+// crowd.Platform: it makes a group's answers itself and posts them into
+// its own sim.Market, which lands each at its latency and serves the group
+// lifecycle (Status, Results, Reject, Expire, Step, Now), forgetting a
+// group by the market's rule. Post serializes on the platform's mutex so
+// the answers are drawn in Post order.
 type Platform struct {
+	*sim.Market
 	name string
 	prof Profile
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	now      time.Duration
-	groups   map[crowd.GroupID]*group
-	byAssign map[string]*assignRec
-	nextGrp  int
-	nextAsn  int
-	unsure   int
-	calls    int // assignments ever generated (worker rotation)
+	mu     sync.Mutex
+	rng    *rand.Rand
+	unsure int
+	calls  int // assignments ever generated (worker rotation)
 }
 
 // New builds a model platform. Zero-value profile fields fall back to
@@ -241,85 +225,70 @@ func New(cfg Config) *Platform {
 		name = "model"
 	}
 	return &Platform{
-		name:     name,
-		prof:     p,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		groups:   make(map[crowd.GroupID]*group),
-		byAssign: make(map[string]*assignRec),
+		Market: sim.NewMarket(sim.Config{}), // no worker pool: answers are posted already made
+		name:   name,
+		prof:   p,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
 // Name implements crowd.Platform.
 func (p *Platform) Name() string { return p.name }
 
-// Post implements crowd.Platform. Every assignment is generated here,
-// atomically: worker, answers, confidence, and completion time. The
-// group is fully registered or not at all.
+// Post implements crowd.Platform. Every assignment is generated here, in
+// one go — worker, answers, confidence and latency — and the group is
+// posted with them, so poll cadence cannot perturb the RNG stream.
 func (p *Platform) Post(g *crowd.HITGroup) (crowd.GroupID, error) {
 	if err := g.Validate(); err != nil {
 		return "", err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.nextGrp++
-	id := crowd.GroupID(fmt.Sprintf("%s-g-%04d", p.name, p.nextGrp))
-	gr := &group{id: id, spec: g}
-	for _, hit := range g.HITs {
+	return p.PostAnswered(g, p.generateLocked(g))
+}
+
+// generateLocked draws every assignment of a valid group, HIT by HIT:
+// answers, then latency, then confidence.
+func (p *Platform) generateLocked(g *crowd.HITGroup) []sim.Answer {
+	var answers []sim.Answer
+	for i, hit := range g.HITs {
+		first := len(answers)
 		for r := 0; r < g.Assignments; r++ {
 			worker := fmt.Sprintf("%s-w%02d", p.name, p.calls%p.prof.Workers)
 			p.calls++
-			answers, correct := p.answerLocked(hit)
-			p.nextAsn++
+			out, correct := p.answerLocked(hit)
 			lat := p.jitterLocked(p.prof.Latency, p.prof.LatencyJitter)
-			rec := &assignRec{
-				a: &crowd.Assignment{
-					ID:          fmt.Sprintf("%s-a-%06d", p.name, p.nextAsn),
-					HITID:       hit.ID,
-					WorkerID:    worker,
-					Status:      crowd.AssignmentSubmitted,
-					SubmittedAt: p.now + lat,
-					Answers:     answers,
-					Confidence:  p.confidenceLocked(correct),
-					Source:      p.name,
-				},
-				gr:      gr,
-				readyAt: p.now + lat,
-			}
-			gr.assigns = append(gr.assigns, rec)
-			p.byAssign[rec.a.ID] = rec
+			answers = append(answers, sim.Answer{HIT: i, Latency: lat, Assignment: &crowd.Assignment{
+				WorkerID:   worker,
+				Answers:    out,
+				Confidence: p.confidenceLocked(correct),
+				Source:     p.name,
+			}})
 			// Unanimous early answers satisfy an adaptive group without
 			// its full replication, mirroring the human marketplace.
-			if g.AdaptiveVotes && r+1 >= quality.MajorityFor(g.Assignments) && unanimous(gr, hit.ID) {
+			if g.AdaptiveVotes && r+1 >= quality.MajorityFor(g.Assignments) && unanimous(answers[first:]) {
 				break
 			}
 		}
 	}
-	p.groups[id] = gr
-	return id, nil
+	return answers
 }
 
-// unanimous reports whether every generated answer for the HIT agrees on
-// every field (exact match — the model emits clean strings).
-func unanimous(gr *group, hitID string) bool {
-	var first map[string]string
-	for _, rec := range gr.assigns {
-		if rec.a.HITID != hitID {
-			continue
-		}
-		if first == nil {
-			first = rec.a.Answers
-			continue
-		}
-		if len(first) != len(rec.a.Answers) {
+// Approve implements crowd.Platform.
+func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
+	_, err := p.Market.Approve(assignmentID, bonus)
+	return err
+}
+
+// unanimous reports whether every answer agrees on every field (exact
+// match — the model emits clean strings).
+func unanimous(answers []sim.Answer) bool {
+	for _, a := range answers[1:] {
+		if !maps.Equal(a.Answers, answers[0].Answers) {
 			return false
 		}
-		for k, v := range first {
-			if rec.a.Answers[k] != v {
-				return false
-			}
-		}
 	}
-	return first != nil
+	return true
 }
 
 // answerLocked generates one model answer for the HIT, reporting whether
@@ -409,186 +378,4 @@ func (p *Platform) jitterLocked(d time.Duration, frac float64) time.Duration {
 		return d
 	}
 	return time.Duration(float64(d) * (1 + frac*(2*p.rng.Float64()-1)))
-}
-
-// readyLocked reports whether the assignment's answer has landed: its
-// completion time has passed, and the group had not expired before it.
-func (gr *group) readyLocked(rec *assignRec, now time.Duration) bool {
-	if gr.expired && rec.readyAt > gr.expiredAt {
-		return false
-	}
-	return rec.readyAt <= now
-}
-
-// Status implements crowd.Platform.
-func (p *Platform) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	gr, ok := p.groups[id]
-	if !ok {
-		return crowd.GroupStatus{}, fmt.Errorf("model: unknown group %q", id)
-	}
-	st := crowd.GroupStatus{Posted: len(gr.spec.HITs), Expired: gr.expired}
-	perHIT := make(map[string]int)
-	for _, rec := range gr.assigns {
-		if gr.readyLocked(rec, p.now) {
-			st.Submitted++
-			perHIT[rec.a.HITID]++
-		}
-	}
-	for _, hit := range gr.spec.HITs {
-		want := gr.spec.Assignments
-		if gr.spec.AdaptiveVotes {
-			// An adaptive group generates fewer assignments for
-			// unanimous HITs; all-generated-and-ready counts complete.
-			if n := countFor(gr, hit.ID); n < want {
-				want = n
-			}
-		}
-		if perHIT[hit.ID] >= want {
-			st.Completed++
-		}
-	}
-	return st, nil
-}
-
-func countFor(gr *group, hitID string) int {
-	n := 0
-	for _, rec := range gr.assigns {
-		if rec.a.HITID == hitID {
-			n++
-		}
-	}
-	return n
-}
-
-// Results implements crowd.Platform, returning copies of the ready
-// assignments ordered by completion time then ID.
-func (p *Platform) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	gr, ok := p.groups[id]
-	if !ok {
-		return nil, fmt.Errorf("model: unknown group %q", id)
-	}
-	var out []*crowd.Assignment
-	for _, rec := range gr.assigns {
-		if !gr.readyLocked(rec, p.now) {
-			continue
-		}
-		cp := *rec.a
-		cp.Answers = make(map[string]string, len(rec.a.Answers))
-		for k, v := range rec.a.Answers {
-			cp.Answers[k] = v
-		}
-		out = append(out, &cp)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SubmittedAt != out[j].SubmittedAt {
-			return out[i].SubmittedAt < out[j].SubmittedAt
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
-}
-
-// Approve implements crowd.Platform: an assignment is approved at most
-// once, and never after a rejection.
-func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rec, ok := p.byAssign[assignmentID]
-	if !ok {
-		return fmt.Errorf("model: unknown assignment %q", assignmentID)
-	}
-	if rec.a.Status == crowd.AssignmentApproved {
-		return fmt.Errorf("model: assignment %q already approved", assignmentID)
-	}
-	if rec.a.Status == crowd.AssignmentRejected {
-		return fmt.Errorf("model: assignment %q already rejected", assignmentID)
-	}
-	p.settleLocked(rec, crowd.AssignmentApproved)
-	return nil
-}
-
-// Reject implements crowd.Platform.
-func (p *Platform) Reject(assignmentID, reason string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rec, ok := p.byAssign[assignmentID]
-	if !ok {
-		return fmt.Errorf("model: unknown assignment %q", assignmentID)
-	}
-	if rec.a.Status == crowd.AssignmentApproved {
-		return fmt.Errorf("model: assignment %q already approved", assignmentID)
-	}
-	if rec.a.Status == crowd.AssignmentSubmitted {
-		p.settleLocked(rec, crowd.AssignmentRejected)
-	}
-	return nil
-}
-
-// settleLocked moves a submitted assignment to its final status.
-func (p *Platform) settleLocked(rec *assignRec, to crowd.AssignmentStatus) {
-	rec.a.Status = to
-	rec.gr.settled++
-	p.forgetLocked(rec.gr)
-}
-
-// forgetLocked drops a group the platform owes nothing more, with its
-// assignments, under sim.Market's rule: done (complete or expired),
-// nothing still to arrive, every landed answer settled. A group nobody
-// answered is kept: its poster has yet to learn that from Status.
-//
-// An answer lands only once Results can have returned it, so a settled one
-// has landed. Unexpired, every answer is still to arrive until it lands;
-// expired, one that had not landed never will.
-func (p *Platform) forgetLocked(gr *group) {
-	if gr.settled == 0 {
-		return
-	}
-	if gr.settled < len(gr.assigns) {
-		if !gr.expired {
-			return
-		}
-		for _, rec := range gr.assigns {
-			if rec.a.Status == crowd.AssignmentSubmitted && gr.readyLocked(rec, p.now) {
-				return
-			}
-		}
-	}
-	for _, rec := range gr.assigns {
-		delete(p.byAssign, rec.a.ID)
-	}
-	delete(p.groups, gr.id)
-}
-
-// Expire implements crowd.Platform: answers not yet landed never will.
-func (p *Platform) Expire(id crowd.GroupID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	gr, ok := p.groups[id]
-	if !ok {
-		return fmt.Errorf("model: unknown group %q", id)
-	}
-	if !gr.expired {
-		gr.expired = true
-		gr.expiredAt = p.now
-		p.forgetLocked(gr)
-	}
-	return nil
-}
-
-// Step implements crowd.Platform.
-func (p *Platform) Step(d time.Duration) {
-	p.mu.Lock()
-	p.now += d
-	p.mu.Unlock()
-}
-
-// Now implements crowd.Platform.
-func (p *Platform) Now() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.now
 }

@@ -2,12 +2,15 @@ package model
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"crowddb/internal/crowd"
+	"crowddb/internal/sim"
 )
 
 // groupFor builds a one-HIT group of the given kind with seeded truth.
@@ -210,16 +213,18 @@ func TestApproveOnce(t *testing.T) {
 	if err := p.Approve(res[1].ID, 0); err == nil {
 		t.Error("approve after reject must fail")
 	}
+	if err := p.Reject(res[1].ID, "test"); err == nil {
+		t.Error("double rejection must fail")
+	}
 }
 
 // TestModelForgetsSettledGroup: the platform drops a group, with its
 // assignments, once it is done, nothing is still to arrive and every
-// landed answer is settled — and not a call earlier. (A group nobody
-// answered stays: TestExpire reads its Status.)
+// landed answer is settled — and not a call earlier.
 func TestModelForgetsSettledGroup(t *testing.T) {
 	held := func(p *Platform, id crowd.GroupID) bool {
-		_, ok := p.groups[id]
-		return ok
+		_, err := p.Status(id)
+		return err == nil
 	}
 	settle := func(t *testing.T, p *Platform, res []*crowd.Assignment) {
 		t.Helper()
@@ -232,6 +237,19 @@ func TestModelForgetsSettledGroup(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+	forgotten := func(t *testing.T, p *Platform, id crowd.GroupID, res []*crowd.Assignment) {
+		t.Helper()
+		want := fmt.Sprintf("sim: group %s is settled", id)
+		if _, err := p.Status(id); fmt.Sprint(err) != want {
+			t.Errorf("Status of a forgotten group: %v, want %q", err, want)
+		}
+		for _, a := range res {
+			want := fmt.Sprintf("sim: assignment %s already settled", a.ID)
+			if err := p.Approve(a.ID, 0); fmt.Sprint(err) != want {
+				t.Errorf("Approve of a forgotten assignment: %v, want %q", err, want)
 			}
 		}
 	}
@@ -248,12 +266,7 @@ func TestModelForgetsSettledGroup(t *testing.T) {
 			t.Fatal("a group with an unsettled answer was forgotten")
 		}
 		settle(t, p, res[2:])
-		if len(p.groups) != 0 || len(p.byAssign) != 0 {
-			t.Errorf("settled group kept: %d groups, %d assignments", len(p.groups), len(p.byAssign))
-		}
-		if _, err := p.Status(id); err == nil {
-			t.Error("Status of a forgotten group must fail")
-		}
+		forgotten(t, p, id, res)
 	})
 
 	t.Run("expired", func(t *testing.T) {
@@ -279,14 +292,13 @@ func TestModelForgetsSettledGroup(t *testing.T) {
 		if err := p.Expire(id); err != nil {
 			t.Fatal(err)
 		}
-		if len(p.groups) != 0 || len(p.byAssign) != 0 {
-			t.Errorf("settled expired group kept: %d groups, %d assignments", len(p.groups), len(p.byAssign))
-		}
+		forgotten(t, p, id, res)
 	})
 }
 
 // Expire freezes the group: answers whose latency had not elapsed at
-// expiry never land.
+// expiry never land. The poster reads Status, then Results, which is its
+// last read: the group is forgotten then.
 func TestExpire(t *testing.T) {
 	p := New(Config{Seed: 1, Profile: Sharp()})
 	id, err := p.Post(groupFor(crowd.TaskProbeValues, 3))
@@ -297,6 +309,13 @@ func TestExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Step(time.Hour)
+	st, err := p.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Done() || st.Submitted != 0 {
+		t.Errorf("expired group must be done with no answers: %+v", st)
+	}
 	res, err := p.Results(id)
 	if err != nil {
 		t.Fatal(err)
@@ -304,12 +323,32 @@ func TestExpire(t *testing.T) {
 	if len(res) != 0 {
 		t.Errorf("expired-before-latency group must return no answers, got %d", len(res))
 	}
-	st, err := p.Status(id)
+	if _, err := p.Status(id); err == nil {
+		t.Error("an expired group nobody answered is still held after Results reported it")
+	}
+}
+
+// A group's own Expiry closes it as Expire does: an answer still out then
+// never lands, and a group nobody answered is forgotten once Results has
+// reported it.
+func TestUnansweredGroupExpires(t *testing.T) {
+	p := New(Config{Seed: 1, Profile: Sharp()}) // latencies 3-7 s
+	g := groupFor(crowd.TaskProbeValues, 3)
+	g.Expiry = time.Second
+	id, err := p.Post(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Done() {
-		t.Errorf("expired group must be done: %+v", st)
+	p.Step(time.Minute)
+	if st, err := p.Status(id); err != nil || !st.Done() || !st.Expired || st.Submitted != 0 {
+		t.Fatalf("a group past its expiry: %+v, %v", st, err)
+	}
+	if res, err := p.Results(id); err != nil || len(res) != 0 {
+		t.Fatalf("results of a group nobody answered: %d, %v", len(res), err)
+	}
+	want := fmt.Sprintf("sim: group %s is settled", id)
+	if _, err := p.Status(id); fmt.Sprint(err) != want {
+		t.Errorf("Status after Results: %v, want %q", err, want)
 	}
 }
 
@@ -395,4 +434,229 @@ func FuzzModelSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refGroup is a model group's lifecycle computed straight from its
+// generated answers — the books the platform kept before it posted into
+// sim.Market, kept as the reference the market is checked against. An
+// answer is in once its latency has elapsed, unless the group expired
+// first; a HIT is complete once every answer made for it is in.
+type refGroup struct {
+	id        crowd.GroupID
+	spec      *crowd.HITGroup
+	answers   []sim.Answer // in generation order
+	postedAt  time.Duration
+	expired   bool
+	expiredAt time.Duration
+	status    map[int]crowd.AssignmentStatus // settled answers, by generation index
+	toldNone  bool                           // Results reported no answers after expiry
+}
+
+func (r *refGroup) landed(i int, now time.Duration) bool {
+	at := r.postedAt + r.answers[i].Latency
+	return at <= now && !(r.expired && at > r.expiredAt)
+}
+
+func (r *refGroup) Status(now time.Duration) crowd.GroupStatus {
+	st := crowd.GroupStatus{Posted: len(r.spec.HITs), Expired: r.expired}
+	made, in := make([]int, len(r.spec.HITs)), make([]int, len(r.spec.HITs))
+	for i, a := range r.answers {
+		made[a.HIT]++
+		if r.landed(i, now) {
+			in[a.HIT]++
+			st.Submitted++
+		}
+	}
+	for h := range made {
+		if in[h] == made[h] {
+			st.Completed++
+		}
+	}
+	return st
+}
+
+// Results lists the generation indexes of the landed answers, ordered by
+// landing time, then generation order.
+func (r *refGroup) Results(now time.Duration) []int {
+	var out []int
+	for i := range r.answers {
+		if r.landed(i, now) {
+			out = append(out, i)
+		}
+	}
+	sort.SliceStable(out, func(x, y int) bool { return r.answers[out[x]].Latency < r.answers[out[y]].Latency })
+	r.toldNone = r.expired && len(out) == 0
+	return out
+}
+
+// forgotten reports whether the platform owes the group nothing more:
+// done, nothing still to land (nothing can after expiry), every landed
+// answer settled, and at least one landed or Results said none did.
+func (r *refGroup) forgotten(now time.Duration) bool {
+	st := r.Status(now)
+	if !st.Done() || (!r.expired && st.Submitted < len(r.answers)) {
+		return false
+	}
+	if st.Submitted == 0 {
+		return r.toldNone
+	}
+	for i := range r.answers {
+		if _, settled := r.status[i]; r.landed(i, now) && !settled {
+			return false
+		}
+	}
+	return true
+}
+
+// The platform's Status and Results, driven by random Post, Step, Expire
+// and settle calls, match the lifecycle computed from the generated
+// answers after every call, assignment IDs aside: what lands when, what
+// completes, what expiry cuts, and when a group is forgotten.
+func TestMarketMatchesModelLifecycle(t *testing.T) {
+	for _, spec := range []string{"sharp", "cheap", "sharp,jitter=1"} {
+		for _, adaptive := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/adaptive=%v/seed=%d", spec, adaptive, seed), func(t *testing.T) {
+					prof, err := ParseSpec(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runLifecycleReference(t, Config{Seed: seed, Profile: prof}, adaptive, 150)
+				})
+			}
+		}
+	}
+}
+
+func runLifecycleReference(t *testing.T, cfg Config, adaptive bool, steps int) {
+	p, twin := New(cfg), New(cfg) // the twin draws the same answers for the reference
+	ops := rand.New(rand.NewSource(cfg.Seed + 1000))
+	var groups []*refGroup
+	now := time.Duration(0)
+	landedSeen, cut, forgot := 0, 0, 0
+
+	for step := 0; step < steps; step++ {
+		var op string
+		switch k := ops.Intn(10); {
+		case k < 3 || len(groups) == 0:
+			spec := &crowd.HITGroup{Title: "ref", Kind: crowd.TaskProbeValues, Reward: 1,
+				Assignments: 1 + ops.Intn(5), AdaptiveVotes: adaptive}
+			for h := 0; h < 1+ops.Intn(4); h++ {
+				hit := groupFor(crowd.TaskProbeValues, 1).HITs[0]
+				hit.ID = fmt.Sprintf("H%d-%d", step, h)
+				spec.HITs = append(spec.HITs, hit)
+			}
+			id, err := p.Post(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op = fmt.Sprintf("Post -> %s", id)
+			groups = append(groups, &refGroup{id: id, spec: spec, answers: twin.generateLocked(spec),
+				postedAt: now, status: map[int]crowd.AssignmentStatus{}})
+		case k < 6:
+			d := time.Duration(ops.Intn(8000)) * time.Millisecond
+			op = fmt.Sprintf("Step(%v)", d)
+			p.Step(d)
+			now += d
+		case k < 8:
+			r := groups[ops.Intn(len(groups))]
+			op = fmt.Sprintf("Expire(%s)", r.id)
+			err := p.Expire(r.id)
+			if gone := r.forgotten(now); gone != (err != nil) {
+				t.Fatalf("step %d %s: err %v, reference forgotten %v", step, op, err, gone)
+			}
+			if err == nil && !r.expired {
+				r.expired, r.expiredAt = true, now
+			}
+		default:
+			// Settle what has landed, as the Task Manager collects a group.
+			r := groups[ops.Intn(len(groups))]
+			op = fmt.Sprintf("Settle(%s)", r.id)
+			if r.forgotten(now) {
+				continue
+			}
+			res, err := p.Results(r.id)
+			if err != nil {
+				t.Fatalf("step %d %s: %v", step, op, err)
+			}
+			for n, i := range r.Results(now) {
+				to, settle := crowd.AssignmentApproved, func(id string) error { return p.Approve(id, 0) }
+				if ops.Intn(3) == 0 {
+					to, settle = crowd.AssignmentRejected, func(id string) error { return p.Reject(id, "r") }
+				}
+				if _, done := r.status[i]; done {
+					continue
+				}
+				if err := settle(res[n].ID); err != nil {
+					t.Fatalf("step %d %s: %v", step, op, err)
+				}
+				r.status[i] = to
+			}
+		}
+
+		if p.Now() != now {
+			t.Fatalf("step %d after %s: Now %v, reference %v", step, op, p.Now(), now)
+		}
+		for _, r := range groups {
+			checkAgainstReference(t, fmt.Sprintf("step %d after %s", step, op), p, r, now)
+		}
+		for _, r := range groups {
+			for i := range r.answers {
+				if r.landed(i, now) {
+					landedSeen++
+				} else if r.expired && r.postedAt+r.answers[i].Latency <= now {
+					cut++
+				}
+			}
+		}
+	}
+	for _, r := range groups {
+		if r.forgotten(now) {
+			forgot++
+		}
+	}
+	if landedSeen == 0 || cut == 0 || forgot == 0 {
+		t.Errorf("run exercised too little: %d landed, %d cut by expiry, %d groups forgotten", landedSeen, cut, forgot)
+	}
+}
+
+// checkAgainstReference compares one group's Status and Results with the
+// reference, which reads the group the same way.
+func checkAgainstReference(t *testing.T, when string, p *Platform, r *refGroup, now time.Duration) {
+	t.Helper()
+	if r.forgotten(now) {
+		want := fmt.Sprintf("sim: group %s is settled", r.id)
+		if _, err := p.Status(r.id); fmt.Sprint(err) != want {
+			t.Fatalf("%s: Status(%s) of a forgotten group: %v", when, r.id, err)
+		}
+		return
+	}
+	st, err := p.Status(r.id)
+	if err != nil {
+		t.Fatalf("%s: Status(%s): %v", when, r.id, err)
+	}
+	if want := r.Status(now); st != want {
+		t.Fatalf("%s: Status(%s) = %+v, reference %+v", when, r.id, st, want)
+	}
+	res, err := p.Results(r.id)
+	if err != nil {
+		t.Fatalf("%s: Results(%s): %v", when, r.id, err)
+	}
+	want := r.Results(now)
+	if len(res) != len(want) {
+		t.Fatalf("%s: Results(%s) has %d answers, reference %d", when, r.id, len(res), len(want))
+	}
+	for n, i := range want {
+		a, ref := res[n], r.answers[i]
+		status, settled := r.status[i]
+		if !settled {
+			status = crowd.AssignmentSubmitted
+		}
+		if a.HITID != r.spec.HITs[ref.HIT].ID || a.WorkerID != ref.WorkerID || a.Confidence != ref.Confidence ||
+			a.Source != ref.Source || a.SubmittedAt != r.postedAt+ref.Latency || a.Status != status ||
+			!reflect.DeepEqual(a.Answers, ref.Answers) {
+			t.Fatalf("%s: Results(%s)[%d] = %+v, reference answer %d %+v landing at %v with %v",
+				when, r.id, n, *a, i, *ref.Assignment, r.postedAt+ref.Latency, status)
+		}
+	}
 }

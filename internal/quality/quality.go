@@ -227,22 +227,3 @@ func (t *Tracker) Score(workerID string) float64 {
 	}
 	return 0.5
 }
-
-// Workers returns all tracked workers, lowest score first (the review queue
-// the WRM shows the requester).
-func (t *Tracker) Workers() []WorkerQuality {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]WorkerQuality, 0, len(t.stats))
-	for _, wq := range t.stats {
-		out = append(out, *wq)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Score(), out[j].Score()
-		if si != sj {
-			return si < sj
-		}
-		return out[i].WorkerID < out[j].WorkerID
-	})
-	return out
-}

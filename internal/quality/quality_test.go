@@ -185,8 +185,4 @@ func TestTracker(t *testing.T) {
 	if s := tr.Score("never-seen"); s != 0.5 {
 		t.Errorf("unknown worker score: %f", s)
 	}
-	ws := tr.Workers()
-	if len(ws) != 3 || ws[0].WorkerID != "bad" {
-		t.Errorf("review queue order: %+v", ws)
-	}
 }

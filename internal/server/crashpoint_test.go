@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"crowddb/internal/core"
+	"crowddb/internal/crowd/model"
 	"crowddb/internal/faultinject"
 	"crowddb/internal/storage"
 )
@@ -24,7 +25,9 @@ import (
 // journal both in SyncAlways and in SyncGroup (the daemon default):
 //
 //   - the streaming crowd query, then the session's close (SyncAlways at
-//     the top level, SyncGroup under group/): the journal never invents
+//     the top level, SyncGroup under group/, and under hybrid/ with a
+//     model tier in front of AMT whose contested comparisons escalate to
+//     it, see hybridEngine): the journal never invents
 //     rows — what it recovered is a prefix of the uninterrupted stream,
 //     so no acknowledged offset regresses; the recovered job is coherent
 //     (done after a resume, or interrupted); a completed resume is
@@ -45,8 +48,12 @@ import (
 // settles below the uninterrupted value (crashes may under-charge — lose
 // unjournaled spend — but never double-charge).
 func TestCrashpointRecoveryProperty(t *testing.T) {
-	sweepCrowdQuery(t, storage.SyncAlways)
-	t.Run("group", func(t *testing.T) { sweepCrowdQuery(t, storage.SyncGroup) })
+	sweepCrowdQuery(t, storage.SyncAlways, durableEngine)
+	t.Run("group", func(t *testing.T) { sweepCrowdQuery(t, storage.SyncGroup, durableEngine) })
+	t.Run("hybrid", func(t *testing.T) {
+		checkHybridEscalates(t)
+		sweepCrowdQuery(t, storage.SyncGroup, hybridEngine)
+	})
 	t.Run("writes", func(t *testing.T) {
 		for _, mode := range []storage.SyncMode{storage.SyncAlways, storage.SyncGroup} {
 			t.Run(string(mode), func(t *testing.T) { sweepWriteScript(t, mode) })
@@ -192,17 +199,57 @@ func checkBudget(t *testing.T, srv *Server, id string, want, max int) {
 	}
 }
 
-// sweepCrowdQuery sweeps the streaming crowd query under one sync mode.
-func sweepCrowdQuery(t *testing.T, mode storage.SyncMode) {
-	const seed, n, budget = 29, 4, 20
-	wantRows, wantBudget, hits := baselineRun(t, seed, n, budget, mode)
+// The crowd-query sweep's workload: the pairs, the comparison budget.
+const sweepSeed, sweepPairs, sweepBudget = 29, 4, 20
+
+// hybridEngine is durableEngine with a model tier in front of AMT. The
+// model is always right but unsure of itself: its confidence straddles
+// the 0.75 escalation floor, so some comparisons escalate to the humans
+// and the rest stand on the model's answer. Either way each decision is
+// the uninterrupted run's, however a restart moves the model's RNG stream.
+func hybridEngine(t *testing.T, dataDir string, seed int64, n int, mode storage.SyncMode) *core.Engine {
+	t.Helper()
+	cfg := durableConfig(dataDir, seed, n, mode)
+	cfg.Tasks.ModelPlatform = model.New(model.Config{Seed: seed, Profile: model.Profile{
+		Accuracy: 1, CorrectConfidence: 0.75, ConfidenceNoise: 0.2,
+	}})
+	eng, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// checkHybridEscalates asserts the hybrid sweep's uninterrupted query
+// escalates some of its comparisons to the humans, and not all of them.
+func checkHybridEscalates(t *testing.T) {
+	t.Helper()
+	eng := hybridEngine(t, filepath.Join(t.TempDir(), "data"), sweepSeed, sweepPairs, storage.SyncGroup)
+	defer eng.Close()
+	seedPairs(t, eng, sweepSeed, sweepPairs)
+	if _, err := eng.Exec(durableQuery); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Tasks().Stats()
+	model := st.ByPlatform["model"]
+	t.Logf("%d of %d comparisons escalated", st.EscalatedHITs, model.HITs)
+	if st.EscalatedHITs == 0 || st.EscalatedHITs >= model.HITs {
+		t.Fatalf("%d of %d comparisons escalated, want some but not all", st.EscalatedHITs, model.HITs)
+	}
+}
+
+// sweepCrowdQuery sweeps the streaming crowd query under one sync mode,
+// on the engines open opens.
+func sweepCrowdQuery(t *testing.T, mode storage.SyncMode, open engineOpener) {
+	const seed, n, budget = sweepSeed, sweepPairs, sweepBudget
+	wantRows, wantBudget, hits := baselineRun(t, open, seed, n, budget, mode)
 	specs := crashSpecs(t, hits, "server.job.row", "server.job.state", "storage.recordlog.append",
 		"storage.wal.append", "taskmgr.platform.post")
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
-			eng1 := durableEngine(t, data, seed, n, mode)
+			eng1 := open(t, data, seed, n, mode)
 			seedPairs(t, eng1, seed, n)
 			srv1 := New(eng1, Config{})
 			if err := srv1.EnableJournal(jpath, mode); err != nil {
@@ -233,7 +280,7 @@ func sweepCrowdQuery(t *testing.T, mode storage.SyncMode) {
 				t.Fatalf("journal acknowledged %d rows, baseline has %d", ackRows, len(wantRows))
 			}
 
-			eng2 := durableEngine(t, data, seed, n, mode)
+			eng2 := open(t, data, seed, n, mode)
 			defer eng2.Close()
 			srv2 := New(eng2, Config{})
 			if err := srv2.EnableJournal(jpath, mode); err != nil {

@@ -45,6 +45,9 @@ import (
 
 const durableQuery = "SELECT id FROM Pair WHERE a ~= b"
 
+// engineOpener opens the engine a durable-jobs test runs on.
+type engineOpener func(t *testing.T, dataDir string, seed int64, n int, mode storage.SyncMode) *core.Engine
+
 // durableEngine opens a durable engine over dataDir with a fully
 // deterministic crowd: perfect-accuracy workers, no spammers, no format
 // noise, and a difficulty-0 oracle. Every majority vote is unanimous and
@@ -53,6 +56,15 @@ const durableQuery = "SELECT id FROM Pair WHERE a ~= b"
 // persistent cache and which consume fresh market randomness.
 func durableEngine(t *testing.T, dataDir string, seed int64, n int, mode storage.SyncMode) *core.Engine {
 	t.Helper()
+	eng, err := core.Open(durableConfig(dataDir, seed, n, mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// durableConfig is durableEngine's configuration.
+func durableConfig(dataDir string, seed int64, n int, mode storage.SyncMode) core.Config {
 	cs := workload.NewCompanies(n, seed)
 	base := cs.Oracle()
 	oracle := workload.NewOracle()
@@ -70,17 +82,13 @@ func durableEngine(t *testing.T, dataDir string, seed int64, n int, mode storage
 	mcfg.Pool.AccuracySpread = 0
 	mcfg.Pool.GarbageRate = 0
 	mcfg.FormatNoiseRate = 0
-	eng, err := core.Open(core.Config{
+	return core.Config{
 		DataDir:  dataDir,
 		WALSync:  mode,
 		Platform: amt.New(sim.NewMarket(mcfg)),
 		Oracle:   oracle,
 		Payment:  wrm.DefaultPolicy(),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return eng
 }
 
 // seedPairs populates the Pair table with n true-match surface-form pairs
@@ -151,10 +159,10 @@ func waitDone(t *testing.T, j *Job) JobState {
 // returns the rendered rows and the session's settled budget — the values
 // every crash/recovery arm must converge to — plus how often the job hit
 // each crashpoint between submit and retirement.
-func baselineRun(t *testing.T, seed int64, n, budget int, mode storage.SyncMode) ([]string, int, map[string]int) {
+func baselineRun(t *testing.T, open engineOpener, seed int64, n, budget int, mode storage.SyncMode) ([]string, int, map[string]int) {
 	t.Helper()
 	dir := t.TempDir()
-	eng := durableEngine(t, filepath.Join(dir, "data"), seed, n, mode)
+	eng := open(t, filepath.Join(dir, "data"), seed, n, mode)
 	defer eng.Close()
 	seedPairs(t, eng, seed, n)
 	srv := New(eng, Config{})
@@ -371,7 +379,7 @@ func resumeAfterCrash(t *testing.T, data, jpath, jobID, sessID string, seed int6
 // exactly the uninterrupted value.
 func TestJournalResumesInterruptedJob(t *testing.T) {
 	const seed, n, budget = 47, 4, 20
-	wantRows, wantBudget, _ := baselineRun(t, seed, n, budget, storage.SyncAlways)
+	wantRows, wantBudget, _ := baselineRun(t, durableEngine, seed, n, budget, storage.SyncAlways)
 
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")
@@ -432,7 +440,7 @@ func TestJournalResumedJobTracesParse(t *testing.T) {
 // next row, and the resumed budget settled at 11 instead of 16).
 func TestJournalChargesOnlySessionsOwnAnswers(t *testing.T) {
 	const seed, n, budget = 47, 4, 20
-	wantRows, wantBudget, _ := baselineRun(t, seed, n, budget, storage.SyncAlways)
+	wantRows, wantBudget, _ := baselineRun(t, durableEngine, seed, n, budget, storage.SyncAlways)
 
 	dir := t.TempDir()
 	data, jpath := filepath.Join(dir, "data"), filepath.Join(dir, "jobs.log")

@@ -3,8 +3,10 @@
 // It models, in virtual time: price-elastic Poisson worker arrival, worker
 // affinity (returning workers do most of the work), per-worker skill and
 // diligence, log-normal task latency, and answer noise — the behaviours the
-// paper's platform micro-benchmarks measure. Everything is seeded and
-// deterministic.
+// paper's platform micro-benchmarks measure. Every simulated platform posts
+// into its Market: the human ones (amt, mobile) for its workers to answer,
+// the model tier with answers it made itself (PostAnswered); the Market
+// keeps every group's books. Everything is seeded and deterministic.
 package sim
 
 import (

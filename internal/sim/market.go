@@ -81,7 +81,8 @@ func DefaultConfig() Config {
 // has received.
 type hitState struct {
 	hit       *crowd.HIT
-	remaining int
+	remaining int // assignments still to be claimed
+	want      int // answers that complete the HIT: Assignments, or as many as were posted with it
 	// claimedBy holds the at most Assignments workers who took the HIT: a
 	// worker may not repeat one.
 	claimedBy []*Worker
@@ -93,9 +94,9 @@ type hitState struct {
 }
 
 // satisfied reports whether the HIT needs no further answers: closed early
-// on unanimity, or fully claimed and fully replicated.
-func (hs *hitState) satisfied(assignments int) bool {
-	return hs.early || (hs.remaining <= 0 && len(hs.answers) >= assignments)
+// on unanimity, or fully claimed and fully answered.
+func (hs *hitState) satisfied() bool {
+	return hs.early || (hs.remaining <= 0 && len(hs.answers) >= hs.want)
 }
 
 type group struct {
@@ -105,8 +106,9 @@ type group struct {
 	assignments []*crowd.Assignment // in submission order, which is time order
 	completed   int                 // HITs that are satisfied
 	expired     bool
-	pending     int // claimed assignments not yet submitted
-	unsettled   int // submitted assignments neither approved nor rejected
+	answered    bool // posted with its answers (PostAnswered): no worker arrives, no HIT closes early
+	pending     int  // claimed or posted assignments not yet landed
+	unsettled   int  // submitted assignments neither approved nor rejected
 }
 
 // IDs are sequential: an ID the market issued but no longer holds belongs
@@ -131,7 +133,9 @@ type submission struct {
 	w *Worker
 }
 
-// Market is the simulated labor marketplace both platforms are built on.
+// Market is the simulated labor marketplace every simulated platform is
+// built on: the human ones post groups for its workers to answer, the model
+// tier posts groups it has answered itself (PostAnswered).
 // All methods are safe for concurrent use; the discrete-event clock runs
 // under the market mutex. It keeps a group only while it may still be
 // asked about it (see forget), so its memory follows the groups in flight,
@@ -203,6 +207,44 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	g := m.open(spec, spec.Assignments)
+	m.scheduleArrival(g)
+	return g.id, nil
+}
+
+// Answer is one assignment made before its group was posted: it lands
+// Latency after PostAnswered, which stamps its ID, HITID, Status and
+// SubmittedAt then.
+type Answer struct {
+	HIT     int // index into the group's HITs
+	Latency time.Duration
+	*crowd.Assignment
+}
+
+// PostAnswered publishes a HIT group with its answers already made (the
+// model tier's), at least one for each HIT: each lands at its latency
+// through the market's clock, no worker arrives, and a HIT completes once
+// the answers posted for it have landed. The answerer chose how many to
+// make, so no HIT closes early on adaptive votes.
+func (m *Market) PostAnswered(spec *crowd.HITGroup, answers []Answer) (crowd.GroupID, error) {
+	if err := spec.Validate(); err != nil {
+		return "", err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := m.open(spec, 0)
+	g.answered, g.pending = true, len(answers)
+	for _, a := range answers {
+		hs, asn := &g.hits[a.HIT], a.Assignment
+		hs.want++
+		m.clock.Schedule(a.Latency, func() { m.land(g, hs, asn, nil) })
+	}
+	return g.id, nil
+}
+
+// open registers a validated group whose HITs each await claims more
+// answers, and schedules its expiry.
+func (m *Market) open(spec *crowd.HITGroup, claims int) *group {
 	m.nextGID++
 	g := &group{
 		id:   crowd.GroupID(fmt.Sprintf(groupIDFormat, m.nextGID)),
@@ -210,7 +252,7 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 		hits: make([]hitState, len(spec.HITs)),
 	}
 	for i, h := range spec.HITs {
-		g.hits[i] = hitState{hit: h, remaining: spec.Assignments}
+		g.hits[i] = hitState{hit: h, remaining: claims, want: claims}
 	}
 	m.groups[g.id] = g
 	if spec.Expiry > 0 {
@@ -223,8 +265,7 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 			}
 		})
 	}
-	m.scheduleArrival(g)
-	return g.id, nil
+	return g
 }
 
 // expire closes g to further answers.
@@ -234,12 +275,13 @@ func (m *Market) expire(g *group) {
 }
 
 // forget drops a group the market owes nothing more — done (complete or
-// expired), no claimed assignment still to come in, every submitted one
-// settled — with its assignments. A group nobody answered is kept: its
-// poster has yet to learn that from Status.
+// expired), no answer still to land, every landed one settled — with its
+// assignments. After expiry nothing lands, so answers still out then do
+// not hold the group. A group nobody answered is kept until Results has
+// told its poster so.
 func (m *Market) forget(g *group) {
 	done := g.expired || g.completed == len(g.hits)
-	if !done || g.pending > 0 || g.unsettled > 0 || len(g.assignments) == 0 {
+	if !done || (g.pending > 0 && !g.expired) || g.unsettled > 0 || len(g.assignments) == 0 {
 		return
 	}
 	for _, a := range g.assignments {
@@ -358,38 +400,44 @@ func (m *Market) pickWorker(fence *crowd.GeoFence) *Worker {
 	return nil
 }
 
-// submit records one finished assignment with simulated answers.
+// submit lands one claimed assignment with the worker's simulated answers.
 func (m *Market) submit(g *group, hs *hitState, w *Worker) {
+	var a *crowd.Assignment
+	if !g.expired { // an answer that would land after expiry is never drawn
+		a = &crowd.Assignment{WorkerID: w.ID, Answers: m.answer(hs.hit, w)}
+		w.Completed++
+		m.returned = append(m.returned, w) // one entry per completion = preferential attachment
+	}
+	m.land(g, hs, a, w)
+}
+
+// land records a finished assignment for hs, worked by w (nil for a posted
+// answer), unless g expired first.
+func (m *Market) land(g *group, hs *hitState, a *crowd.Assignment, w *Worker) {
 	g.pending--
 	if g.expired {
 		m.forget(g)
 		return
 	}
 	m.nextAID++
-	a := &crowd.Assignment{
-		ID:          fmt.Sprintf(assignmentIDFormat, m.nextAID),
-		HITID:       hs.hit.ID,
-		WorkerID:    w.ID,
-		Status:      crowd.AssignmentSubmitted,
-		SubmittedAt: m.clock.Now(),
-		Answers:     m.answer(hs.hit, w),
-	}
-	wasSatisfied := hs.satisfied(g.spec.Assignments)
+	a.ID = fmt.Sprintf(assignmentIDFormat, m.nextAID)
+	a.HITID = hs.hit.ID
+	a.Status = crowd.AssignmentSubmitted
+	a.SubmittedAt = m.clock.Now()
+	wasSatisfied := hs.satisfied()
 	hs.answers = append(hs.answers, a)
 	g.assignments = append(g.assignments, a)
 	g.unsettled++
 	m.subs[a.ID] = submission{a: a, g: g, w: w}
-	w.Completed++
-	m.returned = append(m.returned, w) // one entry per completion = preferential attachment
 	m.totalSubmitted++
 
-	if g.spec.AdaptiveVotes && !hs.early && hs.unanimousAboveQuorum(g.spec.Assignments) {
+	if g.spec.AdaptiveVotes && !g.answered && !hs.early && hs.unanimousAboveQuorum(g.spec.Assignments) {
 		// Early answers agree above the quorum floor: stop soliciting
 		// further assignments for this HIT (adaptive vote sizing).
 		hs.early = true
 		hs.remaining = 0
 	}
-	if !wasSatisfied && hs.satisfied(g.spec.Assignments) {
+	if !wasSatisfied && hs.satisfied() {
 		g.completed++
 	}
 }
@@ -495,13 +543,18 @@ func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 }
 
 // Results returns copies of the group's submitted assignments, ordered by
-// submission time (callers stamp the copies, e.g. with their Source).
+// submission time (callers stamp the copies, e.g. with their Source). It
+// is the poster's last read of an expired group nobody answered, which is
+// forgotten then.
 func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, err := m.lookup(id)
 	if err != nil {
 		return nil, err
+	}
+	if g.expired && len(g.assignments) == 0 {
+		delete(m.groups, g.id)
 	}
 	out := make([]*crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
@@ -550,7 +603,9 @@ func (m *Market) Approve(assignmentID string, bonus crowd.Cents) (crowd.Cents, e
 	}
 	pay := sub.g.spec.Reward + bonus
 	m.totalSpent += pay
-	sub.w.Earned += pay
+	if sub.w != nil { // a posted answer has no worker of the market's
+		sub.w.Earned += pay
+	}
 	return pay, nil
 }
 

@@ -39,14 +39,20 @@ type naiveGroup struct {
 	assignments []*crowd.Assignment
 	completed   int
 	expired     bool
-	pending     int // claims not yet submitted
+	pending     int  // claims not yet submitted
+	toldNone    bool // Results returned no answers after expiry
 }
 
 // settled reports whether the market owes g nothing more: done, no claim
-// outstanding, at least one answer and every answer approved or rejected.
+// outstanding that could still land (none can after expiry), and every
+// answer approved or rejected, with at least one answer, or none and
+// Results has said so after expiry.
 func (g *naiveGroup) settled() bool {
-	if !(g.expired || g.completed == len(g.hits)) || g.pending > 0 || len(g.assignments) == 0 {
+	if !(g.expired || g.completed == len(g.hits)) || (g.pending > 0 && !g.expired) {
 		return false
+	}
+	if len(g.assignments) == 0 {
+		return g.toldNone
 	}
 	for _, a := range g.assignments {
 		if a.Status == crowd.AssignmentSubmitted {
@@ -215,6 +221,7 @@ func (n *naiveMarket) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.toldNone = g.expired && len(g.assignments) == 0
 	out := make([]*crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
 		cp := *a

@@ -33,7 +33,8 @@ type PaymentPolicy struct {
 }
 
 // Blocker is implemented by platforms that can bar workers from future
-// assignments (both simulated platforms do).
+// assignments (every platform built on sim.Market does; on the model tier,
+// where no worker arrives, a block changes nothing).
 type Blocker interface {
 	Block(workerID string)
 }
