@@ -14,6 +14,7 @@ import (
 
 	"crowddb/internal/bench"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	"crowddb/internal/wrm"
 )
@@ -187,6 +188,96 @@ func BenchmarkScanRead(b *testing.B) {
 			}
 			b.ReportMetric((misses.Value()-misses0)/float64(b.N), "misses/op")
 			b.ReportMetric((reprices.Value()-reprices0)/float64(b.N), "reprices/op")
+		})
+	}
+}
+
+// BenchmarkEngineDML runs bench/perf's durable_write statement shapes —
+// a one-row INSERT, an UPDATE of two columns by primary key, a DELETE by
+// primary key — on its setup: kv(id, v, n) with 20 000 rows on a
+// two-shard data dir in group-commit mode. It runs outside internal/core,
+// whose tests vet every plan-cache hit against a fresh compile, so
+// allocs/op is what a daemon's statement pays (CI gates it).
+func BenchmarkEngineDML(b *testing.B) {
+	const rows = 20000
+	db, err := Open(Config{DataDir: b.TempDir(), Shards: 2, WALSync: storage.SyncGroup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	if _, err := db.Exec("CREATE TABLE kv (id INTEGER PRIMARY KEY, v STRING, n INTEGER)"); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < rows; lo += 500 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO kv VALUES ")
+		for i := lo; i < lo+500; i++ {
+			if i > lo {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, 'v%d.0', %d)", i, i, i%1000)
+		}
+		if _, err := db.Exec(sb.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Each run's statements are made before its timer starts. INSERTs
+	// take fresh ids; UPDATEs and DELETEs take the preloaded ids in turn,
+	// and a DELETE run that deleted them all puts them back, untimed.
+	next := rows
+	insert := func(int) string {
+		next++
+		return fmt.Sprintf("INSERT INTO kv VALUES (%d, 'v%d.0', %d)", next, next, next%1000)
+	}
+	update := func(i int) string {
+		return fmt.Sprintf("UPDATE kv SET v = 'v%d.%d', n = %d WHERE id = %d", i%rows, i, i%1000, i%rows)
+	}
+	del := func(i int) string { return fmt.Sprintf("DELETE FROM kv WHERE id = %d", i%rows) }
+	refill := func(b *testing.B) {
+		for lo := 0; lo < rows; lo++ {
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 'v%d.0', %d)", lo, lo, lo%1000)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name    string
+		sql     func(i int) string
+		refills bool
+	}{
+		{"insert", insert, false},
+		{"update", update, false},
+		{"delete", del, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			stmts := make([]string, b.N)
+			for i := range stmts {
+				stmts[i] = bc.sql(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, sql := range stmts {
+				if bc.refills && i > 0 && i%rows == 0 {
+					b.StopTimer()
+					refill(b)
+					b.StartTimer()
+				}
+				res, err := db.Exec(sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Affected != 1 {
+					b.Fatalf("%s: affected %d rows, want 1", sql, res.Affected)
+				}
+			}
+			if bc.refills {
+				b.StopTimer()
+				for i := range (b.N-1)%rows + 1 { // the ids deleted since the last refill
+					if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 'v%d.0', %d)", i, i, i%1000)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		})
 	}
 }

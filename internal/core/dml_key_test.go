@@ -207,3 +207,39 @@ func BenchmarkEngineUpdateByPK(b *testing.B) {
 		})
 	}
 }
+
+// TestUpdateMatchesWhatSelectCounts: an UPDATE that changes nothing
+// (SET n = n) affects exactly the rows SELECT COUNT(*) counts under the
+// same WHERE — DML and SELECT read through one access path — for WHEREs
+// the primary key or the index pins, ones they pin to a literal of
+// another type (the STRING column s holds '1', '01', 'a', '1.0' and ' 1'),
+// and ones nothing pins; with the index on s and without it.
+func TestUpdateMatchesWhatSelectCounts(t *testing.T) {
+	wheres := []string{
+		"s = 1", "1 = s", "s IN (1, 2)", "s = '1'", "s = 1.0", "s = 'a' OR n = 2",
+		"s = 1 AND n > 0", "s IS NULL", "s IS NOT NULL AND n < 3", "s BETWEEN '0' AND '1'",
+		"s LIKE '%1'", "s <> 1", "NOT (s = 1)", "s = NULL",
+		"id = 3", "id = '3'", "3 = id", "id = 3.0", "id IN (1, 2, 9)", "id = 3 AND s = 'a'",
+		"id > 2", "n = 2", "n = '2'", "TRUE", "FALSE", "id = 40",
+	}
+	for _, indexed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) {
+			eng, err := Open(Config{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			mustExec(t, eng, "CREATE TABLE t (id INTEGER PRIMARY KEY, s STRING, n INTEGER)")
+			if indexed {
+				mustExec(t, eng, "CREATE INDEX t_s ON t (s)")
+			}
+			mustExec(t, eng, "INSERT INTO t VALUES (1, '1', 1), (2, '01', 2), (3, 'a', 3), (4, '1.0', 1), (5, ' 1', 2), (6, NULL, 3), (7, '2', 2)")
+			for _, w := range wheres {
+				count := mustExec(t, eng, "SELECT COUNT(*) FROM t WHERE "+w).Rows[0][0].Int()
+				if got := mustExec(t, eng, "UPDATE t SET n = n WHERE "+w).Affected; int64(got) != count {
+					t.Errorf("WHERE %s: UPDATE affected %d rows, SELECT COUNT(*) counts %d", w, got, count)
+				}
+			}
+		})
+	}
+}

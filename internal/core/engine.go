@@ -302,13 +302,11 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.cached == nil {
-		if len(sc.stmts) != 1 {
-			return nil, fmt.Errorf("parser: expected one statement, got %d", len(sc.stmts))
-		}
-		if _, ok := sc.stmts[0].(*parser.Select); !ok {
-			return nil, fmt.Errorf("core: Query requires a SELECT, got %T", sc.stmts[0])
-		}
+	if n := sc.Len(); n != 1 {
+		return nil, fmt.Errorf("parser: expected one statement, got %d", n)
+	}
+	if sc.Kind(0) != "select" {
+		return nil, fmt.Errorf("core: Query requires a SELECT, got %T", sc.at(0))
 	}
 	return e.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
 }
@@ -379,18 +377,18 @@ func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Resul
 }
 
 // A Script is a CrowdSQL script the engine has taken in (Prepare): lexed
-// and parsed — or, when it is one SELECT whose key the plan cache holds,
-// lexed only, and served by the cached entry with the statement's own
-// slot values.
+// and parsed — or, when it is one statement whose key the plan cache
+// holds, lexed only, and served by the cached entry with the statement's
+// own slot values.
 type Script struct {
 	stmts  []parser.Statement // the parsed statements; nil when cached is set
-	cached *cachedSelect
+	cached *cachedStmt
 	// start and end bound the intake.
 	start, end time.Time
 }
 
-// Prepare is the engine's intake: it lexes sql, looks a single SELECT up
-// in the plan cache by its tokens, and parses only when that finds
+// Prepare is the engine's intake: it lexes sql, looks a single statement
+// up in the plan cache by its tokens, and parses only when that finds
 // nothing. An error is the lexer's or the parser's.
 func (e *Engine) Prepare(sql string) (Script, error) {
 	sc := Script{start: time.Now()}
@@ -401,25 +399,23 @@ func (e *Engine) Prepare(sql string) (Script, error) {
 	}
 	toks, err := lexer.AppendTokens(toks, sql)
 	if err != nil {
-		keyBufs.Put(kb)
+		kb.release()
 		return Script{}, err
 	}
-	if sel := oneSelect(toks); sel != nil {
-		if en, ok := e.lookup(kb, sel); ok {
-			cs := &cachedSelect{en: en, sql: sql}
+	if one := oneStatement(toks); one != nil {
+		if en, ok := e.lookup(kb, one); ok {
+			cs := &cachedStmt{en: en, sql: sql}
 			cs.slots = append(cs.inline[:0], kb.slots...)
 			sc.cached = cs
 			clear(toks)
-			if cap(toks) <= maxPooledTokens {
-				kb.toks = toks
-			}
-			keyBufs.Put(kb)
+			kb.toks = toks
+			kb.release()
 			sc.end = time.Now()
 			return sc, nil
 		}
 	}
 	kb.toks = nil // the parsed statements keep the tokens
-	keyBufs.Put(kb)
+	kb.release()
 	if sc.stmts, err = parseTokens(toks); err != nil {
 		return Script{}, err
 	}
@@ -439,19 +435,25 @@ func (sc *Script) Len() int {
 	return len(sc.stmts)
 }
 
-// Statements are the script's parsed statements: nil for a SELECT the
-// plan cache serves unparsed.
-func (sc *Script) Statements() []parser.Statement { return sc.stmts }
+// at is statement i of sc: the parsed statement, or the tree of the entry
+// a cached statement is served by.
+func (sc *Script) at(i int) parser.Statement {
+	if sc.cached != nil {
+		return sc.cached.en.stmt()
+	}
+	return sc.stmts[i]
+}
+
+// Kind is the kind of statement i — the crowddb_statements_total label:
+// "select", "explain", "show", "dml", "ddl" or "other" — known for a
+// statement the plan cache serves unparsed too.
+func (sc *Script) Kind(i int) string { return stmtKind(sc.at(i)) }
 
 // HasQuery reports whether the script runs a SELECT or EXPLAIN: a trace
 // of it is sized for a query's operator spans.
 func (sc *Script) HasQuery() bool {
-	if sc.cached != nil {
-		return true
-	}
-	for _, st := range sc.stmts {
-		switch st.(type) {
-		case *parser.Select, *parser.Explain:
+	for i := range sc.Len() {
+		if k := sc.Kind(i); k == "select" || k == "explain" {
 			return true
 		}
 	}
@@ -482,6 +484,9 @@ func (e *Engine) ForecastAt(sc *Script, i int) (plan.Cost, bool) {
 	if sc.cached == nil {
 		return e.Forecast(sc.stmts[i])
 	}
+	if sc.Kind(i) != "select" {
+		return plan.Cost{}, false // DML costs the crowd nothing
+	}
 	en, err := e.serve(sc.cached.en, sc.cached.sql, sc.cached.slots)
 	if err != nil {
 		return plan.Cost{}, false
@@ -502,13 +507,15 @@ func (e *Engine) ExecStmtCtx(ctx context.Context, stmt parser.Statement, opts Ex
 	return e.exec(ctx, stmt, nil, opts)
 }
 
-// exec runs stmt, or — stmt nil — cs, a SELECT the plan cache serves.
-func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedSelect, opts ExecOpts) (*Result, error) {
-	kind := "select"
+// exec runs stmt, or — stmt nil — cs, a statement the plan cache serves.
+func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedStmt, opts ExecOpts) (*Result, error) {
 	var text encoding.TextAppender = cs
 	if stmt != nil {
-		kind, text = stmtKind(stmt), stmt
+		text = stmt
+	} else {
+		stmt = cs.en.stmt() // its kind; the statement run is cs
 	}
+	kind := stmtKind(stmt)
 	e.obsm.statements[kind].Inc()
 	tr := opts.Trace
 	owned := false
@@ -521,7 +528,7 @@ func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedSele
 	sp.SetText("stmt", text)
 	var res *Result
 	var err error
-	if stmt != nil {
+	if cs == nil {
 		res, err = e.execStmt(ctx, stmt, opts, tr, sp)
 	} else {
 		res, err = e.execCached(ctx, cs, opts, tr, sp)
@@ -554,12 +561,13 @@ func (e *Engine) execStmt(ctx context.Context, stmt parser.Statement, opts ExecO
 			return nil, err
 		}
 		return &Result{}, nil
-	case *parser.Insert:
-		return e.execInsert(s, tr, sp)
-	case *parser.Update:
-		return e.execUpdate(s, tr, sp)
-	case *parser.Delete:
-		return e.execDelete(s, tr, sp)
+	case *parser.Insert, *parser.Update, *parser.Delete:
+		var buf [4]sqltypes.Value
+		en, slots, err := e.compile(s, buf[:0])
+		if err != nil {
+			return nil, err
+		}
+		return e.execWrite(en, slots, tr, sp)
 	}
 	return nil, fmt.Errorf("core: unsupported statement %T", stmt)
 }
@@ -667,56 +675,182 @@ func (e *Engine) commitTraced(tx *storage.Txn, tr *obs.Trace, sp *obs.Span, res 
 	return res, err
 }
 
-func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
-	t, ok := e.cat.Table(s.Table)
+// writePlan is a DML statement compiled for the plan cache: what every
+// statement of its key shares. It reads the schema alone — no statistic,
+// no option — so only DDL makes it stale.
+type writePlan struct {
+	stmt  parser.Statement // the *parser.Insert, *parser.Update or *parser.Delete
+	table *catalog.Table
+	// cols are the columns an INSERT's values fill, in VALUES order; blank
+	// is the row its unlisted columns start from: CNULL in a crowd column
+	// ("source on first use"), NULL elsewhere.
+	cols  []int
+	blank storage.Row
+	// set are the columns an UPDATE assigns, in SET order.
+	set []int
+	// scan is an UPDATE's or DELETE's WHERE over table, with its probe keys
+	// (optimizer.MatchScan).
+	scan *plan.Scan
+}
+
+// compileWrite compiles s, an INSERT, UPDATE or DELETE, against the
+// catalog.
+func (e *Engine) compileWrite(s parser.Statement) (*writePlan, error) {
+	w := &writePlan{stmt: s}
+	var table string
+	switch s := s.(type) {
+	case *parser.Insert:
+		table = s.Table
+	case *parser.Update:
+		table = s.Table
+	case *parser.Delete:
+		table = s.Table
+	default:
+		return nil, fmt.Errorf("core: unsupported statement %T", s)
+	}
+	t, ok := e.cat.Table(table)
 	if !ok {
-		return nil, fmt.Errorf("core: table %s not found", s.Table)
+		return nil, fmt.Errorf("core: table %s not found", table)
 	}
-	// Without a column list the values fill the table's columns in order.
-	colIdx := make([]int, 0, len(t.Columns))
-	for _, c := range s.Columns {
-		ci := t.ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, c)
+	w.table = t
+	switch s := s.(type) {
+	case *parser.Insert:
+		// Without a column list the values fill the table's columns in order.
+		for _, c := range s.Columns {
+			ci := t.ColumnIndex(c)
+			if ci < 0 {
+				return nil, fmt.Errorf("core: column %s.%s not found", s.Table, c)
+			}
+			w.cols = append(w.cols, ci)
 		}
-		colIdx = append(colIdx, ci)
-	}
-	if len(s.Columns) == 0 {
-		for ci := range t.Columns {
-			colIdx = append(colIdx, ci)
+		if len(s.Columns) == 0 {
+			for ci := range t.Columns {
+				w.cols = append(w.cols, ci)
+			}
 		}
+		w.blank = make(storage.Row, len(t.Columns))
+		for ci, c := range t.Columns {
+			if c.Crowd {
+				w.blank[ci] = sqltypes.CNull()
+			} else {
+				w.blank[ci] = sqltypes.Null()
+			}
+		}
+	case *parser.Update:
+		for _, a := range s.Set {
+			ci := t.ColumnIndex(a.Column)
+			if ci < 0 {
+				return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
+			}
+			w.set = append(w.set, ci)
+		}
+		w.scan = optimizer.MatchScan(t, s.Where)
+	case *parser.Delete:
+		w.scan = optimizer.MatchScan(t, s.Where)
 	}
+	return w, nil
+}
+
+// writer returns an executor of w with slots in its slot storage: the one
+// kept takes when it was bound for w, else one bound afresh. Its context
+// pins no snapshot: the matching read sees the current watermark, and the
+// write applies to each row's live version. An INSERT's bare literals
+// are read from the statement's own slot values as it runs (execInsert),
+// so a bulk INSERT's executor binds nothing and keeps no slot storage.
+func (e *Engine) writer(kept *keptExecutor, w *writePlan, slots []sqltypes.Value) *executor {
+	if x := kept.take(); x != nil && x.write == w {
+		if x.slotted {
+			x.ctx.UseSlots(slots)
+		}
+		return x
+	}
+	x := &executor{write: w, ctx: exec.Ctx{Store: e.store, Cat: e.cat}}
+	var exprs []parser.Expr // what x binds, in text order
+	var schema []plan.Col
+	switch s := w.stmt.(type) {
+	case *parser.Insert:
+		for _, row := range s.Rows {
+			for _, ex := range row {
+				if _, ok := ex.(*parser.Literal); !ok {
+					exprs = append(exprs, ex)
+				}
+			}
+		}
+	case *parser.Update:
+		for _, a := range s.Set {
+			exprs = append(exprs, a.Value)
+		}
+		schema = w.scan.Schema()
+	}
+	if x.slotted = w.scan != nil || len(exprs) > 0; x.slotted {
+		x.ctx.UseSlots(slots)
+	}
+	if w.scan != nil {
+		x.match = exec.NewMatcher(&x.ctx, w.scan)
+	}
+	for _, ex := range exprs {
+		x.values = append(x.values, x.ctx.BindRow(ex, schema))
+	}
+	return x
+}
+
+// maxKeptIDs bounds the matched-id buffer an executor is kept with.
+const maxKeptIDs = 1 << 12
+
+// execWrite runs the DML statement en serves, with slots its slot values,
+// on the executor kept for its key. The caller holds writeMu.
+func (e *Engine) execWrite(en planEntry, slots []sqltypes.Value, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+	x := e.writer(en.kept, en.write, slots)
+	defer func() {
+		if cap(x.ids) > maxKeptIDs {
+			x.ids = nil
+		}
+		en.kept.put(x)
+	}()
+	switch s := en.write.stmt.(type) {
+	case *parser.Insert:
+		return e.execInsert(s, x, slots, tr, sp)
+	case *parser.Update:
+		return e.execUpdate(s, x, tr, sp)
+	}
+	return e.execDelete(x, tr, sp)
+}
+
+// execInsert inserts the rows of s, its slot values slots: a bare
+// literal's value is its slot's, any other value's its bound form's in
+// x.values.
+func (e *Engine) execInsert(s *parser.Insert, x *executor, slots []sqltypes.Value, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
+	w := x.write
+	t := w.table
 	// One transaction per statement: every row of a multi-row INSERT
 	// becomes visible to new snapshots together. Commit always runs —
 	// rows applied before a mid-statement error stay applied (the
 	// engine's established partial-application semantics).
 	tx := e.store.Begin()
 	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
+	bound := x.values
 	inserted := 0
 	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(colIdx) {
-			return nil, fmt.Errorf("core: INSERT value count %d does not match column count %d", len(exprRow), len(colIdx))
+		if len(exprRow) != len(w.cols) {
+			return nil, fmt.Errorf("core: INSERT value count %d does not match column count %d", len(exprRow), len(w.cols))
 		}
-		row := make(storage.Row, len(t.Columns))
-		// Unlisted crowd columns default to CNULL ("source on first use"),
-		// unlisted plain columns to NULL.
-		for ci, c := range t.Columns {
-			if c.Crowd {
-				row[ci] = sqltypes.CNull()
-			} else {
-				row[ci] = sqltypes.Null()
-			}
-		}
+		row := slices.Clone(w.blank) // the store's once inserted
 		for i, ex := range exprRow {
-			v, err := exec.EvalConst(ex)
-			if err != nil {
-				return nil, err
+			var v sqltypes.Value
+			if lit, ok := ex.(*parser.Literal); !ok {
+				if v, err = bound[0].Eval(nil); err != nil {
+					return nil, err
+				}
+				bound = bound[1:]
+			} else if v = lit.Val; lit.Slot > 0 {
+				v = slots[lit.Slot-1]
 			}
-			cv, err := v.Coerce(t.Columns[colIdx[i]].Type)
+			ci := w.cols[i]
+			cv, err := v.Coerce(t.Columns[ci].Type)
 			if err != nil {
-				return nil, fmt.Errorf("core: column %s: %w", t.Columns[colIdx[i]].Name, err)
+				return nil, fmt.Errorf("core: column %s: %w", t.Columns[ci].Name, err)
 			}
-			row[colIdx[i]] = cv
+			row[ci] = cv
 		}
 		if _, err := tx.Insert(t.Name, row); err != nil {
 			return nil, err
@@ -727,51 +861,37 @@ func (e *Engine) execInsert(s *parser.Insert, tr *obs.Trace, sp *obs.Span) (res 
 	return &Result{Affected: inserted}, nil
 }
 
-// matchingRows finds the ids of the rows an UPDATE or DELETE applies to,
-// at the current watermark, through the executor's table reader: by the
+// matchRows reads the ids of the rows x's UPDATE or DELETE applies to into
+// x.ids, through the executor's table reader (exec.Matcher): by the
 // primary key or an index when the WHERE pins one to a literal (the access
 // path a SELECT would take), over the whole table otherwise. The write
 // itself applies to each row's live version.
-func (e *Engine) matchingRows(t *catalog.Table, where parser.Expr) ([]plan.Col, []storage.RowID, error) {
-	scan := plan.NewScan(t, "")
-	scan.Filter = where
-	optimizer.DeriveProbeKeys(scan)
-	ids, _, err := exec.ReadTable(&exec.Ctx{Store: e.store, Cat: e.cat}, scan)
-	return scan.Schema(), ids, err
+func matchRows(x *executor) error {
+	var err error
+	x.ctx.Stats = exec.Stats{}
+	x.ids, err = x.match.AppendIDs(&x.ctx, x.ids[:0])
+	return err
 }
 
-func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
-	t, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: table %s not found", s.Table)
-	}
-	for _, a := range s.Set {
-		if t.ColumnIndex(a.Column) < 0 {
-			return nil, fmt.Errorf("core: column %s.%s not found", s.Table, a.Column)
-		}
-	}
-	schema, ids, err := e.matchingRows(t, s.Where)
-	if err != nil {
+func (e *Engine) execUpdate(s *parser.Update, x *executor, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
+	if err := matchRows(x); err != nil {
 		return nil, err
 	}
-	var few [4]exec.RowExpr // on the stack for the usual handful of assignments
-	values := few[:0]
-	for _, a := range s.Set {
-		values = append(values, exec.BindRow(a.Value, schema))
-	}
+	w := x.write
+	t := w.table
 	// The SET list applied to a row's live version: each assignment reads
-	// the row as the earlier ones left it.
+	// the row as the earlier ones left it. The WHERE is not evaluated
+	// again there.
 	set := func(live storage.Row) (storage.Row, error) {
 		updated := live.Clone()
-		for ai, a := range s.Set {
-			ci := t.ColumnIndex(a.Column)
-			v, err := values[ai].Eval(updated)
+		for ai, ci := range w.set {
+			v, err := x.values[ai].Eval(updated)
 			if err != nil {
 				return nil, err
 			}
 			cv, err := v.Coerce(t.Columns[ci].Type)
 			if err != nil {
-				return nil, fmt.Errorf("core: column %s: %w", a.Column, err)
+				return nil, fmt.Errorf("core: column %s: %w", s.Set[ai].Column, err)
 			}
 			updated[ci] = cv
 		}
@@ -781,37 +901,33 @@ func (e *Engine) execUpdate(s *parser.Update, tr *obs.Trace, sp *obs.Span) (res 
 	// version together from any new snapshot's point of view.
 	tx := e.store.Begin()
 	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
-	for _, id := range ids {
+	for _, id := range x.ids {
 		live, updated, err := tx.Update(t.Name, id, set)
 		if err != nil {
 			return nil, err
 		}
 		t.RowWritten(live, updated)
 	}
-	return &Result{Affected: len(ids)}, nil
+	return &Result{Affected: len(x.ids)}, nil
 }
 
-func (e *Engine) execDelete(s *parser.Delete, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
-	t, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("core: table %s not found", s.Table)
-	}
-	_, ids, err := e.matchingRows(t, s.Where)
-	if err != nil {
+func (e *Engine) execDelete(x *executor, tr *obs.Trace, sp *obs.Span) (res *Result, err error) {
+	if err := matchRows(x); err != nil {
 		return nil, err
 	}
+	t := x.write.table
 	// One transaction per statement: all matched rows disappear together
 	// from any new snapshot's point of view.
 	tx := e.store.Begin()
 	defer func() { res, err = e.commitTraced(tx, tr, sp, res, err) }()
-	for _, id := range ids {
+	for _, id := range x.ids {
 		live, err := tx.Delete(t.Name, id)
 		if err != nil {
 			return nil, err
 		}
 		t.RowWritten(live, nil)
 	}
-	return &Result{Affected: len(ids)}, nil
+	return &Result{Affected: len(x.ids)}, nil
 }
 
 // optimizerOptions are the engine's optimizer options with the live cost
@@ -885,9 +1001,18 @@ func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts
 	return e.runSelect(ctx, en.opt, en.cols, slots, en.kept, opts, tr, sp, nil)
 }
 
-// execCached runs cs on its entry's plan, compiled afresh if the entry is
-// stale.
-func (e *Engine) execCached(ctx context.Context, cs *cachedSelect, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+// execCached runs cs on its entry, compiled afresh if the entry is stale:
+// a DML statement under writeMu, as a parsed one runs.
+func (e *Engine) execCached(ctx context.Context, cs *cachedStmt, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+	if cs.en.write != nil {
+		e.writeMu.Lock()
+		defer e.writeMu.Unlock()
+		en, err := e.serve(cs.en, cs.sql, cs.slots)
+		if err != nil {
+			return nil, err
+		}
+		return e.execWrite(en, cs.slots, tr, sp)
+	}
 	osp := tr.Span(sp, "optimize")
 	en, err := e.serve(cs.en, cs.sql, cs.slots)
 	if err != nil {

@@ -16,10 +16,12 @@ import (
 
 // The plan cache's equivalence net is on for every test of this package:
 // each hit's statement is parsed and compiled afresh as well, and it fails
-// unless the fresh parse is one SELECT holding the slot values the hit
+// unless the fresh parse is one statement holding the slot values the hit
 // binds, whose text is the entry's tree printed with them, and the two
-// plans agree on the EXPLAIN text with slot literals masked (costs and
-// probe keys included), the forecast, boundedness and warnings.
+// compiles agree: for a SELECT, on the EXPLAIN text with slot literals
+// masked (costs and probe keys included), the forecast, boundedness and
+// warnings; for a DML statement, on the table, the INSERT's column map,
+// the UPDATE's assigned columns and the WHERE's scan with its probe keys.
 func init() { checkPlanHit = recompileHit }
 
 // parses counts the engine's parses: ParseCount reads it, for the tests
@@ -42,15 +44,18 @@ func recompileHit(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry)
 	if err != nil {
 		return fmt.Errorf("plan cache: hit for %q, which does not parse: %w", sql, err)
 	}
+	if want := parser.AppendSlotValues(nil, s); !slices.Equal(slots, want) {
+		return fmt.Errorf("plan cache: hit for %s binds slots %v, its own are %v", s, slots, want)
+	}
+	if text := string(parser.AppendWithSlots(nil, hit.stmt(), slots, -1)); text != s.String() {
+		return fmt.Errorf("plan cache: hit for %s serves another statement: %s", s, text)
+	}
+	if hit.write != nil {
+		return recompileWrite(e, s, hit)
+	}
 	sel, ok := s.(*parser.Select)
 	if !ok {
 		return fmt.Errorf("plan cache: hit for %q, a %T", sql, s)
-	}
-	if want := parser.AppendSlotValues(nil, sel.Where); !slices.Equal(slots, want) {
-		return fmt.Errorf("plan cache: hit for %s binds slots %v, its own are %v", sel, slots, want)
-	}
-	if text := string(parser.AppendWithSlots(nil, hit.sel, slots, -1)); text != sel.String() {
-		return fmt.Errorf("plan cache: hit for %s serves another statement: %s", sel, text)
 	}
 	fresh, err := e.compileFresh(sel, hit.opts)
 	switch {
@@ -73,6 +78,34 @@ func recompileHit(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry)
 	return nil
 }
 
+// recompileWrite vets hit, a DML entry serving s, against s compiled
+// afresh: the same statement kind, table, column map, assigned columns
+// and WHERE scan with its probe keys, slot literals masked.
+func recompileWrite(e *Engine, s parser.Statement, hit *planEntry) error {
+	w := hit.write
+	if fmt.Sprintf("%T", s) != fmt.Sprintf("%T", w.stmt) {
+		return fmt.Errorf("plan cache: hit for %s, a %T, served by a %T", s, s, w.stmt)
+	}
+	fresh, err := e.compileWrite(s)
+	switch {
+	case e.cat.SchemaVersion() != hit.schema:
+		return nil // DDL ran since the lookup: the compiles may rightly differ
+	case err != nil:
+		return fmt.Errorf("plan cache: stale hit for %s: a fresh compile fails: %w", s, err)
+	case fresh.table != w.table:
+		return fmt.Errorf("plan cache: stale hit for %s: table %p, fresh %p", s, w.table, fresh.table)
+	case !slices.Equal(fresh.cols, w.cols) || !slices.EqualFunc(fresh.blank, w.blank, sqltypes.Identical):
+		return fmt.Errorf("plan cache: stale hit for %s: columns %v %v, fresh %v %v", s, w.cols, w.blank, fresh.cols, fresh.blank)
+	case !slices.Equal(fresh.set, w.set):
+		return fmt.Errorf("plan cache: stale hit for %s: assigns %v, fresh %v", s, w.set, fresh.set)
+	case (fresh.scan == nil) != (w.scan == nil):
+		return fmt.Errorf("plan cache: stale hit for %s: scan %v, fresh %v", s, w.scan, fresh.scan)
+	case fresh.scan != nil && maskedNode(fresh.scan) != maskedNode(w.scan):
+		return fmt.Errorf("plan cache: stale hit for %s: scan %s, fresh %s", s, maskedNode(w.scan), maskedNode(fresh.scan))
+	}
+	return nil
+}
+
 // maskedExplain renders opt's plan as EXPLAIN does, each node with its
 // exact cost and a scan with its probe keys, every slot literal printed
 // as its kind.
@@ -80,36 +113,42 @@ func maskedExplain(opt *optimizer.Result) string {
 	var sb strings.Builder
 	var walk func(n plan.Node, depth int)
 	walk = func(n plan.Node, depth int) {
-		line := n.Explain()
-		var where []parser.Expr
-		switch x := n.(type) {
-		case *plan.Scan:
-			where = []parser.Expr{x.Filter}
-			cols := make([]string, 0, len(x.ProbeKeys))
-			for col, lit := range x.ProbeKeys {
-				cols = append(cols, col+"="+maskedExpr(lit))
-			}
-			sort.Strings(cols)
-			line += " keys=" + strings.Join(cols, ",")
-		case *plan.CrowdProbe:
-			where = []parser.Expr{x.Filter}
-		case *plan.Filter:
-			where = []parser.Expr{x.Cond, x.Pre}
-		case *plan.Join:
-			where = []parser.Expr{x.On}
-		}
-		for _, e := range where {
-			if e != nil {
-				line = strings.ReplaceAll(line, e.String(), maskedExpr(e))
-			}
-		}
-		fmt.Fprintf(&sb, "%s%s  %+v\n", strings.Repeat("  ", depth), line, opt.Costs[n])
+		fmt.Fprintf(&sb, "%s%s  %+v\n", strings.Repeat("  ", depth), maskedNode(n), opt.Costs[n])
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}
 	}
 	walk(opt.Root, 0)
 	return sb.String()
+}
+
+// maskedNode is n's EXPLAIN line, a scan's with its probe keys, every slot
+// literal printed as its kind.
+func maskedNode(n plan.Node) string {
+	line := n.Explain()
+	var where []parser.Expr
+	switch x := n.(type) {
+	case *plan.Scan:
+		where = []parser.Expr{x.Filter}
+		cols := make([]string, 0, len(x.ProbeKeys))
+		for col, lit := range x.ProbeKeys {
+			cols = append(cols, col+"="+maskedExpr(lit))
+		}
+		sort.Strings(cols)
+		line += " keys=" + strings.Join(cols, ",")
+	case *plan.CrowdProbe:
+		where = []parser.Expr{x.Filter}
+	case *plan.Filter:
+		where = []parser.Expr{x.Cond, x.Pre}
+	case *plan.Join:
+		where = []parser.Expr{x.On}
+	}
+	for _, e := range where {
+		if e != nil {
+			line = strings.ReplaceAll(line, e.String(), maskedExpr(e))
+		}
+	}
+	return line
 }
 
 // maskedExpr prints e with each slot literal as a stand-in of its kind.

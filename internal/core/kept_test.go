@@ -91,7 +91,7 @@ func freshen(eng *Engine) {
 	eng.plans.mu.Lock()
 	defer eng.plans.mu.Unlock()
 	for _, cp := range eng.plans.entries {
-		if joins(cp.opt.Root) {
+		if cp.write == nil && joins(cp.opt.Root) {
 			cp.version, cp.opts = eng.cat.Version(), eng.optimizerOptions()
 		}
 	}
@@ -125,7 +125,7 @@ func memoized(x *executor) int {
 // keptRun runs sql, a statement whose shape is cached, as a hit or a
 // re-price on the executor kept for its entry, and fails unless it did.
 // It returns the result and the statement as the intake took it in.
-func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *cachedSelect, error) {
+func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *cachedStmt, error) {
 	t.Helper()
 	freshen(eng)
 	sc, err := eng.Prepare(sql)
@@ -133,7 +133,7 @@ func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *ca
 		t.Fatalf("%s: not served by the plan cache (%v)", sql, err)
 	}
 	cs := sc.cached
-	x := keptTop(eng, cs.en.key)
+	x := keptTop(eng, cs.en.kept.key)
 	if x == nil || x.plan != cs.en.opt.Root {
 		t.Fatalf("%s: no executor kept for the entry's plan", sql)
 	}
@@ -141,7 +141,7 @@ func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *ca
 	reprices0 := repriceCount(eng)
 	res, err := eng.ExecAt(context.Background(), &sc, 0, opts)
 	if hits, misses := planCounts(eng); hits+repriceCount(eng) != hits0+reprices0+1 || misses != misses0 ||
-		keptTop(eng, cs.en.key) != x {
+		keptTop(eng, cs.en.kept.key) != x {
 		t.Fatalf("%s: did not run as a hit or a re-price on the kept executor", sql)
 	}
 	if n := memoized(x); n != 0 {
@@ -183,7 +183,7 @@ func TestKeptExecutorAnswersAsFresh(t *testing.T) {
 	defer func(net func(*Engine, string, []sqltypes.Value, *planEntry) error) { checkPlanHit = net }(checkPlanHit)
 	net := checkPlanHit
 	checkPlanHit = func(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry) error {
-		if joins(hit.opt.Root) {
+		if hit.opt != nil && joins(hit.opt.Root) {
 			return nil // freshen makes join entries current that a fresh compile would cost otherwise
 		}
 		return net(e, sql, slots, hit)

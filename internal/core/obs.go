@@ -63,11 +63,11 @@ func (e *Engine) initObservability() {
 	e.obsm.spendCents = e.reg.Counter("crowddb_crowd_spend_cents_total",
 		"crowd spend in cost-model cents (reward x replication per paid request)")
 	e.obsm.planHits = e.reg.Counter("crowddb_plan_cache_hits_total",
-		"SELECT compiles served by a current plan-cache entry for the statement's shape")
+		"SELECT and DML compiles served by a current plan-cache entry for the statement's shape")
 	e.obsm.planReprices = e.reg.Counter("crowddb_plan_cache_reprices_total",
 		"SELECT compiles served by a plan-cache entry whose statistics or cost inputs moved, priced again on its kept tree")
 	e.obsm.planMisses = e.reg.Counter("crowddb_plan_cache_misses_total",
-		"SELECT compiles that found no current plan-cache entry it could re-price, and compiled afresh")
+		"SELECT and DML compiles that found no current plan-cache entry it could serve or re-price, and compiled afresh")
 
 	e.reg.CounterFunc("crowddb_cache_hits_total",
 		"comparison claims answered from a resident cache entry",

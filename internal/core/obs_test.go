@@ -318,3 +318,46 @@ func TestStatementSpanTextOfLongInsert(t *testing.T) {
 		t.Errorf("recording a 500-row INSERT's text allocates %v times, want at most 1", allocs)
 	}
 }
+
+// TestStatementsCounterKindsCachedStatements: a statement the plan cache
+// serves unparsed counts under its own kind in crowddb_statements_total —
+// a cached INSERT, UPDATE or DELETE as "dml", a cached SELECT as "select"
+// — and the Script it came in as knows that kind.
+func TestStatementsCounterKindsCachedStatements(t *testing.T) {
+	eng := newKVEngine(t, 10)
+	for _, tc := range []struct{ first, cached, kind string }{
+		{"INSERT INTO kv (id, grp, n) VALUES (100, 'g0', 1)", "INSERT INTO kv (id, grp, n) VALUES (101, 'g1', 2)", "dml"},
+		{"UPDATE kv SET n = 5 WHERE id = 100", "UPDATE kv SET n = 6 WHERE id = 101", "dml"},
+		{"DELETE FROM kv WHERE id = 100", "DELETE FROM kv WHERE id = 101", "dml"},
+		{"SELECT n FROM kv WHERE id = 1", "SELECT n FROM kv WHERE id = 2", "select"},
+	} {
+		mustExec(t, eng, tc.first)
+		sc, err := eng.Prepare(tc.cached)
+		if err != nil || sc.cached == nil {
+			t.Fatalf("%s: not served by the plan cache (%v)", tc.cached, err)
+		}
+		if got := sc.Kind(0); got != tc.kind {
+			t.Errorf("%s: the script says kind %q, want %q", tc.cached, got, tc.kind)
+		}
+		before := map[string]float64{}
+		for kind, c := range eng.obsm.statements {
+			before[kind] = c.Value()
+		}
+		res, err := eng.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cached, err)
+		}
+		if tc.kind == "dml" && res.Affected != 1 {
+			t.Errorf("%s: affected %d rows, want 1", tc.cached, res.Affected)
+		}
+		for kind, c := range eng.obsm.statements {
+			want := before[kind]
+			if kind == tc.kind {
+				want++
+			}
+			if got := c.Value(); got != want {
+				t.Errorf("%s: crowddb_statements_total{kind=%q} moved %v -> %v, want %v", tc.cached, kind, before[kind], got, want)
+			}
+		}
+	}
+}

@@ -12,72 +12,86 @@ import (
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
+	"crowddb/internal/storage"
 )
 
-// The plan cache compiles each SELECT shape once, and a statement of a
-// cached shape is not even parsed. Its key is the statement's tokens as
-// the lexer makes them (keywords upper-cased, spacing and comments gone),
-// each literal of the outermost WHERE — outside its IN-subqueries — a slot
-// kept as its value's kind only, the way pg_stat_statements "jumbles" a
-// query. Every other token is part of the key verbatim: plan.Build matches
-// the select list, GROUP BY, HAVING and ORDER BY by their text, and a
-// LIMIT or a subquery's literal is compiled into the plan. Two statements
-// with one key parse to one tree but for their slot values, because the
-// parser treats a literal token by its kind alone; so a cached plan serves
-// a statement once it reads the slots from that statement's own literal
-// tokens (exec.Ctx.UseSlots) — negated where the tree compiled first
-// negated the literal (`-5`) — and a plan is never specialised to the
-// literals it was compiled with.
+// The plan cache compiles each statement shape once — a SELECT, an INSERT
+// … VALUES, an UPDATE or a DELETE — and a statement of a cached shape is
+// not even parsed. Its key is the statement's tokens as the lexer makes
+// them (keywords upper-cased, spacing and comments gone), each literal of
+// its slotted clauses — a SELECT's outermost WHERE, an INSERT's VALUES
+// rows, an UPDATE's SET values and WHERE, a DELETE's WHERE, outside their
+// IN-subqueries — a slot kept as its value's kind only, the way
+// pg_stat_statements "jumbles" a query. Every other token is part of the
+// key verbatim: plan.Build matches the select list, GROUP BY, HAVING and
+// ORDER BY by their text, and a LIMIT or a subquery's literal is compiled
+// into the plan. Two statements with one key parse to one tree but for
+// their slot values, because the parser treats a literal token by its
+// kind alone; so a cached entry serves a statement once it reads the
+// slots from that statement's own literal tokens (exec.Ctx.UseSlots) —
+// negated where the tree compiled first negated the literal (`-5`) — and
+// an entry is never specialised to the literals it was compiled with.
 //
-// Engine.Prepare is the one intake: it lexes a script and, for one SELECT
-// whose key the cache holds, goes from the tokens to the cached entry —
-// its slot tokens found by parser.ScanSlots — and any other script it
-// parses. A parsed SELECT keeps its tokens (parser.Select.Tokens) and its
-// slot literals know their tokens and whether a minus was folded into them
-// (parser.Select.AppendSlotRefs), so it finds its entry, or makes it, when
-// it compiles. FuzzParse holds the scan to the parser's slots.
+// Engine.Prepare is the one intake: it lexes a script and, for one
+// statement whose key the cache holds, goes from the tokens to the cached
+// entry — its slot tokens found by parser.ScanSlots — and any other script
+// it parses. A parsed statement keeps its tokens (Tokens) and its slot
+// literals know their tokens and whether a minus was folded into them
+// (parser.AppendSlotRefs), so it finds its entry, or makes it, when it
+// compiles. FuzzParse holds the scan to the parser's slots.
 //
-// An entry serves as it is, a hit, while nothing the optimizer reads has
-// changed: the catalog version read before it compiled (every DDL and
-// every statistic that takes a new value moves it) and the optimizer
-// options with their cost inputs, compared by value. An entry that only
-// statistics or cost inputs went stale for — the catalog's schema version
-// and every other option as it compiled with — is re-priced when its plan
-// joins nothing: join order and a join's build-side estimate are the only
-// rewrites that read the cost model, so its tree is the one a compile
-// would build now, and only the costs, forecast and warnings are priced
-// again (optimizer.Reprice). Any other stale entry counts as a miss: the
-// entry's statement compiles afresh. A re-priced or recompiled entry is
-// written over the old one in place. Errors are never cached; the cache
-// hands out copies of its entries, and what an entry was made of — its
-// tree, plan and columns — is never modified (goroutines share it).
-// EXPLAIN, DML and IN subqueries compile without the cache: they print or
-// rebuild literals.
+// A SELECT's entry serves as it is, a hit, while nothing the optimizer
+// reads has changed: the catalog version read before it compiled (every
+// DDL and every statistic that takes a new value moves it) and the
+// optimizer options with their cost inputs, compared by value. An entry
+// that only statistics or cost inputs went stale for — the catalog's
+// schema version and every other option as it compiled with — is
+// re-priced when its plan joins nothing: join order and a join's
+// build-side estimate are the only rewrites that read the cost model, so
+// its tree is the one a compile would build now, and only the costs,
+// forecast and warnings are priced again (optimizer.Reprice). Any other
+// stale entry counts as a miss: the entry's statement compiles afresh. A
+// re-priced or recompiled entry is written over the old one in place.
+// Errors are never cached; the cache hands out copies of its entries, and
+// what an entry was made of — its tree, plan and columns — is never
+// modified (goroutines share it). EXPLAIN and IN subqueries compile
+// without the cache: they print or rebuild literals.
+//
+// A DML statement's entry (writePlan) holds its table, an INSERT's column
+// map, an UPDATE's assigned columns and the Scan of an UPDATE's or
+// DELETE's WHERE, its probe keys derived once over slot literals
+// (optimizer.MatchScan). It reads no statistic and no option, so only DDL
+// — the catalog's schema version — makes it stale. What the entry caches
+// is the statement's compile only: each statement still takes
+// Engine.writeMu, runs in a Txn of its own and commits it.
 //
 // A hit does not build its operator tree either. Each key keeps one
 // executor: its entry's plan built into an operator tree and bound once
 // (exec.Build) in the executor's own context, whose slot storage the
-// tree's slot literals point into. A statement takes the executor, copies
-// its slot values into that storage (exec.Ctx.UseSlots), runs the tree and
-// puts it back; a statement that finds none kept — another statement of
-// the key is running on it — builds its own, and an executor built from a
-// tree the entry no longer holds is dropped: a re-priced entry holds the
-// same tree, and its executor serves on. The slot is made with the key's
-// first entry and kept when a stale entry is overwritten, so every copy
-// of the entry reaches it. A miss's tree is kept too; EXPLAIN
-// ANALYZE's and an uncached statement's are dropped after they close.
+// tree's slot literals point into — for a DML entry, its matching read
+// (exec.Matcher) and its SET or VALUES expressions bound the same way. A
+// statement takes the executor, copies its slot values into that storage
+// (exec.Ctx.UseSlots), runs the tree and puts it back; a statement that
+// finds none kept — another statement of the key is running on it —
+// builds its own, and an executor built from a tree the entry no longer
+// holds is dropped: a re-priced entry holds the same tree, and its
+// executor serves on. The slot is made with the key's first entry and
+// kept when a stale entry is overwritten, so every copy of the entry
+// reaches it. A miss's tree is kept too; EXPLAIN ANALYZE's and an
+// uncached statement's are dropped after they close.
 
 // planCacheCap bounds the cached shapes; a new shape past it empties the
 // cache.
 const planCacheCap = 256
 
 // planEntry is a plan with what it was compiled against. The cache holds
-// each under its key and hands out copies: a stale entry is overwritten in
-// place, and what one was made of (sel, neg, opt, cols) never changes.
+// each under its key (kept.key) and hands out copies: a stale entry is
+// overwritten in place, and what one was made of (sel, neg, opt, cols)
+// never changes.
 type planEntry struct {
-	key string
-	// sel is the statement first compiled under key, without its tokens:
-	// every statement of the key is its tree with other slot values.
+	// sel is the SELECT first compiled under the key, without its tokens:
+	// every statement of the key is its tree with other slot values. It
+	// is nil for a DML entry, whose write holds its statement.
 	sel *parser.Select
 	// neg lists the slots (from 0) whose value is their literal token's
 	// negated: a unary minus folded into the literal.
@@ -88,9 +102,21 @@ type planEntry struct {
 	// before opt was compiled or last priced.
 	version, schema uint64
 	opts            optimizer.Options
-	// kept is the executor kept for key: every copy of the entry, and
-	// every entry written over it, reaches the one slot.
+	// kept is the executor slot of the entry's key, and holds the key:
+	// every copy of the entry, and every entry written over it, reaches
+	// the one slot. It is nil for an entry the cache does not hold.
 	kept *keptExecutor
+	// write is a DML entry's compiled statement, nil for a SELECT's. A
+	// DML entry reads schema alone: opt, cols, version and opts are unset.
+	write *writePlan
+}
+
+// stmt is the statement en was compiled from.
+func (en *planEntry) stmt() parser.Statement {
+	if en.write != nil {
+		return en.write.stmt
+	}
+	return en.sel
 }
 
 // current reports whether en's plan is the one a compile against version
@@ -131,13 +157,13 @@ func (c *planCache) get(key []byte) (planEntry, bool) {
 	return planEntry{}, false
 }
 
-// put caches en under its key — over a stale entry in place, keeping its
+// put caches en under key — over a stale entry in place, keeping its
 // executor slot, else as a new key with an empty one — and returns the
 // key's slot.
-func (c *planCache) put(en planEntry) *keptExecutor {
+func (c *planCache) put(key string, en planEntry) *keptExecutor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.entries[en.key]; old != nil {
+	if old := c.entries[key]; old != nil {
 		en.kept = old.kept
 		old.planEntry = en
 		return en.kept
@@ -145,9 +171,9 @@ func (c *planCache) put(en planEntry) *keptExecutor {
 	if c.entries == nil || len(c.entries) >= planCacheCap {
 		c.entries = make(map[string]*cachedPlan)
 	}
-	fresh := &cachedPlan{planEntry: en} // on the heap only for a new key
+	fresh := &cachedPlan{planEntry: en, slot: keptExecutor{key: key}} // on the heap only for a new key
 	fresh.kept = &fresh.slot
-	c.entries[en.key] = fresh
+	c.entries[key] = fresh
 	return fresh.kept
 }
 
@@ -155,21 +181,36 @@ func (c *planCache) put(en planEntry) *keptExecutor {
 // (exec.Build) in the executor's own context, whose slot storage the
 // tree's slot literals point into. A statement of the plan's shape copies
 // its slot values there, runs the tree — Open, NextBatch, Close — and puts
-// the executor back for the next one.
+// the executor back for the next one. A DML entry's executor holds no
+// tree: its matching read and the expressions it writes are bound in ctx.
 type executor struct {
 	plan    plan.Node // the plan tree the operator tree was built from
 	shelled bool      // ctx.Instrumented() when the tree was built
 	ctx     exec.Ctx
 	root    exec.Operator
+
+	// write is the DML entry the executor was bound for; match is its
+	// WHERE's matching read (UPDATE, DELETE), values its SET values or
+	// the values of its VALUES rows that are no bare literal, in text
+	// order, and ids the matched rows'. slotted says whether anything
+	// bound reads the slot storage.
+	write   *writePlan
+	match   *exec.Matcher
+	values  []exec.RowExpr
+	ids     []storage.RowID
+	slotted bool
 }
 
 // keptExecutor holds the executor kept for one plan-cache key while no
-// statement runs on it. One is enough: in bench/perf's workloads (two
-// clients), a statement found another of its key running in 4–14 % of
-// point_read's statements and at most 23 % of any workload's, never two
-// others; each time, one extra tree is built, 0.3 allocations a
+// statement runs on it, and the key. One is enough: in bench/perf's
+// workloads (two clients), a statement found another of its key running
+// in 4–14 % of point_read's statements and at most 23 % of any workload's,
+// never two others; each time, one extra tree is built, 0.3 allocations a
 // point_read statement.
-type keptExecutor struct{ idle atomic.Pointer[executor] }
+type keptExecutor struct {
+	key  string
+	idle atomic.Pointer[executor]
+}
 
 // take returns the kept executor, for the caller alone, or nil. A nil k
 // keeps none.
@@ -208,15 +249,31 @@ type keyBuf struct {
 var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
 
 // maxPooledTokens bounds the token buffer a keyBuf goes back to the pool
-// with.
+// with, and the slot and key buffers in proportion: a bulk INSERT's grow
+// far past what the usual statement needs.
 const maxPooledTokens = 1 << 10
+
+// release puts kb back in the pool, without a buffer grown past the
+// bound.
+func (kb *keyBuf) release() {
+	if cap(kb.toks) > maxPooledTokens {
+		kb.toks = nil
+	}
+	if cap(kb.idx) > maxPooledTokens || cap(kb.refs) > maxPooledTokens || cap(kb.slots) > maxPooledTokens {
+		kb.idx, kb.refs, kb.slots = nil, nil, nil
+	}
+	if cap(kb.key) > 4*maxPooledTokens {
+		kb.key = nil
+	}
+	keyBufs.Put(kb)
+}
 
 // slotMark starts a slot's part of a key; a token's part starts with its
 // lexer.Kind.
 const slotMark = 0xff
 
-// appendKey appends the plan-cache key of toks, one SELECT's tokens with
-// its slot tokens at the indexes idx, to key, and the values of the slot
+// appendKey appends the plan-cache key of toks, one statement's tokens
+// with its slot tokens at the indexes idx, to key, and the values of the slot
 // tokens, in slot order, to slots. ok is false when a slot token has no
 // value (an INTEGER out of range): the statement does not parse.
 func appendKey(key []byte, slots []sqltypes.Value, toks []lexer.Token, idx []int) (_ []byte, _ []sqltypes.Value, ok bool) {
@@ -238,9 +295,10 @@ func appendKey(key []byte, slots []sqltypes.Value, toks []lexer.Token, idx []int
 	return key, slots, true
 }
 
-// oneSelect returns the tokens of the statement toks holds when it is one
-// SELECT, nil otherwise; semicolons around it are no part of it.
-func oneSelect(toks []lexer.Token) []lexer.Token {
+// oneStatement returns the tokens of the statement toks holds when it is
+// one SELECT, INSERT, UPDATE or DELETE — a statement the cache keys —
+// nil otherwise; semicolons around it are no part of it.
+func oneStatement(toks []lexer.Token) []lexer.Token {
 	start, end := 0, len(toks)
 	for start < end && isSemicolon(toks[start]) {
 		start++
@@ -248,11 +306,14 @@ func oneSelect(toks []lexer.Token) []lexer.Token {
 	for end > start && isSemicolon(toks[end-1]) {
 		end--
 	}
-	if start == end || toks[start].Kind != lexer.Keyword || toks[start].Value != "SELECT" ||
-		slices.ContainsFunc(toks[start:end], isSemicolon) {
+	if start == end || toks[start].Kind != lexer.Keyword || slices.ContainsFunc(toks[start:end], isSemicolon) {
 		return nil
 	}
-	return toks[start:end]
+	switch toks[start].Value {
+	case "SELECT", "INSERT", "UPDATE", "DELETE":
+		return toks[start:end]
+	}
+	return nil
 }
 
 func isSemicolon(t lexer.Token) bool { return t.Kind == lexer.Symbol && t.Value == ";" }
@@ -268,9 +329,9 @@ func negate(v sqltypes.Value) sqltypes.Value {
 	return v
 }
 
-// cachedSelect is a SELECT the intake served from the plan cache: a copy
+// cachedStmt is a statement the intake served from the plan cache: a copy
 // of the entry its key found and the statement's own slot values.
-type cachedSelect struct {
+type cachedStmt struct {
 	en     planEntry
 	slots  []sqltypes.Value // in inline when they fit
 	inline [4]sqltypes.Value
@@ -279,17 +340,17 @@ type cachedSelect struct {
 
 // AppendText appends the statement's text: its entry's tree printed with
 // the statement's slot values.
-func (c *cachedSelect) AppendText(b []byte) ([]byte, error) {
-	return parser.AppendWithSlots(b, c.en.sel, c.slots, -1), nil
+func (c *cachedStmt) AppendText(b []byte) ([]byte, error) {
+	return parser.AppendWithSlots(b, c.en.stmt(), c.slots, -1), nil
 }
 
 // AppendTextUpTo is AppendText stopped past n bytes
 // (obs.TextPrefixAppender).
-func (c *cachedSelect) AppendTextUpTo(b []byte, n int) []byte {
-	return parser.AppendWithSlots(b, c.en.sel, c.slots, n)
+func (c *cachedStmt) AppendTextUpTo(b []byte, n int) []byte {
+	return parser.AppendWithSlots(b, c.en.stmt(), c.slots, n)
 }
 
-// lookup keys toks, one SELECT's tokens not parsed, into kb — its slot
+// lookup keys toks, one statement's tokens not parsed, into kb — its slot
 // tokens found by parser.ScanSlots — and returns a copy of the entry
 // cached under the key, current or not, with kb.slots the statement's
 // slot values. found is false when the cache holds no entry for the key
@@ -318,10 +379,13 @@ func (e *Engine) lookup(kb *keyBuf, toks []lexer.Token) (en planEntry, found boo
 // one in place. A hit and a re-price are vetted by checkPlanHit against
 // sql, the statement's text, and slots, its slot values.
 func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
+	if en.write != nil {
+		return e.serveWrite(en, sql, slots)
+	}
 	version, opts := e.cat.Version(), e.optimizerOptions()
 	if !en.current(version, opts) {
 		e.plans.mu.Lock()
-		if cur := e.plans.entries[en.key]; cur != nil {
+		if cur := e.plans.entries[en.kept.key]; cur != nil {
 			en = cur.planEntry
 		}
 		e.plans.mu.Unlock()
@@ -338,7 +402,7 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 				return planEntry{}, err
 			}
 			en.opt, en.version, en.opts = opt, version, opts
-			en.kept = e.plans.put(en)
+			en.kept = e.plans.put(en.kept.key, en)
 			return e.vetted(en, sql, slots)
 		}
 	}
@@ -348,7 +412,34 @@ func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEn
 		return planEntry{}, err
 	}
 	en.opt, en.cols, en.version, en.schema, en.opts = opt, colNames(opt), version, schema, opts
-	en.kept = e.plans.put(en)
+	en.kept = e.plans.put(en.kept.key, en)
+	return en, nil
+}
+
+// serveWrite is serve of a DML entry: en, or the entry that replaced it
+// since it was looked up, while no DDL ran since it compiled — a hit,
+// vetted by checkPlanHit; otherwise its statement compiles afresh, a miss,
+// cached over the old entry in place.
+func (e *Engine) serveWrite(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
+	schema := e.cat.SchemaVersion()
+	if en.schema != schema {
+		e.plans.mu.Lock()
+		if cur := e.plans.entries[en.kept.key]; cur != nil {
+			en = cur.planEntry
+		}
+		e.plans.mu.Unlock()
+	}
+	if en.schema == schema {
+		e.obsm.planHits.Inc()
+		return e.vetted(en, sql, slots)
+	}
+	e.obsm.planMisses.Inc()
+	w, err := e.compileWrite(en.write.stmt)
+	if err != nil {
+		return planEntry{}, err
+	}
+	en.write, en.schema = w, schema
+	en.kept = e.plans.put(en.kept.key, en)
 	return en, nil
 }
 
@@ -364,23 +455,24 @@ func (e *Engine) vetted(en planEntry, sql string, slots []sqltypes.Value) (planE
 	return en, nil
 }
 
-// compile returns the entry that serves s, a parsed SELECT — the plan
-// cache's while it is current, else a fresh compile that is then cached —
-// and appends s's slot values to slots. s is keyed on its tokens with its
-// slot tokens where the parser found them (Select.AppendSlotRefs); a
-// SELECT without tokens compiles without the cache.
-func (e *Engine) compile(s *parser.Select, slots []sqltypes.Value) (planEntry, []sqltypes.Value, error) {
+// compile returns the entry that serves s, a parsed SELECT, INSERT, UPDATE
+// or DELETE — the plan cache's while it is current, else a fresh compile
+// that is then cached — and appends s's slot values to slots. s is keyed
+// on its tokens with its slot tokens where the parser found them
+// (parser.AppendSlotRefs); a statement without tokens compiles without the
+// cache.
+func (e *Engine) compile(s parser.Statement, slots []sqltypes.Value) (planEntry, []sqltypes.Value, error) {
 	n := len(slots)
-	slots = parser.AppendSlotValues(slots, s.Where)
-	toks := s.Tokens()
+	slots = parser.AppendSlotValues(slots, s)
+	toks := tokensOf(s)
 	if toks == nil {
 		e.obsm.planMisses.Inc()
 		en, err := e.compileEntry(s)
 		return en, slots, err
 	}
 	kb := keyBufs.Get().(*keyBuf)
-	defer keyBufs.Put(kb)
-	kb.refs = s.AppendSlotRefs(kb.refs[:0])
+	defer kb.release()
+	kb.refs = parser.AppendSlotRefs(kb.refs[:0], s)
 	kb.idx = kb.idx[:0]
 	for _, r := range kb.refs {
 		kb.idx = append(kb.idx, r.Tok)
@@ -402,25 +494,46 @@ func (e *Engine) compile(s *parser.Select, slots []sqltypes.Value) (planEntry, [
 	if err != nil || !keyed {
 		return en, slots, err
 	}
-	en.key, en.sel = string(kb.key), s.WithoutTokens()
+	if en.write != nil {
+		en.write.stmt = parser.WithoutTokens(s)
+	} else {
+		en.sel = parser.WithoutTokens(s).(*parser.Select)
+	}
 	for i, r := range kb.refs {
 		if r.Neg {
 			en.neg = append(en.neg, i)
 		}
 	}
-	en.kept = e.plans.put(en)
+	en.kept = e.plans.put(string(kb.key), en)
 	return en, slots, nil
 }
 
+// tokensOf is the tokens s was parsed from, nil when it keeps none.
+func tokensOf(s parser.Statement) []lexer.Token {
+	if k, ok := s.(interface{ Tokens() []lexer.Token }); ok {
+		return k.Tokens()
+	}
+	return nil
+}
+
 // compileEntry compiles s afresh into an entry that is not cached.
-func (e *Engine) compileEntry(s *parser.Select) (planEntry, error) {
+func (e *Engine) compileEntry(s parser.Statement) (planEntry, error) {
+	sel, ok := s.(*parser.Select)
+	if !ok {
+		schema := e.cat.SchemaVersion()
+		w, err := e.compileWrite(s)
+		if err != nil {
+			return planEntry{}, err
+		}
+		return planEntry{write: w, schema: schema}, nil
+	}
 	version, opts := e.cat.Version(), e.optimizerOptions()
 	schema := e.cat.SchemaVersion()
-	opt, err := e.compileFresh(s, opts)
+	opt, err := e.compileFresh(sel, opts)
 	if err != nil {
 		return planEntry{}, err
 	}
-	return planEntry{sel: s, opt: opt, cols: colNames(opt), version: version, schema: schema, opts: opts}, nil
+	return planEntry{sel: sel, opt: opt, cols: colNames(opt), version: version, schema: schema, opts: opts}, nil
 }
 
 // compileFresh builds and optimizes s's plan, bypassing the cache.

@@ -278,8 +278,8 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	// A miss on a cached shape overwrites its stale entry in place.
 	key := keyOf(t, "SELECT n FROM Talk WHERE title = 'talk-01'")
-	eng.plans.put(planEntry{key: key, version: 1})
-	stale := func() { eng.plans.put(planEntry{key: key, version: 2}) }
+	eng.plans.put(key, planEntry{version: 1})
+	stale := func() { eng.plans.put(key, planEntry{version: 2}) }
 	if n := testing.AllocsPerRun(100, stale); n != 0 && !raceEnabled {
 		t.Errorf("overwriting a stale entry allocates %v times", n)
 	}

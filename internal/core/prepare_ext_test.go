@@ -12,7 +12,8 @@ import (
 // TestPrepareHitDoesNotParse: once a SELECT's key is cached, the same
 // statement with another literal never enters the parser — through
 // Engine.Execute and through Server.StartJob — and still answers with its
-// own row. A statement of a new shape and an INSERT are parsed.
+// own row. A statement of a new shape is parsed; an INSERT, UPDATE or
+// DELETE of a cached shape is not, and writes its own row.
 func TestPrepareHitDoesNotParse(t *testing.T) {
 	eng, err := core.Open(core.Config{})
 	if err != nil {
@@ -78,7 +79,30 @@ func TestPrepareHitDoesNotParse(t *testing.T) {
 	if n := parsed(func() { execute("SELECT title FROM Talk WHERE n = 3") }); n != 1 {
 		t.Errorf("a new shape parsed %d times, want 1", n)
 	}
-	if n := parsed(func() { execute("INSERT INTO Talk VALUES ('talk-10', 10)") }); n != 1 {
-		t.Errorf("an INSERT parsed %d times, want 1", n)
+	if n := parsed(func() { execute("INSERT INTO Talk (n, title) VALUES (10, 'talk-10')") }); n != 1 {
+		t.Errorf("an INSERT of a new shape parsed %d times, want 1", n)
+	}
+	for _, sql := range []string{
+		"INSERT INTO Talk VALUES ('talk-11', 11)",
+		"UPDATE Talk SET n = 12 WHERE title = 'talk-11'",
+		"DELETE FROM Talk WHERE title = 'talk-11'",
+	} {
+		execute(sql) // the first of its shape
+	}
+	for i, sql := range []string{
+		"INSERT INTO Talk VALUES ('talk-12', 12)",
+		"UPDATE Talk SET n = 13 WHERE title = 'talk-12'",
+		"DELETE FROM Talk WHERE title = 'talk-12'",
+	} {
+		var res *core.Result
+		if n := parsed(func() { res = execute(sql) }); n != 0 {
+			t.Errorf("%s, of a cached shape, parsed %d times", sql, n)
+		}
+		if res.Affected != 1 {
+			t.Errorf("%s: affected %d rows, want 1", sql, res.Affected)
+		}
+		if got := execute("SELECT n FROM Talk WHERE title = 'talk-12'"); len(got.Rows) != []int{1, 1, 0}[i] {
+			t.Errorf("after %s: rows %v", sql, got.Rows)
+		}
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"crowddb/internal/parser"
 )
 
-// keyOf is the plan-cache key of sql, one SELECT; "" when it has none.
+// keyOf is the plan-cache key of sql, one SELECT, INSERT, UPDATE or
+// DELETE; "" when it has none.
 func keyOf(t testing.TB, sql string) string {
 	t.Helper()
 	toks, err := lexer.Tokenize(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := oneSelect(toks)
+	sel := oneStatement(toks)
 	if sel == nil {
 		return ""
 	}
@@ -166,7 +167,8 @@ func corpusEngine(t testing.TB, cfg Config) *Engine {
 // keyCorpus are the SELECTs of the parser's test corpus — its print
 // fixpoints, fuzz seeds and bench/perf's statement shapes, read against
 // corpusEngine's tables — the SELECTs the crowdbench experiments run
-// (internal/bench), and literals the parser folds a minus into.
+// (internal/bench), literals the parser folds a minus into, and DML
+// shapes: durable_write's and a slot in each clause DML has.
 var keyCorpus = []string{
 	`SELECT title FROM Talk ORDER BY CROWDORDER(p, "Which talk did you like better") LIMIT 10`,
 	`SELECT abstract FROM paper WHERE title = "CrowdDB"`,
@@ -215,6 +217,37 @@ var keyCorpus = []string{
 	`SELECT title FROM Talk WHERE nb_attendees = -0 OR nb_attendees = - -3 OR nb_attendees = -(5)`,
 	`SELECT title FROM Talk WHERE nb_attendees - 1 = 2 OR -nb_attendees = 3 OR nb_attendees = -(1 + 2)`,
 	`SELECT title FROM Talk WHERE p IS NULL OR NOT NULL OR abstract IS NOT NULL`,
+	// DML: bench/perf's durable_write shapes, then VALUES, SET and WHERE
+	// slots that are no bare literal, a column list, a negated literal,
+	// NULL, IS NULL and a WHERE the primary key or an index pins.
+	`INSERT INTO vis VALUES ('w', 7)`,
+	`UPDATE vis SET who = 'w2', tid = 8 WHERE who = 'w'`,
+	`DELETE FROM vis WHERE who = 'w2'`,
+	`INSERT INTO Pair (grp, id, a) VALUES (-3, 9, 'p'), (1 + 2, 10, NULL)`,
+	`UPDATE Talk SET nb_attendees = nb_attendees + 1, abstract = 'x' || p WHERE room = 'Room 1' AND nb_attendees > -1`,
+	`UPDATE t SET y = NULL WHERE a = 'ab' OR b IS NOT NULL AND x BETWEEN 1 AND 5`,
+	`UPDATE Item SET grp = -grp WHERE name IN ('ant', 'x') OR TRUE = FALSE`,
+	`DELETE FROM Keep WHERE id = 4 AND 1.5 > 0.5`,
+	`DELETE FROM c`,
+}
+
+// dmlTable is the table sql, an INSERT, UPDATE or DELETE, writes; "" for
+// any other statement.
+func dmlTable(t testing.TB, sql string) string {
+	t.Helper()
+	s, err := parser.Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	switch s := s.(type) {
+	case *parser.Insert:
+		return s.Table
+	case *parser.Update:
+		return s.Table
+	case *parser.Delete:
+		return s.Table
+	}
+	return ""
 }
 
 // slotPool are the values refreshed slot literals take, by token kind.
@@ -223,7 +256,7 @@ var slotPool = map[lexer.Kind][]string{
 	lexer.String: {"'talk-03'", "'Room 2'", "'x'", "'O''Brien'"},
 }
 
-// refresh rebuilds sql, one SELECT, from its tokens with its k-th fresh
+// refresh rebuilds sql, one statement the cache keys, from its tokens with its k-th fresh
 // set of slot literals: every slot token a value of its own kind, TRUE and
 // FALSE swapped on odd k. Its key is sql's.
 func refresh(t testing.TB, sql string, k int) string {
@@ -273,16 +306,22 @@ func freshRun(t testing.TB, eng *Engine, sql string) (*Result, error) {
 	return eng.runSelect(context.Background(), opt, colNames(opt), nil, nil, DefaultExecOpts(), nil, nil, nil)
 }
 
-// TestPlanCacheKeyCorpus: every SELECT of keyCorpus, run once, serves
+// TestPlanCacheKeyCorpus: every statement of keyCorpus, run once, serves
 // itself with fresh slot literals unparsed — the equivalence net vets the
-// slot values, the text and the plan — and answers what the same text
-// parsed and compiled afresh answers.
+// slot values, the text and the plan — and a SELECT answers what the same
+// text parsed and compiled afresh answers. A DML variant runs on a twin
+// engine too, whose cache is emptied first: both fail, or both affect the
+// same rows and leave the table alike.
 func TestPlanCacheKeyCorpus(t *testing.T) {
-	eng := corpusEngine(t, Config{})
+	eng, twin := corpusEngine(t, Config{}), corpusEngine(t, Config{})
 	for _, sql := range keyCorpus {
+		table := dmlTable(t, sql)
 		if _, err := eng.Exec(sql); err != nil {
 			t.Errorf("%s: %v", sql, err)
 			continue
+		}
+		if table != "" {
+			mustExec(t, twin, sql)
 		}
 		for k := 0; k < 4; k++ {
 			variant := refresh(t, sql, k)
@@ -298,6 +337,23 @@ func TestPlanCacheKeyCorpus(t *testing.T) {
 				continue
 			}
 			got, err := eng.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
+			if table != "" {
+				twin.plans.mu.Lock()
+				twin.plans.entries = nil
+				twin.plans.mu.Unlock()
+				want, werr := twin.Exec(variant)
+				switch {
+				case (err == nil) != (werr == nil):
+					t.Errorf("%s: cached %v, fresh %v", variant, err, werr)
+				case err == nil && got.Affected != want.Affected:
+					t.Errorf("%s: cached affected %d, fresh %d", variant, got.Affected, want.Affected)
+				}
+				all := "SELECT * FROM " + table
+				if g, w := rowsText(mustExec(t, eng, all)), rowsText(mustExec(t, twin, all)); g != w {
+					t.Errorf("after %s:\ncached %s\nfresh  %s", variant, g, w)
+				}
+				continue
+			}
 			want, werr := freshRun(t, eng, variant)
 			switch {
 			case (err == nil) != (werr == nil):
@@ -310,11 +366,11 @@ func TestPlanCacheKeyCorpus(t *testing.T) {
 	}
 }
 
-// FuzzPrepare: any text that parses as one SELECT and compiles against
-// corpusEngine's tables is cached under its key, and then — as itself and
-// with fresh slot literals — goes through the intake unparsed to the slot
-// values, the text and the plan that ParseAll and a fresh compile give
-// (the equivalence net, recompileHit).
+// FuzzPrepare: any text that parses as one SELECT, INSERT, UPDATE or
+// DELETE and compiles against corpusEngine's tables is cached under its
+// key, and then — as itself and with fresh slot literals — goes through
+// the intake unparsed to the slot values, the text and the plan that
+// ParseAll and a fresh compile give (the equivalence net, recompileHit).
 func FuzzPrepare(f *testing.F) {
 	for _, sql := range keyCorpus {
 		f.Add(sql)
@@ -322,24 +378,23 @@ func FuzzPrepare(f *testing.F) {
 	eng := corpusEngine(f, Config{})
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := parser.ParseAll(src)
-		if err != nil || len(stmts) != 1 {
-			return
-		}
-		sel, ok := stmts[0].(*parser.Select)
-		if !ok {
+		if err != nil || len(stmts) != 1 || tokensOf(stmts[0]) == nil {
 			return
 		}
 		eng.plans.mu.Lock()
 		eng.plans.entries = nil
 		eng.plans.mu.Unlock()
-		en, slots, err := eng.compile(sel, nil)
+		en, slots, err := eng.compile(stmts[0], nil)
 		if err != nil {
 			return // no such table or column
 		}
-		if want := parser.AppendSlotValues(nil, sel.Where); !slices.Equal(slots, want) {
+		if want := parser.AppendSlotValues(nil, stmts[0]); !slices.Equal(slots, want) {
 			t.Fatalf("%q: compiled with slots %v, its own are %v", src, slots, want)
 		}
-		if cached, ok := eng.plans.get([]byte(en.key)); en.key == "" || !ok || cached.opt != en.opt {
+		if en.kept == nil {
+			t.Fatalf("%q compiles but is not cached", src)
+		}
+		if cached, ok := eng.plans.get([]byte(en.kept.key)); !ok || cached.opt != en.opt || cached.write != en.write {
 			t.Fatalf("%q compiles but is not cached", src)
 		}
 		for k := -1; k < 3; k++ {
@@ -351,7 +406,7 @@ func FuzzPrepare(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}
-			if sc.cached == nil || sc.cached.en.opt != en.opt {
+			if sc.cached == nil || sc.cached.en.opt != en.opt || sc.cached.en.write != en.write {
 				t.Fatalf("%q is not served by the entry of %q", text, src)
 			}
 			if err := recompileHit(eng, text, sc.cached.slots, &sc.cached.en); err != nil {

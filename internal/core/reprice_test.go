@@ -16,12 +16,13 @@ import (
 // schema run once; then each input the cost model reads moves in turn —
 // an INSERT, a DELETE, an observed filter selectivity, a CNULL answered,
 // the comparison cache's hit rate and the observed round-trip p50. After
-// each, every entry is stale, and one whose plan joins nothing is
+// each, every SELECT entry is stale, and one whose plan joins nothing is
 // re-priced without a compile: it keeps its tree and the executor kept
 // for it, and agrees with a fresh compile on the masked EXPLAIN with
 // per-node costs, the forecast, boundedness, warnings and columns
 // (recompileHit). An entry whose plan joins compiles afresh, and after a
-// DDL every entry does.
+// DDL every entry does. keyCorpus's DML entries read none of those
+// inputs: each is a hit until the DDL, then compiles afresh.
 func TestPlanCacheRepricesJoinFreePlans(t *testing.T) {
 	comp := workload.NewCompanies(4, 23)
 	corpus := corpusEngine(t, Config{Platform: newAMT(23), Oracle: comp.Oracle(), Payment: wrm.DefaultPolicy()})
@@ -61,8 +62,8 @@ func TestPlanCacheRepricesJoinFreePlans(t *testing.T) {
 				if err != nil || sc.cached == nil {
 					t.Fatalf("%s: not served by the plan cache (%v)", sql, err)
 				}
-				if !keys[sc.cached.en.key] {
-					keys[sc.cached.en.key] = true
+				if !keys[sc.cached.en.kept.key] {
+					keys[sc.cached.en.kept.key] = true
 					stmts = append(stmts, sql)
 				}
 			}
@@ -115,7 +116,7 @@ func serveStale(t *testing.T, e *Engine, moved string, stmts []string, reprice b
 			t.Fatalf("after %s, %s: not served by the plan cache (%v)", moved, sql, err)
 		}
 		cs := sc.cached
-		x := keptTop(e, cs.en.key)
+		x := keptTop(e, cs.en.kept.key)
 		hits0, misses0 := planCounts(e)
 		reprices0 := repriceCount(e)
 		en, err := e.serve(cs.en, sql, cs.slots)
@@ -124,6 +125,15 @@ func serveStale(t *testing.T, e *Engine, moved string, stmts []string, reprice b
 		}
 		hits, misses := planCounts(e)
 		repriced, compiled := repriceCount(e) > reprices0, misses > misses0
+		if cs.en.write != nil {
+			if hit := hits > hits0; hit != reprice || repriced || compiled == reprice {
+				t.Errorf("after %s, %s: hit %v, re-priced %v, compiled %v; want a hit %v", moved, sql, hit, repriced, compiled, reprice)
+			}
+			if err := recompileHit(e, sql, cs.slots, &en); err != nil {
+				t.Errorf("after %s: %v", moved, err)
+			}
+			continue // DML writes: the moves are the test's own
+		}
 		switch {
 		case hits != hits0:
 			t.Errorf("after %s, %s: a stale entry served as a hit", moved, sql)
@@ -131,7 +141,7 @@ func serveStale(t *testing.T, e *Engine, moved string, stmts []string, reprice b
 			if !repriced || compiled {
 				t.Errorf("after %s, %s: re-priced %v, compiled %v; want re-priced, no compile", moved, sql, repriced, compiled)
 			}
-			if en.opt.Root != cs.en.opt.Root || x == nil || x.plan != en.opt.Root || keptTop(e, cs.en.key) != x {
+			if en.opt.Root != cs.en.opt.Root || x == nil || x.plan != en.opt.Root || keptTop(e, cs.en.kept.key) != x {
 				t.Errorf("after %s, %s: the re-priced entry did not keep its tree and executor", moved, sql)
 			}
 			if err := recompileHit(e, sql, cs.slots, &en); err != nil {

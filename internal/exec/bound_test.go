@@ -340,7 +340,7 @@ func TestBoundEvalAllocatesPerBindNotPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		where := s.(*parser.Select).Where
-		vals := parser.AppendSlotValues(nil, where)
+		vals := parser.AppendSlotValues(nil, s)
 		ctx := &Ctx{}
 		ctx.UseSlots(vals)
 		var cond *bound

@@ -11,7 +11,7 @@ import (
 )
 
 // The table reader is the one way this package reads stored rows: SeqScan,
-// CrowdProbe, CrowdJoin and (through ReadTable) the engine's UPDATE and
+// CrowdProbe, CrowdJoin and (through a Matcher) the engine's UPDATE and
 // DELETE all pull from it. It is a merge, by ascending row ID, over
 // streams of (id, row) pairs — and ascending ID IS global insertion order
 // (IDs are allocated from one per-table counter). Two sources feed it:
@@ -170,18 +170,10 @@ func (r *tableReader) close() {
 	r.cursors, r.set, r.streams = false, nil, nil
 }
 
-// ReadTable returns, in insertion order and with their ids, the rows of
-// node's table that node.Filter keeps — at most node.StopAfter of them when
-// that is >= 0 — reading through the key node's probe keys pin when there
-// is one. The rows are the store's shared images: clone before writing.
-// The slices are the caller's to keep: a primary-key read's are backed by
-// this call's own reader.
-func ReadTable(ctx *Ctx, node *plan.Scan) ([]storage.RowID, []Row, error) {
-	r := newReader(ctx, node)
-	return r.readAll(ctx)
-}
-
-// readAll opens r and returns what ReadTable does. A read the cursors fed
+// readAll opens r and returns, in insertion order and with their ids, the
+// rows of its table that its filter keeps — at most its quota of them —
+// read through the key its probe keys pin when there is one. The rows are
+// the store's shared images: clone before writing. A read the cursors fed
 // is closed; a key-fed read keeps what passes in place in its fetched
 // chunk, which is nobody else's and stays the caller's until r closes.
 func (r *tableReader) readAll(ctx *Ctx) (ids []storage.RowID, rows []Row, err error) {
@@ -199,6 +191,37 @@ func (r *tableReader) readAll(ctx *Ctx) (ids []storage.RowID, rows []Row, err er
 			return ids, rows, err
 		}
 		ids, rows = append(ids, id), append(rows, row)
+	}
+}
+
+// A Matcher is an UPDATE's or DELETE's matching read: the ids of the rows
+// of a Scan's table that its filter keeps, read through the table reader
+// a SELECT's scan reads through — by the key the Scan's probe keys pin,
+// from the shard cursors otherwise. It is bound once, to its context's
+// slot storage (Ctx.UseSlots), and reads again for each statement of its
+// shape.
+type Matcher struct{ rd tableReader }
+
+// NewMatcher binds node's filter in ctx.
+func NewMatcher(ctx *Ctx, node *plan.Scan) *Matcher {
+	return &Matcher{rd: newReader(ctx, node)}
+}
+
+// AppendIDs appends to dst, in insertion order, the ids of the rows the
+// filter keeps at ctx's snapshot — the current watermark when it pins
+// none.
+func (m *Matcher) AppendIDs(ctx *Ctx, dst []storage.RowID) ([]storage.RowID, error) {
+	r := &m.rd
+	if err := r.open(ctx); err != nil {
+		return dst, err
+	}
+	defer r.close()
+	for {
+		id, row, err := r.next(ctx)
+		if err != nil || row == nil {
+			return dst, err
+		}
+		dst = append(dst, id)
 	}
 }
 

@@ -323,13 +323,21 @@ func TestReaderSourcesAgreeUnderWrites(t *testing.T) {
 							if rd.cursors != (node == &unkeyed) {
 								t.Fatalf("%s: cursors feed the read: %v", where, rd.cursors)
 							}
-							ids, rows, err := ReadTable(ctx, node)
+							all := newReader(ctx, node)
+							ids, rows, err := all.readAll(ctx)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !slices.Equal(ids, wantIDs) || rowsKey(rows) != rowsKey(want) {
 								t.Fatalf("step %d, %s at %d, quota %d, cursors=%v:\ngot  %v\n%swant %v\n%s",
 									step, where, at, quota, rd.cursors, ids, rowsKey(rows), wantIDs, rowsKey(want))
+							}
+							if quota < 0 {
+								matched, err := NewMatcher(ctx, node).AppendIDs(ctx, nil)
+								if err != nil || !slices.Equal(matched, wantIDs) {
+									t.Fatalf("step %d, %s at %d, cursors=%v: the matcher reads %v, %v; want %v",
+										step, where, at, rd.cursors, matched, err, wantIDs)
+								}
 							}
 							for _, size := range []int{1, 7, 256} {
 								ctx := &Ctx{Store: st, Cat: h.cat, SnapshotTS: at, batchSize: size}

@@ -1,7 +1,8 @@
 // Package jsonline appends JSON scalars to a byte slice exactly as
 // encoding/json.Marshal writes them — byte for byte, without reflection.
-// It is the one string escaper of the jobs API's lines: the server's row
-// and job-resource lines and the client's request body.
+// It is the one string escaper of the jobs API's lines — the server's row
+// and job-resource lines and the client's request body — and of the
+// storage WAL's records.
 package jsonline
 
 import (

@@ -66,7 +66,7 @@ func Optimize(root plan.Node, cat *catalog.Catalog, opts Options) (*Result, erro
 	if !opts.DisablePushdown {
 		root = o.pushPredicates(root)
 	}
-	DeriveProbeKeys(root)
+	deriveProbeKeys(root)
 	if !opts.DisableJoinReorder {
 		root = o.reorderJoins(root)
 	}
@@ -297,12 +297,12 @@ func hasSubquery(e parser.Expr) bool {
 // ---------------------------------------------------------------------------
 // Rule 2: probe-key derivation
 
-// DeriveProbeKeys extracts `col = literal` bindings from the pushed
+// deriveProbeKeys extracts `col = literal` bindings from the pushed
 // filters of each scan and its CrowdProbe into the scan's ProbeKeys: the
 // keys CrowdProbe pre-fills when soliciting new tuples (§3.1), the
 // bindings that bound a CROWD table's probe, and the keys an index access
 // path probes with.
-func DeriveProbeKeys(n plan.Node) {
+func deriveProbeKeys(n plan.Node) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		addProbeKeys(x, x.Filter)
@@ -311,8 +311,19 @@ func DeriveProbeKeys(n plan.Node) {
 		addProbeKeys(x.Scan, x.Filter)
 	}
 	for _, c := range n.Children() {
-		DeriveProbeKeys(c)
+		deriveProbeKeys(c)
 	}
+}
+
+// MatchScan is the access path of an UPDATE's or DELETE's WHERE: a Scan
+// of t that where filters, with the probe keys a SELECT's scan of the
+// same WHERE gets — a key pinned to a slot literal reads the executing
+// statement's value, so the Scan serves every statement of its shape.
+func MatchScan(t *catalog.Table, where parser.Expr) *plan.Scan {
+	scan := plan.NewScan(t, "")
+	scan.Filter = where
+	deriveProbeKeys(scan)
+	return scan
 }
 
 func addProbeKeys(s *plan.Scan, filter parser.Expr) {

@@ -11,6 +11,7 @@ package parser
 import (
 	"encoding"
 	"fmt"
+	"strings"
 
 	"crowddb/internal/lexer"
 	"crowddb/internal/sqltypes"
@@ -102,6 +103,8 @@ type Insert struct {
 	Table   string
 	Columns []string
 	Rows    [][]Expr
+
+	tokens
 }
 
 func (*Insert) stmt() {}
@@ -121,6 +124,8 @@ type Update struct {
 	Table string
 	Set   []Assignment
 	Where Expr
+
+	tokens
 }
 
 func (*Update) stmt() {}
@@ -133,6 +138,8 @@ func (s *Update) AppendTextUpTo(b []byte, n int) []byte { return appendSQLUpTo(b
 type Delete struct {
 	Table string
 	Where Expr
+
+	tokens
 }
 
 func (*Delete) stmt() {}
@@ -194,27 +201,55 @@ type Select struct {
 	Limit    int64 // -1 when absent
 	Offset   int64 // 0 when absent
 
-	// toks are the tokens the statement was parsed from, when it is a
-	// statement of its script (ParseTokens): what the engine's plan cache
-	// keys it on.
-	toks []lexer.Token
+	tokens
 }
 
-// Tokens returns the tokens s was parsed from, nil unless s is a
-// statement of a parsed script.
-func (s *Select) Tokens() []lexer.Token { return s.toks }
+// tokens are the tokens a SELECT, INSERT, UPDATE or DELETE was parsed
+// from, when it is a statement of its script (ParseTokens): what the
+// engine's plan cache keys it on.
+type tokens struct{ toks []lexer.Token }
 
-// A SlotRef locates a slot literal of a SELECT in the tokens the SELECT
-// was parsed from (Select.Tokens).
+// Tokens returns the tokens the statement was parsed from, nil unless it
+// is a statement of a parsed script.
+func (t *tokens) Tokens() []lexer.Token { return t.toks }
+
+func (t *tokens) keep(toks []lexer.Token) { t.toks = toks }
+
+// A SlotRef locates a slot literal of a statement in the tokens the
+// statement was parsed from (Tokens).
 type SlotRef struct {
 	Tok int  // the index of the literal's token
 	Neg bool // the value is the token's negated: a minus folded into it
 }
 
+// walkSlotted calls WalkExprs(e, fn) for each clause of s whose literals
+// are slots, in text order: a SELECT's WHERE; an INSERT's VALUES rows; an
+// UPDATE's SET values and WHERE; a DELETE's WHERE. Other statements have
+// none.
+func walkSlotted(s Statement, fn func(Expr)) {
+	switch s := s.(type) {
+	case *Select:
+		WalkExprs(s.Where, fn)
+	case *Insert:
+		for _, row := range s.Rows {
+			for _, e := range row {
+				WalkExprs(e, fn)
+			}
+		}
+	case *Update:
+		for _, a := range s.Set {
+			WalkExprs(a.Value, fn)
+		}
+		WalkExprs(s.Where, fn)
+	case *Delete:
+		WalkExprs(s.Where, fn)
+	}
+}
+
 // AppendSlotRefs appends the SlotRef of each of s's slot literals to dst,
 // in slot order. They locate tokens only when s has Tokens.
-func (s *Select) AppendSlotRefs(dst []SlotRef) []SlotRef {
-	WalkExprs(s.Where, func(e Expr) {
+func AppendSlotRefs(dst []SlotRef, s Statement) []SlotRef {
+	walkSlotted(s, func(e Expr) {
 		if l, ok := e.(*Literal); ok && l.Slot > 0 {
 			dst = append(dst, SlotRef{Tok: int(l.tok), Neg: l.neg})
 		}
@@ -223,11 +258,36 @@ func (s *Select) AppendSlotRefs(dst []SlotRef) []SlotRef {
 }
 
 // WithoutTokens returns a copy of s that keeps no tokens: s's tree, for a
-// holder that outlives the script s was parsed from.
-func (s *Select) WithoutTokens() *Select {
-	c := *s
-	c.toks = nil
-	return &c
+// holder that outlives the script s was parsed from. An INSERT's table
+// and column names are copied out of the script's text too, which a bulk
+// INSERT's makes long. A statement that keeps no tokens is s.
+func WithoutTokens(s Statement) Statement {
+	switch s := s.(type) {
+	case *Select:
+		c := *s
+		c.toks = nil
+		return &c
+	case *Insert:
+		c := *s
+		c.toks = nil
+		c.Table = strings.Clone(s.Table)
+		if s.Columns != nil {
+			c.Columns = make([]string, len(s.Columns))
+			for i, col := range s.Columns {
+				c.Columns[i] = strings.Clone(col)
+			}
+		}
+		return &c
+	case *Update:
+		c := *s
+		c.toks = nil
+		return &c
+	case *Delete:
+		c := *s
+		c.toks = nil
+		return &c
+	}
+	return s
 }
 
 func (*Select) stmt() {}
@@ -271,14 +331,16 @@ type Expr interface {
 // Literal is a constant, including NULL and CNULL.
 type Literal struct {
 	Val sqltypes.Value
-	// Slot numbers the literals of the outermost SELECT's WHERE clause,
-	// subqueries excluded, from 1 in text order; 0 is no slot. A plan
-	// the engine caches for statements that differ only in these values
-	// reads a slot's value from the statement it executes, never from the
-	// one it was compiled for.
+	// Slot numbers, from 1 in text order, the literals of a statement's
+	// slotted clauses (subqueries excluded): a SELECT's outermost WHERE,
+	// an INSERT's VALUES rows, an UPDATE's SET values and WHERE, and a
+	// DELETE's WHERE; 0 is no slot. A plan the engine caches for
+	// statements that differ only in these values reads a slot's value
+	// from the statement it executes, never from the one it was compiled
+	// for.
 	Slot int
 
-	// A slot literal knows the token it was made of (Select.AppendSlotRefs):
+	// A slot literal knows the token it was made of (AppendSlotRefs):
 	// tok is its index in the statement's tokens, and neg is set when an
 	// odd number of unary minus signs were folded into its value (an
 	// int32 keeps the node in its allocation size class).

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"crowddb/internal/lexer"
 	"crowddb/internal/sqltypes"
 )
 
@@ -13,13 +14,13 @@ import (
 // one deep-equal statement — slot numbers included — with the same shape.
 // The engine's plan cache serves statements of one key with one tree,
 // printing it with each statement's own slot values, so two trees that
-// print alike must be one tree, and a SELECT printed with its own slot
-// values must print as itself. A SELECT's slots number 1, 2, … in the
-// order AppendSlotValues lists them. A SELECT of a script keeps the
-// tokens it was parsed from, which parse to it again, and its slot
-// literals know their tokens: ScanSlots finds the same ones without
-// parsing — the plan cache keys an unparsed statement with it — and each
-// slot value is its token's, negated where the SlotRef says so.
+// print alike must be one tree, and a SELECT, INSERT, UPDATE or DELETE
+// printed with its own slot values must print as itself. Its slots number
+// 1, 2, … in the order AppendSlotValues lists them. Such a statement of a
+// script keeps the tokens it was parsed from, which parse to it again,
+// and its slot literals know their tokens: ScanSlots finds the same ones
+// without parsing — the plan cache keys an unparsed statement with it —
+// and each slot value is its token's, negated where the SlotRef says so.
 func FuzzParse(f *testing.F) {
 	for _, src := range fuzzParseSeeds {
 		f.Add(src)
@@ -35,28 +36,28 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q parses, but its statement prints as %q, which does not: %v", src, printed, err)
 			}
-			sel, ok := s.(*Select)
-			if !ok {
+			toks := tokensOf(s)
+			if toks == nil {
 				if !reflect.DeepEqual(withoutTokens(again), withoutTokens(s)) {
 					t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
 				}
 				continue
 			}
-			checkSlotTokens(t, src, sel)
-			own, err := ParseTokens(sel.Tokens())
+			checkSlotTokens(t, src, s)
+			own, err := ParseTokens(toks)
 			if err != nil || len(own) != 1 {
-				t.Fatalf("%q: the tokens a SELECT keeps do not parse to it: %v", src, err)
+				t.Fatalf("%q: the tokens a statement keeps do not parse to it: %v", src, err)
 			}
-			checkSlotOrder(t, src, sel)
-			slots := AppendSlotValues(nil, sel.Where)
-			if own := string(AppendWithSlots(nil, again.(*Select), slots, -1)); own != printed {
+			checkSlotOrder(t, src, s)
+			slots := AppendSlotValues(nil, s)
+			if own := string(AppendWithSlots(nil, again, slots, -1)); own != printed {
 				t.Fatalf("%q: printed with its own slot values, %s is %s", src, printed, own)
 			}
-			if shape, shape2 := shapeOf(sel), shapeOf(again.(*Select)); shape2 != shape {
+			if shape, shape2 := shapeOf(s), shapeOf(again); shape2 != shape {
 				t.Fatalf("%q: shapes differ after printing:\n once: %s\ntwice: %s", src, shape, shape2)
 			}
 			if !reflect.DeepEqual(withoutTokens(own[0]), withoutTokens(s)) {
-				t.Fatalf("%q: the tokens a SELECT keeps do not parse to it", src)
+				t.Fatalf("%q: the tokens a statement keeps do not parse to it", src)
 			}
 			if !reflect.DeepEqual(withoutTokens(again), withoutTokens(s)) {
 				t.Fatalf("%q: the printed statement %q parses to another tree", src, printed)
@@ -65,12 +66,20 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// checkSlotTokens fails unless the slot literals of s, a SELECT of a
+// tokensOf is the tokens s keeps, nil for a statement that keeps none.
+func tokensOf(s Statement) []lexer.Token {
+	if k, ok := s.(interface{ Tokens() []lexer.Token }); ok {
+		return k.Tokens()
+	}
+	return nil
+}
+
+// checkSlotTokens fails unless the slot literals of s, a statement of a
 // script, locate the tokens ScanSlots finds in s's tokens, and each
 // literal's value is its token's, negated where its SlotRef says so.
-func checkSlotTokens(t *testing.T, src string, s *Select) {
+func checkSlotTokens(t *testing.T, src string, s Statement) {
 	t.Helper()
-	toks, refs := s.Tokens(), s.AppendSlotRefs(nil)
+	toks, refs := tokensOf(s), AppendSlotRefs(nil, s)
 	scanned := ScanSlots(nil, toks)
 	at := make([]int, len(refs))
 	for i, r := range refs {
@@ -79,7 +88,7 @@ func checkSlotTokens(t *testing.T, src string, s *Select) {
 	if !slices.Equal(scanned, at) {
 		t.Fatalf("%q: ScanSlots finds slot tokens %v, the parser made slots of %v", src, scanned, at)
 	}
-	for i, v := range AppendSlotValues(nil, s.Where) {
+	for i, v := range AppendSlotValues(nil, s) {
 		tv, err := LiteralValue(toks[refs[i].Tok])
 		if err != nil {
 			t.Fatalf("%q: slot %d's token %q: %v", src, i+1, toks[refs[i].Tok].Value, err)
@@ -100,26 +109,23 @@ func checkSlotTokens(t *testing.T, src string, s *Select) {
 	}
 }
 
-// withoutTokens is s without what a SELECT — or the SELECT an EXPLAIN
-// wraps — knows of the tokens it was parsed from: the tokens, and where
-// each slot literal's token is, which differ between a statement and its
-// printed text. It clears the slot literals' token facts in place.
+// withoutTokens is s without what a statement — or the statement an
+// EXPLAIN wraps — knows of the tokens it was parsed from: the tokens, and
+// where each slot literal's token is, which differ between a statement
+// and its printed text. It clears the slot literals' token facts in
+// place.
 func withoutTokens(s Statement) Statement {
 	if ex, ok := s.(*Explain); ok {
 		c := *ex
 		c.Stmt = withoutTokens(ex.Stmt)
 		return &c
 	}
-	sel, ok := s.(*Select)
-	if !ok {
-		return s
-	}
-	WalkExprs(sel.Where, func(e Expr) {
+	walkSlotted(s, func(e Expr) {
 		if l, ok := e.(*Literal); ok {
 			l.tok, l.neg = 0, false
 		}
 	})
-	return sel.WithoutTokens()
+	return WithoutTokens(s)
 }
 
 // fuzzParseSeeds are the statements this package's tests parse, those
@@ -163,6 +169,13 @@ var fuzzParseSeeds = append(append([]string{
 	`SELECT name FROM Item WHERE grp IN (SELECT g FROM G WHERE w > 2.5) AND name LIKE 'a%' ORDER BY CROWDORDER(name, 'Which?') LIMIT 1`,
 	`EXPLAIN SELECT 1, 'x' FROM t WHERE x = 1 AND y = 'x' GROUP BY x HAVING COUNT(*) > 1`,
 	`SELECT -0, - -1.5 FROM t WHERE x = -0 OR x = - -0 OR x = -(2) OR x = -'a'`,
+	// DML slots: every VALUES literal, the SET values, the WHERE; not a
+	// subquery's, nor IS NULL's.
+	`INSERT INTO kv VALUES (7, 'v7.0', 7), (-8, NULL, -(1 + 2) * - -3)`,
+	`INSERT INTO t (a, b) VALUES (TRUE IS NOT NULL, 1 IN (SELECT x FROM u WHERE y = 2)), (CNULL, -0.0)`,
+	`UPDATE kv SET v = v || 'x', n = n + -1 WHERE id IN (1, 2) AND n IS NOT NULL AND v NOT IN (SELECT v FROM w WHERE n > 3)`,
+	`DELETE FROM kv WHERE id = -7 OR v BETWEEN 'a' AND 'b' OR FALSE`,
+	`EXPLAIN UPDATE kv SET n = 1 WHERE id = 2; DELETE FROM kv; INSERT INTO kv VALUES (1)`,
 }, fixpointSources...), parseErrorSources...)
 
 // fixpointSources are TestPrintReparseFixpoint's statements.

@@ -31,9 +31,9 @@ func ParseAll(src string) ([]Statement, error) {
 	return ParseTokens(toks)
 }
 
-// ParseTokens parses a script the lexer has tokenized. Each SELECT
-// statement keeps its own run of toks (Select.Tokens), so toks must not
-// change while the statements live.
+// ParseTokens parses a script the lexer has tokenized. Each SELECT,
+// INSERT, UPDATE and DELETE keeps its own run of toks (Tokens), so toks
+// must not change while the statements live.
 func ParseTokens(toks []lexer.Token) ([]Statement, error) {
 	p := &parser{toks: toks}
 	var stmts []Statement
@@ -48,8 +48,8 @@ func ParseTokens(toks []lexer.Token) ([]Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sel, ok := s.(*Select); ok {
-			sel.toks = toks[p.start:p.pos:p.pos]
+		if k, ok := s.(interface{ keep([]lexer.Token) }); ok {
+			k.keep(toks[p.start:p.pos:p.pos])
 		}
 		stmts = append(stmts, s)
 		if !p.acceptSymbol(";") && !p.atEOF() {
@@ -63,20 +63,31 @@ func ParseTokens(toks []lexer.Token) ([]Statement, error) {
 }
 
 // ScanSlots appends to dst the indexes of the slot tokens of toks, one
-// SELECT's tokens, without parsing them: the literal tokens of the
-// outermost WHERE, outside its IN-subqueries, but for the NULL or CNULL of
-// IS [NOT] NULL. They are the tokens of the slot literals the parser makes
-// of toks (Select.AppendSlotRefs), in slot order.
+// SELECT's, INSERT's, UPDATE's or DELETE's tokens, without parsing them:
+// the literal tokens of its slotted clauses — a SELECT's outermost WHERE,
+// an INSERT from VALUES on, an UPDATE from SET on, a DELETE's WHERE —
+// outside their IN-subqueries, but for the NULL or CNULL of IS [NOT]
+// NULL. They are the tokens of the slot literals the parser makes of toks
+// (AppendSlotRefs), in slot order.
 func ScanSlots(dst []int, toks []lexer.Token) []int {
+	opens := "WHERE" // the keyword that opens the slotted clauses
+	if len(toks) > 0 && toks[0].Kind == lexer.Keyword {
+		switch toks[0].Value {
+		case "INSERT":
+			opens = "VALUES"
+		case "UPDATE":
+			opens = "SET"
+		}
+	}
 	depth, sub := 0, 0 // parentheses open; the depth inside an IN-subquery, 0 outside one
-	where := false     // inside the outermost WHERE
+	slotted := false   // inside the slotted clauses
 	for i, t := range toks {
 		switch t.Kind {
 		case lexer.Symbol:
 			switch t.Value {
 			case "(":
 				depth++
-				if where && sub == 0 && i+1 < len(toks) && isKeyword(toks[i+1], "SELECT") {
+				if slotted && sub == 0 && i+1 < len(toks) && isKeyword(toks[i+1], "SELECT") {
 					sub = depth
 				}
 			case ")":
@@ -89,10 +100,10 @@ func ScanSlots(dst []int, toks []lexer.Token) []int {
 		case lexer.Keyword:
 			if depth == 0 {
 				switch t.Value {
-				case "WHERE":
-					where = true
-				case "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET":
-					where = false
+				case opens:
+					slotted = true
+				case "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET": // a SELECT's; DML has none
+					slotted = false
 				}
 			}
 			switch t.Value {
@@ -109,7 +120,7 @@ func ScanSlots(dst []int, toks []lexer.Token) []int {
 		default:
 			continue
 		}
-		if where && sub == 0 {
+		if slotted && sub == 0 {
 			dst = append(dst, i)
 		}
 	}
@@ -511,6 +522,8 @@ func (p *parser) insertStmt() (Statement, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	p.slotting = true
+	defer func() { p.slotting = false }()
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
@@ -547,6 +560,8 @@ func (p *parser) updateStmt() (Statement, error) {
 		return nil, err
 	}
 	upd := &Update{Table: table}
+	p.slotting = true
+	defer func() { p.slotting = false }()
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -585,7 +600,9 @@ func (p *parser) deleteStmt() (Statement, error) {
 	}
 	del := &Delete{Table: table}
 	if p.acceptKeyword("WHERE") {
+		p.slotting = true
 		w, err := p.expr()
+		p.slotting = false
 		if err != nil {
 			return nil, err
 		}

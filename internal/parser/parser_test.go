@@ -408,21 +408,34 @@ func TestShape(t *testing.T) {
 			t.Errorf("%s\n shape %s\n want  %s", tc.src, shape, tc.shape)
 		}
 		checkSlotOrder(t, tc.src, sel)
-		if got := string(AppendWithSlots(nil, sel, AppendSlotValues(nil, sel.Where), -1)); got != sel.String() {
+		if got := string(AppendWithSlots(nil, sel, AppendSlotValues(nil, sel), -1)); got != sel.String() {
 			t.Errorf("printed with its own slot values, %s is %s", sel, got)
 		}
 	}
-	// A DML statement's WHERE has no slots.
-	del := mustParse(t, `DELETE FROM t WHERE x = 1`).(*Delete)
-	if lit := del.Where.(*BinaryExpr).R.(*Literal); lit.Slot != 0 {
-		t.Errorf("DELETE literal has slot %d", lit.Slot)
+	// A DML statement's slots: its VALUES rows, SET values and WHERE.
+	for _, tc := range []struct{ src, shape string }{
+		{`INSERT INTO kv VALUES (7, 'v7.0', -7), (8, NULL, 1 + 2)`,
+			`INSERT INTO kv VALUES ('?INTEGER', '?STRING', '?INTEGER'), ('?INTEGER', '?NULL', ('?INTEGER' + '?INTEGER'))`},
+		{`UPDATE kv SET v = 'x', n = n + 1 WHERE id = 7 AND v IS NOT NULL`,
+			`UPDATE kv SET v = '?STRING', n = (n + '?INTEGER') WHERE ((id = '?INTEGER') AND (v IS NOT NULL))`},
+		{`DELETE FROM kv WHERE id IN (SELECT id FROM gone WHERE n > 3) OR id = 1.5`,
+			`DELETE FROM kv WHERE ((id IN (SELECT id FROM gone WHERE (n > 3))) OR (id = '?FLOAT'))`},
+	} {
+		s := mustParse(t, tc.src)
+		if shape := shapeOf(s); shape != tc.shape {
+			t.Errorf("%s\n shape %s\n want  %s", tc.src, shape, tc.shape)
+		}
+		checkSlotOrder(t, tc.src, s)
+		if got := string(AppendWithSlots(nil, s, AppendSlotValues(nil, s), -1)); got != s.String() {
+			t.Errorf("printed with its own slot values, %s is %s", s, got)
+		}
 	}
 }
 
 // shapeOf prints s with each slot literal as a stand-in of its kind.
-func shapeOf(s *Select) string {
+func shapeOf(s Statement) string {
 	var masks []sqltypes.Value
-	for _, v := range AppendSlotValues(nil, s.Where) {
+	for _, v := range AppendSlotValues(nil, s) {
 		masks = append(masks, sqltypes.NewString("?"+kindName(v.Kind())))
 	}
 	return string(AppendWithSlots(nil, s, masks, -1))
@@ -435,12 +448,12 @@ func kindName(k sqltypes.Kind) string {
 	}[k]
 }
 
-// checkSlotOrder fails unless the slot literals of s's WHERE number 1, 2,
-// … in the order AppendSlotValues lists them.
-func checkSlotOrder(t *testing.T, src string, s *Select) {
+// checkSlotOrder fails unless the slot literals of s number 1, 2, … in
+// the order AppendSlotValues lists them.
+func checkSlotOrder(t *testing.T, src string, s Statement) {
 	t.Helper()
 	n := 0
-	WalkExprs(s.Where, func(e Expr) {
+	walkSlotted(s, func(e Expr) {
 		if l, ok := e.(*Literal); ok && l.Slot > 0 {
 			if n++; l.Slot != n {
 				t.Errorf("%q: slot %d listed at %d", src, l.Slot, n)

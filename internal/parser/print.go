@@ -44,20 +44,20 @@ func stmtString(s Statement) string { return string(appendSQL(nil, s)) }
 // (Literal.Slot) printed as slots[Slot-1]: the text of the statement
 // whose slot values they are, when it differs from s in nothing else.
 // Past n bytes it stops as AppendTextUpTo does; n < 0 appends it all.
-func AppendWithSlots(b []byte, s *Select, slots []sqltypes.Value, n int) []byte {
+func AppendWithSlots(b []byte, s Statement, slots []sqltypes.Value, n int) []byte {
 	p := printer{b: b, slots: slots}
 	if n >= 0 {
 		p.limit = len(b) + n
 	}
-	p.selectStmt(s)
+	p.stmt(s)
 	return p.b
 }
 
-// AppendSlotValues appends the values of the slot literals of where, a
-// SELECT's WHERE, to dst in slot order (WalkExprs visits them in text
-// order, as the parser numbered them).
-func AppendSlotValues(dst []sqltypes.Value, where Expr) []sqltypes.Value {
-	WalkExprs(where, func(e Expr) {
+// AppendSlotValues appends the values of s's slot literals to dst in slot
+// order (walkSlotted visits them in text order, as the parser numbered
+// them).
+func AppendSlotValues(dst []sqltypes.Value, s Statement) []sqltypes.Value {
+	walkSlotted(s, func(e Expr) {
 		if l, ok := e.(*Literal); ok && l.Slot > 0 {
 			dst = append(dst, l.Val)
 		}

@@ -60,7 +60,6 @@ import (
 	"crowddb/internal/core"
 	"crowddb/internal/exec"
 	"crowddb/internal/faultinject"
-	"crowddb/internal/parser"
 	"crowddb/internal/storage"
 )
 
@@ -327,19 +326,17 @@ type recovery struct {
 	script core.Script
 }
 
-// resumable reports whether a script's statements may safely re-execute
-// after a restart: every statement must be read-only (SELECT / EXPLAIN /
-// SHOW), so re-running it mutates nothing and the persistent comparison
-// cache replays the crowd's answers for free. A SELECT the plan cache
-// served unparsed has no statements here, and is resumable.
-func resumable(stmts []parser.Statement) bool {
-	for _, stmt := range stmts {
-		switch t := stmt.(type) {
-		case *parser.Select, *parser.ShowTables:
-		case *parser.Explain:
-			if !resumable([]parser.Statement{t.Stmt}) {
-				return false
-			}
+// resumable reports whether a script may safely re-execute after a
+// restart: every statement must be read-only — a SELECT, SHOW or EXPLAIN,
+// whose statement, unless a SELECT, fails before it runs — so re-running
+// it mutates nothing and the persistent comparison cache replays the
+// crowd's answers for free. It reads each statement's kind from the
+// Script, which knows it also for a statement the plan cache serves
+// unparsed: a cached INSERT, UPDATE or DELETE is not resumable.
+func resumable(script *core.Script) bool {
+	for i := range script.Len() {
+		switch script.Kind(i) {
+		case "select", "show", "explain":
 		default:
 			return false
 		}
@@ -470,7 +467,7 @@ func (s *Server) resume(r *jobRecord) (core.Script, *Session) {
 	switch {
 	case serr != nil:
 		r.err = errf(CodeInterrupted, "restart interrupted the job and its session did not survive")
-	case perr != nil || !resumable(script.Statements()):
+	case perr != nil || !resumable(&script):
 		r.err = errf(CodeInterrupted, "restart interrupted the job and its script is not resumable (contains writes)")
 	default:
 		return script, sess

@@ -455,6 +455,75 @@ func TestJournalChargesOnlySessionsOwnAnswers(t *testing.T) {
 	resumeAfterCrash(t, data, jpath, jobID, sessID, seed, n, wantRows, wantBudget)
 }
 
+// TestJournalInterruptsCachedWrites: a write found mid-flight at restart
+// is interrupted, not re-run, when the plan cache serves its statement
+// unparsed — the engine ran a statement of its shape before the journal
+// was replayed, so the script is known by its kinds alone. Re-running it
+// would apply the write twice.
+func TestJournalInterruptsCachedWrites(t *testing.T) {
+	eng := pairEngine(t, 3, 2)
+	for _, sql := range []string{
+		"INSERT INTO Pair VALUES (10, 'p', 'q')",
+		"UPDATE Pair SET a = 'p2' WHERE id = 10",
+		"DELETE FROM Pair WHERE id = 10",
+	} {
+		if _, err := eng.Exec(sql); err != nil { // caches the shape
+			t.Fatal(err)
+		}
+	}
+	jobs := map[string]string{
+		"j000001": "INSERT INTO Pair VALUES (11, 'r', 's')",
+		"j000002": "UPDATE Pair SET a = 'twice' WHERE id = 0",
+		"j000003": "DELETE FROM Pair WHERE id = 1",
+	}
+	jpath := filepath.Join(t.TempDir(), "jobs.log")
+	log, err := storage.OpenRecordLog(jpath, storage.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := 10
+	recs := []journalRec{{T: recSession, Session: "s000001", Budget: &b}}
+	for _, id := range []string{"j000001", "j000002", "j000003"} {
+		recs = append(recs, journalRec{T: recSubmit, Job: id, Session: "s000001", SQL: jobs[id]})
+	}
+	for _, rec := range recs {
+		if err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.Exec("SELECT id, a FROM Pair ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Config{})
+	if err := srv.EnableJournal(jpath, storage.SyncAlways); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	for id, sql := range jobs {
+		job, serr := srv.Job(id)
+		if serr != nil {
+			t.Fatalf("job %s: %v", id, serr)
+		}
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st, jerr := job.State(), job.Err(); st != JobInterrupted || jerr == nil || !strings.Contains(jerr.Message, "not resumable") {
+			t.Errorf("job %s (%s): state %s, error %v; want interrupted, not resumable", id, sql, st, jerr)
+		}
+	}
+	after, err := eng.Exec("SELECT id, a FROM Pair ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after.Rows) != fmt.Sprint(before.Rows) {
+		t.Errorf("recovery wrote to Pair:\nbefore %v\nafter  %v", before.Rows, after.Rows)
+	}
+}
+
 // TestJournalInterruptsUnresumableJobs: non-terminal journal entries whose
 // script contains writes, or whose session did not survive, recover as
 // terminal interrupted jobs instead of silently vanishing or re-running.

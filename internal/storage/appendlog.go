@@ -132,14 +132,43 @@ func (l *appendLog) setMetrics(fsync, batch *obs.Histogram) {
 // commit or sync covering it returns. After a fault-injection kill the
 // append is silently dropped — the write a torn process would have lost.
 func (l *appendLog) append(v any) (int64, error) {
-	faultinject.Hit(l.point)
-	if faultinject.Killed() {
-		return 0, nil
-	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return 0, err
 	}
+	return l.appendLine(data)
+}
+
+// lineBufs recycle the buffers appendWAL encodes records into.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledLine bounds the buffer a line goes back to lineBufs with.
+const maxPooledLine = 64 << 10
+
+// appendWAL is append of a WAL record: rec with row, nil for none, as its
+// data. The line is the one append writes for rec holding EncodeRow(row),
+// encoded straight into a pooled buffer (walRecord.appendJSON).
+func (l *appendLog) appendWAL(rec walRecord, row Row) (int64, error) {
+	bp := lineBufs.Get().(*[]byte)
+	line, err := rec.appendJSON((*bp)[:0], row)
+	var seq int64
+	if err == nil {
+		seq, err = l.appendLine(line)
+	}
+	if cap(line) <= maxPooledLine {
+		*bp = line[:0]
+		lineBufs.Put(bp)
+	}
+	return seq, err
+}
+
+// appendLine is append of data, one record's JSON, which the log copies.
+func (l *appendLog) appendLine(data []byte) (int64, error) {
+	faultinject.Hit(l.point)
+	if faultinject.Killed() {
+		return 0, nil
+	}
+	var err error
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {

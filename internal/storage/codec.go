@@ -3,15 +3,20 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 
+	"crowddb/internal/jsonline"
 	"crowddb/internal/sqltypes"
 )
 
 // Row is a tuple of values, positionally matching the table's columns.
 //
 // Rows returned by the store are read-only; clone before you write. A
-// committed version's image is installed once — the store clones what a
-// writer hands it — and is never written again, so every read path (scans,
+// committed version's image is installed once — the row a writer hands
+// Txn.Insert or returns from Txn.Update's change becomes the store's —
+// and is never written again, so every read path (scans,
 // point gets, primary-key and index probes) returns that one image,
 // shared with all concurrent readers and with the snapshots still pinned
 // on it, without copying. Writing through a returned row would change
@@ -27,33 +32,10 @@ func (r Row) Clone() Row {
 
 // wireValue is the JSON wire form of a value, used by the WAL and snapshots.
 // K is a one-letter kind tag: n=NULL, c=CNULL, s=string, i=int, f=float,
-// b=bool.
+// b=bool. Rows are decoded through it; appendRow encodes them without it.
 type wireValue struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v,omitempty"`
-}
-
-func encodeValue(v sqltypes.Value) (wireValue, error) {
-	switch v.Kind() {
-	case sqltypes.KindNull:
-		return wireValue{K: "n"}, nil
-	case sqltypes.KindCNull:
-		return wireValue{K: "c"}, nil
-	case sqltypes.KindString:
-		raw, err := json.Marshal(v.Str())
-		return wireValue{K: "s", V: raw}, err
-	case sqltypes.KindInt:
-		raw, err := json.Marshal(v.Int())
-		return wireValue{K: "i", V: raw}, err
-	case sqltypes.KindFloat:
-		raw, err := json.Marshal(v.Float())
-		return wireValue{K: "f", V: raw}, err
-	case sqltypes.KindBool:
-		raw, err := json.Marshal(v.Bool())
-		return wireValue{K: "b", V: raw}, err
-	default:
-		return wireValue{}, fmt.Errorf("storage: cannot encode value kind %v", v.Kind())
-	}
 }
 
 func decodeValue(w wireValue) (sqltypes.Value, error) {
@@ -92,16 +74,45 @@ func decodeValue(w wireValue) (sqltypes.Value, error) {
 }
 
 // EncodeRow serializes a row for the WAL / snapshots.
-func EncodeRow(r Row) ([]byte, error) {
-	ws := make([]wireValue, len(r))
+func EncodeRow(r Row) ([]byte, error) { return appendRow(nil, r) }
+
+// appendRow appends the wire form of r to dst: a JSON array of wireValue
+// objects, byte for byte what encoding/json makes of them, with no
+// intermediate values (jsonline writes the strings and floats). A NaN or
+// infinite FLOAT fails as json.Marshal fails on it; dst is then returned
+// as it was.
+func appendRow(dst []byte, r Row) ([]byte, error) {
+	b := append(dst, '[')
 	for i, v := range r {
-		w, err := encodeValue(v)
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			b = append(b, ',')
 		}
-		ws[i] = w
+		switch v.Kind() {
+		case sqltypes.KindNull:
+			b = append(b, `{"k":"n"}`...)
+		case sqltypes.KindCNull:
+			b = append(b, `{"k":"c"}`...)
+		case sqltypes.KindString:
+			b = jsonline.AppendString(append(b, `{"k":"s","v":`...), v.Str())
+			b = append(b, '}')
+		case sqltypes.KindInt:
+			b = strconv.AppendInt(append(b, `{"k":"i","v":`...), v.Int(), 10)
+			b = append(b, '}')
+		case sqltypes.KindFloat:
+			f := v.Float()
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			}
+			b = jsonline.AppendFloat(append(b, `{"k":"f","v":`...), f)
+			b = append(b, '}')
+		case sqltypes.KindBool:
+			b = strconv.AppendBool(append(b, `{"k":"b","v":`...), v.Bool())
+			b = append(b, '}')
+		default:
+			return dst, fmt.Errorf("storage: cannot encode value kind %v", v.Kind())
+		}
 	}
-	return json.Marshal(ws)
+	return append(b, ']'), nil
 }
 
 // DecodeRow is the inverse of EncodeRow.

@@ -197,35 +197,47 @@ func (ts *tableStore) findShard(id RowID) (int, Row, bool) {
 	return 0, nil, false
 }
 
-// lockShards write-locks the given shard indexes in ascending order (the
-// global lock order: shard-major), deduplicating. Returns an unlock func.
-func (ts *tableStore) lockShards(idx ...int) func() {
-	sort.Ints(idx)
-	locked := idx[:0]
-	prev := -1
-	for _, i := range idx {
-		if i == prev {
-			continue
-		}
-		ts.shards[i].mu.Lock()
-		locked = append(locked, i)
-		prev = i
-	}
-	return func() {
-		for j := len(locked) - 1; j >= 0; j-- {
-			ts.shards[locked[j]].mu.Unlock()
-		}
-	}
+// heldShards are the shards of one table a writer holds write-locked:
+// lo and hi (one shard when equal), or every shard when all is set.
+type heldShards struct {
+	ts     *tableStore
+	lo, hi int
+	all    bool
 }
 
-// allShardIdx returns 0..n-1 (the unique-secondary-index slow path locks
-// every shard: a unique secondary key can collide across shards).
-func (ts *tableStore) allShardIdx() []int {
-	idx := make([]int, len(ts.shards))
-	for i := range idx {
-		idx[i] = i
+// lockShards write-locks shards a and b, one shard when they are equal, in
+// ascending order (the global lock order: shard-major).
+func (ts *tableStore) lockShards(a, b int) heldShards {
+	if a > b {
+		a, b = b, a
 	}
-	return idx
+	ts.shards[a].mu.Lock()
+	if b != a {
+		ts.shards[b].mu.Lock()
+	}
+	return heldShards{ts: ts, lo: a, hi: b}
+}
+
+// lockAllShards write-locks every shard in ascending order (the
+// unique-secondary-index slow path: a unique secondary key can collide
+// across shards).
+func (ts *tableStore) lockAllShards() heldShards {
+	for _, sh := range ts.shards {
+		sh.mu.Lock()
+	}
+	return heldShards{ts: ts, hi: len(ts.shards) - 1, all: true}
+}
+
+// unlock releases the shards in descending order.
+func (h heldShards) unlock() {
+	if h.all {
+		for i := h.hi; i > h.lo; i-- {
+			h.ts.shards[i].mu.Unlock()
+		}
+	} else if h.hi != h.lo {
+		h.ts.shards[h.hi].mu.Unlock()
+	}
+	h.ts.shards[h.lo].mu.Unlock()
 }
 
 // Store is the storage engine: every table hash-partitioned across N
@@ -419,8 +431,8 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	if err != nil {
 		return err
 	}
-	unlock := ts.lockShards(ts.allShardIdx()...)
-	defer unlock()
+	held := ts.lockAllShards()
+	defer held.unlock()
 	if ts.secondary(name) >= 0 {
 		return fmt.Errorf("storage: index %s already exists on %s", name, table)
 	}
@@ -535,9 +547,11 @@ func (ts *tableStore) pkTaken(sh *tableShard, key string, self RowID) bool {
 }
 
 // Insert adds a row under the transaction's timestamp, enforcing
-// primary-key uniqueness, and returns its ID. The fast path locks only
-// the row's home shard; tables with unique secondary indexes lock every
-// shard (the key may collide anywhere).
+// primary-key uniqueness, and returns its ID. The row becomes the
+// store's: the caller hands over a row of its own and does not write it
+// again. The fast path locks only the row's home shard; tables with
+// unique secondary indexes lock every shard (the key may collide
+// anywhere).
 func (t *Txn) Insert(table string, row Row) (RowID, error) {
 	s := t.s
 	ts, err := s.table(table)
@@ -545,7 +559,7 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 		return 0, err
 	}
 	pkRouted := len(ts.pkCols) > 0
-	var unlock func()
+	var held heldShards
 	var home int
 	var id RowID
 	var pk string
@@ -562,26 +576,26 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 			home = int(id) % len(ts.shards)
 		}
 		if lockAll {
-			unlock = ts.lockShards(ts.allShardIdx()...)
+			held = ts.lockAllShards()
 		} else {
-			unlock = ts.lockShards(home)
+			held = ts.lockShards(home, home)
 		}
 		// A concurrent CREATE UNIQUE INDEX (which holds every shard lock
 		// to install) may have landed between the flag read and our lock:
 		// re-check and widen the lock set if so. The flag is monotonic.
 		if !lockAll && ts.hasUnique.Load() {
-			unlock()
+			held.unlock()
 			continue
 		}
 		break
 	}
 	if pkRouted && ts.pkTaken(ts.shards[home], pk, 0) {
-		unlock()
+		held.unlock()
 		return 0, &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 	}
 	if ts.hasUnique.Load() {
 		if idx, bad := ts.uniqueViolated(row, 0); bad {
-			unlock()
+			held.unlock()
 			return 0, &DuplicateKeyError{Table: table, Key: idx}
 		}
 	}
@@ -590,31 +604,26 @@ func (t *Txn) Insert(table string, row Row) (RowID, error) {
 		// IDs and single-threaded replays keep the unsharded sequence.
 		id = RowID(ts.nextID.Add(1))
 	}
-	return t.finishInsert(ts, home, id, row, pk, unlock)
+	return t.finishInsert(ts, home, id, row, pk, held)
 }
 
 // finishInsert logs and applies an insert into shard `home` with the
-// caller holding (at least) that shard's lock; unlock releases it. pk is
+// caller holding (at least) that shard's lock, which it releases. pk is
 // the row's primary key (unused on tables without one). The record is
 // made durable at Commit, with every other record of the transaction.
-func (t *Txn) finishInsert(ts *tableStore, home int, id RowID, row Row, pk string, unlock func()) (RowID, error) {
+func (t *Txn) finishInsert(ts *tableStore, home int, id RowID, row Row, pk string, held heldShards) (RowID, error) {
 	s := t.s
 	if s.logs != nil {
-		data, err := EncodeRow(row)
-		if err != nil {
-			unlock()
-			return 0, err
-		}
-		if _, err = s.logs[home].append(walRecord{Op: "insert", Table: ts.name, Row: id, LSN: t.ts, Data: data}); err != nil {
-			unlock()
+		if _, err := s.logs[home].appendWAL(walRecord{Op: "insert", Table: ts.name, Row: id, LSN: t.ts}, row); err != nil {
+			held.unlock()
 			return 0, err
 		}
 		t.logged |= 1 << home
 	}
 	sh := ts.shards[home]
-	sh.heap.insertVersion(id, row.Clone(), t.ts)
+	sh.heap.insertVersion(id, row, t.ts)
 	sh.indexRow(row, id, pk)
-	unlock()
+	held.unlock()
 	return id, nil
 }
 
@@ -647,28 +656,28 @@ func (t *Txn) Update(table string, id RowID, change func(live Row) (Row, error))
 			return nil, nil, fmt.Errorf("storage: row %d not found in %s", id, table)
 		}
 		lockAll := ts.hasUnique.Load()
-		var unlock func()
+		var held heldShards
 		switch {
 		case lockAll:
-			unlock = ts.lockShards(ts.allShardIdx()...)
+			held = ts.lockAllShards()
 		case target >= 0:
-			unlock = ts.lockShards(oldShard, target)
+			held = ts.lockShards(oldShard, target)
 		default:
-			unlock = ts.lockShards(oldShard)
+			held = ts.lockShards(oldShard, oldShard)
 		}
 		// Re-check after locking: a concurrent CREATE UNIQUE INDEX may
 		// have landed between the flag read and our lock acquisition.
 		if !lockAll && ts.hasUnique.Load() {
-			unlock()
+			held.unlock()
 			continue
 		}
 		src := ts.shards[oldShard]
 		if live, ok = src.heap.get(id); !ok {
-			unlock() // the row moved or vanished between probe and lock
+			held.unlock() // the row moved or vanished between probe and lock
 			continue
 		}
 		if row, err = change(live); err != nil || row == nil {
-			unlock()
+			held.unlock()
 			return live, nil, err
 		}
 		newShard := oldShard
@@ -678,26 +687,21 @@ func (t *Txn) Update(table string, id RowID, change func(live Row) (Row, error))
 			newShard = ts.shardOfKey(pk)
 		}
 		if !lockAll && newShard != oldShard && newShard != target {
-			unlock() // a move: start over holding both shards' locks
+			held.unlock() // a move: start over holding both shards' locks
 			target = newShard
 			continue
 		}
 		if pk != "" && !rowHasKey(live, ts.pkCols, pk) && ts.pkTaken(ts.shards[newShard], pk, id) {
-			unlock()
+			held.unlock()
 			return nil, nil, &DuplicateKeyError{Table: table, Key: pkString(row, ts.pkCols)}
 		}
 		if ts.hasUnique.Load() {
 			if idx, bad := ts.uniqueViolated(row, id); bad {
-				unlock()
+				held.unlock()
 				return nil, nil, &DuplicateKeyError{Table: table, Key: idx}
 			}
 		}
 		if s.logs != nil {
-			data, err := EncodeRow(row)
-			if err != nil {
-				unlock()
-				return nil, nil, err
-			}
 			// Cross-shard move: the new shard's upsert is durable BEFORE
 			// the old shard's delete is even appended — any writer's
 			// group commit on the old shard syncs everything buffered
@@ -706,14 +710,14 @@ func (t *Txn) Update(table string, id RowID, change func(live Row) (Row, error))
 			// live — never zero — and recovery keeps the higher-LSN copy
 			// (reconcileMoves). Moves are rare: both shards stay locked
 			// across this one sync.
-			seq, err := s.logs[newShard].append(walRecord{Op: "update", Table: ts.name, Row: id, LSN: t.ts, Data: data})
+			seq, err := s.logs[newShard].appendWAL(walRecord{Op: "update", Table: ts.name, Row: id, LSN: t.ts}, row)
 			if err == nil && newShard != oldShard {
 				if err = s.logs[newShard].commit(seq); err == nil {
-					_, err = s.logs[oldShard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts})
+					_, err = s.logs[oldShard].appendWAL(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts}, nil)
 				}
 			}
 			if err != nil {
-				unlock()
+				held.unlock()
 				return nil, nil, err
 			}
 			t.logged |= 1<<newShard | 1<<oldShard
@@ -725,7 +729,7 @@ func (t *Txn) Update(table string, id RowID, change func(live Row) (Row, error))
 		s.retained.Add(1)
 		dst.heap.insertVersion(id, row, t.ts)
 		dst.indexRow(row, id, pk)
-		unlock()
+		held.unlock()
 		return live, row, nil
 	}
 }
@@ -744,23 +748,23 @@ func (t *Txn) Delete(table string, id RowID) (Row, error) {
 		if !ok {
 			return nil, fmt.Errorf("storage: row %d not found in %s", id, table)
 		}
-		unlock := ts.lockShards(shard)
+		held := ts.lockShards(shard, shard)
 		sh := ts.shards[shard]
 		live, ok := sh.heap.get(id)
 		if !ok {
-			unlock()
+			held.unlock()
 			continue
 		}
 		if s.logs != nil {
-			if _, err = s.logs[shard].append(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts}); err != nil {
-				unlock()
+			if _, err = s.logs[shard].appendWAL(walRecord{Op: "delete", Table: ts.name, Row: id, LSN: t.ts}, nil); err != nil {
+				held.unlock()
 				return nil, err
 			}
 			t.logged |= 1 << shard
 		}
 		sh.heap.supersede(id, t.ts)
 		s.retained.Add(1)
-		unlock()
+		held.unlock()
 		return live, nil
 	}
 }

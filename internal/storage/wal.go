@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+
+	"crowddb/internal/jsonline"
 )
 
 // walRecord is one JSON line in the write-ahead log. Exactly one of the
@@ -18,6 +21,25 @@ type walRecord struct {
 	Row   RowID           `json:"row"`
 	LSN   int64           `json:"lsn,omitempty"`
 	Data  json.RawMessage `json:"data,omitempty"` // EncodeRow payload
+}
+
+// appendJSON appends rec as json.Marshal writes it, with the wire form of
+// row (appendRow) as its data — no data when row is nil; rec.Data is not
+// read. It fails as appendRow does.
+func (rec *walRecord) appendJSON(dst []byte, row Row) ([]byte, error) {
+	b := jsonline.AppendString(append(dst, `{"op":`...), rec.Op)
+	b = jsonline.AppendString(append(b, `,"table":`...), rec.Table)
+	b = strconv.AppendInt(append(b, `,"row":`...), int64(rec.Row), 10)
+	if rec.LSN != 0 {
+		b = strconv.AppendInt(append(b, `,"lsn":`...), rec.LSN, 10)
+	}
+	if row != nil {
+		var err error
+		if b, err = appendRow(append(b, `,"data":`...), row); err != nil {
+			return dst, err
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // replayWAL streams the whole records of one shard's WAL to apply (the
