@@ -6,19 +6,44 @@
 package quality
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize cleanses one raw crowd answer: trims, collapses inner
 // whitespace, and lower-cases. Votes compare normalized forms, but the
 // winning *display* value is the most common raw spelling of the winning
-// normalized form.
+// normalized form. An answer that is already normal is returned as is,
+// without allocating.
 func Normalize(s string) string {
+	if isNormalASCII(s) {
+		return s
+	}
+	return normalizeRunes(s)
+}
+
+// isNormalASCII reports whether s is ASCII that Normalize leaves as it is:
+// no upper case, and no white space but single blanks between words. It
+// is false for any other text, which normalizeRunes then cleanses.
+func isNormalASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
+			return false
+		}
+	}
+	return true
+}
+
+// normalizeRunes is Normalize for any text, rune by rune.
+func normalizeRunes(s string) string {
 	s = strings.TrimSpace(s)
 	var sb strings.Builder
+	sb.Grow(len(s))
 	lastSpace := false
 	for _, r := range s {
 		if unicode.IsSpace(r) {
@@ -43,10 +68,10 @@ var garbage = map[string]bool{
 
 // IsGarbage reports whether a raw answer is unusable noise. Answers like
 // "unsure-123" (the simulator's confused-worker marker) also count.
-func IsGarbage(raw string) bool {
-	n := Normalize(raw)
-	return garbage[n] || strings.HasPrefix(n, "unsure-")
-}
+func IsGarbage(raw string) bool { return garbageNormal(Normalize(raw)) }
+
+// garbageNormal is IsGarbage for an answer already normalized.
+func garbageNormal(n string) bool { return garbage[n] || strings.HasPrefix(n, "unsure-") }
 
 // Vote is one worker's answer to one field.
 type Vote struct {
@@ -97,23 +122,33 @@ func WeightedVote(votes []Vote, weight func(workerID string) float64, minShare f
 
 // tally buckets a field's usable votes by normalized answer and decides
 // everything but the quorum: the winner is the bucket of most weight, ties
-// broken by normalized form, shown in its most common raw spelling, and
-// Confidence is its share of the usable weight. A nil weight counts every
-// vote as 1, so Confidence is the winner's share of the votes; a weight
-// below or at 0 counts as 0.01.
+// broken by normalized form, shown in its most common raw spelling (ties
+// broken by spelling), and Confidence is its share of the usable weight. A
+// nil weight counts every vote as 1, so Confidence is the winner's share
+// of the votes; a weight below or at 0 counts as 0.01. Agreed lists the
+// winner's voters and Disagreed the garbage voters, then each losing
+// bucket's in rank order, each in vote order.
+//
+// A field has a handful of votes, so its buckets are a slice searched in
+// turn, kept on the stack up to 16 of them; each vote is normalized once,
+// and the two worker lists share one array, the only allocation when
+// every answer is already normal.
 func tally(votes []Vote, weight func(workerID string) float64) Decision {
 	type bucket struct {
+		norm   string
 		weight float64
 		count  int
-		raw    map[string]int // raw spelling -> occurrences
-		who    []string
 	}
-	buckets := make(map[string]*bucket)
+	var bucketBuf [16]bucket
+	var ofBuf, rankBuf [16]int
+	buckets := bucketBuf[:0]
+	of := ofBuf[:0] // each vote's bucket, -1 for garbage
 	var d Decision
 	totalWeight := 0.0
 	for _, v := range votes {
-		if IsGarbage(v.Answer) {
-			d.Disagreed = append(d.Disagreed, v.WorkerID)
+		n := Normalize(v.Answer)
+		if garbageNormal(n) {
+			of = append(of, -1)
 			continue
 		}
 		d.Total++
@@ -124,52 +159,70 @@ func tally(votes []Vote, weight func(workerID string) float64) Decision {
 			}
 		}
 		totalWeight += w
-		n := Normalize(v.Answer)
-		b := buckets[n]
-		if b == nil {
-			b = &bucket{raw: make(map[string]int)}
-			buckets[n] = b
+		b := 0
+		for b < len(buckets) && buckets[b].norm != n {
+			b++
 		}
-		b.weight += w
-		b.count++
-		b.raw[strings.TrimSpace(v.Answer)]++
-		b.who = append(b.who, v.WorkerID)
+		if b == len(buckets) {
+			buckets = append(buckets, bucket{norm: n})
+		}
+		buckets[b].weight += w
+		buckets[b].count++
+		of = append(of, b)
+	}
+	who := func(b int, into []string) []string {
+		for i, v := range votes {
+			if of[i] == b {
+				into = append(into, v.WorkerID)
+			}
+		}
+		return into
 	}
 	if d.Total == 0 {
+		if len(votes) > 0 {
+			d.Disagreed = who(-1, make([]string, 0, len(votes)))
+		}
 		return d
 	}
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		bi, bj := buckets[keys[i]], buckets[keys[j]]
-		if bi.weight != bj.weight {
-			return bi.weight > bj.weight
-		}
-		return keys[i] < keys[j]
-	})
-	win := buckets[keys[0]]
-	d.Votes = win.count
-	d.Confidence = win.weight / totalWeight
-	d.Agreed = win.who
-	// Most common raw spelling of the winner.
-	var bestRaw string
-	bestN := -1
-	raws := make([]string, 0, len(win.raw))
-	for r := range win.raw {
-		raws = append(raws, r)
-	}
-	sort.Strings(raws)
-	for _, r := range raws {
-		if win.raw[r] > bestN {
-			bestN = win.raw[r]
-			bestRaw = r
+	// Rank the buckets: most weight first, then by normalized form.
+	rank := rankBuf[:0]
+	for b := range buckets {
+		rank = append(rank, b)
+		for i := len(rank) - 1; i > 0; i-- {
+			x, y := &buckets[rank[i]], &buckets[rank[i-1]]
+			if x.weight < y.weight || (x.weight == y.weight && x.norm > y.norm) {
+				break
+			}
+			rank[i], rank[i-1] = rank[i-1], rank[i]
 		}
 	}
-	d.Value = bestRaw
-	for _, k := range keys[1:] {
-		d.Disagreed = append(d.Disagreed, buckets[k].who...)
+	win := rank[0]
+	d.Votes = buckets[win].count
+	d.Confidence = buckets[win].weight / totalWeight
+	// Most common raw spelling of the winner, the least such on a tie.
+	bestN := 0
+	for i, v := range votes {
+		if of[i] != win {
+			continue
+		}
+		raw, n := strings.TrimSpace(v.Answer), 0
+		for j, u := range votes {
+			if of[j] == win && strings.TrimSpace(u.Answer) == raw {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && raw < d.Value) {
+			d.Value, bestN = raw, n
+		}
+	}
+	names := who(win, make([]string, 0, len(votes)))
+	d.Agreed = names[:d.Votes:d.Votes]
+	names = who(-1, names)
+	for _, b := range rank[1:] {
+		names = who(b, names)
+	}
+	if len(names) > d.Votes {
+		d.Disagreed = names[d.Votes:]
 	}
 	return d
 }

@@ -84,9 +84,10 @@ type hitState struct {
 	remaining int // assignments still to be claimed
 	want      int // answers that complete the HIT: Assignments, or as many as were posted with it
 	// claimedBy holds the at most Assignments workers who took the HIT: a
-	// worker may not repeat one.
+	// worker may not repeat one. It and answers are sliced from arrays
+	// sized when the group opened (open), so neither grows.
 	claimedBy []*Worker
-	answers   []*crowd.Assignment // in submission order
+	answers   []*crowd.Assignment // in submission order, at most want
 	// early marks a HIT closed below full replication: its answers were
 	// unanimous above the quorum floor and the group opted into adaptive
 	// vote sizing, so no further assignments are solicited.
@@ -113,15 +114,35 @@ type group struct {
 
 // IDs are sequential: an ID the market issued but no longer holds belongs
 // to a group it has forgotten (see forget), or to one of its assignments.
-const (
-	groupIDFormat      = "G%05d"
-	assignmentIDFormat = "A%07d"
+var (
+	groupIDs      = idFormat{'G', 5} // G00001
+	assignmentIDs = idFormat{'A', 7} // A0000001
 )
 
-// issued reports whether id is format's n-th ID for some n in 1..last.
-func issued(id, format string, last int) bool {
+// idFormat spells a sequence's n-th ID: a prefix letter, then n in at
+// least width digits, zero-padded (fmt's "%0*d").
+type idFormat struct {
+	prefix byte
+	width  int
+}
+
+func (f idFormat) format(n int) string {
+	var b [24]byte
+	i := len(b)
+	for n > 0 || len(b)-i < f.width {
+		i--
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	i--
+	b[i] = f.prefix
+	return string(b[i:])
+}
+
+// issued reports whether id is f's n-th ID for some n in 1..last.
+func (f idFormat) issued(id string, last int) bool {
 	n, err := strconv.Atoi(id[min(1, len(id)):])
-	return err == nil && n >= 1 && n <= last && fmt.Sprintf(format, n) == id
+	return err == nil && n >= 1 && n <= last && f.format(n) == id
 }
 
 // submission is what the market knows about one submitted assignment: every
@@ -143,7 +164,7 @@ type submission struct {
 type Market struct {
 	mu       sync.Mutex
 	cfg      Config
-	clock    *Clock
+	clock    Clock[event]
 	rng      *rand.Rand
 	workers  []*Worker
 	returned []*Worker // workers who have completed ≥1 assignment, with repeats (preferential attachment)
@@ -162,7 +183,6 @@ func NewMarket(cfg Config) *Market {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &Market{
 		cfg:     cfg,
-		clock:   NewClock(),
 		rng:     rng,
 		workers: NewWorkerPool(cfg.Pool, rng),
 		blocked: make(map[string]bool),
@@ -197,7 +217,48 @@ func (m *Market) Now() time.Duration {
 func (m *Market) Step(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.clock.RunFor(d)
+	m.clock.RunFor(d, m.fire)
+}
+
+// eventKind is what a market event does when it fires.
+type eventKind uint8
+
+const (
+	evArrive eventKind = iota // a worker arrives for group gid
+	evExpire                  // group gid expires
+	evSubmit                  // worker w submits the HIT hs it claimed
+	evLand                    // posted answer a for hs lands
+)
+
+// event is one scheduled happening of the market. An arrival or an expiry
+// names its group by ID: it must not keep a forgotten group alive until it
+// fires. A claim or a posted answer holds its group, which counts it as
+// pending.
+type event struct {
+	kind eventKind
+	gid  crowd.GroupID
+	g    *group
+	hs   *hitState
+	w    *Worker
+	a    *crowd.Assignment
+}
+
+// fire runs one due event; the clock calls it inside Step.
+func (m *Market) fire(e event) {
+	switch e.kind {
+	case evArrive:
+		if g, ok := m.groups[e.gid]; ok {
+			m.arrive(g)
+		}
+	case evExpire:
+		if g, ok := m.groups[e.gid]; ok {
+			m.expire(g)
+		}
+	case evSubmit:
+		m.submit(e.g, e.hs, e.w)
+	case evLand:
+		m.land(e.g, e.hs, e.a, nil)
+	}
 }
 
 // Post publishes a HIT group and starts its worker-arrival process.
@@ -207,7 +268,7 @@ func (m *Market) Post(spec *crowd.HITGroup) (crowd.GroupID, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.open(spec, spec.Assignments)
+	g := m.open(spec, spec.Assignments, nil)
 	m.scheduleArrival(g)
 	return g.id, nil
 }
@@ -232,38 +293,48 @@ func (m *Market) PostAnswered(spec *crowd.HITGroup, answers []Answer) (crowd.Gro
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.open(spec, 0)
+	g := m.open(spec, 0, answers)
 	g.answered, g.pending = true, len(answers)
 	for _, a := range answers {
-		hs, asn := &g.hits[a.HIT], a.Assignment
-		hs.want++
-		m.clock.Schedule(a.Latency, func() { m.land(g, hs, asn, nil) })
+		m.clock.Schedule(a.Latency, event{kind: evLand, g: g, hs: &g.hits[a.HIT], a: a.Assignment})
 	}
 	return g.id, nil
 }
 
 // open registers a validated group whose HITs each await claims more
-// answers, and schedules its expiry.
-func (m *Market) open(spec *crowd.HITGroup, claims int) *group {
+// answers, plus those posted with it, and schedules its expiry. A HIT's
+// workers and answers, and the group's assignments, are sliced from arrays
+// sized here: a HIT is claimed at most claims times, by distinct workers,
+// and answered once per claim or posted answer.
+func (m *Market) open(spec *crowd.HITGroup, claims int, answers []Answer) *group {
 	m.nextGID++
 	g := &group{
-		id:   crowd.GroupID(fmt.Sprintf(groupIDFormat, m.nextGID)),
+		id:   crowd.GroupID(groupIDs.format(m.nextGID)),
 		spec: spec,
 		hits: make([]hitState, len(spec.HITs)),
 	}
 	for i, h := range spec.HITs {
 		g.hits[i] = hitState{hit: h, remaining: claims, want: claims}
 	}
+	for _, a := range answers {
+		g.hits[a.HIT].want++
+	}
+	perHIT := min(claims, len(m.workers))
+	total := len(spec.HITs)*perHIT + len(answers)
+	workers := make([]*Worker, len(spec.HITs)*perHIT)
+	landed := make([]*crowd.Assignment, 2*total)
+	off := 0
+	for i := range g.hits {
+		hs := &g.hits[i]
+		hs.claimedBy = workers[i*perHIT : i*perHIT : (i+1)*perHIT]
+		n := perHIT + hs.want - claims // claimed answers, or those posted for it
+		hs.answers = landed[off : off : off+n]
+		off += n
+	}
+	g.assignments = landed[total:total]
 	m.groups[g.id] = g
 	if spec.Expiry > 0 {
-		// By ID: the event must not keep a forgotten group alive until it
-		// fires.
-		id := g.id
-		m.clock.Schedule(spec.Expiry, func() {
-			if g, ok := m.groups[id]; ok {
-				m.expire(g)
-			}
-		})
+		m.clock.Schedule(spec.Expiry, event{kind: evExpire, gid: g.id})
 	}
 	return g
 }
@@ -295,7 +366,7 @@ func (m *Market) lookup(id crowd.GroupID) (*group, error) {
 	if g, ok := m.groups[id]; ok {
 		return g, nil
 	}
-	if issued(string(id), groupIDFormat, m.nextGID) {
+	if groupIDs.issued(string(id), m.nextGID) {
 		return nil, fmt.Errorf("sim: group %s is settled", id)
 	}
 	return nil, fmt.Errorf("sim: unknown group %s", id)
@@ -304,15 +375,15 @@ func (m *Market) lookup(id crowd.GroupID) (*group, error) {
 // arrivalRate computes the Poisson arrival rate (per hour) for a group:
 // price-elastic in the reward, with a mild boost for large groups (big
 // batches are more visible on the platform, a paper observation).
-func (m *Market) arrivalRate(g *group) float64 {
-	ratio := float64(g.spec.Reward) / float64(m.cfg.RefReward)
+func (m *Market) arrivalRate(spec *crowd.HITGroup, now time.Duration) float64 {
+	ratio := float64(spec.Reward) / float64(m.cfg.RefReward)
 	if ratio <= 0 {
 		ratio = 0.01
 	}
 	rate := m.cfg.BaseArrivalPerHour * math.Pow(ratio, m.cfg.PriceElasticity)
-	rate *= 1 + 0.15*math.Log1p(float64(len(g.spec.HITs)))
+	rate *= 1 + 0.15*math.Log1p(float64(len(spec.HITs)))
 	if a := m.cfg.DiurnalAmplitude; a > 0 {
-		hour := math.Mod(m.clock.Now().Hours(), 24)
+		hour := math.Mod(now.Hours(), 24)
 		// Peak at 12:00, trough at 00:00 virtual time.
 		rate *= 1 + a*math.Sin(2*math.Pi*hour/24-math.Pi/2)
 	}
@@ -323,15 +394,10 @@ func (m *Market) scheduleArrival(g *group) {
 	if g.expired || g.completed == len(g.hits) {
 		return
 	}
-	rate := m.arrivalRate(g) // per hour
+	rate := m.arrivalRate(g.spec, m.clock.Now()) // per hour
 	// Exponential inter-arrival time.
 	gap := time.Duration(m.rng.ExpFloat64() / rate * float64(time.Hour))
-	id := g.id // by ID, as the expiry event
-	m.clock.Schedule(gap, func() {
-		if g, ok := m.groups[id]; ok {
-			m.arrive(g)
-		}
-	})
+	m.clock.Schedule(gap, event{kind: evArrive, gid: g.id})
 }
 
 // arrive is one worker showing up for a group, claiming HITs, and
@@ -352,28 +418,23 @@ func (m *Market) arrive(g *group) {
 	for m.rng.Float64() > p && want < len(g.hits) {
 		want++
 	}
-	var claimed []*hitState
-	for i := range g.hits {
-		if len(claimed) >= want {
-			break
-		}
+	// Claim the first want HITs open to w, in order, working them one
+	// after another.
+	claimed, elapsed := 0, time.Duration(0)
+	for i := 0; i < len(g.hits) && claimed < want; i++ {
 		hs := &g.hits[i]
-		if hs.remaining > 0 && !slices.Contains(hs.claimedBy, w) {
-			hs.remaining--
-			hs.claimedBy = append(hs.claimedBy, w)
-			claimed = append(claimed, hs)
+		if hs.remaining <= 0 || slices.Contains(hs.claimedBy, w) {
+			continue
 		}
-	}
-	elapsed := time.Duration(0)
-	for _, hs := range claimed {
+		hs.remaining--
+		hs.claimedBy = append(hs.claimedBy, w)
+		claimed++
 		// Log-normal work time, scaled by the worker's speed.
 		lat := time.Duration(float64(m.cfg.LatencyMedian) * w.Speed *
 			math.Exp(m.rng.NormFloat64()*m.cfg.LatencySigma))
 		elapsed += lat
-		hs := hs
-		at := elapsed
 		g.pending++
-		m.clock.Schedule(at, func() { m.submit(g, hs, w) })
+		m.clock.Schedule(elapsed, event{kind: evSubmit, g: g, hs: hs, w: w})
 	}
 }
 
@@ -420,7 +481,7 @@ func (m *Market) land(g *group, hs *hitState, a *crowd.Assignment, w *Worker) {
 		return
 	}
 	m.nextAID++
-	a.ID = fmt.Sprintf(assignmentIDFormat, m.nextAID)
+	a.ID = assignmentIDs.format(m.nextAID)
 	a.HITID = hs.hit.ID
 	a.Status = crowd.AssignmentSubmitted
 	a.SubmittedAt = m.clock.Now()
@@ -453,10 +514,14 @@ func (hs *hitState) unanimousAboveQuorum(assignments int) bool {
 		var first string
 		for i, a := range hs.answers {
 			ans, ok := a.Answers[field]
-			if !ok || quality.IsGarbage(ans) {
+			if !ok {
 				return false
 			}
+			// Normalize is idempotent: IsGarbage re-normalizes norm as is.
 			norm := quality.Normalize(ans)
+			if quality.IsGarbage(norm) {
+				return false
+			}
 			if i == 0 {
 				first = norm
 			} else if norm != first {
@@ -502,7 +567,8 @@ func (m *Market) answer(h *crowd.HIT, w *Worker) map[string]string {
 		case f.Kind == crowd.FieldChoice && len(f.Options) > 0:
 			out[f.Name] = f.Options[m.rng.Intn(len(f.Options))]
 		default:
-			out[f.Name] = fmt.Sprintf("unsure-%d", m.rng.Intn(1000))
+			var b [16]byte
+			out[f.Name] = string(strconv.AppendInt(append(b[:0], "unsure-"...), int64(m.rng.Intn(1000)), 10))
 		}
 	}
 	return out
@@ -543,8 +609,9 @@ func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 }
 
 // Results returns copies of the group's submitted assignments, ordered by
-// submission time (callers stamp the copies, e.g. with their Source). It
-// is the poster's last read of an expired group nobody answered, which is
+// submission time (callers stamp the copies, e.g. with their Source). The
+// copies share one array, and each has its own Answers map. It is the
+// poster's last read of an expired group nobody answered, which is
 // forgotten then.
 func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	m.mu.Lock()
@@ -557,13 +624,15 @@ func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 		delete(m.groups, g.id)
 	}
 	out := make([]*crowd.Assignment, len(g.assignments))
+	copies := make([]crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
-		cp := *a
+		cp := &copies[i]
+		*cp = *a
 		cp.Answers = make(map[string]string, len(a.Answers))
 		for k, v := range a.Answers {
 			cp.Answers[k] = v
 		}
-		out[i] = &cp
+		out[i] = cp
 	}
 	return out, nil
 }
@@ -576,7 +645,7 @@ func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 // was settled.
 func (m *Market) settle(assignmentID string, to crowd.AssignmentStatus) (submission, error) {
 	sub, ok := m.subs[assignmentID]
-	if !ok && issued(assignmentID, assignmentIDFormat, m.nextAID) {
+	if !ok && assignmentIDs.issued(assignmentID, m.nextAID) {
 		return submission{}, fmt.Errorf("sim: assignment %s already settled", assignmentID)
 	}
 	if !ok {

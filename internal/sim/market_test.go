@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -30,14 +33,17 @@ func testGroup(n, assignments int, reward crowd.Cents) *crowd.HITGroup {
 	return g
 }
 
+// call is the fire function of a clock whose events are callbacks.
+func call(fn func()) { fn() }
+
 func TestClockOrdering(t *testing.T) {
-	c := NewClock()
+	var c Clock[func()]
 	var got []int
 	c.Schedule(3*time.Second, func() { got = append(got, 3) })
 	c.Schedule(1*time.Second, func() { got = append(got, 1) })
 	c.Schedule(2*time.Second, func() { got = append(got, 2) })
 	c.Schedule(1*time.Second, func() { got = append(got, 11) }) // same time: schedule order
-	c.RunFor(10 * time.Second)
+	c.RunFor(10*time.Second, call)
 	want := []int{1, 11, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -50,28 +56,96 @@ func TestClockOrdering(t *testing.T) {
 }
 
 func TestClockNestedSchedule(t *testing.T) {
-	c := NewClock()
+	var c Clock[func()]
 	fired := false
 	c.Schedule(time.Second, func() {
 		c.Schedule(time.Second, func() { fired = true })
 	})
-	c.RunFor(3 * time.Second)
+	c.RunFor(3*time.Second, call)
 	if !fired {
 		t.Error("nested event in window must fire")
 	}
 }
 
 func TestClockWindowBoundary(t *testing.T) {
-	c := NewClock()
+	var c Clock[func()]
 	fired := false
 	c.Schedule(5*time.Second, func() { fired = true })
-	c.RunFor(4 * time.Second)
+	c.RunFor(4*time.Second, call)
 	if fired {
 		t.Error("future event fired early")
 	}
-	c.RunFor(time.Second)
+	c.RunFor(time.Second, call)
 	if !fired {
 		t.Error("due event did not fire")
+	}
+}
+
+// The value heap fires what the container/heap reference (refClock) fires,
+// in the same order: seeded random schedules full of same-instant ties,
+// zero and negative delays, and events that schedule more events when they
+// fire, run in windows of random length (empty ones included).
+func TestClockMatchesReference(t *testing.T) {
+	delays := []time.Duration{-time.Second, 0, 0, time.Second, time.Second, 2 * time.Second, 3 * time.Second, 7 * time.Second}
+	for seed := int64(1); seed <= 50; seed++ {
+		// kids is what event id schedules when it fires: a function of the
+		// seed and id alone, so both clocks are asked the same.
+		kids := func(id int) []time.Duration {
+			if id >= 400 {
+				return nil
+			}
+			r := rand.New(rand.NewSource(seed*100003 + int64(id)))
+			out := make([]time.Duration, r.Intn(3))
+			for i := range out {
+				out[i] = delays[r.Intn(len(delays))]
+			}
+			return out
+		}
+		var got Clock[int]
+		var gotOrder []int
+		gotNext := 0
+		var fire func(int)
+		fire = func(id int) {
+			gotOrder = append(gotOrder, id)
+			for _, d := range kids(id) {
+				gotNext++
+				got.Schedule(d, gotNext)
+			}
+		}
+		var want refClock
+		var wantOrder []int
+		wantNext := 0
+		var event func(int) func()
+		event = func(id int) func() {
+			return func() {
+				wantOrder = append(wantOrder, id)
+				for _, d := range kids(id) {
+					wantNext++
+					want.Schedule(d, event(wantNext))
+				}
+			}
+		}
+		ops := rand.New(rand.NewSource(seed))
+		for step := 0; step < 40; step++ {
+			for i := ops.Intn(4); i > 0; i-- {
+				d := delays[ops.Intn(len(delays))]
+				gotNext++
+				got.Schedule(d, gotNext)
+				wantNext++
+				want.Schedule(d, event(wantNext))
+			}
+			w := time.Duration(ops.Intn(5)) * time.Second
+			got.RunFor(w, fire)
+			want.RunFor(w)
+			if got.Now() != want.Now() {
+				t.Fatalf("seed %d step %d: Now %v, reference %v", seed, step, got.Now(), want.Now())
+			}
+		}
+		got.RunFor(time.Hour, fire)
+		want.RunFor(time.Hour)
+		if len(gotOrder) < 100 || !slices.Equal(gotOrder, wantOrder) {
+			t.Fatalf("seed %d: fired %d events %v\nreference %d %v", seed, len(gotOrder), gotOrder, len(wantOrder), wantOrder)
+		}
 	}
 }
 
@@ -213,6 +287,27 @@ func TestNoWorkerRepeatsAHIT(t *testing.T) {
 			t.Fatalf("worker %s answered HIT %s twice", a.WorkerID, a.HITID)
 		}
 		seen[key] = true
+	}
+}
+
+// A group's books are sized by the replication a HIT can reach: no more
+// than the pool's workers can claim it, however many assignments the group
+// asks for.
+func TestReplicationBeyondThePool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pool.Size = 5
+	m := NewMarket(cfg)
+	id, err := m.Post(testGroup(3, math.MaxInt, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Step(200 * time.Hour)
+	st, err := m.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != 0 || st.Submitted != 3*cfg.Pool.Size {
+		t.Errorf("status %+v, want every worker on every HIT and no HIT complete", st)
 	}
 }
 

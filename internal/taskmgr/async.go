@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -162,6 +164,9 @@ type scheduler struct {
 	queued   []*Pending
 	driving  bool
 	handoff  chan struct{} // closed and replaced on every driver release
+	// polling is pollInflight's copy of inflight, reused tick after tick.
+	// Only the driver touches it, and the driver role passes under mu.
+	polling []*Pending
 }
 
 // Submit validates and posts a HIT group asynchronously. If the in-flight
@@ -343,7 +348,7 @@ func (m *Manager) drive(target *Pending, ctx context.Context) {
 // are done or past their deadline.
 func (m *Manager) pollInflight() {
 	m.sched.mu.Lock()
-	live := append([]*Pending(nil), m.sched.inflight...)
+	live := append(m.sched.polling[:0], m.sched.inflight...)
 	m.sched.mu.Unlock()
 
 	for _, p := range live {
@@ -376,6 +381,8 @@ func (m *Manager) pollInflight() {
 			m.collect(p)
 		}
 	}
+	clear(live) // hold no resolved group until the next tick
+	m.sched.polling = live[:0]
 }
 
 // countExpired counts p as expired exactly once, however many collect
@@ -437,10 +444,7 @@ func (m *Manager) collect(p *Pending) {
 	m.platformStatsLocked(tier, func(ps *PlatformStats) { ps.Assignments += len(results) })
 	m.mu.Unlock()
 
-	byHIT := make(map[string][]*crowd.Assignment)
-	for _, a := range results {
-		byHIT[a.HITID] = append(byHIT[a.HITID], a)
-	}
+	byHIT := groupByHIT(results, len(p.group.HITs))
 
 	if m.cfg.ModelPlatform != nil && p.platform == m.cfg.ModelPlatform && !p.escalated {
 		// Model tier resolved: escalate the HITs whose answers miss the
@@ -466,6 +470,24 @@ func (m *Manager) collect(p *Pending) {
 		}
 	}
 	m.finish(p, byHIT, nil)
+}
+
+// groupByHIT indexes assignments by HIT ID, each HIT's in their order in
+// results. The per-HIT slices are runs of one stably sorted copy, so the
+// index costs that copy and the map, however many HITs there are.
+func groupByHIT(results []*crowd.Assignment, hits int) map[string][]*crowd.Assignment {
+	sorted := slices.Clone(results)
+	slices.SortStableFunc(sorted, func(a, b *crowd.Assignment) int { return strings.Compare(a.HITID, b.HITID) })
+	byHIT := make(map[string][]*crowd.Assignment, hits)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].HITID == sorted[i].HITID {
+			j++
+		}
+		byHIT[sorted[i].HITID] = sorted[i:j:j]
+		i = j
+	}
+	return byHIT
 }
 
 // contestedHITs returns the group's HITs whose model-tier answers are

@@ -10,6 +10,7 @@ package taskmgr
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -355,7 +356,15 @@ func (m *Manager) nextHITID(prefix string) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
-	return fmt.Sprintf("%s-%06d", prefix, m.seq)
+	// prefix-000042: fmt's "%s-%06d", built without fmt.
+	var digits [20]byte
+	n := strconv.AppendInt(digits[:0], int64(m.seq), 10)
+	var b [32]byte
+	id := append(append(b[:0], prefix...), '-')
+	for i := len(n); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, n...))
 }
 
 // ProbeRequest asks the crowd to fill the Ask columns of one tuple whose
@@ -574,19 +583,29 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 // ModelVoteWeight — over the merged model and human answers.
 func (m *Manager) decide(assignments []*crowd.Assignment, field string) quality.Decision {
 	votes := make([]quality.Vote, 0, len(assignments))
-	source := make(map[string]string, len(assignments))
 	for _, a := range assignments {
 		if ans, ok := a.Answers[field]; ok {
 			votes = append(votes, quality.Vote{WorkerID: a.WorkerID, Answer: ans})
-			source[a.WorkerID] = a.Source
 		}
+	}
+	// source is the platform of a worker's vote: its last assignment that
+	// answers field. A HIT has a handful of votes, so a scan beats a map.
+	source := func(workerID string) string {
+		for i := len(assignments) - 1; i >= 0; i-- {
+			if a := assignments[i]; a.WorkerID == workerID {
+				if _, ok := a.Answers[field]; ok {
+					return a.Source
+				}
+			}
+		}
+		return ""
 	}
 	var d quality.Decision
 	if m.cfg.ModelPlatform != nil {
 		modelName := m.cfg.ModelPlatform.Name()
 		d = quality.WeightedVote(votes, func(workerID string) float64 {
 			w := m.tracker.Score(workerID)
-			if source[workerID] == modelName {
+			if source(workerID) == modelName {
 				w *= m.cfg.ModelVoteWeight
 			}
 			return w
@@ -604,12 +623,12 @@ func (m *Manager) decide(assignments []*crowd.Assignment, field string) quality.
 	// winning side. (Assignments fabricated without a Source — plumbing
 	// tests — stay out of the split.)
 	for _, w := range d.Agreed {
-		if src := source[w]; src != "" {
+		if src := source(w); src != "" {
 			m.platformStatsLocked(src, func(ps *PlatformStats) { ps.VotesAgreed++ })
 		}
 	}
 	for _, w := range d.Disagreed {
-		if src := source[w]; src != "" {
+		if src := source(w); src != "" {
 			m.platformStatsLocked(src, func(ps *PlatformStats) { ps.VotesDisagreed++ })
 		}
 	}

@@ -13,7 +13,7 @@
 // template engine did for these forms beyond concatenation is contextual
 // escaping, and the skeleton puts values in three contexts only, which the
 // standard library's HTML templates escape identically — hence the escaper
-// is a seven-entry table (formEscaper). render_test.go keeps the template
+// is a seven-entry table (formEscapes). render_test.go keeps the template
 // the skeleton was taken from and checks the two byte for byte.
 package ui
 
@@ -35,8 +35,14 @@ type Template struct {
 	Instructions string
 }
 
-func key(table string, kind crowd.TaskKind) string {
-	return strings.ToLower(table) + "#" + kind.String()
+// templateKey names a template: its table, case-folded, and task kind.
+type templateKey struct {
+	table string
+	kind  crowd.TaskKind
+}
+
+func key(table string, kind crowd.TaskKind) templateKey {
+	return templateKey{strings.ToLower(table), kind}
 }
 
 // Manager is the UI Template Manager: it owns every generated template and
@@ -45,12 +51,12 @@ type Manager struct {
 	cat *catalog.Catalog
 
 	mu        sync.RWMutex
-	templates map[string]*Template
+	templates map[templateKey]*Template
 }
 
 // NewManager creates a manager bound to a catalog.
 func NewManager(cat *catalog.Catalog) *Manager {
-	return &Manager{cat: cat, templates: make(map[string]*Template)}
+	return &Manager{cat: cat, templates: make(map[templateKey]*Template)}
 }
 
 // GenerateAll performs the compile-time generation step: templates for
@@ -216,71 +222,111 @@ func (m *Manager) CompareOrderForm(question, left, right string) ([]crowd.Field,
 	return fields, renderForm("Rank two items", crowd.TaskCompareOrder, instr, "", fields), nil
 }
 
-// formEscaper is how the standard library's HTML templates escape a plain
+// formEscapes is how the standard library's HTML templates escape a plain
 // string in the three contexts the skeleton has — element text, the RCDATA
 // <title>, a double-quoted attribute value. They use one seven-entry table
 // for all three and pass everything else through, invalid UTF-8 included;
 // every entry is a single ASCII byte, which no multi-byte sequence
-// contains, so a byte-wise replacer is that table.
-var formEscaper = strings.NewReplacer(
-	"\x00", "\uFFFD",
-	`"`, "&#34;",
-	"&", "&amp;",
-	"'", "&#39;",
-	"+", "&#43;",
-	"<", "&lt;",
-	">", "&gt;",
-)
+// contains, so a byte-indexed table is that table. "" passes the byte
+// through.
+var formEscapes = [256]string{
+	0:    "\uFFFD",
+	'"':  "&#34;",
+	'&':  "&amp;",
+	'\'': "&#39;",
+	'+':  "&#43;",
+	'<':  "&lt;",
+	'>':  "&gt;",
+}
+
+// formWriter writes a form into sb, or, with sb nil, only counts its bytes
+// in n: renderForm runs the skeleton once to size the buffer exactly and
+// once to fill it.
+type formWriter struct {
+	n  int
+	sb *strings.Builder
+}
+
+// lit writes a literal piece of the skeleton.
+func (w *formWriter) lit(s string) {
+	if w.sb == nil {
+		w.n += len(s)
+		return
+	}
+	w.sb.WriteString(s)
+}
+
+// esc writes a value, escaped by formEscapes.
+func (w *formWriter) esc(s string) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		rep := formEscapes[s[i]]
+		if rep == "" {
+			continue
+		}
+		w.lit(s[last:i])
+		w.lit(rep)
+		last = i + 1
+	}
+	w.lit(s[last:])
+}
 
 // renderForm instantiates the task-form skeleton (the paper's Fig. 2:
 // instructions at the top, known values shown read-only, missing values as
-// inputs, choices as radio buttons) for one HIT.
+// inputs, choices as radio buttons) for one HIT. The form is one
+// allocation of exactly its size, with no slack for the market to keep
+// while it holds the HIT.
 func renderForm(title string, kind crowd.TaskKind, instructions, annotation string, fields []crowd.Field) string {
-	// Not pre-sized: a guess that overshoots rounds every stored form up
-	// a size class, and the market keeps each form for as long as it runs.
+	var size formWriter
+	writeForm(&size, title, kind, instructions, annotation, fields)
 	var sb strings.Builder
-	esc := func(s string) { sb.WriteString(formEscaper.Replace(s)) }
-	sb.WriteString("<!DOCTYPE html>\n<html>\n<head><title>")
-	esc(title)
-	sb.WriteString("</title></head>\n<body>\n<form class=\"crowddb-task\" data-kind=\"")
-	esc(kind.String())
-	sb.WriteString("\">\n<h2>")
-	esc(title)
-	sb.WriteString("</h2>\n<p class=\"instructions\">")
-	esc(instructions)
-	sb.WriteString("</p>\n")
+	sb.Grow(size.n)
+	writeForm(&formWriter{sb: &sb}, title, kind, instructions, annotation, fields)
+	return sb.String()
+}
+
+// writeForm runs the skeleton through w.
+func writeForm(w *formWriter, title string, kind crowd.TaskKind, instructions, annotation string, fields []crowd.Field) {
+	w.lit("<!DOCTYPE html>\n<html>\n<head><title>")
+	w.esc(title)
+	w.lit("</title></head>\n<body>\n<form class=\"crowddb-task\" data-kind=\"")
+	w.esc(kind.String())
+	w.lit("\">\n<h2>")
+	w.esc(title)
+	w.lit("</h2>\n<p class=\"instructions\">")
+	w.esc(instructions)
+	w.lit("</p>\n")
 	if annotation != "" {
-		sb.WriteString(`<p class="annotation">`)
-		esc(annotation)
-		sb.WriteString("</p>")
+		w.lit(`<p class="annotation">`)
+		w.esc(annotation)
+		w.lit("</p>")
 	}
-	sb.WriteString("\n<table>\n")
+	w.lit("\n<table>\n")
 	for _, f := range fields {
-		sb.WriteString("<tr>\n  <td class=\"label\">")
-		esc(f.Label)
-		sb.WriteString("</td>\n  <td>")
+		w.lit("<tr>\n  <td class=\"label\">")
+		w.esc(f.Label)
+		w.lit("</td>\n  <td>")
 		switch f.Kind {
 		case crowd.FieldDisplay:
-			sb.WriteString(`<span class="known">`)
-			esc(f.Value)
-			sb.WriteString("</span>")
+			w.lit(`<span class="known">`)
+			w.esc(f.Value)
+			w.lit("</span>")
 		case crowd.FieldInput:
-			sb.WriteString(`<input type="text" name="`)
-			esc(f.Name)
-			sb.WriteString(`" value="">`)
+			w.lit(`<input type="text" name="`)
+			w.esc(f.Name)
+			w.lit(`" value="">`)
 		case crowd.FieldChoice:
 			for _, opt := range f.Options {
-				sb.WriteString(`<label><input type="radio" name="`)
-				esc(f.Name)
-				sb.WriteString(`" value="`)
-				esc(opt)
-				sb.WriteString(`">`)
-				esc(opt)
-				sb.WriteString("</label> ")
+				w.lit(`<label><input type="radio" name="`)
+				w.esc(f.Name)
+				w.lit(`" value="`)
+				w.esc(opt)
+				w.lit(`">`)
+				w.esc(opt)
+				w.lit("</label> ")
 			}
 		}
-		sb.WriteString("</td>\n</tr>\n")
+		w.lit("</td>\n</tr>\n")
 	}
-	sb.WriteString("</table>\n<button type=\"submit\">Submit</button>\n</form>\n</body>\n</html>\n")
-	return sb.String()
+	w.lit("</table>\n<button type=\"submit\">Submit</button>\n</form>\n</body>\n</html>\n")
 }
