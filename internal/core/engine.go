@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"encoding"
 	"fmt"
 	"math"
 	"os"
@@ -306,7 +305,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 		return nil, fmt.Errorf("parser: expected one statement, got %d", n)
 	}
 	if sc.Kind(0) != "select" {
-		return nil, fmt.Errorf("core: Query requires a SELECT, got %T", sc.at(0))
+		return nil, fmt.Errorf("core: Query requires a SELECT, got %T", sc.stmts[0].tree)
 	}
 	return e.ExecAt(context.Background(), &sc, 0, DefaultExecOpts())
 }
@@ -376,20 +375,47 @@ func (e *Engine) Execute(ctx context.Context, sql string, opts ExecOpts) (*Resul
 	return last, nil
 }
 
-// A Script is a CrowdSQL script the engine has taken in (Prepare): lexed
-// and parsed — or, when it is one statement whose key the plan cache
-// holds, lexed only, and served by the cached entry with the statement's
-// own slot values.
+// A Script is a CrowdSQL script the engine has taken in (Prepare): its
+// statements in order.
 type Script struct {
-	stmts  []parser.Statement // the parsed statements; nil when cached is set
-	cached *cachedStmt
+	stmts []statement
 	// start and end bound the intake.
 	start, end time.Time
 }
 
-// Prepare is the engine's intake: it lexes sql, looks a single statement
-// up in the plan cache by its tokens, and parses only when that finds
-// nothing. An error is the lexer's or the parser's.
+// A statement is one statement of a script as the intake took it in: its
+// plan-cache key ("" when the cache keys none), its slot values, and the
+// cached entry its key found or none. tree is its parsed tree, or its
+// entry's when it was not parsed. served is set once it has reached a
+// plan (Engine.entry), and text is its text in its script, which
+// checkPlanHit reads.
+type statement struct {
+	tree   parser.Statement
+	en     planEntry
+	served bool
+	key    string
+	slots  []sqltypes.Value // in inline when they fit
+	inline [4]sqltypes.Value
+	text   string
+}
+
+// AppendText appends the statement's text: its tree printed with its slot
+// values.
+func (st *statement) AppendText(b []byte) ([]byte, error) {
+	return parser.AppendWithSlots(b, st.tree, st.slots, -1), nil
+}
+
+// AppendTextUpTo is AppendText stopped past n bytes
+// (obs.TextPrefixAppender).
+func (st *statement) AppendTextUpTo(b []byte, n int) []byte {
+	return parser.AppendWithSlots(b, st.tree, st.slots, n)
+}
+
+// Prepare is the engine's intake: it lexes sql, splits it into statements
+// at its semicolons, which no statement holds, and keys each SELECT,
+// INSERT, UPDATE and DELETE once. A statement whose key the plan cache
+// holds is served by that entry unparsed; the script is parsed only when
+// one of its statements is not. An error is the lexer's or the parser's.
 func (e *Engine) Prepare(sql string) (Script, error) {
 	sc := Script{start: time.Now()}
 	kb := keyBufs.Get().(*keyBuf)
@@ -402,22 +428,47 @@ func (e *Engine) Prepare(sql string) (Script, error) {
 		kb.release()
 		return Script{}, err
 	}
-	if one := oneStatement(toks); one != nil {
-		if en, ok := e.lookup(kb, one); ok {
-			cs := &cachedStmt{en: en, sql: sql}
-			cs.slots = append(cs.inline[:0], kb.slots...)
-			sc.cached = cs
-			clear(toks)
-			kb.toks = toks
-			kb.release()
-			sc.end = time.Now()
-			return sc, nil
+	n := 0
+	for i, t := range toks {
+		if !isSemicolon(t) && (i == 0 || isSemicolon(toks[i-1])) {
+			n++
 		}
 	}
-	kb.toks = nil // the parsed statements keep the tokens
-	kb.release()
-	if sc.stmts, err = parseTokens(toks); err != nil {
-		return Script{}, err
+	sc.stmts = make([]statement, n)
+	parse := n == 0 // the parser reports an empty script
+	for i, rest := 0, toks; i < n; i++ {
+		for isSemicolon(rest[0]) {
+			rest = rest[1:]
+		}
+		one, end := rest, len(sql)
+		if j := slices.IndexFunc(rest, isSemicolon); j >= 0 {
+			one, end = rest[:j], rest[j].Pos
+		}
+		rest = rest[len(one):]
+		st := &sc.stmts[i]
+		st.text = sql[one[0].Pos:end]
+		if keyed(one) {
+			e.key(kb, st, one)
+		}
+		parse = parse || !st.en.compiled()
+	}
+	if !parse {
+		clear(toks)
+		kb.toks = toks
+		kb.release()
+	} else {
+		kb.toks = nil // the parsed statements keep the tokens
+		kb.release()
+		stmts, err := parseTokens(toks)
+		if err != nil {
+			return Script{}, err
+		}
+		for i := range sc.stmts {
+			if st := &sc.stmts[i]; !st.en.compiled() {
+				st.tree = stmts[i]
+				st.slots = parser.AppendSlotValues(st.inline[:0], st.tree)
+			}
+		}
 	}
 	sc.end = time.Now()
 	return sc, nil
@@ -428,26 +479,12 @@ func (e *Engine) Prepare(sql string) (Script, error) {
 var parseTokens = parser.ParseTokens
 
 // Len is the number of statements in the script.
-func (sc *Script) Len() int {
-	if sc.cached != nil {
-		return 1
-	}
-	return len(sc.stmts)
-}
-
-// at is statement i of sc: the parsed statement, or the tree of the entry
-// a cached statement is served by.
-func (sc *Script) at(i int) parser.Statement {
-	if sc.cached != nil {
-		return sc.cached.en.stmt()
-	}
-	return sc.stmts[i]
-}
+func (sc *Script) Len() int { return len(sc.stmts) }
 
 // Kind is the kind of statement i — the crowddb_statements_total label:
 // "select", "explain", "show", "dml", "ddl" or "other" — known for a
 // statement the plan cache serves unparsed too.
-func (sc *Script) Kind(i int) string { return stmtKind(sc.at(i)) }
+func (sc *Script) Kind(i int) string { return stmtKind(sc.stmts[i].tree) }
 
 // HasQuery reports whether the script runs a SELECT or EXPLAIN: a trace
 // of it is sized for a query's operator spans.
@@ -473,25 +510,13 @@ func (sc *Script) TraceParse(tr *obs.Trace) {
 // ExecAt runs statement i of sc under ctx, as ExecStmtCtx runs a parsed
 // one.
 func (e *Engine) ExecAt(ctx context.Context, sc *Script, i int, opts ExecOpts) (*Result, error) {
-	if sc.cached != nil {
-		return e.exec(ctx, nil, sc.cached, opts)
-	}
-	return e.exec(ctx, sc.stmts[i], nil, opts)
+	return e.exec(ctx, &sc.stmts[i], opts)
 }
 
-// ForecastAt is Forecast of statement i of sc.
+// ForecastAt is Forecast of statement i of sc. ExecAt then re-checks the
+// entry it served, and the statement's plan-cache outcome counts once.
 func (e *Engine) ForecastAt(sc *Script, i int) (plan.Cost, bool) {
-	if sc.cached == nil {
-		return e.Forecast(sc.stmts[i])
-	}
-	if sc.Kind(i) != "select" {
-		return plan.Cost{}, false // DML costs the crowd nothing
-	}
-	en, err := e.serve(sc.cached.en, sc.cached.sql, sc.cached.slots)
-	if err != nil {
-		return plan.Cost{}, false
-	}
-	return en.opt.Predicted, true
+	return e.forecast(&sc.stmts[i])
 }
 
 // ExecStmtCtx runs one parsed statement under ctx. Read-only statements
@@ -504,18 +529,14 @@ func (e *Engine) ForecastAt(sc *Script, i int) (plan.Cost, bool) {
 // is finished — and slow-query-logged past the threshold — when the
 // statement returns.
 func (e *Engine) ExecStmtCtx(ctx context.Context, stmt parser.Statement, opts ExecOpts) (*Result, error) {
-	return e.exec(ctx, stmt, nil, opts)
+	var st statement
+	e.intake(&st, stmt)
+	return e.exec(ctx, &st, opts)
 }
 
-// exec runs stmt, or — stmt nil — cs, a statement the plan cache serves.
-func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedStmt, opts ExecOpts) (*Result, error) {
-	var text encoding.TextAppender = cs
-	if stmt != nil {
-		text = stmt
-	} else {
-		stmt = cs.en.stmt() // its kind; the statement run is cs
-	}
-	kind := stmtKind(stmt)
+// exec runs st.
+func (e *Engine) exec(ctx context.Context, st *statement, opts ExecOpts) (*Result, error) {
+	kind := stmtKind(st.tree)
 	e.obsm.statements[kind].Inc()
 	tr := opts.Trace
 	owned := false
@@ -525,14 +546,8 @@ func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedStmt
 	}
 	sp := tr.Span(nil, "statement")
 	sp.SetAttr("kind", kind)
-	sp.SetText("stmt", text)
-	var res *Result
-	var err error
-	if cs == nil {
-		res, err = e.execStmt(ctx, stmt, opts, tr, sp)
-	} else {
-		res, err = e.execCached(ctx, cs, opts, tr, sp)
-	}
+	sp.SetText("stmt", st)
+	res, err := e.execStmt(ctx, st, opts, tr, sp)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
@@ -544,10 +559,16 @@ func (e *Engine) exec(ctx context.Context, stmt parser.Statement, cs *cachedStmt
 }
 
 // execStmt dispatches one statement with its trace context threaded.
-func (e *Engine) execStmt(ctx context.Context, stmt parser.Statement, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	switch s := stmt.(type) {
+func (e *Engine) execStmt(ctx context.Context, st *statement, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
+	switch s := st.tree.(type) {
 	case *parser.Select:
-		return e.execSelect(ctx, s, opts, tr, sp)
+		osp := tr.Span(sp, "optimize")
+		en, err := e.entry(st)
+		if err != nil {
+			return nil, optimized(osp, nil, err)
+		}
+		optimized(osp, en.opt, nil)
+		return e.runSelect(ctx, en.opt, en.cols, st.slots, en.kept, opts, tr, sp, nil)
 	case *parser.Explain:
 		return e.execExplain(ctx, s, opts, tr, sp)
 	case *parser.ShowTables:
@@ -555,21 +576,20 @@ func (e *Engine) execStmt(ctx context.Context, stmt parser.Statement, opts ExecO
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	switch s := stmt.(type) {
+	switch s := st.tree.(type) {
 	case *parser.CreateTable, *parser.CreateIndex, *parser.DropTable:
-		if err := e.applyDDL(stmt, true); err != nil {
+		if err := e.applyDDL(s, true); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case *parser.Insert, *parser.Update, *parser.Delete:
-		var buf [4]sqltypes.Value
-		en, slots, err := e.compile(s, buf[:0])
+		en, err := e.entry(st)
 		if err != nil {
 			return nil, err
 		}
-		return e.execWrite(en, slots, tr, sp)
+		return e.execWrite(en, st.slots, tr, sp)
 	}
-	return nil, fmt.Errorf("core: unsupported statement %T", stmt)
+	return nil, fmt.Errorf("core: unsupported statement %T", st.tree)
 }
 
 func (e *Engine) execShowTables() (*Result, error) {
@@ -974,9 +994,16 @@ func (e *Engine) Prices() taskmgr.Prices {
 // price (DDL/DML and plain EXPLAIN cost the crowd nothing; compile
 // errors surface at execution, not admission).
 func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
-	switch s := stmt.(type) {
+	var st statement
+	e.intake(&st, stmt)
+	return e.forecast(&st)
+}
+
+// forecast is Forecast of st.
+func (e *Engine) forecast(st *statement) (plan.Cost, bool) {
+	switch s := st.tree.(type) {
 	case *parser.Select:
-		en, _, err := e.compile(s, nil)
+		en, err := e.entry(st)
 		if err != nil {
 			return plan.Cost{}, false
 		}
@@ -988,38 +1015,6 @@ func (e *Engine) Forecast(stmt parser.Statement) (plan.Cost, bool) {
 		}
 	}
 	return plan.Cost{}, false
-}
-
-func (e *Engine) execSelect(ctx context.Context, s *parser.Select, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	osp := tr.Span(sp, "optimize")
-	var buf [4]sqltypes.Value
-	en, slots, err := e.compile(s, buf[:0])
-	if err != nil {
-		return nil, optimized(osp, nil, err)
-	}
-	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, slots, en.kept, opts, tr, sp, nil)
-}
-
-// execCached runs cs on its entry, compiled afresh if the entry is stale:
-// a DML statement under writeMu, as a parsed one runs.
-func (e *Engine) execCached(ctx context.Context, cs *cachedStmt, opts ExecOpts, tr *obs.Trace, sp *obs.Span) (*Result, error) {
-	if cs.en.write != nil {
-		e.writeMu.Lock()
-		defer e.writeMu.Unlock()
-		en, err := e.serve(cs.en, cs.sql, cs.slots)
-		if err != nil {
-			return nil, err
-		}
-		return e.execWrite(en, cs.slots, tr, sp)
-	}
-	osp := tr.Span(sp, "optimize")
-	en, err := e.serve(cs.en, cs.sql, cs.slots)
-	if err != nil {
-		return nil, optimized(osp, nil, err)
-	}
-	optimized(osp, en.opt, nil)
-	return e.runSelect(ctx, en.opt, en.cols, cs.slots, en.kept, opts, tr, sp, nil)
 }
 
 // optimized ends osp, a SELECT's "optimize" span, with the chosen plan's

@@ -125,14 +125,14 @@ func memoized(x *executor) int {
 // keptRun runs sql, a statement whose shape is cached, as a hit or a
 // re-price on the executor kept for its entry, and fails unless it did.
 // It returns the result and the statement as the intake took it in.
-func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *cachedStmt, error) {
+func keptRun(t *testing.T, eng *Engine, sql string, opts ExecOpts) (*Result, *statement, error) {
 	t.Helper()
 	freshen(eng)
 	sc, err := eng.Prepare(sql)
-	if err != nil || sc.cached == nil {
+	if err != nil || cachedAt(&sc, 0) == nil {
 		t.Fatalf("%s: not served by the plan cache (%v)", sql, err)
 	}
-	cs := sc.cached
+	cs := cachedAt(&sc, 0)
 	x := keptTop(eng, cs.en.kept.key)
 	if x == nil || x.plan != cs.en.opt.Root {
 		t.Fatalf("%s: no executor kept for the entry's plan", sql)
@@ -219,7 +219,7 @@ func TestKeptExecutorAnswersAsFresh(t *testing.T) {
 			// A cancelled statement opens and closes the tree.
 			freshen(eng)
 			sc, err := eng.Prepare(s.sql(3))
-			if err != nil || sc.cached == nil {
+			if err != nil || cachedAt(&sc, 0) == nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())

@@ -333,7 +333,7 @@ func TestStatementsCounterKindsCachedStatements(t *testing.T) {
 	} {
 		mustExec(t, eng, tc.first)
 		sc, err := eng.Prepare(tc.cached)
-		if err != nil || sc.cached == nil {
+		if err != nil || cachedAt(&sc, 0) == nil {
 			t.Fatalf("%s: not served by the plan cache (%v)", tc.cached, err)
 		}
 		if got := sc.Kind(0); got != tc.kind {

@@ -8,6 +8,7 @@ import (
 
 	"crowddb/internal/exec"
 	"crowddb/internal/lexer"
+	"crowddb/internal/obs"
 	"crowddb/internal/optimizer"
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
@@ -32,13 +33,15 @@ import (
 // negated where the tree compiled first negated the literal (`-5`) — and
 // an entry is never specialised to the literals it was compiled with.
 //
-// Engine.Prepare is the one intake: it lexes a script and, for one
-// statement whose key the cache holds, goes from the tokens to the cached
-// entry — its slot tokens found by parser.ScanSlots — and any other script
-// it parses. A parsed statement keeps its tokens (Tokens) and its slot
-// literals know their tokens and whether a minus was folded into them
-// (parser.AppendSlotRefs), so it finds its entry, or makes it, when it
-// compiles. FuzzParse holds the scan to the parser's slots.
+// Engine.Prepare is the one intake: it splits a script's tokens at its
+// semicolons and keys each SELECT, INSERT, UPDATE and DELETE once, its
+// slot tokens found by parser.ScanSlots. A statement whose key the cache
+// holds runs on that entry unparsed, in a script of several statements
+// too; a script is parsed only when one of its statements is not cached,
+// and such a statement compiles and is cached under the key taken at
+// intake. A statement parsed elsewhere is keyed on the tokens it keeps
+// (Tokens). FuzzParse holds the scan to the parser's slots (AppendSlotRefs);
+// a statement they disagree on runs uncached.
 //
 // A SELECT's entry serves as it is, a hit, while nothing the optimizer
 // reads has changed: the catalog version read before it compiled (every
@@ -119,9 +122,16 @@ func (en *planEntry) stmt() parser.Statement {
 	return en.sel
 }
 
-// current reports whether en's plan is the one a compile against version
-// and opts would make.
-func (en *planEntry) current(version uint64, opts optimizer.Options) bool {
+// compiled reports whether en holds an entry.
+func (en *planEntry) compiled() bool { return en.sel != nil || en.write != nil }
+
+// current reports whether en's plan is the one a compile would make
+// against the catalog's version and opts — a DML entry's, against the
+// catalog's schema version.
+func (en *planEntry) current(version, schema uint64, opts optimizer.Options) bool {
+	if en.write != nil {
+		return en.schema == schema
+	}
 	return en.version == version && en.opts == opts
 }
 
@@ -147,8 +157,9 @@ type cachedPlan struct {
 	slot keptExecutor
 }
 
-// get returns a copy of the entry cached under key, current or not.
-func (c *planCache) get(key []byte) (planEntry, bool) {
+// getEntry returns a copy of the entry c holds under key, current or not.
+// A key held in bytes is looked up without a string made of it.
+func getEntry[K string | []byte](c *planCache, key K) (planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cp := c.entries[string(key)]; cp != nil {
@@ -235,13 +246,12 @@ func (k *keptExecutor) put(x *executor) {
 // compare).
 var checkPlanHit func(e *Engine, sql string, slots []sqltypes.Value, hit *planEntry) error
 
-// keyBuf is the scratch a statement is keyed in: its tokens, the indexes
-// of its slot tokens, its key and slot values. A pool keeps it off the
-// per-statement bill.
+// keyBuf is the scratch a script is keyed in: its tokens, and a
+// statement's slot token indexes, key and slot values. A pool keeps it off
+// the per-statement bill.
 type keyBuf struct {
 	toks  []lexer.Token
 	idx   []int
-	refs  []parser.SlotRef
 	key   []byte
 	slots []sqltypes.Value
 }
@@ -259,8 +269,8 @@ func (kb *keyBuf) release() {
 	if cap(kb.toks) > maxPooledTokens {
 		kb.toks = nil
 	}
-	if cap(kb.idx) > maxPooledTokens || cap(kb.refs) > maxPooledTokens || cap(kb.slots) > maxPooledTokens {
-		kb.idx, kb.refs, kb.slots = nil, nil, nil
+	if cap(kb.idx) > maxPooledTokens || cap(kb.slots) > maxPooledTokens {
+		kb.idx, kb.slots = nil, nil
 	}
 	if cap(kb.key) > 4*maxPooledTokens {
 		kb.key = nil
@@ -295,25 +305,14 @@ func appendKey(key []byte, slots []sqltypes.Value, toks []lexer.Token, idx []int
 	return key, slots, true
 }
 
-// oneStatement returns the tokens of the statement toks holds when it is
-// one SELECT, INSERT, UPDATE or DELETE — a statement the cache keys —
-// nil otherwise; semicolons around it are no part of it.
-func oneStatement(toks []lexer.Token) []lexer.Token {
-	start, end := 0, len(toks)
-	for start < end && isSemicolon(toks[start]) {
-		start++
-	}
-	for end > start && isSemicolon(toks[end-1]) {
-		end--
-	}
-	if start == end || toks[start].Kind != lexer.Keyword || slices.ContainsFunc(toks[start:end], isSemicolon) {
-		return nil
-	}
-	switch toks[start].Value {
+// keyed reports whether the cache keys toks, one statement's tokens: a
+// SELECT, INSERT, UPDATE or DELETE.
+func keyed(toks []lexer.Token) bool {
+	switch t := toks[0]; t.Value {
 	case "SELECT", "INSERT", "UPDATE", "DELETE":
-		return toks[start:end]
+		return t.Kind == lexer.Keyword
 	}
-	return nil
+	return false
 }
 
 func isSemicolon(t lexer.Token) bool { return t.Kind == lexer.Symbol && t.Value == ";" }
@@ -329,183 +328,44 @@ func negate(v sqltypes.Value) sqltypes.Value {
 	return v
 }
 
-// cachedStmt is a statement the intake served from the plan cache: a copy
-// of the entry its key found and the statement's own slot values.
-type cachedStmt struct {
-	en     planEntry
-	slots  []sqltypes.Value // in inline when they fit
-	inline [4]sqltypes.Value
-	sql    string
-}
-
-// AppendText appends the statement's text: its entry's tree printed with
-// the statement's slot values.
-func (c *cachedStmt) AppendText(b []byte) ([]byte, error) {
-	return parser.AppendWithSlots(b, c.en.stmt(), c.slots, -1), nil
-}
-
-// AppendTextUpTo is AppendText stopped past n bytes
-// (obs.TextPrefixAppender).
-func (c *cachedStmt) AppendTextUpTo(b []byte, n int) []byte {
-	return parser.AppendWithSlots(b, c.en.stmt(), c.slots, n)
-}
-
-// lookup keys toks, one statement's tokens not parsed, into kb — its slot
-// tokens found by parser.ScanSlots — and returns a copy of the entry
-// cached under the key, current or not, with kb.slots the statement's
-// slot values. found is false when the cache holds no entry for the key
-// or the tokens have none (a slot token has no value).
-func (e *Engine) lookup(kb *keyBuf, toks []lexer.Token) (en planEntry, found bool) {
+// key keys toks, the tokens of st, a SELECT, INSERT, UPDATE or DELETE, in
+// kb and looks the key up. st takes the entry found, its key and its slot
+// values, negated where the entry's tree negated them; else its key alone
+// — none when a slot token has no value (st does not parse).
+func (e *Engine) key(kb *keyBuf, st *statement, toks []lexer.Token) {
 	kb.idx = parser.ScanSlots(kb.idx[:0], toks)
-	kb.key, kb.slots, found = appendKey(kb.key[:0], kb.slots[:0], toks, kb.idx)
+	var ok bool
+	if kb.key, kb.slots, ok = appendKey(kb.key[:0], kb.slots[:0], toks, kb.idx); !ok {
+		return
+	}
+	en, found := getEntry(&e.plans, kb.key)
 	if !found {
-		return planEntry{}, false
+		st.key = string(kb.key)
+		return
 	}
-	if en, found = e.plans.get(kb.key); !found {
-		return planEntry{}, false
+	if st.tree == nil {
+		st.tree = en.stmt()
 	}
+	st.en, st.key = en, en.kept.key
+	st.slots = append(st.inline[:0], kb.slots...)
 	for _, i := range en.neg {
-		kb.slots[i] = negate(kb.slots[i])
+		st.slots[i] = negate(st.slots[i])
 	}
-	return en, true
 }
 
-// serve returns the entry cached under en's key while its plan is
-// current — en, or one that replaced it since en was looked up — a hit.
-// Otherwise, when only statistics or cost inputs moved and the plan's
-// tree reads none of them (optimizer.Reprice), the entry re-priced: its
-// tree, and so its kept executor, stay. Otherwise en's statement compiled
-// afresh, a miss. A re-priced or recompiled entry is cached over the old
-// one in place. A hit and a re-price are vetted by checkPlanHit against
-// sql, the statement's text, and slots, its slot values.
-func (e *Engine) serve(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
-	if en.write != nil {
-		return e.serveWrite(en, sql, slots)
+// intake takes s, a statement parsed outside Prepare, in as Prepare takes
+// in a statement of a script: a SELECT, INSERT, UPDATE or DELETE is keyed
+// on the tokens it keeps (Tokens); one that keeps none is not cached.
+func (e *Engine) intake(st *statement, s parser.Statement) {
+	st.tree = s
+	if toks := tokensOf(s); toks != nil {
+		kb := keyBufs.Get().(*keyBuf)
+		e.key(kb, st, toks)
+		kb.release()
 	}
-	version, opts := e.cat.Version(), e.optimizerOptions()
-	if !en.current(version, opts) {
-		e.plans.mu.Lock()
-		if cur := e.plans.entries[en.kept.key]; cur != nil {
-			en = cur.planEntry
-		}
-		e.plans.mu.Unlock()
+	if !st.en.compiled() {
+		st.slots = parser.AppendSlotValues(st.inline[:0], s)
 	}
-	if en.current(version, opts) {
-		e.obsm.planHits.Inc()
-		return e.vetted(en, sql, slots)
-	}
-	schema := e.cat.SchemaVersion() // after version: a DDL moves schema first
-	if en.sameTree(schema, opts) {
-		if opt, ok, err := optimizer.Reprice(en.opt, opts); ok {
-			e.obsm.planReprices.Inc()
-			if err != nil {
-				return planEntry{}, err
-			}
-			en.opt, en.version, en.opts = opt, version, opts
-			en.kept = e.plans.put(en.kept.key, en)
-			return e.vetted(en, sql, slots)
-		}
-	}
-	e.obsm.planMisses.Inc()
-	opt, err := e.compileFresh(en.sel, opts)
-	if err != nil {
-		return planEntry{}, err
-	}
-	en.opt, en.cols, en.version, en.schema, en.opts = opt, colNames(opt), version, schema, opts
-	en.kept = e.plans.put(en.kept.key, en)
-	return en, nil
-}
-
-// serveWrite is serve of a DML entry: en, or the entry that replaced it
-// since it was looked up, while no DDL ran since it compiled — a hit,
-// vetted by checkPlanHit; otherwise its statement compiles afresh, a miss,
-// cached over the old entry in place.
-func (e *Engine) serveWrite(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
-	schema := e.cat.SchemaVersion()
-	if en.schema != schema {
-		e.plans.mu.Lock()
-		if cur := e.plans.entries[en.kept.key]; cur != nil {
-			en = cur.planEntry
-		}
-		e.plans.mu.Unlock()
-	}
-	if en.schema == schema {
-		e.obsm.planHits.Inc()
-		return e.vetted(en, sql, slots)
-	}
-	e.obsm.planMisses.Inc()
-	w, err := e.compileWrite(en.write.stmt)
-	if err != nil {
-		return planEntry{}, err
-	}
-	en.write, en.schema = w, schema
-	en.kept = e.plans.put(en.kept.key, en)
-	return en, nil
-}
-
-// vetted returns en, a hit or a re-priced entry, once checkPlanHit passes
-// it.
-func (e *Engine) vetted(en planEntry, sql string, slots []sqltypes.Value) (planEntry, error) {
-	if checkPlanHit != nil {
-		hit := en // on the heap only when vetted
-		if err := checkPlanHit(e, sql, slots, &hit); err != nil {
-			return planEntry{}, err
-		}
-	}
-	return en, nil
-}
-
-// compile returns the entry that serves s, a parsed SELECT, INSERT, UPDATE
-// or DELETE — the plan cache's while it is current, else a fresh compile
-// that is then cached — and appends s's slot values to slots. s is keyed
-// on its tokens with its slot tokens where the parser found them
-// (parser.AppendSlotRefs); a statement without tokens compiles without the
-// cache.
-func (e *Engine) compile(s parser.Statement, slots []sqltypes.Value) (planEntry, []sqltypes.Value, error) {
-	n := len(slots)
-	slots = parser.AppendSlotValues(slots, s)
-	toks := tokensOf(s)
-	if toks == nil {
-		e.obsm.planMisses.Inc()
-		en, err := e.compileEntry(s)
-		return en, slots, err
-	}
-	kb := keyBufs.Get().(*keyBuf)
-	defer kb.release()
-	kb.refs = parser.AppendSlotRefs(kb.refs[:0], s)
-	kb.idx = kb.idx[:0]
-	for _, r := range kb.refs {
-		kb.idx = append(kb.idx, r.Tok)
-	}
-	var keyed bool
-	kb.key, kb.slots, keyed = appendKey(kb.key[:0], kb.slots[:0], toks, kb.idx)
-	if keyed {
-		if en, ok := e.plans.get(kb.key); ok {
-			sql := ""
-			if checkPlanHit != nil {
-				sql = s.String()
-			}
-			en, err := e.serve(en, sql, slots[n:])
-			return en, slots, err
-		}
-	}
-	e.obsm.planMisses.Inc()
-	en, err := e.compileEntry(s)
-	if err != nil || !keyed {
-		return en, slots, err
-	}
-	if en.write != nil {
-		en.write.stmt = parser.WithoutTokens(s)
-	} else {
-		en.sel = parser.WithoutTokens(s).(*parser.Select)
-	}
-	for i, r := range kb.refs {
-		if r.Neg {
-			en.neg = append(en.neg, i)
-		}
-	}
-	en.kept = e.plans.put(string(kb.key), en)
-	return en, slots, nil
 }
 
 // tokensOf is the tokens s was parsed from, nil when it keeps none.
@@ -514,6 +374,137 @@ func tokensOf(s parser.Statement) []lexer.Token {
 		return k.Tokens()
 	}
 	return nil
+}
+
+// entry returns the entry that serves st, a SELECT, INSERT, UPDATE or
+// DELETE: every statement reaches its plan here. A statement the intake
+// found an entry for — or whose key another statement has cached since —
+// is served from it (serve); any other compiles afresh (compile). A
+// cached entry served is kept in st, and a statement served again —
+// ExecAt after ForecastAt — re-checks it without counting its outcome
+// again.
+func (e *Engine) entry(st *statement) (en planEntry, err error) {
+	if en = st.en; !en.compiled() && st.key != "" {
+		en, _ = getEntry(&e.plans, st.key)
+	}
+	if en.compiled() {
+		en, err = e.serve(st, en)
+	} else {
+		en, err = e.compile(st)
+	}
+	if err == nil && en.kept != nil {
+		st.en = en
+	}
+	st.served = true
+	return en, err
+}
+
+// count counts c, st's plan-cache outcome, unless st was served before.
+func count(st *statement, c *obs.Counter) {
+	if !st.served {
+		c.Inc()
+	}
+}
+
+// serve returns the entry that serves st from en, an entry of st's key:
+// en, or the entry that replaced it in the cache since, while its plan is
+// current — a hit. Otherwise, for a SELECT when only statistics or cost
+// inputs moved and the plan's tree reads none of them
+// (optimizer.Reprice), the entry re-priced: its tree, and so its kept
+// executor, stay. Otherwise en's statement compiled afresh, a miss. A DML
+// entry reads the schema alone, so it goes stale on DDL only. A re-priced
+// or recompiled entry is cached over the old one in place. A hit and a
+// re-price are vetted by checkPlanHit.
+func (e *Engine) serve(st *statement, en planEntry) (planEntry, error) {
+	var version uint64
+	var opts optimizer.Options
+	if en.write == nil {
+		version, opts = e.cat.Version(), e.optimizerOptions()
+	}
+	schema := e.cat.SchemaVersion() // after version: a DDL moves schema first
+	if !en.current(version, schema, opts) {
+		if cur, ok := getEntry(&e.plans, en.kept.key); ok {
+			en = cur
+		}
+	}
+	if en.current(version, schema, opts) {
+		count(st, e.obsm.planHits)
+		return e.vetted(st, en)
+	}
+	if en.write == nil && en.sameTree(schema, opts) {
+		if opt, ok, err := optimizer.Reprice(en.opt, opts); ok {
+			count(st, e.obsm.planReprices)
+			if err != nil {
+				return planEntry{}, err
+			}
+			en.opt, en.version, en.opts = opt, version, opts
+			en.kept = e.plans.put(en.kept.key, en)
+			return e.vetted(st, en)
+		}
+	}
+	count(st, e.obsm.planMisses)
+	fresh, err := e.compileEntry(en.stmt())
+	if err != nil {
+		return planEntry{}, err
+	}
+	fresh.neg = en.neg
+	fresh.kept = e.plans.put(en.kept.key, fresh)
+	return fresh, nil
+}
+
+// vetted returns en, a hit or a re-priced entry serving st, once
+// checkPlanHit passes it.
+func (e *Engine) vetted(st *statement, en planEntry) (planEntry, error) {
+	if checkPlanHit != nil {
+		sql := st.text
+		if sql == "" {
+			sql = st.tree.String()
+		}
+		hit := en // on the heap only when vetted
+		if err := checkPlanHit(e, sql, slices.Clone(st.slots), &hit); err != nil {
+			return planEntry{}, err
+		}
+	}
+	return en, nil
+}
+
+// compile compiles st, a parsed statement no entry serves, afresh — a
+// miss — and caches the entry under the key taken at intake, with the
+// slots the parser folded a minus into read off the tree. A statement
+// whose slot tokens the parser and parser.ScanSlots do not agree on runs
+// uncached: its key may be another statement's.
+func (e *Engine) compile(st *statement) (planEntry, error) {
+	count(st, e.obsm.planMisses)
+	neg, cache := slotNegs(st.tree)
+	s := st.tree
+	if cache = cache && st.key != ""; cache {
+		s = parser.WithoutTokens(s)
+	}
+	en, err := e.compileEntry(s)
+	if err == nil && cache {
+		en.neg = neg
+		en.kept = e.plans.put(st.key, en)
+	}
+	return en, err
+}
+
+// slotNegs returns the slots of s, a parsed statement, whose value is its
+// token's negated, with ok set when the parser made s's slots of the
+// tokens parser.ScanSlots finds in the tokens s keeps.
+func slotNegs(s parser.Statement) (neg []int, ok bool) {
+	refs, idx := parser.AppendSlotRefs(nil, s), parser.ScanSlots(nil, tokensOf(s))
+	if len(refs) != len(idx) {
+		return nil, false
+	}
+	for i, r := range refs {
+		if r.Tok != idx[i] {
+			return nil, false
+		}
+		if r.Neg {
+			neg = append(neg, i)
+		}
+	}
+	return neg, true
 }
 
 // compileEntry compiles s afresh into an entry that is not cached.

@@ -295,7 +295,7 @@ func TestPlanCacheServesTheRefreshedEntry(t *testing.T) {
 	mustExec(t, eng, point(1))
 	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-10', 'Room 0', 10)") // a new row count: the entry is stale
 	sc, err := eng.Prepare(point(2))
-	if err != nil || sc.cached == nil {
+	if err != nil || cachedAt(&sc, 0) == nil {
 		t.Fatalf("the stale entry does not serve the intake: %v", err)
 	}
 	mustExec(t, eng, point(3)) // re-prices, replacing the entry

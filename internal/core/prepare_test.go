@@ -19,15 +19,27 @@ func keyOf(t testing.TB, sql string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := oneStatement(toks)
-	if sel == nil {
+	for len(toks) > 0 && isSemicolon(toks[len(toks)-1]) {
+		toks = toks[:len(toks)-1]
+	}
+	if len(toks) == 0 || slices.ContainsFunc(toks, isSemicolon) || !keyed(toks) {
 		return ""
 	}
-	key, _, ok := appendKey(nil, nil, sel, parser.ScanSlots(nil, sel))
+	key, _, ok := appendKey(nil, nil, toks, parser.ScanSlots(nil, toks))
 	if !ok {
 		return ""
 	}
 	return string(key)
+}
+
+// cachedAt is statement i of sc, taken in and not yet run, when the plan
+// cache serves it unparsed — by the entry its key found at intake — and
+// nil when it was parsed.
+func cachedAt(sc *Script, i int) *statement {
+	if st := &sc.stmts[i]; st.en.compiled() {
+		return st
+	}
+	return nil
 }
 
 // TestPlanCacheKeyPairs: statements that differ in a slot literal's kind
@@ -60,8 +72,8 @@ func TestPlanCacheKeyPairs(t *testing.T) {
 			mustExec(t, eng, p[0])
 			mustExec(t, eng, p[1])
 		}
-		ea, oka := eng.plans.get([]byte(keyOf(t, p[0])))
-		eb, okb := eng.plans.get([]byte(keyOf(t, p[1])))
+		ea, oka := getEntry(&eng.plans, keyOf(t, p[0]))
+		eb, okb := getEntry(&eng.plans, keyOf(t, p[1]))
 		if !oka || !okb || ea.opt == eb.opt {
 			t.Errorf("%s and %s, run in turn, are not both cached: %v, %v", p[0], p[1], oka, okb)
 		}
@@ -84,7 +96,7 @@ func TestPlanCacheKeyPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.cached == nil {
+		if cachedAt(&sc, 0) == nil {
 			t.Errorf("%s is not served by the entry of %s", p[1], p[0])
 			continue
 		}
@@ -101,7 +113,7 @@ func TestPlanCacheKeyPairs(t *testing.T) {
 func TestPlanCacheEntryKeepsNoTokens(t *testing.T) {
 	eng := talkEngine(t, 3)
 	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-10', 'Room 0', 10); SELECT n FROM Talk WHERE title = 'talk-10'")
-	en, ok := eng.plans.get([]byte(keyOf(t, "SELECT n FROM Talk WHERE title = 'talk-01'")))
+	en, ok := getEntry(&eng.plans, keyOf(t, "SELECT n FROM Talk WHERE title = 'talk-01'"))
 	if !ok {
 		t.Fatal("the script's SELECT is not cached")
 	}
@@ -109,11 +121,143 @@ func TestPlanCacheEntryKeepsNoTokens(t *testing.T) {
 		t.Errorf("the entry keeps %d tokens", len(toks))
 	}
 	sc, err := eng.Prepare("SELECT n FROM Talk WHERE title = 'talk-01'")
-	if err != nil || sc.cached == nil {
+	if err != nil || cachedAt(&sc, 0) == nil {
 		t.Fatalf("the entry does not serve the intake: %v", err)
 	}
 	if res, err := eng.ExecAt(context.Background(), &sc, 0, DefaultExecOpts()); err != nil || rowsText(res) != "1|" {
 		t.Errorf("rows %v, %v; want 1", res, err)
+	}
+}
+
+// TestPrepareScriptOfHitsDoesNotParse: a script of two or three
+// statements whose shapes are cached goes through the intake without the
+// parser, each statement served unparsed by its entry, and each answers
+// with its own slot values: the writes before the last statement write
+// their own rows, and the last one's answer is the script's.
+func TestPrepareScriptOfHitsDoesNotParse(t *testing.T) {
+	eng := talkEngine(t, 10)
+	const (
+		point  = "SELECT n FROM Talk WHERE title = 'talk-%02d'"
+		insert = "INSERT INTO Talk VALUES ('talk-%02d', 'Room 9', %d)"
+		update = "UPDATE Talk SET n = %d WHERE title = 'talk-%02d'"
+	)
+	mustExec(t, eng, fmt.Sprintf(point, 1))
+	mustExec(t, eng, fmt.Sprintf(insert, 10, 10))
+	mustExec(t, eng, fmt.Sprintf(update, 11, 10))
+	for _, tc := range []struct {
+		script string
+		n      int // statements
+		want   string
+	}{
+		{fmt.Sprintf(point+"; "+point, 2, 3), 2, "3|"},
+		{fmt.Sprintf(insert+";\n"+point, 20, 20, 20), 2, "20|"},
+		{fmt.Sprintf(insert+"; "+update+" ; "+point+";", 21, 21, 42, 21, 21), 3, "42|"},
+		{fmt.Sprintf(";"+update+";;"+update+";"+point, 7, 2, 8, 3, 3), 3, "8|"},
+	} {
+		before := ParseCount()
+		sc, err := eng.Prepare(tc.script)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.script, err)
+		}
+		if n := ParseCount() - before; n != 0 || sc.Len() != tc.n {
+			t.Errorf("%s: %d statements, parsed %d times; want %d, unparsed", tc.script, sc.Len(), n, tc.n)
+			continue
+		}
+		var res *Result
+		for i := range sc.Len() {
+			if cachedAt(&sc, i) == nil {
+				t.Fatalf("%s: statement %d is parsed", tc.script, i)
+			}
+			if res, err = eng.ExecAt(context.Background(), &sc, i, DefaultExecOpts()); err != nil {
+				t.Fatalf("%s: statement %d: %v", tc.script, i, err)
+			}
+		}
+		if got := rowsText(res); got != tc.want {
+			t.Errorf("%s: rows %q, want %q", tc.script, got, tc.want)
+		}
+	}
+	if got := rowsText(mustExec(t, eng, fmt.Sprintf(point, 2))); got != "7|" {
+		t.Errorf("talk-02 reads %q after the script that updated it, want 7", got)
+	}
+}
+
+// TestPrepareScriptServesOldKeysAfterDDL: a script that re-creates a
+// dropped table, with its columns in another order, then writes and
+// reads it is parsed — its CREATE TABLE is no statement the cache keys —
+// yet its INSERT and SELECT are served by the entries the old table's
+// statements left under their keys. Those recompile, their schema version
+// moved, in place, and answer from the new table.
+func TestPrepareScriptServesOldKeysAfterDDL(t *testing.T) {
+	eng, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	const (
+		insert = "INSERT INTO Box (id, label) VALUES (%d, '%s')"
+		point  = "SELECT label FROM Box WHERE id = %d"
+	)
+	mustExec(t, eng, "CREATE TABLE Box (id INTEGER PRIMARY KEY, label STRING)")
+	mustExec(t, eng, fmt.Sprintf(insert, 1, "a"))
+	mustExec(t, eng, fmt.Sprintf(point, 1))
+	mustExec(t, eng, "DROP TABLE Box")
+	keys := []string{keyOf(t, fmt.Sprintf(insert, 1, "a")), keyOf(t, fmt.Sprintf(point, 1))}
+	var slots []*keptExecutor
+	for _, key := range keys {
+		slots = append(slots, eng.plans.entries[key].kept)
+	}
+
+	script := "CREATE TABLE Box (w INTEGER, label STRING, id INTEGER PRIMARY KEY);\n" +
+		fmt.Sprintf(insert, 2, "b") + ";\n" + fmt.Sprintf(point, 2)
+	sc, err := eng.Prepare(script)
+	if err != nil || sc.Len() != 3 {
+		t.Fatalf("%d statements, %v", sc.Len(), err)
+	}
+	if cachedAt(&sc, 0) != nil {
+		t.Fatal("the CREATE TABLE is served by a cached entry")
+	}
+	for i, key := range keys {
+		if st := cachedAt(&sc, i+1); st == nil || st.key != key {
+			t.Fatalf("statement %d is not served by its old key's entry", i+1)
+		}
+	}
+	_, misses0 := planCounts(eng)
+	var res *Result
+	for i := range sc.Len() {
+		if res, err = eng.ExecAt(context.Background(), &sc, i, DefaultExecOpts()); err != nil {
+			t.Fatalf("statement %d: %v", i, err)
+		}
+	}
+	if got := rowsText(res); got != "b|" {
+		t.Errorf("rows %q, want b", got)
+	}
+	if _, misses := planCounts(eng); misses != misses0+2 {
+		t.Errorf("%v misses, want the INSERT's and the SELECT's recompile", misses-misses0)
+	}
+	for i, key := range keys {
+		if cp := eng.plans.entries[key]; cp == nil || cp.kept != slots[i] || cp.schema != eng.cat.SchemaVersion() {
+			t.Errorf("the entry under statement %d's key was not recompiled in place", i+1)
+		}
+	}
+	if got := rowsText(mustExec(t, eng, "SELECT id, label, w FROM Box")); got != "2|b|NULL|" {
+		t.Errorf("the table holds %q", got)
+	}
+}
+
+// TestPrepareScriptSyntaxErrorRunsNothing: a script whose last statement
+// does not parse fails at intake with the parser's message, even when the
+// statements before it are of cached shapes, and none of them runs.
+func TestPrepareScriptSyntaxErrorRunsNothing(t *testing.T) {
+	eng := talkEngine(t, 3)
+	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-50', 'Room 0', 50)")
+	mustExec(t, eng, "DELETE FROM Talk WHERE title = 'talk-50'")
+	const script = "INSERT INTO Talk VALUES ('talk-51', 'Room 1', 51); DELETE FROM Talk WHERE title = 'talk-00'; SELECT n FROM Talk WHERE"
+	const want = "parser: unexpected token end of input in expression (offset 0)"
+	if _, err := eng.Exec(script); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %s", err, want)
+	}
+	if got := rowsText(mustExec(t, eng, "SELECT title FROM Talk")); got != "talk-00|\ntalk-01|\ntalk-02|" {
+		t.Errorf("the table holds %q after a script that does not parse", got)
 	}
 }
 
@@ -332,7 +476,7 @@ func TestPlanCacheKeyCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", variant, err)
 			}
-			if sc.cached == nil {
+			if cachedAt(&sc, 0) == nil {
 				t.Errorf("%s is not served by the entry of %s", variant, sql)
 				continue
 			}
@@ -371,11 +515,28 @@ func TestPlanCacheKeyCorpus(t *testing.T) {
 // key, and then — as itself and with fresh slot literals — goes through
 // the intake unparsed to the slot values, the text and the plan that
 // ParseAll and a fresh compile give (the equivalence net, recompileHit).
+// In a two-statement script beside a cached corpus SELECT, before it and
+// after it, each statement reaches unparsed the entry and slot values it
+// reaches alone.
 func FuzzPrepare(f *testing.F) {
 	for _, sql := range keyCorpus {
 		f.Add(sql)
 	}
 	eng := corpusEngine(f, Config{})
+	var selects []string
+	for _, sql := range keyCorpus {
+		if dmlTable(f, sql) == "" {
+			selects = append(selects, sql)
+		}
+	}
+	// alone takes sql, one statement, in by itself and returns it served.
+	alone := func(t *testing.T, sql string) *statement {
+		sc, err := eng.Prepare(sql)
+		if err != nil || sc.Len() != 1 {
+			t.Fatalf("%q: %d statements, %v", sql, sc.Len(), err)
+		}
+		return &sc.stmts[0]
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := parser.ParseAll(src)
 		if err != nil || len(stmts) != 1 || tokensOf(stmts[0]) == nil {
@@ -384,17 +545,19 @@ func FuzzPrepare(f *testing.F) {
 		eng.plans.mu.Lock()
 		eng.plans.entries = nil
 		eng.plans.mu.Unlock()
-		en, slots, err := eng.compile(stmts[0], nil)
+		var st statement
+		eng.intake(&st, stmts[0])
+		en, err := eng.entry(&st)
 		if err != nil {
 			return // no such table or column
 		}
-		if want := parser.AppendSlotValues(nil, stmts[0]); !slices.Equal(slots, want) {
-			t.Fatalf("%q: compiled with slots %v, its own are %v", src, slots, want)
+		if want := parser.AppendSlotValues(nil, stmts[0]); !slices.Equal(st.slots, want) {
+			t.Fatalf("%q: compiled with slots %v, its own are %v", src, st.slots, want)
 		}
 		if en.kept == nil {
 			t.Fatalf("%q compiles but is not cached", src)
 		}
-		if cached, ok := eng.plans.get([]byte(en.kept.key)); !ok || cached.opt != en.opt || cached.write != en.write {
+		if cached, ok := getEntry(&eng.plans, en.kept.key); !ok || cached.opt != en.opt || cached.write != en.write {
 			t.Fatalf("%q compiles but is not cached", src)
 		}
 		for k := -1; k < 3; k++ {
@@ -406,11 +569,43 @@ func FuzzPrepare(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}
-			if sc.cached == nil || sc.cached.en.opt != en.opt || sc.cached.en.write != en.write {
+			cs := cachedAt(&sc, 0)
+			if cs == nil || cs.en.opt != en.opt || cs.en.write != en.write {
 				t.Fatalf("%q is not served by the entry of %q", text, src)
 			}
-			if err := recompileHit(eng, text, sc.cached.slots, &sc.cached.en); err != nil {
+			if err := recompileHit(eng, text, cs.slots, &cs.en); err != nil {
 				t.Fatal(err)
+			}
+		}
+		beside := selects[len(src)%len(selects)]
+		parsed, err := parser.ParseAll(beside)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var other statement
+		eng.intake(&other, parsed[0])
+		if _, err := eng.entry(&other); err != nil {
+			t.Fatalf("%s: %v", beside, err)
+		}
+		for _, script := range [][2]string{{src, beside}, {beside, src}} {
+			text := script[0] + "\n;\n" + script[1]
+			sc, err := eng.Prepare(text)
+			if err != nil || sc.Len() != 2 {
+				t.Fatalf("%q: %d statements, %v", text, sc.Len(), err)
+			}
+			for i, sql := range script {
+				want, got := alone(t, sql), cachedAt(&sc, i)
+				switch {
+				case got == nil:
+					t.Fatalf("%q: statement %d, %q, is parsed", text, i, sql)
+				case got.en.opt != want.en.opt || got.en.write != want.en.write:
+					t.Fatalf("%q: statement %d, %q, is served by another entry than alone", text, i, sql)
+				case !slices.Equal(got.slots, want.slots):
+					t.Fatalf("%q: statement %d, %q, binds slots %v, alone %v", text, i, sql, got.slots, want.slots)
+				}
+				if err := recompileHit(eng, got.text, got.slots, &got.en); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	})
@@ -472,8 +667,8 @@ func BenchmarkPrepareHit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sc, err := eng.Prepare(st.sql); err != nil || sc.cached == nil {
-					b.Fatalf("%s: cached %v, %v", st.sql, sc.cached != nil, err)
+				if sc, err := eng.Prepare(st.sql); err != nil || cachedAt(&sc, 0) == nil {
+					b.Fatalf("%s: cached %v, %v", st.sql, cachedAt(&sc, 0) != nil, err)
 				}
 			}
 		})

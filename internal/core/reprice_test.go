@@ -59,11 +59,11 @@ func TestPlanCacheRepricesJoinFreePlans(t *testing.T) {
 			for _, sql := range tc.sqls {
 				mustExec(t, e, sql)
 				sc, err := e.Prepare(sql)
-				if err != nil || sc.cached == nil {
+				if err != nil || cachedAt(&sc, 0) == nil {
 					t.Fatalf("%s: not served by the plan cache (%v)", sql, err)
 				}
-				if !keys[sc.cached.en.kept.key] {
-					keys[sc.cached.en.kept.key] = true
+				if !keys[sc.stmts[0].en.kept.key] {
+					keys[sc.stmts[0].en.kept.key] = true
 					stmts = append(stmts, sql)
 				}
 			}
@@ -112,14 +112,14 @@ func serveStale(t *testing.T, e *Engine, moved string, stmts []string, reprice b
 	t.Helper()
 	for _, sql := range stmts {
 		sc, err := e.Prepare(sql)
-		if err != nil || sc.cached == nil {
+		if err != nil || cachedAt(&sc, 0) == nil {
 			t.Fatalf("after %s, %s: not served by the plan cache (%v)", moved, sql, err)
 		}
-		cs := sc.cached
+		cs := cachedAt(&sc, 0)
 		x := keptTop(e, cs.en.kept.key)
 		hits0, misses0 := planCounts(e)
 		reprices0 := repriceCount(e)
-		en, err := e.serve(cs.en, sql, cs.slots)
+		en, err := e.serve(cs, cs.en)
 		if err != nil {
 			t.Fatalf("after %s, %s: %v", moved, sql, err)
 		}

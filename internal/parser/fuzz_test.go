@@ -21,6 +21,8 @@ import (
 // and its slot literals know their tokens: ScanSlots finds the same ones
 // without parsing — the plan cache keys an unparsed statement with it —
 // and each slot value is its token's, negated where the SlotRef says so.
+// A script's statements are its runs of tokens between semicolons — the
+// engine's intake splits a script there without parsing it.
 func FuzzParse(f *testing.F) {
 	for _, src := range fuzzParseSeeds {
 		f.Add(src)
@@ -29,6 +31,9 @@ func FuzzParse(f *testing.F) {
 		stmts, err := ParseAll(src)
 		if err != nil {
 			return
+		}
+		if toks, _ := lexer.Tokenize(src); statementRuns(toks) != len(stmts) {
+			t.Fatalf("%q parses to %d statements, but holds %d runs of tokens between semicolons", src, len(stmts), statementRuns(toks))
 		}
 		for _, s := range stmts {
 			printed := s.String()
@@ -65,6 +70,19 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// statementRuns counts the runs of tokens between semicolons in toks.
+func statementRuns(toks []lexer.Token) int {
+	n := 0
+	for i, t := range toks {
+		if !isSemicolon(t) && (i == 0 || isSemicolon(toks[i-1])) {
+			n++
+		}
+	}
+	return n
+}
+
+func isSemicolon(t lexer.Token) bool { return t.Kind == lexer.Symbol && t.Value == ";" }
 
 // tokensOf is the tokens s keeps, nil for a statement that keeps none.
 func tokensOf(s Statement) []lexer.Token {

@@ -89,3 +89,35 @@ func TestBudgetAdmissionRejectsBeforePosting(t *testing.T) {
 		t.Errorf("accuracy sample = %+v, want 1 forecast job with positive predicted cents", adm)
 	}
 }
+
+// TestAdmissionCountsPlanCacheOnce: a statement that admission forecast
+// and the job then ran counts one plan-cache outcome, not two — the first
+// statement of a shape one miss and no hit, the next one hit — though
+// both the forecast and the run reach the statement's plan.
+func TestAdmissionCountsPlanCacheOnce(t *testing.T) {
+	eng := pairEngine(t, 23, 4)
+	srv := New(eng, Config{AdmissionHeadroom: 100})
+	sess, serr := srv.CreateSession(50)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	reg := eng.Metrics()
+	hits := reg.Counter("crowddb_plan_cache_hits_total", "")
+	misses := reg.Counter("crowddb_plan_cache_misses_total", "")
+	hits0, misses0 := hits.Value(), misses.Value()
+	for i, want := range [][2]float64{{0, 1}, {1, 1}} {
+		job, serr := runScript(srv, sess.ID(), "SELECT a FROM Pair WHERE id = 1")
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if job.Info().RowsEmitted != 1 {
+			t.Fatalf("statement %d: %d rows, want 1", i+1, job.Info().RowsEmitted)
+		}
+		if h, m := hits.Value()-hits0, misses.Value()-misses0; h != want[0] || m != want[1] {
+			t.Errorf("after statement %d: %v hits and %v misses, want %v and %v", i+1, h, m, want[0], want[1])
+		}
+	}
+	if adm := srv.Stats().CostModel.Admission; adm.Admitted != 2 {
+		t.Errorf("admitted %d jobs, want 2", adm.Admitted)
+	}
+}

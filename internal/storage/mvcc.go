@@ -21,6 +21,7 @@ package storage
 // commit, or explicitly via Store.GC.
 
 import (
+	"bytes"
 	"math/bits"
 	"slices"
 	"sync"
@@ -208,12 +209,20 @@ func (ts *tableStore) gc(horizon int64) (reclaimed, visited int) {
 }
 
 // dropIndexKeys removes the (key, id) entries that belonged only to
-// dropped versions: a key still referenced by a kept version stays.
+// dropped versions: a key still referenced by a kept version stays. Keys
+// are built in stack buffers; only a key an entry leaves the index under
+// becomes a string.
 func dropIndexKeys(ix *indexStore, drop, keep []rowVersion, id RowID) {
+	var buf, kept [64]byte
 	for _, v := range drop {
-		k := indexKeyFor(v.row, ix.cols)
-		if !slices.ContainsFunc(keep, func(kv rowVersion) bool { return rowHasKey(kv.row, ix.cols, k) }) {
-			ix.keys.remove(k, id)
+		k := appendRowKey(buf[:0], v.row, ix.cols)
+		if !slices.Contains(ix.keys[string(k)], id) {
+			continue // never listed, or an earlier dropped version's key
+		}
+		if !slices.ContainsFunc(keep, func(kv rowVersion) bool {
+			return bytes.Equal(appendRowKey(kept[:0], kv.row, ix.cols), k)
+		}) {
+			ix.keys.remove(string(k), id)
 		}
 	}
 }

@@ -312,3 +312,43 @@ func TestRecoveryRestoresClock(t *testing.T) {
 		t.Fatalf("post-restart insert lost: %v %v", row, ok)
 	}
 }
+
+// TestDropIndexKeysAllocs: reclaiming a chain whose dropped versions share
+// the kept version's key allocates nothing per dropped version and leaves
+// the key listed; a dropped version's key no kept version carries leaves
+// the index, once.
+func TestDropIndexKeysAllocs(t *testing.T) {
+	row := func(title string, n int64) Row {
+		return Row{sqltypes.NewString(title), sqltypes.NewInt(n)}
+	}
+	ix := &indexStore{cols: []int{0}, keys: index{}}
+	const id = RowID(7)
+	kept := row("talk-00042", 0)
+	ix.keys.add(indexKeyFor(kept, ix.cols), id)
+	ix.keys.add(indexKeyFor(kept, ix.cols), id+1)
+	drop := make([]rowVersion, 50)
+	for i := range drop {
+		drop[i] = rowVersion{row: row("talk-00042", int64(i+1)), begin: int64(i), end: int64(i + 1)}
+	}
+	keep := []rowVersion{{row: kept, begin: 50, end: tsInfinity}}
+	if n := testing.AllocsPerRun(100, func() { dropIndexKeys(ix, drop, keep, id) }); n != 0 {
+		t.Errorf("dropping %d versions that share the kept key allocates %v times", len(drop), n)
+	}
+	if ids := ix.keys[indexKeyFor(kept, ix.cols)]; len(ids) != 2 {
+		t.Fatalf("the kept key lists %v, want both rows", ids)
+	}
+
+	old := row("talk-00041", 0)
+	ix.keys.add(indexKeyFor(old, ix.cols), id)
+	dropOld := []rowVersion{{row: old, begin: 0, end: 1}, {row: old, begin: 1, end: 2}}
+	dropIndexKeys(ix, dropOld, keep, id)
+	if ids, ok := ix.keys[indexKeyFor(old, ix.cols)]; ok {
+		t.Errorf("a key only dropped versions carried still lists %v", ids)
+	}
+	if n := testing.AllocsPerRun(100, func() { dropIndexKeys(ix, dropOld, keep, id) }); n != 0 {
+		t.Errorf("dropping versions whose key already left allocates %v times", n)
+	}
+	if ids := ix.keys[indexKeyFor(kept, ix.cols)]; len(ids) != 2 {
+		t.Errorf("the kept key lists %v, want both rows", ids)
+	}
+}
