@@ -68,7 +68,8 @@ func E14VotePolicy(seed int64) *Table {
 		res, _ := m.Results(id)
 		byHIT := map[string][]quality.Vote{}
 		for _, a := range res {
-			byHIT[a.HITID] = append(byHIT[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: a.Answers["value"]})
+			ans, _ := a.Answers.Get("value")
+			byHIT[a.HITID] = append(byHIT[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 		}
 		return byHIT
 	}
@@ -137,7 +138,8 @@ func E14VotePolicy(seed int64) *Table {
 		res, _ := am.Results(gid)
 		armVotes := map[string][]quality.Vote{}
 		for _, a := range res {
-			armVotes[a.HITID] = append(armVotes[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: a.Answers["value"]})
+			ans, _ := a.Answers.Get("value")
+			armVotes[a.HITID] = append(armVotes[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 		}
 		correct := 0
 		for i := 0; i < n; i++ {

@@ -139,7 +139,8 @@ func E4MajorityVote(seed int64) *Table {
 		byHIT := map[string][]quality.Vote{}
 		rawWrong, rawTotal := 0, 0
 		for _, a := range res {
-			byHIT[a.HITID] = append(byHIT[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: a.Answers["value"]})
+			ans, _ := a.Answers.Get("value")
+			byHIT[a.HITID] = append(byHIT[a.HITID], quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 		}
 		votedWrong, noQuorum := 0, 0
 		for i := 0; i < n; i++ {

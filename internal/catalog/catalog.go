@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -372,6 +373,10 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table // lower-cased name -> def
 	indexes map[string]*Index // lower-cased index name -> def
+	// byTable lists each table's indexes sorted by name, under the table's
+	// declared name. A list is replaced, never changed, so Indexes hands
+	// it out as it is.
+	byTable map[string][]*Index
 	version atomic.Uint64
 	schema  atomic.Uint64
 }
@@ -401,6 +406,7 @@ func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
+		byTable: make(map[string][]*Index),
 	}
 }
 
@@ -457,7 +463,8 @@ func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; !ok {
+	t, ok := c.tables[key]
+	if !ok {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	for _, other := range c.tables {
@@ -471,6 +478,7 @@ func (c *Catalog) DropTable(name string) error {
 		}
 	}
 	delete(c.tables, key)
+	delete(c.byTable, t.Name)
 	c.ddl()
 	for iname, idx := range c.indexes {
 		if strings.EqualFold(idx.Table, name) {
@@ -518,20 +526,25 @@ func (c *Catalog) CreateIndex(idx *Index) error {
 		}
 	}
 	c.indexes[key] = idx
+	list := append(slices.Clone(c.byTable[t.Name]), idx)
+	slices.SortFunc(list, func(a, b *Index) int { return strings.Compare(a.Name, b.Name) })
+	c.byTable[t.Name] = list
 	c.ddl()
 	return nil
 }
 
-// Indexes returns all indexes on the given table, sorted by name.
+// Indexes returns all indexes on the given table, sorted by name. The
+// list is the catalog's own: callers must not modify it.
 func (c *Catalog) Indexes(table string) []*Index {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []*Index
-	for _, idx := range c.indexes {
-		if strings.EqualFold(idx.Table, table) {
-			out = append(out, idx)
+	if list, ok := c.byTable[table]; ok {
+		return list
+	}
+	for name, list := range c.byTable {
+		if strings.EqualFold(name, table) {
+			return list
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return nil
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -308,4 +309,40 @@ func TestVersionMovesWithWhatPlansRead(t *testing.T) {
 	moves("the same fanout again", func() { t1.ObserveCrowdFanout(1, 2) }, false)
 	moves("SetShardCount", func() { t1.SetShardCount(8) }, false)
 	ddl("DropTable", func() { c.DropTable("Talk") })
+}
+
+// Indexes lists a table's indexes sorted by name, under any spelling of
+// the table's name, from the list CREATE INDEX keeps: a read allocates
+// nothing, and a list handed out does not change under a later CREATE.
+func TestIndexesKeptSorted(t *testing.T) {
+	c := New()
+	if err := c.CreateTable(talkTable()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"idx_b", "idx_c"} {
+		if err := c.CreateIndex(&Index{Name: name, Table: "talk", Columns: []string{"title"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Indexes("Talk")
+	if err := c.CreateIndex(&Index{Name: "idx_a", Table: "TALK", Columns: []string{"title"}}); err != nil {
+		t.Fatal(err)
+	}
+	names := func(ix []*Index) (out []string) {
+		for _, idx := range ix {
+			out = append(out, idx.Name)
+		}
+		return out
+	}
+	for _, table := range []string{"Talk", "talk"} {
+		if got := names(c.Indexes(table)); !slices.Equal(got, []string{"idx_a", "idx_b", "idx_c"}) {
+			t.Errorf("Indexes(%q) = %v", table, got)
+		}
+	}
+	if got := names(before); !slices.Equal(got, []string{"idx_b", "idx_c"}) {
+		t.Errorf("a list handed out before CREATE INDEX changed to %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Indexes("Talk") }); n != 0 {
+		t.Errorf("Indexes: %.0f allocations, want 0", n)
+	}
 }

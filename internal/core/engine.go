@@ -459,7 +459,7 @@ func (e *Engine) Prepare(sql string) (Script, error) {
 	} else {
 		kb.toks = nil // the parsed statements keep the tokens
 		kb.release()
-		stmts, err := parseTokens(toks)
+		stmts, err := parseTokens(toks, len(sql))
 		if err != nil {
 			return Script{}, err
 		}

@@ -30,9 +30,9 @@ var parses atomic.Int64
 
 func init() {
 	parse := parseTokens
-	parseTokens = func(toks []lexer.Token) ([]parser.Statement, error) {
+	parseTokens = func(toks []lexer.Token, end int) ([]parser.Statement, error) {
 		parses.Add(1)
-		return parse(toks)
+		return parse(toks, end)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestPrepareScriptSyntaxErrorRunsNothing(t *testing.T) {
 	mustExec(t, eng, "INSERT INTO Talk VALUES ('talk-50', 'Room 0', 50)")
 	mustExec(t, eng, "DELETE FROM Talk WHERE title = 'talk-50'")
 	const script = "INSERT INTO Talk VALUES ('talk-51', 'Room 1', 51); DELETE FROM Talk WHERE title = 'talk-00'; SELECT n FROM Talk WHERE"
-	const want = "parser: unexpected token end of input in expression (offset 0)"
+	const want = "parser: unexpected token end of input in expression (offset 117)"
 	if _, err := eng.Exec(script); err == nil || err.Error() != want {
 		t.Errorf("error %v, want %s", err, want)
 	}

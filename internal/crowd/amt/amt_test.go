@@ -55,7 +55,7 @@ func TestPlatformLifecycle(t *testing.T) {
 	if err != nil || len(res) < 15 {
 		t.Fatalf("results: %d %v", len(res), err)
 	}
-	if res[0].Answers["abstract"] == "" {
+	if ans, _ := res[0].Answers.Get("abstract"); ans == "" {
 		t.Error("an assignment came back without its answer")
 	}
 	if err := p.Approve(res[0].ID, 1); err != nil {

@@ -170,6 +170,25 @@ const (
 	AssignmentRejected
 )
 
+// Answer is a worker's raw answer to one input field.
+type Answer struct {
+	Field, Value string
+}
+
+// Answers are an assignment's answers in the order the worker gave them.
+type Answers []Answer
+
+// Get returns the answer for field: the last one given, if the field was
+// answered more than once.
+func (as Answers) Get(field string) (string, bool) {
+	for i := len(as) - 1; i >= 0; i-- {
+		if as[i].Field == field {
+			return as[i].Value, true
+		}
+	}
+	return "", false
+}
+
 // Assignment is one worker's submitted answer for one HIT.
 type Assignment struct {
 	ID          string
@@ -177,9 +196,11 @@ type Assignment struct {
 	WorkerID    string
 	Status      AssignmentStatus
 	SubmittedAt time.Duration // virtual time of submission
-	// Answers maps input-field names to the worker's raw answers,
-	// un-cleansed: quality control normalizes and votes over them.
-	Answers map[string]string
+	// Answers holds the worker's raw answers per input field, un-cleansed:
+	// quality control normalizes and votes over them. They are immutable
+	// once the assignment is submitted, so the copies Results returns
+	// share them with the platform: read them, never write them.
+	Answers Answers
 	// Confidence is the worker's self-reported certainty in (0,1], when the
 	// platform supplies one (model answerers do; human platforms leave 0).
 	// The escalation router reads it to decide whether a model-tier answer
@@ -221,8 +242,9 @@ type GroupID string
 //
 //   - Post is atomic: a group is either fully registered (its ID valid for
 //     every other method) or an error is returned; no partial state.
-//   - Results returns copies — callers may retain and read the assignments
-//     without further synchronization while the simulation advances.
+//   - Results returns copies — callers may retain and read the assignments,
+//     and stamp fields of their own copies, without further synchronization
+//     while the simulation advances. A copy's Answers are shared, read-only.
 //   - Step serializes internally; virtual time is monotone and Now never
 //     runs backwards. Callers must not assume Step is exclusive with
 //     Status/Results polling.

@@ -173,3 +173,24 @@ func TestFlakyDisabled(t *testing.T) {
 		}
 	}
 }
+
+// Get returns a field's last answer, as the map it replaces kept the last
+// write, and reports a field never answered as missing.
+func TestAnswersGetLastWriteWins(t *testing.T) {
+	as := Answers{{Field: "name", Value: "first"}, {Field: "room", Value: "A"}, {Field: "name", Value: "second"}}
+	if v, ok := as.Get("name"); !ok || v != "second" {
+		t.Errorf(`Get("name") = %q, %v, want "second", true`, v, ok)
+	}
+	if v, ok := as.Get("room"); !ok || v != "A" {
+		t.Errorf(`Get("room") = %q, %v, want "A", true`, v, ok)
+	}
+	if v, ok := as.Get("missing"); ok || v != "" {
+		t.Errorf(`Get("missing") = %q, %v, want "", false`, v, ok)
+	}
+	if v, ok := Answers(nil).Get("name"); ok || v != "" {
+		t.Errorf(`nil Get("name") = %q, %v, want "", false`, v, ok)
+	}
+	if v, ok := (Answers{{Field: "empty", Value: ""}}).Get("empty"); !ok || v != "" {
+		t.Errorf(`Get("empty") = %q, %v, want "", true`, v, ok)
+	}
+}

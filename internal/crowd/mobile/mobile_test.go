@@ -89,7 +89,7 @@ func TestMobileQualityHigherThanSpammyCrowd(t *testing.T) {
 	}
 	correct := 0
 	for _, a := range res {
-		if a.Answers["nb_attendees"] == "80" {
+		if ans, _ := a.Answers.Get("nb_attendees"); ans == "80" {
 			correct++
 		}
 	}

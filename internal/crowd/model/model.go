@@ -19,8 +19,8 @@ package model
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -284,7 +284,7 @@ func (p *Platform) Approve(assignmentID string, bonus crowd.Cents) error {
 // match — the model emits clean strings).
 func unanimous(answers []sim.Answer) bool {
 	for _, a := range answers[1:] {
-		if !maps.Equal(a.Answers, answers[0].Answers) {
+		if !slices.Equal(a.Answers, answers[0].Answers) {
 			return false
 		}
 	}
@@ -293,8 +293,8 @@ func unanimous(answers []sim.Answer) bool {
 
 // answerLocked generates one model answer for the HIT, reporting whether
 // every field came out correct (drives confidence calibration).
-func (p *Platform) answerLocked(hit *crowd.HIT) (map[string]string, bool) {
-	answers := make(map[string]string)
+func (p *Platform) answerLocked(hit *crowd.HIT) (crowd.Answers, bool) {
+	var answers crowd.Answers
 	correct := true
 	for _, f := range hit.Fields {
 		if f.Kind == crowd.FieldDisplay {
@@ -308,20 +308,20 @@ func (p *Platform) answerLocked(hit *crowd.HIT) (map[string]string, bool) {
 		}
 		switch {
 		case p.prof.GarbageRate > 0 && p.rng.Float64() < p.prof.GarbageRate:
-			answers[f.Name] = p.unsureLocked()
+			answers = append(answers, crowd.Answer{Field: f.Name, Value: p.unsureLocked()})
 			correct = false
 		case truth == "":
 			// No ground truth to simulate against: the model abstains,
 			// which quality control treats as garbage and the router
 			// escalates — the safe behavior for an unanswerable task.
-			answers[f.Name] = p.unsureLocked()
+			answers = append(answers, crowd.Answer{Field: f.Name, Value: p.unsureLocked()})
 			correct = false
 		default:
 			eff := p.prof.Accuracy*(1-difficulty) + 0.5*difficulty
 			if p.rng.Float64() < eff {
-				answers[f.Name] = truth
+				answers = append(answers, crowd.Answer{Field: f.Name, Value: truth})
 			} else {
-				answers[f.Name] = p.wrongLocked(hit, f, truth)
+				answers = append(answers, crowd.Answer{Field: f.Name, Value: p.wrongLocked(hit, f, truth)})
 				correct = false
 			}
 		}

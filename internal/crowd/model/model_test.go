@@ -38,6 +38,12 @@ func groupFor(kind crowd.TaskKind, assignments int) *crowd.HITGroup {
 
 // drain steps the platform past all latencies and returns the group's
 // assignments.
+// answerOf is a's answer to the "answer" field.
+func answerOf(a *crowd.Assignment) string {
+	ans, _ := a.Answers.Get("answer")
+	return ans
+}
+
 func drain(t *testing.T, p *Platform, id crowd.GroupID) []*crowd.Assignment {
 	t.Helper()
 	p.Step(time.Hour)
@@ -70,7 +76,7 @@ func TestAllTaskKinds(t *testing.T) {
 			if a.Source != "model" {
 				t.Errorf("%v: source = %q", kind, a.Source)
 			}
-			if a.Answers["answer"] == "" {
+			if answerOf(a) == "" {
 				t.Errorf("%v: empty answer", kind)
 			}
 		}
@@ -151,14 +157,14 @@ func TestConfidenceCalibration(t *testing.T) {
 	}
 	sawWrong := false
 	for _, a := range drain(t, p, id) {
-		correct := a.Answers["answer"] == "right"
+		correct := answerOf(a) == "right"
 		if correct && a.Confidence < 0.8 {
 			t.Errorf("correct answer with low confidence %v", a.Confidence)
 		}
 		if !correct {
 			sawWrong = true
 			if a.Confidence > 0.62 {
-				t.Errorf("wrong answer %q with high confidence %v", a.Answers["answer"], a.Confidence)
+				t.Errorf("wrong answer %q with high confidence %v", answerOf(a), a.Confidence)
 			}
 		}
 	}
@@ -180,13 +186,13 @@ func TestAbstainsWithoutTruth(t *testing.T) {
 	res := drain(t, p, id)
 	seen := map[string]bool{}
 	for _, a := range res {
-		if !strings.HasPrefix(a.Answers["answer"], "unsure-") {
-			t.Errorf("want abstention, got %q", a.Answers["answer"])
+		if !strings.HasPrefix(answerOf(a), "unsure-") {
+			t.Errorf("want abstention, got %q", answerOf(a))
 		}
-		if seen[a.Answers["answer"]] {
-			t.Errorf("abstentions must not collide (they would fake agreement): %q", a.Answers["answer"])
+		if seen[answerOf(a)] {
+			t.Errorf("abstentions must not collide (they would fake agreement): %q", answerOf(a))
 		}
-		seen[a.Answers["answer"]] = true
+		seen[answerOf(a)] = true
 	}
 }
 

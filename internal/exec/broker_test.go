@@ -70,10 +70,14 @@ func (p *scriptCrowd) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	g := p.groups[id]
 	var out []*crowd.Assignment
 	for _, h := range g.HITs {
+		var truth crowd.Answers
+		for field, v := range h.Truth.Truth {
+			truth = append(truth, crowd.Answer{Field: field, Value: v})
+		}
 		for w := 0; w < g.Assignments; w++ {
 			out = append(out, &crowd.Assignment{
 				ID: fmt.Sprintf("%s-%s-%d", id, h.ID, w), HITID: h.ID, WorkerID: fmt.Sprintf("w%d", w),
-				Status: crowd.AssignmentSubmitted, Answers: h.Truth.Truth,
+				Status: crowd.AssignmentSubmitted, Answers: truth,
 			})
 		}
 	}

@@ -49,7 +49,7 @@ func FuzzParse(f *testing.F) {
 				continue
 			}
 			checkSlotTokens(t, src, s)
-			own, err := ParseTokens(toks)
+			own, err := ParseTokens(toks, len(printed))
 			if err != nil || len(own) != 1 {
 				t.Fatalf("%q: the tokens a statement keeps do not parse to it: %v", src, err)
 			}

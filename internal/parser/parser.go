@@ -28,14 +28,15 @@ func ParseAll(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseTokens(toks)
+	return ParseTokens(toks, len(src))
 }
 
-// ParseTokens parses a script the lexer has tokenized. Each SELECT,
-// INSERT, UPDATE and DELETE keeps its own run of toks (Tokens), so toks
-// must not change while the statements live.
-func ParseTokens(toks []lexer.Token) ([]Statement, error) {
-	p := &parser{toks: toks}
+// ParseTokens parses a script the lexer has tokenized; end is the offset
+// of the script's end, where an error at the end of input points. Each
+// SELECT, INSERT, UPDATE and DELETE keeps its own run of toks (Tokens), so
+// toks must not change while the statements live.
+func ParseTokens(toks []lexer.Token, end int) ([]Statement, error) {
+	p := &parser{toks: toks, end: end}
 	var stmts []Statement
 	for {
 		for p.acceptSymbol(";") {
@@ -136,7 +137,7 @@ func ParseExpr(src string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, end: len(src)}
 	e, err := p.expr()
 	if err != nil {
 		return nil, err
@@ -156,6 +157,8 @@ type parser struct {
 	slots    int
 	// start is the index of the first token of the statement parsed.
 	start int
+	// end is the offset of the input's end: the end-of-input token's.
+	end int
 }
 
 // literal makes a literal of the token just read, numbered as the next
@@ -174,7 +177,7 @@ func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
 func (p *parser) peek() lexer.Token {
 	if p.atEOF() {
-		return lexer.Token{Kind: lexer.EOF}
+		return lexer.Token{Kind: lexer.EOF, Pos: p.end}
 	}
 	return p.toks[p.pos]
 }

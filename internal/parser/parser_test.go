@@ -461,3 +461,25 @@ func checkSlotOrder(t *testing.T, src string, s Statement) {
 		}
 	})
 }
+
+// An error at the end of input names the input's end, trailing blanks
+// included, as its offset: a script cut mid-statement points past its
+// last token, not at the start of the script.
+func TestErrorAtEndOfInputNamesItsOffset(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want string
+	}{
+		{"SELECT n FROM Talk WHERE", "(offset 24)"},
+		{"SELECT n FROM Talk; SELECT n FROM Talk WHERE  ", "(offset 46)"},
+		{"INSERT INTO Talk VALUES (", "(offset 25)"},
+	} {
+		_, err := ParseAll(tc.src)
+		if err == nil || !strings.Contains(err.Error(), "end of input") || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("ParseAll(%q) = %v, want an end-of-input error ending %s", tc.src, err, tc.want)
+		}
+	}
+	if _, err := ParseExpr("a +"); err == nil || !strings.HasSuffix(err.Error(), "(offset 3)") {
+		t.Errorf("ParseExpr(%q) = %v, want an error at offset 3", "a +", err)
+	}
+}

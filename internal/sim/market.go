@@ -105,11 +105,15 @@ type group struct {
 	spec        *crowd.HITGroup
 	hits        []hitState
 	assignments []*crowd.Assignment // in submission order, which is time order
-	completed   int                 // HITs that are satisfied
-	expired     bool
-	answered    bool // posted with its answers (PostAnswered): no worker arrives, no HIT closes early
-	pending     int  // claimed or posted assignments not yet landed
-	unsettled   int  // submitted assignments neither approved nor rejected
+	// drawn and drawnAnswers are the arrays the workers' assignments and
+	// their answers are taken from, in turn (submit); open sizes them.
+	drawn        []crowd.Assignment
+	drawnAnswers []crowd.Answer
+	completed    int // HITs that are satisfied
+	expired      bool
+	answered     bool // posted with its answers (PostAnswered): no worker arrives, no HIT closes early
+	pending      int  // claimed or posted assignments not yet landed
+	unsettled    int  // submitted assignments neither approved nor rejected
 }
 
 // IDs are sequential: an ID the market issued but no longer holds belongs
@@ -303,7 +307,8 @@ func (m *Market) PostAnswered(spec *crowd.HITGroup, answers []Answer) (crowd.Gro
 
 // open registers a validated group whose HITs each await claims more
 // answers, plus those posted with it, and schedules its expiry. A HIT's
-// workers and answers, and the group's assignments, are sliced from arrays
+// workers and answers, the group's assignments, and the assignments its
+// workers submit (one answer per input field each) are sliced from arrays
 // sized here: a HIT is claimed at most claims times, by distinct workers,
 // and answered once per claim or posted answer.
 func (m *Market) open(spec *crowd.HITGroup, claims int, answers []Answer) *group {
@@ -323,15 +328,22 @@ func (m *Market) open(spec *crowd.HITGroup, claims int, answers []Answer) *group
 	total := len(spec.HITs)*perHIT + len(answers)
 	workers := make([]*Worker, len(spec.HITs)*perHIT)
 	landed := make([]*crowd.Assignment, 2*total)
-	off := 0
+	off, inputs := 0, 0
 	for i := range g.hits {
 		hs := &g.hits[i]
 		hs.claimedBy = workers[i*perHIT : i*perHIT : (i+1)*perHIT]
 		n := perHIT + hs.want - claims // claimed answers, or those posted for it
 		hs.answers = landed[off : off : off+n]
 		off += n
+		for _, f := range hs.hit.Fields {
+			if f.Kind != crowd.FieldDisplay {
+				inputs++
+			}
+		}
 	}
 	g.assignments = landed[total:total]
+	g.drawn = make([]crowd.Assignment, len(spec.HITs)*perHIT)
+	g.drawnAnswers = make([]crowd.Answer, inputs*perHIT)
 	m.groups[g.id] = g
 	if spec.Expiry > 0 {
 		m.clock.Schedule(spec.Expiry, event{kind: evExpire, gid: g.id})
@@ -461,11 +473,15 @@ func (m *Market) pickWorker(fence *crowd.GeoFence) *Worker {
 	return nil
 }
 
-// submit lands one claimed assignment with the worker's simulated answers.
+// submit lands one claimed assignment with the worker's simulated answers,
+// both taken from the group's arrays.
 func (m *Market) submit(g *group, hs *hitState, w *Worker) {
 	var a *crowd.Assignment
 	if !g.expired { // an answer that would land after expiry is never drawn
-		a = &crowd.Assignment{WorkerID: w.ID, Answers: m.answer(hs.hit, w)}
+		a, g.drawn = &g.drawn[0], g.drawn[1:]
+		a.WorkerID = w.ID
+		a.Answers = slices.Clip(m.answer(hs.hit, w, g.drawnAnswers[:0]))
+		g.drawnAnswers = g.drawnAnswers[len(a.Answers):]
 		w.Completed++
 		m.returned = append(m.returned, w) // one entry per completion = preferential attachment
 	}
@@ -510,10 +526,13 @@ func (hs *hitState) unanimousAboveQuorum(assignments int) bool {
 	if len(hs.answers) < quality.MajorityFor(assignments) {
 		return false
 	}
-	for _, field := range hs.hit.InputFields() {
+	for _, f := range hs.hit.Fields {
+		if f.Kind == crowd.FieldDisplay {
+			continue
+		}
 		var first string
 		for i, a := range hs.answers {
-			ans, ok := a.Answers[field]
+			ans, ok := a.Answers.Get(f.Name)
 			if !ok {
 				return false
 			}
@@ -532,18 +551,17 @@ func (hs *hitState) unanimousAboveQuorum(assignments int) bool {
 	return true
 }
 
-// answer simulates a worker filling the HIT's form. CrowdDB never sees this
-// logic — it only sees the resulting Assignment, exactly as with a live
-// crowd.
-func (m *Market) answer(h *crowd.HIT, w *Worker) map[string]string {
-	out := make(map[string]string)
+// answer simulates a worker filling the HIT's form, appending one answer
+// per input field to out. CrowdDB never sees this logic — it only sees the
+// resulting Assignment, exactly as with a live crowd.
+func (m *Market) answer(h *crowd.HIT, w *Worker, out crowd.Answers) crowd.Answers {
 	var truth *crowd.SimTruth = h.Truth
 	for _, f := range h.Fields {
 		if f.Kind == crowd.FieldDisplay {
 			continue
 		}
 		if m.rng.Float64() < w.GarbageRate {
-			out[f.Name] = garbageAnswer(m.rng)
+			out = append(out, crowd.Answer{Field: f.Name, Value: garbageAnswer(m.rng)})
 			continue
 		}
 		difficulty := 0.0
@@ -557,19 +575,21 @@ func (m *Market) answer(h *crowd.HIT, w *Worker) map[string]string {
 		// Effective accuracy degrades toward a coin flip as difficulty→1.
 		eff := w.Accuracy*(1-difficulty) + 0.5*difficulty
 		if correct != "" && m.rng.Float64() < eff {
-			out[f.Name] = m.addFormatNoise(correct)
+			out = append(out, crowd.Answer{Field: f.Name, Value: m.addFormatNoise(correct)})
 			continue
 		}
 		// Wrong (or unknown-truth) answer.
+		var ans string
 		switch {
 		case len(wrongs) > 0:
-			out[f.Name] = m.addFormatNoise(wrongs[m.rng.Intn(len(wrongs))])
+			ans = m.addFormatNoise(wrongs[m.rng.Intn(len(wrongs))])
 		case f.Kind == crowd.FieldChoice && len(f.Options) > 0:
-			out[f.Name] = f.Options[m.rng.Intn(len(f.Options))]
+			ans = f.Options[m.rng.Intn(len(f.Options))]
 		default:
 			var b [16]byte
-			out[f.Name] = string(strconv.AppendInt(append(b[:0], "unsure-"...), int64(m.rng.Intn(1000)), 10))
+			ans = string(strconv.AppendInt(append(b[:0], "unsure-"...), int64(m.rng.Intn(1000)), 10))
 		}
+		out = append(out, crowd.Answer{Field: f.Name, Value: ans})
 	}
 	return out
 }
@@ -610,9 +630,9 @@ func (m *Market) Status(id crowd.GroupID) (crowd.GroupStatus, error) {
 
 // Results returns copies of the group's submitted assignments, ordered by
 // submission time (callers stamp the copies, e.g. with their Source). The
-// copies share one array, and each has its own Answers map. It is the
-// poster's last read of an expired group nobody answered, which is
-// forgotten then.
+// copies share one array, and their Answers with the market's own
+// assignments: answers never change once submitted. It is the poster's
+// last read of an expired group nobody answered, which is forgotten then.
 func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -626,13 +646,8 @@ func (m *Market) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	out := make([]*crowd.Assignment, len(g.assignments))
 	copies := make([]crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
-		cp := &copies[i]
-		*cp = *a
-		cp.Answers = make(map[string]string, len(a.Answers))
-		for k, v := range a.Answers {
-			cp.Answers[k] = v
-		}
-		out[i] = cp
+		copies[i] = *a
+		out[i] = &copies[i]
 	}
 	return out, nil
 }

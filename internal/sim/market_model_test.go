@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -217,7 +218,7 @@ func (n *naiveMarket) submit(g *naiveGroup, hs *naiveHIT, w *Worker) {
 		WorkerID:    w.ID,
 		Status:      crowd.AssignmentSubmitted,
 		SubmittedAt: n.clock.Now(),
-		Answers:     m.answer(hs.hit, w),
+		Answers:     m.answer(hs.hit, w, nil),
 	})
 	w.Completed++
 	m.returned = append(m.returned, w)
@@ -251,8 +252,9 @@ func (n *naiveMarket) unanimousAboveQuorum(g *naiveGroup, hit *crowd.HIT) bool {
 	}
 	for _, field := range hit.InputFields() {
 		for _, a := range as {
-			ans, ok := a.Answers[field]
-			if !ok || quality.IsGarbage(ans) || quality.Normalize(ans) != quality.Normalize(as[0].Answers[field]) {
+			ans, ok := a.Answers.Get(field)
+			first, _ := as[0].Answers.Get(field)
+			if !ok || quality.IsGarbage(ans) || quality.Normalize(ans) != quality.Normalize(first) {
 				return false
 			}
 		}
@@ -287,10 +289,7 @@ func (n *naiveMarket) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
 	out := make([]*crowd.Assignment, len(g.assignments))
 	for i, a := range g.assignments {
 		cp := *a
-		cp.Answers = make(map[string]string, len(a.Answers))
-		for k, v := range a.Answers {
-			cp.Answers[k] = v
-		}
+		cp.Answers = slices.Clone(a.Answers)
 		out[i] = &cp
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SubmittedAt < out[j].SubmittedAt })

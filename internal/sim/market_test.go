@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestGroupCompletes(t *testing.T) {
 	}
 	// Every assignment answers the input field.
 	for _, a := range res {
-		if _, ok := a.Answers["abstract"]; !ok {
+		if _, ok := a.Answers.Get("abstract"); !ok {
 			t.Fatalf("assignment %s missing answer", a.ID)
 		}
 	}
@@ -398,7 +399,7 @@ func TestAnswerQualityTracksAccuracy(t *testing.T) {
 	for _, a := range res {
 		var want string
 		fmt.Sscanf(a.HITID, "H%s", &want)
-		if a.Answers["abstract"] == "abstract-"+trimLeadingZeros(want) {
+		if ans, _ := a.Answers.Get("abstract"); ans == "abstract-"+trimLeadingZeros(want) {
 			correct++
 		}
 	}
@@ -443,7 +444,8 @@ func TestAdaptiveVotesFewerAssignments(t *testing.T) {
 			if byHIT[a.HITID] == nil {
 				byHIT[a.HITID] = map[string]int{}
 			}
-			byHIT[a.HITID][a.Answers["abstract"]]++
+			ans, _ := a.Answers.Get("abstract")
+			byHIT[a.HITID][ans]++
 		}
 		for i := 0; i < 40; i++ {
 			hit := fmt.Sprintf("H%03d", i)
@@ -685,5 +687,82 @@ func TestMarketForgetsSettledGroups(t *testing.T) {
 	}
 	if _, err := m.Status(id); err == nil {
 		t.Error("the group is still held after its last assignment was settled")
+	}
+}
+
+// TestResultsShareAnswers: the copies Results returns share their Answers
+// with the market's own assignments. Under -race this shows the sharing
+// is safe: a copy's answers read the same while the market lands more
+// assignments of the group, a stamp on a copy or an append to its answers
+// stays on the copy, and Results called twice returns equal answers.
+func TestResultsShareAnswers(t *testing.T) {
+	m := NewMarket(DefaultConfig())
+	g := testGroup(20, 3, 2)
+	for _, h := range g.HITs {
+		h.Fields = append(h.Fields, crowd.Field{Name: "room", Kind: crowd.FieldInput})
+	}
+	id, err := m.Post(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var early []*crowd.Assignment
+	for len(early) == 0 {
+		m.Step(time.Minute)
+		early, _ = m.Results(id)
+	}
+	if st, _ := m.Status(id); st.Done() {
+		t.Fatalf("the group finished within its first answers: %+v", st)
+	}
+	extra := crowd.Answer{Field: "extra", Value: "x"}
+	want := make([]crowd.Answers, len(early))
+	for i, a := range early {
+		if len(a.Answers) != 2 {
+			t.Fatalf("assignment %s answers %v, want both input fields", a.ID, a.Answers)
+		}
+		want[i] = slices.Clone(a.Answers)
+		a.Source = "stamped"
+		a.Answers = append(a.Answers, extra)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for i, a := range early {
+				if !slices.Equal(a.Answers[:2], want[i]) || a.Answers[2] != extra {
+					t.Errorf("copy of %s reads %v while the market lands more, want %v and %v", a.ID, a.Answers, want[i], extra)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for st, _ := m.Status(id); !st.Done(); st, _ = m.Status(id) {
+		m.Step(time.Minute)
+	}
+	close(done)
+	wg.Wait()
+
+	final, _ := m.Results(id)
+	again, _ := m.Results(id)
+	if len(final) <= len(early) || len(again) != len(final) {
+		t.Fatalf("%d assignments early, %d and %d at the end", len(early), len(final), len(again))
+	}
+	for i, a := range final {
+		if a.Source != "" {
+			t.Errorf("assignment %s: a copy's Source stamp reached the market (%q)", a.ID, a.Source)
+		}
+		if len(a.Answers) != 2 || !slices.Equal(a.Answers, again[i].Answers) {
+			t.Errorf("assignment %s: Results answers %v, then %v", a.ID, a.Answers, again[i].Answers)
+		}
+		if i < len(early) && (a.ID != early[i].ID || !slices.Equal(a.Answers, want[i])) {
+			t.Errorf("assignment %s: the market holds %v, its early copy %s read %v", a.ID, a.Answers, early[i].ID, want[i])
+		}
 	}
 }

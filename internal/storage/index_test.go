@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -139,5 +140,65 @@ func TestLookupPKRowAtAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("LookupPKRowAt on a hit: %.0f allocations, want 0", allocs)
+	}
+}
+
+// A secondary-index probe sizes its result once: a key of eight rows,
+// spread over the shards, costs the allocations a key of one row does.
+func TestLookupIndexRowsAtAllocsFlatInRows(t *testing.T) {
+	s, err := NewStoreOptions("", Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("t", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex("t", "idx_v", []int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		v := int64(1) // key 1 holds one row, key 8 eight
+		if i > 0 {
+			v = 8
+		}
+		if _, err := insert(s, "t", kvRow(fmt.Sprintf("k%03d", i), v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := s.VisibleTS()
+	probe := func(n int64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if ids, _, err := s.LookupIndexRowsAt("t", "idx_v", at, sqltypes.NewInt(n)); err != nil || len(ids) != int(n) {
+				t.Fatalf("key %d: %d rows, %v", n, len(ids), err)
+			}
+		})
+	}
+	if one, eight := probe(1), probe(8); one != eight {
+		t.Errorf("LookupIndexRowsAt: %.0f allocations for a one-row key, %.0f for an eight-row key", one, eight)
+	}
+}
+
+// sortByID sorts ids ascending and keeps each row with its id.
+func TestSortByIDKeepsPairs(t *testing.T) {
+	check := func(raw []uint16) bool {
+		var ids []RowID
+		var rows []Row
+		for _, v := range slices.Compact(slices.Sorted(slices.Values(raw))) {
+			ids = append(ids, RowID(v))
+		}
+		rand.New(rand.NewSource(int64(len(ids)))).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			rows = append(rows, Row{sqltypes.NewInt(int64(id))})
+		}
+		sortByID(ids, rows)
+		for i, id := range ids {
+			if (i > 0 && ids[i-1] >= id) || rows[i][0].Int() != int64(id) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -919,8 +919,10 @@ func (s *Store) LookupPKRowAt(table string, at int64, pk ...sqltypes.Value) (Row
 }
 
 // LookupIndexRowsAt probes a secondary index as a snapshot at ts sees it:
-// the matching rows (with their IDs) in insertion order, under one lock
-// acquisition per shard.
+// the matching rows (with their IDs) in insertion order. The result is
+// sized once, from the key's entries over all shards (an upper bound:
+// stale entries count too), then filled under one lock acquisition per
+// shard.
 func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltypes.Value) ([]RowID, []Row, error) {
 	ts, err := s.table(table)
 	if err != nil {
@@ -935,8 +937,16 @@ func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltype
 	}
 	var buf [64]byte
 	key := string(sqltypes.AppendRowKey(buf[:0], vals))
-	var ids []RowID
-	var rows []Row
+	n := 0
+	for _, sh := range ts.shards {
+		sh.mu.RLock()
+		n += len(sh.indexes[j].keys[key])
+		sh.mu.RUnlock()
+	}
+	if n == 0 {
+		return nil, nil, nil
+	}
+	ids, rows := make([]RowID, 0, n), make([]Row, 0, n)
 	sorted := true
 	for _, sh := range ts.shards {
 		sh.mu.RLock()
@@ -952,22 +962,36 @@ func (s *Store) LookupIndexRowsAt(table, index string, at int64, vals ...sqltype
 		sh.mu.RUnlock()
 	}
 	if !sorted {
-		sort.Sort(&idRows{ids, rows})
+		sortByID(ids, rows)
 	}
 	return ids, rows, nil
 }
 
-// idRows sorts parallel id and row slices by ascending id.
-type idRows struct {
-	ids  []RowID
-	rows []Row
-}
-
-func (x *idRows) Len() int           { return len(x.ids) }
-func (x *idRows) Less(i, j int) bool { return x.ids[i] < x.ids[j] }
-func (x *idRows) Swap(i, j int) {
-	x.ids[i], x.ids[j] = x.ids[j], x.ids[i]
-	x.rows[i], x.rows[j] = x.rows[j], x.rows[i]
+// sortByID sorts parallel id and row slices by ascending id, in place:
+// a heap sort, which unlike sort.Sort boxes no receiver.
+func sortByID(ids []RowID, rows []Row) {
+	swap := func(i, j int) {
+		ids[i], ids[j] = ids[j], ids[i]
+		rows[i], rows[j] = rows[j], rows[i]
+	}
+	down := func(i, n int) {
+		for c := 2*i + 1; c < n; i, c = c, 2*c+1 {
+			if c+1 < n && ids[c+1] > ids[c] {
+				c++
+			}
+			if ids[i] >= ids[c] {
+				return
+			}
+			swap(i, c)
+		}
+	}
+	for i := len(ids)/2 - 1; i >= 0; i-- {
+		down(i, len(ids))
+	}
+	for n := len(ids) - 1; n > 0; n-- {
+		swap(0, n)
+		down(0, n)
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -513,7 +513,7 @@ func (m *Manager) contestedHITs(group *crowd.HITGroup, byHIT map[string][]*crowd
 		for _, field := range hit.InputFields() {
 			votes := make([]quality.Vote, 0, len(as))
 			for _, a := range as {
-				if ans, ok := a.Answers[field]; ok {
+				if ans, ok := a.Answers.Get(field); ok {
 					votes = append(votes, quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 				}
 			}

@@ -251,7 +251,8 @@ func majorityAnswers(byHIT map[string][]*crowd.Assignment) map[string]string {
 	for hitID, as := range byHIT {
 		var votes []quality.Vote
 		for _, a := range as {
-			votes = append(votes, quality.Vote{WorkerID: a.WorkerID, Answer: a.Answers["value"]})
+			ans, _ := a.Answers.Get("value")
+			votes = append(votes, quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 		}
 		out[hitID] = quality.Normalize(quality.MajorityVote(votes, 2).Value)
 	}

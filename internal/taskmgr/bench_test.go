@@ -20,7 +20,7 @@ type instantPlatform struct {
 	group  *crowd.HITGroup
 	buf    []crowd.Assignment
 	out    []*crowd.Assignment
-	answer map[string]string
+	answer crowd.Answers
 }
 
 func (p *instantPlatform) Name() string { return "instant" }
@@ -70,7 +70,7 @@ func (p *instantPlatform) Now() time.Duration                { return 0 }
 func BenchmarkTaskmgrRoundTrip(b *testing.B) {
 	uim := ui.NewManager(catalog.New())
 	uim.GenerateAll()
-	p := &instantPlatform{answer: map[string]string{ui.AnswerField: "yes"}}
+	p := &instantPlatform{answer: crowd.Answers{{Field: ui.AnswerField, Value: "yes"}}}
 	m := New(p, uim, quality.NewTracker(), nil, nil, DefaultConfig())
 	pairs := make([]ComparePair, 8)
 	for i := range pairs {

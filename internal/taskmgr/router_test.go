@@ -138,7 +138,7 @@ func TestTierWeightedOutvoteUpToThreshold(t *testing.T) {
 	m := newHybridManager(t, 1, mp, nil)
 	vote := func(worker, source, answer string, conf float64) *crowd.Assignment {
 		return &crowd.Assignment{
-			HITID: "H1", WorkerID: worker, Answers: map[string]string{"answer": answer},
+			HITID: "H1", WorkerID: worker, Answers: crowd.Answers{{Field: "answer", Value: answer}},
 			Confidence: conf, Source: source,
 		}
 	}

@@ -389,19 +389,22 @@ func (m *Manager) ProbeValuesAsync(table string, reqs []ProbeRequest) (*Call[[]P
 		return nil, nil
 	}
 	group := &crowd.HITGroup{
-		Title:       fmt.Sprintf("Fill in missing %s data", table),
-		Description: fmt.Sprintf("Provide missing column values for the %s table.", table),
+		Title:       "Fill in missing " + table + " data",
+		Description: "Provide missing column values for the " + table + " table.",
 		Kind:        crowd.TaskProbeValues,
 		Reward:      m.cfg.Reward,
 		Assignments: m.cfg.Assignments,
 		Expiry:      m.cfg.MaxWait,
+		HITs:        make([]*crowd.HIT, len(reqs)),
 	}
-	for _, r := range reqs {
+	hits := make([]crowd.HIT, len(reqs))
+	for i, r := range reqs {
 		fields, html, err := m.ui.ProbeForm(table, r.Known, r.Ask)
 		if err != nil {
 			return nil, err
 		}
-		hit := &crowd.HIT{
+		hit := &hits[i]
+		*hit = crowd.HIT{
 			ID:     m.nextHITID("probe"),
 			Kind:   crowd.TaskProbeValues,
 			Title:  group.Title,
@@ -411,7 +414,7 @@ func (m *Manager) ProbeValuesAsync(table string, reqs []ProbeRequest) (*Call[[]P
 		if m.oracle != nil {
 			hit.Truth = m.oracle.ProbeTruth(table, r.Known, r.Ask)
 		}
-		group.HITs = append(group.HITs, hit)
+		group.HITs[i] = hit
 	}
 	return newCall(m, group, func(byHIT map[string][]*crowd.Assignment) []ProbeResult {
 		out := make([]ProbeResult, len(reqs))
@@ -491,9 +494,9 @@ func collectTuples(reqs []TupleRequest, group *crowd.HITGroup, hitReq map[string
 		for _, a := range byHIT[hit.ID] {
 			tuple := make(map[string]string, len(a.Answers)+len(prefill))
 			usable := false
-			for col, ans := range a.Answers {
-				tuple[col] = ans
-				if !quality.IsGarbage(ans) {
+			for _, ans := range a.Answers {
+				tuple[ans.Field] = ans.Value
+				if !quality.IsGarbage(ans.Value) {
 					usable = true
 				}
 			}
@@ -542,8 +545,10 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 		Assignments:   m.cfg.Assignments,
 		Expiry:        m.cfg.MaxWait,
 		AdaptiveVotes: m.cfg.AdaptiveVotes,
+		HITs:          make([]*crowd.HIT, len(pairs)),
 	}
-	for _, p := range pairs {
+	hits := make([]crowd.HIT, len(pairs))
+	for i, p := range pairs {
 		var fields []crowd.Field
 		var html string
 		var err error
@@ -555,7 +560,8 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 		if err != nil {
 			return nil, err
 		}
-		hit := &crowd.HIT{
+		hit := &hits[i]
+		*hit = crowd.HIT{
 			ID:     m.nextHITID("cmp"),
 			Kind:   kind,
 			Title:  group.Title,
@@ -565,7 +571,7 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 		if m.oracle != nil {
 			hit.Truth = m.oracle.CompareTruth(kind, question, p.Left, p.Right)
 		}
-		group.HITs = append(group.HITs, hit)
+		group.HITs[i] = hit
 	}
 	return newCall(m, group, func(byHIT map[string][]*crowd.Assignment) []quality.Decision {
 		out := make([]quality.Decision, len(pairs))
@@ -582,9 +588,10 @@ func (m *Manager) compareAsync(kind crowd.TaskKind, question string, pairs []Com
 // the worker's observed accuracy score, model votes further scaled by
 // ModelVoteWeight — over the merged model and human answers.
 func (m *Manager) decide(assignments []*crowd.Assignment, field string) quality.Decision {
-	votes := make([]quality.Vote, 0, len(assignments))
+	var buf [16]quality.Vote // a HIT's replication; more spill to the heap
+	votes := buf[:0]
 	for _, a := range assignments {
-		if ans, ok := a.Answers[field]; ok {
+		if ans, ok := a.Answers.Get(field); ok {
 			votes = append(votes, quality.Vote{WorkerID: a.WorkerID, Answer: ans})
 		}
 	}
@@ -593,7 +600,7 @@ func (m *Manager) decide(assignments []*crowd.Assignment, field string) quality.
 	source := func(workerID string) string {
 		for i := len(assignments) - 1; i >= 0; i-- {
 			if a := assignments[i]; a.WorkerID == workerID {
-				if _, ok := a.Answers[field]; ok {
+				if _, ok := a.Answers.Get(field); ok {
 					return a.Source
 				}
 			}
