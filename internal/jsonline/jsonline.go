@@ -1,8 +1,15 @@
-// Package jsonline appends JSON scalars to a byte slice exactly as
-// encoding/json.Marshal writes them — byte for byte, without reflection.
-// It is the one string escaper of the jobs API's lines — the server's row
-// and job-resource lines and the client's request body — and of the
-// storage WAL's records.
+// Package jsonline is the jobs API's one JSON writer and one JSON reader,
+// both without reflection.
+//
+// The writer appends JSON scalars to a byte slice exactly as
+// encoding/json.Marshal writes them, byte for byte. It is the one string
+// escaper of the jobs API's lines — the server's row and job-resource
+// lines and the client's request body — and of the storage WAL's records.
+//
+// The reader, Scanner, accepts exactly the syntax encoding/json accepts
+// and unescapes strings as it does. The server reads a submit body with
+// it and the client the server's lines; each matches member names its
+// own way.
 package jsonline
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +49,58 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		}
 		if got := AppendFloat(nil, f); string(got) != string(want) {
 			t.Fatalf("AppendFloat(%v) = %s, json.Marshal = %s", f, got, want)
+		}
+	}
+}
+
+// TestScannerMatchesValid holds the Scanner to encoding/json on edge
+// cases and on random mutations of them: it reads a value to the end
+// exactly when json.Valid accepts it, and a string to json.Unmarshal's
+// value.
+func TestScannerMatchesValid(t *testing.T) {
+	seeds := []string{`{"a":[1,-0.5e+3,true,false,null,"xé😀"],"b":{}}`, `[]`, `"\ud800\n\\"`,
+		"\"\xff\xed\xa0\x80\"", `01`, `1.`, `-`, `1e`, `tru`, `{"a" 1}`, `[1,]`, `{,}`, " \t\r\n0 ", `"\x"`, `"\u12"`,
+		`[` + strings.Repeat("[", MaxDepth-1) + strings.Repeat("]", MaxDepth-1) + `]`,
+		`[` + strings.Repeat("[", MaxDepth) + strings.Repeat("]", MaxDepth) + `]`}
+	alphabet := []byte(`{}[]:,"\ u0123456789abcdefABCDEF.-+eEtrufalsn` + "\x00\x1f\x7f\xff\xc3\xa9")
+	rng := rand.New(rand.NewSource(1))
+	inputs := append([]string(nil), seeds...)
+	for i := 0; i < 20000; i++ {
+		b := []byte(seeds[rng.Intn(len(seeds)-2)])
+		for n := rng.Intn(4); n >= 0; n-- {
+			switch at := rng.Intn(len(b) + 1); rng.Intn(3) {
+			case 0:
+				b = append(b[:at], append([]byte{alphabet[rng.Intn(len(alphabet))]}, b[at:]...)...)
+			case 1:
+				if at < len(b) {
+					b = append(b[:at], b[at+1:]...)
+				}
+			default:
+				if at < len(b) {
+					b[at] = alphabet[rng.Intn(len(alphabet))]
+				}
+			}
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, in := range inputs {
+		s := Scanner{B: []byte(in)}
+		s.WS()
+		err := s.Skip(0)
+		if err == nil {
+			err = s.End()
+		}
+		if valid := json.Valid([]byte(in)); (err == nil) != valid {
+			t.Fatalf("%.80q: Scanner says %v, json.Valid %v", in, err, valid)
+		}
+		var want string
+		if json.Unmarshal([]byte(in), &want) != nil {
+			continue
+		}
+		s = Scanner{B: []byte(in)}
+		s.WS()
+		if got, err := s.Str(); err != nil || string(got) != want {
+			t.Fatalf("%q: Scanner read %q (%v), json.Unmarshal %q", in, got, err, want)
 		}
 	}
 }

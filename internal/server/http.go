@@ -3,9 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+
+	"crowddb/internal/jsonline"
 )
 
 // HTTP/JSON API.
@@ -108,6 +113,139 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *Error {
 	return nil
 }
 
+// The Content-Type values a handler sets by assigning the header's
+// slice, which Header.Set would allocate; cap == len, so an Add copies.
+var (
+	jsonType   = []string{"application/json"}
+	ndjsonType = []string{"application/x-ndjson"}
+)
+
+// bufs pools the byte buffers a submit body is read into and a stream's
+// lines are written from. A buffer that grew past maxPooledBuf is left to
+// the collector, so one large body or line does not stay resident.
+var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const maxPooledBuf = 4 << 10
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		*b = (*b)[:0]
+		bufs.Put(b)
+	}
+}
+
+// readQueryRequest reads the POST /v1/queries body into req without
+// reflection. It accepts exactly what decodeBody(w, r, req) accepts and
+// sets the same fields: only the body's first JSON value counts, and no
+// byte after it is read; keys match case-folded, as encoding/json folds
+// them; the last of duplicate keys wins; null leaves a field as it is;
+// a non-string sql or session is refused; any other member is skipped.
+// The body is read through http.MaxBytesReader as decodeBody reads it,
+// so one over maxBodyBytes is refused and closes the connection.
+func readQueryRequest(w http.ResponseWriter, r *http.Request, req *queryRequest) *Error {
+	buf := bufs.Get().(*[]byte)
+	defer putBuf(buf)
+	value, err := readFirstValue(http.MaxBytesReader(w, r.Body, maxBodyBytes), buf)
+	if err == nil {
+		err = parseQueryRequest(value, req)
+	}
+	if err != nil {
+		return errf(CodeParse, "bad request body: %v", err)
+	}
+	return nil
+}
+
+// readFirstValue reads rd into *buf until the first JSON value in it is
+// complete, as json.Decoder reads, and returns the bytes up to its end.
+// It finds the end by counting brackets outside strings, which is exact
+// for any valid value; whether the value is valid is for the parser to
+// say. Only an object or null can decode into a request, so any other
+// value ends at its first byte, where the parser refuses it. At the end
+// of rd it returns what it read, which holds no complete value.
+func readFirstValue(rd io.Reader, buf *[]byte) ([]byte, error) {
+	b := *buf
+	depth := 0 // open containers; 0 before the value
+	str, esc := false, false
+	i := 0 // the next byte to look at
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, cap(b))
+		}
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*buf = b
+	scan:
+		for ; i < len(b); i++ {
+			switch c := b[i]; {
+			case depth == 0:
+				switch c {
+				case ' ', '\t', '\n', '\r':
+					continue
+				case '{':
+					depth = 1
+					continue
+				case 'n':
+					if len(b)-i < 4 {
+						break scan
+					}
+					return b[:i+4], nil
+				}
+				return b[:i+1], nil
+			case str:
+				switch {
+				case esc:
+					esc = false
+				case c == '\\':
+					esc = true
+				case c == '"':
+					str = false
+				}
+			case c == '"':
+				str = true
+			case c == '{' || c == '[':
+				depth++
+			case c == '}' || c == ']':
+				if depth--; depth == 0 {
+					return b[:i+1], nil
+				}
+			}
+		}
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// parseQueryRequest reads the request value readFirstValue found.
+func parseQueryRequest(value []byte, req *queryRequest) error {
+	s := jsonline.Scanner{B: value}
+	s.WS()
+	if null, err := s.Null(); null || err != nil {
+		return err
+	}
+	return s.Object(1, func(key []byte) error {
+		field := &req.SQL
+		switch {
+		case bytes.EqualFold(key, []byte("sql")):
+		case bytes.EqualFold(key, []byte("session")):
+			field = &req.Session
+		default:
+			return s.Skip(1)
+		}
+		if null, err := s.Null(); null || err != nil {
+			return err
+		}
+		v, err := s.Str()
+		if err == nil {
+			*field = string(v)
+		}
+		return err
+	})
+}
+
 // handleJobSubmit creates a query job: POST /v1/queries. The answer is
 // the 202 job resource; a client that sends Accept: application/x-ndjson
 // gets submit-and-stream instead — the job resource as the first NDJSON
@@ -117,7 +255,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *Error {
 // reaches the client only once its submit record is durable.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := readQueryRequest(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -135,7 +273,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeInfo(w, http.StatusAccepted, job)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusAccepted)
 	s.streamJobRows(w, r, job, 0, false, true)
 }
@@ -218,7 +356,12 @@ func (s *Server) handleJobRows(w http.ResponseWriter, r *http.Request) {
 // made the submit record durable already.
 func (s *Server) streamJobRows(w http.ResponseWriter, r *http.Request, job *Job, next int, sse, head bool) {
 	flusher, _ := w.(http.Flusher)
-	line := make([]byte, 0, 512) // the head, an SSE event, the trailer
+	buf := bufs.Get().(*[]byte)
+	line := *buf // the head, an SSE event, the trailer
+	defer func() {
+		*buf = line
+		putBuf(buf)
+	}()
 	if head {
 		info := job.Info()
 		line = append(appendInfo(line, &info), '\n')
@@ -267,7 +410,7 @@ func (s *Server) streamJobRows(w http.ResponseWriter, r *http.Request, job *Job,
 // writeInfo answers with the job resource as the JSON body.
 func writeInfo(w http.ResponseWriter, status int, job *Job) {
 	info := job.Info()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	w.Write(append(appendInfo(make([]byte, 0, 512), &info), '\n')) //nolint:errcheck // client gone is not our error
 }

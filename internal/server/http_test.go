@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"crowddb/internal/core"
@@ -269,10 +270,22 @@ func (c captureBody) RoundTrip(r *http.Request) (*http.Response, error) {
 		Body: io.NopCloser(strings.NewReader(`{"error":{"code":"parse_error","message":"captured"}}`)), Request: r}, nil
 }
 
+// decodeQueryRequest is how POST /v1/queries read its body before
+// readQueryRequest, kept as the reference the reader is held to.
+func decodeQueryRequest(body []byte) (queryRequest, error) {
+	var req queryRequest
+	rd := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), maxBodyBytes)
+	err := json.NewDecoder(rd).Decode(&req)
+	return req, err
+}
+
 // FuzzSubmitBody: whatever bytes are POSTed to /v1/queries, the answer
-// is a job or a coded 4xx — never a panic or a 500; and for any sql and
-// session, the body pkg/client's Submit writes decodes on the server to
-// what json.Marshal's body for the same pair decodes to.
+// is a job or a coded 4xx — never a panic or a 500; readQueryRequest
+// accepts a body exactly when json.Decoder does, with the same sql and
+// session, however the body's bytes arrive; and for any sql and session,
+// the body pkg/client's Submit writes decodes with json.Decoder to what
+// json.Marshal's body for the same pair decodes to, and readQueryRequest
+// reads it the same.
 func FuzzSubmitBody(f *testing.F) {
 	// No crowd attached: whatever script a body smuggles in ends at
 	// engine speed.
@@ -291,11 +304,16 @@ func FuzzSubmitBody(f *testing.F) {
 	}
 	srv := New(eng, Config{})
 	h := srv.HTTPHandler()
+	read := func(body io.Reader) (queryRequest, *Error) {
+		var req queryRequest
+		serr := readQueryRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/queries", body), &req)
+		return req, serr
+	}
 	decode := func(t *testing.T, body []byte) queryRequest {
 		t.Helper()
-		var req queryRequest
-		if serr := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)), &req); serr != nil {
-			t.Fatalf("the server cannot decode %q: %v", body, serr)
+		req, err := decodeQueryRequest(body)
+		if err != nil {
+			t.Fatalf("json.Decoder cannot decode %q: %v", body, err)
 		}
 		return req
 	}
@@ -304,7 +322,38 @@ func FuzzSubmitBody(f *testing.F) {
 	f.Add([]byte(`{"sql":"SELECT id FROM Pair", "sql": "SHOW TABLES", "extra": [1, {"x": null}]}`), "", "\x00\"\\\t")
 	f.Add([]byte(`{"sql":`), "SELEC nope", "(anonymous)")
 	f.Add([]byte(`{"sql":"","session":1}`), "\xed\xa0\x80", "é")
+	// Keys fold as encoding/json folds them (U+017F is a long s), and
+	// are unescaped before they are matched.
+	f.Add([]byte(`{"SQL":"SELECT id FROM Pair","SESSION":null}`), "", "")
+	f.Add([]byte(`{"ſql":"SELECT id FROM Pair","s\u0065ssion":"s000001"}`), "", "")
+	f.Add([]byte(`{"sql":"SELECT id FROM Pair","SQL":"SELECT a FROM Pair"}`), "", "")
+	f.Add([]byte(`{"sql":"SELECT id FROM Pair","sql":null}`), "", "")
+	f.Add([]byte(`{"sql":1}`), "", "")
+	f.Add([]byte(`{"sql":"SELECT id FROM Pair"}garbage`), "", "")
+	f.Add([]byte(` null {`), "", "")
+	// Only the first value is read: the rest of a 2 MiB body never is.
+	f.Add(append([]byte(`{"sql":"SELECT id FROM Pair","pad":"`+strings.Repeat("x", 900)+`"}`),
+		bytes.Repeat([]byte("garbage "), 2<<20/8)...), "", "")
+	// encoding/json's depth limit, under an unknown key: 10 000 levels
+	// with the request object are read, 10 001 are refused.
+	for _, n := range []int{9999, 10001} {
+		f.Add([]byte(`{"sql":"SELECT id FROM Pair","x":`+strings.Repeat(`[{"y":`, n/2)+strings.Repeat("[", n%2)+
+			strings.Repeat("]", n%2)+strings.Repeat("}]", n/2)+`}`), "", "")
+	}
+	f.Add([]byte(`{"sql":"SELECT '\ud800\udc00\udbff' FROM Pair","session":"\udc00\xff"}`), "", "")
 	f.Fuzz(func(t *testing.T, body []byte, sql, session string) {
+		want, wantErr := decodeQueryRequest(body)
+		split := iotest.OneByteReader
+		if len(body) > 64<<10 {
+			split = iotest.HalfReader
+		}
+		for _, rd := range []io.Reader{bytes.NewReader(body), split(bytes.NewReader(body))} {
+			got, serr := read(rd)
+			if (serr == nil) != (wantErr == nil) || serr == nil && got != want {
+				t.Fatalf("body %.200q: readQueryRequest read %+v (%v), json.Decoder %+v (%v)", body, got, serr, want, wantErr)
+			}
+		}
+
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(body)))
 		switch {
@@ -345,9 +394,14 @@ func FuzzSubmitBody(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := decode(t, sent), decode(t, marshalled); got != want {
+		ref := decode(t, marshalled)
+		if got := decode(t, sent); got != ref {
 			t.Fatalf("sql %q, session %q: the client's body %s decodes to %+v, json.Marshal's %s to %+v",
-				sql, session, sent, got, marshalled, want)
+				sql, session, sent, got, marshalled, ref)
+		}
+		if got, serr := read(bytes.NewReader(sent)); serr != nil || got != ref {
+			t.Fatalf("sql %q, session %q: the server reads the client's body %s as %+v (%v), want %+v",
+				sql, session, sent, got, serr, ref)
 		}
 	})
 }

@@ -68,18 +68,30 @@ func (m *Manager) GenerateAll() {
 	defer m.mu.Unlock()
 	for _, t := range m.cat.Tables() {
 		if t.HasCrowdColumns() {
-			m.ensureLocked(t.Name, crowd.TaskProbeValues, fmt.Sprintf(
-				"Please fill in the missing information for this row of the %s table.", t.Name))
+			m.ensureLocked(t.Name, crowd.TaskProbeValues, defaultInstructions(t.Name, crowd.TaskProbeValues))
 		}
 		if t.Crowd {
-			m.ensureLocked(t.Name, crowd.TaskNewTuple, fmt.Sprintf(
-				"Please contribute a new entry for the %s table.", t.Name))
+			m.ensureLocked(t.Name, crowd.TaskNewTuple, defaultInstructions(t.Name, crowd.TaskNewTuple))
 		}
 	}
-	m.ensureLocked("", crowd.TaskCompareEqual,
-		"Do the two values below refer to the same real-world entity?")
-	m.ensureLocked("", crowd.TaskCompareOrder,
-		"Please pick the item you consider higher-ranked for the question below.")
+	m.ensureLocked("", crowd.TaskCompareEqual, defaultInstructions("", crowd.TaskCompareEqual))
+	m.ensureLocked("", crowd.TaskCompareOrder, defaultInstructions("", crowd.TaskCompareOrder))
+}
+
+// defaultInstructions is the text GenerateAll stores with a form's
+// template, and the one a form falls back on when the template is
+// missing.
+func defaultInstructions(table string, kind crowd.TaskKind) string {
+	switch kind {
+	case crowd.TaskProbeValues:
+		return "Please fill in the missing information for this row of the " + table + " table."
+	case crowd.TaskNewTuple:
+		return "Please contribute a new entry for the " + table + " table."
+	case crowd.TaskCompareEqual:
+		return "Do the two values below refer to the same real-world entity?"
+	default:
+		return "Please pick the item you consider higher-ranked for the question below."
+	}
 }
 
 func (m *Manager) ensureLocked(table string, kind crowd.TaskKind, instructions string) {
@@ -110,11 +122,13 @@ func (m *Manager) EditInstructions(table string, kind crowd.TaskKind, text strin
 	return nil
 }
 
-func (m *Manager) instructionsFor(table string, kind crowd.TaskKind, fallback string) string {
+// instructionsFor returns the instructions stored with a form's
+// template, building the default only when it has none.
+func (m *Manager) instructionsFor(table string, kind crowd.TaskKind) string {
 	if t, ok := m.Template(table, kind); ok {
 		return t.Instructions
 	}
-	return fallback
+	return defaultInstructions(table, kind)
 }
 
 func fieldLabel(col *catalog.Column) string {
@@ -154,10 +168,8 @@ func (m *Manager) ProbeForm(table string, known map[string]sqltypes.Value, ask [
 			fields = append(fields, crowd.Field{Name: col.Name, Label: fieldLabel(col), Kind: crowd.FieldDisplay, Value: v.String()})
 		}
 	}
-	title := fmt.Sprintf("Fill in missing data: %s", t.Name)
-	instr := m.instructionsFor(t.Name, crowd.TaskProbeValues,
-		fmt.Sprintf("Please fill in the missing information for this row of the %s table.", t.Name))
-	return fields, renderForm(title, crowd.TaskProbeValues, instr, t.Annotation, fields), nil
+	instr := m.instructionsFor(t.Name, crowd.TaskProbeValues)
+	return fields, renderForm("Fill in missing data: "+t.Name, crowd.TaskProbeValues, instr, t.Annotation, fields), nil
 }
 
 // NewTupleForm instantiates the new-tuple template for a CROWD table:
@@ -180,10 +192,8 @@ func (m *Manager) NewTupleForm(table string, prefill map[string]sqltypes.Value) 
 		}
 		fields = append(fields, crowd.Field{Name: col.Name, Label: fieldLabel(col), Kind: crowd.FieldInput})
 	}
-	title := fmt.Sprintf("Contribute a new entry: %s", t.Name)
-	instr := m.instructionsFor(t.Name, crowd.TaskNewTuple,
-		fmt.Sprintf("Please contribute a new entry for the %s table.", t.Name))
-	return fields, renderForm(title, crowd.TaskNewTuple, instr, t.Annotation, fields), nil
+	instr := m.instructionsFor(t.Name, crowd.TaskNewTuple)
+	return fields, renderForm("Contribute a new entry: "+t.Name, crowd.TaskNewTuple, instr, t.Annotation, fields), nil
 }
 
 // AnswerField is the canonical input-field name for comparison forms.
@@ -201,8 +211,7 @@ func (m *Manager) CompareEqualForm(question, left, right string) ([]crowd.Field,
 		{Name: "right", Label: "Value B", Kind: crowd.FieldDisplay, Value: right},
 		{Name: AnswerField, Label: "Same entity?", Kind: crowd.FieldChoice, Options: []string{"yes", "no"}},
 	}
-	instr := m.instructionsFor("", crowd.TaskCompareEqual,
-		"Do the two values below refer to the same real-world entity?")
+	instr := m.instructionsFor("", crowd.TaskCompareEqual)
 	return fields, renderForm("Compare two values", crowd.TaskCompareEqual, instr, "", fields), nil
 }
 
@@ -217,8 +226,7 @@ func (m *Manager) CompareOrderForm(question, left, right string) ([]crowd.Field,
 		{Name: "question", Label: "Question", Kind: crowd.FieldDisplay, Value: question},
 		{Name: AnswerField, Label: question, Kind: crowd.FieldChoice, Options: []string{left, right}},
 	}
-	instr := m.instructionsFor("", crowd.TaskCompareOrder,
-		"Please pick the item you consider higher-ranked for the question below.")
+	instr := m.instructionsFor("", crowd.TaskCompareOrder)
 	return fields, renderForm("Rank two items", crowd.TaskCompareOrder, instr, "", fields), nil
 }
 

@@ -160,24 +160,41 @@ type SessionInfo struct {
 	Stats      Stats  `json:"stats"`
 }
 
-// send issues one request — body, when non-nil, as its JSON body — and
-// returns the open response. A status >= 400 comes back as the body's
-// coded *Error (or a plain error quoting it), transport failures as
-// plain errors.
-func (c *Client) send(ctx context.Context, method, path, accept string, body []byte) (*http.Response, error) {
+// The header values every request shares. A request's header map is its
+// own, since a cookie jar on the http.Client writes into it; these slices
+// are not written, and with cap == len an Add copies them. An empty
+// User-Agent makes net/http send none, and asking for the identity
+// encoding spares the transport its gzip negotiation: the server never
+// compresses.
+var (
+	identity    = []string{"identity"}
+	noUserAgent = []string{""}
+	jsonType    = []string{"application/json"}
+	ndjsonType  = []string{ndjson}
+)
+
+// send issues one request — body, when non-nil, as its JSON body, accept,
+// when non-nil, as its Accept header — and returns the open response. A
+// status >= 400 comes back as the body's coded *Error (or a plain error
+// quoting it), transport failures as plain errors.
+func (c *Client) send(ctx context.Context, method, path string, accept []string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
+		// NewRequestWithContext wraps a *bytes.Reader so that net/http
+		// knows the body is in memory and writes it with the header.
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return nil, err
 	}
+	h := req.Header
+	h["Accept-Encoding"], h["User-Agent"] = identity, noUserAgent
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		h["Content-Type"] = jsonType
 	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	if accept != nil {
+		h["Accept"] = accept
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -202,7 +219,7 @@ func (c *Client) send(ctx context.Context, method, path, accept string, body []b
 
 // read is send returning the whole response body.
 func (c *Client) read(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	resp, err := c.send(ctx, method, path, "", body)
+	resp, err := c.send(ctx, method, path, nil, body)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +339,7 @@ func (c *Client) Submit(ctx context.Context, sql string) (*Job, error) {
 		body = append(jsonline.AppendString(append(body, `"session":`...), c.session), ',')
 	}
 	body = append(jsonline.AppendString(append(body, `"sql":`...), sql), '}')
-	resp, err := c.send(ctx, http.MethodPost, "/v1/queries", ndjson, body)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/queries", ndjsonType, body)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +604,7 @@ func (j *Job) RowsFrom(ctx context.Context, n int) (*RowIter, error) {
 		}
 	}
 	resp, err := j.c.send(ctx, http.MethodGet,
-		fmt.Sprintf("/v1/queries/%s/rows?from=%d", url.PathEscape(j.id), n), "", nil)
+		fmt.Sprintf("/v1/queries/%s/rows?from=%d", url.PathEscape(j.id), n), nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+
+	"crowddb/internal/jsonline"
 )
 
 // refRowIter is the stream reader as it was before rows were decoded in
@@ -112,10 +114,10 @@ func (it *refRowIter) Close() error {
 
 // refDecodeRow decodes a row line: an array of strings and nulls.
 func refDecodeRow(line []byte) (Row, error) {
-	s := scanner{b: line}
-	s.ws()
-	if null, err := s.null(); null || err != nil {
-		return nil, firstErr(err, s.end())
+	s := jsonline.Scanner{B: line}
+	s.WS()
+	if null, err := s.Null(); null || err != nil {
+		return nil, firstErr(err, s.End())
 	}
 	// The cells' bytes go back to back into one string, and every cell
 	// is a slice of it: three allocations a row, whatever its width.
@@ -125,17 +127,17 @@ func refDecodeRow(line []byte) (Row, error) {
 	}
 	var text [256]byte
 	cells, all := make([]cell, 0, 16), text[:0]
-	err := s.array(1, func() error {
-		null, err := s.null()
+	err := s.Array(1, func() error {
+		null, err := s.Null()
 		if err == nil && !null {
 			var v []byte
-			v, err = s.str()
+			v, err = s.Str()
 			all = append(all, v...)
 		}
 		cells = append(cells, cell{len(all), null})
 		return err
 	})
-	if err = firstErr(err, s.end()); err != nil {
+	if err = firstErr(err, s.End()); err != nil {
 		return nil, err
 	}
 	joined := string(all)

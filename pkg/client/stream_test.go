@@ -577,3 +577,42 @@ func TestJobCloseReleasesUnclaimedStream(t *testing.T) {
 		return w.open.Load() == 0 && runtime.NumGoroutine() <= before
 	})
 }
+
+// writeCounter counts the writes made on a connection.
+type writeCounter struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestStatementIsOneWrite: a point statement's request leaves in one
+// write on its connection. net/http writes a request's header on its own
+// first when it cannot tell that the body is already in memory, and that
+// extra write shows in every statement's latency.
+func TestStatementIsOneWrite(t *testing.T) {
+	ts, _ := testServer(t, 81, 3)
+	ctx := testContext(t)
+	var writes atomic.Int64
+	dialer := &net.Dialer{Timeout: 5 * time.Second}
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dialer.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCounter{conn, &writes}, nil
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: tr}))
+	pointStatement(ctx, t, c) // opens the connection
+	for i := 0; i < 20; i++ {
+		before := writes.Load()
+		pointStatement(ctx, t, c)
+		if n := writes.Load() - before; n != 1 {
+			t.Fatalf("statement %d took %d writes, want 1", i, n)
+		}
+	}
+}
