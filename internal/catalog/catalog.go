@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"crowddb/internal/sqltypes"
 )
@@ -490,10 +492,22 @@ func (c *Catalog) DropTable(name string) error {
 
 // Table looks up a table by name.
 func (c *Catalog) Table(name string) (*Table, bool) {
+	var buf [64]byte
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.tables[strings.ToLower(name)]
+	t, ok := c.tables[string(AppendFold(buf[:0], name))]
 	return t, ok
+}
+
+// AppendFold appends name case-folded as strings.ToLower folds it: the key
+// a table's name is looked up by. A map indexed with
+// string(AppendFold(buf[:0], name)), buf on the stack, allocates nothing
+// for a name that fits buf.
+func AppendFold(dst []byte, name string) []byte {
+	for _, r := range name {
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
 }
 
 // Tables returns all table definitions sorted by name.

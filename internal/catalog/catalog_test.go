@@ -346,3 +346,33 @@ func TestIndexesKeptSorted(t *testing.T) {
 		t.Errorf("Indexes: %.0f allocations, want 0", n)
 	}
 }
+
+// Table finds a table under any spelling of its name, and a lookup of a
+// mixed-case name allocates nothing.
+func TestTableLookupFoldsWithoutAllocating(t *testing.T) {
+	c := New()
+	if err := c.CreateTable(talkTable()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Talk", "talk", "TALK"} {
+		if _, ok := c.Table(name); !ok {
+			t.Errorf("Table(%q) not found", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Table("Talk") }); n != 0 {
+		t.Errorf("Table(%q): %.0f allocations, want 0", "Talk", n)
+	}
+}
+
+// FuzzAppendFold holds the fold a lookup uses to strings.ToLower, which
+// keys a table when it is created.
+func FuzzAppendFold(f *testing.F) {
+	for _, s := range []string{"", "Talk", "NotableAttendee", "ÄÖÜ", "İstanbul", "ǅ", "\xff\xfeX", "aKelvin"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := string(AppendFold(nil, s)), strings.ToLower(s); got != want {
+			t.Fatalf("AppendFold(%q) = %q, strings.ToLower %q", s, got, want)
+		}
+	})
+}

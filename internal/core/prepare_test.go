@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowddb/internal/exec"
 	"crowddb/internal/lexer"
 	"crowddb/internal/parser"
 )
@@ -669,6 +670,58 @@ func BenchmarkPrepareHit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if sc, err := eng.Prepare(st.sql); err != nil || cachedAt(&sc, 0) == nil {
 					b.Fatalf("%s: cached %v, %v", st.sql, cachedAt(&sc, 0) != nil, err)
+				}
+			}
+		})
+	}
+}
+
+// buildShapes are bench/perf's statement shapes a fresh executor builds:
+// point_read's pk and index lookups, scan_read's filter, GROUP BY and
+// top-k, and crowd_cold's CROWDEQUAL filter, built with a crowd attached.
+var buildShapes = []struct {
+	name, sql string
+	crowd     bool
+}{
+	{"pk", layerStatements[0].sql, false},
+	{"index", layerStatements[1].sql, false},
+	{"filter", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950", false},
+	{"group", layerStatements[2].sql, false},
+	{"topk", "SELECT title, nb_attendees FROM Talk WHERE nb_attendees > 950 ORDER BY nb_attendees DESC LIMIT 10", false},
+	{"crowdequal", "SELECT id FROM Pair WHERE grp = 3 AND a ~= b", true},
+}
+
+// BenchmarkBuildFresh is one exec.Build of a compiled plan: what a
+// statement pays when it finds its key's kept executor taken by another.
+func BenchmarkBuildFresh(b *testing.B) {
+	machine := layerEngine(b)
+	crowd, err := Open(Config{Platform: newAMT(5)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { crowd.Close() })
+	mustExec(b, crowd, "CREATE TABLE Pair (id INTEGER PRIMARY KEY, grp INTEGER, a STRING, b STRING)")
+	for _, st := range buildShapes {
+		b.Run(st.name, func(b *testing.B) {
+			eng := machine
+			if st.crowd {
+				eng = crowd
+			}
+			s, err := parser.Parse(st.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt, err := eng.compileFresh(s.(*parser.Select), eng.optimizerOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := exec.Ctx{Store: eng.store, Cat: eng.cat, Tasks: eng.tasks, Cache: eng.cache, Subqueries: (*subqueryRunner)(eng)}
+			ctx.UseSlots(parser.AppendSlotValues(nil, s))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.Build(opt.Root, &ctx); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -2,20 +2,22 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"crowddb/internal/parser"
 	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 )
 
-// The binder turns a parsed expression into the form the evaluator
-// (eval.go) runs, once per operator, when Build makes the tree.
+// The binder compiles a parsed expression into the form the evaluator
+// (eval.go) runs, once per operator, when Build makes the tree: each node
+// becomes one closure over its children's.
 //
 // Resolved here: every column reference to its ordinal in the operator's
-// input schema, every operator and function name to a small code, and
-// which nodes are predicates (answered as true/false/unknown without
-// building a BOOLEAN Value). Left to each row: reading the ordinal, the
-// comparison, the arithmetic.
+// input schema, every operator and function name to the code that applies
+// it, and which nodes are predicates (answered as true/false/unknown
+// without building a BOOLEAN Value). Left to each row: reading the
+// ordinal, the comparison, the arithmetic.
 //
 // Binding never fails. What cannot be evaluated — a column the schema does
 // not have or has twice, an aggregate out of place — becomes a node that
@@ -24,115 +26,23 @@ import (
 // label may be the paper's free variable `p`, which resolves nowhere and
 // falls back per row.
 //
-// An aggregate call binds to a bAgg node anywhere; GROUP BY's output reads
-// it off its group, so any expression there may wrap one.
-//
-// Nodes are 48 bytes, hold no strings of their own (a literal node points
-// at the AST's literal) and come from one slab per operator, sized by
-// nodeCount before the first is taken; a bare literal handed to BindRow or
-// EvalConst is not bound at all.
+// An aggregate call compiles to a read of its group's state anywhere;
+// GROUP BY's output reads it off its group, so any expression there may
+// wrap one. The same pass hands an aggregation its calls and a crowd
+// filter its CROWDEQUAL calls: each is compiled once, for the rows and for
+// the operator that gathers them.
 
-// boundKind says how a bound node evaluates.
-type boundKind uint8
-
-const (
-	bLit     boundKind = iota // src: the *sqltypes.Value, the literal's or its slot's
-	bCol                      // ord: the column's ordinal in the row
-	bFail                     // src: the error evaluating it returns
-	bAnd                      // kids: l, r
-	bOr                       // kids: l, r
-	bNot                      // kids: e
-	bNeg                      // kids: e
-	bCmp                      // op: cmpEq…; kids: l, r — or none: column ord against the *sqltypes.Value src
-	bIsNull                   // op: 1 for IS CNULL; neg; kids: e
-	bIn                       // neg; kids: e, then the list; src: the *parser.InExpr of the subquery form
-	bBetween                  // neg; kids: e, lo, hi
-	bLike                     // kids: l, r
-	bConcat                   // kids: l, r
-	bArith                    // op: arithAdd… (0: not an arithmetic operator); kids: l, r; src: the *parser.BinaryExpr
-	bFunc                     // op: fnLower… (0: unknown); kids: the arguments; src: the *parser.FuncCall
-	bCrowdEq                  // kids: l, r and, for CROWDEQUAL's third argument, the question
-	bAgg                      // op: aggCount…; kids: the argument, none for COUNT(*); ord: the call's slot in its group's states (newAggregate numbers them), -1 for COUNT(*); src: the *parser.FuncCall
-)
-
-const (
-	cmpEq uint8 = iota + 1
-	cmpNe
-	cmpLt
-	cmpLe
-	cmpGt
-	cmpGe
-)
-
-const (
-	arithAdd uint8 = iota + 1
-	arithSub
-	arithMul
-	arithDiv
-	arithMod
-)
-
-const (
-	fnLower uint8 = iota + 1
-	fnUpper
-	fnTrim
-	fnLength
-	fnAbs
-	fnRound
-	fnCoalesce
-	fnSubstr
-)
-
-var (
-	cmpOps   = map[string]uint8{"=": cmpEq, "<>": cmpNe, "<": cmpLt, "<=": cmpLe, ">": cmpGt, ">=": cmpGe}
-	arithOps = map[string]uint8{"+": arithAdd, "-": arithSub, "*": arithMul, "/": arithDiv, "%": arithMod}
-	funcs    = map[string]uint8{"LOWER": fnLower, "UPPER": fnUpper, "TRIM": fnTrim, "LENGTH": fnLength,
-		"ABS": fnAbs, "ROUND": fnRound, "COALESCE": fnCoalesce, "SUBSTR": fnSubstr}
-)
-
-// bound is one node of a bound expression; its children are contiguous in
-// the slab it came from.
-type bound struct {
-	kind boundKind
-	op   uint8
-	neg  bool
-	ord  int32
-	kids []bound
-	src  any
-}
-
-// slab hands out runs of T. grow sizes it exactly; a take that finds it
-// short starts a new chunk, doubling up to slabMax runs. A chunk is never
-// moved, so what was handed out stays where it is.
-type slab[T any] struct {
-	free []T
-	size int
-}
-
-const slabMax = 256
-
-func (s *slab[T]) grow(n int) {
-	if len(s.free) < n {
-		s.free, s.size = make([]T, n), n
-	}
-}
-
-func (s *slab[T]) take(n int) []T {
-	if len(s.free) < n {
-		s.grow(max(n, min(2*s.size, slabMax*n)))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
-
-// binder hands out bound nodes from one slab per operator. bind grows it
-// by what its expression needs; an operator with several expressions grows
-// it first by their sum (bindAll does), for one allocation. A literal in a
-// slot binds to its place in the context's slot storage (Ctx.UseSlots).
+// binder compiles expressions over the statement's slots: a literal in a
+// slot reads its place in the context's slot storage (Ctx.UseSlots).
 type binder struct {
-	slab[bound]
 	slots slots
+	// aggs, when set, receives each aggregate call compiled, but one under
+	// another's argument, which stays out of place: an aggregation's calls,
+	// a call's index its slot in a group's states.
+	aggs *[]aggCall
+	// eqs, when set, receives each CROWDEQUAL call compiled, in the order
+	// parser.WalkExprs visits them: a crowd filter's.
+	eqs *[]crowdEqualCall
 }
 
 // binder starts an operator's binder over the statement's slots.
@@ -170,153 +80,136 @@ func (c *Ctx) probeKeys(s *plan.Scan, prefill map[string]sqltypes.Value) map[str
 	return prefill
 }
 
-// nodeCount is the number of nodes bind makes of e.
-func nodeCount(e parser.Expr) int {
-	n := 0
-	parser.WalkExprs(e, func(x parser.Expr) {
-		n++
-		if be, ok := x.(*parser.BinaryExpr); ok && columnVsLiteral(be) {
-			n -= 2 // its operands, which the walk is about to count
-		}
-	})
-	return n
-}
-
-// columnVsLiteral picks out `column <cmp> literal`, the shape of nearly
-// every pushed filter. It binds to one node: both operands sit in the
-// comparison.
-func columnVsLiteral(x *parser.BinaryExpr) bool {
-	_, isCol := x.L.(*parser.ColumnRef)
-	_, isLit := x.R.(*parser.Literal)
-	return isCol && isLit && cmpOps[x.Op] != 0
-}
-
-// bind resolves e against schema; a nil expression binds to nil.
-func (b *binder) bind(e parser.Expr, schema []plan.Col) *bound {
-	if e == nil {
-		return nil
-	}
-	b.grow(nodeCount(e))
-	dst := &b.take(1)[0]
-	b.bindInto(dst, e, schema)
-	return dst
-}
-
-// bindAll binds n expressions against one schema; out[i] is the root of
-// expr(i).
-func (b *binder) bindAll(n int, expr func(int) parser.Expr, schema []plan.Col) []bound {
-	nodes := 0
-	for i := 0; i < n; i++ {
-		nodes += nodeCount(expr(i))
-	}
-	b.grow(nodes)
-	out := b.take(n)
+// bindAll binds n expressions against one schema; out[i] is at(i)'s.
+func (b *binder) bindAll(n int, at func(int) parser.Expr, schema []plan.Col) []expr {
+	out := make([]expr, n)
 	for i := range out {
-		b.bindInto(&out[i], expr(i), schema)
+		out[i] = b.bind(at(i), schema)
 	}
 	return out
 }
 
-// bindKids binds es as the contiguous children of dst.
-func (b *binder) bindKids(dst *bound, schema []plan.Col, es ...parser.Expr) {
-	dst.kids = b.take(len(es))
-	for i, e := range es {
-		b.bindInto(&dst.kids[i], e, schema)
-	}
-}
-
-func fail(dst *bound, err error) { dst.kind, dst.src = bFail, err }
-
-func (b *binder) bindInto(dst *bound, e parser.Expr, schema []plan.Col) {
+// bind compiles e against schema; a nil expression is the zero expr.
+func (b *binder) bind(e parser.Expr, schema []plan.Col) expr {
 	switch x := e.(type) {
+	case nil:
+		return expr{}
 	case *parser.Literal:
-		dst.kind, dst.src = bLit, b.slots.of(x)
+		return constant(b.slots.of(x))
 	case *parser.ColumnRef:
 		i, err := plan.FindCol(schema, x.Table, x.Name)
 		if err != nil {
-			fail(dst, err)
-			return
+			return failed(err)
 		}
-		dst.kind, dst.ord = bCol, int32(i)
+		return column(i)
 	case *parser.BinaryExpr:
 		switch x.Op {
-		case "AND":
-			dst.kind = bAnd
-		case "OR":
-			dst.kind = bOr
+		case "AND", "OR":
+			return b.logic(x, schema)
 		case "~=":
-			dst.kind = bCrowdEq
+			return b.crowdEqual(x.L, x.R, nil, schema)
 		case "LIKE":
-			dst.kind = bLike
-		case "||":
-			dst.kind = bConcat
-		default:
-			if op, ok := cmpOps[x.Op]; ok {
-				dst.kind, dst.op = bCmp, op
-				if columnVsLiteral(x) {
-					b.bindInto(dst, x.L, schema) // the ordinal, or the failure
-					if dst.kind == bCol {
-						dst.kind, dst.src = bCmp, b.slots.of(x.R.(*parser.Literal))
-					}
-					return
-				}
-			} else if op, ok := arithOps[x.Op]; ok {
-				dst.kind, dst.op, dst.src = bArith, op, x
-			} else {
-				fail(dst, fmt.Errorf("exec: unknown operator %q", x.Op))
-				return
-			}
+			return b.like(x, schema)
+		case "||", "+", "-", "*", "/", "%":
+			return b.operate(x, schema)
+		case "=", "<>", "<", "<=", ">", ">=":
+			return b.comparison(x, schema)
 		}
-		b.bindKids(dst, schema, x.L, x.R)
+		return failed(fmt.Errorf("exec: unknown operator %q", x.Op))
 	case *parser.UnaryExpr:
 		switch x.Op {
 		case "NOT":
-			dst.kind = bNot
+			return b.not(x, schema)
 		case "-":
-			dst.kind = bNeg
-		default:
-			fail(dst, fmt.Errorf("exec: unknown unary op %q", x.Op))
-			return
+			return b.negate(x, schema)
 		}
-		b.bindKids(dst, schema, x.E)
+		return failed(fmt.Errorf("exec: unknown unary op %q", x.Op))
 	case *parser.IsNullExpr:
-		dst.kind, dst.neg = bIsNull, x.Neg
-		if x.CNull {
-			dst.op = 1
-		}
-		b.bindKids(dst, schema, x.E)
+		return b.isNull(x, schema)
 	case *parser.InExpr:
-		dst.kind, dst.neg = bIn, x.Neg
-		if x.Sub != nil {
-			dst.src = x
-		}
-		dst.kids = b.take(1 + len(x.List))
-		b.bindInto(&dst.kids[0], x.E, schema)
-		for i, item := range x.List {
-			b.bindInto(&dst.kids[1+i], item, schema)
-		}
+		return b.in(x, schema)
 	case *parser.BetweenExpr:
-		dst.kind, dst.neg = bBetween, x.Neg
-		b.bindKids(dst, schema, x.E, x.Lo, x.Hi)
+		return b.between(x, schema)
 	case *parser.FuncCall:
 		switch {
 		case x.IsAggregate():
-			dst.kind, dst.op, dst.ord, dst.src = bAgg, aggFns[x.Name], -1, x
-			if !x.Star {
-				b.bindKids(dst, schema, x.Args...)
-			}
+			return b.aggregate(x, schema)
 		case x.Name == "CROWDORDER":
-			fail(dst, fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY"))
+			return failed(fmt.Errorf("exec: CROWDORDER is only valid in ORDER BY"))
 		case len(x.Args) == 0:
-			fail(dst, fmt.Errorf("exec: %s requires arguments", x.Name))
+			return failed(fmt.Errorf("exec: %s requires arguments", x.Name))
 		case x.Name == "CROWDEQUAL":
-			dst.kind = bCrowdEq
-			b.bindKids(dst, schema, x.Args...)
-		default:
-			dst.kind, dst.op, dst.src = bFunc, funcs[x.Name], x
-			b.bindKids(dst, schema, x.Args...)
+			var question parser.Expr
+			if len(x.Args) == 3 {
+				question = x.Args[2]
+			}
+			return b.crowdEqual(x.Args[0], x.Args[1], question, schema)
 		}
-	default:
-		fail(dst, fmt.Errorf("exec: cannot evaluate %T", e))
+		return b.scalar(x, schema)
 	}
+	return failed(fmt.Errorf("exec: cannot evaluate %T", e))
+}
+
+// comparison compiles =, <>, <, <=, > and >=. An operator spells the
+// orderings it accepts: `<=` is < or =, `<>` is < or >. `column <cmp>
+// literal`, the shape of nearly every pushed filter, is one closure over
+// the column's ordinal and the literal's value.
+func (b *binder) comparison(x *parser.BinaryExpr, schema []plan.Col) expr {
+	o := ordering{lt: strings.Contains(x.Op, "<"), eq: strings.Contains(x.Op, "="), gt: strings.Contains(x.Op, ">")}
+	col, isCol := x.L.(*parser.ColumnRef)
+	lit, isLit := x.R.(*parser.Literal)
+	if isCol && isLit {
+		ord, err := plan.FindCol(schema, col.Table, col.Name)
+		if err != nil {
+			return failed(err)
+		}
+		v := b.slots.of(lit)
+		return expr{pred: func(row Row, _ *evalEnv) (tri, error) { return o.of(compare(row[ord], *v)), nil }}
+	}
+	l, r := b.bind(x.L, schema), b.bind(x.R, schema)
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		lv, rv, err := both(l, r, row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		return o.of(compare(lv, rv)), nil
+	}}
+}
+
+// aggregate compiles an aggregate call to a read of its state in the
+// group being emitted, and hands the call to the aggregation gathering
+// them. COUNT(*), which the group counts itself, reads slot -1.
+func (b *binder) aggregate(x *parser.FuncCall, schema []plan.Col) expr {
+	fn, slot := aggFns[x.Name], int32(-1)
+	if !x.Star && len(x.Args) > 0 {
+		aggs := b.aggs
+		b.aggs = nil
+		arg := b.bind(x.Args[0], schema)
+		if b.aggs = aggs; aggs != nil {
+			slot = int32(len(*aggs))
+			*aggs = append(*aggs, aggCall{fn: fn, arg: arg})
+		}
+	}
+	return expr{val: func(_ Row, env *evalEnv) (sqltypes.Value, error) {
+		if env == nil || env.agg == nil {
+			return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", x.Name)
+		}
+		return env.agg.value(env.group, slot, fn)
+	}}
+}
+
+// crowdEqual compiles l ~= r, under question when it is not nil, and hands
+// the call to the crowd filter gathering them: its place is taken before
+// its operands', which may hold calls of their own.
+func (b *binder) crowdEqual(l, r, question parser.Expr, schema []plan.Col) expr {
+	at := -1
+	if b.eqs != nil {
+		at = len(*b.eqs)
+		*b.eqs = append(*b.eqs, crowdEqualCall{})
+	}
+	c := crowdEqualCall{l: b.bind(l, schema), r: b.bind(r, schema), question: b.bind(question, schema)}
+	if at >= 0 {
+		(*b.eqs)[at] = c
+	}
+	return expr{val: c.eval}
 }

@@ -103,7 +103,6 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 	if ctx.Tasks != nil {
 		if probe, leftKey, rightCol, residual, ok := j.CrowdJoin(); ok {
 			inner := probe.Scan
-			b.grow(nodeCount(leftKey) + nodeCount(residual) + nodeCount(probe.Filter))
 			return &crowdJoin{
 				node: j, left: left, probe: probe, rd: newReader(ctx, inner), rightCol: rightCol,
 				leftKey: b.bind(leftKey, left.Schema()), residual: b.bind(residual, j.Schema()),
@@ -119,7 +118,6 @@ func buildJoin(j *plan.Join, ctx *Ctx) (Operator, error) {
 
 	if j.Type == parser.JoinInner && j.On != nil {
 		if lk, rk, residual, ok := equiJoinKeys(j); ok {
-			b.grow(nodeCount(lk) + nodeCount(rk) + nodeCount(residual))
 			return &hashJoin{node: j, left: rowCursor{in: left}, right: right,
 				lk: b.bind(lk, left.Schema()), rk: b.bind(rk, right.Schema()), res: b.bind(residual, j.Schema())}, nil
 		}

@@ -323,31 +323,36 @@ func resolveEqual(ctx *Ctx, question, l, r string) (sqltypes.Value, error) {
 }
 
 // crowdEqualCall is one CROWDEQUAL occurrence in an expression, its
-// operands bound to the rows' schema.
+// operands compiled over the rows' schema.
 type crowdEqualCall struct {
-	question *bound // nil = default question
-	l, r     *bound
+	l, r     expr
+	question expr // the zero expr: the default question
 }
 
-func collectCrowdEqualCalls(b *binder, e parser.Expr, schema []plan.Col) []crowdEqualCall {
-	var calls []crowdEqualCall
-	parser.WalkExprs(e, func(x parser.Expr) {
-		switch n := x.(type) {
-		case *parser.BinaryExpr:
-			if n.Op == "~=" {
-				calls = append(calls, crowdEqualCall{l: b.bind(n.L, schema), r: b.bind(n.R, schema)})
-			}
-		case *parser.FuncCall:
-			if n.Name == "CROWDEQUAL" {
-				c := crowdEqualCall{l: b.bind(n.Args[0], schema), r: b.bind(n.Args[1], schema)}
-				if len(n.Args) == 3 {
-					c.question = b.bind(n.Args[2], schema)
-				}
-				calls = append(calls, c)
-			}
+// eval renders both sides and asks the memo, then the crowd. The question
+// is evaluated first, trivially equal values need no crowd, and with no
+// crowd attached the answer is unknown.
+func (c crowdEqualCall) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
+	question := ""
+	if !c.question.none() {
+		qv, err := c.question.eval(row, env)
+		if err != nil {
+			return sqltypes.Value{}, err
 		}
-	})
-	return calls
+		question = qv.String()
+	}
+	l, r, err := both(c.l, c.r, row, env)
+	switch {
+	case err != nil:
+		return sqltypes.Value{}, err
+	case l.IsUnknown() || r.IsUnknown():
+		return sqltypes.Null(), nil
+	case sqltypes.Equal(l, r):
+		return sqltypes.NewBool(true), nil
+	case env == nil || env.ctx == nil || env.ctx.Cache == nil:
+		return sqltypes.Null(), nil
+	}
+	return resolveEqual(env.ctx, question, l.String(), r.String())
 }
 
 // equalStream is the CrowdFilter's quorum-streaming state machine. It
@@ -359,7 +364,7 @@ func collectCrowdEqualCalls(b *binder, e parser.Expr, schema []plan.Col) []crowd
 // evaluated strictly in input order; evaluating a ready row touches only
 // the in-memory cache.
 type equalStream struct {
-	cond   *bound
+	cond   expr
 	env    evalEnv
 	rows   []Row
 	broker compareBroker
@@ -388,7 +393,7 @@ type eqBatch struct {
 // newEqualStream claims every comparison calls, the CROWDEQUAL calls in
 // cond, need over rows in row-major order and posts the ones this query
 // leads; quorum collection happens lazily in nextBatch.
-func newEqualStream(ctx *Ctx, cond *bound, calls []crowdEqualCall, rows []Row) (*equalStream, error) {
+func newEqualStream(ctx *Ctx, cond expr, calls []crowdEqualCall, rows []Row) (*equalStream, error) {
 	es := &equalStream{cond: cond, env: evalEnv{ctx: ctx}, rows: rows, resolved: map[Key]bool{},
 		broker: newCompareBroker(ctx, kindEqual)}
 	if len(calls) == 0 {
@@ -448,18 +453,14 @@ func newEqualStream(ctx *Ctx, cond *bound, calls []crowdEqualCall, rows []Row) (
 // operands evaluates one CROWDEQUAL occurrence over a row. skip reports
 // a pair that needs no crowd: an unknown side or trivially equal values.
 func (c crowdEqualCall) operands(row Row) (question, l, r string, skip bool, err error) {
-	lv, err := c.l.eval(row, nil)
-	if err != nil {
-		return "", "", "", false, err
-	}
-	rv, err := c.r.eval(row, nil)
+	lv, rv, err := both(c.l, c.r, row, nil)
 	if err != nil {
 		return "", "", "", false, err
 	}
 	if lv.IsUnknown() || rv.IsUnknown() || sqltypes.Equal(lv, rv) {
 		return "", "", "", true, nil
 	}
-	if c.question != nil {
+	if !c.question.none() {
 		qv, err := c.question.eval(row, nil)
 		if err != nil {
 			return "", "", "", false, err
@@ -570,7 +571,7 @@ func chunkSlice[T any](items []T, n int) [][]T {
 // per round, results memoized in the compare cache. The caller drives it
 // with step() (one breadth-first round) and reads the settled prefix
 // between rounds, or run()s it to completion.
-func newCrowdSorter(ctx *Ctx, rows []Row, label *bound, question string) *crowdSorter {
+func newCrowdSorter(ctx *Ctx, rows []Row, label expr, question string) *crowdSorter {
 	// Labels that fail to resolve (e.g. the paper's free variable `p`) fall
 	// back to the row's first column rendering.
 	labels := make([]string, len(rows))
@@ -757,7 +758,7 @@ func (s *crowdSorter) prefers(i, j int) bool {
 type crowdProbe struct {
 	node   *plan.CrowdProbe
 	rd     tableReader // the scan's
-	filter *bound      // node.Filter
+	filter expr        // node.Filter
 	out    batchEmitter
 }
 
@@ -805,7 +806,7 @@ func (p *crowdProbe) Open(ctx *Ctx) error {
 }
 
 // keptRows filters rows in place, keeping each that every filter keeps.
-func keptRows(rows []Row, filters ...*bound) ([]Row, error) {
+func keptRows(rows []Row, filters ...expr) ([]Row, error) {
 	kept := rows[:0]
 	for _, row := range rows {
 		keep := true
@@ -960,7 +961,7 @@ func writeBack(tx *storage.Txn, t *catalog.Table, id storage.RowID, seen, answer
 // wantedTuples is how many new tuples CrowdProbe solicits: the probe
 // keys' expected cardinality minus the stored tuples that match, and/or
 // what the solicitation bound leaves room for.
-func (p *crowdProbe) wantedTuples(filter *bound, existing []Row) (int, error) {
+func (p *crowdProbe) wantedTuples(filter expr, existing []Row) (int, error) {
 	want := -1
 	if len(p.node.Scan.ProbeKeys) > 0 {
 		matching := 0
@@ -1113,7 +1114,7 @@ type crowdJoin struct {
 	probe                          *plan.CrowdProbe // the crowd inner
 	rd                             tableReader      // the inner scan's
 	rightCol                       string
-	leftKey, residual, crowdFilter *bound // over the outer, the joined and the inner rows
+	leftKey, residual, crowdFilter expr // over the outer, the joined and the inner rows
 
 	out batchEmitter
 }

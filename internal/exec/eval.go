@@ -6,11 +6,11 @@
 // CROWDORDER sorting). Crowd answers are always memorized in the store so
 // a repeated query never re-asks the crowd.
 //
-// Expressions are evaluated in two steps. Each operator binds the
-// expressions it owns against its input schema when it is built (bind.go);
-// per row, this file walks the bound nodes: no name is compared, no
-// operator string is switched on and a predicate's answer is one of three
-// small integers, not a Value built to be taken apart again.
+// Expressions are compiled once: each operator binds the expressions it
+// owns against its input schema when it is built (bind.go), each node to
+// a closure over its children's. Per row no name is looked up, and a
+// predicate's answer is one of three small integers, not a Value built to
+// be taken apart again.
 package exec
 
 import (
@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"crowddb/internal/parser"
+	"crowddb/internal/plan"
 	"crowddb/internal/sqltypes"
 )
 
@@ -41,34 +42,11 @@ func triOf(b bool) tri {
 	return triFalse
 }
 
-func (t tri) not() tri {
-	switch t {
-	case triFalse:
-		return triTrue
-	case triTrue:
-		return triFalse
-	}
-	return triUnknown
-}
-
 func (t tri) value() sqltypes.Value {
 	if t == triUnknown {
 		return sqltypes.Null()
 	}
 	return sqltypes.NewBool(t == triTrue)
-}
-
-// truth reads a value as a condition: unknown when it is NULL/CNULL or
-// has no BOOLEAN reading.
-func truth(v sqltypes.Value) tri {
-	if v.IsUnknown() {
-		return triUnknown
-	}
-	b, err := v.Coerce(sqltypes.TypeBool)
-	if err != nil {
-		return triUnknown
-	}
-	return triOf(b.Bool())
 }
 
 // evalEnv is what evaluation needs beyond the row. A nil *evalEnv is the
@@ -79,7 +57,7 @@ type evalEnv struct {
 	// error and the second unknown.
 	ctx *Ctx
 	// agg and group are the aggregation and the group in it whose
-	// accumulated aggregates bAgg nodes read.
+	// accumulated aggregates an aggregate call reads.
 	agg   *aggTable
 	group int32
 }
@@ -102,180 +80,240 @@ func compare(l, r sqltypes.Value) (c int, ok bool) {
 	return 0, false
 }
 
+// expr is a compiled expression: one closure per node, over its
+// children's (bind.go). A predicate node answers as a tri, any other as a
+// value; each reading derives from the other. The zero expr is no
+// expression.
+type expr struct {
+	val  func(Row, *evalEnv) (sqltypes.Value, error)
+	pred func(Row, *evalEnv) (tri, error)
+}
+
+// none reports whether x is no expression.
+func (x expr) none() bool { return x.val == nil && x.pred == nil }
+
 // keeps is a filter's keep/drop decision: only true keeps, and no filter
-// (nil) keeps every row.
-func (n *bound) keeps(row Row, env *evalEnv) (bool, error) {
-	if n == nil {
-		return true, nil
+// (the zero expr) keeps every row.
+func (x expr) keeps(row Row, env *evalEnv) (bool, error) {
+	t, err := triTrue, error(nil)
+	switch {
+	case x.pred != nil:
+		t, err = x.pred(row, env)
+	case x.val != nil:
+		t, err = x.truth(row, env)
 	}
-	t, err := n.test(row, env)
 	return t == triTrue, err
 }
 
-// test evaluates n as a condition. AND and OR evaluate both sides, always:
-// a side's error — and a CROWDEQUAL's crowd question — does not depend on
-// what the other side said.
-func (n *bound) test(row Row, env *evalEnv) (tri, error) {
-	switch n.kind {
-	case bAnd, bOr:
-		l, err := n.kids[0].test(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		r, err := n.kids[1].test(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		decided := triOf(n.kind == bOr) // the answer one side can force
-		switch {
-		case l == decided || r == decided:
-			return decided, nil
-		case l == triUnknown || r == triUnknown:
-			return triUnknown, nil
-		}
-		return decided.not(), nil
-	case bNot:
-		v, err := n.kids[0].eval(row, env)
-		if err != nil || v.IsUnknown() {
-			return triUnknown, err
-		}
-		b, err := v.Coerce(sqltypes.TypeBool)
-		if err != nil {
-			return triUnknown, err
-		}
-		return triOf(!b.Bool()), nil
-	case bCmp:
-		var l, r sqltypes.Value
-		if n.kids == nil {
-			l, r = row[n.ord], *n.src.(*sqltypes.Value)
-		} else {
-			var err error
-			if l, err = n.kids[0].eval(row, env); err != nil {
-				return triUnknown, err
-			}
-			if r, err = n.kids[1].eval(row, env); err != nil {
-				return triUnknown, err
-			}
-		}
-		c, ok := compare(l, r)
-		if !ok {
-			return triUnknown, nil
-		}
-		switch n.op {
-		case cmpEq:
-			return triOf(c == 0), nil
-		case cmpNe:
-			return triOf(c != 0), nil
-		case cmpLt:
-			return triOf(c < 0), nil
-		case cmpLe:
-			return triOf(c <= 0), nil
-		case cmpGt:
-			return triOf(c > 0), nil
-		}
-		return triOf(c >= 0), nil
-	case bIsNull:
-		v, err := n.kids[0].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		match := v.IsCNull() || (n.op == 0 && v.IsNull()) // CNULL is a NULL flavor for IS NULL
-		return triOf(match != n.neg), nil
-	case bIn:
-		return n.testIn(row, env)
-	case bBetween:
-		v, err := n.kids[0].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		lo, err := n.kids[1].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		hi, err := n.kids[2].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		c1, ok1 := compare(v, lo)
-		c2, ok2 := compare(v, hi)
-		if !ok1 || !ok2 {
-			return triUnknown, nil
-		}
-		return triOf((c1 >= 0 && c2 <= 0) != n.neg), nil
-	case bLike:
-		l, err := n.kids[0].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		r, err := n.kids[1].eval(row, env)
-		if err != nil || l.IsUnknown() || r.IsUnknown() {
-			return triUnknown, err
-		}
-		return triOf(likeMatch(l.String(), r.String())), nil
+// test evaluates x as a condition.
+func (x expr) test(row Row, env *evalEnv) (tri, error) {
+	if x.pred != nil {
+		return x.pred(row, env)
 	}
-	v, err := n.eval(row, env)
-	if err != nil {
-		return triUnknown, err
-	}
-	return truth(v), nil
+	return x.truth(row, env)
 }
 
-// testIn is x [NOT] IN (list | subquery): a match decides it, otherwise an
-// item it could not be compared with leaves it unknown.
-func (n *bound) testIn(row Row, env *evalEnv) (tri, error) {
-	v, err := n.kids[0].eval(row, env)
+// truth reads x's value as a condition: unknown when it is NULL/CNULL or
+// has no BOOLEAN reading.
+func (x expr) truth(row Row, env *evalEnv) (tri, error) {
+	v, err := x.val(row, env)
 	if err != nil || v.IsUnknown() {
 		return triUnknown, err
 	}
-	found, open := false, false
-	see := func(iv sqltypes.Value) {
-		if c, ok := compare(v, iv); !ok {
-			open = true
-		} else if c == 0 {
-			found = true
-		}
-	}
-	if n.src != nil {
-		if env == nil || env.ctx == nil {
-			return triUnknown, fmt.Errorf("exec: IN (SELECT ...) is not supported in this context")
-		}
-		list, err := env.ctx.subqueryValues(n.src.(*parser.InExpr))
-		if err != nil {
-			return triUnknown, err
-		}
-		for _, iv := range list {
-			see(iv)
-		}
-	}
-	// Every item is evaluated, match or not: a later item's error is the
-	// statement's.
-	for i := range n.kids[1:] {
-		iv, err := n.kids[1+i].eval(row, env)
-		if err != nil {
-			return triUnknown, err
-		}
-		see(iv)
-	}
-	switch {
-	case found:
-		return triOf(!n.neg), nil
-	case open:
+	b, err := v.Coerce(sqltypes.TypeBool)
+	if err != nil {
 		return triUnknown, nil
 	}
-	return triOf(n.neg), nil
+	return triOf(b.Bool()), nil
 }
 
-// eval computes n over one row.
-func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
-	switch n.kind {
-	case bLit:
-		return *n.src.(*sqltypes.Value), nil
-	case bCol:
-		return row[n.ord], nil
-	case bFail:
-		return sqltypes.Value{}, n.src.(error)
-	case bNeg:
-		v, err := n.kids[0].eval(row, env)
+// eval computes x over one row.
+func (x expr) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
+	if x.val != nil {
+		return x.val(row, env)
+	}
+	t, err := x.pred(row, env)
+	if err != nil {
+		return sqltypes.Value{}, err
+	}
+	return t.value(), nil
+}
+
+func constant(v *sqltypes.Value) expr {
+	return expr{val: func(Row, *evalEnv) (sqltypes.Value, error) { return *v, nil }}
+}
+
+func column(ord int) expr {
+	return expr{val: func(row Row, _ *evalEnv) (sqltypes.Value, error) { return row[ord], nil }}
+}
+
+func failed(err error) expr {
+	return expr{val: func(Row, *evalEnv) (sqltypes.Value, error) { return sqltypes.Value{}, err }}
+}
+
+// The compilers of the nodes with children compile them first, then
+// return the node's closure. Each is a method of its own, too large to be
+// inlined into bind: a closure inlined with its maker is compiled without
+// inlining the small calls in its body.
+
+// logic compiles AND and OR. Both sides are tested, always: a side's
+// error — and a CROWDEQUAL's crowd question — does not depend on what the
+// other side said.
+func (b *binder) logic(x *parser.BinaryExpr, schema []plan.Col) expr {
+	l, r := b.bind(x.L, schema), b.bind(x.R, schema)
+	// decided is the answer one side can force: TRUE for OR, FALSE for AND.
+	decided, otherwise := triOf(x.Op == "OR"), triOf(x.Op == "AND")
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		lt, err := l.test(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		rt, err := r.test(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		switch {
+		case lt == decided || rt == decided:
+			return decided, nil
+		case lt == triUnknown || rt == triUnknown:
+			return triUnknown, nil
+		}
+		return otherwise, nil
+	}}
+}
+
+func (b *binder) not(x *parser.UnaryExpr, schema []plan.Col) expr {
+	e := b.bind(x.E, schema)
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		v, err := e.eval(row, env)
+		if err != nil || v.IsUnknown() {
+			return triUnknown, err
+		}
+		bv, err := v.Coerce(sqltypes.TypeBool)
+		if err != nil {
+			return triUnknown, err
+		}
+		return triOf(!bv.Bool()), nil
+	}}
+}
+
+// ordering is the answers of compare a comparison operator accepts.
+type ordering struct{ lt, eq, gt bool }
+
+// of is the comparison's answer to compare's.
+func (o ordering) of(c int, ok bool) tri {
+	if !ok {
+		return triUnknown
+	}
+	return triOf(c < 0 && o.lt || c == 0 && o.eq || c > 0 && o.gt)
+}
+
+// both evaluates l, then r.
+func both(l, r expr, row Row, env *evalEnv) (lv, rv sqltypes.Value, err error) {
+	if lv, err = l.eval(row, env); err == nil {
+		rv, err = r.eval(row, env)
+	}
+	return lv, rv, err
+}
+
+// isNull compiles IS [NOT] NULL and IS [NOT] CNULL: CNULL is a NULL flavor
+// for IS NULL.
+func (b *binder) isNull(x *parser.IsNullExpr, schema []plan.Col) expr {
+	e, cnull, neg := b.bind(x.E, schema), x.CNull, x.Neg
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		v, err := e.eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		match := v.IsCNull() || (!cnull && v.IsNull())
+		return triOf(match != neg), nil
+	}}
+}
+
+// in compiles x [NOT] IN (list | subquery): a match decides it, otherwise
+// an item it could not be compared with leaves it unknown.
+func (b *binder) in(x *parser.InExpr, schema []plan.Col) expr {
+	e := b.bind(x.E, schema)
+	list := b.bindAll(len(x.List), func(i int) parser.Expr { return x.List[i] }, schema)
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		v, err := e.eval(row, env)
+		if err != nil || v.IsUnknown() {
+			return triUnknown, err
+		}
+		found, open := false, false
+		see := func(iv sqltypes.Value) {
+			if c, ok := compare(v, iv); !ok {
+				open = true
+			} else if c == 0 {
+				found = true
+			}
+		}
+		if x.Sub != nil {
+			if env == nil || env.ctx == nil {
+				return triUnknown, fmt.Errorf("exec: IN (SELECT ...) is not supported in this context")
+			}
+			sub, err := env.ctx.subqueryValues(x)
+			if err != nil {
+				return triUnknown, err
+			}
+			for _, iv := range sub {
+				see(iv)
+			}
+		}
+		// Every item is evaluated, match or not: a later item's error is
+		// the statement's.
+		for _, item := range list {
+			iv, err := item.eval(row, env)
+			if err != nil {
+				return triUnknown, err
+			}
+			see(iv)
+		}
+		switch {
+		case found:
+			return triOf(!x.Neg), nil
+		case open:
+			return triUnknown, nil
+		}
+		return triOf(x.Neg), nil
+	}}
+}
+
+func (b *binder) between(x *parser.BetweenExpr, schema []plan.Col) expr {
+	e, lo, hi, neg := b.bind(x.E, schema), b.bind(x.Lo, schema), b.bind(x.Hi, schema), x.Neg
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		v, err := e.eval(row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		lv, hv, err := both(lo, hi, row, env)
+		if err != nil {
+			return triUnknown, err
+		}
+		c1, ok1 := compare(v, lv)
+		c2, ok2 := compare(v, hv)
+		if !ok1 || !ok2 {
+			return triUnknown, nil
+		}
+		return triOf((c1 >= 0 && c2 <= 0) != neg), nil
+	}}
+}
+
+func (b *binder) like(x *parser.BinaryExpr, schema []plan.Col) expr {
+	l, r := b.bind(x.L, schema), b.bind(x.R, schema)
+	return expr{pred: func(row Row, env *evalEnv) (tri, error) {
+		lv, rv, err := both(l, r, row, env)
+		if err != nil || lv.IsUnknown() || rv.IsUnknown() {
+			return triUnknown, err
+		}
+		return triOf(likeMatch(lv.String(), rv.String())), nil
+	}}
+}
+
+func (b *binder) negate(x *parser.UnaryExpr, schema []plan.Col) expr {
+	e := b.bind(x.E, schema)
+	return expr{val: func(row Row, env *evalEnv) (sqltypes.Value, error) {
+		v, err := e.eval(row, env)
 		if err != nil {
 			return sqltypes.Value{}, err
 		}
@@ -291,37 +329,25 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 			return v, nil
 		}
 		return sqltypes.Value{}, fmt.Errorf("exec: cannot negate %v", v)
-	case bConcat, bArith:
-		l, err := n.kids[0].eval(row, env)
-		if err != nil {
+	}}
+}
+
+// operate compiles || and the arithmetic operators: NULL when a side is
+// unknown.
+func (b *binder) operate(x *parser.BinaryExpr, schema []plan.Col) expr {
+	op, l, r := x.Op, b.bind(x.L, schema), b.bind(x.R, schema)
+	return expr{val: func(row Row, env *evalEnv) (sqltypes.Value, error) {
+		lv, rv, err := both(l, r, row, env)
+		switch {
+		case err != nil:
 			return sqltypes.Value{}, err
-		}
-		r, err := n.kids[1].eval(row, env)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		if l.IsUnknown() || r.IsUnknown() {
+		case lv.IsUnknown() || rv.IsUnknown():
 			return sqltypes.Null(), nil
+		case op == "||":
+			return sqltypes.NewString(lv.String() + rv.String()), nil
 		}
-		if n.kind == bConcat {
-			return sqltypes.NewString(l.String() + r.String()), nil
-		}
-		return n.arith(l, r)
-	case bFunc:
-		return n.call(row, env)
-	case bCrowdEq:
-		return n.crowdEqual(row, env)
-	case bAgg:
-		if env == nil || env.agg == nil {
-			return sqltypes.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", n.src.(*parser.FuncCall).Name)
-		}
-		return env.agg.value(env.group, n.ord, n.op)
-	}
-	t, err := n.test(row, env)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	return t.value(), nil
+		return arith(op, lv, rv)
+	}}
 }
 
 // errIntOverflow is the error of an INTEGER result outside int64, as
@@ -329,25 +355,25 @@ func (n *bound) eval(row Row, env *evalEnv) (sqltypes.Value, error) {
 // since a column's type must not depend on the row.
 var errIntOverflow = errors.New("exec: INTEGER overflow")
 
-// arith is l <op> r over two known values: integers stay integers except
+// arith is l op r over two known values: integers stay integers except
 // under /, and overflow is an error; everything else goes through FLOAT;
 // division and modulo by zero are NULL.
-func (n *bound) arith(l, r sqltypes.Value) (sqltypes.Value, error) {
-	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt && n.op != arithDiv {
+func arith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
+	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt && op != "/" {
 		a, b := l.Int(), r.Int()
 		var c int64
 		ok := true
-		switch n.op {
-		case arithAdd:
+		switch op {
+		case "+":
 			c = a + b
 			ok = (c > a) == (b > 0)
-		case arithSub:
+		case "-":
 			c = a - b
 			ok = (c < a) == (b > 0)
-		case arithMul:
+		case "*":
 			c = a * b
 			ok = a == 0 || (c/a == b && !(a == -1 && b == math.MinInt64))
-		case arithMod:
+		case "%":
 			if b == 0 {
 				return sqltypes.Null(), nil
 			}
@@ -358,93 +384,105 @@ func (n *bound) arith(l, r sqltypes.Value) (sqltypes.Value, error) {
 		}
 		return sqltypes.NewInt(c), nil
 	}
-	sym := n.src.(*parser.BinaryExpr).Op
 	lf, err := l.Coerce(sqltypes.TypeFloat)
 	if err != nil {
-		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, sym, r, err)
+		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, op, r, err)
 	}
 	rf, err := r.Coerce(sqltypes.TypeFloat)
 	if err != nil {
-		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, sym, r, err)
+		return sqltypes.Value{}, fmt.Errorf("exec: %v %s %v: %w", l, op, r, err)
 	}
 	a, b := lf.Float(), rf.Float()
-	switch n.op {
-	case arithAdd:
+	switch op {
+	case "+":
 		return sqltypes.NewFloat(a + b), nil
-	case arithSub:
+	case "-":
 		return sqltypes.NewFloat(a - b), nil
-	case arithMul:
+	case "*":
 		return sqltypes.NewFloat(a * b), nil
-	case arithDiv:
+	case "/":
 		if b == 0 {
 			return sqltypes.Null(), nil
 		}
 		return sqltypes.NewFloat(a / b), nil
-	case arithMod:
-		if int64(b) == 0 { // the remainder is taken over the integer parts
-			return sqltypes.Null(), nil
-		}
-		return sqltypes.NewFloat(float64(int64(a) % int64(b))), nil
 	}
-	return sqltypes.Value{}, fmt.Errorf("exec: unknown arithmetic op %q", sym)
+	if int64(b) == 0 { // %: the remainder is taken over the integer parts
+		return sqltypes.Null(), nil
+	}
+	return sqltypes.NewFloat(float64(int64(a) % int64(b))), nil
 }
 
-// call applies a scalar function. Every argument is evaluated first.
-func (n *bound) call(row Row, env *evalEnv) (sqltypes.Value, error) {
-	var few [3]sqltypes.Value
-	args := few[:0]
-	if len(n.kids) > len(few) {
-		args = make([]sqltypes.Value, 0, len(n.kids))
+// scalar compiles a call of a scalar function. Every argument is
+// evaluated first; a NULL first argument is NULL, except to COALESCE.
+func (b *binder) scalar(x *parser.FuncCall, schema []plan.Col) expr {
+	name, args := x.Name, b.bindAll(len(x.Args), func(i int) parser.Expr { return x.Args[i] }, schema)
+	var unknown error
+	switch name {
+	case "LOWER", "UPPER", "TRIM", "LENGTH", "ABS", "ROUND", "COALESCE", "SUBSTR":
+	default:
+		unknown = fmt.Errorf("exec: unknown function %s", name)
 	}
-	for i := range n.kids {
-		v, err := n.kids[i].eval(row, env)
-		if err != nil {
-			return sqltypes.Value{}, err
+	return expr{val: func(row Row, env *evalEnv) (sqltypes.Value, error) {
+		var few [3]sqltypes.Value
+		vals := few[:0]
+		if len(args) > len(few) {
+			vals = make([]sqltypes.Value, 0, len(args))
 		}
-		args = append(args, v)
-	}
-	if n.op == 0 {
-		return sqltypes.Value{}, fmt.Errorf("exec: unknown function %s", n.src.(*parser.FuncCall).Name)
-	}
-	if n.op == fnCoalesce {
 		for _, a := range args {
-			if !a.IsUnknown() {
-				return a, nil
+			v, err := a.eval(row, env)
+			if err != nil {
+				return sqltypes.Value{}, err
 			}
+			vals = append(vals, v)
 		}
-		return sqltypes.Null(), nil
-	}
-	if args[0].IsUnknown() {
-		return sqltypes.Null(), nil
-	}
-	switch n.op {
-	case fnLower:
-		return sqltypes.NewString(strings.ToLower(args[0].String())), nil
-	case fnUpper:
-		return sqltypes.NewString(strings.ToUpper(args[0].String())), nil
-	case fnTrim:
-		return sqltypes.NewString(strings.TrimSpace(args[0].String())), nil
-	case fnLength:
-		return sqltypes.NewInt(int64(len(args[0].String()))), nil
-	case fnAbs:
+		switch {
+		case unknown != nil:
+			return sqltypes.Value{}, unknown
+		case name == "COALESCE":
+			for _, v := range vals {
+				if !v.IsUnknown() {
+					return v, nil
+				}
+			}
+			return sqltypes.Null(), nil
+		case vals[0].IsUnknown():
+			return sqltypes.Null(), nil
+		}
+		return apply(name, vals), nil
+	}}
+}
+
+// apply is the scalar function name, not COALESCE, over its arguments'
+// known values.
+func apply(name string, args []sqltypes.Value) sqltypes.Value {
+	switch name {
+	case "LOWER":
+		return sqltypes.NewString(strings.ToLower(args[0].String()))
+	case "UPPER":
+		return sqltypes.NewString(strings.ToUpper(args[0].String()))
+	case "TRIM":
+		return sqltypes.NewString(strings.TrimSpace(args[0].String()))
+	case "LENGTH":
+		return sqltypes.NewInt(int64(len(args[0].String())))
+	case "ABS":
 		if args[0].Kind() == sqltypes.KindInt {
 			v := args[0].Int()
 			if v < 0 {
 				v = -v
 			}
-			return sqltypes.NewInt(v), nil
+			return sqltypes.NewInt(v)
 		}
 		f := args[0].Float()
-		if f < 0 {
+		if f < 0 { // not math.Abs: ABS(-0.0) stays -0.0
 			f = -f
 		}
-		return sqltypes.NewFloat(f), nil
-	case fnRound:
+		return sqltypes.NewFloat(f)
+	case "ROUND":
 		f := args[0].Float()
 		if f < 0 {
-			return sqltypes.NewInt(int64(f - 0.5)), nil
+			return sqltypes.NewInt(int64(f - 0.5))
 		}
-		return sqltypes.NewInt(int64(f + 0.5)), nil
+		return sqltypes.NewInt(int64(f + 0.5))
 	}
 	// SUBSTR(s [, start [, length]]), 1-based.
 	s := args[0].String()
@@ -456,7 +494,7 @@ func (n *bound) call(row Row, env *evalEnv) (sqltypes.Value, error) {
 		start = 1
 	}
 	if start > len(s) {
-		return sqltypes.NewString(""), nil
+		return sqltypes.NewString("")
 	}
 	out := s[start-1:]
 	if len(args) > 2 && !args[2].IsUnknown() {
@@ -464,39 +502,7 @@ func (n *bound) call(row Row, env *evalEnv) (sqltypes.Value, error) {
 			out = out[:n]
 		}
 	}
-	return sqltypes.NewString(out), nil
-}
-
-// crowdEqual renders both sides and asks the memo, then the crowd. The
-// question is evaluated first, trivially equal values need no crowd, and
-// with no crowd attached the answer is unknown.
-func (n *bound) crowdEqual(row Row, env *evalEnv) (sqltypes.Value, error) {
-	question := ""
-	if len(n.kids) == 3 {
-		qv, err := n.kids[2].eval(row, env)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		question = qv.String()
-	}
-	l, err := n.kids[0].eval(row, env)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	r, err := n.kids[1].eval(row, env)
-	if err != nil {
-		return sqltypes.Value{}, err
-	}
-	if l.IsUnknown() || r.IsUnknown() {
-		return sqltypes.Null(), nil
-	}
-	if sqltypes.Equal(l, r) {
-		return sqltypes.NewBool(true), nil
-	}
-	if env == nil || env.ctx == nil || env.ctx.Cache == nil {
-		return sqltypes.Null(), nil
-	}
-	return resolveEqual(env.ctx, question, l.String(), r.String())
+	return sqltypes.NewString(out)
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single rune),

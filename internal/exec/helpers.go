@@ -18,7 +18,7 @@ func EvalConst(e parser.Expr) (sqltypes.Value, error) {
 // nothing is allocated.
 type RowExpr struct {
 	val  *sqltypes.Value
-	root *bound
+	root expr
 }
 
 // BindRow resolves e's column references against schema.

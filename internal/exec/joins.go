@@ -47,7 +47,7 @@ type nlJoin struct {
 	left  rowCursor
 	right Operator
 
-	on        *bound
+	on        expr
 	rightRows []Row
 	cur       Row
 	rpos      int
@@ -164,7 +164,7 @@ type hashJoin struct {
 	left  rowCursor
 	right Operator
 
-	lk, rk, res *bound // the keys over the left and right rows; the rest of ON over the joined ones
+	lk, rk, res expr // the keys over the left and right rows; the rest of ON over the joined ones
 	build       rowBuckets
 	built       int64
 	cur         Row

@@ -130,10 +130,11 @@ type filterOp struct {
 	node   *plan.Filter
 	input  Operator
 	crowd  bool
-	cond   *bound
-	pre    *bound           // crowd mode: node.Pre, the crowd-free phase
+	cond   expr
+	pre    expr             // crowd mode: node.Pre, the crowd-free phase
 	calls  []crowdEqualCall // crowd mode with a crowd attached: the CROWDEQUAL calls in cond
 	stream *equalStream     // crowd mode: quorum-streaming CROWDEQUAL state
+	env    evalEnv          // Open's: the context cond and pre reach subqueries and the crowd through
 	buf    Batch
 }
 
@@ -142,12 +143,13 @@ type filterOp struct {
 // its CROWDEQUAL calls.
 func newFilter(ctx *Ctx, x *plan.Filter, in Operator, b *binder) *filterOp {
 	schema := in.Schema()
-	f := &filterOp{node: x, input: in, crowd: parser.HasCrowdFunc(x.Cond), cond: b.bind(x.Cond, schema)}
+	f := &filterOp{node: x, input: in, crowd: parser.HasCrowdFunc(x.Cond)}
+	if f.crowd && ctx.Tasks != nil && ctx.Cache != nil {
+		b.eqs = &f.calls
+	}
+	f.cond, b.eqs = b.bind(x.Cond, schema), nil
 	if f.crowd {
 		f.pre = b.bind(x.Pre, schema)
-		if ctx.Tasks != nil && ctx.Cache != nil {
-			f.calls = collectCrowdEqualCalls(b, x.Cond, schema)
-		}
 	}
 	return f
 }
@@ -155,6 +157,7 @@ func newFilter(ctx *Ctx, x *plan.Filter, in Operator, b *binder) *filterOp {
 func (f *filterOp) Schema() []plan.Col { return f.input.Schema() }
 
 func (f *filterOp) Open(ctx *Ctx) error {
+	f.env = evalEnv{ctx: ctx}
 	if err := f.input.Open(ctx); err != nil || !f.crowd {
 		return err
 	}
@@ -169,11 +172,10 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	// (crowd-free) phase, prune with it first — rows a machine predicate
 	// rejects must never cost a paid comparison. AND semantics make this
 	// exact: a row failing Pre fails Cond regardless of crowd verdicts.
-	if f.pre != nil {
-		env := evalEnv{ctx: ctx}
+	if !f.pre.none() {
 		kept := buffered[:0]
 		for _, r := range buffered {
-			keep, err := f.pre.keeps(r, &env)
+			keep, err := f.pre.keeps(r, &f.env)
 			if err != nil {
 				return err
 			}
@@ -204,9 +206,8 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, nil
 		}
 		f.buf.Rows = slices.Grow(f.buf.Rows[:0], len(b.Rows))
-		env := evalEnv{ctx: ctx}
 		for _, r := range b.Rows {
-			keep, err := f.cond.keeps(r, &env)
+			keep, err := f.cond.keeps(r, &f.env)
 			if err != nil {
 				return nil, err
 			}
@@ -242,13 +243,17 @@ func (f *filterOp) bufferedRows() int64 {
 type projectOp struct {
 	node  *plan.Project
 	input Operator
-	items []bound // items[i] computes output column i
+	items []expr  // items[i] computes output column i
+	env   evalEnv // Open's: the context the items reach subqueries and the crowd through
 	buf   Batch
 }
 
 func (p *projectOp) Schema() []plan.Col { return p.node.Schema() }
 
-func (p *projectOp) Open(ctx *Ctx) error { return p.input.Open(ctx) }
+func (p *projectOp) Open(ctx *Ctx) error {
+	p.env = evalEnv{ctx: ctx}
+	return p.input.Open(ctx)
+}
 
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	b, err := p.input.NextBatch(ctx)
@@ -263,12 +268,11 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	// them, so the next batch gets its own.
 	w := len(p.items)
 	vals := make([]sqltypes.Value, len(b.Rows)*w)
-	env := evalEnv{ctx: ctx}
 	for _, r := range b.Rows {
 		out := Row(vals[:w:w])
 		vals = vals[w:]
 		for i := range p.items {
-			if out[i], err = p.items[i].eval(r, &env); err != nil {
+			if out[i], err = p.items[i].eval(r, &p.env); err != nil {
 				return nil, err
 			}
 		}
@@ -288,10 +292,10 @@ func (p *projectOp) Close(ctx *Ctx) error {
 type sortOp struct {
 	node  *plan.Sort
 	input Operator
-	keys  []bound // a plain sort's keys
+	keys  []expr // a plain sort's keys
 	// A CROWDORDER sort shows each row to the crowd as label's value and
 	// asks question; err is Open's for a crowd key it cannot sort by.
-	label    *bound
+	label    expr
 	question string
 	err      error
 
@@ -343,7 +347,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 	switch {
 	case s.err != nil:
 		return s.err
-	case s.label != nil:
+	case !s.label.none():
 		return s.crowdSort(ctx)
 	}
 	return s.plainSort(ctx)
@@ -563,30 +567,35 @@ func (d *distinctOp) bufferedRows() int64 { return int64(d.seen.len()) }
 type aggregateOp struct {
 	node        *plan.Aggregate
 	input       Operator
-	keys, items []bound // GROUP BY and the select list
-	having      *bound
-	topKeys     []bound // node.TopKeys, over the output rows
-	// calls are the bAgg nodes (COUNT(*) aside: the group counts its rows)
-	// the select list and HAVING read, in first-use order: a call's index
-	// is its slot in a group's states.
-	calls  []*bound
+	keys, items []expr // GROUP BY and the select list
+	having      expr
+	topKeys     []expr // node.TopKeys, over the output rows
+	// calls are the aggregate calls (COUNT(*) aside: the group counts its
+	// rows) the select list and HAVING read, in first-use order: a call's
+	// index is its slot in a group's states.
+	calls  []aggCall
+	env    evalEnv // emit's: the table and the group the calls read
 	out    batchEmitter
 	groups int64
 }
 
+// aggCall is one aggregate call: its function and its argument compiled
+// over the input rows.
+type aggCall struct {
+	fn  uint8
+	arg expr
+}
+
 // newAggregate binds x's GROUP BY, select list and HAVING over in's rows,
-// numbers the aggregate calls they read, and binds the sort keys pushed
-// into it over its output rows.
+// gathering the aggregate calls the last two read, and binds the sort keys
+// pushed into it over its output rows.
 func newAggregate(x *plan.Aggregate, in Operator, b *binder) *aggregateOp {
 	a := &aggregateOp{node: x, input: in}
 	schema := in.Schema()
 	a.keys = b.bindAll(len(x.GroupBy), func(i int) parser.Expr { return x.GroupBy[i] }, schema)
+	b.aggs = &a.calls
 	a.items = b.bindAll(len(x.Items), func(i int) parser.Expr { return x.Items[i].Expr }, schema)
-	a.having = b.bind(x.Having, schema)
-	for i := range a.items {
-		a.number(&a.items[i])
-	}
-	a.number(a.having)
+	a.having, b.aggs = b.bind(x.Having, schema), nil
 	a.topKeys = b.bindAll(len(x.TopKeys), func(i int) parser.Expr { return x.TopKeys[i].Expr }, a.Schema())
 	return a
 }
@@ -720,8 +729,8 @@ func (a *aggregateOp) Open(ctx *Ctx) error {
 			g.groups.at(int(id)).rows++
 			if len(a.calls) > 0 {
 				states := g.states.run(int(id))
-				for i, c := range a.calls {
-					g.fold(&states[i], c, r)
+				for i := range a.calls {
+					g.fold(&states[i], &a.calls[i], r)
 				}
 			}
 		}
@@ -751,14 +760,13 @@ func (a *aggregateOp) emit(g *aggTable) error {
 	vals := make([]sqltypes.Value, (n+1)*w) // n rows, then the scratch row
 	scratch := Row(vals[n*w:])
 	rows := make([]Row, 0, n)
-	var (
-		env    = evalEnv{agg: g}
-		keyErr error
-	)
+	a.env = evalEnv{agg: g}
+	defer func() { a.env = evalEnv{} }() // g goes back to its pool
+	var keyErr error
 	for id := range g.groups.len() {
-		env.group = int32(id)
+		a.env.group = int32(id)
 		first := g.groups.at(id).first
-		keep, err := a.having.keeps(first, &env)
+		keep, err := a.having.keeps(first, &a.env)
 		if err != nil {
 			return err
 		}
@@ -766,7 +774,7 @@ func (a *aggregateOp) emit(g *aggTable) error {
 			continue
 		}
 		for i := range a.items {
-			if scratch[i], err = a.items[i].eval(first, &env); err != nil {
+			if scratch[i], err = a.items[i].eval(first, &a.env); err != nil {
 				return err
 			}
 		}
@@ -797,21 +805,6 @@ func (a *aggregateOp) emit(g *aggTable) error {
 	return nil
 }
 
-// number gives each aggregate call under n — not under another's
-// argument, where it stays out of place — its slot in a group's states.
-func (a *aggregateOp) number(n *bound) {
-	switch {
-	case n == nil:
-	case n.kind != bAgg:
-		for i := range n.kids {
-			a.number(&n.kids[i])
-		}
-	case len(n.kids) > 0:
-		n.ord = int32(len(a.calls))
-		a.calls = append(a.calls, n)
-	}
-}
-
 func (a *aggregateOp) NextBatch(ctx *Ctx) (*Batch, error) { return a.out.next(ctx), nil }
 
 func (a *aggregateOp) Close(ctx *Ctx) error {
@@ -823,8 +816,8 @@ func (a *aggregateOp) bufferedRows() int64 { return a.groups + int64(len(a.out.r
 
 // fold folds the row's argument value into a state of c. SQL aggregates
 // skip NULLs (and CNULLs).
-func (g *aggTable) fold(s *aggState, c *bound, row Row) {
-	v, err := c.kids[0].eval(row, nil)
+func (g *aggTable) fold(s *aggState, c *aggCall, row Row) {
+	v, err := c.arg.eval(row, nil)
 	if err != nil {
 		if s.flags&evalErr == 0 {
 			g.fail(s, err)
@@ -839,9 +832,9 @@ func (g *aggTable) fold(s *aggState, c *bound, row Row) {
 	if s.flags&hasErr != 0 {
 		return
 	}
-	switch c.op {
+	switch c.fn {
 	case aggSum, aggAvg:
-		if c.op == aggSum && s.flags&sumFloat == 0 && v.Kind() == sqltypes.KindInt {
+		if c.fn == aggSum && s.flags&sumFloat == 0 && v.Kind() == sqltypes.KindInt {
 			sum, i := int64(s.acc), v.Int()
 			if i > 0 && sum > math.MaxInt64-i || i < 0 && sum < math.MinInt64-i {
 				g.fail(s, errSumOverflow)
@@ -852,11 +845,11 @@ func (g *aggTable) fold(s *aggState, c *bound, row Row) {
 		}
 		f, err := v.Coerce(sqltypes.TypeFloat)
 		if err != nil {
-			g.fail(s, fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.op], v))
+			g.fail(s, fmt.Errorf("exec: %s over non-numeric value %v", aggNames[c.fn], v))
 			return
 		}
 		sum := math.Float64frombits(s.acc)
-		if c.op == aggSum && s.flags&sumFloat == 0 {
+		if c.fn == aggSum && s.flags&sumFloat == 0 {
 			sum = float64(int64(s.acc)) // the exact integer prefix
 			s.flags |= sumFloat
 		}
@@ -870,10 +863,10 @@ func (g *aggTable) fold(s *aggState, c *bound, row Row) {
 		best := g.best.at(int(s.acc))
 		c2, ok := sqltypes.Compare(v, *best)
 		if !ok {
-			g.fail(s, fmt.Errorf("exec: %s over incomparable values", aggNames[c.op]))
+			g.fail(s, fmt.Errorf("exec: %s over incomparable values", aggNames[c.fn]))
 			return
 		}
-		if (c.op == aggMin && c2 < 0) || (c.op == aggMax && c2 > 0) {
+		if (c.fn == aggMin && c2 < 0) || (c.fn == aggMax && c2 > 0) {
 			*best = v
 		}
 	}

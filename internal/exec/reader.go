@@ -51,8 +51,8 @@ var streamSets = sync.Pool{New: func() any { return new([]shardStream) }}
 
 type tableReader struct {
 	node    *plan.Scan
-	filter  *bound // node.Filter: unknown drops; nil keeps every row
-	quota   int64  // node.StopAfter: rows to return before stopping, < 0 for all
+	filter  expr  // node.Filter: unknown drops; the zero expr keeps every row
+	quota   int64 // node.StopAfter: rows to return before stopping, < 0 for all
 	streams []shardStream
 	keyed   [1]shardStream // backs streams when a key feeds the read
 	pkID    [1]storage.RowID

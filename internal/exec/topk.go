@@ -21,7 +21,7 @@ import (
 // marking while it runs.
 type topK struct {
 	order   []parser.OrderItem // the sort keys, for their directions
-	keys    []bound            // order's keys, bound over the offered rows
+	keys    []expr             // order's keys, bound over the offered rows
 	keep    int64
 	vals    []sqltypes.Value // vals[s*nk:][:nk] are the keys of slot s's row
 	arrival []int64          // slot s's row was the arrival[s]-th offered

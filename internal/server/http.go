@@ -281,10 +281,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobList reports every retained job: GET /v1/queries. Every listed
 // job's submit record was buffered before the job was listed, so one sync
 // makes them all durable before their ids go out (journal barrier 1).
+// Each job is the object its GET body is (appendInfo).
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.Jobs()
 	s.journalSync()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	body := append(make([]byte, 0, 512*len(jobs)+16), `{"jobs":[`...)
+	for i := range jobs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = appendInfo(body, &jobs[i])
+	}
+	w.Header()["Content-Type"] = jsonType
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(body, "]}\n"...)) //nolint:errcheck // client gone is not our error
 }
 
 // handleJobGet polls one job: GET /v1/queries/{id}.

@@ -175,6 +175,49 @@ func TestStatsIncludesCostModel(t *testing.T) {
 	}
 }
 
+// TestJobListWritesEachJobAsItsGet: the list body is each job's GET body,
+// byte for byte, inside {"jobs":[…]}: an EXPLAIN plan's `<` is the same
+// escape in both.
+func TestJobListWritesEachJobAsItsGet(t *testing.T) {
+	srv := New(pairEngine(t, 31, 2), Config{})
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	sess, serr := srv.CreateSession(-1)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	job, serr := srv.StartJob(sess.ID(), "EXPLAIN SELECT id FROM Pair WHERE id < 950")
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if st := waitState(t, job); st != JobDone {
+		t.Fatalf("EXPLAIN job ended %s: %v", st, job.Err())
+	}
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET %s: content type %q", path, ct)
+		}
+		return body
+	}
+	one := get("/v1/queries/" + job.ID())
+	if !bytes.Contains(one, []byte(`\u003c`)) {
+		t.Fatalf("the GET body has no escaped < in its plan: %s", one)
+	}
+	want := `{"jobs":[` + strings.TrimSuffix(string(one), "\n") + "]}\n"
+	if list := get("/v1/queries"); string(list) != want {
+		t.Errorf("GET /v1/queries:\n%s\nwant each job as its GET body:\n%s", list, want)
+	}
+}
+
 // TestOneFrontDoor: the synchronous POST /query is gone — the mux's 404,
 // not a handler — and the path that replaced it settles precisely: a
 // statement that fails after paying the crowd gives back exactly the

@@ -9,9 +9,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"crowddb/internal/crowd"
+	"crowddb/internal/crowd/amt"
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 )
@@ -71,10 +74,28 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// heldAnswers holds every HIT group's answers until release is closed: a
+// job asking its crowd stays running until then.
+type heldAnswers struct {
+	crowd.Platform
+	release chan struct{}
+}
+
+func (p heldAnswers) Results(id crowd.GroupID) ([]*crowd.Assignment, error) {
+	<-p.release
+	return p.Platform.Results(id)
+}
+
 // TestJobRowsStreamNDJSON exercises GET /v1/queries/{id}/rows end to
 // end: rows arrive as JSON arrays, the stream ends with a state trailer.
+// The crowd answers only once the 202 is read, so the job it names is
+// still running.
 func TestJobRowsStreamNDJSON(t *testing.T) {
-	eng := pairEngine(t, 53, 3)
+	held := heldAnswers{Platform: amt.NewDefault(53), release: make(chan struct{})}
+	var once sync.Once
+	answer := func() { once.Do(func() { close(held.release) }) }
+	eng := pairEngineOn(t, 53, 3, held)
+	t.Cleanup(answer) // before the engine closes
 	srv := New(eng, Config{})
 	ts := httptest.NewServer(srv.HTTPHandler())
 	defer ts.Close()
@@ -90,6 +111,7 @@ func TestJobRowsStreamNDJSON(t *testing.T) {
 	if info.ID == "" || info.State.Terminal() {
 		t.Fatalf("submit response: %+v", info)
 	}
+	answer()
 
 	rowsResp, err := http.Get(ts.URL + "/v1/queries/" + info.ID + "/rows")
 	if err != nil {

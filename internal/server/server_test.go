@@ -26,9 +26,15 @@ import (
 // truth is deterministic.
 func pairEngine(t *testing.T, seed int64, n int) *core.Engine {
 	t.Helper()
+	return pairEngineOn(t, seed, n, amt.NewDefault(seed))
+}
+
+// pairEngineOn is pairEngine asking its crowd on p.
+func pairEngineOn(t *testing.T, seed int64, n int, p crowd.Platform) *core.Engine {
+	t.Helper()
 	conf := workload.NewConference(8, seed)
 	eng, err := core.Open(core.Config{
-		Platform: amt.NewDefault(seed),
+		Platform: p,
 		Oracle:   conf.Oracle(),
 		Payment:  wrm.DefaultPolicy(),
 	})

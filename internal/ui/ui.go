@@ -41,8 +41,11 @@ type templateKey struct {
 	kind  crowd.TaskKind
 }
 
-func key(table string, kind crowd.TaskKind) templateKey {
-	return templateKey{strings.ToLower(table), kind}
+// lookup is the template of table and kind; m.mu is held.
+func (m *Manager) lookup(table string, kind crowd.TaskKind) (*Template, bool) {
+	var buf [64]byte
+	t, ok := m.templates[templateKey{string(catalog.AppendFold(buf[:0], table)), kind}]
+	return t, ok
 }
 
 // Manager is the UI Template Manager: it owns every generated template and
@@ -95,9 +98,8 @@ func defaultInstructions(table string, kind crowd.TaskKind) string {
 }
 
 func (m *Manager) ensureLocked(table string, kind crowd.TaskKind, instructions string) {
-	k := key(table, kind)
-	if _, ok := m.templates[k]; !ok {
-		m.templates[k] = &Template{Table: table, Kind: kind, Instructions: instructions}
+	if _, ok := m.lookup(table, kind); !ok {
+		m.templates[templateKey{strings.ToLower(table), kind}] = &Template{Table: table, Kind: kind, Instructions: instructions}
 	}
 }
 
@@ -105,8 +107,7 @@ func (m *Manager) ensureLocked(table string, kind crowd.TaskKind, instructions s
 func (m *Manager) Template(table string, kind crowd.TaskKind) (*Template, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t, ok := m.templates[key(table, kind)]
-	return t, ok
+	return m.lookup(table, kind)
 }
 
 // EditInstructions is the Form Editor hook: developers replace the default
@@ -114,7 +115,7 @@ func (m *Manager) Template(table string, kind crowd.TaskKind) (*Template, bool) 
 func (m *Manager) EditInstructions(table string, kind crowd.TaskKind, text string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t, ok := m.templates[key(table, kind)]
+	t, ok := m.lookup(table, kind)
 	if !ok {
 		return fmt.Errorf("ui: no template for table %q kind %v", table, kind)
 	}

@@ -203,3 +203,18 @@ func TestHTMLEscaping(t *testing.T) {
 		t.Error("known values must be HTML-escaped")
 	}
 }
+
+// A template is found under any spelling of its table's name, and a
+// lookup of a mixed-case name allocates nothing.
+func TestTemplateLookupFoldsWithoutAllocating(t *testing.T) {
+	m := NewManager(testCatalog(t))
+	m.GenerateAll()
+	for _, name := range []string{"Talk", "talk", "TALK"} {
+		if _, ok := m.Template(name, crowd.TaskProbeValues); !ok {
+			t.Errorf("Template(%q) not found", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Template("Talk", crowd.TaskProbeValues) }); n != 0 {
+		t.Errorf("Template(%q): %.0f allocations, want 0", "Talk", n)
+	}
+}
